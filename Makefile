@@ -1,6 +1,18 @@
 DUNE ?= dune
+SINTRA = $(DUNE) exec bin/sintra_cli.exe --
 
-.PHONY: all build test fmt fmt-check bench bench-num bench-num-smoke bench-check bench-smoke perf-diff faults faults-smoke link-smoke link-bless tput tput-smoke tput-bless flight flight-smoke flight-bless recov recov-smoke refresh refresh-smoke svc svc-smoke svc-bless schedule-search check clean
+# The seed-sweep campaigns (see "Seed-sweep campaigns" below) and the
+# artifact prefix each writes.
+CAMPAIGNS = faults link flight recov epoch svc
+faults_ART = FAULTS
+link_ART = FAULTS_LINK
+flight_ART = FLIGHT
+recov_ART = RECOV
+epoch_ART = EPOCH
+svc_ART = BENCH_SVC
+
+.PHONY: all build test fmt fmt-check bench bench-num bench-num-smoke bench-check bench-smoke perf-diff tput tput-smoke tput-bless schedule-search check clean \
+	$(CAMPAIGNS) $(CAMPAIGNS:%=%-smoke) $(CAMPAIGNS:%=%-bless)
 
 all: build
 
@@ -23,12 +35,12 @@ bench:
 # Modular-arithmetic micro-benchmarks (naive vs Montgomery-window
 # pow_mod, fixed-base exp_g, exp2); writes BENCH_NUM.json.
 bench-num:
-	$(DUNE) exec bin/sintra_cli.exe -- bench-num
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_NUM.json
+	$(SINTRA) bench-num
+	$(SINTRA) bench-check BENCH_NUM.json
 
 # Schema check of every BENCH_*.json in the working directory.
 bench-check:
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check
+	$(SINTRA) bench-check
 
 # Quick kernel micro-bench (including the DLEQ batch-verification
 # sweep) to a scratch file, then the schema/invariant check.  Writes
@@ -36,53 +48,20 @@ bench-check:
 # never clobbered with 0.02 s-window numbers; quick runs are held to
 # relaxed thresholds by bench-check.
 bench-num-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- bench-num --quick --out BENCH_NUM_SMOKE.json
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_NUM_SMOKE.json
+	$(SINTRA) bench-num --quick --out BENCH_NUM_SMOKE.json
+	$(SINTRA) bench-check BENCH_NUM_SMOKE.json
 
 # End-to-end smoke of the machine-readable bench output: two cheap
 # experiments at reduced scale, then a schema check of the emitted
 # BENCH_<id>.json files.
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- --small R1 M1
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_R1.json BENCH_M1.json
+	$(SINTRA) bench-check BENCH_R1.json BENCH_M1.json
 
 # Per-counter deltas between two bench JSON files:
 #   make perf-diff A=BENCH_R2.baseline.json B=BENCH_R2.json
 perf-diff:
-	$(DUNE) exec bin/sintra_cli.exe -- perf-diff $(A) $(B)
-
-# Full fault-injection campaign: 50 seeds x {drop, dup-reorder,
-# partition} x {silent, crash, byzantine} over ABBA and ABC, with a
-# maximal corrupted set per run.  Writes FAULTS_CAMPAIGN.json; exits
-# non-zero on any safety violation (or liveness loss under a reliable
-# policy).
-faults:
-	$(DUNE) exec bin/sintra_cli.exe -- faults --seeds 50
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check FAULTS_CAMPAIGN.json
-
-# CI-sized campaign (5 seeds per cell) plus a schema check of the
-# emitted sintra-faults/1 report; fails on any gating violation.
-faults-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- faults --quick --out SMOKE
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check FAULTS_SMOKE.json
-
-# Fast lossy-gating sweep: 10 seeds per cell at 30% probabilistic drop
-# with the reliable link layer on.  Under --link the drop policy is
-# liveness-gating, so any honest party left undecided fails the
-# campaign, bench-check re-verifies the same invariant from the emitted
-# report, and the regression gate diffs retransmit/decide-time counters
-# against the blessed baseline (seeded virtual-time runs reproduce the
-# baseline on an unchanged tree).
-link-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- faults --seeds 10 --policies drop --drop-rate 0.3 --link --out LINK_SMOKE
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check FAULTS_LINK_SMOKE.json
-	$(DUNE) exec bin/sintra_cli.exe -- compare baselines/FAULTS_LINK_BASELINE.json FAULTS_LINK_SMOKE.json
-
-# Re-bless the checked-in link-campaign baseline after an intentional
-# behaviour change (same config as link-smoke; commit the result).
-link-bless:
-	$(DUNE) exec bin/sintra_cli.exe -- faults --seeds 10 --policies drop --drop-rate 0.3 --link --out LINK_BASELINE
-	mv FAULTS_LINK_BASELINE.json baselines/FAULTS_LINK_BASELINE.json
+	$(SINTRA) perf-diff $(A) $(B)
 
 # Throughput sweep: batching x pipelining on the R2 config (n=4, t=1);
 # writes BENCH_TPUT.json (payloads/round, bytes/round, decided payloads
@@ -90,7 +69,7 @@ link-bless:
 # tput-specific invariants (non-zero rounds, monotone delivered counts).
 tput:
 	$(DUNE) exec bench/main.exe -- TPUT
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_TPUT.json
+	$(SINTRA) bench-check BENCH_TPUT.json
 
 # CI-sized throughput sweep (24 payloads instead of 64) plus the same
 # schema and invariant checks, then the regression diff against the
@@ -98,8 +77,8 @@ tput:
 # tree).
 tput-smoke:
 	$(DUNE) exec bench/main.exe -- --small TPUT
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_TPUT.json
-	$(DUNE) exec bin/sintra_cli.exe -- compare baselines/BENCH_TPUT_BASELINE.json BENCH_TPUT.json
+	$(SINTRA) bench-check BENCH_TPUT.json
+	$(SINTRA) compare baselines/BENCH_TPUT_BASELINE.json BENCH_TPUT.json
 
 # Re-bless the checked-in throughput baseline after an intentional
 # behaviour change (same config as tput-smoke; commit the result).
@@ -107,96 +86,31 @@ tput-bless:
 	$(DUNE) exec bench/main.exe -- --small TPUT
 	mv BENCH_TPUT.json baselines/BENCH_TPUT_BASELINE.json
 
-# Full flight recording: the default campaign under the flight
-# recorder; writes FLIGHT_CAMPAIGN.json (per-cell histograms, layer
-# rollups, worst-run pointers, anomaly windows) and schema-checks it.
-flight:
-	$(DUNE) exec bin/sintra_cli.exe -- record --seeds 10 --out CAMPAIGN
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check FLIGHT_CAMPAIGN.json
+# Seed-sweep campaigns, one row each in the campaign table that
+# `sintra run` reads (lib/faults/campaign_table.ml):
+#   faults  chaos policies x corruption mixes over ABBA and ABC
+#   link    30% drop with the reliable link on (liveness-gating)
+#   flight  the fault sweep under the flight recorder
+#   recov   crash-rejoin / partition-heal via certified state transfer
+#   epoch   online proactive refresh and replica replacement
+#   svc     closed-loop clients through the service request pipeline
+# `make <c>` runs the full sweep; `make <c>-smoke` the CI-sized one and,
+# when a blessed baseline exists, the regression diff against it (the
+# artifacts derive from seeded virtual-time runs, so an unchanged tree
+# reproduces the baseline); `make <c>-bless` re-blesses that baseline
+# after an intentional behaviour change (commit the result).  Every
+# `sintra run` validates the artifact it wrote and exits non-zero on a
+# safety violation, a failed acceptance gate or an invalid artifact.
+$(CAMPAIGNS): %:
+	$(SINTRA) run $*
 
-# CI-sized recording plus the regression gate: record 3 seeds per cell,
-# schema-check the FLIGHT file, then diff it against the blessed
-# baseline.  FLIGHT files are derived from seeded virtual-time runs
-# only, so an unchanged tree reproduces the baseline byte-for-byte and
-# any strict regression (safety, gating liveness, decided counts) or
-# >10% thresholded drift exits non-zero.
-flight-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- record --seeds 3 --quiet --out SMOKE
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check FLIGHT_SMOKE.json
-	$(DUNE) exec bin/sintra_cli.exe -- compare baselines/FLIGHT_BASELINE.json FLIGHT_SMOKE.json
+$(CAMPAIGNS:%=%-smoke): %-smoke:
+	$(SINTRA) run $* --quick --out SMOKE
+	$(if $(wildcard baselines/$($*_ART)_BASELINE.json),$(SINTRA) compare baselines/$($*_ART)_BASELINE.json $($*_ART)_SMOKE.json)
 
-# Re-bless the checked-in baseline after an intentional behaviour
-# change (same config as flight-smoke; commit the result).
-flight-bless:
-	$(DUNE) exec bin/sintra_cli.exe -- record --seeds 3 --quiet --out BASELINE
-	mv FLIGHT_BASELINE.json baselines/FLIGHT_BASELINE.json
-
-# Full crash-recovery campaign: 50 seeds x {crash-rejoin,
-# partition-heal} x {plain, forged-server}, one replica knocked out
-# mid-stream under 30% drop with the link on and required to rejoin the
-# whole order via certified state transfer, plus the bounded-memory
-# probe (checkpoint GC on vs off).  Writes RECOV_RECOVERY.json; exits
-# non-zero on any safety violation, unrecovered victim, unwitnessed
-# forgery, or unbounded delivered log.
-recov:
-	$(DUNE) exec bin/sintra_cli.exe -- recover --seeds 50
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check RECOV_RECOVERY.json
-
-# CI-sized recovery campaign (3 seeds per cell) plus the schema /
-# invariant check of the emitted sintra-recov/1 report.
-recov-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- recover --quick --payloads 12 --out SMOKE
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check RECOV_SMOKE.json
-
-# Full epoch-reconfiguration campaign: 50 seeds x {refresh-only,
-# add-replica, kill-and-replace} x {benign, lossy, byz-refresher} —
-# proactive share refresh and membership change agreed through the
-# service's own total order while a payload stream is in flight.
-# Writes EPOCH_EPOCH.json; exits non-zero on any safety violation,
-# incomplete reconfiguration, public-key drift, still-live old shares,
-# missing reply certificates, or an unexcluded equivocating refresher.
-refresh:
-	$(DUNE) exec bin/sintra_cli.exe -- refresh --seeds 50
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check EPOCH_EPOCH.json
-
-# CI-sized epoch campaign (2 seeds per cell, all scenarios and
-# variants) plus the schema / invariant check of the emitted
-# sintra-epoch/1 report.
-refresh-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- refresh --quick --payloads 12 --out SMOKE
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check EPOCH_SMOKE.json
-
-# Full sustained-load service campaign: >= 100k requests (8 cells x
-# 13k: {ca, directory, notary} x {benign, drop-arq, crash-rejoin},
-# notary skipping crash-rejoin) driven by closed-loop clients through
-# the whole request pipeline — ordered submissions, threshold reply
-# certificates, the read-only fast path, resend-based loss recovery —
-# with checkpoint GC keeping the delivered log bounded.  Writes
-# BENCH_SVC.json (sintra-svc/1); exits non-zero on any safety
-# violation, missed quota, certificate failure, cold fast path, or
-# unbounded delivered log.
-svc:
-	$(DUNE) exec bin/sintra_cli.exe -- svc
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_SVC.json
-
-# CI-sized service campaign (1 seed, 48 requests per cell, all kinds
-# and variants), schema/invariant check, then the regression gate
-# against the blessed baseline: sintra-svc/1 metrics are derived from
-# seeded virtual-time runs, so an unchanged tree reproduces the
-# baseline and any strict regression (safety, certificate failures,
-# missed requests) or >10% thresholded drift (requests per 1k steps,
-# fast-path rate, log peak, retries) exits non-zero.
-svc-smoke:
-	$(DUNE) exec bin/sintra_cli.exe -- svc --quick --out SMOKE
-	$(DUNE) exec bin/sintra_cli.exe -- bench-check BENCH_SVC_SMOKE.json
-	$(DUNE) exec bin/sintra_cli.exe -- compare baselines/BENCH_SVC_BASELINE.json BENCH_SVC_SMOKE.json
-
-# Re-bless the checked-in service-throughput baseline after an
-# intentional behaviour change (same config as svc-smoke; commit the
-# result).
-svc-bless:
-	$(DUNE) exec bin/sintra_cli.exe -- svc --quick --out BASELINE
-	mv BENCH_SVC_BASELINE.json baselines/BENCH_SVC_BASELINE.json
+$(CAMPAIGNS:%=%-bless): %-bless:
+	$(SINTRA) run $* --quick --out BASELINE
+	mv $($*_ART)_BASELINE.json baselines/
 
 # Adversarial schedule search over chaos genomes (hill-climb, seeded):
 # maximises steps-to-decide and the link back-pressure peak, archiving
@@ -204,13 +118,13 @@ svc-bless:
 # test/fixtures/.  Exits non-zero if any evaluated schedule ever cost
 # safety.
 schedule-search:
-	$(DUNE) exec bin/sintra_cli.exe -- search --objective decide-time --iters 12 --top 2 --out-dir test/fixtures
-	$(DUNE) exec bin/sintra_cli.exe -- search --objective buffer-peak --iters 12 --top 2 --link --out-dir test/fixtures
+	$(SINTRA) search --objective decide-time --iters 12 --top 2 --out-dir test/fixtures
+	$(SINTRA) search --objective buffer-peak --iters 12 --top 2 --link --out-dir test/fixtures
 
 # Aggregate CI gate: build, unit/property tests, and every smoke sweep,
 # including the kernel micro-bench with its batch-verification gate and
-# the flight-recorder regression diff against the blessed baseline.
-check: build test bench-smoke bench-num-smoke faults-smoke link-smoke tput-smoke flight-smoke recov-smoke refresh-smoke svc-smoke
+# the regression diffs against the blessed baselines.
+check: build test bench-smoke bench-num-smoke tput-smoke $(CAMPAIGNS:%=%-smoke)
 
 clean:
 	$(DUNE) clean

@@ -8,7 +8,7 @@
      dune exec bin/sintra_cli.exe -- coin -n 4 -t 1 --flips 16
      dune exec bin/sintra_cli.exe -- notary --documents "idea one,idea two"
      dune exec bin/sintra_cli.exe -- bench-check BENCH_M1.json
-     dune exec bin/sintra_cli.exe -- faults --seeds 50
+     dune exec bin/sintra_cli.exe -- run faults --quick
 *)
 
 module AS = Adversary_structure
@@ -321,365 +321,36 @@ let trace_cmd =
 
 (* ---------- bench-check: validate machine-readable artifacts --------- *)
 
-(* Dispatches on the document's "schema" member: "sintra-bench/1"
-   (BENCH_<id>.json, written by bench/main.ml) and "sintra-faults/2"
-   (FAULTS_<id>.json, written by the fault-campaign runner). *)
+(* Dispatches on the document's "schema" member through the campaign
+   table: sintra-bench/1 (BENCH_<id>.json, written by bench/main.ml) and
+   every campaign schema — sintra-faults/2, sintra-flight/1,
+   sintra-recov/1, sintra-epoch/1 and sintra-svc/1. *)
 let bench_check_cmd =
   let files_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILE"
-          ~doc:"BENCH_<id>.json / FAULTS_<id>.json / FLIGHT_<id>.json / \
-                RECOV_<id>.json / EPOCH_<id>.json files to validate \
-                (default: every such artifact in the current directory).")
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let has_prefix p f =
-    String.length f > String.length p + 5
-    && String.sub f 0 (String.length p) = p
-    && Filename.check_suffix f ".json"
-  in
-  let is_artifact f =
-    has_prefix "BENCH_" f || has_prefix "FAULTS_" f || has_prefix "FLIGHT_" f
-    || has_prefix "RECOV_" f || has_prefix "EPOCH_" f
-  in
-  let check_bench path doc : (string, string) result =
-    let str k = Option.bind (Obs_json.member k doc) Obs_json.to_str in
-    let num k = Option.bind (Obs_json.member k doc) Obs_json.to_float in
-    let counters =
-      Option.bind (Obs_json.member "metrics" doc) (Obs_json.member "counters")
-      |> fun o -> Option.bind o Obs_json.to_list
-    in
-    let counter_ok c =
-      Option.bind (Obs_json.member "name" c) Obs_json.to_str <> None
-      && Option.bind (Obs_json.member "value" c) Obs_json.to_int <> None
-    in
-    let crypto_ok =
-      match Obs_json.member "crypto_ops" doc with
-      | Some ops ->
-        List.for_all
-          (fun kind ->
-            Option.bind (Obs_json.member (Obs_crypto.name kind) ops)
-              Obs_json.to_int
-            <> None)
-          Obs_crypto.all_kinds
-      | None -> false
-    in
-    (* Throughput documents (BENCH_TPUT.json) additionally carry a
-       "tput" array of sweep rows; enforce the throughput-specific
-       invariants: non-zero rounds, delivered within bounds, and
-       monotone cumulative-delivery progress samples. *)
-    let tput_ok =
-      match Obs_json.member "tput" doc with
-      | None -> Ok 0
-      | Some rows ->
-        (match Obs_json.to_list rows with
-        | None -> Error "\"tput\" is not an array"
-        | Some [] -> Error "\"tput\" array is empty"
-        | Some rs ->
-          let row_err i row =
-            let int k = Option.bind (Obs_json.member k row) Obs_json.to_int in
-            match (int "rounds", int "delivered", int "payloads") with
-            | Some rounds, _, _ when rounds < 1 ->
-              Some
-                (Printf.sprintf "tput row %d: rounds = %d (must be >= 1)" i
-                   rounds)
-            | Some _, Some delivered, Some payloads
-              when delivered < 0 || delivered > payloads ->
-              Some
-                (Printf.sprintf "tput row %d: delivered %d outside [0, %d]" i
-                   delivered payloads)
-            | Some _, Some _, Some _ ->
-              (match
-                 Option.bind (Obs_json.member "progress" row) Obs_json.to_list
-               with
-              | None ->
-                Some (Printf.sprintf "tput row %d: missing \"progress\"" i)
-              | Some samples ->
-                let rec monotone last = function
-                  | [] -> None
-                  | s :: rest ->
-                    (match Option.bind (Obs_json.to_list s) (fun l ->
-                         match l with
-                         | [ steps; d ] ->
-                           (match
-                              (Obs_json.to_int steps, Obs_json.to_int d)
-                            with
-                           | Some _, Some d -> Some d
-                           | _ -> None)
-                         | _ -> None)
-                     with
-                    | Some d when d >= last -> monotone d rest
-                    | Some d ->
-                      Some
-                        (Printf.sprintf
-                           "tput row %d: delivered count drops %d -> %d" i
-                           last d)
-                    | None ->
-                      Some
-                        (Printf.sprintf
-                           "tput row %d: ill-typed progress sample" i))
-                in
-                monotone 0 samples)
-            | _ ->
-              Some
-                (Printf.sprintf
-                   "tput row %d: missing rounds/delivered/payloads" i)
-          in
-          let rec scan i = function
-            | [] -> Ok (List.length rs)
-            | r :: rest ->
-              (match row_err i r with
-              | None -> scan (i + 1) rest
-              | Some e -> Error e)
-          in
-          scan 0 rs)
-    in
-    (* BENCH_NUM batch-sweep rows (kernel "dleq_verify" with a "batch"
-       label): per-share cost must be non-increasing in the batch size
-       (25% slack for timer noise), and the headline batch-8 speedup
-       recorded by the bench must clear 3x.  Quick runs (the make-check
-       smoke) keep the schema checks but relax both thresholds: their
-       0.02 s timing windows are too noisy to hold to the real gate. *)
-    let is_quick =
-      match Option.bind (Obs_json.member "quick" doc) Obs_json.to_bool with
-      | Some b -> b
-      | None -> false
-    in
-    let slack = if is_quick then 2.0 else 1.25 in
-    let gate = if is_quick then 1.5 else 3.0 in
-    let batch_ok =
-      let rows =
-        List.filter_map
-          (fun c ->
-            let labels = Obs_json.member "labels" c in
-            let lab k =
-              Option.bind labels (fun l ->
-                  Option.bind (Obs_json.member k l) Obs_json.to_str)
-            in
-            match
-              ( lab "kernel", lab "batch",
-                Option.bind (Obs_json.member "value" c) Obs_json.to_int )
-            with
-            | Some "dleq_verify", Some b, Some v ->
-              Option.map (fun b -> (b, v)) (int_of_string_opt b)
-            | _ -> None)
-          (Option.value ~default:[] counters)
-      in
-      match List.sort compare rows with
-      | [] -> Ok 0
-      | sorted ->
-        let rec mono = function
-          | (b1, v1) :: ((b2, v2) :: _ as rest) ->
-            if float_of_int v2 > float_of_int v1 *. slack then
-              Error
-                (Printf.sprintf
-                   "dleq batch sweep: per-share cost increases %d ns \
-                    (batch %d) -> %d ns (batch %d)"
-                   v1 b1 v2 b2)
-            else mono rest
-          | _ -> Ok (List.length sorted)
-        in
-        (match mono sorted with
-        | Error e -> Error e
-        | Ok n_rows ->
-          if not (List.mem_assoc 1 sorted && List.mem_assoc 8 sorted) then
-            Ok n_rows
-          else (
-            match
-              Option.bind (Obs_json.member "speedups" doc) (fun sp ->
-                  Option.bind
-                    (Obs_json.member "dleq_batch_8_vs_1" sp)
-                    Obs_json.to_float)
-            with
-            | None -> Error "dleq batch sweep: missing dleq_batch_8_vs_1"
-            | Some s when s < gate ->
-              Error
-                (Printf.sprintf
-                   "dleq batch sweep: batch-8 speedup %.2fx below the \
-                    %.1fx gate" s gate)
-            | Some _ -> Ok n_rows))
-    in
-    match (tput_ok, batch_ok) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok tput_rows, Ok batch_rows ->
-      (match (str "experiment", num "wall_time_s", num "virtual_time_total",
-              counters) with
-      | Some id, Some wall, Some vt, Some cs
-        when wall >= 0.0 && List.for_all counter_ok cs && crypto_ok ->
-        Ok
-          (Printf.sprintf "%s: OK (%s: %d counters, virtual time %.0f%s%s)"
-             path id (List.length cs) vt
-             (if tput_rows = 0 then ""
-              else Printf.sprintf ", %d tput rows" tput_rows)
-             (if batch_rows = 0 then ""
-              else Printf.sprintf ", %d dleq batch rows" batch_rows))
-      | _ -> Error "missing or ill-typed required fields")
-  in
-  let check_faults path doc : (string, string) result =
-    match Campaign.validate_json doc with
-    | Error e -> Error e
-    | Ok () ->
-      let str k = Option.bind (Obs_json.member k doc) Obs_json.to_str in
-      let obj_int parent name =
-        Option.bind (Obs_json.member parent doc) (fun o ->
-            Option.bind (Obs_json.member name o) Obs_json.to_int)
-      in
-      let runs =
-        Option.value ~default:0
-          (Option.bind (Obs_json.member "runs" doc) Obs_json.to_int)
-      in
-      let link_enabled =
-        Option.bind (Obs_json.member "link" doc) (fun l ->
-            Option.bind (Obs_json.member "enabled" l) Obs_json.to_bool)
-        = Some true
-      in
-      let link_retx =
-        Option.value ~default:0
-          (Option.bind (Obs_json.member "link" doc) (fun l ->
-               Option.bind
-                 (Obs_json.member "retransmits_total" l)
-                 Obs_json.to_int))
-      in
-      Ok
-        (Printf.sprintf
-           "%s: OK (%s: %d runs, %d safety / %d liveness violations, link %s)"
-           path
-           (Option.value (str "experiment") ~default:"?")
-           runs
-           (Option.value (obj_int "violations" "safety") ~default:0)
-           (Option.value (obj_int "violations" "liveness") ~default:0)
-           (if link_enabled then
-              Printf.sprintf "on, %d retransmissions" link_retx
-            else "off"))
-  in
-  let check_flight path doc : (string, string) result =
-    match Flight.validate_json doc with
-    | Error e -> Error e
-    | Ok () ->
-      let str k = Option.bind (Obs_json.member k doc) Obs_json.to_str in
-      let int k = Option.bind (Obs_json.member k doc) Obs_json.to_int in
-      let dropped =
-        Option.value ~default:0
-          (Option.bind (Obs_json.member "trace" doc) (fun t ->
-               Option.bind (Obs_json.member "dropped_events" t) Obs_json.to_int))
-      in
-      Ok
-        (Printf.sprintf
-           "%s: OK (%s: %d runs, %d decided, %d hot-ring events dropped)" path
-           (Option.value (str "experiment") ~default:"?")
-           (Option.value (int "runs") ~default:0)
-           (Option.value (int "decided") ~default:0)
-           dropped)
-  in
-  let check_recov path doc : (string, string) result =
-    match Rejoin.validate_json doc with
-    | Error e -> Error e
-    | Ok () ->
-      let str k = Option.bind (Obs_json.member k doc) Obs_json.to_str in
-      let int k = Option.bind (Obs_json.member k doc) Obs_json.to_int in
-      let mem_peaks =
-        Option.bind (Obs_json.member "memory" doc) (fun m ->
-            match
-              ( Option.bind (Obs_json.member "gc_on" m) (fun o ->
-                    Option.bind (Obs_json.member "log_peak" o) Obs_json.to_int),
-                Option.bind (Obs_json.member "gc_off" m) (fun o ->
-                    Option.bind (Obs_json.member "log_peak" o) Obs_json.to_int)
-              )
-            with
-            | Some a, Some b -> Some (a, b)
-            | _ -> None)
-      in
-      Ok
-        (Printf.sprintf
-           "%s: OK (%s: %d runs, %d recovered, %d transferred, %d forged \
-            replies rejected%s)"
-           path
-           (Option.value (str "experiment") ~default:"?")
-           (Option.value (int "runs") ~default:0)
-           (Option.value (int "recovered") ~default:0)
-           (Option.value (int "transferred") ~default:0)
-           (Option.value (int "rejected_total") ~default:0)
-           (match mem_peaks with
-           | Some (on_, off) ->
-             Printf.sprintf ", log peak %d gc-on vs %d gc-off" on_ off
-           | None -> ""))
-  in
-  let check_svc path doc : (string, string) result =
-    match Svc.validate_json doc with
-    | Error e -> Error e
-    | Ok () ->
-      let str k = Option.bind (Obs_json.member k doc) Obs_json.to_str in
-      let int k = Option.bind (Obs_json.member k doc) Obs_json.to_int in
-      let nested a b =
-        Option.value ~default:0
-          (Option.bind (Obs_json.member a doc) (fun o ->
-               Option.bind (Obs_json.member b o) Obs_json.to_int))
-      in
-      Ok
-        (Printf.sprintf
-           "%s: OK (%s: %d runs, %d/%d requests, %d fast-path hits, log peak \
-            %d <= %d)"
-           path
-           (Option.value (str "experiment") ~default:"?")
-           (Option.value (int "runs") ~default:0)
-           (nested "requests" "completed") (nested "requests" "target")
-           (nested "fastpath" "hits")
-           (nested "memory" "plain_log_peak")
-           (nested "memory" "bound"))
-  in
-  let check_epoch path doc : (string, string) result =
-    match Refresh.validate_json doc with
-    | Error e -> Error e
-    | Ok () ->
-      let str k = Option.bind (Obs_json.member k doc) Obs_json.to_str in
-      let int k = Option.bind (Obs_json.member k doc) Obs_json.to_int in
-      Ok
-        (Printf.sprintf
-           "%s: OK (%s: %d runs, %d completed, %d dealer exclusions)" path
-           (Option.value (str "experiment") ~default:"?")
-           (Option.value (int "runs") ~default:0)
-           (Option.value (int "completed") ~default:0)
-           (Option.value (int "excluded_total") ~default:0))
-  in
-  let check path : (string, string) result =
-    match Obs_json.of_string (read_file path) with
-    | Error e -> Error (Printf.sprintf "parse error: %s" e)
-    | Ok doc ->
-      (match Option.bind (Obs_json.member "schema" doc) Obs_json.to_str with
-      | Some "sintra-bench/1" -> check_bench path doc
-      | Some "sintra-faults/2" -> check_faults path doc
-      | Some "sintra-flight/1" -> check_flight path doc
-      | Some "sintra-recov/1" -> check_recov path doc
-      | Some "sintra-svc/1" -> check_svc path doc
-      | Some "sintra-epoch/1" -> check_epoch path doc
-      | Some s -> Error (Printf.sprintf "unknown schema %S" s)
-      | None -> Error "missing \"schema\" member")
+          ~doc:"Artifacts to validate (default: every BENCH_/FAULTS_/FLIGHT_/\
+                RECOV_/EPOCH_*.json file in the current directory).")
   in
   let run files =
     let files =
       match files with
       | [] ->
-        Sys.readdir "." |> Array.to_list |> List.filter is_artifact
+        Sys.readdir "." |> Array.to_list
+        |> List.filter Campaign_table.is_artifact
         |> List.sort compare
       | fs -> fs
     in
     if files = [] then begin
-      prerr_endline
-        "bench-check: no BENCH_/FAULTS_/FLIGHT_/RECOV_/EPOCH_*.json files \
-         found";
+      prerr_endline "bench-check: no artifact files found";
       exit 1
     end;
     let failed = ref false in
     List.iter
       (fun path ->
-        match check path with
-        | Ok msg -> print_endline msg
+        match Campaign_table.check_file path with
+        | Ok msg -> Printf.printf "%s: OK (%s)\n" path msg
         | Error e ->
           failed := true;
           Printf.eprintf "%s: FAILED (%s)\n" path e)
@@ -689,635 +360,92 @@ let bench_check_cmd =
   Cmd.v
     (Cmd.info "bench-check"
        ~doc:
-         "Validate the schema of machine-readable benchmark \
-          (sintra-bench/1), fault-campaign (sintra-faults/2), \
-          flight-record (sintra-flight/1), recovery-campaign \
-          (sintra-recov/1) and epoch-campaign (sintra-epoch/1) output, \
-          including the link section's gating invariant (no undecided \
-          liveness-gating runs), the recovery campaign's bounded-memory \
-          invariant, and the epoch campaign's key-stability and \
-          old-share-uselessness invariants.")
+         "Validate machine-readable benchmark (sintra-bench/1) and campaign \
+          (sintra-faults/2, sintra-flight/1, sintra-recov/1, sintra-epoch/1, \
+          sintra-svc/1) artifacts: every member sintra compare reads, plus \
+          each campaign's invariants — no undecided liveness-gating run, \
+          bounded delivered logs, a stable service key, dead pre-epoch \
+          shares, and every request certified.")
     Term.(const run $ files_arg)
 
-(* ---------- faults: seed-sweep fault-injection campaigns ------------- *)
+(* ---------- run: the seed-sweep campaigns ------------------------------ *)
 
-let faults_cmd =
+let run_cmd =
+  let campaign_arg =
+    let names =
+      List.map (fun c -> (c.Campaign_table.name, c)) Campaign_table.campaigns
+    in
+    Arg.(
+      required
+      & pos 0 (some (enum names)) None
+      & info [] ~docv:"CAMPAIGN"
+          ~doc:
+            (Printf.sprintf "The campaign to run: %s."
+               (String.concat ", " (List.map fst names))))
+  in
   let seeds_arg =
     Arg.(
-      value & opt int 50
-      & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per (protocol, policy, mix) cell.")
-  in
-  let protocols_arg =
-    Arg.(
-      value & opt string "abba,abc"
-      & info [ "protocols" ] ~docv:"LIST"
-          ~doc:"Comma-separated protocols to sweep (abba, abc).")
-  in
-  let policies_arg =
-    Arg.(
-      value & opt string "drop,dup-reorder,partition"
-      & info [ "policies" ] ~docv:"LIST"
-          ~doc:"Comma-separated chaos policies (drop, dup-reorder, \
-                partition).")
-  in
-  let mixes_arg =
-    Arg.(
-      value & opt string "silent,crash,byzantine"
-      & info [ "mixes" ] ~docv:"LIST"
-          ~doc:"Comma-separated corruption mixes (silent, crash, byzantine).")
-  in
-  let payloads_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "payloads" ] ~docv:"K"
-          ~doc:"Atomic-broadcast payloads per abc run.")
-  in
-  let max_steps_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run simulator step bound.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "CAMPAIGN"
-      & info [ "out" ] ~docv:"ID"
-          ~doc:"Report id: the campaign writes FAULTS_<ID>.json.")
+      value & opt (some int) None
+      & info [ "seeds" ] ~docv:"K"
+          ~doc:"Seeds per cell (default: the campaign's preset).")
   in
   let quick_arg =
     Arg.(
       value & flag
-      & info [ "quick" ] ~doc:"Sweep only 5 seeds (CI smoke runs).")
+      & info [ "quick" ] ~doc:"The campaign's CI smoke preset.")
   in
-  let link_arg =
+  let out_arg =
     Arg.(
-      value & flag
-      & info [ "link" ]
-          ~doc:"Run every deployment over the reliable link layer \
-                (default policy).  Flips lossy drop policies to \
-                liveness-gating: an undecided drop run then fails the \
-                campaign.")
+      value & opt (some string) None
+      & info [ "out" ] ~docv:"ID"
+          ~doc:"Report id: the campaign writes <PREFIX>_<ID>.json.")
   in
-  let drop_rate_arg =
+  let drop_arg =
     Arg.(
       value & opt (some float) None
       & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Override the drop policy's per-delivery loss probability \
-                (default 0.02).")
+          ~doc:"Override the campaign's chaos drop probability.")
   in
-  let parse_list ~what parse s =
-    String.split_on_char ',' s
-    |> List.filter (fun x -> x <> "")
-    |> List.map (fun name ->
-           match parse name with
-           | Some v -> v
-           | None ->
-             Printf.eprintf "faults: unknown %s %S\n" what name;
-             exit 2)
-  in
-  let run n t seed seeds protocols policies mixes payloads max_steps out
-      quick link drop_rate crypto =
+  let run (c : Campaign_table.campaign) n t seed seeds quick out drop crypto =
     set_crypto crypto;
-    let seeds = if quick then min seeds 5 else seeds in
-    let policy_of_name name =
-      match (name, drop_rate) with
-      | "drop", Some rate -> Some (Campaign.drop_policy ~rate ())
-      | _ -> Campaign.policy_of_name ~n name
+    let preset = if quick then c.quick else c.full in
+    let knobs =
+      { Campaign_table.n; t; seed_base = seed;
+        seeds = Option.value seeds ~default:preset.seeds;
+        size = preset.size; drop }
     in
-    let cfg =
-      Campaign.default_config ~seeds ~seed_base:seed ~n ~t
-        ~protocols:
-          (parse_list ~what:"protocol" Campaign.protocol_of_string protocols)
-        ~policies:(parse_list ~what:"policy" policy_of_name policies)
-        ~mixes:(parse_list ~what:"mix" Campaign.mix_of_name mixes)
-        ~payloads
-        ?link:(if link then Some Link.default_policy else None)
-        ~max_steps ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let rep =
-      Campaign.run
+    let path, ok =
+      c.run knobs
+        ~id:(Option.value out ~default:c.default_id)
         ~progress:(fun (k, total) ->
-          if k mod 25 = 0 || k = total then
-            Printf.eprintf "\r[faults] %d/%d runs%!" k total)
-        cfg
+          Printf.eprintf "\r[%s] %d/%d runs%!" c.name k total;
+          if k = total then prerr_newline ())
     in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.eprintf "\n%!";
-    Campaign.pp_summary Format.std_formatter rep;
-    let path = Campaign.write ~id:out ~wall rep in
-    Printf.printf "[faults] wrote %s (%.1fs)\n" path wall;
-    if not (Campaign.ok rep) then begin
-      prerr_endline
-        "faults: safety violation or liveness loss under a gating policy";
+    (match Campaign_table.check_file path with
+    | Ok msg -> Printf.printf "[%s] wrote %s: OK (%s)\n" c.name path msg
+    | Error e ->
+      Printf.eprintf "[%s] wrote %s: FAILED (%s)\n" c.name path e;
+      exit 1);
+    if not ok then begin
+      Printf.eprintf "%s: the campaign failed its acceptance gate\n" c.name;
       exit 1
     end
   in
   Cmd.v
-    (Cmd.info "faults"
+    (Cmd.info "run"
        ~doc:
-         "Sweep seeds x chaos policies x corruption mixes per protocol, \
-          check the safety/liveness oracles, and write a sintra-faults/2 \
-          report.  Exits non-zero on any safety violation, or on liveness \
-          loss under a gating policy (reliable chaos, or lossy chaos \
-          repaired by --link).")
+         "Run a seed-sweep campaign — faults (chaos policies x corruption \
+          mixes over ABBA and ABC), link (30% drop with the reliable link \
+          on, liveness-gating), flight (the fault sweep under the flight \
+          recorder), recov (crash-rejoin / partition-heal via certified \
+          state transfer), epoch (online proactive refresh and replica \
+          replacement) or svc (closed-loop clients through the service \
+          pipeline) — print its summary, write its artifact and validate \
+          it as bench-check would.  Exits non-zero on any safety \
+          violation, failed acceptance gate or invalid artifact.")
     Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ seeds_arg $ protocols_arg
-      $ policies_arg $ mixes_arg $ payloads_arg $ max_steps_arg $ out_arg
-      $ quick_arg $ link_arg $ drop_rate_arg $ crypto_arg)
-
-(* ---------- record: fault campaign with the flight recorder ---------- *)
-
-let record_cmd =
-  let seeds_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per (protocol, policy, mix) cell.")
-  in
-  let protocols_arg =
-    Arg.(
-      value & opt string "abba,abc"
-      & info [ "protocols" ] ~docv:"LIST"
-          ~doc:"Comma-separated protocols to sweep (abba, abc).")
-  in
-  let policies_arg =
-    Arg.(
-      value & opt string "drop,dup-reorder,partition"
-      & info [ "policies" ] ~docv:"LIST"
-          ~doc:"Comma-separated chaos policies (drop, dup-reorder, \
-                partition).")
-  in
-  let mixes_arg =
-    Arg.(
-      value & opt string "silent,crash,byzantine"
-      & info [ "mixes" ] ~docv:"LIST"
-          ~doc:"Comma-separated corruption mixes (silent, crash, byzantine).")
-  in
-  let payloads_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "payloads" ] ~docv:"K"
-          ~doc:"Atomic-broadcast payloads per abc run.")
-  in
-  let max_steps_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run simulator step bound.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "CAMPAIGN"
-      & info [ "out" ] ~docv:"ID"
-          ~doc:"Record id: the campaign writes FLIGHT_<ID>.json.")
-  in
-  let link_arg =
-    Arg.(
-      value & flag
-      & info [ "link" ]
-          ~doc:"Run every deployment over the reliable link layer (default \
-                policy).")
-  in
-  let drop_rate_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Override the drop policy's per-delivery loss probability \
-                (default 0.02).")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"No progress on stderr.")
-  in
-  let parse_list ~what parse s =
-    String.split_on_char ',' s
-    |> List.filter (fun x -> x <> "")
-    |> List.map (fun name ->
-           match parse name with
-           | Some v -> v
-           | None ->
-             Printf.eprintf "record: unknown %s %S\n" what name;
-             exit 2)
-  in
-  let run n t seed seeds protocols policies mixes payloads max_steps out link
-      drop_rate quiet =
-    let policy_of_name name =
-      match (name, drop_rate) with
-      | "drop", Some rate -> Some (Campaign.drop_policy ~rate ())
-      | _ -> Campaign.policy_of_name ~n name
-    in
-    let cfg =
-      Campaign.default_config ~seeds ~seed_base:seed ~n ~t
-        ~protocols:
-          (parse_list ~what:"protocol" Campaign.protocol_of_string protocols)
-        ~policies:(parse_list ~what:"policy" policy_of_name policies)
-        ~mixes:(parse_list ~what:"mix" Campaign.mix_of_name mixes)
-        ~payloads
-        ?link:(if link then Some Link.default_policy else None)
-        ~max_steps ()
-    in
-    let env = Campaign.prepare cfg in
-    let flight = Flight.create ~obs:(Campaign.env_obs env) () in
-    let rep =
-      Campaign.run_prepared
-        ~progress:(fun (k, total) ->
-          if (not quiet) && (k mod 25 = 0 || k = total) then
-            Printf.eprintf "\r[record] %d/%d runs%!" k total)
-        ~flight env cfg
-    in
-    if not quiet then Printf.eprintf "\n%!";
-    let summary =
-      Flight.summarize ~id:out
-        ~config:(Campaign.config_json cfg)
-        (Flight.runs flight)
-    in
-    Flight.pp_summary Format.std_formatter summary;
-    let path = Flight.write ~id:out summary in
-    Printf.printf "[record] wrote %s\n" path;
-    if not (Campaign.ok rep) then begin
-      prerr_endline
-        "record: safety violation or liveness loss under a gating policy";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "record"
-       ~doc:
-         "Run a fault campaign under the flight recorder and write a \
-          sintra-flight/1 summary (FLIGHT_<ID>.json): per-cell decide-time \
-          / steps / retransmit / buffer-peak histograms, per-layer counter \
-          rollups, worst-run pointers, and bounded hot-trace windows \
-          around anomalies.  The file is derived from seeded virtual-time \
-          runs only, so identical configurations produce identical bytes.")
-    Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ seeds_arg $ protocols_arg
-      $ policies_arg $ mixes_arg $ payloads_arg $ max_steps_arg $ out_arg
-      $ link_arg $ drop_rate_arg $ quiet_arg)
-
-(* ---------- recover: crash-and-rejoin recovery campaigns -------------- *)
-
-let recover_cmd =
-  let seeds_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per (scenario, variant) cell.")
-  in
-  let scenarios_arg =
-    Arg.(
-      value & opt string "crash-rejoin,partition-heal"
-      & info [ "scenarios" ] ~docv:"LIST"
-          ~doc:"Comma-separated scenarios (crash-rejoin, partition-heal).")
-  in
-  let payloads_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "payloads" ] ~docv:"K" ~doc:"Payloads streamed per run.")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "interval" ] ~docv:"R"
-          ~doc:"Checkpoint period in atomic-broadcast rounds.")
-  in
-  let drop_arg =
-    Arg.(
-      value & opt float 0.3
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Chaos drop probability (the reliable link restores).")
-  in
-  let mem_payloads_arg =
-    Arg.(
-      value & opt int 192
-      & info [ "mem-payloads" ] ~docv:"K"
-          ~doc:"Stream length of the bounded-memory probe (gc on vs off).")
-  in
-  let no_forged_arg =
-    Arg.(
-      value & flag
-      & info [ "no-forged" ]
-          ~doc:"Skip the forged-snapshot variant (plain runs only).")
-  in
-  let max_steps_arg =
-    Arg.(
-      value & opt int 600_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run simulator step bound.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "RECOVERY"
-      & info [ "out" ] ~docv:"ID"
-          ~doc:"Report id: the campaign writes RECOV_<ID>.json.")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Sweep only 3 seeds (CI smoke runs).")
-  in
-  let run n t seed seeds scenarios payloads interval drop mem_payloads
-      no_forged max_steps out quick crypto =
-    set_crypto crypto;
-    let seeds = if quick then min seeds 3 else seeds in
-    let scenarios =
-      String.split_on_char ',' scenarios
-      |> List.filter (fun x -> x <> "")
-      |> List.map (fun name ->
-             match Rejoin.scenario_of_string name with
-             | Some s -> s
-             | None ->
-               Printf.eprintf "recover: unknown scenario %S\n" name;
-               exit 2)
-    in
-    let cfg =
-      Rejoin.default_config ~seeds ~seed_base:seed ~n ~t ~payloads ~interval
-        ~drop ~mem_payloads ~scenarios
-        ~variants:(if no_forged then [ false ] else [ false; true ])
-        ~max_steps ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let rep =
-      Rejoin.run
-        ~progress:(fun (k, total) ->
-          if k mod 10 = 0 || k = total then
-            Printf.eprintf "\r[recover] %d/%d runs%!" k total)
-        cfg
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.eprintf "\n%!";
-    Rejoin.pp_summary Format.std_formatter rep;
-    let path = Rejoin.write ~id:out ~wall rep in
-    Printf.printf "[recover] wrote %s (%.1fs)\n" path wall;
-    if not (Rejoin.ok rep) then begin
-      prerr_endline
-        "recover: safety violation, unrecovered victim, unrejected forgery, \
-         or unbounded delivered log";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "Sweep crash-and-rejoin / partition-heal scenarios: stream \
-          payloads through a checkpointing link-on deployment under lossy \
-          chaos, knock one replica out mid-stream, bring it back, and \
-          check with the recovery oracles that it rejoins the whole total \
-          order via certified state transfer (forged snapshots from a \
-          Byzantine peer must be rejected).  Also probes delivered-log \
-          boundedness with checkpoint GC on vs off, and writes a \
-          sintra-recov/1 report (RECOV_<ID>.json).")
-    Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ seeds_arg $ scenarios_arg
-      $ payloads_arg $ interval_arg $ drop_arg $ mem_payloads_arg
-      $ no_forged_arg $ max_steps_arg $ out_arg $ quick_arg $ crypto_arg)
-
-(* ---------- refresh: online epoch-reconfiguration campaigns ----------- *)
-
-let refresh_cmd =
-  let seeds_arg =
-    Arg.(
-      value & opt int 50
-      & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per (scenario, variant) cell.")
-  in
-  let scenarios_arg =
-    Arg.(
-      value & opt string "refresh-only,add-replica,kill-and-replace"
-      & info [ "scenarios" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated scenarios (refresh-only, add-replica, \
-             kill-and-replace).")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt string "benign,lossy,byz-refresher"
-      & info [ "variants" ] ~docv:"LIST"
-          ~doc:"Comma-separated variants (benign, lossy, byz-refresher).")
-  in
-  let payloads_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "payloads" ] ~docv:"K" ~doc:"Payloads streamed per run.")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "interval" ] ~docv:"R"
-          ~doc:"Checkpoint period in atomic-broadcast rounds.")
-  in
-  let drop_arg =
-    Arg.(
-      value & opt float 0.3
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Chaos drop probability for the lossy variant.")
-  in
-  let max_steps_arg =
-    Arg.(
-      value & opt int 800_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run simulator step bound.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "EPOCH"
-      & info [ "out" ] ~docv:"ID"
-          ~doc:"Report id: the campaign writes EPOCH_<ID>.json.")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Sweep only 2 seeds (CI smoke runs).")
-  in
-  let run n t seed seeds scenarios variants payloads interval drop max_steps
-      out quick crypto =
-    set_crypto crypto;
-    let seeds = if quick then min seeds 2 else seeds in
-    let parse_list what of_string s =
-      String.split_on_char ',' s
-      |> List.filter (fun x -> x <> "")
-      |> List.map (fun name ->
-             match of_string name with
-             | Some v -> v
-             | None ->
-               Printf.eprintf "refresh: unknown %s %S\n" what name;
-               exit 2)
-    in
-    let scenarios =
-      parse_list "scenario" Refresh.scenario_of_string scenarios
-    in
-    let variants = parse_list "variant" Refresh.variant_of_string variants in
-    let cfg =
-      Refresh.default_config ~seeds ~seed_base:seed ~n ~t ~payloads ~interval
-        ~drop ~scenarios ~variants ~max_steps ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let rep =
-      Refresh.run
-        ~progress:(fun (k, total) ->
-          if k mod 5 = 0 || k = total then
-            Printf.eprintf "\r[refresh] %d/%d runs%!" k total)
-        cfg
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.eprintf "\n%!";
-    Refresh.pp_summary Format.std_formatter rep;
-    let path = Refresh.write ~id:out ~wall rep in
-    Printf.printf "[refresh] wrote %s (%.1fs)\n" path wall;
-    if not (Refresh.ok rep) then begin
-      prerr_endline
-        "refresh: safety violation, incomplete reconfiguration, key drift, \
-         live old shares, or missing reply certificates";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "refresh"
-       ~doc:
-         "Sweep online epoch-reconfiguration scenarios: stream payloads \
-          through a checkpointing deployment while the replicas agree — \
-          through their own total order — on a proactive share refresh, a \
-          replica addition, or a kill-and-replace, then check that the \
-          service public key never changes, pre-epoch shares open garbage \
-          against the post-epoch sharing, every payload still earns a \
-          valid reply certificate, and equivocating refreshers are \
-          excluded.  Writes a sintra-epoch/1 report (EPOCH_<ID>.json).")
-    Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ seeds_arg $ scenarios_arg
-      $ variants_arg $ payloads_arg $ interval_arg $ drop_arg $ max_steps_arg
-      $ out_arg $ quick_arg $ crypto_arg)
-
-(* ---------- svc: sustained-load client-pipeline campaigns ------------- *)
-
-let svc_cmd =
-  let seeds_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seeds" ] ~docv:"K" ~doc:"Seeds per (kind, variant) cell.")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 13_000
-      & info [ "requests" ] ~docv:"K"
-          ~doc:"Completed reply certificates per run (all clients).")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "clients" ] ~docv:"C" ~doc:"Closed-loop clients per run.")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "window" ] ~docv:"W" ~doc:"Per-client in-flight bound.")
-  in
-  let read_frac_arg =
-    Arg.(
-      value & opt float 0.75
-      & info [ "read-frac" ] ~docv:"P"
-          ~doc:"Fraction of submissions routed through the read-only fast \
-                path.")
-  in
-  let kinds_arg =
-    Arg.(
-      value & opt string "ca,directory,notary"
-      & info [ "kinds" ] ~docv:"LIST"
-          ~doc:"Comma-separated service kinds (ca, directory, notary).")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt string "benign,drop-arq,crash-rejoin"
-      & info [ "variants" ] ~docv:"LIST"
-          ~doc:"Comma-separated variants (benign, drop-arq, crash-rejoin).")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "interval" ] ~docv:"R"
-          ~doc:
-            "Checkpoint period for the Plain-mode kinds (GC on).  Short on \
-             purpose: under lossy links the delivered log grows by the \
-             certification lag on top of the interval, and the campaign's \
-             memory oracle holds the GC'd peak under mem-bound.")
-  in
-  let drop_arg =
-    Arg.(
-      value & opt float 0.3
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Chaos drop probability for the drop-arq variant.")
-  in
-  let max_steps_arg =
-    Arg.(
-      value & opt int 200_000_000
-      & info [ "max-steps" ] ~docv:"N" ~doc:"Per-run simulator step bound.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "svc"
-      & info [ "out" ] ~docv:"ID"
-          ~doc:
-            "Report id: the campaign writes BENCH_SVC_<ID>.json (plain \
-             BENCH_SVC.json for the default id).")
-  in
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "CI smoke configuration: 1 seed, 48 requests per run (the full \
-             sweep still covers every kind and variant).")
-  in
-  let run n t seed seeds requests clients window read_frac kinds variants
-      interval drop max_steps out quick crypto =
-    set_crypto crypto;
-    let seeds = if quick then 1 else seeds in
-    let requests = if quick then 48 else requests in
-    let split conv what s =
-      String.split_on_char ',' s
-      |> List.filter (fun x -> x <> "")
-      |> List.map (fun name ->
-             match conv name with
-             | Some v -> v
-             | None ->
-               Printf.eprintf "svc: unknown %s %S\n" what name;
-               exit 2)
-    in
-    let cfg =
-      Svc.default_config ~seeds ~seed_base:seed ~n ~t ~requests ~clients
-        ~window ~read_frac ~interval ~drop
-        ~kinds:(split Svc.kind_of_string "kind" kinds)
-        ~variants:(split Svc.variant_of_string "variant" variants)
-        ~max_steps ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let rep =
-      Svc.run
-        ~progress:(fun (k, total) ->
-          Printf.eprintf "\r[svc] %d/%d runs%!" k total)
-        cfg
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.eprintf "\n%!";
-    Svc.pp_summary Format.std_formatter rep;
-    let path = Svc.write ~id:out ~wall rep in
-    Printf.printf "[svc] wrote %s (%.1fs, %.0f requests/s wall)\n" path wall
-      (float_of_int (Svc.completed_total rep) /. Float.max wall 1e-9);
-    if not (Svc.ok rep) then begin
-      prerr_endline
-        "svc: safety violation, missed quota, certificate failure, cold \
-         fast path, or unbounded delivered log";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "svc"
-       ~doc:
-         "Sustained-load campaigns over the replicated services: \
-          closed-loop clients drive the CA / directory / notary through \
-          the full request pipeline (ordered submissions, threshold reply \
-          certificates, the read-only fast path, resend-based loss \
-          recovery) under benign, lossy-with-ARQ and crash-rejoin \
-          schedules.  Every accepted certificate is re-verified, dedup \
-          and total-order oracles run per replica, checkpoint GC keeps \
-          the delivered log bounded, and the sweep writes a sintra-svc/1 \
-          report (BENCH_SVC.json).")
-    Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ seeds_arg $ requests_arg
-      $ clients_arg $ window_arg $ read_frac_arg $ kinds_arg $ variants_arg
-      $ interval_arg $ drop_arg $ max_steps_arg $ out_arg $ quick_arg
-      $ crypto_arg)
+      const run $ campaign_arg $ n_arg $ t_arg $ seed_arg $ seeds_arg
+      $ quick_arg $ out_arg $ drop_arg $ crypto_arg)
 
 (* ---------- compare: regression gate over two artifacts -------------- *)
 
@@ -1326,7 +454,7 @@ let compare_cmd =
     Arg.(
       required & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline FLIGHT/FAULTS/BENCH json file.")
+          ~doc:"Baseline FLIGHT/FAULTS/BENCH/BENCH_SVC json file.")
   in
   let b_arg =
     Arg.(
@@ -1363,7 +491,8 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:
          "Diff two machine-readable artifacts of the same schema \
-          (sintra-flight/1, sintra-faults/2 or sintra-bench/1) and \
+          (sintra-flight/1, sintra-faults/2, sintra-svc/1 or \
+          sintra-bench/1) and \
           classify every metric delta as improved, regressed or neutral. \
           Safety violations, gating-liveness violations and decided \
           counts regress on any worsening; other metrics tolerate \
@@ -1814,8 +943,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ structure_cmd; abc_cmd; trace_cmd; bench_check_cmd; bench_num_cmd;
-            perf_diff_cmd; faults_cmd; record_cmd; recover_cmd; refresh_cmd;
-            svc_cmd;
-            compare_cmd;
+            perf_diff_cmd; run_cmd; compare_cmd;
             search_cmd;
             coin_cmd; notary_cmd; ca_cmd ]))

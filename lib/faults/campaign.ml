@@ -43,19 +43,13 @@ let protocol_of_string = function
   | _ -> None
 
 type config = {
-  seeds : int;
-  seed_base : int;
-  n : int;
-  t : int;
-  rsa_bits : int;
-  group_bits : int;
+  core : Sweep.core;
   protocols : protocol list;
   policies : policy_spec list;
   mixes : mix list;
   payloads : int;  (* atomic-broadcast payloads per run *)
   abc_policy : Abc.policy;  (* batching / pipelining policy of ABC runs *)
   link : Link.policy option;  (* reliable link layer (None = off) *)
-  max_steps : int;
 }
 
 (* ---------- defaults -------------------------------------------------- *)
@@ -107,33 +101,20 @@ let default_mixes =
     { m_name = "byzantine"; m_kind = Byz };
   ]
 
-let policy_of_name ~n = function
-  | "drop" -> Some (drop_policy ())
-  | "dup-reorder" -> Some (dup_reorder_policy ())
-  | "partition" -> Some (partition_policy ~n ())
-  | _ -> None
-
-let mix_of_name name =
-  List.find_opt (fun m -> m.m_name = name) default_mixes
-
-let default_config ?(seeds = 50) ?(seed_base = 1) ?(n = 4) ?(t = 1)
-    ?(rsa_bits = 192) ?(group_bits = 128) ?protocols ?policies ?mixes
-    ?(payloads = 2) ?(abc_policy = Abc.default_policy) ?link
-    ?(max_steps = 200_000) () =
+let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
+    ?protocols ?policies ?mixes ?(payloads = 2)
+    ?(abc_policy = Abc.default_policy) ?link ?(max_steps = 200_000) () =
+  let core =
+    Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ()
+  in
   {
-    seeds;
-    seed_base;
-    n;
-    t;
-    rsa_bits;
-    group_bits;
+    core;
     protocols = Option.value protocols ~default:[ P_abba; P_abc ];
-    policies = Option.value policies ~default:(default_policies ~n);
+    policies = Option.value policies ~default:(default_policies ~n:core.n);
     mixes = Option.value mixes ~default:default_mixes;
     payloads;
     abc_policy;
     link;
-    max_steps;
   }
 
 (* ---------- single runs ----------------------------------------------- *)
@@ -197,67 +178,6 @@ let effective_reliable cfg policy =
 let link_retransmit_counter obs =
   Obs.counter obs ~labels:[ ("layer", "link") ] "link_retransmit"
 
-let finish cfg ~protocol ~policy ~mix ~seed ~corrupted ~sim ~violations
-    ~decide_clock ~decided ~link_retransmits ~steps ~buffer_peak =
-  let m = Sim.metrics sim in
-  {
-    r_protocol = protocol;
-    r_policy = policy.p_name;
-    r_mix = mix.m_name;
-    r_seed = seed;
-    r_corrupted = corrupted;
-    r_reliable = effective_reliable cfg policy;
-    r_violations = violations;
-    r_decide_clock = decide_clock;
-    r_decided = decided;
-    r_chaos_drops = m.Metrics.chaos_drops;
-    r_chaos_dups = m.Metrics.chaos_dups;
-    r_chaos_reorders = m.Metrics.chaos_reorders;
-    r_link_retransmits = link_retransmits;
-    r_steps = steps;
-    r_buffer_peak = buffer_peak;
-  }
-
-(* Flight-recorder glue: the campaign feeds the recorder plain scalars;
-   the recorder depends only on sintra_obs, so the dependency arrow runs
-   faults -> recorder -> obs with no cycle. *)
-
-let flight_begin flight sim =
-  Option.iter
-    (fun fl -> Flight.run_begin fl ~now:(fun () -> Sim.clock sim))
-    flight
-
-let flight_stall flight ~at_clock ~detail =
-  Option.iter
-    (fun fl ->
-      Flight.note_anomaly fl Flight.Stall ~at:at_clock
-        ~detail:(if detail = "" then "out of steps" else detail))
-    flight
-
-let flight_end flight cfg ~protocol ~policy ~mix ~seed ~violations ~decided
-    ~decide_clock ~steps ~buffer_peak =
-  Option.iter
-    (fun fl ->
-      List.iter
-        (fun (v : Oracle.violation) ->
-          if v.Oracle.severity = Oracle.Safety then
-            Flight.note_anomaly fl Flight.Safety_trip
-              ~detail:(Oracle.violation_to_string v))
-        violations;
-      Flight.run_end fl
-        ~key:
-          { Flight.protocol;
-            policy = policy.p_name;
-            mix = mix.m_name;
-            seed }
-        ~decided
-        ~gating:(effective_reliable cfg policy)
-        ~decide_clock ~steps
-        ~safety:(Oracle.count_safety violations)
-        ~liveness:(Oracle.count_liveness violations)
-        ~buffer_peak)
-    flight
-
 (* Max link send-buffer depth across a run's endpoints, via the
    [?on_link] deployment hook (0 with the link off).  Probes are stored
    as thunks so one helper serves every protocol's endpoint type. *)
@@ -267,29 +187,20 @@ let peak_probe () =
   let peak () = List.fold_left (fun acc f -> max acc (f ())) 0 !probes in
   (on_link, peak)
 
-let run_abba ?flight cfg ~obs ~keyring ~policy ~mix ~seed =
-  let n = cfg.n in
-  let corrupted = corrupted_set keyring seed in
-  let honest = Pset.diff (Pset.full n) corrupted in
-  let sim = Sim.create ~n ~seed ~obs () in
-  Sim.set_chaos sim (Some policy.p_chaos);
-  flight_begin flight sim;
-  let on_link, peak = peak_probe () in
-  let tag = Printf.sprintf "flt-abba-%d" seed in
+(* The protocol-specific part of a run: deploy over [sim], start the
+   workload, and return the completion predicate plus the post-run
+   oracles.  [note_decide p] marks party [p] finished. *)
+
+let abba_workload cfg ~mix ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
+    ~note_decide =
+  let n = cfg.core.n in
   let decisions = Array.make n None in
-  let last_decide = ref None in
-  let wrap =
-    Byzantine.wrap_of ~sim ~keyring ~seed:(seed lxor 0x5eed) ~set:corrupted
-      (abba_behavior ~tag mix.m_kind)
-  in
-  let retx = link_retransmit_counter obs in
-  let retx0 = Obs_registry.value retx in
   let nodes =
     Stack.deploy_abba ~wrap ?link:cfg.link ~on_link ~sim ~keyring ~tag
       ~on_decide:(fun p b ->
         if decisions.(p) = None then begin
           decisions.(p) <- Some b;
-          if Pset.mem p honest then last_decide := Some (Sim.clock sim)
+          note_decide p
         end)
       ()
   in
@@ -300,51 +211,19 @@ let run_abba ?flight cfg ~obs ~keyring ~policy ~mix ~seed =
       if Pset.mem p honest || mix_sends_honestly mix.m_kind then
         Abba.propose node proposals.(p))
     nodes;
-  let done_ () = Pset.for_all (fun p -> decisions.(p) <> None) honest in
-  let stall =
-    try
-      Sim.run ~max_steps:cfg.max_steps ~until:done_ sim;
-      []
-    with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-      flight_stall flight ~at_clock ~detail;
-      [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]
-  in
-  let violations = Oracle.check_abba ~honest ~proposals decisions @ stall in
-  let decided = done_ () in
-  let decide_clock = if decided then !last_decide else None in
-  let steps = Sim.steps sim and buffer_peak = peak () in
-  flight_end flight cfg ~protocol:"abba" ~policy ~mix ~seed ~violations
-    ~decided ~decide_clock ~steps ~buffer_peak;
-  finish cfg ~protocol:"abba" ~policy ~mix ~seed ~corrupted ~sim ~violations
-    ~decide_clock ~decided
-    ~link_retransmits:(Obs_registry.value retx - retx0)
-    ~steps ~buffer_peak
+  ( (fun () -> Pset.for_all (fun p -> decisions.(p) <> None) honest),
+    fun () -> Oracle.check_abba ~honest ~proposals decisions )
 
-let run_abc ?flight cfg ~obs ~keyring ~policy ~mix ~seed =
-  let n = cfg.n in
-  let corrupted = corrupted_set keyring seed in
-  let honest = Pset.diff (Pset.full n) corrupted in
-  let sim = Sim.create ~n ~seed ~obs () in
-  Sim.set_chaos sim (Some policy.p_chaos);
-  flight_begin flight sim;
-  let on_link, peak = peak_probe () in
-  let tag = Printf.sprintf "flt-abc-%d" seed in
-  let logs_rev = Array.make n [] in
-  let last_decide = ref None in
+let abc_workload cfg ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
+    ~note_decide =
   let expected = cfg.payloads in
-  let wrap =
-    Byzantine.wrap_of ~sim ~keyring ~seed:(seed lxor 0x5eed) ~set:corrupted
-      (abc_behavior ~tag mix.m_kind)
-  in
-  let retx = link_retransmit_counter obs in
-  let retx0 = Obs_registry.value retx in
+  let logs_rev = Array.make cfg.core.n [] in
   let nodes =
     Stack.deploy_abc ~wrap ~policy:cfg.abc_policy ?link:cfg.link ~on_link ~sim
       ~keyring ~tag
       ~deliver:(fun p payload ->
         logs_rev.(p) <- payload :: logs_rev.(p);
-        if Pset.mem p honest && List.length logs_rev.(p) >= expected then
-          last_decide := Some (Sim.clock sim))
+        if List.length logs_rev.(p) >= expected then note_decide p)
       ()
   in
   (* Submit the payloads round-robin from the honest parties, so total
@@ -355,28 +234,60 @@ let run_abc ?flight cfg ~obs ~keyring ~policy ~mix ~seed =
       let s = List.nth submitters (k mod List.length submitters) in
       Abc.broadcast nodes.(s) payload)
     (List.init expected (fun k -> Printf.sprintf "tx-%d-%d" seed k));
-  let done_ () =
-    Pset.for_all (fun p -> List.length logs_rev.(p) >= expected) honest
+  ( (fun () ->
+      Pset.for_all (fun p -> List.length logs_rev.(p) >= expected) honest),
+    fun () -> Oracle.check_abc ~honest ~expected (Array.map List.rev logs_rev) )
+
+let run_with ?flight env cfg ~protocol ~policy ~mix ~seed ~tag ~behavior sim
+    workload =
+  let { Sweep.keyring; obs } = env in
+  let corrupted = corrupted_set keyring seed in
+  let honest = Pset.diff (Pset.full cfg.core.n) corrupted in
+  Sim.set_chaos sim (Some policy.p_chaos);
+  Sweep.flight_begin flight sim;
+  let on_link, peak = peak_probe () in
+  let last_decide = ref None in
+  let note_decide p =
+    if Pset.mem p honest then last_decide := Some (Sim.clock sim)
+  in
+  let wrap =
+    Byzantine.wrap_of ~sim ~keyring ~seed:(seed lxor 0x5eed) ~set:corrupted
+      behavior
+  in
+  let retx = link_retransmit_counter obs in
+  let retx0 = Obs_registry.value retx in
+  let done_, oracles =
+    workload ~sim ~keyring ~wrap ~on_link ~tag ~honest ~note_decide
   in
   let stall =
-    try
-      Sim.run ~max_steps:cfg.max_steps ~until:done_ sim;
-      []
-    with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-      flight_stall flight ~at_clock ~detail;
-      [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]
+    Sweep.run_sim ?flight sim ~max_steps:cfg.core.max_steps ~until:done_
   in
-  let logs = Array.map List.rev logs_rev in
-  let violations = Oracle.check_abc ~honest ~expected logs @ stall in
+  let violations = oracles () @ stall in
   let decided = done_ () in
   let decide_clock = if decided then !last_decide else None in
   let steps = Sim.steps sim and buffer_peak = peak () in
-  flight_end flight cfg ~protocol:"abc" ~policy ~mix ~seed ~violations
-    ~decided ~decide_clock ~steps ~buffer_peak;
-  finish cfg ~protocol:"abc" ~policy ~mix ~seed ~corrupted ~sim ~violations
-    ~decide_clock ~decided
-    ~link_retransmits:(Obs_registry.value retx - retx0)
-    ~steps ~buffer_peak
+  let reliable = effective_reliable cfg policy in
+  Sweep.flight_end flight
+    ~key:{ Flight.protocol; policy = policy.p_name; mix = mix.m_name; seed }
+    ~violations ~decided ~gating:reliable ~decide_clock ~steps ~buffer_peak;
+  let m = Sim.metrics sim in
+  {
+    r_protocol = protocol;
+    r_policy = policy.p_name;
+    r_mix = mix.m_name;
+    r_seed = seed;
+    r_corrupted = corrupted;
+    r_reliable = reliable;
+    r_violations = violations;
+    r_decide_clock = decide_clock;
+    r_decided = decided;
+    r_chaos_drops = m.Metrics.chaos_drops;
+    r_chaos_dups = m.Metrics.chaos_dups;
+    r_chaos_reorders = m.Metrics.chaos_reorders;
+    r_link_retransmits = Obs_registry.value retx - retx0;
+    r_steps = steps;
+    r_buffer_peak = buffer_peak;
+  }
 
 (* ---------- the sweep ------------------------------------------------- *)
 
@@ -387,22 +298,17 @@ type report = {
 }
 
 let safety_count rep =
-  List.fold_left
-    (fun acc r -> acc + Oracle.count_safety r.r_violations)
-    0 rep.results
+  Sweep.sum (fun r -> Oracle.count_safety r.r_violations) rep.results
 
 let liveness_count rep =
-  List.fold_left
-    (fun acc r -> acc + Oracle.count_liveness r.r_violations)
-    0 rep.results
+  Sweep.sum (fun r -> Oracle.count_liveness r.r_violations) rep.results
 
 (* Liveness violations under reliable chaos specs — the only ones that
    falsify the paper's claims, hence the only ones that gate. *)
 let gating_liveness_count rep =
-  List.fold_left
-    (fun acc r ->
-      if r.r_reliable then acc + Oracle.count_liveness r.r_violations else acc)
-    0 rep.results
+  Sweep.sum
+    (fun r -> if r.r_reliable then Oracle.count_liveness r.r_violations else 0)
+    rep.results
 
 let ok rep = safety_count rep = 0 && gating_liveness_count rep = 0
 
@@ -410,56 +316,37 @@ let ok rep = safety_count rep = 0 && gating_liveness_count rep = 0
    it once so repeated sweeps over the same (n, t, bits) — the
    adversarial schedule search evaluates hundreds of candidate chaos
    specs — share the environment. *)
-type env = { e_keyring : Keyring.t; e_obs : Obs.t }
-
-let prepare cfg =
-  let structure = Adversary_structure.threshold ~n:cfg.n ~t:cfg.t in
-  let keyring =
-    Keyring.deal ~group_bits:cfg.group_bits ~rsa_bits:cfg.rsa_bits
-      ~seed:(cfg.seed_base + 7770) structure
-  in
-  { e_keyring = keyring; e_obs = Obs.create () }
-
-let env_obs env = env.e_obs
+let prepare cfg = Sweep.prepare ~key_offset:7770 cfg.core
 
 let run_one ?flight env cfg ~protocol ~policy ~mix ~seed =
-  let obs = env.e_obs and keyring = env.e_keyring in
+  let sim () = Sim.create ~n:cfg.core.n ~seed ~obs:env.Sweep.obs () in
+  let label = protocol_label protocol in
+  let tag = Printf.sprintf "flt-%s-%d" label seed in
   match protocol with
-  | P_abba -> run_abba ?flight cfg ~obs ~keyring ~policy ~mix ~seed
-  | P_abc -> run_abc ?flight cfg ~obs ~keyring ~policy ~mix ~seed
+  | P_abba ->
+    run_with ?flight env cfg ~protocol:label ~policy ~mix ~seed ~tag
+      ~behavior:(abba_behavior ~tag mix.m_kind)
+      (sim ()) (abba_workload cfg ~mix ~seed)
+  | P_abc ->
+    run_with ?flight env cfg ~protocol:label ~policy ~mix ~seed ~tag
+      ~behavior:(abc_behavior ~tag mix.m_kind)
+      (sim ()) (abc_workload cfg ~seed)
 
-let run_prepared ?(progress = fun _ -> ()) ?flight env cfg =
-  let obs = env.e_obs in
-  let results = ref [] in
-  let total =
-    List.length cfg.protocols * List.length cfg.policies
-    * List.length cfg.mixes * cfg.seeds
+let run_prepared ?progress ?flight env cfg =
+  let cells =
+    Sweep.product (Sweep.product cfg.protocols cfg.policies) cfg.mixes
   in
-  let done_runs = ref 0 in
-  List.iter
-    (fun protocol ->
-      List.iter
-        (fun policy ->
-          List.iter
-            (fun mix ->
-              for i = 0 to cfg.seeds - 1 do
-                let seed = cfg.seed_base + i in
-                let r = run_one ?flight env cfg ~protocol ~policy ~mix ~seed in
-                (match r.r_decide_clock with
-                | Some c ->
-                  Obs.observe obs
-                    ~labels:
-                      [ ("layer", "faults"); ("protocol", r.r_protocol) ]
-                    "decide_time" c
-                | None -> ());
-                results := r :: !results;
-                incr done_runs;
-                progress (!done_runs, total)
-              done)
-            cfg.mixes)
-        cfg.policies)
-    cfg.protocols;
-  { config = cfg; results = List.rev !results; obs }
+  let results =
+    Sweep.sweep ?progress cfg.core cells (fun ((protocol, policy), mix) ~seed ->
+        let r = run_one ?flight env cfg ~protocol ~policy ~mix ~seed in
+        Option.iter
+          (Obs.observe env.Sweep.obs
+             ~labels:[ ("layer", "faults"); ("protocol", r.r_protocol) ]
+             "decide_time")
+          r.r_decide_clock;
+        r)
+  in
+  { config = cfg; results; obs = env.Sweep.obs }
 
 let run ?progress ?flight cfg = run_prepared ?progress ?flight (prepare cfg) cfg
 
@@ -519,58 +406,47 @@ let link_run_json r =
    user when two files disagree structurally). *)
 let config_json cfg =
   Obs_json.Obj
-    [
-      ("seeds", Obs_json.Int cfg.seeds);
-      ("seed_base", Obs_json.Int cfg.seed_base);
-      ("n", Obs_json.Int cfg.n);
-      ("t", Obs_json.Int cfg.t);
-      ("payloads", Obs_json.Int cfg.payloads);
-      ( "abc_policy",
-        Obs_json.Obj
-          [
-            ("max_batch_msgs", Obs_json.Int cfg.abc_policy.Abc.max_batch_msgs);
-            ("max_batch_bytes", Obs_json.Int cfg.abc_policy.Abc.max_batch_bytes);
-            ("window", Obs_json.Int cfg.abc_policy.Abc.window);
-            ("linger", Obs_json.Float cfg.abc_policy.Abc.linger);
-          ] );
-      ("max_steps", Obs_json.Int cfg.max_steps);
-      ("link_enabled", Obs_json.Bool (cfg.link <> None));
-      ( "protocols",
-        Obs_json.Arr
-          (List.map (fun p -> Obs_json.Str (protocol_label p)) cfg.protocols)
-      );
-      ( "policies",
-        Obs_json.Arr
-          (List.map
-             (fun p ->
-               Obs_json.Obj
-                 [
-                   ("name", Obs_json.Str p.p_name);
-                   ("reliable", Obs_json.Bool p.p_reliable);
-                 ])
-             cfg.policies) );
-      ("mixes", Obs_json.Arr (List.map (fun m -> Obs_json.Str m.m_name) cfg.mixes));
-    ]
+    (Sweep.core_fields cfg.core
+    @ [
+        ("payloads", Obs_json.Int cfg.payloads);
+        ( "abc_policy",
+          Obs_json.Obj
+            [
+              ("max_batch_msgs", Obs_json.Int cfg.abc_policy.Abc.max_batch_msgs);
+              ("max_batch_bytes", Obs_json.Int cfg.abc_policy.Abc.max_batch_bytes);
+              ("window", Obs_json.Int cfg.abc_policy.Abc.window);
+              ("linger", Obs_json.Float cfg.abc_policy.Abc.linger);
+            ] );
+        ("link_enabled", Obs_json.Bool (cfg.link <> None));
+        ( "protocols",
+          Obs_json.Arr
+            (List.map (fun p -> Obs_json.Str (protocol_label p)) cfg.protocols)
+        );
+        ( "policies",
+          Obs_json.Arr
+            (List.map
+               (fun p ->
+                 Obs_json.Obj
+                   [
+                     ("name", Obs_json.Str p.p_name);
+                     ("reliable", Obs_json.Bool p.p_reliable);
+                   ])
+               cfg.policies) );
+        ( "mixes",
+          Obs_json.Arr (List.map (fun m -> Obs_json.Str m.m_name) cfg.mixes) );
+      ])
 
 let to_json ~id ~wall rep =
   let cfg = rep.config in
-  let chaos_total f = List.fold_left (fun a r -> a + f r) 0 rep.results in
+  let total f = Sweep.sum f rep.results in
   let details =
     List.concat_map
       (fun r -> List.map (violation_json r) r.r_violations)
       rep.results
   in
-  let details_capped =
-    if List.length details > 50 then List.filteri (fun i _ -> i < 50) details
-    else details
-  in
-  Obs_json.Obj
+  Sweep.envelope ~id ~schema ~wall ~config:(config_json cfg)
+    ~runs:(List.length rep.results) ~obs:rep.obs
     [
-      ("experiment", Obs_json.Str id);
-      ("schema", Obs_json.Str schema);
-      ("wall_time_s", Obs_json.Float wall);
-      ("config", config_json cfg);
-      ("runs", Obs_json.Int (List.length rep.results));
       ( "violations",
         Obs_json.Obj
           [
@@ -581,10 +457,9 @@ let to_json ~id ~wall rep =
       ( "chaos",
         Obs_json.Obj
           [
-            ("drops", Obs_json.Int (chaos_total (fun r -> r.r_chaos_drops)));
-            ("dups", Obs_json.Int (chaos_total (fun r -> r.r_chaos_dups)));
-            ( "reorders",
-              Obs_json.Int (chaos_total (fun r -> r.r_chaos_reorders)) );
+            ("drops", Obs_json.Int (total (fun r -> r.r_chaos_drops)));
+            ("dups", Obs_json.Int (total (fun r -> r.r_chaos_dups)));
+            ("reorders", Obs_json.Int (total (fun r -> r.r_chaos_reorders)));
           ] );
       ( "link",
         Obs_json.Obj
@@ -595,197 +470,90 @@ let to_json ~id ~wall rep =
               | None -> Obs_json.Null
               | Some p -> link_policy_json p );
             ( "retransmits_total",
-              Obs_json.Int (chaos_total (fun r -> r.r_link_retransmits)) );
+              Obs_json.Int (total (fun r -> r.r_link_retransmits)) );
             ("per_run", Obs_json.Arr (List.map link_run_json rep.results));
           ] );
-      ("metrics", Obs_registry.snapshot_to_json (Obs.snapshot rep.obs));
-      ("violation_details", Obs_json.Arr details_capped);
+      ( "violation_details",
+        Obs_json.Arr (List.filteri (fun i _ -> i < 50) details) );
     ]
 
-let write ~id ~wall rep =
-  let path = out_path id in
-  let oc = open_out path in
-  output_string oc (Obs_json.to_canonical_string (to_json ~id ~wall rep));
-  output_char oc '\n';
-  close_out oc;
-  path
-
-(* Shape validator for sintra-faults/1 documents, shared with the CLI's
+(* Shape validator for sintra-faults/2 documents, shared with the CLI's
    bench-check so campaign artifacts are checked like bench artifacts. *)
 let validate_json (doc : Obs_json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need kind name conv =
-    match Option.bind (Obs_json.member name doc) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-%s member %S" kind name)
-  in
-  let* s = need "string" "schema" Obs_json.to_str in
-  let* () = if s = schema then Ok () else Error ("unexpected schema " ^ s) in
-  let* _ = need "string" "experiment" Obs_json.to_str in
-  let* _ = need "float" "wall_time_s" Obs_json.to_float in
-  let* runs = need "int" "runs" Obs_json.to_int in
-  let* () = if runs >= 0 then Ok () else Error "negative \"runs\"" in
-  let obj_int parent name =
-    match
-      Option.bind (Obs_json.member parent doc) (fun o ->
-          Option.bind (Obs_json.member name o) Obs_json.to_int)
-    with
-    | Some v -> Ok v
-    | None ->
-      Error (Printf.sprintf "missing or non-int member %S.%S" parent name)
-  in
-  let* _ = obj_int "config" "seeds" in
-  let* _ = obj_int "config" "n" in
-  let* _ = obj_int "config" "t" in
-  let* safety = obj_int "violations" "safety" in
-  let* liveness = obj_int "violations" "liveness" in
+  let open Sweep in
+  let* runs = header ~schema doc in
+  let count path = field doc path Obs_json.to_int in
+  let* _ = count [ "config"; "seeds" ] in
+  let* _ = count [ "config"; "n" ] in
+  let* _ = count [ "config"; "t" ] in
+  let* safety = count [ "violations"; "safety" ] in
+  let* liveness = count [ "violations"; "liveness" ] in
+  let* gating = count [ "violations"; "liveness_gating" ] in
   let* () =
-    if safety >= 0 && liveness >= 0 then Ok ()
-    else Error "negative violation count"
+    ensure (safety >= 0 && liveness >= 0 && gating >= 0)
+      "negative violation count"
   in
-  let* _ = obj_int "chaos" "drops" in
-  let* _ = obj_int "chaos" "dups" in
-  let* _ = obj_int "chaos" "reorders" in
-  let* _ =
-    match
-      Option.bind (Obs_json.member "metrics" doc) (Obs_json.member "counters")
-    with
-    | Some _ -> Ok ()
-    | None -> Error "missing \"metrics\".\"counters\""
-  in
+  let* _ = count [ "chaos"; "drops" ] in
+  let* _ = count [ "chaos"; "dups" ] in
+  let* _ = count [ "chaos"; "reorders" ] in
+  let* _ = field doc [ "metrics"; "counters" ] Option.some in
   (* The link section, including the gating invariant: a run whose
      channels are (effectively) reliable — natively, or because the link
      layer restores delivery — must have decided.  An undecided gating
      row is a liveness violation dressed up as a report, so the document
      is rejected whole. *)
-  let* link =
-    match Obs_json.member "link" doc with
-    | Some l -> Ok l
-    | None -> Error "missing \"link\" section"
-  in
-  let* enabled =
-    match Option.bind (Obs_json.member "enabled" link) Obs_json.to_bool with
-    | Some b -> Ok b
-    | None -> Error "missing or non-bool \"link\".\"enabled\""
-  in
+  let* enabled = field doc [ "link"; "enabled" ] Obs_json.to_bool in
+  let* policy = field doc [ "link"; "policy" ] Option.some in
   let* () =
-    match (enabled, Obs_json.member "policy" link) with
-    | _, None -> Error "missing \"link\".\"policy\""
-    | true, Some p ->
-      if Obs_json.member "window" p <> None then Ok ()
-      else Error "link enabled but \"link\".\"policy\" has no \"window\""
-    | false, Some _ -> Ok ()
+    ensure
+      ((not enabled) || Obs_json.member "window" policy <> None)
+      "link enabled but \"link\".\"policy\" has no \"window\""
   in
-  let* retx =
-    match
-      Option.bind (Obs_json.member "retransmits_total" link) Obs_json.to_int
-    with
-    | Some v -> Ok v
-    | None -> Error "missing or non-int \"link\".\"retransmits_total\""
+  let* retx = count [ "link"; "retransmits_total" ] in
+  let* () = ensure (retx >= 0) "negative \"link\".\"retransmits_total\"" in
+  let* _ =
+    rows ~runs doc [ "link"; "per_run" ] (fun row ->
+        let* gating = field row [ "gating" ] Obs_json.to_bool in
+        let* decided = field row [ "decided" ] Obs_json.to_bool in
+        let* row_retx = field row [ "retransmits" ] Obs_json.to_int in
+        let* seed = field row [ "seed" ] Obs_json.to_int in
+        let* () = ensure (row_retx >= 0) "negative retransmits" in
+        ensure ((not gating) || decided)
+          "seed %d: gating run left undecided parties" seed)
   in
-  let* () =
-    if retx >= 0 then Ok () else Error "negative \"link\".\"retransmits_total\""
-  in
-  let* rows =
-    match Option.bind (Obs_json.member "per_run" link) Obs_json.to_list with
-    | Some rows -> Ok rows
-    | None -> Error "missing or non-array \"link\".\"per_run\""
-  in
-  let* () =
-    if List.length rows = runs then Ok ()
-    else
-      Error
-        (Printf.sprintf "\"link\".\"per_run\" has %d rows for %d runs"
-           (List.length rows) runs)
-  in
-  let check_row i row =
-    let field name conv =
-      match Option.bind (Obs_json.member name row) conv with
-      | Some v -> Ok v
-      | None ->
-        Error
-          (Printf.sprintf "link per_run row %d: missing or ill-typed %S" i name)
-    in
-    let* gating = field "gating" Obs_json.to_bool in
-    let* decided = field "decided" Obs_json.to_bool in
-    let* row_retx = field "retransmits" Obs_json.to_int in
-    let* seed = field "seed" Obs_json.to_int in
-    let* () =
-      if row_retx >= 0 then Ok ()
-      else Error (Printf.sprintf "link per_run row %d: negative retransmits" i)
-    in
-    if gating && not decided then
-      Error
-        (Printf.sprintf
-           "link per_run row %d (seed %d): gating run left undecided parties"
-           i seed)
-    else Ok ()
-  in
-  let rec check_rows i = function
-    | [] -> Ok ()
-    | row :: rest ->
-      let* () = check_row i row in
-      check_rows (i + 1) rest
-  in
-  let* () = check_rows 0 rows in
   Ok ()
 
 (* ---------- summary --------------------------------------------------- *)
 
 let pp_summary fmt rep =
   (* One line per (protocol, policy, mix) cell of the sweep. *)
-  let cells = Hashtbl.create 16 in
-  let order = ref [] in
   List.iter
-    (fun r ->
-      let key = (r.r_protocol, r.r_policy, r.r_mix) in
-      let cell =
-        match Hashtbl.find_opt cells key with
-        | Some c -> c
-        | None ->
-          let c = ref [] in
-          Hashtbl.add cells key c;
-          order := key :: !order;
-          c
-      in
-      cell := r :: !cell)
-    rep.results;
-  List.iter
-    (fun ((proto, pol, mix) as key) ->
-      let rs = !(Hashtbl.find cells key) in
-      let total = List.length rs in
-      let decided = List.filter (fun r -> r.r_decide_clock <> None) rs in
-      let safety =
-        List.fold_left
-          (fun a r -> a + Oracle.count_safety r.r_violations)
-          0 rs
-      and liveness =
-        List.fold_left
-          (fun a r -> a + Oracle.count_liveness r.r_violations)
-          0 rs
-      in
+    (fun ((proto, pol, mix), rs) ->
+      let decided = List.filter_map (fun r -> r.r_decide_clock) rs in
+      let count f = Sweep.sum (fun r -> f r.r_violations) rs in
+      let safety = count Oracle.count_safety
+      and liveness = count Oracle.count_liveness in
       let mean_clock =
         match decided with
         | [] -> nan
         | _ ->
-          List.fold_left
-            (fun a r -> a +. Option.value r.r_decide_clock ~default:0.0)
-            0.0 decided
+          List.fold_left ( +. ) 0.0 decided
           /. float_of_int (List.length decided)
       in
       Format.fprintf fmt
         "%-5s %-11s %-10s %3d/%-3d decided  mean clock %7.0f  safety %d  liveness %d%s@."
-        proto pol mix (List.length decided) total mean_clock safety liveness
+        proto pol mix (List.length decided) (List.length rs) mean_clock safety
+        liveness
         (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (List.rev !order);
+    (Sweep.group (fun r -> (r.r_protocol, r.r_policy, r.r_mix)) rep.results);
   Format.fprintf fmt
     "total: %d runs, %d safety violations, %d liveness (%d gating)@."
     (List.length rep.results) (safety_count rep) (liveness_count rep)
     (gating_liveness_count rep);
-  match rep.config.link with
-  | None -> ()
-  | Some p ->
-    Format.fprintf fmt
-      "link: on (rto %g, backoff %g, window %d), %d retransmissions@." p.Link.rto
-      p.Link.backoff p.Link.window
-      (List.fold_left (fun a r -> a + r.r_link_retransmits) 0 rep.results)
+  Option.iter
+    (fun p ->
+      Format.fprintf fmt
+        "link: on (rto %g, backoff %g, window %d), %d retransmissions@."
+        p.Link.rto p.Link.backoff p.Link.window
+        (Sweep.sum (fun r -> r.r_link_retransmits) rep.results))
+    rep.config.link

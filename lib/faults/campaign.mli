@@ -1,6 +1,6 @@
 (** Seed-sweep fault campaigns: seeds × chaos policies × corruption
     mixes per protocol, oracle-checked, with a machine-readable
-    ["sintra-faults/1"] report.
+    ["sintra-faults/2"] report.
 
     Every run is fully determined by (protocol, policy, mix, seed), so
     any violation found by a sweep is replayable in isolation.  The
@@ -33,12 +33,7 @@ val protocol_label : protocol -> string
 val protocol_of_string : string -> protocol option
 
 type config = {
-  seeds : int;  (** seeds [seed_base .. seed_base + seeds - 1] *)
-  seed_base : int;
-  n : int;
-  t : int;
-  rsa_bits : int;
-  group_bits : int;
+  core : Sweep.core;
   protocols : protocol list;
   policies : policy_spec list;
   mixes : mix list;
@@ -50,7 +45,6 @@ type config = {
       (** reliable link layer under every deployment ([None] = off, the
           seed behaviour); flips [p_link_restores] policies to
           liveness-gating *)
-  max_steps : int;  (** per-run simulator step bound *)
 }
 
 (** {2 Built-in policies and mixes} *)
@@ -70,9 +64,6 @@ val partition_policy : n:int -> unit -> policy_spec
 
 val default_policies : n:int -> policy_spec list
 val default_mixes : mix list
-
-val policy_of_name : n:int -> string -> policy_spec option
-val mix_of_name : string -> mix option
 
 val default_config :
   ?seeds:int ->
@@ -133,23 +124,16 @@ type report = {
           histograms under layer ["faults"] *)
 }
 
-type env
-(** Prepared campaign environment: the dealt keyring (start-up
-    dominant) plus the shared observability instance every run's
-    simulator reports into. *)
-
-val prepare : config -> env
+val prepare : config -> Sweep.env
 (** Deal the keyring for [(n, t, rsa_bits, group_bits)] once; repeated
     sweeps over the same parameters — the adversarial schedule search
-    evaluates hundreds of candidate chaos specs — share the result. *)
-
-val env_obs : env -> Obs.t
-(** The environment's observability instance — what a {!Flight.recorder}
-    should be created over so it taps the campaign's registry. *)
+    evaluates hundreds of candidate chaos specs — share the result.  A
+    {!Flight.recorder} is created over the environment's [obs] so it
+    taps the campaign's registry. *)
 
 val run_one :
   ?flight:Flight.recorder ->
-  env ->
+  Sweep.env ->
   config ->
   protocol:protocol ->
   policy:policy_spec ->
@@ -164,7 +148,7 @@ val run_one :
 val run_prepared :
   ?progress:(int * int -> unit) ->
   ?flight:Flight.recorder ->
-  env ->
+  Sweep.env ->
   config ->
   report
 
@@ -172,7 +156,7 @@ val run :
   ?progress:(int * int -> unit) -> ?flight:Flight.recorder -> config -> report
 (** Execute the sweep; [progress (done, total)] after every run.
     [?flight] must have been created over this campaign's obs — use
-    {!prepare} + {!env_obs} + {!run_prepared} in that case. *)
+    {!prepare} + {!run_prepared} in that case. *)
 
 val safety_count : report -> int
 val liveness_count : report -> int
@@ -200,12 +184,10 @@ val config_json : config -> Obs_json.t
 
 val to_json : id:string -> wall:float -> report -> Obs_json.t
 
-val write : id:string -> wall:float -> report -> string
-(** Write the report next to the working directory; returns the path. *)
-
 val validate_json : Obs_json.t -> (unit, string) result
 (** Shape check for ["sintra-faults/2"] documents (shared with the
-    CLI's [bench-check]), including the link section and the gating
+    CLI's [bench-check]), including every member [sintra compare]
+    reads, the link section and the gating
     invariant: a per-run row marked [gating] (reliable, natively or by
     link repair) with [decided = false] rejects the whole document —
     an undecided gating run is a liveness violation. *)

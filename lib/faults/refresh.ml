@@ -48,43 +48,31 @@ let variant_of_string = function
   | _ -> None
 
 type config = {
-  e_seeds : int;
-  e_seed_base : int;
-  e_n : int;
-  e_t : int;
-  e_rsa_bits : int;
-  e_group_bits : int;
+  e_core : Sweep.core;
   e_payloads : int;
   e_submit_gap : float;
   e_interval : int;  (* checkpoint period of the wrapped recovery *)
   e_drop : float;  (* chaos drop rate for the lossy variant *)
   e_abc_policy : Abc.policy;
   e_link : Link.policy;
-  (* Progress-driven triggers, as in the recovery campaigns: virtual
-     round duration varies wildly with the drop rate, so the
-     reconfiguration is fired when the stream crosses these fractions
-     of the payload count, polled by a monitor party. *)
+  (* Progress-driven triggers (see {!Sweep.every}): the reconfiguration
+     fires when the stream crosses these fractions of the payload count,
+     polled by a monitor party. *)
   e_down_frac : float;
   e_up_frac : float;
   e_poll : float;
   e_epoch_retry : float;
   e_scenarios : scenario list;
   e_variants : variant list;
-  e_max_steps : int;
 }
 
-let default_config ?(seeds = 50) ?(seed_base = 1) ?(n = 4) ?(t = 1)
-    ?(rsa_bits = 192) ?(group_bits = 128) ?(payloads = 24)
-    ?(submit_gap = 6.0) ?(interval = 4) ?(drop = 0.3) ?abc_policy ?link
-    ?(down_frac = 0.35) ?(up_frac = 0.7) ?(poll = 200.0)
+let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
+    ?(payloads = 24) ?(submit_gap = 6.0) ?(interval = 4) ?(drop = 0.3)
+    ?abc_policy ?link ?(down_frac = 0.35) ?(up_frac = 0.7) ?(poll = 200.0)
     ?(epoch_retry = 400.0) ?scenarios ?variants ?(max_steps = 800_000) () =
   {
-    e_seeds = seeds;
-    e_seed_base = seed_base;
-    e_n = n;
-    e_t = t;
-    e_rsa_bits = rsa_bits;
-    e_group_bits = group_bits;
+    e_core =
+      Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
     e_payloads = payloads;
     e_submit_gap = submit_gap;
     e_interval = interval;
@@ -103,7 +91,6 @@ let default_config ?(seeds = 50) ?(seed_base = 1) ?(n = 4) ?(t = 1)
         ~default:[ Refresh_only; Add_replica; Kill_replace ];
     e_variants =
       Option.value variants ~default:[ Benign; Lossy; Byz_refresher ];
-    e_max_steps = max_steps;
   }
 
 type run_result = {
@@ -122,26 +109,7 @@ type run_result = {
   er_steps : int;
 }
 
-(* Shared dealt keyring/group + obs across a sweep. *)
-type env = {
-  v_keyring : Keyring.t;
-  v_group : G.params;
-  v_obs : Obs.t;
-}
-
-let prepare cfg =
-  let structure = AS.threshold ~n:cfg.e_n ~t:cfg.e_t in
-  let keyring =
-    Keyring.deal ~group_bits:cfg.e_group_bits ~rsa_bits:cfg.e_rsa_bits
-      ~seed:(cfg.e_seed_base + 8810) structure
-  in
-  {
-    v_keyring = keyring;
-    v_group = G.default ~bits:cfg.e_group_bits ();
-    v_obs = Obs.create ();
-  }
-
-let env_obs env = env.v_obs
+let prepare cfg = Sweep.prepare ~key_offset:8810 cfg.e_core
 
 (* A [t]-of-members access structure over the full party universe: the
    removed replicas simply own no leaves.  Used as the reshare target
@@ -153,9 +121,9 @@ let member_structure ~n ~t members =
 
 (* ---------- one scenario run ------------------------------------------ *)
 
-let run_one env cfg ~scenario ~variant ~seed =
-  let n = cfg.e_n and t = cfg.e_t in
-  let keyring = env.v_keyring and obs = env.v_obs in
+let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
+  let { Sweep.n; t; group_bits; max_steps; _ } = cfg.e_core in
+  let keyring = env.keyring in
   let victim = abs seed mod n in
   let byz = (victim + 1) mod n in
   let others = List.filter (fun p -> p <> victim) (List.init n Fun.id) in
@@ -168,11 +136,11 @@ let run_one env cfg ~scenario ~variant ~seed =
     | Refresh_only | Kill_replace -> AS.threshold ~n ~t
   in
   let sharing0 =
-    Dl_sharing.deal env.v_group structure0
+    Dl_sharing.deal (G.default ~bits:group_bits ()) structure0
       (Prng.create ~seed:(seed lxor 0x3a11))
   in
   let pk = sharing0.Dl_sharing.public_key in
-  let sim = Sim.create ~n ~seed ~obs () in
+  let sim = Sim.create ~n ~seed ~obs:env.obs () in
   let chaos =
     match variant with
     | Lossy ->
@@ -260,13 +228,9 @@ let run_one env cfg ~scenario ~variant ~seed =
   let progress () =
     List.fold_left (fun acc p -> max acc (count p)) 0 others
   in
-  let down_th =
-    max 1 (int_of_float (cfg.e_down_frac *. float_of_int cfg.e_payloads))
-  in
-  let up_th =
-    min
-      (cfg.e_payloads - 1)
-      (int_of_float (cfg.e_up_frac *. float_of_int cfg.e_payloads))
+  let down_th, up_th =
+    Sweep.thresholds ~down_frac:cfg.e_down_frac ~up_frac:cfg.e_up_frac
+      cfg.e_payloads
   in
   (* The reconfiguration trigger: open the epoch on every live replica;
      under the Byzantine variant the [byz] replica instead equivocates —
@@ -333,7 +297,7 @@ let run_one env cfg ~scenario ~variant ~seed =
      answering — with the victim countersigning — from the new sharing. *)
   let tail_payload = Printf.sprintf "etx-%d-tail" seed in
   let tail_submitted = ref false in
-  let rec poll () =
+  Sweep.every sim ~party:monitor ~period:cfg.e_poll (fun () ->
     (match (!phase, scenario) with
     | `Wait_down, Refresh_only when progress () >= down_th ->
       pending_target := None;
@@ -389,9 +353,7 @@ let run_one env cfg ~scenario ~variant ~seed =
             Epoch.start_pull node)
         (nodes ())
     | _ -> ());
-    if !phase <> `Done then Sim.set_timer sim monitor ~delay:cfg.e_poll poll
-  in
-  Sim.set_timer sim monitor ~delay:cfg.e_poll poll;
+    !phase <> `Done);
   let stream_total () =
     cfg.e_payloads + if !tail_submitted then 1 else 0
   in
@@ -408,10 +370,7 @@ let run_one env cfg ~scenario ~variant ~seed =
     && Array.for_all (fun node -> Epoch.epoch node >= final_epoch) (nodes ())
     && List.for_all caught_up (List.init n Fun.id)
   in
-  let stall = ref [] in
-  (try Sim.run ~max_steps:cfg.e_max_steps ~until:done_ sim with
-  | Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-    stall := [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]);
+  let stall = ref (Sweep.run_sim sim ~max_steps ~until:done_) in
   (* Nudge stragglers the way an operator would, as in the recovery
      campaign: a quiesced replica slightly behind re-fetches. *)
   let nudges = ref 0 in
@@ -425,10 +384,7 @@ let run_one env cfg ~scenario ~variant ~seed =
           Epoch.start_pull node
         end)
       (nodes ());
-    (try Sim.run ~max_steps:cfg.e_max_steps ~until:done_ sim with
-    | Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-      stall :=
-        [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ])
+    stall := Sweep.run_sim sim ~max_steps ~until:done_
   done;
   (* ---- oracles ---- *)
   let honest = Pset.full n in
@@ -543,31 +499,14 @@ let run_one env cfg ~scenario ~variant ~seed =
     | Refresh_only -> true
   in
   let proactive_violations =
-    (if pk_stable then []
-     else
-       [ {
-           Oracle.oracle = "epoch-pk-invariant";
-           severity = Oracle.Safety;
-           party = None;
-           detail = "public key changed across an epoch advance";
-         } ])
-    @ (if old_shares_dead then []
-       else
-         [ {
-             Oracle.oracle = "epoch-old-shares";
-             severity = Oracle.Safety;
-             party = None;
-             detail = "pre-epoch shares still recombine to the secret";
-           } ])
-    @
-    if byz_active && excluded_witnessed = 0 then
-      [ {
-          Oracle.oracle = "epoch-equivocation";
-          severity = Oracle.Liveness;
-          party = Some byz;
-          detail = "equivocating refresher never excluded";
-        } ]
-    else []
+    Sweep.unless pk_stable Oracle.Safety "epoch-pk-invariant"
+      "public key changed across an epoch advance"
+    @ Sweep.unless old_shares_dead Oracle.Safety "epoch-old-shares"
+        "pre-epoch shares still recombine to the secret"
+    @ Sweep.unless
+        ((not byz_active) || excluded_witnessed > 0)
+        ~party:byz Oracle.Liveness "epoch-equivocation"
+        "equivocating refresher never excluded"
   in
   let violations = order_violations @ proactive_violations in
   let safety = Oracle.count_safety violations in
@@ -599,37 +538,20 @@ type report = {
   obs : Obs.t;
 }
 
-let run ?(progress = fun _ -> ()) cfg =
+let run ?progress cfg =
   let env = prepare cfg in
-  let results = ref [] in
-  let total =
-    List.length cfg.e_scenarios * List.length cfg.e_variants * cfg.e_seeds
+  let results =
+    Sweep.sweep ?progress cfg.e_core
+      (Sweep.product cfg.e_scenarios cfg.e_variants)
+      (fun (scenario, variant) -> run_one env cfg ~scenario ~variant)
   in
-  let done_runs = ref 0 in
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun variant ->
-          for i = 0 to cfg.e_seeds - 1 do
-            let seed = cfg.e_seed_base + i in
-            let r = run_one env cfg ~scenario ~variant ~seed in
-            results := r :: !results;
-            incr done_runs;
-            progress (!done_runs, total)
-          done)
-        cfg.e_variants)
-    cfg.e_scenarios;
-  { config = cfg; results = List.rev !results; obs = env.v_obs }
+  { config = cfg; results; obs = env.obs }
 
 let safety_count rep =
-  List.fold_left
-    (fun acc r -> acc + Oracle.count_safety r.er_violations)
-    0 rep.results
+  Sweep.sum (fun r -> Oracle.count_safety r.er_violations) rep.results
 
 let liveness_count rep =
-  List.fold_left
-    (fun acc r -> acc + Oracle.count_liveness r.er_violations)
-    0 rep.results
+  Sweep.sum (fun r -> Oracle.count_liveness r.er_violations) rep.results
 
 let completed_count rep =
   List.length (List.filter (fun r -> r.er_completed) rep.results)
@@ -651,27 +573,23 @@ let out_path id = Printf.sprintf "EPOCH_%s.json" id
 
 let config_json cfg =
   Obs_json.Obj
-    [
-      ("seeds", Obs_json.Int cfg.e_seeds);
-      ("seed_base", Obs_json.Int cfg.e_seed_base);
-      ("n", Obs_json.Int cfg.e_n);
-      ("t", Obs_json.Int cfg.e_t);
-      ("payloads", Obs_json.Int cfg.e_payloads);
-      ("interval", Obs_json.Int cfg.e_interval);
-      ("drop", Obs_json.Float cfg.e_drop);
-      ("down_frac", Obs_json.Float cfg.e_down_frac);
-      ("up_frac", Obs_json.Float cfg.e_up_frac);
-      ( "scenarios",
-        Obs_json.Arr
-          (List.map
-             (fun s -> Obs_json.Str (scenario_label s))
-             cfg.e_scenarios) );
-      ( "variants",
-        Obs_json.Arr
-          (List.map (fun v -> Obs_json.Str (variant_label v)) cfg.e_variants)
-      );
-      ("max_steps", Obs_json.Int cfg.e_max_steps);
-    ]
+    (Sweep.core_fields cfg.e_core
+    @ [
+        ("payloads", Obs_json.Int cfg.e_payloads);
+        ("interval", Obs_json.Int cfg.e_interval);
+        ("drop", Obs_json.Float cfg.e_drop);
+        ("down_frac", Obs_json.Float cfg.e_down_frac);
+        ("up_frac", Obs_json.Float cfg.e_up_frac);
+        ( "scenarios",
+          Obs_json.Arr
+            (List.map
+               (fun s -> Obs_json.Str (scenario_label s))
+               cfg.e_scenarios) );
+        ( "variants",
+          Obs_json.Arr
+            (List.map (fun v -> Obs_json.Str (variant_label v)) cfg.e_variants)
+        );
+      ])
 
 let run_json r =
   Obs_json.Obj
@@ -693,17 +611,12 @@ let run_json r =
     ]
 
 let to_json ~id ~wall rep =
-  Obs_json.Obj
+  Sweep.envelope ~id ~schema ~wall ~config:(config_json rep.config)
+    ~runs:(List.length rep.results) ~obs:rep.obs
     [
-      ("experiment", Obs_json.Str id);
-      ("schema", Obs_json.Str schema);
-      ("wall_time_s", Obs_json.Float wall);
-      ("config", config_json rep.config);
-      ("runs", Obs_json.Int (List.length rep.results));
       ("completed", Obs_json.Int (completed_count rep));
       ( "excluded_total",
-        Obs_json.Int
-          (List.fold_left (fun a r -> a + r.er_excluded) 0 rep.results) );
+        Obs_json.Int (Sweep.sum (fun r -> r.er_excluded) rep.results) );
       ( "violations",
         Obs_json.Obj
           [
@@ -711,182 +624,74 @@ let to_json ~id ~wall rep =
             ("liveness", Obs_json.Int (liveness_count rep));
           ] );
       ("per_run", Obs_json.Arr (List.map run_json rep.results));
-      ("metrics", Obs_registry.snapshot_to_json (Obs.snapshot rep.obs));
     ]
 
-let write ~id ~wall rep =
-  let path = out_path id in
-  let oc = open_out path in
-  output_string oc (Obs_json.to_canonical_string (to_json ~id ~wall rep));
-  output_char oc '\n';
-  close_out oc;
-  path
-
 (* Shape + invariant validator for sintra-epoch/1 documents, dispatched
-   from the CLI's bench-check like the other schemas. *)
+   from the CLI's bench-check like the other campaign schemas. *)
 let validate_json (doc : Obs_json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need kind name conv =
-    match Option.bind (Obs_json.member name doc) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-%s member %S" kind name)
-  in
-  let* s = need "string" "schema" Obs_json.to_str in
-  let* () = if s = schema then Ok () else Error ("unexpected schema " ^ s) in
-  let* _ = need "string" "experiment" Obs_json.to_str in
-  let* _ = need "float" "wall_time_s" Obs_json.to_float in
-  let* runs = need "int" "runs" Obs_json.to_int in
-  let* () = if runs > 0 then Ok () else Error "no runs" in
-  let* completed = need "int" "completed" Obs_json.to_int in
+  let open Sweep in
+  let* runs = header ~schema doc in
+  let* () = ensure (runs > 0) "no runs" in
+  let* completed = field doc [ "completed" ] Obs_json.to_int in
   let* () =
-    if completed = runs then Ok ()
-    else
-      Error
-        (Printf.sprintf "%d of %d runs failed to complete" (runs - completed)
-           runs)
+    ensure (completed = runs) "%d of %d runs failed to complete"
+      (runs - completed) runs
   in
-  let* safety =
-    match
-      Option.bind (Obs_json.member "violations" doc) (fun o ->
-          Option.bind (Obs_json.member "safety" o) Obs_json.to_int)
-    with
-    | Some v -> Ok v
-    | None -> Error "missing \"violations\".\"safety\""
-  in
-  let* () =
-    if safety = 0 then Ok ()
-    else Error (Printf.sprintf "%d safety violations" safety)
-  in
-  let* payloads =
-    match
-      Option.bind (Obs_json.member "config" doc) (fun o ->
-          Option.bind (Obs_json.member "payloads" o) Obs_json.to_int)
-    with
-    | Some v -> Ok v
-    | None -> Error "missing \"config\".\"payloads\""
-  in
+  let* safety = field doc [ "violations"; "safety" ] Obs_json.to_int in
+  let* () = ensure (safety = 0) "%d safety violations" safety in
+  let* payloads = field doc [ "config"; "payloads" ] Obs_json.to_int in
   let* rows =
-    match Option.bind (Obs_json.member "per_run" doc) Obs_json.to_list with
-    | Some rows -> Ok rows
-    | None -> Error "missing or non-array \"per_run\""
+    rows ~runs doc [ "per_run" ] (fun row ->
+        let* scenario = field row [ "scenario" ] Obs_json.to_str in
+        let* () =
+          ensure (scenario_of_string scenario <> None) "unknown scenario %S"
+            scenario
+        in
+        let* variant = field row [ "variant" ] Obs_json.to_str in
+        let* () =
+          ensure (variant_of_string variant <> None) "unknown variant %S"
+            variant
+        in
+        let* seed = field row [ "seed" ] Obs_json.to_int in
+        let flag name = field row [ name ] Obs_json.to_bool in
+        let* completed = flag "completed" in
+        let* pk_stable = flag "pk_stable" in
+        let* dead = flag "old_shares_dead" in
+        let* serving = flag "replaced_serving" in
+        let* certs = field row [ "certs_ok" ] Obs_json.to_int in
+        let* excluded = field row [ "excluded" ] Obs_json.to_int in
+        let* () = ensure completed "seed %d: not completed" seed in
+        let* () = ensure pk_stable "seed %d: public key changed" seed in
+        let* () = ensure dead "seed %d: old shares still live" seed in
+        let* () = ensure serving "seed %d: replaced replica not serving" seed in
+        let* () =
+          ensure (certs = payloads) "seed %d: %d of %d reply certificates"
+            seed certs payloads
+        in
+        let byz = variant = "byz-refresher" in
+        Ok (byz, byz && excluded > 0))
   in
-  let* () =
-    if List.length rows = runs then Ok ()
-    else
-      Error
-        (Printf.sprintf "\"per_run\" has %d rows for %d runs"
-           (List.length rows) runs)
-  in
-  let check_row i row =
-    let field name conv =
-      match Option.bind (Obs_json.member name row) conv with
-      | Some v -> Ok v
-      | None ->
-        Error (Printf.sprintf "per_run row %d: missing or ill-typed %S" i name)
-    in
-    let* scenario = field "scenario" Obs_json.to_str in
-    let* () =
-      if scenario_of_string scenario <> None then Ok ()
-      else
-        Error (Printf.sprintf "per_run row %d: unknown scenario %S" i scenario)
-    in
-    let* variant = field "variant" Obs_json.to_str in
-    let* () =
-      if variant_of_string variant <> None then Ok ()
-      else Error (Printf.sprintf "per_run row %d: unknown variant %S" i variant)
-    in
-    let* seed = field "seed" Obs_json.to_int in
-    let* completed = field "completed" Obs_json.to_bool in
-    let* pk_stable = field "pk_stable" Obs_json.to_bool in
-    let* dead = field "old_shares_dead" Obs_json.to_bool in
-    let* serving = field "replaced_serving" Obs_json.to_bool in
-    let* certs = field "certs_ok" Obs_json.to_int in
-    let* excluded = field "excluded" Obs_json.to_int in
-    let* () =
-      if completed then Ok ()
-      else
-        Error (Printf.sprintf "per_run row %d (seed %d): not completed" i seed)
-    in
-    let* () =
-      if pk_stable then Ok ()
-      else
-        Error
-          (Printf.sprintf "per_run row %d (seed %d): public key changed" i seed)
-    in
-    let* () =
-      if dead then Ok ()
-      else
-        Error
-          (Printf.sprintf "per_run row %d (seed %d): old shares still live" i
-             seed)
-    in
-    let* () =
-      if serving then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "per_run row %d (seed %d): replaced replica not serving" i seed)
-    in
-    let* () =
-      if certs = payloads then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "per_run row %d (seed %d): %d of %d reply certificates" i seed
-             certs payloads)
-    in
-    Ok (variant = "byz-refresher" && excluded > 0)
-  in
-  let rec check_rows i any_byz caught = function
-    | [] ->
-      if any_byz && not caught then
-        Error "byzantine sweep never witnessed a dealer exclusion"
-      else Ok ()
-    | row :: rest ->
-      let* byz_caught = check_row i row in
-      let byz =
-        Option.bind (Obs_json.member "variant" row) Obs_json.to_str
-        = Some "byz-refresher"
-      in
-      check_rows (i + 1) (any_byz || byz) (caught || byz_caught) rest
-  in
-  check_rows 0 false false rows
+  ensure
+    ((not (List.exists fst rows)) || List.exists snd rows)
+    "byzantine sweep never witnessed a dealer exclusion"
 
 (* ---------- summary ---------------------------------------------------- *)
 
 let pp_summary fmt rep =
-  let cells = Hashtbl.create 8 in
-  let order = ref [] in
   List.iter
-    (fun r ->
-      let key = (scenario_label r.er_scenario, variant_label r.er_variant) in
-      let cell =
-        match Hashtbl.find_opt cells key with
-        | Some c -> c
-        | None ->
-          let c = ref [] in
-          Hashtbl.add cells key c;
-          order := key :: !order;
-          c
-      in
-      cell := r :: !cell)
-    rep.results;
-  List.iter
-    (fun ((scen, var) as key) ->
-      let rs = !(Hashtbl.find cells key) in
-      let total = List.length rs in
-      let comp = List.length (List.filter (fun r -> r.er_completed) rs) in
-      let certs = List.fold_left (fun a r -> a + r.er_certs_ok) 0 rs in
-      let excl = List.fold_left (fun a r -> a + r.er_excluded) 0 rs in
-      let safety =
-        List.fold_left
-          (fun a r -> a + Oracle.count_safety r.er_violations)
-          0 rs
-      in
+    (fun ((scen, var), rs) ->
+      let safety = Sweep.sum (fun r -> Oracle.count_safety r.er_violations) rs in
       Format.fprintf fmt
         "%-17s %-13s %3d/%-3d completed  %4d certs  %3d excluded  safety %d%s@."
-        scen var comp total certs excl safety
+        scen var
+        (List.length (List.filter (fun r -> r.er_completed) rs))
+        (List.length rs)
+        (Sweep.sum (fun r -> r.er_certs_ok) rs)
+        (Sweep.sum (fun r -> r.er_excluded) rs)
+        safety
         (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (List.rev !order);
+    (Sweep.group
+       (fun r -> (scenario_label r.er_scenario, variant_label r.er_variant))
+       rep.results);
   Format.fprintf fmt "total: %d runs, %d completed, %d safety violations@."
     (List.length rep.results) (completed_count rep) (safety_count rep)

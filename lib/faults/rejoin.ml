@@ -27,44 +27,28 @@ let scenario_of_string = function
   | _ -> None
 
 type config = {
-  j_seeds : int;
-  j_seed_base : int;
-  j_n : int;
-  j_t : int;
-  j_rsa_bits : int;
-  j_group_bits : int;
+  j_core : Sweep.core;
   j_payloads : int;
   j_submit_gap : float;  (* virtual time between payload submissions *)
   j_interval : int;  (* checkpoint period in rounds *)
   j_drop : float;  (* chaos drop rate (the link layer restores) *)
   j_abc_policy : Abc.policy;
   j_link : Link.policy;
-  (* The outage is progress-driven, not wall-clock-driven: virtual round
-     duration varies by orders of magnitude with the drop rate, so fixed
-     times would land before the stream starts or after it ends.  A
-     monitor party polls honest delivered counts and triggers the outage
-     / comeback when the stream crosses these fractions. *)
   j_down_frac : float;  (* outage when progress >= this fraction *)
   j_up_frac : float;  (* comeback when progress >= this fraction *)
   j_poll : float;  (* monitor poll period, virtual time *)
   j_scenarios : scenario list;
   j_variants : bool list;  (* forged-server variants to sweep *)
-  j_max_steps : int;
   j_mem_payloads : int;  (* bounded-memory probe stream length *)
 }
 
-let default_config ?(seeds = 50) ?(seed_base = 1) ?(n = 4) ?(t = 1)
-    ?(rsa_bits = 192) ?(group_bits = 128) ?(payloads = 24)
-    ?(submit_gap = 6.0) ?(interval = 4) ?(drop = 0.3) ?abc_policy ?link
-    ?(down_frac = 0.35) ?(up_frac = 0.75) ?(poll = 200.0) ?scenarios
-    ?variants ?(max_steps = 600_000) ?(mem_payloads = 192) () =
+let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
+    ?(payloads = 24) ?(submit_gap = 6.0) ?(interval = 4) ?(drop = 0.3)
+    ?abc_policy ?link ?(down_frac = 0.35) ?(up_frac = 0.75) ?(poll = 200.0)
+    ?scenarios ?variants ?(max_steps = 600_000) ?(mem_payloads = 192) () =
   {
-    j_seeds = seeds;
-    j_seed_base = seed_base;
-    j_n = n;
-    j_t = t;
-    j_rsa_bits = rsa_bits;
-    j_group_bits = group_bits;
+    j_core =
+      Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
     j_payloads = payloads;
     j_submit_gap = submit_gap;
     j_interval = interval;
@@ -80,7 +64,6 @@ let default_config ?(seeds = 50) ?(seed_base = 1) ?(n = 4) ?(t = 1)
     j_scenarios =
       Option.value scenarios ~default:[ Crash_rejoin; Partition_heal ];
     j_variants = Option.value variants ~default:[ false; true ];
-    j_max_steps = max_steps;
     j_mem_payloads = mem_payloads;
   }
 
@@ -100,41 +83,19 @@ type run_result = {
   jr_steps : int;
 }
 
-(* Shared dealt keyring + obs, as in {!Campaign.prepare}. *)
-type env = { e_keyring : Keyring.t; e_obs : Obs.t }
-
-let prepare cfg =
-  let structure = Adversary_structure.threshold ~n:cfg.j_n ~t:cfg.j_t in
-  let keyring =
-    Keyring.deal ~group_bits:cfg.j_group_bits ~rsa_bits:cfg.j_rsa_bits
-      ~seed:(cfg.j_seed_base + 9990) structure
-  in
-  { e_keyring = keyring; e_obs = Obs.create () }
-
-let env_obs env = env.e_obs
-
-(* Flight-recorder glue, mirroring the campaign runner's. *)
-let flight_begin flight sim =
-  Option.iter
-    (fun fl -> Flight.run_begin fl ~now:(fun () -> Sim.clock sim))
-    flight
-
-let flight_stall flight ~at_clock ~detail =
-  Option.iter
-    (fun fl -> Flight.note_anomaly fl Flight.Stall ~at:at_clock ~detail)
-    flight
+let prepare cfg = Sweep.prepare ~key_offset:9990 cfg.j_core
 
 (* ---------- one scenario run ------------------------------------------ *)
 
-let run_one ?flight env cfg ~scenario ~forged ~seed =
-  let n = cfg.j_n in
-  let keyring = env.e_keyring and obs = env.e_obs in
+let run_one ?flight (env : Sweep.env) cfg ~scenario ~forged ~seed =
+  let n = cfg.j_core.n in
+  let keyring = env.keyring in
   let victim = abs seed mod n in
   let forger = (victim + 1) mod n in
   let honest =
     if forged then Pset.remove forger (Pset.full n) else Pset.full n
   in
-  let sim = Sim.create ~n ~seed ~obs () in
+  let sim = Sim.create ~n ~seed ~obs:env.obs () in
   let base_chaos =
     {
       Sim.benign_chaos with
@@ -159,7 +120,7 @@ let run_one ?flight env cfg ~scenario ~forged ~seed =
     }
   in
   Sim.set_chaos sim (Some base_chaos);
-  flight_begin flight sim;
+  Sweep.flight_begin flight sim;
   let tag = Printf.sprintf "recov-%s-%d" (scenario_label scenario) seed in
   let wrap =
     if forged then
@@ -206,56 +167,36 @@ let run_one ?flight env cfg ~scenario ~forged ~seed =
      surviving honest parties.  The monitor is honest and never the
      victim (for n = 4 it also avoids the forger at victim + 1), so its
      poll timer survives the whole run. *)
-  let monitor = (victim + 2) mod n in
-  let progress () =
-    Pset.fold
-      (fun p acc -> if p = victim then acc else max acc (count p))
-      honest 0
-  in
-  let down_th =
-    max 1 (int_of_float (cfg.j_down_frac *. float_of_int cfg.j_payloads))
-  in
-  let up_th =
-    min
-      (cfg.j_payloads - 1)
-      (int_of_float (cfg.j_up_frac *. float_of_int cfg.j_payloads))
-  in
-  let phase = ref `Wait_down in
-  let rec poll () =
-    (match !phase with
-    | `Wait_down when progress () >= down_th ->
-      (match scenario with
-      | Crash_rejoin -> Sim.crash sim victim
-      | Partition_heal -> Sim.set_chaos sim (Some (cut_chaos ())));
-      phase := `Wait_up
-    | `Wait_up when progress () >= up_th ->
-      (match scenario with
-      | Crash_rejoin ->
-        let node = Recovery.revive dep victim in
-        Recovery.set_on_transfer node (note_transfer victim)
-      | Partition_heal ->
-        Sim.set_chaos sim (Some base_chaos);
-        (* Resync on heal, as an operator would after a long cut: the
-           victim races native ARQ catch-up against certified state
-           transfer, and a forged server gets fetched (and rejected)
-           either way. *)
-        Recovery.start_catch_up (nodes ()).(victim));
-      phase := `Done
-    | _ -> ());
-    if !phase <> `Done then Sim.set_timer sim monitor ~delay:cfg.j_poll poll
-  in
-  Sim.set_timer sim monitor ~delay:cfg.j_poll poll;
+  Sweep.every sim ~party:((victim + 2) mod n) ~period:cfg.j_poll
+    (Sweep.outage ~down_frac:cfg.j_down_frac ~up_frac:cfg.j_up_frac
+       ~total:cfg.j_payloads
+       ~progress:(fun () ->
+         Pset.fold
+           (fun p acc -> if p = victim then acc else max acc (count p))
+           honest 0)
+       ~down:(fun () ->
+         match scenario with
+         | Crash_rejoin -> Sim.crash sim victim
+         | Partition_heal -> Sim.set_chaos sim (Some (cut_chaos ())))
+       ~up:(fun () ->
+         match scenario with
+         | Crash_rejoin ->
+           let node = Recovery.revive dep victim in
+           Recovery.set_on_transfer node (note_transfer victim)
+         | Partition_heal ->
+           Sim.set_chaos sim (Some base_chaos);
+           (* Resync on heal, as an operator would after a long cut:
+              the victim races native ARQ catch-up against certified
+              state transfer, and a forged server gets fetched (and
+              rejected) either way. *)
+           Recovery.start_catch_up (nodes ()).(victim)));
   let done_ () =
     Pset.for_all (fun p -> count p >= cfg.j_payloads) honest
   in
-  let stall = ref [] in
   let run_once () =
-    try Sim.run ~max_steps:cfg.j_max_steps ~until:done_ sim with
-    | Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-      flight_stall flight ~at_clock ~detail;
-      stall := [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]
+    Sweep.run_sim ?flight sim ~max_steps:cfg.j_core.max_steps ~until:done_
   in
-  run_once ();
+  let stall = ref (run_once ()) in
   (* A replica can quiesce slightly behind with no new checkpoint share
      to trip its lag detector; nudge it the way an operator would. *)
   let nudges = ref 0 in
@@ -266,7 +207,7 @@ let run_one ?flight env cfg ~scenario ~forged ~seed =
         if count p < cfg.j_payloads && not (Sim.is_crashed sim p) then
           Recovery.start_catch_up (nodes ()).(p))
       honest;
-    run_once ()
+    stall := run_once ()
   done;
   let victim_node = (nodes ()).(victim) in
   let histories =
@@ -304,28 +245,17 @@ let run_one ?flight env cfg ~scenario ~forged ~seed =
       jr_steps = Sim.steps sim;
     }
   in
-  Option.iter
-    (fun fl ->
-      List.iter
-        (fun (v : Oracle.violation) ->
-          if v.Oracle.severity = Oracle.Safety then
-            Flight.note_anomaly fl Flight.Safety_trip
-              ~detail:(Oracle.violation_to_string v))
-        violations;
-      Flight.run_end fl
-        ~key:
-          {
-            Flight.protocol = "recov";
-            policy = scenario_label scenario;
-            mix = (if forged then "forged" else "plain");
-            seed;
-          }
-        ~decided:(done_ ()) ~gating:true
-        ~decide_clock:(if done_ () then Some (Sim.clock sim) else None)
-        ~steps:(Sim.steps sim) ~safety
-        ~liveness:(Oracle.count_liveness violations)
-        ~buffer_peak:0)
-    flight;
+  Sweep.flight_end flight
+    ~key:
+      {
+        Flight.protocol = "recov";
+        policy = scenario_label scenario;
+        mix = (if forged then "forged" else "plain");
+        seed;
+      }
+    ~violations ~decided:(done_ ()) ~gating:true
+    ~decide_clock:(if done_ () then Some (Sim.clock sim) else None)
+    ~steps:(Sim.steps sim) ~buffer_peak:0;
   result
 
 (* ---------- bounded-memory probe -------------------------------------- *)
@@ -341,10 +271,11 @@ type memory_probe = {
 (* One sustained-load stream, no faults, link off: every party submits
    round-robin up front and the run drains under back-pressure.  Returns
    (log peak, rounds retired, certified round) maxed over parties. *)
-let memory_run env ~payloads ~interval ~abc_policy ~max_steps ~seed =
-  let keyring = env.e_keyring in
+let memory_run (env : Sweep.env) ~payloads ~interval ~abc_policy ~max_steps
+    ~seed =
+  let keyring = env.keyring in
   let n = Keyring.n keyring in
-  let sim = Sim.create ~n ~seed ~obs:env.e_obs () in
+  let sim = Sim.create ~n ~seed ~obs:env.obs () in
   let dep =
     Recovery.deploy ~policy:abc_policy ~interval ~sim ~keyring
       ~tag:(Printf.sprintf "recov-mem-%d-%d" interval seed)
@@ -370,7 +301,7 @@ let memory_run env ~payloads ~interval ~abc_policy ~max_steps ~seed =
 
 let memory_probe env cfg ~seed =
   let payloads = cfg.j_mem_payloads in
-  let abc_policy = cfg.j_abc_policy and max_steps = cfg.j_max_steps in
+  let abc_policy = cfg.j_abc_policy and max_steps = cfg.j_core.max_steps in
   let on_peak, on_retired, on_ckpt =
     memory_run env ~payloads ~interval:cfg.j_interval ~abc_policy
       ~max_steps ~seed
@@ -395,41 +326,24 @@ type report = {
   obs : Obs.t;
 }
 
-let run ?(progress = fun _ -> ()) ?flight ?(memory = true) cfg =
+let run ?progress ?flight ?(memory = true) cfg =
   let env = prepare cfg in
-  let results = ref [] in
-  let total =
-    List.length cfg.j_scenarios * List.length cfg.j_variants * cfg.j_seeds
+  let results =
+    Sweep.sweep ?progress cfg.j_core
+      (Sweep.product cfg.j_scenarios cfg.j_variants)
+      (fun (scenario, forged) -> run_one ?flight env cfg ~scenario ~forged)
   in
-  let done_runs = ref 0 in
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun forged ->
-          for i = 0 to cfg.j_seeds - 1 do
-            let seed = cfg.j_seed_base + i in
-            let r = run_one ?flight env cfg ~scenario ~forged ~seed in
-            results := r :: !results;
-            incr done_runs;
-            progress (!done_runs, total)
-          done)
-        cfg.j_variants)
-    cfg.j_scenarios;
   let memory =
-    if memory then Some (memory_probe env cfg ~seed:cfg.j_seed_base)
+    if memory then Some (memory_probe env cfg ~seed:cfg.j_core.seed_base)
     else None
   in
-  { config = cfg; results = List.rev !results; memory; obs = env.e_obs }
+  { config = cfg; results; memory; obs = env.obs }
 
 let safety_count rep =
-  List.fold_left
-    (fun acc r -> acc + Oracle.count_safety r.jr_violations)
-    0 rep.results
+  Sweep.sum (fun r -> Oracle.count_safety r.jr_violations) rep.results
 
 let liveness_count rep =
-  List.fold_left
-    (fun acc r -> acc + Oracle.count_liveness r.jr_violations)
-    0 rep.results
+  Sweep.sum (fun r -> Oracle.count_liveness r.jr_violations) rep.results
 
 let recovered_count rep =
   List.length (List.filter (fun r -> r.jr_recovered) rep.results)
@@ -460,25 +374,21 @@ let out_path id = Printf.sprintf "RECOV_%s.json" id
 
 let config_json cfg =
   Obs_json.Obj
-    [
-      ("seeds", Obs_json.Int cfg.j_seeds);
-      ("seed_base", Obs_json.Int cfg.j_seed_base);
-      ("n", Obs_json.Int cfg.j_n);
-      ("t", Obs_json.Int cfg.j_t);
-      ("payloads", Obs_json.Int cfg.j_payloads);
-      ("interval", Obs_json.Int cfg.j_interval);
-      ("drop", Obs_json.Float cfg.j_drop);
-      ("down_frac", Obs_json.Float cfg.j_down_frac);
-      ("up_frac", Obs_json.Float cfg.j_up_frac);
-      ( "scenarios",
-        Obs_json.Arr
-          (List.map
-             (fun s -> Obs_json.Str (scenario_label s))
-             cfg.j_scenarios) );
-      ( "variants",
-        Obs_json.Arr (List.map (fun b -> Obs_json.Bool b) cfg.j_variants) );
-      ("max_steps", Obs_json.Int cfg.j_max_steps);
-    ]
+    (Sweep.core_fields cfg.j_core
+    @ [
+        ("payloads", Obs_json.Int cfg.j_payloads);
+        ("interval", Obs_json.Int cfg.j_interval);
+        ("drop", Obs_json.Float cfg.j_drop);
+        ("down_frac", Obs_json.Float cfg.j_down_frac);
+        ("up_frac", Obs_json.Float cfg.j_up_frac);
+        ( "scenarios",
+          Obs_json.Arr
+            (List.map
+               (fun s -> Obs_json.Str (scenario_label s))
+               cfg.j_scenarios) );
+        ( "variants",
+          Obs_json.Arr (List.map (fun b -> Obs_json.Bool b) cfg.j_variants) );
+      ])
 
 let run_json r =
   Obs_json.Obj
@@ -514,21 +424,16 @@ let memory_json m =
     ]
 
 let to_json ~id ~wall rep =
-  Obs_json.Obj
+  Sweep.envelope ~id ~schema ~wall ~config:(config_json rep.config)
+    ~runs:(List.length rep.results) ~obs:rep.obs
     [
-      ("experiment", Obs_json.Str id);
-      ("schema", Obs_json.Str schema);
-      ("wall_time_s", Obs_json.Float wall);
-      ("config", config_json rep.config);
-      ("runs", Obs_json.Int (List.length rep.results));
       ("recovered", Obs_json.Int (recovered_count rep));
       ( "transferred",
         Obs_json.Int
           (List.length (List.filter (fun r -> r.jr_transferred) rep.results))
       );
       ( "rejected_total",
-        Obs_json.Int
-          (List.fold_left (fun a r -> a + r.jr_rejected) 0 rep.results) );
+        Obs_json.Int (Sweep.sum (fun r -> r.jr_rejected) rep.results) );
       ( "violations",
         Obs_json.Obj
           [
@@ -540,175 +445,83 @@ let to_json ~id ~wall rep =
         | None -> Obs_json.Null
         | Some m -> memory_json m );
       ("per_run", Obs_json.Arr (List.map run_json rep.results));
-      ("metrics", Obs_registry.snapshot_to_json (Obs.snapshot rep.obs));
     ]
 
-let write ~id ~wall rep =
-  let path = out_path id in
-  let oc = open_out path in
-  output_string oc (Obs_json.to_canonical_string (to_json ~id ~wall rep));
-  output_char oc '\n';
-  close_out oc;
-  path
-
 (* Shape + invariant validator for sintra-recov/1 documents, dispatched
-   from the CLI's bench-check like the bench/faults/flight schemas. *)
+   from the CLI's bench-check like the other campaign schemas. *)
 let validate_json (doc : Obs_json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need kind name conv =
-    match Option.bind (Obs_json.member name doc) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-%s member %S" kind name)
-  in
-  let* s = need "string" "schema" Obs_json.to_str in
-  let* () = if s = schema then Ok () else Error ("unexpected schema " ^ s) in
-  let* _ = need "string" "experiment" Obs_json.to_str in
-  let* _ = need "float" "wall_time_s" Obs_json.to_float in
-  let* runs = need "int" "runs" Obs_json.to_int in
-  let* () = if runs > 0 then Ok () else Error "no runs" in
-  let* recovered = need "int" "recovered" Obs_json.to_int in
+  let open Sweep in
+  let* runs = header ~schema doc in
+  let* () = ensure (runs > 0) "no runs" in
+  let* recovered = field doc [ "recovered" ] Obs_json.to_int in
   let* () =
-    if recovered = runs then Ok ()
-    else
-      Error
-        (Printf.sprintf "%d of %d victims failed to recover" (runs - recovered)
-           runs)
+    ensure (recovered = runs) "%d of %d victims failed to recover"
+      (runs - recovered) runs
   in
-  let* safety =
-    match
-      Option.bind (Obs_json.member "violations" doc) (fun o ->
-          Option.bind (Obs_json.member "safety" o) Obs_json.to_int)
-    with
-    | Some v -> Ok v
-    | None -> Error "missing \"violations\".\"safety\""
-  in
-  let* () =
-    if safety = 0 then Ok ()
-    else Error (Printf.sprintf "%d safety violations" safety)
-  in
+  let* safety = field doc [ "violations"; "safety" ] Obs_json.to_int in
+  let* () = ensure (safety = 0) "%d safety violations" safety in
   let* rows =
-    match Option.bind (Obs_json.member "per_run" doc) Obs_json.to_list with
-    | Some rows -> Ok rows
-    | None -> Error "missing or non-array \"per_run\""
+    rows ~runs doc [ "per_run" ] (fun row ->
+        let* scenario = field row [ "scenario" ] Obs_json.to_str in
+        let* () =
+          ensure (scenario_of_string scenario <> None) "unknown scenario %S"
+            scenario
+        in
+        let* forged = field row [ "forged" ] Obs_json.to_bool in
+        let* recovered = field row [ "recovered" ] Obs_json.to_bool in
+        let* transferred = field row [ "transferred" ] Obs_json.to_bool in
+        let* rejected = field row [ "rejected" ] Obs_json.to_int in
+        let* seed = field row [ "seed" ] Obs_json.to_int in
+        let* () = ensure recovered "seed %d: not recovered" seed in
+        (* A revived replica is amnesiac; catching up without a certified
+           transfer would mean it resurrected state out of thin air. *)
+        let* () =
+          ensure
+            (scenario <> "crash-rejoin" || transferred)
+            "seed %d: crash-rejoin without state transfer" seed
+        in
+        Ok (forged, rejected > 0))
   in
   let* () =
-    if List.length rows = runs then Ok ()
-    else
-      Error
-        (Printf.sprintf "\"per_run\" has %d rows for %d runs"
-           (List.length rows) runs)
+    ensure
+      ((not (List.exists fst rows)) || List.exists (fun (f, c) -> f && c) rows)
+      "forged sweep never witnessed an explicit rejection"
   in
-  let check_row i row =
-    let field name conv =
-      match Option.bind (Obs_json.member name row) conv with
-      | Some v -> Ok v
-      | None ->
-        Error (Printf.sprintf "per_run row %d: missing or ill-typed %S" i name)
-    in
-    let* scenario = field "scenario" Obs_json.to_str in
-    let* () =
-      if scenario_of_string scenario <> None then Ok ()
-      else Error (Printf.sprintf "per_run row %d: unknown scenario %S" i scenario)
-    in
-    let* forged = field "forged" Obs_json.to_bool in
-    let* recovered = field "recovered" Obs_json.to_bool in
-    let* transferred = field "transferred" Obs_json.to_bool in
-    let* rejected = field "rejected" Obs_json.to_int in
-    let* seed = field "seed" Obs_json.to_int in
-    let* () =
-      if recovered then Ok ()
-      else Error (Printf.sprintf "per_run row %d (seed %d): not recovered" i seed)
-    in
-    let* () =
-      (* A revived replica is amnesiac; catching up without a certified
-         transfer would mean it resurrected state out of thin air. *)
-      if scenario <> "crash-rejoin" || transferred then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "per_run row %d (seed %d): crash-rejoin without state transfer" i
-             seed)
-    in
-    Ok (forged && rejected > 0)
-  in
-  let rec check_rows i any_forged caught = function
-    | [] ->
-      if any_forged && not caught then
-        Error "forged sweep never witnessed an explicit rejection"
-      else Ok ()
-    | row :: rest ->
-      let* forged_caught = check_row i row in
-      let forged =
-        Option.bind (Obs_json.member "forged" row) Obs_json.to_bool
-        = Some true
-      in
-      check_rows (i + 1) (any_forged || forged) (caught || forged_caught) rest
-  in
-  let* () = check_rows 0 false false rows in
   (* The bounded-memory invariant, when the probe ran. *)
   match Obs_json.member "memory" doc with
   | None | Some Obs_json.Null -> Ok ()
   | Some m ->
-    let peak section =
-      match
-        Option.bind (Obs_json.member section m) (fun o ->
-            Option.bind (Obs_json.member "log_peak" o) Obs_json.to_int)
-      with
-      | Some v -> Ok v
-      | None ->
-        Error (Printf.sprintf "missing \"memory\".%S.\"log_peak\"" section)
-    in
-    let* on_peak = peak "gc_on" in
-    let* off_peak = peak "gc_off" in
-    if on_peak < off_peak then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "memory not bounded: gc-on log peak %d >= gc-off %d" on_peak
-           off_peak)
+    let* on_peak = field m [ "gc_on"; "log_peak" ] Obs_json.to_int in
+    let* off_peak = field m [ "gc_off"; "log_peak" ] Obs_json.to_int in
+    ensure (on_peak < off_peak)
+      "memory not bounded: gc-on log peak %d >= gc-off %d" on_peak off_peak
 
 (* ---------- summary ---------------------------------------------------- *)
 
 let pp_summary fmt rep =
-  let cells = Hashtbl.create 8 in
-  let order = ref [] in
   List.iter
-    (fun r ->
-      let key = (scenario_label r.jr_scenario, r.jr_forged) in
-      let cell =
-        match Hashtbl.find_opt cells key with
-        | Some c -> c
-        | None ->
-          let c = ref [] in
-          Hashtbl.add cells key c;
-          order := key :: !order;
-          c
-      in
-      cell := r :: !cell)
-    rep.results;
-  List.iter
-    (fun ((label, forged) as key) ->
-      let rs = !(Hashtbl.find cells key) in
-      let total = List.length rs in
-      let rec_ = List.length (List.filter (fun r -> r.jr_recovered) rs) in
-      let xfer = List.length (List.filter (fun r -> r.jr_transferred) rs) in
-      let rej = List.fold_left (fun a r -> a + r.jr_rejected) 0 rs in
-      let safety =
-        List.fold_left (fun a r -> a + Oracle.count_safety r.jr_violations) 0 rs
-      in
+    (fun ((label, forged), rs) ->
+      let count p = List.length (List.filter p rs) in
+      let safety = Sweep.sum (fun r -> Oracle.count_safety r.jr_violations) rs in
       Format.fprintf fmt
         "%-15s %-7s %3d/%-3d recovered  %3d transferred  %3d rejected  safety %d%s@."
         label
         (if forged then "forged" else "plain")
-        rec_ total xfer rej safety
+        (count (fun r -> r.jr_recovered))
+        (List.length rs)
+        (count (fun r -> r.jr_transferred))
+        (Sweep.sum (fun r -> r.jr_rejected) rs)
+        safety
         (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (List.rev !order);
-  (match rep.memory with
-  | None -> ()
-  | Some m ->
-    Format.fprintf fmt
-      "memory: %d payloads, log peak %d (gc on, %d rounds retired, ckpt r%d) vs %d (gc off)@."
-      m.m_payloads m.m_gc_on_peak m.m_gc_on_retired m.m_gc_on_ckpt_round
-      m.m_gc_off_peak);
+    (Sweep.group
+       (fun r -> (scenario_label r.jr_scenario, r.jr_forged))
+       rep.results);
+  Option.iter
+    (fun m ->
+      Format.fprintf fmt
+        "memory: %d payloads, log peak %d (gc on, %d rounds retired, ckpt r%d) vs %d (gc off)@."
+        m.m_payloads m.m_gc_on_peak m.m_gc_on_retired m.m_gc_on_ckpt_round
+        m.m_gc_off_peak)
+    rep.memory;
   Format.fprintf fmt "total: %d runs, %d recovered, %d safety violations@."
     (List.length rep.results) (recovered_count rep) (safety_count rep)

@@ -22,12 +22,7 @@ val scenario_label : scenario -> string
 val scenario_of_string : string -> scenario option
 
 type config = {
-  j_seeds : int;
-  j_seed_base : int;
-  j_n : int;
-  j_t : int;
-  j_rsa_bits : int;
-  j_group_bits : int;
+  j_core : Sweep.core;
   j_payloads : int;
   j_submit_gap : float;  (** virtual time between payload submissions *)
   j_interval : int;  (** checkpoint period in rounds *)
@@ -36,13 +31,11 @@ type config = {
   j_link : Link.policy;
   j_down_frac : float;
       (** trigger the outage when honest progress crosses this fraction
-          of the stream — progress-driven because virtual round duration
-          varies by orders of magnitude with the drop rate *)
+          of the stream (see {!Sweep.every}) *)
   j_up_frac : float;  (** revive / heal at this progress fraction *)
   j_poll : float;  (** monitor poll period, virtual time *)
   j_scenarios : scenario list;
   j_variants : bool list;  (** forged-server variants to sweep *)
-  j_max_steps : int;
   j_mem_payloads : int;  (** bounded-memory probe stream length *)
 }
 
@@ -85,15 +78,12 @@ type run_result = {
   jr_steps : int;
 }
 
-type env
+val prepare : config -> Sweep.env
 (** Keyring dealt once, shared across runs, as in {!Campaign.prepare}. *)
-
-val prepare : config -> env
-val env_obs : env -> Obs.t
 
 val run_one :
   ?flight:Flight.recorder ->
-  env ->
+  Sweep.env ->
   config ->
   scenario:scenario ->
   forged:bool ->
@@ -108,7 +98,7 @@ type memory_probe = {
   m_gc_off_peak : int;  (** unbounded baseline: equals the stream *)
 }
 
-val memory_probe : env -> config -> seed:int -> memory_probe
+val memory_probe : Sweep.env -> config -> seed:int -> memory_probe
 (** One sustained-load stream (no faults, link off), run twice —
     checkpoint interval from the config, then interval 0. *)
 
@@ -150,7 +140,6 @@ val out_path : string -> string
 (** [out_path id = "RECOV_<id>.json"]. *)
 
 val to_json : id:string -> wall:float -> report -> Obs_json.t
-val write : id:string -> wall:float -> report -> string
 
 val validate_json : Obs_json.t -> (unit, string) result
 (** Shape + invariant check for a sintra-recov/1 document: schema, row

@@ -43,11 +43,6 @@ let variant_of_string = function
    wrapper (re-keying a revived replica's decryption share is future
    work; see the refusal note on {!Recovery.deploy}), so it cannot host
    the crash-rejoin variant. *)
-let variants_for kind variants =
-  match kind with
-  | Notary_svc -> List.filter (fun v -> v <> Crash_rejoin) variants
-  | Ca_svc | Directory_svc -> variants
-
 (* Why a (kind, variant) cell is absent from the sweep — reported in
    the summary and the JSON artifact so a dropped cell reads as a
    documented refusal, not silent shrinkage of the matrix. *)
@@ -59,13 +54,11 @@ let skip_reason kind variant =
        revived replica's decryption share is future work"
   | _ -> None
 
+let variants_for kind variants =
+  List.filter (fun v -> skip_reason kind v = None) variants
+
 type config = {
-  v_seeds : int;
-  v_seed_base : int;
-  v_n : int;
-  v_t : int;
-  v_rsa_bits : int;
-  v_group_bits : int;
+  v_core : Sweep.core;
   v_requests : int;
   v_clients : int;
   v_window : int;
@@ -80,23 +73,17 @@ type config = {
   v_poll : float;
   v_kinds : service_kind list;
   v_variants : variant list;
-  v_max_steps : int;
   v_mem_bound : int;
 }
 
-let default_config ?(seeds = 5) ?(seed_base = 1) ?(n = 4) ?(t = 1)
-    ?(rsa_bits = 192) ?(group_bits = 128) ?(requests = 60) ?(clients = 3)
-    ?(window = 4) ?(read_frac = 0.75) ?(keyspace = 16) ?(interval = 2)
-    ?(drop = 0.3) ?abc_policy ?link ?(down_frac = 0.3) ?(up_frac = 0.7)
-    ?(poll = 400.0) ?kinds ?variants ?(max_steps = 2_000_000)
-    ?(mem_bound = 40) () =
+let default_config ?(seeds = 5) ?seed_base ?n ?t ?rsa_bits ?group_bits
+    ?(requests = 60) ?(clients = 3) ?(window = 4) ?(read_frac = 0.75)
+    ?(keyspace = 16) ?(interval = 2) ?(drop = 0.3) ?abc_policy ?link
+    ?(down_frac = 0.3) ?(up_frac = 0.7) ?(poll = 400.0) ?kinds ?variants
+    ?(max_steps = 2_000_000) ?(mem_bound = 40) () =
   {
-    v_seeds = seeds;
-    v_seed_base = seed_base;
-    v_n = n;
-    v_t = t;
-    v_rsa_bits = rsa_bits;
-    v_group_bits = group_bits;
+    v_core =
+      Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
     v_requests = requests;
     v_clients = clients;
     v_window = window;
@@ -115,7 +102,6 @@ let default_config ?(seeds = 5) ?(seed_base = 1) ?(n = 4) ?(t = 1)
     v_kinds = Option.value kinds ~default:[ Ca_svc; Directory_svc; Notary_svc ];
     v_variants =
       Option.value variants ~default:[ Benign; Drop_arq; Crash_rejoin ];
-    v_max_steps = max_steps;
     v_mem_bound = mem_bound;
   }
 
@@ -143,17 +129,7 @@ type run_result = {
   vr_clock : float;
 }
 
-type env = { s_keyring : Keyring.t; s_obs : Obs.t }
-
-let prepare cfg =
-  let structure = Adversary_structure.threshold ~n:cfg.v_n ~t:cfg.v_t in
-  let keyring =
-    Keyring.deal ~group_bits:cfg.v_group_bits ~rsa_bits:cfg.v_rsa_bits
-      ~seed:(cfg.v_seed_base + 7770) structure
-  in
-  { s_keyring = keyring; s_obs = Obs.create () }
-
-let env_obs env = env.s_obs
+let prepare cfg = Sweep.prepare ~key_offset:7770 cfg.v_core
 
 (* ---------- per-kind deployment + workload ----------------------------- *)
 
@@ -211,14 +187,14 @@ let read_body kind ~seed ~keyspace ~idx =
 
 (* ---------- one campaign run ------------------------------------------ *)
 
-let run_one env cfg ~kind ~variant ~seed =
-  let n = cfg.v_n in
-  let keyring = env.s_keyring and obs = env.s_obs in
+let run_one (env : Sweep.env) cfg ~kind ~variant ~seed =
+  let n = cfg.v_core.n in
+  let keyring = env.keyring in
   let mode = kind_mode kind in
   let interval = kind_interval cfg kind in
   if variant = Crash_rejoin && interval = 0 then
     invalid_arg "Svc.run_one: crash-rejoin needs a checkpointing kind";
-  let sim = Sim.create ~n ~extra:(cfg.v_clients + 2) ~seed ~obs () in
+  let sim = Sim.create ~n ~extra:(cfg.v_clients + 2) ~seed ~obs:env.obs () in
   (match variant with
   | Benign | Crash_rejoin -> ()
   | Drop_arq ->
@@ -289,34 +265,21 @@ let run_one env cfg ~kind ~variant ~seed =
      round duration varies wildly across variants, so wall-clock triggers
      would miss the stream. *)
   let victim = if variant = Crash_rejoin then abs seed mod n else -1 in
-  let down_th =
-    max 1 (int_of_float (cfg.v_down_frac *. float_of_int target))
-  in
-  let up_th =
-    min (target - 1) (int_of_float (cfg.v_up_frac *. float_of_int target))
-  in
-  let phase = ref (if variant = Crash_rejoin then `Wait_down else `Done) in
-  let monitor = n + cfg.v_clients in
-  let rec poll () =
-    (match !phase with
-    | `Wait_down when total_completed () >= down_th ->
-      Sim.crash sim victim;
-      phase := `Wait_up
-    | `Wait_up when total_completed () >= up_th ->
-      ignore (Service.revive dep victim);
-      phase := `Done
-    | _ -> ());
-    top_up ();
-    if total_completed () < target then
-      Sim.set_timer sim monitor ~delay:cfg.v_poll poll
+  let outage =
+    if variant <> Crash_rejoin then fun () -> false
+    else
+      Sweep.outage ~down_frac:cfg.v_down_frac ~up_frac:cfg.v_up_frac
+        ~total:target ~progress:total_completed
+        ~down:(fun () -> Sim.crash sim victim)
+        ~up:(fun () -> ignore (Service.revive dep victim))
   in
   top_up ();
-  Sim.set_timer sim monitor ~delay:cfg.v_poll poll;
+  Sweep.every sim ~party:(n + cfg.v_clients) ~period:cfg.v_poll (fun () ->
+      ignore (outage ());
+      top_up ();
+      total_completed () < target);
   let done_ () = total_completed () >= target in
-  let stall = ref [] in
-  (try Sim.run ~max_steps:cfg.v_max_steps ~until:done_ sim with
-  | Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-    stall := [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]);
+  let stall = Sweep.run_sim sim ~max_steps:cfg.v_core.max_steps ~until:done_ in
   let nodes = Service.nodes dep in
   let never_crashed p = p <> victim in
   (* Oracles.  Certificate re-checks and the client's own internal
@@ -328,19 +291,12 @@ let run_one env cfg ~kind ~variant ~seed =
       0 clients
   in
   let cert_violations =
-    if !cert_bad > 0 || client_cert_failures > 0 then
-      [
-        {
-          Oracle.oracle = "svc-cert";
-          severity = Oracle.Safety;
-          party = None;
-          detail =
-            Printf.sprintf
-              "%d accepted certificates failed re-verification, %d client-side"
-              !cert_bad client_cert_failures;
-        };
-      ]
-    else []
+    Sweep.unless
+      (!cert_bad = 0 && client_cert_failures = 0)
+      Oracle.Safety "svc-cert"
+      (Printf.sprintf
+         "%d accepted certificates failed re-verification, %d client-side"
+         !cert_bad client_cert_failures)
   in
   (* Dedup bookkeeping: every ordered delivery is either executed or
      suppressed as a replay — a mismatch means a request was silently
@@ -356,20 +312,13 @@ let run_one env cfg ~kind ~variant ~seed =
             nd.Service.ordered
             - (nd.Service.executed + nd.Service.dup_suppressed)
           in
-          if drift = 0 && nd.Service.malformed = 0 then []
-          else
-            [
-              {
-                Oracle.oracle = "svc-dedup";
-                severity = Oracle.Safety;
-                party = Some p;
-                detail =
-                  Printf.sprintf
-                    "ordered %d <> executed %d + dup_suppressed %d (malformed %d)"
-                    nd.Service.ordered nd.Service.executed
-                    nd.Service.dup_suppressed nd.Service.malformed;
-              };
-            ])
+          Sweep.unless
+            (drift = 0 && nd.Service.malformed = 0)
+            ~party:p Oracle.Safety "svc-dedup"
+            (Printf.sprintf
+               "ordered %d <> executed %d + dup_suppressed %d (malformed %d)"
+               nd.Service.ordered nd.Service.executed
+               nd.Service.dup_suppressed nd.Service.malformed))
       (List.init n Fun.id)
   in
   let histories =
@@ -393,32 +342,16 @@ let run_one env cfg ~kind ~variant ~seed =
   in
   let log_peak = fold_engines Abc.log_peak in
   let memory_violations =
-    if interval > 0 && log_peak > cfg.v_mem_bound then
-      [
-        {
-          Oracle.oracle = "svc-memory";
-          severity = Oracle.Safety;
-          party = None;
-          detail =
-            Printf.sprintf "GC'd delivered-log peak %d exceeds bound %d"
-              log_peak cfg.v_mem_bound;
-        };
-      ]
-    else []
+    Sweep.unless
+      (interval = 0 || log_peak <= cfg.v_mem_bound)
+      Oracle.Safety "svc-memory"
+      (Printf.sprintf "GC'd delivered-log peak %d exceeds bound %d" log_peak
+         cfg.v_mem_bound)
   in
   let quota_violations =
-    if done_ () then []
-    else
-      [
-        {
-          Oracle.oracle = "svc-quota";
-          severity = Oracle.Liveness;
-          party = None;
-          detail =
-            Printf.sprintf "completed %d of %d before quiescence"
-              (total_completed ()) target;
-        };
-      ]
+    Sweep.unless (done_ ()) Oracle.Liveness "svc-quota"
+      (Printf.sprintf "completed %d of %d before quiescence"
+         (total_completed ()) target)
   in
   let sum_clients f = Array.fold_left (fun a c -> a + f c) 0 clients in
   let sum_replicas f =
@@ -446,7 +379,7 @@ let run_one env cfg ~kind ~variant ~seed =
     vr_log_peak = log_peak;
     vr_victim = victim;
     vr_violations =
-      !stall @ cert_violations @ dedup_violations @ order_violations
+      stall @ cert_violations @ dedup_violations @ order_violations
       @ memory_violations @ quota_violations;
     vr_steps = Sim.steps sim;
     vr_clock = Sim.clock sim;
@@ -461,46 +394,23 @@ type report = {
   obs : Obs.t;
 }
 
-let run ?(progress = fun _ -> ()) cfg =
+let run ?progress cfg =
   let env = prepare cfg in
-  let cells =
-    List.concat_map
-      (fun kind ->
-        List.map (fun v -> (kind, v)) (variants_for kind cfg.v_variants))
-      cfg.v_kinds
+  let cells = Sweep.product cfg.v_kinds cfg.v_variants in
+  let results =
+    Sweep.sweep ?progress cfg.v_core
+      (List.filter (fun (kind, v) -> skip_reason kind v = None) cells)
+      (fun (kind, variant) -> run_one env cfg ~kind ~variant)
   in
   let skipped =
-    List.concat_map
-      (fun kind ->
-        List.filter_map
-          (fun v ->
-            if List.mem v (variants_for kind cfg.v_variants) then None
-            else
-              Some
-                ( kind,
-                  v,
-                  Option.value
-                    (skip_reason kind v)
-                    ~default:"unsupported cell" ))
-          cfg.v_variants)
-      cfg.v_kinds
+    List.filter_map
+      (fun (kind, v) ->
+        Option.map (fun why -> (kind, v, why)) (skip_reason kind v))
+      cells
   in
-  let total = List.length cells * cfg.v_seeds in
-  let done_runs = ref 0 in
-  let results = ref [] in
-  List.iter
-    (fun (kind, variant) ->
-      for i = 0 to cfg.v_seeds - 1 do
-        let seed = cfg.v_seed_base + i in
-        let r = run_one env cfg ~kind ~variant ~seed in
-        results := r :: !results;
-        incr done_runs;
-        progress (!done_runs, total)
-      done)
-    cells;
-  { config = cfg; results = List.rev !results; skipped; obs = env.s_obs }
+  { config = cfg; results; skipped; obs = env.obs }
 
-let sum f rep = List.fold_left (fun a r -> a + f r) 0 rep.results
+let sum f rep = Sweep.sum f rep.results
 
 let safety_count rep =
   sum (fun r -> Oracle.count_safety r.vr_violations) rep
@@ -538,30 +448,26 @@ let out_path id =
 
 let config_json cfg =
   Obs_json.Obj
-    [
-      ("seeds", Obs_json.Int cfg.v_seeds);
-      ("seed_base", Obs_json.Int cfg.v_seed_base);
-      ("n", Obs_json.Int cfg.v_n);
-      ("t", Obs_json.Int cfg.v_t);
-      ("requests", Obs_json.Int cfg.v_requests);
-      ("clients", Obs_json.Int cfg.v_clients);
-      ("window", Obs_json.Int cfg.v_window);
-      ("read_frac", Obs_json.Float cfg.v_read_frac);
-      ("keyspace", Obs_json.Int cfg.v_keyspace);
-      ("interval", Obs_json.Int cfg.v_interval);
-      ("drop", Obs_json.Float cfg.v_drop);
-      ("down_frac", Obs_json.Float cfg.v_down_frac);
-      ("up_frac", Obs_json.Float cfg.v_up_frac);
-      ( "kinds",
-        Obs_json.Arr
-          (List.map (fun k -> Obs_json.Str (kind_label k)) cfg.v_kinds) );
-      ( "variants",
-        Obs_json.Arr
-          (List.map (fun v -> Obs_json.Str (variant_label v)) cfg.v_variants)
-      );
-      ("max_steps", Obs_json.Int cfg.v_max_steps);
-      ("mem_bound", Obs_json.Int cfg.v_mem_bound);
-    ]
+    (Sweep.core_fields cfg.v_core
+    @ [
+        ("requests", Obs_json.Int cfg.v_requests);
+        ("clients", Obs_json.Int cfg.v_clients);
+        ("window", Obs_json.Int cfg.v_window);
+        ("read_frac", Obs_json.Float cfg.v_read_frac);
+        ("keyspace", Obs_json.Int cfg.v_keyspace);
+        ("interval", Obs_json.Int cfg.v_interval);
+        ("drop", Obs_json.Float cfg.v_drop);
+        ("down_frac", Obs_json.Float cfg.v_down_frac);
+        ("up_frac", Obs_json.Float cfg.v_up_frac);
+        ( "kinds",
+          Obs_json.Arr
+            (List.map (fun k -> Obs_json.Str (kind_label k)) cfg.v_kinds) );
+        ( "variants",
+          Obs_json.Arr
+            (List.map (fun v -> Obs_json.Str (variant_label v)) cfg.v_variants)
+        );
+        ("mem_bound", Obs_json.Int cfg.v_mem_bound);
+      ])
 
 let run_json r =
   Obs_json.Obj
@@ -606,19 +512,16 @@ let fastpath_rate rep =
   else float_of_int (fast_hits_total rep) /. float_of_int reads
 
 let to_json ~id ~wall rep =
-  Obs_json.Obj
+  let int f = Obs_json.Int (sum f rep) in
+  Sweep.envelope ~id ~schema ~wall ~config:(config_json rep.config)
+    ~runs:(List.length rep.results) ~obs:rep.obs
     [
-      ("experiment", Obs_json.Str id);
-      ("schema", Obs_json.Str schema);
-      ("wall_time_s", Obs_json.Float wall);
-      ("config", config_json rep.config);
-      ("runs", Obs_json.Int (List.length rep.results));
       ( "requests",
         Obs_json.Obj
           [
             ("target", Obs_json.Int (target_total rep));
             ("completed", Obs_json.Int (completed_total rep));
-            ("verified", Obs_json.Int (sum (fun r -> r.vr_verified) rep));
+            ("verified", int (fun r -> r.vr_verified));
             ("cert_failures", Obs_json.Int (cert_failures_total rep));
           ] );
       ( "fastpath",
@@ -626,23 +529,22 @@ let to_json ~id ~wall rep =
           [
             ("reads", Obs_json.Int (reads_total rep));
             ("hits", Obs_json.Int (fast_hits_total rep));
-            ("fallbacks", Obs_json.Int (sum (fun r -> r.vr_fallbacks) rep));
+            ("fallbacks", int (fun r -> r.vr_fallbacks));
             ("rate", Obs_json.Float (fastpath_rate rep));
           ] );
       ( "loss",
         Obs_json.Obj
           [
-            ("retries", Obs_json.Int (sum (fun r -> r.vr_retries) rep));
-            ("timeouts", Obs_json.Int (sum (fun r -> r.vr_timeouts) rep));
-            ("rejected", Obs_json.Int (sum (fun r -> r.vr_rejected) rep));
+            ("retries", int (fun r -> r.vr_retries));
+            ("timeouts", int (fun r -> r.vr_timeouts));
+            ("rejected", int (fun r -> r.vr_rejected));
           ] );
       ( "dedup",
         Obs_json.Obj
           [
-            ("ordered", Obs_json.Int (sum (fun r -> r.vr_ordered) rep));
-            ("executed", Obs_json.Int (sum (fun r -> r.vr_executed) rep));
-            ( "dup_suppressed",
-              Obs_json.Int (sum (fun r -> r.vr_dup_suppressed) rep) );
+            ("ordered", int (fun r -> r.vr_ordered));
+            ("executed", int (fun r -> r.vr_executed));
+            ("dup_suppressed", int (fun r -> r.vr_dup_suppressed));
           ] );
       ( "violations",
         Obs_json.Obj
@@ -679,227 +581,112 @@ let to_json ~id ~wall rep =
                  ])
              rep.skipped) );
       ("per_run", Obs_json.Arr (List.map run_json rep.results));
-      ("metrics", Obs_registry.snapshot_to_json (Obs.snapshot rep.obs));
     ]
 
-let write ~id ~wall rep =
-  let path = out_path id in
-  let oc = open_out path in
-  output_string oc (Obs_json.to_canonical_string (to_json ~id ~wall rep));
-  output_char oc '\n';
-  close_out oc;
-  path
-
 (* Shape + invariant validator for sintra-svc/1 documents, dispatched
-   from the CLI's bench-check like the bench/faults/recov schemas. *)
+   from the CLI's bench-check like the other campaign schemas.  Every
+   member [sintra compare] reads is required. *)
 let validate_json (doc : Obs_json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let need kind name conv =
-    match Option.bind (Obs_json.member name doc) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-%s member %S" kind name)
-  in
-  let nested path conv =
-    match
-      List.fold_left
-        (fun acc name -> Option.bind acc (Obs_json.member name))
-        (Some doc) path
-    with
-    | Some v -> conv v
-    | None -> None
-  in
-  let need_nested path =
-    match nested path Obs_json.to_int with
-    | Some v -> Ok v
-    | None ->
-      Error
-        (Printf.sprintf "missing or non-int member %S"
-           (String.concat "." path))
-  in
-  let* s = need "string" "schema" Obs_json.to_str in
-  let* () = if s = schema then Ok () else Error ("unexpected schema " ^ s) in
-  let* _ = need "string" "experiment" Obs_json.to_str in
-  let* _ = need "float" "wall_time_s" Obs_json.to_float in
-  let* runs = need "int" "runs" Obs_json.to_int in
-  let* () = if runs > 0 then Ok () else Error "no runs" in
-  let* target = need_nested [ "requests"; "target" ] in
-  let* completed = need_nested [ "requests"; "completed" ] in
+  let open Sweep in
+  let count path = field doc path Obs_json.to_int in
+  let* runs = header ~schema doc in
+  let* () = ensure (runs > 0) "no runs" in
+  let* target = count [ "requests"; "target" ] in
+  let* completed = count [ "requests"; "completed" ] in
   let* () =
-    if completed >= target then Ok ()
-    else
-      Error
-        (Printf.sprintf "only %d of %d requests completed" completed target)
+    ensure (completed >= target) "only %d of %d requests completed" completed
+      target
   in
-  let* cert_failures = need_nested [ "requests"; "cert_failures" ] in
+  let* cert_failures = count [ "requests"; "cert_failures" ] in
+  let* () = ensure (cert_failures = 0) "%d certificate failures" cert_failures in
+  let* safety = count [ "violations"; "safety" ] in
+  let* () = ensure (safety = 0) "%d safety violations" safety in
+  let* reads = count [ "fastpath"; "reads" ] in
+  let* hits = count [ "fastpath"; "hits" ] in
   let* () =
-    if cert_failures = 0 then Ok ()
-    else Error (Printf.sprintf "%d certificate failures" cert_failures)
+    ensure (reads = 0 || hits > 0)
+      "read mix present but the fast path never assembled"
   in
-  let* safety = need_nested [ "violations"; "safety" ] in
+  let* _ = field doc [ "fastpath"; "rate" ] Obs_json.to_float in
+  let* _ = field doc [ "throughput"; "requests_per_kstep" ] Obs_json.to_float in
+  let* _ = count [ "loss"; "retries" ] in
+  let* _ = count [ "loss"; "timeouts" ] in
+  let* bound = count [ "memory"; "bound" ] in
+  let* peak = count [ "memory"; "plain_log_peak" ] in
   let* () =
-    if safety = 0 then Ok ()
-    else Error (Printf.sprintf "%d safety violations" safety)
+    ensure (peak <= bound) "memory not bounded: GC'd log peak %d > bound %d"
+      peak bound
   in
-  let* reads = need_nested [ "fastpath"; "reads" ] in
-  let* hits = need_nested [ "fastpath"; "hits" ] in
-  let* () =
-    if reads = 0 || hits > 0 then Ok ()
-    else Error "read mix present but the fast path never assembled"
+  let known what parse name =
+    ensure (parse name <> None) "unknown %s %S" what name
   in
-  let* bound = need_nested [ "memory"; "bound" ] in
-  let* peak = need_nested [ "memory"; "plain_log_peak" ] in
-  let* () =
-    if peak <= bound then Ok ()
-    else
-      Error
-        (Printf.sprintf "memory not bounded: GC'd log peak %d > bound %d"
-           peak bound)
+  let* _ =
+    rows ~runs doc [ "per_run" ] (fun row ->
+        let int name = field row [ name ] Obs_json.to_int in
+        let* () =
+          let* kind = field row [ "kind" ] Obs_json.to_str in
+          known "kind" kind_of_string kind
+        in
+        let* () =
+          let* variant = field row [ "variant" ] Obs_json.to_str in
+          known "variant" variant_of_string variant
+        in
+        let* seed = int "seed" in
+        let* target = int "target" in
+        let* completed = int "completed" in
+        let* () =
+          ensure (completed >= target) "seed %d: %d of %d completed" seed
+            completed target
+        in
+        let* cf = int "cert_failures" in
+        let* () = ensure (cf = 0) "seed %d: %d cert failures" seed cf in
+        let* row_safety = int "safety" in
+        ensure (row_safety = 0) "seed %d: %d safety violations" seed row_safety)
   in
-  let* rows =
-    match Option.bind (Obs_json.member "per_run" doc) Obs_json.to_list with
-    | Some rows -> Ok rows
-    | None -> Error "missing or non-array \"per_run\""
-  in
-  let* () =
-    if List.length rows = runs then Ok ()
-    else
-      Error
-        (Printf.sprintf "\"per_run\" has %d rows for %d runs"
-           (List.length rows) runs)
-  in
-  let check_row i row =
-    let field name conv =
-      match Option.bind (Obs_json.member name row) conv with
-      | Some v -> Ok v
-      | None ->
-        Error (Printf.sprintf "per_run row %d: missing or ill-typed %S" i name)
-    in
-    let* kind = field "kind" Obs_json.to_str in
-    let* () =
-      if kind_of_string kind <> None then Ok ()
-      else Error (Printf.sprintf "per_run row %d: unknown kind %S" i kind)
-    in
-    let* variant = field "variant" Obs_json.to_str in
-    let* () =
-      if variant_of_string variant <> None then Ok ()
-      else
-        Error (Printf.sprintf "per_run row %d: unknown variant %S" i variant)
-    in
-    let* seed = field "seed" Obs_json.to_int in
-    let* target = field "target" Obs_json.to_int in
-    let* completed = field "completed" Obs_json.to_int in
-    let* () =
-      if completed >= target then Ok ()
-      else
-        Error
-          (Printf.sprintf "per_run row %d (seed %d): %d of %d completed" i
-             seed completed target)
-    in
-    let* cf = field "cert_failures" Obs_json.to_int in
-    let* () =
-      if cf = 0 then Ok ()
-      else
-        Error
-          (Printf.sprintf "per_run row %d (seed %d): %d cert failures" i seed
-             cf)
-    in
-    let* row_safety = field "safety" Obs_json.to_int in
-    if row_safety = 0 then Ok ()
-    else
-      Error
-        (Printf.sprintf "per_run row %d (seed %d): %d safety violations" i
-           seed row_safety)
-  in
-  let rec check_rows i = function
-    | [] -> Ok ()
-    | row :: rest ->
-      let* () = check_row i row in
-      check_rows (i + 1) rest
-  in
-  let* () = check_rows 0 rows in
   (* "skipped" is optional (older artifacts predate it), but a present
      entry must name a known cell and carry a non-empty reason. *)
   match Obs_json.member "skipped" doc with
   | None -> Ok ()
-  | Some s -> (
-    match Obs_json.to_list s with
-    | None -> Error "non-array \"skipped\""
-    | Some entries ->
-      let check_skip i e =
-        let field name =
-          match Option.bind (Obs_json.member name e) Obs_json.to_str with
-          | Some v -> Ok v
-          | None ->
-            Error
-              (Printf.sprintf "skipped row %d: missing or ill-typed %S" i
-                 name)
-        in
-        let* kind = field "kind" in
-        let* () =
-          if kind_of_string kind <> None then Ok ()
-          else Error (Printf.sprintf "skipped row %d: unknown kind %S" i kind)
-        in
-        let* variant = field "variant" in
-        let* () =
-          if variant_of_string variant <> None then Ok ()
-          else
-            Error
-              (Printf.sprintf "skipped row %d: unknown variant %S" i variant)
-        in
-        let* reason = field "reason" in
-        if reason <> "" then Ok ()
-        else Error (Printf.sprintf "skipped row %d: empty reason" i)
-      in
-      let rec check_skips i = function
-        | [] -> Ok ()
-        | e :: rest ->
-          let* () = check_skip i e in
-          check_skips (i + 1) rest
-      in
-      check_skips 0 entries)
+  | Some _ ->
+    let* _ =
+      rows doc [ "skipped" ] (fun e ->
+          let str name = field e [ name ] Obs_json.to_str in
+          let* () =
+            let* kind = str "kind" in
+            known "kind" kind_of_string kind
+          in
+          let* () =
+            let* variant = str "variant" in
+            known "variant" variant_of_string variant
+          in
+          let* reason = str "reason" in
+          ensure (reason <> "") "empty reason")
+    in
+    Ok ()
 
 (* ---------- summary ---------------------------------------------------- *)
 
 let pp_summary fmt rep =
-  let cells = Hashtbl.create 8 in
-  let order = ref [] in
   List.iter
-    (fun r ->
-      let key = (kind_label r.vr_kind, variant_label r.vr_variant) in
-      let cell =
-        match Hashtbl.find_opt cells key with
-        | Some c -> c
-        | None ->
-          let c = ref [] in
-          Hashtbl.add cells key c;
-          order := key :: !order;
-          c
-      in
-      cell := r :: !cell)
-    rep.results;
-  List.iter
-    (fun ((kind, variant) as key) ->
-      let rs = !(Hashtbl.find cells key) in
-      let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-      let completed = sum (fun r -> r.vr_completed) in
-      let target = sum (fun r -> r.vr_target) in
-      let reads = sum (fun r -> r.vr_reads) in
-      let hits = sum (fun r -> r.vr_fast_hits) in
-      let safety =
-        List.fold_left
-          (fun a r -> a + Oracle.count_safety r.vr_violations)
-          0 rs
-      in
+    (fun ((kind, variant), rs) ->
+      let sum f = Sweep.sum f rs in
+      let safety = sum (fun r -> Oracle.count_safety r.vr_violations) in
       Format.fprintf fmt
         "%-10s %-12s %5d/%-5d done  fast %4d/%-4d  retry %4d  timeout %3d  dup %3d  peak %3d  safety %d%s@."
-        kind variant completed target hits reads
+        kind variant
+        (sum (fun r -> r.vr_completed))
+        (sum (fun r -> r.vr_target))
+        (sum (fun r -> r.vr_fast_hits))
+        (sum (fun r -> r.vr_reads))
         (sum (fun r -> r.vr_retries))
         (sum (fun r -> r.vr_timeouts))
         (sum (fun r -> r.vr_dup_suppressed))
         (List.fold_left (fun a r -> max a r.vr_log_peak) 0 rs)
         safety
         (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (List.rev !order);
+    (Sweep.group
+       (fun r -> (kind_label r.vr_kind, variant_label r.vr_variant))
+       rep.results);
   List.iter
     (fun (kind, variant, reason) ->
       Format.fprintf fmt "%-10s %-12s skipped: %s@." (kind_label kind)

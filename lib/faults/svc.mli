@@ -40,12 +40,7 @@ val variants_for : service_kind -> variant list -> variant list
     [Crash_rejoin] is dropped for it. *)
 
 type config = {
-  v_seeds : int;
-  v_seed_base : int;
-  v_n : int;
-  v_t : int;
-  v_rsa_bits : int;
-  v_group_bits : int;
+  v_core : Sweep.core;
   v_requests : int;  (** completed certificates per run, all clients *)
   v_clients : int;
   v_window : int;  (** per-client in-flight bound (closed loop) *)
@@ -60,7 +55,6 @@ type config = {
   v_poll : float;  (** monitor poll period, virtual time *)
   v_kinds : service_kind list;
   v_variants : variant list;
-  v_max_steps : int;
   v_mem_bound : int;  (** acceptance bound on GC'd delivered-log peak *)
 }
 
@@ -114,15 +108,11 @@ type run_result = {
   vr_clock : float;  (** virtual completion time *)
 }
 
-type env
-
-val prepare : config -> env
+val prepare : config -> Sweep.env
 (** Deal the shared keyring once (dealing dominates setup cost). *)
 
-val env_obs : env -> Obs.t
-
 val run_one :
-  env -> config -> kind:service_kind -> variant:variant -> seed:int ->
+  Sweep.env -> config -> kind:service_kind -> variant:variant -> seed:int ->
   run_result
 (** One seeded campaign run; see the module header for the shape. *)
 
@@ -167,12 +157,12 @@ val out_path : string -> string
     [id = "svc"], which maps to plain ["BENCH_SVC.json"]. *)
 
 val to_json : id:string -> wall:float -> report -> Obs_json.t
-val write : id:string -> wall:float -> report -> string
 
 val validate_json : Obs_json.t -> (unit, string) result
 (** Shape + invariant checks for a sintra-svc/1 document: schema and
-    required members present, all quotas met, zero certificate failures,
-    zero safety violations, fast path non-trivially exercised, and the
-    checkpointed log peak within the recorded memory bound. *)
+    required members present (every member [sintra compare] reads), all
+    quotas met, zero certificate failures, zero safety violations, fast
+    path non-trivially exercised, and the checkpointed log peak within
+    the recorded memory bound. *)
 
 val pp_summary : Format.formatter -> report -> unit

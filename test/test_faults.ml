@@ -884,8 +884,167 @@ let svc_campaign_tests =
                ("wall_time_s", Obs_json.Float 0.0);
                ("runs", Obs_json.Int 0) ])) ]
 
+(* ---------------- campaign table and artifact validators ------------- *)
+
+(* One small real document per campaign schema, each from a genuine
+   run, shared by the table tests below. *)
+let small_faults_cfg () =
+  Campaign.default_config ~seeds:1 ~protocols:[ Campaign.P_abba ]
+    ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
+    ()
+
+let real_docs =
+  lazy
+    (let faults =
+       Campaign.to_json ~id:"t" ~wall:0.1 (Campaign.run (small_faults_cfg ()))
+     in
+     let flight =
+       let cfg = small_faults_cfg () in
+       let env = Campaign.prepare cfg in
+       let fl = Flight.create ~obs:env.Sweep.obs () in
+       ignore (Campaign.run_prepared ~flight:fl env cfg);
+       Flight.to_json
+         (Flight.summarize ~id:"t" ~config:(Campaign.config_json cfg)
+            (Flight.runs fl))
+     in
+     let recov =
+       Rejoin.to_json ~id:"t" ~wall:0.1
+         (Rejoin.run ~memory:false
+            (Rejoin.default_config ~seeds:1 ~payloads:12
+               ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()))
+     in
+     let epoch =
+       Refresh.to_json ~id:"t" ~wall:0.1
+         (Refresh.run
+            (Refresh.default_config ~seeds:1 ~payloads:8
+               ~scenarios:[ Refresh.Refresh_only ] ~variants:[ Refresh.Benign ]
+               ()))
+     in
+     let svc =
+       Svc.to_json ~id:"t" ~wall:0.1
+         (Svc.run
+            (Svc.default_config ~seeds:1 ~requests:6 ~clients:2 ~window:2
+               ~keyspace:4 ~kinds:[ Svc.Directory_svc ] ~variants:[ Svc.Benign ]
+               ()))
+     in
+     [ (Campaign.schema, faults); (Flight.schema, flight);
+       (Rejoin.schema, recov); (Refresh.schema, epoch); (Svc.schema, svc) ])
+
+(* [doc] with the member at [path] replaced by [f member] (dropped on
+   [None]). *)
+let rec map_path f doc path =
+  match (doc, path) with
+  | Obs_json.Obj kvs, [ k ] ->
+    Obs_json.Obj
+      (List.filter_map
+         (fun (k', v) ->
+           if k' = k then Option.map (fun v -> (k', v)) (f v) else Some (k', v))
+         kvs)
+  | Obs_json.Obj kvs, k :: rest ->
+    Obs_json.Obj
+      (List.map
+         (fun (k', v) -> (k', if k' = k then map_path f v rest else v))
+         kvs)
+  | _ -> doc
+
+let remove_path doc path = map_path (fun _ -> None) doc path
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let table_tests =
+  [ Alcotest.test_case "campaign table: unique rows, every schema dispatched"
+      `Quick (fun () ->
+        let cs = Campaign_table.campaigns in
+        let unique what xs =
+          Alcotest.(check int) (what ^ " unique") (List.length xs)
+            (List.length (List.sort_uniq compare xs))
+        in
+        unique "names" (List.map (fun c -> c.Campaign_table.name) cs);
+        unique "artifact prefixes"
+          (List.map (fun c -> c.Campaign_table.prefix) cs);
+        unique "schemas" (List.map fst Campaign_table.schemas);
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) (s ^ " has a validator") true
+              (List.mem_assoc s Campaign_table.schemas))
+          ("sintra-bench/1" :: List.map (fun c -> c.Campaign_table.schema) cs);
+        (* Every real document passes bench-check's dispatch; dropping one
+           per-run row (so the row count no longer matches "runs") is
+           rejected by the shared row combinator, once per schema. *)
+        List.iter
+          (fun (schema, doc) ->
+            (match Campaign_table.check_doc doc with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%s: document rejected: %s" schema e);
+            (* Flight summaries aggregate per cell: no per-run rows. *)
+            let per_run =
+              if schema = Campaign.schema then Some [ "link"; "per_run" ]
+              else if schema = Flight.schema then None
+              else Some [ "per_run" ]
+            in
+            Option.iter
+              (fun path ->
+                let short =
+                  map_path
+                    (fun rows ->
+                      Option.map
+                        (fun l -> Obs_json.Arr (List.tl l))
+                        (Obs_json.to_list rows))
+                    doc path
+                in
+                match Campaign_table.check_doc short with
+                | Ok _ -> Alcotest.failf "%s: short per_run accepted" schema
+                | Error e ->
+                  Alcotest.(check bool)
+                    (schema ^ ": row count rejected (" ^ e ^ ")")
+                    true (contains e "rows for"))
+              per_run)
+          (Lazy.force real_docs));
+    Alcotest.test_case
+      "validators require every member sintra compare reads" `Quick (fun () ->
+        (* A document bench-check passes must never be one compare then
+           rejects as malformed. *)
+        let compared =
+          [ ( Campaign.schema,
+              [ [ "violations"; "safety" ]; [ "violations"; "liveness_gating" ];
+                [ "violations"; "liveness" ]; [ "link"; "retransmits_total" ];
+                [ "wall_time_s" ] ] );
+            ( Svc.schema,
+              [ [ "violations"; "safety" ]; [ "requests"; "cert_failures" ];
+                [ "requests"; "target" ]; [ "requests"; "completed" ];
+                [ "fastpath"; "rate" ]; [ "throughput"; "requests_per_kstep" ];
+                [ "memory"; "plain_log_peak" ]; [ "loss"; "retries" ];
+                [ "loss"; "timeouts" ]; [ "wall_time_s" ] ] );
+            ( Flight.schema,
+              [ [ "runs" ]; [ "cells" ]; [ "decided" ];
+                [ "violations"; "safety" ]; [ "violations"; "liveness_gating" ];
+                [ "trace"; "dropped_events" ] ] ) ]
+        in
+        List.iter
+          (fun (schema, paths) ->
+            let doc = List.assoc schema (Lazy.force real_docs) in
+            Alcotest.(check bool) (schema ^ ": compares with itself") true
+              (Result.is_ok
+                 (Compare.compare_docs ~baseline:doc ~candidate:doc ()));
+            List.iter
+              (fun path ->
+                let name = schema ^ " without " ^ String.concat "." path in
+                let bad = remove_path doc path in
+                Alcotest.(check bool) (name ^ ": compare rejects") true
+                  (Result.is_error
+                     (Compare.compare_docs ~baseline:doc ~candidate:bad ()));
+                Alcotest.(check bool) (name ^ ": bench-check rejects") true
+                  (Result.is_error (Campaign_table.check_doc bad)))
+              paths)
+          compared) ]
+
 let suite =
   ( "faults",
     chaos_tests @ partition_tests @ drop_path_tests @ oracle_tests
     @ byzantine_tests @ campaign_tests @ recovery_tests
-    @ svc_campaign_tests )
+    @ svc_campaign_tests @ table_tests )

@@ -15,7 +15,7 @@ let small_config () =
 let record_small ~id () =
   let cfg = small_config () in
   let env = Campaign.prepare cfg in
-  let flight = Flight.create ~obs:(Campaign.env_obs env) () in
+  let flight = Flight.create ~obs:env.Sweep.obs () in
   let rep = Campaign.run_prepared ~flight env cfg in
   let runs = Flight.runs flight in
   (Flight.summarize ~id ~config:(Campaign.config_json cfg) runs, runs, rep)
