@@ -12,7 +12,9 @@
        ... any extra fields the experiment [put] }
 
    The gate holds the virtual time total and every crypto-op count
-   (thresholded), the rows the experiment adds with [gate], and every
+   (costs thresholded, path counters such as cache hits as info rows;
+   [Obs_crypto.direction] says which), the rows the experiment adds
+   with [gate], and every
    metrics counter as an info row keyed [name{labels}], so [sintra
    compare] shows per-counter deltas.  The per-layer message/byte
    counters carry labels [("layer", "rbc" | "cbc" | "abba" | ...)];
@@ -63,9 +65,13 @@ let document ~id ~wall ?(gate = []) (o : Obs.t) fields =
     ~gate:
       ((Report.threshold Report.Lower "virtual time total" vt
        :: List.map
-            (fun (k, c) ->
-              Report.threshold Report.Lower ("crypto " ^ k) (float_of_int c))
-            (Obs_crypto.counts ()))
+            (fun k ->
+              let metric = "crypto " ^ Obs_crypto.name k in
+              let v = float_of_int (Obs_crypto.count k) in
+              match Obs_crypto.direction k with
+              | Obs_crypto.Cost -> Report.threshold Report.Lower metric v
+              | Obs_crypto.Path -> Report.info metric v)
+            Obs_crypto.all_kinds)
       @ gate @ counters)
     ([ ("virtual_time_total", Obs_json.Float vt);
        ("crypto_ops", Obs_crypto.to_json ()) ]

@@ -89,22 +89,6 @@ let parse_crash s =
   if s = "" then []
   else List.map int_of_string (String.split_on_char ',' s)
 
-let crypto_arg =
-  Arg.(
-    value & opt string "eager"
-    & info [ "crypto" ] ~docv:"POLICY"
-        ~doc:"Share-verification policy: eager (per-share at receipt, the \
-              default), eager+batch (batched verify calls), or lazy \
-              (defer proof checks to combine time, batched, with \
-              bisection fallback).")
-
-let set_crypto s =
-  match Crypto_policy.of_string s with
-  | Some p -> Crypto_policy.set p
-  | None ->
-    Printf.eprintf "unknown crypto policy %S (eager, eager+batch, lazy)\n" s;
-    exit 2
-
 let structure_of ~n ~t = function
   | Some 1 -> Canonical_structures.example1 ()
   | Some 2 -> Canonical_structures.example2 ()
@@ -164,8 +148,7 @@ let abc_cmd =
                 chaos; combine with --link to see retransmission restore \
                 liveness).")
   in
-  let run n t example seed payloads crash trace link drop crypto =
-    set_crypto crypto;
+  let run n t example seed payloads crash trace link drop =
     let s = structure_of ~n ~t example in
     let n = AS.n s in
     let kr = Keyring.deal ~rsa_bits:192 ~seed:99 s in
@@ -259,7 +242,7 @@ let abc_cmd =
     (Cmd.info "abc" ~doc:"Run atomic broadcast on the simulated network.")
     Term.(
       const run $ n_arg $ t_arg $ example_arg $ seed_arg $ payloads_arg
-      $ crash_arg $ trace_arg $ link_arg $ drop_arg $ crypto_arg)
+      $ crash_arg $ trace_arg $ link_arg $ drop_arg)
 
 (* ---------- trace: span-level protocol trace ------------------------- *)
 
@@ -404,8 +387,7 @@ let run_cmd =
       & info [ "drop-rate" ] ~docv:"P"
           ~doc:"Override the campaign's chaos drop probability.")
   in
-  let run (c : Campaign_table.campaign) n t seed seeds quick out drop crypto =
-    set_crypto crypto;
+  let run (c : Campaign_table.campaign) n t seed seeds quick out drop =
     let preset = if quick then c.quick else c.full in
     let knobs =
       { Campaign_table.n; t; seed_base = seed;
@@ -443,7 +425,7 @@ let run_cmd =
           violation, failed acceptance gate or invalid artifact.")
     Term.(
       const run $ campaign_arg $ n_arg $ t_arg $ seed_arg $ seeds_arg
-      $ quick_arg $ out_arg $ drop_arg $ crypto_arg)
+      $ quick_arg $ out_arg $ drop_arg)
 
 (* ---------- compare: regression gate over two artifacts -------------- *)
 

@@ -466,14 +466,10 @@ and handle t ~src msg =
       let rs = round_state t r in
       if
         (not (List.mem_assoc src rs.coin_shares))
-        (* Lazy policy: accept on shape alone; [Coin.combine] verifies
-           the proofs in one batch and prunes attributed-bad parties. *)
-        && (if Crypto_policy.is_lazy () then
-              Coin.check_shape t.io.Proto_io.keyring.Keyring.coin ~party:src
-                shares
-            else
-              Coin.verify_share t.io.Proto_io.keyring.Keyring.coin ~party:src
-                ~name:(coin_name t r) shares)
+        (* Accept on shape alone; [Coin.combine] verifies the proofs in
+           one batch and prunes attributed-bad parties. *)
+        && Coin.check_shape t.io.Proto_io.keyring.Keyring.coin ~party:src
+             shares
       then begin
         rs.coin_shares <- (src, shares) :: rs.coin_shares;
         try_combine_coin t r;

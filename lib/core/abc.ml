@@ -45,19 +45,15 @@ type policy = {
   max_batch_msgs : int;  (* payloads per proposal frame; 1 = no framing *)
   max_batch_bytes : int;  (* cap on summed payload bytes per frame *)
   window : int;  (* rounds a party may have in flight at once *)
-  linger : float;
-      (* sim-clock ticks to wait for a fuller batch before proposing;
-         needs the io timer hook, ignored without one *)
 }
 
 let default_policy =
-  { max_batch_msgs = 1; max_batch_bytes = 1 lsl 20; window = 1; linger = 0.0 }
+  { max_batch_msgs = 1; max_batch_bytes = 1 lsl 20; window = 1 }
 
 let check_policy p =
   if p.max_batch_msgs < 1 then invalid_arg "Abc.create: max_batch_msgs < 1";
   if p.max_batch_bytes < 1 then invalid_arg "Abc.create: max_batch_bytes < 1";
-  if p.window < 1 then invalid_arg "Abc.create: window < 1";
-  if not (p.linger >= 0.0) then invalid_arg "Abc.create: negative linger"
+  if p.window < 1 then invalid_arg "Abc.create: window < 1"
 
 type msg =
   | Request of string  (* payload relay ("send to all servers") *)
@@ -89,8 +85,6 @@ type t = {
   mutable participated : int list;  (* rounds where our proposal is out *)
   my_batches : (int, string list) Hashtbl.t;
       (* in-flight round -> payloads we packed into its proposal *)
-  mutable linger_fired : bool;  (* linger elapsed: flush partial batches *)
-  mutable linger_armed : bool;
   proposals : (int, (int * string) list ref) Hashtbl.t;
       (* round -> (sender, payload); only validly signed entries *)
   raw_sigs : (int, (int * string) list ref) Hashtbl.t;
@@ -244,13 +238,6 @@ let valid_list t r (value : string) : bool =
 let rec create ?(policy = default_policy) ~(io : msg Proto_io.t) ~tag ~deliver
     () : t =
   check_policy policy;
-  (* Linger needs a clock; without a timer hook it degrades to eager
-     proposing rather than deferring forever. *)
-  let policy =
-    match io.Proto_io.timer with
-    | None -> { policy with linger = 0.0 }
-    | Some _ -> policy
-  in
   let t =
     { io;
       tag;
@@ -268,8 +255,6 @@ let rec create ?(policy = default_policy) ~(io : msg Proto_io.t) ~tag ~deliver
       round = 0;
       participated = [];
       my_batches = Hashtbl.create 8;
-      linger_fired = false;
-      linger_armed = false;
       proposals = Hashtbl.create 8;
       raw_sigs = Hashtbl.create 8;
       vbas = Hashtbl.create 8;
@@ -339,20 +324,6 @@ and participate t r payload =
     t.io.Proto_io.broadcast (Proposal (r, payload, sg))
   end
 
-(* Defer proposing a partial batch until [linger] sim-clock ticks have
-   passed, in the hope of packing a fuller one; the timer re-enters
-   [step], which then flushes whatever is available. *)
-and arm_linger t =
-  if t.policy.linger > 0.0 && (not t.linger_armed) && not t.linger_fired then
-    match t.io.Proto_io.timer with
-    | None -> ()  (* normalized away in [create] *)
-    | Some set_timer ->
-      t.linger_armed <- true;
-      set_timer ~delay:t.policy.linger (fun () ->
-          t.linger_armed <- false;
-          t.linger_fired <- true;
-          step t)
-
 (* Open rounds [t.round .. t.round + window - 1] in order, packing
    disjoint batches of undelivered payloads — the pipelining half: round
    r+1's dissemination and signing start while round r's agreement is
@@ -362,7 +333,6 @@ and arm_linger t =
    more — that is the back-pressure bound on in-flight state. *)
 and open_rounds t =
   let limit = t.round + t.policy.window in
-  let opened_payloads = ref false in
   let rec go r avail =
     if r < limit then begin
       if List.mem r t.participated then go (r + 1) avail
@@ -372,13 +342,7 @@ and open_rounds t =
           | Some l -> !l <> []
           | None -> false
         in
-        let batch_ready =
-          avail <> []
-          && (t.policy.linger <= 0.0 || t.linger_fired
-             || List.length avail >= t.policy.max_batch_msgs
-             || batch_bytes avail >= t.policy.max_batch_bytes)
-        in
-        if others_active || batch_ready then begin
+        if others_active || avail <> [] then begin
           let batch, rest = take_batch t avail in
           let payload =
             match batch with
@@ -386,10 +350,7 @@ and open_rounds t =
             | [ p ] when not (batching t) -> p
             | ps -> Codec.encode_batch ps
           in
-          if batch <> [] then begin
-            Hashtbl.replace t.my_batches r batch;
-            opened_payloads := true
-          end;
+          if batch <> [] then Hashtbl.replace t.my_batches r batch;
           participate t r payload;
           if Obs.active t.io.Proto_io.obs then begin
             let labels = [ ("layer", "abc") ] in
@@ -400,13 +361,11 @@ and open_rounds t =
           end;
           go (r + 1) rest
         end
-        else if avail <> [] then arm_linger t
         (* not opening r: later rounds stay closed too (contiguity) *)
       end
     end
   in
-  go t.round (unproposed t);
-  if !opened_payloads then t.linger_fired <- false
+  go t.round (unproposed t)
 
 (* Feed each in-flight round's VBA once a big-quorum of signed proposals
    for it is collected. *)

@@ -22,14 +22,11 @@ type policy = {
   max_batch_msgs : int;  (** payloads per proposal frame; 1 = no framing *)
   max_batch_bytes : int;  (** cap on summed payload bytes per frame *)
   window : int;  (** rounds a party may have in flight at once *)
-  linger : float;
-      (** sim-clock ticks to wait for a fuller batch before proposing a
-          partial one; needs the io timer hook, ignored without one *)
 }
 
 val default_policy : policy
-(** [{ max_batch_msgs = 1; max_batch_bytes = 1 MiB; window = 1;
-    linger = 0. }] — no framing, no pipelining. *)
+(** [{ max_batch_msgs = 1; max_batch_bytes = 1 MiB; window = 1 }] — no
+    framing, no pipelining. *)
 
 type msg =
   | Request of string  (** payload relay ("send to all servers") *)

@@ -108,11 +108,9 @@ and add_share t d ~src shares =
   | Some slot ->
     if
       (not (List.mem_assoc src slot.shares))
-      (* Lazy policy: shape check at receipt, batched proof check at
-         combine time (with attributed pruning). *)
-      && (if Crypto_policy.is_lazy () then
-            Tdh2.check_shape (enc_sharing t) ~party:src shares
-          else Tdh2.verify_share (enc_sharing t) ~party:src slot.ct shares)
+      (* Shape check at receipt, batched proof check at combine time
+         (with attributed pruning). *)
+      && Tdh2.check_shape (enc_sharing t) ~party:src shares
     then begin
       slot.shares <- (src, shares) :: slot.shares;
       try_decrypt t slot

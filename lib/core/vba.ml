@@ -238,14 +238,10 @@ let handle t ~src msg =
   | Perm_share shares ->
     if
       (not (List.mem_assoc src t.perm_shares))
-      (* Lazy policy: shape check at receipt, batched proof check at
-         combine time (with attributed pruning). *)
-      && (if Crypto_policy.is_lazy () then
-            Coin.check_shape t.io.Proto_io.keyring.Keyring.coin ~party:src
-              shares
-          else
-            Coin.verify_share t.io.Proto_io.keyring.Keyring.coin ~party:src
-              ~name:(perm_coin_name t) shares)
+      (* Shape check at receipt, batched proof check at combine time
+         (with attributed pruning). *)
+      && Coin.check_shape t.io.Proto_io.keyring.Keyring.coin ~party:src
+           shares
     then begin
       t.perm_shares <- (src, shares) :: t.perm_shares;
       try_combine_perm t

@@ -14,10 +14,9 @@
    signature, with size proportional to the qualified set (the
    substitution is recorded in DESIGN.md). *)
 
-module B = Bignum
 module G = Schnorr_group
 
-type share = { leaf : int; value : G.elt; proof : Dleq.t }
+type share = Share_batch.share = { leaf : int; value : G.elt; proof : Dleq.t }
 
 type certificate = {
   signers : Pset.t;
@@ -51,118 +50,45 @@ let sign_share (t : Dl_sharing.t) ~(party : int) (msg : string) : share list =
       { leaf = s.leaf; value; proof })
     own
 
-(* Structural validity alone (share count, leaf bounds, ownership). *)
-let check_shape (t : Dl_sharing.t) ~(party : int) (shares : share list) :
-    bool =
-  let expected = Dl_sharing.shares_of t party in
-  List.length shares = List.length expected
-  && List.for_all
-       (fun (s : share) ->
-         s.leaf >= 0
-         && s.leaf < Array.length t.Dl_sharing.leaf_keys
-         && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party)
-       shares
-
-let flatten_shares party (shares : share list) : Share_batch.flat list =
-  List.map
-    (fun (s : share) ->
-      { Share_batch.party; leaf = s.leaf; value = s.value; proof = s.proof })
-    shares
+let signers_of shares =
+  List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty shares
 
 let verify_share (t : Dl_sharing.t) ~(party : int) (msg : string)
     (shares : share list) : bool =
   Obs_crypto.share_verify ();
-  let ps = t.Dl_sharing.group in
   let h = base t msg in
-  let expected = Dl_sharing.shares_of t party in
-  if List.length expected >= 3 then G.prepare_base ps h;
-  if Crypto_policy.batchable (List.length shares) then
-    check_shape t ~party shares
-    && Share_batch.verify_party_batch t ~domain:share_domain ~base:h
-         (flatten_shares party shares)
-  else
-    List.length shares = List.length expected
-    && List.for_all
-         (fun (s : share) ->
-           s.leaf >= 0
-           && s.leaf < Array.length t.Dl_sharing.leaf_keys
-           && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party
-           && Dleq.verify ps ~domain:share_domain ~g1:ps.G.g
-                ~h1:t.Dl_sharing.leaf_keys.(s.leaf) ~g2:h ~h2:s.value s.proof)
-         shares
+  if List.length (Dl_sharing.shares_of t party) >= 3 then
+    G.prepare_base t.Dl_sharing.group h;
+  Share_batch.check_shape t ~party shares
+  && Share_batch.verify_proofs t ~domain:share_domain ~base:h shares
 
-(* Eager policy: the caller verified each party's shares and this only
-   recombines (seed behaviour).  Lazy policy: shares arrive
-   proof-unchecked and are validated here with one batched check,
-   pruning attributed-bad parties. *)
+(* The shares arrive shape-checked only and are proof-checked here in
+   one batch, pruning attributed-bad parties. *)
 let combine (t : Dl_sharing.t) (msg : string)
     (shares : (int * share list) list) : certificate option =
   Obs_crypto.combine ();
-  let recombine (shares : (int * share list) list) =
-    let signers =
-      List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty shares
-    in
-    let leaf_values =
-      List.concat_map
-        (fun (_, ss) -> List.map (fun (s : share) -> (s.leaf, s.value)) ss)
-        shares
-    in
-    match Dl_sharing.combine_in_exponent t ~avail:signers ~leaf_values with
-    | None -> None
-    | Some combined -> Some { signers; shares; combined }
-  in
-  if not (Crypto_policy.is_lazy ()) then recombine shares
-  else begin
-    let avail =
-      List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty shares
-    in
-    let flat =
-      List.concat_map (fun (party, ss) -> flatten_shares party ss) shares
-    in
-    match
-      Share_batch.validate_for_combine t ~domain:share_domain
-        ~base:(base t msg) ~avail flat
-    with
-    | None -> None
-    | Some (_, good) ->
-      let keep p =
-        List.exists (fun (f : Share_batch.flat) -> f.party = p) good
-      in
-      recombine (List.filter (fun (p, _) -> keep p) shares)
-  end
+  Share_batch.combine t ~domain:share_domain ~base:(base t msg)
+    ~avail:(signers_of shares) shares
+  |> Option.map (fun (shares, combined) ->
+         { signers = signers_of shares; shares; combined })
 
 let verify (t : Dl_sharing.t) (msg : string) (cert : certificate) : bool =
   Obs_crypto.verify ();
-  (* A full certificate re-checks one DLEQ proof per leaf share; when
-     there are enough of them, table the message base once up front. *)
-  let total_leaves =
-    List.fold_left (fun n (_, ss) -> n + List.length ss) 0 cert.shares
-  in
+  (* Every share of a certificate proves against the same (g, H'(M))
+     base pair, so the whole certificate folds into one batch; when
+     there are enough leaves, table the message base once up front. *)
+  let all = List.concat_map snd cert.shares in
   let h = base t msg in
-  if total_leaves >= 3 then G.prepare_base t.Dl_sharing.group h;
-  (if Crypto_policy.batchable total_leaves then
-     (* Every share of a certificate proves against the same (g, H'(M))
-        base pair, so the whole certificate folds into one batch. *)
-     List.for_all (fun (party, ss) -> check_shape t ~party ss) cert.shares
-     && Share_batch.verify_party_batch t ~domain:share_domain ~base:h
-          (List.concat_map
-             (fun (party, ss) -> flatten_shares party ss)
-             cert.shares)
-   else
-     List.for_all
-       (fun (party, ss) -> verify_share t ~party msg ss)
-       cert.shares)
+  if List.length all >= 3 then G.prepare_base t.Dl_sharing.group h;
+  List.for_all
+    (fun (party, ss) -> Share_batch.check_shape t ~party ss)
+    cert.shares
+  && Share_batch.verify_proofs t ~domain:share_domain ~base:h all
   &&
-  let signers =
-    List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty cert.shares
-  in
+  let signers = signers_of cert.shares in
   Pset.equal signers cert.signers
   &&
-  let leaf_values =
-    List.concat_map
-      (fun (_, ss) -> List.map (fun (s : share) -> (s.leaf, s.value)) ss)
-      cert.shares
-  in
+  let leaf_values = List.map (fun (s : share) -> (s.leaf, s.value)) all in
   match Dl_sharing.combine_in_exponent t ~avail:signers ~leaf_values with
   | None -> false
   | Some c -> G.elt_equal c cert.combined

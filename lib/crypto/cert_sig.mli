@@ -9,7 +9,11 @@
     documented in DESIGN.md — no compact general-structure scheme was
     known in 2001). *)
 
-type share = { leaf : int; value : Schnorr_group.elt; proof : Dleq.t }
+type share = Share_batch.share = {
+  leaf : int;
+  value : Schnorr_group.elt;
+  proof : Dleq.t;
+}
 
 type certificate = {
   signers : Pset.t;
@@ -19,20 +23,15 @@ type certificate = {
 
 val sign_share : Dl_sharing.t -> party:int -> string -> share list
 
-val check_shape : Dl_sharing.t -> party:int -> share list -> bool
-(** Structural validity only (share count, leaf bounds, ownership). *)
-
 val verify_share : Dl_sharing.t -> party:int -> string -> share list -> bool
-(** Per-proof as in the seed, or one batched check when
-    {!Crypto_policy.batchable} says so. *)
+(** Shape plus proofs; two or more proofs are checked as one batch. *)
 
 val combine :
   Dl_sharing.t -> string -> (int * share list) list -> certificate option
-(** [None] unless the signers form a sharing-qualified set.  Under the
-    lazy policy, shares are proof-checked here (one batch, with pruning
-    of attributed-bad parties) instead of at receipt. *)
+(** [None] unless the signers form a sharing-qualified set.  The shares
+    are proof-checked here (one batch, with pruning of attributed-bad
+    parties) instead of at receipt. *)
 
 val verify : Dl_sharing.t -> string -> certificate -> bool
 (** Re-checks every share proof — as one batch over the whole
-    certificate when {!Crypto_policy.batchable} says so — plus the
-    signer set and the recombination. *)
+    certificate — plus the signer set and the recombination. *)

@@ -9,10 +9,9 @@
    shared randomness that lets the ABBA protocol of Section 3 circumvent
    the FLP impossibility result. *)
 
-module B = Bignum
 module G = Schnorr_group
 
-type share = { leaf : int; value : G.elt; proof : Dleq.t }
+type share = Share_batch.share = { leaf : int; value : G.elt; proof : Dleq.t }
 
 let domain = "sintra/coin"
 let base_domain = domain ^ "/base"
@@ -42,50 +41,18 @@ let generate_share (t : Dl_sharing.t) ~(party : int) ~(name : string) :
       { leaf = s.leaf; value; proof })
     own
 
-(* Structural validity alone: the right number of shares, each for a
-   leaf that exists and belongs to [party].  This is what a lazy call
-   site checks at receipt; the proofs wait for combine time. *)
-let check_shape (t : Dl_sharing.t) ~(party : int) (shares : share list) :
-    bool =
-  let expected = Dl_sharing.shares_of t party in
-  List.length shares = List.length expected
-  && List.for_all
-       (fun (s : share) ->
-         s.leaf >= 0
-         && s.leaf < Array.length t.Dl_sharing.leaf_keys
-         && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party)
-       shares
+let check_shape = Share_batch.check_shape
 
 (* A share from a (possibly corrupted) party is accepted only when every
-   claimed leaf belongs to that party and every DLEQ proof verifies —
-   per proof as in the seed, or with one batched check when the policy
-   allows it and the party owns enough leaves. *)
+   claimed leaf belongs to that party and every DLEQ proof verifies. *)
 let verify_share (t : Dl_sharing.t) ~(party : int) ~(name : string)
     (shares : share list) : bool =
   Obs_crypto.share_verify ();
-  let ps = t.Dl_sharing.group in
   let g_name = coin_base t ~name in
-  let expected = Dl_sharing.shares_of t party in
-  if List.length expected >= 3 then G.prepare_base ps g_name;
-  if Crypto_policy.batchable (List.length shares) then
-    check_shape t ~party shares
-    && Share_batch.verify_party_batch t ~domain:share_domain ~base:g_name
-         (List.map
-            (fun (s : share) ->
-              { Share_batch.party; leaf = s.leaf; value = s.value;
-                proof = s.proof })
-            shares)
-  else
-    List.length shares = List.length expected
-    && List.for_all
-         (fun (s : share) ->
-           s.leaf >= 0
-           && s.leaf < Array.length t.Dl_sharing.leaf_keys
-           && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party
-           && Dleq.verify ps ~domain:share_domain ~g1:ps.G.g
-                ~h1:t.Dl_sharing.leaf_keys.(s.leaf) ~g2:g_name ~h2:s.value
-                s.proof)
-         shares
+  if List.length (Dl_sharing.shares_of t party) >= 3 then
+    G.prepare_base t.Dl_sharing.group g_name;
+  check_shape t ~party shares
+  && Share_batch.verify_proofs t ~domain:share_domain ~base:g_name shares
 
 let value_of_sigma (t : Dl_sharing.t) ~(name : string) ~(bits : int)
     (sigma : G.elt) : int =
@@ -104,44 +71,12 @@ let value_of_sigma (t : Dl_sharing.t) ~(name : string) ~(bits : int)
 (* Combine shares from the parties in [avail] into the coin value.
    [bits] selects how many unpredictable bits to extract (the ABBA
    protocol needs one; the validated-agreement permutation uses 30); at
-   most 30.
-
-   Under the eager policy the shares were verified at receipt and
-   recombine directly, as in the seed.  Under the lazy policy they
-   arrive proof-unchecked (shape-checked only) and are validated here
-   with one batched check, pruning attributed-bad parties on failure. *)
+   most 30.  The shares arrive shape-checked only and are proof-checked
+   here in one batch, pruning attributed-bad parties on failure. *)
 let combine (t : Dl_sharing.t) ~(name : string) ~(avail : Pset.t)
     (shares : (int * share list) list) ?(bits = 1) () : int option =
   if bits < 1 || bits > 30 then invalid_arg "Coin.combine: bits out of range";
   Obs_crypto.combine ();
-  let recombine avail shares =
-    let leaf_values =
-      List.concat_map
-        (fun (_, ss) -> List.map (fun (s : share) -> (s.leaf, s.value)) ss)
-        shares
-    in
-    match Dl_sharing.combine_in_exponent t ~avail ~leaf_values with
-    | None -> None
-    | Some sigma -> Some (value_of_sigma t ~name ~bits sigma)
-  in
-  if not (Crypto_policy.is_lazy ()) then recombine avail shares
-  else begin
-    let flat =
-      List.concat_map
-        (fun (party, ss) ->
-          List.map
-            (fun (s : share) ->
-              { Share_batch.party; leaf = s.leaf; value = s.value;
-                proof = s.proof })
-            ss)
-        shares
-    in
-    match
-      Share_batch.validate_for_combine t ~domain:share_domain
-        ~base:(coin_base t ~name) ~avail flat
-    with
-    | None -> None
-    | Some (avail', good) ->
-      let keep p = List.exists (fun (f : Share_batch.flat) -> f.party = p) good in
-      recombine avail' (List.filter (fun (p, _) -> keep p) shares)
-  end
+  Share_batch.combine t ~domain:share_domain ~base:(coin_base t ~name) ~avail
+    shares
+  |> Option.map (fun (_, sigma) -> value_of_sigma t ~name ~bits sigma)

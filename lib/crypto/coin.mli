@@ -7,7 +7,11 @@
     recombines to H'(N){^x}, whose hash is the coin value — identical for
     everyone and unpredictable until a qualified set cooperates. *)
 
-type share = { leaf : int; value : Schnorr_group.elt; proof : Dleq.t }
+type share = Share_batch.share = {
+  leaf : int;
+  value : Schnorr_group.elt;
+  proof : Dleq.t;
+}
 
 val coin_base : Dl_sharing.t -> name:string -> Schnorr_group.elt
 (** The random group element H'(N) for a coin name. *)
@@ -16,14 +20,13 @@ val generate_share : Dl_sharing.t -> party:int -> name:string -> share list
 
 val check_shape : Dl_sharing.t -> party:int -> share list -> bool
 (** Structural validity only (share count, leaf bounds, leaf ownership)
-    — what a lazy call site checks at receipt, deferring the DLEQ proofs
-    to {!combine}. *)
+    — what a call site checks at receipt, deferring the DLEQ proofs to
+    {!combine}. *)
 
 val verify_share :
   Dl_sharing.t -> party:int -> name:string -> share list -> bool
 (** Rejects shares with wrong leaves, wrong owners or invalid proofs.
-    Checks proofs individually, or as one batch when
-    {!Crypto_policy.batchable} says so. *)
+    Two or more proofs are checked as one batch. *)
 
 val combine :
   Dl_sharing.t ->
@@ -35,7 +38,6 @@ val combine :
   int option
 (** Coin value from the shares of the parties in [avail]; [None] if
     [avail] is not sharing-qualified.  [bits] (default 1, max 30)
-    selects how many bits to extract.  Under the eager policy the
-    shares must have been verified at receipt (seed behaviour); under
-    the lazy policy they are validated here with one batched proof
-    check, pruning attributed-bad parties on failure. *)
+    selects how many bits to extract.  The shares are proof-checked
+    here with one batched check, pruning attributed-bad parties on
+    failure. *)

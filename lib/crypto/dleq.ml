@@ -64,8 +64,7 @@ let to_bytes ps (p : t) : string =
    path: in a safe-prime Schnorr group (p = 2q + 1) the order-q
    subgroup is exactly the quadratic residues, so the Jacobi symbol —
    a GCD-style computation, no exponentiation — decides membership.
-   The eager path keeps its historical [x^q = 1] check so its counter
-   profile stays bit-identical to the seed. *)
+   The single-proof {!verify} keeps its historical [x^q = 1] check. *)
 let in_group ps (x : G.elt) : bool =
   B.sign x > 0 && B.lt x ps.G.p && B.jacobi x ps.G.p = 1
 
@@ -142,7 +141,7 @@ let batch_holds ps ~domain (batch : (statement * t) list) : bool =
         (* h1 is the dealer-published leaf verification key at every
            call site, and a1/a2 are neutralized by the even RLC
            coefficients; only the adversary's share value h2 needs a
-           subgroup check (cf. the eager path's two [is_element]s). *)
+           subgroup check (cf. {!verify}'s two [is_element]s). *)
         && in_group ps s.h2
         (* all statements of one batch share the proving bases *)
         && G.elt_equal s.g1 s0.g1 && G.elt_equal s.g2 s0.g2)

@@ -9,7 +9,7 @@
     random-linear-combination multi-exponentiation ({!batch_verify}),
     with bisection attribution of bad proofs when the batch fails
     ({!batch_find_bad}).  {!verify} and {!to_bytes} ignore the carried
-    commitments, so the eager path is unchanged from the seed. *)
+    commitments, so the single-proof check is unchanged from the seed. *)
 
 type t = {
   c : Bignum.t;

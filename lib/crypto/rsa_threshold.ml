@@ -141,16 +141,6 @@ let sign_share (keys : keys) ~(party : int) (msg : string) : share =
   let z = B.add (B.mul s_i c) r in
   { signer = party; x; c; z }
 
-(* Structural validity alone: the receipt-time check of a lazy call
-   site; the correctness proof is subsumed by the combine-time
-   signature check. *)
-let check_shape (keys : keys) (sh : share) : bool =
-  let pk = keys.pk in
-  let nn = pk.n_modulus in
-  sh.signer >= 0 && sh.signer < pk.n_parties
-  && B.sign sh.x > 0 && B.lt sh.x nn
-  && B.equal (B.gcd sh.x nn) B.one
-
 let verify_share (keys : keys) (msg : string) (sh : share) : bool =
   Obs_crypto.share_verify ();
   let pk = keys.pk in
@@ -244,20 +234,18 @@ let combine_raw (keys : keys) ~(xhat : B.t) (shares : share list) :
     (pow_signed ~base:xhat ~exp:b ~modulus:nn)
     nn
 
-(* The public signature equation, reused as the lazy-combine acceptance
+(* The public signature equation, reused as the combine-time acceptance
    check: one short-exponent pow_mod (e = 65537), far cheaper than the
    per-share proof checks it replaces. *)
 let signature_ok (pk : public_key) ~(xhat : B.t) (y : signature) : bool =
   B.sign y > 0 && B.lt y pk.n_modulus
   && B.equal (B.pow_mod ~base:y ~exp:pk.e ~modulus:pk.n_modulus) xhat
 
-(* Eager policy (seed behaviour): the caller verified the shares; take
-   the k first signers and combine.  Lazy policy: combine optimistically
-   and accept iff y^e = H(M) — RSA, unlike the coin, has a public
-   predicate on the combined value, so the happy path checks no share
-   proof at all.  On failure, fall back to per-share verification,
-   drop the bad shares and retry, so an invalid signature is never
-   returned. *)
+(* Combine the k first signers optimistically and accept iff
+   y^e = H(M) — RSA, unlike the coin, has a public predicate on the
+   combined value, so the happy path checks no share proof at all.  On
+   failure, fall back to per-share verification, drop the bad shares and
+   retry, so an invalid signature is never returned. *)
 let combine (keys : keys) (msg : string) (shares : share list) :
     signature option =
   Obs_crypto.combine ();
@@ -266,28 +254,21 @@ let combine (keys : keys) (msg : string) (shares : share list) :
     List.sort_uniq (fun a b -> compare a.signer b.signer) shares
   in
   if List.length shares < pk.k then None
-  else if not (Crypto_policy.is_lazy ()) then begin
-    let shares = List.filteri (fun i _ -> i < pk.k) shares in
-    Some (combine_raw keys ~xhat:(hash_to_zn pk msg) shares)
-  end
   else begin
     let xhat = hash_to_zn pk msg in
-    let chosen = List.filteri (fun i _ -> i < pk.k) shares in
-    let y = combine_raw keys ~xhat chosen in
-    if signature_ok pk ~xhat y then begin
+    let attempt shares =
+      let chosen = List.filteri (fun i _ -> i < pk.k) shares in
+      let y = combine_raw keys ~xhat chosen in
+      if signature_ok pk ~xhat y then Some y else None
+    in
+    match attempt shares with
+    | Some _ as y ->
       Obs_crypto.lazy_verify_hit ();
-      Some y
-    end
-    else begin
+      y
+    | None ->
       Obs_crypto.batch_verify_fallback ();
       let good = List.filter (verify_share keys msg) shares in
-      if List.length good < pk.k then None
-      else begin
-        let chosen = List.filteri (fun i _ -> i < pk.k) good in
-        let y = combine_raw keys ~xhat chosen in
-        if signature_ok pk ~xhat y then Some y else None
-      end
-    end
+      if List.length good < pk.k then None else attempt good
   end
 
 let verify (pk : public_key) (msg : string) (y : signature) : bool =

@@ -30,19 +30,13 @@ val delta : int -> Bignum.t
 val sign_share : keys -> party:int -> string -> share
 (** [H(M)^{2Δs_i}] with Shoup's share-correctness proof. *)
 
-val check_shape : keys -> share -> bool
-(** Structural validity only (signer bounds, range, invertibility) —
-    what a lazy call site checks at receipt, deferring the correctness
-    proof to {!combine}'s signature check. *)
-
 val verify_share : keys -> string -> share -> bool
 
 val combine : keys -> string -> share list -> signature option
-(** Any [k] distinct valid shares; [None] if fewer.  Eager policy:
-    shares must have been verified by the caller (seed behaviour).
-    Lazy policy: combine optimistically and accept iff [y^e = H(M)],
-    falling back to per-share verification when that fails — an invalid
-    signature is never returned. *)
+(** Any [k] distinct valid shares; [None] if fewer.  Combines
+    optimistically and accepts iff [y^e = H(M)], falling back to
+    per-share verification when that fails — an invalid signature is
+    never returned. *)
 
 val verify : public_key -> string -> signature -> bool
 (** Standard RSA full-domain-hash verification: [y^e = H(M) mod N]. *)

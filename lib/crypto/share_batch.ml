@@ -1,81 +1,106 @@
-(* Batched and lazy verification driver shared by the DLEQ-based share
-   schemes (threshold coin, TDH2 decryption, certificate signatures).
+(* Share verification shared by the DLEQ-based share schemes (threshold
+   coin, TDH2 decryption, certificate signatures).
 
    All three schemes hand out shares of the same shape: for a scheme
    base b (H'(name), the ciphertext's u, or H'(M)), a share for leaf l
    is b^{x_l} with a DLEQ proof of log_g leafkey_l = log_b value.  That
    makes their statements batch together — same g1 = g and g2 = b across
    a whole message, or across every share of a combine call — and makes
-   the lazy combine-time check identical for all of them. *)
+   the combine-time check identical for all of them.
 
-module B = Bignum
+   There is one verification path.  Protocol call sites check only a
+   share's shape at receipt; [combine] proof-checks exactly the shares
+   that produce its output, in one batch, and attributes and prunes bad
+   parties when that batch fails.  A stand-alone verify call batches
+   whenever it covers at least two proofs. *)
+
 module G = Schnorr_group
 
-(* A share flattened out of its scheme-specific record. *)
-type flat = { party : int; leaf : int; value : G.elt; proof : Dleq.t }
+type share = { leaf : int; value : G.elt; proof : Dleq.t }
 
-let statements (t : Dl_sharing.t) ~(base : G.elt) (shares : flat list) :
+(* Structural validity alone: the right number of shares, each for a
+   leaf that exists and belongs to [party]. *)
+let check_shape (t : Dl_sharing.t) ~(party : int) (shares : share list) :
+    bool =
+  List.length shares = List.length (Dl_sharing.shares_of t party)
+  && List.for_all
+       (fun (s : share) ->
+         s.leaf >= 0
+         && s.leaf < Array.length t.Dl_sharing.leaf_keys
+         && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party)
+       shares
+
+let statements (t : Dl_sharing.t) ~(base : G.elt) (shares : share list) :
     (Dleq.statement * Dleq.t) list =
   let ps = t.Dl_sharing.group in
   List.map
-    (fun (f : flat) ->
+    (fun (s : share) ->
       ( { Dleq.g1 = ps.G.g;
-          h1 = t.Dl_sharing.leaf_keys.(f.leaf);
+          h1 = t.Dl_sharing.leaf_keys.(s.leaf);
           g2 = base;
-          h2 = f.value },
-        f.proof ))
+          h2 = s.value },
+        s.proof ))
     shares
 
-(* One party's shares checked as a batch — the [verify_share] fast path
-   when the policy allows batching.  The caller has already validated
-   leaf bounds and ownership. *)
-let verify_party_batch (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
-    (shares : flat list) : bool =
-  Dleq.batch_verify t.Dl_sharing.group ~domain (statements t ~base shares)
+(* The proofs of shape-checked shares: one random-linear-combination
+   check from two proofs up, the exact per-proof check below that. *)
+let verify_proofs (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
+    (shares : share list) : bool =
+  let ps = t.Dl_sharing.group in
+  match shares with
+  | _ :: _ :: _ -> Dleq.batch_verify ps ~domain (statements t ~base shares)
+  | _ ->
+    List.for_all
+      (fun (s : share) ->
+        Dleq.verify ps ~domain ~g1:ps.G.g ~h1:t.Dl_sharing.leaf_keys.(s.leaf)
+          ~g2:base ~h2:s.value s.proof)
+      shares
 
-(* Lazy combine-time validation: batch-check every proof behind the
+(* Combine-time validation: batch-check every proof behind the
    qualified set at once; on failure, attribute the bad proofs by
    bisection and drop the submitting parties, repeating until the batch
-   is clean or the surviving set is no longer qualified.  Returns the
-   availability set and shares that passed, or [None] when validation
-   cannot leave a qualified set.
+   is clean or the surviving set is no longer qualified.  Then recombine
+   the surviving shares in the exponent.
 
    An honest execution takes one batch check ([Obs_crypto.lazy_verify_hit]
    counts these); each round of the pruning loop removes at least one
    party, so the loop terminates. *)
-let validate_for_combine (t : Dl_sharing.t) ~(domain : string)
-    ~(base : G.elt) ~(avail : Pset.t) (shares : flat list) :
-    (Pset.t * flat list) option =
-  let scheme = t.Dl_sharing.scheme in
-  let rec attempt (avail : Pset.t) (shares : flat list) =
+let combine (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
+    ~(avail : Pset.t) (shares : (int * share list) list) :
+    ((int * share list) list * G.elt) option =
+  let ps = t.Dl_sharing.group in
+  let rec attempt (avail : Pset.t) shares =
     (* Qualification gate first: the recombination lookup is cached, and
        an unqualified set should not pay for proof checks at all. *)
-    match Lsss.recombination scheme avail with
+    match Lsss.recombination t.Dl_sharing.scheme avail with
     | None -> None
     | Some _ ->
-      if Dleq.batch_verify t.Dl_sharing.group ~domain
-           (statements t ~base shares)
-      then begin
+      let flat =
+        List.concat_map (fun (p, ss) -> List.map (fun s -> (p, s)) ss) shares
+      in
+      let batch = statements t ~base (List.map snd flat) in
+      if Dleq.batch_verify ps ~domain batch then begin
         Obs_crypto.lazy_verify_hit ();
-        Some (avail, shares)
+        let leaf_values =
+          List.map (fun (_, (s : share)) -> (s.leaf, s.value)) flat
+        in
+        Option.map
+          (fun v -> (shares, v))
+          (Dl_sharing.combine_in_exponent t ~avail ~leaf_values)
       end
       else begin
-        let arr = Array.of_list shares in
+        let parties = Array.of_list (List.map fst flat) in
         let bad =
-          Dleq.batch_find_bad t.Dl_sharing.group ~domain
-            (statements t ~base shares)
+          Dleq.batch_find_bad ps ~domain batch
+          |> List.map (fun i -> parties.(i))
+          |> List.sort_uniq compare
         in
-        let bad_parties =
-          List.sort_uniq compare (List.map (fun i -> arr.(i).party) bad)
-        in
-        match bad_parties with
+        match bad with
         | [] -> None (* batch fails but nothing attributable: refuse *)
         | _ ->
           attempt
-            (List.fold_left (fun a p -> Pset.remove p a) avail bad_parties)
-            (List.filter
-               (fun (f : flat) -> not (List.mem f.party bad_parties))
-               shares)
+            (List.fold_left (fun a p -> Pset.remove p a) avail bad)
+            (List.filter (fun (p, _) -> not (List.mem p bad)) shares)
       end
   in
   attempt avail shares

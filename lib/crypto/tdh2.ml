@@ -30,7 +30,11 @@ type ciphertext = {
   f : B.t;
 }
 
-type dec_share = { leaf : int; value : G.elt; proof : Dleq.t }
+type dec_share = Share_batch.share = {
+  leaf : int;
+  value : G.elt;
+  proof : Dleq.t;
+}
 
 let domain = "sintra/tdh2"
 let g'_domain = domain ^ "/g'"
@@ -98,87 +102,26 @@ let decryption_share (t : Dl_sharing.t) ~(party : int) (ct : ciphertext) :
          (Dl_sharing.shares_of t party))
   end
 
-(* Structural validity alone (share count, leaf bounds, ownership): the
-   receipt-time check of a lazy call site; proofs wait for combine. *)
-let check_shape (t : Dl_sharing.t) ~(party : int) (shares : dec_share list) :
-    bool =
-  let expected = Dl_sharing.shares_of t party in
-  List.length shares = List.length expected
-  && List.for_all
-       (fun (s : dec_share) ->
-         s.leaf >= 0
-         && s.leaf < Array.length t.Dl_sharing.leaf_keys
-         && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party)
-       shares
-
-let flatten_shares party (shares : dec_share list) : Share_batch.flat list =
-  List.map
-    (fun (s : dec_share) ->
-      { Share_batch.party; leaf = s.leaf; value = s.value; proof = s.proof })
-    shares
+let check_shape = Share_batch.check_shape
 
 let verify_share (t : Dl_sharing.t) ~(party : int) (ct : ciphertext)
     (shares : dec_share list) : bool =
   Obs_crypto.share_verify ();
-  let ps = t.Dl_sharing.group in
-  let expected = Dl_sharing.shares_of t party in
-  if Crypto_policy.batchable (List.length shares) then
-    check_shape t ~party shares
-    && Share_batch.verify_party_batch t ~domain:share_domain ~base:ct.u
-         (flatten_shares party shares)
-  else
-    List.length shares = List.length expected
-    && List.for_all
-         (fun (s : dec_share) ->
-           s.leaf >= 0
-           && s.leaf < Array.length t.Dl_sharing.leaf_keys
-           && Lsss.leaf_owner t.Dl_sharing.scheme s.leaf = party
-           && Dleq.verify ps ~domain:share_domain ~g1:ps.G.g
-                ~h1:t.Dl_sharing.leaf_keys.(s.leaf) ~g2:ct.u ~h2:s.value
-                s.proof)
-         shares
+  check_shape t ~party shares
+  && Share_batch.verify_proofs t ~domain:share_domain ~base:ct.u shares
 
-(* Under the eager policy the shares were verified at receipt and
-   recombine directly (seed behaviour); under the lazy policy they
-   arrive proof-unchecked and are validated here with one batched
-   check, pruning attributed-bad parties on failure. *)
+(* The shares arrive shape-checked only and are proof-checked here in
+   one batch, pruning attributed-bad parties on failure. *)
 let combine (t : Dl_sharing.t) (ct : ciphertext) ~(avail : Pset.t)
     (shares : (int * dec_share list) list) : string option =
   Obs_crypto.combine ();
   if not (is_valid t ct) then None
-  else begin
-    let ps = t.Dl_sharing.group in
-    let recombine avail shares =
-      let leaf_values =
-        List.concat_map
-          (fun (_, ss) ->
-            List.map (fun (s : dec_share) -> (s.leaf, s.value)) ss)
-          shares
-      in
-      match Dl_sharing.combine_in_exponent t ~avail ~leaf_values with
-      | None -> None
-      | Some shared ->
-        Some
-          (Ro.xor_pad ~domain:kdf_domain
-             ~key:(G.elt_to_bytes ps shared) ct.c)
-    in
-    if not (Crypto_policy.is_lazy ()) then recombine avail shares
-    else begin
-      let flat =
-        List.concat_map (fun (party, ss) -> flatten_shares party ss) shares
-      in
-      match
-        Share_batch.validate_for_combine t ~domain:share_domain ~base:ct.u
-          ~avail flat
-      with
-      | None -> None
-      | Some (avail', good) ->
-        let keep p =
-          List.exists (fun (f : Share_batch.flat) -> f.party = p) good
-        in
-        recombine avail' (List.filter (fun (p, _) -> keep p) shares)
-    end
-  end
+  else
+    Share_batch.combine t ~domain:share_domain ~base:ct.u ~avail shares
+    |> Option.map (fun (_, shared) ->
+           Ro.xor_pad ~domain:kdf_domain
+             ~key:(G.elt_to_bytes t.Dl_sharing.group shared)
+             ct.c)
 
 (* Wire encoding, so ciphertexts can be hashed / carried in messages. *)
 let ciphertext_to_bytes (t : Dl_sharing.t) (ct : ciphertext) : string =

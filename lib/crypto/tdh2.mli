@@ -16,7 +16,11 @@ type ciphertext = {
   f : Bignum.t;
 }
 
-type dec_share = { leaf : int; value : Schnorr_group.elt; proof : Dleq.t }
+type dec_share = Share_batch.share = {
+  leaf : int;
+  value : Schnorr_group.elt;
+  proof : Dleq.t;
+}
 
 val encrypt : Dl_sharing.t -> Prng.t -> label:string -> string -> ciphertext
 
@@ -30,13 +34,12 @@ val decryption_share :
 
 val check_shape : Dl_sharing.t -> party:int -> dec_share list -> bool
 (** Structural validity only (share count, leaf bounds, ownership) —
-    what a lazy call site checks at receipt, deferring the DLEQ proofs
-    to {!combine}. *)
+    what a call site checks at receipt, deferring the DLEQ proofs to
+    {!combine}. *)
 
 val verify_share :
   Dl_sharing.t -> party:int -> ciphertext -> dec_share list -> bool
-(** Per-proof as in the seed, or one batched check when
-    {!Crypto_policy.batchable} says so. *)
+(** Shape plus proofs; two or more proofs are checked as one batch. *)
 
 val combine :
   Dl_sharing.t ->
@@ -44,10 +47,9 @@ val combine :
   avail:Pset.t ->
   (int * dec_share list) list ->
   string option
-(** Recover the plaintext from shares of a sharing-qualified set.
-    Eager policy: shares must have been verified at receipt (seed
-    behaviour).  Lazy policy: shares are validated here with one
-    batched proof check, pruning attributed-bad parties on failure. *)
+(** Recover the plaintext from shares of a sharing-qualified set.  The
+    shares are proof-checked here with one batched check, pruning
+    attributed-bad parties on failure. *)
 
 val ciphertext_to_bytes : Dl_sharing.t -> ciphertext -> string
 val ciphertext_of_bytes : Dl_sharing.t -> string -> ciphertext option

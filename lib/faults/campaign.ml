@@ -378,7 +378,6 @@ let link_policy_json (p : Link.policy) =
       ("max_rto", Obs_json.Float p.Link.max_rto);
       ("jitter", Obs_json.Float p.Link.jitter);
       ("window", Obs_json.Int p.Link.window);
-      ("ack_delay", Obs_json.Float p.Link.ack_delay);
       ("seed", Obs_json.Int p.Link.seed);
     ]
 
@@ -411,7 +410,6 @@ let config_json cfg =
               ("max_batch_msgs", Obs_json.Int cfg.abc_policy.Abc.max_batch_msgs);
               ("max_batch_bytes", Obs_json.Int cfg.abc_policy.Abc.max_batch_bytes);
               ("window", Obs_json.Int cfg.abc_policy.Abc.window);
-              ("linger", Obs_json.Float cfg.abc_policy.Abc.linger);
             ] );
         ("link_enabled", Obs_json.Bool (cfg.link <> None));
         ( "protocols",

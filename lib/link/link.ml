@@ -70,7 +70,6 @@ type policy = {
   max_rto : float;
   jitter : float;
   window : int;
-  ack_delay : float;
   seed : int;
 }
 
@@ -80,7 +79,6 @@ let default_policy =
     max_rto = 4_000.0;
     jitter = 0.1;
     window = 32;
-    ack_delay = 0.0;
     seed = 0x114c }
 
 let validate_policy p =
@@ -89,8 +87,7 @@ let validate_policy p =
   if not (p.backoff >= 1.0) then bad "backoff %g must be >= 1" p.backoff;
   if not (p.max_rto >= p.rto) then bad "max_rto %g below rto %g" p.max_rto p.rto;
   if not (p.jitter >= 0.0) then bad "jitter %g must be >= 0" p.jitter;
-  if p.window < 1 then bad "window %d must be >= 1" p.window;
-  if not (p.ack_delay >= 0.0) then bad "ack_delay %g must be >= 0" p.ack_delay
+  if p.window < 1 then bad "window %d must be >= 1" p.window
 
 (* ---------- endpoint state ------------------------------------------- *)
 
@@ -105,7 +102,6 @@ type 'm tx = {
 type rx = {
   mutable cum : int;  (* every seq <= cum has been delivered *)
   mutable ooo : int list;  (* received seqs > cum, ascending *)
-  mutable ack_armed : bool;  (* a delayed-ack timer is pending *)
 }
 
 type 'm t = {
@@ -145,7 +141,7 @@ let create ?(obs = Obs.noop) ~policy ~me ~n ~raw_send ~timer ~deliver () =
             backlog = Queue.create ();
             rto_cur = policy.rto;
             timer_armed = false });
-    rxs = Array.init n (fun _ -> { cum = 0; ooo = []; ack_armed = false });
+    rxs = Array.init n (fun _ -> { cum = 0; ooo = [] });
     raw_send;
     timer;
     deliver;
@@ -240,18 +236,6 @@ let send_ack t dst =
   t.raw_send dst (Ack { cum = rx.cum; sel });
   Obs_registry.incr ~by:(ack_size sel) t.c_ack_bytes
 
-let schedule_ack t src =
-  if t.policy.ack_delay <= 0.0 then send_ack t src
-  else begin
-    let rx = t.rxs.(src) in
-    if not rx.ack_armed then begin
-      rx.ack_armed <- true;
-      t.timer ~delay:t.policy.ack_delay (fun () ->
-          rx.ack_armed <- false;
-          send_ack t src)
-    end
-  end
-
 let rec insert_sorted x = function
   | [] -> [ x ]
   | y :: rest as l ->
@@ -282,7 +266,7 @@ let on_data t ~src seq m =
     advance ();
     (* Exactly-once but unordered: deliver on first receipt. *)
     t.deliver ~src m;
-    schedule_ack t src
+    send_ack t src
   end
 
 let on_ack t ~src cum sel =

@@ -56,20 +56,16 @@ type policy = {
       (** each armed timer waits [rto * (1 + jitter * u)], [u] uniform
           in [0, 1) from the deterministic per-party stream *)
   window : int;  (** max unacked DATA frames per peer *)
-  ack_delay : float;
-      (** [> 0]: batch ACKs behind a timer; [0] (default) acks every
-          DATA frame immediately.  Duplicates are always re-acked
-          immediately. *)
   seed : int;  (** jitter PRNG seed, mixed with the party id *)
 }
 
 val default_policy : policy
 (** [rto = 300], [backoff = 2], [max_rto = 4000], [jitter = 0.1],
-    [window = 32], [ack_delay = 0], [seed = 0x114c]. *)
+    [window = 32], [seed = 0x114c]. *)
 
 val validate_policy : policy -> unit
 (** @raise Invalid_argument on non-positive [rto]/[window], [backoff]
-    below 1, [max_rto] below [rto], or negative [jitter]/[ack_delay]. *)
+    below 1, [max_rto] below [rto], or negative [jitter]. *)
 
 type 'm t
 (** One party's link endpoint: [n] transmit windows and [n] receive

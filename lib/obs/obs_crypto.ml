@@ -63,6 +63,20 @@ let name = function
   | Recomb_cache_hit -> "recomb_cache_hits"
   | Recomb_cache_miss -> "recomb_cache_misses"
 
+(* What a count means to a regression gate.  A [Cost] counts work done,
+   so fewer is better; a [Path] count records which verification path
+   ran (batched, optimistic, cached) and is reported without a
+   direction — more batch checks or cache hits are not a slowdown. *)
+type direction = Cost | Path
+
+let direction = function
+  | Modexp | Hash_to_group | Sign | Verify | Share_verify | Combine
+  | Modexp_window | Multi_exp | Fixed_base_exp | Batch_verify_fallback
+  | Recomb_cache_miss ->
+    Cost
+  | Batch_verify | Batch_verify_size | Lazy_verify_hit | Recomb_cache_hit ->
+    Path
+
 let all_kinds =
   [ Modexp; Hash_to_group; Sign; Verify; Share_verify; Combine;
     Modexp_window; Multi_exp; Fixed_base_exp; Batch_verify;

@@ -27,6 +27,14 @@ type kind =
 val all_kinds : kind list
 val name : kind -> string
 
+type direction =
+  | Cost  (** work done: fewer is better *)
+  | Path  (** which verification path ran: reported, never gated *)
+
+val direction : kind -> direction
+(** [Batch_verify], [Batch_verify_size], [Lazy_verify_hit] and
+    [Recomb_cache_hit] are [Path]; every other kind is a [Cost]. *)
+
 val enable : unit -> unit
 val disable : unit -> unit
 val enabled : unit -> bool

@@ -49,6 +49,19 @@ let drbg_tests =
 
 (* ---------------- forged crypto shares in protocols ------------------- *)
 
+(* [Obs_crypto]'s batch-verification fallbacks during [f]: how often a
+   combine-time batch failed and bad shares had to be attributed. *)
+let count_fallbacks f =
+  Obs_crypto.reset ();
+  Obs_crypto.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs_crypto.disable ();
+      Obs_crypto.reset ())
+    (fun () ->
+      f ();
+      Obs_crypto.count Obs_crypto.Batch_verify_fallback)
+
 let forged_share_tests =
   [ Alcotest.test_case "abba: forged coin shares are filtered, run completes"
       `Quick (fun () ->
@@ -84,7 +97,11 @@ let forged_share_tests =
         Array.iteri
           (fun i node -> if i < 3 then Abba.propose node (i mod 2 = 0))
           nodes;
-        Sim.run sim;
+        let fallbacks = count_fallbacks (fun () -> Sim.run sim) in
+        (* receipt checks only the share shape: the forged proofs are
+           caught by the combine-time batch, which falls back to
+           attribution *)
+        Alcotest.(check bool) "forgery caught at combine" true (fallbacks >= 1);
         let ds = List.filter_map (fun i -> decisions.(i)) [ 0; 1; 2 ] in
         Alcotest.(check int) "all honest decided" 3 (List.length ds);
         (match ds with
@@ -156,9 +173,13 @@ let forged_share_tests =
         let rng = Prng.create ~seed:4 in
         let ct = Scabc.encrypt_request kr rng ~label:"x" "still-secret" in
         Scabc.broadcast nodes.(0) ct;
-        Sim.run sim
-          ~until:(fun () ->
-            List.for_all (fun i -> logs.(i) <> []) [ 0; 1; 2 ]);
+        let fallbacks =
+          count_fallbacks (fun () ->
+              Sim.run sim
+                ~until:(fun () ->
+                  List.for_all (fun i -> logs.(i) <> []) [ 0; 1; 2 ]))
+        in
+        Alcotest.(check bool) "forgery caught at combine" true (fallbacks >= 1);
         List.iter
           (fun i ->
             Alcotest.(check (list string)) "decrypted from honest shares"

@@ -417,7 +417,6 @@ let batch_tests =
   let bad_h2 ((s : Dleq.statement), p) =
     ({ s with Dleq.h2 = G.mul ps s.Dleq.h2 ps.G.g }, p)
   in
-  let eb = Option.get (Crypto_policy.of_string "eager+batch") in
   [ Alcotest.test_case "batch accepts honest proofs" `Quick (fun () ->
         let batch = mk_batch ~seed:101 ~domain:"bt" () in
         Alcotest.(check bool) "accepts" true
@@ -491,9 +490,7 @@ let batch_tests =
         in
         Alcotest.(check bool) "honest pair combines" true (expected <> None);
         let got =
-          Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-              Coin.combine sharing ~name ~avail:(Pset.of_list [ 0; 1; 2 ])
-                corrupt ())
+          Coin.combine sharing ~name ~avail:(Pset.of_list [ 0; 1; 2 ]) corrupt ()
         in
         Alcotest.(check (option int)) "pruned combine agrees" expected got);
     Alcotest.test_case "lazy tdh2 combine prunes corrupted party" `Quick
@@ -522,8 +519,7 @@ let batch_tests =
         in
         Alcotest.(check (option string)) "decrypts despite corruption"
           (Some msg)
-          (Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-               Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 1; 2 ]) corrupt)));
+          (Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 1; 2 ]) corrupt));
     Alcotest.test_case "lazy rsa combine falls back past bad share" `Quick
       (fun () ->
         let keys = Rsa_threshold.deal ~bits:192 ~n:4 ~k:2 (Prng.create ~seed:37) in
@@ -543,16 +539,13 @@ let batch_tests =
               else s)
             shares
         in
-        match
-          Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-              Rsa_threshold.combine keys msg shares)
-        with
+        match Rsa_threshold.combine keys msg shares with
         | None -> Alcotest.fail "lazy combine failed"
         | Some y ->
           Alcotest.(check bool) "valid signature" true
             (Rsa_threshold.verify keys.Rsa_threshold.pk msg y));
-    Alcotest.test_case "eager+batch verify_share matches eager" `Quick
-      (fun () ->
+    Alcotest.test_case "batched verify_share agrees with per-proof Dleq.verify"
+      `Quick (fun () ->
         let s1 = Canonical_structures.example1 () in
         let sharing = deal ~seed:94 s1 in
         let name = "eb-coin" in
@@ -566,20 +559,48 @@ let batch_tests =
           in
           find 0
         in
-        Alcotest.(check bool) "honest accepted" true
-          (Crypto_policy.with_policy eb (fun () ->
-               Coin.verify_share sharing ~party ~name ss));
-        let bad =
-          match ss with
-          | s :: rest ->
-            { s with Coin.value = G.mul ps s.Coin.value ps.G.g } :: rest
+        (* the reference: every proof checked on its own *)
+        let per_proof (ss : Coin.share list) =
+          List.for_all
+            (fun (s : Coin.share) ->
+              Dleq.verify ps ~domain:"sintra/coin/share" ~g1:ps.G.g
+                ~h1:sharing.Dl_sharing.leaf_keys.(s.Coin.leaf)
+                ~g2:(Coin.coin_base sharing ~name) ~h2:s.Coin.value
+                s.Coin.proof)
+            ss
+        in
+        let corrupt f = function
+          | s :: rest -> f s :: rest
           | [] -> assert false
         in
-        Alcotest.(check bool) "corrupted rejected (batched)" false
-          (Crypto_policy.with_policy eb (fun () ->
-               Coin.verify_share sharing ~party ~name bad));
-        Alcotest.(check bool) "corrupted rejected (eager)" false
-          (Coin.verify_share sharing ~party ~name bad));
+        let bad_value =
+          corrupt
+            (fun s -> { s with Coin.value = G.mul ps s.Coin.value ps.G.g })
+            ss
+        in
+        let bad_z =
+          corrupt
+            (fun s ->
+              let p = s.Coin.proof in
+              { s with
+                Coin.proof =
+                  { p with Dleq.z = B.add_mod p.Dleq.z B.one ps.G.q } })
+            ss
+        in
+        List.iter
+          (fun (label, ss, expected) ->
+            Alcotest.(check bool) (label ^ " (per proof)") expected
+              (per_proof ss);
+            Obs_crypto.enable ();
+            Fun.protect ~finally:Obs_crypto.disable (fun () ->
+                Obs_crypto.reset ();
+                Alcotest.(check bool) (label ^ " (batched)") expected
+                  (Coin.verify_share sharing ~party ~name ss);
+                Alcotest.(check int) (label ^ ": one batched check") 1
+                  (Obs_crypto.count Obs_crypto.Batch_verify)))
+          [ ("honest", ss, true);
+            ("corrupted value", bad_value, false);
+            ("corrupted response", bad_z, false) ]);
     Alcotest.test_case "lazy counters: batch size, hit, recomb cache" `Quick
       (fun () ->
         let sharing = deal ~seed:92 th43 in
@@ -591,10 +612,7 @@ let batch_tests =
         Obs_crypto.enable ();
         Fun.protect ~finally:Obs_crypto.disable (fun () ->
             Obs_crypto.reset ();
-            let v =
-              Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-                  Coin.combine sharing ~name ~avail shares ())
-            in
+            let v = Coin.combine sharing ~name ~avail shares () in
             Alcotest.(check bool) "combined" true (v <> None);
             Alcotest.(check int) "one batched check" 1
               (Obs_crypto.count Obs_crypto.Batch_verify);
@@ -607,10 +625,7 @@ let batch_tests =
             Alcotest.(check bool) "recomb cache warmed" true
               (Obs_crypto.count Obs_crypto.Recomb_cache_hit > 0);
             let misses = Obs_crypto.count Obs_crypto.Recomb_cache_miss in
-            let v2 =
-              Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-                  Coin.combine sharing ~name ~avail shares ())
-            in
+            let v2 = Coin.combine sharing ~name ~avail shares () in
             Alcotest.(check (option int)) "same coin" v v2;
             Alcotest.(check int) "vector served from cache" misses
               (Obs_crypto.count Obs_crypto.Recomb_cache_miss)))

@@ -545,63 +545,6 @@ let campaign_tests =
               run_with
                 { Abc.default_policy with max_batch_msgs = 8; window = 4 } )
           ]);
-    Alcotest.test_case
-      "50-seed sweep: lazy verification matches eager with fewer share checks"
-      `Slow (fun () ->
-        (* PR-7 acceptance regression: the same campaign under the
-           eager (seed) and lazy crypto policies must make identical
-           decisions at identical virtual times with identical oracle
-           verdicts — lazy verification may only change *how much* is
-           verified, never what the protocol does — while performing
-           strictly fewer per-share proof checks. *)
-        let cfg =
-          Campaign.default_config ~seeds:50
-            ~protocols:[ Campaign.P_abba ]
-            ~policies:[ Campaign.dup_reorder_policy () ]
-            ~mixes:
-              [ { Campaign.m_name = "silent"; m_kind = Campaign.Silent };
-                { Campaign.m_name = "byzantine"; m_kind = Campaign.Byz } ]
-            ()
-        in
-        let run_with policy =
-          Obs_crypto.enable ();
-          Obs_crypto.reset ();
-          let rep =
-            Crypto_policy.with_policy policy (fun () -> Campaign.run cfg)
-          in
-          let sv = Obs_crypto.count Obs_crypto.Share_verify in
-          Obs_crypto.disable ();
-          (rep, sv)
-        in
-        let eager_rep, eager_sv = run_with Crypto_policy.eager in
-        let lazy_rep, lazy_sv = run_with Crypto_policy.lazy_batched in
-        Alcotest.(check int) "runs" 100 (List.length eager_rep.Campaign.results);
-        Alcotest.(check int) "eager: zero safety violations" 0
-          (Campaign.safety_count eager_rep);
-        Alcotest.(check int) "lazy: zero safety violations" 0
-          (Campaign.safety_count lazy_rep);
-        Alcotest.(check int) "eager: zero gating liveness violations" 0
-          (Campaign.gating_liveness_count eager_rep);
-        Alcotest.(check int) "lazy: zero gating liveness violations" 0
-          (Campaign.gating_liveness_count lazy_rep);
-        List.iter2
-          (fun (e : Campaign.run_result) (l : Campaign.run_result) ->
-            let tag = Printf.sprintf "seed %d mix %s" e.Campaign.r_seed e.Campaign.r_mix in
-            Alcotest.(check bool) (tag ^ ": same decided") true
-              (e.Campaign.r_decided = l.Campaign.r_decided);
-            Alcotest.(check bool) (tag ^ ": same decide clock") true
-              (e.Campaign.r_decide_clock = l.Campaign.r_decide_clock);
-            Alcotest.(check int) (tag ^ ": same steps")
-              e.Campaign.r_steps l.Campaign.r_steps;
-            Alcotest.(check int) (tag ^ ": same violation count")
-              (List.length e.Campaign.r_violations)
-              (List.length l.Campaign.r_violations))
-          eager_rep.Campaign.results lazy_rep.Campaign.results;
-        Alcotest.(check bool)
-          (Printf.sprintf "strictly fewer share checks (lazy %d < eager %d)"
-             lazy_sv eager_sv)
-          true
-          (lazy_sv < eager_sv && eager_sv > 0));
     Alcotest.test_case "report round-trips and validates" `Quick (fun () ->
         let cfg =
           Campaign.default_config ~seeds:2
@@ -1162,7 +1105,71 @@ let table_tests =
                  if r.Compare.verdict = Compare.Regressed then
                    Some r.Compare.metric
                  else None)
-               rep.Compare.rows)) ]
+               rep.Compare.rows));
+    Alcotest.test_case "crypto path counters are info rows, costs are gated"
+      `Quick (fun () ->
+        (* A bench report over the process-global crypto counters after a
+           fixed base load plus [extra]. *)
+        let doc extra =
+          Obs_crypto.reset ();
+          Obs_crypto.enable ();
+          Fun.protect
+            ~finally:(fun () ->
+              Obs_crypto.disable ();
+              Obs_crypto.reset ())
+            (fun () ->
+              for _ = 1 to 100 do
+                Obs_crypto.modexp ();
+                Obs_crypto.recomb_cache_hit ()
+              done;
+              for _ = 1 to 50 do
+                extra ()
+              done;
+              Bench_out.document ~id:"DIR" ~wall:0.0 (Obs.create ()) [])
+        in
+        let base = doc ignore in
+        let stated =
+          match Report.header base with
+          | Ok h -> h.Report.gate
+          | Error e -> Alcotest.failf "base: %s" e
+        in
+        let better m =
+          match
+            List.find_opt
+              (fun (g : Report.gate) -> g.Report.metric = "crypto " ^ m)
+              stated
+          with
+          | Some g -> Report.better_label g.Report.better
+          | None -> Alcotest.failf "no gate row for crypto %s" m
+        in
+        List.iter
+          (fun m -> Alcotest.(check string) (m ^ " is info") "info" (better m))
+          [ "recomb_cache_hits"; "lazy_verify_hits"; "batch_verify";
+            "batch_verify_size" ];
+        List.iter
+          (fun m -> Alcotest.(check string) (m ^ " is a cost") "lower" (better m))
+          [ "modexp"; "share_verify"; "batch_verify_fallback";
+            "recomb_cache_misses" ];
+        let against candidate metric =
+          match Compare.compare_docs ~baseline:base ~candidate () with
+          | Error e -> Alcotest.failf "compare: %s" e
+          | Ok rep ->
+            ( Compare.ok rep,
+              (List.find
+                 (fun (r : Compare.row) -> r.Compare.metric = metric)
+                 rep.Compare.rows)
+                .Compare.verdict )
+        in
+        let ok, v =
+          against (doc Obs_crypto.recomb_cache_hit) "crypto recomb_cache_hits"
+        in
+        Alcotest.(check bool) "more cache hits: no regression" true ok;
+        Alcotest.(check bool) "cache hits informational" true
+          (v = Compare.Informational);
+        let ok, v = against (doc Obs_crypto.modexp) "crypto modexp" in
+        Alcotest.(check bool) "more modexps: regression" false ok;
+        Alcotest.(check bool) "modexp regressed" true (v = Compare.Regressed))
+  ]
 
 let suite =
   ( "faults",

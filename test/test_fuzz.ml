@@ -477,9 +477,7 @@ let crypto_fuzz_tests =
             honest
         in
         let got =
-          Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-              Coin.combine sharing ~name ~avail:(Pset.of_list [ 0; 1; 2 ])
-                shares ())
+          Coin.combine sharing ~name ~avail:(Pset.of_list [ 0; 1; 2 ]) shares ()
         in
         if 3 - ncorrupt >= 2 then
           (* enough honest parties: prunes to exactly the honest coin *)
@@ -524,8 +522,7 @@ let crypto_fuzz_tests =
             honest
         in
         let got =
-          Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-              Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 1; 2 ]) shares)
+          Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 1; 2 ]) shares
         in
         if 3 - ncorrupt >= 2 then got = Some msg else got = None);
     qtest ~count:70 "lazy rsa combine never emits an invalid signature"
@@ -551,10 +548,7 @@ let crypto_fuzz_tests =
               else s)
             honest
         in
-        match
-          Crypto_policy.with_policy Crypto_policy.lazy_batched (fun () ->
-              Rsa_threshold.combine keys msg shares)
-        with
+        match Rsa_threshold.combine keys msg shares with
         | Some y ->
           3 - ncorrupt >= 2 && Rsa_threshold.verify keys.Rsa_threshold.pk msg y
         | None -> 3 - ncorrupt < 2)

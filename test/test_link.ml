@@ -71,7 +71,6 @@ let unit_tests =
         bad { Link.default_policy with max_rto = 1.0 };
         bad { Link.default_policy with jitter = -0.1 };
         bad { Link.default_policy with window = 0 };
-        bad { Link.default_policy with ack_delay = -1.0 };
         Link.validate_policy Link.default_policy);
     Alcotest.test_case "lossless wire: exactly-once, window drains" `Quick
       (fun () ->
@@ -230,22 +229,7 @@ let unit_tests =
         Alcotest.(check int) "destination kept" 7 dst;
         match frame with
         | Link.Raw m -> Alcotest.(check string) "raw passthrough" "client-bound" m
-        | _ -> Alcotest.fail "expected Raw");
-    Alcotest.test_case "delayed acks batch behind one timer" `Quick
-      (fun () ->
-        let policy = { Link.default_policy with ack_delay = 50.0 } in
-        let h = harness ~policy 2 in
-        Link.handle h.eps.(1) ~src:0 (Link.Data { seq = 1; payload = "a" });
-        Link.handle h.eps.(1) ~src:0 (Link.Data { seq = 2; payload = "b" });
-        Alcotest.(check int) "no ack on the wire yet" 0 (Queue.length h.wire);
-        Alcotest.(check int) "one ack timer armed" 1 (Queue.length h.timers);
-        fire_timers h;
-        let _, _, frame = Queue.pop h.wire in
-        match frame with
-        | Link.Ack { cum; sel } ->
-          Alcotest.(check int) "batched cum" 2 cum;
-          Alcotest.(check (list int)) "no holes" [] sel
-        | _ -> Alcotest.fail "expected an ACK")
+        | _ -> Alcotest.fail "expected Raw")
   ]
 
 (* ---------------- link-frame codec ----------------------------------- *)

@@ -49,8 +49,7 @@ let tests =
         in
         bad { Abc.default_policy with max_batch_msgs = 0 };
         bad { Abc.default_policy with max_batch_bytes = 0 };
-        bad { Abc.default_policy with window = 0 };
-        bad { Abc.default_policy with linger = -1.0 });
+        bad { Abc.default_policy with window = 0 });
     Alcotest.test_case
       "explicit (batch=1, window=1) is payload-identical to the default"
       `Quick (fun () ->
