@@ -46,9 +46,9 @@
    by inclusion, removed by omission).  A replica that was down across
    boundaries catches up from the *advance chain*: each certified
    advance is self-certifying under the never-changing service key, so
-   [Epoch_pull] / [Epoch_push] over raw transport replay it safely and
-   deterministically — the rejoiner recomputes the current sharing from
-   epoch zero without trusting the pusher. *)
+   [Epoch_pull] / [Epoch_push] on the unsequenced send replay it safely
+   and deterministically — the rejoiner recomputes the current sharing
+   from epoch zero without trusting the pusher. *)
 
 module AS = Adversary_structure
 
@@ -59,8 +59,10 @@ type msg =
   | Adv_prop of { body : string }  (** an ["SEA1"] advance proposal *)
   | Adv_share of { epoch : int; hash : string; share : Keyring.sig_share }
       (** endorsement share over an advance body's hash *)
-  | Epoch_pull of { have : int }  (** chain catch-up request (raw) *)
-  | Epoch_push of { certs : string list }  (** chain suffix (raw) *)
+  | Epoch_pull of { have : int }
+      (** chain catch-up request (unsequenced send) *)
+  | Epoch_push of { certs : string list }
+      (** chain suffix (unsequenced send) *)
 
 type intent = I_refresh | I_reshare of AS.t * Proactive.target
 
@@ -70,7 +72,6 @@ type t = {
   epoch_retry : float;
   rng : Prng.t;
   rec_ : Recovery.t;
-  mutable raw_to : int -> msg -> unit;
   mutable sharing : Dl_sharing.t;
   mutable epoch : int;
   mutable chain : string list;  (* certified advances, oldest first *)
@@ -391,11 +392,10 @@ let rec pull_round t have =
   if t.pulling && t.epoch = have then begin
     let n = Proto_io.n t.io in
     for dst = 0 to n - 1 do
-      if dst <> t.io.Proto_io.me then t.raw_to dst (Epoch_pull { have })
+      if dst <> t.io.Proto_io.me then
+        t.io.Proto_io.unsequenced dst (Epoch_pull { have })
     done;
-    match t.io.Proto_io.timer with
-    | Some set -> set ~delay:t.epoch_retry (fun () -> pull_round t have)
-    | None -> ()
+    t.io.Proto_io.timer ~delay:t.epoch_retry (fun () -> pull_round t have)
   end
 
 let start_pull t =
@@ -440,7 +440,7 @@ let on_pull t ~src have =
       if k <= 0 then l else match l with [] -> [] | _ :: r -> drop (k - 1) r
     in
     let certs = drop have t.chain in
-    if certs <> [] then t.raw_to src (Epoch_push { certs })
+    if certs <> [] then t.io.Proto_io.unsequenced src (Epoch_push { certs })
   end
 
 let on_push t ~src:_ certs =
@@ -454,9 +454,7 @@ let rec retry_round t epoch =
       t.io.Proto_io.broadcast (Refresh { epoch; frame = t.own_frame });
     if t.proposed <> "" then
       t.io.Proto_io.broadcast (Adv_prop { body = t.proposed });
-    match t.io.Proto_io.timer with
-    | Some set -> set ~delay:t.epoch_retry (fun () -> retry_round t epoch)
-    | None -> ()
+    t.io.Proto_io.timer ~delay:t.epoch_retry (fun () -> retry_round t epoch)
   end
 
 let begin_epoch t it =
@@ -478,9 +476,7 @@ let begin_epoch t it =
     t.own_frame <- frame;
     t.io.Proto_io.broadcast (Refresh { epoch; frame })
   end;
-  match t.io.Proto_io.timer with
-  | Some set -> set ~delay:t.epoch_retry (fun () -> retry_round t epoch)
-  | None -> ()
+  t.io.Proto_io.timer ~delay:t.epoch_retry (fun () -> retry_round t epoch)
 
 let begin_refresh t = begin_epoch t I_refresh
 
@@ -517,68 +513,42 @@ let msg_summary = function
 
 (* ---------- deployment glue ------------------------------------------ *)
 
-type deployment = {
-  d_sim : msg Link.frame Sim.t;
-  d_keyring : Keyring.t;
-  d_sharing : Dl_sharing.t;  (* the epoch-0 service sharing *)
-  d_policy : Abc.policy option;
-  d_link : Link.policy option;
-  d_interval : int;
-  d_retry : float;
-  d_epoch_retry : float;
-  d_app_state : (unit -> string) option;
-  d_seed : int;
-  d_tag : string;
-  d_deliver : int -> string -> unit;
-  d_wrap : (int -> msg Sim.handler -> msg Sim.handler) option;
-  d_nodes : t array;
-}
+type deployment = (msg, t) Stack.deployment
 
-let nodes d = d.d_nodes
+let nodes = Stack.nodes
 
 let is_advance payload =
   String.length payload >= 4 && String.sub payload 0 4 = "SEC1"
 
-(* Instantiate and wire one party, mirroring [Recovery.wire]'s two arms
-   (link-off Raw passthrough / link-on ARQ endpoint).  The wrapped
-   recovery node delivers through the epoch interceptor: certified
-   advances install the next sharing at their total-order position,
-   everything else reaches the application. *)
-let wire d ~wrapped me =
-  let sim = d.d_sim and keyring = d.d_keyring in
-  let timer ~delay cb = Sim.set_timer sim me ~delay cb in
-  let make_io ~send ~broadcast =
-    Proto_io.make ~obs:(Sim.obs sim) ~layer:"epoch"
-      ~bytes:(msg_size keyring) ~timer ~me ~keyring ~send ~broadcast ()
-  in
-  let make_node io ~raw ~link =
+(* One node per party.  The wrapped recovery node delivers through the
+   epoch interceptor: certified advances install the next sharing at
+   their total-order position, everything else reaches the
+   application. *)
+let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
+    ?(epoch_retry = 400.) ?app_state ?(seed = 0) ~sim ~keyring ~sharing
+    ~tag ~deliver () =
+  let make me (io : msg Proto_io.t) =
     let tref = ref None in
-    let rec_io =
-      Proto_io.embed io ~layer:"recov"
-        ~bytes:(Recovery.msg_size keyring)
-        ~wrap:(fun m -> Rec m)
-    in
     let rec_ =
-      Recovery.create ?policy:d.d_policy ~interval:d.d_interval
-        ~retry:d.d_retry ?app_state:d.d_app_state ~io:rec_io ~tag:d.d_tag
+      Recovery.create ?policy ~interval ~retry ?app_state ~tag
+        ~io:
+          (Proto_io.embed io ~layer:"recov"
+             ~bytes:(Recovery.msg_size keyring)
+             ~wrap:(fun m -> Rec m))
         ~deliver:(fun p ->
           if is_advance p then
-            match !tref with
-            | Some t -> try_install_cert t p
-            | None -> ()
-          else d.d_deliver me p)
+            match !tref with Some t -> try_install_cert t p | None -> ()
+          else deliver me p)
         ()
     in
-    Recovery.set_transport rec_ ~raw:(fun dst m -> raw dst (Rec m)) ~link;
     let t =
       {
         io;
-        tag = d.d_tag;
-        epoch_retry = d.d_epoch_retry;
-        rng = Prng.create ~seed:(d.d_seed + (7919 * me) + 13);
+        tag;
+        epoch_retry;
+        rng = Prng.create ~seed:(seed + (7919 * me) + 13);
         rec_;
-        raw_to = raw;
-        sharing = d.d_sharing;
+        sharing;
         epoch = 0;
         chain = [];
         intent = None;
@@ -597,73 +567,11 @@ let wire d ~wrapped me =
     tref := Some t;
     t
   in
-  match d.d_link with
-  | None ->
-    let raw dst m = Sim.send sim ~src:me ~dst (Link.Raw m) in
-    let io =
-      make_io ~send:raw
-        ~broadcast:(fun m -> Sim.broadcast sim ~src:me (Link.Raw m))
-    in
-    let node = make_node io ~raw ~link:None in
-    let honest ~src m = handle node ~src m in
-    let h =
-      match d.d_wrap with Some w when wrapped -> w me honest | _ -> honest
-    in
-    Sim.set_handler sim me (fun ~src frame ->
-        match frame with
-        | Link.Raw m | Link.Data { payload = m; _ } -> h ~src m
-        | Link.Ack _ -> ());
-    node
-  | Some lp ->
-    let n = Sim.n sim in
-    let ep =
-      Link.create ~obs:(Sim.obs sim) ~policy:lp ~me ~n
-        ~raw_send:(fun dst frame -> Sim.send sim ~src:me ~dst frame)
-        ~timer
-        ~deliver:(fun ~src:_ _ -> ())
-        ()
-    in
-    let raw dst m = Sim.send sim ~src:me ~dst (Link.Raw m) in
-    let io =
-      make_io
-        ~send:(fun dst m -> Link.send ep dst m)
-        ~broadcast:(fun m -> Link.broadcast ep m)
-    in
-    let node = make_node io ~raw ~link:(Some ep) in
-    let honest ~src m = handle node ~src m in
-    let h =
-      match d.d_wrap with Some w when wrapped -> w me honest | _ -> honest
-    in
-    Link.set_deliver ep (fun ~src m -> h ~src m);
-    Sim.set_handler sim me (fun ~src frame -> Link.handle ep ~src frame);
-    node
-
-let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
-    ?(epoch_retry = 400.) ?app_state ?(seed = 0) ~sim ~keyring ~sharing
-    ~tag ~deliver () =
   let d =
-    {
-      d_sim = sim;
-      d_keyring = keyring;
-      d_sharing = sharing;
-      d_policy = policy;
-      d_link = link;
-      d_interval = interval;
-      d_retry = retry;
-      d_epoch_retry = epoch_retry;
-      d_app_state = app_state;
-      d_seed = seed;
-      d_tag = tag;
-      d_deliver = deliver;
-      d_wrap = wrap;
-      d_nodes = [||];
-    }
+    Stack.attach ?wrap ?link ~sim ~keyring ~layer:"epoch"
+      ~bytes:(msg_size keyring) ~make ~handle ()
   in
-  let nodes = Array.init (Sim.n sim) (fun me -> wire d ~wrapped:true me) in
-  let d = { d with d_nodes = nodes } in
-  Sim.set_stall_probe sim (fun () ->
-      Stack.abc_stall_summary
-        (Array.map (fun nd -> Recovery.abc nd.rec_) d.d_nodes));
+  Stack.probe_abc d (fun nd -> Recovery.abc nd.rec_);
   d
 
 (* Kill-and-replace support: the revived party restarts with the
@@ -673,9 +581,7 @@ let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
    certified advances; installs are idempotent (epoch <= current is
    ignored), so both paths compose. *)
 let revive d party =
-  Sim.recover d.d_sim party;
-  let node = wire d ~wrapped:false party in
-  d.d_nodes.(party) <- node;
+  let node = Stack.revive d party in
   Recovery.start_catch_up node.rec_;
   start_pull node;
   node

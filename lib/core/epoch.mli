@@ -23,8 +23,10 @@ type msg =
   | Adv_prop of { body : string }  (** an ["SEA1"] advance proposal *)
   | Adv_share of { epoch : int; hash : string; share : Keyring.sig_share }
       (** endorsement share over an advance body's hash *)
-  | Epoch_pull of { have : int }  (** chain catch-up request (raw) *)
-  | Epoch_push of { certs : string list }  (** chain suffix (raw) *)
+  | Epoch_pull of { have : int }
+      (** chain catch-up request (unsequenced send) *)
+  | Epoch_push of { certs : string list }
+      (** chain suffix (unsequenced send) *)
 
 type t
 
@@ -62,7 +64,7 @@ val begin_reshare : t -> Adversary_structure.t -> unit
     no package but still endorses and installs. *)
 
 val start_pull : t -> unit
-(** Ask peers for the advance-chain suffix (raw transport, retried). *)
+(** Ask peers for the advance-chain suffix (unsequenced send, retried). *)
 
 val msg_size : Keyring.t -> msg -> int
 val msg_summary : msg -> string
@@ -87,8 +89,9 @@ val deploy :
   deliver:(int -> string -> unit) ->
   unit ->
   deployment
-(** One node per simulator party, mirroring {!Recovery.deploy}:
-    [interval]/[retry] configure the wrapped checkpointing,
+(** One node per simulator party, attached through {!Stack.attach}
+    like {!Recovery.deploy}: [interval]/[retry] configure the wrapped
+    checkpointing,
     [epoch_retry] the package/proposal rebroadcast and chain-pull
     period, [seed] the per-node dealing randomness.  [deliver] receives
     application payloads only — certified advances are consumed at
@@ -97,7 +100,7 @@ val deploy :
 val nodes : deployment -> t array
 
 val revive : deployment -> int -> t
-(** Kill-and-replace: restart [party] with fresh state; the recovery
-    layer transfers the ordered state while the epoch layer replays the
-    advance chain.  The replacement is honest (a Byzantine [wrap] stays
-    with the dead incarnation). *)
+(** Kill-and-replace: {!Stack.revive} restarts [party] with fresh
+    state; the recovery layer then transfers the ordered state while the
+    epoch layer replays the advance chain.  The replacement is honest
+    (a Byzantine [wrap] stays with the dead incarnation). *)

@@ -8,12 +8,16 @@
 
    Per-layer attribution: [send]/[broadcast] count messages and bytes
    against the environment's layer label, while [raw_send] /
-   [raw_broadcast] reach the transport uncounted.  [embed ~layer] builds
-   the child's raw transport from the *parent's* raw transport, so each
-   wire message is counted exactly once — at the layer that originated
-   it, with that layer's size estimate — no matter how deep the wrapping
-   goes.  With the default [Obs.noop] the counting wrappers *are* the
-   raw functions, so the uninstrumented path costs nothing. *)
+   [raw_broadcast] reach the transport uncounted.  [unsequenced] is the
+   one path around the party's link endpoint (catch-up traffic whose
+   ARQ state is gone, client replies), and [link] the endpoint's rejoin
+   hooks; {!Stack.attach} builds both and [embed] only wraps them.
+   [embed ~layer] builds the child's raw transport from the *parent's*
+   raw transport, so each wire message is counted exactly once — at the
+   layer that originated it, with that layer's size estimate — no matter
+   how deep the wrapping goes.  With the default [Obs.noop] the counting
+   wrappers *are* the raw functions, so the uninstrumented path costs
+   nothing. *)
 
 module AS = Adversary_structure
 
@@ -26,10 +30,17 @@ type 'm t = {
   layer : string;
   raw_send : int -> 'm -> unit;  (* transport, bypassing the counters *)
   raw_broadcast : 'm -> unit;
-  timer : (delay:float -> (unit -> unit) -> unit) option;
-      (* one-shot virtual-time timer for this party, when the transport
-         has a clock (the simulator does); protocols must treat it as a
-         liveness aid only *)
+  unsequenced : int -> 'm -> unit;
+      (* uncounted, outside any link endpoint; may address client slots *)
+  link : resync option;  (* the party's ARQ endpoint, when there is one *)
+  timer : delay:float -> (unit -> unit) -> unit;
+      (* one-shot virtual-time timer for this party; protocols must
+         treat it as a liveness aid only *)
+}
+
+and resync = {
+  rejoin : peer:int -> expect:int -> start:int -> unit;
+  prepare_rejoin : peer:int -> int * int;
 }
 
 (* Counting wrappers around a raw transport.  Counter handles are
@@ -52,8 +63,8 @@ let counted ~obs ~layer ~bytes ~fanout ~raw_send ~raw_broadcast =
     (send, broadcast)
   end
 
-let make ?(obs = Obs.noop) ?(layer = "app") ?(bytes = fun _ -> 0) ?timer ~me
-    ~keyring ~send ~broadcast () =
+let make ?(obs = Obs.noop) ?(layer = "app") ?(bytes = fun _ -> 0) ~timer ~me
+    ~keyring ~send ~broadcast ~unsequenced ~link () =
   let fanout = AS.n keyring.Keyring.structure in
   let counted_send, counted_broadcast =
     counted ~obs ~layer ~bytes ~fanout ~raw_send:send ~raw_broadcast:broadcast
@@ -64,7 +75,7 @@ let make ?(obs = Obs.noop) ?(layer = "app") ?(bytes = fun _ -> 0) ?timer ~me
     obs; layer;
     raw_send = send;
     raw_broadcast = broadcast;
-    timer }
+    unsequenced; link; timer }
 
 let structure io = io.keyring.Keyring.structure
 let n io = AS.n (structure io)
@@ -83,6 +94,8 @@ let embed ?layer ?bytes (io : 'p t) ~(wrap : 'c -> 'p) : 'c t =
       layer = io.layer;
       raw_send = (fun dst m -> io.raw_send dst (wrap m));
       raw_broadcast = (fun m -> io.raw_broadcast (wrap m));
+      unsequenced = (fun dst m -> io.unsequenced dst (wrap m));
+      link = io.link;
       timer = io.timer }
   | Some layer ->
     (* Own layer: wrap into the parent's *raw* transport so the child's
@@ -95,7 +108,9 @@ let embed ?layer ?bytes (io : 'p t) ~(wrap : 'c -> 'p) : 'c t =
         ~raw_broadcast
     in
     { me = io.me; keyring = io.keyring; send; broadcast; obs = io.obs;
-      layer; raw_send; raw_broadcast; timer = io.timer }
+      layer; raw_send; raw_broadcast;
+      unsequenced = (fun dst m -> io.unsequenced dst (wrap m));
+      link = io.link; timer = io.timer }
 
 (* Predicate shorthands on the deployment's adversary structure. *)
 let big_quorum io s = AS.big_quorum (structure io) s

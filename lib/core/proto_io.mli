@@ -10,7 +10,8 @@
     messages and bytes against the registry of [obs] under the
     environment's [layer] label (counters ["messages"] and ["bytes"]
     with label [layer=<name>]); [raw_send] / [raw_broadcast] reach the
-    transport uncounted.  [embed ~layer] builds the child's raw
+    transport uncounted, and [unsequenced] goes around the link endpoint
+    as well.  [embed ~layer] builds the child's raw
     transport from the parent's raw transport, so every wire message is
     counted exactly once, at the layer that originated it.  With the
     default [Obs.noop] the counting wrappers are the raw functions
@@ -25,27 +26,48 @@ type 'm t = {
   layer : string;  (** label the counting wrappers attribute to *)
   raw_send : int -> 'm -> unit;  (** transport, bypassing the counters *)
   raw_broadcast : 'm -> unit;
-  timer : (delay:float -> (unit -> unit) -> unit) option;
-      (** one-shot virtual-time timer for this party when the transport
-          has a clock ({!Stack.deploy} wires [Sim.set_timer]); a
-          liveness aid only — protocol safety must never depend on it.
-          [embed] passes it through unchanged. *)
+  unsequenced : int -> 'm -> unit;
+      (** uncounted send around the party's link endpoint, straight onto
+          the network; may address client slots.  For traffic the ARQ
+          channel cannot carry: catch-up requests and replies (the
+          rejoiner's link state is gone) and client responses (clients
+          run no link). *)
+  link : resync option;
+      (** the party's ARQ endpoint resynchronization hooks, [None] with
+          the link layer off *)
+  timer : delay:float -> (unit -> unit) -> unit;
+      (** one-shot virtual-time timer for this party; a liveness aid
+          only — protocol safety must never depend on it.  [embed]
+          passes it through unchanged. *)
 }
+
+and resync = {
+  rejoin : peer:int -> expect:int -> start:int -> unit;
+      (** {!Link.rejoin} on the party's endpoint *)
+  prepare_rejoin : peer:int -> int * int;
+      (** {!Link.prepare_rejoin} on the party's endpoint *)
+}
+(** Closures rather than the endpoint itself, so a layer embedded in a
+    larger message type (recovery inside the service) resynchronizes
+    its parent's channel. *)
 
 val make :
   ?obs:Obs.t ->
   ?layer:string ->
   ?bytes:('m -> int) ->
-  ?timer:(delay:float -> (unit -> unit) -> unit) ->
+  timer:(delay:float -> (unit -> unit) -> unit) ->
   me:int ->
   keyring:Keyring.t ->
   send:(int -> 'm -> unit) ->
   broadcast:('m -> unit) ->
+  unsequenced:(int -> 'm -> unit) ->
+  link:resync option ->
   unit ->
   'm t
 (** [layer] defaults to ["app"], [bytes] (the per-message wire-size
-    estimate used by the byte counters) to [fun _ -> 0]; [timer] is
-    absent by default. *)
+    estimate used by the byte counters) to [fun _ -> 0].  {!Stack.attach}
+    is the one caller: a party's transport is built there and nowhere
+    else. *)
 
 val structure : 'm t -> Adversary_structure.t
 val n : 'm t -> int

@@ -16,17 +16,17 @@
    retires every per-round protocol structure below the boundary, so
    memory stays bounded under sustained load.
 
-   A recovering replica (fresh state after {!Sim.recover}) or a lagging
-   one (it sees checkpoint shares for rounds far beyond its own)
-   broadcasts [Fetch] — as raw, unsequenced transport, because its link
-   state is gone — and peers answer with [State]: their latest
-   certificate, their delivered-log suffix, their round, and the
-   {!Link.prepare_rejoin} resume points that resynchronize the ARQ
-   channel pair.  The fetcher rejects any reply whose certificate fails
-   to verify (a forged snapshot dies here: the adversary holds only its
-   own key shares, short of what combining requires), then waits until
-   replies agreeing *exactly* on (certificate, suffix, round) come from
-   a set that surely contains an honest party.  The honest member
+   A recovering replica (fresh state after {!revive}) or a lagging one
+   (it sees checkpoint shares for rounds far beyond its own) broadcasts
+   [Fetch] on the io's unsequenced send, because its link state is
+   gone, and peers answer the same way with [State]: their latest
+   certificate, their delivered-log suffix, their round, and the link
+   endpoint's resume points that resynchronize the ARQ channel pair.
+   The fetcher rejects any reply whose certificate fails to verify (a
+   forged snapshot dies here: the adversary holds only its own key
+   shares, short of what combining requires), then waits until replies
+   agreeing *exactly* on (certificate, suffix, round) come from a set
+   that surely contains an honest party.  The honest member
    guarantees the uncertified suffix too, so installing the group's
    state via {!Abc.install_checkpoint} is safe; a retry timer re-fetches
    until the quorum forms (at the latest when the stream quiesces and
@@ -39,7 +39,7 @@
 type msg =
   | App of Abc.msg  (** the wrapped atomic-broadcast traffic *)
   | Ckpt_share of { round : int; hash : string; share : Keyring.sig_share }
-  | Fetch of { epoch : int }  (** catch-up request (raw transport) *)
+  | Fetch of { epoch : int }  (** catch-up request (unsequenced send) *)
   | State of {
       epoch : int;
       ck : string;  (** latest certified checkpoint frame, [""] if none *)
@@ -71,12 +71,6 @@ type t = {
   retry : float;  (* catch-up re-fetch period (virtual time) *)
   abc : Abc.t;
   app_state : unit -> string;
-  mutable raw_to : int -> msg -> unit;  (* unsequenced transport *)
-  (* ARQ resynchronization hooks, stored as closures so the wrapping
-     deployment's link endpoint can carry any message type (e.g. the
-     service layer's, where recovery traffic is embedded). *)
-  mutable link_rejoin : (peer:int -> expect:int -> start:int -> unit) option;
-  mutable link_prepare : (peer:int -> int * int) option;
   (* checkpoint-in-progress state, all keyed by boundary round *)
   mutable created : int;  (* highest boundary snapshotted here *)
   snaps : (int, string * int) Hashtbl.t;  (* frame, digest count *)
@@ -108,17 +102,6 @@ let transfers t = t.transfers
 let transfer_bytes t = t.transfer_bytes
 let rejected_replies t = t.rejected
 let set_on_transfer t f = t.on_transfer <- Some f
-
-let set_transport t ~raw ~link =
-  t.raw_to <- raw;
-  match link with
-  | None ->
-    t.link_rejoin <- None;
-    t.link_prepare <- None
-  | Some ep ->
-    t.link_rejoin <-
-      Some (fun ~peer ~expect ~start -> Link.rejoin ep ~peer ~expect ~start);
-    t.link_prepare <- Some (fun ~peer -> Link.prepare_rejoin ep ~peer)
 
 (* ---------- checkpoint creation and certification ------------------- *)
 
@@ -183,7 +166,7 @@ let maybe_checkpoint t b =
         ~party:t.io.Proto_io.me (stmt t b hash)
     in
     (* Reliable (counted, sequenced) traffic: shares are protocol
-       messages, not recovery-path raw transport. *)
+       messages, not recovery-path unsequenced traffic. *)
     t.io.Proto_io.broadcast (Ckpt_share { round = b; hash; share });
     (* Peers ahead of us may have delivered their shares already. *)
     try_certify t b
@@ -207,9 +190,6 @@ let create ?policy ?(interval = 0) ?(retry = 350.)
       retry;
       abc;
       app_state;
-      raw_to = (fun dst m -> io.Proto_io.raw_send dst m);
-      link_rejoin = None;
-      link_prepare = None;
       created = 0;
       snaps = Hashtbl.create 7;
       hashes = Hashtbl.create 7;
@@ -234,11 +214,10 @@ let rec request_round t epoch =
   if t.fetching && t.epoch = epoch then begin
     let n = Proto_io.n t.io in
     for dst = 0 to n - 1 do
-      if dst <> t.io.Proto_io.me then t.raw_to dst (Fetch { epoch })
+      if dst <> t.io.Proto_io.me then
+        t.io.Proto_io.unsequenced dst (Fetch { epoch })
     done;
-    match t.io.Proto_io.timer with
-    | Some set -> set ~delay:t.retry (fun () -> request_round t epoch)
-    | None -> ()
+    t.io.Proto_io.timer ~delay:t.retry (fun () -> request_round t epoch)
   end
 
 let start_catch_up t =
@@ -355,8 +334,8 @@ let on_state t ~src (epoch, ck, suffix, round, expect, start) =
   if src >= 0 && src < n && src <> t.io.Proto_io.me then begin
     (* Transport-level resync applies regardless of content: the resume
        points concern the channel pair, not the snapshot. *)
-    (match t.link_rejoin with
-    | Some rejoin -> rejoin ~peer:src ~expect ~start
+    (match t.io.Proto_io.link with
+    | Some l -> l.Proto_io.rejoin ~peer:src ~expect ~start
     | None -> ());
     (* Verify the certificate on every reply, even one arriving after an
        install closed the episode: a forged snapshot is refused (and
@@ -394,8 +373,8 @@ let serve t ~src epoch =
         in
         List.iter (Hashtbl.remove t.served) stale;
         let r =
-          match t.link_prepare with
-          | Some prepare -> prepare ~peer:src
+          match t.io.Proto_io.link with
+          | Some l -> l.Proto_io.prepare_rejoin ~peer:src
           | None -> (0, 0)
         in
         Hashtbl.replace t.served (src, epoch) r;
@@ -403,7 +382,7 @@ let serve t ~src epoch =
     in
     let expect, start = resume in
     let ck = match t.certified with Some (_, _, f) -> f | None -> "" in
-    t.raw_to src
+    t.io.Proto_io.unsequenced src
       (State
          {
            epoch;
@@ -460,112 +439,24 @@ let msg_summary = function
 
 (* ---------- deployment glue ------------------------------------------ *)
 
-type deployment = {
-  d_sim : msg Link.frame Sim.t;
-  d_keyring : Keyring.t;
-  d_policy : Abc.policy option;
-  d_link : Link.policy option;
-  d_interval : int;
-  d_retry : float;
-  d_app_state : (unit -> string) option;
-  d_tag : string;
-  d_deliver : int -> string -> unit;
-  d_wrap : (int -> msg Sim.handler -> msg Sim.handler) option;
-  d_nodes : t array;
-}
+type deployment = (msg, t) Stack.deployment
 
-let nodes d = d.d_nodes
-
-(* Instantiate and wire one party: mirrors [Stack.deploy]'s two arms
-   (link-off Raw passthrough / link-on ARQ endpoint), plus the raw
-   transport and endpoint handles the recovery paths need. *)
-let wire d ~wrapped me =
-  let sim = d.d_sim and keyring = d.d_keyring in
-  let timer ~delay cb = Sim.set_timer sim me ~delay cb in
-  let make_io ~send ~broadcast =
-    Proto_io.make ~obs:(Sim.obs sim) ~layer:"recov"
-      ~bytes:(msg_size keyring) ~timer ~me ~keyring ~send ~broadcast ()
-  in
-  let make_node io =
-    create ?policy:d.d_policy ~interval:d.d_interval ~retry:d.d_retry
-      ?app_state:d.d_app_state ~io ~tag:d.d_tag
-      ~deliver:(d.d_deliver me) ()
-  in
-  match d.d_link with
-  | None ->
-    let io =
-      make_io
-        ~send:(fun dst m -> Sim.send sim ~src:me ~dst (Link.Raw m))
-        ~broadcast:(fun m -> Sim.broadcast sim ~src:me (Link.Raw m))
-    in
-    let node = make_node io in
-    let honest ~src m = handle node ~src m in
-    let h =
-      match d.d_wrap with
-      | Some w when wrapped -> w me honest
-      | _ -> honest
-    in
-    Sim.set_handler sim me (fun ~src frame ->
-        match frame with
-        | Link.Raw m | Link.Data { payload = m; _ } -> h ~src m
-        | Link.Ack _ -> ());
-    node
-  | Some lp ->
-    let n = Sim.n sim in
-    let ep =
-      Link.create ~obs:(Sim.obs sim) ~policy:lp ~me ~n
-        ~raw_send:(fun dst frame -> Sim.send sim ~src:me ~dst frame)
-        ~timer
-        ~deliver:(fun ~src:_ _ -> ())
-        ()
-    in
-    let io =
-      make_io
-        ~send:(fun dst m -> Link.send ep dst m)
-        ~broadcast:(fun m -> Link.broadcast ep m)
-    in
-    let node = make_node io in
-    set_transport node
-      ~raw:(fun dst m -> Sim.send sim ~src:me ~dst (Link.Raw m))
-      ~link:(Some ep);
-    let honest ~src m = handle node ~src m in
-    let h =
-      match d.d_wrap with
-      | Some w when wrapped -> w me honest
-      | _ -> honest
-    in
-    Link.set_deliver ep (fun ~src m -> h ~src m);
-    Sim.set_handler sim me (fun ~src frame -> Link.handle ep ~src frame);
-    node
+let nodes = Stack.nodes
 
 let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.) ?app_state
     ~sim ~keyring ~tag ~deliver () =
   let d =
-    {
-      d_sim = sim;
-      d_keyring = keyring;
-      d_policy = policy;
-      d_link = link;
-      d_interval = interval;
-      d_retry = retry;
-      d_app_state = app_state;
-      d_tag = tag;
-      d_deliver = deliver;
-      d_wrap = wrap;
-      d_nodes = [||];
-    }
+    Stack.attach ?wrap ?link ~sim ~keyring ~layer:"recov"
+      ~bytes:(msg_size keyring)
+      ~make:(fun me io ->
+        create ?policy ~interval ~retry ?app_state ~io ~tag
+          ~deliver:(deliver me) ())
+      ~handle ()
   in
-  let nodes = Array.init (Sim.n sim) (fun me -> wire d ~wrapped:true me) in
-  let d = { d with d_nodes = nodes } in
-  Sim.set_stall_probe sim (fun () ->
-      Stack.abc_stall_summary (Array.map (fun nd -> nd.abc) d.d_nodes));
+  Stack.probe_abc d abc;
   d
 
 let revive d party =
-  Sim.recover d.d_sim party;
-  (* The revived party is honest: a Byzantine wrap, if any, stays with
-     the dead incarnation. *)
-  let node = wire d ~wrapped:false party in
-  d.d_nodes.(party) <- node;
+  let node = Stack.revive d party in
   start_catch_up node;
   node

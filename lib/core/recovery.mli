@@ -12,8 +12,10 @@
 
     A replica revived after a crash — or one that notices checkpoint
     shares for rounds far beyond its own — fetches the latest
-    certificate plus log suffix from its peers over raw (unsequenced)
-    transport, rejects any reply whose certificate fails verification,
+    certificate plus log suffix from its peers on the io's
+    {!Proto_io.field-unsequenced} send (its link state is gone, the
+    server's is stale), rejects any reply whose certificate fails
+    verification,
     resynchronizes the ARQ channel pair via {!Link.prepare_rejoin} /
     {!Link.rejoin}, and installs the first state on which a
     surely-honest-containing set of peers agrees exactly.
@@ -38,7 +40,7 @@ type msg =
   | App of Abc.msg  (** the wrapped atomic-broadcast traffic *)
   | Ckpt_share of { round : int; hash : string; share : Keyring.sig_share }
       (** one replica's endorsement of the boundary snapshot it hashed *)
-  | Fetch of { epoch : int }  (** catch-up request (raw transport) *)
+  | Fetch of { epoch : int }  (** catch-up request (unsequenced send) *)
   | State of {
       epoch : int;
       ck : string;  (** latest certified checkpoint frame, [""] if none *)
@@ -98,16 +100,6 @@ val set_on_transfer : t -> (bytes:int -> round:int -> unit) -> unit
 (** Hook fired after each successful install — the flight recorder
     notes its state-transfer anomaly window from here. *)
 
-val set_transport : t -> raw:(int -> msg -> unit) -> link:'a Link.t option -> unit
-(** Deployment wiring: an unsequenced transport for Fetch/State (the
-    fetcher's link state is gone, the server's is stale) and the
-    party's ARQ endpoint for resynchronization.  The endpoint's message
-    type is free because only its sequencing state is touched
-    ({!Link.rejoin} / {!Link.prepare_rejoin}) — a deployment that embeds
-    recovery traffic inside a larger message type (the service layer)
-    passes its own endpoint.  {!deploy} calls this; standalone instances
-    default to the io's raw send and no link. *)
-
 val msg_size : Keyring.t -> msg -> int
 val msg_summary : msg -> string
 
@@ -128,18 +120,18 @@ val deploy :
   deliver:(int -> string -> unit) ->
   unit ->
   deployment
-(** One recovery-wrapped node per server on the simulator, mirroring
-    {!Stack.deploy}'s two transport arms (link-off Raw passthrough /
-    link-on ARQ endpoints).  [interval] defaults to [8] here — a
-    deployment of this subsystem wants checkpoints; pass [0] to measure
-    the GC-off baseline.  [wrap] corrupts parties at the payload level
-    exactly as in {!Stack.deploy}.  Also installs the ABC stall
-    probe. *)
+(** One recovery-wrapped node per server, attached through
+    {!Stack.attach} (link-off Raw passthrough or link-on ARQ endpoints;
+    the endpoint's rejoin hooks reach the node through its io).
+    [interval] defaults to [8] here — a deployment of this subsystem
+    wants checkpoints; pass [0] to measure the GC-off baseline.  [wrap]
+    corrupts parties at the payload level exactly as in {!Stack.deploy}.
+    Also installs the ABC stall probe. *)
 
 val nodes : deployment -> t array
 
 val revive : deployment -> int -> t
-(** Un-crash a party ({!Sim.recover}), wire a fresh amnesiac node in
-    its slot — honest even if the dead incarnation was wrapped — and
-    start its catch-up.  Returns the new node (the [nodes] array is
+(** {!Stack.revive} (un-crash the slot, attach a fresh amnesiac node —
+    honest even if the dead incarnation was wrapped), then start its
+    catch-up.  Returns the new node (the [nodes] array is
     updated in place). *)

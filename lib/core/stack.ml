@@ -11,6 +11,12 @@
    sequences, acks and retransmits so that lossy chaos no longer costs
    liveness.
 
+   Every deployment — these conveniences and the Recovery, Epoch and
+   Service layers — attaches its parties through [attach], which also
+   owns revive (recover the slot, attach a fresh honest node) and the
+   ABC stall probe; a layer supplies only its node constructor, its
+   handler and its own post-revive step.
+
    The returned array holds every party's instance; tests and
    experiments corrupt a party by crashing it in the simulator, by
    replacing its handler with a malicious one ([Sim.set_handler] /
@@ -23,71 +29,82 @@
    of these model full Byzantine corruption: the adversary even gets
    the party's keyring secrets, since the keyring record is shared. *)
 
-let deploy (type node) ?layer ?bytes ?link ?on_link
+(* One party's attachment, the only place a node meets the transport.
+   Per party, in this order: the link endpoint (link on), the io, the
+   node, the handler — the wrap applies only to the first incarnation
+   ([wrapped]); a revived party is honest.  [unsequenced] is the Raw
+   path around the endpoint: with the link off it is the send itself. *)
+type ('msg, 'node) deployment = {
+  sim : 'msg Link.frame Sim.t;
+  nodes : 'node array;
+  attach_party : wrapped:bool -> int -> 'node;
+}
+
+let attach ?layer ?bytes ?link ?on_link
     ?(wrap : (int -> 'msg Sim.handler -> 'msg Sim.handler) option)
     ~(sim : 'msg Link.frame Sim.t) ~(keyring : Keyring.t)
-    ~(make : int -> 'msg Proto_io.t -> node)
-    ~(handle : node -> src:int -> 'msg -> unit) () : node array =
-  let n = Sim.n sim in
-  match link with
-  | None ->
-    let nodes =
-      Array.init n (fun me ->
-          let io =
-            Proto_io.make ~obs:(Sim.obs sim) ?layer ?bytes
-              ~timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
-              ~me ~keyring
-              ~send:(fun dst m -> Sim.send sim ~src:me ~dst (Link.Raw m))
-              ~broadcast:(fun m -> Sim.broadcast sim ~src:me (Link.Raw m))
-              ()
-          in
-          make me io)
-    in
-    Array.iteri
-      (fun me node ->
-        let honest ~src m = handle node ~src m in
-        let h = match wrap with None -> honest | Some w -> w me honest in
-        Sim.set_handler sim me (fun ~src frame ->
-            match frame with
-            | Link.Raw m | Link.Data { payload = m; _ } -> h ~src m
-            | Link.Ack _ -> ()))
-      nodes;
-    nodes
-  | Some policy ->
-    let endpoints =
-      Array.init n (fun me ->
+    ~(make : int -> 'msg Proto_io.t -> 'node)
+    ~(handle : 'node -> src:int -> 'msg -> unit) () =
+  let n = Sim.n sim and obs = Sim.obs sim in
+  let attach_party ~wrapped me =
+    let timer ~delay cb = Sim.set_timer sim me ~delay cb in
+    let raw dst m = Sim.send sim ~src:me ~dst (Link.Raw m) in
+    let ep =
+      Option.map
+        (fun policy ->
           let ep =
-            Link.create ~obs:(Sim.obs sim) ~policy ~me ~n
+            Link.create ~obs ~policy ~me ~n
               ~raw_send:(fun dst frame -> Sim.send sim ~src:me ~dst frame)
-              ~timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
+              ~timer
               ~deliver:(fun ~src:_ _ -> ())
               ()
           in
-          (match on_link with None -> () | Some f -> f me ep);
+          Option.iter (fun f -> f me ep) on_link;
           ep)
+        link
     in
-    let nodes =
-      Array.init n (fun me ->
-          let ep = endpoints.(me) in
-          let io =
-            Proto_io.make ~obs:(Sim.obs sim) ?layer ?bytes
-              ~timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
-              ~me ~keyring
-              ~send:(fun dst m -> Link.send ep dst m)
-              ~broadcast:(fun m -> Link.broadcast ep m)
-              ()
-          in
-          make me io)
+    let send, broadcast, resync =
+      match ep with
+      | None -> (raw, (fun m -> Sim.broadcast sim ~src:me (Link.Raw m)), None)
+      | Some ep ->
+        ( (fun dst m -> Link.send ep dst m),
+          (fun m -> Link.broadcast ep m),
+          Some
+            { Proto_io.rejoin = Link.rejoin ep;
+              prepare_rejoin = Link.prepare_rejoin ep } )
     in
-    Array.iteri
-      (fun me node ->
-        let honest ~src m = handle node ~src m in
-        let h = match wrap with None -> honest | Some w -> w me honest in
-        let ep = endpoints.(me) in
-        Link.set_deliver ep (fun ~src m -> h ~src m);
-        Sim.set_handler sim me (fun ~src frame -> Link.handle ep ~src frame))
-      nodes;
-    nodes
+    let io =
+      Proto_io.make ~obs ?layer ?bytes ~timer ~me ~keyring ~send ~broadcast
+        ~unsequenced:raw ~link:resync ()
+    in
+    let node = make me io in
+    let honest ~src m = handle node ~src m in
+    let h = match wrap with Some w when wrapped -> w me honest | _ -> honest in
+    (match ep with
+    | None ->
+      Sim.set_handler sim me (fun ~src frame ->
+          match frame with
+          | Link.Raw m | Link.Data { payload = m; _ } -> h ~src m
+          | Link.Ack _ -> ())
+    | Some ep ->
+      Link.set_deliver ep h;
+      Sim.set_handler sim me (Link.handle ep));
+    node
+  in
+  { sim; nodes = Array.init n (attach_party ~wrapped:true); attach_party }
+
+let nodes d = d.nodes
+
+let revive d party =
+  Sim.recover d.sim party;
+  let node = d.attach_party ~wrapped:false party in
+  d.nodes.(party) <- node;
+  node
+
+let deploy ?layer ?bytes ?link ?on_link ?wrap ~sim ~keyring ~make ~handle ()
+    =
+  nodes
+    (attach ?layer ?bytes ?link ?on_link ?wrap ~sim ~keyring ~make ~handle ())
 
 (* Client endpoints: a slot >= n attached to the same framed simulator.
    Clients are outside the replica group, so they never run link
@@ -173,15 +190,19 @@ let abc_stall_summary (nodes : Abc.t array) : string =
   | [] -> "abc: no rounds in flight"
   | ps -> "abc in-flight rounds (round:proposals) " ^ String.concat " " ps
 
+let probe_abc d abc =
+  Sim.set_stall_probe d.sim (fun () ->
+      abc_stall_summary (Array.map abc d.nodes))
+
 let deploy_abc ?wrap ?policy ?link ?on_link ~sim ~keyring ~tag ~deliver () =
-  let nodes =
-    deploy ?wrap ?link ?on_link ~sim ~keyring ~layer:"abc"
+  let d =
+    attach ?wrap ?link ?on_link ~sim ~keyring ~layer:"abc"
       ~bytes:(Abc.msg_size keyring)
       ~make:(fun me io -> Abc.create ?policy ~io ~tag ~deliver:(deliver me) ())
       ~handle:Abc.handle ()
   in
-  Sim.set_stall_probe sim (fun () -> abc_stall_summary nodes);
-  nodes
+  probe_abc d Fun.id;
+  nodes d
 
 let deploy_scabc ?wrap ?policy ?link ~sim ~keyring ~tag ~deliver () =
   deploy ?wrap ?link ~sim ~keyring ~layer:"scabc" ~bytes:(Scabc.msg_size keyring)

@@ -19,6 +19,45 @@
     loss towards the victim).  The keyring record is shared, so a
     corrupted handler models full corruption including key exposure. *)
 
+type ('msg, 'node) deployment
+(** One deployment's parties: the node array (updated in place by
+    {!revive}) and how to attach a fresh node to a slot. *)
+
+val attach :
+  ?layer:string ->
+  ?bytes:('msg -> int) ->
+  ?link:Link.policy ->
+  ?on_link:(int -> 'msg Link.t -> unit) ->
+  ?wrap:(int -> 'msg Sim.handler -> 'msg Sim.handler) ->
+  sim:'msg Link.frame Sim.t ->
+  keyring:Keyring.t ->
+  make:(int -> 'msg Proto_io.t -> 'node) ->
+  handle:('node -> src:int -> 'msg -> unit) ->
+  unit ->
+  ('msg, 'node) deployment
+(** The one party-wiring path every deployment takes.  Per party, in
+    slot order: the {!Link} endpoint (with [?link]; [on_link me ep]
+    sees it), then the {!Proto_io.t}, then [make me io], then the
+    handler — [wrap me honest] when given, unwrapping Raw/Data frames
+    with the link off and dispatching through the endpoint with it on.
+    The io carries the party's timer, its counted sends, the Raw
+    [unsequenced] send (which may address client slots) and, with the
+    link on, the endpoint's rejoin hooks.  A layer passes in only its
+    node constructor and handler; per-layer settings live in the
+    [make] closure. *)
+
+val nodes : ('msg, 'node) deployment -> 'node array
+
+val revive : ('msg, 'node) deployment -> int -> 'node
+(** Un-crash a slot ({!Sim.recover}), attach a fresh amnesiac node —
+    honest even if the dead incarnation was wrapped — and replace it in
+    {!nodes}.  The caller adds its own post-revive step (catch-up,
+    chain pull). *)
+
+val probe_abc : ('msg, 'node) deployment -> ('node -> Abc.t) -> unit
+(** Install {!abc_stall_summary} over the deployment's current nodes as
+    the simulator's stall probe. *)
+
 val deploy :
   ?layer:string ->
   ?bytes:('msg -> int) ->
@@ -31,12 +70,13 @@ val deploy :
   handle:('node -> src:int -> 'msg -> unit) ->
   unit ->
   'node array
-(** Each node's [Proto_io.t] carries the simulator's observability
-    handle ([Sim.obs]); [layer]/[bytes] feed its per-layer counters.
-    [wrap me honest] is applied to every party's handler before it is
-    installed (identity by default).  With [?link], [on_link me ep]
-    exposes each party's link endpoint as it is created (introspection
-    for tests: in-flight depth, backlog, retransmit counts).  The
+(** [nodes (attach ...)].  Each node's [Proto_io.t] carries the
+    simulator's observability handle ([Sim.obs]); [layer]/[bytes] feed
+    its per-layer counters.  [wrap me honest] is applied to every
+    party's handler before it is installed (identity by default).  With
+    [?link], [on_link me ep] exposes each party's link endpoint as it is
+    created (introspection for tests: in-flight depth, backlog,
+    retransmit counts).  The
     [deploy_*] conveniences below set layer and size (layers ["rbc"],
     ["cbc"], ["abba"], ["vba"], ["abc"], ["scabc"], with the matching
     [msg_size]) and pass [?wrap] / [?link] through. *)

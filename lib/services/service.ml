@@ -48,10 +48,7 @@ type msg =
 type engine = Abc_e of Abc.t | Scabc_e of Scabc.t | Recov_e of Recovery.t
 
 type t = {
-  me : int;
-  keyring : Keyring.t;
-  obs : Obs.t;
-  sim_send : int -> msg -> unit;  (* may address clients, i.e. slots >= n *)
+  io : msg Proto_io.t;  (* replies go out on its unsequenced send *)
   mutable engine : engine option;
   execute : string -> string;  (* the replicated application *)
   read_only : string -> bool;  (* fast-path admission predicate *)
@@ -123,14 +120,15 @@ let reply_cert_of_bytes kr (b : string) : reply_cert option =
 (* ---------------- server side --------------------------------------- *)
 
 let send_reply (t : t) ~fast ~client ~req_digest ~response =
+  let { Proto_io.me; keyring; _ } = t.io in
   let share =
-    Keyring.service_sign_share t.keyring ~party:t.me
+    Keyring.service_sign_share keyring ~party:me
       (reply_statement ~fast ~req_digest ~response)
   in
-  t.sim_send client
+  t.io.Proto_io.unsequenced client
     (Response
-       (Codec.encode_svc_reply ~fast ~req_digest ~server:t.me ~response
-          ~share:(Keyring.sig_share_to_bytes t.keyring share)))
+       (Codec.encode_svc_reply ~fast ~req_digest ~server:me ~response
+          ~share:(Keyring.sig_share_to_bytes keyring share)))
 
 (* The atomic broadcast deduplicates by *content*, which is not the same
    thing as deduplicating by *request*: under the confidential engine a
@@ -143,20 +141,20 @@ let send_reply (t : t) ~fast ~client ~req_digest ~response =
    skips the state machine, and re-answers from the cached response — an
    honest client retry still gets its signature shares. *)
 let on_ordered (t : t) (payload : string) =
+  let obs = t.io.Proto_io.obs in
   match parse_request payload with
   | None ->
     (* malformed request (bad frame or empty nonce): a no-op *)
     t.malformed <- t.malformed + 1;
-    if Obs.active t.obs then
-      Obs.incr t.obs ~labels:svc_labels "service_malformed"
+    if Obs.active obs then Obs.incr obs ~labels:svc_labels "service_malformed"
   | Some (client, nonce, body) ->
     t.ordered <- t.ordered + 1;
     let response =
       match Hashtbl.find_opt t.seen (client, nonce) with
       | Some cached ->
         t.dup_suppressed <- t.dup_suppressed + 1;
-        if Obs.active t.obs then
-          Obs.incr t.obs ~labels:svc_labels "service_dup_suppressed";
+        if Obs.active obs then
+          Obs.incr obs ~labels:svc_labels "service_dup_suppressed";
         cached
       | None ->
         let response = t.execute body in
@@ -176,17 +174,18 @@ let deliver_ordered = on_ordered
    mutate, so replays are harmless).  The admission predicate is the
    soundness gate — anything it rejects must take the ordered path. *)
 let on_query (t : t) ~client body =
+  let obs = t.io.Proto_io.obs in
   let refused () =
     t.queries_refused <- t.queries_refused + 1;
-    if Obs.active t.obs then
-      Obs.incr t.obs ~labels:svc_labels "service_query_refused"
+    if Obs.active obs then
+      Obs.incr obs ~labels:svc_labels "service_query_refused"
   in
   match Codec.decode_svc_request body with
   | Some (qc, _nonce, inner) when qc = client && t.read_only inner ->
     let response = t.execute inner in
     t.queries_served <- t.queries_served + 1;
-    if Obs.active t.obs then
-      Obs.incr t.obs ~labels:svc_labels "service_query_served";
+    if Obs.active obs then
+      Obs.incr obs ~labels:svc_labels "service_query_served";
     send_reply t ~fast:true ~client ~req_digest:(Sha256.digest body)
       ~response
   | Some _ | None -> refused ()
@@ -211,21 +210,9 @@ let handle (t : t) ~src msg =
 
 (* ---------------- deployment ---------------------------------------- *)
 
-type deployment = {
-  d_sim : msg Link.frame Sim.t;
-  d_keyring : Keyring.t;
-  d_mode : mode;
-  d_policy : Abc.policy option;
-  d_link : Link.policy option;
-  d_interval : int;  (* checkpoint interval; 0 = plain Abc engine *)
-  d_retry : float;
-  d_read_only : string -> bool;
-  d_make_app : unit -> string -> string;
-  d_wrap : (int -> msg Sim.handler -> msg Sim.handler) option;
-  mutable d_nodes : t array;
-}
+type deployment = (msg, t) Stack.deployment
 
-let nodes d = d.d_nodes
+let nodes = Stack.nodes
 
 let msg_size kr = function
   | Engine (Abc_m m) -> 8 + Abc.msg_size kr m
@@ -233,145 +220,6 @@ let msg_size kr = function
   | Engine (Recov_m m) -> 8 + Recovery.msg_size kr m
   | Request { body; _ } | Query { body; _ } -> 16 + String.length body
   | Response frame -> 8 + String.length frame
-
-(* Instantiate and wire one party: mirrors [Recovery.wire]'s two arms
-   (link-off Raw passthrough / link-on ARQ endpoint).  Client-bound
-   responses are always Raw — clients run no link machinery; their loss
-   recovery is request resend against execution dedup. *)
-let wire d ~wrapped me =
-  let sim = d.d_sim and keyring = d.d_keyring in
-  let timer ~delay cb = Sim.set_timer sim me ~delay cb in
-  let make_io ~send ~broadcast =
-    Proto_io.make ~obs:(Sim.obs sim) ~layer:"service"
-      ~bytes:(msg_size keyring) ~timer ~me ~keyring ~send ~broadcast ()
-  in
-  let make_node io =
-    let node =
-      { me;
-        keyring;
-        obs = Sim.obs sim;
-        sim_send = (fun dst m -> Sim.send sim ~src:me ~dst (Link.Raw m));
-        engine = None;
-        execute = d.d_make_app ();
-        read_only = d.d_read_only;
-        ordered = 0;
-        executed = 0;
-        malformed = 0;
-        seen = Hashtbl.create 16;
-        dup_suppressed = 0;
-        queries_served = 0;
-        queries_refused = 0 }
-    in
-    (match d.d_mode with
-    | Plain when d.d_interval > 0 ->
-      let r =
-        Recovery.create ?policy:d.d_policy ~interval:d.d_interval
-          ~retry:d.d_retry
-          ~io:
-            (Proto_io.embed ~layer:"recov"
-               ~bytes:(Recovery.msg_size keyring) io
-               ~wrap:(fun m -> Engine (Recov_m m)))
-          ~tag:"service"
-          ~deliver:(fun p -> on_ordered node p)
-          ()
-      in
-      node.engine <- Some (Recov_e r)
-    | Plain ->
-      let abc =
-        Abc.create ?policy:d.d_policy
-          ~io:
-            (Proto_io.embed ~layer:"abc" ~bytes:(Abc.msg_size keyring) io
-               ~wrap:(fun m -> Engine (Abc_m m)))
-          ~tag:"service"
-          ~deliver:(fun p -> on_ordered node p)
-          ()
-      in
-      node.engine <- Some (Abc_e abc)
-    | Confidential ->
-      let sc =
-        Scabc.create ?policy:d.d_policy
-          ~io:
-            (Proto_io.embed ~layer:"scabc" ~bytes:(Scabc.msg_size keyring)
-               io
-               ~wrap:(fun m -> Engine (Scabc_m m)))
-          ~tag:"service"
-          ~deliver:(fun ~label:_ p -> on_ordered node p)
-          ()
-      in
-      node.engine <- Some (Scabc_e sc));
-    node
-  in
-  let install node ep =
-    (* Recovery's Fetch/State traffic is raw and unsequenced: the
-       fetcher's link state is gone, so catch-up cannot ride the ARQ
-       channel it is trying to resynchronize. *)
-    (match node.engine with
-    | Some (Recov_e r) ->
-      Recovery.set_transport r
-        ~raw:(fun dst m ->
-          Sim.send sim ~src:me ~dst (Link.Raw (Engine (Recov_m m))))
-        ~link:ep
-    | Some (Abc_e _ | Scabc_e _) | None -> ());
-    let honest ~src m = handle node ~src m in
-    match d.d_wrap with Some w when wrapped -> w me honest | _ -> honest
-  in
-  match d.d_link with
-  | None ->
-    let io =
-      make_io
-        ~send:(fun dst m -> Sim.send sim ~src:me ~dst (Link.Raw m))
-        ~broadcast:(fun m -> Sim.broadcast sim ~src:me (Link.Raw m))
-    in
-    let node = make_node io in
-    let h = install node None in
-    Sim.set_handler sim me (fun ~src frame ->
-        match frame with
-        | Link.Raw m | Link.Data { payload = m; _ } -> h ~src m
-        | Link.Ack _ -> ());
-    node
-  | Some lp ->
-    let n = Sim.n sim in
-    let ep =
-      Link.create ~obs:(Sim.obs sim) ~policy:lp ~me ~n
-        ~raw_send:(fun dst frame -> Sim.send sim ~src:me ~dst frame)
-        ~timer
-        ~deliver:(fun ~src:_ _ -> ())
-        ()
-    in
-    let io =
-      make_io
-        ~send:(fun dst m -> Link.send ep dst m)
-        ~broadcast:(fun m -> Link.broadcast ep m)
-    in
-    let node = make_node io in
-    let h = install node (Some ep) in
-    Link.set_deliver ep (fun ~src m -> h ~src m);
-    Sim.set_handler sim me (fun ~src frame -> Link.handle ep ~src frame);
-    node
-
-let deploy ?wrap ?policy ?link ?(ckpt_interval = 0) ?(retry = 350.)
-    ?(read_only = fun _ -> false) ~(sim : msg Link.frame Sim.t)
-    ~(keyring : Keyring.t) ~(mode : mode)
-    ~(make_app : unit -> string -> string) () : deployment =
-  if ckpt_interval > 0 && mode = Confidential then
-    invalid_arg "Service.deploy: checkpointing requires the Plain engine";
-  let d =
-    {
-      d_sim = sim;
-      d_keyring = keyring;
-      d_mode = mode;
-      d_policy = policy;
-      d_link = link;
-      d_interval = ckpt_interval;
-      d_retry = retry;
-      d_read_only = read_only;
-      d_make_app = make_app;
-      d_wrap = wrap;
-      d_nodes = [||];
-    }
-  in
-  d.d_nodes <- Array.init (Sim.n sim) (fun me -> wire d ~wrapped:true me);
-  d
 
 (* The engine's broadcast instance, for checkpoint/GC introspection
    (log peak, retired rounds) in campaigns and tests. *)
@@ -385,19 +233,78 @@ let abc_of (t : t) : Abc.t option =
 let recovery_of (t : t) : Recovery.t option =
   match t.engine with Some (Recov_e r) -> Some r | _ -> None
 
+(* One replica per party: the application, its dedup state and the
+   ordering engine, whose traffic is embedded in the service's own wire
+   type.  Client-bound responses travel on the io's unsequenced send —
+   clients run no link machinery; their loss recovery is request resend
+   against execution dedup. *)
+let deploy ?wrap ?policy ?link ?(ckpt_interval = 0) ?(retry = 350.)
+    ?(read_only = fun _ -> false) ~(sim : msg Link.frame Sim.t)
+    ~(keyring : Keyring.t) ~(mode : mode)
+    ~(make_app : unit -> string -> string) () : deployment =
+  if ckpt_interval > 0 && mode = Confidential then
+    invalid_arg "Service.deploy: checkpointing requires the Plain engine";
+  let make _ (io : msg Proto_io.t) =
+    let node =
+      { io;
+        engine = None;
+        execute = make_app ();
+        read_only;
+        ordered = 0;
+        executed = 0;
+        malformed = 0;
+        seen = Hashtbl.create 16;
+        dup_suppressed = 0;
+        queries_served = 0;
+        queries_refused = 0 }
+    in
+    let deliver p = on_ordered node p in
+    node.engine <-
+      Some
+        (match mode with
+        | Plain when ckpt_interval > 0 ->
+          Recov_e
+            (Recovery.create ?policy ~interval:ckpt_interval ~retry
+               ~io:
+                 (Proto_io.embed ~layer:"recov"
+                    ~bytes:(Recovery.msg_size keyring) io
+                    ~wrap:(fun m -> Engine (Recov_m m)))
+               ~tag:"service" ~deliver ())
+        | Plain ->
+          Abc_e
+            (Abc.create ?policy
+               ~io:
+                 (Proto_io.embed ~layer:"abc" ~bytes:(Abc.msg_size keyring)
+                    io
+                    ~wrap:(fun m -> Engine (Abc_m m)))
+               ~tag:"service" ~deliver ())
+        | Confidential ->
+          Scabc_e
+            (Scabc.create ?policy
+               ~io:
+                 (Proto_io.embed ~layer:"scabc"
+                    ~bytes:(Scabc.msg_size keyring) io
+                    ~wrap:(fun m -> Engine (Scabc_m m)))
+               ~tag:"service"
+               ~deliver:(fun ~label:_ p -> deliver p)
+               ()));
+    node
+  in
+  let d =
+    Stack.attach ?wrap ?link ~sim ~keyring ~layer:"service"
+      ~bytes:(msg_size keyring) ~make ~handle ()
+  in
+  Stack.probe_abc d (fun nd -> Option.get (abc_of nd));
+  d
+
+(* The revived party's application state restarts from genesis and is
+   rebuilt by replaying the delivered suffix during catch-up; until it
+   observes enough traffic its direct answers may lag, which the client
+   protocol absorbs — certificates only ever need t+1 matching answers,
+   never this replica's. *)
 let revive d party =
-  Sim.recover d.d_sim party;
-  (* The revived party is honest: a Byzantine wrap, if any, stays with
-     the dead incarnation.  Its application state restarts from genesis
-     and is rebuilt by replaying the delivered suffix during catch-up;
-     until it observes enough traffic its direct answers may lag, which
-     the client protocol absorbs — certificates only ever need t+1
-     matching answers, never this replica's. *)
-  let node = wire d ~wrapped:false party in
-  d.d_nodes.(party) <- node;
-  (match node.engine with
-  | Some (Recov_e r) -> Recovery.start_catch_up r
-  | Some (Abc_e _ | Scabc_e _) | None -> ());
+  let node = Stack.revive d party in
+  Option.iter Recovery.start_catch_up (recovery_of node);
   node
 
 (* ---------------- client side -------------------------------------- *)
@@ -549,14 +456,23 @@ module Client = struct
   let create ?(resend_after = 1_500.) ?(max_resends = 25) ?(fast_attempts = 2)
       ~(sim : msg Link.frame Sim.t) ~(keyring : Keyring.t) ~slot ~seed () :
       c =
+    (* The endpoint's handler closes over [c], which holds the
+       endpoint: tie the knot through a reference. *)
+    let self = ref None in
+    let io =
+      Stack.client_endpoint ~sim ~slot
+        ~handle:(fun ~src m ->
+          match (m, !self) with
+          | Response f, Some c -> on_reply c ~src f
+          | _ -> ())
+        ()
+    in
     let c =
       {
         slot;
         keyring;
         rng = Prng.create ~seed;
-        io =
-          Stack.client_endpoint ~sim ~slot ~handle:(fun ~src _ -> ignore src)
-            ();
+        io;
         resend_after;
         max_resends;
         fast_attempts;
@@ -571,13 +487,7 @@ module Client = struct
         rejected_replies = 0;
       }
     in
-    (* The endpoint's handler closes over [c], so install the real one
-       after construction. *)
-    Sim.set_handler sim slot (fun ~src frame ->
-        match frame with
-        | Link.Raw (Response f) | Link.Data { payload = Response f; _ } ->
-          on_reply c ~src f
-        | Link.Raw _ | Link.Data _ | Link.Ack _ -> ());
+    self := Some c;
     c
 
   let ordered_wire c (p : pending) =

@@ -29,10 +29,9 @@ type msg =
 type engine = Abc_e of Abc.t | Scabc_e of Scabc.t | Recov_e of Recovery.t
 
 type t = {
-  me : int;
-  keyring : Keyring.t;
-  obs : Obs.t;
-  sim_send : int -> msg -> unit;
+  io : msg Proto_io.t;
+      (** the replica's transport; responses to client slots go out on
+          its {!Proto_io.field-unsequenced} send *)
   mutable engine : engine option;
   execute : string -> string;
   read_only : string -> bool;
@@ -121,16 +120,19 @@ val deploy :
     raises [Invalid_argument] under [Confidential]) wraps the engine in
     {!Recovery}: certified checkpoints every that many rounds truncate
     the delivered log, bounding memory under sustained load, and give
-    revived replicas the certified state-transfer path.  [?link]
-    interposes an ARQ endpoint per server for engine traffic;
-    client-facing traffic always travels Raw (clients resend instead).
-    [?wrap] is the Byzantine injection hook, as in {!Stack.deploy}. *)
+    revived replicas the certified state-transfer path.  Replicas are
+    attached through {!Stack.attach}, which also installs the ABC stall
+    probe over {!abc_of}.  [?link] interposes an ARQ endpoint per server
+    for engine traffic; client-facing traffic always travels Raw on the
+    io's unsequenced send (clients resend instead).  [?wrap] is the
+    Byzantine injection hook of {!Stack.attach}. *)
 
 val nodes : deployment -> t array
 
 val revive : deployment -> int -> t
 (** Recover a crashed server with fresh protocol and application state
-    and, under a checkpointing engine, start certified catch-up
+    ({!Stack.revive}) and, under a checkpointing engine, start certified
+    catch-up
     ({!Recovery.start_catch_up}).  Application state is rebuilt by
     replaying the delivered suffix; until the replica catches up its
     direct answers may lag, which clients absorb — a certificate needs

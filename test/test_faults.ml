@@ -327,11 +327,31 @@ let drop_path_tests =
         Sim.set_stall_probe sim (fun () ->
             Printf.sprintf "probe: %d pending" (Sim.pending_count sim));
         Sim.send sim ~src:0 ~dst:1 0;
+        (try
+           Sim.run ~max_steps:25 sim;
+           Alcotest.fail "expected Out_of_steps"
+         with Sim.Out_of_steps { detail; _ } ->
+           Alcotest.(check string) "probe rendered" "probe: 1 pending" detail);
+        (* A service deployment installs the ABC probe too: a budget
+           exhausted with one client request in flight names the
+           broadcast rounds instead of reporting an empty detail. *)
+        let keyring =
+          Keyring.deal ~rsa_bits:192 ~seed:42 (AS.threshold ~n:4 ~t:1)
+        in
+        let sim = Sim.create ~n:4 ~seed:23 () in
+        ignore
+          (Service.deploy ~sim ~keyring ~mode:Service.Plain
+             ~make_app:(fun () body -> body) ());
+        let c = Service.Client.create ~sim ~keyring ~slot:4 ~seed:5 () in
+        Service.Client.request c ~mode:Service.Plain "ping" (fun _ -> ());
         try
-          Sim.run ~max_steps:25 sim;
+          Sim.run ~max_steps:60 sim;
           Alcotest.fail "expected Out_of_steps"
         with Sim.Out_of_steps { detail; _ } ->
-          Alcotest.(check string) "probe rendered" "probe: 1 pending" detail) ]
+          Alcotest.(check bool)
+            (Printf.sprintf "service detail from the abc probe: %S" detail)
+            true
+            (String.starts_with ~prefix:"abc" detail)) ]
 
 (* ---------------- oracles -------------------------------------------- *)
 

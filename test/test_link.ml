@@ -326,6 +326,81 @@ let digest_campaign cfg =
     rep.Campaign.results;
   Sha256.hex (Buffer.contents buf)
 
+(* Link-on sibling of the digest above: seeds 1-3 of the three cells
+   that route through a link endpoint or a revive — recovery
+   crash-rejoin under 30% loss, epoch kill-and-replace under loss (an
+   [Epoch.revive] with the link on) and the CA service under drop + ARQ
+   and crash-rejoin.  Every per-run row is hashed, so any change to how
+   a party attaches to the transport (send path, ARQ endpoint, unframed
+   catch-up traffic, revive order) shows up here.  Captured before party
+   attachment moved into [Stack.attach]. *)
+let golden_linkon_digest =
+  "80ff9691068957be78f977720bce4a524042795bbcf471f29e415099f38d4e52"
+
+let linkon_rows () =
+  let buf = Buffer.create 4096 in
+  let row fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let viol vs = (Oracle.count_safety vs, Oracle.count_liveness vs) in
+  let seeds = [ 1; 2; 3 ] in
+  let rcfg =
+    Rejoin.default_config ~seeds:3 ~payloads:12
+      ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()
+  in
+  let renv = Rejoin.prepare rcfg in
+  List.iter
+    (fun seed ->
+      let r =
+        Rejoin.run_one renv rcfg ~scenario:Rejoin.Crash_rejoin ~forged:false
+          ~seed
+      in
+      let s, l = viol r.Rejoin.jr_violations in
+      row "recov|%d|%d|%b|%b|%d|%d|%d|%d|%d|%d|%d|%d" seed r.Rejoin.jr_victim
+        r.Rejoin.jr_recovered r.Rejoin.jr_transferred
+        r.Rejoin.jr_transfer_bytes r.Rejoin.jr_rejected r.Rejoin.jr_log_peak
+        r.Rejoin.jr_retired r.Rejoin.jr_ckpt_round s l r.Rejoin.jr_steps)
+    seeds;
+  let ecfg =
+    Refresh.default_config ~seeds:3 ~payloads:12
+      ~scenarios:[ Refresh.Kill_replace ] ~variants:[ Refresh.Lossy ] ()
+  in
+  let eenv = Refresh.prepare ecfg in
+  List.iter
+    (fun seed ->
+      let r =
+        Refresh.run_one eenv ecfg ~scenario:Refresh.Kill_replace
+          ~variant:Refresh.Lossy ~seed
+      in
+      let s, l = viol r.Refresh.er_violations in
+      row "epoch|%d|%d|%d|%b|%b|%b|%d|%d|%b|%d|%d|%d" seed r.Refresh.er_victim
+        r.Refresh.er_epochs r.Refresh.er_completed r.Refresh.er_pk_stable
+        r.Refresh.er_old_shares_dead r.Refresh.er_certs_ok
+        r.Refresh.er_excluded r.Refresh.er_replaced_serving s l
+        r.Refresh.er_steps)
+    seeds;
+  let vcfg =
+    Svc.default_config ~seeds:3 ~requests:12 ~clients:2 ~window:2
+      ~keyspace:4 ~kinds:[ Svc.Ca_svc ]
+      ~variants:[ Svc.Drop_arq; Svc.Crash_rejoin ] ()
+  in
+  let venv = Svc.prepare vcfg in
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun seed ->
+          let r = Svc.run_one venv vcfg ~kind:Svc.Ca_svc ~variant ~seed in
+          let s, l = viol r.Svc.vr_violations in
+          row
+            "svc|%s|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%.6f"
+            (Svc.variant_label variant) seed r.Svc.vr_completed
+            r.Svc.vr_verified r.Svc.vr_cert_failures r.Svc.vr_reads
+            r.Svc.vr_fast_hits r.Svc.vr_fallbacks r.Svc.vr_retries
+            r.Svc.vr_timeouts r.Svc.vr_rejected r.Svc.vr_ordered
+            r.Svc.vr_executed r.Svc.vr_dup_suppressed r.Svc.vr_log_peak
+            r.Svc.vr_victim s l r.Svc.vr_steps r.Svc.vr_clock)
+        seeds)
+    [ Svc.Drop_arq; Svc.Crash_rejoin ];
+  Buffer.contents buf
+
 let parity_tests =
   [ Alcotest.test_case
       "link off: 50-seed campaign is bit-identical to the pre-link stack"
@@ -341,8 +416,14 @@ let parity_tests =
                    { Campaign.m_name = "byzantine"; m_kind = Campaign.Byz } ]
                ())
         in
-        Alcotest.(check string) "golden digest" golden_linkoff_digest digest)
-  ]
+        Alcotest.(check string) "golden digest" golden_linkoff_digest digest);
+    Alcotest.test_case
+      "link on: recov, epoch and svc revive cells are bit-identical"
+      `Slow (fun () ->
+        let rows = linkon_rows () in
+        print_string rows;
+        Alcotest.(check string) "golden digest" golden_linkon_digest
+          (Sha256.hex rows)) ]
 
 let lossy_abc ~link ~seed =
   let keyring = Lazy.force kr41 in
