@@ -107,7 +107,8 @@ $(CAMPAIGNS:%=%-bless): %-bless:
 	$(SINTRA) run $* --quick --out BASELINE
 	mv $($*_ART)_BASELINE.json baselines/
 
-# Adversarial schedule search over chaos genomes (hill-climb, seeded):
+# Adversarial schedule search over the chaos step of a fault timeline
+# (hill-climb, seeded):
 # maximises steps-to-decide and the link back-pressure peak, archiving
 # the worst schedules found as replayable fixtures under
 # test/fixtures/.  Exits non-zero if any evaluated schedule ever cost

@@ -485,8 +485,14 @@ let compare_cmd =
 
 let search_cmd =
   let objective_arg =
+    let objectives =
+      List.map
+        (fun o -> (Schedule_search.objective_label o, o))
+        Schedule_search.[ Decide_time; Buffer_peak ]
+    in
     Arg.(
-      value & opt string "decide-time"
+      value
+      & opt (enum objectives) Schedule_search.Decide_time
       & info [ "objective" ] ~docv:"OBJ"
           ~doc:"What to maximise: decide-time (mean steps to completion, \
                 stalls dominate) or buffer-peak (worst link send-buffer \
@@ -504,8 +510,14 @@ let search_cmd =
           ~doc:"Runs per candidate schedule evaluation.")
   in
   let protocol_arg =
+    let protocols =
+      List.map
+        (fun p -> (Campaign.protocol_label p, p))
+        Campaign.[ P_abba; P_abc ]
+    in
     Arg.(
-      value & opt string "abc"
+      value
+      & opt (enum protocols) Campaign.P_abc
       & info [ "protocol" ] ~docv:"P" ~doc:"Protocol to attack (abba, abc).")
   in
   let payloads_arg =
@@ -542,20 +554,6 @@ let search_cmd =
   in
   let run n t seed objective iters eval_seeds protocol payloads max_steps link
       out_dir top quiet =
-    let objective =
-      match Schedule_search.objective_of_label objective with
-      | Some o -> o
-      | None ->
-        Printf.eprintf "search: unknown objective %S\n" objective;
-        exit 2
-    in
-    let protocol =
-      match Campaign.protocol_of_string protocol with
-      | Some p -> p
-      | None ->
-        Printf.eprintf "search: unknown protocol %S\n" protocol;
-        exit 2
-    in
     let params =
       {
         Schedule_search.default_params with
@@ -587,14 +585,8 @@ let search_cmd =
       outcome.Schedule_search.o_evaluations best.Schedule_search.e_score
       best.Schedule_search.e_decided best.Schedule_search.e_runs
       best.Schedule_search.e_safety;
-    let g = best.Schedule_search.e_genome in
-    Printf.printf
-      "  genome: drop %.3f  delay %.2f  dup %.3f  reorder %.3f  partition \
-       [%.0f, +%.0f) frac %.2f\n"
-      g.Schedule_search.g_drop g.Schedule_search.g_delay
-      g.Schedule_search.g_dup g.Schedule_search.g_reorder
-      g.Schedule_search.g_part_start g.Schedule_search.g_part_len
-      g.Schedule_search.g_part_frac;
+    Format.printf "  timeline: %a@." Sweep.pp_timeline
+      best.Schedule_search.e_timeline;
     (match out_dir with
     | None -> ()
     | Some dir ->
@@ -618,12 +610,13 @@ let search_cmd =
   Cmd.v
     (Cmd.info "search"
        ~doc:
-         "Adversarial schedule search: hill-climb over chaos genomes \
-          (drop/delay/duplication/reordering rates plus a healing \
-          partition window), maximising steps-to-decide or link buffer \
-          peaks.  Deterministic in --seed.  With --out-dir, archives the \
-          worst schedules as replayable sintra-schedule/1 fixtures; exits \
-          non-zero if any evaluated schedule cost safety.")
+         "Adversarial schedule search: hill-climb over the chaos step of \
+          a fault timeline (drop/delay/duplication/reordering rates plus a \
+          healing partition window), maximising steps-to-decide or link \
+          buffer peaks.  Deterministic in --seed.  With --out-dir, \
+          archives the worst schedules as replayable sintra-schedule/2 \
+          fixtures (the timeline plus its evaluation); exits non-zero if \
+          any evaluated schedule cost safety.")
     Term.(
       const run $ n_arg $ t_arg $ seed_arg $ objective_arg $ iters_arg
       $ eval_seeds_arg $ protocol_arg $ payloads_arg $ max_steps_arg

@@ -9,25 +9,30 @@
    is exercised.
 
    Reporting distinguishes safety from liveness violations: lossy chaos
-   specs ([p_reliable = false]) break the paper's reliable-channel
+   specs ({!reliable} false) break the paper's reliable-channel
    assumption, so their liveness violations are recorded but do not gate
    ({!ok}); safety violations always gate.  Enabling the reliable link
    layer ([config.link]) flips that for the specs it can repair
-   ([p_link_restores]): retransmission restores eventual delivery, the
+   ({!link_restores}): retransmission restores eventual delivery, the
    reliable-channel assumption holds again, and those runs gate on
    liveness like any reliable spec. *)
 
-type policy_spec = {
-  p_name : string;
-  p_chaos : Sim.chaos;
-  p_reliable : bool;
-      (* channels still deliver eventually (duplication, reordering,
-         healing partitions) — liveness oracles remain meaningful *)
-  p_link_restores : bool;
-      (* the link layer's retransmission repairs this spec's losses
-         (probabilistic drops, no permanent partition), so with
-         [config.link] set the run becomes liveness-gating *)
-}
+type policy_spec = { p_name : string; p_chaos : Sim.chaos }
+
+(* Every partition heals, so the link layer's retransmission repairs any
+   loss; with no drop on any link either, channels deliver eventually on
+   their own and liveness oracles remain meaningful. *)
+let link_restores (c : Sim.chaos) =
+  List.for_all (fun pa -> pa.Sim.until_t < infinity) c.Sim.partitions
+
+let reliable (c : Sim.chaos) =
+  link_restores c
+  && List.for_all
+       (fun l -> l.Sim.drop = 0.0)
+       (c.Sim.default_link :: List.map snd c.Sim.links)
+
+let timeline policy =
+  [ { Sweep.at = Sweep.Start; act = Sweep.Chaos policy.p_chaos } ]
 
 type mix_kind = Silent | Crash_at of float | Byz
 
@@ -57,18 +62,12 @@ type config = {
 let drop_policy ?(rate = 0.02) () =
   {
     p_name = "drop";
-    p_reliable = false;
-    (* no permanent partition: retransmission eventually gets through *)
-    p_link_restores = true;
-    p_chaos =
-      { Sim.benign_chaos with default_link = { Sim.no_fault with drop = rate } };
+    p_chaos = Sweep.lossy rate;
   }
 
 let dup_reorder_policy ?(rate = 0.1) () =
   {
     p_name = "dup-reorder";
-    p_reliable = true;
-    p_link_restores = false;
     p_chaos =
       {
         Sim.benign_chaos with
@@ -83,8 +82,6 @@ let partition_policy ~n () =
   and upper = Pset.of_list (List.init (n - (n / 2)) (fun i -> (n / 2) + i)) in
   {
     p_name = "partition";
-    p_reliable = true;
-    p_link_restores = false;
     p_chaos =
       {
         Sim.benign_chaos with
@@ -127,7 +124,7 @@ type run_result = {
   r_corrupted : Pset.t;
   r_reliable : bool;
       (* effective: the spec delivers eventually, or the link layer
-         restores delivery ([p_link_restores] with [config.link] set) —
+         restores delivery ([link_restores] with [config.link] set) —
          exactly the runs whose liveness violations gate *)
   r_violations : Oracle.violation list;
   r_decide_clock : float option;  (* virtual time of the last honest decision *)
@@ -170,7 +167,7 @@ let mix_sends_honestly = function
 (* Effective reliability: the chaos spec delivers eventually on its own,
    or the link layer is on and repairs it. *)
 let effective_reliable cfg policy =
-  policy.p_reliable || (cfg.link <> None && policy.p_link_restores)
+  reliable policy.p_chaos || (cfg.link <> None && link_restores policy.p_chaos)
 
 (* Per-run link retransmission counts come from the shared registry
    counter (the link endpoints of every run increment the same handle),
@@ -243,7 +240,7 @@ let run_with ?flight env cfg ~protocol ~policy ~mix ~seed ~tag ~behavior sim
   let { Sweep.keyring; obs } = env in
   let corrupted = corrupted_set keyring seed in
   let honest = Pset.diff (Pset.full cfg.core.n) corrupted in
-  Sim.set_chaos sim (Some policy.p_chaos);
+  ignore (Sweep.start sim (timeline policy));
   Sweep.flight_begin flight sim;
   let on_link, peak = peak_probe () in
   let last_decide = ref None in
@@ -423,7 +420,7 @@ let config_json cfg =
                  Obs_json.Obj
                    [
                      ("name", Obs_json.Str p.p_name);
-                     ("reliable", Obs_json.Bool p.p_reliable);
+                     ("reliable", Obs_json.Bool (reliable p.p_chaos));
                    ])
                cfg.policies) );
         ( "mixes",

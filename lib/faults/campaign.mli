@@ -7,18 +7,10 @@
     corrupted set rotates through the maximal sets of the adversary
     structure across seeds. *)
 
-type policy_spec = {
-  p_name : string;
-  p_chaos : Sim.chaos;
-  p_reliable : bool;
-      (** channels still deliver eventually (duplication, reordering,
-          healing partitions): liveness oracles remain meaningful.
-          Lossy specs record liveness violations without gating. *)
-  p_link_restores : bool;
-      (** the reliable link layer repairs this spec's losses
-          (probabilistic drops without a permanent partition): with
-          [config.link] set, runs under it become liveness-gating *)
-}
+type policy_spec = { p_name : string; p_chaos : Sim.chaos }
+
+val timeline : policy_spec -> Sweep.timeline
+(** The policy as a fault timeline: its chaos spec from the start. *)
 
 type mix_kind =
   | Silent  (** receive everything, send nothing *)
@@ -43,7 +35,7 @@ type config = {
           same policy at every party, as batching requires) *)
   link : Link.policy option;
       (** reliable link layer under every deployment ([None] = off, the
-          seed behaviour); flips [p_link_restores] policies to
+          seed behaviour); flips {!link_restores} policies to
           liveness-gating *)
 }
 
@@ -52,7 +44,7 @@ type config = {
 val drop_policy : ?rate:float -> unit -> policy_spec
 (** Lossy links: every delivery attempt dropped with probability [rate]
     (default 0.02).  Not reliable on its own; the link layer restores
-    it ([p_link_restores = true]). *)
+    it. *)
 
 val dup_reorder_policy : ?rate:float -> unit -> policy_spec
 (** Duplication and extra reordering at probability [rate] (default

@@ -50,31 +50,21 @@ let variant_of_string = function
 type config = {
   e_core : Sweep.core;
   e_payloads : int;
-  e_submit_gap : float;
   e_interval : int;  (* checkpoint period of the wrapped recovery *)
   e_drop : float;  (* chaos drop rate for the lossy variant *)
   e_abc_policy : Abc.policy;
   e_link : Link.policy;
-  (* Progress-driven triggers (see {!Sweep.every}): the reconfiguration
-     fires when the stream crosses these fractions of the payload count,
-     polled by a monitor party. *)
-  e_down_frac : float;
-  e_up_frac : float;
-  e_poll : float;
-  e_epoch_retry : float;
   e_scenarios : scenario list;
   e_variants : variant list;
 }
 
 let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
-    ?(payloads = 24) ?(submit_gap = 6.0) ?(interval = 4) ?(drop = 0.3)
-    ?abc_policy ?link ?(down_frac = 0.35) ?(up_frac = 0.7) ?(poll = 200.0)
-    ?(epoch_retry = 400.0) ?scenarios ?variants ?(max_steps = 800_000) () =
+    ?(payloads = 24) ?(interval = 4) ?(drop = 0.3) ?abc_policy ?link
+    ?scenarios ?variants ?(max_steps = 800_000) () =
   {
     e_core =
       Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
     e_payloads = payloads;
-    e_submit_gap = submit_gap;
     e_interval = interval;
     e_drop = drop;
     e_abc_policy =
@@ -82,10 +72,6 @@ let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
         ~default:
           { Abc.default_policy with Abc.max_batch_msgs = 4; window = 2 };
     e_link = Option.value link ~default:Link.default_policy;
-    e_down_frac = down_frac;
-    e_up_frac = up_frac;
-    e_poll = poll;
-    e_epoch_retry = epoch_retry;
     e_scenarios =
       Option.value scenarios
         ~default:[ Refresh_only; Add_replica; Kill_replace ];
@@ -110,6 +96,31 @@ type run_result = {
 }
 
 let prepare cfg = Sweep.prepare ~key_offset:8810 cfg.e_core
+
+(* The monitor's poll period, virtual time. *)
+let poll = 200.0
+
+(* The reconfiguration opens at 35% of the stream.  Kill-and-replace
+   crashes the victim and reshares it out there, then revives it at 70%
+   once the survivors hold the new epoch, and reshares it back in once
+   it has caught up. *)
+let timeline cfg scenario variant =
+  let open Sweep in
+  let chaos =
+    match variant with
+    | Lossy -> lossy cfg.e_drop
+    | Benign | Byz_refresher -> Sim.benign_chaos
+  in
+  { at = Start; act = Chaos chaos }
+  ::
+  (match scenario with
+  | Refresh_only -> [ { at = Progress 0.35; act = Refresh } ]
+  | Add_replica -> [ { at = Progress 0.35; act = Reshare All } ]
+  | Kill_replace ->
+    [ { at = Progress 0.35; act = Crash };
+      { at = Progress 0.35; act = Reshare All_but_victim };
+      { at = Progress 0.7; act = Revive };
+      { at = Progress 0.7; act = Reshare All } ])
 
 (* A [t]-of-members access structure over the full party universe: the
    removed replicas simply own no leaves.  Used as the reshare target
@@ -141,17 +152,7 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
   in
   let pk = sharing0.Dl_sharing.public_key in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
-  let chaos =
-    match variant with
-    | Lossy ->
-      Some
-        {
-          Sim.benign_chaos with
-          Sim.default_link = { Sim.no_fault with Sim.drop = cfg.e_drop };
-        }
-    | Benign | Byz_refresher -> Some Sim.benign_chaos
-  in
-  Sim.set_chaos sim chaos;
+  let faults = Sweep.start ~victim sim (timeline cfg scenario variant) in
   let link = match variant with Lossy -> Some cfg.e_link | _ -> None in
   let tag =
     Printf.sprintf "epoch-%s-%s-%d" (scenario_label scenario)
@@ -200,37 +201,25 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
   in
   let dep =
     Epoch.deploy ~policy:cfg.e_abc_policy ?link ~interval:cfg.e_interval
-      ~epoch_retry:cfg.e_epoch_retry ~seed:(seed lxor 0xe90c) ~sim ~keyring
+      ~seed:(seed lxor 0xe90c) ~sim ~keyring
       ~sharing:sharing0 ~tag ~deliver ()
   in
   depref := Some dep;
   let nodes () = Epoch.nodes dep in
-  let watch_advances p node =
+  let watch_advances node =
     Epoch.set_on_advance node (fun ~epoch ~sharing ->
-        ignore p;
         if not (Hashtbl.mem epoch_sharings epoch) then
           Hashtbl.replace epoch_sharings epoch sharing)
   in
-  Array.iteri watch_advances (nodes ());
-  (* Client stream: staggered submissions from non-victim replicas (a
-     crashed submitter would silently shrink the expected total). *)
-  let submitters = others in
-  List.iteri
-    (fun k payload ->
-      let s = List.nth submitters (k mod List.length submitters) in
-      Sim.set_timer sim s
-        ~delay:(float_of_int k *. cfg.e_submit_gap)
-        (fun () -> Epoch.submit (nodes ()).(s) payload))
-    (List.init cfg.e_payloads (fun k -> Printf.sprintf "etx-%d-%d" seed k));
+  Array.iter watch_advances (nodes ());
+  Sweep.stream sim ~victim
+    (List.init cfg.e_payloads (fun k -> Printf.sprintf "etx-%d-%d" seed k))
+    (fun s payload -> Epoch.submit (nodes ()).(s) payload);
   let count p = Hashtbl.length seen_payloads.(p) in
   let epoch_of p = Epoch.epoch (nodes ()).(p) in
   let alive p = not (Sim.is_crashed sim p) in
   let progress () =
     List.fold_left (fun acc p -> max acc (count p)) 0 others
-  in
-  let down_th, up_th =
-    Sweep.thresholds ~down_frac:cfg.e_down_frac ~up_frac:cfg.e_up_frac
-      cfg.e_payloads
   in
   (* The reconfiguration trigger: open the epoch on every live replica;
      under the Byzantine variant the [byz] replica instead equivocates —
@@ -285,75 +274,54 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
   in
   let target_full = AS.threshold ~n ~t in
   let target_without_victim = member_structure ~n ~t others in
-  (* Scenario phase machine, driven by the monitor's poll timer. *)
-  let monitor = (victim + 2) mod n in
-  let final_epoch =
-    match scenario with Kill_replace -> 2 | _ -> 1
+  let target_of = function
+    | Sweep.Reshare Sweep.All -> Some target_full
+    | Sweep.Reshare Sweep.All_but_victim -> Some target_without_victim
+    | _ -> None
   in
-  let phase = ref `Wait_down in
-  let pending_target = ref None in
-  (* One extra payload submitted only after every replica has installed
-     the final epoch: its reply certificate proves the service is still
-     answering — with the victim countersigning — from the new sharing. *)
-  let tail_payload = Printf.sprintf "etx-%d-tail" seed in
-  let tail_submitted = ref false in
-  Sweep.every sim ~party:monitor ~period:cfg.e_poll (fun () ->
-    (match (!phase, scenario) with
-    | `Wait_down, Refresh_only when progress () >= down_th ->
-      pending_target := None;
-      open_epoch None;
-      phase := `Reconfiguring
-    | `Wait_down, Add_replica when progress () >= down_th ->
-      pending_target := Some target_full;
-      open_epoch (Some target_full);
-      phase := `Reconfiguring
-    | `Wait_down, Kill_replace when progress () >= down_th ->
-      Sim.crash sim victim;
-      pending_target := Some target_without_victim;
-      open_epoch (Some target_without_victim);
-      phase := `Wait_up
-    | `Wait_up, Kill_replace
-      when progress () >= up_th
-           && List.for_all (fun p -> epoch_of p >= 1) others ->
-      let node = Epoch.revive dep victim in
-      watch_advances victim node;
-      phase := `Wait_caught_up
-    | `Wait_caught_up, Kill_replace when epoch_of victim >= 1 ->
-      pending_target := Some target_full;
-      open_epoch (Some target_full);
-      phase := `Reconfiguring
-    | (`Reconfiguring | `Wait_up), _ ->
-      (* Re-send the equivocation while the epoch is open: the frames
-         are one-shot raw sends and the variant's network is benign,
-         but proposal races can outpace a single volley. *)
-      if
-        byz_active && alive byz
-        && Epoch.epoch (nodes ()).(byz) < final_epoch
-      then equivocate !pending_target
-    | _ -> ());
-    (match !phase with
-    | `Reconfiguring
-      when Array.for_all
-             (fun node -> Epoch.epoch node >= final_epoch)
-             (nodes ()) ->
-      if not !tail_submitted then begin
-        tail_submitted := true;
-        Epoch.submit (nodes ()).(victim) tail_payload
-      end;
-      phase := `Done
-    | `Reconfiguring ->
-      (* A replica that installed an epoch while its catch-up was
-         still replaying can have the next certified advance
-         fast-forwarded past it inside a newer checkpoint; the
-         self-certifying chain is its only remaining source, so keep
-         re-pulling stragglers while the reconfiguration is open. *)
+  let final_epoch = match scenario with Kill_replace -> 2 | _ -> 1 in
+  (* A replica that installed an epoch while its catch-up was still
+     replaying can have the next certified advance fast-forwarded past
+     it inside a newer checkpoint; the self-certifying chain is its only
+     remaining source, so keep re-pulling stragglers while an epoch with
+     every member is open. *)
+  let pull_stragglers = function
+    | Sweep.Refresh | Sweep.Reshare Sweep.All ->
       Array.iteri
         (fun p node ->
           if alive p && Epoch.epoch node < final_epoch then
             Epoch.start_pull node)
         (nodes ())
-    | _ -> ());
-    !phase <> `Done);
+    | _ -> ()
+  in
+  (* One extra payload submitted only after every replica has installed
+     the final epoch: its reply certificate proves the service is still
+     answering — with the victim countersigning — from the new sharing. *)
+  let tail_payload = Printf.sprintf "etx-%d-tail" seed in
+  let tail_submitted = ref false in
+  Sweep.drive faults ~monitor:((victim + 2) mod n) ~period:poll
+    ~total:cfg.e_payloads ~progress ~epoch:epoch_of
+    ~nudge:(function
+      | (Sweep.Refresh | Sweep.Reshare _) as a ->
+        (* Re-send the equivocation while the epoch is open: the frames
+           are one-shot raw sends and the variant's network is benign,
+           but proposal races can outpace a single volley. *)
+        if byz_active && alive byz && epoch_of byz < final_epoch then
+          equivocate (target_of a);
+        pull_stragglers a
+      | _ -> ())
+    ~tick:(fun () ->
+      if Sweep.settled faults && not !tail_submitted then begin
+        tail_submitted := true;
+        Epoch.submit (nodes ()).(victim) tail_payload
+      end;
+      false)
+    (function
+      | Sweep.Revive -> watch_advances (Epoch.revive dep victim)
+      | (Sweep.Refresh | Sweep.Reshare _) as a ->
+        open_epoch (target_of a);
+        pull_stragglers a
+      | _ -> ());
   let stream_total () =
     cfg.e_payloads + if !tail_submitted then 1 else 0
   in
@@ -370,22 +338,19 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
     && Array.for_all (fun node -> Epoch.epoch node >= final_epoch) (nodes ())
     && List.for_all caught_up (List.init n Fun.id)
   in
-  let stall = ref (Sweep.run_sim sim ~max_steps ~until:done_) in
   (* Nudge stragglers the way an operator would, as in the recovery
      campaign: a quiesced replica slightly behind re-fetches. *)
-  let nudges = ref 0 in
-  while (not (done_ ())) && !stall = [] && !nudges < 3 do
-    incr nudges;
-    Array.iteri
-      (fun p node ->
-        if alive p && ((not (caught_up p)) || epoch_of p < final_epoch)
-        then begin
-          Recovery.start_catch_up (Epoch.recovery node);
-          Epoch.start_pull node
-        end)
-      (nodes ());
-    stall := Sweep.run_sim sim ~max_steps ~until:done_
-  done;
+  let stall =
+    Sweep.run_sim sim ~max_steps ~until:done_ ~retry:(fun () ->
+        Array.iteri
+          (fun p node ->
+            if alive p && ((not (caught_up p)) || epoch_of p < final_epoch)
+            then begin
+              Recovery.start_catch_up (Epoch.recovery node);
+              Epoch.start_pull node
+            end)
+          (nodes ()))
+  in
   (* ---- oracles ---- *)
   let honest = Pset.full n in
   let histories =
@@ -394,7 +359,7 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
       (nodes ())
   in
   let order_violations =
-    Oracle.check_recovery ~honest ~expected:cfg.e_payloads histories @ !stall
+    Oracle.check_recovery ~honest ~expected:cfg.e_payloads histories @ stall
   in
   (* Public-key invariance across every installed epoch. *)
   let pk_stable =
@@ -473,11 +438,7 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
       (fun acc node -> acc + Epoch.excluded_total node)
       0 (nodes ())
   in
-  let final_sharing =
-    match Hashtbl.find_opt epoch_sharings final_epoch with
-    | Some sh -> Some sh
-    | None -> None
-  in
+  let final_sharing = Hashtbl.find_opt epoch_sharings final_epoch in
   (* The replaced replica answers from the new epoch: it holds final-
      epoch shares and actually countersigned some payload with them. *)
   let victim_signed_final =
@@ -576,8 +537,16 @@ let config_json cfg =
         ("payloads", Obs_json.Int cfg.e_payloads);
         ("interval", Obs_json.Int cfg.e_interval);
         ("drop", Obs_json.Float cfg.e_drop);
-        ("down_frac", Obs_json.Float cfg.e_down_frac);
-        ("up_frac", Obs_json.Float cfg.e_up_frac);
+        ( "timelines",
+          Obs_json.Obj
+            (List.concat_map
+               (fun s ->
+                 List.map
+                   (fun v ->
+                     ( scenario_label s ^ "/" ^ variant_label v,
+                       Sweep.timeline_json (timeline cfg s v) ))
+                   cfg.e_variants)
+               cfg.e_scenarios) );
         ( "scenarios",
           Obs_json.Arr
             (List.map

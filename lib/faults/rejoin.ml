@@ -29,28 +29,22 @@ let scenario_of_string = function
 type config = {
   j_core : Sweep.core;
   j_payloads : int;
-  j_submit_gap : float;  (* virtual time between payload submissions *)
   j_interval : int;  (* checkpoint period in rounds *)
   j_drop : float;  (* chaos drop rate (the link layer restores) *)
   j_abc_policy : Abc.policy;
   j_link : Link.policy;
-  j_down_frac : float;  (* outage when progress >= this fraction *)
-  j_up_frac : float;  (* comeback when progress >= this fraction *)
-  j_poll : float;  (* monitor poll period, virtual time *)
   j_scenarios : scenario list;
   j_variants : bool list;  (* forged-server variants to sweep *)
   j_mem_payloads : int;  (* bounded-memory probe stream length *)
 }
 
 let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
-    ?(payloads = 24) ?(submit_gap = 6.0) ?(interval = 4) ?(drop = 0.3)
-    ?abc_policy ?link ?(down_frac = 0.35) ?(up_frac = 0.75) ?(poll = 200.0)
+    ?(payloads = 24) ?(interval = 4) ?(drop = 0.3) ?abc_policy ?link
     ?scenarios ?variants ?(max_steps = 600_000) ?(mem_payloads = 192) () =
   {
     j_core =
       Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
     j_payloads = payloads;
-    j_submit_gap = submit_gap;
     j_interval = interval;
     j_drop = drop;
     j_abc_policy =
@@ -58,9 +52,6 @@ let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
         ~default:
           { Abc.default_policy with Abc.max_batch_msgs = 4; window = 2 };
     j_link = Option.value link ~default:Link.default_policy;
-    j_down_frac = down_frac;
-    j_up_frac = up_frac;
-    j_poll = poll;
     j_scenarios =
       Option.value scenarios ~default:[ Crash_rejoin; Partition_heal ];
     j_variants = Option.value variants ~default:[ false; true ];
@@ -85,6 +76,24 @@ type run_result = {
 
 let prepare cfg = Sweep.prepare ~key_offset:9990 cfg.j_core
 
+(* The monitor's poll period, virtual time. *)
+let poll = 200.0
+
+(* The outage lands at 35% of the stream and ends at 75%, over lossy
+   links the link layer restores.  Partition-heal cuts the victim off
+   behind an open-ended [Sim.partition] and heals by restoring the base
+   spec, so its window is progress-driven too. *)
+let timeline cfg scenario =
+  let open Sweep in
+  let outage, comeback =
+    match scenario with
+    | Crash_rejoin -> (Crash, Revive)
+    | Partition_heal -> (Isolate, Heal)
+  in
+  [ { at = Start; act = Chaos (lossy cfg.j_drop) };
+    { at = Progress 0.35; act = outage };
+    { at = Progress 0.75; act = comeback } ]
+
 (* ---------- one scenario run ------------------------------------------ *)
 
 let run_one ?flight (env : Sweep.env) cfg ~scenario ~forged ~seed =
@@ -96,30 +105,7 @@ let run_one ?flight (env : Sweep.env) cfg ~scenario ~forged ~seed =
     if forged then Pset.remove forger (Pset.full n) else Pset.full n
   in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
-  let base_chaos =
-    {
-      Sim.benign_chaos with
-      Sim.default_link = { Sim.no_fault with Sim.drop = cfg.j_drop };
-    }
-  in
-  (* The partition-heal outage is applied by swapping this in and the
-     base spec back out, so its window is progress-driven: the cut is an
-     open-ended [Sim.partition] (the victim alone in one cell) starting
-     at the moment the monitor trips it, healed by restoring the base
-     spec.  Open-ended windows are safe since the scheduler treats an
-     all-blocked step as a clock advance to the next timer, so the
-     survivors' traffic and every retransmit timer keep running behind
-     the cut. *)
-  let cut_chaos () =
-    {
-      base_chaos with
-      Sim.partitions =
-        [ { Sim.from_t = Sim.clock sim;
-            until_t = infinity;
-            cells = [ Pset.singleton victim ] } ];
-    }
-  in
-  Sim.set_chaos sim (Some base_chaos);
+  let faults = Sweep.start ~victim sim (timeline cfg scenario) in
   Sweep.flight_begin flight sim;
   let tag = Printf.sprintf "recov-%s-%d" (scenario_label scenario) seed in
   let wrap =
@@ -148,67 +134,46 @@ let run_one ?flight (env : Sweep.env) cfg ~scenario ~forged ~seed =
   Array.iteri
     (fun p node -> Recovery.set_on_transfer node (note_transfer p))
     (Recovery.nodes dep);
-  (* Submissions are staggered so the outage lands mid-stream; the
-     victim never submits (a crash would purge its submission timers and
-     silently shrink the expected total). *)
-  let submitters =
-    List.filter (fun p -> p <> victim) (List.init n Fun.id)
-  in
-  List.iteri
-    (fun k payload ->
-      let s = List.nth submitters (k mod List.length submitters) in
-      Sim.set_timer sim s
-        ~delay:(float_of_int k *. cfg.j_submit_gap)
-        (fun () -> Recovery.submit (Recovery.nodes dep).(s) payload))
-    (List.init cfg.j_payloads (fun k -> Printf.sprintf "rtx-%d-%d" seed k));
+  Sweep.stream sim ~victim
+    (List.init cfg.j_payloads (fun k -> Printf.sprintf "rtx-%d-%d" seed k))
+    (fun s payload -> Recovery.submit (Recovery.nodes dep).(s) payload);
   let nodes () = Recovery.nodes dep in
   let count p = Abc.delivered_count (Recovery.abc (nodes ()).(p)) in
-  (* The outage and the comeback, driven by stream progress at the
-     surviving honest parties.  The monitor is honest and never the
-     victim (for n = 4 it also avoids the forger at victim + 1), so its
-     poll timer survives the whole run. *)
-  Sweep.every sim ~party:((victim + 2) mod n) ~period:cfg.j_poll
-    (Sweep.outage ~down_frac:cfg.j_down_frac ~up_frac:cfg.j_up_frac
-       ~total:cfg.j_payloads
-       ~progress:(fun () ->
-         Pset.fold
-           (fun p acc -> if p = victim then acc else max acc (count p))
-           honest 0)
-       ~down:(fun () ->
-         match scenario with
-         | Crash_rejoin -> Sim.crash sim victim
-         | Partition_heal -> Sim.set_chaos sim (Some (cut_chaos ())))
-       ~up:(fun () ->
-         match scenario with
-         | Crash_rejoin ->
-           let node = Recovery.revive dep victim in
-           Recovery.set_on_transfer node (note_transfer victim)
-         | Partition_heal ->
-           Sim.set_chaos sim (Some base_chaos);
-           (* Resync on heal, as an operator would after a long cut:
-              the victim races native ARQ catch-up against certified
-              state transfer, and a forged server gets fetched (and
-              rejected) either way. *)
-           Recovery.start_catch_up (nodes ()).(victim)));
+  (* The timeline runs on stream progress at the surviving honest
+     parties.  The monitor is honest and never the victim (for n = 4 it
+     also avoids the forger at victim + 1), so its poll timer survives
+     the whole run. *)
+  Sweep.drive faults ~monitor:((victim + 2) mod n) ~period:poll
+    ~total:cfg.j_payloads
+    ~progress:(fun () ->
+      Pset.fold
+        (fun p acc -> if p = victim then acc else max acc (count p))
+        honest 0)
+    (function
+      | Sweep.Revive ->
+        let node = Recovery.revive dep victim in
+        Recovery.set_on_transfer node (note_transfer victim)
+      | Sweep.Heal ->
+        (* Resync on heal, as an operator would after a long cut: the
+           victim races native ARQ catch-up against certified state
+           transfer, and a forged server gets fetched (and rejected)
+           either way. *)
+        Recovery.start_catch_up (nodes ()).(victim)
+      | _ -> ());
   let done_ () =
     Pset.for_all (fun p -> count p >= cfg.j_payloads) honest
   in
-  let run_once () =
-    Sweep.run_sim ?flight sim ~max_steps:cfg.j_core.max_steps ~until:done_
-  in
-  let stall = ref (run_once ()) in
   (* A replica can quiesce slightly behind with no new checkpoint share
      to trip its lag detector; nudge it the way an operator would. *)
-  let nudges = ref 0 in
-  while (not (done_ ())) && !stall = [] && !nudges < 3 do
-    incr nudges;
-    Pset.iter
-      (fun p ->
-        if count p < cfg.j_payloads && not (Sim.is_crashed sim p) then
-          Recovery.start_catch_up (nodes ()).(p))
-      honest;
-    stall := run_once ()
-  done;
+  let stall =
+    Sweep.run_sim ?flight sim ~max_steps:cfg.j_core.max_steps ~until:done_
+      ~retry:(fun () ->
+        Pset.iter
+          (fun p ->
+            if count p < cfg.j_payloads && not (Sim.is_crashed sim p) then
+              Recovery.start_catch_up (nodes ()).(p))
+          honest)
+  in
   let victim_node = (nodes ()).(victim) in
   let histories =
     Array.map
@@ -217,7 +182,7 @@ let run_one ?flight (env : Sweep.env) cfg ~scenario ~forged ~seed =
   in
   let violations =
     Oracle.check_recovery ~honest ~expected:cfg.j_payloads histories
-    @ !stall
+    @ stall
   in
   let safety = Oracle.count_safety violations in
   let fold_honest f =
@@ -377,8 +342,12 @@ let config_json cfg =
         ("payloads", Obs_json.Int cfg.j_payloads);
         ("interval", Obs_json.Int cfg.j_interval);
         ("drop", Obs_json.Float cfg.j_drop);
-        ("down_frac", Obs_json.Float cfg.j_down_frac);
-        ("up_frac", Obs_json.Float cfg.j_up_frac);
+        ( "timelines",
+          Obs_json.Obj
+            (List.map
+               (fun s ->
+                 (scenario_label s, Sweep.timeline_json (timeline cfg s)))
+               cfg.j_scenarios) );
         ( "scenarios",
           Obs_json.Arr
             (List.map

@@ -24,16 +24,10 @@ val scenario_of_string : string -> scenario option
 type config = {
   j_core : Sweep.core;
   j_payloads : int;
-  j_submit_gap : float;  (** virtual time between payload submissions *)
   j_interval : int;  (** checkpoint period in rounds *)
   j_drop : float;  (** chaos drop rate (the link layer restores) *)
   j_abc_policy : Abc.policy;
   j_link : Link.policy;
-  j_down_frac : float;
-      (** trigger the outage when honest progress crosses this fraction
-          of the stream (see {!Sweep.every}) *)
-  j_up_frac : float;  (** revive / heal at this progress fraction *)
-  j_poll : float;  (** monitor poll period, virtual time *)
   j_scenarios : scenario list;
   j_variants : bool list;  (** forged-server variants to sweep *)
   j_mem_payloads : int;  (** bounded-memory probe stream length *)
@@ -47,14 +41,10 @@ val default_config :
   ?rsa_bits:int ->
   ?group_bits:int ->
   ?payloads:int ->
-  ?submit_gap:float ->
   ?interval:int ->
   ?drop:float ->
   ?abc_policy:Abc.policy ->
   ?link:Link.policy ->
-  ?down_frac:float ->
-  ?up_frac:float ->
-  ?poll:float ->
   ?scenarios:scenario list ->
   ?variants:bool list ->
   ?max_steps:int ->
@@ -80,6 +70,11 @@ type run_result = {
 
 val prepare : config -> Sweep.env
 (** Keyring dealt once, shared across runs, as in {!Campaign.prepare}. *)
+
+val timeline : config -> scenario -> Sweep.timeline
+(** The scenario's faults: lossy chaos from the start, the victim
+    crashed (or isolated) at 35% of the stream and revived (or healed)
+    at 75%. *)
 
 val run_one :
   ?flight:Flight.recorder ->

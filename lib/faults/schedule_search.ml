@@ -1,7 +1,7 @@
-(* Adversarial schedule search: a seeded hill-climber over chaos
-   genomes — drop / delay / duplication / reordering rates plus a
-   healing-partition window — maximising how badly the stack behaves
-   under them.  Two objectives:
+(* Adversarial schedule search: a seeded hill-climber over the chaos
+   step of a fault timeline — drop / delay / duplication / reordering
+   rates plus a healing-partition window — maximising how badly the
+   stack behaves under them.  Two objectives:
 
    - [Decide_time]: mean simulator steps to completion across the
      evaluation seeds, with a large penalty per undecided run, so the
@@ -13,101 +13,89 @@
      schedule starves acks; meaningful only with the link layer on, so
      that objective forces [link = true].
 
-   The climber mutates one gene per iteration (clamped to its bounds),
-   accepts on strict improvement, and archives every distinct evaluated
-   schedule; the top few become replayable fixtures
-   (test/fixtures/worst_*.json, schema sintra-schedule/1) that the test
-   suite re-runs, asserting that even the worst schedules the search
-   found never cost safety — the paper's claim under exactly the
-   adversary the search plays.
+   The climber mutates one parameter per iteration (clamped to its
+   range), accepts on strict improvement, and archives every distinct
+   evaluated schedule; the top few become replayable fixtures
+   (test/fixtures/worst_*.json, schema sintra-schedule/2) that the test
+   suite re-runs, asserting that they reproduce their recorded score and
+   that even the worst schedules the search found never cost safety —
+   the paper's claim under exactly the adversary the search plays.
 
    Everything is derived from [params.search_seed]: same seed, same
    mutations, same evaluations, same fixtures, byte for byte. *)
 
-type genome = {
-  g_drop : float;  (* [0, 0.4] per-delivery loss *)
-  g_delay : float;  (* [0, 8] extra latency multiplier (Sim delay knob) *)
-  g_dup : float;  (* [0, 0.5] duplication *)
-  g_reorder : float;  (* [0, 0.5] extra reordering *)
-  g_part_start : float;  (* [0, 600] partition window start *)
-  g_part_len : float;  (* [0, 800] partition window length; < 1 = none *)
-  g_part_frac : float;  (* [0, 0.5] fraction of parties cut off *)
-}
+(* ---------- the searched parameters --------------------------------- *)
 
-let bounds =
-  [ (0.0, 0.4); (0.0, 8.0); (0.0, 0.5); (0.0, 0.5); (0.0, 600.0);
-    (0.0, 800.0); (0.0, 0.5) ]
+(* The climb's state is the spec of a fault timeline's one [Start] chaos
+   step, read as seven parameters: the default link's drop, delay, duplication and
+   reordering, then a healing partition's start, length and the fraction
+   of parties (the first [round (frac * n)]) it cuts off — no partition
+   when the window is shorter than 1 or the cut is empty, and a spec
+   without one reads as 0, 0, 0. *)
 
-let gene g = function
-  | 0 -> g.g_drop
-  | 1 -> g.g_delay
-  | 2 -> g.g_dup
-  | 3 -> g.g_reorder
-  | 4 -> g.g_part_start
-  | 5 -> g.g_part_len
-  | _ -> g.g_part_frac
+let ranges =
+  [| (0.0, 0.4); (0.0, 8.0); (0.0, 0.5); (0.0, 0.5); (0.0, 600.0);
+     (0.0, 800.0); (0.0, 0.5) |]
 
-let with_gene g i v =
-  match i with
-  | 0 -> { g with g_drop = v }
-  | 1 -> { g with g_delay = v }
-  | 2 -> { g with g_dup = v }
-  | 3 -> { g with g_reorder = v }
-  | 4 -> { g with g_part_start = v }
-  | 5 -> { g with g_part_len = v }
-  | _ -> { g with g_part_frac = v }
+let parameters ~n (c : Sim.chaos) =
+  let l = c.Sim.default_link in
+  let start, len, frac =
+    match c.Sim.partitions with
+    | [ { Sim.from_t; until_t; cells = cut :: _ } ] ->
+      let frac = float_of_int (Pset.card cut) /. float_of_int n in
+      (from_t, until_t -. from_t, frac)
+    | _ -> (0.0, 0.0, 0.0)
+  in
+  [| l.Sim.drop; l.Sim.delay; l.Sim.duplicate; l.Sim.reorder; start; len;
+     frac |]
 
-let n_genes = 7
+let with_parameters ~n (c : Sim.chaos) v =
+  let k = int_of_float (Float.round (v.(6) *. float_of_int n)) in
+  let partitions =
+    if v.(5) < 1.0 || k < 1 then []
+    else
+      [ { Sim.from_t = v.(4);
+          until_t = v.(4) +. v.(5);
+          cells =
+            [ Pset.of_list (List.init k Fun.id);
+              Pset.of_list (List.init (n - k) (fun i -> k + i)) ] } ]
+  in
+  let default_link =
+    { Sim.drop = v.(0); delay = v.(1); duplicate = v.(2); reorder = v.(3) }
+  in
+  { c with Sim.default_link; partitions }
 
-let clamp lo hi v = Float.max lo (Float.min hi v)
+let timeline c = [ { Sweep.at = Sweep.Start; act = Sweep.Chaos c } ]
 
-let benign_genome =
-  { g_drop = 0.0; g_delay = 0.0; g_dup = 0.0; g_reorder = 0.0;
-    g_part_start = 0.0; g_part_len = 0.0; g_part_frac = 0.0 }
+let chaos_of = function
+  | [ { Sweep.at = Sweep.Start; act = Sweep.Chaos c } ] -> Ok c
+  | _ -> Error "a searched timeline is one start-time chaos step"
 
 (* A mild starting point: every knob slightly on, so a single mutation
    can already interact with the others. *)
-let seed_genome =
-  { g_drop = 0.02; g_delay = 0.5; g_dup = 0.05; g_reorder = 0.05;
-    g_part_start = 50.0; g_part_len = 100.0; g_part_frac = 0.25 }
+let seed_chaos ~n =
+  with_parameters ~n Sim.benign_chaos
+    [| 0.02; 0.5; 0.05; 0.05; 50.0; 100.0; 0.25 |]
 
-(* One gene per step: scale-free perturbation by up to ±30% of the
-   gene's range, clamped. *)
-let mutate rng g =
-  let i = Prng.int rng n_genes in
-  let lo, hi = List.nth bounds i in
+let seed_timeline ~n = timeline (seed_chaos ~n)
+
+let clamp lo hi v = Float.max lo (Float.min hi v)
+
+(* One parameter per step: scale-free perturbation by up to ±30% of its
+   range, clamped. *)
+let mutate rng ~n c =
+  let v = parameters ~n c in
+  let i = Prng.int rng (Array.length v) in
+  let lo, hi = ranges.(i) in
   let step = (Prng.float rng -. 0.5) *. 0.6 *. (hi -. lo) in
-  with_gene g i (clamp lo hi (gene g i +. step))
+  v.(i) <- clamp lo hi (v.(i) +. step);
+  with_parameters ~n c v
 
-(* ---------- genome -> campaign policy -------------------------------- *)
-
-let partition_of ~n g =
-  let k = int_of_float (Float.round (g.g_part_frac *. float_of_int n)) in
-  if g.g_part_len < 1.0 || k < 1 then []
-  else
-    let cut = Pset.of_list (List.init k Fun.id) in
-    let rest = Pset.of_list (List.init (n - k) (fun i -> k + i)) in
-    [ { Sim.from_t = g.g_part_start;
-        until_t = g.g_part_start +. g.g_part_len;
-        cells = [ cut; rest ] } ]
-
-let policy_of_genome ~n g =
-  {
-    Campaign.p_name = "searched";
-    (* probabilistic loss breaks eventual delivery on its own; every
-       partition the search emits heals, so the link layer restores
-       delivery whenever it is enabled *)
-    p_reliable = g.g_drop = 0.0;
-    p_link_restores = true;
-    p_chaos =
-      {
-        Sim.default_link =
-          { Sim.drop = g.g_drop; duplicate = g.g_dup; reorder = g.g_reorder;
-            delay = g.g_delay };
-        links = [];
-        partitions = partition_of ~n g;
-      };
-  }
+(* Distinct schedules, up to printing precision. *)
+let key ~n c =
+  let v = parameters ~n c in
+  Printf.sprintf "%.4f/%.4f/%.4f/%.4f/%.1f/%.1f/%.2f" v.(0) v.(1) v.(2) v.(3)
+    v.(4) v.(5) v.(6)
 
 (* ---------- evaluation ------------------------------------------------ *)
 
@@ -149,7 +137,8 @@ let default_params =
     max_steps = 60_000;
   }
 
-let config_of p ~link =
+let config_of p objective =
+  let link = p.link || objective = Buffer_peak in
   Campaign.default_config ~seeds:p.eval_seeds ~seed_base:p.seed_base ~n:p.n
     ~t:p.t ~protocols:[ p.protocol ]
     ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
@@ -180,17 +169,16 @@ let score_of_results p objective results =
       0.0 results
 
 type eval = {
-  e_genome : genome;
+  e_timeline : Sweep.timeline;
   e_score : float;
   e_safety : int;  (* safety violations seen while evaluating *)
   e_decided : int;
   e_runs : int;
 }
 
-let evaluate env p objective g =
-  let link = p.link || objective = Buffer_peak in
-  let cfg = config_of p ~link in
-  let policy = policy_of_genome ~n:p.n g in
+let evaluate env p objective c =
+  let cfg = config_of p objective in
+  let policy = { Campaign.p_name = "searched"; p_chaos = c } in
   let mix = List.hd cfg.Campaign.mixes in
   let results =
     List.init p.eval_seeds (fun i ->
@@ -198,7 +186,7 @@ let evaluate env p objective g =
           ~seed:(p.seed_base + i))
   in
   {
-    e_genome = g;
+    e_timeline = timeline c;
     e_score = score_of_results p objective results;
     e_safety =
       List.fold_left
@@ -216,63 +204,38 @@ type outcome = {
   o_evaluations : int;
 }
 
-let genome_key g =
-  Printf.sprintf "%.4f/%.4f/%.4f/%.4f/%.1f/%.1f/%.2f" g.g_drop g.g_delay
-    g.g_dup g.g_reorder g.g_part_start g.g_part_len g.g_part_frac
-
 let search ?(progress = fun _ -> ()) ?(params = default_params) ~objective ()
     =
-  let link = params.link || objective = Buffer_peak in
-  let env = Campaign.prepare (config_of params ~link) in
+  let env = Campaign.prepare (config_of params objective) in
   let rng = Prng.create ~seed:(params.search_seed * 2654435761 + 1) in
   let seen = Hashtbl.create 64 in
   let archive = ref [] in
   let evals = ref 0 in
-  let eval g =
-    let e = evaluate env params objective g in
+  let n = params.n in
+  let eval c =
+    let e = evaluate env params objective c in
     incr evals;
-    if not (Hashtbl.mem seen (genome_key g)) then begin
-      Hashtbl.add seen (genome_key g) ();
+    if not (Hashtbl.mem seen (key ~n c)) then begin
+      Hashtbl.add seen (key ~n c) ();
       archive := e :: !archive
     end;
     progress (!evals, params.iters + 1, e.e_score);
     e
   in
-  let current = ref (eval seed_genome) in
+  let current = ref (seed_chaos ~n, eval (seed_chaos ~n)) in
   for _ = 1 to params.iters do
-    let candidate = mutate rng !current.e_genome in
+    let candidate = mutate rng ~n (fst !current) in
     let e = eval candidate in
-    if e.e_score > !current.e_score then current := e
+    if e.e_score > (snd !current).e_score then current := (candidate, e)
   done;
   let worst_first =
     List.stable_sort (fun a b -> compare b.e_score a.e_score) (List.rev !archive)
   in
-  { o_best = !current; o_archive = worst_first; o_evaluations = !evals }
+  { o_best = snd !current; o_archive = worst_first; o_evaluations = !evals }
 
 (* ---------- fixtures -------------------------------------------------- *)
 
-let schema = "sintra-schedule/1"
-
-let genome_json g =
-  Obs_json.Obj
-    [ ("drop", Obs_json.Float g.g_drop);
-      ("delay", Obs_json.Float g.g_delay);
-      ("duplicate", Obs_json.Float g.g_dup);
-      ("reorder", Obs_json.Float g.g_reorder);
-      ("part_start", Obs_json.Float g.g_part_start);
-      ("part_len", Obs_json.Float g.g_part_len);
-      ("part_frac", Obs_json.Float g.g_part_frac) ]
-
-let genome_of_json v =
-  let f k = Option.bind (Obs_json.member k v) Obs_json.to_float in
-  match (f "drop", f "delay", f "duplicate", f "reorder", f "part_start",
-         f "part_len", f "part_frac")
-  with
-  | ( Some g_drop, Some g_delay, Some g_dup, Some g_reorder,
-      Some g_part_start, Some g_part_len, Some g_part_frac ) ->
-    Some { g_drop; g_delay; g_dup; g_reorder; g_part_start; g_part_len;
-           g_part_frac }
-  | _ -> None
+let schema = "sintra-schedule/2"
 
 let fixture_json ~params:p ~objective (e : eval) =
   let link = p.link || objective = Buffer_peak in
@@ -280,7 +243,7 @@ let fixture_json ~params:p ~objective (e : eval) =
     [ ("schema", Obs_json.Str schema);
       ("objective", Obs_json.Str (objective_label objective));
       ("score", Obs_json.Float e.e_score);
-      ("genome", genome_json e.e_genome);
+      ("timeline", Sweep.timeline_json e.e_timeline);
       ("link", Obs_json.Bool link);
       ( "eval",
         Obs_json.Obj
@@ -309,58 +272,36 @@ let write_fixtures ~dir ~params ~objective (o : outcome) ~top =
         (fixture_json ~params ~objective e))
     picked
 
-(* Rebuild the campaign configuration a fixture describes and re-run it;
-   the test suite asserts [Campaign.safety_count = 0] over the result.
-   Structural problems are [Error]s. *)
-let replay (doc : Obs_json.t) : (Campaign.report, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Obs_json.member "schema" doc) Obs_json.to_str with
-    | Some s when s = schema -> Ok ()
-    | Some s -> Error ("unexpected schema " ^ s)
-    | None -> Error "missing \"schema\""
+(* Rebuild the evaluation a fixture describes and re-run it; the test
+   suite checks it reproduces the recorded score and decided count with
+   zero safety violations.  Structural problems are [Error]s. *)
+let replay (doc : Obs_json.t) : (eval, string) result =
+  let ok r = Result.fold ~ok:Fun.id ~error:failwith r in
+  let get path conv = ok (Report.field doc path conv) in
+  let known what of_string v =
+    match of_string v with
+    | Some x -> x
+    | None -> Printf.ksprintf failwith "unknown %s %S" what v
   in
-  let* g =
-    match Option.bind (Obs_json.member "genome" doc) genome_of_json with
-    | Some g -> Ok g
-    | None -> Error "missing or malformed \"genome\""
+  let parse () =
+    if get [ "schema" ] Obs_json.to_str <> schema then
+      failwith ("expected schema " ^ schema);
+    let tl = ok (Sweep.timeline_of_json (get [ "timeline" ] Option.some)) in
+    let chaos = ok (chaos_of tl) in
+    let int k = get [ "eval"; k ] Obs_json.to_int in
+    let objective = get [ "objective" ] Obs_json.to_str in
+    let protocol = get [ "eval"; "protocol" ] Obs_json.to_str in
+    ( known "objective" objective_of_label objective,
+      chaos,
+      { default_params with
+        n = int "n"; t = int "t"; eval_seeds = int "seeds";
+        seed_base = int "seed_base"; payloads = int "payloads";
+        max_steps = int "max_steps"; link = get [ "link" ] Obs_json.to_bool;
+        protocol = known "protocol" Campaign.protocol_of_string protocol } )
   in
-  let* link =
-    match Option.bind (Obs_json.member "link" doc) Obs_json.to_bool with
-    | Some b -> Ok b
-    | None -> Error "missing \"link\""
-  in
-  let* ev =
-    match Obs_json.member "eval" doc with
-    | Some e -> Ok e
-    | None -> Error "missing \"eval\""
-  in
-  let int k =
-    match Option.bind (Obs_json.member k ev) Obs_json.to_int with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or non-int \"eval\".%S" k)
-  in
-  let* n = int "n" in
-  let* t = int "t" in
-  let* seeds = int "seeds" in
-  let* seed_base = int "seed_base" in
-  let* payloads = int "payloads" in
-  let* max_steps = int "max_steps" in
-  let* protocol =
-    match
-      Option.bind
-        (Option.bind (Obs_json.member "protocol" ev) Obs_json.to_str)
-        Campaign.protocol_of_string
-    with
-    | Some p -> Ok p
-    | None -> Error "missing or unknown \"eval\".\"protocol\""
-  in
-  let cfg =
-    Campaign.default_config ~seeds ~seed_base ~n ~t ~protocols:[ protocol ]
-      ~policies:[ policy_of_genome ~n g ]
-      ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-      ~payloads ~max_steps
-      ?link:(if link then Some Link.default_policy else None)
-      ()
-  in
-  Ok (Campaign.run cfg)
+  match parse () with
+  | exception Failure e -> Error e
+  | objective, chaos, p -> (
+    (* [Sim.set_chaos] rejects out-of-range rates and empty windows. *)
+    let env = Campaign.prepare (config_of p objective) in
+    try Ok (evaluate env p objective chaos) with Invalid_argument e -> Error e)

@@ -1,29 +1,16 @@
-(** Adversarial schedule search: a seeded hill-climber over chaos
-    genomes (drop / delay / duplication / reordering rates plus a
-    healing-partition window), maximising steps-to-decide or the link
-    layer's send-buffer peak.  The worst schedules found are archived as
-    replayable fixtures (schema ["sintra-schedule/1"]) that the test
-    suite re-runs, asserting that even searched-for worst cases never
-    cost safety.  Fully deterministic in [params.search_seed]. *)
+(** Adversarial schedule search: a seeded hill-climber over the chaos
+    step of a fault timeline ({!Sweep.timeline}) — drop / delay /
+    duplication / reordering rates plus a healing-partition window —
+    maximising steps-to-decide or the link layer's send-buffer peak.
+    The worst schedules found are archived as replayable fixtures
+    (schema ["sintra-schedule/2"]) that the test suite re-runs,
+    asserting that they reproduce their recorded score and never cost
+    safety.  Fully deterministic in [params.search_seed]. *)
 
-type genome = {
-  g_drop : float;  (** [\[0, 0.4\]] per-delivery loss *)
-  g_delay : float;  (** [\[0, 8\]] extra latency multiplier *)
-  g_dup : float;  (** [\[0, 0.5\]] duplication *)
-  g_reorder : float;  (** [\[0, 0.5\]] extra reordering *)
-  g_part_start : float;  (** [\[0, 600\]] partition window start *)
-  g_part_len : float;  (** [\[0, 800\]] window length; < 1 means none *)
-  g_part_frac : float;  (** [\[0, 0.5\]] fraction of parties cut off *)
-}
-
-val benign_genome : genome
-val seed_genome : genome
-(** The climb's starting point: every knob slightly on. *)
-
-val policy_of_genome : n:int -> genome -> Campaign.policy_spec
-(** Lossy genomes ([g_drop > 0]) are not reliable on their own; every
-    partition the search emits heals, so [p_link_restores] always
-    holds. *)
+val seed_timeline : n:int -> Sweep.timeline
+(** The climb's starting point, one [Start] chaos step with every knob
+    slightly on: drop 0.02, delay 0.5, duplication and reordering 0.05,
+    and the first quarter of the parties cut off over [\[50, 150)]. *)
 
 type objective = Decide_time | Buffer_peak
 
@@ -50,7 +37,7 @@ val default_params : params
     60k steps. *)
 
 type eval = {
-  e_genome : genome;
+  e_timeline : Sweep.timeline;
   e_score : float;
   e_safety : int;  (** safety violations seen while evaluating *)
   e_decided : int;
@@ -69,19 +56,12 @@ val search :
   objective:objective ->
   unit ->
   outcome
-(** Hill-climb: mutate one gene per iteration, accept on strict score
-    improvement.  [progress (evals, budget, score)] after each
+(** Hill-climb: mutate one parameter per iteration, accept on strict
+    score improvement.  [progress (evals, budget, score)] after each
     evaluation.  The keyring is dealt once ({!Campaign.prepare}) and
     shared across all evaluations. *)
 
 (** {2 Fixtures} *)
-
-val schema : string
-(** ["sintra-schedule/1"]. *)
-
-val genome_json : genome -> Obs_json.t
-val genome_of_json : Obs_json.t -> genome option
-val fixture_json : params:params -> objective:objective -> eval -> Obs_json.t
 
 val write_fixtures :
   dir:string ->
@@ -94,7 +74,7 @@ val write_fixtures :
     [dir/worst_<objective>_<rank>.json] (canonical bytes); returns the
     paths. *)
 
-val replay : Obs_json.t -> (Campaign.report, string) result
-(** Rebuild the campaign configuration a fixture describes and re-run
-    it — the test suite asserts zero safety violations over the
-    result. *)
+val replay : Obs_json.t -> (eval, string) result
+(** Rebuild the evaluation a fixture describes and re-run it.  A wrong
+    schema, a malformed timeline or one that is not a single [Start]
+    chaos step, or a missing field is an [Error]. *)

@@ -68,9 +68,6 @@ type config = {
   v_drop : float;
   v_abc_policy : Abc.policy;
   v_link : Link.policy;
-  v_down_frac : float;
-  v_up_frac : float;
-  v_poll : float;
   v_kinds : service_kind list;
   v_variants : variant list;
   v_mem_bound : int;
@@ -78,9 +75,8 @@ type config = {
 
 let default_config ?(seeds = 5) ?seed_base ?n ?t ?rsa_bits ?group_bits
     ?(requests = 60) ?(clients = 3) ?(window = 4) ?(read_frac = 0.75)
-    ?(keyspace = 16) ?(interval = 2) ?(drop = 0.3) ?abc_policy ?link
-    ?(down_frac = 0.3) ?(up_frac = 0.7) ?(poll = 400.0) ?kinds ?variants
-    ?(max_steps = 2_000_000) ?(mem_bound = 40) () =
+    ?(keyspace = 16) ?(interval = 2) ?(drop = 0.3) ?abc_policy ?link ?kinds
+    ?variants ?(max_steps = 2_000_000) ?(mem_bound = 40) () =
   {
     v_core =
       Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
@@ -96,9 +92,6 @@ let default_config ?(seeds = 5) ?seed_base ?n ?t ?rsa_bits ?group_bits
         ~default:
           { Abc.default_policy with Abc.max_batch_msgs = 8; window = 2 };
     v_link = Option.value link ~default:Link.default_policy;
-    v_down_frac = down_frac;
-    v_up_frac = up_frac;
-    v_poll = poll;
     v_kinds = Option.value kinds ~default:[ Ca_svc; Directory_svc; Notary_svc ];
     v_variants =
       Option.value variants ~default:[ Benign; Drop_arq; Crash_rejoin ];
@@ -130,6 +123,20 @@ type run_result = {
 }
 
 let prepare cfg = Sweep.prepare ~key_offset:7770 cfg.v_core
+
+(* The monitor's poll period: it tops up the client windows and drives
+   the timeline. *)
+let poll = 400.0
+
+(* The crash and the comeback are progress-driven (completed
+   certificates), exactly like the recovery campaigns' outages. *)
+let timeline cfg variant =
+  let open Sweep in
+  match variant with
+  | Benign -> []
+  | Drop_arq -> [ { at = Start; act = Chaos (lossy cfg.v_drop) } ]
+  | Crash_rejoin ->
+    [ { at = Progress 0.3; act = Crash }; { at = Progress 0.7; act = Revive } ]
 
 (* ---------- per-kind deployment + workload ----------------------------- *)
 
@@ -195,15 +202,8 @@ let run_one (env : Sweep.env) cfg ~kind ~variant ~seed =
   if variant = Crash_rejoin && interval = 0 then
     invalid_arg "Svc.run_one: crash-rejoin needs a checkpointing kind";
   let sim = Sim.create ~n ~extra:(cfg.v_clients + 2) ~seed ~obs:env.obs () in
-  (match variant with
-  | Benign | Crash_rejoin -> ()
-  | Drop_arq ->
-    Sim.set_chaos sim
-      (Some
-         {
-           Sim.benign_chaos with
-           Sim.default_link = { Sim.no_fault with Sim.drop = cfg.v_drop };
-         }));
+  let victim = if variant = Crash_rejoin then abs seed mod n else -1 in
+  let faults = Sweep.start ~victim sim (timeline cfg variant) in
   let link = match variant with Drop_arq -> Some cfg.v_link | _ -> None in
   let dep =
     Service.deploy ~policy:cfg.v_abc_policy ?link
@@ -260,24 +260,14 @@ let run_one (env : Sweep.env) cfg ~kind ~variant ~seed =
       clients
   in
   let total_completed () = Array.fold_left ( + ) 0 completed in
-  (* The crash and the comeback are progress-driven (completed
-     certificates), exactly like the recovery campaigns' outages: virtual
-     round duration varies wildly across variants, so wall-clock triggers
-     would miss the stream. *)
-  let victim = if variant = Crash_rejoin then abs seed mod n else -1 in
-  let outage =
-    if variant <> Crash_rejoin then fun () -> false
-    else
-      Sweep.outage ~down_frac:cfg.v_down_frac ~up_frac:cfg.v_up_frac
-        ~total:target ~progress:total_completed
-        ~down:(fun () -> Sim.crash sim victim)
-        ~up:(fun () -> ignore (Service.revive dep victim))
-  in
   top_up ();
-  Sweep.every sim ~party:(n + cfg.v_clients) ~period:cfg.v_poll (fun () ->
-      ignore (outage ());
+  Sweep.drive faults ~monitor:(n + cfg.v_clients) ~period:poll ~total:target
+    ~progress:total_completed
+    ~tick:(fun () ->
       top_up ();
-      total_completed () < target);
+      total_completed () < target)
+    (function
+      | Sweep.Revive -> ignore (Service.revive dep victim) | _ -> ());
   let done_ () = total_completed () >= target in
   let stall = Sweep.run_sim sim ~max_steps:cfg.v_core.max_steps ~until:done_ in
   let nodes = Service.nodes dep in
@@ -455,8 +445,12 @@ let config_json cfg =
         ("keyspace", Obs_json.Int cfg.v_keyspace);
         ("interval", Obs_json.Int cfg.v_interval);
         ("drop", Obs_json.Float cfg.v_drop);
-        ("down_frac", Obs_json.Float cfg.v_down_frac);
-        ("up_frac", Obs_json.Float cfg.v_up_frac);
+        ( "timelines",
+          Obs_json.Obj
+            (List.map
+               (fun v ->
+                 (variant_label v, Sweep.timeline_json (timeline cfg v)))
+               cfg.v_variants) );
         ( "kinds",
           Obs_json.Arr
             (List.map (fun k -> Obs_json.Str (kind_label k)) cfg.v_kinds) );

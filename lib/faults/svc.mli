@@ -50,9 +50,6 @@ type config = {
   v_drop : float;  (** chaos drop rate for the [Drop_arq] variant *)
   v_abc_policy : Abc.policy;
   v_link : Link.policy;
-  v_down_frac : float;  (** crash when progress >= this fraction *)
-  v_up_frac : float;  (** revive when progress >= this fraction *)
-  v_poll : float;  (** monitor poll period, virtual time *)
   v_kinds : service_kind list;
   v_variants : variant list;
   v_mem_bound : int;  (** acceptance bound on GC'd delivered-log peak *)
@@ -74,9 +71,6 @@ val default_config :
   ?drop:float ->
   ?abc_policy:Abc.policy ->
   ?link:Link.policy ->
-  ?down_frac:float ->
-  ?up_frac:float ->
-  ?poll:float ->
   ?kinds:service_kind list ->
   ?variants:variant list ->
   ?max_steps:int ->
@@ -110,6 +104,11 @@ type run_result = {
 
 val prepare : config -> Sweep.env
 (** Deal the shared keyring once (dealing dominates setup cost). *)
+
+val timeline : config -> variant -> Sweep.timeline
+(** The variant's faults: none ([Benign]), lossy chaos from the start
+    ([Drop_arq]), or the victim crashed at 30% of the completed
+    certificates and revived at 70% ([Crash_rejoin]). *)
 
 val run_one :
   Sweep.env -> config -> kind:service_kind -> variant:variant -> seed:int ->

@@ -1,6 +1,6 @@
 (* The campaign engine shared by the seed-sweep runners: configuration
-   core, keyring environment, cell x seed loop, progress-driven outage
-   trigger, stall conversion and flight glue.  See sweep.mli. *)
+   core, keyring environment, cell x seed loop, fault-timeline
+   interpreter, stall conversion and flight glue.  See sweep.mli. *)
 
 type core = {
   seeds : int;
@@ -70,31 +70,239 @@ let group key rows =
     rows;
   List.rev_map (fun k -> (k, List.rev !(Hashtbl.find cells k))) !order
 
-(* ---------- progress-driven faults ------------------------------------- *)
+(* ---------- fault timelines ------------------------------------------- *)
 
-let every sim ~party ~period tick =
-  let rec poll () = if tick () then Sim.set_timer sim party ~delay:period poll in
-  Sim.set_timer sim party ~delay:period poll
+type trigger = Start | Progress of float
+type target = All | All_but_victim
 
-let thresholds ~down_frac ~up_frac total =
-  ( max 1 (int_of_float (down_frac *. float_of_int total)),
-    min (total - 1) (int_of_float (up_frac *. float_of_int total)) )
+type action =
+  | Crash
+  | Revive
+  | Isolate
+  | Heal
+  | Chaos of Sim.chaos
+  | Refresh
+  | Reshare of target
 
-let outage ~down_frac ~up_frac ~total ~progress ~down ~up =
-  let down_th, up_th = thresholds ~down_frac ~up_frac total in
-  let phase = ref `Wait_down in
-  fun () ->
-    (match !phase with
-    | `Wait_down when progress () >= down_th ->
-      down ();
-      phase := `Wait_up
-    | `Wait_up when progress () >= up_th ->
-      up ();
-      phase := `Done
+type step = { at : trigger; act : action }
+type timeline = step list
+
+let lossy drop =
+  { Sim.benign_chaos with Sim.default_link = { Sim.no_fault with Sim.drop } }
+
+(* The one JSON encoding: a step is {"at": "start" | fraction, "do":
+   action}, plus "spec" for chaos; an open-ended partition has "until":
+   null. *)
+
+let names =
+  [ ("crash", Crash); ("revive", Revive); ("isolate", Isolate);
+    ("heal", Heal); ("refresh", Refresh); ("reshare", Reshare All);
+    ("reshare-all-but-victim", Reshare All_but_victim) ]
+
+let chaos_json (c : Sim.chaos) =
+  let open Obs_json in
+  let fault (l : Sim.link_fault) =
+    Obj
+      [ ("drop", Float l.drop); ("duplicate", Float l.duplicate);
+        ("reorder", Float l.reorder); ("delay", Float l.delay) ]
+  in
+  let cell c = Arr (List.map (fun p -> Int p) (Pset.to_list c)) in
+  let window (pa : Sim.partition) =
+    Obj
+      [ ("from", Float pa.from_t);
+        ("until", if pa.until_t = infinity then Null else Float pa.until_t);
+        ("cells", Arr (List.map cell pa.cells)) ]
+  in
+  Obj
+    [ ("default_link", fault c.default_link);
+      ( "links",
+        Arr
+          (List.map (fun ((s, d), l) -> Arr [ Int s; Int d; fault l ]) c.links)
+      );
+      ("partitions", Arr (List.map window c.partitions)) ]
+
+let step_json s =
+  let open Obs_json in
+  let at = match s.at with Start -> Str "start" | Progress f -> Float f in
+  match s.act with
+  | Chaos c -> Obj [ ("at", at); ("do", Str "chaos"); ("spec", chaos_json c) ]
+  | a ->
+    let name = fst (List.find (fun (_, a') -> a' = a) names) in
+    Obj [ ("at", at); ("do", Str name) ]
+
+let timeline_json tl = Obs_json.Arr (List.map step_json tl)
+
+(* The decoders fail with the first ill-formed member's name. *)
+let timeline_of_json v =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let get conv what v =
+    match conv v with Some x -> x | None -> fail "missing or ill-typed %s" what
+  in
+  let mem k v = get (Obs_json.member k) (Printf.sprintf "%S" k) v in
+  let num k v = get Obs_json.to_float k (mem k v) in
+  let arr what v = get Obs_json.to_list what v in
+  let party = get Obs_json.to_int "party" in
+  let fault v =
+    { Sim.drop = num "drop" v; duplicate = num "duplicate" v;
+      reorder = num "reorder" v; delay = num "delay" v }
+  in
+  let link l =
+    match arr "link" l with
+    | [ s; d; f ] -> ((party s, party d), fault f)
+    | _ -> fail "a link override is [src, dst, fault]"
+  in
+  let window pa =
+    { Sim.from_t = num "from" pa;
+      until_t =
+        (match mem "until" pa with
+        | Obs_json.Null -> infinity
+        | u -> get Obs_json.to_float "until" u);
+      cells =
+        List.map
+          (fun c -> Pset.of_list (List.map party (arr "cell" c)))
+          (arr "cells" (mem "cells" pa)) }
+  in
+  let chaos v =
+    { Sim.default_link = fault (mem "default_link" v);
+      links = List.map link (arr "links" (mem "links" v));
+      partitions = List.map window (arr "partitions" (mem "partitions" v)) }
+  in
+  let step v =
+    let at =
+      match mem "at" v with
+      | Obs_json.Str "start" -> Start
+      | a -> (
+        match Obs_json.to_float a with
+        | Some f when f > 0.0 && f < 1.0 -> Progress f
+        | _ -> fail "\"at\" must be \"start\" or a fraction in (0, 1)")
+    in
+    match get Obs_json.to_str "\"do\"" (mem "do" v) with
+    | "chaos" -> { at; act = Chaos (chaos (mem "spec" v)) }
+    | name -> (
+      match List.assoc_opt name names with
+      | Some act -> { at; act }
+      | None -> fail "unknown action %S" name)
+  in
+  try Ok (List.map step (arr "timeline" v)) with Failure e -> Error e
+
+let pp_timeline fmt tl =
+  Format.pp_print_string fmt (Obs_json.to_string (timeline_json tl))
+
+(* ---------- the interpreter -------------------------------------------- *)
+
+type 'm faults = {
+  sim : 'm Sim.t;
+  victim : int;
+  mutable base : Sim.chaos option;  (* the spec [Heal] restores *)
+  mutable pending : step list;  (* not yet fired, in order *)
+  mutable last : step option;  (* the most recently fired step *)
+  mutable target : int;  (* epoch actions fired so far *)
+  mutable epoch : int -> int;
+}
+
+(* The interpreter's own effect of an action: everything that touches the
+   simulator.  Open-ended isolation is safe since the scheduler treats an
+   all-blocked step as a clock advance to the next timer, so the
+   survivors' traffic and every retransmit timer keep running behind the
+   cut until [Heal]. *)
+let apply f = function
+  | Chaos c ->
+    f.base <- Some c;
+    Sim.set_chaos f.sim (Some c)
+  | Crash -> Sim.crash f.sim f.victim
+  | Isolate ->
+    let base = Option.value f.base ~default:Sim.benign_chaos in
+    let cut =
+      { Sim.from_t = Sim.clock f.sim; until_t = infinity;
+        cells = [ Pset.singleton f.victim ] }
+    in
+    Sim.set_chaos f.sim
+      (Some { base with Sim.partitions = base.Sim.partitions @ [ cut ] })
+  | Heal -> Sim.set_chaos f.sim f.base
+  | Refresh | Reshare _ -> f.target <- f.target + 1
+  | Revive -> ()
+
+(* Fire steps in order while [ok] holds for the next one. *)
+let rec fire_while f act ok =
+  match f.pending with
+  | s :: rest when ok s ->
+    apply f s.act;
+    act s.act;
+    f.last <- Some s;
+    f.pending <- rest;
+    fire_while f act ok
+  | _ -> ()
+
+let last_settled f =
+  match f.last with
+  | Some { act = Refresh | Reshare _; _ } ->
+    List.for_all
+      (fun p -> Sim.is_crashed f.sim p || f.epoch p >= f.target)
+      (List.init (Sim.n f.sim) Fun.id)
+  | Some { act = Revive; _ } -> f.epoch f.victim >= f.target
+  | _ -> true
+
+let settled f = f.pending = [] && last_settled f
+
+let start ?(victim = -1) sim tl =
+  let f =
+    { sim; victim; base = None; pending = tl; last = None; target = 0;
+      epoch = (fun _ -> 0) }
+  in
+  fire_while f ignore (function
+    | { at = Start; act = Chaos _ } -> true
+    | _ -> false);
+  f
+
+let drive f ~monitor ~period ~total ~progress ?epoch ?(nudge = ignore) ?tick
+    act =
+  Option.iter (fun e -> f.epoch <- e) epoch;
+  let holds = function
+    | Start -> true
+    | Progress x ->
+      let th = int_of_float (x *. float_of_int total) in
+      progress () >= max 1 (min (total - 1) th)
+  in
+  (* One trigger group: the next step, then every following step with
+     the same trigger whose predecessor settles at once. *)
+  let fire_group () =
+    match f.pending with
+    | s :: _ when holds s.at && last_settled f ->
+      fire_while f act (fun s' -> s'.at = s.at && last_settled f);
+      true
+    | _ -> false
+  in
+  let rec poll () =
+    let fired = fire_group () in
+    (match f.last with
+    | Some s when (not fired) && not (settled f) -> nudge s.act
     | _ -> ());
-    !phase <> `Done
+    let more = match tick with Some t -> t () | None -> false in
+    if more || not (settled f) then
+      Sim.set_timer f.sim monitor ~delay:period poll
+  in
+  ignore (fire_group ());
+  if Option.is_some tick || not (settled f) then
+    Sim.set_timer f.sim monitor ~delay:period poll
 
 (* ---------- running one simulation ------------------------------------- *)
+
+(* Payloads submitted every [submit_gap] of virtual time, round-robin
+   from every party but the victim, so the timeline lands mid-stream: a
+   crashed submitter would lose its submission timers and silently
+   shrink the expected total. *)
+let submit_gap = 6.0
+
+let stream sim ~victim payloads submit =
+  let submitters =
+    List.filter (fun p -> p <> victim) (List.init (Sim.n sim) Fun.id)
+  in
+  List.iteri
+    (fun k payload ->
+      let s = List.nth submitters (k mod List.length submitters) in
+      Sim.set_timer sim s ~delay:(float_of_int k *. submit_gap) (fun () ->
+          submit s payload))
+    payloads
 
 (* The recorder depends only on sintra_obs: runners feed it plain
    scalars, so the dependency arrow runs faults -> recorder -> obs. *)
@@ -103,17 +311,26 @@ let flight_begin flight sim =
     (fun fl -> Flight.run_begin fl ~now:(fun () -> Sim.clock sim))
     flight
 
-let run_sim ?flight sim ~max_steps ~until =
-  try
-    Sim.run ~max_steps ~until sim;
-    []
-  with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-    Option.iter
-      (fun fl ->
-        Flight.note_anomaly fl Flight.Stall ~at:at_clock
-          ~detail:(if detail = "" then "out of steps" else detail))
-      flight;
-    [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]
+let run_sim ?flight ?retry sim ~max_steps ~until =
+  let once () =
+    try
+      Sim.run ~max_steps ~until sim;
+      []
+    with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
+      Option.iter
+        (fun fl ->
+          Flight.note_anomaly fl Flight.Stall ~at:at_clock
+            ~detail:(if detail = "" then "out of steps" else detail))
+        flight;
+      [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]
+  in
+  let rec go k = function
+    | [] when k < 3 && Option.is_some retry && not (until ()) ->
+      Option.get retry ();
+      go (k + 1) (once ())
+    | stall -> stall
+  in
+  go 0 (once ())
 
 let flight_end flight ~key ~violations ~decided ~gating ~decide_clock ~steps
     ~buffer_peak =

@@ -4,8 +4,8 @@
     A campaign is a list of cells swept over consecutive seeds.  Each
     runner owns only its deployment, workload, oracles and per-run row
     JSON; this module owns the rest: the common configuration core, the
-    dealt keyring, the cell × seed loop, the progress-driven outage
-    trigger, the [Sim.Out_of_steps] → {!Oracle} conversion, the flight
+    dealt keyring, the cell × seed loop, the fault-timeline interpreter,
+    the [Sim.Out_of_steps] → {!Oracle} conversion, the flight
     recorder glue and the per-cell grouping of summaries.  Reports,
     their writer and validators are {!Report}'s. *)
 
@@ -69,42 +69,104 @@ val group : ('r -> 'k) -> 'r list -> ('k * 'r list) list
 (** Rows grouped by key, keys in first-seen order, rows in input order
     — the per-cell lines of every summary. *)
 
-(** {2 Progress-driven faults} *)
+(** {2 Fault timelines}
 
-val every : 'm Sim.t -> party:int -> period:float -> (unit -> bool) -> unit
-(** Poll [tick] from [party]'s timer every [period] of virtual time
-    until it returns [false].  Campaign faults are driven by stream
-    progress rather than clock time: virtual round duration varies by
-    orders of magnitude with the drop rate, so fixed times would land
-    before the stream starts or after it ends. *)
+    Every campaign's faults are one value that this module interprets:
+    an ordered list of steps, each a trigger plus an action.
 
-val thresholds : down_frac:float -> up_frac:float -> int -> int * int
-(** [(down, up)] progress counts for a stream of the given length:
-    [down >= 1] and [up <= total - 1]. *)
+    - A trigger is [Start], or [Progress f]: [progress () >= f * total]
+      for the runner's stream, clamped to [\[1, total - 1\]].  Faults
+      follow stream progress, not clock time, since virtual round
+      duration varies by orders of magnitude with the drop rate.
+    - Step [k] fires once its trigger holds and step [k - 1] has
+      {e settled}: crash, isolate, heal and chaos at once; an epoch
+      action once every live replica reaches its target epoch; a revive
+      once the victim reaches the current epoch.  A poll fires one
+      trigger group: the next step plus the following steps with the
+      same trigger, each once its predecessor settles.
+    - On every poll where no step fires, until the timeline settles,
+      the runner's [nudge] runs with the latest step's action. *)
 
-val outage :
-  down_frac:float ->
-  up_frac:float ->
+type trigger = Start | Progress of float  (** fraction in (0, 1) *)
+type target = All | All_but_victim
+
+type action =
+  | Crash  (** crash the victim *)
+  | Revive  (** revive the victim *)
+  | Isolate  (** an open-ended partition around the victim *)
+  | Heal  (** restore the last installed chaos spec *)
+  | Chaos of Sim.chaos  (** install a chaos spec *)
+  | Refresh  (** proactive refresh to the next epoch, same members *)
+  | Reshare of target  (** reshare to all members, or all but the victim *)
+
+type step = { at : trigger; act : action }
+type timeline = step list
+
+val lossy : float -> Sim.chaos
+(** [Sim.benign_chaos] with this drop rate on every link. *)
+
+val timeline_json : timeline -> Obs_json.t
+(** The one encoding: [[{"at": "start" | f, "do": action}, ...]] where
+    the action is one of ["crash"], ["revive"], ["isolate"], ["heal"],
+    ["refresh"], ["reshare"], ["reshare-all-but-victim"] or ["chaos"]
+    with its ["spec"] (["until": null] for an open-ended partition). *)
+
+val timeline_of_json : Obs_json.t -> (timeline, string) result
+(** An unknown action, a [Progress] outside (0, 1) or a missing field is
+    an [Error]. *)
+
+val pp_timeline : Format.formatter -> timeline -> unit
+(** The timeline's JSON encoding, on one line. *)
+
+type 'm faults
+(** A timeline being interpreted in one simulation. *)
+
+val start : ?victim:int -> 'm Sim.t -> timeline -> 'm faults
+(** Install the leading [Start] chaos specs now, where a runner deploys
+    its network (installation splits the scheduler's PRNG); the rest
+    waits for {!drive}, which a timeline of such steps alone never
+    needs.  [victim] is the party crash, revive and isolate act on. *)
+
+val drive :
+  'm faults ->
+  monitor:int ->
+  period:float ->
   total:int ->
   progress:(unit -> int) ->
-  down:(unit -> unit) ->
-  up:(unit -> unit) ->
-  unit ->
-  bool
-(** A two-step tick for {!every}: fire [down] once [progress] crosses
-    the down threshold, then [up] once it crosses the up threshold;
-    [false] once both have fired. *)
+  ?epoch:(int -> int) ->
+  ?nudge:(action -> unit) ->
+  ?tick:(unit -> bool) ->
+  (action -> unit) ->
+  unit
+(** Fire what is ready, then poll from [monitor]'s timer every [period].
+    The handler runs after the interpreter's own effect (crash, chaos,
+    isolate and heal act on the simulator; revive and the epoch actions
+    are the handler's alone).  [epoch p] is party [p]'s epoch (default
+    0).  [tick] is the runner's own per-poll work; polling continues
+    while the timeline is unsettled or [tick] returns [true]. *)
+
+val settled : 'm faults -> bool
+(** Every step fired and the last one settled. *)
 
 (** {2 Running one simulation} *)
 
+val stream :
+  'm Sim.t -> victim:int -> 'p list -> (int -> 'p -> unit) -> unit
+(** Submit the payloads one per 6.0 of virtual time, round-robin from
+    every server but the victim, so the timeline lands mid-stream (a crashed
+    submitter would silently shrink the expected total). *)
+
 val run_sim :
   ?flight:Flight.recorder ->
+  ?retry:(unit -> unit) ->
   'm Sim.t ->
   max_steps:int ->
   until:(unit -> bool) ->
   Oracle.violation list
 (** Run until [until] holds: [[]] on success, the out-of-steps liveness
-    violation on a stall (noted as a flight {!Flight.Stall}). *)
+    violation on a stall (noted as a flight {!Flight.Stall}).  When the
+    network quiesces short of [until], [retry] (if given) nudges it and
+    the run resumes, at most three times. *)
 
 val flight_begin : Flight.recorder option -> 'm Sim.t -> unit
 

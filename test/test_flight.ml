@@ -231,41 +231,152 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let fixture_docs () =
+  let dir = "fixtures" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         String.length f > 6 && String.sub f 0 6 = "worst_")
+  |> List.sort compare
+  |> List.map (fun name ->
+         match Obs_json.of_string (read_file (Filename.concat dir name)) with
+         | Ok doc -> (name, doc)
+         | Error e -> Alcotest.failf "%s: parse: %s" name e)
+
+(* Replace the member at a path of a JSON object (the last path element
+   is removed when [v] is [None]). *)
+let rec edit doc path v =
+  match (doc, path) with
+  | Obs_json.Obj fields, [ k ] ->
+    Obs_json.Obj
+      (List.filter (fun (k', _) -> k' <> k) fields
+      @ match v with Some v -> [ (k, v) ] | None -> [])
+  | Obs_json.Obj fields, k :: rest ->
+    Obs_json.Obj
+      (List.map
+         (fun (k', x) -> if k' = k then (k', edit x rest v) else (k', x))
+         fields)
+  | _ -> doc
+
+(* A fixture as the first schedule search wrote it, before timelines. *)
+let v1_fixture =
+  {|{"eval":{"max_steps":60000,"n":4,"payloads":2,"protocol":"abc","seed_base":1,"seeds":2,"t":1},"genome":{"delay":0.5,"drop":0.02,"duplicate":0.18317157962377134,"part_frac":0.25,"part_len":100.0,"part_start":50.0,"reorder":0.05},"link":false,"objective":"decide-time","provenance":{"decided":0,"runs":2,"safety":0,"search_seed":1},"schema":"sintra-schedule/1","score":600095.0}|}
+
 let fixture_tests =
   [ Alcotest.test_case
       "archived worst-case schedules replay with zero safety violations"
       `Slow (fun () ->
-        let dir = "fixtures" in
-        let names =
-          Sys.readdir dir |> Array.to_list
-          |> List.filter (fun f ->
-                 String.length f > 6 && String.sub f 0 6 = "worst_")
-          |> List.sort compare
-        in
+        let docs = fixture_docs () in
         Alcotest.(check bool)
-          (Printf.sprintf "at least 3 fixtures (found %d)" (List.length names))
+          (Printf.sprintf "at least 3 fixtures (found %d)" (List.length docs))
           true
-          (List.length names >= 3);
+          (List.length docs >= 3);
         List.iter
-          (fun name ->
-            let path = Filename.concat dir name in
-            match Obs_json.of_string (read_file path) with
-            | Error e -> Alcotest.failf "%s: parse: %s" name e
-            | Ok doc ->
-              (match Schedule_search.replay doc with
-              | Error e -> Alcotest.failf "%s: replay: %s" name e
-              | Ok rep ->
-                Alcotest.(check int)
-                  (name ^ ": zero safety violations")
-                  0
-                  (Campaign.safety_count rep)))
-          names);
-    Alcotest.test_case "genome JSON round-trips" `Quick (fun () ->
-        let g = Schedule_search.seed_genome in
-        match Schedule_search.genome_of_json (Schedule_search.genome_json g)
-        with
-        | Some g' -> Alcotest.(check bool) "equal" true (g = g')
-        | None -> Alcotest.fail "round-trip failed") ]
+          (fun (name, doc) ->
+            let recorded path conv =
+              match Report.field doc path conv with
+              | Ok v -> v
+              | Error e -> Alcotest.failf "%s: %s" name e
+            in
+            match Schedule_search.replay doc with
+            | Error e -> Alcotest.failf "%s: replay: %s" name e
+            | Ok e ->
+              Alcotest.(check (float 0.0))
+                (name ^ ": recorded score")
+                (recorded [ "score" ] Obs_json.to_float)
+                e.Schedule_search.e_score;
+              Alcotest.(check int)
+                (name ^ ": recorded decided runs")
+                (recorded [ "provenance"; "decided" ] Obs_json.to_int)
+                e.Schedule_search.e_decided;
+              Alcotest.(check int)
+                (name ^ ": zero safety violations")
+                0 e.Schedule_search.e_safety)
+          docs);
+    Alcotest.test_case "malformed schedule fixtures are errors" `Quick
+      (fun () ->
+        let doc =
+          match fixture_docs () with
+          | (_, doc) :: _ -> doc
+          | [] -> Alcotest.fail "no fixtures"
+        in
+        let step at act =
+          Some
+            (Obs_json.Arr
+               [ Obs_json.Obj [ ("at", at); ("do", Obs_json.Str act) ] ])
+        in
+        let v1 =
+          match Obs_json.of_string v1_fixture with
+          | Ok v1 -> v1
+          | Error e -> Alcotest.failf "v1 fixture: %s" e
+        in
+        List.iter
+          (fun (label, bad) ->
+            match Schedule_search.replay bad with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s: accepted" label
+            | exception ex ->
+              Alcotest.failf "%s: raised %s" label (Printexc.to_string ex))
+          [ ( "unknown action",
+              edit doc [ "timeline" ] (step (Obs_json.Str "start") "flood") );
+            ( "progress above 1",
+              edit doc [ "timeline" ] (step (Obs_json.Float 1.5) "crash") );
+            ( "progress at 0",
+              edit doc [ "timeline" ] (step (Obs_json.Int 0) "crash") );
+            ( "not a start-time chaos step",
+              edit doc [ "timeline" ] (step (Obs_json.Float 0.5) "crash") );
+            ( "missing chaos spec",
+              edit doc [ "timeline" ] (step (Obs_json.Str "start") "chaos") );
+            ( "drop rate above 1",
+              edit doc [ "timeline" ]
+                (Some
+                   (Sweep.timeline_json
+                      Sweep.[ { at = Start; act = Chaos (lossy 1.5) } ])) );
+            ("missing eval field", edit doc [ "eval"; "max_steps" ] None);
+            ("missing timeline", edit doc [ "timeline" ] None);
+            ("v1 schema", v1) ]);
+    Alcotest.test_case "timeline JSON round-trips" `Quick (fun () ->
+        let rejoin = Rejoin.default_config ()
+        and refresh = Refresh.default_config ()
+        and svc = Svc.default_config () in
+        (* Every field of the encoding: per-link overrides, an open-ended
+           partition, both reshare targets. *)
+        let spec =
+          { (Sweep.lossy 0.1) with
+            Sim.links = [ ((0, 1), { Sim.no_fault with Sim.delay = 2.0 }) ];
+            partitions =
+              [ { Sim.from_t = 5.0; until_t = infinity;
+                  cells = [ Pset.singleton 0; Pset.of_list [ 1; 2 ] ] } ] }
+        in
+        let every_field =
+          Sweep.
+            [ { at = Start; act = Chaos spec };
+              { at = Progress 0.25; act = Reshare All_but_victim };
+              { at = Progress 0.5; act = Reshare All } ]
+        in
+        let timelines =
+          every_field
+          :: Schedule_search.seed_timeline ~n:4
+          :: List.map Campaign.timeline (Campaign.default_policies ~n:4)
+          @ List.map (Rejoin.timeline rejoin)
+              [ Rejoin.Crash_rejoin; Rejoin.Partition_heal ]
+          @ List.concat_map
+              (fun s ->
+                List.map (Refresh.timeline refresh s)
+                  [ Refresh.Benign; Refresh.Lossy; Refresh.Byz_refresher ])
+              [ Refresh.Refresh_only; Refresh.Add_replica;
+                Refresh.Kill_replace ]
+          @ List.map (Svc.timeline svc)
+              [ Svc.Benign; Svc.Drop_arq; Svc.Crash_rejoin ]
+        in
+        List.iter
+          (fun tl ->
+            let text = Obs_json.to_string (Sweep.timeline_json tl) in
+            match
+              Result.bind (Obs_json.of_string text) Sweep.timeline_of_json
+            with
+            | Ok tl' -> Alcotest.(check bool) text true (tl = tl')
+            | Error e -> Alcotest.failf "%s: %s" text e)
+          timelines) ]
 
 let suite =
   ( "flight",
