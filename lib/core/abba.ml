@@ -160,23 +160,22 @@ let supporters t b =
     Pset.empty t.sup_shares
 
 let support_cert_ok t b (sc : support_cert) : bool =
-  let kr = t.io.Proto_io.keyring in
   let sc = List.sort_uniq (fun (a, _) (b, _) -> compare a b) sc in
   let endorsers =
     List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty sc
   in
   AS.two_cover (Proto_io.structure t.io) endorsers
   && List.for_all
-       (fun (p, share) -> Keyring.verify_cert_share kr ~party:p (sup_stmt t b) share)
+       (fun (p, share) ->
+         Proto_io.verify_cert_share t.io ~party:p (sup_stmt t b) share)
        sc
 
 (* [`Defer] means the justification refers to a coin value this party
    does not know yet; the message is retried once the coin is learned. *)
 let rec prevote_ok t ~src (pv : prevote) : [ `Valid | `Invalid | `Defer ] =
-  let kr = t.io.Proto_io.keyring in
   if
     not
-      (Keyring.verify_cert_share kr ~party:src
+      (Proto_io.verify_cert_share t.io ~party:src
          (pre_stmt t pv.pv_round pv.pv_vote) pv.pv_share)
   then `Invalid
   else
@@ -187,13 +186,13 @@ let rec prevote_ok t ~src (pv : prevote) : [ `Valid | `Invalid | `Defer ] =
     | J_pre_cert c ->
       if
         pv.pv_round >= 2
-        && Keyring.verify_cert kr (pre_stmt t (pv.pv_round - 1) pv.pv_vote) c
+        && Proto_io.verify_cert t.io (pre_stmt t (pv.pv_round - 1) pv.pv_vote) c
       then `Valid
       else `Invalid
     | J_coin c ->
       if
         pv.pv_round >= 2
-        && Keyring.verify_cert kr (main_stmt t (pv.pv_round - 1) Abstain) c
+        && Proto_io.verify_cert t.io (main_stmt t (pv.pv_round - 1) Abstain) c
       then begin
         match (round_state t (pv.pv_round - 1)).coin with
         | None -> `Defer
@@ -202,16 +201,15 @@ let rec prevote_ok t ~src (pv : prevote) : [ `Valid | `Invalid | `Defer ] =
       else `Invalid
 
 and mainvote_ok t ~src (mv : mainvote) : [ `Valid | `Invalid | `Defer ] =
-  let kr = t.io.Proto_io.keyring in
   if
     not
-      (Keyring.verify_cert_share kr ~party:src
+      (Proto_io.verify_cert_share t.io ~party:src
          (main_stmt t mv.mv_round mv.mv_value) mv.mv_share)
   then `Invalid
   else
     match (mv.mv_value, mv.mv_just) with
     | Value b, J_quorum c ->
-      if Keyring.verify_cert kr (pre_stmt t mv.mv_round b) c then `Valid
+      if Proto_io.verify_cert t.io (pre_stmt t mv.mv_round b) c then `Valid
       else `Invalid
     | Abstain, J_conflict (s1, s2) ->
       if
@@ -432,8 +430,7 @@ and handle t ~src msg =
     | Support (b, share) ->
       if
         (not (List.exists (fun (v, p, _) -> v = b && p = src) t.sup_shares))
-        && Keyring.verify_cert_share t.io.Proto_io.keyring ~party:src
-             (sup_stmt t b) share
+        && Proto_io.verify_cert_share t.io ~party:src (sup_stmt t b) share
       then begin
         t.sup_shares <- (b, src, share) :: t.sup_shares;
         (* Amplify: once a set surely containing an honest party supports
@@ -477,8 +474,7 @@ and handle t ~src msg =
       end
     | Decide (r, b, cert) ->
       if
-        Keyring.verify_cert t.io.Proto_io.keyring (main_stmt t r (Value b))
-          cert
+        Proto_io.verify_cert t.io (main_stmt t r (Value b)) cert
       then begin
         (* Transferable: re-broadcast once so that every honest party
            terminates even if it lags several rounds behind. *)

@@ -93,6 +93,9 @@ type t = {
   mutable vba_proposed : int list;
   decisions : (int, string) Hashtbl.t;  (* round -> decided list, encoded *)
   digests : (string, string) Hashtbl.t;  (* payload -> digest, memoized *)
+  memos : (int, Proto_io.memo) Hashtbl.t;
+      (* round -> this replica's verified-signature memo for the round's
+         proposals and VBA subtree; open only inside the window *)
   mutable sp_epoch : int;  (* open trace span of the current round *)
 }
 
@@ -203,6 +206,45 @@ let decode_list (s : string) : (int * string * string) list option =
     in
     go [] parts
 
+(* ---------- per-round verified-signature memos ---------------------- *)
+
+(* Round r's memo.  It is open while r is inside the pipeline window
+   [t.round, t.round + window) and closed — entries dropped — once r
+   delivers or is retired, so at most [window] memos hold entries.  A
+   delivered round gets a closed throwaway: late traffic of a finished
+   round is checked in full and recorded nowhere. *)
+let round_memo t r =
+  if r < t.round then Proto_io.fresh_memo ()
+  else begin
+    let m =
+      match Hashtbl.find_opt t.memos r with
+      | Some m -> m
+      | None ->
+        let m = Proto_io.fresh_memo () in
+        Hashtbl.add t.memos r m;
+        m
+    in
+    if r < t.round + t.policy.window then Proto_io.open_memo m;
+    m
+  end
+
+let round_io t r = { t.io with Proto_io.memo = round_memo t r }
+
+(* Re-establish the memo invariant after [t.round] moved: forget the
+   memos of rounds below it, open those that entered the window. *)
+let slide_memos t =
+  Hashtbl.filter_map_inplace
+    (fun r m ->
+      if r < t.round then begin
+        Proto_io.close_memo m;
+        None
+      end
+      else begin
+        if r < t.round + t.policy.window then Proto_io.open_memo m;
+        Some m
+      end)
+    t.memos
+
 (* External validity for round r: a big-quorum of distinct senders, each
    with a valid signature on its own (round-bound) payload; under a
    batching policy every payload must additionally be a well-formed
@@ -224,14 +266,15 @@ let valid_list t r (value : string) : bool =
        || List.for_all
             (fun (_, p, _) -> p = placeholder || valid_frame t p)
             entries)
-    && List.for_all
-         (fun (sender, payload, sg) ->
-           match Schnorr_sig.of_bytes t.io.Proto_io.keyring.Keyring.group sg with
-           | None -> false
-           | Some sg ->
-             Keyring.verify_party_signature t.io.Proto_io.keyring ~party:sender
-               (prop_stmt t r payload) sg)
-         entries
+    &&
+    let io = round_io t r in
+    List.for_all
+      (fun (sender, payload, sg) ->
+        match Schnorr_sig.of_bytes t.io.Proto_io.keyring.Keyring.group sg with
+        | None -> false
+        | Some sg ->
+          Proto_io.verify_signature io ~party:sender (prop_stmt t r payload) sg)
+      entries
 
 (* ---------- construction ------------------------------------------- *)
 
@@ -261,6 +304,7 @@ let rec create ?(policy = default_policy) ~(io : msg Proto_io.t) ~tag ~deliver
       vba_proposed = [];
       decisions = Hashtbl.create 8;
       digests = Hashtbl.create 64;
+      memos = Hashtbl.create 8;
       sp_epoch = 0 }
   in
   t
@@ -289,7 +333,8 @@ and vba_of t r : Vba.t =
       Vba.create
         ~io:
           (Proto_io.embed ~layer:"vba"
-             ~bytes:(Vba.msg_size t.io.Proto_io.keyring) t.io
+             ~bytes:(Vba.msg_size t.io.Proto_io.keyring)
+             ~memo:(round_memo t r) t.io
              ~wrap:(fun m -> Vba_msg (r, m)))
         ~tag:(t.tag ^ "/r" ^ string_of_int r)
         ~validate:(fun value -> valid_list t r value)
@@ -431,6 +476,7 @@ and step t =
          in the queue and become packable again for a later round. *)
       Hashtbl.remove t.my_batches r;
       t.round <- r + 1;
+      slide_memos t;
       (match t.on_boundary with
       | Some f -> f (r + 1)
       | None -> ());
@@ -493,7 +539,7 @@ let handle t ~src msg =
           | None -> ()
           | Some parsed ->
             if
-              Keyring.verify_party_signature t.io.Proto_io.keyring ~party:src
+              Proto_io.verify_signature (round_io t r) ~party:src
                 (prop_stmt t r payload) parsed
             then begin
               props := (src, payload) :: !props;
@@ -513,6 +559,10 @@ let handle t ~src msg =
       step t
     end
     else if Hashtbl.mem t.vbas r then Vba.handle (vba_of t r) ~src m
+
+let memos t =
+  Hashtbl.fold (fun r m acc -> (r, m) :: acc) t.memos []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let delivered_log t = List.rev t.delivered_log
 let current_round t = t.round
@@ -551,6 +601,11 @@ let retire_rounds_below t r =
   List.iter (Hashtbl.remove t.raw_sigs) (doomed t.raw_sigs);
   List.iter (Hashtbl.remove t.decisions) (doomed t.decisions);
   List.iter (Hashtbl.remove t.my_batches) (doomed t.my_batches);
+  List.iter
+    (fun k ->
+      Proto_io.close_memo (Hashtbl.find t.memos k);
+      Hashtbl.remove t.memos k)
+    (doomed t.memos);
   t.participated <- List.filter (fun x -> x >= r) t.participated;
   t.vba_proposed <- List.filter (fun x -> x >= r) t.vba_proposed;
   List.length vgone
@@ -609,6 +664,7 @@ let install_checkpoint t ~round ~digests ~suffix =
   if t.log_len > t.log_peak then t.log_peak <- t.log_len;
   t.queue <- List.filter (fun q -> not (Hashtbl.mem t.delivered (digest t q))) t.queue;
   if round > t.round then t.round <- round;
+  slide_memos t;
   note_gc t (retire_rounds_below t t.round);
   List.iter
     (fun p ->

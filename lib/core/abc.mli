@@ -71,6 +71,13 @@ val in_flight_rounds : t -> (int * int) list
 (** [(round, proposals collected)] for each in-flight round, ascending —
     the per-round diagnostics the deployment's stall probe reports. *)
 
+val memos : t -> (int * Proto_io.memo) list
+(** The per-round verified-signature memos this party keeps, ascending
+    by round.  Only rounds inside the window
+    [[current_round, current_round + window)] have an open memo; a
+    round's memo is closed (emptied) when the round delivers or is
+    retired, and then forgotten. *)
+
 val backlog : t -> int
 (** Undelivered payloads not packed into any in-flight proposal —
     non-zero under back-pressure when the window is full. *)

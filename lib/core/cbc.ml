@@ -94,7 +94,8 @@ let handle t ~src msg =
     | Some payload when t.io.Proto_io.me = t.sender ->
       if
         (not (List.mem_assoc src t.shares))
-        && Keyring.verify_cert_share kr ~party:src (statement t payload) share
+        && Proto_io.verify_cert_share t.io ~party:src (statement t payload)
+             share
       then begin
         t.shares <- (src, share) :: t.shares;
         try_final t
@@ -103,7 +104,7 @@ let handle t ~src msg =
   | Final (payload, cert) ->
     if
       t.delivered = None
-      && Keyring.verify_cert kr (statement t payload) cert
+      && Proto_io.verify_cert t.io (statement t payload) cert
     then begin
       t.delivered <- Some (payload, cert);
       Obs.span_end (obs t) t.sp_inst;
@@ -115,11 +116,11 @@ let handle t ~src msg =
 
 (* Re-validate a transferred (payload, certificate) pair, e.g. one that
    arrived inside another protocol's justification. *)
-let check_transferred ~(keyring : Keyring.t) ~tag ~sender payload cert : bool =
+let check_transferred io ~tag ~sender payload cert : bool =
   let stmt =
     Ro.encode [ "cbc"; tag; string_of_int sender; Sha256.digest payload ]
   in
-  Keyring.verify_cert keyring stmt cert
+  Proto_io.verify_cert io stmt cert
 
 let msg_size kr = function
   | Send p -> 8 + String.length p

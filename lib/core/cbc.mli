@@ -28,9 +28,9 @@ val handle : t -> src:int -> msg -> unit
 val delivered : t -> (string * Keyring.cert) option
 
 val check_transferred :
-  keyring:Keyring.t -> tag:string -> sender:int -> string -> Keyring.cert -> bool
+  'm Proto_io.t -> tag:string -> sender:int -> string -> Keyring.cert -> bool
 (** Re-validate a (payload, certificate) pair carried inside another
-    protocol's justification. *)
+    protocol's justification, through the checker's {!Proto_io}. *)
 
 val msg_size : Keyring.t -> msg -> int
 

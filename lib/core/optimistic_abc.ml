@@ -247,13 +247,13 @@ and maybe_switch t =
 and state_valid t (r : state_report) : bool =
   r.st_party >= 0
   && r.st_party < Proto_io.n t.io
-  && Keyring.verify_party_signature t.io.Proto_io.keyring ~party:r.st_party
+  && Proto_io.verify_signature t.io ~party:r.st_party
        (state_stmt t r.st_prefix) r.st_sig
   &&
   match (r.st_prefix, r.st_cert) with
   | 0, None -> true
   | d, Some cert when d > 0 ->
-    Keyring.verify_cert t.io.Proto_io.keyring (ack_stmt t d) cert
+    Proto_io.verify_cert t.io (ack_stmt t d) cert
   | _, (Some _ | None) -> false
 
 and proposal_of_states t (reports : state_report list) : string =
@@ -304,8 +304,7 @@ and proposal_valid t (value : string) : bool =
     && List.for_all
          (fun (p, d, sg) ->
            d >= 0
-           && Keyring.verify_party_signature t.io.Proto_io.keyring ~party:p
-                (state_stmt t d) sg)
+           && Proto_io.verify_signature t.io ~party:p (state_stmt t d) sg)
          entries
 
 and vba_of t : Vba.t =
@@ -481,8 +480,7 @@ let handle t ~src msg =
       let shares = ack_shares_of t s in
       if
         (not (List.mem_assoc src !shares))
-        && Keyring.verify_cert_share t.io.Proto_io.keyring ~party:src
-             (ack_stmt t s) share
+        && Proto_io.verify_cert_share t.io ~party:src (ack_stmt t s) share
       then begin
         shares := (src, share) :: !shares;
         if not (Hashtbl.mem t.ack_certs s) then begin
@@ -497,8 +495,7 @@ let handle t ~src msg =
   | Complain share ->
     if
       (not (List.mem_assoc src t.complain_shares))
-      && Keyring.verify_cert_share t.io.Proto_io.keyring ~party:src
-           (complain_stmt t) share
+      && Proto_io.verify_cert_share t.io ~party:src (complain_stmt t) share
     then begin
       t.complain_shares <- (src, share) :: t.complain_shares;
       maybe_switch t
@@ -521,7 +518,7 @@ let handle t ~src msg =
   | Fetch_reply (s, payload, cert) ->
     if
       (not (List.exists (fun (s', _, _) -> s' = s) t.fetched))
-      && Cbc.check_transferred ~keyring:t.io.Proto_io.keyring
+      && Cbc.check_transferred t.io
            ~tag:(cbc_tag t s) ~sender:t.sequencer payload cert
     then begin
       t.fetched <- (s, payload, cert) :: t.fetched;

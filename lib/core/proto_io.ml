@@ -21,6 +21,41 @@
 
 module AS = Adversary_structure
 
+(* The verified-signature memo.  An entry (signer, SHA-256 of the
+   statement, signature) is recorded only after a full check of exactly
+   that triple succeeded on this replica, so a hit repeats a
+   deterministic check this replica already passed: no accept/reject
+   decision can change.  Signatures compare by value, never by a
+   truncated encoding, so a forged signature never matches a genuine
+   entry.  A memo is closed (no lookups, no inserts) until its owner
+   opens it; closing drops every entry. *)
+module Key = struct
+  type t = { signer : int; digest : string; sg : Schnorr_sig.signature }
+
+  let equal a b =
+    a.signer = b.signer
+    && String.equal a.digest b.digest
+    && Bignum.equal a.sg.Schnorr_sig.c b.sg.Schnorr_sig.c
+    && Bignum.equal a.sg.Schnorr_sig.z b.sg.Schnorr_sig.z
+
+  let hash k = Hashtbl.hash (k.signer, k.digest)
+end
+
+module Memo_tbl = Hashtbl.Make (Key)
+
+type memo = { mutable table : unit Memo_tbl.t option }
+
+let fresh_memo () = { table = None }
+
+let open_memo m =
+  if m.table = None then m.table <- Some (Memo_tbl.create 64)
+
+let close_memo m = m.table <- None
+let memo_is_open m = m.table <> None
+
+let memo_size m =
+  match m.table with Some tbl -> Memo_tbl.length tbl | None -> 0
+
 type 'm t = {
   me : int;
   keyring : Keyring.t;
@@ -36,6 +71,7 @@ type 'm t = {
   timer : delay:float -> (unit -> unit) -> unit;
       (* one-shot virtual-time timer for this party; protocols must
          treat it as a liveness aid only *)
+  memo : memo;  (* this replica's memo for the current scope *)
 }
 
 and resync = {
@@ -75,12 +111,14 @@ let make ?(obs = Obs.noop) ?(layer = "app") ?(bytes = fun _ -> 0) ~timer ~me
     obs; layer;
     raw_send = send;
     raw_broadcast = broadcast;
-    unsequenced; link; timer }
+    unsequenced; link; timer;
+    memo = fresh_memo () }
 
 let structure io = io.keyring.Keyring.structure
 let n io = AS.n (structure io)
 
-let embed ?layer ?bytes (io : 'p t) ~(wrap : 'c -> 'p) : 'c t =
+let embed ?layer ?bytes ?memo (io : 'p t) ~(wrap : 'c -> 'p) : 'c t =
+  let memo = match memo with Some m -> m | None -> io.memo in
   match layer with
   | None ->
     (* Same layer as the parent: route through the parent's counting
@@ -96,7 +134,8 @@ let embed ?layer ?bytes (io : 'p t) ~(wrap : 'c -> 'p) : 'c t =
       raw_broadcast = (fun m -> io.raw_broadcast (wrap m));
       unsequenced = (fun dst m -> io.unsequenced dst (wrap m));
       link = io.link;
-      timer = io.timer }
+      timer = io.timer;
+      memo }
   | Some layer ->
     (* Own layer: wrap into the parent's *raw* transport so the child's
        traffic is attributed here and nowhere else. *)
@@ -110,9 +149,30 @@ let embed ?layer ?bytes (io : 'p t) ~(wrap : 'c -> 'p) : 'c t =
     { me = io.me; keyring = io.keyring; send; broadcast; obs = io.obs;
       layer; raw_send; raw_broadcast;
       unsequenced = (fun dst m -> io.unsequenced dst (wrap m));
-      link = io.link; timer = io.timer }
+      link = io.link; timer = io.timer; memo }
 
 (* Predicate shorthands on the deployment's adversary structure. *)
 let big_quorum io s = AS.big_quorum (structure io) s
 let two_cover io s = AS.two_cover (structure io) s
 let contains_honest io s = AS.contains_honest (structure io) s
+
+(* ---------- signature checks -------------------------------------- *)
+
+(* Every protocol-level Schnorr check goes through here: the memo is
+   consulted first and fed only by a successful full check. *)
+let verify_signature io ~party stmt sg =
+  match io.memo.table with
+  | None -> Keyring.verify_party_signature io.keyring ~party stmt sg
+  | Some tbl ->
+    let key = { Key.signer = party; digest = Sha256.digest stmt; sg } in
+    Memo_tbl.mem tbl key
+    || Keyring.verify_party_signature io.keyring ~party stmt sg
+       && (Memo_tbl.replace tbl key ();
+           true)
+
+let verify_cert_share io ~party stmt share =
+  Keyring.verify_cert_share ~verify:(verify_signature io) io.keyring ~party
+    stmt share
+
+let verify_cert io stmt cert =
+  Keyring.verify_cert ~verify:(verify_signature io) io.keyring stmt cert

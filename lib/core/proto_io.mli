@@ -17,6 +17,19 @@
     default [Obs.noop] the counting wrappers are the raw functions
     themselves — the uninstrumented path costs nothing. *)
 
+type memo
+(** A replica's verified-signature memo for one scope (one ABC round).
+    Closed when created: lookups miss and nothing is recorded until
+    {!open_memo}. *)
+
+val fresh_memo : unit -> memo
+val open_memo : memo -> unit
+val close_memo : memo -> unit
+(** Drops every entry; the memo stays closed. *)
+
+val memo_is_open : memo -> bool
+val memo_size : memo -> int
+
 type 'm t = {
   me : int;
   keyring : Keyring.t;
@@ -39,6 +52,10 @@ type 'm t = {
       (** one-shot virtual-time timer for this party; a liveness aid
           only — protocol safety must never depend on it.  [embed]
           passes it through unchanged. *)
+  memo : memo;
+      (** the memo {!verify_signature} consults; {!make} gives every
+          party its own closed one, and [embed ~memo] scopes a subtree
+          to another *)
 }
 
 and resync = {
@@ -72,15 +89,32 @@ val make :
 val structure : 'm t -> Adversary_structure.t
 val n : 'm t -> int
 
-val embed : ?layer:string -> ?bytes:('c -> int) -> 'p t -> wrap:('c -> 'p) -> 'c t
+val embed :
+  ?layer:string -> ?bytes:('c -> int) -> ?memo:memo -> 'p t -> wrap:('c -> 'p) ->
+  'c t
 (** Child environment whose sends wrap into the parent's message type.
     Without [~layer] the child shares the parent's layer and counters
     (its traffic routes through the parent's counting send); with
     [~layer] the child gets its own counters and size estimate, and its
-    traffic bypasses the parent's. *)
+    traffic bypasses the parent's.  [memo] (default: the parent's)
+    is the memo the child's signature checks use. *)
 
 (** Quorum-predicate shorthands on the deployment's structure. *)
 
 val big_quorum : 'm t -> Pset.t -> bool
 val two_cover : 'm t -> Pset.t -> bool
 val contains_honest : 'm t -> Pset.t -> bool
+
+(** {2 Signature checks}
+
+    The one path by which protocol code checks a server's Schnorr
+    signature, a quorum-certificate share or a quorum certificate.  With
+    an open memo a check that this replica already passed for the same
+    (signer, statement digest, signature) is answered from the memo;
+    everything else is a full {!Keyring} check, and only a successful
+    one is recorded.  Compressed (RSA) certificates are never
+    memoized. *)
+
+val verify_signature : 'm t -> party:int -> string -> Schnorr_sig.signature -> bool
+val verify_cert_share : 'm t -> party:int -> string -> Keyring.cert_share -> bool
+val verify_cert : 'm t -> string -> Keyring.cert -> bool

@@ -121,15 +121,16 @@ let try_certify t b =
     let entries =
       match Hashtbl.find_opt t.shares b with Some l -> l | None -> []
     in
-    let good =
+    (* Combine first: [service_combine] checks the combined value and
+       falls back to per-share checks only when that fails. *)
+    let matching =
       List.filter_map
         (fun (src, hash, share) ->
-          if hash = h && Keyring.service_verify_share kr ~party:src (stmt t b h) share
-          then Some share
+          if hash = h && Keyring.sig_share_signer share = src then Some share
           else None)
         entries
     in
-    match Keyring.service_combine kr (stmt t b h) good with
+    match Keyring.service_combine kr (stmt t b h) matching with
     | None -> ()
     | Some s ->
       if Keyring.service_verify kr (stmt t b h) s then begin

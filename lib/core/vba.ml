@@ -254,8 +254,8 @@ let handle t ~src msg =
       candidate >= 0 && candidate < n t
       && (not (List.mem_assoc candidate t.proposals))
       && t.validate payload
-      && Cbc.check_transferred ~keyring:t.io.Proto_io.keyring
-           ~tag:(cbc_tag t candidate) ~sender:candidate payload cert
+      && Cbc.check_transferred t.io ~tag:(cbc_tag t candidate)
+           ~sender:candidate payload cert
     then begin
       t.proposals <- (candidate, (payload, cert)) :: t.proposals;
       step t

@@ -103,23 +103,44 @@ let service_verify_share t ~party msg (s : sig_share) : bool =
     p = party && Cert_sig.verify_share dl ~party msg ss
   | Rsa_keys _, Cert_share _ | Cert_keys _, Rsa_share _ -> false
 
-let service_combine t msg (shares : sig_share list) :
-    service_signature option =
+let sig_share_signer = function
+  | Rsa_share sh -> sh.Rsa_threshold.signer
+  | Cert_share (p, _) -> p
+
+let rsa_shares =
+  List.filter_map (function Rsa_share s -> Some s | Cert_share _ -> None)
+
+let cert_shares =
+  List.filter_map (function Cert_share (p, ss) -> Some (p, ss) | Rsa_share _ -> None)
+
+(* Combine first; name the bad signers only when that fails on a
+   sharing-qualified set (or, for certificates, when combining pruned
+   someone), so an all-honest share set pays for no per-share check. *)
+let service_combine_attributed t msg (shares : sig_share list) :
+    service_signature option * int list =
   match t.service with
   | Rsa_keys keys ->
-    let rsa =
-      List.filter_map
-        (function Rsa_share s -> Some s | Cert_share _ -> None)
-        shares
-    in
-    Option.map (fun s -> Rsa_signature s) (Rsa_threshold.combine keys msg rsa)
+    let y, bad = Rsa_threshold.combine_attributed keys msg (rsa_shares shares) in
+    (Option.map (fun s -> Rsa_signature s) y, bad)
   | Cert_keys dl ->
-    let cs =
-      List.filter_map
-        (function Cert_share (p, ss) -> Some (p, ss) | Rsa_share _ -> None)
-        shares
-    in
-    Option.map (fun c -> Cert_signature c) (Cert_sig.combine dl msg cs)
+    let cs = cert_shares shares in
+    (match Cert_sig.combine dl msg cs with
+    | Some c ->
+      ( Some (Cert_signature c),
+        List.filter_map
+          (fun (p, _) -> if Pset.mem p c.Cert_sig.signers then None else Some p)
+          cs )
+    | None ->
+      let avail = List.fold_left (fun a (p, _) -> Pset.add p a) Pset.empty cs in
+      if not (AS.is_qualified dl.Dl_sharing.structure avail) then (None, [])
+      else
+        ( None,
+          List.filter_map
+            (fun (p, ss) ->
+              if Cert_sig.verify_share dl ~party:p msg ss then None else Some p)
+            cs ))
+
+let service_combine t msg shares = fst (service_combine_attributed t msg shares)
 
 let service_verify t msg (s : service_signature) : bool =
   match (t.service, s) with
@@ -313,14 +334,18 @@ type cert =
   | Vector_cert of (int * Schnorr_sig.signature) list
   | Rsa_cert of Rsa_threshold.signature
 
+type party_verifier = party:int -> string -> Schnorr_sig.signature -> bool
+
 let cert_share t ~party (statement : string) : cert_share =
   match t.cert_rsa with
   | None -> Sig_share (sign t ~party statement)
   | Some keys -> Rsa_cert_share (Rsa_threshold.sign_share keys ~party statement)
 
-let verify_cert_share t ~party (statement : string) (s : cert_share) : bool =
+let verify_cert_share ?verify t ~party (statement : string) (s : cert_share) :
+    bool =
   match (t.cert_rsa, s) with
-  | None, Sig_share sg -> verify_party_signature t ~party statement sg
+  | None, Sig_share sg ->
+    (Option.value verify ~default:(verify_party_signature t)) ~party statement sg
   | Some keys, Rsa_cert_share sh ->
     sh.Rsa_threshold.signer = party && Rsa_threshold.verify_share keys statement sh
   | None, Rsa_cert_share _ | Some _, Sig_share _ -> false
@@ -352,7 +377,8 @@ let make_cert t (statement : string) (shares : (int * cert_share) list) :
       in
       Option.map (fun y -> Rsa_cert y) (Rsa_threshold.combine keys statement rsa)
 
-let verify_cert t (statement : string) (c : cert) : bool =
+let verify_cert ?verify t (statement : string) (c : cert) : bool =
+  let verify = Option.value verify ~default:(verify_party_signature t) in
   match (t.cert_rsa, c) with
   | None, Vector_cert sigs ->
     let sigs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) sigs in
@@ -361,7 +387,7 @@ let verify_cert t (statement : string) (c : cert) : bool =
     in
     AS.big_quorum t.structure endorsers
     && List.for_all
-         (fun (p, sg) -> verify_party_signature t ~party:p statement sg)
+         (fun (p, sg) -> verify ~party:p statement sg)
          sigs
   | Some keys, Rsa_cert y -> Rsa_threshold.verify keys.Rsa_threshold.pk statement y
   | None, Rsa_cert _ | Some _, Vector_cert _ -> false

@@ -61,6 +61,16 @@ val service_combine : t -> string -> sig_share list -> service_signature option
 (** Succeeds once the contributing servers can reconstruct (k = t+1 RSA
     shares, or a sharing-qualified set of certificate shares). *)
 
+val service_combine_attributed :
+  t -> string -> sig_share list -> service_signature option * int list
+(** {!service_combine} that also names the signers whose shares failed
+    their own check.  Shares are checked one by one only when combining
+    a sharing-qualified set fails (or a certificate combine pruned
+    someone), so an all-honest share set costs no per-share check. *)
+
+val sig_share_signer : sig_share -> int
+(** The server a share claims to come from — a field read, no check. *)
+
 val service_verify : t -> string -> service_signature -> bool
 
 val service_signature_to_bytes : t -> service_signature -> string
@@ -100,13 +110,21 @@ type cert_share =
 type cert = Vector_cert of (int * Schnorr_sig.signature) list | Rsa_cert of Rsa_threshold.signature
 
 val cert_share : t -> party:int -> string -> cert_share
-val verify_cert_share : t -> party:int -> string -> cert_share -> bool
+type party_verifier = party:int -> string -> Schnorr_sig.signature -> bool
+(** A check of one server's Schnorr signature: {!verify_party_signature}
+    unless a caller supplies its own (a memoizing wrapper). *)
+
+val verify_cert_share :
+  ?verify:party_verifier -> t -> party:int -> string -> cert_share -> bool
+(** [verify] checks a vector-mode share; RSA shares ignore it. *)
 
 val make_cert : t -> string -> (int * cert_share) list -> cert option
 (** [None] unless the (deduplicated) endorsers form a big quorum; shares
     must have been verified by the caller. *)
 
-val verify_cert : t -> string -> cert -> bool
+val verify_cert : ?verify:party_verifier -> t -> string -> cert -> bool
+(** [verify] checks each signature of a vector certificate; compressed
+    certificates ignore it. *)
 
 val cert_size : t -> cert -> int
 (** Approximate wire size in bytes, for the message-size experiments. *)

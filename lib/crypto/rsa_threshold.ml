@@ -246,14 +246,14 @@ let signature_ok (pk : public_key) ~(xhat : B.t) (y : signature) : bool =
    combined value, so the happy path checks no share proof at all.  On
    failure, fall back to per-share verification, drop the bad shares and
    retry, so an invalid signature is never returned. *)
-let combine (keys : keys) (msg : string) (shares : share list) :
-    signature option =
+let combine_attributed (keys : keys) (msg : string) (shares : share list) :
+    signature option * int list =
   Obs_crypto.combine ();
   let pk = keys.pk in
   let shares =
     List.sort_uniq (fun a b -> compare a.signer b.signer) shares
   in
-  if List.length shares < pk.k then None
+  if List.length shares < pk.k then (None, [])
   else begin
     let xhat = hash_to_zn pk msg in
     let attempt shares =
@@ -264,12 +264,15 @@ let combine (keys : keys) (msg : string) (shares : share list) :
     match attempt shares with
     | Some _ as y ->
       Obs_crypto.lazy_verify_hit ();
-      y
+      (y, [])
     | None ->
       Obs_crypto.batch_verify_fallback ();
-      let good = List.filter (verify_share keys msg) shares in
-      if List.length good < pk.k then None else attempt good
+      let good, bad = List.partition (verify_share keys msg) shares in
+      ( (if List.length good < pk.k then None else attempt good),
+        List.map (fun s -> s.signer) bad )
   end
+
+let combine keys msg shares = fst (combine_attributed keys msg shares)
 
 let verify (pk : public_key) (msg : string) (y : signature) : bool =
   Obs_crypto.verify ();

@@ -38,5 +38,9 @@ val combine : keys -> string -> share list -> signature option
     per-share verification when that fails — an invalid signature is
     never returned. *)
 
+val combine_attributed : keys -> string -> share list -> signature option * int list
+(** {!combine}, plus the signers of the shares its fallback found
+    invalid ([[]] whenever the optimistic combination succeeds). *)
+
 val verify : public_key -> string -> signature -> bool
 (** Standard RSA full-domain-hash verification: [y^e = H(M) mod N]. *)

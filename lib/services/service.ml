@@ -322,7 +322,9 @@ module Client = struct
     mutable p_resends : int;
     p_started : float;  (* virtual submission time, for latency *)
     mutable p_groups :
-      ((bool * string) * (int * Keyring.sig_share) list) list;
+      ((bool * string) * (int * Keyring.sig_share option) list) list;
+        (* per (kind, response): each server's share, [None] once found
+           bad *)
   }
 
   type c = {
@@ -361,9 +363,10 @@ module Client = struct
   let reject c = c.rejected_replies <- c.rejected_replies + 1
 
   (* One server's partial answer: decode the strict frame, bind it to
-     the transport source (a corrupted server cannot speak in another's
-     name), verify the share under the matching statement domain, then
-     try to assemble the certificate from the answer's response group.
+     the transport source and the share's signer field (a corrupted
+     server cannot speak in another's name), then try to assemble the
+     certificate from the answer's response group; share proofs are
+     checked only when that combination fails.
      Completion removes the request — pending state is bounded by the
      number of requests in flight, not by history. *)
   let on_reply (c : c) ~src frame =
@@ -391,62 +394,62 @@ module Client = struct
           else begin
             let stmt = reply_statement ~fast ~req_digest ~response in
             match Keyring.sig_share_of_bytes c.keyring share_b with
-            | None ->
+            | Some share when Keyring.sig_share_signer share = server -> (
+              let key = (fast, response) in
+              let group =
+                match List.assoc_opt key p.p_groups with
+                | Some g -> g
+                | None -> []
+              in
+              if not (List.mem_assoc server group) then
+                let group = (server, Some share) :: group in
+                (* Combine first: shares are checked one by one only
+                   when a qualified group fails to combine.  A share
+                   found bad stays in the group as [None], so its
+                   server cannot re-enter it. *)
+                let shares = List.filter_map snd group in
+                let combined, bad =
+                  Keyring.service_combine_attributed c.keyring stmt shares
+                in
+                List.iter
+                  (fun _ ->
+                    reject c;
+                    obs_incr c "svc_reply_rejected")
+                  bad;
+                p.p_groups <-
+                  ( key,
+                    List.map
+                      (fun (s, sh) -> if List.mem s bad then (s, None) else (s, sh))
+                      group )
+                  :: List.remove_assoc key p.p_groups;
+                match combined with
+                | None -> ()
+                | Some service_sig ->
+                  if Keyring.service_verify c.keyring stmt service_sig then begin
+                    Hashtbl.remove c.requests req_digest;
+                    c.completed <- c.completed + 1;
+                    obs_incr c "svc_cert_assembled";
+                    if fast then begin
+                      c.fastpath_hits <- c.fastpath_hits + 1;
+                      obs_incr c "svc_fastpath_hits"
+                    end;
+                    if Obs.active c.io.Stack.c_obs then
+                      Obs.observe c.io.Stack.c_obs ~labels:svc_labels
+                        "svc_reply_latency"
+                        (c.io.Stack.c_clock () -. p.p_started);
+                    callback
+                      { rc_fast = fast;
+                        rc_req_digest = req_digest;
+                        rc_response = response;
+                        rc_sig = service_sig }
+                  end
+                  else begin
+                    c.cert_failures <- c.cert_failures + 1;
+                    obs_incr c "svc_cert_failed"
+                  end)
+            | Some _ | None ->
               reject c;
               obs_incr c "svc_reply_rejected"
-            | Some share ->
-              if
-                not
-                  (Keyring.service_verify_share c.keyring ~party:server
-                     stmt share)
-              then begin
-                reject c;
-                obs_incr c "svc_reply_rejected"
-              end
-              else begin
-                let key = (fast, response) in
-                let group =
-                  match List.assoc_opt key p.p_groups with
-                  | Some g -> g
-                  | None -> []
-                in
-                if not (List.mem_assoc server group) then begin
-                  let group = (server, share) :: group in
-                  p.p_groups <-
-                    (key, group) :: List.remove_assoc key p.p_groups;
-                  (* Assembly succeeds once the responders form a
-                     sharing-qualified set (t+1 in the threshold case). *)
-                  match
-                    Keyring.service_combine c.keyring stmt
-                      (List.map snd group)
-                  with
-                  | None -> ()
-                  | Some service_sig ->
-                    if Keyring.service_verify c.keyring stmt service_sig
-                    then begin
-                      Hashtbl.remove c.requests req_digest;
-                      c.completed <- c.completed + 1;
-                      obs_incr c "svc_cert_assembled";
-                      if fast then begin
-                        c.fastpath_hits <- c.fastpath_hits + 1;
-                        obs_incr c "svc_fastpath_hits"
-                      end;
-                      if Obs.active c.io.Stack.c_obs then
-                        Obs.observe c.io.Stack.c_obs ~labels:svc_labels
-                          "svc_reply_latency"
-                          (c.io.Stack.c_clock () -. p.p_started);
-                      callback
-                        { rc_fast = fast;
-                          rc_req_digest = req_digest;
-                          rc_response = response;
-                          rc_sig = service_sig }
-                    end
-                    else begin
-                      c.cert_failures <- c.cert_failures + 1;
-                      obs_incr c "svc_cert_failed"
-                    end
-                end
-              end
           end)
 
   (* Defaults are sized to the simulator's WAN model (10-100 virtual ms

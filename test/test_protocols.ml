@@ -21,6 +21,12 @@ let keyring ?(variant = 0) structure =
     Hashtbl.replace keyring_cache key kr;
     kr
 
+(* A transport-less environment for checks made outside a deployment. *)
+let checker_io ?(me = 0) kr : unit Proto_io.t =
+  Proto_io.make ~timer:(fun ~delay:_ _ -> ()) ~me ~keyring:kr
+    ~send:(fun _ () -> ()) ~broadcast:ignore ~unsequenced:(fun _ () -> ())
+    ~link:None ()
+
 let policies seed : Sim.policy list =
   ignore seed;
   [ Sim.Fifo; Sim.Random_order; Sim.Latency_order ]
@@ -156,11 +162,11 @@ let cbc_tests =
         | None -> Alcotest.fail "party 3 did not deliver"
         | Some (payload, cert) ->
           Alcotest.(check bool) "transferred check" true
-            (Cbc.check_transferred ~keyring:kr ~tag:"t2" ~sender:0 payload cert);
+            (Cbc.check_transferred (checker_io kr) ~tag:"t2" ~sender:0 payload cert);
           Alcotest.(check bool) "wrong tag fails" false
-            (Cbc.check_transferred ~keyring:kr ~tag:"t3" ~sender:0 payload cert);
+            (Cbc.check_transferred (checker_io kr) ~tag:"t3" ~sender:0 payload cert);
           Alcotest.(check bool) "wrong payload fails" false
-            (Cbc.check_transferred ~keyring:kr ~tag:"t2" ~sender:0 "other" cert));
+            (Cbc.check_transferred (checker_io kr) ~tag:"t2" ~sender:0 "other" cert));
     Alcotest.test_case "cbc: validation predicate blocks endorsement" `Quick
       (fun () ->
         let kr = keyring th41 in
@@ -562,6 +568,186 @@ let scabc_tests =
           logs)
   ]
 
+
+(* ---------------- verified-signature memo --------------------------- *)
+
+(* An environment whose memo is open, as an ABC round's subtree sees it. *)
+let memo_io ?me kr =
+  let io = checker_io ?me kr in
+  let memo = Proto_io.fresh_memo () in
+  Proto_io.open_memo memo;
+  { io with Proto_io.memo }
+
+let forge (sg : Schnorr_sig.signature) =
+  { sg with Schnorr_sig.z = Bignum.add sg.Schnorr_sig.z Bignum.one }
+
+(* Run an ABC deployment (window 2, batches of 2) over [payloads],
+   calling [probe] on the nodes after every simulator step. *)
+let run_abc_probed ~seed ~payloads probe =
+  let kr = keyring th41 in
+  let sim = Sim.create ~n:4 ~seed () in
+  let policy = { Abc.default_policy with Abc.max_batch_msgs = 2; window = 2 } in
+  let nodes =
+    Stack.deploy_abc ~policy ~sim ~keyring:kr ~tag:"memo" ~deliver:(fun _ _ -> ())
+      ()
+  in
+  List.iteri (fun i p -> Abc.broadcast nodes.(i mod 4) p) payloads;
+  let total = List.length payloads in
+  Sim.run sim ~until:(fun () ->
+      probe nodes;
+      Array.for_all (fun a -> Abc.delivered_count a = total) nodes);
+  nodes
+
+let memo_tests =
+  let kr = keyring th41 in
+  let stmt = "memo statement" in
+  [ Alcotest.test_case "memo: a forged signature on a memoized statement is rejected"
+      `Quick (fun () ->
+        let io = memo_io kr in
+        let sg = Keyring.sign kr ~party:1 stmt in
+        Alcotest.(check bool) "genuine accepted" true
+          (Proto_io.verify_signature io ~party:1 stmt sg);
+        Alcotest.(check int) "memoized" 1 (Proto_io.memo_size io.Proto_io.memo);
+        Alcotest.(check bool) "genuine hit" true
+          (Proto_io.verify_signature io ~party:1 stmt sg);
+        Alcotest.(check bool) "forged value rejected" false
+          (Proto_io.verify_signature io ~party:1 stmt (forge sg));
+        Alcotest.(check bool) "another signer's signature rejected" false
+          (Proto_io.verify_signature io ~party:1 stmt
+             (Keyring.sign kr ~party:2 stmt));
+        Alcotest.(check bool) "claimed by another signer rejected" false
+          (Proto_io.verify_signature io ~party:2 stmt sg);
+        Alcotest.(check bool) "other statement rejected" false
+          (Proto_io.verify_signature io ~party:1 "other statement" sg);
+        Alcotest.(check int) "failures are never recorded" 1
+          (Proto_io.memo_size io.Proto_io.memo));
+    Alcotest.test_case
+      "memo: a certificate mixing memoized and forged signatures is rejected"
+      `Quick (fun () ->
+        let io = memo_io kr in
+        let shares =
+          List.map (fun p -> (p, Keyring.cert_share kr ~party:p stmt)) [ 0; 1; 2 ]
+        in
+        List.iter
+          (fun (p, sh) ->
+            Alcotest.(check bool) "share accepted" true
+              (Proto_io.verify_cert_share io ~party:p stmt sh))
+          shares;
+        let cert = Option.get (Keyring.make_cert kr stmt shares) in
+        Alcotest.(check bool) "genuine certificate accepted" true
+          (Proto_io.verify_cert io stmt cert);
+        let mixed =
+          match cert with
+          | Keyring.Vector_cert sigs ->
+            Keyring.Vector_cert
+              (List.map (fun (p, sg) -> if p = 2 then (p, forge sg) else (p, sg)) sigs)
+          | Keyring.Rsa_cert _ -> Alcotest.fail "vector mode expected"
+        in
+        Alcotest.(check bool) "mixed certificate rejected" false
+          (Proto_io.verify_cert io stmt mixed);
+        Alcotest.(check bool) "forged share rejected" false
+          (match List.assoc 2 shares with
+          | Keyring.Sig_share sg ->
+            Proto_io.verify_cert_share io ~party:2 stmt
+              (Keyring.Sig_share (forge sg))
+          | Keyring.Rsa_cert_share _ -> true));
+    Alcotest.test_case "memo: two parties never share a memo table" `Quick
+      (fun () ->
+        let a = memo_io ~me:0 kr and b = memo_io ~me:1 kr in
+        let sg = Keyring.sign kr ~party:3 stmt in
+        ignore (Proto_io.verify_signature a ~party:3 stmt sg);
+        Alcotest.(check int) "checker's memo fed" 1
+          (Proto_io.memo_size a.Proto_io.memo);
+        Alcotest.(check int) "other party's memo untouched" 0
+          (Proto_io.memo_size b.Proto_io.memo);
+        Alcotest.(check bool) "make gives each party its own memo" false
+          ((checker_io ~me:0 kr).Proto_io.memo == (checker_io ~me:1 kr).Proto_io.memo);
+        let seen = ref [] in
+        let _ =
+          run_abc_probed ~seed:71 ~payloads:[ "m1"; "m2"; "m3"; "m4" ]
+            (fun nodes ->
+              Array.iteri
+                (fun me a ->
+                  List.iter
+                    (fun (r, m) ->
+                      List.iter
+                        (fun (me', r', m') ->
+                          if me' <> me && m' == m then
+                            Alcotest.failf "parties %d and %d share round %d/%d's memo"
+                              me' me r' r)
+                        !seen;
+                      if not (List.exists (fun (_, _, m') -> m' == m) !seen) then
+                        seen := (me, r, m) :: !seen)
+                    (Abc.memos a))
+                nodes)
+        in
+        Alcotest.(check bool) "round memos observed" true (!seen <> []));
+    Alcotest.test_case "memo: a round's memo is emptied on delivery and on retire"
+      `Quick (fun () ->
+        let captured = ref [] in
+        let nodes =
+          run_abc_probed ~seed:72 ~payloads:[ "d1"; "d2"; "d3" ] (fun nodes ->
+              List.iter
+                (fun (r, m) ->
+                  if Proto_io.memo_size m > 0 && not (List.mem_assq m !captured)
+                  then captured := (m, r) :: !captured)
+                (Abc.memos nodes.(0)))
+        in
+        Alcotest.(check bool) "some round memoized" true (!captured <> []);
+        let a = nodes.(0) in
+        List.iter
+          (fun (m, r) ->
+            if r < Abc.current_round a then begin
+              Alcotest.(check int) "delivered round's memo empty" 0
+                (Proto_io.memo_size m);
+              Alcotest.(check bool) "and closed" false (Proto_io.memo_is_open m)
+            end)
+          !captured;
+        Alcotest.(check bool) "no memo kept below the current round" true
+          (List.for_all (fun (r, _) -> r >= Abc.current_round a) (Abc.memos a));
+        (* Retire: a signed proposal for the current round fills its
+           memo; truncating past the round must empty and drop it. *)
+        let r = Abc.current_round a in
+        let sg =
+          Keyring.sign kr ~party:1
+            (Ro.encode [ "abc-prop"; "memo"; string_of_int r; "" ])
+        in
+        Abc.handle a ~src:1
+          (Abc.Proposal (r, "", Schnorr_sig.to_bytes kr.Keyring.group sg));
+        let v = List.assoc r (Abc.memos a) in
+        Alcotest.(check int) "current round memoized" 1 (Proto_io.memo_size v);
+        Abc.truncate a ~upto_round:(r + 1) ~upto_len:(Abc.delivered_count a);
+        Alcotest.(check int) "retired round's memo empty" 0 (Proto_io.memo_size v);
+        Alcotest.(check bool) "retired round's memo closed" false
+          (Proto_io.memo_is_open v);
+        Alcotest.(check bool) "retired round forgotten" false
+          (List.mem_assoc r (Abc.memos a)));
+    Alcotest.test_case "memo: open memos never exceed the window" `Quick
+      (fun () ->
+        let peak = ref 0 in
+        let _ =
+          run_abc_probed ~seed:73
+            ~payloads:(List.init 12 (Printf.sprintf "w%d"))
+            (fun nodes ->
+              Array.iter
+                (fun a ->
+                  let cur = Abc.current_round a in
+                  let live =
+                    List.filter (fun (_, m) -> Proto_io.memo_is_open m) (Abc.memos a)
+                  in
+                  List.iter
+                    (fun (r, _) ->
+                      if r < cur || r >= cur + 2 then
+                        Alcotest.failf "memo of round %d open at round %d" r cur)
+                    live;
+                  peak := max !peak (List.length live))
+                nodes)
+        in
+        Alcotest.(check bool) "at most window = 2 open" true (!peak <= 2);
+        Alcotest.(check int) "both window rounds memoized at once" 2 !peak)
+  ]
+
 let suite =
   ( "protocols",
-    rbc_tests @ cbc_tests @ abba_tests @ vba_tests @ abc_tests @ scabc_tests )
+    rbc_tests @ cbc_tests @ abba_tests @ vba_tests @ abc_tests @ scabc_tests
+    @ memo_tests )

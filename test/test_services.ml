@@ -609,7 +609,49 @@ let fastpath_tests =
         | Some rc ->
           Alcotest.(check bool) "ordered certificate" false rc.Service.rc_fast;
           Alcotest.(check bool) "fast-kind reply rejected" true
-            (Service.Client.rejected_replies client >= 1))
+            (Service.Client.rejected_replies client >= 1));
+    Alcotest.test_case
+      "a bad reply share does not block completion and is counted" `Quick
+      (fun () ->
+        let sim, kr, _ =
+          deploy_service ~seed:6406 ~mode:Service.Plain
+            ~make_app:Directory_service.make_app
+            ~read_only:Directory_service.read_only ()
+        in
+        (* server 3 takes no part in ordering but answers every request
+           at once, under its own name, with a share over the wrong
+           statement: the client sees it before any honest share *)
+        Sim.set_handler sim 3 (fun ~src:_ (frame : Service.msg Link.frame) ->
+            match frame with
+            | Link.Raw (Service.Request { client; body })
+            | Link.Data { payload = Service.Request { client; body }; _ } ->
+              let req_digest = Sha256.digest body in
+              let response = Codec.encode [ "bound"; "k" ] in
+              let share =
+                Keyring.service_sign_share kr ~party:3 "not the reply statement"
+              in
+              Sim.send sim ~src:3 ~dst:client
+                (Link.Raw
+                   (Service.Response
+                      (Codec.encode_svc_reply ~fast:false ~req_digest
+                         ~server:3 ~response
+                         ~share:(Keyring.sig_share_to_bytes kr share))))
+            | Link.Raw _ | Link.Data _ | Link.Ack _ -> ());
+        let client = Service.Client.create ~sim ~keyring:kr ~slot:4 ~seed:39 () in
+        let result = ref None in
+        Service.Client.request client ~mode:Service.Plain
+          (Directory_service.bind_request ~key:"k" ~value:"v") (fun rc ->
+            result := Some rc);
+        Sim.run sim ~until:(fun () -> !result <> None);
+        (match !result with
+        | None -> Alcotest.fail "request blocked by the bad share"
+        | Some rc ->
+          Alcotest.(check bool) "certificate verifies" true
+            (Service.verify_reply_cert kr rc);
+          Alcotest.(check string) "honest response certified"
+            (Codec.encode [ "bound"; "k" ]) rc.Service.rc_response);
+        Alcotest.(check int) "bad share counted once" 1
+          (Service.Client.rejected_replies client))
   ]
 
 (* ------------------------------------------------------------------ *)
