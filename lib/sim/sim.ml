@@ -138,10 +138,16 @@ type 'msg t = {
   mutable chaos : chaos_state option;
   mutable clock : float;
   mutable seq : int;
-  mutable pending : 'msg envelope list;  (* newest first *)
+  mutable queue : 'msg envelope option array;
+      (* pending envelopes oldest first in slots [0, len); every slot at
+         or above [len] is [None], so the queue never keeps a delivered
+         or dropped envelope alive *)
+  mutable len : int;
   handlers : 'msg handler option array;
   crashed : bool array;
   mutable timers : (float * party * (unit -> unit)) list;
+  mutable next_deadline : float;
+      (* earliest deadline in [timers]; [infinity] when there is none *)
   metrics : Metrics.t;
   size : 'msg -> int;
   obs : Obs.t;
@@ -161,10 +167,12 @@ let create ?(policy = Random_order) ?(extra = 8) ?(size = fun _ -> 1)
     chaos = None;
     clock = 0.0;
     seq = 0;
-    pending = [];
+    queue = [||];
+    len = 0;
     handlers = Array.make (n + extra) None;
     crashed = Array.make (n + extra) false;
     timers = [];
+    next_deadline = infinity;
     metrics = Metrics.create ~obs ();
     size;
     obs;
@@ -195,8 +203,11 @@ let set_chaos t = function
        so fault draws never perturb the delivery schedule itself. *)
     t.chaos <- Some { spec; crng = Prng.split t.rng }
 
+let check_party t what party =
+  if party < 0 || party >= t.slots then invalid_arg what
+
 let set_handler t party (h : 'msg handler) =
-  if party < 0 || party >= t.slots then invalid_arg "Sim.set_handler";
+  check_party t "Sim.set_handler" party;
   (* Installing a handler on a crashed slot would silently re-arm
      delivery while the crash flag still suppresses timers — a zombie
      that receives but never times out.  The lifecycle is explicit:
@@ -206,7 +217,7 @@ let set_handler t party (h : 'msg handler) =
   t.handlers.(party) <- Some h
 
 let wrap_handler t party f =
-  if party < 0 || party >= t.slots then invalid_arg "Sim.wrap_handler";
+  check_party t "Sim.wrap_handler" party;
   let prev =
     match t.handlers.(party) with
     | Some h -> h
@@ -217,14 +228,21 @@ let wrap_handler t party f =
 let enable_trace t ~summarize = t.tracer <- Some summarize
 let trace t = List.rev t.trace
 
+let min_deadline timers =
+  List.fold_left (fun acc (d, _, _) -> Float.min acc d) infinity timers
+
 let crash t party =
+  check_party t "Sim.crash" party;
   t.crashed.(party) <- true;
   (* A dead node's timers are inert: purge its pending callbacks so the
      scheduler never has to consider them again (the fire-time guard in
      [fire_due_timers] stays as a second line of defence). *)
-  t.timers <- List.filter (fun (_, p, _) -> p <> party) t.timers
+  t.timers <- List.filter (fun (_, p, _) -> p <> party) t.timers;
+  t.next_deadline <- min_deadline t.timers
 
-let is_crashed t party = t.crashed.(party)
+let is_crashed t party =
+  check_party t "Sim.is_crashed" party;
+  t.crashed.(party)
 
 (* Un-crash a party.  The slot comes back amnesiac: the crash purged its
    timers and [recover] drops its handler, so the old incarnation can
@@ -233,7 +251,7 @@ let is_crashed t party = t.crashed.(party)
    to the party while it was down were dropped at delivery time and stay
    dropped — recovery does not resurrect lost messages. *)
 let recover t party =
-  if party < 0 || party >= t.slots then invalid_arg "Sim.recover";
+  check_party t "Sim.recover" party;
   if not t.crashed.(party) then invalid_arg "Sim.recover: party not crashed";
   t.crashed.(party) <- false;
   t.handlers.(party) <- None
@@ -249,8 +267,36 @@ let delay_factor t ~src ~dst =
   | None -> 1.0
   | Some { spec; _ } -> 1.0 +. (link_fault_for spec ~src ~dst).delay
 
+(* ---------- the pending queue --------------------------------------- *)
+
+(* The policies are specified over the queue newest first: newest-first
+   index [k] is slot [len - 1 - k].  Sends and chaos push-backs append
+   at slot [len], the newest position.  Removal shifts the younger slots
+   down one and clears the vacated top slot. *)
+
+let env_at t slot =
+  match t.queue.(slot) with Some e -> e | None -> assert false
+
+let push t env =
+  if t.len = Array.length t.queue then begin
+    let bigger = Array.make (max 16 (2 * t.len)) None in
+    Array.blit t.queue 0 bigger 0 t.len;
+    t.queue <- bigger
+  end;
+  t.queue.(t.len) <- Some env;
+  t.len <- t.len + 1
+
+let take t slot =
+  let env = env_at t slot in
+  let last = t.len - 1 in
+  Array.blit t.queue (slot + 1) t.queue slot (last - slot);
+  t.queue.(last) <- None;
+  t.len <- last;
+  env
+
 let send t ~src ~dst msg =
-  if dst < 0 || dst >= t.slots then invalid_arg "Sim.send";
+  check_party t "Sim.send: src" src;
+  check_party t "Sim.send" dst;
   Metrics.incr_sent t.metrics ~bytes:(t.size msg);
   let env =
     { seq = t.seq; src; dst; msg;
@@ -258,7 +304,7 @@ let send t ~src ~dst msg =
       dup = false }
   in
   t.seq <- t.seq + 1;
-  t.pending <- env :: t.pending
+  push t env
 
 let broadcast t ~src msg =
   for dst = 0 to t.n - 1 do
@@ -266,26 +312,37 @@ let broadcast t ~src msg =
   done
 
 let set_timer t party ~delay callback =
+  check_party t "Sim.set_timer" party;
   (* A crashed party schedules nothing: without this guard, a callback
      registered after the crash (e.g. by link-layer state the protocol
      left behind) would keep the network non-quiescent forever. *)
-  if not t.crashed.(party) then
-    t.timers <- (t.clock +. delay, party, callback) :: t.timers
+  if not t.crashed.(party) then begin
+    let d = t.clock +. delay in
+    t.timers <- (d, party, callback) :: t.timers;
+    t.next_deadline <- Float.min t.next_deadline d
+  end
 
+(* [next_deadline] is exact, so nothing is due while it lies ahead of
+   the clock and the timer list is only partitioned when a timer fires.
+   Callbacks may set timers or crash parties; both keep the cache exact
+   themselves. *)
 let fire_due_timers t =
-  let due, rest = List.partition (fun (d, _, _) -> d <= t.clock) t.timers in
-  t.timers <- rest;
-  List.iter
-    (fun (d, party, cb) ->
-      if not t.crashed.(party) then begin
-        if t.tracer <> None then
-          t.trace <- Timer_fired { at = d; party } :: t.trace;
-        Obs.point t.obs ~party ~layer:"sim" "timer";
-        cb ()
-      end)
-    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) due)
+  if t.next_deadline <= t.clock then begin
+    let due, rest = List.partition (fun (d, _, _) -> d <= t.clock) t.timers in
+    t.timers <- rest;
+    t.next_deadline <- min_deadline rest;
+    List.iter
+      (fun (d, party, cb) ->
+        if not t.crashed.(party) then begin
+          if t.tracer <> None then
+            t.trace <- Timer_fired { at = d; party } :: t.trace;
+          Obs.point t.obs ~party ~layer:"sim" "timer";
+          cb ()
+        end)
+      (List.sort (fun (a, _, _) (b, _, _) -> compare a b) due)
+  end
 
-let pending_count t = List.length t.pending
+let pending_count t = t.len
 let timer_count t = List.length t.timers
 
 (* Partition gating: an envelope is held back while an active window
@@ -298,49 +355,88 @@ let env_release t (e : 'msg envelope) : float =
 
 let env_blocked t e = env_release t e > Float.max t.clock e.ready_at
 
-(* Pick the index (into [t.pending]) of the next envelope to deliver.
-   The scheduling policy only ever chooses among envelopes not held back
-   by a partition; when every pending message is blocked, [None] is
-   returned and [do_step] advances the clock to the next unblock or
-   timer deadline instead of delivering (so open-ended windows are fine:
-   timers keep firing behind the cut, and a network that can never heal
-   and has no timers simply quiesces). *)
+(* Scans over the queue.  Each loops over the slots in place and builds
+   no list; [kth_newest], [earliest_ready] and the everything-blocked
+   fallback of [do_step] walk newest first, which fixes their tie
+   breaks. *)
+
+let count t p =
+  let c = ref 0 in
+  for s = 0 to t.len - 1 do
+    if p (env_at t s) then incr c
+  done;
+  !c
+
+(* Slot of the [k]-th (from 0) envelope satisfying [p], newest first. *)
+let kth_newest t p k =
+  let rec go s k =
+    if p (env_at t s) then if k = 0 then s else go (s - 1) (k - 1)
+    else go (s - 1) k
+  in
+  go (t.len - 1) k
+
+(* Slot of the oldest envelope satisfying [p]. *)
+let oldest t p =
+  let rec go s = if p (env_at t s) then s else go (s + 1) in
+  go 0
+
+(* Slot of the envelope satisfying [p] with the smallest [ready_at];
+   ties go to the newest, as in a newest-first scan. *)
+let earliest_ready t p =
+  let best = ref (t.len - 1) and best_t = ref infinity in
+  for s = t.len - 1 downto 0 do
+    let e = env_at t s in
+    if p e && e.ready_at < !best_t then begin
+      best := s;
+      best_t := e.ready_at
+    end
+  done;
+  !best
+
+let every _ = true
+let touched victims e = Pset.mem e.src victims || Pset.mem e.dst victims
+
+(* Under [Delay_victims], a uniformly random eligible envelope that does
+   not touch a victim; the oldest eligible one when all of them do. *)
+let pick_free t victims eligible =
+  let free e = eligible e && not (touched victims e) in
+  match count t free with
+  | 0 -> oldest t eligible
+  | m -> kth_newest t free (Prng.int t.rng m)
+
+let partitioned t =
+  match t.chaos with
+  | Some { spec = { partitions = _ :: _; _ }; _ } -> true
+  | Some _ | None -> false
+
+(* Pick the slot of the next envelope to deliver.  The scheduling policy
+   only ever chooses among envelopes not held back by a partition; when
+   every pending message is blocked, [None] is returned and [do_step]
+   advances the clock to the next unblock or timer deadline instead of
+   delivering (so open-ended windows are fine: timers keep firing behind
+   the cut, and a network that can never heal and has no timers simply
+   quiesces).  Without partitions every envelope is eligible, so FIFO
+   and uniform picks need no scan at all. *)
 let choose t : int option =
-  match t.pending with
-  | [] -> None
-  | pending ->
-    let all = List.mapi (fun i e -> (i, e)) pending in
-    let eligible =
-      if t.chaos = None then all
-      else List.filter (fun (_, e) -> not (env_blocked t e)) all
-    in
-    (match eligible with
-    | [] -> None
-    | cands ->
+  if t.len = 0 then None
+  else if not (partitioned t) then
+    Some
       (match t.policy with
-      | Fifo ->
-        (* pending is newest-first; FIFO delivers the oldest eligible *)
-        Some (fst (List.nth cands (List.length cands - 1)))
-      | Random_order ->
-        Some (fst (List.nth cands (Prng.int t.rng (List.length cands))))
-      | Latency_order ->
-        let best = ref 0 and best_t = ref infinity in
-        List.iter
-          (fun (i, e) ->
-            if e.ready_at < !best_t then begin
-              best := i;
-              best_t := e.ready_at
-            end)
-          cands;
-        Some !best
-      | Delay_victims victims ->
-        let touched e = Pset.mem e.src victims || Pset.mem e.dst victims in
-        let free = List.filter (fun (_, e) -> not (touched e)) cands in
-        (match free with
-        | [] -> Some (fst (List.nth cands (List.length cands - 1)))
-        | _ ->
-          let k = Prng.int t.rng (List.length free) in
-          Some (fst (List.nth free k)))))
+      | Fifo -> 0
+      | Random_order -> t.len - 1 - Prng.int t.rng t.len
+      | Latency_order -> earliest_ready t every
+      | Delay_victims victims -> pick_free t victims every)
+  else
+    let eligible e = not (env_blocked t e) in
+    match count t eligible with
+    | 0 -> None
+    | m ->
+      Some
+        (match t.policy with
+        | Fifo -> oldest t eligible
+        | Random_order -> kth_newest t eligible (Prng.int t.rng m)
+        | Latency_order -> earliest_ready t eligible
+        | Delay_victims victims -> pick_free t victims eligible)
 
 (* Under [Delay_victims], the adversary also out-waits timeouts: when
    only victim traffic remains and a timer is pending, virtual time jumps
@@ -352,19 +448,10 @@ let adversary_outwaits_timer t : bool =
   match t.policy with
   | Fifo | Random_order | Latency_order -> false
   | Delay_victims victims ->
-    t.timers <> []
-    && t.pending <> []
-    && List.for_all
-         (fun e -> Pset.mem e.src victims || Pset.mem e.dst victims)
-         t.pending
-
-let remove_nth l k =
-  let rec go i acc = function
-    | [] -> invalid_arg "Sim.remove_nth"
-    | x :: rest ->
-      if i = k then (x, List.rev_append acc rest) else go (i + 1) (x :: acc) rest
-  in
-  go 0 [] l
+    let rec all_touched s =
+      s < 0 || (touched victims (env_at t s) && all_touched (s - 1))
+    in
+    t.timers <> [] && t.len > 0 && all_touched (t.len - 1)
 
 (* The single choke point for every kind of non-delivery, so all drop
    paths count, trace and observe identically (tagged with the reason). *)
@@ -394,12 +481,11 @@ let deliver_env t (env : 'msg envelope) =
       | None -> ());
       h ~src:env.src env.msg
 
-(* Remove envelope [k] from the queue and put it through the chaos
-   pipeline (defer / drop / duplicate) and delivery, advancing the clock
-   to its release time first. *)
-let deliver_pending t k : unit =
-  let env, rest = remove_nth t.pending k in
-  t.pending <- rest;
+(* Remove the envelope in [slot] from the queue and put it through the
+   chaos pipeline (defer / drop / duplicate) and delivery, advancing the
+   clock to its release time first. *)
+let deliver_pending t slot : unit =
+  let env = take t slot in
   t.clock <- max t.clock (env_release t env);
   fire_due_timers t;
   match t.chaos with
@@ -410,12 +496,11 @@ let deliver_pending t k : unit =
        extra reordering knob on top of the scheduling policy.  Only
        when other traffic is pending, so a lone message cannot be
        deferred forever. *)
-    if lf.reorder > 0.0 && t.pending <> [] && Prng.float crng < lf.reorder then begin
+    if lf.reorder > 0.0 && t.len > 0 && Prng.float crng < lf.reorder then begin
       Metrics.incr_chaos_reorders t.metrics;
-      t.pending <-
+      push t
         { env with
           ready_at = t.clock +. (latency t *. (1.0 +. lf.delay)) }
-        :: t.pending
     end
     else if lf.drop > 0.0 && Prng.float crng < lf.drop then
       drop_env t Chaos env
@@ -426,40 +511,40 @@ let deliver_pending t k : unit =
       then begin
         Metrics.incr_chaos_dups t.metrics;
         Metrics.incr_sent t.metrics ~bytes:(t.size env.msg);
-        t.pending <-
+        push t
           { env with
             seq = t.seq;
             ready_at = t.clock +. (latency t *. (1.0 +. lf.delay));
-            dup = true }
-          :: t.pending;
+            dup = true };
         t.seq <- t.seq + 1
       end;
       deliver_env t env
     end
 
+(* A step that delivers nothing: virtual time jumps to the earliest
+   timer deadline and the due timers fire. *)
+let advance_to_next_timer t =
+  t.clock <- Float.max t.clock t.next_deadline;
+  fire_due_timers t
+
 (* Deliver one message.  Returns false when the network is quiescent. *)
 let do_step t : bool =
   if adversary_outwaits_timer t then begin
-    match List.sort (fun (a, _, _) (b, _, _) -> compare a b) t.timers with
-    | [] -> assert false
-    | (d, _, _) :: _ ->
-      t.clock <- max t.clock d;
-      fire_due_timers t;
-      true
+    advance_to_next_timer t;
+    true
   end
   else
   match choose t with
-  | Some k ->
-    deliver_pending t k;
+  | Some slot ->
+    deliver_pending t slot;
     true
-  | None when t.pending = [] ->
+  | None when t.len = 0 ->
     (* No traffic: advance time to the next timer, if any. *)
-    (match List.sort (fun (a, _, _) (b, _, _) -> compare a b) t.timers with
-    | [] -> false
-    | (d, _, _) :: _ ->
-      t.clock <- max t.clock d;
-      fire_due_timers t;
-      true)
+    if t.timers = [] then false
+    else begin
+      advance_to_next_timer t;
+      true
+    end
   | None ->
     (* Every pending message is behind a partition.  The step becomes a
        clock advance to the next unblock or timer deadline: when a timer
@@ -468,22 +553,18 @@ let do_step t : bool =
        behind the cut instead of sleeping until the heal); otherwise the
        earliest-healing envelope goes through, jumping past the heal.
        With every window open-ended and no timers left the network is
-       dead — quiesce rather than crash or spin. *)
-    let next_timer =
-      List.fold_left (fun acc (d, _, _) -> Float.min acc d) infinity t.timers
-    in
+       dead — quiesce rather than crash or spin.  Ties between envelopes
+       go to the newest, as in a newest-first scan. *)
     let best = ref (-1) and best_t = ref infinity in
-    List.iteri
-      (fun i e ->
-        let r = env_release t e in
-        if r < !best_t then begin
-          best := i;
-          best_t := r
-        end)
-      t.pending;
-    if next_timer < !best_t then begin
-      t.clock <- Float.max t.clock next_timer;
-      fire_due_timers t;
+    for s = t.len - 1 downto 0 do
+      let r = env_release t (env_at t s) in
+      if r < !best_t then begin
+        best := s;
+        best_t := r
+      end
+    done;
+    if t.next_deadline < !best_t then begin
+      advance_to_next_timer t;
       true
     end
     else if !best >= 0 then begin
@@ -518,7 +599,7 @@ let run ?(max_steps = 2_000_000) ?(until = fun () -> false) t : unit =
       raise
         (Out_of_steps
            { at_clock = t.clock;
-             pending = List.length t.pending;
+             pending = t.len;
              timers = List.length t.timers;
              detail =
                (match t.stall_probe with

@@ -150,7 +150,9 @@ val trace : 'msg t -> trace_event list
 
 val crash : 'msg t -> party -> unit
 (** All subsequent deliveries to the party are dropped, its pending
-    timers are purged, and later {!set_timer} calls for it are inert. *)
+    timers are purged, and later {!set_timer} calls for it are inert.
+    Raises [Invalid_argument "Sim.crash"] on a party outside the
+    simulator's slots, as {!is_crashed}, {!send} and {!set_timer} do. *)
 
 val is_crashed : 'msg t -> party -> bool
 
