@@ -46,10 +46,11 @@ let verify ps ~domain ~g1 ~h1 ~g2 ~h2 (proof : t) : bool =
   G.is_element ps h1 && G.is_element ps h2
   && B.sign proof.z >= 0 && B.lt proof.z ps.G.q
   &&
-  (* a_i = g_i^z * h_i^{-c} = g_i^z * (h_i^-1)^c must re-produce the
-     challenge; the two exponentiations share one squaring chain. *)
-  let a1 = G.exp2 ps g1 proof.z (G.inv ps h1) proof.c in
-  let a2 = G.exp2 ps g2 proof.z (G.inv ps h2) proof.c in
+  (* a_i = g_i^z * h_i^{-c} must re-produce the challenge; h_i passed
+     the membership checks above, so h_i^{-c} = h_i^{q-c}. *)
+  let c' = G.neg_exponent ps proof.c in
+  let a1 = G.exp2 ps g1 proof.z h1 c' in
+  let a2 = G.exp2 ps g2 proof.z h2 c' in
   B.equal proof.c (transcript ps ~domain g1 h1 g2 h2 a1 a2)
 
 let to_bytes ps (p : t) : string =

@@ -51,6 +51,23 @@ let delta n =
     delta_cache := (n, d) :: !delta_cache;
     d
 
+(* Move-to-front lookup and insertion for the small bounded caches
+   below: a stable deployment hits the head of the list every time. *)
+let mtf_find (cache : ('k * 'v) list ref) (same : 'k -> bool) : 'v option =
+  let rec go acc = function
+    | [] -> None
+    | ((k, v) as hd) :: tl ->
+      if same k then begin
+        cache := hd :: List.rev_append acc tl;
+        Some v
+      end
+      else go (hd :: acc) tl
+  in
+  go [] !cache
+
+let mtf_add (cache : ('k * 'v) list ref) ~capacity (k : 'k) (v : 'v) : unit =
+  cache := List.filteri (fun i _ -> i < capacity) ((k, v) :: !cache)
+
 let pow_signed ~base ~exp ~modulus =
   if B.sign exp >= 0 then B.pow_mod ~base ~exp ~modulus
   else
@@ -118,6 +135,27 @@ let proof_challenge (pk : public_key) ~v ~xt ~vi ~xi2 ~v' ~x' : B.t =
   in
   B.of_bytes_be h
 
+(* Width of the proof nonce r: |N| + 2 bits cover the secret exponent
+   range, 256 more make r statistically hide s_i * c. *)
+let nonce_bits (nn : B.t) = B.numbits nn + 2 + 256
+
+(* Every share exponentiates the proof base v by a fresh nonce, so v
+   gets a fixed-base table.  A table is a pure function of the public
+   (N, v): it is built on a key's first share, never at deal time, and
+   kept in a small process-wide cache shared by every replica. *)
+let v_table_capacity = 8
+let v_tables : ((B.t * B.t) * B.Fixed_base.table) list ref = ref []
+
+let v_table (keys : keys) : B.Fixed_base.table =
+  let nn = keys.pk.n_modulus in
+  let same (n, v) = B.equal n nn && B.equal v keys.v in
+  match mtf_find v_tables same with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = B.Fixed_base.build ~base:keys.v ~modulus:nn ~bits:(nonce_bits nn) in
+    mtf_add v_tables ~capacity:v_table_capacity (nn, keys.v) tbl;
+    tbl
+
 let sign_share (keys : keys) ~(party : int) (msg : string) : share =
   Obs_crypto.sign ();
   let pk = keys.pk in
@@ -129,12 +167,12 @@ let sign_share (keys : keys) ~(party : int) (msg : string) : share =
   (* Shoup's share-correctness proof: log_v vks = log_{x~} x^2 where
      x~ = xhat^{4 Delta}.  Deterministic nonce, as in the DLEQ proofs. *)
   let xt = B.pow_mod ~base:xhat ~exp:(B.shift_left dd 2) ~modulus:nn in
-  let nonce_bound = B.shift_left B.one (B.numbits nn + 2 + 256) in
+  let nonce_bound = B.shift_left B.one (nonce_bits nn) in
   let r =
     Ro.hash_to_bignum_below ~domain:nonce_domain
       [ B.to_bytes_be s_i; msg ] nonce_bound
   in
-  let v' = B.pow_mod ~base:keys.v ~exp:r ~modulus:nn in
+  let v' = B.Fixed_base.exp (v_table keys) r in
   let x' = B.pow_mod ~base:xt ~exp:r ~modulus:nn in
   let xi2 = B.mul_mod x x nn in
   let c = proof_challenge pk ~v:keys.v ~xt ~vi:keys.vks.(party) ~xi2 ~v' ~x' in
@@ -187,25 +225,14 @@ let lagrange_cache : ((int * int list) * (int * B.t) list) list ref = ref []
 
 let integer_lagrange ~n_parties (points : int list) : (int * B.t) list =
   let key = (n_parties, points) in
-  let rec lookup acc = function
-    | [] -> None
-    | ((k, v) as hd) :: tl ->
-      if k = key then begin
-        lagrange_cache := hd :: List.rev_append acc tl;
-        Some v
-      end
-      else lookup (hd :: acc) tl
-  in
-  match lookup [] !lagrange_cache with
+  match mtf_find lagrange_cache (fun k -> k = key) with
   | Some v ->
     Obs_crypto.recomb_cache_hit ();
     v
   | None ->
     Obs_crypto.recomb_cache_miss ();
     let v = integer_lagrange_uncached ~n_parties points in
-    lagrange_cache :=
-      List.filteri (fun i _ -> i < lagrange_cache_capacity)
-        ((key, v) :: !lagrange_cache);
+    mtf_add lagrange_cache ~capacity:lagrange_cache_capacity key v;
     v
 
 (* Combine exactly [k] shares into the candidate signature. *)

@@ -36,11 +36,14 @@ let verify (ps : G.params) ~(pk : G.elt) (msg : string) (s : signature) : bool
     =
   Obs_crypto.verify ();
   B.sign s.z >= 0 && B.lt s.z ps.G.q
-  &&
-  (* a = g^z * pk^-c; g is served by its fixed-base table, pk by the
-     ordinary ladder, fused in one exp2. *)
-  let a = G.exp2 ps ps.G.g s.z (G.inv ps pk) s.c in
-  B.equal s.c (challenge ps ~a ~pk ~msg)
+  && begin
+    (* a = g^z * pk^-c.  A public key is long-lived, so it gets a
+       fixed-base table like g, and both fold into one accumulator; pk
+       is a subgroup element (pk = g^sk), so pk^-c = pk^(q-c). *)
+    G.prepare_base ps pk;
+    let a = G.exp2 ps ps.G.g s.z pk (G.neg_exponent ps s.c) in
+    B.equal s.c (challenge ps ~a ~pk ~msg)
+  end
 
 let to_bytes (ps : G.params) (s : signature) : string =
   let len = (B.numbits ps.G.q + 7) / 8 in

@@ -8,19 +8,18 @@
    generator.
 
    Exponentiation fast paths: [params] carries a small cache of
-   fixed-base comb tables.  A table for base b stores b^(d * 16^i) for
-   every 4-bit window position i and digit d, so an exponentiation by a
-   prepared base costs at most numbits(q)/4 modular multiplications and
-   no squarings at all.  Unprepared bases go through
-   [Bignum.pow_mod] (Montgomery-windowed for the odd prime p), and the
-   double/multi-exponentiations fall back to the shared-squaring-chain
-   kernels in [Bignum]. *)
+   fixed-base comb tables ([Bignum.Fixed_base]), so an exponentiation
+   by a prepared base costs about numbits(q)/8 squarings and as many
+   Montgomery products, against ~1.25 numbits(q) products for an
+   unprepared one.  Unprepared bases go through [Bignum.pow_mod]
+   (Montgomery-windowed for the odd prime p), and the double/multi-
+   exponentiations fall back to the shared-squaring-chain kernels in
+   [Bignum]. *)
 
 module B = Bignum
 
-type table = B.t array array
-(* tbl.(i).(d-1) = base^(d * 16^i) mod p, for d in 1..15.  Row count is
-   ceil(numbits q / 4): exponents are always reduced mod q first. *)
+type table = B.Fixed_base.table
+(* Sized for numbits q: exponents are always reduced mod q first. *)
 
 type cache = { mutable tables : (B.t * table) list }
 (* Move-to-front association list keyed by the base element.  Protocols
@@ -70,11 +69,12 @@ let mul ps (a : elt) (b : elt) : elt = B.mul_mod a b ps.p
 (* Fixed-base comb tables                                              *)
 (* ------------------------------------------------------------------ *)
 
-let window_bits = 4
 (* Enough slots for a deployment's long-lived bases: the generator, the
-   TDH2 g', and the leaf verification keys of a sharing (batch
-   verification exponentiates those directly), with headroom for the
-   churning per-round coin bases. *)
+   TDH2 g', every party's Schnorr public key, and the leaf verification
+   keys of a sharing (batch verification exponentiates those directly),
+   with headroom for the churning per-round coin bases.  A table is a
+   pure function of its public base, so one cache serves every replica
+   of a simulated deployment. *)
 let max_tables = 48
 
 let find_table (c : cache) (base : elt) : table option =
@@ -89,48 +89,13 @@ let find_table (c : cache) (base : elt) : table option =
   in
   go [] c.tables
 
-let build_table ps (base : elt) : table =
-  let rows = (B.numbits ps.q + window_bits - 1) / window_bits in
-  let tbl = Array.make (max rows 1) [||] in
-  let cur = ref (B.erem base ps.p) in
-  for i = 0 to Array.length tbl - 1 do
-    let row = Array.make 15 B.one in
-    row.(0) <- !cur;
-    for d = 1 to 14 do
-      row.(d) <- B.mul_mod row.(d - 1) !cur ps.p
-    done;
-    tbl.(i) <- row;
-    (* cur^16 = row.(14) * cur: the table builds itself with plain
-       multiplications, no squarings. *)
-    cur := B.mul_mod row.(14) !cur ps.p
-  done;
-  tbl
-
 let prepare_base ps (base : elt) : unit =
   match find_table ps.cache base with
   | Some _ -> ()
   | None ->
-    let t = build_table ps base in
+    let t = B.Fixed_base.build ~base ~modulus:ps.p ~bits:(B.numbits ps.q) in
     let ts = (base, t) :: ps.cache.tables in
     ps.cache.tables <- List.filteri (fun i _ -> i < max_tables) ts
-
-(* Exponent digit i (4 bits), for an exponent already reduced mod q. *)
-let digit (e : B.t) (i : int) : int =
-  let lo = i * window_bits in
-  (if B.testbit e lo then 1 else 0)
-  lor (if B.testbit e (lo + 1) then 2 else 0)
-  lor (if B.testbit e (lo + 2) then 4 else 0)
-  lor (if B.testbit e (lo + 3) then 8 else 0)
-
-let table_exp ps (tbl : table) (e : B.t) : elt =
-  Obs_crypto.fixed_base_exp ();
-  let nwin = (B.numbits e + window_bits - 1) / window_bits in
-  let acc = ref B.one in
-  for i = 0 to nwin - 1 do
-    let d = digit e i in
-    if d <> 0 then acc := B.mul_mod !acc tbl.(i).(d - 1) ps.p
-  done;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Exponentiation entry points                                         *)
@@ -139,7 +104,7 @@ let table_exp ps (tbl : table) (e : B.t) : elt =
 let exp ps (a : elt) (e : B.t) : elt =
   let e = B.erem e ps.q in
   match find_table ps.cache a with
-  | Some tbl -> table_exp ps tbl e
+  | Some tbl -> B.Fixed_base.exp tbl e
   | None -> B.pow_mod ~base:a ~exp:e ~modulus:ps.p
 
 (* The group generator is exponentiated on every share, proof and
@@ -151,11 +116,11 @@ let exp_g ps (e : B.t) : elt =
 let exp2 ps (a : elt) (x : B.t) (b : elt) (y : B.t) : elt =
   let x = B.erem x ps.q and y = B.erem y ps.q in
   match (find_table ps.cache a, find_table ps.cache b) with
-  | Some ta, Some tb -> mul ps (table_exp ps ta x) (table_exp ps tb y)
+  | Some ta, Some tb -> B.Fixed_base.exp2 ta x tb y
   | Some ta, None ->
-    mul ps (table_exp ps ta x) (B.pow_mod ~base:b ~exp:y ~modulus:ps.p)
+    mul ps (B.Fixed_base.exp ta x) (B.pow_mod ~base:b ~exp:y ~modulus:ps.p)
   | None, Some tb ->
-    mul ps (B.pow_mod ~base:a ~exp:x ~modulus:ps.p) (table_exp ps tb y)
+    mul ps (B.pow_mod ~base:a ~exp:x ~modulus:ps.p) (B.Fixed_base.exp tb y)
   | None, None -> B.pow2_mod ~b1:a ~e1:x ~b2:b ~e2:y ~modulus:ps.p
 
 let multi_exp ps (pairs : (elt * B.t) list) : elt =
@@ -170,15 +135,20 @@ let multi_exp ps (pairs : (elt * B.t) list) : elt =
         | None -> (t, (b, e) :: r))
       ([], []) pairs
   in
-  let acc =
-    List.fold_left
-      (fun acc (tbl, e) -> mul ps acc (table_exp ps tbl e))
-      B.one tabled
+  let rec tabled_product = function
+    | [] -> B.one
+    | [ (ta, x) ] -> B.Fixed_base.exp ta x
+    | (ta, x) :: (tb, y) :: rest ->
+      mul ps (B.Fixed_base.exp2 ta x tb y) (tabled_product rest)
   in
+  let acc = tabled_product tabled in
   match rest with
   | [] -> B.erem acc ps.p
   | [ (b, e) ] -> mul ps acc (B.pow_mod ~base:b ~exp:e ~modulus:ps.p)
   | _ -> mul ps acc (B.pow_multi_mod rest ~modulus:ps.p)
+
+(* h^(q - c) = h^-c for every subgroup element h, since h^q = 1. *)
+let neg_exponent ps (c : B.t) : B.t = B.erem (B.neg c) ps.q
 
 let inv ps (a : elt) : elt =
   match B.inv_mod a ps.p with

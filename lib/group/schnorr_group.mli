@@ -40,7 +40,7 @@ val mul : params -> elt -> elt -> elt
 val exp : params -> elt -> Bignum.t -> elt
 (** [exp ps a e] is [a^e] with the exponent reduced mod [q].  Bases
     registered with {!prepare_base} are served from their fixed-base
-    table (no squarings); others go through [Bignum.pow_mod]. *)
+    table; others go through [Bignum.pow_mod]. *)
 
 val exp_g : params -> Bignum.t -> elt
 (** Like [exp ps ps.g], but builds the generator's fixed-base table on
@@ -48,16 +48,23 @@ val exp_g : params -> Bignum.t -> elt
 
 val prepare_base : params -> elt -> unit
 (** Build (idempotently) a fixed-base table for [base], so subsequent
-    {!exp} / {!exp2} / {!multi_exp} calls on it cost ~numbits(q)/4
-    multiplications and no squarings.  Worth it from roughly three
-    exponentiations on the same base; the cache keeps the most recently
-    used handful of bases. *)
+    {!exp} / {!exp2} / {!multi_exp} calls on it cost ~numbits(q)/8
+    squarings and as many Montgomery products ({!Bignum.Fixed_base}).
+    Worth it by the third exponentiation on the same base; the cache
+    keeps the 48 most recently used bases. *)
 
 val exp2 : params -> elt -> Bignum.t -> elt -> Bignum.t -> elt
 (** [exp2 ps a x b y = mul ps (exp ps a x) (exp ps b y)], computed with
-    fixed-base tables where available and a shared squaring chain
-    (Shamir's trick) otherwise — the shape of every DLEQ/Schnorr
-    verification equation [g^z * h^-c]. *)
+    fixed-base tables where available (two tables share one
+    accumulator) and a shared squaring chain (Shamir's trick)
+    otherwise — the shape of every DLEQ/Schnorr verification equation
+    [g^z * h^-c], written [exp2 ps g z h (neg_exponent ps c)]. *)
+
+val neg_exponent : params -> Bignum.t -> Bignum.t
+(** [neg_exponent ps c] is [(q − c) mod q], so [exp ps h (neg_exponent
+    ps c)] is [h^-c] for every subgroup element [h] without a modular
+    inversion.  Only exact for subgroup elements: callers check
+    {!is_element} (or rely on the [elt] invariant) first. *)
 
 val multi_exp : params -> (elt * Bignum.t) list -> elt
 (** Product of [base^exp] over the list (empty product is [one]), using

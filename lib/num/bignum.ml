@@ -304,6 +304,44 @@ let pow_multi_mod pairs ~modulus:m =
           one pairs
   end
 
+(* Fixed-base exponentiation: a Lim-Lee comb per long-lived base, with
+   Montgomery-residue entries, so every exponentiation is about bits/8
+   squarings plus bits/8 REDC multiplies and no long division. *)
+module Fixed_base = struct
+  type table = { ctx : Montgomery.ctx; modulus : t; bits : int; comb : Montgomery.comb }
+
+  let build ~base ~modulus:m ~bits =
+    if m.sign <= 0 || is_even m then
+      invalid_arg "Bignum.Fixed_base.build: modulus must be odd and positive";
+    if bits < 0 then invalid_arg "Bignum.Fixed_base.build: negative width";
+    match Montgomery.create_cached m.mag with
+    | Some ctx ->
+      { ctx;
+        modulus = m;
+        bits;
+        comb = Montgomery.comb_build ctx ~base:(erem base m).mag ~bits }
+    | None -> assert false (* odd and positive *)
+
+  let check t e =
+    if e.sign < 0 then invalid_arg "Bignum.Fixed_base: negative exponent";
+    if numbits e > t.bits then
+      invalid_arg "Bignum.Fixed_base: exponent wider than the table"
+
+  let exp t e =
+    check t e;
+    Obs_crypto.fixed_base_exp ();
+    make 1 (Montgomery.comb_exp t.ctx [ (t.comb, e.mag) ])
+
+  let exp2 t1 e1 t2 e2 =
+    if not (equal t1.modulus t2.modulus) then
+      invalid_arg "Bignum.Fixed_base.exp2: tables over different moduli";
+    check t1 e1;
+    check t2 e2;
+    Obs_crypto.fixed_base_exp ();
+    Obs_crypto.fixed_base_exp ();
+    make 1 (Montgomery.comb_exp t1.ctx [ (t1.comb, e1.mag); (t2.comb, e2.mag) ])
+end
+
 let to_string v =
   if v.sign = 0 then "0"
   else begin

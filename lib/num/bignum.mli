@@ -101,6 +101,37 @@ val pow_multi_mod : (t * t) list -> modulus:t -> t
     the modulus is odd.  The empty product is [1].  Same sign contract
     as {!pow_mod}. *)
 
+(** Fixed-base exponentiation for long-lived bases.
+
+    A table for base [b] modulo an odd [m] is a Lim–Lee comb with 8
+    teeth: for exponents of at most [bits] bits and [c = ⌈bits/8⌉]
+    columns, it holds the Montgomery residues of the 255 products
+    [prod_{j in u} b^(2^(j·c))], [u = 1..255], in one flat array.  An
+    exponentiation by a tabled base then costs [c − 1] squarings and at
+    most [c] multiplications, all in Montgomery form: no long division
+    and no per-call table. *)
+module Fixed_base : sig
+  type table
+
+  val build : base:t -> modulus:t -> bits:int -> table
+  (** [build ~base ~modulus ~bits] tables [base] (any integer, reduced
+      mod [modulus]) for exponents of at most [bits] bits, at a cost of
+      about [7·bits/8 + 247] Montgomery multiplications.  Raises
+      [Invalid_argument] unless [modulus] is odd and positive and
+      [bits >= 0]. *)
+
+  val exp : table -> t -> t
+  (** [exp tbl e] is [base^e mod modulus], equal to {!pow_mod}.  Raises
+      [Invalid_argument] when [e] is negative or wider than the table. *)
+
+  val exp2 : table -> t -> table -> t -> t
+  (** [exp2 ta x tb y] is [a^x * b^y mod modulus] for two tables over
+      the same modulus, folded into one shared accumulator (tables of
+      equal width share their squarings) that leaves Montgomery form
+      once.  Same exponent contract as {!exp}; raises [Invalid_argument]
+      when the moduli differ. *)
+end
+
 val to_string : t -> string
 val of_string : string -> t
 val to_hex : t -> string

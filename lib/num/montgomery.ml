@@ -60,35 +60,46 @@ let create (m : int array) : ctx option =
         one = pad k r_mod_m }
   end
 
-(* c = a * b * R^{-1} mod m for k-limb Montgomery residues a, b < m.
-   CIOS: one outer pass per limb of [a], each pass adding a_i * b and
-   then folding one limb of the Montgomery quotient u * m, shifting the
-   accumulator down a limb as it goes. *)
-let mul (ctx : ctx) (a : int array) (b : int array) : int array =
+(* r = a * b * R^{-1} mod m for k-limb Montgomery residues a, b < m,
+   where [b] is read at limbs [boff, boff + k) so that a flat table row
+   can hold several residues.  CIOS: one outer pass per limb of [a],
+   each pass adding a_i * b and then folding one limb of the Montgomery
+   quotient u * m, shifting the accumulator [t] (k + 2 limbs of scratch)
+   down a limb as it goes.  [r] may alias [a] and [b] (a squaring in
+   place): both are fully read before [r] is written. *)
+let mul_into (ctx : ctx) (t : int array) (a : int array) (b : int array)
+    (boff : int) (r : int array) : unit =
   let k = ctx.k and m = ctx.m and m0' = ctx.m0' in
-  let t = Array.make (k + 2) 0 in
+  if
+    Array.length a < k || Array.length r < k || Array.length t < k + 2
+    || boff < 0 || Array.length b < boff + k
+  then invalid_arg "Montgomery.mul: residue shorter than the modulus";
+  Array.fill t 0 (k + 2) 0;
   for i = 0 to k - 1 do
-    let ai = a.(i) in
+    let ai = Array.unsafe_get a i in
     let carry = ref 0 in
     for j = 0 to k - 1 do
-      let x = t.(j) + (ai * b.(j)) + !carry in
-      t.(j) <- x land mask;
+      let x =
+        Array.unsafe_get t j + (ai * Array.unsafe_get b (boff + j)) + !carry
+      in
+      Array.unsafe_set t j (x land mask);
       carry := x lsr base_bits
     done;
-    let x = t.(k) + !carry in
-    t.(k) <- x land mask;
-    t.(k + 1) <- x lsr base_bits;
-    let u = (t.(0) * m0') land mask in
+    let x = Array.unsafe_get t k + !carry in
+    Array.unsafe_set t k (x land mask);
+    Array.unsafe_set t (k + 1) (x lsr base_bits);
+    let t0 = Array.unsafe_get t 0 in
+    let u = (t0 * m0') land mask in
     (* t.(0) + u*m.(0) is divisible by the base by construction. *)
-    let carry = ref ((t.(0) + (u * m.(0))) lsr base_bits) in
+    let carry = ref ((t0 + (u * Array.unsafe_get m 0)) lsr base_bits) in
     for j = 1 to k - 1 do
-      let x = t.(j) + (u * m.(j)) + !carry in
-      t.(j - 1) <- x land mask;
+      let x = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !carry in
+      Array.unsafe_set t (j - 1) (x land mask);
       carry := x lsr base_bits
     done;
-    let x = t.(k) + !carry in
-    t.(k - 1) <- x land mask;
-    t.(k) <- t.(k + 1) + (x lsr base_bits)
+    let x = Array.unsafe_get t k + !carry in
+    Array.unsafe_set t (k - 1) (x land mask);
+    Array.unsafe_set t k (Array.unsafe_get t (k + 1) + (x lsr base_bits))
   done;
   (* The accumulator is < 2m; one conditional subtraction finishes. *)
   let ge =
@@ -101,7 +112,6 @@ let mul (ctx : ctx) (a : int array) (b : int array) : int array =
     in
     cmp (k - 1)
   in
-  let r = Array.make k 0 in
   if ge then begin
     let borrow = ref 0 in
     for j = 0 to k - 1 do
@@ -116,7 +126,11 @@ let mul (ctx : ctx) (a : int array) (b : int array) : int array =
       end
     done
   end
-  else Array.blit t 0 r 0 k;
+  else Array.blit t 0 r 0 k
+
+let mul (ctx : ctx) (a : int array) (b : int array) : int array =
+  let r = Array.make ctx.k 0 in
+  mul_into ctx (Array.make (ctx.k + 2) 0) a b 0 r;
   r
 
 let to_mont (ctx : ctx) (x : int array) : int array =
@@ -276,6 +290,89 @@ let pow_multi (ctx : ctx) (pairs : (int array * int array) list) : int array =
     done;
     from_mont ctx !acc
   end
+
+(* ------------------------------------------------------------------ *)
+(* Fixed-base comb tables                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A Lim-Lee comb with [teeth] = 8 teeth.  For exponents of at most
+   8 * cols bits, split e into eight blocks of [cols] bits, e = sum_j
+   E_j 2^(j * cols); column i of the comb is the 8-bit number u_i whose
+   bit j is bit i of E_j.  With G[u] = prod_{j in u} b^(2^(j * cols))
+   precomputed for u = 1..255, b^e = prod_i G[u_i]^(2^i), which a
+   left-to-right pass over the columns evaluates with cols - 1
+   squarings and at most cols multiplies.  The 255 residues live in ONE
+   flat array, G[u] at limb offset (u - 1) * k.  Against a 4-bit window
+   table (15 residues per window, no squarings) this takes about the
+   same number of products from half the memory, and two tables of
+   equal width share their squarings. *)
+let teeth = 8
+
+type comb = { cols : int; g : int array }
+
+let comb_build (ctx : ctx) ~(base : int array) ~(bits : int) : comb =
+  let k = ctx.k and cols = max 1 ((bits + teeth - 1) / teeth) in
+  let t = Array.make (k + 2) 0 in
+  let g = Array.make (((1 lsl teeth) - 1) * k) 0 in
+  (* G[2^j] = b^(2^(j * cols)): cols squarings from one tooth to the next *)
+  let cur = to_mont ctx base in
+  for j = 0 to teeth - 1 do
+    if j > 0 then
+      for _ = 1 to cols do
+        mul_into ctx t cur cur 0 cur
+      done;
+    Array.blit cur 0 g (((1 lsl j) - 1) * k) k
+  done;
+  (* G[u] = G[u without its lowest bit] * G[lowest bit of u] *)
+  let e = Array.make k 0 in
+  for u = 3 to (1 lsl teeth) - 1 do
+    let low = u land -u in
+    if u <> low then begin
+      Array.blit g ((low - 1) * k) e 0 k;
+      mul_into ctx t e g ((u - low - 1) * k) e;
+      Array.blit e 0 g ((u - 1) * k) k
+    end
+  done;
+  { cols; g }
+
+(* Column i of exponent [e] for a comb of [cols] columns. *)
+let column (e : int array) (cols : int) (i : int) : int =
+  let len = Array.length e and u = ref 0 in
+  for j = teeth - 1 downto 0 do
+    let pos = (j * cols) + i in
+    let li = pos / base_bits in
+    let bit =
+      if li < len then (Array.unsafe_get e li lsr (pos - (li * base_bits))) land 1
+      else 0
+    in
+    u := (!u lsl 1) lor bit
+  done;
+  !u
+
+(* Product of b_j^(e_j) over (comb, exponent) terms, one left-to-right
+   pass over the widest comb's columns: every term folds into one shared
+   accumulator, squarings are shared, and the result leaves Montgomery
+   form once.  Exponents must fit their comb (8 * cols bits). *)
+let comb_exp (ctx : ctx) (terms : (comb * int array) list) : int array =
+  let k = ctx.k in
+  let t = Array.make (k + 2) 0 in
+  let cols = List.fold_left (fun m ((c : comb), _) -> max m c.cols) 0 terms in
+  (* an empty accumulator stands for 1: no squaring before the first
+     non-zero column, and the first factor is copied, not multiplied *)
+  let acc = ref [||] in
+  for i = cols - 1 downto 0 do
+    if Array.length !acc > 0 then mul_into ctx t !acc !acc 0 !acc;
+    List.iter
+      (fun ((c : comb), e) ->
+        if i < c.cols then begin
+          let u = column e c.cols i in
+          if u <> 0 then
+            if Array.length !acc = 0 then acc := Array.sub c.g ((u - 1) * k) k
+            else mul_into ctx t !acc c.g ((u - 1) * k) !acc
+        end)
+      terms
+  done;
+  from_mont ctx (if Array.length !acc = 0 then ctx.one else !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Context cache                                                       *)

@@ -49,3 +49,19 @@ val pow2 :
 val pow_multi : ctx -> (int array * int array) list -> int array
 (** [pow_multi ctx [(b1, e1); ...]] = product of [bi^ei mod m] by
     Straus interleaving: one squaring chain for the whole product. *)
+
+type comb
+(** A fixed-base Lim–Lee comb with 8 teeth: for a base [b] and [c]
+    columns, the Montgomery residues of the 255 products
+    [prod_{j in u} b^(2^(j·c))], [u = 1..255], in one flat array. *)
+
+val comb_build : ctx -> base:int array -> bits:int -> comb
+(** [comb_build ctx ~base ~bits] tables [base] (any magnitude; reduced
+    mod m) for exponents of at most [bits] bits: ⌈bits/8⌉ columns. *)
+
+val comb_exp : ctx -> (comb * int array) list -> int array
+(** [comb_exp ctx [(t1, e1); ...]] = product of [bi^ei mod m] as a
+    normalized magnitude: one pass over the columns with squarings and
+    one accumulator shared by every term, and one conversion out of
+    Montgomery form.  Each [ei] must fit its comb; the empty product is
+    1 reduced mod m. *)

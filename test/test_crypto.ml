@@ -398,6 +398,106 @@ let keyring_tests =
             (Keyring.service_verify kr msg s))
   ]
 
+(* Golden digest over every share-producing scheme of a threshold
+   keyring: Schnorr party signatures, coin and TDH2 decryption shares
+   (value and DLEQ response), RSA signature shares (x and proof), and the
+   verdicts and combined values they lead to, at n = 4 and n = 7.  Client
+   replies combine before they check a share, so an exponentiation change
+   that produced a wrong proof would pass every end-to-end gate; this
+   digest was captured before the fixed-base tables moved to Montgomery
+   form and must never change. *)
+let golden_crypto_digest =
+  "74c687cca6e39cde2fc47a1766a93722b4c09d7e24a3c915cb2f0266854de9de"
+
+let crypto_transcript ~n ~t ~seed =
+  let kr = Keyring.deal ~rsa_bits:192 ~seed (AS.threshold ~n ~t) in
+  let gp = kr.Keyring.group in
+  let buf = Buffer.create 4096 in
+  let num v = Buffer.add_string buf (B.to_hex v ^ ";") in
+  let flag b = Buffer.add_string buf (if b then "T;" else "F;") in
+  let dleq_shares (shs : Share_batch.share list) =
+    List.iter
+      (fun (s : Share_batch.share) ->
+        Buffer.add_string buf (string_of_int s.leaf ^ ":");
+        num s.value;
+        num s.proof.Dleq.c;
+        num s.proof.Dleq.z)
+      shs
+  in
+  let parties = List.init n Fun.id in
+  let msg = Printf.sprintf "golden %d/%d" n t in
+  List.iter
+    (fun party ->
+      let sg = Keyring.sign kr ~party msg in
+      num sg.Schnorr_sig.c;
+      num sg.Schnorr_sig.z;
+      flag (Keyring.verify_party_signature kr ~party msg sg);
+      flag
+        (Keyring.verify_party_signature kr ~party msg
+           { sg with Schnorr_sig.c = B.add_mod sg.Schnorr_sig.c B.one gp.G.q }))
+    parties;
+  let name = "golden-coin" in
+  let coin = List.map (fun p -> (p, Coin.generate_share kr.Keyring.coin ~party:p ~name)) parties in
+  List.iter
+    (fun (p, shs) ->
+      dleq_shares shs;
+      flag (Coin.verify_share kr.Keyring.coin ~party:p ~name shs))
+    coin;
+  (match
+     Coin.combine kr.Keyring.coin ~name ~avail:(Pset.of_list parties) coin
+       ~bits:30 ()
+   with
+  | Some v -> num (B.of_int v)
+  | None -> Buffer.add_string buf "no-coin;");
+  let ct =
+    Tdh2.encrypt kr.Keyring.enc (Prng.create ~seed:(seed + 1)) ~label:"golden"
+      "golden plaintext"
+  in
+  flag (Tdh2.is_valid kr.Keyring.enc ct);
+  let dec =
+    List.filter_map
+      (fun p ->
+        Option.map (fun shs -> (p, shs))
+          (Tdh2.decryption_share kr.Keyring.enc ~party:p ct))
+      parties
+  in
+  List.iter
+    (fun (p, shs) ->
+      dleq_shares shs;
+      flag (Tdh2.verify_share kr.Keyring.enc ~party:p ct shs))
+    dec;
+  Buffer.add_string buf
+    (Option.value ~default:"no-plaintext"
+       (Tdh2.combine kr.Keyring.enc ct ~avail:(Pset.of_list parties) dec));
+  let rsa = List.map (fun p -> (p, Keyring.service_sign_share kr ~party:p msg)) parties in
+  List.iter
+    (fun (p, sh) ->
+      (match sh with
+      | Keyring.Rsa_share s ->
+        num s.Rsa_threshold.x;
+        num s.Rsa_threshold.c;
+        num s.Rsa_threshold.z
+      | Keyring.Cert_share _ -> Buffer.add_string buf "cert-share;");
+      flag (Keyring.service_verify_share kr ~party:p msg sh))
+    rsa;
+  (match Keyring.service_combine kr msg (List.map snd rsa) with
+  | Some s ->
+    Buffer.add_string buf (Sha256.to_hex (Keyring.service_signature_to_bytes kr s));
+    flag (Keyring.service_verify kr msg s)
+  | None -> Buffer.add_string buf "no-signature;");
+  Buffer.contents buf
+
+let golden_tests =
+  [ Alcotest.test_case "golden crypto digest (n=4, n=7)" `Quick (fun () ->
+        let digest =
+          Sha256.to_hex
+            (Sha256.digest_list
+               [ crypto_transcript ~n:4 ~t:1 ~seed:1901;
+                 crypto_transcript ~n:7 ~t:2 ~seed:1902 ])
+        in
+        Alcotest.(check string) "golden digest" golden_crypto_digest digest)
+  ]
+
 let batch_tests =
   (* Synthetic DLEQ batches over a shared base pair, mirroring the shape
      the share schemes produce (same g1 = g and g2 across the batch). *)
@@ -634,4 +734,4 @@ let batch_tests =
 let suite =
   ( "crypto",
     dleq_tests @ coin_tests @ tdh2_tests @ rsa_tests @ certsig_tests
-    @ keyring_tests @ batch_tests )
+    @ keyring_tests @ golden_tests @ batch_tests )

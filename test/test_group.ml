@@ -83,6 +83,25 @@ let prop_tests =
         G.prepare_base ps a;
         G.elt_equal (G.exp ps a e)
           (B.pow_mod ~base:a ~exp:(B.erem e ps.G.q) ~modulus:ps.G.p));
+    qtest "exp2 by (q - c) mod q = old exp2 by inverse"
+      QCheck2.Gen.(quad gen_elt gen_elt (int_bound 3) int)
+      (fun (a, b, which, seed) ->
+        let rng = Prng.create ~seed in
+        let x = G.random_exponent ps rng in
+        let c =
+          match which with
+          | 0 -> B.zero
+          | 1 -> B.one
+          | 2 -> B.pred ps.G.q
+          | _ -> G.random_exponent ps rng
+        in
+        let neg = B.erem (B.sub ps.G.q c) ps.G.q in
+        let old_form = G.exp2 ps a x (G.inv ps b) c in
+        let untabled = G.exp2 ps a x b neg in
+        G.prepare_base ps b;
+        B.equal neg (G.neg_exponent ps c)
+        && G.elt_equal untabled old_form
+        && G.elt_equal (G.exp2 ps a x b neg) old_form);
     qtest "multi_exp = folded product"
       QCheck2.Gen.(
         list_size (int_range 0 5) (pair gen_elt (int_bound 1000000)))

@@ -315,4 +315,95 @@ let fastpath_tests =
              B.one pairs))
   ]
 
-let suite = ("num", unit_tests @ prop_tests @ fastpath_tests)
+(* The fixed-base comb kernel against [pow_mod], at the moduli it serves:
+   a Schnorr-group prime, an RSA modulus, and a wide odd modulus. *)
+let fixed_base_moduli =
+  let rng = Prng.create ~seed:0xF1BA5E in
+  let p128 = Primes.random_prime rng ~bits:128 in
+  let n192 =
+    B.mul (Primes.random_prime rng ~bits:96) (Primes.random_prime rng ~bits:96)
+  in
+  let odd512 =
+    B.add (B.shift_left B.one 511) (B.succ (B.shift_left (Prng.bignum_below rng (B.shift_left B.one 509)) 1))
+  in
+  [ ("128-bit p", p128); ("192-bit N", n192); ("512-bit odd", odd512) ]
+
+(* Widths that are not multiples of 4 exercise a partial top row. *)
+let fixed_base_widths = [ 1; 3; 6; 127; 128; 129; 193; 450; 513 ]
+
+let widest bits = B.pred (B.shift_left B.one bits)
+
+let fixed_base_tests =
+  let open QCheck2.Gen in
+  let case =
+    let* mi = int_bound (List.length fixed_base_moduli - 1) in
+    let* bits = oneofl fixed_base_widths in
+    let* base = gen_bignum ~bits:600 () in
+    let* which = int_bound 4 in
+    let* e = gen_bignum ~bits () in
+    let e =
+      match which with
+      | 0 -> B.zero
+      | 1 -> B.one
+      | 2 -> widest bits
+      | 3 -> B.abs e
+      | _ -> B.add (B.shift_left B.one (bits - 1)) (B.erem e (B.shift_left B.one (bits - 1)))
+    in
+    return (snd (List.nth fixed_base_moduli mi), bits, base, e)
+  in
+  let raises_invalid f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  [ qtest ~count:60 "fixed-base exp = pow_mod (any base, exponents up to the width)"
+      case (fun (m, bits, base, e) ->
+        let tbl = B.Fixed_base.build ~base ~modulus:m ~bits in
+        B.equal (B.Fixed_base.exp tbl e) (B.pow_mod ~base ~exp:e ~modulus:m));
+    qtest ~count:40 "fixed-base exp2 = product of pow_mods"
+      (pair case case) (fun ((m, bits, b1, e1), (_, bits2, b2, e2)) ->
+        let t1 = B.Fixed_base.build ~base:b1 ~modulus:m ~bits in
+        let t2 = B.Fixed_base.build ~base:b2 ~modulus:m ~bits:bits2 in
+        B.equal
+          (B.Fixed_base.exp2 t1 e1 t2 e2)
+          (B.mul_mod
+             (B.pow_mod ~base:b1 ~exp:e1 ~modulus:m)
+             (B.pow_mod ~base:b2 ~exp:e2 ~modulus:m)
+             m));
+    Alcotest.test_case "fixed-base edge cases" `Quick (fun () ->
+        List.iter
+          (fun (name, m) ->
+            let bits = B.numbits m + 3 in
+            let check_pow label base e =
+              check_b (name ^ ": " ^ label)
+                (B.pow_mod ~base ~exp:e ~modulus:m)
+                (B.Fixed_base.exp (B.Fixed_base.build ~base ~modulus:m ~bits) e)
+            in
+            let x = B.of_string "1234567890123456789" in
+            check_pow "e = 0" x B.zero;
+            check_pow "e = 1" x B.one;
+            check_pow "widest e" x (widest bits);
+            check_pow "base = m" m (B.of_int 5);
+            check_pow "base = m, e = 0" m B.zero;
+            check_pow "base > m" (B.add (B.mul m (B.of_int 3)) x) (widest bits);
+            check_pow "negative base" (B.neg x) (B.of_int 3);
+            let tbl = B.Fixed_base.build ~base:x ~modulus:m ~bits in
+            Alcotest.(check bool) (name ^ ": over-wide exponent") true
+              (raises_invalid (fun () -> B.Fixed_base.exp tbl (B.shift_left B.one bits)));
+            Alcotest.(check bool) (name ^ ": over-wide exp2 exponent") true
+              (raises_invalid (fun () ->
+                   B.Fixed_base.exp2 tbl B.one tbl (B.shift_left B.one bits)));
+            Alcotest.(check bool) (name ^ ": negative exponent") true
+              (raises_invalid (fun () -> B.Fixed_base.exp tbl (B.neg B.one))))
+          fixed_base_moduli;
+        let tbl m = B.Fixed_base.build ~base:B.two ~modulus:m ~bits:8 in
+        Alcotest.(check bool) "even modulus" true
+          (raises_invalid (fun () -> tbl (B.of_int 1024)));
+        Alcotest.(check bool) "zero modulus" true
+          (raises_invalid (fun () -> tbl B.zero));
+        Alcotest.(check bool) "mixed moduli" true
+          (raises_invalid (fun () ->
+               B.Fixed_base.exp2 (tbl (B.of_int 1019)) B.one (tbl (B.of_int 1021))
+                 B.one));
+        check_b "modulus 1" B.zero (B.Fixed_base.exp (tbl B.one) (B.of_int 7)))
+  ]
+
+let suite = ("num", unit_tests @ prop_tests @ fastpath_tests @ fixed_base_tests)

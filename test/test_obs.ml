@@ -362,8 +362,8 @@ let crypto_tests =
             Alcotest.(check int) "sign" 1 (Obs_crypto.count Obs_crypto.Sign);
             Alcotest.(check int) "verify" 1
               (Obs_crypto.count Obs_crypto.Verify);
-            Alcotest.(check bool) "modexp underneath" true
-              (Obs_crypto.count Obs_crypto.Modexp > 0));
+            Alcotest.(check bool) "fixed-base exponentiation underneath" true
+              (Obs_crypto.count Obs_crypto.Fixed_base_exp > 0));
         Obs_crypto.reset ();
         Alcotest.(check int) "reset" 0 (Obs_crypto.total ()))
   ]
