@@ -115,13 +115,17 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
       in
       speedups :=
         (Printf.sprintf "exp2_%d" bits, two_pow /. exp2) :: !speedups;
+      (* informational rows: the Lehmer gcd and inverse over operands of
+         the modulus size *)
+      let gcd = sample "gcd" bits (fun () -> ignore (B.gcd exp m)) in
+      let inv = sample "inv_mod" bits (fun () -> ignore (B.inv_mod base m)) in
       Printf.printf
         "[bench-num] %4d-bit: naive %9.0f ns/op, window %9.0f ns/op \
          (%.2fx), fixed-base %9.0f ns/op, exp2 %9.0f vs 2x pow_mod %9.0f \
-         ns/op (%.2fx)\n\
+         ns/op (%.2fx), gcd %7.0f ns/op, inv_mod %7.0f ns/op\n\
          %!"
         bits naive window (naive /. window) fixed exp2 two_pow
-        (two_pow /. exp2))
+        (two_pow /. exp2) gcd inv)
     sizes;
   (* DLEQ batch-verification sweep (the PR 7 crypto hot path): per-share
      cost of checking k coin/TDH2-shaped share proofs at once, against
@@ -147,49 +151,60 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
   in
   let group_bits = B.numbits ps.G.p in
   let batch_sizes = [ 1; 2; 4; 8; 16 ] in
-  let per_share = ref [] in
-  List.iter
-    (fun k ->
-      let batch = List.filteri (fun i _ -> i < k) proofs in
-      (* the bench guards itself: a valid batch must pass, a corrupted
-         one must fail *)
-      assert (Dleq.batch_verify ps ~domain:dleq_domain batch);
-      (match batch with
-      | (s, p) :: rest ->
+  (* The sizes are timed round-robin over several short rounds and each
+     keeps its median per-share cost, so a slow spell of the host lands
+     in one round of every size instead of in all of one size's
+     window. *)
+  let rounds = if quick then 3 else 9 in
+  let slice = min_time /. 2.0 in
+  let verify k =
+    let batch = List.filteri (fun i _ -> i < k) proofs in
+    (* the bench guards itself: a valid batch must pass, a corrupted
+       one must fail *)
+    assert (Dleq.batch_verify ps ~domain:dleq_domain batch);
+    (match batch with
+    | (s, p) :: rest ->
+      assert (
+        not
+          (Dleq.batch_verify ps ~domain:dleq_domain
+             ((s, { p with Dleq.z = B.succ p.Dleq.z }) :: rest)))
+    | [] -> ());
+    if k = 1 then
+      let s, p = List.hd batch in
+      fun () ->
         assert (
-          not
-            (Dleq.batch_verify ps ~domain:dleq_domain
-               ((s, { p with Dleq.z = B.succ p.Dleq.z }) :: rest)))
-      | [] -> ());
-      let ns_total =
-        if k = 1 then
-          let s, p = List.hd batch in
-          time_ns ~min_time (fun () ->
-              assert (
-                Dleq.verify ps ~domain:dleq_domain ~g1:s.Dleq.g1 ~h1:s.Dleq.h1
-                  ~g2:s.Dleq.g2 ~h2:s.Dleq.h2 p))
-        else
-          time_ns ~min_time (fun () ->
-              assert (Dleq.batch_verify ps ~domain:dleq_domain batch))
-      in
-      let ns = ns_total /. float_of_int k in
+          Dleq.verify ps ~domain:dleq_domain ~g1:s.Dleq.g1 ~h1:s.Dleq.h1
+            ~g2:s.Dleq.g2 ~h2:s.Dleq.h2 p)
+    else fun () -> assert (Dleq.batch_verify ps ~domain:dleq_domain batch)
+  in
+  let runs = List.map (fun k -> (k, verify k, ref [])) batch_sizes in
+  for _ = 1 to rounds do
+    List.iter
+      (fun (k, f, times) ->
+        times := (time_ns ~min_time:slice f /. float_of_int k) :: !times)
+      runs
+  done;
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let per_share = List.map (fun (k, _, times) -> (k, median !times)) runs in
+  List.iter
+    (fun (k, ns) ->
       samples :=
         { kernel = "dleq_verify"; bits = group_bits; batch = Some k;
           ns_per_op = ns }
         :: !samples;
-      per_share := (k, ns) :: !per_share;
       if k > 1 then
         speedups :=
-          (Printf.sprintf "dleq_batch_%d_vs_1" k,
-           List.assoc 1 !per_share /. ns)
+          (Printf.sprintf "dleq_batch_%d_vs_1" k, List.assoc 1 per_share /. ns)
           :: !speedups)
-    batch_sizes;
+    per_share;
   Printf.printf "[bench-num] dleq %d-bit per-share ns:%s (batch 8: %.2fx)\n%!"
     group_bits
     (String.concat ""
-       (List.rev_map
-          (fun (k, ns) -> Printf.sprintf " k=%d %.0f" k ns)
-          !per_share))
+       (List.map (fun (k, ns) -> Printf.sprintf " k=%d %.0f" k ns) per_share))
     (List.assoc "dleq_batch_8_vs_1" !speedups);
   let wall = Unix.gettimeofday () -. t0 in
   Obs_crypto.disable ();

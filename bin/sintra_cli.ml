@@ -641,8 +641,9 @@ let bench_num_cmd =
     (Cmd.info "bench-num"
        ~doc:
          "Micro-benchmark the modular-arithmetic kernels (naive vs \
-          Montgomery-window pow_mod, fixed-base exp_g, exp2) at \
-          128/512/1024-bit moduli.")
+          Montgomery-window pow_mod, fixed-base exp_g, exp2, gcd, \
+          inv_mod) at 128/512/1024-bit moduli, and the DLEQ batch \
+          sweep.")
     Term.(const run $ out_arg $ quick_arg)
 
 (* ---------- coin: flip the distributed coin -------------------------- *)

@@ -30,10 +30,23 @@ type t = {
   mutable sent_final : bool;
   mutable delivered : (string * Keyring.cert) option;
   mutable sp_inst : int;  (* open trace span; 0 = none *)
+  mutable stmt : (string * string) option;
+      (* the last payload seen and its statement *)
 }
 
+let statement_of ~tag ~sender payload =
+  Ro.encode [ "cbc"; tag; string_of_int sender; Sha256.digest payload ]
+
+(* Send, every Echo, every try_final and Final carry the same payload in
+   an honest instance: hash it once and reuse the statement while later
+   messages carry an equal payload. *)
 let statement t payload =
-  Ro.encode [ "cbc"; t.tag; string_of_int t.sender; Sha256.digest payload ]
+  match t.stmt with
+  | Some (p, stmt) when String.equal p payload -> stmt
+  | _ ->
+    let stmt = statement_of ~tag:t.tag ~sender:t.sender payload in
+    t.stmt <- Some (payload, stmt);
+    stmt
 
 let create ~(io : msg Proto_io.t) ~tag ~sender ?(validate = fun _ -> true)
     ~deliver () =
@@ -47,7 +60,8 @@ let create ~(io : msg Proto_io.t) ~tag ~sender ?(validate = fun _ -> true)
     shares = [];
     sent_final = false;
     delivered = None;
-    sp_inst = 0 }
+    sp_inst = 0;
+    stmt = None }
 
 let obs t = t.io.Proto_io.obs
 
@@ -117,10 +131,7 @@ let handle t ~src msg =
 (* Re-validate a transferred (payload, certificate) pair, e.g. one that
    arrived inside another protocol's justification. *)
 let check_transferred io ~tag ~sender payload cert : bool =
-  let stmt =
-    Ro.encode [ "cbc"; tag; string_of_int sender; Sha256.digest payload ]
-  in
-  Proto_io.verify_cert io stmt cert
+  Proto_io.verify_cert io (statement_of ~tag ~sender payload) cert
 
 let msg_size kr = function
   | Send p -> 8 + String.length p

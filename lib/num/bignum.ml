@@ -83,20 +83,106 @@ let numbits a = Limbs.numbits a.mag
 let testbit a i = Limbs.testbit a.mag i
 let is_even a = not (testbit a 0)
 
-let rec gcd a b =
-  let a = abs a and b = abs b in
-  if is_zero b then a else gcd b (rem a b)
+(* Lehmer's cosequence engine, the one gcd routine behind [gcd], [egcd]
+   and [inv_mod].  On magnitudes x, y it follows Euclid's remainder
+   sequence r_0 = x, r_1 = y, r_(i+1) = r_(i-1) mod r_i to its last
+   non-zero term r_n = gcd(x, y), and returns (r_n, n odd, |U_n|, |V_n|)
+   with r_n = U_n x + V_n y.  The cofactor signs alternate, U_i having
+   the sign of (-1)^i and V_i that of (-1)^(i+1), so only magnitudes are
+   tracked, and only those asked for.
+
+   Each round runs Euclid on the top 60 bits of x and y in native ints
+   and collects the quotients in a 2x2 matrix (A B; C D), with
+   (r_(i+j), r_(i+j+1)) = (A r_i + B r_(i+1), C r_i + D r_(i+1)).  A
+   quotient is taken only when both ends of the interval that the
+   truncated bits leave open agree on it (Knuth 4.5.2, Algorithm L), and
+   only while every entry stays below 2^30, so one round covers about
+   30 bits and the matrix applies to the full operands with one pass of
+   single-limb products.  When the top bits are the whole operands the
+   quotient is exact.  A round that can take no quotient (a large one,
+   or an ambiguous one) does one long division instead. *)
+let cosequence ~want_u ~want_v (x : int array) (y : int array) =
+  let bound = 1 lsl 30 in
+  let x = ref x and y = ref y and odd = ref false in
+  let u0 = ref [| 1 |] and u1 = ref Limbs.zero in
+  let v0 = ref Limbs.zero and v1 = ref [| 1 |] in
+  (* (z0, z1) <- (|A| z0 + |B| z1, |C| z0 + |D| z1): cofactor magnitudes
+     grow along the same matrix, every term with the same sign *)
+  let apply z0 z1 a b c d =
+    let n0 = Limbs.lincomb (Stdlib.abs a) !z0 (Stdlib.abs b) !z1 in
+    z1 := Limbs.lincomb (Stdlib.abs c) !z0 (Stdlib.abs d) !z1;
+    z0 := n0
+  in
+  while not (Limbs.is_zero !y) do
+    let s = max 0 (max (Limbs.numbits !x) (Limbs.numbits !y) - 60) in
+    let xh = ref (Limbs.bits_from !x s) and yh = ref (Limbs.bits_from !y s) in
+    let a = ref 1 and b = ref 0 and c = ref 0 and d = ref 1 in
+    let steps = ref 0 and go = ref true in
+    while !go do
+      let q =
+        if s = 0 then if !yh = 0 then -1 else !xh / !yh
+        else if !yh + !c = 0 || !yh + !d = 0 then -1
+        else begin
+          let q = (!xh + !a) / (!yh + !c) in
+          if q = (!xh + !b) / (!yh + !d) then q else -1
+        end
+      in
+      if q < 0 || q >= bound then go := false
+      else begin
+        let c' = !a - (q * !c) and d' = !b - (q * !d) in
+        if Stdlib.abs c' >= bound || Stdlib.abs d' >= bound then go := false
+        else begin
+          a := !c;
+          b := !d;
+          c := c';
+          d := d';
+          let r = !xh - (q * !yh) in
+          xh := !yh;
+          yh := r;
+          incr steps
+        end
+      end
+    done;
+    if !steps = 0 then begin
+      let q, r = Limbs.divmod !x !y in
+      x := !y;
+      y := r;
+      let step z0 z1 =
+        let n1 = Limbs.add !z0 (Limbs.mul q !z1) in
+        z0 := !z1;
+        z1 := n1
+      in
+      if want_u then step u0 u1;
+      if want_v then step v0 v1;
+      odd := not !odd
+    end
+    else begin
+      let nx = Limbs.lincomb !a !x !b !y in
+      y := Limbs.lincomb !c !x !d !y;
+      x := nx;
+      if want_u then apply u0 u1 !a !b !c !d;
+      if want_v then apply v0 v1 !a !b !c !d;
+      if !steps land 1 = 1 then odd := not !odd
+    end
+  done;
+  (!x, !odd, !u0, !v0)
+
+let gcd a b =
+  let g, _, _, _ = cosequence ~want_u:false ~want_v:false a.mag b.mag in
+  make 1 g
+
+(* (g, u, v) with u*a + v*b = g, exactly as Euclid with truncated
+   division computes them on signed operands: that sequence is the one
+   on |a|, |b| with r_i carrying the sign of a for even i and of b for
+   odd i, so g and its cofactors take their signs from the parity. *)
+let egcd_with ~want_v a b =
+  let g, odd, u, v = cosequence ~want_u:true ~want_v a.mag b.mag in
+  let sa = if a.sign < 0 then -1 else 1 and sb = if b.sign < 0 then -1 else 1 in
+  let s = if odd then sb else sa and pu = if odd then -1 else 1 in
+  (make s g, make (s * sa * pu) u, make (-s * sb * pu) v)
 
 (* Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b). *)
-let egcd a b =
-  let rec go r0 r1 u0 u1 v0 v1 =
-    if is_zero r1 then (r0, u0, v0)
-    else begin
-      let q, r = divmod r0 r1 in
-      go r1 r u1 (sub u0 (mul q u1)) v1 (sub v0 (mul q v1))
-    end
-  in
-  go a b one zero zero one
+let egcd a b = egcd_with ~want_v:true a b
 
 (* Jacobi symbol (a/n) for odd positive n, by the binary reciprocity
    algorithm: GCD-style reductions only, no exponentiation.  For a prime
@@ -160,7 +246,7 @@ let sub_mod a b m = erem (sub a b) m
 let mul_mod a b m = erem (mul a b) m
 
 let inv_mod a m =
-  let g, u, _ = egcd (erem a m) m in
+  let g, u, _ = egcd_with ~want_v:false (erem a m) m in
   if equal g one then Some (erem u m) else None
 
 (* Barrett reduction: for a fixed modulus m of k limbs, precompute

@@ -53,9 +53,15 @@ val numbits : t -> int
 val testbit : t -> int -> bool
 val is_even : t -> bool
 val gcd : t -> t -> t
+(** Non-negative greatest common divisor; [gcd zero zero = zero].
+    [gcd], {!egcd} and {!inv_mod} share one Lehmer engine: Euclid on
+    the top 60 bits in native ints, with the quotient matrix applied to
+    the full operands about once per 30 bits. *)
 
 val egcd : t -> t -> t * t * t
-(** [egcd a b] is [(g, u, v)] with [u*a + v*b = g = gcd a b]. *)
+(** [egcd a b] is [(g, u, v)] with [u*a + v*b = g = gcd a b], exactly
+    the values of Euclid's algorithm with truncated division on the
+    signed operands (so [g] may be negative when an operand is). *)
 
 val jacobi : t -> t -> int
 (** [jacobi a n] is the Jacobi symbol (a/n) in [{-1; 0; 1}] for odd

@@ -177,6 +177,37 @@ let shift_right (a : int array) (k : int) : int array =
     end
   end
 
+(* The low 62 bits of floor(a / 2^s), read in place from at most three
+   limbs: all of it when the quotient is below 2^62. *)
+let bits_from (a : int array) (s : int) : int =
+  let li = s / base_bits and off = s mod base_bits in
+  let len = Array.length a in
+  let get i = if i < len then Array.unsafe_get a i else 0 in
+  (get li lsr off)
+  lor (get (li + 1) lsl (base_bits - off))
+  lor (get (li + 2) lsl ((2 * base_bits) - off))
+
+(* a * x + b * y for native ints with |a|, |b| < 2^30 and a result
+   known to be non-negative.  Each step sums two products below 2^61 in
+   magnitude and a carry below 2^31, so the signed column stays inside
+   the native int; [asr] carries the borrow when the column is
+   negative. *)
+let lincomb (a : int) (x : int array) (b : int) (y : int array) : int array =
+  let lx = Array.length x and ly = Array.length y in
+  let n = max lx ly in
+  let r = Array.make (n + 1) 0 in
+  let carry = ref 0 in
+  for i = 0 to n - 1 do
+    let xi = if i < lx then Array.unsafe_get x i else 0
+    and yi = if i < ly then Array.unsafe_get y i else 0 in
+    let t = (a * xi) + (b * yi) + !carry in
+    Array.unsafe_set r i (t land mask);
+    carry := t asr base_bits
+  done;
+  assert (!carry >= 0);
+  r.(n) <- !carry;
+  normalize r
+
 (* Short division by a single limb. *)
 let divmod_int (a : int array) (d : int) : int array * int =
   assert (d > 0 && d < base);

@@ -1,113 +1,154 @@
-(* Montgomery (REDC) arithmetic over the {!Limbs} representation.
+(* Montgomery (REDC) arithmetic for odd moduli.
 
-   For an odd k-limb modulus m, residues are kept in Montgomery form
-   x~ = x * R mod m with R = 2^(31k).  The word-level CIOS loop (Koc,
-   Acar & Kaliski) interleaves multiplication and reduction, so one
-   Montgomery multiplication costs 2k^2 + k single-limb multiplies and
-   never performs a long division — the division that dominates every
-   plain [erem]-based modular multiplication is replaced by shifts that
-   fall out of the loop structure for free.
+   For an odd modulus m, residues are kept in Montgomery form
+   x~ = x * R mod m with R = 2^(28k), where k is the number of 28-bit
+   limbs of m.  Residues are private to this module: they live in raw
+   [int array]s of exactly [k] base-2^28 limbs (zero-padded, not
+   normalized), and [to_mont] / [from_mont] repack between them and the
+   31-bit {!Limbs} magnitudes the rest of the library uses.  Exponents
+   stay 31-bit magnitudes.
 
-   Limb products fit the native int exactly: with 31-bit limbs the
-   worst-case accumulation (base-1)^2 + 2*(base-1) = 2^62 - 1 equals
-   OCaml's max_int on 64-bit platforms, the same headroom argument as
-   {!Limbs.mul}.
+   One product routine, [mul_into], does every multiplication.  It is
+   Koc's product-scanning (FIPS) REDC: column i of a * b + u * m is
+   summed in one native int, the Montgomery digit u_i that clears the
+   low column is picked as soon as that column is complete, and a
+   column costs one shift, not a mask, shift and carry per product.
 
-   Montgomery residues are held in raw [int array]s of length exactly
-   [k] (zero-padded, not normalized) so the inner loops never bounds-
-   check against ragged lengths.  Conversions in and out normalize. *)
+   The narrow limb is what makes the lazy column sum possible.  A
+   product of two 28-bit limbs is below 2^56, so a column absorbs 60
+   products (30 a*b + u*m pairs) on top of a value below 2^28 and stays
+   below 2^28 + 60 * 2^56 < 2^62 <= max_int, whatever k is.  Columns
+   with more pairs fold every [fold_pairs] pairs: the bits above 2^28
+   move into a second counter [hi] (in units of 2^28) and the running
+   sum drops back below 2^28.  The carry into the next column is split
+   the same way, so every column starts below 2^28 too. *)
 
-let base_bits = Limbs.base_bits
-let mask = Limbs.mask
+let limb_bits = 28
+let limb_mask = (1 lsl limb_bits) - 1
+let fold_pairs = 30
 
 type ctx = {
-  m : int array;  (* the odd modulus, normalized, k limbs *)
-  k : int;
-  m0' : int;  (* -m^{-1} mod 2^31 *)
-  r2 : int array;  (* R^2 mod m, k limbs: converts into Montgomery form *)
-  one : int array;  (* R mod m, k limbs: the Montgomery form of 1 *)
+  m : int array;  (* the odd modulus as a normalized 31-bit magnitude *)
+  k : int;  (* 28-bit limbs of m *)
+  n : int array;  (* m in k 28-bit limbs *)
+  n0' : int;  (* -m^{-1} mod 2^28 *)
+  r2 : int array;  (* R^2 mod m, k 28-bit limbs: converts into Montgomery form *)
+  one : int array;  (* R mod m, k 28-bit limbs: the Montgomery form of 1 *)
 }
 
-(* Zero-pad a normalized magnitude to exactly [k] limbs. *)
-let pad (k : int) (a : int array) : int array =
-  let r = Array.make k 0 in
-  Array.blit a 0 r 0 (Array.length a);
-  r
+(* Repack a little-endian array of [src_bits]-bit limbs into [len] limbs
+   of [dst_bits] bits.  The bit buffer never holds more than
+   src_bits + dst_bits - 1 < 62 bits.  Bits beyond [len] limbs must be
+   zero. *)
+let repack ~src_bits ~dst_bits (src : int array) (len : int) : int array =
+  let dst = Array.make len 0 and dmask = (1 lsl dst_bits) - 1 in
+  let acc = ref 0 and nacc = ref 0 and j = ref 0 in
+  Array.iter
+    (fun x ->
+      acc := !acc lor (x lsl !nacc);
+      nacc := !nacc + src_bits;
+      while !nacc >= dst_bits && !j < len do
+        dst.(!j) <- !acc land dmask;
+        acc := !acc lsr dst_bits;
+        nacc := !nacc - dst_bits;
+        incr j
+      done)
+    src;
+  if !j < len then dst.(!j) <- !acc;
+  dst
+
+(* A magnitude below 2^(28k) as exactly [k] residue limbs. *)
+let of_limbs (k : int) (a : int array) : int array =
+  repack ~src_bits:Limbs.base_bits ~dst_bits:limb_bits a k
+
+(* k residue limbs back to a normalized 31-bit magnitude. *)
+let to_limbs (r : int array) : int array =
+  let len = ((limb_bits * Array.length r) + Limbs.base_bits - 1) / Limbs.base_bits in
+  Limbs.normalize (repack ~src_bits:limb_bits ~dst_bits:Limbs.base_bits r len)
 
 let create (m : int array) : ctx option =
   if Limbs.is_zero m || m.(0) land 1 = 0 then None
   else begin
-    let k = Array.length m in
-    (* Hensel lifting: for odd m0, m0 is its own inverse mod 8; each
-       Newton step x <- x*(2 - m0*x) doubles the valid bits, so four
-       steps reach 48 >= 31 bits. *)
-    let m0 = m.(0) in
-    let inv = ref m0 in
+    let k = (Limbs.numbits m + limb_bits - 1) / limb_bits in
+    let n = of_limbs k m in
+    (* Hensel lifting: for odd n0, n0 is its own inverse mod 8; each
+       Newton step x <- x*(2 - n0*x) doubles the valid bits, so four
+       steps reach 48 >= 28 bits. *)
+    let n0 = n.(0) in
+    let inv = ref n0 in
     for _ = 1 to 4 do
-      inv := (!inv * (2 - ((m0 * !inv) land mask))) land mask
+      inv := (!inv * (2 - ((n0 * !inv) land limb_mask))) land limb_mask
     done;
-    let r_mod_m =
-      snd (Limbs.divmod (Limbs.shift_left [| 1 |] (base_bits * k)) m)
-    in
-    let r2 =
-      snd (Limbs.divmod (Limbs.shift_left [| 1 |] (2 * base_bits * k)) m)
-    in
+    let r_pow e = of_limbs k (snd (Limbs.divmod (Limbs.shift_left [| 1 |] e) m)) in
     Some
       { m;
         k;
-        m0' = (Limbs.base - !inv) land mask;
-        r2 = pad k r2;
-        one = pad k r_mod_m }
+        n;
+        n0' = ((1 lsl limb_bits) - !inv) land limb_mask;
+        r2 = r_pow (2 * limb_bits * k);
+        one = r_pow (limb_bits * k) }
   end
 
-(* r = a * b * R^{-1} mod m for k-limb Montgomery residues a, b < m,
-   where [b] is read at limbs [boff, boff + k) so that a flat table row
-   can hold several residues.  CIOS: one outer pass per limb of [a],
-   each pass adding a_i * b and then folding one limb of the Montgomery
-   quotient u * m, shifting the accumulator [t] (k + 2 limbs of scratch)
-   down a limb as it goes.  [r] may alias [a] and [b] (a squaring in
-   place): both are fully read before [r] is written. *)
-let mul_into (ctx : ctx) (t : int array) (a : int array) (b : int array)
+(* acc + the sum over j in [j, stop) of a_j * b_(bi-j) + u_j * n_(i-j):
+   a tail-recursive loop, so every operand stays in a register *)
+let rec pairs a b u n bi i j stop acc =
+  if j = stop then acc
+  else
+    pairs a b u n bi i (j + 1) stop
+      (acc
+      + (Array.unsafe_get a j * Array.unsafe_get b (bi - j))
+      + (Array.unsafe_get u j * Array.unsafe_get n (i - j)))
+
+(* r = a * b * R^{-1} mod m for k-limb residues a, b < m, where [b] is
+   read at limbs [boff, boff + k) so that a flat table can hold several
+   residues.  [u] (k limbs of scratch) receives the Montgomery quotient
+   digits.  Columns 0..k-1 of a*b + u*m pick u_i and are shifted out;
+   columns k..2k-1 are the result.  Column i of the high half reads
+   only limbs above i - k of [a] and [b], so [r] may alias [a], or [b]
+   at [boff = 0] (a squaring in place): every limb is read before it is
+   overwritten. *)
+let mul_into (ctx : ctx) (u : int array) (a : int array) (b : int array)
     (boff : int) (r : int array) : unit =
-  let k = ctx.k and m = ctx.m and m0' = ctx.m0' in
+  let k = ctx.k and n = ctx.n and n0' = ctx.n0' in
   if
-    Array.length a < k || Array.length r < k || Array.length t < k + 2
+    Array.length a < k || Array.length r < k || Array.length u < k
     || boff < 0 || Array.length b < boff + k
   then invalid_arg "Montgomery.mul: residue shorter than the modulus";
-  Array.fill t 0 (k + 2) 0;
-  for i = 0 to k - 1 do
-    let ai = Array.unsafe_get a i in
-    let carry = ref 0 in
-    for j = 0 to k - 1 do
-      let x =
-        Array.unsafe_get t j + (ai * Array.unsafe_get b (boff + j)) + !carry
-      in
-      Array.unsafe_set t j (x land mask);
-      carry := x lsr base_bits
+  (* [c] is the carry into the current column; the column's running
+     value is hi * 2^28 + acc, with acc < 2^28 after every fold *)
+  let c = ref 0 and hi = ref 0 and acc = ref 0 in
+  for i = 0 to (2 * k) - 2 do
+    hi := !c lsr limb_bits;
+    acc := !c land limb_mask;
+    let lo = if i < k then 0 else i - k + 1 and top = if i < k then i else k in
+    let j = ref lo in
+    while !j < top do
+      let stop = if top - !j > fold_pairs then !j + fold_pairs else top in
+      let s = pairs a b u n (boff + i) i !j stop !acc in
+      hi := !hi + (s lsr limb_bits);
+      acc := s land limb_mask;
+      j := stop
     done;
-    let x = Array.unsafe_get t k + !carry in
-    Array.unsafe_set t k (x land mask);
-    Array.unsafe_set t (k + 1) (x lsr base_bits);
-    let t0 = Array.unsafe_get t 0 in
-    let u = (t0 * m0') land mask in
-    (* t.(0) + u*m.(0) is divisible by the base by construction. *)
-    let carry = ref ((t0 + (u * Array.unsafe_get m 0)) lsr base_bits) in
-    for j = 1 to k - 1 do
-      let x = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !carry in
-      Array.unsafe_set t (j - 1) (x land mask);
-      carry := x lsr base_bits
-    done;
-    let x = Array.unsafe_get t k + !carry in
-    Array.unsafe_set t (k - 1) (x land mask);
-    Array.unsafe_set t k (Array.unsafe_get t (k + 1) + (x lsr base_bits))
+    if i < k then begin
+      (* the last pair of a low column: a_i * b_0, then the digit u_i
+         that makes the column divisible by 2^28 *)
+      acc := !acc + (Array.unsafe_get a i * Array.unsafe_get b boff);
+      let ui = (!acc * n0') land limb_mask in
+      Array.unsafe_set u i ui;
+      acc := !acc + (ui * Array.unsafe_get n 0)
+    end
+    else Array.unsafe_set r (i - k) (!acc land limb_mask);
+    c := !hi + (!acc lsr limb_bits)
   done;
-  (* The accumulator is < 2m; one conditional subtraction finishes. *)
+  (* column 2k-1 holds only the carry; the result is below 2m *)
+  r.(k - 1) <- !c land limb_mask;
+  let top = !c lsr limb_bits in
   let ge =
-    t.(k) > 0
+    top > 0
     ||
     let rec cmp i =
       if i < 0 then true
-      else if t.(i) <> m.(i) then t.(i) > m.(i)
+      else if r.(i) <> n.(i) then r.(i) > n.(i)
       else cmp (i - 1)
     in
     cmp (k - 1)
@@ -115,37 +156,43 @@ let mul_into (ctx : ctx) (t : int array) (a : int array) (b : int array)
   if ge then begin
     let borrow = ref 0 in
     for j = 0 to k - 1 do
-      let d = t.(j) - m.(j) - !borrow in
-      if d < 0 then begin
-        r.(j) <- d + Limbs.base;
-        borrow := 1
-      end
-      else begin
-        r.(j) <- d;
-        borrow := 0
-      end
+      let d = r.(j) - n.(j) - !borrow in
+      r.(j) <- d land limb_mask;
+      borrow := if d < 0 then 1 else 0
     done
   end
-  else Array.blit t 0 r 0 k
 
 let mul (ctx : ctx) (a : int array) (b : int array) : int array =
   let r = Array.make ctx.k 0 in
-  mul_into ctx (Array.make (ctx.k + 2) 0) a b 0 r;
+  mul_into ctx (Array.make ctx.k 0) a b 0 r;
   r
 
 let to_mont (ctx : ctx) (x : int array) : int array =
   let x = if Limbs.compare x ctx.m >= 0 then snd (Limbs.divmod x ctx.m) else x in
-  mul ctx (pad ctx.k x) ctx.r2
+  mul ctx (of_limbs ctx.k x) ctx.r2
 
 (* REDC(a * 1) drops the R factor and leaves a normalized magnitude. *)
 let from_mont (ctx : ctx) (a : int array) : int array =
   let one_raw = Array.make ctx.k 0 in
   one_raw.(0) <- 1;
-  Limbs.normalize (mul ctx a one_raw)
+  to_limbs (mul ctx a one_raw)
 
 (* ------------------------------------------------------------------ *)
 (* Exponentiation kernels                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Every kernel below multiplies in place through [mul_into] with one
+   scratch array: tables are flat arrays of k-limb rows, and the
+   accumulator is squared and multiplied where it lies. *)
+
+(* acc <- acc * (row [off, off + k) of tbl); while [started] is false
+   the accumulator stands for 1, so the row is copied instead. *)
+let fold_into ctx u acc started tbl off =
+  if !started then mul_into ctx u acc tbl off acc
+  else begin
+    Array.blit tbl off acc 0 ctx.k;
+    started := true
+  end
 
 let window_bits = 4
 
@@ -156,6 +203,20 @@ let window (e : int array) (lo : int) : int =
   lor (if Limbs.testbit e (lo + 2) then 4 else 0)
   lor (if Limbs.testbit e (lo + 3) then 8 else 0)
 
+(* Rows 1..rows of the powers of residue [bm], row d at limb offset
+   (d - 1) * k. *)
+let power_table (ctx : ctx) (u : int array) (bm : int array) (rows : int) :
+    int array =
+  let k = ctx.k in
+  let tbl = Array.make (rows * k) 0 in
+  let cur = Array.copy bm in
+  Array.blit cur 0 tbl 0 k;
+  for d = 1 to rows - 1 do
+    mul_into ctx u cur bm 0 cur;
+    Array.blit cur 0 tbl (d * k) k
+  done;
+  tbl
+
 (* base^exp mod m by left-to-right fixed 4-bit windows: 4 squarings plus
    at most one table multiply per window, against one multiply per set
    bit for the binary ladder. *)
@@ -163,25 +224,21 @@ let pow (ctx : ctx) ~(base : int array) ~(exp : int array) : int array =
   let nb = Limbs.numbits exp in
   if nb = 0 then from_mont ctx ctx.one
   else begin
-    let bm = to_mont ctx base in
-    let tbl = Array.make 16 ctx.one in
-    tbl.(1) <- bm;
-    for d = 2 to 15 do
-      tbl.(d) <- mul ctx tbl.(d - 1) bm
-    done;
+    let k = ctx.k in
+    let u = Array.make k 0 in
+    let tbl = power_table ctx u (to_mont ctx base) 15 in
     let nwin = (nb + window_bits - 1) / window_bits in
     (* The top window contains the most significant bit, so it is
        non-zero and seeds the accumulator without leading squarings. *)
-    let acc = ref tbl.(window exp ((nwin - 1) * window_bits)) in
+    let acc = Array.sub tbl ((window exp ((nwin - 1) * window_bits) - 1) * k) k in
     for wi = nwin - 2 downto 0 do
-      acc := mul ctx !acc !acc;
-      acc := mul ctx !acc !acc;
-      acc := mul ctx !acc !acc;
-      acc := mul ctx !acc !acc;
+      for _ = 1 to window_bits do
+        mul_into ctx u acc acc 0 acc
+      done;
       let d = window exp (wi * window_bits) in
-      if d <> 0 then acc := mul ctx !acc tbl.(d)
+      if d <> 0 then mul_into ctx u acc tbl ((d - 1) * k) acc
     done;
-    from_mont ctx !acc
+    from_mont ctx acc
   end
 
 (* b1^e1 * b2^e2 mod m, sharing one squaring chain (Shamir's trick):
@@ -192,42 +249,25 @@ let pow2 (ctx : ctx) ~(b1 : int array) ~(e1 : int array) ~(b2 : int array)
   let nb = max (Limbs.numbits e1) (Limbs.numbits e2) in
   if nb = 0 then from_mont ctx ctx.one
   else begin
-    let m1 = to_mont ctx b1 in
-    let m2 = to_mont ctx b2 in
-    let m12 = mul ctx m1 m2 in
-    let acc = ref ctx.one and started = ref false in
+    let k = ctx.k in
+    let u = Array.make k 0 in
+    (* rows 1, 2, 3: b1, b2, b1 * b2 *)
+    let tbl = Array.make (3 * k) 0 in
+    Array.blit (to_mont ctx b1) 0 tbl 0 k;
+    Array.blit (to_mont ctx b2) 0 tbl k k;
+    let m12 = Array.sub tbl 0 k in
+    mul_into ctx u m12 tbl k m12;
+    Array.blit m12 0 tbl (2 * k) k;
+    let acc = Array.make k 0 and started = ref false in
     for i = nb - 1 downto 0 do
-      if !started then acc := mul ctx !acc !acc;
+      if !started then mul_into ctx u acc acc 0 acc;
       let d =
         (if Limbs.testbit e1 i then 1 else 0)
         lor (if Limbs.testbit e2 i then 2 else 0)
       in
-      if d <> 0 then begin
-        let f = match d with 1 -> m1 | 2 -> m2 | _ -> m12 in
-        if !started then acc := mul ctx !acc f
-        else begin
-          acc := f;
-          started := true
-        end
-      end
+      if d <> 0 then fold_into ctx u acc started tbl ((d - 1) * k)
     done;
-    from_mont ctx !acc
-  end
-
-(* The w bits of magnitude [e] starting at bit [lo] (little-endian bit
-   order), read straight out of the limbs; w never exceeds a limb. *)
-let bits_at (e : int array) (lo : int) (w : int) : int =
-  let li = lo / Limbs.base_bits and off = lo mod Limbs.base_bits in
-  let len = Array.length e in
-  if li >= len then 0
-  else begin
-    let v = Array.unsafe_get e li lsr off in
-    let v =
-      if off + w > Limbs.base_bits && li + 1 < len then
-        v lor (Array.unsafe_get e (li + 1) lsl (Limbs.base_bits - off))
-      else v
-    in
-    v land ((1 lsl w) - 1)
+    from_mont ctx acc
   end
 
 (* Interleaved (Straus) product of base^exp over any number of pairs:
@@ -244,6 +284,8 @@ let pow_multi (ctx : ctx) (pairs : (int array * int array) list) : int array =
   in
   if nb = 0 then from_mont ctx ctx.one
   else begin
+    let k = ctx.k in
+    let u = Array.make k 0 in
     (* A w-bit window trades a (2^w - 2)-multiply table build for one
        multiply per non-zero w-digit: worthwhile once the exponent has
        enough digits to repay the build. *)
@@ -254,41 +296,33 @@ let pow_multi (ctx : ctx) (pairs : (int array * int array) list) : int array =
           let w' = if n >= 96 then 4 else if n >= 24 then 2 else 1 in
           if w' <> w || n = 0 then None
           else begin
-            let bm = to_mont ctx b in
-            let tbl = Array.make ((1 lsl w) - 1) bm in
-            for d = 1 to Array.length tbl - 1 do
-              tbl.(d) <- mul ctx tbl.(d - 1) bm
-            done;
+            let tbl = power_table ctx u (to_mont ctx b) ((1 lsl w) - 1) in
             let nwin = (nb + w - 1) / w in
-            let digits = Array.init nwin (fun j -> bits_at e (j * w) w) in
+            let digits =
+              Array.init nwin (fun j ->
+                  Limbs.bits_from e (j * w) land ((1 lsl w) - 1))
+            in
             Some (tbl, digits)
           end)
         pairs
       |> Array.of_list
     in
     let w4 = prep 4 and w2 = prep 2 and w1 = prep 1 in
-    let acc = ref ctx.one and started = ref false in
-    let mul_acc f =
-      if !started then acc := mul ctx !acc f
-      else begin
-        acc := f;
-        started := true
-      end
-    in
-    let apply (group : (int array array * int array) array) (win : int) =
+    let acc = Array.make k 0 and started = ref false in
+    let apply (group : (int array * int array) array) (win : int) =
       for j = 0 to Array.length group - 1 do
         let tbl, digits = Array.unsafe_get group j in
         let d = Array.unsafe_get digits win in
-        if d <> 0 then mul_acc (Array.unsafe_get tbl (d - 1))
+        if d <> 0 then fold_into ctx u acc started tbl ((d - 1) * k)
       done
     in
     for i = nb - 1 downto 0 do
-      if !started then acc := mul ctx !acc !acc;
+      if !started then mul_into ctx u acc acc 0 acc;
       if i land 3 = 0 then apply w4 (i lsr 2);
       if i land 1 = 0 then apply w2 (i lsr 1);
       apply w1 i
     done;
-    from_mont ctx !acc
+    from_mont ctx acc
   end
 
 (* ------------------------------------------------------------------ *)
@@ -312,31 +346,32 @@ type comb = { cols : int; g : int array }
 
 let comb_build (ctx : ctx) ~(base : int array) ~(bits : int) : comb =
   let k = ctx.k and cols = max 1 ((bits + teeth - 1) / teeth) in
-  let t = Array.make (k + 2) 0 in
+  let u = Array.make k 0 in
   let g = Array.make (((1 lsl teeth) - 1) * k) 0 in
   (* G[2^j] = b^(2^(j * cols)): cols squarings from one tooth to the next *)
   let cur = to_mont ctx base in
   for j = 0 to teeth - 1 do
     if j > 0 then
       for _ = 1 to cols do
-        mul_into ctx t cur cur 0 cur
+        mul_into ctx u cur cur 0 cur
       done;
     Array.blit cur 0 g (((1 lsl j) - 1) * k) k
   done;
   (* G[u] = G[u without its lowest bit] * G[lowest bit of u] *)
   let e = Array.make k 0 in
-  for u = 3 to (1 lsl teeth) - 1 do
-    let low = u land -u in
-    if u <> low then begin
+  for v = 3 to (1 lsl teeth) - 1 do
+    let low = v land -v in
+    if v <> low then begin
       Array.blit g ((low - 1) * k) e 0 k;
-      mul_into ctx t e g ((u - low - 1) * k) e;
-      Array.blit e 0 g ((u - 1) * k) k
+      mul_into ctx u e g ((v - low - 1) * k) e;
+      Array.blit e 0 g ((v - 1) * k) k
     end
   done;
   { cols; g }
 
 (* Column i of exponent [e] for a comb of [cols] columns. *)
 let column (e : int array) (cols : int) (i : int) : int =
+  let base_bits = Limbs.base_bits in
   let len = Array.length e and u = ref 0 in
   for j = teeth - 1 downto 0 do
     let pos = (j * cols) + i in
@@ -355,24 +390,22 @@ let column (e : int array) (cols : int) (i : int) : int =
    form once.  Exponents must fit their comb (8 * cols bits). *)
 let comb_exp (ctx : ctx) (terms : (comb * int array) list) : int array =
   let k = ctx.k in
-  let t = Array.make (k + 2) 0 in
+  let u = Array.make k 0 in
   let cols = List.fold_left (fun m ((c : comb), _) -> max m c.cols) 0 terms in
-  (* an empty accumulator stands for 1: no squaring before the first
-     non-zero column, and the first factor is copied, not multiplied *)
-  let acc = ref [||] in
+  (* no squaring before the first non-zero column, and the first factor
+     is copied, not multiplied *)
+  let acc = Array.make k 0 and started = ref false in
   for i = cols - 1 downto 0 do
-    if Array.length !acc > 0 then mul_into ctx t !acc !acc 0 !acc;
+    if !started then mul_into ctx u acc acc 0 acc;
     List.iter
       (fun ((c : comb), e) ->
         if i < c.cols then begin
-          let u = column e c.cols i in
-          if u <> 0 then
-            if Array.length !acc = 0 then acc := Array.sub c.g ((u - 1) * k) k
-            else mul_into ctx t !acc c.g ((u - 1) * k) !acc
+          let d = column e c.cols i in
+          if d <> 0 then fold_into ctx u acc started c.g ((d - 1) * k)
         end)
       terms
   done;
-  from_mont ctx (if Array.length !acc = 0 then ctx.one else !acc)
+  from_mont ctx (if !started then acc else ctx.one)
 
 (* ------------------------------------------------------------------ *)
 (* Context cache                                                       *)

@@ -1,14 +1,16 @@
-(** Montgomery (REDC) arithmetic over raw {!Limbs} magnitudes.
+(** Montgomery (REDC) arithmetic for odd moduli.
 
     Internal fast-path layer: {!Bignum} chooses when to route an
-    exponentiation here (odd, sufficiently large moduli).  All arrays
-    are little-endian base-2{^31} limb magnitudes as in {!Limbs};
-    Montgomery residues are zero-padded to exactly [k] limbs and are
-    only meaningful with respect to the context that produced them. *)
+    exponentiation here (odd, sufficiently large moduli).  Moduli,
+    bases, exponents and results are little-endian base-2{^31} limb
+    magnitudes as in {!Limbs}.  Montgomery residues are private to this
+    module: little-endian base-2{^28} limbs, zero-padded to exactly the
+    [k] limbs of the modulus, and only meaningful with respect to the
+    context that produced them. *)
 
 type ctx
-(** Precomputed data for one odd modulus: -m{^-1} mod 2{^31},
-    R mod m and R{^2} mod m with R = 2{^31k}. *)
+(** Precomputed data for one odd modulus of [k] 28-bit limbs:
+    -m{^-1} mod 2{^28}, R mod m and R{^2} mod m with R = 2{^28k}. *)
 
 val create : int array -> ctx option
 (** [create m] builds a context for the normalized magnitude [m].
@@ -20,15 +22,16 @@ val create_cached : int array -> ctx option
     RSA modulus pay for the context setup once. *)
 
 val to_mont : ctx -> int array -> int array
-(** Convert a magnitude (any length; reduced mod m if needed) into
-    Montgomery form. *)
+(** Convert a magnitude (any length; reduced mod m if needed) into a
+    Montgomery residue. *)
 
 val from_mont : ctx -> int array -> int array
 (** Convert a Montgomery residue back to a normalized magnitude. *)
 
 val mul : ctx -> int array -> int array -> int array
-(** Montgomery product of two residues: [a * b * R^-1 mod m], via the
-    word-interleaved CIOS loop. *)
+(** Montgomery product of two residues below m: [a * b * R^-1 mod m],
+    by product-scanning REDC over 28-bit limbs, the one product routine
+    every kernel below uses. *)
 
 val pow : ctx -> base:int array -> exp:int array -> int array
 (** [pow ctx ~base ~exp] = [base^exp mod m] as a normalized magnitude,

@@ -406,4 +406,331 @@ let fixed_base_tests =
         check_b "modulus 1" B.zero (B.Fixed_base.exp (tbl B.one) (B.of_int 7)))
   ]
 
-let suite = ("num", unit_tests @ prop_tests @ fastpath_tests @ fixed_base_tests)
+(* ------------------------------------------------------------------ *)
+(* Reference models                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Limb arrays to and from Bignum, [bits] per limb, little-endian. *)
+let limbs_of ~bits (v : B.t) : int array =
+  let base = B.shift_left B.one bits in
+  let rec go v acc =
+    if B.is_zero v then Array.of_list (List.rev acc)
+    else
+      go (B.shift_right v bits)
+        (Option.get (B.to_int_opt (B.erem v base)) :: acc)
+  in
+  go (B.abs v) []
+
+let of_limbs ~bits (a : int array) : B.t =
+  Array.fold_right (fun x acc -> B.add (B.shift_left acc bits) (B.of_int x)) a B.zero
+
+let mag = limbs_of ~bits:31
+let of_mag = of_limbs ~bits:31
+
+(* The kernels the current ones replaced, kept as executable
+   specifications: the word-interleaved CIOS Montgomery product on
+   31-bit limbs with R = 2^(31k), a binary ladder over it, and Euclid
+   with one truncated division per quotient. *)
+module Ref = struct
+  let base_bits = 31
+  let base = 1 lsl base_bits
+  let mask = base - 1
+
+  type ctx = { m : int array; k : int; m0' : int; r2 : int array; one : int array }
+
+  let pad k a =
+    let r = Array.make k 0 in
+    Array.blit a 0 r 0 (Array.length a);
+    r
+
+  let create (m : B.t) : ctx =
+    let mm = mag m in
+    let k = Array.length mm in
+    let m0 = mm.(0) in
+    let inv = ref m0 in
+    for _ = 1 to 4 do
+      inv := (!inv * (2 - ((m0 * !inv) land mask))) land mask
+    done;
+    let r_pow e = pad k (mag (B.erem (B.shift_left B.one e) m)) in
+    { m = mm; k; m0' = (base - !inv) land mask;
+      r2 = r_pow (2 * base_bits * k); one = r_pow (base_bits * k) }
+
+  let mul (ctx : ctx) (a : int array) (b : int array) : int array =
+    let k = ctx.k and m = ctx.m and m0' = ctx.m0' in
+    let t = Array.make (k + 2) 0 in
+    for i = 0 to k - 1 do
+      let ai = a.(i) in
+      let carry = ref 0 in
+      for j = 0 to k - 1 do
+        let x = t.(j) + (ai * b.(j)) + !carry in
+        t.(j) <- x land mask;
+        carry := x lsr base_bits
+      done;
+      let x = t.(k) + !carry in
+      t.(k) <- x land mask;
+      t.(k + 1) <- x lsr base_bits;
+      let u = (t.(0) * m0') land mask in
+      let carry = ref ((t.(0) + (u * m.(0))) lsr base_bits) in
+      for j = 1 to k - 1 do
+        let x = t.(j) + (u * m.(j)) + !carry in
+        t.(j - 1) <- x land mask;
+        carry := x lsr base_bits
+      done;
+      let x = t.(k) + !carry in
+      t.(k - 1) <- x land mask;
+      t.(k) <- t.(k + 1) + (x lsr base_bits)
+    done;
+    let r = Array.sub t 0 k in
+    let ge =
+      t.(k) > 0
+      ||
+      let rec cmp i =
+        if i < 0 then true
+        else if r.(i) <> m.(i) then r.(i) > m.(i)
+        else cmp (i - 1)
+      in
+      cmp (k - 1)
+    in
+    if ge then begin
+      let borrow = ref 0 in
+      for j = 0 to k - 1 do
+        let d = r.(j) - m.(j) - !borrow in
+        r.(j) <- d land mask;
+        borrow := if d < 0 then 1 else 0
+      done
+    end;
+    r
+
+  let to_mont ctx x = mul ctx (pad ctx.k (mag (B.erem x (of_mag ctx.m)))) ctx.r2
+
+  let from_mont ctx a =
+    let one = Array.make ctx.k 0 in
+    one.(0) <- 1;
+    of_mag (mul ctx a one)
+
+  (* base^exp mod m by the binary ladder over CIOS products *)
+  let pow ctx base exp =
+    let acc = ref ctx.one and b = ref (to_mont ctx base) in
+    for i = 0 to B.numbits exp - 1 do
+      if B.testbit exp i then acc := mul ctx !acc !b;
+      b := mul ctx !b !b
+    done;
+    from_mont ctx !acc
+
+  let rec gcd a b =
+    let a = B.abs a and b = B.abs b in
+    if B.is_zero b then a else gcd b (B.rem a b)
+
+  let egcd a b =
+    let rec go r0 r1 u0 u1 v0 v1 =
+      if B.is_zero r1 then (r0, u0, v0)
+      else begin
+        let q, r = B.divmod r0 r1 in
+        go r1 r u1 (B.sub u0 (B.mul q u1)) v1 (B.sub v0 (B.mul q v1))
+      end
+    in
+    go a b B.one B.zero B.zero B.one
+
+  let inv_mod a m =
+    let g, u, _ = egcd (B.erem a m) m in
+    if B.equal g B.one then Some (B.erem u m) else None
+end
+
+(* Odd moduli of exactly [bits] bits: a random one, the all-ones one,
+   and 2^(bits-1) + 1 (sparse limbs). *)
+let kernel_bits = [ 62; 64; 128; 192; 256; 868; 869; 896; 1024 ]
+
+let kernel_moduli =
+  let rng = Prng.create ~seed:0x28B17 in
+  List.concat_map
+    (fun bits ->
+      let top = B.shift_left B.one (bits - 1) in
+      let r = B.add top (Prng.bignum_below rng top) in
+      let r = if B.is_even r then B.succ r else r in
+      [ (bits, r); (bits, B.pred (B.shift_left top 1)); (bits, B.succ top) ])
+    kernel_bits
+
+(* Operands that reach the extremes of the column sums: 0, 1, m - 1,
+   m - 2, and values whose low limbs are all ones. *)
+let edge_operands m =
+  let ones = B.pred (B.shift_left B.one (B.numbits m - 1)) in
+  [ B.zero; B.one; B.pred m; B.sub m B.two; ones; B.shift_right m 1 ]
+
+let ctx_of m = Option.get (Montgomery.create (mag m))
+
+(* Montgomery products, round-tripped: the plain-domain value of
+   REDC(x~, y~) is x * y mod m for either kernel. *)
+let kernel_product ctx x y =
+  of_mag
+    (Montgomery.from_mont ctx
+       (Montgomery.mul ctx (Montgomery.to_mont ctx (mag x)) (Montgomery.to_mont ctx (mag y))))
+
+let ref_product rc x y = Ref.from_mont rc (Ref.mul rc (Ref.to_mont rc x) (Ref.to_mont rc y))
+
+let pow_ref m base e = Ref.pow (Ref.create m) base e
+
+let kernel_tests =
+  let open QCheck2.Gen in
+  let modulus = oneofl kernel_moduli in
+  let below m = map (fun s -> B.erem (B.abs s) m) (gen_bignum ~bits:1100 ()) in
+  [ Alcotest.test_case "REDC = CIOS reference at every width (edge operands)" `Quick
+      (fun () ->
+        List.iter
+          (fun (bits, m) ->
+            let ctx = ctx_of m and rc = Ref.create m in
+            let ops = edge_operands m in
+            List.iter
+              (fun x ->
+                List.iter
+                  (fun y ->
+                    check_b (Printf.sprintf "%d-bit product" bits) (ref_product rc x y)
+                      (kernel_product ctx x y))
+                  ops)
+              ops)
+          kernel_moduli);
+    Alcotest.test_case "REDC on all-ones residues: the column fold" `Quick (fun () ->
+        (* m = 2^(28k) - 1 and residues m - 1, m - 2: every limb is at or
+           next to 2^28 - 1, so the low column k - 1 sums k products of
+           almost 2^56.  Unfolded, it passes 2^62 from k = 65 and wraps
+           the native int (2^63) from k = 129. *)
+        List.iter
+          (fun k ->
+            let r = B.shift_left B.one (28 * k) in
+            let m = B.pred r in
+            let ctx = ctx_of m in
+            let rinv = Option.get (Ref.inv_mod r m) in
+            List.iter
+              (fun (x, y) ->
+                let got =
+                  Montgomery.mul ctx (limbs_of ~bits:28 x |> Ref.pad k)
+                    (limbs_of ~bits:28 y |> Ref.pad k)
+                in
+                check_b (Printf.sprintf "k = %d" k)
+                  (B.erem (B.mul (B.mul x y) rinv) m)
+                  (of_limbs ~bits:28 got))
+              [ (B.pred m, B.pred m); (B.sub m B.two, B.pred m); (B.sub m B.two, B.sub m B.two) ])
+          [ 2; 30; 31; 32; 33; 37; 64; 65; 129; 160 ]);
+    qtest ~count:80 "REDC = CIOS reference (random operands)"
+      (let* _, m = modulus in
+       let* x = below m and* y = below m in
+       return (m, x, y))
+      (fun (m, x, y) -> B.equal (ref_product (Ref.create m) x y) (kernel_product (ctx_of m) x y));
+    qtest ~count:40 "pow = reference ladder"
+      (let* _, m = modulus in
+       let* x = gen_bignum ~bits:1100 () and* e = gen_bignum ~bits:1100 () in
+       return (m, x, B.abs e))
+      (fun (m, x, e) ->
+        B.equal (pow_ref m x e) (of_mag (Montgomery.pow (ctx_of m) ~base:(mag (B.erem x m)) ~exp:(mag e))));
+    qtest ~count:30 "pow2 = reference ladders"
+      (let* _, m = modulus in
+       let* b1 = below m and* b2 = below m in
+       let* e1 = gen_bignum ~bits:600 () and* e2 = gen_bignum ~bits:600 () in
+       return (m, b1, B.abs e1, b2, B.abs e2))
+      (fun (m, b1, e1, b2, e2) ->
+        B.equal
+          (B.mul_mod (pow_ref m b1 e1) (pow_ref m b2 e2) m)
+          (of_mag (Montgomery.pow2 (ctx_of m) ~b1:(mag b1) ~e1:(mag e1) ~b2:(mag b2) ~e2:(mag e2))));
+    qtest ~count:30 "pow_multi = product of reference ladders"
+      (let* _, m = modulus in
+       let* pairs =
+         list_size (int_range 1 4)
+           (pair (below m) (map B.abs (gen_bignum ~bits:400 ())))
+       in
+       return (m, pairs))
+      (fun (m, pairs) ->
+        B.equal
+          (List.fold_left (fun acc (b, e) -> B.mul_mod acc (pow_ref m b e) m) B.one pairs)
+          (of_mag
+             (Montgomery.pow_multi (ctx_of m) (List.map (fun (b, e) -> (mag b, mag e)) pairs))));
+    qtest ~count:30 "Fixed_base exp and exp2 = reference ladders"
+      (let* _, m = modulus in
+       let* b1 = below m and* b2 = below m in
+       let* bits = int_range 1 300 in
+       let* e1 = gen_bignum ~bits () and* e2 = gen_bignum ~bits () in
+       return (m, bits, b1, B.abs e1, b2, B.abs e2))
+      (fun (m, bits, b1, e1, b2, e2) ->
+        let t1 = B.Fixed_base.build ~base:b1 ~modulus:m ~bits in
+        let t2 = B.Fixed_base.build ~base:b2 ~modulus:m ~bits in
+        B.equal (pow_ref m b1 e1) (B.Fixed_base.exp t1 e1)
+        && B.equal
+             (B.mul_mod (pow_ref m b1 e1) (pow_ref m b2 e2) m)
+             (B.Fixed_base.exp2 t1 e1 t2 e2))
+  ]
+
+(* gcd, egcd and inv_mod against Euclid, result for result. *)
+let same_gcd x y =
+  let g, u, v = B.egcd x y and g', u', v' = Ref.egcd x y in
+  B.equal (B.gcd x y) (Ref.gcd x y) && B.equal g g' && B.equal u u' && B.equal v v'
+
+let check_same_gcd label x y =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: (%s, %s)" label (B.to_string x) (B.to_string y))
+    true (same_gcd x y)
+
+let signs x y = [ (x, y); (B.neg x, y); (x, B.neg y); (B.neg x, B.neg y); (y, x) ]
+
+let fibonacci n =
+  let rec go a b i acc = if i = n then List.rev acc else go b (B.add a b) (i + 1) ((a, b) :: acc) in
+  go B.zero B.one 0 []
+
+let lehmer_tests =
+  let open QCheck2.Gen in
+  [ Alcotest.test_case "Lehmer = Euclid: Fibonacci pairs" `Quick (fun () ->
+        (* every quotient is 1: the longest sequence for the size *)
+        List.iteri
+          (fun i (a, b) ->
+            if i mod 7 = 0 || i > 1480 then
+              List.iter (fun (x, y) -> check_same_gcd "fib" x y) (signs a b))
+          (fibonacci 1500));
+    Alcotest.test_case "Lehmer = Euclid: powers of two, u >> v, shared factors" `Quick
+      (fun () ->
+        let p2 i = B.shift_left B.one i in
+        List.iter
+          (fun i -> List.iter (fun j -> check_same_gcd "2^i, 2^j" (p2 i) (p2 j)) [ 0; 1; 30; 31; 61; 62; 63; 200 ])
+          [ 0; 1; 29; 30; 31; 60; 61; 62; 124; 300; 1023 ];
+        let rng = Prng.create ~seed:0x1E4 in
+        for _ = 1 to 30 do
+          let big = Prng.bignum_bits rng 1024 and small = Prng.bignum_bits rng (1 + Prng.int rng 90) in
+          List.iter (fun (x, y) -> check_same_gcd "u >> v" x y) (signs big small);
+          let g = Prng.bignum_bits rng (1 + Prng.int rng 300) in
+          let x = B.mul g (Prng.bignum_bits rng 400) and y = B.mul g (Prng.bignum_bits rng 380) in
+          List.iter (fun (x, y) -> check_same_gcd "shared factor" x y) (signs x y)
+        done);
+    Alcotest.test_case "Lehmer = Euclid: zero, equal and negative operands" `Quick (fun () ->
+        let v = B.of_string "-123456789012345678901234567890123" in
+        List.iter
+          (fun (x, y) -> check_same_gcd "edge" x y)
+          ([ (B.zero, B.zero); (B.zero, B.one); (B.one, B.zero); (B.one, B.one) ]
+           @ signs B.zero v @ signs v v @ signs v B.one @ signs (B.of_int (-6)) (B.of_int 4)));
+    Alcotest.test_case "inv_mod = reference: modulus 1, non-invertible, negative" `Quick
+      (fun () ->
+        let same a m =
+          Alcotest.(check (option b))
+            (Printf.sprintf "inv_mod %s %s" (B.to_string a) (B.to_string m))
+            (Ref.inv_mod a m) (B.inv_mod a m)
+        in
+        let n = B.mul (B.of_string "1000000007") (B.of_string "998244353") in
+        List.iter
+          (fun (a, m) -> same a m)
+          [ (B.of_int 5, B.one); (B.zero, B.one); (B.of_int (-5), B.one);
+            (B.of_string "1000000007", n); (B.mul (B.of_int 3) (B.of_string "998244353"), n);
+            (B.of_int 6, B.of_int 12); (B.zero, n); (B.of_int 7, B.neg n); (B.of_int (-7), n);
+            (B.pred n, n); (B.add n B.two, n) ];
+        Alcotest.(check bool) "non-invertible" true (B.inv_mod (B.of_int 6) (B.of_int 12) = None);
+        Alcotest.(check (option b)) "mod 1" (Some B.zero) (B.inv_mod (B.of_int 5) B.one));
+    qtest ~count:300 "Lehmer = Euclid (random signed operands)"
+      (pair (gen_bignum ~bits:700 ()) (gen_bignum ~bits:700 ()))
+      (fun (x, y) -> same_gcd x y);
+    qtest ~count:200 "inv_mod = reference (random)"
+      (pair (gen_bignum ~bits:400 ()) (gen_bignum ~bits:300 ()))
+      (fun (a, m) ->
+        QCheck2.assume (not (B.is_zero m));
+        B.equal (Option.value ~default:B.zero (Ref.inv_mod a m))
+          (Option.value ~default:B.zero (B.inv_mod a m))
+        && Option.is_some (Ref.inv_mod a m) = Option.is_some (B.inv_mod a m))
+  ]
+
+let suite =
+  ( "num",
+    unit_tests @ prop_tests @ fastpath_tests @ fixed_base_tests @ kernel_tests
+    @ lehmer_tests )
