@@ -193,18 +193,11 @@ let encode_list (entries : (int * string * string) list) : string =
        entries)
 
 let decode_list (s : string) : (int * string * string) list option =
-  match Codec.decode s with
-  | None -> None
-  | Some parts ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | sender :: payload :: sg :: rest ->
-        (match int_of_string_opt sender with
-        | Some sender -> go ((sender, payload, sg) :: acc) rest
-        | None -> None)
-      | _ :: _ -> None
-    in
-    go [] parts
+  Wire.parse s (fun r ->
+      Wire.until_end r (fun r ->
+          let sender = Wire.decimal r in
+          let payload = Wire.bytes r in
+          (sender, payload, Wire.bytes r)))
 
 (* ---------- per-round verified-signature memos ---------------------- *)
 

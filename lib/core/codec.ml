@@ -1,749 +1,329 @@
-(* Minimal canonical wire codec: a length-prefixed string list, the
-   inverse of {!Ro.encode}.  Used wherever structured protocol data must
-   be carried inside a broadcast payload (e.g. the signed proposal lists
-   of the atomic broadcast rounds). *)
+(* Protocol frames over the one wire format of {!Wire}.  The byte-level
+   bounds live in {!Wire}; this module only says which fields a frame
+   has and which values they may take. *)
 
-let encode (parts : string list) : string = Ro.encode parts
+let encode = Ro.encode
+let decode = Ro.decode
 
-(* Big-endian u64 field -> OCaml int.  A field >= 2^62 cannot fit in an
-   int and can never be a valid length, count or sequence number, so it
-   returns -1 and is rejected by the callers' sign checks.  Without the
-   top-byte guard the high bits would be shifted out of the 63-bit int,
-   and a non-canonical encoding (high garbage over a small value) would
-   decode as if the garbage were zero — a frame that decodes must
-   re-encode to the very same bytes. *)
-let read_u64 (s : string) (off : int) : int =
-  if Char.code s.[off] land 0xC0 <> 0 then -1
-  else begin
-    let v = ref 0 in
-    for i = 0 to 7 do
-      v := (!v lsl 8) lor Char.code s.[off + i]
-    done;
-    !v
-  end
+let frame magic write =
+  Wire.build (fun buf ->
+      Buffer.add_string buf magic;
+      write buf)
 
-let decode (s : string) : string list option =
-  let len = String.length s in
-  let rec go off acc =
-    if off = len then Some (List.rev acc)
-    else if off + 8 > len then None
-    else begin
-      let l = read_u64 s off in
-      if l < 0 || off + 8 + l > len then None
-      else go (off + 8 + l) (String.sub s (off + 8) l :: acc)
-    end
-  in
-  go 0 []
+let unframe magic read s =
+  Wire.parse s (fun r ->
+      Wire.magic r magic;
+      read r)
 
-let encode_int (i : int) : string = string_of_int i
+let add_kind buf fast = Buffer.add_char buf (if fast then '\001' else '\000')
 
-let decode_int (s : string) : int option = int_of_string_opt s
+let read_kind r =
+  match Wire.byte r with '\000' -> false | '\001' -> true | _ -> Wire.fail ()
 
 (* ---------- batch frames -------------------------------------------- *)
 
-(* A batch frame carries many payloads inside one atomically broadcast
-   proposal: magic, a payload count, then count length-prefixed
-   payloads.  Unlike {!decode}, the explicit count makes every proper
-   prefix of a frame invalid (a truncated frame can never be mistaken
-   for a shorter batch), and the magic keeps random bytes from decoding
-   at all.  The frame must be consumed exactly: trailing bytes are
-   rejected, so two distinct frames never decode to the same batch. *)
+(* SBF1: a counted list of payloads carried inside one atomically
+   broadcast proposal.  Unlike {!decode}, the explicit count means a
+   truncated batch can never pass for a shorter one. *)
 
 let batch_magic = "SBF1"
 
 let encode_batch (payloads : string list) : string =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf batch_magic;
-  let add_u64 v =
-    for i = 7 downto 0 do
-      Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
-  in
-  add_u64 (List.length payloads);
-  List.iter
-    (fun p ->
-      add_u64 (String.length p);
-      Buffer.add_string buf p)
-    payloads;
-  Buffer.contents buf
+  frame batch_magic (fun buf -> Wire.add_list buf Wire.add_bytes payloads)
 
-let decode_batch (s : string) : string list option =
-  let len = String.length s in
-  let mlen = String.length batch_magic in
-  if len < mlen + 8 || String.sub s 0 mlen <> batch_magic then None
-  else begin
-    let count = read_u64 s mlen in
-    if count < 0 then None
-    else
-      let rec go k off acc =
-        if k = 0 then if off = len then Some (List.rev acc) else None
-        else if off + 8 > len then None
-        else begin
-          let l = read_u64 s off in
-          if l < 0 || off + 8 + l > len then None
-          else go (k - 1) (off + 8 + l) (String.sub s (off + 8) l :: acc)
-        end
-      in
-      go count (mlen + 8) []
-  end
+let decode_batch : string -> string list option =
+  unframe batch_magic (fun r -> Wire.list r ~min:8 Wire.bytes)
 
 (* ---------- checkpoint frames --------------------------------------- *)
 
-(* A snapshot frame fixes one replica's ordered state at a round
-   boundary: the boundary round, an opaque application-state blob, and
-   the full digest history of the delivered log (oldest first).  Its
-   SHA-256 hash is the statement the checkpoint certificate signs, so
-   the frame follows the batch-frame discipline exactly: magic, explicit
-   count, length prefixes, exact consumption — a frame that decodes
-   re-encodes to the very same bytes, hence to the very same hash. *)
+(* SCK1: u64 round + app-state bytes + counted digest list.  Its SHA-256
+   hash is the statement a checkpoint certificate signs. *)
 
 let snapshot_magic = "SCK1"
 
-let add_u64 buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
 let encode_snapshot ~round ~app ~digests : string =
   if round < 0 then invalid_arg "Codec.encode_snapshot";
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf snapshot_magic;
-  add_u64 buf round;
-  add_u64 buf (String.length app);
-  Buffer.add_string buf app;
-  add_u64 buf (List.length digests);
-  List.iter
-    (fun d ->
-      add_u64 buf (String.length d);
-      Buffer.add_string buf d)
-    digests;
-  Buffer.contents buf
+  frame snapshot_magic (fun buf ->
+      Wire.add_u64 buf round;
+      Wire.add_bytes buf app;
+      Wire.add_list buf Wire.add_bytes digests)
 
-let decode_snapshot (s : string) : (int * string * string list) option =
-  let len = String.length s in
-  let mlen = String.length snapshot_magic in
-  if len < mlen + 16 || String.sub s 0 mlen <> snapshot_magic then None
-  else begin
-    let round = read_u64 s mlen in
-    let alen = read_u64 s (mlen + 8) in
-    if round < 0 || alen < 0 || mlen + 16 + alen + 8 > len then None
-    else begin
-      let app = String.sub s (mlen + 16) alen in
-      let coff = mlen + 16 + alen in
-      let count = read_u64 s coff in
-      if count < 0 then None
-      else
-        let rec go k off acc =
-          if k = 0 then
-            if off = len then Some (round, app, List.rev acc) else None
-          else if off + 8 > len then None
-          else begin
-            let l = read_u64 s off in
-            if l < 0 || off + 8 + l > len then None
-            else go (k - 1) (off + 8 + l) (String.sub s (off + 8) l :: acc)
-          end
-        in
-        go count (coff + 8) []
-    end
-  end
+let decode_snapshot : string -> (int * string * string list) option =
+  unframe snapshot_magic (fun r ->
+      let round = Wire.u64 r in
+      let app = Wire.bytes r in
+      (round, app, Wire.list r ~min:8 Wire.bytes))
 
-(* A checkpoint frame pairs a snapshot with its threshold certificate
-   (the serialized combined service signature over the snapshot hash).
-   Both fields are length-prefixed and the frame must be consumed
-   exactly, so a certificate can never be spliced onto a different
-   snapshot without changing the bytes a verifier hashes. *)
+(* A blob paired with its certificate (SCP1: snapshot + checkpoint
+   certificate; SEC1: epoch-advance body + advance certificate).  Both
+   fields are length-prefixed, so a certificate can never be spliced
+   onto different bytes without changing what a verifier hashes. *)
+
+let encode_pair magic a b =
+  frame magic (fun buf ->
+      Wire.add_bytes buf a;
+      Wire.add_bytes buf b)
+
+let decode_pair magic =
+  unframe magic (fun r ->
+      let a = Wire.bytes r in
+      (a, Wire.bytes r))
 
 let ckpt_magic = "SCP1"
-
-let encode_ckpt ~snapshot ~cert : string =
-  let buf = Buffer.create (String.length snapshot + String.length cert + 24) in
-  Buffer.add_string buf ckpt_magic;
-  add_u64 buf (String.length snapshot);
-  Buffer.add_string buf snapshot;
-  add_u64 buf (String.length cert);
-  Buffer.add_string buf cert;
-  Buffer.contents buf
-
-let decode_ckpt (s : string) : (string * string) option =
-  let len = String.length s in
-  let mlen = String.length ckpt_magic in
-  if len < mlen + 16 || String.sub s 0 mlen <> ckpt_magic then None
-  else begin
-    let slen = read_u64 s mlen in
-    if slen < 0 || mlen + 8 + slen + 8 > len then None
-    else begin
-      let snapshot = String.sub s (mlen + 8) slen in
-      let coff = mlen + 8 + slen in
-      let clen = read_u64 s coff in
-      if clen < 0 || coff + 8 + clen <> len then None
-      else Some (snapshot, String.sub s (coff + 8) clen)
-    end
-  end
+let encode_ckpt ~snapshot ~cert = encode_pair ckpt_magic snapshot cert
+let decode_ckpt = decode_pair ckpt_magic
 
 (* ---------- service frames ------------------------------------------ *)
 
-(* The client-facing half of the service stack speaks three strict
-   frames.  All follow the batch-frame discipline — magic, explicit
-   lengths, exact consumption — because each crosses a trust boundary:
-   the request frame is the ordered plaintext whose SHA-256 digest names
-   the request in every reply, the reply frame is what an (possibly
-   Byzantine) server hands a client, and the certificate frame is what a
-   client hands an arbitrary third party.
-
-     SVQ1: u64 client + nonce + body.  The nonce must be non-empty: it
-           is what makes retries distinct payloads for the broadcast and
-           what keys execution dedup, so an empty nonce would collapse
-           every request of a client onto one dedup slot.
-     SVR1: kind byte (0 ordered / 1 query) + req_digest + u64 server +
-           response + serialized signature share.
-     SVC1: kind byte + req_digest + response + serialized combined
-           service signature. *)
+(* SVQ1: u64 client + nonce (non-empty) + body.
+   SVR1: kind byte (0 ordered / 1 query) + req_digest + u64 server +
+         response + serialized signature share.
+   SVC1: kind byte + req_digest + response + serialized combined
+         service signature. *)
 
 let svc_request_magic = "SVQ1"
 
 let encode_svc_request ~client ~nonce ~body : string =
   if client < 0 then invalid_arg "Codec.encode_svc_request: negative client";
   if nonce = "" then invalid_arg "Codec.encode_svc_request: empty nonce";
-  let buf =
-    Buffer.create (String.length nonce + String.length body + 36)
-  in
-  Buffer.add_string buf svc_request_magic;
-  add_u64 buf client;
-  add_u64 buf (String.length nonce);
-  Buffer.add_string buf nonce;
-  add_u64 buf (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  frame svc_request_magic (fun buf ->
+      Wire.add_u64 buf client;
+      Wire.add_bytes buf nonce;
+      Wire.add_bytes buf body)
 
-let decode_svc_request (s : string) : (int * string * string) option =
-  let len = String.length s in
-  let mlen = String.length svc_request_magic in
-  if len < mlen + 24 || String.sub s 0 mlen <> svc_request_magic then None
-  else begin
-    let client = read_u64 s mlen in
-    let nlen = read_u64 s (mlen + 8) in
-    if client < 0 || nlen < 1 || mlen + 16 + nlen + 8 > len then None
-    else begin
-      let nonce = String.sub s (mlen + 16) nlen in
-      let boff = mlen + 16 + nlen in
-      let blen = read_u64 s boff in
-      if blen < 0 || boff + 8 + blen <> len then None
-      else Some (client, nonce, String.sub s (boff + 8) blen)
-    end
-  end
+let decode_svc_request : string -> (int * string * string) option =
+  unframe svc_request_magic (fun r ->
+      let client = Wire.u64 r in
+      let nonce = Wire.bytes r in
+      Wire.check (nonce <> "");
+      (client, nonce, Wire.bytes r))
 
 let svc_reply_magic = "SVR1"
 
 let encode_svc_reply ~fast ~req_digest ~server ~response ~share : string =
   if server < 0 then invalid_arg "Codec.encode_svc_reply: negative server";
-  let buf =
-    Buffer.create
-      (String.length req_digest + String.length response
-      + String.length share + 48)
-  in
-  Buffer.add_string buf svc_reply_magic;
-  Buffer.add_char buf (if fast then '\001' else '\000');
-  add_u64 buf (String.length req_digest);
-  Buffer.add_string buf req_digest;
-  add_u64 buf server;
-  add_u64 buf (String.length response);
-  Buffer.add_string buf response;
-  add_u64 buf (String.length share);
-  Buffer.add_string buf share;
-  Buffer.contents buf
+  frame svc_reply_magic (fun buf ->
+      add_kind buf fast;
+      Wire.add_bytes buf req_digest;
+      Wire.add_u64 buf server;
+      Wire.add_bytes buf response;
+      Wire.add_bytes buf share)
 
-let decode_svc_reply (s : string) :
-    (bool * string * int * string * string) option =
-  let len = String.length s in
-  let mlen = String.length svc_reply_magic in
-  if len < mlen + 33 || String.sub s 0 mlen <> svc_reply_magic then None
-  else
-    match s.[mlen] with
-    | ('\000' | '\001') as k ->
-      let fast = k = '\001' in
-      let doff = mlen + 1 in
-      let dlen = read_u64 s doff in
-      if dlen < 0 || doff + 8 + dlen + 24 > len then None
-      else begin
-        let req_digest = String.sub s (doff + 8) dlen in
-        let soff = doff + 8 + dlen in
-        let server = read_u64 s soff in
-        let rlen = read_u64 s (soff + 8) in
-        if server < 0 || rlen < 0 || soff + 16 + rlen + 8 > len then None
-        else begin
-          let response = String.sub s (soff + 16) rlen in
-          let hoff = soff + 16 + rlen in
-          let hlen = read_u64 s hoff in
-          if hlen < 0 || hoff + 8 + hlen <> len then None
-          else
-            Some
-              (fast, req_digest, server, response,
-               String.sub s (hoff + 8) hlen)
-        end
-      end
-    | _ -> None
+let decode_svc_reply : string -> (bool * string * int * string * string) option
+    =
+  unframe svc_reply_magic (fun r ->
+      let fast = read_kind r in
+      let req_digest = Wire.bytes r in
+      let server = Wire.u64 r in
+      let response = Wire.bytes r in
+      (fast, req_digest, server, response, Wire.bytes r))
 
 let reply_cert_magic = "SVC1"
 
 let encode_reply_cert ~fast ~req_digest ~response ~cert : string =
-  let buf =
-    Buffer.create
-      (String.length req_digest + String.length response
-      + String.length cert + 40)
-  in
-  Buffer.add_string buf reply_cert_magic;
-  Buffer.add_char buf (if fast then '\001' else '\000');
-  add_u64 buf (String.length req_digest);
-  Buffer.add_string buf req_digest;
-  add_u64 buf (String.length response);
-  Buffer.add_string buf response;
-  add_u64 buf (String.length cert);
-  Buffer.add_string buf cert;
-  Buffer.contents buf
+  frame reply_cert_magic (fun buf ->
+      add_kind buf fast;
+      Wire.add_bytes buf req_digest;
+      Wire.add_bytes buf response;
+      Wire.add_bytes buf cert)
 
-let decode_reply_cert (s : string) :
-    (bool * string * string * string) option =
-  let len = String.length s in
-  let mlen = String.length reply_cert_magic in
-  if len < mlen + 25 || String.sub s 0 mlen <> reply_cert_magic then None
-  else
-    match s.[mlen] with
-    | ('\000' | '\001') as k ->
-      let fast = k = '\001' in
-      let doff = mlen + 1 in
-      let dlen = read_u64 s doff in
-      if dlen < 0 || doff + 8 + dlen + 16 > len then None
-      else begin
-        let req_digest = String.sub s (doff + 8) dlen in
-        let roff = doff + 8 + dlen in
-        let rlen = read_u64 s roff in
-        if rlen < 0 || roff + 8 + rlen + 8 > len then None
-        else begin
-          let response = String.sub s (roff + 8) rlen in
-          let coff = roff + 8 + rlen in
-          let clen = read_u64 s coff in
-          if clen < 0 || coff + 8 + clen <> len then None
-          else
-            Some (fast, req_digest, response, String.sub s (coff + 8) clen)
-        end
-      end
-    | _ -> None
+let decode_reply_cert : string -> (bool * string * string * string) option =
+  unframe reply_cert_magic (fun r ->
+      let fast = read_kind r in
+      let req_digest = Wire.bytes r in
+      let response = Wire.bytes r in
+      (fast, req_digest, response, Wire.bytes r))
 
 (* ---------- link frames --------------------------------------------- *)
 
-(* The byte-transport instantiation of {!Link.frame}: magic, a kind
-   byte, then kind-specific fields.  Validation follows the batch-frame
-   discipline: the magic keeps random bytes from decoding, explicit
-   lengths/counts make every truncation invalid, and the frame must be
-   consumed exactly, so two distinct frames never decode alike.
+(* SLF1, the byte form of {!Link.frame}: a kind byte, then
 
-     RAW  (kind 0): u64 length + payload bytes
-     DATA (kind 1): u64 seq (>= 1) + u64 length + payload bytes
-     ACK  (kind 2): u64 cum + u64 count + count u64s, strictly ascending
-                    and every entry > cum (the canonical selective set) *)
+     RAW  (0): payload bytes
+     DATA (1): u64 seq (>= 1) + payload bytes
+     ACK  (2): u64 cum + counted u64 list, strictly ascending and every
+               entry > cum (the canonical selective set) *)
 
 let link_magic = "SLF1"
 
-let encode_link_frame (frame : string Link.frame) : string =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf link_magic;
-  let add_u64 v =
-    for i = 7 downto 0 do
-      Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-    done
-  in
-  (match frame with
-  | Link.Raw m ->
-    Buffer.add_char buf '\000';
-    add_u64 (String.length m);
-    Buffer.add_string buf m
-  | Link.Data { seq; payload } ->
-    Buffer.add_char buf '\001';
-    add_u64 seq;
-    add_u64 (String.length payload);
-    Buffer.add_string buf payload
-  | Link.Ack { cum; sel } ->
-    Buffer.add_char buf '\002';
-    add_u64 cum;
-    add_u64 (List.length sel);
-    List.iter add_u64 sel);
-  Buffer.contents buf
+let encode_link_frame (f : string Link.frame) : string =
+  frame link_magic (fun buf ->
+      match f with
+      | Link.Raw m ->
+        Buffer.add_char buf '\000';
+        Wire.add_bytes buf m
+      | Link.Data { seq; payload } ->
+        Buffer.add_char buf '\001';
+        Wire.add_u64 buf seq;
+        Wire.add_bytes buf payload
+      | Link.Ack { cum; sel } ->
+        Buffer.add_char buf '\002';
+        Wire.add_u64 buf cum;
+        Wire.add_list buf Wire.add_u64 sel)
 
-let decode_link_frame (s : string) : string Link.frame option =
-  let len = String.length s in
-  let mlen = String.length link_magic in
-  if len < mlen + 1 || String.sub s 0 mlen <> link_magic then None
-  else begin
-    let body = mlen + 1 in
-    match s.[mlen] with
-    | '\000' ->
-      if body + 8 > len then None
-      else begin
-        let l = read_u64 s body in
-        if l < 0 || body + 8 + l <> len then None
-        else Some (Link.Raw (String.sub s (body + 8) l))
-      end
-    | '\001' ->
-      if body + 16 > len then None
-      else begin
-        let seq = read_u64 s body in
-        let l = read_u64 s (body + 8) in
-        if seq < 1 || l < 0 || body + 16 + l <> len then None
-        else Some (Link.Data { seq; payload = String.sub s (body + 16) l })
-      end
-    | '\002' ->
-      if body + 16 > len then None
-      else begin
-        let cum = read_u64 s body in
-        let count = read_u64 s (body + 8) in
-        if cum < 0 || count < 0 || body + 16 + (8 * count) <> len then None
-        else begin
-          let rec go k off prev acc =
-            if k = 0 then Some (Link.Ack { cum; sel = List.rev acc })
-            else
-              let seq = read_u64 s off in
-              (* Canonical selective set: strictly ascending, all > cum. *)
-              if seq <= prev then None
-              else go (k - 1) (off + 8) seq (seq :: acc)
-          in
-          go count (body + 16) cum []
-        end
-      end
-    | _ -> None
-  end
+let decode_link_frame : string -> string Link.frame option =
+  unframe link_magic (fun r ->
+      match Wire.byte r with
+      | '\000' -> Link.Raw (Wire.bytes r)
+      | '\001' ->
+        let seq = Wire.u64 r in
+        Wire.check (seq >= 1);
+        Link.Data { seq; payload = Wire.bytes r }
+      | '\002' ->
+        let cum = Wire.u64 r in
+        let sel = Wire.list r ~min:8 Wire.u64 in
+        Wire.ascending ~above:cum sel;
+        Link.Ack { cum; sel }
+      | _ -> Wire.fail ())
 
 (* ---------- epoch frames -------------------------------------------- *)
 
-(* The epoch-reconfiguration protocol moves cryptographic material over
-   the wire: zero-sharing refresh packages (SEP1), cross-structure
-   reshare packages (SER1), the epoch-advance statement body (SEA1) and
-   its certified form (SEC1).  All follow the checkpoint-frame
-   discipline — magic, explicit counts, length prefixes, exact
-   consumption — and the crypto-bearing frames additionally pin every
-   exponent to the canonical fixed-width big-endian form with value
-   below the group order and every group element to a validated member
-   of the subgroup, so a frame that decodes re-encodes to the very same
-   bytes and never smuggles an out-of-range value into the crypto
-   layer. *)
+(* Exponents are fixed-width big-endian below the group order and group
+   elements are fixed-width validated subgroup members, so no
+   out-of-range value reaches the crypto layer and every field has one
+   encoding. *)
 
 let exp_len (g : Schnorr_group.params) =
   (Bignum.numbits g.Schnorr_group.q + 7) / 8
 
-let elt_len (g : Schnorr_group.params) =
-  (Bignum.numbits g.Schnorr_group.p + 7) / 8
-
 let add_exp g buf v =
   Buffer.add_string buf (Bignum.to_bytes_be ~len:(exp_len g) v)
 
-(* Fixed-width exponent field: exactly [exp_len] bytes, value < q.  A
-   value >= q (or a short read) rejects the frame, so the range check
-   callers would otherwise owe the crypto layer happens once, here. *)
-let read_exp g s off =
-  let l = exp_len g in
-  if off + l > String.length s then None
-  else
-    let v = Bignum.of_bytes_be (String.sub s off l) in
-    if Bignum.lt v g.Schnorr_group.q then Some v else None
+let read_exp g r =
+  let v = Bignum.of_bytes_be (Wire.fixed r (exp_len g)) in
+  Wire.check (Bignum.lt v g.Schnorr_group.q);
+  v
 
-(* Fixed-width group element: exactly [elt_len] bytes, subgroup
-   membership checked by {!Schnorr_group.elt_of_bytes}. *)
-let read_elt g s off =
-  let l = elt_len g in
-  if off + l > String.length s then None
-  else Schnorr_group.elt_of_bytes g (String.sub s off l)
+let add_elt g buf e = Buffer.add_string buf (Schnorr_group.elt_to_bytes g e)
 
+let read_elt g r =
+  Wire.get
+    (Schnorr_group.elt_of_bytes g (Wire.fixed r (Schnorr_group.elt_len g)))
+
+let add_keys g buf keys = Wire.add_list buf (add_elt g) (Array.to_list keys)
+
+let read_keys g r =
+  Array.of_list (Wire.list r ~min:(Schnorr_group.elt_len g) (read_elt g))
+
+(* u64 leaf + u64 party + exponent. *)
 let add_subshare g buf (ss : Lsss.subshare) =
   if ss.Lsss.leaf < 0 || ss.Lsss.party < 0 then
     invalid_arg "Codec: negative subshare index";
-  add_u64 buf ss.Lsss.leaf;
-  add_u64 buf ss.Lsss.party;
+  Wire.add_u64 buf ss.Lsss.leaf;
+  Wire.add_u64 buf ss.Lsss.party;
   add_exp g buf ss.Lsss.value
 
-let read_subshare g s off : (Lsss.subshare * int) option =
-  if off + 16 > String.length s then None
-  else begin
-    let leaf = read_u64 s off in
-    let party = read_u64 s (off + 8) in
-    if leaf < 0 || party < 0 then None
-    else
-      match read_exp g s (off + 16) with
-      | None -> None
-      | Some value ->
-        Some ({ Lsss.leaf; party; value }, off + 16 + exp_len g)
-  end
+let read_subshares g r =
+  Wire.list r ~min:(16 + exp_len g) (fun r ->
+      let leaf = Wire.u64 r in
+      let party = Wire.u64 r in
+      { Lsss.leaf; party; value = read_exp g r })
+
+(* SEP1: u64 dealer + counted subshares + counted per-leaf keys. *)
 
 let refresh_magic = "SEP1"
 
 let encode_refresh_pkg g (pkg : Proactive.refresh_package) : string =
   if pkg.Proactive.dealer < 0 then invalid_arg "Codec.encode_refresh_pkg";
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf refresh_magic;
-  add_u64 buf pkg.Proactive.dealer;
-  add_u64 buf (List.length pkg.Proactive.deltas);
-  List.iter (add_subshare g buf) pkg.Proactive.deltas;
-  add_u64 buf (Array.length pkg.Proactive.delta_keys);
-  Array.iter
-    (fun k -> Buffer.add_string buf (Schnorr_group.elt_to_bytes g k))
-    pkg.Proactive.delta_keys;
-  Buffer.contents buf
+  frame refresh_magic (fun buf ->
+      Wire.add_u64 buf pkg.Proactive.dealer;
+      Wire.add_list buf (add_subshare g) pkg.Proactive.deltas;
+      add_keys g buf pkg.Proactive.delta_keys)
 
-let decode_refresh_pkg g (s : string) : Proactive.refresh_package option =
-  let len = String.length s in
-  let mlen = String.length refresh_magic in
-  if len < mlen + 16 || String.sub s 0 mlen <> refresh_magic then None
-  else begin
-    let dealer = read_u64 s mlen in
-    let nd = read_u64 s (mlen + 8) in
-    if dealer < 0 || nd < 0 then None
-    else
-      let rec deltas k off acc =
-        if k = 0 then Some (List.rev acc, off)
-        else
-          match read_subshare g s off with
-          | None -> None
-          | Some (ss, off') -> deltas (k - 1) off' (ss :: acc)
-      in
-      match deltas nd (mlen + 16) [] with
-      | None -> None
-      | Some (deltas, off) ->
-        if off + 8 > len then None
-        else begin
-          let nk = read_u64 s off in
-          let el = elt_len g in
-          if nk < 0 || off + 8 + (nk * el) <> len then None
-          else begin
-            let keys = Array.make nk (Schnorr_group.one g) in
-            let ok = ref true in
-            for i = 0 to nk - 1 do
-              match read_elt g s (off + 8 + (i * el)) with
-              | None -> ok := false
-              | Some e -> keys.(i) <- e
-            done;
-            if !ok then
-              Some { Proactive.dealer; deltas; delta_keys = keys }
-            else None
-          end
-        end
-  end
+let decode_refresh_pkg g : string -> Proactive.refresh_package option =
+  unframe refresh_magic (fun r ->
+      let dealer = Wire.u64 r in
+      let deltas = read_subshares g r in
+      { Proactive.dealer; deltas; delta_keys = read_keys g r })
+
+(* SER1: u64 dealer + counted deals, each u64 old leaf + counted
+   subshares + counted keys. *)
 
 let reshare_magic = "SER1"
 
 let encode_reshare_pkg g (pkg : Proactive.reshare_package) : string =
   if pkg.Proactive.r_dealer < 0 then invalid_arg "Codec.encode_reshare_pkg";
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf reshare_magic;
-  add_u64 buf pkg.Proactive.r_dealer;
-  add_u64 buf (List.length pkg.Proactive.r_deals);
-  List.iter
-    (fun (old_leaf, subs, keys) ->
-      if old_leaf < 0 then invalid_arg "Codec.encode_reshare_pkg";
-      add_u64 buf old_leaf;
-      add_u64 buf (List.length subs);
-      List.iter (add_subshare g buf) subs;
-      add_u64 buf (Array.length keys);
-      Array.iter
-        (fun k -> Buffer.add_string buf (Schnorr_group.elt_to_bytes g k))
-        keys)
-    pkg.Proactive.r_deals;
-  Buffer.contents buf
+  frame reshare_magic (fun buf ->
+      Wire.add_u64 buf pkg.Proactive.r_dealer;
+      Wire.add_list buf
+        (fun buf (old_leaf, subs, keys) ->
+          if old_leaf < 0 then invalid_arg "Codec.encode_reshare_pkg";
+          Wire.add_u64 buf old_leaf;
+          Wire.add_list buf (add_subshare g) subs;
+          add_keys g buf keys)
+        pkg.Proactive.r_deals)
 
-let decode_reshare_pkg g (s : string) : Proactive.reshare_package option =
-  let len = String.length s in
-  let mlen = String.length reshare_magic in
-  if len < mlen + 16 || String.sub s 0 mlen <> reshare_magic then None
-  else begin
-    let dealer = read_u64 s mlen in
-    let ndeals = read_u64 s (mlen + 8) in
-    if dealer < 0 || ndeals < 0 then None
-    else
-      let el = elt_len g in
-      let rec deals k off acc =
-        if k = 0 then
-          if off = len then Some (List.rev acc) else None
-        else if off + 16 > len then None
-        else begin
-          let old_leaf = read_u64 s off in
-          let nsub = read_u64 s (off + 8) in
-          if old_leaf < 0 || nsub < 0 then None
-          else
-            let rec subs j off acc =
-              if j = 0 then Some (List.rev acc, off)
-              else
-                match read_subshare g s off with
-                | None -> None
-                | Some (ss, off') -> subs (j - 1) off' (ss :: acc)
-            in
-            match subs nsub (off + 16) [] with
-            | None -> None
-            | Some (subs, off) ->
-              if off + 8 > len then None
-              else begin
-                let nk = read_u64 s off in
-                if nk < 0 || off + 8 + (nk * el) > len then None
-                else begin
-                  let keys = Array.make nk (Schnorr_group.one g) in
-                  let ok = ref true in
-                  for i = 0 to nk - 1 do
-                    match read_elt g s (off + 8 + (i * el)) with
-                    | None -> ok := false
-                    | Some e -> keys.(i) <- e
-                  done;
-                  if !ok then
-                    deals (k - 1)
-                      (off + 8 + (nk * el))
-                      ((old_leaf, subs, keys) :: acc)
-                  else None
-                end
-              end
-        end
+let decode_reshare_pkg g : string -> Proactive.reshare_package option =
+  unframe reshare_magic (fun r ->
+      let r_dealer = Wire.u64 r in
+      let r_deals =
+        Wire.list r ~min:24 (fun r ->
+            let old_leaf = Wire.u64 r in
+            let subs = read_subshares g r in
+            (old_leaf, subs, read_keys g r))
       in
-      match deals ndeals (mlen + 16) [] with
-      | None -> None
-      | Some r_deals -> Some { Proactive.r_dealer = dealer; r_deals }
-  end
+      { Proactive.r_dealer; r_deals })
 
 (* Monotone access formula, recursively: a leaf is tag 0 plus the party
-   index; a threshold gate is tag 1, the threshold k, the child count,
-   then the children.  Strict: k must satisfy 1 <= k <= count. *)
+   index; a threshold gate is tag 1, the threshold k, then the counted
+   children.  Strict: k must satisfy 1 <= k <= count. *)
 
 let rec add_formula buf (f : Monotone_formula.t) =
   match f with
   | Monotone_formula.Leaf p ->
     if p < 0 then invalid_arg "Codec: negative formula leaf";
     Buffer.add_char buf '\000';
-    add_u64 buf p
+    Wire.add_u64 buf p
   | Monotone_formula.Threshold (k, children) ->
-    let c = List.length children in
-    if k < 1 || k > c then invalid_arg "Codec: malformed threshold gate";
+    if k < 1 || k > List.length children then
+      invalid_arg "Codec: malformed threshold gate";
     Buffer.add_char buf '\001';
-    add_u64 buf k;
-    add_u64 buf c;
-    List.iter (add_formula buf) children
+    Wire.add_u64 buf k;
+    Wire.add_list buf add_formula children
 
-let rec read_formula s off : (Monotone_formula.t * int) option =
-  let len = String.length s in
-  if off >= len then None
-  else
-    match s.[off] with
-    | '\000' ->
-      if off + 9 > len then None
-      else begin
-        let p = read_u64 s (off + 1) in
-        if p < 0 then None else Some (Monotone_formula.Leaf p, off + 9)
-      end
-    | '\001' ->
-      if off + 17 > len then None
-      else begin
-        let k = read_u64 s (off + 1) in
-        let c = read_u64 s (off + 9) in
-        if k < 1 || c < k then None
-        else
-          let rec children j off acc =
-            if j = 0 then
-              Some (Monotone_formula.Threshold (k, List.rev acc), off)
-            else
-              match read_formula s off with
-              | None -> None
-              | Some (f, off') -> children (j - 1) off' (f :: acc)
-          in
-          children c (off + 17) []
-      end
-    | _ -> None
+let rec read_formula r : Monotone_formula.t =
+  match Wire.byte r with
+  | '\000' -> Monotone_formula.Leaf (Wire.u64 r)
+  | '\001' ->
+    let k = Wire.u64 r in
+    let children = Wire.list r ~min:9 read_formula in
+    Wire.check (k >= 1 && k <= List.length children);
+    Monotone_formula.Threshold (k, children)
+  | _ -> Wire.fail ()
+
+(* SEA1: u64 epoch + target (tag 0, or tag 1 + u64 n >= 1 + formula) +
+   counted package frames. *)
 
 let adv_magic = "SEA1"
 
 let encode_epoch_adv ~epoch ~(target : (int * Monotone_formula.t) option)
     ~(pkgs : string list) : string =
   if epoch < 0 then invalid_arg "Codec.encode_epoch_adv";
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf adv_magic;
-  add_u64 buf epoch;
-  (match target with
-  | None -> Buffer.add_char buf '\000'
-  | Some (n, f) ->
-    if n < 1 then invalid_arg "Codec.encode_epoch_adv";
-    Buffer.add_char buf '\001';
-    add_u64 buf n;
-    add_formula buf f);
-  add_u64 buf (List.length pkgs);
-  List.iter
-    (fun p ->
-      add_u64 buf (String.length p);
-      Buffer.add_string buf p)
-    pkgs;
-  Buffer.contents buf
+  frame adv_magic (fun buf ->
+      Wire.add_u64 buf epoch;
+      (match target with
+      | None -> Buffer.add_char buf '\000'
+      | Some (n, f) ->
+        if n < 1 then invalid_arg "Codec.encode_epoch_adv";
+        Buffer.add_char buf '\001';
+        Wire.add_u64 buf n;
+        add_formula buf f);
+      Wire.add_list buf Wire.add_bytes pkgs)
 
-let decode_epoch_adv (s : string) :
-    (int * (int * Monotone_formula.t) option * string list) option =
-  let len = String.length s in
-  let mlen = String.length adv_magic in
-  if len < mlen + 9 || String.sub s 0 mlen <> adv_magic then None
-  else begin
-    let epoch = read_u64 s mlen in
-    if epoch < 0 then None
-    else
+let decode_epoch_adv :
+    string -> (int * (int * Monotone_formula.t) option * string list) option =
+  unframe adv_magic (fun r ->
+      let epoch = Wire.u64 r in
       let target =
-        match s.[mlen + 8] with
-        | '\000' -> Some (None, mlen + 9)
+        match Wire.byte r with
+        | '\000' -> None
         | '\001' ->
-          if mlen + 17 > len then None
-          else begin
-            let n = read_u64 s (mlen + 9) in
-            if n < 1 then None
-            else
-              match read_formula s (mlen + 17) with
-              | None -> None
-              | Some (f, off) -> Some (Some (n, f), off)
-          end
-        | _ -> None
+          let n = Wire.u64 r in
+          Wire.check (n >= 1);
+          Some (n, read_formula r)
+        | _ -> Wire.fail ()
       in
-      match target with
-      | None -> None
-      | Some (target, off) ->
-        if off + 8 > len then None
-        else begin
-          let count = read_u64 s off in
-          if count < 0 then None
-          else
-            let rec go k off acc =
-              if k = 0 then
-                if off = len then Some (List.rev acc) else None
-              else if off + 8 > len then None
-              else begin
-                let l = read_u64 s off in
-                if l < 0 || off + 8 + l > len then None
-                else go (k - 1) (off + 8 + l) (String.sub s (off + 8) l :: acc)
-              end
-            in
-            match go count (off + 8) [] with
-            | None -> None
-            | Some pkgs -> Some (epoch, target, pkgs)
-        end
-  end
+      (epoch, target, Wire.list r ~min:8 Wire.bytes))
 
 let epoch_cert_magic = "SEC1"
-
-let encode_epoch_cert ~body ~cert : string =
-  let buf = Buffer.create (String.length body + String.length cert + 24) in
-  Buffer.add_string buf epoch_cert_magic;
-  add_u64 buf (String.length body);
-  Buffer.add_string buf body;
-  add_u64 buf (String.length cert);
-  Buffer.add_string buf cert;
-  Buffer.contents buf
-
-let decode_epoch_cert (s : string) : (string * string) option =
-  let len = String.length s in
-  let mlen = String.length epoch_cert_magic in
-  if len < mlen + 16 || String.sub s 0 mlen <> epoch_cert_magic then None
-  else begin
-    let blen = read_u64 s mlen in
-    if blen < 0 || mlen + 8 + blen + 8 > len then None
-    else begin
-      let body = String.sub s (mlen + 8) blen in
-      let coff = mlen + 8 + blen in
-      let clen = read_u64 s coff in
-      if clen < 0 || coff + 8 + clen <> len then None
-      else Some (body, String.sub s (coff + 8) clen)
-    end
-  end
+let encode_epoch_cert ~body ~cert = encode_pair epoch_cert_magic body cert
+let decode_epoch_cert = decode_pair epoch_cert_magic

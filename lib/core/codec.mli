@@ -1,14 +1,21 @@
-(** Canonical wire codec: length-prefixed string lists (the inverse of
-    {!Ro.encode}), used wherever structured protocol data rides inside a
-    broadcast payload. *)
+(** Protocol frames, all built from the one byte format of {!Wire}.
+
+    Every frame after {!decode} opens with a four-byte magic and carries
+    u64 fields, length-prefixed byte fields and counted lists.  Decoders
+    are total and strict: on any input they return [None] or a value,
+    never raise, never read past the input, and never allocate for a
+    count the remaining bytes cannot hold.  They reject a wrong magic or
+    kind byte, truncation anywhere, trailing bytes, and any length,
+    count or index of [2^62] or more.  A frame that decodes re-encodes to the
+    very same bytes, so its hash names it uniquely.  Each decoder below
+    is an inverse in this sense and lists only its extra checks. *)
 
 val encode : string list -> string
+(** {!Ro.encode}: length-prefixed string lists, used wherever structured
+    protocol data rides inside a broadcast payload. *)
 
 val decode : string -> string list option
-(** Total inverse of {!encode}; [None] on malformed input. *)
-
-val encode_int : int -> string
-val decode_int : string -> int option
+(** {!Ro.decode}, the total inverse of {!encode}. *)
 
 val encode_batch : string list -> string
 (** Batch frame for the atomic-broadcast batching layer: magic + payload
@@ -16,10 +23,9 @@ val encode_batch : string list -> string
     batches encode to equal frames. *)
 
 val decode_batch : string -> string list option
-(** Strict total inverse of {!encode_batch}: [None] on a missing or
-    wrong magic, on truncation anywhere (the explicit count makes every
-    proper prefix invalid), and on trailing bytes — a malformed frame is
-    rejected whole, never mis-split into payloads. *)
+(** Inverse of {!encode_batch}.  The explicit count makes every proper
+    prefix invalid, so a malformed frame is rejected whole, never
+    mis-split into payloads. *)
 
 val encode_snapshot :
   round:int -> app:string -> digests:string list -> string
@@ -31,11 +37,8 @@ val encode_snapshot :
     [Invalid_argument] on a negative round. *)
 
 val decode_snapshot : string -> (int * string * string list) option
-(** Strict total inverse of {!encode_snapshot}: [None] on a missing or
-    wrong magic, truncation anywhere (the explicit digest count makes
-    every proper prefix invalid), or trailing bytes.  A frame that
-    decodes re-encodes to the very same bytes, hence hashes to the very
-    same statement. *)
+(** Inverse of {!encode_snapshot}; a frame that decodes hashes to the
+    very same statement. *)
 
 val encode_ckpt : snapshot:string -> cert:string -> string
 (** Certified-checkpoint frame (magic ["SCP1"]): a snapshot frame paired
@@ -44,8 +47,7 @@ val encode_ckpt : snapshot:string -> cert:string -> string
     snapshot without changing the hashed bytes. *)
 
 val decode_ckpt : string -> (string * string) option
-(** Strict total inverse of {!encode_ckpt} ([(snapshot, cert)]); [None]
-    on wrong magic, truncation or trailing bytes. *)
+(** Inverse of {!encode_ckpt} ([(snapshot, cert)]). *)
 
 val encode_svc_request : client:int -> nonce:string -> body:string -> string
 (** Service request frame (magic ["SVQ1"]): the ordered plaintext of a
@@ -56,9 +58,8 @@ val encode_svc_request : client:int -> nonce:string -> body:string -> string
     requests onto one dedup slot). *)
 
 val decode_svc_request : string -> (int * string * string) option
-(** Strict total inverse of {!encode_svc_request}
-    ([(client, nonce, body)]); [None] on wrong magic, truncation,
-    trailing bytes, a negative client, or an empty nonce. *)
+(** Inverse of {!encode_svc_request} ([(client, nonce, body)]); [None]
+    on an empty nonce. *)
 
 val encode_svc_reply :
   fast:bool ->
@@ -74,9 +75,8 @@ val encode_svc_reply :
     server. *)
 
 val decode_svc_reply : string -> (bool * string * int * string * string) option
-(** Strict total inverse of {!encode_svc_reply}
-    ([(fast, req_digest, server, response, share)]); [None] on wrong
-    magic, an unknown kind byte, truncation or trailing bytes. *)
+(** Inverse of {!encode_svc_reply}
+    ([(fast, req_digest, server, response, share)]). *)
 
 val encode_reply_cert :
   fast:bool -> req_digest:string -> response:string -> cert:string -> string
@@ -86,9 +86,7 @@ val encode_reply_cert :
     signature to exactly this (digest, response) pair. *)
 
 val decode_reply_cert : string -> (bool * string * string * string) option
-(** Strict total inverse of {!encode_reply_cert}
-    ([(fast, req_digest, response, cert)]); [None] on wrong magic, an
-    unknown kind byte, truncation or trailing bytes. *)
+(** Inverse of {!encode_reply_cert} ([(fast, req_digest, response, cert)]). *)
 
 val encode_link_frame : string Link.frame -> string
 (** Byte-transport encoding of a reliable-link frame: magic ["SLF1"], a
@@ -96,11 +94,9 @@ val encode_link_frame : string Link.frame -> string
     payload bytes.  Deterministic: equal frames encode equally. *)
 
 val decode_link_frame : string -> string Link.frame option
-(** Strict total inverse of {!encode_link_frame}: [None] on a missing
-    or wrong magic, an unknown kind, truncation or trailing bytes, a
-    DATA sequence number below 1, or a non-canonical ACK selective set
-    (entries must be strictly ascending and above the cumulative
-    watermark). *)
+(** Inverse of {!encode_link_frame}; [None] on a DATA sequence number
+    below 1 or a non-canonical ACK selective set (entries must be
+    strictly ascending and above the cumulative watermark). *)
 
 val encode_refresh_pkg :
   Schnorr_group.params -> Proactive.refresh_package -> string
@@ -111,9 +107,8 @@ val encode_refresh_pkg :
 
 val decode_refresh_pkg :
   Schnorr_group.params -> string -> Proactive.refresh_package option
-(** Strict total inverse of {!encode_refresh_pkg}: [None] on wrong
-    magic, truncation or trailing bytes, an exponent at or above the
-    group order, or a key outside the subgroup. *)
+(** Inverse of {!encode_refresh_pkg}; [None] on an exponent at or above
+    the group order or a key outside the subgroup. *)
 
 val encode_reshare_pkg :
   Schnorr_group.params -> Proactive.reshare_package -> string
@@ -123,7 +118,8 @@ val encode_reshare_pkg :
 
 val decode_reshare_pkg :
   Schnorr_group.params -> string -> Proactive.reshare_package option
-(** Strict total inverse of {!encode_reshare_pkg}. *)
+(** Inverse of {!encode_reshare_pkg}, with the checks of
+    {!decode_refresh_pkg}. *)
 
 val encode_epoch_adv :
   epoch:int ->
@@ -140,10 +136,9 @@ val encode_epoch_adv :
 
 val decode_epoch_adv :
   string -> (int * (int * Monotone_formula.t) option * string list) option
-(** Strict total inverse of {!encode_epoch_adv}
-    ([(epoch, target, pkgs)]); [None] on wrong magic, an unknown kind
-    byte, a threshold gate with [k < 1] or [k] above its child count,
-    truncation or trailing bytes. *)
+(** Inverse of {!encode_epoch_adv} ([(epoch, target, pkgs)]); [None] on
+    [n < 1] or a threshold gate with [k < 1] or [k] above its child
+    count. *)
 
 val encode_epoch_cert : body:string -> cert:string -> string
 (** Certified epoch advance (magic ["SEC1"]): the ["SEA1"] body paired
@@ -152,5 +147,4 @@ val encode_epoch_cert : body:string -> cert:string -> string
     catching-up replicas. *)
 
 val decode_epoch_cert : string -> (string * string) option
-(** Strict total inverse of {!encode_epoch_cert} ([(body, cert)]);
-    [None] on wrong magic, truncation or trailing bytes. *)
+(** Inverse of {!encode_epoch_cert} ([(body, cert)]). *)

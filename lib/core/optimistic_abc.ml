@@ -266,22 +266,14 @@ and proposal_of_states t (reports : state_report list) : string =
        reports)
 
 and decode_proposal t (s : string) : (int * int * Schnorr_sig.signature) list option =
-  match Codec.decode s with
-  | None -> None
-  | Some parts ->
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | party :: prefix :: sg :: rest ->
-        (match
-           ( int_of_string_opt party,
-             int_of_string_opt prefix,
-             Schnorr_sig.of_bytes t.io.Proto_io.keyring.Keyring.group sg )
-         with
-        | Some p, Some d, Some sg -> go ((p, d, sg) :: acc) rest
-        | _, _, _ -> None)
-      | _ :: _ -> None
-    in
-    go [] parts
+  Wire.parse s (fun r ->
+      Wire.until_end r (fun r ->
+          let party = Wire.decimal r in
+          let prefix = Wire.decimal r in
+          let sg =
+            Schnorr_sig.of_bytes t.io.Proto_io.keyring.Keyring.group (Wire.bytes r)
+          in
+          (party, prefix, Wire.get sg)))
 
 (* External validity for the recovery agreement: a big-quorum of distinct
    parties, each with a valid signature on its claimed prefix.  The

@@ -154,30 +154,10 @@ let service_verify t msg (s : service_signature) : bool =
    which cross the wire during state transfer, so both arms need a
    byte form.  Fields are length-prefixed with [Ro.encode]; decoding
    re-validates every group element against the keyring's group, and a
-   signature only decodes under a keyring whose service arm matches. *)
-
-(* Inverse of [Ro.encode] (the codec lives above this library). *)
-let decode_fields (s : string) : string list option =
-  let len = String.length s in
-  let read_u64 off =
-    if Char.code s.[off] land 0xC0 <> 0 then -1
-    else begin
-      let v = ref 0 in
-      for i = off to off + 7 do
-        v := (!v lsl 8) lor Char.code s.[i]
-      done;
-      !v
-    end
-  in
-  let rec go off acc =
-    if off = len then Some (List.rev acc)
-    else if off + 8 > len then None
-    else
-      let l = read_u64 off in
-      if l < 0 || off + 8 + l > len then None
-      else go (off + 8 + l) (String.sub s (off + 8) l :: acc)
-  in
-  go 0 []
+   signature only decodes under a keyring whose service arm matches.
+   Every field has one accepted form (canonical decimals, minimal
+   naturals, fixed-width elements, ascending signers), so a signature
+   or share that decodes re-encodes to the very same bytes. *)
 
 let encode_share t (sh : Cert_sig.share) : string =
   let open Cert_sig in
@@ -189,19 +169,23 @@ let encode_share t (sh : Cert_sig.share) : string =
       G.elt_to_bytes t.group sh.proof.Dleq.a1;
       G.elt_to_bytes t.group sh.proof.Dleq.a2 ]
 
-let decode_share t (s : string) : Cert_sig.share option =
-  match decode_fields s with
-  | Some [ leaf; value; c; z; a1; a2 ] ->
-    let elt b = G.elt_of_bytes t.group b in
-    (match (int_of_string_opt leaf, elt value, elt a1, elt a2) with
-    | Some leaf, Some value, Some a1, Some a2 ->
-      Some
-        { Cert_sig.leaf;
-          value;
-          proof =
-            { Dleq.c = B.of_bytes_be c; z = B.of_bytes_be z; a1; a2 } }
-    | _ -> None)
-  | _ -> None
+let read_elt t r = Wire.get (G.elt_of_bytes t.group (Wire.bytes r))
+
+let read_party t r =
+  let p = Wire.decimal r in
+  Wire.check (p >= 0 && p < n t);
+  p
+
+(* One [encode_share] field. *)
+let read_share t r : Cert_sig.share =
+  Wire.sub r (fun r ->
+      let leaf = Wire.decimal r in
+      let value = read_elt t r in
+      let c = Wire.nat r in
+      let z = Wire.nat r in
+      let a1 = read_elt t r in
+      let a2 = read_elt t r in
+      { Cert_sig.leaf; value; proof = { Dleq.c; z; a1; a2 } })
 
 let service_signature_to_bytes (t : t) (s : service_signature) : string =
   match s with
@@ -218,53 +202,24 @@ let service_signature_to_bytes (t : t) (s : service_signature) : string =
         G.elt_to_bytes t.group c.Cert_sig.combined ]
 
 let service_signature_of_bytes t (b : string) : service_signature option =
-  match decode_fields b with
-  | Some [ "rsa"; y ] ->
-    (match t.service with
-    | Rsa_keys _ -> Some (Rsa_signature (B.of_bytes_be y))
-    | Cert_keys _ -> None)
-  | Some [ "cert"; signers; shares; combined ] ->
-    (match t.service with
-    | Rsa_keys _ -> None
-    | Cert_keys _ ->
-      let ( let* ) = Option.bind in
-      let* signer_fields = decode_fields signers in
-      let* signer_ids =
-        List.fold_left
-          (fun acc f ->
-            match (acc, int_of_string_opt f) with
-            | Some l, Some i when i >= 0 && i < n t -> Some (i :: l)
-            | _ -> None)
-          (Some []) signer_fields
-      in
-      let* share_fields = decode_fields shares in
-      let* shares =
-        List.fold_left
-          (fun acc f ->
-            let* l = acc in
-            let* parts = decode_fields f in
-            match parts with
-            | p :: ss ->
-              let* p = int_of_string_opt p in
-              let* ss =
-                List.fold_left
-                  (fun acc s ->
-                    let* l = acc in
-                    let* sh = decode_share t s in
-                    Some (sh :: l))
-                  (Some []) ss
-              in
-              Some ((p, List.rev ss) :: l)
-            | [] -> None)
-          (Some []) share_fields
-      in
-      let* combined = G.elt_of_bytes t.group combined in
-      Some
-        (Cert_signature
-           { Cert_sig.signers = Pset.of_list (List.rev signer_ids);
-             shares = List.rev shares;
-             combined }))
-  | _ -> None
+  Wire.parse b (fun r ->
+      match (Wire.bytes r, t.service) with
+      | "rsa", Rsa_keys _ -> Rsa_signature (Wire.nat r)
+      | "cert", Cert_keys _ ->
+        let signers = Wire.sub r (fun r -> Wire.until_end r (read_party t)) in
+        Wire.ascending ~above:(-1) signers;
+        let shares =
+          Wire.sub r (fun r ->
+              Wire.until_end r (fun r ->
+                  Wire.sub r (fun r ->
+                      let p = Wire.decimal r in
+                      (p, Wire.until_end r (read_share t)))))
+        in
+        Cert_signature
+          { Cert_sig.signers = Pset.of_list signers;
+            shares;
+            combined = read_elt t r }
+      | _ -> Wire.fail ())
 
 (* Individual shares travel inside service replies, so they need a byte
    form too.  Same discipline as combined signatures: the arm is
@@ -284,38 +239,17 @@ let sig_share_to_bytes t (s : sig_share) : string =
     Ro.encode ("cert-share" :: string_of_int p :: List.map (encode_share t) ss)
 
 let sig_share_of_bytes t (b : string) : sig_share option =
-  match decode_fields b with
-  | Some [ "rsa-share"; signer; x; c; z ] ->
-    (match t.service with
-    | Rsa_keys _ ->
-      (match int_of_string_opt signer with
-      | Some signer when signer >= 0 && signer < n t ->
-        Some
-          (Rsa_share
-             { Rsa_threshold.signer;
-               x = B.of_bytes_be x;
-               c = B.of_bytes_be c;
-               z = B.of_bytes_be z })
-      | Some _ | None -> None)
-    | Cert_keys _ -> None)
-  | Some ("cert-share" :: p :: ss) ->
-    (match t.service with
-    | Rsa_keys _ -> None
-    | Cert_keys _ ->
-      let ( let* ) = Option.bind in
-      let* p = int_of_string_opt p in
-      if p < 0 || p >= n t then None
-      else
-        let* ss =
-          List.fold_left
-            (fun acc s ->
-              let* l = acc in
-              let* sh = decode_share t s in
-              Some (sh :: l))
-            (Some []) ss
-        in
-        Some (Cert_share (p, List.rev ss)))
-  | _ -> None
+  Wire.parse b (fun r ->
+      match (Wire.bytes r, t.service) with
+      | "rsa-share", Rsa_keys _ ->
+        let signer = read_party t r in
+        let x = Wire.nat r in
+        let c = Wire.nat r in
+        Rsa_share { Rsa_threshold.signer; x; c; z = Wire.nat r }
+      | "cert-share", Cert_keys _ ->
+        let p = read_party t r in
+        Cert_share (p, Wire.until_end r (read_share t))
+      | _ -> Wire.fail ())
 
 (* --- quorum certificates ------------------------------------------ *)
 

@@ -82,8 +82,11 @@ val service_signature_of_bytes : t -> string -> service_signature option
 (** Inverse of {!service_signature_to_bytes} under the same keyring:
     [None] on malformed bytes, on group elements outside the keyring's
     group, or when the encoded arm does not match the keyring's service
-    scheme.  A decoded signature still carries no authority until
-    {!service_verify} accepts it. *)
+    scheme.  Canonical: decimals must be in [string_of_int] form,
+    naturals minimal, elements fixed-width and signers strictly
+    ascending, so bytes that decode re-encode to themselves.  A decoded
+    signature still carries no authority until {!service_verify}
+    accepts it. *)
 
 val sig_share_to_bytes : t -> sig_share -> string
 (** Byte form of an individual signature share, for partial answers that
@@ -94,8 +97,9 @@ val sig_share_of_bytes : t -> string -> sig_share option
 (** Inverse of {!sig_share_to_bytes} under the same keyring: [None] on
     malformed bytes, out-of-range parties, group elements outside the
     keyring's group, or an arm mismatch with the keyring's service
-    scheme.  A decoded share carries no authority until
-    {!service_verify_share} accepts it. *)
+    scheme.  Canonical in the same sense as
+    {!service_signature_of_bytes}.  A decoded share carries no
+    authority until {!service_verify_share} accepts it. *)
 
 (** {2 Quorum certificates}
 

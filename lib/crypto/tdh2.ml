@@ -131,35 +131,13 @@ let ciphertext_to_bytes (t : Dl_sharing.t) (ct : ciphertext) : string =
     [ ct.c; ct.label; G.elt_to_bytes ps ct.u; G.elt_to_bytes ps ct.u';
       B.to_bytes_be ct.e; B.to_bytes_be ct.f ]
 
-(* Inverse of {!ciphertext_to_bytes}.  Parses the length-prefixed fields
-   and checks group membership; the caller still runs {!is_valid}. *)
 let ciphertext_of_bytes (t : Dl_sharing.t) (raw : string) : ciphertext option =
   let ps = t.Dl_sharing.group in
-  let decode s =
-    (* fields are 8-byte length-prefixed, same format as Ro.encode *)
-    let len = String.length s in
-    let read_u64 off =
-      let v = ref 0 in
-      for i = 0 to 7 do
-        v := (!v lsl 8) lor Char.code s.[off + i]
-      done;
-      !v
-    in
-    let rec go off acc =
-      if off = len then Some (List.rev acc)
-      else if off + 8 > len then None
-      else begin
-        let l = read_u64 off in
-        if l < 0 || off + 8 + l > len then None
-        else go (off + 8 + l) (String.sub s (off + 8) l :: acc)
-      end
-    in
-    go 0 []
-  in
-  match decode raw with
-  | Some [ c; label; u; u'; e; f ] ->
-    (match (G.elt_of_bytes ps u, G.elt_of_bytes ps u') with
-    | Some u, Some u' ->
-      Some { c; label; u; u'; e = B.of_bytes_be e; f = B.of_bytes_be f }
-    | None, _ | _, None -> None)
-  | Some _ | None -> None
+  let elt r = Wire.get (G.elt_of_bytes ps (Wire.bytes r)) in
+  Wire.parse raw (fun r ->
+      let c = Wire.bytes r in
+      let label = Wire.bytes r in
+      let u = elt r in
+      let u' = elt r in
+      let e = Wire.nat r in
+      { c; label; u; u'; e; f = Wire.nat r })

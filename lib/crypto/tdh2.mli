@@ -53,3 +53,8 @@ val combine :
 
 val ciphertext_to_bytes : Dl_sharing.t -> ciphertext -> string
 val ciphertext_of_bytes : Dl_sharing.t -> string -> ciphertext option
+(** Inverse of {!ciphertext_to_bytes}: [None] on malformed bytes or a
+    group element outside the subgroup.  Canonical: elements must be
+    fixed-width and [e], [f] minimal big-endian, so bytes that decode
+    re-encode to themselves (and so hash to the same slot).  The caller
+    still runs {!is_valid}. *)

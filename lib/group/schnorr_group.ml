@@ -157,12 +157,17 @@ let inv ps (a : elt) : elt =
 
 let div ps (a : elt) (b : elt) : elt = mul ps a (inv ps b)
 
-let elt_to_bytes ps (a : elt) : string =
-  B.to_bytes_be ~len:((B.numbits ps.p + 7) / 8) a
+let elt_len ps = (B.numbits ps.p + 7) / 8
 
+let elt_to_bytes ps (a : elt) : string = B.to_bytes_be ~len:(elt_len ps) a
+
+(* Only the exact fixed-width form decodes: a shorter or zero-padded
+   string naming the same element would be a second encoding of it. *)
 let elt_of_bytes ps (s : string) : elt option =
-  let x = B.of_bytes_be s in
-  if is_element ps x then Some x else None
+  if String.length s <> elt_len ps then None
+  else
+    let x = B.of_bytes_be s in
+    if is_element ps x then Some x else None
 
 (* Hash arbitrary strings into the group: reduce mod p, then square.
    Squaring maps onto the quadratic residues, i.e. into the subgroup. *)

@@ -74,8 +74,15 @@ val multi_exp : params -> (elt * Bignum.t) list -> elt
 
 val inv : params -> elt -> elt
 val div : params -> elt -> elt -> elt
+val elt_len : params -> int
+(** Byte width of every encoded element: the byte length of [p]. *)
+
 val elt_to_bytes : params -> elt -> string
+(** Fixed-width ({!elt_len}) big-endian encoding. *)
+
 val elt_of_bytes : params -> string -> elt option
+(** Inverse of {!elt_to_bytes}: [None] unless the input is exactly
+    {!elt_len} bytes naming a subgroup member. *)
 
 val hash_to_elt : params -> domain:string -> string list -> elt
 (** Random oracle into the group (reduce then square). *)

@@ -8,16 +8,10 @@
 
 (* Length-prefixed concatenation: unambiguous for any list of strings. *)
 let encode (parts : string list) : string =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun p ->
-      let n = String.length p in
-      for i = 7 downto 0 do
-        Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xff))
-      done;
-      Buffer.add_string buf p)
-    parts;
-  Buffer.contents buf
+  Wire.build (fun buf -> List.iter (Wire.add_bytes buf) parts)
+
+let decode (s : string) : string list option =
+  Wire.parse s (fun r -> Wire.until_end r Wire.bytes)
 
 let hash ~domain (parts : string list) : string =
   Sha256.digest_list [ encode (domain :: parts) ]

@@ -2,7 +2,13 @@
     structured inputs, and hashing into integer ranges. *)
 
 val encode : string list -> string
-(** Length-prefixed concatenation; injective on lists of strings. *)
+(** Length-prefixed concatenation ({!Wire.add_bytes} per part);
+    injective on lists of strings. *)
+
+val decode : string -> string list option
+(** The one inverse of {!encode}: [None] on a truncated field, a length
+    of [2^62] or more, or trailing bytes, so every string that decodes
+    re-encodes to itself. *)
 
 val hash : domain:string -> string list -> string
 (** Domain-separated digest of an encoded field list (32 bytes). *)

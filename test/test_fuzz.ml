@@ -904,7 +904,218 @@ let epoch_codec_tests =
               = None))
   ]
 
+(* ---- every decoder is total and canonical -------------------------
+   A decoder of bytes from another party must return [None] or a value
+   on every input and never raise: a Byzantine sender picks the bytes.
+   For one valid frame of each kind, every bit of every byte is flipped
+   (not a sample), and the flipped frame must either fail to decode or
+   re-encode to exactly the flipped bytes, so no two byte strings decode
+   alike.  Crafted frames whose counts overflow [count * item size] in
+   63-bit arithmetic ride along as further inputs and must be rejected. *)
+
+let all_flips_canonical name frame reencode =
+  let check s what =
+    match reencode s with
+    | exception e ->
+      Alcotest.failf "%s: %s raised %s" name what (Printexc.to_string e)
+    | None -> ()
+    | Some re ->
+      if re <> s then Alcotest.failf "%s: %s decodes non-canonically" name what
+  in
+  if reencode frame <> Some frame then Alcotest.failf "%s: no round trip" name;
+  for pos = 0 to String.length frame - 1 do
+    for bit = 0 to 7 do
+      check (flip_bit frame pos bit) (Printf.sprintf "flip %d.%d" pos bit)
+    done
+  done
+
+let u64s vs = Wire.build (fun buf -> List.iter (Wire.add_u64 buf) vs)
+
+(* A count below 2^62 whose product with [size] wraps to 0 mod 2^63. *)
+let wrapping_count size =
+  let rec twos k = if (size lsr k) land 1 = 1 then k else twos (k + 1) in
+  let k = twos 0 in
+  if k < 2 then invalid_arg "wrapping_count";
+  1 lsl (63 - k)
+
+let reencode_with decode encode s = Option.map encode (decode s)
+let reencode_link = reencode_with Codec.decode_link_frame Codec.encode_link_frame
+let reencode_batch = reencode_with Codec.decode_batch Codec.encode_batch
+
+let wire_tests =
+  [ Alcotest.test_case "every codec decoder is total under every bit flip"
+      `Quick (fun () ->
+        let sharing = Lazy.force fsharing in
+        let rng = Prng.create ~seed:0x5ea1 in
+        let refresh =
+          Codec.encode_refresh_pkg fps
+            (Proactive.make_refresh sharing ~dealer:1 rng)
+        in
+        let reshare =
+          Codec.encode_reshare_pkg fps
+            (Proactive.make_reshare sharing
+               (Proactive.target_of sharing th41)
+               ~dealer:2 rng)
+        in
+        let formula =
+          Monotone_formula.Threshold
+            ( 2,
+              [ Monotone_formula.Leaf 0;
+                Monotone_formula.Threshold
+                  (1, [ Monotone_formula.Leaf 1; Monotone_formula.Leaf 2 ]);
+                Monotone_formula.Leaf 3 ] )
+        in
+        let snapshot =
+          Codec.encode_snapshot ~round:7 ~app:"state" ~digests:[ "d1"; "d22" ]
+        in
+        let link f = (Codec.encode_link_frame f, reencode_link) in
+        let cases =
+          [ ( "Ro.decode",
+              (Ro.encode [ "a"; ""; "bc" ],
+               reencode_with Ro.decode Ro.encode) );
+            ("SBF1", (Codec.encode_batch [ "x"; ""; "payload" ], reencode_batch));
+            ( "SCK1",
+              (snapshot,
+               reencode_with Codec.decode_snapshot (fun (round, app, digests) ->
+                   Codec.encode_snapshot ~round ~app ~digests)) );
+            ( "SCP1",
+              (Codec.encode_ckpt ~snapshot ~cert:"cert",
+               reencode_with Codec.decode_ckpt (fun (snapshot, cert) ->
+                   Codec.encode_ckpt ~snapshot ~cert)) );
+            ( "SVQ1",
+              (Codec.encode_svc_request ~client:3 ~nonce:"n1" ~body:"body",
+               reencode_with Codec.decode_svc_request (fun (client, nonce, body) ->
+                   Codec.encode_svc_request ~client ~nonce ~body)) );
+            ( "SVR1",
+              (Codec.encode_svc_reply ~fast:true ~req_digest:"dg" ~server:2
+                 ~response:"resp" ~share:"share",
+               reencode_with Codec.decode_svc_reply
+                 (fun (fast, req_digest, server, response, share) ->
+                   Codec.encode_svc_reply ~fast ~req_digest ~server ~response
+                     ~share)) );
+            ( "SVC1",
+              (Codec.encode_reply_cert ~fast:false ~req_digest:"dg"
+                 ~response:"resp" ~cert:"cert",
+               reencode_with Codec.decode_reply_cert
+                 (fun (fast, req_digest, response, cert) ->
+                   Codec.encode_reply_cert ~fast ~req_digest ~response ~cert)) );
+            ("SLF1 RAW", link (Link.Raw "raw"));
+            ("SLF1 DATA", link (Link.Data { seq = 4; payload = "p" }));
+            ("SLF1 ACK", link (Link.Ack { cum = 3; sel = [ 5; 9 ] }));
+            ("SEP1", (refresh, reencode_refresh));
+            ("SER1", (reshare, reencode_reshare));
+            ( "SEA1",
+              (Codec.encode_epoch_adv ~epoch:5 ~target:(Some (4, formula))
+                 ~pkgs:[ "pkg" ],
+               reencode_adv) );
+            ( "SEC1",
+              (Codec.encode_epoch_cert ~body:"body" ~cert:"cert",
+               reencode_with Codec.decode_epoch_cert (fun (body, cert) ->
+                   Codec.encode_epoch_cert ~body ~cert)) ) ]
+        in
+        List.iter
+          (fun (name, (frame, reencode)) -> all_flips_canonical name frame reencode)
+          cases;
+        (* Counts that the bytes left cannot hold, chosen so that
+           [count * item size] wraps to a value the old offset checks
+           accepted; and ACK selective sets that are not ascending
+           above [cum]. *)
+        let nk = wrapping_count (G.elt_len fps) in
+        let crafted =
+          [ ("SEP1 key count", "SEP1" ^ u64s [ 0; 0; nk ], reencode_refresh);
+            ( "SER1 key count",
+              "SER1" ^ u64s [ 0; 1; 0; 0; nk ],
+              reencode_reshare );
+            ( "SLF1 ACK count",
+              "SLF1\002" ^ u64s [ 0; wrapping_count 8 ],
+              reencode_link );
+            ("SBF1 count", "SBF1" ^ u64s [ wrapping_count 8 ], reencode_batch);
+            ("SLF1 ACK descending", "SLF1\002" ^ u64s [ 3; 2; 9; 5 ], reencode_link);
+            ("SLF1 ACK repeated", "SLF1\002" ^ u64s [ 3; 2; 5; 5 ], reencode_link);
+            ("SLF1 ACK below cum", "SLF1\002" ^ u64s [ 3; 2; 3; 5 ], reencode_link) ]
+        in
+        List.iter
+          (fun (name, frame, reencode) ->
+            match reencode frame with
+            | exception e ->
+              Alcotest.failf "%s raised %s" name (Printexc.to_string e)
+            | Some _ -> Alcotest.failf "%s decoded" name
+            | None -> ())
+          crafted);
+    Alcotest.test_case "tdh2 ciphertext bytes are canonical under every bit flip"
+      `Quick (fun () ->
+        let sharing = Lazy.force fsharing in
+        let ct =
+          Tdh2.encrypt sharing (Prng.create ~seed:0x7d2) ~label:"lbl" "secret"
+        in
+        all_flips_canonical "tdh2" (Tdh2.ciphertext_to_bytes sharing ct)
+          (reencode_with (Tdh2.ciphertext_of_bytes sharing)
+             (Tdh2.ciphertext_to_bytes sharing));
+        (* A leading zero byte on an element or on e/f is a second
+           encoding of the same ciphertext. *)
+        let elt = G.elt_to_bytes fps and nat = B.to_bytes_be in
+        let fields u e =
+          Ro.encode [ ct.Tdh2.c; ct.Tdh2.label; u; elt ct.Tdh2.u'; e; nat ct.Tdh2.f ]
+        in
+        Alcotest.(check bool) "exact fields decode" true
+          (Tdh2.ciphertext_of_bytes sharing (fields (elt ct.Tdh2.u) (nat ct.Tdh2.e))
+          <> None);
+        Alcotest.(check bool) "padded element" true
+          (Tdh2.ciphertext_of_bytes sharing
+             (fields ("\000" ^ elt ct.Tdh2.u) (nat ct.Tdh2.e))
+          = None);
+        Alcotest.(check bool) "padded exponent" true
+          (Tdh2.ciphertext_of_bytes sharing
+             (fields (elt ct.Tdh2.u) ("\000" ^ nat ct.Tdh2.e))
+          = None));
+    Alcotest.test_case "keyring share and signature bytes are canonical"
+      `Quick (fun () ->
+        let check_keyring name kr =
+          let msg = "canonical" in
+          let shares =
+            List.map (fun p -> Keyring.service_sign_share kr ~party:p msg) [ 0; 1; 2 ]
+          in
+          let share_bytes = Keyring.sig_share_to_bytes kr (List.hd shares) in
+          all_flips_canonical (name ^ " share") share_bytes
+            (reencode_with (Keyring.sig_share_of_bytes kr)
+               (Keyring.sig_share_to_bytes kr));
+          match Keyring.service_combine kr msg shares with
+          | None -> Alcotest.failf "%s: combine failed" name
+          | Some sg ->
+            all_flips_canonical (name ^ " signature")
+              (Keyring.service_signature_to_bytes kr sg)
+              (reencode_with (Keyring.service_signature_of_bytes kr)
+                 (Keyring.service_signature_to_bytes kr))
+        in
+        let kr = Lazy.force kr41 in
+        check_keyring "rsa" kr;
+        check_keyring "cert"
+          (Keyring.deal ~group_bits:96 ~seed:0xce7
+             (AS.of_access_formula ~n:4
+                (Monotone_formula.Threshold
+                   ( 2,
+                     List.init 4 (fun p -> Monotone_formula.Leaf p) ))));
+        (* The signer field accepts only [string_of_int] output. *)
+        match Keyring.service_sign_share kr ~party:0 "decimal" with
+        | Keyring.Cert_share _ -> Alcotest.fail "expected an RSA share"
+        | Keyring.Rsa_share sh ->
+          let with_signer signer =
+            Keyring.sig_share_of_bytes kr
+              (Ro.encode
+                 [ "rsa-share";
+                   signer;
+                   B.to_bytes_be sh.Rsa_threshold.x;
+                   B.to_bytes_be sh.Rsa_threshold.c;
+                   B.to_bytes_be sh.Rsa_threshold.z ])
+          in
+          Alcotest.(check bool) "0 decodes" true (with_signer "0" <> None);
+          List.iter
+            (fun signer ->
+              Alcotest.(check bool) signer true (with_signer signer = None))
+            [ "+0"; "0x0"; "-0"; "00"; "0b0"; "0u0"; "0_0" ])
+  ]
+
 let suite =
   ( "fuzz",
     fuzz_tests @ codec_tests @ ckpt_codec_tests @ link_fuzz_tests
-    @ crypto_fuzz_tests @ svc_codec_tests @ epoch_codec_tests )
+    @ crypto_fuzz_tests @ svc_codec_tests @ epoch_codec_tests @ wire_tests )

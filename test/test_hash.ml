@@ -48,7 +48,46 @@ let unit_tests =
           (fun len ->
             Alcotest.(check int) "len" len
               (String.length (Ro.hash_expand ~domain:"d" [ "x" ] ~len)))
-          [ 0; 1; 31; 32; 33; 100; 1000 ])
+          [ 0; 1; 31; 32; 33; 100; 1000 ]);
+    Alcotest.test_case "wire reader: exact fields, bounded counts, one form"
+      `Quick (fun () ->
+        let u64 v = Wire.build (fun buf -> Wire.add_u64 buf v) in
+        let rejects name s read =
+          Alcotest.(check bool) name true (Wire.parse s read = None)
+        in
+        (* A field parsed with [sub] must be consumed exactly. *)
+        let nested = Ro.encode [ Ro.encode [ "a"; "b" ] ] in
+        rejects "sub leaves bytes" nested (fun r -> Wire.sub r Wire.bytes);
+        Alcotest.(check (option (list string))) "sub exact" (Some [ "a"; "b" ])
+          (Wire.parse nested (fun r ->
+               Wire.sub r (fun r -> Wire.until_end r Wire.bytes)));
+        (* A count the bytes left cannot hold is rejected before any item
+           is read. *)
+        let calls = ref 0 in
+        rejects "huge count"
+          (u64 (1 lsl 61) ^ String.make 16 'x')
+          (fun r ->
+            Wire.list r ~min:8 (fun r ->
+                incr calls;
+                Wire.fixed r 8));
+        Alcotest.(check int) "no item read" 0 !calls;
+        (* u64 fields of 2^62 or more never decode. *)
+        rejects "2^62 length" (u64 (1 lsl 62)) Wire.bytes;
+        rejects "top bit" ("\x80" ^ String.sub (u64 0) 1 7) Wire.u64;
+        (* Decimals and naturals have one form each. *)
+        let decimal s = Wire.parse (Ro.encode [ s ]) Wire.decimal in
+        List.iter
+          (fun s -> Alcotest.(check (option int)) s (int_of_string_opt s) (decimal s))
+          [ "0"; "7"; "-3"; "4611686018427387903" ];
+        List.iter
+          (fun s -> Alcotest.(check (option int)) s None (decimal s))
+          [ "+0"; "-0"; "01"; "0x1"; "0b1"; "0o1"; "0u1"; "1_0"; " 1"; "";
+            "4611686018427387904" ];
+        let nat s = Wire.parse (Ro.encode [ s ]) Wire.nat in
+        Alcotest.(check bool) "zero" true (nat "\000" = Some Bignum.zero);
+        List.iter
+          (fun s -> Alcotest.(check bool) (String.escaped s) true (nat s = None))
+          [ ""; "\000\000"; "\000\001" ])
   ]
 
 let prop_tests =
