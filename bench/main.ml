@@ -852,6 +852,21 @@ let c1 () =
   let rsa_shares =
     List.map (fun i -> Rsa_threshold.sign_share rsa ~party:i "bench-msg") [ 0; 1 ]
   in
+  (* What a client combines when one of the first k = 3 bare replies at
+     n = 7 is bad: the first combination fails, the subset search runs. *)
+  let rsa7 =
+    match (keyring (AS.threshold ~n:7 ~t:2)).Keyring.service with
+    | Keyring.Rsa_keys keys -> keys
+    | Keyring.Cert_keys _ -> assert false
+  in
+  let one_bad =
+    List.map
+      (fun i ->
+        let s = Rsa_threshold.bare_share rsa7 ~party:i "bench-msg" in
+        if i = 0 then { s with Rsa_threshold.x = Bignum.add s.Rsa_threshold.x Bignum.one }
+        else s)
+      [ 0; 1; 2; 3 ]
+  in
   let exp_e = Schnorr_group.random_exponent ps rng in
   let kp = Schnorr_sig.generate ps rng in
   let sg = Schnorr_sig.sign ps kp "bench-msg" in
@@ -892,12 +907,18 @@ let c1 () =
         Test.make ~name:"rsa.sign-share"
           (Staged.stage (fun () ->
                ignore (Rsa_threshold.sign_share rsa ~party:0 "bench-msg")));
+        Test.make ~name:"rsa.reply-share"
+          (Staged.stage (fun () ->
+               ignore (Rsa_threshold.bare_share rsa ~party:0 "bench-msg")));
         Test.make ~name:"rsa.verify-share"
           (Staged.stage (fun () ->
                ignore (Rsa_threshold.verify_share rsa "bench-msg" (List.hd rsa_shares))));
         Test.make ~name:"rsa.combine"
           (Staged.stage (fun () ->
-               ignore (Rsa_threshold.combine rsa "bench-msg" rsa_shares)))
+               ignore (Rsa_threshold.combine rsa "bench-msg" rsa_shares)));
+        Test.make ~name:"rsa.combine (one bad share, n=7)"
+          (Staged.stage (fun () ->
+               ignore (Rsa_threshold.combine rsa7 "bench-msg" one_bad)))
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
@@ -907,13 +928,13 @@ let c1 () =
   in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  Printf.printf "%-28s %14s\n" "operation"
+  Printf.printf "%-40s %14s\n" "operation"
     (Printf.sprintf "time (us), %d-bit group" (Bignum.numbits ps.Schnorr_group.p));
   List.iter
     (fun (name, r) ->
       match Analyze.OLS.estimates r with
-      | Some (est :: _) -> Printf.printf "%-28s %14.1f\n" name (est /. 1000.0)
-      | Some [] | None -> Printf.printf "%-28s %14s\n" name "n/a")
+      | Some (est :: _) -> Printf.printf "%-40s %14.1f\n" name (est /. 1000.0)
+      | Some [] | None -> Printf.printf "%-40s %14s\n" name "n/a")
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)

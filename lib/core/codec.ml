@@ -4,6 +4,7 @@
 
 let encode = Ro.encode
 let decode = Ro.decode
+let decimal = Wire.decimal_of_string
 
 let frame magic write =
   Wire.build (fun buf ->
@@ -265,27 +266,30 @@ let decode_reshare_pkg g : string -> Proactive.reshare_package option =
 
 (* Monotone access formula, recursively: a leaf is tag 0 plus the party
    index; a threshold gate is tag 1, the threshold k, then the counted
-   children.  Strict: k must satisfy 1 <= k <= count. *)
+   children.  Strict: k must satisfy 1 <= k <= count, and gates nest at
+   most [Pset.max_parties] deep (no structure has more parties), so the
+   frame length never sets the recursion depth. *)
 
-let rec add_formula buf (f : Monotone_formula.t) =
+let rec add_formula ~depth buf (f : Monotone_formula.t) =
   match f with
   | Monotone_formula.Leaf p ->
     if p < 0 then invalid_arg "Codec: negative formula leaf";
     Buffer.add_char buf '\000';
     Wire.add_u64 buf p
   | Monotone_formula.Threshold (k, children) ->
-    if k < 1 || k > List.length children then
+    if k < 1 || k > List.length children || depth = 0 then
       invalid_arg "Codec: malformed threshold gate";
     Buffer.add_char buf '\001';
     Wire.add_u64 buf k;
-    Wire.add_list buf add_formula children
+    Wire.add_list buf (add_formula ~depth:(depth - 1)) children
 
-let rec read_formula r : Monotone_formula.t =
+let rec read_formula ~depth r : Monotone_formula.t =
   match Wire.byte r with
   | '\000' -> Monotone_formula.Leaf (Wire.u64 r)
   | '\001' ->
+    Wire.check (depth > 0);
     let k = Wire.u64 r in
-    let children = Wire.list r ~min:9 read_formula in
+    let children = Wire.list r ~min:9 (read_formula ~depth:(depth - 1)) in
     Wire.check (k >= 1 && k <= List.length children);
     Monotone_formula.Threshold (k, children)
   | _ -> Wire.fail ()
@@ -306,7 +310,7 @@ let encode_epoch_adv ~epoch ~(target : (int * Monotone_formula.t) option)
         if n < 1 then invalid_arg "Codec.encode_epoch_adv";
         Buffer.add_char buf '\001';
         Wire.add_u64 buf n;
-        add_formula buf f);
+        add_formula ~depth:Pset.max_parties buf f);
       Wire.add_list buf Wire.add_bytes pkgs)
 
 let decode_epoch_adv :
@@ -319,11 +323,12 @@ let decode_epoch_adv :
         | '\001' ->
           let n = Wire.u64 r in
           Wire.check (n >= 1);
-          Some (n, read_formula r)
+          Some (n, read_formula ~depth:Pset.max_parties r)
         | _ -> Wire.fail ()
       in
       (epoch, target, Wire.list r ~min:8 Wire.bytes))
 
 let epoch_cert_magic = "SEC1"
+let is_epoch_cert s = String.starts_with ~prefix:epoch_cert_magic s
 let encode_epoch_cert ~body ~cert = encode_pair epoch_cert_magic body cert
 let decode_epoch_cert = decode_pair epoch_cert_magic

@@ -17,6 +17,11 @@ val encode : string list -> string
 val decode : string -> string list option
 (** {!Ro.decode}, the total inverse of {!encode}. *)
 
+val decimal : string -> int option
+(** {!Wire.decimal_of_string}: an integer field of a decoded list, in
+    exactly the form [string_of_int] writes ([+1], [0x1], [1_0], [-0]
+    and [01] are [None]). *)
+
 val encode_batch : string list -> string
 (** Batch frame for the atomic-broadcast batching layer: magic + payload
     count + [count] length-prefixed payloads.  Deterministic: equal
@@ -131,14 +136,14 @@ val encode_epoch_adv :
     formula) for membership changes, and the agreed package frames as
     opaque length-prefixed blobs.  Its hash is what the advance
     certificate signs, so the frame is canonical byte for byte.  Raises
-    [Invalid_argument] on a negative epoch, [n < 1] or a malformed
-    formula gate. *)
+    [Invalid_argument] on a negative epoch, [n < 1], a malformed
+    formula gate or gates nested more than [Pset.max_parties] deep. *)
 
 val decode_epoch_adv :
   string -> (int * (int * Monotone_formula.t) option * string list) option
 (** Inverse of {!encode_epoch_adv} ([(epoch, target, pkgs)]); [None] on
-    [n < 1] or a threshold gate with [k < 1] or [k] above its child
-    count. *)
+    [n < 1], a threshold gate with [k < 1] or [k] above its child count,
+    or gates nested more than [Pset.max_parties] deep. *)
 
 val encode_epoch_cert : body:string -> cert:string -> string
 (** Certified epoch advance (magic ["SEC1"]): the ["SEA1"] body paired
@@ -148,3 +153,7 @@ val encode_epoch_cert : body:string -> cert:string -> string
 
 val decode_epoch_cert : string -> (string * string) option
 (** Inverse of {!encode_epoch_cert} ([(body, cert)]). *)
+
+val is_epoch_cert : string -> bool
+(** Whether a payload carries the ["SEC1"] magic: a cheap peek that
+    routes a delivered payload, not a decode. *)

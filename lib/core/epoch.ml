@@ -517,9 +517,6 @@ type deployment = (msg, t) Stack.deployment
 
 let nodes = Stack.nodes
 
-let is_advance payload =
-  String.length payload >= 4 && String.sub payload 0 4 = "SEC1"
-
 (* One node per party.  The wrapped recovery node delivers through the
    epoch interceptor: certified advances install the next sharing at
    their total-order position, everything else reaches the
@@ -536,7 +533,7 @@ let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
              ~bytes:(Recovery.msg_size keyring)
              ~wrap:(fun m -> Rec m))
         ~deliver:(fun p ->
-          if is_advance p then
+          if Codec.is_epoch_cert p then
             match !tref with Some t -> try_install_cert t p | None -> ()
           else deliver me p)
         ()

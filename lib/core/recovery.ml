@@ -121,8 +121,8 @@ let try_certify t b =
     let entries =
       match Hashtbl.find_opt t.shares b with Some l -> l | None -> []
     in
-    (* Combine first: [service_combine] checks the combined value and
-       falls back to per-share checks only when that fails. *)
+    (* Combine first: [service_combine] checks the combined value, so
+       checkpoint shares travel bare (see [maybe_checkpoint]). *)
     let matching =
       List.filter_map
         (fun (src, hash, share) ->
@@ -163,7 +163,7 @@ let maybe_checkpoint t b =
     let obs = t.io.Proto_io.obs in
     if Obs.active obs then Obs.incr obs ~labels:recov_labels "ckpt_created";
     let share =
-      Keyring.service_sign_share t.io.Proto_io.keyring
+      Keyring.service_reply_share t.io.Proto_io.keyring
         ~party:t.io.Proto_io.me (stmt t b hash)
     in
     (* Reliable (counted, sequenced) traffic: shares are protocol

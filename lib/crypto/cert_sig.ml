@@ -43,6 +43,7 @@ let sign_share (t : Dl_sharing.t) ~(party : int) (msg : string) : share list =
   List.map
     (fun (s : Lsss.subshare) ->
       let value = G.exp ps h s.value in
+      Obs_crypto.share_proof ();
       let proof =
         Dleq.prove ps ~domain:share_domain ~x:s.value ~g1:ps.G.g
           ~h1:t.Dl_sharing.leaf_keys.(s.leaf) ~g2:h ~h2:value

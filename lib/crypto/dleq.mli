@@ -8,8 +8,8 @@
     shared bases can be checked together: k hash re-checks plus one
     random-linear-combination multi-exponentiation ({!batch_verify}),
     with bisection attribution of bad proofs when the batch fails
-    ({!batch_find_bad}).  {!verify} and {!to_bytes} ignore the carried
-    commitments, so the single-proof check is unchanged from the seed. *)
+    ({!batch_find_bad}).  {!verify} ignores the carried commitments, so
+    the single-proof check is unchanged from the seed. *)
 
 type t = {
   c : Bignum.t;
@@ -67,5 +67,3 @@ val batch_find_bad :
     sub-batches (singletons decided exactly with {!verify_one}).
     Returns [[]] iff {!batch_verify} accepts. *)
 
-val to_bytes : Schnorr_group.params -> t -> string
-(** Serializes [(c, z)] only, as in the seed. *)

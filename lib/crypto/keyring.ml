@@ -95,6 +95,12 @@ let service_sign_share t ~party msg : sig_share =
   | Rsa_keys keys -> Rsa_share (Rsa_threshold.sign_share keys ~party msg)
   | Cert_keys sh -> Cert_share (party, Cert_sig.sign_share sh ~party msg)
 
+(* Certificate shares have no bare form. *)
+let service_reply_share t ~party msg : sig_share =
+  match t.service with
+  | Rsa_keys keys -> Rsa_share (Rsa_threshold.bare_share keys ~party msg)
+  | Cert_keys _ -> service_sign_share t ~party msg
+
 let service_verify_share t ~party msg (s : sig_share) : bool =
   match (t.service, s) with
   | Rsa_keys keys, Rsa_share sh ->
@@ -224,28 +230,34 @@ let service_signature_of_bytes t (b : string) : service_signature option =
 (* Individual shares travel inside service replies, so they need a byte
    form too.  Same discipline as combined signatures: the arm is
    explicit and only decodes under a keyring whose service scheme
-   matches, and every group element is re-validated on decode. *)
+   matches, and every group element is re-validated on decode.  An RSA
+   share with its proof is ["rsa-share"; signer; x; c; z], a bare one
+   ["rsa-bare"; signer; x]. *)
 
 let sig_share_to_bytes t (s : sig_share) : string =
   match s with
-  | Rsa_share sh ->
+  | Rsa_share { Rsa_threshold.signer; x; proof = None } ->
+    Ro.encode [ "rsa-bare"; string_of_int signer; B.to_bytes_be x ]
+  | Rsa_share { Rsa_threshold.signer; x; proof = Some { c; z } } ->
     Ro.encode
-      [ "rsa-share";
-        string_of_int sh.Rsa_threshold.signer;
-        B.to_bytes_be sh.Rsa_threshold.x;
-        B.to_bytes_be sh.Rsa_threshold.c;
-        B.to_bytes_be sh.Rsa_threshold.z ]
+      [ "rsa-share"; string_of_int signer; B.to_bytes_be x; B.to_bytes_be c;
+        B.to_bytes_be z ]
   | Cert_share (p, ss) ->
     Ro.encode ("cert-share" :: string_of_int p :: List.map (encode_share t) ss)
 
 let sig_share_of_bytes t (b : string) : sig_share option =
   Wire.parse b (fun r ->
       match (Wire.bytes r, t.service) with
-      | "rsa-share", Rsa_keys _ ->
+      | (("rsa-share" | "rsa-bare") as arm), Rsa_keys _ ->
         let signer = read_party t r in
         let x = Wire.nat r in
-        let c = Wire.nat r in
-        Rsa_share { Rsa_threshold.signer; x; c; z = Wire.nat r }
+        let proof =
+          if arm = "rsa-bare" then None
+          else
+            let c = Wire.nat r in
+            Some { Rsa_threshold.c; z = Wire.nat r }
+        in
+        Rsa_share { Rsa_threshold.signer; x; proof }
       | "cert-share", Cert_keys _ ->
         let p = read_party t r in
         Cert_share (p, Wire.until_end r (read_share t))

@@ -55,7 +55,15 @@ val verify_party_signature : t -> party:int -> string -> Schnorr_sig.signature -
 (** {2 Service (threshold) signatures} *)
 
 val service_sign_share : t -> party:int -> string -> sig_share
+(** A share with its correctness proof, for receivers that check each
+    share as it arrives ({!service_verify_share}). *)
+
+val service_reply_share : t -> party:int -> string -> sig_share
+(** A share for receivers that combine first: a bare RSA share, or
+    under a generalized structure {!service_sign_share}'s. *)
+
 val service_verify_share : t -> party:int -> string -> sig_share -> bool
+(** Checks the share's proof: [false] for a bare RSA share. *)
 
 val service_combine : t -> string -> sig_share list -> service_signature option
 (** Succeeds once the contributing servers can reconstruct (k = t+1 RSA
@@ -63,10 +71,11 @@ val service_combine : t -> string -> sig_share list -> service_signature option
 
 val service_combine_attributed :
   t -> string -> sig_share list -> service_signature option * int list
-(** {!service_combine} that also names the signers whose shares failed
-    their own check.  Shares are checked one by one only when combining
-    a sharing-qualified set fails (or a certificate combine pruned
-    someone), so an all-honest share set costs no per-share check. *)
+(** {!service_combine} that also names the signers whose shares are
+    bad.  Only a failed combination of a sharing-qualified set (or a
+    certificate combine that pruned someone) looks further: RSA by
+    {!Rsa_threshold.combine_attributed}'s subset search, certificates by
+    per-share checks. *)
 
 val sig_share_signer : sig_share -> int
 (** The server a share claims to come from — a field read, no check. *)
@@ -91,7 +100,7 @@ val service_signature_of_bytes : t -> string -> service_signature option
 val sig_share_to_bytes : t -> sig_share -> string
 (** Byte form of an individual signature share, for partial answers that
     cross the wire (service replies).  Deterministic: equal shares
-    encode equally. *)
+    encode equally; a bare RSA share has its own proof-less form. *)
 
 val sig_share_of_bytes : t -> string -> sig_share option
 (** Inverse of {!sig_share_to_bytes} under the same keyring: [None] on

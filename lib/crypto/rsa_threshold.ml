@@ -3,8 +3,9 @@
    The signature scheme of the paper's trusted services: clients verify a
    single RSA public key (N, e) while the private exponent d is Shamir-
    shared among the servers by the trusted dealer.  Shares are
-   non-interactive, carry validity proofs, and any k valid shares combine
-   into a standard RSA signature.  The reconstruction threshold k is a
+   non-interactive and any k valid shares combine into a standard RSA
+   signature; a share carries its validity proof only where the receiver
+   checks shares one by one.  The reconstruction threshold k is a
    parameter, so the same scheme also provides the "dual-threshold"
    certificates that compress protocol messages to constant size
    (Section 3: "threshold signatures are further employed to decrease
@@ -30,7 +31,8 @@ type keys = {
   vks : B.t array;  (* vks.(i) = v^{shares.(i)} mod N *)
 }
 
-type share = { signer : int; x : B.t; c : B.t; z : B.t }
+type proof = { c : B.t; z : B.t }
+type share = { signer : int; x : B.t; proof : proof option }
 type signature = B.t
 
 let domain = "sintra/tsig"
@@ -68,24 +70,22 @@ let mtf_find (cache : ('k * 'v) list ref) (same : 'k -> bool) : 'v option =
 let mtf_add (cache : ('k * 'v) list ref) ~capacity (k : 'k) (v : 'v) : unit =
   cache := List.filteri (fun i _ -> i < capacity) ((k, v) :: !cache)
 
-let pow_signed ~base ~exp ~modulus =
-  if B.sign exp >= 0 then B.pow_mod ~base ~exp ~modulus
+(* base^exp as (base^-1)^-exp when exp < 0. *)
+let unsign ~base ~exp ~modulus =
+  if B.sign exp >= 0 then (base, exp)
   else
     match B.inv_mod base modulus with
-    | Some inv -> B.pow_mod ~base:inv ~exp:(B.neg exp) ~modulus
-    | None -> invalid_arg "Rsa_threshold.pow_signed: not invertible"
+    | Some inv -> (inv, B.neg exp)
+    | None -> invalid_arg "Rsa_threshold: not invertible"
+
+let pow_signed ~base ~exp ~modulus =
+  let base, exp = unsign ~base ~exp ~modulus in
+  B.pow_mod ~base ~exp ~modulus
 
 (* b1^e1 * b2^e2 mod N with a possibly-negative e2 (e1 is always a
-   non-negative proof response here): invert the base, then fuse the two
-   exponentiations into one shared squaring chain. *)
+   non-negative proof response here), in one shared squaring chain. *)
 let pow2_signed ~b1 ~e1 ~b2 ~e2 ~modulus =
-  let b2, e2 =
-    if B.sign e2 >= 0 then (b2, e2)
-    else
-      match B.inv_mod b2 modulus with
-      | Some inv -> (inv, B.neg e2)
-      | None -> invalid_arg "Rsa_threshold.pow2_signed: not invertible"
-  in
+  let b2, e2 = unsign ~base:b2 ~exp:e2 ~modulus in
   B.pow2_mod ~b1 ~e1 ~b2 ~e2 ~modulus
 
 let deal ?(bits = 256) ~n ~k (rng : Prng.t) : keys =
@@ -156,17 +156,29 @@ let v_table (keys : keys) : B.Fixed_base.table =
     mtf_add v_tables ~capacity:v_table_capacity (nn, keys.v) tbl;
     tbl
 
-let sign_share (keys : keys) ~(party : int) (msg : string) : share =
+(* x_i = H(M)^{2 Delta s_i}, the share itself; [xhat] = H(M). *)
+let bare (keys : keys) ~(party : int) ~(xhat : B.t) : share =
   Obs_crypto.sign ();
   let pk = keys.pk in
+  let e = B.mul (B.shift_left (delta pk.n_parties) 1) keys.shares.(party) in
+  { signer = party; x = B.pow_mod ~base:xhat ~exp:e ~modulus:pk.n_modulus;
+    proof = None }
+
+let bare_share (keys : keys) ~(party : int) (msg : string) : share =
+  bare keys ~party ~xhat:(hash_to_zn keys.pk msg)
+
+let sign_share (keys : keys) ~(party : int) (msg : string) : share =
+  let pk = keys.pk in
   let nn = pk.n_modulus in
-  let dd = delta pk.n_parties in
-  let s_i = keys.shares.(party) in
   let xhat = hash_to_zn pk msg in
-  let x = B.pow_mod ~base:xhat ~exp:(B.mul (B.shift_left dd 1) s_i) ~modulus:nn in
+  let sh = bare keys ~party ~xhat in
+  Obs_crypto.share_proof ();
+  let s_i = keys.shares.(party) in
   (* Shoup's share-correctness proof: log_v vks = log_{x~} x^2 where
      x~ = xhat^{4 Delta}.  Deterministic nonce, as in the DLEQ proofs. *)
-  let xt = B.pow_mod ~base:xhat ~exp:(B.shift_left dd 2) ~modulus:nn in
+  let xt =
+    B.pow_mod ~base:xhat ~exp:(B.shift_left (delta pk.n_parties) 2) ~modulus:nn
+  in
   let nonce_bound = B.shift_left B.one (nonce_bits nn) in
   let r =
     Ro.hash_to_bignum_below ~domain:nonce_domain
@@ -174,27 +186,29 @@ let sign_share (keys : keys) ~(party : int) (msg : string) : share =
   in
   let v' = B.Fixed_base.exp (v_table keys) r in
   let x' = B.pow_mod ~base:xt ~exp:r ~modulus:nn in
-  let xi2 = B.mul_mod x x nn in
+  let xi2 = B.mul_mod sh.x sh.x nn in
   let c = proof_challenge pk ~v:keys.v ~xt ~vi:keys.vks.(party) ~xi2 ~v' ~x' in
-  let z = B.add (B.mul s_i c) r in
-  { signer = party; x; c; z }
+  { sh with proof = Some { c; z = B.add (B.mul s_i c) r } }
 
 let verify_share (keys : keys) (msg : string) (sh : share) : bool =
   Obs_crypto.share_verify ();
   let pk = keys.pk in
   let nn = pk.n_modulus in
-  sh.signer >= 0 && sh.signer < pk.n_parties
-  && B.sign sh.x > 0 && B.lt sh.x nn
-  && B.equal (B.gcd sh.x nn) B.one
-  &&
-  let dd = delta pk.n_parties in
-  let xhat = hash_to_zn pk msg in
-  let xt = B.pow_mod ~base:xhat ~exp:(B.shift_left dd 2) ~modulus:nn in
-  let xi2 = B.mul_mod sh.x sh.x nn in
-  let vi = keys.vks.(sh.signer) in
-  let v' = pow2_signed ~b1:keys.v ~e1:sh.z ~b2:vi ~e2:(B.neg sh.c) ~modulus:nn in
-  let x' = pow2_signed ~b1:xt ~e1:sh.z ~b2:xi2 ~e2:(B.neg sh.c) ~modulus:nn in
-  B.equal sh.c (proof_challenge pk ~v:keys.v ~xt ~vi ~xi2 ~v' ~x')
+  match sh.proof with
+  | None -> false
+  | Some { c; z } ->
+    sh.signer >= 0 && sh.signer < pk.n_parties
+    && B.sign sh.x > 0 && B.lt sh.x nn
+    && B.equal (B.gcd sh.x nn) B.one
+    &&
+    let dd = delta pk.n_parties in
+    let xhat = hash_to_zn pk msg in
+    let xt = B.pow_mod ~base:xhat ~exp:(B.shift_left dd 2) ~modulus:nn in
+    let xi2 = B.mul_mod sh.x sh.x nn in
+    let vi = keys.vks.(sh.signer) in
+    let v' = pow2_signed ~b1:keys.v ~e1:z ~b2:vi ~e2:(B.neg c) ~modulus:nn in
+    let x' = pow2_signed ~b1:xt ~e1:z ~b2:xi2 ~e2:(B.neg c) ~modulus:nn in
+    B.equal c (proof_challenge pk ~v:keys.v ~xt ~vi ~xi2 ~v' ~x')
 
 (* Integer Lagrange coefficients lambda_j = Delta * prod_{j' != j} j'/(j'-j),
    over the 1-indexed point set [points]; Delta clears all denominators. *)
@@ -268,35 +282,72 @@ let signature_ok (pk : public_key) ~(xhat : B.t) (y : signature) : bool =
   B.sign y > 0 && B.lt y pk.n_modulus
   && B.equal (B.pow_mod ~base:y ~exp:pk.e ~modulus:pk.n_modulus) xhat
 
-(* Combine the k first signers optimistically and accept iff
-   y^e = H(M) — RSA, unlike the coin, has a public predicate on the
-   combined value, so the happy path checks no share proof at all.  On
-   failure, fall back to per-share verification, drop the bad shares and
-   retry, so an invalid signature is never returned. *)
+let combines_tried = ref 0
+let combine_attempts () = !combines_tried
+
+(* Combine the first k signers given and accept iff y^e = H(M): RSA,
+   unlike the coin, has a public predicate on the combined value, so no
+   share proof is ever checked.  On failure, take the first k-subset in
+   signer order whose combination verifies.  A share below its top
+   signer is bad: swapped in for the top, it forms a subset already
+   rejected.  A share above the top is bad iff that swap fails.  No
+   subset is combined twice: at most C(m, k) combinations. *)
 let combine_attributed (keys : keys) (msg : string) (shares : share list) :
     signature option * int list =
   Obs_crypto.combine ();
   let pk = keys.pk in
-  let shares =
-    List.sort_uniq (fun a b -> compare a.signer b.signer) shares
+  let given =
+    List.rev
+      (List.fold_left
+         (fun acc s ->
+           if List.exists (fun a -> a.signer = s.signer) acc then acc
+           else s :: acc)
+         [] shares)
   in
-  if List.length shares < pk.k then (None, [])
+  let m = List.length given in
+  if m < pk.k then (None, [])
   else begin
     let xhat = hash_to_zn pk msg in
-    let attempt shares =
-      let chosen = List.filteri (fun i _ -> i < pk.k) shares in
-      let y = combine_raw keys ~xhat chosen in
+    let by_signer = List.sort (fun a b -> compare a.signer b.signer) in
+    let signers = List.map (fun s -> s.signer) in
+    let sorted = by_signer given in
+    let first = by_signer (List.filteri (fun i _ -> i < pk.k) given) in
+    let combine subset =
+      incr combines_tried;
+      let y = combine_raw keys ~xhat subset in
       if signature_ok pk ~xhat y then Some y else None
     in
-    match attempt shares with
+    let attempt subset =
+      if signers subset = signers first then None else combine subset
+    in
+    match combine first with
     | Some _ as y ->
       Obs_crypto.lazy_verify_hit ();
       (y, [])
-    | None ->
+    | None -> (
       Obs_crypto.batch_verify_fallback ();
-      let good, bad = List.partition (verify_share keys msg) shares in
-      ( (if List.length good < pk.k then None else attempt good),
-        List.map (fun s -> s.signer) bad )
+      (* k-subsets of [rest] (length [len]) after the prefix [acc]. *)
+      let rec search need acc rest len =
+        match rest with
+        | _ when need = 0 ->
+          let subset = List.rev acc in
+          Option.map (fun y -> (subset, y)) (attempt subset)
+        | s :: tl when len >= need -> (
+          match search (need - 1) (s :: acc) tl (len - 1) with
+          | None -> search need acc tl (len - 1)
+          | found -> found)
+        | _ -> None
+      in
+      match search pk.k [] sorted m with
+      | None -> (None, [])
+      | Some (subset, y) ->
+        let top = List.nth subset (pk.k - 1) in
+        let bad s =
+          (not (List.memq s subset))
+          && (s.signer < top.signer
+             || attempt (List.filter (fun s' -> s' != top) subset @ [ s ]) = None)
+        in
+        (Some y, signers (List.filter bad sorted)))
   end
 
 let combine keys msg shares = fst (combine_attributed keys msg shares)

@@ -2,8 +2,10 @@
 
     Clients verify a single RSA key (N, e) while the private exponent is
     Shamir-shared over Z{_{p'q'}} by the trusted dealer; shares are
-    non-interactive, carry validity proofs, and any [k] valid shares
-    combine into a standard RSA signature.  The reconstruction threshold
+    non-interactive and any [k] valid shares combine into a standard RSA
+    signature.  A share carries its validity proof ({!sign_share}) only
+    where the receiver checks shares one by one; elsewhere it is bare
+    ({!bare_share}).  The reconstruction threshold
     [k] is a free parameter, which also provides the dual-threshold
     certificates (k = n − t) that compress protocol messages to constant
     size (paper, Section 3). *)
@@ -17,30 +19,36 @@ type keys = {
   vks : Bignum.t array;  (** [vks.(i) = v^{shares.(i)}] *)
 }
 
-type share = { signer : int; x : Bignum.t; c : Bignum.t; z : Bignum.t }
+type proof = { c : Bignum.t; z : Bignum.t }
+type share = { signer : int; x : Bignum.t; proof : proof option }
 type signature = Bignum.t
 
 val deal : ?bits:int -> n:int -> k:int -> Prng.t -> keys
 (** Safe-prime RSA modulus of [bits] bits (default 256; toy-sized),
     e = 65537; requires [n < 65537]. *)
 
-val delta : int -> Bignum.t
-(** Δ = n! — the denominator-clearing factor. *)
+val bare_share : keys -> party:int -> string -> share
+(** [x_i = H(M)^{2Δs_i}] alone ([proof = None]). *)
 
 val sign_share : keys -> party:int -> string -> share
-(** [H(M)^{2Δs_i}] with Shoup's share-correctness proof. *)
+(** {!bare_share}'s [x_i] with Shoup's share-correctness proof. *)
 
 val verify_share : keys -> string -> share -> bool
+(** Checks the proof; [false] for a bare share. *)
 
 val combine : keys -> string -> share list -> signature option
-(** Any [k] distinct valid shares; [None] if fewer.  Combines
-    optimistically and accepts iff [y^e = H(M)], falling back to
-    per-share verification when that fails — an invalid signature is
-    never returned. *)
+(** Combines the first [k] shares given (one per signer) and accepts iff
+    [y^e = H(M)]; when that fails, the first [k]-subset in signer order
+    that verifies.  Never checks a proof, never returns an invalid
+    signature. *)
 
 val combine_attributed : keys -> string -> share list -> signature option * int list
-(** {!combine}, plus the signers of the shares its fallback found
-    invalid ([[]] whenever the optimistic combination succeeds). *)
+(** {!combine}, plus, when the first [k] fail and a subset verifies,
+    the signers whose shares fail in place of its top signer.  At most
+    C(m, k) combinations for [m] signers. *)
+
+val combine_attempts : unit -> int
+(** [k]-share combinations evaluated by this process so far. *)
 
 val verify : public_key -> string -> signature -> bool
 (** Standard RSA full-domain-hash verification: [y^e = H(M) mod N]. *)

@@ -97,11 +97,12 @@ let rec ascending ~above = function
     check (x > above);
     ascending ~above:x xs
 
-let decimal r =
-  let s = bytes r in
+let decimal_of_string s =
   match int_of_string_opt s with
-  | Some v when string_of_int v = s -> v
-  | Some _ | None -> raise Malformed
+  | Some v when string_of_int v = s -> Some v
+  | Some _ | None -> None
+
+let decimal r = get (decimal_of_string (bytes r))
 
 let nat r =
   let s = bytes r in

@@ -78,10 +78,13 @@ val ascending : above:int -> int list -> unit
 (** Rejects the input unless the list is strictly ascending with every
     entry above [above]: the one encoding of a set. *)
 
+val decimal_of_string : string -> int option
+(** A decimal integer in exactly the form [string_of_int] writes: no
+    sign on non-negative values, no leading zero, no base prefix, no
+    underscores.  [None] on any other string. *)
+
 val decimal : t -> int
-(** A length-prefixed decimal integer, in exactly the form
-    [string_of_int] writes: no sign on non-negative values, no leading
-    zero, no base prefix, no underscores. *)
+(** A length-prefixed {!decimal_of_string} field. *)
 
 val nat : t -> Bignum.t
 (** A length-prefixed non-negative integer, in exactly the minimal

@@ -14,6 +14,7 @@ type kind =
   | Modexp  (* Bignum.pow_mod: the dominant cost in every protocol *)
   | Hash_to_group  (* hashing onto the group, for coin/TDH2 bases *)
   | Sign  (* ordinary and threshold signature share generation *)
+  | Share_proof  (* signature-share correctness proofs generated *)
   | Verify  (* ordinary signature / assembled certificate checks *)
   | Share_verify  (* per-share proof checks: coin, TDH2, RSA, certs *)
   | Combine  (* Lagrange/threshold combination of shares *)
@@ -27,7 +28,7 @@ type kind =
   | Recomb_cache_hit  (* recombination vectors served from the LRU *)
   | Recomb_cache_miss  (* recombination vectors recomputed *)
 
-let n_kinds = 15
+let n_kinds = 16
 
 let index = function
   | Modexp -> 0
@@ -45,11 +46,13 @@ let index = function
   | Lazy_verify_hit -> 12
   | Recomb_cache_hit -> 13
   | Recomb_cache_miss -> 14
+  | Share_proof -> 15
 
 let name = function
   | Modexp -> "modexp"
   | Hash_to_group -> "hash_to_group"
   | Sign -> "sign"
+  | Share_proof -> "share_proof"
   | Verify -> "verify"
   | Share_verify -> "share_verify"
   | Combine -> "combine"
@@ -70,16 +73,16 @@ let name = function
 type direction = Cost | Path
 
 let direction = function
-  | Modexp | Hash_to_group | Sign | Verify | Share_verify | Combine
-  | Modexp_window | Multi_exp | Fixed_base_exp | Batch_verify_fallback
-  | Recomb_cache_miss ->
+  | Modexp | Hash_to_group | Sign | Share_proof | Verify | Share_verify
+  | Combine | Modexp_window | Multi_exp | Fixed_base_exp
+  | Batch_verify_fallback | Recomb_cache_miss ->
     Cost
   | Batch_verify | Batch_verify_size | Lazy_verify_hit | Recomb_cache_hit ->
     Path
 
 let all_kinds =
-  [ Modexp; Hash_to_group; Sign; Verify; Share_verify; Combine;
-    Modexp_window; Multi_exp; Fixed_base_exp; Batch_verify;
+  [ Modexp; Hash_to_group; Sign; Share_proof; Verify; Share_verify;
+    Combine; Modexp_window; Multi_exp; Fixed_base_exp; Batch_verify;
     Batch_verify_size; Batch_verify_fallback; Lazy_verify_hit;
     Recomb_cache_hit; Recomb_cache_miss ]
 
@@ -139,6 +142,9 @@ let recomb_cache_hit () =
 
 let recomb_cache_miss () =
   if !enabled_flag then counts_arr.(14) <- counts_arr.(14) + 1
+
+let share_proof () =
+  if !enabled_flag then counts_arr.(15) <- counts_arr.(15) + 1
 
 let to_json () : Obs_json.t =
   Obs_json.Obj (List.map (fun (n, c) -> (n, Obs_json.Int c)) (counts ()))

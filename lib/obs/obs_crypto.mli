@@ -11,6 +11,9 @@ type kind =
   | Modexp  (** modular exponentiation ([Bignum.pow_mod]) *)
   | Hash_to_group  (** hashing onto the group *)
   | Sign  (** signature / signature-share generation *)
+  | Share_proof
+      (** signature-share correctness proofs generated (RSA and
+          certificate shares; coin and TDH2 shares count under [Sign]) *)
   | Verify  (** full signature or assembled-certificate checks *)
   | Share_verify  (** per-share proof checks (coin, TDH2, RSA, certs) *)
   | Combine  (** threshold combination of shares *)
@@ -51,6 +54,7 @@ val total : unit -> int
 val modexp : unit -> unit
 val hash_to_group : unit -> unit
 val sign : unit -> unit
+val share_proof : unit -> unit
 val verify : unit -> unit
 val share_verify : unit -> unit
 val combine : unit -> unit

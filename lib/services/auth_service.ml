@@ -78,5 +78,5 @@ let make_app () : string -> string =
 let parse_ticket (body : string) : (string * int) option =
   match Codec.decode body with
   | Some [ "ticket"; user; issued ] ->
-    Option.map (fun t -> (user, t)) (int_of_string_opt issued)
+    Option.map (fun t -> (user, t)) (Codec.decimal issued)
   | Some _ | None -> None

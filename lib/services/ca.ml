@@ -83,5 +83,5 @@ let make_app () : string -> string =
 let parse_certificate (body : string) : (string * string * int) option =
   match Codec.decode body with
   | Some [ "certificate"; id; pubkey; serial ] ->
-    Option.map (fun s -> (id, pubkey, s)) (int_of_string_opt serial)
+    Option.map (fun s -> (id, pubkey, s)) (Codec.decimal serial)
   | Some _ | None -> None

@@ -64,5 +64,5 @@ let make_app () : string -> string =
 let parse_registration (body : string) : (int * string) option =
   match Codec.decode body with
   | Some [ "registered"; seq; digest ] ->
-    Option.map (fun s -> (s, digest)) (int_of_string_opt seq)
+    Option.map (fun s -> (s, digest)) (Codec.decimal seq)
   | Some _ | None -> None

@@ -119,10 +119,12 @@ let reply_cert_of_bytes kr (b : string) : reply_cert option =
 
 (* ---------------- server side --------------------------------------- *)
 
+(* The client combines before it looks at any share, so the reply
+   carries a bare share: no proof to build. *)
 let send_reply (t : t) ~fast ~client ~req_digest ~response =
   let { Proto_io.me; keyring; _ } = t.io in
   let share =
-    Keyring.service_sign_share keyring ~party:me
+    Keyring.service_reply_share keyring ~party:me
       (reply_statement ~fast ~req_digest ~response)
   in
   t.io.Proto_io.unsequenced client
@@ -365,8 +367,8 @@ module Client = struct
   (* One server's partial answer: decode the strict frame, bind it to
      the transport source and the share's signer field (a corrupted
      server cannot speak in another's name), then try to assemble the
-     certificate from the answer's response group; share proofs are
-     checked only when that combination fails.
+     certificate from the answer's response group (no share proof is
+     ever checked: a failed combination searches for a good subset).
      Completion removes the request — pending state is bounded by the
      number of requests in flight, not by history. *)
   let on_reply (c : c) ~src frame =
@@ -403,11 +405,12 @@ module Client = struct
               in
               if not (List.mem_assoc server group) then
                 let group = (server, Some share) :: group in
-                (* Combine first: shares are checked one by one only
-                   when a qualified group fails to combine.  A share
-                   found bad stays in the group as [None], so its
-                   server cannot re-enter it. *)
-                let shares = List.filter_map snd group in
+                (* Combine first, oldest shares first: a share that
+                   made a combination fail stays among the first k,
+                   so the next attempt searches the subsets and names
+                   it.  A share found bad stays in the group as
+                   [None], so its server cannot re-enter it. *)
+                let shares = List.filter_map snd (List.rev group) in
                 let combined, bad =
                   Keyring.service_combine_attributed c.keyring stmt shares
                 in

@@ -473,10 +473,13 @@ let crypto_transcript ~n ~t ~seed =
   List.iter
     (fun (p, sh) ->
       (match sh with
-      | Keyring.Rsa_share s ->
+      | Keyring.Rsa_share s -> (
         num s.Rsa_threshold.x;
-        num s.Rsa_threshold.c;
-        num s.Rsa_threshold.z
+        match s.Rsa_threshold.proof with
+        | Some pf ->
+          num pf.Rsa_threshold.c;
+          num pf.Rsa_threshold.z
+        | None -> Buffer.add_string buf "no-proof;")
       | Keyring.Cert_share _ -> Buffer.add_string buf "cert-share;");
       flag (Keyring.service_verify_share kr ~party:p msg sh))
     rsa;
@@ -731,7 +734,137 @@ let batch_tests =
               (Obs_crypto.count Obs_crypto.Recomb_cache_miss)))
   ]
 
+(* Replies carry bare RSA shares and a failed combine searches the
+   k-subsets (in signer order) for one that verifies. *)
+let reply_share_tests =
+  let rsa_keys kr =
+    match kr.Keyring.service with
+    | Keyring.Rsa_keys keys -> keys
+    | Keyring.Cert_keys _ -> Alcotest.fail "expected RSA service keys"
+  in
+  (* n = 7, k = 3: the shares of [parties], with [bad] ones off by one. *)
+  let keys7 = lazy (Rsa_threshold.deal ~bits:192 ~n:7 ~k:3 (Prng.create ~seed:41)) in
+  let shares7 ~bad msg parties =
+    List.map
+      (fun p ->
+        let s = Rsa_threshold.bare_share (Lazy.force keys7) ~party:p msg in
+        if List.mem p bad then { s with Rsa_threshold.x = B.add s.Rsa_threshold.x B.one }
+        else s)
+      parties
+  in
+  let binomial n k =
+    let rec go acc i = if i > k then acc else go (acc * (n - k + i) / i) (i + 1) in
+    go 1 1
+  in
+  [ Alcotest.test_case "bare share x equals the proved share's (golden keys)"
+      `Quick (fun () ->
+        List.iter
+          (fun (n, t, seed) ->
+            let kr = Keyring.deal ~rsa_bits:192 ~seed (AS.threshold ~n ~t) in
+            let keys = rsa_keys kr in
+            let msg = Printf.sprintf "golden %d/%d" n t in
+            for p = 0 to n - 1 do
+              let counted f =
+                Obs_crypto.enable ();
+                Obs_crypto.reset ();
+                Fun.protect
+                  ~finally:(fun () ->
+                    Obs_crypto.disable ();
+                    Obs_crypto.reset ())
+                  (fun () ->
+                    let s = f () in
+                    ( s,
+                      Obs_crypto.count Obs_crypto.Sign,
+                      Obs_crypto.count Obs_crypto.Share_proof ))
+              in
+              let bare, bare_signs, bare_proofs =
+                counted (fun () -> Rsa_threshold.bare_share keys ~party:p msg)
+              in
+              let proved, proved_signs, proved_proofs =
+                counted (fun () -> Rsa_threshold.sign_share keys ~party:p msg)
+              in
+              Alcotest.(check (pair int int)) "bare: one sign, no proof" (1, 0)
+                (bare_signs, bare_proofs);
+              Alcotest.(check (pair int int)) "proved: one sign, one proof" (1, 1)
+                (proved_signs, proved_proofs);
+              Alcotest.(check bool) "same x" true
+                (B.equal bare.Rsa_threshold.x proved.Rsa_threshold.x);
+              Alcotest.(check bool) "no proof" true (bare.Rsa_threshold.proof = None);
+              Alcotest.(check bool) "bare share never verifies" false
+                (Rsa_threshold.verify_share keys msg bare);
+              match Keyring.service_reply_share kr ~party:p msg with
+              | Keyring.Rsa_share s ->
+                Alcotest.(check bool) "keyring reply share is the bare share" true
+                  (B.equal s.Rsa_threshold.x bare.Rsa_threshold.x
+                  && s.Rsa_threshold.proof = None)
+              | Keyring.Cert_share _ -> Alcotest.fail "expected an RSA share"
+            done)
+          [ (4, 1, 1901); (7, 2, 1902) ]);
+    Alcotest.test_case "t bad bare shares first (n=7): subset search names them"
+      `Quick (fun () ->
+        let keys = Lazy.force keys7 in
+        (* [expected]: the first three given, the subsets before the
+           first verifying one, and one swap per share above its top;
+           a share below the top costs nothing. *)
+        List.iter
+          (fun (bad, expected) ->
+            let msg = Printf.sprintf "search %s" (String.concat "," (List.map string_of_int bad)) in
+            let honest = List.filter (fun p -> not (List.mem p bad)) (List.init 7 Fun.id) in
+            let before = Rsa_threshold.combine_attempts () in
+            let y, named =
+              Rsa_threshold.combine_attributed keys msg (shares7 ~bad msg (bad @ honest))
+            in
+            let tried = Rsa_threshold.combine_attempts () - before in
+            (match y with
+            | None -> Alcotest.fail "no signature despite k honest shares"
+            | Some y ->
+              Alcotest.(check bool) "signature verifies" true
+                (Rsa_threshold.verify keys.Rsa_threshold.pk msg y));
+            Alcotest.(check (list int)) "exactly the bad signers" bad named;
+            Alcotest.(check int) "combinations" expected tried;
+            Alcotest.(check bool) "at most C(7,3)" true (tried <= binomial 7 3))
+          [ ([ 0; 1 ], 28); ([ 4; 6 ], 6); ([ 2; 5 ], 6); ([ 5; 6 ], 6) ]);
+    Alcotest.test_case "all-honest shares combine once and name nobody" `Quick
+      (fun () ->
+        let keys = Lazy.force keys7 in
+        let before = Rsa_threshold.combine_attempts () in
+        let y, named =
+          Rsa_threshold.combine_attributed keys "honest"
+            (shares7 ~bad:[] "honest" [ 6; 2; 4; 0; 1 ])
+        in
+        Alcotest.(check bool) "combined" true (y <> None);
+        Alcotest.(check (list int)) "nobody named" [] named;
+        Alcotest.(check int) "one combination" 1
+          (Rsa_threshold.combine_attempts () - before));
+    Alcotest.test_case "too few good shares: no signature, nobody named" `Quick
+      (fun () ->
+        let keys = Lazy.force keys7 in
+        let before = Rsa_threshold.combine_attempts () in
+        let y, named =
+          Rsa_threshold.combine_attributed keys "short"
+            (shares7 ~bad:[ 1; 3; 5 ] "short" [ 1; 3; 0; 2; 5 ])
+        in
+        Alcotest.(check bool) "no signature" true (y = None);
+        Alcotest.(check (list int)) "nobody named" [] named;
+        Alcotest.(check int) "every subset tried once" (binomial 5 3)
+          (Rsa_threshold.combine_attempts () - before));
+    Alcotest.test_case "a proved share over the wrong statement is found" `Quick
+      (fun () ->
+        let keys = Rsa_threshold.deal ~bits:192 ~n:4 ~k:2 (Prng.create ~seed:43) in
+        let msg = "the statement" in
+        let shares =
+          Rsa_threshold.sign_share keys ~party:1 "another statement"
+          :: List.map (fun p -> Rsa_threshold.bare_share keys ~party:p msg) [ 3; 0; 2 ]
+        in
+        match Rsa_threshold.combine_attributed keys msg shares with
+        | None, _ -> Alcotest.fail "no signature"
+        | Some y, named ->
+          Alcotest.(check bool) "verifies" true
+            (Rsa_threshold.verify keys.Rsa_threshold.pk msg y);
+          Alcotest.(check (list int)) "wrong-statement signer named" [ 1 ] named)
+  ]
+
 let suite =
   ( "crypto",
     dleq_tests @ coin_tests @ tdh2_tests @ rsa_tests @ certsig_tests
-    @ keyring_tests @ golden_tests @ batch_tests )
+    @ keyring_tests @ golden_tests @ reply_share_tests @ batch_tests )

@@ -1075,10 +1075,14 @@ let wire_tests =
           let shares =
             List.map (fun p -> Keyring.service_sign_share kr ~party:p msg) [ 0; 1; 2 ]
           in
-          let share_bytes = Keyring.sig_share_to_bytes kr (List.hd shares) in
-          all_flips_canonical (name ^ " share") share_bytes
-            (reencode_with (Keyring.sig_share_of_bytes kr)
-               (Keyring.sig_share_to_bytes kr));
+          let share_flips what share =
+            all_flips_canonical (name ^ what)
+              (Keyring.sig_share_to_bytes kr share)
+              (reencode_with (Keyring.sig_share_of_bytes kr)
+                 (Keyring.sig_share_to_bytes kr))
+          in
+          share_flips " share" (List.hd shares);
+          share_flips " reply share" (Keyring.service_reply_share kr ~party:1 msg);
           match Keyring.service_combine kr msg shares with
           | None -> Alcotest.failf "%s: combine failed" name
           | Some sg ->
@@ -1098,21 +1102,67 @@ let wire_tests =
         (* The signer field accepts only [string_of_int] output. *)
         match Keyring.service_sign_share kr ~party:0 "decimal" with
         | Keyring.Cert_share _ -> Alcotest.fail "expected an RSA share"
-        | Keyring.Rsa_share sh ->
+        | Keyring.Rsa_share { Rsa_threshold.proof = None; _ } ->
+          Alcotest.fail "expected a proved share"
+        | Keyring.Rsa_share { Rsa_threshold.x; proof = Some { c; z }; _ } ->
           let with_signer signer =
             Keyring.sig_share_of_bytes kr
               (Ro.encode
                  [ "rsa-share";
                    signer;
-                   B.to_bytes_be sh.Rsa_threshold.x;
-                   B.to_bytes_be sh.Rsa_threshold.c;
-                   B.to_bytes_be sh.Rsa_threshold.z ])
+                   B.to_bytes_be x;
+                   B.to_bytes_be c;
+                   B.to_bytes_be z ])
           in
           Alcotest.(check bool) "0 decodes" true (with_signer "0" <> None);
           List.iter
             (fun signer ->
               Alcotest.(check bool) signer true (with_signer signer = None))
-            [ "+0"; "0x0"; "-0"; "00"; "0b0"; "0u0"; "0_0" ])
+            [ "+0"; "0x0"; "-0"; "00"; "0b0"; "0u0"; "0_0" ]);
+    Alcotest.test_case "SEA1: formula nesting is bounded" `Quick (fun () ->
+        (* [depth] unary gates around one leaf, hand-framed: the encoder
+           refuses what the decoder refuses. *)
+        let frame depth =
+          Wire.build (fun buf ->
+              Buffer.add_string buf "SEA1";
+              Wire.add_u64 buf 1;
+              Buffer.add_char buf '\001';
+              Wire.add_u64 buf 4;
+              for _ = 1 to depth do
+                Buffer.add_char buf '\001';
+                Wire.add_u64 buf 1;
+                Wire.add_u64 buf 1
+              done;
+              Buffer.add_char buf '\000';
+              Wire.add_u64 buf 0;
+              Wire.add_u64 buf 0)
+        in
+        let rec nest d =
+          if d = 0 then Monotone_formula.Leaf 0
+          else Monotone_formula.Threshold (1, [ nest (d - 1) ])
+        in
+        let limit = Pset.max_parties in
+        Alcotest.(check bool) "at the limit: decodes and re-encodes" true
+          (reencode_adv (frame limit) = Some (frame limit));
+        Alcotest.(check bool) "one past the limit" true
+          (Codec.decode_epoch_adv (frame (limit + 1)) = None);
+        Alcotest.(check bool) "deeply nested" true
+          (Codec.decode_epoch_adv (frame 100_000) = None);
+        Alcotest.(check bool) "encoder refuses past the limit" true
+          (try
+             ignore
+               (Codec.encode_epoch_adv ~epoch:1
+                  ~target:(Some (4, nest (limit + 1)))
+                  ~pkgs:[]);
+             false
+           with Invalid_argument _ -> true));
+    Alcotest.test_case "SEC1 peek matches the epoch-cert codec" `Quick
+      (fun () ->
+        let cert = Codec.encode_epoch_cert ~body:"body" ~cert:"cert" in
+        Alcotest.(check bool) "certificate" true (Codec.is_epoch_cert cert);
+        List.iter
+          (fun s -> Alcotest.(check bool) s false (Codec.is_epoch_cert s))
+          [ ""; "SEC"; "SEA1"; Codec.encode_epoch_adv ~epoch:1 ~target:None ~pkgs:[] ])
   ]
 
 let suite =

@@ -791,7 +791,148 @@ let nonce_tests =
           server.Service.dup_suppressed)
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Reply path: bare shares, subset search, no proofs                   *)
+(* ------------------------------------------------------------------ *)
+
+let reply_path_tests =
+  [ Alcotest.test_case
+      "n=7: off-by-one bare shares from one replier are each named once"
+      `Quick (fun () ->
+        let sim, kr, _ =
+          deploy_service ~seed:6601 ~mode:Service.Plain
+            ~structure:(AS.threshold ~n:7 ~t:2)
+            ~make_app:Directory_service.make_app
+            ~read_only:Directory_service.read_only ()
+        in
+        let bad = 4 and slot = 7 in
+        let client = Service.Client.create ~sim ~keyring:kr ~slot ~seed:61 () in
+        let completed = Hashtbl.create 16 in
+        (* (request, kind, response) groups a bad share entered while its
+           request was still pending *)
+        let reached = Hashtbl.create 16 in
+        Sim.wrap_handler sim slot (fun honest ~src frame ->
+            match frame with
+            | Link.Raw (Service.Response f) when src = bad -> (
+              match Codec.decode_svc_reply f with
+              | Some (fast, req_digest, server, response, share_b) -> (
+                match Keyring.sig_share_of_bytes kr share_b with
+                | Some (Keyring.Rsa_share s) ->
+                  let x = Bignum.add s.Rsa_threshold.x Bignum.one in
+                  let share =
+                    Keyring.Rsa_share { s with Rsa_threshold.x; proof = None }
+                  in
+                  if not (Hashtbl.mem completed req_digest) then
+                    Hashtbl.replace reached (req_digest, fast, response) ();
+                  honest ~src
+                    (Link.Raw
+                       (Service.Response
+                          (Codec.encode_svc_reply ~fast ~req_digest ~server
+                             ~response
+                             ~share:(Keyring.sig_share_to_bytes kr share))))
+                | Some (Keyring.Cert_share _) | None ->
+                  Alcotest.fail "expected an RSA reply share")
+              | None -> Alcotest.fail "undecodable reply")
+            | _ -> honest ~src frame);
+        let run submit body =
+          let result = ref None in
+          submit client ~mode:Service.Plain body (fun rc -> result := Some rc);
+          Sim.run sim ~until:(fun () -> !result <> None);
+          match !result with
+          | None -> Alcotest.fail "request did not complete"
+          | Some rc ->
+            Hashtbl.replace completed rc.Service.rc_req_digest ();
+            Alcotest.(check bool) "reply certificate verifies" true
+              (Service.verify_reply_cert kr rc);
+            rc
+        in
+        for i = 0 to 3 do
+          let key = Printf.sprintf "k%d" i and value = Printf.sprintf "v%d" i in
+          let w =
+            run Service.Client.request (Directory_service.bind_request ~key ~value)
+          in
+          Alcotest.(check bool) "ordered write" false w.Service.rc_fast;
+          let r =
+            run Service.Client.query (Directory_service.lookup_request ~key)
+          in
+          Alcotest.(check bool) "fast read" true r.Service.rc_fast;
+          Alcotest.(check (option (pair string string))) "read sees the write"
+            (Some (key, value))
+            (Directory_service.parse_value r.Service.rc_response)
+        done;
+        Alcotest.(check int) "every request completed" 8
+          (Service.Client.completed client);
+        let kinds = Hashtbl.fold (fun (_, fast, _) () acc -> fast :: acc) reached [] in
+        Alcotest.(check bool) "bad shares reached fast and ordered groups" true
+          (List.mem true kinds && List.mem false kinds);
+        Alcotest.(check int) "each such share named once" (Hashtbl.length reached)
+          (Service.Client.rejected_replies client));
+    Alcotest.test_case "benign svc run: no reply-path proofs, same signing"
+      `Quick (fun () ->
+        let cfg =
+          Svc.default_config ~seeds:1 ~requests:12 ~clients:2 ~window:2
+            ~keyspace:4 ~kinds:[ Svc.Ca_svc ] ~variants:[ Svc.Benign ] ()
+        in
+        let env = Svc.prepare cfg in
+        Obs_crypto.enable ();
+        Obs_crypto.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs_crypto.disable ();
+            Obs_crypto.reset ())
+          (fun () ->
+            let r =
+              Svc.run_one env cfg ~kind:Svc.Ca_svc ~variant:Svc.Benign ~seed:1
+            in
+            Alcotest.(check int) "every request completed" r.Svc.vr_target
+              r.Svc.vr_completed;
+            Alcotest.(check bool) "fast and ordered replies both ran" true
+              (r.Svc.vr_fast_hits > 0 && r.Svc.vr_ordered > 0);
+            Alcotest.(check int) "no share proof generated" 0
+              (Obs_crypto.count Obs_crypto.Share_proof);
+            Alcotest.(check int) "no share proof checked" 0
+              (Obs_crypto.count Obs_crypto.Share_verify);
+            (* Measured on the same cell before replies dropped their
+               proofs: a bare share is still one signing operation. *)
+            Alcotest.(check int) "signing operations" 190
+              (Obs_crypto.count Obs_crypto.Sign)))
+  ]
+
+(* Reply bodies carry integers in exactly the form [string_of_int]
+   writes; every other spelling [int_of_string] accepts is refused. *)
+let noncanonical = [ "+1"; "0x1"; "0b1"; "0o1"; "1_0"; "-0"; "01"; " 1"; "" ]
+
+let decimal_tests =
+  [ Alcotest.test_case "ca: certificate serial must be canonical" `Quick
+      (fun () ->
+        let cert serial = Codec.encode [ "certificate"; "id"; "pk"; serial ] in
+        Alcotest.(check (option (triple string string int))) "10"
+          (Some ("id", "pk", 10)) (Ca.parse_certificate (cert "10"));
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) s true (Ca.parse_certificate (cert s) = None))
+          noncanonical);
+    Alcotest.test_case "notary: registration sequence must be canonical" `Quick
+      (fun () ->
+        let reg seq = Codec.encode [ "registered"; seq; "digest" ] in
+        Alcotest.(check (option (pair int string))) "10" (Some (10, "digest"))
+          (Notary.parse_registration (reg "10"));
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) s true (Notary.parse_registration (reg s) = None))
+          noncanonical);
+    Alcotest.test_case "auth: ticket issue time must be canonical" `Quick
+      (fun () ->
+        let ticket issued = Codec.encode [ "ticket"; "alice"; issued ] in
+        Alcotest.(check (option (pair string int))) "10" (Some ("alice", 10))
+          (Auth_service.parse_ticket (ticket "10"));
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) s true (Auth_service.parse_ticket (ticket s) = None))
+          noncanonical)
+  ]
+
 let suite =
   ( "services",
     ca_tests @ directory_tests @ notary_tests @ dedup_tests @ fastpath_tests
-    @ cert_tests @ nonce_tests )
+    @ cert_tests @ nonce_tests @ reply_path_tests @ decimal_tests )
