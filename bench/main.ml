@@ -838,6 +838,7 @@ let c1 () =
     List.init 4 (fun i -> (i, Coin.generate_share coin ~party:i ~name:"bench"))
   in
   let ct = Tdh2.encrypt enc rng ~label:"bench" "a fairly short message" in
+  let checked = Option.get (Tdh2.check enc ct) in
   let dec_shares =
     List.filter_map
       (fun i ->
@@ -903,7 +904,7 @@ let c1 () =
           (Staged.stage (fun () -> ignore (Tdh2.decryption_share enc ~party:0 ct)));
         Test.make ~name:"tdh2.combine"
           (Staged.stage (fun () ->
-               ignore (Tdh2.combine enc ct ~avail:(Pset.of_list [ 0; 1 ]) dec_shares)));
+               ignore (Tdh2.combine enc checked ~avail:(Pset.of_list [ 0; 1 ]) dec_shares)));
         Test.make ~name:"rsa.sign-share"
           (Staged.stage (fun () ->
                ignore (Rsa_threshold.sign_share rsa ~party:0 "bench-msg")));

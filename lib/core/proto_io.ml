@@ -21,40 +21,48 @@
 
 module AS = Adversary_structure
 
-(* The verified-signature memo.  An entry (signer, SHA-256 of the
-   statement, signature) is recorded only after a full check of exactly
-   that triple succeeded on this replica, so a hit repeats a
-   deterministic check this replica already passed: no accept/reject
-   decision can change.  Signatures compare by value, never by a
-   truncated encoding, so a forged signature never matches a genuine
-   entry.  A memo is closed (no lookups, no inserts) until its owner
-   opens it; closing drops every entry. *)
+(* The verified-signature memo.  An entry (signer, statement,
+   signature) is recorded only after a full check of exactly that triple
+   succeeded on this replica, so a hit repeats a deterministic check
+   this replica already passed: no accept/reject decision can change.
+   Statements compare byte for byte and signatures by value, never by a
+   digest or a truncated encoding, so a forged signature or a statement
+   one byte away never matches a genuine entry.  The bucket is chosen by
+   the signer and the signature's challenge, so a lookup reads a long
+   statement (an ABC proposal embeds its whole batch) only to compare it
+   with an entry's.  A memo is closed (no lookups, no inserts) until its
+   owner opens it; closing drops every entry. *)
 module Key = struct
-  type t = { signer : int; digest : string; sg : Schnorr_sig.signature }
+  type t = { signer : int; stmt : string; sg : Schnorr_sig.signature }
 
   let equal a b =
     a.signer = b.signer
-    && String.equal a.digest b.digest
     && Bignum.equal a.sg.Schnorr_sig.c b.sg.Schnorr_sig.c
     && Bignum.equal a.sg.Schnorr_sig.z b.sg.Schnorr_sig.z
+    && String.equal a.stmt b.stmt
 
-  let hash k = Hashtbl.hash (k.signer, k.digest)
+  let hash k = Hashtbl.hash (k.signer, k.sg.Schnorr_sig.c)
 end
 
 module Memo_tbl = Hashtbl.Make (Key)
 
-type memo = { mutable table : unit Memo_tbl.t option }
+(* An open memo keeps one copy of each statement its entries hold: up to
+   n signers endorse the same ABBA or CBC statement, and their entries
+   share it. *)
+type entries = { tbl : unit Memo_tbl.t; stmts : (string, string) Hashtbl.t }
+type memo = { mutable table : entries option }
 
 let fresh_memo () = { table = None }
 
 let open_memo m =
-  if m.table = None then m.table <- Some (Memo_tbl.create 64)
+  if m.table = None then
+    m.table <- Some { tbl = Memo_tbl.create 64; stmts = Hashtbl.create 16 }
 
 let close_memo m = m.table <- None
 let memo_is_open m = m.table <> None
 
 let memo_size m =
-  match m.table with Some tbl -> Memo_tbl.length tbl | None -> 0
+  match m.table with Some e -> Memo_tbl.length e.tbl | None -> 0
 
 type 'm t = {
   me : int;
@@ -163,12 +171,19 @@ let contains_honest io s = AS.contains_honest (structure io) s
 let verify_signature io ~party stmt sg =
   match io.memo.table with
   | None -> Keyring.verify_party_signature io.keyring ~party stmt sg
-  | Some tbl ->
-    let key = { Key.signer = party; digest = Sha256.digest stmt; sg } in
-    Memo_tbl.mem tbl key
+  | Some { tbl; stmts } ->
+    Memo_tbl.mem tbl { Key.signer = party; stmt; sg }
     || Keyring.verify_party_signature io.keyring ~party stmt sg
-       && (Memo_tbl.replace tbl key ();
-           true)
+       &&
+       let stmt =
+         match Hashtbl.find_opt stmts stmt with
+         | Some shared -> shared
+         | None ->
+           Hashtbl.add stmts stmt stmt;
+           stmt
+       in
+       Memo_tbl.replace tbl { Key.signer = party; stmt; sg } ();
+       true
 
 let verify_cert_share io ~party stmt share =
   Keyring.verify_cert_share ~verify:(verify_signature io) io.keyring ~party

@@ -17,7 +17,7 @@ type msg =
 
 type slot = {
   position : int;
-  ct : Tdh2.ciphertext;
+  ct : Tdh2.checked;  (* decoded and checked once, when it was ordered *)
   mutable shares : (int * Tdh2.dec_share list) list;
   mutable plaintext : string option;
   mutable sp_decrypt : int;  (* open trace span; 0 = none *)
@@ -28,7 +28,7 @@ type t = {
   deliver : label:string -> string -> unit;  (* plaintexts, total order *)
   abc : Abc.t;
   slots : (string, slot) Hashtbl.t;  (* digest -> slot *)
-  mutable order : string list;  (* digests, oldest first (reversed) *)
+  by_position : (int, slot) Hashtbl.t;  (* the same slots, by position *)
   mutable next_position : int;
   mutable next_delivery : int;
   mutable early_shares : (string * int * Tdh2.dec_share list) list;
@@ -55,7 +55,7 @@ let rec create ?policy ~(io : msg Proto_io.t) ~tag ~deliver () : t =
       deliver;
       abc;
       slots = Hashtbl.create 16;
-      order = [];
+      by_position = Hashtbl.create 16;
       next_position = 0;
       next_delivery = 0;
       early_shares = [];
@@ -64,41 +64,37 @@ let rec create ?policy ~(io : msg Proto_io.t) ~tag ~deliver () : t =
   t_ref := Some t;
   t
 
-(* A ciphertext has been assigned its place in the total order: start
-   the threshold decryption. *)
+(* A ciphertext has been assigned its place in the total order: check
+   it, once, and start the threshold decryption.  A repeat of an
+   ordered ciphertext is recognised by its digest before any decoding. *)
 and on_ordered t (payload : string) =
-  match Tdh2.ciphertext_of_bytes (enc_sharing t) payload with
-  | None -> ()  (* garbage from a corrupted client: ordered but skipped *)
-  | Some ct ->
-    if not (Tdh2.is_valid (enc_sharing t) ct) then ()
-    else begin
-      let d = Sha256.digest payload in
-      if not (Hashtbl.mem t.slots d) then begin
-        let slot =
-          { position = t.next_position;
-            ct;
-            shares = [];
-            plaintext = None;
-            sp_decrypt =
-              Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me
-                ~layer:"scabc"
-                ~detail:(Printf.sprintf "pos=%d" t.next_position)
-                "decrypt" }
-        in
-        t.next_position <- t.next_position + 1;
-        Hashtbl.add t.slots d slot;
-        t.order <- d :: t.order;
-        (match Tdh2.decryption_share (enc_sharing t) ~party:t.io.Proto_io.me ct with
-        | Some shares -> t.io.Proto_io.broadcast (Dec_share (d, shares))
-        | None -> ());
-        (* Validate any shares that raced ahead of the ordering. *)
-        let early, rest =
-          List.partition (fun (d', _, _) -> d' = d) t.early_shares
-        in
-        t.early_shares <- rest;
-        List.iter (fun (_, src, shares) -> add_share t d ~src shares) early
-      end
-    end
+  let d = Sha256.digest payload in
+  if not (Hashtbl.mem t.slots d) then
+    match Tdh2.checked_of_bytes (enc_sharing t) payload with
+    | None -> ()  (* garbage or invalid, from a corrupted client: skipped *)
+    | Some ct ->
+      let slot =
+        { position = t.next_position;
+          ct;
+          shares = [];
+          plaintext = None;
+          sp_decrypt =
+            Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me
+              ~layer:"scabc"
+              ~detail:(Printf.sprintf "pos=%d" t.next_position)
+              "decrypt" }
+      in
+      t.next_position <- t.next_position + 1;
+      Hashtbl.add t.slots d slot;
+      Hashtbl.add t.by_position slot.position slot;
+      t.io.Proto_io.broadcast
+        (Dec_share (d, Tdh2.share (enc_sharing t) ~party:t.io.Proto_io.me ct));
+      (* Validate any shares that raced ahead of the ordering. *)
+      let early, rest =
+        List.partition (fun (d', _, _) -> d' = d) t.early_shares
+      in
+      t.early_shares <- rest;
+      List.iter (fun (_, src, shares) -> add_share t d ~src shares) early
 
 and add_share t d ~src shares =
   match Hashtbl.find_opt t.slots d with
@@ -132,23 +128,15 @@ and try_decrypt t slot =
 
 (* Deliver decrypted requests strictly in the agreed order. *)
 and flush_deliveries t =
-  let by_position = List.rev t.order in
-  let rec go () =
-    match List.nth_opt by_position t.next_delivery with
-    | None -> ()
-    | Some d ->
-      let slot = Hashtbl.find t.slots d in
-      (match slot.plaintext with
-      | None -> ()
-      | Some plaintext ->
-        t.next_delivery <- t.next_delivery + 1;
-        Obs.point t.io.Proto_io.obs ~party:t.io.Proto_io.me ~layer:"scabc"
-          ~detail:(Printf.sprintf "pos=%d" slot.position)
-          "deliver";
-        t.deliver ~label:slot.ct.Tdh2.label plaintext;
-        go ())
-  in
-  go ()
+  match Hashtbl.find_opt t.by_position t.next_delivery with
+  | Some { plaintext = Some plaintext; position; ct; _ } ->
+    t.next_delivery <- t.next_delivery + 1;
+    Obs.point t.io.Proto_io.obs ~party:t.io.Proto_io.me ~layer:"scabc"
+      ~detail:(Printf.sprintf "pos=%d" position)
+      "deliver";
+    t.deliver ~label:(Tdh2.ciphertext ct).Tdh2.label plaintext;
+    flush_deliveries t
+  | Some { plaintext = None; _ } | None -> ()
 
 (* ---------- API ----------------------------------------------------- *)
 

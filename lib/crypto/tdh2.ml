@@ -43,9 +43,22 @@ let share_domain = domain ^ "/share"
 let kdf_domain = domain ^ "/kdf"
 
 (* Independent second generator, derived by hashing (nothing up the
-   sleeve: its discrete log w.r.t. g is unknown). *)
+   sleeve: its discrete log w.r.t. g is unknown).  It is a function of
+   the group alone, so each group hashes it once; g' recurs across every
+   ciphertext of a key, so it also earns a fixed-base table. *)
+let g'_by_group : (G.params * G.elt) list ref = ref []
+
 let g' (ps : G.params) : G.elt =
-  G.hash_to_elt ps ~domain:g'_domain [ G.elt_to_bytes ps ps.G.g ]
+  let gp =
+    match List.find_opt (fun (ps', _) -> G.params_equal ps ps') !g'_by_group with
+    | Some (_, gp) -> gp
+    | None ->
+      let gp = G.hash_to_elt ps ~domain:g'_domain [ G.elt_to_bytes ps ps.G.g ] in
+      g'_by_group := (ps, gp) :: List.filteri (fun i _ -> i < 7) !g'_by_group;
+      gp
+  in
+  G.prepare_base ps gp;
+  gp
 
 let challenge ps ~c ~label ~u ~w ~u' ~w' : B.t =
   G.hash_to_exponent ps ~domain:e_domain
@@ -61,68 +74,74 @@ let encrypt (t : Dl_sharing.t) (rng : Prng.t) ~(label : string)
       plaintext
   in
   let gp = g' ps in
-  G.prepare_base ps gp;
   let u = G.exp_g ps k and u' = G.exp ps gp k in
   let w = G.exp_g ps r and w' = G.exp ps gp r in
   let e = challenge ps ~c ~label ~u ~w ~u' ~w' in
   let f = B.add_mod r (B.mul_mod k e ps.G.q) ps.G.q in
   { c; label; u; u'; e; f }
 
-(* Public validity check; servers must refuse to decrypt invalid
-   ciphertexts (this is the CCA2 barrier). *)
-let is_valid (t : Dl_sharing.t) (ct : ciphertext) : bool =
-  let ps = t.Dl_sharing.group in
-  G.is_element ps ct.u && G.is_element ps ct.u'
-  && B.sign ct.f >= 0 && B.lt ct.f ps.G.q
+(* A ciphertext that passed the public validity check on this replica:
+   u and u' lie in the subgroup and (e, f) proves them consistent.
+   Servers must refuse to decrypt anything else (the CCA2 barrier), and
+   only this module builds a [checked], so sharing and combining cannot
+   skip the check. *)
+type checked = ciphertext
+
+(* The consistency proof alone, for u and u' already known to be
+   subgroup members: w = g^f * u^-e (and likewise for g'), where
+   u^-e = u^(q-e) by membership. *)
+let proof_holds ps (ct : ciphertext) : bool =
+  B.sign ct.f >= 0 && B.lt ct.f ps.G.q
   &&
   let gp = g' ps in
-  (* w = g^f * u^-e (and likewise for g').  u and u' passed the
-     membership checks above, so u^-e = u^(q-e).  g' recurs across every
-     ciphertext of a key, so it earns a fixed-base table. *)
-  G.prepare_base ps gp;
   let e' = G.neg_exponent ps ct.e in
   let w = G.exp2 ps ps.G.g ct.f ct.u e' in
   let w' = G.exp2 ps gp ct.f ct.u' e' in
   B.equal ct.e (challenge ps ~c:ct.c ~label:ct.label ~u:ct.u ~w ~u':ct.u' ~w')
 
-let decryption_share (t : Dl_sharing.t) ~(party : int) (ct : ciphertext) :
-    dec_share list option =
+let check (t : Dl_sharing.t) (ct : ciphertext) : checked option =
+  let ps = t.Dl_sharing.group in
+  if G.is_element ps ct.u && G.is_element ps ct.u' && proof_holds ps ct then
+    Some ct
+  else None
+
+let is_valid t ct = Option.is_some (check t ct)
+let ciphertext (ct : checked) : ciphertext = ct
+
+let share (t : Dl_sharing.t) ~(party : int) (ct : checked) : dec_share list =
   Obs_crypto.sign ();
-  if not (is_valid t ct) then None
-  else begin
-    let ps = t.Dl_sharing.group in
-    Some
-      (List.map
-         (fun (s : Lsss.subshare) ->
-           let value = G.exp ps ct.u s.value in
-           let proof =
-             Dleq.prove ps ~domain:share_domain ~x:s.value ~g1:ps.G.g
-               ~h1:t.Dl_sharing.leaf_keys.(s.leaf) ~g2:ct.u ~h2:value
-           in
-           { leaf = s.leaf; value; proof })
-         (Dl_sharing.shares_of t party))
-  end
+  let ps = t.Dl_sharing.group in
+  List.map
+    (fun (s : Lsss.subshare) ->
+      let value = G.exp ps ct.u s.value in
+      let proof =
+        Dleq.prove ps ~domain:share_domain ~x:s.value ~g1:ps.G.g
+          ~h1:t.Dl_sharing.leaf_keys.(s.leaf) ~g2:ct.u ~h2:value
+      in
+      { leaf = s.leaf; value; proof })
+    (Dl_sharing.shares_of t party)
+
+let decryption_share t ~party ct = Option.map (share t ~party) (check t ct)
 
 let check_shape = Share_batch.check_shape
 
-let verify_share (t : Dl_sharing.t) ~(party : int) (ct : ciphertext)
+let verify_share (t : Dl_sharing.t) ~(party : int) (ct : checked)
     (shares : dec_share list) : bool =
   Obs_crypto.share_verify ();
   check_shape t ~party shares
   && Share_batch.verify_proofs t ~domain:share_domain ~base:ct.u shares
 
 (* The shares arrive shape-checked only and are proof-checked here in
-   one batch, pruning attributed-bad parties on failure. *)
-let combine (t : Dl_sharing.t) (ct : ciphertext) ~(avail : Pset.t)
+   one batch, pruning attributed-bad parties on failure.  The
+   ciphertext itself was checked once, when it became a [checked]. *)
+let combine (t : Dl_sharing.t) (ct : checked) ~(avail : Pset.t)
     (shares : (int * dec_share list) list) : string option =
   Obs_crypto.combine ();
-  if not (is_valid t ct) then None
-  else
-    Share_batch.combine t ~domain:share_domain ~base:ct.u ~avail shares
-    |> Option.map (fun (_, shared) ->
-           Ro.xor_pad ~domain:kdf_domain
-             ~key:(G.elt_to_bytes t.Dl_sharing.group shared)
-             ct.c)
+  Share_batch.combine t ~domain:share_domain ~base:ct.u ~avail shares
+  |> Option.map (fun (_, shared) ->
+         Ro.xor_pad ~domain:kdf_domain
+           ~key:(G.elt_to_bytes t.Dl_sharing.group shared)
+           ct.c)
 
 (* Wire encoding, so ciphertexts can be hashed / carried in messages. *)
 let ciphertext_to_bytes (t : Dl_sharing.t) (ct : ciphertext) : string =
@@ -141,3 +160,9 @@ let ciphertext_of_bytes (t : Dl_sharing.t) (raw : string) : ciphertext option =
       let u' = elt r in
       let e = Wire.nat r in
       { c; label; u; u'; e; f = Wire.nat r })
+
+(* Membership was tested by the decoder, so only the proof is left. *)
+let checked_of_bytes (t : Dl_sharing.t) (raw : string) : checked option =
+  match ciphertext_of_bytes t raw with
+  | Some ct when proof_holds t.Dl_sharing.group ct -> Some ct
+  | _ -> None

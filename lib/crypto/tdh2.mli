@@ -24,13 +24,35 @@ type dec_share = Share_batch.share = {
 
 val encrypt : Dl_sharing.t -> Prng.t -> label:string -> string -> ciphertext
 
+type checked
+(** A ciphertext whose subgroup membership ([u], [u']) and consistency
+    proof ([e], [f]) passed on this replica.  Servers must refuse to
+    decrypt an invalid ciphertext (the CCA2 barrier); {!share} and
+    {!combine} take only a [checked], so the check runs once, where the
+    ciphertext enters, and never again.  Protocol code decodes and
+    checks in one step with {!checked_of_bytes}. *)
+
+val check : Dl_sharing.t -> ciphertext -> checked option
+(** Membership of [u] and [u'], then the consistency proof. *)
+
+val checked_of_bytes : Dl_sharing.t -> string -> checked option
+(** {!ciphertext_of_bytes} followed by the consistency proof: the
+    decoder already tested membership, so it is not tested again.
+    Accepts exactly the bytes that decode to a ciphertext passing
+    {!is_valid}. *)
+
+val ciphertext : checked -> ciphertext
+
 val is_valid : Dl_sharing.t -> ciphertext -> bool
-(** Public consistency check; servers must refuse to decrypt invalid
-    ciphertexts (the CCA2 barrier). *)
+(** [check t ct <> None]; for callers holding a raw record. *)
+
+val share : Dl_sharing.t -> party:int -> checked -> dec_share list
+(** [party]'s decryption shares, one per leaf it owns, each [u^{x_l}]
+    with its DLEQ proof. *)
 
 val decryption_share :
   Dl_sharing.t -> party:int -> ciphertext -> dec_share list option
-(** [None] when the ciphertext is invalid. *)
+(** {!check}, then {!share}: [None] when the ciphertext is invalid. *)
 
 val check_shape : Dl_sharing.t -> party:int -> dec_share list -> bool
 (** Structural validity only (share count, leaf bounds, ownership) —
@@ -38,23 +60,24 @@ val check_shape : Dl_sharing.t -> party:int -> dec_share list -> bool
     {!combine}. *)
 
 val verify_share :
-  Dl_sharing.t -> party:int -> ciphertext -> dec_share list -> bool
+  Dl_sharing.t -> party:int -> checked -> dec_share list -> bool
 (** Shape plus proofs; two or more proofs are checked as one batch. *)
 
 val combine :
   Dl_sharing.t ->
-  ciphertext ->
+  checked ->
   avail:Pset.t ->
   (int * dec_share list) list ->
   string option
 (** Recover the plaintext from shares of a sharing-qualified set.  The
     shares are proof-checked here with one batched check, pruning
-    attributed-bad parties on failure. *)
+    attributed-bad parties on failure; the ciphertext is not checked
+    again.  An unqualified [avail] costs only the qualification test. *)
 
 val ciphertext_to_bytes : Dl_sharing.t -> ciphertext -> string
 val ciphertext_of_bytes : Dl_sharing.t -> string -> ciphertext option
 (** Inverse of {!ciphertext_to_bytes}: [None] on malformed bytes or a
     group element outside the subgroup.  Canonical: elements must be
     fixed-width and [e], [f] minimal big-endian, so bytes that decode
-    re-encode to themselves (and so hash to the same slot).  The caller
-    still runs {!is_valid}. *)
+    re-encode to themselves (and so hash to the same slot).  The
+    consistency proof is not checked: {!checked_of_bytes} does both. *)

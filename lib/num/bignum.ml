@@ -100,9 +100,16 @@ let is_even a = not (testbit a 0)
    30 bits and the matrix applies to the full operands with one pass of
    single-limb products.  When the top bits are the whole operands the
    quotient is exact.  A round that can take no quotient (a large one,
-   or an ambiguous one) does one long division instead. *)
-let cosequence ~want_u ~want_v (x : int array) (y : int array) =
+   or an ambiguous one) does one long division instead.
+
+   [on_step], when given, sees every Euclid step r_(i+1) = r_(i-1) - q r_i
+   as (r_(i-1) mod 8, r_i mod 8, r_(i+1) mod 8): the low bits of the
+   full operands follow from the quotients alone, so a step costs a few
+   native-int operations and allocates nothing ([jacobi] reads its
+   symbol off them). *)
+let cosequence ?on_step ~want_u ~want_v (x : int array) (y : int array) =
   let bound = 1 lsl 30 in
+  let low3 a = if Limbs.is_zero a then 0 else a.(0) land 7 in
   let x = ref x and y = ref y and odd = ref false in
   let u0 = ref [| 1 |] and u1 = ref Limbs.zero in
   let v0 = ref Limbs.zero and v1 = ref [| 1 |] in
@@ -118,6 +125,7 @@ let cosequence ~want_u ~want_v (x : int array) (y : int array) =
     let xh = ref (Limbs.bits_from !x s) and yh = ref (Limbs.bits_from !y s) in
     let a = ref 1 and b = ref 0 and c = ref 0 and d = ref 1 in
     let steps = ref 0 and go = ref true in
+    let xl = ref (low3 !x) and yl = ref (low3 !y) in
     while !go do
       let q =
         if s = 0 then if !yh = 0 then -1 else !xh / !yh
@@ -139,12 +147,20 @@ let cosequence ~want_u ~want_v (x : int array) (y : int array) =
           let r = !xh - (q * !yh) in
           xh := !yh;
           yh := r;
+          (match on_step with
+          | None -> ()
+          | Some f ->
+            let rl = (!xl - (q * !yl)) land 7 in
+            f !xl !yl rl;
+            xl := !yl;
+            yl := rl);
           incr steps
         end
       end
     done;
     if !steps = 0 then begin
       let q, r = Limbs.divmod !x !y in
+      Option.iter (fun f -> f !xl !yl (low3 r)) on_step;
       x := !y;
       y := r;
       let step z0 z1 =
@@ -184,62 +200,49 @@ let egcd_with ~want_v a b =
 (* Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b). *)
 let egcd a b = egcd_with ~want_v:true a b
 
-(* Jacobi symbol (a/n) for odd positive n, by the binary reciprocity
-   algorithm: GCD-style reductions only, no exponentiation.  For a prime
-   n this decides quadratic residuosity, which is what makes it the
-   cheap subgroup-membership test for Schnorr groups (p = 2q + 1): an
-   element lies in the order-q subgroup iff its Jacobi symbol mod p is
-   1.  Cost is a handful of divisions — negligible next to the
-   [pow_mod] that [x^q = 1] membership testing would spend. *)
+(* Jacobi symbol (a/n) for odd positive n, read off Euclid's remainder
+   sequence of (n, a mod n) as [cosequence] computes it, so the
+   reductions run in Lehmer rounds and no step allocates.  For a prime
+   n it decides quadratic residuosity, which is what makes it the cheap
+   subgroup-membership test for Schnorr groups (p = 2q + 1): an element
+   lies in the order-q subgroup iff its Jacobi symbol mod p is 1.
+
+   Each step replaces (x, y), x > y, by (y, r) with r = x - q y.  One of
+   x, y is the odd "denominator" d and the other the numerator m, and
+   the symbol is acc * (m/d):
+   - d = y: (x/y) = (r/y), and y is now the first of the pair;
+   - d = x, y odd: (y/x) = (x/y) = (r/y) up to the reciprocity sign,
+     -1 iff x = y = 3 (mod 4); the denominator moves to y;
+   - d = x, y even: r = x - q y is odd, and (y/x) = (y/r) up to a sign
+     that only y = 2 (mod 4) can make -1: with y = 2y', it is
+     (2/x)(2/r) times the reciprocity signs of y' against x and r.  The
+     denominator moves to r.
+   The sequence ends at (gcd, 0) with the denominator first: the symbol
+   is acc when the gcd is 1 and 0 otherwise. *)
 let jacobi a n =
   if n.sign <= 0 || is_even n then
     invalid_arg "Bignum.jacobi: modulus must be odd and positive";
-  let low3 v = (* v mod 8, for the 2-adic reciprocity rule *)
-    (if testbit v 0 then 1 else 0)
-    lor (if testbit v 1 then 2 else 0)
-    lor (if testbit v 2 then 4 else 0)
-  in
-  (* Native-int tail: most of the Euclid chain runs on operands that fit
-     a machine word, where a division step costs nanoseconds instead of
-     a multi-limb divmod.  Same reciprocity rules, int arithmetic. *)
-  let rec go_int a n acc =
-    if a = 0 then if n = 1 then acc else 0
+  let acc = ref 1 and den_first = ref true in
+  let minus_two v = v = 3 || v = 5 (* (2/v) = -1, for v mod 8 *) in
+  let step xl yl rl =
+    if not !den_first then den_first := true
+    else if yl land 1 = 1 then begin
+      if xl land 3 = 3 && yl land 3 = 3 then acc := - !acc
+    end
     else begin
-      let tz =
-        let rec count a i = if a land 1 = 1 then i else count (a lsr 1) (i + 1) in
-        count a 0
-      in
-      let a = a lsr tz in
-      let n8 = n land 7 in
-      let acc = if tz land 1 = 1 && (n8 = 3 || n8 = 5) then -acc else acc in
-      let acc = if a land 2 = 2 && n land 2 = 2 then -acc else acc in
-      go_int (n mod a) a acc
+      if yl land 3 = 2 then begin
+        let y'3 = yl land 4 = 4 (* y' = 3 mod 4 *) in
+        let eps v = y'3 && v land 3 = 3 in
+        if minus_two xl <> minus_two rl then acc := - !acc;
+        if eps xl <> eps rl then acc := - !acc
+      end;
+      den_first := false
     end
   in
-  let to_int v = match to_int_opt v with Some i -> i | None -> assert false in
-  let rec go a n acc =
-    (* invariant: n odd positive, 0 <= a < n *)
-    if is_zero a then if equal n one then acc else 0
-    else if numbits n <= 62 then go_int (to_int a) (to_int n) acc
-    else begin
-      (* strip factors of two: (2/n) = -1 iff n = ±3 mod 8 *)
-      let tz =
-        let rec count i = if testbit a i then i else count (i + 1) in
-        count 0
-      in
-      let a = if tz = 0 then a else shift_right a tz in
-      let n8 = low3 n in
-      let acc =
-        if tz land 1 = 1 && (n8 = 3 || n8 = 5) then -acc else acc
-      in
-      (* reciprocity: flip sign iff both a, n = 3 mod 4 *)
-      let acc =
-        if testbit a 1 && testbit n 1 then -acc else acc
-      in
-      go (erem n a) a acc
-    end
+  let g, _, _, _ =
+    cosequence ~on_step:step ~want_u:false ~want_v:false n.mag (erem a n).mag
   in
-  go (erem a n) n 1
+  if Limbs.compare g [| 1 |] = 0 then !acc else 0
 
 let add_mod a b m = erem (add a b) m
 let sub_mod a b m = erem (sub a b) m

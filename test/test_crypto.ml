@@ -157,6 +157,7 @@ let coin_tests =
 let tdh2_tests =
   let sharing = deal ~seed:9 th43 in
   let rng () = Prng.create ~seed:123 in
+  let checked ?(sh = sharing) ct = Option.get (Tdh2.check sh ct) in
   [ Alcotest.test_case "encrypt/decrypt roundtrip" `Quick (fun () ->
         let msg = "attack at dawn" in
         let ct = Tdh2.encrypt sharing (rng ()) ~label:"client-1" msg in
@@ -172,10 +173,11 @@ let tdh2_tests =
         List.iter
           (fun (i, s) ->
             Alcotest.(check bool) "share verifies" true
-              (Tdh2.verify_share sharing ~party:i ct s))
+              (Tdh2.verify_share sharing ~party:i (checked ct) s))
           shares;
         Alcotest.(check (option string)) "decrypts" (Some msg)
-          (Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 2 ]) shares));
+          (Tdh2.combine sharing (checked ct) ~avail:(Pset.of_list [ 0; 2 ])
+             shares));
     Alcotest.test_case "tampered ciphertext rejected" `Quick (fun () ->
         let ct = Tdh2.encrypt sharing (rng ()) ~label:"l" "secret" in
         let bad = { ct with Tdh2.c = ct.Tdh2.c ^ "x" } in
@@ -191,6 +193,34 @@ let tdh2_tests =
         let ct = Tdh2.encrypt sharing (rng ()) ~label:"l" "secret" in
         let bad = { ct with Tdh2.u = G.mul ps ct.Tdh2.u ps.G.g } in
         Alcotest.(check bool) "u swap invalid" false (Tdh2.is_valid sharing bad));
+    Alcotest.test_case "every tampered field yields no checked ciphertext"
+      `Quick (fun () ->
+        let ct = Tdh2.encrypt sharing (rng ()) ~label:"l" "secret" in
+        let from_bytes ct =
+          Tdh2.checked_of_bytes sharing (Tdh2.ciphertext_to_bytes sharing ct)
+        in
+        Alcotest.(check bool) "honest record checks" true
+          (Tdh2.check sharing ct <> None);
+        Alcotest.(check bool) "honest bytes check" true (from_bytes ct <> None);
+        (* p = 2q + 1 with q odd, so -1 is a non-residue and p - u lies
+           outside the order-q subgroup. *)
+        let outside = B.sub ps.G.p ct.Tdh2.u in
+        Alcotest.(check bool) "p - u is no subgroup member" false
+          (G.is_element ps outside);
+        List.iter
+          (fun (field, bad) ->
+            Alcotest.(check bool) (field ^ ": record") true
+              (Tdh2.check sharing bad = None);
+            Alcotest.(check bool) (field ^ ": bytes") true (from_bytes bad = None))
+          [ ("u outside the subgroup", { ct with Tdh2.u = outside });
+            ( "u and u' swapped",
+              { ct with Tdh2.u = ct.Tdh2.u'; u' = ct.Tdh2.u } );
+            ("e + 1", { ct with Tdh2.e = B.add ct.Tdh2.e B.one });
+            ("e - 1", { ct with Tdh2.e = B.sub ct.Tdh2.e B.one });
+            ("f + 1", { ct with Tdh2.f = B.add ct.Tdh2.f B.one });
+            ("f - 1", { ct with Tdh2.f = B.sub ct.Tdh2.f B.one });
+            ("label", { ct with Tdh2.label = "m" });
+            ("symmetric part", { ct with Tdh2.c = ct.Tdh2.c ^ "x" }) ]);
     Alcotest.test_case "bogus decryption share rejected" `Quick (fun () ->
         let ct = Tdh2.encrypt sharing (rng ()) ~label:"l" "secret" in
         match Tdh2.decryption_share sharing ~party:0 ct with
@@ -198,7 +228,7 @@ let tdh2_tests =
         | Some [ s ] ->
           let bad = { s with Tdh2.value = G.mul ps s.Tdh2.value ps.G.g } in
           Alcotest.(check bool) "rejected" false
-            (Tdh2.verify_share sharing ~party:0 ct [ bad ])
+            (Tdh2.verify_share sharing ~party:0 (checked ct) [ bad ])
         | Some _ -> Alcotest.fail "expected single leaf");
     Alcotest.test_case "unqualified cannot decrypt" `Quick (fun () ->
         let ct = Tdh2.encrypt sharing (rng ()) ~label:"l" "secret" in
@@ -210,7 +240,7 @@ let tdh2_tests =
             [ 3 ]
         in
         Alcotest.(check (option string)) "singleton fails" None
-          (Tdh2.combine sharing ct ~avail:(Pset.singleton 3) shares));
+          (Tdh2.combine sharing (checked ct) ~avail:(Pset.singleton 3) shares));
     Alcotest.test_case "roundtrip over example2 structure" `Quick (fun () ->
         let s2 = Canonical_structures.example2 () in
         let sh2 = deal ~seed:21 s2 in
@@ -228,7 +258,7 @@ let tdh2_tests =
             (List.init 16 Fun.id)
         in
         Alcotest.(check (option string)) "survivors decrypt" (Some msg)
-          (Tdh2.combine sh2 ct ~avail:good shares);
+          (Tdh2.combine sh2 (checked ~sh:sh2 ct) ~avail:good shares);
         (* the corrupted coalition cannot *)
         let badshares =
           List.filter_map
@@ -239,7 +269,7 @@ let tdh2_tests =
             (List.init 16 Fun.id)
         in
         Alcotest.(check (option string)) "coalition blocked" None
-          (Tdh2.combine sh2 ct ~avail:bad badshares));
+          (Tdh2.combine sh2 (checked ~sh:sh2 ct) ~avail:bad badshares));
     qtest ~count:20 "roundtrip random messages"
       QCheck2.Gen.(pair string (small_string ~gen:printable))
       (fun (msg, label) ->
@@ -252,7 +282,8 @@ let tdh2_tests =
                 (Tdh2.decryption_share sharing ~party:i ct))
             [ 1; 3 ]
         in
-        Tdh2.combine sharing ct ~avail:(Pset.of_list [ 1; 3 ]) shares = Some msg)
+        Tdh2.combine sharing (checked ct) ~avail:(Pset.of_list [ 1; 3 ]) shares
+        = Some msg)
   ]
 
 let rsa_tests =
@@ -454,6 +485,7 @@ let crypto_transcript ~n ~t ~seed =
       "golden plaintext"
   in
   flag (Tdh2.is_valid kr.Keyring.enc ct);
+  let checked = Option.get (Tdh2.check kr.Keyring.enc ct) in
   let dec =
     List.filter_map
       (fun p ->
@@ -464,11 +496,11 @@ let crypto_transcript ~n ~t ~seed =
   List.iter
     (fun (p, shs) ->
       dleq_shares shs;
-      flag (Tdh2.verify_share kr.Keyring.enc ~party:p ct shs))
+      flag (Tdh2.verify_share kr.Keyring.enc ~party:p checked shs))
     dec;
   Buffer.add_string buf
     (Option.value ~default:"no-plaintext"
-       (Tdh2.combine kr.Keyring.enc ct ~avail:(Pset.of_list parties) dec));
+       (Tdh2.combine kr.Keyring.enc checked ~avail:(Pset.of_list parties) dec));
   let rsa = List.map (fun p -> (p, Keyring.service_sign_share kr ~party:p msg)) parties in
   List.iter
     (fun (p, sh) ->
@@ -622,7 +654,8 @@ let batch_tests =
         in
         Alcotest.(check (option string)) "decrypts despite corruption"
           (Some msg)
-          (Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 1; 2 ]) corrupt));
+          (Tdh2.combine sharing (Option.get (Tdh2.check sharing ct))
+             ~avail:(Pset.of_list [ 0; 1; 2 ]) corrupt));
     Alcotest.test_case "lazy rsa combine falls back past bad share" `Quick
       (fun () ->
         let keys = Rsa_threshold.deal ~bits:192 ~n:4 ~k:2 (Prng.create ~seed:37) in

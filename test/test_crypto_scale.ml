@@ -77,7 +77,8 @@ let tests =
             [ 1; 2 ]
         in
         Alcotest.(check (option string)) "roundtrip" (Some msg)
-          (Tdh2.combine sharing ct ~avail:(Pset.of_list [ 1; 2 ]) shares));
+          (Tdh2.combine sharing (Option.get (Tdh2.check sharing ct))
+             ~avail:(Pset.of_list [ 1; 2 ]) shares));
     Alcotest.test_case "dealer determinism: same seed, same public material"
       `Quick (fun () ->
         let s = AS.threshold ~n:4 ~t:1 in

@@ -137,7 +137,8 @@ let proactive_tests =
               q
           in
           Alcotest.(check (option string)) "decrypts after refresh" (Some "msg")
-            (Tdh2.combine sh' ct ~avail:(Pset.of_list q) shares))
+            (Tdh2.combine sh' (Option.get (Tdh2.check sh' ct))
+               ~avail:(Pset.of_list q) shares))
   ]
 
 let hybrid_tests =

@@ -522,7 +522,8 @@ let crypto_fuzz_tests =
             honest
         in
         let got =
-          Tdh2.combine sharing ct ~avail:(Pset.of_list [ 0; 1; 2 ]) shares
+          Tdh2.combine sharing (Option.get (Tdh2.check sharing ct))
+            ~avail:(Pset.of_list [ 0; 1; 2 ]) shares
         in
         if 3 - ncorrupt >= 2 then got = Some msg else got = None);
     qtest ~count:70 "lazy rsa combine never emits an invalid signature"
@@ -1068,6 +1069,36 @@ let wire_tests =
           (Tdh2.ciphertext_of_bytes sharing
              (fields (elt ct.Tdh2.u) ("\000" ^ nat ct.Tdh2.e))
           = None));
+    qtest ~count:300
+      "tdh2 checked_of_bytes = decode then is_valid, under every bit flip"
+      QCheck2.Gen.(pair (int_range 0 3) (int_range (-1) 100_000))
+      (fun (seed, bit) ->
+        (* bit = -1 keeps the honest bytes, which both paths accept *)
+        let sharing = Lazy.force fsharing in
+        let ct =
+          Tdh2.encrypt sharing (Prng.create ~seed:(0x7d2 + seed)) ~label:"lbl"
+            "secret"
+        in
+        let raw = Tdh2.ciphertext_to_bytes sharing ct in
+        let b = Bytes.of_string raw in
+        if bit >= 0 then begin
+          let i = bit mod (8 * Bytes.length b) in
+          Bytes.set b (i / 8)
+            (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))))
+        end;
+        let flipped = Bytes.to_string b in
+        let reference =
+          match Tdh2.ciphertext_of_bytes sharing flipped with
+          | Some ct -> Tdh2.is_valid sharing ct
+          | None -> false
+        in
+        let checked = Tdh2.checked_of_bytes sharing flipped in
+        Option.is_some checked = reference
+        && (bit >= 0 || reference)
+        && Option.fold ~none:true
+             ~some:(fun c ->
+               Tdh2.ciphertext_to_bytes sharing (Tdh2.ciphertext c) = flipped)
+             checked);
     Alcotest.test_case "keyring share and signature bytes are canonical"
       `Quick (fun () ->
         let check_keyring name kr =

@@ -534,6 +534,23 @@ module Ref = struct
   let inv_mod a m =
     let g, u, _ = egcd (B.erem a m) m in
     if B.equal g B.one then Some (B.erem u m) else None
+
+  (* Binary reciprocity on bignums, one allocating [erem] and shift per
+     step: strip the twos of a ((2/n) = -1 iff n = 3, 5 mod 8), flip on
+     a = n = 3 mod 4, recurse on (n mod a, a). *)
+  let jacobi a n =
+    let low k v = B.to_int_opt (B.erem v (B.of_int k)) |> Option.get in
+    let rec go a n acc =
+      if B.is_zero a then if B.equal n B.one then acc else 0
+      else begin
+        let rec twos a k = if B.is_even a then twos (B.shift_right a 1) (k + 1) else (a, k) in
+        let a, k = twos a 0 in
+        let acc = if k land 1 = 1 && (low 8 n = 3 || low 8 n = 5) then -acc else acc in
+        let acc = if low 4 a = 3 && low 4 n = 3 then -acc else acc in
+        go (B.erem n a) a acc
+      end
+    in
+    go (B.erem a n) n 1
 end
 
 (* Odd moduli of exactly [bits] bits: a random one, the all-ones one,
@@ -730,7 +747,63 @@ let lehmer_tests =
         && Option.is_some (Ref.inv_mod a m) = Option.is_some (B.inv_mod a m))
   ]
 
+(* Euler's criterion: for an odd prime p, (a/p) = a^((p-1)/2) mod p,
+   read as 1, p - 1 (for -1) or 0. *)
+let euler a p =
+  let r = naive_pow_mod ~base:(B.erem a p) ~exp:(B.shift_right p 1) ~modulus:p in
+  if B.is_zero r then 0 else if B.equal r B.one then 1 else -1
+
+(* Primes of 1 to 5 31-bit limbs, the smallest odd ones included. *)
+let jacobi_primes =
+  let rng = Prng.create ~seed:0x1AC0B1 in
+  List.map B.of_int [ 3; 5; 7; 11; 13 ]
+  @ List.map (fun bits -> Primes.random_prime rng ~bits)
+      [ 5; 20; 31; 32; 61; 62; 63; 64; 93; 94; 96; 124; 128; 155 ]
+
+let jacobi_edges p =
+  let big = B.shift_left B.one (B.numbits p + 40) in
+  [ B.zero; p; B.mul p (B.of_int 6); B.neg p; B.one; B.two; B.of_int 4;
+    B.of_int 8; B.pred p; B.sub p B.two; B.succ p; B.neg B.one; B.neg B.two;
+    B.shift_left B.one (B.numbits p); big; B.add big B.two; B.mul p big ]
+
+let jacobi_tests =
+  let open QCheck2.Gen in
+  [ Alcotest.test_case "jacobi = Euler's criterion (edge operands)" `Quick
+      (fun () ->
+        List.iter
+          (fun p ->
+            List.iter
+              (fun a ->
+                Alcotest.(check int)
+                  (Printf.sprintf "(%s/%s)" (B.to_string a) (B.to_string p))
+                  (euler a p) (B.jacobi a p))
+              (jacobi_edges p))
+          jacobi_primes;
+        List.iter
+          (fun a -> Alcotest.(check int) "(a/1)" 1 (B.jacobi a B.one))
+          [ B.zero; B.one; B.two; B.of_int 1000; B.neg (B.of_int 7) ]);
+    qtest ~count:400 "jacobi = Euler's criterion (random a, primes of 1-5 limbs)"
+      (pair (int_range 0 (List.length jacobi_primes - 1)) (gen_bignum ~bits:320 ()))
+      (fun (i, a) ->
+        let p = List.nth jacobi_primes i in
+        B.jacobi a p = euler a p);
+    qtest ~count:300 "jacobi = reference (random odd moduli)"
+      (pair (gen_bignum ~bits:500 ()) (gen_bignum ~bits:400 ()))
+      (fun (a, n) ->
+        let n = B.abs n in
+        let n = if B.is_even n then B.succ n else n in
+        B.jacobi a n = Ref.jacobi a n);
+    Alcotest.test_case "jacobi rejects an even or non-positive modulus" `Quick
+      (fun () ->
+        List.iter
+          (fun n ->
+            Alcotest.check_raises (B.to_string n)
+              (Invalid_argument "Bignum.jacobi: modulus must be odd and positive")
+              (fun () -> ignore (B.jacobi B.one n)))
+          [ B.zero; B.two; B.neg (B.of_int 3) ])
+  ]
+
 let suite =
   ( "num",
     unit_tests @ prop_tests @ fastpath_tests @ fixed_base_tests @ kernel_tests
-    @ lehmer_tests )
+    @ lehmer_tests @ jacobi_tests )

@@ -565,7 +565,59 @@ let scabc_tests =
           ~until:(fun () -> Array.for_all (fun l -> List.length l >= 1) logs);
         Array.iter
           (fun l -> Alcotest.(check (list string)) "only legit" [ "legit" ] l)
-          logs)
+          logs);
+    Alcotest.test_case
+      "scabc: ordered garbage and invalid ciphertexts are skipped, later ones \
+       deliver in order"
+      `Quick (fun () ->
+        let kr = keyring th41 in
+        let sim = Sim.create ~n:4 ~seed:2700 () in
+        let logs = Array.make 4 [] in
+        let nodes =
+          Stack.deploy_scabc ~sim ~keyring:kr ~tag:"scabc-3"
+            ~deliver:(fun me ~label:_ payload -> logs.(me) <- payload :: logs.(me)) ()
+        in
+        let enc = kr.Keyring.enc in
+        let rng = Prng.create ~seed:79 in
+        let first = Scabc.encrypt_request kr rng ~label:"c" "first" in
+        (* decodes (its elements are subgroup members) but its
+           consistency proof fails *)
+        let invalid =
+          let ct = Tdh2.encrypt enc rng ~label:"c" "forged" in
+          Tdh2.ciphertext_to_bytes enc
+            { ct with Tdh2.f = Bignum.add ct.Tdh2.f Bignum.one }
+        in
+        Alcotest.(check bool) "invalid decodes" true
+          (Tdh2.ciphertext_of_bytes enc invalid <> None);
+        Alcotest.(check bool) "but is not checked" true
+          (Tdh2.checked_of_bytes enc invalid = None);
+        let ordered () =
+          Array.for_all (fun t -> Abc.delivered_count (Scabc.abc t) >= 3) nodes
+        in
+        Scabc.broadcast nodes.(0) first;
+        Scabc.broadcast nodes.(1) "garbage, not a ciphertext";
+        Scabc.broadcast nodes.(2) invalid;
+        Sim.run sim ~until:(fun () ->
+            ordered () && Array.for_all (fun l -> List.length l >= 1) logs);
+        let later = [ "second"; "third"; "fourth" ] in
+        List.iteri
+          (fun i p ->
+            Scabc.broadcast nodes.(i) (Scabc.encrypt_request kr rng ~label:"c" p))
+          later;
+        Sim.run sim ~until:(fun () -> Array.for_all (fun l -> List.length l >= 4) logs);
+        let l0 = List.rev logs.(0) in
+        Alcotest.(check string) "first delivered first" "first" (List.hd l0);
+        Alcotest.(check (list string)) "then the later ones, and nothing else"
+          (List.sort compare later) (List.sort compare (List.tl l0));
+        Array.iteri
+          (fun i t ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "replica %d: same order" i) l0 (List.rev logs.(i));
+            Alcotest.(check int) "every ciphertext ordered" 6
+              (Abc.delivered_count (Scabc.abc t));
+            Alcotest.(check int) "only the valid ones delivered" 4
+              (Scabc.delivered_count t))
+          nodes)
   ]
 
 
@@ -621,6 +673,34 @@ let memo_tests =
           (Proto_io.verify_signature io ~party:1 "other statement" sg);
         Alcotest.(check int) "failures are never recorded" 1
           (Proto_io.memo_size io.Proto_io.memo));
+    Alcotest.test_case
+      "memo: a statement one byte away from a memoized one misses" `Quick
+      (fun () ->
+        let io = memo_io kr in
+        (* long, like an ABC proposal statement that embeds its batch *)
+        let stmt = String.init 4096 (fun i -> Char.chr (i mod 251)) in
+        let sg = Keyring.sign kr ~party:1 stmt in
+        Alcotest.(check bool) "genuine accepted" true
+          (Proto_io.verify_signature io ~party:1 stmt sg);
+        Alcotest.(check int) "memoized" 1 (Proto_io.memo_size io.Proto_io.memo);
+        List.iter
+          (fun i ->
+            let near = Bytes.of_string stmt in
+            Bytes.set near i (Char.chr (Char.code stmt.[i] lxor 1));
+            Alcotest.(check bool)
+              (Printf.sprintf "byte %d changed: rejected" i)
+              false
+              (Proto_io.verify_signature io ~party:1 (Bytes.to_string near) sg))
+          [ 0; 2048; 4095 ];
+        Alcotest.(check bool) "one byte longer: rejected" false
+          (Proto_io.verify_signature io ~party:1 (stmt ^ "\000") sg);
+        Alcotest.(check bool) "one byte shorter: rejected" false
+          (Proto_io.verify_signature io ~party:1 (String.sub stmt 0 4095) sg);
+        Alcotest.(check int) "no entry added" 1
+          (Proto_io.memo_size io.Proto_io.memo);
+        Alcotest.(check bool) "the memoized statement still hits" true
+          (Proto_io.verify_signature io ~party:1 (String.init 4096 (fun i ->
+               Char.chr (i mod 251))) sg));
     Alcotest.test_case
       "memo: a certificate mixing memoized and forged signatures is rejected"
       `Quick (fun () ->

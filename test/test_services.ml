@@ -895,7 +895,40 @@ let reply_path_tests =
             (* Measured on the same cell before replies dropped their
                proofs: a bare share is still one signing operation. *)
             Alcotest.(check int) "signing operations" 190
-              (Obs_crypto.count Obs_crypto.Sign)))
+              (Obs_crypto.count Obs_crypto.Sign)));
+    Alcotest.test_case "benign notary svc run: each ciphertext checked once"
+      `Quick (fun () ->
+        let cfg =
+          Svc.default_config ~seeds:1 ~requests:12 ~clients:2 ~window:2
+            ~keyspace:4 ~kinds:[ Svc.Notary_svc ] ~variants:[ Svc.Benign ] ()
+        in
+        let env = Svc.prepare cfg in
+        Obs_crypto.enable ();
+        Obs_crypto.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs_crypto.disable ();
+            Obs_crypto.reset ())
+          (fun () ->
+            let r =
+              Svc.run_one env cfg ~kind:Svc.Notary_svc ~variant:Svc.Benign
+                ~seed:1
+            in
+            Alcotest.(check int) "every request completed" r.Svc.vr_target
+              r.Svc.vr_completed;
+            (* Measured on the same cell while every replica re-checked
+               each ciphertext before sharing and at every combine: the
+               protocol work is unchanged, only the repeated checks
+               (two membership and two proof exponentiations each) go. *)
+            List.iter
+              (fun (name, kind, before) ->
+                Alcotest.(check int) name before (Obs_crypto.count kind))
+              [ ("signing operations", Obs_crypto.Sign, 196);
+                ("combines", Obs_crypto.Combine, 112);
+                ("signature checks", Obs_crypto.Verify, 412);
+                ("batched share checks", Obs_crypto.Batch_verify, 44) ];
+            Alcotest.(check bool) "fewer modular exponentiations" true
+              (Obs_crypto.count Obs_crypto.Modexp < 552)))
   ]
 
 (* Reply bodies carry integers in exactly the form [string_of_int]
