@@ -24,7 +24,7 @@
          sequencer fast path vs. full agreement, and crash recovery
      S1  CA / directory service end-to-end with a Byzantine server
      S2  Notary confidentiality: SC-ABC vs. plain ABC front-running
-     C1  Threshold-crypto micro-benchmarks (Bechamel)
+     C1  Threshold-crypto and scheduler micro-benchmarks (Bechamel)
      C2  Bignum substrate micro-benchmarks (Bechamel)
 *)
 
@@ -822,11 +822,11 @@ let s2 () =
     ok_p leak_p
 
 (* ------------------------------------------------------------------ *)
-(* C1: crypto micro-benchmarks (Bechamel)                              *)
+(* C1: crypto and scheduler micro-benchmarks (Bechamel)                *)
 (* ------------------------------------------------------------------ *)
 
 let c1 () =
-  header "C1" "Threshold-cryptography micro-benchmarks";
+  header "C1" "Threshold-cryptography and scheduler micro-benchmarks";
   let open Bechamel in
   let structure = AS.threshold ~n:4 ~t:1 in
   let kr = keyring structure in
@@ -922,8 +922,51 @@ let c1 () =
                ignore (Rsa_threshold.combine rsa7 "bench-msg" one_bad)))
       ]
   in
+  (* The scheduler in steady state: each run sends one envelope and
+     steps once under [Random_order], so the queue stays at [pending].
+     The chaos spec has the 12 client-link overrides of the lossy-crash
+     workload and no fault, so it adds the per-link lookups and nothing
+     else. *)
+  let sim_step ~pending ~chaos =
+    let sim : int Sim.t = Sim.create ~n:4 ~seed:1 () in
+    for p = 0 to 11 do
+      Sim.set_handler sim p (fun ~src:_ _ -> ())
+    done;
+    if chaos then
+      Sim.set_chaos sim
+        (Some
+           { Sim.benign_chaos with
+             Sim.links =
+               List.concat_map
+                 (fun r -> List.init 3 (fun i -> ((r, 4 + i), Sim.no_fault)))
+                 [ 0; 1; 2; 3 ] });
+    let i = ref 0 in
+    let send () =
+      incr i;
+      Sim.send sim ~src:(!i mod 4) ~dst:(!i mod 7) !i
+    in
+    for _ = 1 to pending do
+      send ()
+    done;
+    Test.make
+      ~name:
+        (Printf.sprintf "%d pending%s" pending (if chaos then ", chaos" else ""))
+      (Staged.stage (fun () ->
+           send ();
+           ignore (Sim.step sim)))
+  in
+  let sim_tests =
+    Test.make_grouped ~name:"sim.step"
+      (List.concat_map
+         (fun pending ->
+           [ sim_step ~pending ~chaos:false; sim_step ~pending ~chaos:true ])
+         [ 100; 1_000; 10_000 ])
+  in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
+  let raw =
+    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ]
+      (Test.make_grouped ~name:"" ~fmt:"%s%s" [ tests; sim_tests ])
+  in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -933,8 +976,10 @@ let c1 () =
     (Printf.sprintf "time (us), %d-bit group" (Bignum.numbits ps.Schnorr_group.p));
   List.iter
     (fun (name, r) ->
+      let digits = if String.starts_with ~prefix:"sim." name then 3 else 1 in
       match Analyze.OLS.estimates r with
-      | Some (est :: _) -> Printf.printf "%-40s %14.1f\n" name (est /. 1000.0)
+      | Some (est :: _) ->
+        Printf.printf "%-40s %14.*f\n" name digits (est /. 1000.0)
       | Some [] | None -> Printf.printf "%-40s %14s\n" name "n/a")
     (List.sort compare rows)
 

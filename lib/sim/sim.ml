@@ -65,14 +65,22 @@ type partition = {
 
 type chaos = {
   default_link : link_fault;
-  links : ((party * party) * link_fault) list;  (* per-link overrides *)
+  links : ((party * party) * link_fault) list;
+      (* per-link overrides; the first entry wins for a repeated pair *)
   partitions : partition list;
 }
 
 let benign_chaos =
   { default_link = no_fault; links = []; partitions = [] }
 
-type chaos_state = { spec : chaos; crng : Prng.t }
+type chaos_state = {
+  spec : chaos;
+  crng : Prng.t;
+  faults : link_fault array;
+      (* the fault of link (src, dst) at [src * slots + dst], overrides
+         applied: built once by [set_chaos], so a send or a delivery
+         looks its link up by index *)
+}
 
 let check_rate what r =
   if not (r >= 0.0 && r <= 1.0) then
@@ -85,11 +93,6 @@ let check_fault lf =
   if not (lf.delay >= 0.0 && lf.delay <= 1_000.0) then
     invalid_arg
       (Printf.sprintf "Sim.set_chaos: delay factor %g not in [0,1000]" lf.delay)
-
-let link_fault_for spec ~src ~dst =
-  match List.assoc_opt (src, dst) spec.links with
-  | Some lf -> lf
-  | None -> spec.default_link
 
 (* Cell index of a party; every party outside all listed cells shares
    the implicit cell -1, so two unlisted parties are never separated. *)
@@ -139,10 +142,16 @@ type 'msg t = {
   mutable clock : float;
   mutable seq : int;
   mutable queue : 'msg envelope option array;
-      (* pending envelopes oldest first in slots [0, len); every slot at
-         or above [len] is [None], so the queue never keeps a delivered
-         or dropped envelope alive *)
-  mutable len : int;
+      (* pending envelopes by push stamp: the envelope pushed at stamp
+         [s] sits in slot [s] until it is taken, which leaves a [None]
+         hole, and every slot at or above [top] is [None], so the queue
+         never keeps a delivered or dropped envelope alive.  The length
+         is a power of two. *)
+  mutable fen : int array;
+      (* Fenwick tree over the stamps, 1-based: [fen.(i)] counts the
+         occupied stamps in [\[i - lowbit i, i)] *)
+  mutable top : int;  (* the next push stamp *)
+  mutable live : int;  (* pending envelopes: the occupied stamps *)
   handlers : 'msg handler option array;
   crashed : bool array;
   mutable timers : (float * party * (unit -> unit)) list;
@@ -158,6 +167,8 @@ type 'msg t = {
       (* protocol-level diagnostics rendered into Out_of_steps *)
 }
 
+let initial_capacity = 16
+
 let create ?(policy = Random_order) ?(extra = 8) ?(size = fun _ -> 1)
     ?(obs = Obs.noop) ~n ~seed () : 'msg t =
   { n;
@@ -167,8 +178,10 @@ let create ?(policy = Random_order) ?(extra = 8) ?(size = fun _ -> 1)
     chaos = None;
     clock = 0.0;
     seq = 0;
-    queue = [||];
-    len = 0;
+    queue = Array.make initial_capacity None;
+    fen = Array.make (initial_capacity + 1) 0;
+    top = 0;
+    live = 0;
     handlers = Array.make (n + extra) None;
     crashed = Array.make (n + extra) false;
     timers = [];
@@ -189,19 +202,33 @@ let steps t = t.steps_total
 let set_policy t p = t.policy <- p
 let set_stall_probe t probe = t.stall_probe <- Some probe
 
+(* An override naming a party outside the slots could never match a
+   send, so it is rejected rather than left as dead config.  A repeated
+   pair keeps its first entry, as [List.assoc] would. *)
 let set_chaos t = function
   | None -> t.chaos <- None
   | Some spec ->
     check_fault spec.default_link;
-    List.iter (fun (_, lf) -> check_fault lf) spec.links;
+    List.iter
+      (fun ((src, dst), lf) ->
+        if src < 0 || src >= t.slots || dst < 0 || dst >= t.slots then
+          invalid_arg
+            (Printf.sprintf "Sim.set_chaos: link (%d, %d) outside slots [0, %d)"
+               src dst t.slots);
+        check_fault lf)
+      spec.links;
     List.iter
       (fun pa ->
         if not (pa.until_t > pa.from_t) then
           invalid_arg "Sim.set_chaos: empty partition window")
       spec.partitions;
+    let faults = Array.make (t.slots * t.slots) spec.default_link in
+    List.iter
+      (fun ((src, dst), lf) -> faults.((src * t.slots) + dst) <- lf)
+      (List.rev spec.links);
     (* The chaos PRNG is split off the scheduler's at installation time,
        so fault draws never perturb the delivery schedule itself. *)
-    t.chaos <- Some { spec; crng = Prng.split t.rng }
+    t.chaos <- Some { spec; crng = Prng.split t.rng; faults }
 
 let check_party t what party =
   if party < 0 || party >= t.slots then invalid_arg what
@@ -265,33 +292,85 @@ let latency t = 10.0 +. (90.0 *. Prng.float t.rng)
 let delay_factor t ~src ~dst =
   match t.chaos with
   | None -> 1.0
-  | Some { spec; _ } -> 1.0 +. (link_fault_for spec ~src ~dst).delay
+  | Some { faults; _ } -> 1.0 +. faults.((src * t.slots) + dst).delay
 
 (* ---------- the pending queue --------------------------------------- *)
 
-(* The policies are specified over the queue newest first: newest-first
-   index [k] is slot [len - 1 - k].  Sends and chaos push-backs append
-   at slot [len], the newest position.  Removal shifts the younger slots
-   down one and clears the vacated top slot. *)
+(* The policies are specified over the queue newest first, the order of
+   the list scheduler this queue replaced.  Each push takes the next
+   stamp, so the newest envelope holds the highest occupied stamp, and
+   taking an envelope leaves a hole instead of shifting the younger ones
+   down.  The Fenwick tree finds the [r]-th oldest envelope in
+   O(log capacity). *)
 
 let env_at t slot =
   match t.queue.(slot) with Some e -> e | None -> assert false
 
-let push t env =
-  if t.len = Array.length t.queue then begin
-    let bigger = Array.make (max 16 (2 * t.len)) None in
-    Array.blit t.queue 0 bigger 0 t.len;
-    t.queue <- bigger
-  end;
-  t.queue.(t.len) <- Some env;
-  t.len <- t.len + 1
+let lowbit i = i land (-i)
 
-let take t slot =
-  let env = env_at t slot in
-  let last = t.len - 1 in
-  Array.blit t.queue (slot + 1) t.queue slot (last - slot);
-  t.queue.(last) <- None;
-  t.len <- last;
+let fen_add t s d =
+  let i = ref (s + 1) in
+  while !i < Array.length t.fen do
+    t.fen.(!i) <- t.fen.(!i) + d;
+    i := !i + lowbit !i
+  done
+
+(* Stamp of the [r]-th (from 1) oldest pending envelope, for
+   [1 <= r <= live]: the binary descent of the tree. *)
+let nth_oldest t r =
+  let pos = ref 0 and r = ref r and step = ref (Array.length t.queue lsr 1) in
+  while !step > 0 do
+    let c = t.fen.(!pos + !step) in
+    if c < !r then begin
+      pos := !pos + !step;
+      r := !r - c
+    end;
+    step := !step lsr 1
+  done;
+  !pos
+
+(* Out of stamps: move the pending envelopes, in stamp order, to stamps
+   [0, live) and rebuild the tree.  The move is in place unless more
+   than half the capacity is live, when the capacity doubles; either way
+   at least half of it is left for fresh stamps, so the O(capacity) pass
+   costs O(1) amortised per push. *)
+let compact t =
+  let old = t.queue in
+  let cap = Array.length old in
+  if 2 * t.live > cap then begin
+    t.queue <- Array.make (2 * cap) None;
+    t.fen <- Array.make ((2 * cap) + 1) 0
+  end;
+  let j = ref 0 in
+  for s = 0 to cap - 1 do
+    match old.(s) with
+    | Some _ as e ->
+      t.queue.(!j) <- e;
+      incr j
+    | None -> ()
+  done;
+  if t.queue == old then Array.fill old t.live (cap - t.live) None;
+  t.top <- t.live;
+  (* stamps [0, live) are occupied; node [i] covers [i - lowbit i, i) *)
+  for i = 1 to Array.length t.fen - 1 do
+    t.fen.(i) <- max 0 (min i t.live - (i - lowbit i))
+  done
+
+let push t env =
+  if t.top = Array.length t.queue then compact t;
+  t.queue.(t.top) <- Some env;
+  fen_add t t.top 1;
+  t.top <- t.top + 1;
+  t.live <- t.live + 1
+
+(* An emptied queue starts its stamps over: every slot is a hole and
+   every tree count is zero. *)
+let take t s =
+  let env = env_at t s in
+  t.queue.(s) <- None;
+  fen_add t s (-1);
+  t.live <- t.live - 1;
+  if t.live = 0 then t.top <- 0;
   env
 
 let send t ~src ~dst msg =
@@ -342,7 +421,7 @@ let fire_due_timers t =
       (List.sort (fun (a, _, _) (b, _, _) -> compare a b) due)
   end
 
-let pending_count t = t.len
+let pending_count t = t.live
 let timer_count t = List.length t.timers
 
 (* Partition gating: an envelope is held back while an active window
@@ -355,41 +434,46 @@ let env_release t (e : 'msg envelope) : float =
 
 let env_blocked t e = env_release t e > Float.max t.clock e.ready_at
 
-(* Scans over the queue.  Each loops over the slots in place and builds
-   no list; [kth_newest], [earliest_ready] and the everything-blocked
-   fallback of [do_step] walk newest first, which fixes their tie
-   breaks. *)
+(* Scans over the queue.  Each loops over the stamps in place, skips
+   holes and builds no list; [kth_newest], [earliest_ready] and the
+   everything-blocked fallback of [do_step] walk newest first, which
+   fixes their tie breaks.  Holes change no order, so the picks are
+   those of the list scheduler. *)
+
+(* Whether stamp [s] holds an envelope satisfying [p]. *)
+let holds t p s = match t.queue.(s) with Some e -> p e | None -> false
 
 let count t p =
   let c = ref 0 in
-  for s = 0 to t.len - 1 do
-    if p (env_at t s) then incr c
+  for s = 0 to t.top - 1 do
+    if holds t p s then incr c
   done;
   !c
 
-(* Slot of the [k]-th (from 0) envelope satisfying [p], newest first. *)
+(* Stamp of the [k]-th (from 0) envelope satisfying [p], newest first. *)
 let kth_newest t p k =
   let rec go s k =
-    if p (env_at t s) then if k = 0 then s else go (s - 1) (k - 1)
+    if holds t p s then if k = 0 then s else go (s - 1) (k - 1)
     else go (s - 1) k
   in
-  go (t.len - 1) k
+  go (t.top - 1) k
 
-(* Slot of the oldest envelope satisfying [p]. *)
+(* Stamp of the oldest envelope satisfying [p]. *)
 let oldest t p =
-  let rec go s = if p (env_at t s) then s else go (s + 1) in
+  let rec go s = if holds t p s then s else go (s + 1) in
   go 0
 
-(* Slot of the envelope satisfying [p] with the smallest [ready_at];
-   ties go to the newest, as in a newest-first scan. *)
+(* Stamp of the envelope satisfying [p] with the smallest [ready_at];
+   ties go to the newest, as in a newest-first scan, and the newest
+   envelope is the answer when none is earlier than [infinity]. *)
 let earliest_ready t p =
-  let best = ref (t.len - 1) and best_t = ref infinity in
-  for s = t.len - 1 downto 0 do
-    let e = env_at t s in
-    if p e && e.ready_at < !best_t then begin
+  let best = ref (nth_oldest t t.live) and best_t = ref infinity in
+  for s = t.top - 1 downto 0 do
+    match t.queue.(s) with
+    | Some e when p e && e.ready_at < !best_t ->
       best := s;
       best_t := e.ready_at
-    end
+    | Some _ | None -> ()
   done;
   !best
 
@@ -416,14 +500,15 @@ let partitioned t =
    delivering (so open-ended windows are fine: timers keep firing behind
    the cut, and a network that can never heal and has no timers simply
    quiesces).  Without partitions every envelope is eligible, so FIFO
-   and uniform picks need no scan at all. *)
+   and uniform picks need no scan: the draw [k] of [Random_order] is the
+   [k]-th newest, that is the [(live - k)]-th oldest envelope. *)
 let choose t : int option =
-  if t.len = 0 then None
+  if t.live = 0 then None
   else if not (partitioned t) then
     Some
       (match t.policy with
-      | Fifo -> 0
-      | Random_order -> t.len - 1 - Prng.int t.rng t.len
+      | Fifo -> nth_oldest t 1
+      | Random_order -> nth_oldest t (t.live - Prng.int t.rng t.live)
       | Latency_order -> earliest_ready t every
       | Delay_victims victims -> pick_free t victims every)
   else
@@ -449,9 +534,13 @@ let adversary_outwaits_timer t : bool =
   | Fifo | Random_order | Latency_order -> false
   | Delay_victims victims ->
     let rec all_touched s =
-      s < 0 || (touched victims (env_at t s) && all_touched (s - 1))
+      s < 0
+      || ((match t.queue.(s) with
+          | Some e -> touched victims e
+          | None -> true)
+         && all_touched (s - 1))
     in
-    t.timers <> [] && t.len > 0 && all_touched (t.len - 1)
+    t.timers <> [] && t.live > 0 && all_touched (t.top - 1)
 
 (* The single choke point for every kind of non-delivery, so all drop
    paths count, trace and observe identically (tagged with the reason). *)
@@ -490,13 +579,13 @@ let deliver_pending t slot : unit =
   fire_due_timers t;
   match t.chaos with
   | None -> deliver_env t env
-  | Some { spec; crng } ->
-    let lf = link_fault_for spec ~src:env.src ~dst:env.dst in
+  | Some { faults; crng; _ } ->
+    let lf = faults.((env.src * t.slots) + env.dst) in
     (* Defer: push the chosen message back with a fresh latency — an
        extra reordering knob on top of the scheduling policy.  Only
        when other traffic is pending, so a lone message cannot be
        deferred forever. *)
-    if lf.reorder > 0.0 && t.len > 0 && Prng.float crng < lf.reorder then begin
+    if lf.reorder > 0.0 && t.live > 0 && Prng.float crng < lf.reorder then begin
       Metrics.incr_chaos_reorders t.metrics;
       push t
         { env with
@@ -538,7 +627,7 @@ let do_step t : bool =
   | Some slot ->
     deliver_pending t slot;
     true
-  | None when t.len = 0 ->
+  | None when t.live = 0 ->
     (* No traffic: advance time to the next timer, if any. *)
     if t.timers = [] then false
     else begin
@@ -556,12 +645,15 @@ let do_step t : bool =
        dead — quiesce rather than crash or spin.  Ties between envelopes
        go to the newest, as in a newest-first scan. *)
     let best = ref (-1) and best_t = ref infinity in
-    for s = t.len - 1 downto 0 do
-      let r = env_release t (env_at t s) in
-      if r < !best_t then begin
-        best := s;
-        best_t := r
-      end
+    for s = t.top - 1 downto 0 do
+      match t.queue.(s) with
+      | Some e ->
+        let r = env_release t e in
+        if r < !best_t then begin
+          best := s;
+          best_t := r
+        end
+      | None -> ()
     done;
     if t.next_deadline < !best_t then begin
       advance_to_next_timer t;
@@ -599,7 +691,7 @@ let run ?(max_steps = 2_000_000) ?(until = fun () -> false) t : unit =
       raise
         (Out_of_steps
            { at_clock = t.clock;
-             pending = t.len;
+             pending = t.live;
              timers = List.length t.timers;
              detail =
                (match t.stall_probe with

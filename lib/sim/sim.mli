@@ -61,7 +61,9 @@ type partition = {
 
 type chaos = {
   default_link : link_fault;  (** applied to every (src, dst) pair *)
-  links : ((party * party) * link_fault) list;  (** per-link overrides *)
+  links : ((party * party) * link_fault) list;
+      (** per-link overrides of [(src, dst)]; the first entry of a
+          repeated pair wins *)
   partitions : partition list;
 }
 
@@ -126,7 +128,8 @@ val set_chaos : 'msg t -> chaos option -> unit
 (** Install (or clear) the chaos specification.  The fault PRNG is split
     off the scheduler's PRNG at installation time, so fault draws do not
     perturb the delivery schedule.  Raises [Invalid_argument] on rates
-    outside [0, 1] or empty partition windows. *)
+    outside [0, 1], empty partition windows, or an override naming a
+    party outside the simulator's slots. *)
 
 val set_handler : 'msg t -> party -> 'msg handler -> unit
 (** Attach (or replace — e.g. with a Byzantine behaviour) the message

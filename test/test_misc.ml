@@ -132,6 +132,8 @@ module Ref_sched = struct
   let set_chaos t spec =
     t.chaos <- Option.map (fun spec -> (spec, Prng.split t.rng)) spec
 
+  let pending t = List.length t.pending
+
   let set_handler t p h = t.handlers.(p) <- Some h
   let trace t = List.rev t.trace
 
@@ -338,6 +340,7 @@ module type SCHED = sig
   val set_timer : t -> int -> delay:float -> (unit -> unit) -> unit
   val crash : t -> int -> unit
   val step : t -> bool
+  val pending : t -> int
   val trace : t -> Sim.trace_event list
 end
 
@@ -355,6 +358,7 @@ module Real_sched : SCHED = struct
   let set_timer = Sim.set_timer
   let crash = Sim.crash
   let step = Sim.step
+  let pending = Sim.pending_count
   let trace = Sim.trace
 end
 
@@ -363,6 +367,7 @@ type sched_op =
   | Timer of int * float
   | Crash of int
   | Steps of int
+  | Drain  (** step until nothing is pending or the network quiesces *)
 
 let sched_n = 4
 
@@ -377,7 +382,27 @@ let gen_ops rs =
       | 4 | 5 | 6 -> Steps (1 + Random.State.int rs 6)
       | _ -> Send (Random.State.int rs sched_n, Random.State.int rs (sched_n + 2)))
 
-let gen_chaos rs ~partitions : Sim.chaos =
+(* A burst workload: the queue grows past 1,000 pending envelopes,
+   drains to empty and refills, then a long send-one-step-one stretch at
+   about 600 pending runs its stamps out while most of the capacity is
+   free.  So the queue grows, compacts in place and resets when empty. *)
+let gen_burst_ops rs =
+  let send () =
+    Send (Random.State.int rs sched_n, Random.State.int rs (sched_n + 2))
+  in
+  let sends k = List.init k (fun _ -> send ()) in
+  List.concat
+    [ [ Timer (Random.State.int rs sched_n, Random.State.float rs 300.0) ];
+      sends 1100;
+      [ Drain ];
+      sends 1100;
+      [ Steps 500 ];
+      List.concat (List.init 1000 (fun _ -> [ send (); Steps 1 ])) ]
+
+(* With [many_links], several overrides: a repeated (0, 1) key, whose
+   first entry must win as in [Ref_sched.fault_for], and links into the
+   client slots [sched_n] and [sched_n + 1]. *)
+let gen_chaos ?(many_links = false) rs ~partitions : Sim.chaos =
   let rate hi = if Random.State.bool rs then 0.0 else Random.State.float rs hi in
   let fault () =
     let drop = rate 0.3 in
@@ -397,7 +422,13 @@ let gen_chaos rs ~partitions : Sim.chaos =
     { Sim.from_t; until_t; cells = [ Pset.of_list cell ] }
   in
   let default_link = fault () in
-  let links = [ ((0, 1), fault ()) ] in
+  let links =
+    List.map
+      (fun link -> (link, fault ()))
+      (if many_links then
+         [ (0, 1); (2, sched_n); (0, 1); (1, sched_n + 1); (3, 2) ]
+       else [ (0, 1) ])
+  in
   { default_link; links;
     partitions =
       (if partitions then List.init (1 + Random.State.int rs 2) (fun _ -> cut ())
@@ -406,12 +437,14 @@ let gen_chaos rs ~partitions : Sim.chaos =
 (* Play [ops] against one scheduler; handlers and timer callbacks react
    with follow-up sends and timers drawn from a workload PRNG, which
    stays in lockstep across schedulers only while their schedules do.
-   Returns the trace and the firing order of timer ids. *)
+   Returns the trace, the firing order of timer ids and the pending
+   count after each op. *)
 let drive (module S : SCHED) ~policy ~chaos ~seed ops =
   let s = S.create ~policy ~n:sched_n ~seed in
   S.set_chaos s chaos;
   let rs = Random.State.make [| seed |] in
   let budget = ref 80 and next_id = ref 0 and fired = ref [] in
+  let pendings = ref [] in
   let fresh () = incr next_id; !next_id in
   let rec timer p ~delay =
     let id = fresh () in
@@ -429,24 +462,41 @@ let drive (module S : SCHED) ~policy ~chaos ~seed ops =
     S.set_handler s p (fun ~src:_ _ -> react p)
   done;
   List.iter
-    (function
+    (fun op ->
+      (match op with
       | Send (src, dst) -> S.send s ~src ~dst (fresh ())
       | Timer (p, delay) -> timer p ~delay
       | Crash p -> S.crash s p
-      | Steps k -> for _ = 1 to k do ignore (S.step s) done)
+      | Steps k -> for _ = 1 to k do ignore (S.step s) done
+      | Drain ->
+        let steps = ref 0 in
+        while !steps < 20_000 && S.pending s > 0 && S.step s do incr steps done);
+      pendings := S.pending s :: !pendings)
     ops;
   let steps = ref 0 in
   while !steps < 20_000 && S.step s do incr steps done;
-  (S.trace s, List.rev !fired)
+  (S.trace s, List.rev !fired, List.rev !pendings)
+
+let sched_policies =
+  [ Sim.Fifo; Random_order; Latency_order; Delay_victims (Pset.singleton 0);
+    Delay_victims (Pset.of_list [ 1; 3 ]) ]
+
+(* Chaos mode 0 is none; 1 and 2 have the single override, 3 and 4
+   several; the even ones add partitions. *)
+let sched_chaos rs = function
+  | 0 -> None
+  | mode ->
+    Some (gen_chaos ~many_links:(mode >= 3) rs ~partitions:(mode mod 2 = 0))
+
+let check_against_model ~what ~policy ~chaos ~seed ops =
+  let real = drive (module Real_sched) ~policy ~chaos ~seed ops in
+  let model = drive (module Ref_sched) ~policy ~chaos ~seed ops in
+  if real <> model then Alcotest.failf "%s: schedules differ" what;
+  real
 
 let sched_model_tests =
   [ Alcotest.test_case "array queue schedules exactly like the list model"
       `Quick (fun () ->
-        let policies =
-          [ Sim.Fifo; Random_order; Latency_order;
-            Delay_victims (Pset.singleton 0);
-            Delay_victims (Pset.of_list [ 1; 3 ]) ]
-        in
         let seen = Hashtbl.create 8 in
         List.iteri
           (fun pi policy ->
@@ -454,19 +504,14 @@ let sched_model_tests =
               List.iter
                 (fun mode ->
                   let rs = Random.State.make [| seed; pi; mode |] in
-                  let chaos =
-                    match mode with
-                    | 0 -> None
-                    | 1 -> Some (gen_chaos rs ~partitions:false)
-                    | _ -> Some (gen_chaos rs ~partitions:true)
+                  let chaos = sched_chaos rs mode in
+                  let trace, _, _ =
+                    check_against_model
+                      ~what:
+                        (Printf.sprintf "policy %d, seed %d, chaos mode %d" pi
+                           seed mode)
+                      ~policy ~chaos ~seed (gen_ops rs)
                   in
-                  let ops = gen_ops rs in
-                  let real = drive (module Real_sched) ~policy ~chaos ~seed ops in
-                  let model = drive (module Ref_sched) ~policy ~chaos ~seed ops in
-                  if real <> model then
-                    Alcotest.failf
-                      "policy %d, seed %d, chaos mode %d: schedules differ" pi
-                      seed mode;
                   List.iter
                     (fun ev ->
                       Hashtbl.replace seen
@@ -475,14 +520,71 @@ let sched_model_tests =
                         | Timer_fired _ -> "timer"
                         | Dropped { reason; _ } -> Sim.drop_reason_label reason)
                         ())
-                    (fst real))
-                [ 0; 1; 2 ]
+                    trace)
+                [ 0; 1; 2; 3; 4 ]
             done)
-          policies;
+          sched_policies;
         (* the workloads reach every event kind, so agreement is not vacuous *)
         Alcotest.(check (list string)) "event kinds seen"
           [ "chaos"; "crashed"; "delivered"; "no-handler"; "timer" ]
           (List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen))));
+    Alcotest.test_case
+      "stamp queue schedules like the list model through bursts past 1,000"
+      `Quick (fun () ->
+        let seed = 1 in
+        List.iteri
+          (fun pi policy ->
+            List.iter
+              (fun mode ->
+                let rs = Random.State.make [| seed; pi; mode; 1000 |] in
+                let chaos = sched_chaos rs mode in
+                let what =
+                  Printf.sprintf "burst: policy %d, chaos mode %d" pi mode
+                in
+                let _, _, pendings =
+                  check_against_model ~what ~policy ~chaos ~seed
+                    (gen_burst_ops rs)
+                in
+                let peak = List.fold_left max 0 pendings in
+                if peak <= 1000 then
+                  Alcotest.failf "%s: peak %d pending" what peak;
+                (* op 1101 is the first drain; without partitions it
+                   empties the queue *)
+                let drained = List.nth pendings 1101 in
+                if mode <> 4 && drained <> 0 then
+                  Alcotest.failf "%s: the drain left %d pending" what drained)
+              [ 0; 3; 4 ])
+          sched_policies);
+    Alcotest.test_case
+      "set_chaos rejects overrides outside the slots; the first of a pair wins"
+      `Quick (fun () ->
+        let spec links = Some { Sim.benign_chaos with Sim.links } in
+        let sim : int Sim.t = Sim.create ~extra:1 ~n:2 ~seed:1 () in
+        List.iter
+          (fun (src, dst) ->
+            Alcotest.check_raises "outside"
+              (Invalid_argument
+                 (Printf.sprintf
+                    "Sim.set_chaos: link (%d, %d) outside slots [0, 3)" src dst))
+              (fun () -> Sim.set_chaos sim (spec [ ((src, dst), Sim.no_fault) ])))
+          [ (-1, 0); (0, -1); (3, 0); (0, 3) ];
+        (* the last slot, a client, is in range *)
+        Sim.set_chaos sim (spec [ ((2, 0), Sim.no_fault); ((0, 2), Sim.no_fault) ]);
+        let slow = { Sim.no_fault with Sim.delay = 1000.0 } in
+        (* a latency is drawn from [10, 100) virtual ms *)
+        let delivered_at links =
+          let sim : int Sim.t = Sim.create ~n:2 ~seed:1 () in
+          let at = ref nan in
+          Sim.set_handler sim 1 (fun ~src:_ _ -> at := Sim.clock sim);
+          Sim.set_chaos sim (spec links);
+          Sim.send sim ~src:0 ~dst:1 0;
+          Sim.run sim;
+          !at
+        in
+        Alcotest.(check bool) "the slow first entry wins" true
+          (delivered_at [ ((0, 1), slow); ((0, 1), Sim.no_fault) ] >= 10_010.0);
+        Alcotest.(check bool) "the fast first entry wins" true
+          (delivered_at [ ((0, 1), Sim.no_fault); ((0, 1), slow) ] < 100.0));
     Alcotest.test_case "a delivered or dropped envelope is not retained"
       `Quick (fun () ->
         let sim : bytes Sim.t = Sim.create ~n:3 ~seed:7 () in
