@@ -5,7 +5,8 @@
    shared-squaring-chain [exp2] — against their naive counterparts at
    128/512/1024-bit odd moduli, and writes BENCH_NUM.json as the same
    bench report as the protocol experiments ({!Bench_out.document}), so
-   [bench-check] and [sintra compare] work on it unchanged.
+   [bench-check] and [sintra compare] work on it unchanged; its DLEQ
+   batch rows carry their pass limits ({!dleq_gate}).
 
    The moduli are random odd numbers of exactly the requested size, not
    primes: none of the kernels cares about primality, and safe-prime
@@ -46,6 +47,27 @@ let random_odd_modulus rng ~bits =
   let m = Prng.bignum_below rng (B.shift_left B.one (bits - 1)) in
   let m = B.add m (B.shift_left B.one (bits - 1)) in
   if B.is_even m then B.succ m else m
+
+(* The DLEQ batch gate over [(batch, per-share ns)] in batch order: the
+   batch-8 speedup over single proofs must reach 3x, and the per-share
+   cost may rise by at most 25% (timer noise) from one batch size to the
+   next.  Quick runs time 0.02 s windows, too noisy for the real gate,
+   and are held to 1.5x and 2x.  Both rows need batch sizes 1 and 8. *)
+let dleq_gate ~quick per_share =
+  match (List.assoc_opt 1 per_share, List.assoc_opt 8 per_share) with
+  | Some one, Some eight ->
+    let rec rise acc = function
+      | (_, a) :: ((_, b) :: _ as rest) -> rise (Float.max acc (b /. a)) rest
+      | _ -> acc
+    in
+    Report.
+      [ threshold Higher "dleq batch-8 speedup"
+          ~limit:(if quick then 1.5 else 3.0)
+          (one /. eight);
+        threshold Lower "dleq per-share cost rise"
+          ~limit:(if quick then 2.0 else 1.25)
+          (rise 0.0 per_share) ]
+  | _ -> []
 
 type sample = {
   kernel : string;
@@ -220,7 +242,7 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
       Obs.incr obs ~labels ~by:(int_of_float s.ns_per_op) "ns_per_op")
     !samples;
   let doc =
-    Bench_out.document ~id:"NUM" ~wall obs
+    Bench_out.document ~id:"NUM" ~wall ~gate:(dleq_gate ~quick per_share) obs
       [ ( "speedups",
           Obs_json.Obj
             (List.rev_map

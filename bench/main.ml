@@ -1091,6 +1091,16 @@ let run_tput ~structure ~seed ~payloads ~(abc_policy : Abc.policy) () :
     tp_progress = List.rev !progress;
     tp_ok }
 
+(* A sweep row breaks the TPUT invariant with no rounds, a delivered
+   count outside [0, payloads] or a progress curve that falls. *)
+let tput_broken ~payloads r =
+  let rec falls last = function
+    | [] -> false
+    | (_, d) :: rest -> d < last || falls d rest
+  in
+  r.tp_rounds < 1 || r.tp_delivered < 0 || r.tp_delivered > payloads
+  || falls 0 r.tp_progress
+
 let tput () =
   header "TPUT"
     "Throughput: batching x pipelining on the R2 config (n=4, t=1)";
@@ -1152,14 +1162,19 @@ let tput () =
                      r.tp_progress) )
             ]
         in
-        ((b, w), decided_per_1k_steps, row))
+        ( (b, w), decided_per_1k_steps, row,
+          tput_broken ~payloads:payloads_n r ))
       grid
   in
+  let breaks = List.filter (fun (_, _, _, broken) -> broken) results in
+  Bench_out.gate
+    [ Report.must Report.Lower "tput invariant breaks" ~limit:0.0
+        (float (List.length breaks)) ];
   Bench_out.put "tput"
-    (Obs_json.Arr (List.map (fun (_, _, row) -> row) results));
+    (Obs_json.Arr (List.map (fun (_, _, row, _) -> row) results));
   let rate bw =
     List.find_map
-      (fun (bw', rate, _) -> if bw' = bw then Some rate else None)
+      (fun (bw', rate, _, _) -> if bw' = bw then Some rate else None)
       results
   in
   (match (rate (1, 1), rate (8, 4)) with

@@ -158,9 +158,6 @@ val gating_liveness_count : report -> int
     reliable, or lossy-but-link-restored) — the only liveness
     violations that falsify the paper's claims. *)
 
-val ok : report -> bool
-(** No safety violations and no gating liveness violations. *)
-
 (** {2 Artifacts} *)
 
 val out_path : string -> string
@@ -171,15 +168,9 @@ val config_json : config -> Obs_json.t
     {!Flight.summarize} so FLIGHT files record what produced them. *)
 
 val to_json : id:string -> wall:float -> report -> Obs_json.t
-(** The [faults] {!Report}; its gate: safety and gating-liveness
-    violations (strict), all liveness violations and link
-    retransmissions. *)
-
-val validate_json : Obs_json.t -> (unit, string) result
-(** The faults invariant, checked by [bench-check]: one
-    [link.per_run] row per run, and a row marked [gating] (reliable,
-    natively or by link repair) with [decided = false] rejects the whole
-    document — an undecided gating run is a liveness violation. *)
+(** The [faults] {!Report}, one [per_run] row per run; its gate: safety
+    and gating-liveness violations and undecided gating runs (each
+    limited to 0), all liveness violations and link retransmissions. *)
 
 val pp_summary : Format.formatter -> report -> unit
 (** One line per (protocol, policy, mix) cell, plus totals. *)

@@ -1,134 +1,29 @@
 (* The campaign table: one row per campaign that [sintra run] knows, and
-   the kind -> invariant-check dispatch that [bench-check] and
-   [sintra run] share.  See campaign_table.mli. *)
+   the one artifact check that [bench-check] and [sintra run] share.
+   See campaign_table.mli. *)
 
 let ( let* ) = Result.bind
 
-(* ---------- per-kind invariants ----------------------------------------- *)
+(* ---------- the artifact check ----------------------------------------- *)
 
-(* Throughput documents (BENCH_TPUT.json) carry a "tput" array of sweep
-   rows: non-zero rounds, delivered within bounds, and monotone
-   cumulative-delivery progress samples. *)
-let check_tput doc =
-  let open Report in
-  let sample s =
-    match Option.map (List.map Obs_json.to_int) (Obs_json.to_list s) with
-    | Some [ Some _; Some d ] -> Ok d
-    | _ -> Error "ill-typed progress sample"
-  in
-  let rec monotone last = function
-    | [] -> Ok ()
-    | d :: rest ->
-      let* () = ensure (d >= last) "delivered count drops %d -> %d" last d in
-      monotone d rest
-  in
-  let row r =
-    let int k = field r [ k ] Obs_json.to_int in
-    let* rounds = int "rounds" in
-    let* delivered = int "delivered" in
-    let* payloads = int "payloads" in
-    let* () = ensure (rounds >= 1) "rounds = %d (must be >= 1)" rounds in
-    let* () =
-      ensure
-        (delivered >= 0 && delivered <= payloads)
-        "delivered %d outside [0, %d]" delivered payloads
-    in
-    let* samples = rows r [ "progress" ] sample in
-    monotone 0 samples
-  in
-  match Obs_json.member "tput" doc with
-  | None -> Ok ()
-  | Some _ ->
-    let* rs = rows doc [ "tput" ] row in
-    ensure (rs <> []) "\"tput\" array is empty"
-
-(* BENCH_NUM batch-sweep rows (kernel "dleq_verify" with a "batch"
-   label): per-share cost must be non-increasing in the batch size
-   (25% slack for timer noise), and the headline batch-8 speedup
-   recorded by the bench must clear 3x.  Quick runs (the make-check
-   smoke) keep the checks but relax both thresholds: their 0.02 s
-   timing windows are too noisy to hold to the real gate. *)
-let check_dleq_batch doc =
-  let open Report in
-  let quick =
-    Result.value ~default:false (field doc [ "quick" ] Obs_json.to_bool)
-  in
-  let slack = if quick then 2.0 else 1.25 in
-  let gate = if quick then 1.5 else 3.0 in
-  let* counters = field doc [ "metrics"; "counters" ] Obs_json.to_list in
-  let sweep =
-    List.filter_map
-      (fun c ->
-        let lab k =
-          Result.to_option (field c [ "labels"; k ] Obs_json.to_str)
-        in
-        match
-          ( lab "kernel",
-            Option.bind (lab "batch") int_of_string_opt,
-            Result.to_option (field c [ "value" ] Obs_json.to_int) )
-        with
-        | Some "dleq_verify", Some b, Some v -> Some (b, v)
-        | _ -> None)
-      counters
-    |> List.sort compare
-  in
-  let rec mono = function
-    | (b1, v1) :: ((b2, v2) :: _ as rest) ->
-      let* () =
-        ensure
-          (float_of_int v2 <= float_of_int v1 *. slack)
-          "dleq batch sweep: per-share cost increases %d ns (batch %d) -> \
-           %d ns (batch %d)"
-          v1 b1 v2 b2
-      in
-      mono rest
-    | _ -> Ok ()
-  in
-  let* () = mono sweep in
-  if not (List.mem_assoc 1 sweep && List.mem_assoc 8 sweep) then Ok ()
-  else
-    let* s = field doc [ "speedups"; "dleq_batch_8_vs_1" ] Obs_json.to_float in
-    ensure (s >= gate)
-      "dleq batch sweep: batch-8 speedup %.2fx below the %.1fx gate" s gate
-
-let check_bench doc =
-  let* _ =
-    Report.expect Report.Bench
-      ~rows:
-        ("virtual time total"
-        :: List.map
-             (fun k -> "crypto " ^ Obs_crypto.name k)
-             Obs_crypto.all_kinds)
-      doc
-  in
-  let* () = check_tput doc in
-  check_dleq_batch doc
-
-let check_flight doc =
-  let* h =
-    Report.expect Report.Flight
-      ~rows:
-        [ "decided runs"; "safety violations"; "gating liveness violations" ]
-      doc
-  in
-  Result.map ignore (Report.run_count h)
-
-let check_kind = function
-  | Report.Bench -> check_bench
-  | Report.Faults -> Campaign.validate_json
-  | Report.Flight -> check_flight
-  | Report.Recov -> Rejoin.validate_json
-  | Report.Epoch -> Refresh.validate_json
-  | Report.Svc -> Svc.validate_json
+(* A row [Report.past_limits] returned, hence limited. *)
+let limit_label (g : Report.gate) =
+  Printf.sprintf "%s = %g (limit %s %g)" g.metric g.value
+    (if g.better = Report.Higher then ">=" else "<=")
+    (Option.get g.limit)
 
 let check_doc doc =
   let* h = Report.header doc in
-  let* () = check_kind h.kind doc in
-  Ok
-    (Printf.sprintf "%s: %s%s, %d gate rows" h.experiment
-       (Report.kind_label h.kind)
-       (match h.runs with None -> "" | Some r -> Printf.sprintf ", %d runs" r)
-       (List.length h.gate))
+  match Report.past_limits h.gate with
+  | [] ->
+    Ok
+      (Printf.sprintf "%s: %s%s, %d gate rows" h.experiment
+         (Report.kind_label h.kind)
+         (match h.runs with None -> "" | Some r -> Printf.sprintf ", %d runs" r)
+         (List.length h.gate))
+  | past ->
+    Error
+      ("past the limit: " ^ String.concat "; " (List.map limit_label past))
 
 let check_file path = Result.bind (Report.read_file path) check_doc
 
@@ -152,12 +47,11 @@ type campaign = {
   default_id : string;
   full : preset;
   quick : preset;
-  run :
-    knobs -> id:string -> progress:(int * int -> unit) -> string * bool;
+  run : knobs -> id:string -> progress:(int * int -> unit) -> string;
 }
 
 (* Time a sweep, print its summary, write its artifact. *)
-let report ?per_s ~id ~run ~pp ~to_json ~path ~ok () =
+let report ?per_s ~id ~run ~pp ~to_json ~path () =
   let t0 = Unix.gettimeofday () in
   let rep = run () in
   let wall = Unix.gettimeofday () -. t0 in
@@ -168,7 +62,7 @@ let report ?per_s ~id ~run ~pp ~to_json ~path ~ok () =
     | Some f ->
       Printf.sprintf ", %.0f requests/s"
         (float_of_int (f rep) /. Float.max wall 1e-9));
-  (Report.write (path id) (to_json ~id ~wall rep), ok rep)
+  Report.write (path id) (to_json ~id ~wall rep)
 
 (* The fault sweep: the three built-in chaos policies, or — for the link
    campaign — 30% drop alone with the link layer on, which makes the
@@ -191,8 +85,7 @@ let run_faults ~link k ~id ~progress =
   report
     ~id:(if link then "LINK_" ^ id else id)
     ~run:(fun () -> Campaign.run ~progress (faults_config ~link k))
-    ~pp:Campaign.pp_summary ~to_json:Campaign.to_json ~path:Campaign.out_path
-    ~ok:Campaign.ok ()
+    ~pp:Campaign.pp_summary ~to_json:Campaign.to_json ~path:Campaign.out_path ()
 
 let run_flight k ~id ~progress =
   let cfg = faults_config ~link:false k in
@@ -207,9 +100,7 @@ let run_flight k ~id ~progress =
     ~pp:(fun fmt (_, s) -> Flight.pp_summary fmt s)
     ~to_json:(fun ~id:_ ~wall (rep, s) ->
       Flight.to_json ~wall ~obs:rep.Campaign.obs s)
-    ~path:Flight.out_path
-    ~ok:(fun (rep, _) -> Campaign.ok rep)
-    ()
+    ~path:Flight.out_path ()
 
 let run_recov k ~id ~progress =
   report ~id
@@ -217,8 +108,7 @@ let run_recov k ~id ~progress =
       Rejoin.run ~progress
         (Rejoin.default_config ~seeds:k.seeds ~seed_base:k.seed_base ~n:k.n
            ~t:k.t ~payloads:k.size ?drop:k.drop ()))
-    ~pp:Rejoin.pp_summary ~to_json:Rejoin.to_json ~path:Rejoin.out_path
-    ~ok:Rejoin.ok ()
+    ~pp:Rejoin.pp_summary ~to_json:Rejoin.to_json ~path:Rejoin.out_path ()
 
 let run_epoch k ~id ~progress =
   report ~id
@@ -226,8 +116,7 @@ let run_epoch k ~id ~progress =
       Refresh.run ~progress
         (Refresh.default_config ~seeds:k.seeds ~seed_base:k.seed_base ~n:k.n
            ~t:k.t ~payloads:k.size ?drop:k.drop ()))
-    ~pp:Refresh.pp_summary ~to_json:Refresh.to_json ~path:Refresh.out_path
-    ~ok:Refresh.ok ()
+    ~pp:Refresh.pp_summary ~to_json:Refresh.to_json ~path:Refresh.out_path ()
 
 (* The full service sweep is >= 100k requests, hence the step bound. *)
 let run_svc k ~id ~progress =
@@ -236,7 +125,7 @@ let run_svc k ~id ~progress =
       Svc.run ~progress
         (Svc.default_config ~seeds:k.seeds ~seed_base:k.seed_base ~n:k.n
            ~t:k.t ~requests:k.size ?drop:k.drop ~max_steps:200_000_000 ()))
-    ~pp:Svc.pp_summary ~to_json:Svc.to_json ~path:Svc.out_path ~ok:Svc.ok ()
+    ~pp:Svc.pp_summary ~to_json:Svc.to_json ~path:Svc.out_path ()
 
 let campaigns =
   [

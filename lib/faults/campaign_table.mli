@@ -1,17 +1,16 @@
 (** The campaign table: one row per campaign [sintra run] knows — its
     name, artifact prefix, report kind, full and [--quick] presets and
-    runner — and the kind → invariant-check dispatch that [bench-check]
-    and [sintra run] share, so a campaign can never write a report its
-    own [bench-check] rejects. *)
+    runner — and the one artifact check that [bench-check] and
+    [sintra run] share, so the two can never disagree about an
+    artifact. *)
 
 (** {2 Validation} *)
 
 val check_doc : Obs_json.t -> (string, string) result
-(** {!Report.header} (schema, kind, gate), then the kind's own
-    invariants: gating runs decided (faults), recovery and bounded memory
-    (recov), reply certificates (epoch, svc), monotone tput progress and
-    the DLEQ batch gate (bench).  [Ok description] for a valid document,
-    [Error why] otherwise. *)
+(** {!Report.header} (the envelope, the kind's acceptance rows limited,
+    the [per_run] row count), then {!Report.past_limits}: [Ok
+    description] when every limited row is within its limit, [Error]
+    naming each row past it otherwise. *)
 
 val check_file : string -> (string, string) result
 (** Parse, then {!check_doc}. *)
@@ -42,11 +41,10 @@ type campaign = {
   default_id : string;  (** the report id without [--out] *)
   full : preset;
   quick : preset;  (** [--quick], the CI smoke *)
-  run :
-    knobs -> id:string -> progress:(int * int -> unit) -> string * bool;
+  run : knobs -> id:string -> progress:(int * int -> unit) -> string;
       (** Sweep, print the summary on stdout, write the artifact;
-          returns its path and whether the campaign's acceptance gate
-          held. *)
+          returns its path.  The artifact's limited gate rows say
+          whether the campaign passed: see {!check_doc}. *)
 }
 
 val campaigns : campaign list

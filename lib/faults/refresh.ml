@@ -28,24 +28,12 @@ let scenario_label = function
   | Add_replica -> "add-replica"
   | Kill_replace -> "kill-and-replace"
 
-let scenario_of_string = function
-  | "refresh-only" -> Some Refresh_only
-  | "add-replica" -> Some Add_replica
-  | "kill-and-replace" -> Some Kill_replace
-  | _ -> None
-
 type variant = Benign | Lossy | Byz_refresher
 
 let variant_label = function
   | Benign -> "benign"
   | Lossy -> "lossy"
   | Byz_refresher -> "byz-refresher"
-
-let variant_of_string = function
-  | "benign" -> Some Benign
-  | "lossy" -> Some Lossy
-  | "byz-refresher" -> Some Byz_refresher
-  | _ -> None
 
 type config = {
   e_core : Sweep.core;
@@ -517,15 +505,6 @@ let liveness_count rep =
 let completed_count rep =
   List.length (List.filter (fun r -> r.er_completed) rep.results)
 
-let ok rep =
-  safety_count rep = 0
-  && completed_count rep = List.length rep.results
-  && List.for_all
-       (fun r ->
-         r.er_pk_stable && r.er_old_shares_dead && r.er_replaced_serving
-         && r.er_certs_ok = rep.config.e_payloads)
-       rep.results
-
 (* ---------- report output ---------------------------------------------- *)
 
 let out_path id = Printf.sprintf "EPOCH_%s.json" id
@@ -579,84 +558,38 @@ let run_json r =
 
 let to_json ~id ~wall rep =
   let total f = float (Sweep.sum f rep.results) in
-  Report.make Report.Epoch ~experiment:id ~wall
-    ~runs:(List.length rep.results) ~obs:rep.obs
+  let runs = List.length rep.results in
+  let failing f = total (fun r -> Bool.to_int (not (f r))) in
+  let byz = List.filter (fun r -> r.er_variant = Byz_refresher) rep.results in
+  Report.make Report.Epoch ~experiment:id ~wall ~runs ~obs:rep.obs
     ~gate:
       Report.
         [
-          strict Lower "safety violations" (float (safety_count rep));
+          must Lower "safety violations" ~limit:0.0 (float (safety_count rep));
           threshold Lower "liveness violations" (float (liveness_count rep));
-          strict Higher "completed runs" (float (completed_count rep));
-          strict Higher "reply certificates" (total (fun r -> r.er_certs_ok));
+          must Higher "completed runs" ~limit:(float runs)
+            (float (completed_count rep));
+          must Higher "reply certificates"
+            ~limit:(float (runs * rep.config.e_payloads))
+            (total (fun r -> r.er_certs_ok));
           info "dealers excluded" (total (fun r -> r.er_excluded));
           threshold Lower "steps" (total (fun r -> r.er_steps));
+          must Lower "runs with a changed public key" ~limit:0.0
+            (failing (fun r -> r.er_pk_stable));
+          must Lower "runs with live old shares" ~limit:0.0
+            (failing (fun r -> r.er_old_shares_dead));
+          must Lower "runs with an unserving replacement" ~limit:0.0
+            (failing (fun r -> r.er_replaced_serving));
+          must Lower "Byzantine sweep without an exclusion" ~limit:0.0
+            (float
+               (Bool.to_int
+                  (byz <> []
+                  && List.for_all (fun r -> r.er_excluded = 0) byz)));
         ]
     [
       ("config", config_json rep.config);
-      ("completed", Obs_json.Int (completed_count rep));
-      ( "excluded_total",
-        Obs_json.Int (Sweep.sum (fun r -> r.er_excluded) rep.results) );
-      ( "violations",
-        Obs_json.Obj
-          [
-            ("safety", Obs_json.Int (safety_count rep));
-            ("liveness", Obs_json.Int (liveness_count rep));
-          ] );
       ("per_run", Obs_json.Arr (List.map run_json rep.results));
     ]
-
-(* The epoch report's own invariants, checked by bench-check. *)
-let validate_json (doc : Obs_json.t) : (unit, string) result =
-  let open Report in
-  let* h =
-    expect Epoch
-      ~rows:[ "safety violations"; "completed runs"; "reply certificates" ]
-      doc
-  in
-  let* runs = run_count h in
-  let* () = ensure (runs > 0) "no runs" in
-  let* completed = field doc [ "completed" ] Obs_json.to_int in
-  let* () =
-    ensure (completed = runs) "%d of %d runs failed to complete"
-      (runs - completed) runs
-  in
-  let* safety = field doc [ "violations"; "safety" ] Obs_json.to_int in
-  let* () = ensure (safety = 0) "%d safety violations" safety in
-  let* payloads = field doc [ "config"; "payloads" ] Obs_json.to_int in
-  let* rows =
-    rows ~runs doc [ "per_run" ] (fun row ->
-        let* scenario = field row [ "scenario" ] Obs_json.to_str in
-        let* () =
-          ensure (scenario_of_string scenario <> None) "unknown scenario %S"
-            scenario
-        in
-        let* variant = field row [ "variant" ] Obs_json.to_str in
-        let* () =
-          ensure (variant_of_string variant <> None) "unknown variant %S"
-            variant
-        in
-        let* seed = field row [ "seed" ] Obs_json.to_int in
-        let flag name = field row [ name ] Obs_json.to_bool in
-        let* completed = flag "completed" in
-        let* pk_stable = flag "pk_stable" in
-        let* dead = flag "old_shares_dead" in
-        let* serving = flag "replaced_serving" in
-        let* certs = field row [ "certs_ok" ] Obs_json.to_int in
-        let* excluded = field row [ "excluded" ] Obs_json.to_int in
-        let* () = ensure completed "seed %d: not completed" seed in
-        let* () = ensure pk_stable "seed %d: public key changed" seed in
-        let* () = ensure dead "seed %d: old shares still live" seed in
-        let* () = ensure serving "seed %d: replaced replica not serving" seed in
-        let* () =
-          ensure (certs = payloads) "seed %d: %d of %d reply certificates"
-            seed certs payloads
-        in
-        let byz = variant = "byz-refresher" in
-        Ok (byz, byz && excluded > 0))
-  in
-  ensure
-    ((not (List.exists fst rows)) || List.exists snd rows)
-    "byzantine sweep never witnessed a dealer exclusion"
 
 (* ---------- summary ---------------------------------------------------- *)
 

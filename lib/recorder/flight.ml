@@ -258,6 +258,7 @@ type summary = {
   s_safety : int;
   s_liveness : int;
   s_gating_liveness : int;
+  s_undecided_gating : int;  (* gating runs that never decided *)
   s_cells : cell list;  (* first-seen order, which is execution order *)
   s_rollups : ((string * string) * int) list;  (* (layer, counter) totals *)
   s_dropped_events : int;  (* hot-ring overwrites across all runs *)
@@ -368,6 +369,8 @@ let summarize ~id ~config (runs : run_flight list) =
       List.fold_left
         (fun a r -> if r.f_gating then a + r.f_liveness else a)
         0 runs;
+    s_undecided_gating =
+      List.length (List.filter (fun r -> r.f_gating && not r.f_decided) runs);
     s_cells = cells_list;
     s_rollups =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) rollups []
@@ -428,7 +431,9 @@ let worst_ref_json = function
 
 (* What the regression gate compares: campaign-wide counts, anomaly
    counts, and per (protocol, policy, mix) cell the decided count plus
-   decide-clock p95, mean steps and retransmits and the peak buffer. *)
+   decide-clock p95, mean steps and retransmits and the peak buffer.
+   Safety and gating-liveness violations and undecided gating runs are
+   limited to 0: the campaign's acceptance. *)
 let gate (s : summary) =
   let open Report in
   let int f = float_of_int f in
@@ -437,13 +442,15 @@ let gate (s : summary) =
   in
   let stat f h = Option.value (f h) ~default:0.0 in
   [ strict Higher "decided runs" (int s.s_decided);
-    strict Lower "safety violations" (int s.s_safety);
-    strict Lower "gating liveness violations" (int s.s_gating_liveness);
+    must Lower "safety violations" ~limit:0.0 (int s.s_safety);
+    must Lower "gating liveness violations" ~limit:0.0
+      (int s.s_gating_liveness);
     threshold Lower "trace dropped_events" (int s.s_dropped_events);
     strict Lower "anomalies: stall" (anomalies Stall);
     threshold Lower "anomalies: retransmit-storm" (anomalies Retransmit_storm);
     threshold Lower "anomalies: backpressure-peak"
-      (anomalies Backpressure_peak) ]
+      (anomalies Backpressure_peak);
+    must Lower "undecided gating runs" ~limit:0.0 (int s.s_undecided_gating) ]
   @ List.concat_map
       (fun c ->
         let tag = Printf.sprintf "%s/%s/%s" c.c_protocol c.c_policy c.c_mix in
@@ -462,12 +469,7 @@ let to_json ~wall ~obs (s : summary) : Obs_json.t =
   Report.make Report.Flight ~experiment:s.s_id ~wall ~runs:s.s_runs ~obs
     ~gate:(gate s)
     [ ("config", s.s_config);
-      ("decided", Obs_json.Int s.s_decided);
-      ( "violations",
-        Obs_json.Obj
-          [ ("safety", Obs_json.Int s.s_safety);
-            ("liveness", Obs_json.Int s.s_liveness);
-            ("liveness_gating", Obs_json.Int s.s_gating_liveness) ] );
+      ("violations", Obs_json.Obj [ ("liveness", Obs_json.Int s.s_liveness) ]);
       ("cells", Obs_json.Arr (List.map cell_json s.s_cells));
       ( "rollups",
         Obs_json.Arr

@@ -148,6 +148,7 @@ type summary = {
   s_safety : int;
   s_liveness : int;
   s_gating_liveness : int;
+  s_undecided_gating : int;  (** gating runs that never decided *)
   s_cells : cell list;  (** execution order *)
   s_rollups : ((string * string) * int) list;
       (** [(layer, counter)] totals across all runs, sorted *)
@@ -168,7 +169,8 @@ val out_path : string -> string
 
 val gate : summary -> Report.gate list
 (** Decided runs, safety and gating-liveness violations, ring
-    overwrites and anomaly counts, then per cell the decided count
+    overwrites, anomaly counts and undecided gating runs (violations
+    and undecided gating runs limited to 0), then per cell the decided count
     (strict), decide-clock p95 ({!Obs_histogram.percentile}), mean steps
     and retransmits, and the buffer-peak max. *)
 

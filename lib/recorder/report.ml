@@ -1,5 +1,6 @@
-(* The report envelope: shared header, gate rows, the one artifact
-   writer and the validator combinators.  See report.mli. *)
+(* The report envelope: shared header, gate rows with their pass
+   limits, the one artifact writer and the envelope check.  See
+   report.mli. *)
 
 type kind = Bench | Faults | Flight | Recov | Epoch | Svc
 
@@ -29,21 +30,69 @@ let better_label = function
 let better_of_label s =
   List.find_opt (fun b -> better_label b = s) [ Lower; Higher; Info ]
 
-type gate = { metric : string; better : better; strict : bool; value : float }
+type gate = {
+  metric : string;
+  better : better;
+  strict : bool;
+  value : float;
+  limit : float option;
+}
 
-let strict better metric value = { metric; better; strict = true; value }
-let threshold better metric value = { metric; better; strict = false; value }
+let strict better metric value =
+  { metric; better; strict = true; value; limit = None }
+
+let threshold ?limit better metric value =
+  { metric; better; strict = false; value; limit }
+
 let info metric value = threshold Info metric value
+
+let must better metric ~limit value =
+  { metric; better; strict = true; value; limit = Some limit }
+
 let wall_metric = "wall time (s)"
+
+let within g =
+  match (g.limit, g.better) with
+  | None, _ | Some _, Info -> true
+  | Some l, Lower -> g.value <= l
+  | Some l, Higher -> g.value >= l
+
+let past_limits gate = List.filter (fun g -> not (within g)) gate
+
+let acceptance = function
+  | Bench -> []
+  | Faults | Flight ->
+    [ "safety violations"; "gating liveness violations";
+      "undecided gating runs" ]
+  | Recov ->
+    [ "safety violations"; "recovered runs"; "crash-rejoins without transfer";
+      "forged sweep without a rejection" ]
+  | Epoch ->
+    [ "safety violations"; "completed runs"; "reply certificates";
+      "runs with a changed public key"; "runs with live old shares";
+      "runs with an unserving replacement";
+      "Byzantine sweep without an exclusion" ]
+  | Svc ->
+    [ "safety violations"; "certificate failures"; "missed requests";
+      "GC'd log peak"; "fast path never hit" ]
+
+let stated = function
+  | Bench ->
+    "virtual time total"
+    :: List.map (fun k -> "crypto " ^ Obs_crypto.name k) Obs_crypto.all_kinds
+  | Flight -> [ "decided runs" ]
+  | Faults | Recov | Epoch | Svc -> []
 
 let gate_json g =
   Obs_json.Obj
-    [
-      ("metric", Obs_json.Str g.metric);
-      ("better", Obs_json.Str (better_label g.better));
-      ("strict", Obs_json.Bool g.strict);
-      ("value", Obs_json.Float g.value);
-    ]
+    ([
+       ("metric", Obs_json.Str g.metric);
+       ("better", Obs_json.Str (better_label g.better));
+       ("strict", Obs_json.Bool g.strict);
+       ("value", Obs_json.Float g.value);
+     ]
+    @ Option.fold ~none:[] ~some:(fun l -> [ ("limit", Obs_json.Float l) ])
+        g.limit)
 
 (* ---------- writing ---------------------------------------------------- *)
 
@@ -68,7 +117,7 @@ let write path doc =
   close_out oc;
   path
 
-(* ---------- validator combinators -------------------------------------- *)
+(* ---------- reading ---------------------------------------------------- *)
 
 type 'a check = ('a, string) result
 
@@ -88,27 +137,6 @@ let field doc path conv =
 
 let ensure ok fmt = Printf.ksprintf (fun s -> if ok then Ok () else Error s) fmt
 
-let rows ?runs doc path check =
-  let name = String.concat "." path in
-  let* rs = field doc path Obs_json.to_list in
-  let* () =
-    match runs with
-    | Some runs ->
-      ensure (List.length rs = runs) "%S has %d rows for %d runs" name
-        (List.length rs) runs
-    | None -> Ok ()
-  in
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | r :: rest -> (
-      match check r with
-      | Ok v -> go (i + 1) (v :: acc) rest
-      | Error e -> Error (Printf.sprintf "%s row %d: %s" name i e))
-  in
-  go 0 [] rs
-
-(* ---------- reading ---------------------------------------------------- *)
-
 type header = {
   kind : kind;
   experiment : string;
@@ -127,7 +155,33 @@ let gate_row row =
   let* strict = field row [ "strict" ] Obs_json.to_bool in
   let* value = field row [ "value" ] Obs_json.to_float in
   let* () = ensure (Float.is_finite value) "%S: non-finite value" metric in
-  Ok { metric; better; strict; value }
+  let* limit =
+    match Obs_json.member "limit" row with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (field row [ "limit" ] Obs_json.to_float)
+  in
+  let* () =
+    match limit with
+    | None -> Ok ()
+    | Some l ->
+      let* () = ensure (Float.is_finite l) "%S: non-finite limit" metric in
+      ensure (better <> Info) "%S: a limit on an info row" metric
+  in
+  Ok { metric; better; strict; value; limit }
+
+(* Every row of the array at [path] through [check]; errors name the
+   path and the row index. *)
+let rows doc path check =
+  let name = String.concat "." path in
+  let* rs = field doc path Obs_json.to_list in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | r :: rest -> (
+      match check r with
+      | Ok v -> go (i + 1) (v :: acc) rest
+      | Error e -> Error (Printf.sprintf "%s row %d: %s" name i e))
+  in
+  go 0 [] rs
 
 let header doc =
   let* s = field doc [ "schema" ] Obs_json.to_str in
@@ -141,10 +195,13 @@ let header doc =
   let* wall = field doc [ "wall_time_s" ] Obs_json.to_float in
   let* runs =
     match Obs_json.member "runs" doc with
-    | None -> Ok None
+    | None ->
+      let* () = ensure (kind = Bench) "missing \"runs\"" in
+      Ok None
     | Some _ ->
       let* r = field doc [ "runs" ] Obs_json.to_int in
       let* () = ensure (r >= 0) "negative \"runs\"" in
+      let* () = ensure (kind = Bench || r > 0) "no runs" in
       Ok (Some r)
   in
   let* _ = field doc [ "metrics"; "counters" ] Obs_json.to_list in
@@ -163,24 +220,27 @@ let header doc =
       (List.exists (fun g -> g.metric = wall_metric && g.value = wall) gate)
       "no %S gate row matching \"wall_time_s\"" wall_metric
   in
-  Ok { kind; experiment; wall; runs; gate }
-
-let expect kind ?(rows = []) doc =
-  let* h = header doc in
   let* () =
-    ensure (h.kind = kind) "kind %s, expected %s" (kind_label h.kind)
-      (kind_label kind)
+    let missing f = List.find_opt (fun m -> not (List.exists (f m) gate)) in
+    match
+      ( missing (fun m g -> g.metric = m) (stated kind),
+        missing (fun m g -> g.metric = m && g.limit <> None) (acceptance kind) )
+    with
+    | Some m, _ -> Error (Printf.sprintf "missing gate row %S" m)
+    | None, Some m ->
+      Error (Printf.sprintf "acceptance row %S missing or unlimited" m)
+    | None, None -> Ok ()
   in
-  match
-    List.filter
-      (fun m -> not (List.exists (fun g -> g.metric = m) h.gate))
-      rows
-  with
-  | [] -> Ok h
-  | missing ->
-    Error (Printf.sprintf "missing gate rows: %s" (String.concat ", " missing))
-
-let run_count h = Option.to_result h.runs ~none:"missing \"runs\""
+  let* () =
+    match Obs_json.member "per_run" doc with
+    | None -> Ok ()
+    | Some _ ->
+      let* rs = field doc [ "per_run" ] Obs_json.to_list in
+      let runs = Option.value runs ~default:0 in
+      ensure (List.length rs = runs) "\"per_run\" has %d rows for %d runs"
+        (List.length rs) runs
+  in
+  Ok { kind; experiment; wall; runs; gate }
 
 let read_file path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -5,12 +5,13 @@
     (campaign kinds; bench experiments are not seed sweeps) and the
     [metrics] registry snapshot — a [gate] array, and the producer's own
     members.  Each gate row names one metric, the direction that counts
-    as better, whether any worsening regresses ([strict]) and its value:
-    the producer states what CI gates on, so {!Compare} and
-    [bench-check] never re-parse a kind's own members.
+    as better, whether any worsening regresses ([strict]), its value and
+    optionally a pass [limit]: the producer states what CI gates on and
+    what the run must reach, so {!Compare} and [bench-check] never
+    re-parse a kind's own members.
 
-    This module also owns the one artifact writer and the validator
-    combinators the per-kind checks are written with. *)
+    This module also owns the one artifact writer and the envelope
+    check. *)
 
 type kind = Bench | Faults | Flight | Recov | Epoch | Svc
 
@@ -32,18 +33,42 @@ type better = Lower | Higher | Info
 val better_label : better -> string
 (** ["lower"], ["higher"], ["info"]. *)
 
-type gate = { metric : string; better : better; strict : bool; value : float }
+type gate = {
+  metric : string;
+  better : better;
+  strict : bool;
+  value : float;
+  limit : float option;
+      (** the pass limit (JSON ["limit"], absent for none): a [Lower]
+          row passes at or below it, a [Higher] row at or above it *)
+}
 
 val strict : better -> string -> float -> gate
 (** Regresses on any worsening: safety violations, decided counts. *)
 
-val threshold : better -> string -> float -> gate
+val threshold : ?limit:float -> better -> string -> float -> gate
 (** Regresses only past {!Compare}'s tolerance. *)
 
 val info : string -> float -> gate
 
+val must : better -> string -> limit:float -> float -> gate
+(** A {!strict} row with a pass limit: an acceptance condition. *)
+
 val wall_metric : string
 (** ["wall time (s)"], the info row every report carries. *)
+
+val past_limits : gate list -> gate list
+(** The rows whose value is past their limit: the one acceptance check
+    [bench-check] and [sintra run] share. *)
+
+val acceptance : kind -> string list
+(** The kind's acceptance rows, which {!header} requires present and
+    limited (none for [bench]). *)
+
+val stated : kind -> string list
+(** The rows the kind's reports state without a limit, which {!header}
+    requires present: [bench]'s virtual time total and crypto-op
+    counts, [flight]'s decided runs. *)
 
 (** {2 Writing} *)
 
@@ -63,24 +88,12 @@ val write : string -> Obs_json.t -> string
 (** The one artifact writer: the document canonically (sorted members,
     one trailing newline) to the path; returns the path. *)
 
-(** {2 Reading and validation} *)
+(** {2 Reading} *)
 
 type 'a check = ('a, string) result
 
-val ( let* ) : 'a check -> ('a -> 'b check) -> 'b check
-
 val field : Obs_json.t -> string list -> (Obs_json.t -> 'a option) -> 'a check
 (** The member at a path, converted, or an error naming the path. *)
-
-val ensure : bool -> ('a, unit, string, unit check) format4 -> 'a
-(** [ensure ok fmt ...] is [Ok ()] when [ok], else the formatted error. *)
-
-val rows :
-  ?runs:int -> Obs_json.t -> string list -> (Obs_json.t -> 'a check) ->
-  'a list check
-(** Every row of the array at a path must pass the row check — and with
-    [?runs] there must be exactly that many; errors name the path and
-    the row index. *)
 
 type header = {
   kind : kind;
@@ -91,16 +104,15 @@ type header = {
 }
 
 val header : Obs_json.t -> header check
-(** The generic check: schema, a known kind, experiment, wall time, a
-    non-negative [runs] when present, a [metrics] object, and a gate of
-    well-formed rows — finite values, a known [better], unique names —
-    including the {!wall_metric} row equal to [wall_time_s]. *)
-
-val expect : kind -> ?rows:string list -> Obs_json.t -> header check
-(** {!header}, the expected kind, and the named gate rows present. *)
-
-val run_count : header -> int check
-(** [runs], which every campaign report must carry. *)
+(** The envelope check: schema, a known kind, experiment, wall time,
+    [runs] (positive, and required for every kind but [bench]), a
+    [metrics] object, a gate of well-formed rows — finite values, a
+    known [better], unique names, a finite limit only on a [Lower] or
+    [Higher] row — including the {!wall_metric} row equal to
+    [wall_time_s], the kind's {!stated} rows present, its {!acceptance}
+    rows present and limited,
+    and a [per_run] array, when present, of exactly [runs] rows.  It
+    does not check the limits themselves: see {!past_limits}. *)
 
 val read_file : string -> Obs_json.t check
 (** Parse a JSON file. *)

@@ -577,8 +577,8 @@ let campaign_tests =
         (match Obs_json.of_string (Obs_json.to_string doc) with
         | Error e -> Alcotest.failf "round-trip parse: %s" e
         | Ok doc' ->
-          (match Campaign.validate_json doc' with
-          | Ok () -> ()
+          (match Campaign_table.check_doc doc' with
+          | Ok _ -> ()
           | Error e -> Alcotest.failf "validate: %s" e));
         (* decide-time histogram accumulated under layer "faults" *)
         let snap = Obs.snapshot rep.Campaign.obs in
@@ -594,7 +594,7 @@ let campaign_tests =
     Alcotest.test_case "validator rejects wrong shapes" `Quick (fun () ->
         let check_bad doc =
           Alcotest.(check bool) "rejected" true
-            (Result.is_error (Campaign.validate_json doc))
+            (Result.is_error (Campaign_table.check_doc doc))
         in
         check_bad (Obs_json.Obj []);
         check_bad
@@ -739,8 +739,8 @@ let recovery_tests =
          with
         | Error e -> Alcotest.failf "re-parse: %s" e
         | Ok doc' ->
-          (match Rejoin.validate_json doc' with
-          | Ok () -> ()
+          (match Campaign_table.check_doc doc' with
+          | Ok _ -> ()
           | Error e -> Alcotest.failf "validate: %s" e))) ]
 
 (* ---------------- sustained-load service campaigns ------------------- *)
@@ -834,13 +834,13 @@ let svc_campaign_tests =
         match Obs_json.of_string (Obs_json.to_canonical_string doc) with
         | Error e -> Alcotest.failf "re-parse: %s" e
         | Ok doc' ->
-          (match Svc.validate_json doc' with
-          | Ok () -> ()
+          (match Campaign_table.check_doc doc' with
+          | Ok _ -> ()
           | Error e -> Alcotest.failf "validate: %s" e));
     Alcotest.test_case "svc validator rejects wrong shapes" `Quick (fun () ->
         let check_bad doc =
           Alcotest.(check bool) "rejected" true
-            (Result.is_error (Svc.validate_json doc))
+            (Result.is_error (Campaign_table.check_doc doc))
         in
         check_bad (Obs_json.Obj []);
         check_bad
@@ -941,9 +941,24 @@ let map_gate f doc =
 
 let set_member k v row = map_path (fun _ -> Some v) row [ k ]
 
+(* [row] with member [k] set to [v], added when absent. *)
+let add_member k v = function
+  | Obs_json.Obj kvs -> Obs_json.Obj ((k, v) :: List.remove_assoc k kvs)
+  | row -> row
+
+let drop_member k row = map_path (fun _ -> None) row [ k ]
+
 let gate_metric row =
   Option.value ~default:""
     (Option.bind (Obs_json.member "metric" row) Obs_json.to_str)
+
+(* [doc] with gate row [m]'s value set to [v]. *)
+let set_gate_value m v doc =
+  map_gate
+    (List.map (fun r ->
+         if gate_metric r = m then set_member "value" (Obs_json.Float v) r
+         else r))
+    doc
 
 let contains s sub =
   let n = String.length sub in
@@ -980,10 +995,7 @@ let table_tests =
             | Error e -> Alcotest.failf "%s: document rejected: %s" kind e);
             (* Flight summaries aggregate per cell: no per-run rows. *)
             let per_run =
-              match kind with
-              | "faults" -> Some [ "link"; "per_run" ]
-              | "flight" -> None
-              | _ -> Some [ "per_run" ]
+              match kind with "flight" -> None | _ -> Some [ "per_run" ]
             in
             Option.iter
               (fun path ->
@@ -1043,6 +1055,63 @@ let table_tests =
             rejected "unknown better"
               (map_gate (first (set_member "better" (Obs_json.Str "sideways")))
                  doc);
+            (* Limits: finite, numeric, never on an info row, and present
+               on every acceptance row of the kind. *)
+            let h =
+              match Report.header doc with
+              | Ok h -> h
+              | Error e -> Alcotest.failf "%s: %s" name e
+            in
+            let limited =
+              List.filter
+                (fun (g : Report.gate) -> g.Report.limit <> None)
+                h.Report.gate
+            in
+            Alcotest.(check bool) (name ^ ": has limited rows") true
+              (limited <> []);
+            let on_row m f =
+              map_gate
+                (List.map (fun r -> if gate_metric r = m then f r else r))
+                doc
+            in
+            let some_limited = (List.hd limited).Report.metric in
+            rejected "non-finite limit"
+              (on_row some_limited
+                 (set_member "limit" (Obs_json.Float infinity)));
+            rejected "non-numeric limit"
+              (on_row some_limited (set_member "limit" (Obs_json.Str "0")));
+            rejected "limit on an info row"
+              (on_row Report.wall_metric
+                 (add_member "limit" (Obs_json.Float 1e9)));
+            List.iter
+              (fun m ->
+                rejected
+                  ("acceptance row " ^ m ^ " unlimited")
+                  (on_row m (drop_member "limit")))
+              (Report.acceptance h.Report.kind);
+            (* Every limited row one step past its limit: bench-check
+               rejects the document and names the row. *)
+            List.iter
+              (fun (g : Report.gate) ->
+                let limit = Option.get g.Report.limit in
+                let past =
+                  if g.Report.better = Report.Higher then limit -. 1.0
+                  else limit +. 1.0
+                in
+                match
+                  Campaign_table.check_doc
+                    (set_gate_value g.Report.metric past doc)
+                with
+                | Ok _ ->
+                  Alcotest.failf "%s: %s = %g accepted" name g.Report.metric
+                    past
+                | Error e ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %s past its limit named" name
+                       g.Report.metric)
+                    true
+                    (contains e g.Report.metric))
+              limited;
             (* Any one baseline row missing from the candidate is a
                structural error, not a verdict. *)
             let gate =
@@ -1061,7 +1130,70 @@ let table_tests =
                              doc)
                         ())))
               gate)
-          (Lazy.force baseline_docs));
+          (Lazy.force baseline_docs);
+        (* Documents the per-kind validators once accepted: the gate
+           showed violations their re-parsed members did not. *)
+        List.iter
+          (fun (prefix, rows) ->
+            let doc = List.assoc prefix (Lazy.force baseline_docs) in
+            let bad =
+              List.fold_left
+                (fun d (m, v) -> set_gate_value m v d)
+                doc rows
+            in
+            match Campaign_table.check_doc bad with
+            | Ok _ -> Alcotest.failf "tampered %s accepted" prefix
+            | Error e ->
+              List.iter
+                (fun (m, _) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "tampered %s: %s named" prefix m)
+                    true (contains e m))
+                rows)
+          (let violations =
+             [ ("safety violations", 3.0); ("gating liveness violations", 2.0) ]
+           in
+           [ ("FAULTS", violations); ("FLIGHT", violations);
+             ("BENCH_SVC", [ ("missed requests", 4.0) ]);
+             ("EPOCH", [ ("safety violations", 4.0) ]) ]));
+    Alcotest.test_case "DLEQ batch rows keep the 3x gate; quick runs relax it"
+      `Quick (fun () ->
+        let check ~quick per_share =
+          Campaign_table.check_doc
+            (Bench_out.document ~id:"NUM" ~wall:0.0
+               ~gate:(Bench_num.dleq_gate ~quick per_share)
+               (Obs.create ()) [])
+        in
+        let rejects what ~quick per_share row =
+          match check ~quick per_share with
+          | Ok _ -> Alcotest.failf "%s accepted" what
+          | Error e ->
+            Alcotest.(check bool) (what ^ " names the row") true
+              (contains e row)
+        in
+        let accepts what ~quick per_share =
+          match check ~quick per_share with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s rejected: %s" what e
+        in
+        (* 2.58x at batch 8: below the full-run limit, above the quick one *)
+        let slow =
+          [ (1, 156.2); (2, 110.0); (4, 80.0); (8, 60.5); (16, 55.0) ]
+        in
+        rejects "full run at 2.58x" ~quick:false slow "dleq batch-8 speedup";
+        accepts "quick run at 2.58x" ~quick:true slow;
+        accepts "full run at 3.2x" ~quick:false
+          [ (1, 160.0); (2, 110.0); (4, 80.0); (8, 50.0); (16, 45.0) ];
+        (* per-share cost rising 40% from batch 1 to 2 *)
+        let rising =
+          [ (1, 100.0); (2, 140.0); (4, 40.0); (8, 30.0); (16, 20.0) ]
+        in
+        rejects "full run, cost rising 1.4x" ~quick:false rising
+          "dleq per-share cost rise";
+        accepts "quick run, cost rising 1.4x" ~quick:true rising;
+        Alcotest.(check int) "no rows without batch sizes 1 and 8" 0
+          (List.length
+             (Bench_num.dleq_gate ~quick:false [ (2, 100.0); (4, 10.0) ])));
     Alcotest.test_case "tput gate regresses when one row's throughput halves"
       `Quick (fun () ->
         let base = List.assoc "BENCH_TPUT" (Lazy.force baseline_docs) in

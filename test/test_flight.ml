@@ -106,8 +106,13 @@ let durable_tests =
       (fun () ->
         let s1, _, rep1 = record_small ~id:"det" () in
         let s2, _, rep2 = record_small ~id:"det" () in
-        Alcotest.(check bool) "campaign ok" true (Campaign.ok rep1);
-        Alcotest.(check bool) "campaign ok again" true (Campaign.ok rep2);
+        let passes rep =
+          Result.is_ok
+            (Campaign_table.check_doc
+               (Campaign.to_json ~id:"det" ~wall:0.0 rep))
+        in
+        Alcotest.(check bool) "campaign ok" true (passes rep1);
+        Alcotest.(check bool) "campaign ok again" true (passes rep2);
         Alcotest.(check string) "canonical bytes"
           (Obs_json.to_canonical_string (flight_doc rep1 s1))
           (Obs_json.to_canonical_string (flight_doc rep2 s2)));

@@ -525,11 +525,11 @@ let gating_tests =
           (List.exists
              (fun (r : Campaign.run_result) -> r.Campaign.r_link_retransmits > 0)
              rep.Campaign.results);
-        (* the report round-trips through the /2 schema with the link
-           section, and the validator accepts it *)
+        (* the report carries the link section, and bench-check's one
+           check accepts it *)
         let json = Campaign.to_json ~id:"gating-test" ~wall:0.0 rep in
-        (match Campaign.validate_json json with
-        | Ok () -> ()
+        (match Campaign_table.check_doc json with
+        | Ok _ -> ()
         | Error e -> Alcotest.failf "report validation failed: %s" e))
   ]
 
