@@ -84,7 +84,8 @@ tput-bless:
 	mv BENCH_TPUT.json baselines/BENCH_TPUT_BASELINE.json
 
 # Seed-sweep campaigns, one row each in the campaign table that
-# `sintra run` reads (lib/faults/campaign_table.ml):
+# `sintra run` reads (lib/faults/campaign_table.ml); each row names one
+# Sweep.campaign value, and lib/faults/sweep.ml runs every one of them:
 #   faults  chaos policies x corruption mixes over ABBA and ABC
 #   link    30% drop with the reliable link on (liveness-gating)
 #   flight  the fault sweep under the flight recorder
@@ -110,11 +111,12 @@ $(CAMPAIGNS:%=%-bless): %-bless:
 	mv $($*_ART)_BASELINE.json baselines/
 
 # Adversarial schedule search over the chaos step of a fault timeline
-# (hill-climb, seeded):
-# maximises steps-to-decide and the link back-pressure peak, archiving
-# the worst schedules found as replayable fixtures under
-# test/fixtures/.  Exits non-zero if any evaluated schedule ever cost
-# safety.
+# (hill-climb, seeded) on one cell of the faults campaign: maximises
+# steps-to-decide and the link back-pressure peak, archiving the worst
+# schedules found as replayable sintra-schedule/3 fixtures (campaign,
+# cell, timeline) under test/fixtures/worst_*.json; any campaign's cell
+# replays from such a fixture.  Exits non-zero if any evaluated
+# schedule ever cost safety.
 schedule-search:
 	$(SINTRA) search --objective decide-time --iters 12 --top 2 --out-dir test/fixtures
 	$(SINTRA) search --objective buffer-peak --iters 12 --top 2 --link --out-dir test/fixtures

@@ -396,16 +396,16 @@ let run_cmd =
     let knobs =
       { Campaign_table.n; t; seed_base = seed;
         seeds = Option.value seeds ~default:preset.seeds;
-        size = preset.size; drop }
+        size = preset.size; drop; max_steps = None }
     in
-    let path =
-      c.run knobs
+    let path, check =
+      Campaign_table.run c knobs
         ~id:(Option.value out ~default:c.default_id)
         ~progress:(fun (k, total) ->
           Printf.eprintf "\r[%s] %d/%d runs%!" c.name k total;
           if k = total then prerr_newline ())
     in
-    match Campaign_table.check_file path with
+    match check with
     | Ok msg -> Printf.printf "[%s] wrote %s: OK (%s)\n" c.name path msg
     | Error e ->
       Printf.eprintf "[%s] wrote %s: FAILED (%s)\n" c.name path e;
@@ -615,9 +615,10 @@ let search_cmd =
           a fault timeline (drop/delay/duplication/reordering rates plus a \
           healing partition window), maximising steps-to-decide or link \
           buffer peaks.  Deterministic in --seed.  With --out-dir, \
-          archives the worst schedules as replayable sintra-schedule/2 \
-          fixtures (the timeline plus its evaluation); exits non-zero if \
-          any evaluated schedule cost safety.")
+          archives the worst schedules as replayable sintra-schedule/3 \
+          fixtures (the campaign, cell and timeline plus its \
+          evaluation); exits non-zero if any evaluated schedule cost \
+          safety.")
     Term.(
       const run $ n_arg $ t_arg $ seed_arg $ objective_arg $ iters_arg
       $ eval_seeds_arg $ protocol_arg $ payloads_arg $ max_steps_arg

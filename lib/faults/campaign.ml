@@ -34,6 +34,16 @@ let reliable (c : Sim.chaos) =
 let timeline policy =
   [ { Sweep.at = Sweep.Start; act = Sweep.Chaos policy.p_chaos } ]
 
+(* A fault run has no stream to time a progress trigger by and no
+   victim: its faults are start-time chaos specs only. *)
+let chaos_specs tl =
+  List.map
+    (function
+      | { Sweep.at = Sweep.Start; act = Sweep.Chaos c } -> c
+      | _ ->
+        invalid_arg "Campaign: a fault run takes start-time chaos steps only")
+    tl
+
 type mix_kind = Silent | Crash_at of float | Byz
 
 type mix = { m_name : string; m_kind : mix_kind }
@@ -42,10 +52,10 @@ type protocol = P_abba | P_abc
 
 let protocol_label = function P_abba -> "abba" | P_abc -> "abc"
 
-let protocol_of_string = function
-  | "abba" -> Some P_abba
-  | "abc" -> Some P_abc
-  | _ -> None
+type cell = protocol * policy_spec * mix
+
+let cell_label (protocol, policy, mix) =
+  String.concat "/" [ protocol_label protocol; policy.p_name; mix.m_name ]
 
 type config = {
   core : Sweep.core;
@@ -164,10 +174,12 @@ let mix_sends_honestly = function
   | Silent | Byz -> false
   | Crash_at _ -> true
 
-(* Effective reliability: the chaos spec delivers eventually on its own,
-   or the link layer is on and repairs it. *)
-let effective_reliable cfg policy =
-  reliable policy.p_chaos || (cfg.link <> None && link_restores policy.p_chaos)
+(* Effective reliability: every chaos spec of the timeline delivers
+   eventually on its own, or the link layer is on and repairs it. *)
+let effective_reliable cfg specs =
+  List.for_all
+    (fun c -> reliable c || (cfg.link <> None && link_restores c))
+    specs
 
 (* Per-run link retransmission counts come from the shared registry
    counter (the link endpoints of every run increment the same handle),
@@ -235,12 +247,12 @@ let abc_workload cfg ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
       Pset.for_all (fun p -> List.length logs_rev.(p) >= expected) honest),
     fun () -> Oracle.check_abc ~honest ~expected (Array.map List.rev logs_rev) )
 
-let run_with ?flight env cfg ~protocol ~policy ~mix ~seed ~tag ~behavior sim
-    workload =
-  let { Sweep.keyring; obs } = env in
+let run_with env cfg ~protocol ~policy ~mix ~seed ~tag ~reliable ~timeline
+    ~behavior sim workload =
+  let { Sweep.keyring; obs; flight } = env in
   let corrupted = corrupted_set keyring seed in
   let honest = Pset.diff (Pset.full cfg.core.n) corrupted in
-  ignore (Sweep.start sim (timeline policy));
+  ignore (Sweep.start sim timeline);
   Sweep.flight_begin flight sim;
   let on_link, peak = peak_probe () in
   let last_decide = ref None in
@@ -263,7 +275,6 @@ let run_with ?flight env cfg ~protocol ~policy ~mix ~seed ~tag ~behavior sim
   let decided = done_ () in
   let decide_clock = if decided then !last_decide else None in
   let steps = Sim.steps sim and buffer_peak = peak () in
-  let reliable = effective_reliable cfg policy in
   Sweep.flight_end flight
     ~key:{ Flight.protocol; policy = policy.p_name; mix = mix.m_name; seed }
     ~violations ~decided ~gating:reliable ~decide_clock ~steps ~buffer_peak;
@@ -286,68 +297,39 @@ let run_with ?flight env cfg ~protocol ~policy ~mix ~seed ~tag ~behavior sim
     r_buffer_peak = buffer_peak;
   }
 
-(* ---------- the sweep ------------------------------------------------- *)
-
-type report = {
-  config : config;
-  results : run_result list;  (* in execution order *)
-  obs : Obs.t;  (* accumulated sim metrics + decide-time histograms *)
-}
-
-let safety_count rep =
-  Sweep.sum (fun r -> Oracle.count_safety r.r_violations) rep.results
-
-let liveness_count rep =
-  Sweep.sum (fun r -> Oracle.count_liveness r.r_violations) rep.results
-
 (* Liveness violations under reliable chaos specs — the only ones that
    falsify the paper's claims, hence the only ones that gate. *)
-let gating_liveness_count rep =
+let gating_liveness_count results =
   Sweep.sum
     (fun r -> if r.r_reliable then Oracle.count_liveness r.r_violations else 0)
-    rep.results
+    results
 
-(* Dealing the toy keyring dominates campaign start-up; [prepare] does
-   it once so repeated sweeps over the same (n, t, bits) — the
-   adversarial schedule search evaluates hundreds of candidate chaos
-   specs — share the environment. *)
-let prepare cfg = Sweep.prepare ~key_offset:7770 cfg.core
-
-let run_one ?flight env cfg ~protocol ~policy ~mix ~seed =
+let run_one cfg env ((protocol, policy, mix) : cell) ~seed timeline =
+  let reliable = effective_reliable cfg (chaos_specs timeline) in
   let sim () = Sim.create ~n:cfg.core.n ~seed ~obs:env.Sweep.obs () in
   let label = protocol_label protocol in
   let tag = Printf.sprintf "flt-%s-%d" label seed in
-  match protocol with
-  | P_abba ->
-    run_with ?flight env cfg ~protocol:label ~policy ~mix ~seed ~tag
-      ~behavior:(abba_behavior ~tag mix.m_kind)
-      (sim ()) (abba_workload cfg ~mix ~seed)
-  | P_abc ->
-    run_with ?flight env cfg ~protocol:label ~policy ~mix ~seed ~tag
-      ~behavior:(abc_behavior ~tag mix.m_kind)
-      (sim ()) (abc_workload cfg ~seed)
-
-let run_prepared ?progress ?flight env cfg =
-  let cells =
-    Sweep.product (Sweep.product cfg.protocols cfg.policies) cfg.mixes
+  let r =
+    match protocol with
+    | P_abba ->
+      run_with env cfg ~protocol:label ~policy ~mix ~seed ~tag ~reliable
+        ~timeline
+        ~behavior:(abba_behavior ~tag mix.m_kind)
+        (sim ()) (abba_workload cfg ~mix ~seed)
+    | P_abc ->
+      run_with env cfg ~protocol:label ~policy ~mix ~seed ~tag ~reliable
+        ~timeline
+        ~behavior:(abc_behavior ~tag mix.m_kind)
+        (sim ()) (abc_workload cfg ~seed)
   in
-  let results =
-    Sweep.sweep ?progress cfg.core cells (fun ((protocol, policy), mix) ~seed ->
-        let r = run_one ?flight env cfg ~protocol ~policy ~mix ~seed in
-        Option.iter
-          (Obs.observe env.Sweep.obs
-             ~labels:[ ("layer", "faults"); ("protocol", r.r_protocol) ]
-             "decide_time")
-          r.r_decide_clock;
-        r)
-  in
-  { config = cfg; results; obs = env.Sweep.obs }
-
-let run ?progress ?flight cfg = run_prepared ?progress ?flight (prepare cfg) cfg
+  Option.iter
+    (Obs.observe env.Sweep.obs
+       ~labels:[ ("layer", "faults"); ("protocol", r.r_protocol) ]
+       "decide_time")
+    r.r_decide_clock;
+  r
 
 (* ---------- report output --------------------------------------------- *)
-
-let out_path id = Printf.sprintf "FAULTS_%s.json" id
 
 let violation_json r (v : Oracle.violation) =
   Obs_json.Obj
@@ -407,10 +389,7 @@ let config_json cfg =
               ("window", Obs_json.Int cfg.abc_policy.Abc.window);
             ] );
         ("link_enabled", Obs_json.Bool (cfg.link <> None));
-        ( "protocols",
-          Obs_json.Arr
-            (List.map (fun p -> Obs_json.Str (protocol_label p)) cfg.protocols)
-        );
+        ("protocols", Sweep.labels protocol_label cfg.protocols);
         ( "policies",
           Obs_json.Arr
             (List.map
@@ -421,38 +400,33 @@ let config_json cfg =
                      ("reliable", Obs_json.Bool (reliable p.p_chaos));
                    ])
                cfg.policies) );
-        ( "mixes",
-          Obs_json.Arr (List.map (fun m -> Obs_json.Str m.m_name) cfg.mixes) );
+        ("mixes", Sweep.labels (fun m -> m.m_name) cfg.mixes);
       ])
 
-let to_json ~id ~wall rep =
-  let cfg = rep.config in
-  let total f = Sweep.sum f rep.results in
+(* The gate and the members besides the config echo and the per-run
+   rows: chaos and link totals and the first violations in detail. *)
+let close cfg _env (t : Sweep.totals) results =
+  let total f = Sweep.sum f results in
   let details =
     List.concat_map
       (fun r -> List.map (violation_json r) r.r_violations)
-      rep.results
+      results
   in
-  Report.make Report.Faults ~experiment:id ~wall
-    ~runs:(List.length rep.results) ~obs:rep.obs
-    ~gate:
-      Report.
-        [
-          must Lower "safety violations" ~limit:0.0 (float (safety_count rep));
-          must Lower "gating liveness violations" ~limit:0.0
-            (float (gating_liveness_count rep));
-          threshold Lower "liveness violations" (float (liveness_count rep));
-          threshold Lower "link retransmits"
-            (float (total (fun r -> r.r_link_retransmits)));
-          (* an undecided gating run is a liveness violation whether or
-             not an oracle named it *)
-          must Lower "undecided gating runs" ~limit:0.0
-            (float
-               (total (fun r ->
-                    Bool.to_int (r.r_reliable && not r.r_decided))));
-        ]
+  ( Report.
+      [
+        must Lower "safety violations" ~limit:0.0 (float t.safety);
+        must Lower "gating liveness violations" ~limit:0.0
+          (float (gating_liveness_count results));
+        threshold Lower "liveness violations" (float t.liveness);
+        threshold Lower "link retransmits"
+          (float (total (fun r -> r.r_link_retransmits)));
+        (* an undecided gating run is a liveness violation whether or
+           not an oracle named it *)
+        must Lower "undecided gating runs" ~limit:0.0
+          (float
+             (total (fun r -> Bool.to_int (r.r_reliable && not r.r_decided))));
+      ],
     [
-      ("config", config_json cfg);
       ( "chaos",
         Obs_json.Obj
           [
@@ -469,42 +443,29 @@ let to_json ~id ~wall rep =
               | None -> Obs_json.Null
               | Some p -> link_policy_json p );
           ] );
-      ("per_run", Obs_json.Arr (List.map run_json rep.results));
       ( "violation_details",
         Obs_json.Arr (List.filteri (fun i _ -> i < 50) details) );
-    ]
+    ] )
 
-(* ---------- summary --------------------------------------------------- *)
-
-let pp_summary fmt rep =
-  (* One line per (protocol, policy, mix) cell of the sweep. *)
-  List.iter
-    (fun ((proto, pol, mix), rs) ->
-      let decided = List.filter_map (fun r -> r.r_decide_clock) rs in
-      let count f = Sweep.sum (fun r -> f r.r_violations) rs in
-      let safety = count Oracle.count_safety
-      and liveness = count Oracle.count_liveness in
-      let mean_clock =
-        match decided with
-        | [] -> nan
-        | _ ->
-          List.fold_left ( +. ) 0.0 decided
-          /. float_of_int (List.length decided)
-      in
-      Format.fprintf fmt
-        "%-5s %-11s %-10s %3d/%-3d decided  mean clock %7.0f  safety %d  liveness %d%s@."
-        proto pol mix (List.length decided) (List.length rs) mean_clock safety
-        liveness
-        (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (Sweep.group (fun r -> (r.r_protocol, r.r_policy, r.r_mix)) rep.results);
-  Format.fprintf fmt
-    "total: %d runs, %d safety violations, %d liveness (%d gating)@."
-    (List.length rep.results) (safety_count rep) (liveness_count rep)
-    (gating_liveness_count rep);
-  Option.iter
-    (fun p ->
-      Format.fprintf fmt
-        "link: on (rto %g, backoff %g, window %d), %d retransmissions@."
-        p.Link.rto p.Link.backoff p.Link.window
-        (Sweep.sum (fun r -> r.r_link_retransmits) rep.results))
-    rep.config.link
+let campaign cfg =
+  {
+    Sweep.kind = Report.Faults;
+    core = cfg.core;
+    key_offset = 7770;
+    cells =
+      List.concat_map
+        (fun protocol ->
+          List.concat_map
+            (fun policy ->
+              List.map (fun mix -> (protocol, policy, mix)) cfg.mixes)
+            cfg.policies)
+        cfg.protocols;
+    label = cell_label;
+    timeline = (fun (_, policy, _) -> timeline policy);
+    run_one = run_one cfg;
+    violations = (fun r -> r.r_violations);
+    steps = (fun r -> r.r_steps);
+    row = run_json;
+    close = close cfg;
+    config = config_json cfg;
+  }

@@ -1,6 +1,6 @@
 (** Seed-sweep fault campaigns: seeds × chaos policies × corruption
-    mixes per protocol, oracle-checked, with a machine-readable
-    [faults] {!Report}.
+    mixes per protocol, oracle-checked, as one {!Sweep.campaign} whose
+    report is of kind [faults].
 
     Every run is fully determined by (protocol, policy, mix, seed), so
     any violation found by a sweep is replayable in isolation.  The
@@ -8,9 +8,6 @@
     structure across seeds. *)
 
 type policy_spec = { p_name : string; p_chaos : Sim.chaos }
-
-val timeline : policy_spec -> Sweep.timeline
-(** The policy as a fault timeline: its chaos spec from the start. *)
 
 type mix_kind =
   | Silent  (** receive everything, send nothing *)
@@ -22,7 +19,9 @@ type mix = { m_name : string; m_kind : mix_kind }
 type protocol = P_abba | P_abc
 
 val protocol_label : protocol -> string
-val protocol_of_string : string -> protocol option
+
+type cell = protocol * policy_spec * mix
+(** Labelled ["<protocol>/<policy>/<mix>"], e.g. ["abc/drop/silent"]. *)
 
 type config = {
   core : Sweep.core;
@@ -54,9 +53,6 @@ val partition_policy : n:int -> unit -> policy_spec
 (** Halves the servers for virtual time [\[50, 400)], then heals.
     Reliable. *)
 
-val default_policies : n:int -> policy_spec list
-val default_mixes : mix list
-
 val default_config :
   ?seeds:int ->
   ?seed_base:int ->
@@ -78,7 +74,7 @@ val default_config :
     2 payloads, [Abc.default_policy] (unbatched, window 1), link off,
     200k steps. *)
 
-(** {2 Runs and reports} *)
+(** {2 The campaign} *)
 
 type run_result = {
   r_protocol : string;
@@ -87,9 +83,9 @@ type run_result = {
   r_seed : int;
   r_corrupted : Pset.t;
   r_reliable : bool;
-      (** effective reliability: the spec delivers eventually, or the
-          link layer restores delivery — exactly the runs whose
-          liveness violations gate *)
+      (** effective reliability: every chaos spec of the timeline
+          delivers eventually, or the link layer restores delivery —
+          exactly the runs whose liveness violations gate *)
   r_violations : Oracle.violation list;
   r_decide_clock : float option;
       (** virtual time of the last honest decision; [None] when some
@@ -108,69 +104,14 @@ type run_result = {
           maximises *)
 }
 
-type report = {
-  config : config;
-  results : run_result list;  (** in execution order *)
-  obs : Obs.t;
-      (** accumulated sim metrics plus per-protocol ["decide_time"]
-          histograms under layer ["faults"] *)
-}
+val campaign : config -> (cell, run_result) Sweep.campaign
+(** Each cell's timeline is its policy's chaos spec from the start; a
+    run takes start-time chaos steps only (anything else is
+    [Invalid_argument]).  Each decided run's clock feeds a per-protocol
+    ["decide_time"] histogram under layer ["faults"]; the environment's
+    flight recorder, if any, brackets every run. *)
 
-val prepare : config -> Sweep.env
-(** Deal the keyring for [(n, t, rsa_bits, group_bits)] once; repeated
-    sweeps over the same parameters — the adversarial schedule search
-    evaluates hundreds of candidate chaos specs — share the result.  A
-    {!Flight.recorder} is created over the environment's [obs] so it
-    taps the campaign's registry. *)
-
-val run_one :
-  ?flight:Flight.recorder ->
-  Sweep.env ->
-  config ->
-  protocol:protocol ->
-  policy:policy_spec ->
-  mix:mix ->
-  seed:int ->
-  run_result
-(** One fully-determined run.  With [?flight], the run is bracketed by
-    {!Flight.run_begin} / {!Flight.run_end}: stalls and safety trips are
-    noted as anomalies with bounded hot windows, and per-run deltas
-    (steps, retransmits, buffer peak) feed the durable tier. *)
-
-val run_prepared :
-  ?progress:(int * int -> unit) ->
-  ?flight:Flight.recorder ->
-  Sweep.env ->
-  config ->
-  report
-
-val run :
-  ?progress:(int * int -> unit) -> ?flight:Flight.recorder -> config -> report
-(** Execute the sweep; [progress (done, total)] after every run.
-    [?flight] must have been created over this campaign's obs — use
-    {!prepare} + {!run_prepared} in that case. *)
-
-val safety_count : report -> int
-val liveness_count : report -> int
-
-val gating_liveness_count : report -> int
+val gating_liveness_count : run_result list -> int
 (** Liveness violations under effectively reliable policies (natively
     reliable, or lossy-but-link-restored) — the only liveness
     violations that falsify the paper's claims. *)
-
-(** {2 Artifacts} *)
-
-val out_path : string -> string
-(** [out_path id] is ["FAULTS_<id>.json"]. *)
-
-val config_json : config -> Obs_json.t
-(** The configuration echo embedded in FAULTS reports, also handed to
-    {!Flight.summarize} so FLIGHT files record what produced them. *)
-
-val to_json : id:string -> wall:float -> report -> Obs_json.t
-(** The [faults] {!Report}, one [per_run] row per run; its gate: safety
-    and gating-liveness violations and undecided gating runs (each
-    limited to 0), all liveness violations and link retransmissions. *)
-
-val pp_summary : Format.formatter -> report -> unit
-(** One line per (protocol, policy, mix) cell, plus totals. *)

@@ -1,8 +1,9 @@
 (** The campaign table: one row per campaign [sintra run] knows — its
-    name, artifact prefix, report kind, full and [--quick] presets and
-    runner — and the one artifact check that [bench-check] and
-    [sintra run] share, so the two can never disagree about an
-    artifact. *)
+    name, artifact prefix, full and [--quick] presets and the
+    {!Sweep.campaign} it builds from the knobs — the one timed
+    sweep-summarize-write path every row runs, and the one artifact
+    check that [bench-check] and [sintra run] share, so the two can
+    never disagree about an artifact. *)
 
 (** {2 Validation} *)
 
@@ -32,21 +33,42 @@ type knobs = {
   seeds : int;
   size : int;
   drop : float option;  (** overrides the campaign's chaos drop rate *)
+  max_steps : int option;  (** overrides the campaign's per-run step bound *)
 }
+
+type packed = Packed : ('cell, 'run) Sweep.campaign -> packed
 
 type campaign = {
   name : string;  (** [sintra run <name>], [make <name>[-smoke|-bless]] *)
-  prefix : string;  (** artifact files are [<prefix>_<id>.json] *)
-  kind : Report.kind;
+  prefix : string;
+      (** artifact files are [<prefix>_<id>.json], or [<prefix>.json]
+          for an id equal to the name ([sintra run svc] writes
+          [BENCH_SVC.json]) *)
   default_id : string;  (** the report id without [--out] *)
   full : preset;
   quick : preset;  (** [--quick], the CI smoke *)
-  run : knobs -> id:string -> progress:(int * int -> unit) -> string;
-      (** Sweep, print the summary on stdout, write the artifact;
-          returns its path.  The artifact's limited gate rows say
-          whether the campaign passed: see {!check_doc}. *)
+  flight : bool;
+      (** sweep under the flight recorder: the artifact is its [flight]
+          summary instead of the campaign's own report *)
+  campaign : knobs -> packed;
 }
 
 val campaigns : campaign list
 (** [faults], [link] (30% drop with the link layer on), [flight] (the
     fault sweep under the flight recorder), [recov], [epoch], [svc]. *)
+
+val find : string -> campaign option
+
+val faults :
+  link:bool -> knobs -> (Campaign.cell, Campaign.run_result) Sweep.campaign
+(** The [faults] row's campaign, or with [~link:true] the [link] row's:
+    30% drop (or [drop]) alone, with the reliable link layer on. *)
+
+val run :
+  campaign ->
+  knobs ->
+  id:string ->
+  progress:(int * int -> unit) ->
+  string * (string, string) result
+(** Sweep, print {!Sweep.pp_summary} and the wall time on stdout, write
+    the artifact and {!check_file} it: the path and the check. *)

@@ -83,7 +83,10 @@ type run_result = {
   er_steps : int;
 }
 
-let prepare cfg = Sweep.prepare ~key_offset:8810 cfg.e_core
+type cell = scenario * variant
+
+let cell_label (scenario, variant) =
+  scenario_label scenario ^ "/" ^ variant_label variant
 
 (* The monitor's poll period, virtual time. *)
 let poll = 200.0
@@ -120,7 +123,7 @@ let member_structure ~n ~t members =
 
 (* ---------- one scenario run ------------------------------------------ *)
 
-let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
+let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
   let { Sweep.n; t; group_bits; max_steps; _ } = cfg.e_core in
   let keyring = env.keyring in
   let victim = abs seed mod n in
@@ -140,7 +143,7 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
   in
   let pk = sharing0.Dl_sharing.public_key in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
-  let faults = Sweep.start ~victim sim (timeline cfg scenario variant) in
+  let faults = Sweep.start ~victim sim timeline in
   let link = match variant with Lossy -> Some cfg.e_link | _ -> None in
   let tag =
     Printf.sprintf "epoch-%s-%s-%d" (scenario_label scenario)
@@ -479,35 +482,7 @@ let run_one (env : Sweep.env) cfg ~scenario ~variant ~seed =
     er_steps = Sim.steps sim;
   }
 
-(* ---------- the sweep -------------------------------------------------- *)
-
-type report = {
-  config : config;
-  results : run_result list;  (* in execution order *)
-  obs : Obs.t;
-}
-
-let run ?progress cfg =
-  let env = prepare cfg in
-  let results =
-    Sweep.sweep ?progress cfg.e_core
-      (Sweep.product cfg.e_scenarios cfg.e_variants)
-      (fun (scenario, variant) -> run_one env cfg ~scenario ~variant)
-  in
-  { config = cfg; results; obs = env.obs }
-
-let safety_count rep =
-  Sweep.sum (fun r -> Oracle.count_safety r.er_violations) rep.results
-
-let liveness_count rep =
-  Sweep.sum (fun r -> Oracle.count_liveness r.er_violations) rep.results
-
-let completed_count rep =
-  List.length (List.filter (fun r -> r.er_completed) rep.results)
-
-(* ---------- report output ---------------------------------------------- *)
-
-let out_path id = Printf.sprintf "EPOCH_%s.json" id
+(* ---------- the campaign ---------------------------------------------- *)
 
 let config_json cfg =
   Obs_json.Obj
@@ -526,15 +501,8 @@ let config_json cfg =
                        Sweep.timeline_json (timeline cfg s v) ))
                    cfg.e_variants)
                cfg.e_scenarios) );
-        ( "scenarios",
-          Obs_json.Arr
-            (List.map
-               (fun s -> Obs_json.Str (scenario_label s))
-               cfg.e_scenarios) );
-        ( "variants",
-          Obs_json.Arr
-            (List.map (fun v -> Obs_json.Str (variant_label v)) cfg.e_variants)
-        );
+        ("scenarios", Sweep.labels scenario_label cfg.e_scenarios);
+        ("variants", Sweep.labels variant_label cfg.e_variants);
       ])
 
 let run_json r =
@@ -556,58 +524,46 @@ let run_json r =
       ("steps", Obs_json.Int r.er_steps);
     ]
 
-let to_json ~id ~wall rep =
-  let total f = float (Sweep.sum f rep.results) in
-  let runs = List.length rep.results in
+let close cfg _env (t : Sweep.totals) results =
+  let total f = float (Sweep.sum f results) in
   let failing f = total (fun r -> Bool.to_int (not (f r))) in
-  let byz = List.filter (fun r -> r.er_variant = Byz_refresher) rep.results in
-  Report.make Report.Epoch ~experiment:id ~wall ~runs ~obs:rep.obs
-    ~gate:
-      Report.
-        [
-          must Lower "safety violations" ~limit:0.0 (float (safety_count rep));
-          threshold Lower "liveness violations" (float (liveness_count rep));
-          must Higher "completed runs" ~limit:(float runs)
-            (float (completed_count rep));
-          must Higher "reply certificates"
-            ~limit:(float (runs * rep.config.e_payloads))
-            (total (fun r -> r.er_certs_ok));
-          info "dealers excluded" (total (fun r -> r.er_excluded));
-          threshold Lower "steps" (total (fun r -> r.er_steps));
-          must Lower "runs with a changed public key" ~limit:0.0
-            (failing (fun r -> r.er_pk_stable));
-          must Lower "runs with live old shares" ~limit:0.0
-            (failing (fun r -> r.er_old_shares_dead));
-          must Lower "runs with an unserving replacement" ~limit:0.0
-            (failing (fun r -> r.er_replaced_serving));
-          must Lower "Byzantine sweep without an exclusion" ~limit:0.0
-            (float
-               (Bool.to_int
-                  (byz <> []
-                  && List.for_all (fun r -> r.er_excluded = 0) byz)));
-        ]
-    [
-      ("config", config_json rep.config);
-      ("per_run", Obs_json.Arr (List.map run_json rep.results));
-    ]
+  let byz = List.filter (fun r -> r.er_variant = Byz_refresher) results in
+  ( Report.
+      [
+        must Lower "safety violations" ~limit:0.0 (float t.safety);
+        threshold Lower "liveness violations" (float t.liveness);
+        must Higher "completed runs" ~limit:(float t.runs)
+          (total (fun r -> Bool.to_int r.er_completed));
+        must Higher "reply certificates"
+          ~limit:(float (t.runs * cfg.e_payloads))
+          (total (fun r -> r.er_certs_ok));
+        info "dealers excluded" (total (fun r -> r.er_excluded));
+        threshold Lower "steps" (float t.steps);
+        must Lower "runs with a changed public key" ~limit:0.0
+          (failing (fun r -> r.er_pk_stable));
+        must Lower "runs with live old shares" ~limit:0.0
+          (failing (fun r -> r.er_old_shares_dead));
+        must Lower "runs with an unserving replacement" ~limit:0.0
+          (failing (fun r -> r.er_replaced_serving));
+        must Lower "Byzantine sweep without an exclusion" ~limit:0.0
+          (float
+             (Bool.to_int
+                (byz <> [] && List.for_all (fun r -> r.er_excluded = 0) byz)));
+      ],
+    [] )
 
-(* ---------- summary ---------------------------------------------------- *)
-
-let pp_summary fmt rep =
-  List.iter
-    (fun ((scen, var), rs) ->
-      let safety = Sweep.sum (fun r -> Oracle.count_safety r.er_violations) rs in
-      Format.fprintf fmt
-        "%-17s %-13s %3d/%-3d completed  %4d certs  %3d excluded  safety %d%s@."
-        scen var
-        (List.length (List.filter (fun r -> r.er_completed) rs))
-        (List.length rs)
-        (Sweep.sum (fun r -> r.er_certs_ok) rs)
-        (Sweep.sum (fun r -> r.er_excluded) rs)
-        safety
-        (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (Sweep.group
-       (fun r -> (scenario_label r.er_scenario, variant_label r.er_variant))
-       rep.results);
-  Format.fprintf fmt "total: %d runs, %d completed, %d safety violations@."
-    (List.length rep.results) (completed_count rep) (safety_count rep)
+let campaign cfg =
+  {
+    Sweep.kind = Report.Epoch;
+    core = cfg.e_core;
+    key_offset = 8810;
+    cells = Sweep.product cfg.e_scenarios cfg.e_variants;
+    label = cell_label;
+    timeline = (fun (scenario, variant) -> timeline cfg scenario variant);
+    run_one = run_one cfg;
+    violations = (fun r -> r.er_violations);
+    steps = (fun r -> r.er_steps);
+    row = run_json;
+    close = close cfg;
+    config = config_json cfg;
+  }

@@ -70,7 +70,10 @@ type run_result = {
   jr_steps : int;
 }
 
-let prepare cfg = Sweep.prepare ~key_offset:9990 cfg.j_core
+type cell = scenario * bool
+
+let cell_label (scenario, forged) =
+  scenario_label scenario ^ if forged then "/forged" else "/plain"
 
 (* The monitor's poll period, virtual time. *)
 let poll = 200.0
@@ -92,16 +95,16 @@ let timeline cfg scenario =
 
 (* ---------- one scenario run ------------------------------------------ *)
 
-let run_one ?flight (env : Sweep.env) cfg ~scenario ~forged ~seed =
+let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
   let n = cfg.j_core.n in
-  let keyring = env.keyring in
+  let keyring = env.keyring and flight = env.flight in
   let victim = abs seed mod n in
   let forger = (victim + 1) mod n in
   let honest =
     if forged then Pset.remove forger (Pset.full n) else Pset.full n
   in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
-  let faults = Sweep.start ~victim sim (timeline cfg scenario) in
+  let faults = Sweep.start ~victim sim timeline in
   Sweep.flight_begin flight sim;
   let tag = Printf.sprintf "recov-%s-%d" (scenario_label scenario) seed in
   let wrap =
@@ -278,36 +281,7 @@ let memory_probe env cfg ~seed =
     m_gc_off_peak = off_peak;
   }
 
-(* ---------- the sweep -------------------------------------------------- *)
-
-type report = {
-  config : config;
-  results : run_result list;  (* in execution order *)
-  memory : memory_probe option;
-  obs : Obs.t;
-}
-
-let run ?progress ?flight ?(memory = true) cfg =
-  let env = prepare cfg in
-  let results =
-    Sweep.sweep ?progress cfg.j_core
-      (Sweep.product cfg.j_scenarios cfg.j_variants)
-      (fun (scenario, forged) -> run_one ?flight env cfg ~scenario ~forged)
-  in
-  let memory =
-    if memory then Some (memory_probe env cfg ~seed:cfg.j_core.seed_base)
-    else None
-  in
-  { config = cfg; results; memory; obs = env.obs }
-
-let safety_count rep =
-  Sweep.sum (fun r -> Oracle.count_safety r.jr_violations) rep.results
-
-let liveness_count rep =
-  Sweep.sum (fun r -> Oracle.count_liveness r.jr_violations) rep.results
-
-let recovered_count rep =
-  List.length (List.filter (fun r -> r.jr_recovered) rep.results)
+(* ---------- the campaign ---------------------------------------------- *)
 
 (* The forged sweep witnessed at least one explicit rejection.  Per-run
    counts can legitimately be zero — the forged reply is a raw frame, so
@@ -315,13 +289,9 @@ let recovered_count rep =
    but across a sweep the forger must have been caught red-handed.  The
    per-run guarantee ("never installed") is enforced by certificate
    verification and checked by the digest-history oracles. *)
-let forged_witnessed rep =
-  let forged = List.filter (fun r -> r.jr_forged) rep.results in
+let forged_witnessed results =
+  let forged = List.filter (fun r -> r.jr_forged) results in
   forged = [] || List.exists (fun r -> r.jr_rejected > 0) forged
-
-(* ---------- report output ---------------------------------------------- *)
-
-let out_path id = Printf.sprintf "RECOV_%s.json" id
 
 let config_json cfg =
   Obs_json.Obj
@@ -336,11 +306,7 @@ let config_json cfg =
                (fun s ->
                  (scenario_label s, Sweep.timeline_json (timeline cfg s)))
                cfg.j_scenarios) );
-        ( "scenarios",
-          Obs_json.Arr
-            (List.map
-               (fun s -> Obs_json.Str (scenario_label s))
-               cfg.j_scenarios) );
+        ("scenarios", Sweep.labels scenario_label cfg.j_scenarios);
         ( "variants",
           Obs_json.Arr (List.map (fun b -> Obs_json.Bool b) cfg.j_variants) );
       ])
@@ -378,82 +344,63 @@ let memory_json m =
       ("gc_off", Obs_json.Obj [ ("log_peak", Obs_json.Int m.m_gc_off_peak) ]);
     ]
 
-let to_json ~id ~wall rep =
-  let total f = float (Sweep.sum f rep.results) in
-  let runs = List.length rep.results in
-  (* The bounded-memory invariant, when the probe ran: the GC'd log
-     stays below the unbounded one. *)
+(* The gate and the memory member.  The bounded-memory invariant, when
+   the probe ran: the GC'd log stays below the unbounded one. *)
+let close cfg env (t : Sweep.totals) results =
+  let total f = float (Sweep.sum f results) in
+  let memory =
+    if cfg.j_mem_payloads > 0 then
+      Some (memory_probe env cfg ~seed:cfg.j_core.seed_base)
+    else None
+  in
   let memory_gate =
-    match rep.memory with
+    match memory with
     | None -> []
     | Some m ->
       [ Report.threshold Report.Lower "GC'd log peak"
           ~limit:(float (m.m_gc_off_peak - 1))
           (float m.m_gc_on_peak) ]
   in
-  Report.make Report.Recov ~experiment:id ~wall ~runs ~obs:rep.obs
-    ~gate:
-      (Report.
-         [
-           must Lower "safety violations" ~limit:0.0 (float (safety_count rep));
-           threshold Lower "liveness violations" (float (liveness_count rep));
-           must Higher "recovered runs" ~limit:(float runs)
-             (float (recovered_count rep));
-           threshold Higher "state transfers"
-             (total (fun r -> Bool.to_int r.jr_transferred));
-           threshold Lower "transfer bytes"
-             (total (fun r -> r.jr_transfer_bytes));
-           info "forged replies rejected" (total (fun r -> r.jr_rejected));
-           threshold Lower "steps" (total (fun r -> r.jr_steps));
-         ]
-      @ memory_gate
-      @ Report.
-          [
-            (* A revived replica is amnesiac: catching up without a
-               certified transfer would resurrect state out of thin
-               air. *)
-            must Lower "crash-rejoins without transfer" ~limit:0.0
-              (total (fun r ->
-                   Bool.to_int
-                     (r.jr_scenario = Crash_rejoin && not r.jr_transferred)));
-            must Lower "forged sweep without a rejection" ~limit:0.0
-              (float (Bool.to_int (not (forged_witnessed rep))));
-          ])
-    [
-      ("config", config_json rep.config);
-      ( "memory",
-        match rep.memory with
-        | None -> Obs_json.Null
-        | Some m -> memory_json m );
-      ("per_run", Obs_json.Arr (List.map run_json rep.results));
-    ]
+  ( Report.
+      [
+        must Lower "safety violations" ~limit:0.0 (float t.safety);
+        threshold Lower "liveness violations" (float t.liveness);
+        must Higher "recovered runs" ~limit:(float t.runs)
+          (total (fun r -> Bool.to_int r.jr_recovered));
+        threshold Higher "state transfers"
+          (total (fun r -> Bool.to_int r.jr_transferred));
+        threshold Lower "transfer bytes" (total (fun r -> r.jr_transfer_bytes));
+        info "forged replies rejected" (total (fun r -> r.jr_rejected));
+        threshold Lower "steps" (float t.steps);
+      ]
+    @ memory_gate
+    @ Report.
+        [
+          (* A revived replica is amnesiac: catching up without a
+             certified transfer would resurrect state out of thin air. *)
+          must Lower "crash-rejoins without transfer" ~limit:0.0
+            (total (fun r ->
+                 Bool.to_int
+                   (r.jr_scenario = Crash_rejoin && not r.jr_transferred)));
+          must Lower "forged sweep without a rejection" ~limit:0.0
+            (float (Bool.to_int (not (forged_witnessed results))));
+        ],
+    [ ( "memory",
+        match memory with None -> Obs_json.Null | Some m -> memory_json m ) ]
+  )
 
-(* ---------- summary ---------------------------------------------------- *)
-
-let pp_summary fmt rep =
-  List.iter
-    (fun ((label, forged), rs) ->
-      let count p = List.length (List.filter p rs) in
-      let safety = Sweep.sum (fun r -> Oracle.count_safety r.jr_violations) rs in
-      Format.fprintf fmt
-        "%-15s %-7s %3d/%-3d recovered  %3d transferred  %3d rejected  safety %d%s@."
-        label
-        (if forged then "forged" else "plain")
-        (count (fun r -> r.jr_recovered))
-        (List.length rs)
-        (count (fun r -> r.jr_transferred))
-        (Sweep.sum (fun r -> r.jr_rejected) rs)
-        safety
-        (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (Sweep.group
-       (fun r -> (scenario_label r.jr_scenario, r.jr_forged))
-       rep.results);
-  Option.iter
-    (fun m ->
-      Format.fprintf fmt
-        "memory: %d payloads, log peak %d (gc on, %d rounds retired, ckpt r%d) vs %d (gc off)@."
-        m.m_payloads m.m_gc_on_peak m.m_gc_on_retired m.m_gc_on_ckpt_round
-        m.m_gc_off_peak)
-    rep.memory;
-  Format.fprintf fmt "total: %d runs, %d recovered, %d safety violations@."
-    (List.length rep.results) (recovered_count rep) (safety_count rep)
+let campaign cfg =
+  {
+    Sweep.kind = Report.Recov;
+    core = cfg.j_core;
+    key_offset = 9990;
+    cells = Sweep.product cfg.j_scenarios cfg.j_variants;
+    label = cell_label;
+    timeline = (fun (scenario, _) -> timeline cfg scenario);
+    run_one = run_one cfg;
+    violations = (fun r -> r.jr_violations);
+    steps = (fun r -> r.jr_steps);
+    row = run_json;
+    close = close cfg;
+    config = config_json cfg;
+  }

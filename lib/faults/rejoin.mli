@@ -12,7 +12,8 @@
 
     A bounded-memory probe runs one sustained stream with checkpoint GC
     on and off and reports the delivered-log high-water marks; the
-    report limits the GC'd peak to [gc_off - 1]. *)
+    report limits the GC'd peak to [gc_off - 1].  The whole sweep is
+    one {!Sweep.campaign}, whose report is of kind [recov]. *)
 
 type scenario = Crash_rejoin | Partition_heal
 
@@ -28,7 +29,8 @@ type config = {
   j_link : Link.policy;
   j_scenarios : scenario list;
   j_variants : bool list;  (** forged-server variants to sweep *)
-  j_mem_payloads : int;  (** bounded-memory probe stream length *)
+  j_mem_payloads : int;
+      (** bounded-memory probe stream length; 0 runs no probe *)
 }
 
 val default_config :
@@ -66,22 +68,12 @@ type run_result = {
   jr_steps : int;
 }
 
-val prepare : config -> Sweep.env
-(** Keyring dealt once, shared across runs, as in {!Campaign.prepare}. *)
-
-val timeline : config -> scenario -> Sweep.timeline
-(** The scenario's faults: lossy chaos from the start, the victim
-    crashed (or isolated) at 35% of the stream and revived (or healed)
-    at 75%. *)
-
-val run_one :
-  ?flight:Flight.recorder ->
-  Sweep.env ->
-  config ->
-  scenario:scenario ->
-  forged:bool ->
-  seed:int ->
-  run_result
+type cell = scenario * bool
+(** A scenario and whether one survivor is a forged server; labelled
+    e.g. ["crash-rejoin/forged"], ["partition-heal/plain"].  Its
+    default timeline: lossy chaos from the start, the victim crashed
+    (or isolated) at 35% of the stream and revived (or healed) at
+    75%. *)
 
 type memory_probe = {
   m_payloads : int;
@@ -95,43 +87,15 @@ val memory_probe : Sweep.env -> config -> seed:int -> memory_probe
 (** One sustained-load stream (no faults, link off), run twice —
     checkpoint interval from the config, then interval 0. *)
 
-type report = {
-  config : config;
-  results : run_result list;  (** in execution order *)
-  memory : memory_probe option;
-  obs : Obs.t;
-}
+val campaign : config -> (cell, run_result) Sweep.campaign
+(** After the sweep, the memory probe (unless [j_mem_payloads = 0])
+    runs at [seed_base]: the report's [memory] member and its limited
+    "GC'd log peak" row.  The environment's flight recorder, if any,
+    notes state transfers, stalls and safety trips. *)
 
-val run :
-  ?progress:(int * int -> unit) ->
-  ?flight:Flight.recorder ->
-  ?memory:bool ->
-  config ->
-  report
-(** The full sweep: scenarios × variants × seeds, then the memory probe
-    (unless [~memory:false]). *)
-
-val safety_count : report -> int
-val liveness_count : report -> int
-val recovered_count : report -> int
-
-val forged_witnessed : report -> bool
+val forged_witnessed : run_result list -> bool
 (** The forged sweep rejected the forger explicitly at least once.
     Per-run counts can be zero (the forged reply is a raw frame, so
     lossy chaos can eat every copy before the honest quorum installs);
     the per-run "never installed" guarantee is certificate verification
     plus the digest-history oracles. *)
-
-val out_path : string -> string
-(** [out_path id = "RECOV_<id>.json"]. *)
-
-val to_json : id:string -> wall:float -> report -> Obs_json.t
-(** The [recov] {!Report}; its gate: safety violations (limited to 0),
-    recovered runs (limited to every run), liveness violations, state
-    transfers, transfer bytes, simulator steps, the forged replies
-    rejected (info), the GC'd log peak when the memory probe ran
-    (limited to one below the GC-off peak), crash-rejoins without a
-    state transfer and a forged sweep without a rejection (each limited
-    to 0). *)
-
-val pp_summary : Format.formatter -> report -> unit

@@ -16,10 +16,12 @@
    The climber mutates one parameter per iteration (clamped to its
    range), accepts on strict improvement, and archives every distinct
    evaluated schedule; the top few become replayable fixtures
-   (test/fixtures/worst_*.json, schema sintra-schedule/2) that the test
-   suite re-runs, asserting that they reproduce their recorded score and
-   that even the worst schedules the search found never cost safety —
-   the paper's claim under exactly the adversary the search plays.
+   (test/fixtures/worst_*.json, schema sintra-schedule/3: a campaign of
+   the table, one of its cells, a timeline) that the test suite re-runs,
+   asserting that they reproduce their recorded score and that even the
+   worst schedules the search found never cost safety — the paper's
+   claim under exactly the adversary the search plays.  Replay takes any
+   campaign's cell and timeline, not only the searched ones.
 
    Everything is derived from [params.search_seed]: same seed, same
    mutations, same evaluations, same fixtures, byte for byte. *)
@@ -66,10 +68,6 @@ let with_parameters ~n (c : Sim.chaos) v =
   { c with Sim.default_link; partitions }
 
 let timeline c = [ { Sweep.at = Sweep.Start; act = Sweep.Chaos c } ]
-
-let chaos_of = function
-  | [ { Sweep.at = Sweep.Start; act = Sweep.Chaos c } ] -> Ok c
-  | _ -> Error "a searched timeline is one start-time chaos step"
 
 (* A mild starting point: every knob slightly on, so a single mutation
    can already interact with the others. *)
@@ -137,36 +135,27 @@ let default_params =
     max_steps = 60_000;
   }
 
-let config_of p objective =
-  let link = p.link || objective = Buffer_peak in
-  Campaign.default_config ~seeds:p.eval_seeds ~seed_base:p.seed_base ~n:p.n
-    ~t:p.t ~protocols:[ p.protocol ]
-    ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-    ~payloads:p.payloads ~max_steps:p.max_steps
-    ?link:(if link then Some Link.default_policy else None)
-    ()
+(* The searched campaign is the faults sweep (with the link on under
+   [Buffer_peak]) at the search's size and step bound; the climb
+   evaluates one of its cells, the protocol under attack with the
+   silent mix, under the searched timeline in place of the cell's
+   own. *)
+let link_on p objective = p.link || objective = Buffer_peak
 
-(* Undecided runs dominate any decided one; among schedules with the
-   same number of stalls, slower (more steps) wins. *)
-let undecided_penalty p = float_of_int (10 * p.max_steps)
+let knobs p =
+  { Campaign_table.n = p.n; t = p.t; seed_base = p.seed_base;
+    seeds = p.eval_seeds; size = p.payloads; drop = None;
+    max_steps = Some p.max_steps }
 
-let score_of_results p objective results =
-  match objective with
-  | Decide_time ->
-    let total =
-      List.fold_left
-        (fun acc (r : Campaign.run_result) ->
-          acc
-          +. float_of_int r.Campaign.r_steps
-          +. (if r.Campaign.r_decided then 0.0 else undecided_penalty p))
-        0.0 results
-    in
-    total /. float_of_int (max 1 (List.length results))
-  | Buffer_peak ->
-    List.fold_left
-      (fun acc (r : Campaign.run_result) ->
-        Float.max acc (float_of_int r.Campaign.r_buffer_peak))
-      0.0 results
+let faults p objective =
+  let c = Campaign_table.faults ~link:(link_on p objective) (knobs p) in
+  let cell =
+    List.find
+      (fun (protocol, _, (mix : Campaign.mix)) ->
+        protocol = p.protocol && mix.m_kind = Campaign.Silent)
+      c.Sweep.cells
+  in
+  (c, cell)
 
 type eval = {
   e_timeline : Sweep.timeline;
@@ -176,26 +165,39 @@ type eval = {
   e_runs : int;
 }
 
-let evaluate env p objective c =
-  let cfg = config_of p objective in
-  let policy = { Campaign.p_name = "searched"; p_chaos = c } in
-  let mix = List.hd cfg.Campaign.mixes in
-  let results =
-    List.init p.eval_seeds (fun i ->
-        Campaign.run_one env cfg ~protocol:p.protocol ~policy ~mix
-          ~seed:(p.seed_base + i))
+(* A run has decided when it has no liveness violation.  Undecided runs
+   dominate any decided one; among schedules with the same number of
+   stalls, slower (more steps) wins. *)
+let decided (c : (_, 'r) Sweep.campaign) r =
+  Oracle.count_liveness (c.violations r) = 0
+
+let decide_time (c : (_, 'r) Sweep.campaign) runs =
+  let penalty r =
+    if decided c r then 0.0 else float_of_int (10 * c.core.max_steps)
+  in
+  List.fold_left
+    (fun acc r -> acc +. float_of_int (c.steps r) +. penalty r)
+    0.0 runs
+  /. float_of_int (max 1 (List.length runs))
+
+let buffer_peak runs =
+  List.fold_left
+    (fun acc (r : Campaign.run_result) ->
+      Float.max acc (float_of_int r.r_buffer_peak))
+    0.0 runs
+
+(* The cell over every seed of the campaign under the timeline. *)
+let evaluate (c : ('c, 'r) Sweep.campaign) env cell tl ~score =
+  let runs =
+    List.init c.core.seeds (fun i ->
+        c.run_one env cell ~seed:(c.core.seed_base + i) tl)
   in
   {
-    e_timeline = timeline c;
-    e_score = score_of_results p objective results;
-    e_safety =
-      List.fold_left
-        (fun a (r : Campaign.run_result) ->
-          a + Oracle.count_safety r.Campaign.r_violations)
-        0 results;
-    e_decided =
-      List.length (List.filter (fun r -> r.Campaign.r_decided) results);
-    e_runs = List.length results;
+    e_timeline = tl;
+    e_score = score runs;
+    e_safety = Sweep.sum (fun r -> Oracle.count_safety (c.violations r)) runs;
+    e_decided = List.length (List.filter (decided c) runs);
+    e_runs = List.length runs;
   }
 
 type outcome = {
@@ -206,17 +208,23 @@ type outcome = {
 
 let search ?(progress = fun _ -> ()) ?(params = default_params) ~objective ()
     =
-  let env = Campaign.prepare (config_of params objective) in
+  let c, cell = faults params objective in
+  let env = Sweep.prepare c in
+  let score =
+    match objective with
+    | Decide_time -> decide_time c
+    | Buffer_peak -> buffer_peak
+  in
   let rng = Prng.create ~seed:(params.search_seed * 2654435761 + 1) in
   let seen = Hashtbl.create 64 in
   let archive = ref [] in
   let evals = ref 0 in
   let n = params.n in
-  let eval c =
-    let e = evaluate env params objective c in
+  let eval chaos =
+    let e = evaluate c env cell (timeline chaos) ~score in
     incr evals;
-    if not (Hashtbl.mem seen (key ~n c)) then begin
-      Hashtbl.add seen (key ~n c) ();
+    if not (Hashtbl.mem seen (key ~n chaos)) then begin
+      Hashtbl.add seen (key ~n chaos) ();
       archive := e :: !archive
     end;
     progress (!evals, params.iters + 1, e.e_score);
@@ -235,24 +243,25 @@ let search ?(progress = fun _ -> ()) ?(params = default_params) ~objective ()
 
 (* ---------- fixtures -------------------------------------------------- *)
 
-let schema = "sintra-schedule/2"
+let schema = "sintra-schedule/3"
 
 let fixture_json ~params:p ~objective (e : eval) =
-  let link = p.link || objective = Buffer_peak in
+  let c, cell = faults p objective in
   Obs_json.Obj
     [ ("schema", Obs_json.Str schema);
+      ( "campaign",
+        Obs_json.Str (if link_on p objective then "link" else "faults") );
+      ("cell", Obs_json.Str (c.label cell));
       ("objective", Obs_json.Str (objective_label objective));
       ("score", Obs_json.Float e.e_score);
       ("timeline", Sweep.timeline_json e.e_timeline);
-      ("link", Obs_json.Bool link);
       ( "eval",
         Obs_json.Obj
           [ ("n", Obs_json.Int p.n);
             ("t", Obs_json.Int p.t);
-            ("protocol", Obs_json.Str (Campaign.protocol_label p.protocol));
             ("seeds", Obs_json.Int p.eval_seeds);
             ("seed_base", Obs_json.Int p.seed_base);
-            ("payloads", Obs_json.Int p.payloads);
+            ("size", Obs_json.Int p.payloads);
             ("max_steps", Obs_json.Int p.max_steps) ] );
       ( "provenance",
         Obs_json.Obj
@@ -272,6 +281,17 @@ let write_fixtures ~dir ~params ~objective (o : outcome) ~top =
         (fixture_json ~params ~objective e))
     picked
 
+(* The fixture's cell of the campaign, over its seeds, under its
+   timeline.  A timeline the campaign cannot run ([Invalid_argument],
+   e.g. a rate [Sim.set_chaos] rejects) is an [Error]. *)
+let replay_cell c ~cell tl ~score =
+  match Sweep.find_cell c cell with
+  | None -> Error (Printf.sprintf "no cell %S" cell)
+  | Some cell -> (
+    let env = Sweep.prepare c in
+    try Ok (evaluate c env cell tl ~score)
+    with Invalid_argument e -> Error e)
+
 (* Rebuild the evaluation a fixture describes and re-run it; the test
    suite checks it reproduces the recorded score and decided count with
    zero safety violations.  Structural problems are [Error]s. *)
@@ -287,21 +307,24 @@ let replay (doc : Obs_json.t) : (eval, string) result =
     if get [ "schema" ] Obs_json.to_str <> schema then
       failwith ("expected schema " ^ schema);
     let tl = ok (Sweep.timeline_of_json (get [ "timeline" ] Option.some)) in
-    let chaos = ok (chaos_of tl) in
     let int k = get [ "eval"; k ] Obs_json.to_int in
-    let objective = get [ "objective" ] Obs_json.to_str in
-    let protocol = get [ "eval"; "protocol" ] Obs_json.to_str in
-    ( known "objective" objective_of_label objective,
-      chaos,
-      { default_params with
-        n = int "n"; t = int "t"; eval_seeds = int "seeds";
-        seed_base = int "seed_base"; payloads = int "payloads";
-        max_steps = int "max_steps"; link = get [ "link" ] Obs_json.to_bool;
-        protocol = known "protocol" Campaign.protocol_of_string protocol } )
+    let name = get [ "campaign" ] Obs_json.to_str in
+    ( known "campaign" Campaign_table.find name,
+      get [ "cell" ] Obs_json.to_str,
+      known "objective" objective_of_label
+        (get [ "objective" ] Obs_json.to_str),
+      tl,
+      { Campaign_table.n = int "n"; t = int "t"; seed_base = int "seed_base";
+        seeds = int "seeds"; size = int "size"; drop = None;
+        max_steps = Some (int "max_steps") } )
   in
   match parse () with
   | exception Failure e -> Error e
-  | objective, chaos, p -> (
-    (* [Sim.set_chaos] rejects out-of-range rates and empty windows. *)
-    let env = Campaign.prepare (config_of p objective) in
-    try Ok (evaluate env p objective chaos) with Invalid_argument e -> Error e)
+  | row, cell, Decide_time, tl, k ->
+    let (Campaign_table.Packed c) = row.campaign k in
+    replay_cell c ~cell tl ~score:(decide_time c)
+  | { name = ("faults" | "link") as name; _ }, cell, Buffer_peak, tl, k ->
+    replay_cell (Campaign_table.faults ~link:(name = "link") k) ~cell tl
+      ~score:buffer_peak
+  | { name; _ }, _, Buffer_peak, _, _ ->
+    Error (Printf.sprintf "buffer-peak is a faults objective, not %s's" name)

@@ -2,8 +2,10 @@
     step of a fault timeline ({!Sweep.timeline}) — drop / delay /
     duplication / reordering rates plus a healing-partition window —
     maximising steps-to-decide or the link layer's send-buffer peak.
-    The worst schedules found are archived as replayable fixtures
-    (schema ["sintra-schedule/2"]) that the test suite re-runs,
+    The climb evaluates one cell of the faults campaign
+    ({!Campaign_table.faults}): the protocol under attack with the
+    silent mix.  The worst schedules found are archived as replayable
+    fixtures (schema ["sintra-schedule/3"]) that the test suite re-runs,
     asserting that they reproduce their recorded score and never cost
     safety.  Fully deterministic in [params.search_seed]. *)
 
@@ -39,8 +41,11 @@ val default_params : params
 type eval = {
   e_timeline : Sweep.timeline;
   e_score : float;
+      (** [Decide_time]: mean simulator steps per run plus
+          [10 * max_steps] per undecided run; [Buffer_peak]: the worst
+          link send-buffer depth *)
   e_safety : int;  (** safety violations seen while evaluating *)
-  e_decided : int;
+  e_decided : int;  (** runs without a liveness violation *)
   e_runs : int;
 }
 
@@ -58,10 +63,16 @@ val search :
   outcome
 (** Hill-climb: mutate one parameter per iteration, accept on strict
     score improvement.  [progress (evals, budget, score)] after each
-    evaluation.  The keyring is dealt once ({!Campaign.prepare}) and
+    evaluation.  The keyring is dealt once ({!Sweep.prepare}) and
     shared across all evaluations. *)
 
 (** {2 Fixtures} *)
+
+(** A fixture names a campaign of {!Campaign_table} ([campaign]), one
+    of its cells by label ([cell]), the objective, the recorded
+    [score], the [timeline] and the knobs it ran with ([eval]: [n],
+    [t], [seeds], [seed_base], [size], [max_steps]), plus the search's
+    [provenance] ([decided], [runs], [safety]). *)
 
 val write_fixtures :
   dir:string ->
@@ -75,6 +86,9 @@ val write_fixtures :
     paths. *)
 
 val replay : Obs_json.t -> (eval, string) result
-(** Rebuild the evaluation a fixture describes and re-run it.  A wrong
-    schema, a malformed timeline or one that is not a single [Start]
-    chaos step, or a missing field is an [Error]. *)
+(** Rebuild the campaign and cell a fixture names and run the cell over
+    the fixture's seeds under its timeline.  A wrong schema, an unknown
+    campaign or cell, a malformed timeline or one the campaign cannot
+    run (a fault run takes start-time chaos steps only), [buffer-peak]
+    on a campaign other than [faults] or [link], or a missing field is
+    an [Error]. *)

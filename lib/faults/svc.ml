@@ -27,13 +27,12 @@ let variant_label = function
   | Drop_arq -> "drop-arq"
   | Crash_rejoin -> "crash-rejoin"
 
-(* The notary runs over secure causal broadcast, which has no recovery
-   wrapper (re-keying a revived replica's decryption share is future
-   work; see the refusal note on {!Recovery.deploy}), so it cannot host
-   the crash-rejoin variant. *)
 (* Why a (kind, variant) cell is absent from the sweep — reported in
-   the summary and the JSON artifact so a dropped cell reads as a
-   documented refusal, not silent shrinkage of the matrix. *)
+   the JSON artifact so a dropped cell reads as a documented refusal,
+   not silent shrinkage of the matrix.  The notary runs over secure
+   causal broadcast, which has no recovery wrapper (re-keying a revived
+   replica's decryption share is future work; see the refusal note on
+   {!Recovery.deploy}), so it cannot host the crash-rejoin variant. *)
 let skip_reason kind variant =
   match (kind, variant) with
   | Notary_svc, Crash_rejoin ->
@@ -41,9 +40,6 @@ let skip_reason kind variant =
       "secure causal broadcast has no recovery wrapper: re-keying a \
        revived replica's decryption share is future work"
   | _ -> None
-
-let variants_for kind variants =
-  List.filter (fun v -> skip_reason kind v = None) variants
 
 type config = {
   v_core : Sweep.core;
@@ -110,7 +106,9 @@ type run_result = {
   vr_clock : float;
 }
 
-let prepare cfg = Sweep.prepare ~key_offset:7770 cfg.v_core
+type cell = service_kind * variant
+
+let cell_label (kind, variant) = kind_label kind ^ "/" ^ variant_label variant
 
 (* The monitor's poll period: it tops up the client windows and drives
    the timeline. *)
@@ -182,7 +180,7 @@ let read_body kind ~seed ~keyspace ~idx =
 
 (* ---------- one campaign run ------------------------------------------ *)
 
-let run_one (env : Sweep.env) cfg ~kind ~variant ~seed =
+let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
   let n = cfg.v_core.n in
   let keyring = env.keyring in
   let mode = kind_mode kind in
@@ -191,7 +189,7 @@ let run_one (env : Sweep.env) cfg ~kind ~variant ~seed =
     invalid_arg "Svc.run_one: crash-rejoin needs a checkpointing kind";
   let sim = Sim.create ~n ~extra:(cfg.v_clients + 2) ~seed ~obs:env.obs () in
   let victim = if variant = Crash_rejoin then abs seed mod n else -1 in
-  let faults = Sweep.start ~victim sim (timeline cfg variant) in
+  let faults = Sweep.start ~victim sim timeline in
   let link = match variant with Drop_arq -> Some cfg.v_link | _ -> None in
   let dep =
     Service.deploy ~policy:cfg.v_abc_policy ?link
@@ -363,57 +361,14 @@ let run_one (env : Sweep.env) cfg ~kind ~variant ~seed =
     vr_clock = Sim.clock sim;
   }
 
-(* ---------- the sweep -------------------------------------------------- *)
+(* ---------- the campaign ---------------------------------------------- *)
 
-type report = {
-  config : config;
-  results : run_result list;
-  skipped : (service_kind * variant * string) list;
-  obs : Obs.t;
-}
-
-let run ?progress cfg =
-  let env = prepare cfg in
-  let cells = Sweep.product cfg.v_kinds cfg.v_variants in
-  let results =
-    Sweep.sweep ?progress cfg.v_core
-      (List.filter (fun (kind, v) -> skip_reason kind v = None) cells)
-      (fun (kind, variant) -> run_one env cfg ~kind ~variant)
-  in
-  let skipped =
-    List.filter_map
-      (fun (kind, v) ->
-        Option.map (fun why -> (kind, v, why)) (skip_reason kind v))
-      cells
-  in
-  { config = cfg; results; skipped; obs = env.obs }
-
-let sum f rep = Sweep.sum f rep.results
-
-let safety_count rep =
-  sum (fun r -> Oracle.count_safety r.vr_violations) rep
-
-let liveness_count rep =
-  sum (fun r -> Oracle.count_liveness r.vr_violations) rep
-
-let completed_total rep = sum (fun r -> r.vr_completed) rep
-let target_total rep = sum (fun r -> r.vr_target) rep
-let cert_failures_total rep = sum (fun r -> r.vr_cert_failures) rep
-let fast_hits_total rep = sum (fun r -> r.vr_fast_hits) rep
-let reads_total rep = sum (fun r -> r.vr_reads) rep
-
-let plain_log_peak rep =
+let plain_log_peak results =
   List.fold_left
     (fun acc r ->
       if kind_mode r.vr_kind = Service.Plain then max acc r.vr_log_peak
       else acc)
-    0 rep.results
-
-(* ---------- report output ---------------------------------------------- *)
-
-let out_path id =
-  if id = "svc" then "BENCH_SVC.json"
-  else Printf.sprintf "BENCH_SVC_%s.json" id
+    0 results
 
 let config_json cfg =
   Obs_json.Obj
@@ -432,13 +387,8 @@ let config_json cfg =
                (fun v ->
                  (variant_label v, Sweep.timeline_json (timeline cfg v)))
                cfg.v_variants) );
-        ( "kinds",
-          Obs_json.Arr
-            (List.map (fun k -> Obs_json.Str (kind_label k)) cfg.v_kinds) );
-        ( "variants",
-          Obs_json.Arr
-            (List.map (fun v -> Obs_json.Str (variant_label v)) cfg.v_variants)
-        );
+        ("kinds", Sweep.labels kind_label cfg.v_kinds);
+        ("variants", Sweep.labels variant_label cfg.v_variants);
         ("mem_bound", Obs_json.Int cfg.v_mem_bound);
       ])
 
@@ -469,55 +419,54 @@ let run_json r =
       ("clock", Obs_json.Float r.vr_clock);
     ]
 
-let steps_total rep = sum (fun r -> r.vr_steps) rep
-
-(* Deterministic throughput: completions per thousand simulator steps.
-   Wall-clock requests/sec depend on the host and are derived by readers
-   from [wall_time_s]; regression gating uses this one. *)
-let requests_per_kstep rep =
-  let steps = steps_total rep in
-  if steps = 0 then 0.0
-  else 1000.0 *. float_of_int (completed_total rep) /. float_of_int steps
-
-let fastpath_rate rep =
-  let reads = reads_total rep in
-  if reads = 0 then 0.0
-  else float_of_int (fast_hits_total rep) /. float_of_int reads
-
-let to_json ~id ~wall rep =
-  let int f = Obs_json.Int (sum f rep) in
-  let total f = float (sum f rep) in
-  Report.make Report.Svc ~experiment:id ~wall ~runs:(List.length rep.results)
-    ~obs:rep.obs
-    ~gate:
-      Report.
-        [
-          must Lower "safety violations" ~limit:0.0 (float (safety_count rep));
-          must Lower "certificate failures" ~limit:0.0
-            (float (cert_failures_total rep));
-          (* summed per run, so one run's surplus cannot hide another's
-             shortfall *)
-          must Lower "missed requests" ~limit:0.0
-            (total (fun r -> max 0 (r.vr_target - r.vr_completed)));
-          threshold Higher "requests per 1k steps" (requests_per_kstep rep);
-          threshold Higher "fast-path rate" (fastpath_rate rep);
-          threshold Lower "GC'd log peak"
-            ~limit:(float rep.config.v_mem_bound)
-            (float (plain_log_peak rep));
-          threshold Lower "client retries" (total (fun r -> r.vr_retries));
-          threshold Lower "client timeouts" (total (fun r -> r.vr_timeouts));
-          must Lower "fast path never hit" ~limit:0.0
-            (float
-               (Bool.to_int (reads_total rep > 0 && fast_hits_total rep = 0)));
-        ]
+(* The gate and the members besides the config echo and the per-run
+   rows.  Throughput is deterministic: completions per thousand
+   simulator steps (wall-clock requests/s depend on the host, and
+   readers derive them from [wall_time_s]). *)
+let close cfg _env (t : Sweep.totals) results =
+  let total f = Sweep.sum f results in
+  let int f = Obs_json.Int (total f) in
+  let ratio ?(scale = 1.0) a b =
+    if b = 0 then 0.0 else scale *. float_of_int a /. float_of_int b
+  in
+  let completed = total (fun r -> r.vr_completed)
+  and reads = total (fun r -> r.vr_reads)
+  and hits = total (fun r -> r.vr_fast_hits) in
+  let skipped =
+    List.filter_map
+      (fun (kind, v) ->
+        Option.map (fun why -> (kind, v, why)) (skip_reason kind v))
+      (Sweep.product cfg.v_kinds cfg.v_variants)
+  in
+  ( Report.
+      [
+        must Lower "safety violations" ~limit:0.0 (float t.safety);
+        must Lower "certificate failures" ~limit:0.0
+          (float (total (fun r -> r.vr_cert_failures)));
+        (* summed per run, so one run's surplus cannot hide another's
+           shortfall *)
+        must Lower "missed requests" ~limit:0.0
+          (float (total (fun r -> max 0 (r.vr_target - r.vr_completed))));
+        threshold Higher "requests per 1k steps"
+          (ratio ~scale:1000.0 completed t.steps);
+        threshold Higher "fast-path rate" (ratio hits reads);
+        threshold Lower "GC'd log peak"
+          ~limit:(float cfg.v_mem_bound)
+          (float (plain_log_peak results));
+        threshold Lower "client retries"
+          (float (total (fun r -> r.vr_retries)));
+        threshold Lower "client timeouts"
+          (float (total (fun r -> r.vr_timeouts)));
+        must Lower "fast path never hit" ~limit:0.0
+          (float (Bool.to_int (reads > 0 && hits = 0)));
+      ],
     [
-      ("config", config_json rep.config);
       ("requests", Obs_json.Obj [ ("verified", int (fun r -> r.vr_verified)) ]);
       ( "fastpath",
         Obs_json.Obj
           [
-            ("reads", Obs_json.Int (reads_total rep));
-            ("hits", Obs_json.Int (fast_hits_total rep));
+            ("reads", Obs_json.Int reads);
+            ("hits", Obs_json.Int hits);
             ("fallbacks", int (fun r -> r.vr_fallbacks));
           ] );
       ("loss", Obs_json.Obj [ ("rejected", int (fun r -> r.vr_rejected)) ]);
@@ -528,19 +477,15 @@ let to_json ~id ~wall rep =
             ("executed", int (fun r -> r.vr_executed));
             ("dup_suppressed", int (fun r -> r.vr_dup_suppressed));
           ] );
-      ( "violations",
-        Obs_json.Obj [ ("liveness", Obs_json.Int (liveness_count rep)) ] );
+      ("violations", Obs_json.Obj [ ("liveness", Obs_json.Int t.liveness) ]);
       ( "memory",
         Obs_json.Obj
           [
             ( "overall_log_peak",
               Obs_json.Int
-                (List.fold_left
-                   (fun a r -> max a r.vr_log_peak)
-                   0 rep.results) );
+                (List.fold_left (fun a r -> max a r.vr_log_peak) 0 results) );
           ] );
-      ( "throughput",
-        Obs_json.Obj [ ("steps_total", Obs_json.Int (steps_total rep)) ] );
+      ("throughput", Obs_json.Obj [ ("steps_total", Obs_json.Int t.steps) ]);
       ( "skipped",
         Obs_json.Arr
           (List.map
@@ -551,40 +496,24 @@ let to_json ~id ~wall rep =
                    ("variant", Obs_json.Str (variant_label variant));
                    ("reason", Obs_json.Str reason);
                  ])
-             rep.skipped) );
-      ("per_run", Obs_json.Arr (List.map run_json rep.results));
-    ]
+             skipped) );
+    ] )
 
-(* ---------- summary ---------------------------------------------------- *)
-
-let pp_summary fmt rep =
-  List.iter
-    (fun ((kind, variant), rs) ->
-      let sum f = Sweep.sum f rs in
-      let safety = sum (fun r -> Oracle.count_safety r.vr_violations) in
-      Format.fprintf fmt
-        "%-10s %-12s %5d/%-5d done  fast %4d/%-4d  retry %4d  timeout %3d  dup %3d  peak %3d  safety %d%s@."
-        kind variant
-        (sum (fun r -> r.vr_completed))
-        (sum (fun r -> r.vr_target))
-        (sum (fun r -> r.vr_fast_hits))
-        (sum (fun r -> r.vr_reads))
-        (sum (fun r -> r.vr_retries))
-        (sum (fun r -> r.vr_timeouts))
-        (sum (fun r -> r.vr_dup_suppressed))
-        (List.fold_left (fun a r -> max a r.vr_log_peak) 0 rs)
-        safety
-        (if safety > 0 then "  << SAFETY VIOLATION" else ""))
-    (Sweep.group
-       (fun r -> (kind_label r.vr_kind, variant_label r.vr_variant))
-       rep.results);
-  List.iter
-    (fun (kind, variant, reason) ->
-      Format.fprintf fmt "%-10s %-12s skipped: %s@." (kind_label kind)
-        (variant_label variant) reason)
-    rep.skipped;
-  Format.fprintf fmt
-    "total: %d runs, %d/%d completed, fast-path rate %.2f, %.2f req/kstep, GC'd log peak %d (bound %d), %d safety violations@."
-    (List.length rep.results) (completed_total rep) (target_total rep)
-    (fastpath_rate rep) (requests_per_kstep rep) (plain_log_peak rep)
-    rep.config.v_mem_bound (safety_count rep)
+let campaign cfg =
+  {
+    Sweep.kind = Report.Svc;
+    core = cfg.v_core;
+    key_offset = 7770;
+    cells =
+      List.filter
+        (fun (kind, v) -> skip_reason kind v = None)
+        (Sweep.product cfg.v_kinds cfg.v_variants);
+    label = cell_label;
+    timeline = (fun (_, variant) -> timeline cfg variant);
+    run_one = run_one cfg;
+    violations = (fun r -> r.vr_violations);
+    steps = (fun r -> r.vr_steps);
+    row = run_json;
+    close = close cfg;
+    config = config_json cfg;
+  }

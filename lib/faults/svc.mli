@@ -12,7 +12,8 @@
     mixes reads and writes over a bounded entity space so the read-only
     fast path actually serves cached state.  Variants re-run the same
     workload under lossy chaos with an ARQ engine link, and under a
-    crash mid-campaign followed by {!Service.revive}. *)
+    crash mid-campaign followed by {!Service.revive}.  The whole sweep
+    is one {!Sweep.campaign}, whose report is of kind [svc]. *)
 
 type service_kind = Ca_svc | Directory_svc | Notary_svc
 
@@ -29,11 +30,6 @@ type variant =
 
 val variant_label : variant -> string
 (** ["benign"] / ["drop-arq"] / ["crash-rejoin"]. *)
-
-val variants_for : service_kind -> variant list -> variant list
-(** Filter a variant sweep down to what the kind supports: the notary
-    runs over secure causal broadcast, which has no recovery wrapper, so
-    [Crash_rejoin] is dropped for it. *)
 
 type config = {
   v_core : Sweep.core;
@@ -98,56 +94,14 @@ type run_result = {
   vr_clock : float;  (** virtual completion time *)
 }
 
-val prepare : config -> Sweep.env
-(** Deal the shared keyring once (dealing dominates setup cost). *)
+type cell = service_kind * variant
+(** Labelled e.g. ["ca/crash-rejoin"].  Its default timeline: none
+    ([Benign]), lossy chaos from the start ([Drop_arq]), or the victim
+    crashed at 30% of the completed certificates and revived at 70%
+    ([Crash_rejoin]). *)
 
-val timeline : config -> variant -> Sweep.timeline
-(** The variant's faults: none ([Benign]), lossy chaos from the start
-    ([Drop_arq]), or the victim crashed at 30% of the completed
-    certificates and revived at 70% ([Crash_rejoin]). *)
-
-val run_one :
-  Sweep.env -> config -> kind:service_kind -> variant:variant -> seed:int ->
-  run_result
-(** One seeded campaign run; see the module header for the shape. *)
-
-type report = {
-  config : config;
-  results : run_result list;  (** in execution order *)
-  skipped : (service_kind * variant * string) list;
-      (** configured cells the sweep refused, with the reason (the
-          notary's secure causal broadcast has no recovery wrapper, so
-          it cannot host crash-rejoin); surfaced in the summary and the
-          JSON artifact rather than silently shrinking the matrix *)
-  obs : Obs.t;
-}
-
-val run : ?progress:(int * int -> unit) -> config -> report
-(** The full sweep: kinds x supported variants x seeds. *)
-
-val safety_count : report -> int
-val liveness_count : report -> int
-val completed_total : report -> int
-val target_total : report -> int
-val cert_failures_total : report -> int
-val fast_hits_total : report -> int
-val reads_total : report -> int
-
-val plain_log_peak : report -> int
-(** Max delivered-log high-water across runs of checkpointed (Plain)
-    kinds — the bounded-memory evidence the report limits. *)
-
-(** {2 Report output} *)
-
-val out_path : string -> string
-(** [out_path id] is ["BENCH_SVC_<id>.json"] — except the conventional
-    [id = "svc"], which maps to plain ["BENCH_SVC.json"]. *)
-
-val to_json : id:string -> wall:float -> report -> Obs_json.t
-(** The [svc] {!Report}; its gate: safety violations, certificate
-    failures and missed requests (per-run shortfalls summed), each
-    limited to 0, requests per 1k steps, fast-path rate, the GC'd log
-    peak (limited to [v_mem_bound]), client retries and timeouts, and
-    whether reads ran with no fast-path hit (limited to 0). *)
-
-val pp_summary : Format.formatter -> report -> unit
+val campaign : config -> (cell, run_result) Sweep.campaign
+(** Kinds × variants, without the cells a kind cannot host: the
+    notary runs over secure causal broadcast, which has no recovery
+    wrapper, so it drops [Crash_rejoin].  The report's [skipped] member
+    lists the refused cells with the reason. *)

@@ -1,6 +1,7 @@
 (* The campaign engine shared by the seed-sweep runners: configuration
-   core, keyring environment, cell x seed loop, fault-timeline
-   interpreter, stall conversion and flight glue.  See sweep.mli. *)
+   core, fault-timeline interpreter, the campaign value with its keyring
+   environment, cell x seed loop, report and summary, stall conversion
+   and flight glue.  See sweep.mli. *)
 
 type core = {
   seeds : int;
@@ -16,6 +17,8 @@ let core ?(seed_base = 1) ?(n = 4) ?(t = 1) ?(rsa_bits = 192)
     ?(group_bits = 128) ~seeds ~max_steps () =
   { seeds; seed_base; n; t; rsa_bits; group_bits; max_steps }
 
+let labels f xs = Obs_json.Arr (List.map (fun x -> Obs_json.Str (f x)) xs)
+
 let core_fields c =
   [
     ("seeds", Obs_json.Int c.seeds);
@@ -24,51 +27,6 @@ let core_fields c =
     ("t", Obs_json.Int c.t);
     ("max_steps", Obs_json.Int c.max_steps);
   ]
-
-(* ---------- environment ----------------------------------------------- *)
-
-type env = { keyring : Keyring.t; obs : Obs.t }
-
-let prepare ~key_offset c =
-  let structure = Adversary_structure.threshold ~n:c.n ~t:c.t in
-  {
-    keyring =
-      Keyring.deal ~group_bits:c.group_bits ~rsa_bits:c.rsa_bits
-        ~seed:(c.seed_base + key_offset) structure;
-    obs = Obs.create ();
-  }
-
-(* ---------- the sweep -------------------------------------------------- *)
-
-let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
-let sweep ?(progress = fun _ -> ()) c cells run =
-  let total = List.length cells * c.seeds in
-  let results = ref [] and k = ref 0 in
-  List.iter
-    (fun cell ->
-      for i = 0 to c.seeds - 1 do
-        results := run cell ~seed:(c.seed_base + i) :: !results;
-        incr k;
-        progress (!k, total)
-      done)
-    cells;
-  List.rev !results
-
-let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
-
-let group key rows =
-  let cells = Hashtbl.create 16 and order = ref [] in
-  List.iter
-    (fun r ->
-      let k = key r in
-      match Hashtbl.find_opt cells k with
-      | Some rs -> rs := r :: !rs
-      | None ->
-        Hashtbl.add cells k (ref [ r ]);
-        order := k :: !order)
-    rows;
-  List.rev_map (fun k -> (k, List.rev !(Hashtbl.find cells k))) !order
 
 (* ---------- fault timelines ------------------------------------------- *)
 
@@ -284,6 +242,117 @@ let drive f ~monitor ~period ~total ~progress ?epoch ?(nudge = ignore) ?tick
   ignore (fire_group ());
   if Option.is_some tick || not (settled f) then
     Sim.set_timer f.sim monitor ~delay:period poll
+
+(* ---------- campaigns -------------------------------------------------- *)
+
+type env = { keyring : Keyring.t; obs : Obs.t; flight : Flight.recorder option }
+type totals = { runs : int; safety : int; liveness : int; steps : int }
+
+type ('cell, 'run) campaign = {
+  kind : Report.kind;
+  core : core;
+  key_offset : int;
+  cells : 'cell list;
+  label : 'cell -> string;
+  timeline : 'cell -> timeline;
+  run_one : env -> 'cell -> seed:int -> timeline -> 'run;
+  violations : 'run -> Oracle.violation list;
+  steps : 'run -> int;
+  row : 'run -> Obs_json.t;
+  close :
+    env -> totals -> 'run list -> Report.gate list * (string * Obs_json.t) list;
+  config : Obs_json.t;
+}
+
+let prepare ?(flight = false) c =
+  let k = c.core in
+  let obs = Obs.create () in
+  {
+    keyring =
+      Keyring.deal ~group_bits:k.group_bits ~rsa_bits:k.rsa_bits
+        ~seed:(k.seed_base + c.key_offset)
+        (Adversary_structure.threshold ~n:k.n ~t:k.t);
+    obs;
+    flight = (if flight then Some (Flight.create ~obs ()) else None);
+  }
+
+let run_cell c env cell ~seed = c.run_one env cell ~seed (c.timeline cell)
+let find_cell c label = List.find_opt (fun cell -> c.label cell = label) c.cells
+
+type ('cell, 'run) report = {
+  campaign : ('cell, 'run) campaign;
+  env : env;
+  results : ('cell * 'run) list;
+  totals : totals;
+  gate : Report.gate list;
+  members : (string * Obs_json.t) list;
+}
+
+let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
+
+let totals c runs =
+  let count f = sum (fun r -> f (c.violations r)) runs in
+  { runs = List.length runs; safety = count Oracle.count_safety;
+    liveness = count Oracle.count_liveness; steps = sum c.steps runs }
+
+let sweep ?(progress = fun _ -> ()) ?flight c =
+  let env = prepare ?flight c in
+  let total = List.length c.cells * c.core.seeds in
+  let results = ref [] and k = ref 0 in
+  List.iter
+    (fun cell ->
+      for i = 0 to c.core.seeds - 1 do
+        let r = run_cell c env cell ~seed:(c.core.seed_base + i) in
+        results := (cell, r) :: !results;
+        incr k;
+        progress (!k, total)
+      done)
+    c.cells;
+  let results = List.rev !results in
+  let runs = List.map snd results in
+  let totals = totals c runs in
+  let gate, members = c.close env totals runs in
+  { campaign = c; env; results; totals; gate; members }
+
+let runs rep = List.map snd rep.results
+
+let to_json ~id ~wall rep =
+  let c = rep.campaign in
+  Report.make c.kind ~experiment:id ~wall ~runs:rep.totals.runs
+    ~obs:rep.env.obs ~gate:rep.gate
+    (("config", c.config)
+    :: ("per_run", Obs_json.Arr (List.map c.row (runs rep)))
+    :: rep.members)
+
+let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
+
+let pp_summary ?gate fmt rep =
+  let c = rep.campaign in
+  let line label t =
+    Format.fprintf fmt "%-28s %4d runs  safety %d  liveness %3d  steps %9d%s@."
+      label t.runs t.safety t.liveness t.steps
+      (if t.safety > 0 then "  << SAFETY VIOLATION" else "")
+  in
+  List.iter
+    (fun cell ->
+      line (c.label cell)
+        (totals c
+           (List.filter_map
+              (fun (cell', r) ->
+                if c.label cell' = c.label cell then Some r else None)
+              rep.results)))
+    c.cells;
+  line "total" rep.totals;
+  List.iter
+    (fun (g : Report.gate) ->
+      Format.fprintf fmt "  %-40s %12g%s@." g.metric g.value
+        (match g.limit with
+        | None -> ""
+        | Some l ->
+          Printf.sprintf "  (limit %s %g)"
+            (if g.better = Report.Higher then ">=" else "<=")
+            l))
+    (Option.value gate ~default:rep.gate)
 
 (* ---------- running one simulation ------------------------------------- *)
 

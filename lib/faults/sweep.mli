@@ -1,13 +1,17 @@
 (** The campaign engine shared by every seed-sweep runner ({!Campaign},
     {!Rejoin}, {!Refresh}, {!Svc}).
 
-    A campaign is a list of cells swept over consecutive seeds.  Each
-    runner owns only its deployment, workload, oracles and per-run row
-    JSON; this module owns the rest: the common configuration core, the
-    dealt keyring, the cell × seed loop, the fault-timeline interpreter,
-    the [Sim.Out_of_steps] → {!Oracle} conversion, the flight
-    recorder glue and the per-cell grouping of summaries.  Reports,
-    their writer and validators are {!Report}'s. *)
+    A campaign is one value, a {!campaign}: its cells swept over
+    consecutive seeds, a run function that takes the fault timeline as
+    an argument, and its per-run row, gate rows and report members.
+    Each runner builds that value from its config and owns only its
+    deployment, workload and oracles; this module owns the rest: the
+    common configuration core, the dealt keyring, the cell × seed loop,
+    the totals, the report and its summary, the fault-timeline
+    interpreter, the [Sim.Out_of_steps] → {!Oracle} conversion and the
+    flight recorder glue.  The report envelope and writer are
+    {!Report}'s; the artifact path and the timed write-and-check are
+    {!Campaign_table}'s. *)
 
 (** {2 Configuration core} *)
 
@@ -34,40 +38,12 @@ val core :
 (** Defaults: seeds from 1, n = 4 / t = 1, toy 192-bit RSA and 128-bit
     group. *)
 
+val labels : ('a -> string) -> 'a list -> Obs_json.t
+(** A list of labels, as a configuration echo lists a cell dimension. *)
+
 val core_fields : core -> (string * Obs_json.t) list
 (** The configuration echo every report shares: seeds, seed_base, n, t
     and max_steps. *)
-
-(** {2 Environment} *)
-
-type env = { keyring : Keyring.t; obs : Obs.t }
-(** The dealt keyring (start-up dominant) plus the observability
-    instance every run's simulator reports into. *)
-
-val prepare : key_offset:int -> core -> env
-(** Deal the threshold keyring for [(n, t, rsa_bits, group_bits)] from
-    seed [seed_base + key_offset] — each campaign keeps its own fixed
-    offset, so artifacts stay reproducible per campaign. *)
-
-(** {2 The sweep} *)
-
-val product : 'a list -> 'b list -> ('a * 'b) list
-(** Cells in row-major order. *)
-
-val sweep :
-  ?progress:(int * int -> unit) ->
-  core ->
-  'cell list ->
-  ('cell -> seed:int -> 'r) ->
-  'r list
-(** Run every cell over every seed, cell-major, in execution order;
-    [progress (done, total)] after every run. *)
-
-val sum : ('a -> int) -> 'a list -> int
-
-val group : ('r -> 'k) -> 'r list -> ('k * 'r list) list
-(** Rows grouped by key, keys in first-seen order, rows in input order
-    — the per-cell lines of every summary. *)
 
 (** {2 Fault timelines}
 
@@ -147,6 +123,90 @@ val drive :
 
 val settled : 'm faults -> bool
 (** Every step fired and the last one settled. *)
+
+(** {2 Sweeping a campaign} *)
+
+type env = {
+  keyring : Keyring.t;
+  obs : Obs.t;
+  flight : Flight.recorder option;
+      (** the recorder runs note their flights in, over [obs] *)
+}
+(** The dealt keyring (start-up dominant), the observability instance
+    every run's simulator reports into, and the optional flight
+    recorder. *)
+
+type totals = { runs : int; safety : int; liveness : int; steps : int }
+(** Safety and liveness violations and simulator steps summed over a
+    sweep's runs. *)
+
+type ('cell, 'run) campaign = {
+  kind : Report.kind;
+  core : core;
+  key_offset : int;
+      (** the keyring is dealt from seed [seed_base + key_offset]: each
+          campaign keeps its own, so artifacts stay reproducible *)
+  cells : 'cell list;  (** swept in order, each over every seed *)
+  label : 'cell -> string;  (** unique per cell, e.g. ["ca/crash-rejoin"] *)
+  timeline : 'cell -> timeline;  (** the cell's default faults *)
+  run_one : env -> 'cell -> seed:int -> timeline -> 'run;
+      (** one fully determined run of the cell under the timeline *)
+  violations : 'run -> Oracle.violation list;
+  steps : 'run -> int;
+  row : 'run -> Obs_json.t;  (** the run's [per_run] row *)
+  close :
+    env -> totals -> 'run list -> Report.gate list * (string * Obs_json.t) list;
+      (** after the sweep: the gate rows and the report members besides
+          [config] and [per_run] *)
+  config : Obs_json.t;  (** the configuration echo *)
+}
+(** A seed-sweep campaign: what a runner owns, as one value. *)
+
+val prepare : ?flight:bool -> ('c, 'r) campaign -> env
+(** Deal the keyring; with [~flight:true] (default false) a
+    {!Flight.recorder} over the environment's [obs] records every run.
+    Runs of one environment share its keyring, so repeated evaluations
+    (the schedule search) deal once. *)
+
+val run_cell : ('c, 'r) campaign -> env -> 'c -> seed:int -> 'r
+(** One run of the cell under its default timeline. *)
+
+val find_cell : ('c, 'r) campaign -> string -> 'c option
+(** The cell with this label. *)
+
+type ('cell, 'run) report = {
+  campaign : ('cell, 'run) campaign;
+  env : env;
+  results : ('cell * 'run) list;  (** in execution order *)
+  totals : totals;
+  gate : Report.gate list;
+  members : (string * Obs_json.t) list;
+}
+
+val sweep :
+  ?progress:(int * int -> unit) ->
+  ?flight:bool ->
+  ('c, 'r) campaign ->
+  ('c, 'r) report
+(** {!prepare}, then every cell over every seed under its default
+    timeline, cell-major; [progress (done, total)] after every run. *)
+
+val runs : ('c, 'r) report -> 'r list
+
+val to_json : id:string -> wall:float -> ('c, 'r) report -> Obs_json.t
+(** The campaign's {!Report}: the closing gate rows and members, the
+    configuration echo under [config] and one [per_run] row per run. *)
+
+val pp_summary :
+  ?gate:Report.gate list -> Format.formatter -> ('c, 'r) report -> unit
+(** One line per cell (label, runs, safety and liveness violations,
+    steps), the totals, then every gate row ([gate], default the
+    report's) with its limit. *)
+
+val product : 'a list -> 'b list -> ('a * 'b) list
+(** Cells in row-major order. *)
+
+val sum : ('a -> int) -> 'a list -> int
 
 (** {2 Running one simulation} *)
 

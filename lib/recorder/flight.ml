@@ -391,8 +391,6 @@ let summarize ~id ~config (runs : run_flight list) =
 
 (* ---------- JSON ------------------------------------------------------ *)
 
-let out_path id = Printf.sprintf "FLIGHT_%s.json" id
-
 let key_json k =
   Obs_json.Obj
     [ ("protocol", Obs_json.Str k.protocol);
@@ -510,27 +508,3 @@ let to_json ~wall ~obs (s : summary) : Obs_json.t =
                    s.s_anomaly_counts) );
             ("records", Obs_json.Arr (List.map anomaly_json s.s_anomalies)) ]
       ) ]
-
-(* ---------- pretty summary ------------------------------------------- *)
-
-let pp_summary fmt (s : summary) =
-  Format.fprintf fmt "flight %s: %d runs, %d decided, %d safety, %d gating liveness@."
-    s.s_id s.s_runs s.s_decided s.s_safety s.s_gating_liveness;
-  List.iter
-    (fun c ->
-      Format.fprintf fmt
-        "  %-5s %-11s %-10s %3d/%-3d decided  p95 clock %8.0f  retx p95 %6.0f  peak max %4.0f@."
-        c.c_protocol c.c_policy c.c_mix c.c_decided c.c_runs
-        (Option.value (Obs_histogram.percentile c.c_decide 95.0) ~default:nan)
-        (Option.value (Obs_histogram.percentile c.c_retransmits 95.0)
-           ~default:0.0)
-        (Option.value (Obs_histogram.max_value c.c_peak) ~default:0.0))
-    s.s_cells;
-  List.iter
-    (fun (k, c) ->
-      Format.fprintf fmt "  anomaly %-17s x%d@." (kind_label k) c)
-    s.s_anomaly_counts;
-  if s.s_dropped_events > 0 then
-    Format.fprintf fmt
-      "  hot ring truncated in %d runs (%d records overwritten)@."
-      s.s_truncated_runs s.s_dropped_events

@@ -164,9 +164,6 @@ val summarize : id:string -> config:Obs_json.t -> run_flight list -> summary
 
 (** {2 JSON} *)
 
-val out_path : string -> string
-(** [out_path id] is ["FLIGHT_<id>.json"]. *)
-
 val gate : summary -> Report.gate list
 (** Decided runs, safety and gating-liveness violations, ring
     overwrites, anomaly counts and undecided gating runs (violations
@@ -178,5 +175,3 @@ val to_json : wall:float -> obs:Obs.t -> summary -> Obs_json.t
 (** The [flight] {!Report}: derived from seeded virtual-time runs only,
     so identical configurations give identical bytes apart from
     [wall_time_s]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

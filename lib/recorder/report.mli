@@ -61,9 +61,10 @@ val past_limits : gate list -> gate list
 (** The rows whose value is past their limit: the one acceptance check
     [bench-check] and [sintra run] share. *)
 
-val acceptance : kind -> string list
-(** The kind's acceptance rows, which {!header} requires present and
-    limited (none for [bench]). *)
+val acceptance : kind -> experiment:string -> string list
+(** The acceptance rows of the kind, and for [bench] of the experiment
+    ([TPUT]'s invariant breaks, [NUM]'s two DLEQ batch rows), which
+    {!header} requires present and limited. *)
 
 val stated : kind -> string list
 (** The rows the kind's reports state without a limit, which {!header}

@@ -502,6 +502,9 @@ let byzantine_tests =
 
 (* ---------------- campaign regression sweep -------------------------- *)
 
+(* One run of a campaign's cell under its default timeline. *)
+let run_cell c cell ~seed = Sweep.run_cell c (Sweep.prepare c) cell ~seed
+
 let campaign_tests =
   [ Alcotest.test_case
       "50-seed sweep: drop/dup-reorder/partition, maximal corrupted set"
@@ -515,20 +518,21 @@ let campaign_tests =
             ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
             ()
         in
-        let rep = Campaign.run cfg in
-        Alcotest.(check int) "runs" 300 (List.length rep.Campaign.results);
+        let rep = Sweep.sweep (Campaign.campaign cfg) in
+        let results = Sweep.runs rep in
+        Alcotest.(check int) "runs" 300 (List.length results);
         List.iter
           (fun (r : Campaign.run_result) ->
             Alcotest.(check bool)
               (Printf.sprintf "corrupted set is maximal (seed %d)" r.Campaign.r_seed)
               true
               (Pset.card r.Campaign.r_corrupted = 1))
-          rep.Campaign.results;
+          results;
         Alcotest.(check int) "zero safety violations" 0
-          (Campaign.safety_count rep);
+          rep.Sweep.totals.Sweep.safety;
         Alcotest.(check int) "zero liveness violations under reliable policies"
           0
-          (Campaign.gating_liveness_count rep));
+          (Campaign.gating_liveness_count results));
     Alcotest.test_case
       "50-seed batched sweep: batch=8/window=4 keeps safety and liveness"
       `Slow (fun () ->
@@ -538,7 +542,7 @@ let campaign_tests =
            (total order included) must stay silent under batching and
            pipelining exactly as they do unbatched. *)
         let run_with abc_policy =
-          Campaign.run
+          Sweep.sweep @@ Campaign.campaign
             (Campaign.default_config ~seeds:50
                ~protocols:[ Campaign.P_abc ]
                ~policies:
@@ -551,15 +555,14 @@ let campaign_tests =
         List.iter
           (fun (name, rep) ->
             Alcotest.(check int)
-              (name ^ ": runs") 100
-              (List.length rep.Campaign.results);
+              (name ^ ": runs") 100 rep.Sweep.totals.Sweep.runs;
             Alcotest.(check int)
               (name ^ ": zero safety violations")
-              0 (Campaign.safety_count rep);
+              0 rep.Sweep.totals.Sweep.safety;
             Alcotest.(check int)
               (name ^ ": zero gating liveness violations")
               0
-              (Campaign.gating_liveness_count rep))
+              (Campaign.gating_liveness_count (Sweep.runs rep)))
           [ ("unbatched", run_with Abc.default_policy);
             ( "batched",
               run_with
@@ -572,8 +575,8 @@ let campaign_tests =
             ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
             ()
         in
-        let rep = Campaign.run cfg in
-        let doc = Campaign.to_json ~id:"test" ~wall:0.1 rep in
+        let rep = Sweep.sweep (Campaign.campaign cfg) in
+        let doc = Sweep.to_json ~id:"test" ~wall:0.1 rep in
         (match Obs_json.of_string (Obs_json.to_string doc) with
         | Error e -> Alcotest.failf "round-trip parse: %s" e
         | Ok doc' ->
@@ -581,7 +584,7 @@ let campaign_tests =
           | Ok _ -> ()
           | Error e -> Alcotest.failf "validate: %s" e));
         (* decide-time histogram accumulated under layer "faults" *)
-        let snap = Obs.snapshot rep.Campaign.obs in
+        let snap = Obs.snapshot rep.Sweep.env.Sweep.obs in
         match
           Obs_registry.find snap
             ~labels:[ ("layer", "faults"); ("protocol", "abba") ]
@@ -646,10 +649,8 @@ let recovery_tests =
           Rejoin.default_config ~seeds:1 ~payloads:12
             ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()
         in
-        let env = Rejoin.prepare cfg in
         let r =
-          Rejoin.run_one env cfg ~scenario:Rejoin.Crash_rejoin ~forged:false
-            ~seed:1
+          run_cell (Rejoin.campaign cfg) (Rejoin.Crash_rejoin, false) ~seed:1
         in
         Alcotest.(check bool) "recovered" true r.Rejoin.jr_recovered;
         Alcotest.(check bool) "transferred" true r.Rejoin.jr_transferred;
@@ -663,10 +664,8 @@ let recovery_tests =
           Rejoin.default_config ~seeds:1 ~payloads:12
             ~scenarios:[ Rejoin.Partition_heal ] ~variants:[ false ] ()
         in
-        let env = Rejoin.prepare cfg in
         let r =
-          Rejoin.run_one env cfg ~scenario:Rejoin.Partition_heal
-            ~forged:false ~seed:2
+          run_cell (Rejoin.campaign cfg) (Rejoin.Partition_heal, false) ~seed:2
         in
         Alcotest.(check bool) "recovered" true r.Rejoin.jr_recovered;
         Alcotest.(check int) "no violations" 0
@@ -680,10 +679,8 @@ let recovery_tests =
           Rejoin.default_config ~seeds:1 ~payloads:12 ~drop:0.0
             ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ true ] ()
         in
-        let env = Rejoin.prepare cfg in
         let r =
-          Rejoin.run_one env cfg ~scenario:Rejoin.Crash_rejoin ~forged:true
-            ~seed:3
+          run_cell (Rejoin.campaign cfg) (Rejoin.Crash_rejoin, true) ~seed:3
         in
         Alcotest.(check bool) "recovered" true r.Rejoin.jr_recovered;
         Alcotest.(check bool) "transferred" true r.Rejoin.jr_transferred;
@@ -694,7 +691,7 @@ let recovery_tests =
     Alcotest.test_case "checkpoint GC bounds the delivered log" `Quick
       (fun () ->
         let cfg = Rejoin.default_config ~seeds:1 ~mem_payloads:96 () in
-        let env = Rejoin.prepare cfg in
+        let env = Sweep.prepare (Rejoin.campaign cfg) in
         let m = Rejoin.memory_probe env cfg ~seed:1 in
         Alcotest.(check int) "gc-off log grows with the stream" 96
           m.Rejoin.m_gc_off_peak;
@@ -715,13 +712,16 @@ let recovery_tests =
            to agree on the whole digest history; the crash-rejoin victim
            must get there via certified state transfer, and a sweep with
            a forged server must witness an explicit rejection. *)
-        let cfg = Rejoin.default_config ~seeds:50 ~payloads:12 () in
-        let rep = Rejoin.run ~memory:false cfg in
-        Alcotest.(check int) "runs" 200 (List.length rep.Rejoin.results);
+        let cfg =
+          Rejoin.default_config ~seeds:50 ~payloads:12 ~mem_payloads:0 ()
+        in
+        let rep = Sweep.sweep (Rejoin.campaign cfg) in
+        let results = Sweep.runs rep in
+        Alcotest.(check int) "runs" 200 (List.length results);
         Alcotest.(check int) "zero safety violations" 0
-          (Rejoin.safety_count rep);
+          rep.Sweep.totals.Sweep.safety;
         Alcotest.(check int) "every victim recovered" 200
-          (Rejoin.recovered_count rep);
+          (List.length (List.filter (fun r -> r.Rejoin.jr_recovered) results));
         List.iter
           (fun (r : Rejoin.run_result) ->
             if r.Rejoin.jr_scenario = Rejoin.Crash_rejoin then
@@ -729,11 +729,11 @@ let recovery_tests =
                 (Printf.sprintf "seed %d rejoined via state transfer"
                    r.Rejoin.jr_seed)
                 true r.Rejoin.jr_transferred)
-          rep.Rejoin.results;
+          results;
         Alcotest.(check bool) "forged sweep witnessed a rejection" true
-          (Rejoin.forged_witnessed rep);
+          (Rejoin.forged_witnessed results);
         (* Round-trip the report through the schema validator. *)
-        let doc = Rejoin.to_json ~id:"t" ~wall:0.0 rep in
+        let doc = Sweep.to_json ~id:"t" ~wall:0.0 rep in
         (match
            Obs_json.of_string (Obs_json.to_canonical_string doc)
          with
@@ -753,10 +753,8 @@ let svc_campaign_tests =
   [ Alcotest.test_case "client pipeline survives 30% drop with the ARQ link"
       `Quick (fun () ->
         let cfg = small () in
-        let env = Svc.prepare cfg in
         let r =
-          Svc.run_one env cfg ~kind:Svc.Directory_svc ~variant:Svc.Drop_arq
-            ~seed:11
+          run_cell (Svc.campaign cfg) (Svc.Directory_svc, Svc.Drop_arq) ~seed:11
         in
         Alcotest.(check int) "quota met" r.Svc.vr_target r.Svc.vr_completed;
         Alcotest.(check int) "every accepted certificate verified"
@@ -768,10 +766,9 @@ let svc_campaign_tests =
     Alcotest.test_case "client pipeline survives a crash-rejoin mid-campaign"
       `Quick (fun () ->
         let cfg = small () in
-        let env = Svc.prepare cfg in
         let r =
-          Svc.run_one env cfg ~kind:Svc.Directory_svc
-            ~variant:Svc.Crash_rejoin ~seed:12
+          run_cell (Svc.campaign cfg) (Svc.Directory_svc, Svc.Crash_rejoin)
+            ~seed:12
         in
         Alcotest.(check bool) "a victim was crashed" true (r.Svc.vr_victim >= 0);
         Alcotest.(check int) "quota met" r.Svc.vr_target r.Svc.vr_completed;
@@ -781,13 +778,15 @@ let svc_campaign_tests =
           (List.length r.Svc.vr_violations));
     Alcotest.test_case "notary sweep drops the crash-rejoin variant" `Quick
       (fun () ->
-        Alcotest.(check bool) "crash-rejoin filtered" true
-          (Svc.variants_for Svc.Notary_svc
-             [ Svc.Benign; Svc.Crash_rejoin ]
-          = [ Svc.Benign ]);
-        Alcotest.(check bool) "plain kinds keep it" true
-          (Svc.variants_for Svc.Ca_svc [ Svc.Crash_rejoin ]
-          = [ Svc.Crash_rejoin ]));
+        let c =
+          Svc.campaign
+            (Svc.default_config ~kinds:[ Svc.Ca_svc; Svc.Notary_svc ]
+               ~variants:[ Svc.Benign; Svc.Crash_rejoin ] ())
+        in
+        Alcotest.(check (list string))
+          "crash-rejoin filtered for the notary, kept for plain kinds"
+          [ "ca/benign"; "ca/crash-rejoin"; "notary/benign" ]
+          (List.map c.Sweep.label c.Sweep.cells));
     Alcotest.test_case
       "50-seed service sweep: drop-arq + crash-rejoin, certificates and dedup"
       `Slow (fun () ->
@@ -800,16 +799,19 @@ let svc_campaign_tests =
            clients' resend volume), and the safety oracles — total order
            over digest histories included — must stay silent. *)
         let cfg = small ~seeds:50 () in
-        let rep = Svc.run cfg in
-        Alcotest.(check int) "runs" 100 (List.length rep.Svc.results);
+        let rep = Sweep.sweep (Svc.campaign cfg) in
+        let results = Sweep.runs rep in
+        let total f = Sweep.sum f results in
+        Alcotest.(check int) "runs" 100 (List.length results);
         Alcotest.(check int) "zero safety violations" 0
-          (Svc.safety_count rep);
+          rep.Sweep.totals.Sweep.safety;
         Alcotest.(check int) "zero liveness violations" 0
-          (Svc.liveness_count rep);
-        Alcotest.(check int) "every quota closed" (Svc.target_total rep)
-          (Svc.completed_total rep);
+          rep.Sweep.totals.Sweep.liveness;
+        Alcotest.(check int) "every quota closed"
+          (total (fun r -> r.Svc.vr_target))
+          (total (fun r -> r.Svc.vr_completed));
         Alcotest.(check int) "zero certificate failures" 0
-          (Svc.cert_failures_total rep);
+          (total (fun r -> r.Svc.vr_cert_failures));
         List.iter
           (fun (r : Svc.run_result) ->
             let tag =
@@ -828,9 +830,9 @@ let svc_campaign_tests =
               (tag ^ ": suppressed replays never exceed client resends")
               true
               (r.Svc.vr_dup_suppressed <= r.Svc.vr_retries))
-          rep.Svc.results;
+          results;
         (* Round-trip the report through the schema validator. *)
-        let doc = Svc.to_json ~id:"t" ~wall:0.0 rep in
+        let doc = Sweep.to_json ~id:"t" ~wall:0.0 rep in
         match Obs_json.of_string (Obs_json.to_canonical_string doc) with
         | Error e -> Alcotest.failf "re-parse: %s" e
         | Ok doc' ->
@@ -866,34 +868,31 @@ let small_faults_cfg () =
 
 let real_docs =
   lazy
-    (let faults =
-       Campaign.to_json ~id:"t" ~wall:0.1 (Campaign.run (small_faults_cfg ()))
-     in
+    (let doc c = Sweep.to_json ~id:"t" ~wall:0.1 (Sweep.sweep c) in
+     let faults = doc (Campaign.campaign (small_faults_cfg ())) in
      let flight =
-       let cfg = small_faults_cfg () in
-       let env = Campaign.prepare cfg in
-       let fl = Flight.create ~obs:env.Sweep.obs () in
-       ignore (Campaign.run_prepared ~flight:fl env cfg);
-       Flight.to_json ~wall:0.1 ~obs:env.Sweep.obs
-         (Flight.summarize ~id:"t" ~config:(Campaign.config_json cfg)
-            (Flight.runs fl))
+       let c = Campaign.campaign (small_faults_cfg ()) in
+       let rep = Sweep.sweep ~flight:true c in
+       Flight.to_json ~wall:0.1 ~obs:rep.Sweep.env.Sweep.obs
+         (Flight.summarize ~id:"t" ~config:c.Sweep.config
+            (Flight.runs (Option.get rep.Sweep.env.Sweep.flight)))
      in
      let recov =
-       Rejoin.to_json ~id:"t" ~wall:0.1
-         (Rejoin.run ~memory:false
-            (Rejoin.default_config ~seeds:1 ~payloads:12
+       doc
+         (Rejoin.campaign
+            (Rejoin.default_config ~seeds:1 ~payloads:12 ~mem_payloads:0
                ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()))
      in
      let epoch =
-       Refresh.to_json ~id:"t" ~wall:0.1
-         (Refresh.run
+       doc
+         (Refresh.campaign
             (Refresh.default_config ~seeds:1 ~payloads:8
                ~scenarios:[ Refresh.Refresh_only ] ~variants:[ Refresh.Benign ]
                ()))
      in
      let svc =
-       Svc.to_json ~id:"t" ~wall:0.1
-         (Svc.run
+       doc
+         (Svc.campaign
             (Svc.default_config ~seeds:1 ~requests:6 ~clients:2 ~window:2
                ~keyspace:4 ~kinds:[ Svc.Directory_svc ] ~variants:[ Svc.Benign ]
                ()))
@@ -983,7 +982,7 @@ let table_tests =
           (fun k ->
             Alcotest.(check bool) (Report.kind_label k ^ " has a label") true
               (Report.kind_of_label (Report.kind_label k) = Some k))
-          (Report.Bench :: List.map (fun c -> c.Campaign_table.kind) cs);
+          Report.kinds;
         (* Every real document passes bench-check's dispatch; dropping one
            per-run row (so the row count no longer matches "runs") is
            rejected by the shared row combinator, once per kind. *)
@@ -1088,7 +1087,7 @@ let table_tests =
                 rejected
                   ("acceptance row " ^ m ^ " unlimited")
                   (on_row m (drop_member "limit")))
-              (Report.acceptance h.Report.kind);
+              (Report.acceptance h.Report.kind ~experiment:h.Report.experiment);
             (* Every limited row one step past its limit: bench-check
                rejects the document and names the row. *)
             List.iter
@@ -1155,7 +1154,41 @@ let table_tests =
            in
            [ ("FAULTS", violations); ("FLIGHT", violations);
              ("BENCH_SVC", [ ("missed requests", 4.0) ]);
-             ("EPOCH", [ ("safety violations", 4.0) ]) ]));
+             ("EPOCH", [ ("safety violations", 4.0) ]) ]);
+        (* A bench report's acceptance rows are its experiment's: with a
+           row's limit deleted, its broken value would pass the limit
+           check, so the envelope check must miss the limit. *)
+        let unlimited m v doc =
+          map_gate
+            (List.map (fun r ->
+                 if gate_metric r = m then
+                   drop_member "limit" (set_member "value" (Obs_json.Float v) r)
+                 else r))
+            doc
+        in
+        let quick_num =
+          Bench_out.document ~id:"NUM" ~wall:0.0
+            ~gate:
+              (Bench_num.dleq_gate ~quick:true
+                 [ (1, 160.0); (2, 110.0); (4, 80.0); (8, 60.0); (16, 55.0) ])
+            (Obs.create ())
+            [ ("quick", Obs_json.Bool true) ]
+        in
+        (match Campaign_table.check_doc quick_num with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "quick NUM rejected: %s" e);
+        List.iter
+          (fun (what, doc, m, v) ->
+            match Campaign_table.check_doc (unlimited m v doc) with
+            | Ok _ -> Alcotest.failf "%s accepted" what
+            | Error e ->
+              Alcotest.(check bool) (what ^ ": " ^ m ^ " named") true
+                (contains e m))
+          [ ( "TPUT, invariant row unlimited",
+              List.assoc "BENCH_TPUT" (Lazy.force baseline_docs),
+              "tput invariant breaks", 3.0 );
+            ( "quick NUM, speedup row unlimited", quick_num,
+              "dleq batch-8 speedup", 1.0 ) ]);
     Alcotest.test_case "DLEQ batch rows keep the 3x gate; quick runs relax it"
       `Quick (fun () ->
         let check ~quick per_share =
@@ -1191,9 +1224,14 @@ let table_tests =
         rejects "full run, cost rising 1.4x" ~quick:false rising
           "dleq per-share cost rise";
         accepts "quick run, cost rising 1.4x" ~quick:true rising;
-        Alcotest.(check int) "no rows without batch sizes 1 and 8" 0
-          (List.length
-             (Bench_num.dleq_gate ~quick:false [ (2, 100.0); (4, 10.0) ])));
+        match
+          Campaign_table.check_doc
+            (Bench_out.document ~id:"NUM" ~wall:0.0 (Obs.create ()) [])
+        with
+        | Ok _ -> Alcotest.fail "a NUM report without its DLEQ rows accepted"
+        | Error e ->
+          Alcotest.(check bool) "the missing DLEQ row named" true
+            (contains e "dleq batch-8 speedup"));
     Alcotest.test_case "tput gate regresses when one row's throughput halves"
       `Quick (fun () ->
         let base = List.assoc "BENCH_TPUT" (Lazy.force baseline_docs) in

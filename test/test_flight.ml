@@ -1,7 +1,7 @@
 (* Flight recorder: hot-tier windows over the trace ring, durable-tier
    campaign summaries (byte-stable, validated), the compare engine's
-   regression verdicts, and replay of the archived worst-case schedules
-   found by the adversarial search. *)
+   regression verdicts, and replay of the archived schedules: the worst
+   ones the adversarial search found, and svc and epoch timelines. *)
 
 let silent_mix = { Campaign.m_name = "silent"; m_kind = Campaign.Silent }
 
@@ -13,16 +13,14 @@ let small_config () =
 (* Run a small campaign with a flight recorder attached; returns the
    summary (under the given id) and the raw per-run flights. *)
 let record_small ~id () =
-  let cfg = small_config () in
-  let env = Campaign.prepare cfg in
-  let flight = Flight.create ~obs:env.Sweep.obs () in
-  let rep = Campaign.run_prepared ~flight env cfg in
-  let runs = Flight.runs flight in
-  (Flight.summarize ~id ~config:(Campaign.config_json cfg) runs, runs, rep)
+  let c = Campaign.campaign (small_config ()) in
+  let rep = Sweep.sweep ~flight:true c in
+  let runs = Flight.runs (Option.get rep.Sweep.env.Sweep.flight) in
+  (Flight.summarize ~id ~config:c.Sweep.config runs, runs, rep)
 
 (* The FLIGHT report of a summary, at a fixed wall time. *)
-let flight_doc (rep : Campaign.report) s =
-  Flight.to_json ~wall:0.0 ~obs:rep.Campaign.obs s
+let flight_doc (rep : _ Sweep.report) s =
+  Flight.to_json ~wall:0.0 ~obs:rep.Sweep.env.Sweep.obs s
 
 (* ---------------- hot tier: ring accounting and windows --------------- *)
 
@@ -109,7 +107,7 @@ let durable_tests =
         let passes rep =
           Result.is_ok
             (Campaign_table.check_doc
-               (Campaign.to_json ~id:"det" ~wall:0.0 rep))
+               (Sweep.to_json ~id:"det" ~wall:0.0 rep))
         in
         Alcotest.(check bool) "campaign ok" true (passes rep1);
         Alcotest.(check bool) "campaign ok again" true (passes rep2);
@@ -173,7 +171,6 @@ let compare_tests =
     Alcotest.test_case "degraded candidate regresses strict metrics" `Quick
       (fun () ->
         let s, runs, rep = record_small ~id:"base" () in
-        let cfg = small_config () in
         (* sabotage the candidate: one undecided run with a safety trip *)
         let worse =
           match runs with
@@ -186,7 +183,8 @@ let compare_tests =
           | [] -> Alcotest.fail "no runs"
         in
         let s' =
-          Flight.summarize ~id:"base" ~config:(Campaign.config_json cfg) worse
+          Flight.summarize ~id:"base" ~config:rep.Sweep.campaign.Sweep.config
+            worse
         in
         match
           Compare.compare_docs ~baseline:(flight_doc rep s)
@@ -220,7 +218,7 @@ let compare_tests =
     Alcotest.test_case "schema mismatch is an error, not a regression"
       `Quick (fun () ->
         let s, _, rep = record_small ~id:"mix" () in
-        let faults_doc = Campaign.to_json ~id:"mix" ~wall:0.1 rep in
+        let faults_doc = Sweep.to_json ~id:"mix" ~wall:0.1 rep in
         match
           Compare.compare_docs ~baseline:(flight_doc rep s)
             ~candidate:faults_doc ()
@@ -240,7 +238,8 @@ let fixture_docs () =
   let dir = "fixtures" in
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f ->
-         String.length f > 6 && String.sub f 0 6 = "worst_")
+         String.starts_with ~prefix:"worst_" f
+         || String.starts_with ~prefix:"replay_" f)
   |> List.sort compare
   |> List.map (fun name ->
          match Obs_json.of_string (read_file (Filename.concat dir name)) with
@@ -297,13 +296,37 @@ let fixture_tests =
                 (name ^ ": zero safety violations")
                 0 e.Schedule_search.e_safety)
           docs);
+    Alcotest.test_case "svc and epoch fixtures replay their own timeline"
+      `Quick (fun () ->
+        (* Each fixture moves its cell's crash and revive later in the
+           stream; the cell's default timeline runs another number of
+           steps, so the timeline replayed is the one that ran. *)
+        let score doc =
+          match Schedule_search.replay doc with
+          | Ok e -> e.Schedule_search.e_score
+          | Error e -> Alcotest.failf "replay: %s" e
+        in
+        List.iter
+          (fun (file, default) ->
+            let doc = List.assoc file (fixture_docs ()) in
+            let moved = score doc
+            and own =
+              score
+                (edit doc [ "timeline" ] (Some (Sweep.timeline_json default)))
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %g steps, %g under the cell's default" file
+                 moved own)
+              true (moved <> own))
+          [ ( "replay_svc_ca_crash-rejoin.json",
+              (Svc.campaign (Svc.default_config ())).Sweep.timeline
+                (Svc.Ca_svc, Svc.Crash_rejoin) );
+            ( "replay_epoch_kill-and-replace_lossy.json",
+              (Refresh.campaign (Refresh.default_config ())).Sweep.timeline
+                (Refresh.Kill_replace, Refresh.Lossy) ) ]);
     Alcotest.test_case "malformed schedule fixtures are errors" `Quick
       (fun () ->
-        let doc =
-          match fixture_docs () with
-          | (_, doc) :: _ -> doc
-          | [] -> Alcotest.fail "no fixtures"
-        in
+        let doc = List.assoc "worst_buffer-peak_0.json" (fixture_docs ()) in
         let step at act =
           Some
             (Obs_json.Arr
@@ -337,12 +360,15 @@ let fixture_tests =
                    (Sweep.timeline_json
                       Sweep.[ { at = Start; act = Chaos (lossy 1.5) } ])) );
             ("missing eval field", edit doc [ "eval"; "max_steps" ] None);
+            ( "unknown campaign",
+              edit doc [ "campaign" ] (Some (Obs_json.Str "nope")) );
+            ( "unknown cell",
+              edit doc [ "cell" ] (Some (Obs_json.Str "abc/nope/silent")) );
+            ( "buffer-peak outside the faults campaigns",
+              edit doc [ "campaign" ] (Some (Obs_json.Str "svc")) );
             ("missing timeline", edit doc [ "timeline" ] None);
             ("v1 schema", v1) ]);
     Alcotest.test_case "timeline JSON round-trips" `Quick (fun () ->
-        let rejoin = Rejoin.default_config ()
-        and refresh = Refresh.default_config ()
-        and svc = Svc.default_config () in
         (* Every field of the encoding: per-link overrides, an open-ended
            partition, both reshare targets. *)
         let spec =
@@ -358,20 +384,19 @@ let fixture_tests =
               { at = Progress 0.25; act = Reshare All_but_victim };
               { at = Progress 0.5; act = Reshare All } ]
         in
+        (* ... and every cell's default timeline of every campaign. *)
         let timelines =
           every_field
           :: Schedule_search.seed_timeline ~n:4
-          :: List.map Campaign.timeline (Campaign.default_policies ~n:4)
-          @ List.map (Rejoin.timeline rejoin)
-              [ Rejoin.Crash_rejoin; Rejoin.Partition_heal ]
-          @ List.concat_map
-              (fun s ->
-                List.map (Refresh.timeline refresh s)
-                  [ Refresh.Benign; Refresh.Lossy; Refresh.Byz_refresher ])
-              [ Refresh.Refresh_only; Refresh.Add_replica;
-                Refresh.Kill_replace ]
-          @ List.map (Svc.timeline svc)
-              [ Svc.Benign; Svc.Drop_arq; Svc.Crash_rejoin ]
+          :: List.concat_map
+               (fun (row : Campaign_table.campaign) ->
+                 let (Campaign_table.Packed c) =
+                   row.campaign
+                     { Campaign_table.n = 4; t = 1; seed_base = 1; seeds = 1;
+                       size = 12; drop = None; max_steps = None }
+                 in
+                 List.map c.Sweep.timeline c.Sweep.cells)
+               Campaign_table.campaigns
         in
         List.iter
           (fun tl ->

@@ -306,7 +306,7 @@ let golden_linkoff_digest =
   "736457053d7a3d1d327b008834113dfc76ed47524f4f3e7a3abf6d6b2d96cc8f"
 
 let digest_campaign cfg =
-  let rep = Campaign.run cfg in
+  let rep = Sweep.sweep (Campaign.campaign cfg) in
   let buf = Buffer.create 4096 in
   List.iter
     (fun (r : Campaign.run_result) ->
@@ -323,7 +323,7 @@ let digest_campaign cfg =
            r.Campaign.r_chaos_reorders
            (String.concat ","
               (List.map string_of_int (Pset.to_list r.Campaign.r_corrupted)))))
-    rep.Campaign.results;
+    (Sweep.runs rep);
   Sha256.hex (Buffer.contents buf)
 
 (* Link-on sibling of the digest above: seeds 1-3 of the three cells
@@ -346,13 +346,11 @@ let linkon_rows () =
     Rejoin.default_config ~seeds:3 ~payloads:12
       ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()
   in
-  let renv = Rejoin.prepare rcfg in
+  let rc = Rejoin.campaign rcfg in
+  let renv = Sweep.prepare rc in
   List.iter
     (fun seed ->
-      let r =
-        Rejoin.run_one renv rcfg ~scenario:Rejoin.Crash_rejoin ~forged:false
-          ~seed
-      in
+      let r = Sweep.run_cell rc renv (Rejoin.Crash_rejoin, false) ~seed in
       let s, l = viol r.Rejoin.jr_violations in
       row "recov|%d|%d|%b|%b|%d|%d|%d|%d|%d|%d|%d|%d" seed r.Rejoin.jr_victim
         r.Rejoin.jr_recovered r.Rejoin.jr_transferred
@@ -363,12 +361,12 @@ let linkon_rows () =
     Refresh.default_config ~seeds:3 ~payloads:12
       ~scenarios:[ Refresh.Kill_replace ] ~variants:[ Refresh.Lossy ] ()
   in
-  let eenv = Refresh.prepare ecfg in
+  let ec = Refresh.campaign ecfg in
+  let eenv = Sweep.prepare ec in
   List.iter
     (fun seed ->
       let r =
-        Refresh.run_one eenv ecfg ~scenario:Refresh.Kill_replace
-          ~variant:Refresh.Lossy ~seed
+        Sweep.run_cell ec eenv (Refresh.Kill_replace, Refresh.Lossy) ~seed
       in
       let s, l = viol r.Refresh.er_violations in
       row "epoch|%d|%d|%d|%b|%b|%b|%d|%d|%b|%d|%d|%d" seed r.Refresh.er_victim
@@ -382,12 +380,13 @@ let linkon_rows () =
       ~keyspace:4 ~kinds:[ Svc.Ca_svc ]
       ~variants:[ Svc.Drop_arq; Svc.Crash_rejoin ] ()
   in
-  let venv = Svc.prepare vcfg in
+  let vc = Svc.campaign vcfg in
+  let venv = Sweep.prepare vc in
   List.iter
     (fun variant ->
       List.iter
         (fun seed ->
-          let r = Svc.run_one venv vcfg ~kind:Svc.Ca_svc ~variant ~seed in
+          let r = Sweep.run_cell vc venv (Svc.Ca_svc, variant) ~seed in
           let s, l = viol r.Svc.vr_violations in
           row
             "svc|%s|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%.6f"
@@ -504,12 +503,13 @@ let gating_tests =
             ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
             ~link:Link.default_policy ()
         in
-        let rep = Campaign.run cfg in
-        Alcotest.(check int) "runs" 100 (List.length rep.Campaign.results);
+        let rep = Sweep.sweep (Campaign.campaign cfg) in
+        let results = Sweep.runs rep in
+        Alcotest.(check int) "runs" 100 (List.length results);
         Alcotest.(check int) "no safety violations" 0
-          (Campaign.safety_count rep);
+          rep.Sweep.totals.Sweep.safety;
         Alcotest.(check int) "no gating liveness violations" 0
-          (Campaign.gating_liveness_count rep);
+          (Campaign.gating_liveness_count results);
         List.iter
           (fun (r : Campaign.run_result) ->
             Alcotest.(check bool)
@@ -520,14 +520,14 @@ let gating_tests =
               (Printf.sprintf "%s/%s seed %d decided" r.Campaign.r_protocol
                  r.Campaign.r_mix r.Campaign.r_seed)
               true r.Campaign.r_decided)
-          rep.Campaign.results;
+          results;
         Alcotest.(check bool) "the link worked for a living" true
           (List.exists
              (fun (r : Campaign.run_result) -> r.Campaign.r_link_retransmits > 0)
-             rep.Campaign.results);
+             results);
         (* the report carries the link section, and bench-check's one
            check accepts it *)
-        let json = Campaign.to_json ~id:"gating-test" ~wall:0.0 rep in
+        let json = Sweep.to_json ~id:"gating-test" ~wall:0.0 rep in
         (match Campaign_table.check_doc json with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "report validation failed: %s" e))

@@ -873,7 +873,8 @@ let reply_path_tests =
           Svc.default_config ~seeds:1 ~requests:12 ~clients:2 ~window:2
             ~keyspace:4 ~kinds:[ Svc.Ca_svc ] ~variants:[ Svc.Benign ] ()
         in
-        let env = Svc.prepare cfg in
+        let c = Svc.campaign cfg in
+        let env = Sweep.prepare c in
         Obs_crypto.enable ();
         Obs_crypto.reset ();
         Fun.protect
@@ -881,9 +882,7 @@ let reply_path_tests =
             Obs_crypto.disable ();
             Obs_crypto.reset ())
           (fun () ->
-            let r =
-              Svc.run_one env cfg ~kind:Svc.Ca_svc ~variant:Svc.Benign ~seed:1
-            in
+            let r = Sweep.run_cell c env (Svc.Ca_svc, Svc.Benign) ~seed:1 in
             Alcotest.(check int) "every request completed" r.Svc.vr_target
               r.Svc.vr_completed;
             Alcotest.(check bool) "fast and ordered replies both ran" true
@@ -902,7 +901,8 @@ let reply_path_tests =
           Svc.default_config ~seeds:1 ~requests:12 ~clients:2 ~window:2
             ~keyspace:4 ~kinds:[ Svc.Notary_svc ] ~variants:[ Svc.Benign ] ()
         in
-        let env = Svc.prepare cfg in
+        let c = Svc.campaign cfg in
+        let env = Sweep.prepare c in
         Obs_crypto.enable ();
         Obs_crypto.reset ();
         Fun.protect
@@ -911,8 +911,7 @@ let reply_path_tests =
             Obs_crypto.reset ())
           (fun () ->
             let r =
-              Svc.run_one env cfg ~kind:Svc.Notary_svc ~variant:Svc.Benign
-                ~seed:1
+              Sweep.run_cell c env (Svc.Notary_svc, Svc.Benign) ~seed:1
             in
             Alcotest.(check int) "every request completed" r.Svc.vr_target
               r.Svc.vr_completed;
