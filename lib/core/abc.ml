@@ -16,11 +16,13 @@
    3. deliver the payloads of the decided list in a deterministic order,
       skipping placeholders and duplicates; then enter round r+1.
 
-   Fairness: payloads are relayed to all servers on submission, and every
-   honest party proposes the *globally smallest* (by digest) undelivered
-   payload it knows.  Once a payload is known to the honest parties, it
-   appears in every honest proposal, hence in at least one member of any
-   valid decided list, and is delivered within the next round.
+   Fairness: a payload is relayed to all servers on its first submission
+   here (a resubmission, or one of an already delivered payload, only
+   enqueues it), and every honest party proposes the *globally smallest*
+   (by digest) undelivered payload it knows.  Once a payload is known to
+   the honest parties, it appears in every honest proposal, hence in at
+   least one member of any valid decided list, and is delivered within
+   the next round.
 
    Batching and pipelining (the throughput layer): per-payload cost is
    dominated by the per-round threshold-crypto agreement, so a {!policy}
@@ -92,7 +94,10 @@ type t = {
   vbas : (int, Vba.t) Hashtbl.t;
   mutable vba_proposed : int list;
   decisions : (int, string) Hashtbl.t;  (* round -> decided list, encoded *)
-  digests : (string, string) Hashtbl.t;  (* payload -> digest, memoized *)
+  digests : (string, string) Hashtbl.t;
+      (* payload -> digest, memoized for queued and logged payloads only *)
+  relayed : (string, unit) Hashtbl.t;
+      (* digests of payloads submitted here and relayed, until delivered *)
   memos : (int, Proto_io.memo) Hashtbl.t;
       (* round -> this replica's verified-signature memo for the round's
          proposals and VBA subtree; open only inside the window *)
@@ -105,13 +110,15 @@ let prop_stmt t r payload =
   Ro.encode [ "abc-prop"; t.tag; string_of_int r; payload ]
 
 (* Digests drive the queue order, dedup and batch bookkeeping, so they
-   are recomputed on hot paths; memoize per payload. *)
+   are recomputed on hot paths; memoize per payload.  A payload that is
+   already delivered is hashed without memoizing: its entry would
+   outlive the log prefix {!truncate} drops. *)
 let digest t p =
   match Hashtbl.find_opt t.digests p with
   | Some d -> d
   | None ->
     let d = Sha256.digest p in
-    Hashtbl.add t.digests p d;
+    if not (Hashtbl.mem t.delivered d) then Hashtbl.add t.digests p d;
     d
 
 (* ---------- batch frames ------------------------------------------- *)
@@ -297,6 +304,7 @@ let rec create ?(policy = default_policy) ~(io : msg Proto_io.t) ~tag ~deliver
       vba_proposed = [];
       decisions = Hashtbl.create 8;
       digests = Hashtbl.create 64;
+      relayed = Hashtbl.create 8;
       memos = Hashtbl.create 8;
       sp_epoch = 0 }
   in
@@ -456,6 +464,7 @@ and step t =
             t.log_len <- t.log_len + 1;
             if t.log_len > t.log_peak then t.log_peak <- t.log_len;
             t.queue <- List.filter (fun q -> digest t q <> d) t.queue;
+            Hashtbl.remove t.relayed d;
             Obs.point t.io.Proto_io.obs ~party:t.io.Proto_io.me ~tag:t.tag
               ~layer:"abc" "deliver";
             t.deliver p
@@ -509,9 +518,16 @@ let enqueue t payload =
     end
   end
 
-(* Atomic broadcast entry point: relay to every server, then enqueue. *)
+(* Atomic broadcast entry point: relay to every server on the payload's
+   first submission here, then enqueue.  One relay already carries a
+   payload that reached one honest server to all of them, so a
+   resubmission (a client resend) or a delivered payload only enqueues. *)
 let broadcast t payload =
-  t.io.Proto_io.broadcast (Request payload);
+  let d = digest t payload in
+  if not (Hashtbl.mem t.delivered d || Hashtbl.mem t.relayed d) then begin
+    Hashtbl.replace t.relayed d ();
+    t.io.Proto_io.broadcast (Request payload)
+  end;
   enqueue t payload
 
 let handle t ~src msg =
@@ -570,7 +586,16 @@ let base_len t = t.base_len
 let log_len t = t.log_len
 let log_peak t = t.log_peak
 let retired_rounds t = t.retired
-let is_delivered t payload = Hashtbl.mem t.delivered (digest t payload)
+let is_delivered t payload =
+  let d =
+    match Hashtbl.find_opt t.digests payload with
+    | Some d -> d
+    | None -> Sha256.digest payload
+  in
+  Hashtbl.mem t.delivered d
+
+let relay_pending t = Hashtbl.length t.relayed
+let digest_memo_len t = Hashtbl.length t.digests
 
 let set_boundary_hook t f = t.on_boundary <- Some f
 
@@ -656,6 +681,17 @@ let install_checkpoint t ~round ~digests ~suffix =
   t.log_len <- List.length suffix;
   if t.log_len > t.log_peak then t.log_peak <- t.log_len;
   t.queue <- List.filter (fun q -> not (Hashtbl.mem t.delivered (digest t q))) t.queue;
+  (* The replaced log and the dropped queue entries leave the relayed set
+     and the digest memo with them. *)
+  Hashtbl.filter_map_inplace
+    (fun d () -> if Hashtbl.mem t.delivered d then None else Some ())
+    t.relayed;
+  let kept = Hashtbl.create (t.log_len + List.length t.queue) in
+  List.iter (fun p -> Hashtbl.replace kept p ()) suffix;
+  List.iter (fun p -> Hashtbl.replace kept p ()) t.queue;
+  Hashtbl.filter_map_inplace
+    (fun p d -> if Hashtbl.mem kept p then Some d else None)
+    t.digests;
   if round > t.round then t.round <- round;
   slide_memos t;
   note_gc t (retire_rounds_below t t.round);

@@ -47,7 +47,10 @@ val create :
     on a non-positive policy field. *)
 
 val broadcast : t -> string -> unit
-(** Atomically broadcast a payload (relay to all, then order). *)
+(** Atomically broadcast a payload: relay it to all servers on its first
+    submission here, then order it.  A later submission of the same
+    payload (a client resend) only enqueues it, and a delivered payload
+    is never relayed again. *)
 
 val enqueue : t -> string -> unit
 (** Order a payload without relaying (it is already known here). *)
@@ -116,6 +119,15 @@ val retired_rounds : t -> int
 val is_delivered : t -> string -> bool
 (** Whether a payload has ever been delivered here (survives
     truncation via the digest set). *)
+
+val relay_pending : t -> int
+(** Payloads submitted and relayed here but not yet delivered: the
+    relay-once state, a subset of {!pending}. *)
+
+val digest_memo_len : t -> int
+(** Entries of the payload-digest memo, at most {!log_len} plus the
+    length of {!pending}: a delivered payload is memoized only while it
+    sits in {!delivered_log}. *)
 
 val set_boundary_hook : t -> (int -> unit) -> unit
 (** Install a callback invoked with the new round number each time a

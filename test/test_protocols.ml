@@ -827,7 +827,62 @@ let memo_tests =
         Alcotest.(check int) "both window rounds memoized at once" 2 !peak)
   ]
 
+(* Relay once: [Abc.broadcast] relays a payload to all servers on its
+   first submission at a party only.  [Request]s are counted as each
+   server receives them; a benign run delivers every message it sends. *)
+let relay_tests =
+  [ Alcotest.test_case
+      "relay once: k submissions of one payload send n requests" `Quick
+      (fun () ->
+        let kr = keyring th41 in
+        let sim = Sim.create ~n:4 ~seed:8101 () in
+        let requests = ref 0 in
+        let wrap _ honest ~src m =
+          (match m with
+          | Abc.Request _ -> incr requests
+          | Abc.Proposal _ | Abc.Vba_msg _ -> ());
+          honest ~src m
+        in
+        let nodes =
+          Stack.deploy_abc ~wrap ~sim ~keyring:kr ~tag:"relay"
+            ~deliver:(fun _ _ -> ()) ()
+        in
+        let all_delivered k =
+          Array.for_all (fun a -> Abc.delivered_count a = k) nodes
+        in
+        for _ = 1 to 5 do
+          Abc.broadcast nodes.(0) "resent"
+        done;
+        Alcotest.(check int) "one relay pending at the submitter" 1
+          (Abc.relay_pending nodes.(0));
+        Sim.run sim ~until:(fun () -> all_delivered 1);
+        Sim.run sim;
+        Alcotest.(check int) "5 submissions, n = 4 requests" 4 !requests;
+        (* A delivered payload is never relayed again, at the first
+           submitter or anywhere else. *)
+        Array.iter (fun a -> Abc.broadcast a "resent") nodes;
+        Sim.run sim;
+        Alcotest.(check int) "no request for a delivered payload" 4 !requests;
+        Alcotest.(check bool) "delivered once everywhere" true
+          (all_delivered 1);
+        (* A payload learned from a relay is relayed again by a server
+           that is asked to broadcast it itself: one relay per honest
+           submission. *)
+        Abc.broadcast nodes.(1) "second";
+        Sim.run sim ~until:(fun () ->
+            List.mem "second" (Abc.pending nodes.(2)));
+        Abc.broadcast nodes.(2) "second";
+        Sim.run sim ~until:(fun () -> all_delivered 2);
+        Sim.run sim;
+        Alcotest.(check int) "two submitters, 2n more requests" 12 !requests;
+        Array.iter
+          (fun a ->
+            Alcotest.(check int) "queue drained" 0
+              (List.length (Abc.pending a));
+            Alcotest.(check int) "relayed set empty" 0 (Abc.relay_pending a))
+          nodes) ]
+
 let suite =
   ( "protocols",
     rbc_tests @ cbc_tests @ abba_tests @ vba_tests @ abc_tests @ scabc_tests
-    @ memo_tests )
+    @ memo_tests @ relay_tests )

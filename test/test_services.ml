@@ -891,9 +891,10 @@ let reply_path_tests =
               (Obs_crypto.count Obs_crypto.Share_proof);
             Alcotest.(check int) "no share proof checked" 0
               (Obs_crypto.count Obs_crypto.Share_verify);
-            (* Measured on the same cell before replies dropped their
-               proofs: a bare share is still one signing operation. *)
-            Alcotest.(check int) "signing operations" 190
+            (* Pinned: a bare share is still one signing operation, so
+               dropping the reply proofs left this count as it was.  A
+               schedule change (relaying a payload once, say) moves it. *)
+            Alcotest.(check int) "signing operations" 171
               (Obs_crypto.count Obs_crypto.Sign)));
     Alcotest.test_case "benign notary svc run: each ciphertext checked once"
       `Quick (fun () ->
@@ -915,20 +916,138 @@ let reply_path_tests =
             in
             Alcotest.(check int) "every request completed" r.Svc.vr_target
               r.Svc.vr_completed;
-            (* Measured on the same cell while every replica re-checked
-               each ciphertext before sharing and at every combine: the
-               protocol work is unchanged, only the repeated checks
-               (two membership and two proof exponentiations each) go. *)
+            (* Pinned: checking each ciphertext once left these
+               protocol counts as they were when every replica re-checked
+               it before sharing and at every combine; only the repeated
+               checks (two membership and two proof exponentiations
+               each) went.  A schedule change (relaying a payload once,
+               say) moves them. *)
             List.iter
               (fun (name, kind, before) ->
                 Alcotest.(check int) name before (Obs_crypto.count kind))
-              [ ("signing operations", Obs_crypto.Sign, 196);
-                ("combines", Obs_crypto.Combine, 112);
-                ("signature checks", Obs_crypto.Verify, 412);
-                ("batched share checks", Obs_crypto.Batch_verify, 44) ];
+              [ ("signing operations", Obs_crypto.Sign, 185);
+                ("combines", Obs_crypto.Combine, 101);
+                ("signature checks", Obs_crypto.Verify, 370);
+                ("batched share checks", Obs_crypto.Batch_verify, 36) ];
             Alcotest.(check bool) "fewer modular exponentiations" true
               (Obs_crypto.count Obs_crypto.Modexp < 552)))
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Relay once: client resends do not flood the order                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [writes] CA writes from each of two clients, each client keeping one
+   in flight; [on_done k] runs after the k-th completion overall.
+   Returns the clients and a run-to-completion function. *)
+let ca_writers sim kr ~n ~writes ~on_done =
+  let clients =
+    Array.init 2 (fun i ->
+        Service.Client.create ~sim ~keyring:kr ~slot:(n + i) ~seed:(71 + i) ())
+  in
+  let total = ref 0 in
+  let rec write ci k =
+    if k < writes then
+      Service.Client.request clients.(ci) ~mode:Service.Plain
+        (Ca.issue_request
+           ~id:(Printf.sprintf "id-%d-%d" ci k)
+           ~pubkey:"pk" ~credentials:"cred")
+        (fun _ ->
+          incr total;
+          on_done !total;
+          write ci (k + 1))
+  in
+  Array.iteri (fun ci _ -> write ci 0) clients;
+  let run () =
+    Sim.run sim ~until:(fun () -> !total = 2 * writes);
+    Alcotest.(check int) "every write completed" (2 * writes) !total;
+    (* drain: resend timers of completed requests fire and do nothing *)
+    Sim.run sim
+  in
+  (clients, run)
+
+let relay_tests =
+  [ Alcotest.test_case
+      "benign n=7 CA run: at most n^2 abc requests per write" `Quick
+      (fun () ->
+        let n = 7 in
+        let sim, kr, _ =
+          deploy_service ~seed:6701 ~mode:Service.Plain
+            ~structure:(AS.threshold ~n ~t:2) ~make_app:Ca.make_app ()
+        in
+        (* Each server counts the ABC relays it receives, the
+           [abc.request] class of the per-layer message attribution. *)
+        let requests = ref 0 in
+        for p = 0 to n - 1 do
+          Sim.wrap_handler sim p (fun honest ~src frame ->
+              (match frame with
+              | Link.Raw (Service.Engine (Service.Abc_m (Abc.Request _))) ->
+                incr requests
+              | _ -> ());
+              honest ~src frame)
+        done;
+        let writes = 4 in
+        let clients, run =
+          ca_writers sim kr ~n ~writes ~on_done:(fun _ -> ())
+        in
+        run ();
+        let retries =
+          Array.fold_left (fun a c -> a + Service.Client.retries c) 0 clients
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "clients resent (%d resends)" retries)
+          true (retries > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d requests for %d writes, at most %d" !requests
+             (2 * writes) (n * n * 2 * writes))
+          true
+          (!requests <= n * n * 2 * writes));
+    Alcotest.test_case
+      "GC'd svc run with a revive: relay and digest state follow the queue"
+      `Quick (fun () ->
+        let kr = Lazy.force kr41 in
+        let n = 4 and victim = 3 in
+        let sim = Sim.create ~n ~seed:6702 () in
+        let dep =
+          Service.deploy ~ckpt_interval:2 ~sim ~keyring:kr
+            ~mode:Service.Plain ~make_app:Ca.make_app ()
+        in
+        let writes = 8 in
+        let _, run =
+          ca_writers sim kr ~n ~writes ~on_done:(fun k ->
+              if k = 4 then Sim.crash sim victim
+              else if k = 10 then ignore (Service.revive dep victim))
+        in
+        run ();
+        let nodes = Service.nodes dep in
+        (match Service.recovery_of nodes.(victim) with
+        | Some r ->
+          Alcotest.(check bool) "the revived replica installed a checkpoint"
+            true
+            (Recovery.transfers r > 0)
+        | None -> Alcotest.fail "expected a checkpointing engine");
+        Array.iteri
+          (fun p node ->
+            match Service.abc_of node with
+            | None -> Alcotest.fail "expected an ABC engine"
+            | Some abc ->
+              let queued = List.length (Abc.pending abc) in
+              Alcotest.(check bool)
+                (Printf.sprintf "replica %d truncated its log" p)
+                true
+                (Abc.base_len abc > 0);
+              Alcotest.(check int)
+                (Printf.sprintf "replica %d: queue drained" p)
+                0 queued;
+              Alcotest.(check int)
+                (Printf.sprintf "replica %d: relayed set empty" p)
+                0 (Abc.relay_pending abc);
+              Alcotest.(check bool)
+                (Printf.sprintf "replica %d: %d memoized digests, log %d"
+                   p (Abc.digest_memo_len abc) (Abc.log_len abc))
+                true
+                (Abc.digest_memo_len abc <= Abc.log_len abc + queued))
+          nodes) ]
 
 (* Reply bodies carry integers in exactly the form [string_of_int]
    writes; every other spelling [int_of_string] accepts is refused. *)
@@ -967,4 +1086,5 @@ let decimal_tests =
 let suite =
   ( "services",
     ca_tests @ directory_tests @ notary_tests @ dedup_tests @ fastpath_tests
-    @ cert_tests @ nonce_tests @ reply_path_tests @ decimal_tests )
+    @ cert_tests @ nonce_tests @ reply_path_tests @ relay_tests
+    @ decimal_tests )
