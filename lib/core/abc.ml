@@ -38,10 +38,15 @@
    in-flight proposal), so dissemination and signing for round r+1 run
    under round r's agreement; rounds still decide and deliver strictly
    in order, and a full window back-pressures (no new round is opened)
-   instead of growing unbounded in-flight state.  Fairness is preserved
-   inside a batch: payloads are packed oldest-undelivered-first, and the
-   globally smallest undelivered payload still heads every honest
-   proposal of the earliest unproposed round. *)
+   instead of growing unbounded in-flight state.  Every round costs one
+   agreement whatever it carries, so a round behind the head opens on
+   our own initiative only with a batch at least as large as our batch
+   in the round ahead (or a full one); smaller leftovers wait for the
+   next head round, which always opens, and a round another party has
+   started is always joined.  Fairness is preserved inside a batch:
+   payloads are packed oldest-undelivered-first, and the globally
+   smallest undelivered payload still heads every honest proposal of
+   the earliest unproposed round. *)
 
 type policy = {
   max_batch_msgs : int;  (* payloads per proposal frame; 1 = no framing *)
@@ -375,8 +380,12 @@ and participate t r payload =
    r+1's dissemination and signing start while round r's agreement is
    still running.  A round is opened when someone else demonstrably
    started it (we must join with at least a placeholder for liveness) or
-   when we have a batch worth proposing; a full window opens nothing
-   more — that is the back-pressure bound on in-flight state. *)
+   when we have a batch worth proposing: any batch for the head round,
+   and for a round behind it a batch at least as large as our own batch
+   in the round ahead, or a full one.  A smaller batch waits for the
+   next head round instead of spending a whole agreement on a few
+   payloads.  A full window opens nothing more — that is the
+   back-pressure bound on in-flight state. *)
 and open_rounds t =
   let limit = t.round + t.policy.window in
   let rec go r avail =
@@ -388,8 +397,17 @@ and open_rounds t =
           | Some l -> !l <> []
           | None -> false
         in
-        if others_active || avail <> [] then begin
-          let batch, rest = take_batch t avail in
+        let batch, rest = take_batch t avail in
+        let worth =
+          batch <> []
+          && (r = t.round
+             || rest <> []  (* full: a cap stopped the packing *)
+             ||
+             match Hashtbl.find_opt t.my_batches (r - 1) with
+             | Some ahead -> List.length batch >= List.length ahead
+             | None -> true)
+        in
+        if others_active || worth then begin
           let payload =
             match batch with
             | [] -> placeholder
@@ -496,22 +514,16 @@ let enqueue t payload =
        what the fairness argument needs. *)
     t.queue <- List.sort (fun a b -> compare (digest t a) (digest t b)) (payload :: t.queue);
     step t;
-    (* Back-pressure diagnostics: the payload could not be packed
-       because every round of the pipeline window is already in flight. *)
+    (* Back-pressure diagnostics: the payload could not be packed, either
+       because every round of the pipeline window is already in flight or
+       because it waits for a fuller batch than the round ahead's. *)
     if Obs.active t.io.Proto_io.obs then begin
-      let window_full =
-        let rec full r =
-          r >= t.round + t.policy.window
-          || (List.mem r t.participated && full (r + 1))
-        in
-        full t.round
-      in
       let packed =
         Hashtbl.fold
           (fun _ ps acc -> acc || List.exists (fun p -> digest t p = d) ps)
           t.my_batches false
       in
-      if window_full && (not (Hashtbl.mem t.delivered d)) && not packed then
+      if (not (Hashtbl.mem t.delivered d)) && not packed then
         Obs.incr t.io.Proto_io.obs
           ~labels:[ ("layer", "abc") ]
           "abc_backpressure"

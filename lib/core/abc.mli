@@ -21,7 +21,12 @@
 type policy = {
   max_batch_msgs : int;  (** payloads per proposal frame; 1 = no framing *)
   max_batch_bytes : int;  (** cap on summed payload bytes per frame *)
-  window : int;  (** rounds a party may have in flight at once *)
+  window : int;
+      (** rounds a party may have in flight at once: the cap, not a
+          target.  The head round opens with any batch; a round behind
+          it opens early only when another party started it, or with a
+          batch at least as large as this party's own batch in the
+          round ahead (a full batch always qualifies). *)
 }
 
 val default_policy : policy
@@ -83,7 +88,9 @@ val memos : t -> (int * Proto_io.memo) list
 
 val backlog : t -> int
 (** Undelivered payloads not packed into any in-flight proposal —
-    non-zero under back-pressure when the window is full. *)
+    non-zero under back-pressure: the window is full, or the payloads
+    wait for a batch as large as the round ahead's.  Each payload held
+    on submission counts once in [abc_backpressure] (layer ["abc"]). *)
 
 (** {2 Checkpointing: truncation and state transfer}
 

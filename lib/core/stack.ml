@@ -170,25 +170,31 @@ let deploy_vba ?wrap ?link ~sim ~keyring ~tag ?validate ~on_decide () =
     ~handle:Vba.handle ()
 
 (* Per-round in-flight diagnostics for the simulator's stall probe:
-   which rounds each party has proposed in but not completed, and how
-   many round proposals it has collected for each — the first thing to
-   look at when a pipelined run exhausts its step budget. *)
+   which rounds each party has proposed in but not completed, how many
+   round proposals it has collected for each, and how many payloads it
+   holds unproposed (behind a full window or waiting for a fuller
+   batch) — the first thing to look at when a pipelined run exhausts
+   its step budget. *)
 let abc_stall_summary (nodes : Abc.t array) : string =
   let parts = ref [] in
   Array.iteri
     (fun i node ->
-      match Abc.in_flight_rounds node with
-      | [] -> ()
-      | rs ->
-        let s =
-          String.concat ","
-            (List.map (fun (r, props) -> Printf.sprintf "r%d:%d" r props) rs)
-        in
-        parts := Printf.sprintf "p%d[%s]" i s :: !parts)
+      let rs =
+        List.map
+          (fun (r, props) -> Printf.sprintf "r%d:%d" r props)
+          (Abc.in_flight_rounds node)
+      in
+      let backlog = Abc.backlog node in
+      if rs <> [] || backlog > 0 then
+        parts :=
+          Printf.sprintf "p%d[%s backlog %d]" i (String.concat "," rs) backlog
+          :: !parts)
     nodes;
   match List.rev !parts with
   | [] -> "abc: no rounds in flight"
-  | ps -> "abc in-flight rounds (round:proposals) " ^ String.concat " " ps
+  | ps ->
+    "abc in-flight rounds (round:proposals, unproposed backlog) "
+    ^ String.concat " " ps
 
 let probe_abc d abc =
   Sim.set_stall_probe d.sim (fun () ->

@@ -151,8 +151,10 @@ val deploy_vba :
   Vba.t array
 
 val abc_stall_summary : Abc.t array -> string
-(** Per-party, per-round in-flight diagnostics ("p0[r3:2,r4:1] ..." —
-    round:proposals-collected); [deploy_abc] installs it as the
+(** Per-party, per-round in-flight diagnostics
+    ("p0[r3:2,r4:1 backlog 5] ..." — round:proposals-collected, then
+    the party's {!Abc.backlog} of unproposed payloads); [deploy_abc]
+    installs it as the
     simulator's stall probe so [Sim.Out_of_steps] reports where a
     pipelined run was stuck. *)
 

@@ -336,9 +336,12 @@ let digest_campaign cfg =
    attachment moved into [Stack.attach]; the svc rows re-captured when
    [Abc.broadcast] began relaying a payload on its first submission only
    (client resends no longer re-relay, so the svc cells take fewer steps;
-   the recov and epoch rows are unchanged). *)
+   the recov and epoch rows are unchanged); every row kind re-captured
+   when a pipelined round behind the head began opening only with a
+   batch at least as large as the round ahead (all three cells run a
+   batched, windowed policy, so their schedules moved). *)
 let golden_linkon_digest =
-  "51fb2cab0beb25081b1c2f7ca3b393de8f8ba7d1e908b4497a9cb1cb46076ce8"
+  "4751e78a6d9d0d63b5d9362e76d9842ff4489d8679d899cfe4e9584219bdf80e"
 
 let linkon_rows () =
   let buf = Buffer.create 4096 in

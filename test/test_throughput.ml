@@ -13,10 +13,10 @@ module AS = Adversary_structure
 let th41 = AS.threshold ~n:4 ~t:1
 let kr41 = lazy (Keyring.deal ~rsa_bits:192 ~seed:1000 th41)
 
-(* Deploy an ABC instance per party, broadcast [payloads] round-robin,
-   run to quiescence (or [until] all parties delivered), and return the
-   per-party logs in delivery order plus the nodes and sim. *)
-let run_abc ?policy ?obs ~seed ~payloads () =
+(* Deploy an ABC instance per party, broadcast [payloads] round-robin
+   (or all at party [at]), run until all parties delivered, and return
+   the per-party logs in delivery order plus the nodes and sim. *)
+let run_abc ?policy ?obs ?at ~seed ~payloads () =
   let keyring = Lazy.force kr41 in
   let sim = Sim.create ?obs ~size:(Link.frame_size (Abc.msg_size keyring)) ~n:4 ~seed () in
   let logs = Array.make 4 [] in
@@ -25,13 +25,50 @@ let run_abc ?policy ?obs ~seed ~payloads () =
       ~deliver:(fun me p -> logs.(me) <- p :: logs.(me))
       ()
   in
-  List.iteri (fun i p -> Abc.broadcast nodes.(i mod 4) p) payloads;
+  List.iteri
+    (fun i p -> Abc.broadcast nodes.(Option.value at ~default:(i mod 4)) p)
+    payloads;
   let want = List.length (List.sort_uniq compare payloads) in
   Sim.run sim
     ~until:(fun () -> Array.for_all (fun l -> List.length l >= want) logs);
   (Array.map List.rev logs, nodes, sim)
 
 let payloads_n k = List.init k (fun i -> Printf.sprintf "p-%02d" i)
+
+let fuller = { Abc.default_policy with max_batch_msgs = 8; window = 2 }
+
+(* Party 0 of an n=4 deployment under [fuller], with the sim never run so
+   nothing but local calls moves it: two one-payload rounds fill the
+   window, [held] waits behind it, and a checkpoint delivering the two
+   makes round 2 the head, opened with everything [held] fits. *)
+let head_round_with ?obs held =
+  let keyring = Lazy.force kr41 in
+  let sim =
+    Sim.create ?obs ~size:(Link.frame_size (Abc.msg_size keyring)) ~n:4
+      ~seed:3 ()
+  in
+  let nodes =
+    Stack.deploy_abc ~policy:fuller ~sim ~keyring ~tag:"fuller"
+      ~deliver:(fun _ _ -> ())
+      ()
+  in
+  let node = nodes.(0) in
+  List.iter (Abc.broadcast node) [ "a0"; "a1" ];
+  Alcotest.(check int) "a0 and a1 fill the window" 2 (Abc.in_flight node);
+  List.iter (Abc.broadcast node) held;
+  Abc.install_checkpoint node ~round:2 ~digests:[] ~suffix:[ "a0"; "a1" ];
+  Alcotest.(check int) "round 2 is the head" 2 (Abc.current_round node);
+  Alcotest.(check int) "the head round is open" 1 (Abc.in_flight node);
+  node
+
+let abc_backpressure obs =
+  match
+    Obs_registry.find (Obs.snapshot obs)
+      ~labels:[ ("layer", "abc") ]
+      "abc_backpressure"
+  with
+  | Some (Obs_registry.Vcounter c) -> c
+  | _ -> 0
 
 let tests =
   [ Alcotest.test_case "policy validation rejects non-positive fields"
@@ -132,18 +169,81 @@ let tests =
         Sim.run sim;
         Alcotest.(check int) "window filled" 2 (Abc.in_flight nodes.(0));
         Alcotest.(check int) "backlog parked" 8 (Abc.backlog nodes.(0));
-        let bp =
-          match
-            Obs_registry.find (Obs.snapshot obs)
-              ~labels:[ ("layer", "abc") ]
-              "abc_backpressure"
-          with
-          | Some (Obs_registry.Vcounter c) -> c
-          | _ -> 0
-        in
+        let bp = abc_backpressure obs in
         Alcotest.(check bool)
           (Printf.sprintf "abc_backpressure counted (%d)" bp)
-          true (bp > 0));
+          true (bp > 0);
+        (* A payload held for a fuller batch, with the window not full,
+           counts too. *)
+        let obs = Obs.create () in
+        let node = head_round_with ~obs [ "b0"; "b1"; "b2" ] in
+        let before = abc_backpressure obs in
+        Abc.broadcast node "c0";
+        Alcotest.(check int) "window not full" 1 (Abc.in_flight node);
+        Alcotest.(check int) "held payload counted" (before + 1)
+          (abc_backpressure obs);
+        Alcotest.(check string) "the stall probe shows the backlog"
+          "abc in-flight rounds (round:proposals, unproposed backlog) \
+           p0[r2:0 backlog 1]"
+          (Stack.abc_stall_summary [| node |]));
+    Alcotest.test_case
+      "a round behind the head opens only with a batch as large as the \
+       round ahead"
+      `Quick (fun () ->
+        let node = head_round_with [ "b0"; "b1"; "b2" ] in
+        Alcotest.(check int) "the head round carries all three" 0
+          (Abc.backlog node);
+        Abc.broadcast node "c0";
+        Alcotest.(check int) "one payload does not open round 3" 1
+          (Abc.in_flight node);
+        Alcotest.(check int) "c0 held" 1 (Abc.backlog node);
+        Abc.broadcast node "c1";
+        Alcotest.(check int) "two do not either" 1 (Abc.in_flight node);
+        Abc.broadcast node "c2";
+        Alcotest.(check int) "three open round 3" 2 (Abc.in_flight node);
+        Alcotest.(check int) "round 3 carries all three" 0 (Abc.backlog node));
+    Alcotest.test_case
+      "a burst's tail rides the next head round and every payload delivers"
+      `Quick (fun () ->
+        let burst = payloads_n 9 in
+        let node = head_round_with burst in
+        Alcotest.(check int) "the head round packs a full batch" 1
+          (Abc.backlog node);
+        Alcotest.(check int) "the tail does not open round 3" 1
+          (Abc.in_flight node);
+        (* Batches pack in digest order: the head took the eight
+           smallest. *)
+        let sorted =
+          List.sort
+            (fun a b -> compare (Sha256.digest a) (Sha256.digest b))
+            burst
+        in
+        let head = List.filteri (fun i _ -> i < 8) sorted in
+        Abc.install_checkpoint node ~round:3 ~digests:[] ~suffix:head;
+        Alcotest.(check (list string)) "the tail is all that is left"
+          [ List.nth sorted 8 ] (Abc.pending node);
+        Alcotest.(check int) "round 3 is the head and carries the tail" 0
+          (Abc.backlog node);
+        Alcotest.(check int) "only the head round is in flight" 1
+          (Abc.in_flight node);
+        (* Live: the same burst at one server of a running deployment
+           delivers everywhere, in one order, within the step budget. *)
+        let logs, nodes, _ =
+          run_abc ~policy:fuller ~at:0 ~seed:4 ~payloads:burst ()
+        in
+        Array.iteri
+          (fun i log ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "party %d order matches party 0" i)
+              logs.(0) log;
+            Alcotest.(check (list string))
+              (Printf.sprintf "party %d delivered set" i)
+              (List.sort compare burst) (List.sort compare log);
+            Alcotest.(check int)
+              (Printf.sprintf "party %d holds nothing back" i)
+              0
+              (Abc.backlog nodes.(i)))
+          logs);
     Alcotest.test_case "stall probe feeds Out_of_steps diagnostics" `Quick
       (fun () ->
         let keyring = Lazy.force kr41 in
