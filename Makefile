@@ -3,10 +3,9 @@ SINTRA = $(DUNE) exec bin/sintra_cli.exe --
 
 # The seed-sweep campaigns (see "Seed-sweep campaigns" below) and the
 # artifact prefix each writes.
-CAMPAIGNS = faults link flight recov epoch svc
+CAMPAIGNS = faults link recov epoch svc
 faults_ART = FAULTS
 link_ART = FAULTS_LINK
-flight_ART = FLIGHT
 recov_ART = RECOV
 epoch_ART = EPOCH
 svc_ART = BENCH_SVC
@@ -85,10 +84,12 @@ tput-bless:
 
 # Seed-sweep campaigns, one row each in the campaign table that
 # `sintra run` reads (lib/faults/campaign_table.ml); each row names one
-# Sweep.campaign value, and lib/faults/sweep.ml runs every one of them:
-#   faults  chaos policies x corruption mixes over ABBA and ABC
+# Sweep.campaign value, and lib/faults/sweep.ml runs every one of them
+# under the flight recorder, whose anomaly windows, counts and gate rows
+# go into the campaign's own report:
+#   faults  chaos policies x corruption mixes over ABBA and ABC, with
+#           per-cell decided/decide-clock/steps/retransmit/peak rows
 #   link    30% drop with the reliable link on (liveness-gating)
-#   flight  the fault sweep under the flight recorder
 #   recov   crash-rejoin / partition-heal via certified state transfer
 #   epoch   online proactive refresh and replica replacement
 #   svc     closed-loop clients through the service request pipeline
@@ -128,4 +129,4 @@ check: build test bench-smoke bench-num-smoke tput-smoke $(CAMPAIGNS:%=%-smoke)
 
 clean:
 	$(DUNE) clean
-	rm -f BENCH_*.json FAULTS_*.json FLIGHT_*.json RECOV_*.json EPOCH_*.json
+	rm -f BENCH_*.json FAULTS_*.json RECOV_*.json EPOCH_*.json

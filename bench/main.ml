@@ -69,16 +69,28 @@ type abc_run = {
   rounds : int;
 }
 
+(* Any two honest delivery logs (newest first) are prefix-consistent. *)
+let prefix_consistent logs honest =
+  let rec prefix x y =
+    match (x, y) with
+    | [], _ | _, [] -> true
+    | h1 :: t1, h2 :: t2 -> h1 = h2 && prefix t1 t2
+  in
+  List.for_all
+    (fun i ->
+      List.for_all
+        (fun j -> prefix (List.rev logs.(i)) (List.rev logs.(j)))
+        honest)
+    honest
+
 let run_abc_once ?(policy = Sim.Random_order) ?(crashed = Pset.empty)
-    ?(adaptive = false) ~structure ~seed ~payloads ?(max_steps = 400_000)
-    ?cert_mode () : abc_run =
+    ~structure ~seed ~payloads ?(max_steps = 400_000) ?cert_mode () : abc_run =
   let kr = keyring ?cert_mode structure in
   let n = AS.n structure in
   let sim =
     Sim.create ~policy ~size:(Link.frame_size (Abc.msg_size kr)) ~obs:(Bench_out.obs ()) ~n
       ~seed ()
   in
-  ignore adaptive;
   let logs = Array.make n [] in
   let nodes =
     Stack.deploy_abc ~sim ~keyring:kr ~tag:(Printf.sprintf "bench-%d" seed)
@@ -106,25 +118,9 @@ let run_abc_once ?(policy = Sim.Random_order) ?(crashed = Pset.empty)
       List.for_all (fun i -> List.length logs.(i) >= want) honest
     with Sim.Out_of_steps _ -> false
   in
-  let safety_ok =
-    (* prefix consistency over honest logs *)
-    List.for_all
-      (fun i ->
-        List.for_all
-          (fun j ->
-            let a = List.rev logs.(i) and b = List.rev logs.(j) in
-            let rec prefix x y =
-              match (x, y) with
-              | [], _ | _, [] -> true
-              | h1 :: t1, h2 :: t2 -> h1 = h2 && prefix t1 t2
-            in
-            prefix a b)
-          honest)
-      honest
-  in
   let m = Sim.metrics sim in
   { delivered_all;
-    safety_ok;
+    safety_ok = prefix_consistent logs honest;
     messages = m.Metrics.messages_sent;
     bytes = m.Metrics.bytes_sent;
     virtual_time = Sim.clock sim;
@@ -168,23 +164,8 @@ let run_pbft_once ?(policy = Sim.Latency_order) ?(crashed = Pset.empty)
       List.for_all (fun i -> List.length logs.(i) >= want) honest
     with Sim.Out_of_steps _ -> false
   in
-  let safety_ok =
-    List.for_all
-      (fun i ->
-        List.for_all
-          (fun j ->
-            let a = List.rev logs.(i) and b = List.rev logs.(j) in
-            let rec prefix x y =
-              match (x, y) with
-              | [], _ | _, [] -> true
-              | h1 :: t1, h2 :: t2 -> h1 = h2 && prefix t1 t2
-            in
-            prefix a b)
-          honest)
-      honest
-  in
   let m = Sim.metrics sim in
-  (delivered_all, safety_ok, m.Metrics.messages_sent, m.Metrics.bytes_sent,
+  (delivered_all, prefix_consistent logs honest, m.Metrics.messages_sent, m.Metrics.bytes_sent,
    Sim.clock sim)
 
 (* ------------------------------------------------------------------ *)

@@ -120,6 +120,46 @@ let structure_cmd =
 
 (* ---------- abc: run atomic broadcast -------------------------------- *)
 
+(* The run [abc] and [trace] share: deal the keyring, create the
+   simulator over [obs] ([setup] runs on it before deployment), deploy
+   ABC under [tag], crash [crashed], broadcast [payloads] round-robin
+   from the other servers and run until each has delivered them all.  A
+   stall is reported on [stall_out].  Returns the simulator, the
+   delivery logs (newest first), the servers not crashed and what
+   [setup] returned. *)
+let order_payloads ~structure ~seed ~payloads ~obs ~tag ?link ?(crashed = [])
+    ~setup stall_out =
+  let n = AS.n structure in
+  let kr = Keyring.deal ~rsa_bits:192 ~seed:99 structure in
+  let sim =
+    Sim.create ~policy:Sim.Random_order
+      ~size:(Link.frame_size (Abc.msg_size kr)) ~obs ~n ~seed ()
+  in
+  let set_up = setup sim in
+  let logs = Array.make n [] in
+  let nodes =
+    Stack.deploy_abc ~sim ~keyring:kr ~tag ?link
+      ~deliver:(fun me p -> logs.(me) <- p :: logs.(me)) ()
+  in
+  List.iter (Sim.crash sim) crashed;
+  let honest =
+    List.filter (fun i -> not (List.mem i crashed)) (List.init n Fun.id)
+  in
+  List.iteri
+    (fun i p ->
+      Abc.broadcast nodes.(List.nth honest (i mod List.length honest)) p)
+    (List.init payloads (fun i -> Printf.sprintf "payload-%02d" i));
+  (try
+     Sim.run sim ~until:(fun () ->
+         List.for_all (fun i -> List.length logs.(i) >= payloads) honest)
+   with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
+     Printf.fprintf stall_out
+       "!! out of steps at clock %.0f (%d pending, %d timers) — liveness \
+        lost?\n"
+       at_clock pending timers;
+     if detail <> "" then Printf.fprintf stall_out "!! %s\n" detail);
+  (sim, logs, honest, set_up)
+
 let abc_cmd =
   let payloads_arg =
     Arg.(
@@ -149,49 +189,25 @@ let abc_cmd =
                 liveness).")
   in
   let run n t example seed payloads crash trace link drop =
-    let s = structure_of ~n ~t example in
-    let n = AS.n s in
-    let kr = Keyring.deal ~rsa_bits:192 ~seed:99 s in
+    let structure = structure_of ~n ~t example in
+    let n = AS.n structure in
     (* the link layer's counters live in the obs registry, so reporting
        them needs an active handle *)
     let obs = if trace || link then Obs.create () else Obs.noop in
-    let sim =
-      Sim.create ~policy:Sim.Random_order
-        ~size:(Link.frame_size (Abc.msg_size kr)) ~obs ~n ~seed ()
-    in
-    if drop > 0.0 then
-      Sim.set_chaos sim
-        (Some
-           {
-             Sim.benign_chaos with
-             default_link = { Sim.no_fault with drop };
-           });
-    let span_tracer = if trace then Some (attach_tracer obs sim) else None in
-    if trace then
-      Sim.enable_trace sim ~summarize:(Link.frame_summary Abc.msg_summary);
-    let logs = Array.make n [] in
-    let nodes =
-      Stack.deploy_abc ~sim ~keyring:kr ~tag:"cli"
-        ?link:(if link then Some Link.default_policy else None)
-        ~deliver:(fun me p -> logs.(me) <- p :: logs.(me)) ()
-    in
     let crashed = parse_crash crash in
-    List.iter (Sim.crash sim) crashed;
-    let honest = List.filter (fun i -> not (List.mem i crashed)) (List.init n Fun.id) in
-    List.iteri
-      (fun i p ->
-        let srv = List.nth honest (i mod List.length honest) in
-        Abc.broadcast nodes.(srv) p)
-      (List.init payloads (fun i -> Printf.sprintf "payload-%02d" i));
-    (try
-       Sim.run sim ~until:(fun () ->
-           List.for_all (fun i -> List.length logs.(i) >= payloads) honest)
-     with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-       Printf.printf
-         "!! out of steps at clock %.0f (%d pending, %d timers) — liveness \
-          lost?\n"
-         at_clock pending timers;
-       if detail <> "" then Printf.printf "!! %s\n" detail);
+    let sim, logs, honest, span_tracer =
+      order_payloads ~structure ~seed ~payloads ~obs ~tag:"cli"
+        ?link:(if link then Some Link.default_policy else None)
+        ~crashed stdout ~setup:(fun sim ->
+          if drop > 0.0 then Sim.set_chaos sim (Some (Sweep.lossy drop));
+          if trace then begin
+            let tr = attach_tracer obs sim in
+            Sim.enable_trace sim
+              ~summarize:(Link.frame_summary Abc.msg_summary);
+            Some tr
+          end
+          else None)
+    in
     let m = Sim.metrics sim in
     (if trace then begin
        print_endline "trace (first 40 events):";
@@ -266,32 +282,11 @@ let trace_cmd =
           ~doc:"Maximum records shown by the pretty timeline.")
   in
   let run n t example seed payloads jsonl limit =
-    let s = structure_of ~n ~t example in
-    let n = AS.n s in
-    let kr = Keyring.deal ~rsa_bits:192 ~seed:99 s in
     let obs = Obs.create () in
-    let sim =
-      Sim.create ~policy:Sim.Random_order
-        ~size:(Link.frame_size (Abc.msg_size kr)) ~obs ~n ~seed ()
+    let _, _, _, tr =
+      order_payloads ~structure:(structure_of ~n ~t example) ~seed ~payloads
+        ~obs ~tag:"trace" stderr ~setup:(attach_tracer obs)
     in
-    let tr = attach_tracer obs sim in
-    let logs = Array.make n [] in
-    let nodes =
-      Stack.deploy_abc ~sim ~keyring:kr ~tag:"trace"
-        ~deliver:(fun me p -> logs.(me) <- p :: logs.(me)) ()
-    in
-    List.iteri
-      (fun i p -> Abc.broadcast nodes.(i mod n) p)
-      (List.init payloads (fun i -> Printf.sprintf "payload-%02d" i));
-    (try
-       Sim.run sim ~until:(fun () ->
-           Array.for_all (fun l -> List.length l >= payloads) logs)
-     with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-       Printf.eprintf
-         "!! out of steps at clock %.0f (%d pending, %d timers) — liveness \
-          lost?\n"
-         at_clock pending timers;
-       if detail <> "" then Printf.eprintf "!! %s\n" detail);
     if jsonl then print_string (Obs_trace.to_jsonl tr)
     else print_span_timeline ~limit tr
   in
@@ -311,8 +306,8 @@ let bench_check_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILE"
-          ~doc:"Reports to validate (default: every BENCH_/FAULTS_/FLIGHT_/\
-                RECOV_/EPOCH_*.json file in the current directory).")
+          ~doc:"Reports to validate (default: every BENCH_/FAULTS_/RECOV_/\
+                EPOCH_*.json file in the current directory).")
   in
   let run files =
     let files =
@@ -416,12 +411,15 @@ let run_cmd =
        ~doc:
          "Run a seed-sweep campaign — faults (chaos policies x corruption \
           mixes over ABBA and ABC), link (30% drop with the reliable link \
-          on, liveness-gating), flight (the fault sweep under the flight \
-          recorder), recov (crash-rejoin / partition-heal via certified \
-          state transfer), epoch (online proactive refresh and replica \
-          replacement) or svc (closed-loop clients through the service \
-          pipeline) — print its summary, write its artifact and check \
-          it with bench-check's one check.  Exits non-zero on an invalid \
+          on, liveness-gating), recov (crash-rejoin / partition-heal via \
+          certified state transfer), epoch (online proactive refresh and \
+          replica replacement) or svc (closed-loop clients through the \
+          service pipeline) — print its summary, write its artifact and \
+          check it with bench-check's one check.  Every run is recorded by \
+          the flight recorder: the artifact carries its anomaly counts, \
+          the trace windows around stalls, safety trips, retransmit \
+          storms, back-pressure peaks and state transfers, and its gate \
+          rows.  Exits non-zero on an invalid \
           artifact or on any gate row past its limit (a safety \
           violation, an undecided gating run, a missed request, ...).")
     Term.(
@@ -435,8 +433,8 @@ let compare_cmd =
     Arg.(
       required & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline report (any BENCH_/FAULTS_/FLIGHT_/RECOV_/EPOCH_ \
-                json file).")
+          ~doc:"Baseline report (any BENCH_/FAULTS_/RECOV_/EPOCH_ json \
+                file).")
   in
   let b_arg =
     Arg.(
@@ -474,8 +472,8 @@ let compare_cmd =
        ~doc:
          "Diff the gate rows of two reports of the same kind and \
           classify every delta as improved, regressed or neutral. Strict \
-          rows (safety violations, gating-liveness violations, decided \
-          counts) regress on any worsening; thresholded rows tolerate \
+          rows (safety violations, gating-liveness violations, per-cell \
+          decided counts, stall anomalies) regress on any worsening; thresholded rows tolerate \
           --rel/--abs; info rows (wall time, raw counters) are only shown. \
           Exits 1 on regression, 2 on structural mismatch (different kind \
           or run count, a row on one side only) — wiring this against a \

@@ -252,8 +252,7 @@ let run_with env cfg ~protocol ~policy ~mix ~seed ~tag ~reliable ~timeline
   let { Sweep.keyring; obs; flight } = env in
   let corrupted = corrupted_set keyring seed in
   let honest = Pset.diff (Pset.full cfg.core.n) corrupted in
-  ignore (Sweep.start sim timeline);
-  Sweep.flight_begin flight sim;
+  ignore (Sweep.start env sim timeline);
   let on_link, peak = peak_probe () in
   let last_decide = ref None in
   let note_decide p =
@@ -268,16 +267,12 @@ let run_with env cfg ~protocol ~policy ~mix ~seed ~tag ~reliable ~timeline
   let done_, oracles =
     workload ~sim ~keyring ~wrap ~on_link ~tag ~honest ~note_decide
   in
-  let stall =
-    Sweep.run_sim ?flight sim ~max_steps:cfg.core.max_steps ~until:done_
-  in
+  let stall = Sweep.run_sim sim ~max_steps:cfg.core.max_steps ~until:done_ in
   let violations = oracles () @ stall in
   let decided = done_ () in
   let decide_clock = if decided then !last_decide else None in
   let steps = Sim.steps sim and buffer_peak = peak () in
-  Sweep.flight_end flight
-    ~key:{ Flight.protocol; policy = policy.p_name; mix = mix.m_name; seed }
-    ~violations ~decided ~gating:reliable ~decide_clock ~steps ~buffer_peak;
+  Flight.note_buffer_peak flight buffer_peak;
   let m = Sim.metrics sim in
   {
     r_protocol = protocol;
@@ -373,9 +368,7 @@ let run_json r =
       ("retransmits", Obs_json.Int r.r_link_retransmits);
     ]
 
-(* The configuration echo, shared between the FAULTS report and the
-   flight recorder's FLIGHT summary, so each file records what produced
-   it. *)
+(* The configuration echo, so the report records what produced it. *)
 let config_json cfg =
   Obs_json.Obj
     (Sweep.core_fields cfg.core
@@ -403,8 +396,75 @@ let config_json cfg =
         ("mixes", Sweep.labels (fun m -> m.m_name) cfg.mixes);
       ])
 
+let result_label r = String.concat "/" [ r.r_protocol; r.r_policy; r.r_mix ]
+let every f r = Some (float (f r))
+
+(* The per-cell regression rows, cells in execution order: decided runs
+   (strict), decide-clock p95 ({!Obs_histogram.percentile}), mean steps
+   and retransmits, and the buffer-peak max. *)
+let cell_gate results =
+  let labels =
+    List.fold_left
+      (fun acc r ->
+        let l = result_label r in
+        if List.mem l acc then acc else l :: acc)
+      [] results
+    |> List.rev
+  in
+  List.concat_map
+    (fun tag ->
+      let rs = List.filter (fun r -> result_label r = tag) results in
+      let stat f value =
+        let h = Obs_histogram.create () in
+        List.iter (fun r -> Option.iter (Obs_histogram.observe h) (value r)) rs;
+        Option.value (f h) ~default:0.0
+      in
+      Report.
+        [ strict Higher (tag ^ " decided")
+            (float (List.length (List.filter (fun r -> r.r_decided) rs)));
+          threshold Lower (tag ^ " decide_clock p95")
+            (stat (fun h -> Obs_histogram.percentile h 95.0) (fun r ->
+                 r.r_decide_clock));
+          threshold Lower (tag ^ " steps mean")
+            (stat Obs_histogram.mean (every (fun r -> r.r_steps)));
+          threshold Lower (tag ^ " retransmits mean")
+            (stat Obs_histogram.mean (every (fun r -> r.r_link_retransmits)));
+          threshold Lower (tag ^ " buffer_peak max")
+            (stat Obs_histogram.max_value (every (fun r -> r.r_buffer_peak)))
+        ])
+    labels
+
+(* Pointers to the worst runs: the first run with the largest value. *)
+let worst_json results =
+  let key r =
+    Obs_json.Obj
+      [ ("cell", Obs_json.Str (result_label r)); ("seed", Obs_json.Int r.r_seed) ]
+  in
+  let worst value =
+    match
+      List.fold_left
+        (fun best r ->
+          match (value r, best) with
+          | Some v, Some (_, b) when b >= v -> best
+          | Some v, _ -> Some (r, v)
+          | None, _ -> best)
+        None results
+    with
+    | None -> Obs_json.Null
+    | Some (r, v) -> Obs_json.Obj [ ("run", key r); ("value", Obs_json.Float v) ]
+  in
+  Obs_json.Obj
+    [ ("slowest", worst (fun r -> r.r_decide_clock));
+      ( "undecided",
+        match List.find_opt (fun r -> r.r_decide_clock = None) results with
+        | None -> Obs_json.Null
+        | Some r -> key r );
+      ("retransmits", worst (every (fun r -> r.r_link_retransmits)));
+      ("buffer_peak", worst (every (fun r -> r.r_buffer_peak))) ]
+
 (* The gate and the members besides the config echo and the per-run
-   rows: chaos and link totals and the first violations in detail. *)
+   rows: chaos and link totals, the first violations in detail and the
+   worst runs. *)
 let close cfg _env (t : Sweep.totals) results =
   let total f = Sweep.sum f results in
   let details =
@@ -425,7 +485,8 @@ let close cfg _env (t : Sweep.totals) results =
         must Lower "undecided gating runs" ~limit:0.0
           (float
              (total (fun r -> Bool.to_int (r.r_reliable && not r.r_decided))));
-      ],
+      ]
+    @ cell_gate results,
     [
       ( "chaos",
         Obs_json.Obj
@@ -445,6 +506,7 @@ let close cfg _env (t : Sweep.totals) results =
           ] );
       ( "violation_details",
         Obs_json.Arr (List.filteri (fun i _ -> i < 50) details) );
+      ("worst", worst_json results);
     ] )
 
 let campaign cfg =

@@ -108,8 +108,13 @@ val campaign : config -> (cell, run_result) Sweep.campaign
 (** Each cell's timeline is its policy's chaos spec from the start; a
     run takes start-time chaos steps only (anything else is
     [Invalid_argument]).  Each decided run's clock feeds a per-protocol
-    ["decide_time"] histogram under layer ["faults"]; the environment's
-    flight recorder, if any, brackets every run. *)
+    ["decide_time"] histogram under layer ["faults"], and each run's link
+    buffer peak goes to the flight recorder.  Besides the acceptance
+    rows, the gate has per cell (["<protocol>/<policy>/<mix>"]) its
+    decided runs (strict), decide-clock p95, mean steps and
+    retransmits and the buffer-peak max; the [worst] member points at
+    the slowest, first undecided, most-retransmitting and
+    highest-peak runs. *)
 
 val gating_liveness_count : run_result list -> int
 (** Liveness violations under effectively reliable policies (natively

@@ -50,7 +50,6 @@ type campaign = {
   default_id : string;
   full : preset;
   quick : preset;
-  flight : bool;
   campaign : knobs -> packed;
 }
 
@@ -75,16 +74,12 @@ let campaigns =
   [
     { name = "faults"; prefix = "FAULTS"; default_id = "CAMPAIGN";
       full = { seeds = 50; size = 2 }; quick = { seeds = 5; size = 2 };
-      flight = false; campaign = (fun k -> Packed (faults ~link:false k)) };
+      campaign = (fun k -> Packed (faults ~link:false k)) };
     { name = "link"; prefix = "FAULTS_LINK"; default_id = "CAMPAIGN";
       full = { seeds = 50; size = 2 }; quick = { seeds = 10; size = 2 };
-      flight = false; campaign = (fun k -> Packed (faults ~link:true k)) };
-    { name = "flight"; prefix = "FLIGHT"; default_id = "CAMPAIGN";
-      full = { seeds = 10; size = 2 }; quick = { seeds = 3; size = 2 };
-      flight = true; campaign = (fun k -> Packed (faults ~link:false k)) };
+      campaign = (fun k -> Packed (faults ~link:true k)) };
     { name = "recov"; prefix = "RECOV"; default_id = "RECOVERY";
       full = { seeds = 50; size = 24 }; quick = { seeds = 3; size = 12 };
-      flight = false;
       campaign =
         (fun k ->
           Packed
@@ -94,7 +89,6 @@ let campaigns =
                   ?max_steps:k.max_steps ()))) };
     { name = "epoch"; prefix = "EPOCH"; default_id = "EPOCH";
       full = { seeds = 50; size = 24 }; quick = { seeds = 2; size = 12 };
-      flight = false;
       campaign =
         (fun k ->
           Packed
@@ -106,7 +100,6 @@ let campaigns =
        bound. *)
     { name = "svc"; prefix = "BENCH_SVC"; default_id = "svc";
       full = { seeds = 1; size = 13_000 }; quick = { seeds = 1; size = 48 };
-      flight = false;
       campaign =
         (fun k ->
           Packed
@@ -123,25 +116,15 @@ let out_path c id =
   if id = c.name then c.prefix ^ ".json"
   else Printf.sprintf "%s_%s.json" c.prefix id
 
-(* Sweep (under the flight recorder, whose summary is then the
-   artifact, for a flight row), print the summary, write the artifact
-   and check it. *)
+(* Sweep, print the summary, write the artifact and check it. *)
 let run c k ~id ~progress =
   let (Packed s) = c.campaign k in
   let t0 = Unix.gettimeofday () in
-  let rep = Sweep.sweep ~progress ~flight:c.flight s in
-  let gate, doc =
-    match rep.env.flight with
-    | None -> (rep.gate, fun wall -> Sweep.to_json ~id ~wall rep)
-    | Some fl ->
-      let summary = Flight.summarize ~id ~config:s.config (Flight.runs fl) in
-      ( Flight.gate summary,
-        fun wall -> Flight.to_json ~wall ~obs:rep.env.obs summary )
-  in
+  let rep = Sweep.sweep ~progress s in
   let wall = Unix.gettimeofday () -. t0 in
-  Sweep.pp_summary ~gate Format.std_formatter rep;
+  Sweep.pp_summary Format.std_formatter rep;
   Format.printf "wall time %.1fs@." wall;
-  let path = Report.write (out_path c id) (doc wall) in
+  let path = Report.write (out_path c id) (Sweep.to_json ~id ~wall rep) in
   (path, check_file path)
 
 let is_artifact file =

@@ -47,15 +47,12 @@ type campaign = {
   default_id : string;  (** the report id without [--out] *)
   full : preset;
   quick : preset;  (** [--quick], the CI smoke *)
-  flight : bool;
-      (** sweep under the flight recorder: the artifact is its [flight]
-          summary instead of the campaign's own report *)
   campaign : knobs -> packed;
 }
 
 val campaigns : campaign list
-(** [faults], [link] (30% drop with the link layer on), [flight] (the
-    fault sweep under the flight recorder), [recov], [epoch], [svc]. *)
+(** [faults], [link] (30% drop with the link layer on), [recov],
+    [epoch], [svc]. *)
 
 val find : string -> campaign option
 

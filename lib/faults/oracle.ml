@@ -149,12 +149,16 @@ let totality ?(name = "totality") ~honest ~expected counts =
                 expected)))
     (honest_slots honest counts)
 
+let stall_oracle = "progress"
+
 let out_of_steps ?(detail = "") ~at_clock ~pending ~timers () =
-  make ~oracle:"progress" ~severity:Liveness
+  make ~oracle:stall_oracle ~severity:Liveness
     (Printf.sprintf
        "ran out of steps at clock %.0f with %d pending messages, %d timers%s"
        at_clock pending timers
        (if detail = "" then "" else "; " ^ detail))
+
+let is_stall v = v.oracle = stall_oracle
 
 (* ---------- protocol bundles ------------------------------------------ *)
 

@@ -60,6 +60,9 @@ val out_of_steps :
     [detail] carries the stall probe's protocol-level diagnostics
     (per-round in-flight counts under pipelining). *)
 
+val is_stall : violation -> bool
+(** The violation is {!out_of_steps}'. *)
+
 (** {2 Protocol bundles} *)
 
 val check_abba :

@@ -143,7 +143,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
   in
   let pk = sharing0.Dl_sharing.public_key in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
-  let faults = Sweep.start ~victim sim timeline in
+  let faults = Sweep.start env ~victim sim timeline in
   let link = match variant with Lossy -> Some cfg.e_link | _ -> None in
   let tag =
     Printf.sprintf "epoch-%s-%s-%d" (scenario_label scenario)

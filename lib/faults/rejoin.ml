@@ -97,15 +97,14 @@ let timeline cfg scenario =
 
 let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
   let n = cfg.j_core.n in
-  let keyring = env.keyring and flight = env.flight in
+  let keyring = env.keyring in
   let victim = abs seed mod n in
   let forger = (victim + 1) mod n in
   let honest =
     if forged then Pset.remove forger (Pset.full n) else Pset.full n
   in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
-  let faults = Sweep.start ~victim sim timeline in
-  Sweep.flight_begin flight sim;
+  let faults = Sweep.start env ~victim sim timeline in
   let tag = Printf.sprintf "recov-%s-%d" (scenario_label scenario) seed in
   let wrap =
     if forged then
@@ -122,13 +121,10 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
       ()
   in
   let note_transfer party ~bytes ~round =
-    Option.iter
-      (fun fl ->
-        Flight.note_anomaly fl Flight.State_transfer ~at:(Sim.clock sim)
-          ~detail:
-            (Printf.sprintf "party %d adopted %d bytes up to round %d"
-               party bytes round))
-      flight
+    Flight.note_anomaly env.flight Flight.State_transfer ~at:(Sim.clock sim)
+      ~detail:
+        (Printf.sprintf "party %d adopted %d bytes up to round %d" party bytes
+           round)
   in
   Array.iteri
     (fun p node -> Recovery.set_on_transfer node (note_transfer p))
@@ -165,7 +161,7 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
   (* A replica can quiesce slightly behind with no new checkpoint share
      to trip its lag detector; nudge it the way an operator would. *)
   let stall =
-    Sweep.run_sim ?flight sim ~max_steps:cfg.j_core.max_steps ~until:done_
+    Sweep.run_sim sim ~max_steps:cfg.j_core.max_steps ~until:done_
       ~retry:(fun () ->
         Pset.iter
           (fun p ->
@@ -189,38 +185,24 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
       (fun p acc -> max acc (f (Recovery.abc (nodes ()).(p))))
       honest 0
   in
-  let result =
-    {
-      jr_scenario = scenario;
-      jr_seed = seed;
-      jr_forged = forged;
-      jr_victim = victim;
-      jr_recovered = count victim >= cfg.j_payloads && safety = 0;
-      jr_transferred = Recovery.transfers victim_node > 0;
-      jr_transfer_bytes = Recovery.transfer_bytes victim_node;
-      jr_rejected = Recovery.rejected_replies victim_node;
-      jr_log_peak = fold_honest Abc.log_peak;
-      jr_retired = fold_honest Abc.retired_rounds;
-      jr_ckpt_round =
-        Pset.fold
-          (fun p acc -> max acc (Recovery.certified_round (nodes ()).(p)))
-          honest 0;
-      jr_violations = violations;
-      jr_steps = Sim.steps sim;
-    }
-  in
-  Sweep.flight_end flight
-    ~key:
-      {
-        Flight.protocol = "recov";
-        policy = scenario_label scenario;
-        mix = (if forged then "forged" else "plain");
-        seed;
-      }
-    ~violations ~decided:(done_ ()) ~gating:true
-    ~decide_clock:(if done_ () then Some (Sim.clock sim) else None)
-    ~steps:(Sim.steps sim) ~buffer_peak:0;
-  result
+  {
+    jr_scenario = scenario;
+    jr_seed = seed;
+    jr_forged = forged;
+    jr_victim = victim;
+    jr_recovered = count victim >= cfg.j_payloads && safety = 0;
+    jr_transferred = Recovery.transfers victim_node > 0;
+    jr_transfer_bytes = Recovery.transfer_bytes victim_node;
+    jr_rejected = Recovery.rejected_replies victim_node;
+    jr_log_peak = fold_honest Abc.log_peak;
+    jr_retired = fold_honest Abc.retired_rounds;
+    jr_ckpt_round =
+      Pset.fold
+        (fun p acc -> max acc (Recovery.certified_round (nodes ()).(p)))
+        honest 0;
+    jr_violations = violations;
+    jr_steps = Sim.steps sim;
+  }
 
 (* ---------- bounded-memory probe -------------------------------------- *)
 

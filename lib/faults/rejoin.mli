@@ -90,8 +90,8 @@ val memory_probe : Sweep.env -> config -> seed:int -> memory_probe
 val campaign : config -> (cell, run_result) Sweep.campaign
 (** After the sweep, the memory probe (unless [j_mem_payloads = 0])
     runs at [seed_base]: the report's [memory] member and its limited
-    "GC'd log peak" row.  The environment's flight recorder, if any,
-    notes state transfers, stalls and safety trips. *)
+    "GC'd log peak" row.  Every state transfer is a flight-recorder
+    anomaly. *)
 
 val forged_witnessed : run_result list -> bool
 (** The forged sweep rejected the forger explicitly at least once.

@@ -189,7 +189,7 @@ let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
     invalid_arg "Svc.run_one: crash-rejoin needs a checkpointing kind";
   let sim = Sim.create ~n ~extra:(cfg.v_clients + 2) ~seed ~obs:env.obs () in
   let victim = if variant = Crash_rejoin then abs seed mod n else -1 in
-  let faults = Sweep.start ~victim sim timeline in
+  let faults = Sweep.start env ~victim sim timeline in
   let link = match variant with Drop_arq -> Some cfg.v_link | _ -> None in
   let dep =
     Service.deploy ~policy:cfg.v_abc_policy ?link

@@ -1,7 +1,7 @@
 (* The campaign engine shared by the seed-sweep runners: configuration
    core, fault-timeline interpreter, the campaign value with its keyring
    environment, cell x seed loop, report and summary, stall conversion
-   and flight glue.  See sweep.mli. *)
+   and the flight recorder's bracket around every run.  See sweep.mli. *)
 
 type core = {
   seeds : int;
@@ -27,6 +27,8 @@ let core_fields c =
     ("t", Obs_json.Int c.t);
     ("max_steps", Obs_json.Int c.max_steps);
   ]
+
+type env = { keyring : Keyring.t; obs : Obs.t; flight : Flight.recorder }
 
 (* ---------- fault timelines ------------------------------------------- *)
 
@@ -202,7 +204,8 @@ let last_settled f =
 
 let settled f = f.pending = [] && last_settled f
 
-let start ?(victim = -1) sim tl =
+let start env ?(victim = -1) sim tl =
+  Flight.run_begin env.flight ~now:(fun () -> Sim.clock sim);
   let f =
     { sim; victim; base = None; pending = tl; last = None; target = 0;
       epoch = (fun _ -> 0) }
@@ -245,7 +248,6 @@ let drive f ~monitor ~period ~total ~progress ?epoch ?(nudge = ignore) ?tick
 
 (* ---------- campaigns -------------------------------------------------- *)
 
-type env = { keyring : Keyring.t; obs : Obs.t; flight : Flight.recorder option }
 type totals = { runs : int; safety : int; liveness : int; steps : int }
 
 type ('cell, 'run) campaign = {
@@ -264,7 +266,7 @@ type ('cell, 'run) campaign = {
   config : Obs_json.t;
 }
 
-let prepare ?(flight = false) c =
+let prepare c =
   let k = c.core in
   let obs = Obs.create () in
   {
@@ -273,10 +275,24 @@ let prepare ?(flight = false) c =
         ~seed:(k.seed_base + c.key_offset)
         (Adversary_structure.threshold ~n:k.n ~t:k.t);
     obs;
-    flight = (if flight then Some (Flight.create ~obs ()) else None);
+    flight = Flight.create ~obs ();
   }
 
-let run_cell c env cell ~seed = c.run_one env cell ~seed (c.timeline cell)
+(* The run began in [start]; close it in the recorder under the cell's
+   label, with the stall, then every safety violation, as anomalies.  A
+   stall leaves the clock where the simulator ran out of steps. *)
+let run_cell c env cell ~seed =
+  let r = c.run_one env cell ~seed (c.timeline cell) in
+  let violations = c.violations r in
+  let note kind (v : Oracle.violation) =
+    Flight.note_anomaly env.flight kind ~detail:(Oracle.violation_to_string v)
+  in
+  List.iter (note Flight.Stall) (List.filter Oracle.is_stall violations);
+  List.iter (note Flight.Safety_trip)
+    (List.filter (fun v -> v.Oracle.severity = Oracle.Safety) violations);
+  Flight.run_end env.flight ~key:{ Flight.cell = c.label cell; seed };
+  r
+
 let find_cell c label = List.find_opt (fun cell -> c.label cell = label) c.cells
 
 type ('cell, 'run) report = {
@@ -295,8 +311,8 @@ let totals c runs =
   { runs = List.length runs; safety = count Oracle.count_safety;
     liveness = count Oracle.count_liveness; steps = sum c.steps runs }
 
-let sweep ?(progress = fun _ -> ()) ?flight c =
-  let env = prepare ?flight c in
+let sweep ?(progress = fun _ -> ()) c =
+  let env = prepare c in
   let total = List.length c.cells * c.core.seeds in
   let results = ref [] and k = ref 0 in
   List.iter
@@ -312,7 +328,9 @@ let sweep ?(progress = fun _ -> ()) ?flight c =
   let runs = List.map snd results in
   let totals = totals c runs in
   let gate, members = c.close env totals runs in
-  { campaign = c; env; results; totals; gate; members }
+  let flight_gate, flight_members = Flight.summarize env.flight in
+  { campaign = c; env; results; totals; gate = gate @ flight_gate;
+    members = members @ flight_members }
 
 let runs rep = List.map snd rep.results
 
@@ -326,7 +344,7 @@ let to_json ~id ~wall rep =
 
 let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
-let pp_summary ?gate fmt rep =
+let pp_summary fmt rep =
   let c = rep.campaign in
   let line label t =
     Format.fprintf fmt "%-28s %4d runs  safety %d  liveness %3d  steps %9d%s@."
@@ -352,7 +370,7 @@ let pp_summary ?gate fmt rep =
           Printf.sprintf "  (limit %s %g)"
             (if g.better = Report.Higher then ">=" else "<=")
             l))
-    (Option.value gate ~default:rep.gate)
+    rep.gate
 
 (* ---------- running one simulation ------------------------------------- *)
 
@@ -373,24 +391,12 @@ let stream sim ~victim payloads submit =
           submit s payload))
     payloads
 
-(* The recorder depends only on sintra_obs: runners feed it plain
-   scalars, so the dependency arrow runs faults -> recorder -> obs. *)
-let flight_begin flight sim =
-  Option.iter
-    (fun fl -> Flight.run_begin fl ~now:(fun () -> Sim.clock sim))
-    flight
-
-let run_sim ?flight ?retry sim ~max_steps ~until =
+let run_sim ?retry sim ~max_steps ~until =
   let once () =
     try
       Sim.run ~max_steps ~until sim;
       []
     with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-      Option.iter
-        (fun fl ->
-          Flight.note_anomaly fl Flight.Stall ~at:at_clock
-            ~detail:(if detail = "" then "out of steps" else detail))
-        flight;
       [ Oracle.out_of_steps ~detail ~at_clock ~pending ~timers () ]
   in
   let rec go k = function
@@ -400,22 +406,6 @@ let run_sim ?flight ?retry sim ~max_steps ~until =
     | stall -> stall
   in
   go 0 (once ())
-
-let flight_end flight ~key ~violations ~decided ~gating ~decide_clock ~steps
-    ~buffer_peak =
-  Option.iter
-    (fun fl ->
-      List.iter
-        (fun (v : Oracle.violation) ->
-          if v.Oracle.severity = Oracle.Safety then
-            Flight.note_anomaly fl Flight.Safety_trip
-              ~detail:(Oracle.violation_to_string v))
-        violations;
-      Flight.run_end fl ~key ~decided ~gating ~decide_clock ~steps
-        ~safety:(Oracle.count_safety violations)
-        ~liveness:(Oracle.count_liveness violations)
-        ~buffer_peak)
-    flight
 
 let unless ok ?party severity oracle detail =
   if ok then [] else [ { Oracle.oracle; severity; party; detail } ]

@@ -9,7 +9,7 @@
     common configuration core, the dealt keyring, the cell × seed loop,
     the totals, the report and its summary, the fault-timeline
     interpreter, the [Sim.Out_of_steps] → {!Oracle} conversion and the
-    flight recorder glue.  The report envelope and writer are
+    {!Flight} recorder, which records every run of every sweep.  The report envelope and writer are
     {!Report}'s; the artifact path and the timed write-and-check are
     {!Campaign_table}'s. *)
 
@@ -44,6 +44,16 @@ val labels : ('a -> string) -> 'a list -> Obs_json.t
 val core_fields : core -> (string * Obs_json.t) list
 (** The configuration echo every report shares: seeds, seed_base, n, t
     and max_steps. *)
+
+(** {2 The run environment} *)
+
+type env = {
+  keyring : Keyring.t;
+  obs : Obs.t;
+  flight : Flight.recorder;  (** records every run, over [obs] *)
+}
+(** The dealt keyring (start-up dominant), the observability instance
+    every run's simulator reports into, and the flight recorder. *)
 
 (** {2 Fault timelines}
 
@@ -97,10 +107,11 @@ val pp_timeline : Format.formatter -> timeline -> unit
 type 'm faults
 (** A timeline being interpreted in one simulation. *)
 
-val start : ?victim:int -> 'm Sim.t -> timeline -> 'm faults
-(** Install the leading [Start] chaos specs now, where a runner deploys
-    its network (installation splits the scheduler's PRNG); the rest
-    waits for {!drive}, which a timeline of such steps alone never
+val start : env -> ?victim:int -> 'm Sim.t -> timeline -> 'm faults
+(** Begin the run: bind the flight recorder to the simulator's clock,
+    then install the leading [Start] chaos specs now, where a runner
+    deploys its network (installation splits the scheduler's PRNG); the
+    rest waits for {!drive}, which a timeline of such steps alone never
     needs.  [victim] is the party crash, revive and isolate act on. *)
 
 val drive :
@@ -125,16 +136,6 @@ val settled : 'm faults -> bool
 (** Every step fired and the last one settled. *)
 
 (** {2 Sweeping a campaign} *)
-
-type env = {
-  keyring : Keyring.t;
-  obs : Obs.t;
-  flight : Flight.recorder option;
-      (** the recorder runs note their flights in, over [obs] *)
-}
-(** The dealt keyring (start-up dominant), the observability instance
-    every run's simulator reports into, and the optional flight
-    recorder. *)
 
 type totals = { runs : int; safety : int; liveness : int; steps : int }
 (** Safety and liveness violations and simulator steps summed over a
@@ -162,14 +163,15 @@ type ('cell, 'run) campaign = {
 }
 (** A seed-sweep campaign: what a runner owns, as one value. *)
 
-val prepare : ?flight:bool -> ('c, 'r) campaign -> env
-(** Deal the keyring; with [~flight:true] (default false) a
-    {!Flight.recorder} over the environment's [obs] records every run.
+val prepare : ('c, 'r) campaign -> env
+(** Deal the keyring and create the flight recorder over a fresh [obs].
     Runs of one environment share its keyring, so repeated evaluations
     (the schedule search) deal once. *)
 
 val run_cell : ('c, 'r) campaign -> env -> 'c -> seed:int -> 'r
-(** One run of the cell under its default timeline. *)
+(** One run of the cell under its default timeline, closed in the
+    flight recorder under the cell's label and the seed: a stall
+    ({!Oracle.is_stall}) and every safety violation are its anomalies. *)
 
 val find_cell : ('c, 'r) campaign -> string -> 'c option
 (** The cell with this label. *)
@@ -184,24 +186,21 @@ type ('cell, 'run) report = {
 }
 
 val sweep :
-  ?progress:(int * int -> unit) ->
-  ?flight:bool ->
-  ('c, 'r) campaign ->
-  ('c, 'r) report
-(** {!prepare}, then every cell over every seed under its default
-    timeline, cell-major; [progress (done, total)] after every run. *)
+  ?progress:(int * int -> unit) -> ('c, 'r) campaign -> ('c, 'r) report
+(** {!prepare}, then {!run_cell} for every cell over every seed,
+    cell-major; [progress (done, total)] after every run.  The gate and
+    members are the campaign's [close] followed by
+    {!Flight.summarize}'s. *)
 
 val runs : ('c, 'r) report -> 'r list
 
 val to_json : id:string -> wall:float -> ('c, 'r) report -> Obs_json.t
-(** The campaign's {!Report}: the closing gate rows and members, the
+(** The campaign's {!Report}: the gate rows and members, the
     configuration echo under [config] and one [per_run] row per run. *)
 
-val pp_summary :
-  ?gate:Report.gate list -> Format.formatter -> ('c, 'r) report -> unit
+val pp_summary : Format.formatter -> ('c, 'r) report -> unit
 (** One line per cell (label, runs, safety and liveness violations,
-    steps), the totals, then every gate row ([gate], default the
-    report's) with its limit. *)
+    steps), the totals, then every gate row with its limit. *)
 
 val product : 'a list -> 'b list -> ('a * 'b) list
 (** Cells in row-major order. *)
@@ -217,31 +216,15 @@ val stream :
     submitter would silently shrink the expected total). *)
 
 val run_sim :
-  ?flight:Flight.recorder ->
   ?retry:(unit -> unit) ->
   'm Sim.t ->
   max_steps:int ->
   until:(unit -> bool) ->
   Oracle.violation list
 (** Run until [until] holds: [[]] on success, the out-of-steps liveness
-    violation on a stall (noted as a flight {!Flight.Stall}).  When the
-    network quiesces short of [until], [retry] (if given) nudges it and
-    the run resumes, at most three times. *)
-
-val flight_begin : Flight.recorder option -> 'm Sim.t -> unit
-
-val flight_end :
-  Flight.recorder option ->
-  key:Flight.run_key ->
-  violations:Oracle.violation list ->
-  decided:bool ->
-  gating:bool ->
-  decide_clock:float option ->
-  steps:int ->
-  buffer_peak:int ->
-  unit
-(** Note every safety violation as a {!Flight.Safety_trip}, then close
-    the run. *)
+    violation on a stall.  When the network quiesces short of [until],
+    [retry] (if given) nudges it and the run resumes, at most three
+    times. *)
 
 val unless :
   bool -> ?party:int -> Oracle.severity -> string -> string ->

@@ -1,21 +1,19 @@
-(** Campaign flight recorder: tiered telemetry for fault campaigns.
+(** Campaign flight recorder: the trace windows behind a campaign's runs.
 
-    The hot tier taps the {!Obs_trace} ring while a run executes and
-    keeps bounded event windows only around anomalies (safety-oracle
-    trips, [Out_of_steps] stalls, retransmit storms, back-pressure
-    peaks); every window states how much history was elided or
-    overwritten.  The durable tier aggregates per-run scalars into one
-    [FLIGHT_<id>.json] per campaign — per-cell histograms, per-layer
-    counter rollups, worst-run pointers — derived exclusively from
-    seeded virtual-time runs and rendered canonically, so identical
-    configurations produce byte-identical summaries (bar the wall
-    time).  {!Compare} builds its regression gate on that property.
+    Every seed sweep runs under one recorder.  It taps the
+    {!Obs_trace} ring while a run executes and keeps bounded event
+    windows only around anomalies (safety-oracle trips, [Out_of_steps]
+    stalls, retransmit storms, back-pressure peaks, state transfers);
+    every window states how much history was elided or overwritten.
+    It keeps nothing the campaign's own run results already state: its
+    share of a campaign report is the anomaly archive, the ring's
+    overwrite counts and their gate rows ({!summarize}).  Everything it
+    reports derives from seeded virtual-time runs, so identical
+    configurations give identical bytes.
 
-    The recorder depends only on sintra_obs: the campaign runner
-    (lib/faults) feeds it plain strings and scalars through
+    The recorder depends only on sintra_obs: the campaign engine
+    (lib/faults' [Sweep]) feeds it plain strings and scalars through
     {!run_begin} / {!note_anomaly} / {!run_end}. *)
-
-(** {2 Hot tier} *)
 
 type window_policy = {
   trace_capacity : int;  (** hot ring size (records) per run *)
@@ -42,15 +40,11 @@ type anomaly_kind =
 
 val kind_label : anomaly_kind -> string
 (** ["safety-trip"], ["stall"], ["retransmit-storm"],
-    ["backpressure-peak"] — the [kind] strings in FLIGHT files and the
-    [flight_anomaly] counter labels. *)
+    ["backpressure-peak"], ["state-transfer"] — the [kind] strings of
+    the [anomalies] member and the [flight_anomaly] counter labels. *)
 
-val kind_of_label : string -> anomaly_kind option
-
-type run_key = { protocol : string; policy : string; mix : string; seed : int }
-
-val key_to_string : run_key -> string
-(** ["protocol/policy/mix/seed"]. *)
+type run_key = { cell : string; seed : int }
+(** The campaign's cell label and the run's seed. *)
 
 type anomaly = {
   a_kind : anomaly_kind;
@@ -60,21 +54,10 @@ type anomaly = {
   a_elided : int;  (** in-window records cut by the per-anomaly cap *)
 }
 
-type run_flight = {
-  f_key : run_key;
-  f_decided : bool;
-  f_gating : bool;  (** effectively reliable: liveness violations gate *)
-  f_decide_clock : float option;
-  f_steps : int;
-  f_safety : int;
-  f_liveness : int;
-  f_retransmits : int;
-  f_buffer_peak : int;
-  f_counters : (Obs_registry.labels * string * int) list;
-      (** this run's counter deltas (registry diff), for layer rollups *)
-  f_trace : Obs_trace.stats;
-      (** per-run tracer deltas, incl. ring overwrites ([records_dropped]) *)
-  f_anomalies : anomaly list;
+type run = {
+  key : run_key;
+  dropped : int;  (** ring overwrites during the run *)
+  anomalies : anomaly list;
 }
 
 type recorder
@@ -85,93 +68,34 @@ val create : ?policy:window_policy -> obs:Obs.t -> unit -> recorder
 
 val run_begin : recorder -> now:(unit -> float) -> unit
 (** Start a run: bind the tracer clock to the new simulator's virtual
-    clock, clear the ring, snapshot the registry for per-run deltas. *)
+    clock, clear the ring, note the retransmit count for the run's
+    delta. *)
 
 val note_anomaly :
   recorder -> ?at:float -> detail:string -> anomaly_kind -> unit
 (** Note an anomaly at virtual time [at] (default: the current clock);
-    its hot window is cut at {!run_end}.  Retransmit storms and
-    back-pressure peaks are derived automatically from the run's
-    registry delta — callers typically only report {!Safety_trip} and
-    {!Stall}. *)
+    its hot window is cut at {!run_end}. *)
 
-val run_end :
-  recorder ->
-  key:run_key ->
-  decided:bool ->
-  gating:bool ->
-  decide_clock:float option ->
-  steps:int ->
-  safety:int ->
-  liveness:int ->
-  buffer_peak:int ->
-  unit
-(** Close the run: compute the registry delta, derive storm/peak
-    anomalies, cut bounded windows around every noted anomaly (capped
-    per run), and mirror ring-overwrite counts and anomaly kinds into
-    the registry ([trace_dropped_events] under layer ["obs"],
-    [flight_anomaly] under layer ["flight"]) — after the delta, so they
-    appear in campaign-level snapshots without polluting the next run's
-    delta. *)
+val note_buffer_peak : recorder -> int -> unit
+(** The run's link send-buffer peak: one at or past the policy's
+    [backpressure_peak] is a {!Backpressure_peak} at {!run_end}. *)
 
-val runs : recorder -> run_flight list
+val run_end : recorder -> key:run_key -> unit
+(** Close the run: derive storm/peak anomalies (the retransmit delta
+    from the registry's [link_retransmit] counter under layer
+    ["link"]), cut bounded windows around every noted anomaly (capped
+    per run), and count ring overwrites and anomaly kinds in the
+    registry ([trace_dropped_events] under layer ["obs"],
+    [flight_anomaly] under layer ["flight"]), so they appear in the
+    report's [metrics]. *)
+
+val runs : recorder -> run list
 (** Completed runs, oldest first. *)
 
-(** {2 Durable tier} *)
-
-type cell = {
-  c_protocol : string;
-  c_policy : string;
-  c_mix : string;
-  c_runs : int;
-  c_decided : int;
-  c_safety : int;
-  c_liveness : int;
-  c_decide : Obs_histogram.t;  (** decide clocks of decided runs *)
-  c_steps : Obs_histogram.t;
-  c_retransmits : Obs_histogram.t;
-  c_peak : Obs_histogram.t;
-}
-
-type worst = {
-  w_slowest : (run_key * float) option;  (** largest decide clock *)
-  w_undecided : run_key option;  (** first run that never decided *)
-  w_retransmits : (run_key * int) option;
-  w_peak : (run_key * int) option;
-}
-
-type summary = {
-  s_id : string;
-  s_config : Obs_json.t;  (** opaque configuration echo from the caller *)
-  s_runs : int;
-  s_decided : int;
-  s_safety : int;
-  s_liveness : int;
-  s_gating_liveness : int;
-  s_undecided_gating : int;  (** gating runs that never decided *)
-  s_cells : cell list;  (** execution order *)
-  s_rollups : ((string * string) * int) list;
-      (** [(layer, counter)] totals across all runs, sorted *)
-  s_dropped_events : int;  (** hot-ring overwrites across all runs *)
-  s_truncated_runs : int;  (** runs whose ring overwrote at least once *)
-  s_worst : worst;
-  s_anomaly_counts : (anomaly_kind * int) list;
-  s_anomalies : (run_key * anomaly) list;
-      (** capped archive, safety trips first *)
-}
-
-val summarize : id:string -> config:Obs_json.t -> run_flight list -> summary
-
-(** {2 JSON} *)
-
-val gate : summary -> Report.gate list
-(** Decided runs, safety and gating-liveness violations, ring
-    overwrites, anomaly counts and undecided gating runs (violations
-    and undecided gating runs limited to 0), then per cell the decided count
-    (strict), decide-clock p95 ({!Obs_histogram.percentile}), mean steps
-    and retransmits, and the buffer-peak max. *)
-
-val to_json : wall:float -> obs:Obs.t -> summary -> Obs_json.t
-(** The [flight] {!Report}: derived from seeded virtual-time runs only,
-    so identical configurations give identical bytes apart from
-    [wall_time_s]. *)
+val summarize : recorder -> Report.gate list * (string * Obs_json.t) list
+(** The recorder's share of the campaign report.  Gate rows: ring
+    overwrites ([trace dropped_events]) and the stall (strict),
+    retransmit-storm and back-pressure-peak anomaly counts
+    ([anomalies: <kind>]).  Members: [trace] (dropped events, truncated
+    runs) and [anomalies] (counts per kind, and a capped archive of
+    records, safety trips first, each with its run key and window). *)

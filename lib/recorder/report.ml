@@ -2,14 +2,13 @@
    limits, the one artifact writer and the envelope check.  See
    report.mli. *)
 
-type kind = Bench | Faults | Flight | Recov | Epoch | Svc
+type kind = Bench | Faults | Recov | Epoch | Svc
 
-let kinds = [ Bench; Faults; Flight; Recov; Epoch; Svc ]
+let kinds = [ Bench; Faults; Recov; Epoch; Svc ]
 
 let kind_label = function
   | Bench -> "bench"
   | Faults -> "faults"
-  | Flight -> "flight"
   | Recov -> "recov"
   | Epoch -> "epoch"
   | Svc -> "svc"
@@ -66,7 +65,7 @@ let acceptance kind ~experiment =
     | "TPUT" -> [ "tput invariant breaks" ]
     | "NUM" -> [ "dleq batch-8 speedup"; "dleq per-share cost rise" ]
     | _ -> [])
-  | Faults | Flight ->
+  | Faults ->
     [ "safety violations"; "gating liveness violations";
       "undecided gating runs" ]
   | Recov ->
@@ -85,7 +84,6 @@ let stated = function
   | Bench ->
     "virtual time total"
     :: List.map (fun k -> "crypto " ^ Obs_crypto.name k) Obs_crypto.all_kinds
-  | Flight -> [ "decided runs" ]
   | Faults | Recov | Epoch | Svc -> []
 
 let gate_json g =

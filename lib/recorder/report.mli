@@ -13,11 +13,11 @@
     This module also owns the one artifact writer and the envelope
     check. *)
 
-type kind = Bench | Faults | Flight | Recov | Epoch | Svc
+type kind = Bench | Faults | Recov | Epoch | Svc
 
 val kinds : kind list
 val kind_label : kind -> string
-(** ["bench"], ["faults"], ["flight"], ["recov"], ["epoch"], ["svc"]. *)
+(** ["bench"], ["faults"], ["recov"], ["epoch"], ["svc"]. *)
 
 val kind_of_label : string -> kind option
 
@@ -69,7 +69,7 @@ val acceptance : kind -> experiment:string -> string list
 val stated : kind -> string list
 (** The rows the kind's reports state without a limit, which {!header}
     requires present: [bench]'s virtual time total and crypto-op
-    counts, [flight]'s decided runs. *)
+    counts. *)
 
 (** {2 Writing} *)
 

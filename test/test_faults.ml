@@ -870,13 +870,6 @@ let real_docs =
   lazy
     (let doc c = Sweep.to_json ~id:"t" ~wall:0.1 (Sweep.sweep c) in
      let faults = doc (Campaign.campaign (small_faults_cfg ())) in
-     let flight =
-       let c = Campaign.campaign (small_faults_cfg ()) in
-       let rep = Sweep.sweep ~flight:true c in
-       Flight.to_json ~wall:0.1 ~obs:rep.Sweep.env.Sweep.obs
-         (Flight.summarize ~id:"t" ~config:c.Sweep.config
-            (Flight.runs (Option.get rep.Sweep.env.Sweep.flight)))
-     in
      let recov =
        doc
          (Rejoin.campaign
@@ -897,7 +890,7 @@ let real_docs =
                ~keyspace:4 ~kinds:[ Svc.Directory_svc ] ~variants:[ Svc.Benign ]
                ()))
      in
-     [ (Report.Faults, faults); (Report.Flight, flight); (Report.Recov, recov);
+     [ (Report.Faults, faults); (Report.Recov, recov);
        (Report.Epoch, epoch); (Report.Svc, svc) ])
 
 (* The blessed quick artifacts: a real document of every campaign plus
@@ -912,8 +905,7 @@ let baseline_docs =
          with
          | Ok doc -> (prefix, doc)
          | Error e -> Alcotest.failf "%s baseline: %s" prefix e)
-       [ "FAULTS"; "FAULTS_LINK"; "FLIGHT"; "RECOV"; "EPOCH"; "BENCH_SVC";
-         "BENCH_TPUT" ])
+       [ "FAULTS"; "FAULTS_LINK"; "RECOV"; "EPOCH"; "BENCH_SVC"; "BENCH_TPUT" ])
 
 (* [doc] with the member at [path] replaced by [f member] (dropped on
    [None]). *)
@@ -992,27 +984,20 @@ let table_tests =
             (match Campaign_table.check_doc doc with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "%s: document rejected: %s" kind e);
-            (* Flight summaries aggregate per cell: no per-run rows. *)
-            let per_run =
-              match kind with "flight" -> None | _ -> Some [ "per_run" ]
+            let short =
+              map_path
+                (fun rows ->
+                  Option.map
+                    (fun l -> Obs_json.Arr (List.tl l))
+                    (Obs_json.to_list rows))
+                doc [ "per_run" ]
             in
-            Option.iter
-              (fun path ->
-                let short =
-                  map_path
-                    (fun rows ->
-                      Option.map
-                        (fun l -> Obs_json.Arr (List.tl l))
-                        (Obs_json.to_list rows))
-                    doc path
-                in
-                match Campaign_table.check_doc short with
-                | Ok _ -> Alcotest.failf "%s: short per_run accepted" kind
-                | Error e ->
-                  Alcotest.(check bool)
-                    (kind ^ ": row count rejected (" ^ e ^ ")")
-                    true (contains e "rows for"))
-              per_run)
+            match Campaign_table.check_doc short with
+            | Ok _ -> Alcotest.failf "%s: short per_run accepted" kind
+            | Error e ->
+              Alcotest.(check bool)
+                (kind ^ ": row count rejected (" ^ e ^ ")")
+                true (contains e "rows for"))
           (Lazy.force real_docs));
     Alcotest.test_case
       "report gates: bench-check and compare reject bad rows" `Quick
@@ -1152,7 +1137,7 @@ let table_tests =
           (let violations =
              [ ("safety violations", 3.0); ("gating liveness violations", 2.0) ]
            in
-           [ ("FAULTS", violations); ("FLIGHT", violations);
+           [ ("FAULTS", violations); ("FAULTS_LINK", violations);
              ("BENCH_SVC", [ ("missed requests", 4.0) ]);
              ("EPOCH", [ ("safety violations", 4.0) ]) ]);
         (* A bench report's acceptance rows are its experiment's: with a

@@ -1,26 +1,46 @@
-(* Flight recorder: hot-tier windows over the trace ring, durable-tier
-   campaign summaries (byte-stable, validated), the compare engine's
-   regression verdicts, and replay of the archived schedules: the worst
-   ones the adversarial search found, and svc and epoch timelines. *)
+(* Flight recorder: hot-tier windows over the trace ring, the recorder's
+   share of every campaign report (byte-stable, validated), the compare
+   engine's regression verdicts over the faults report's per-cell rows,
+   and replay of the archived schedules: the worst ones the adversarial
+   search found, and svc and epoch timelines. *)
 
 let silent_mix = { Campaign.m_name = "silent"; m_kind = Campaign.Silent }
 
-let small_config () =
-  Campaign.default_config ~seeds:2
-    ~protocols:[ Campaign.P_abba ]
-    ~mixes:[ silent_mix ] ()
+let small_campaign () =
+  Campaign.campaign
+    (Campaign.default_config ~seeds:2
+       ~protocols:[ Campaign.P_abba ]
+       ~mixes:[ silent_mix ] ())
 
-(* Run a small campaign with a flight recorder attached; returns the
-   summary (under the given id) and the raw per-run flights. *)
-let record_small ~id () =
-  let c = Campaign.campaign (small_config ()) in
-  let rep = Sweep.sweep ~flight:true c in
-  let runs = Flight.runs (Option.get rep.Sweep.env.Sweep.flight) in
-  (Flight.summarize ~id ~config:c.Sweep.config runs, runs, rep)
+(* A campaign's report at a fixed wall time. *)
+let doc_of c = Sweep.to_json ~id:"t" ~wall:0.0 (Sweep.sweep c)
 
-(* The FLIGHT report of a summary, at a fixed wall time. *)
-let flight_doc (rep : _ Sweep.report) s =
-  Flight.to_json ~wall:0.0 ~obs:rep.Sweep.env.Sweep.obs s
+let gate_rows doc =
+  match Report.header doc with
+  | Ok h -> h.Report.gate
+  | Error e -> Alcotest.failf "header: %s" e
+
+let member doc path conv =
+  match Report.field doc path conv with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s" e
+
+let regressed_metrics ~baseline ~candidate =
+  match Compare.compare_docs ~baseline ~candidate () with
+  | Error e -> Alcotest.failf "compare: %s" e
+  | Ok rep ->
+    List.filter_map
+      (fun (r : Compare.row) ->
+        if r.Compare.verdict = Compare.Regressed then Some r.Compare.metric
+        else None)
+      rep.Compare.rows
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (* ---------------- hot tier: ring accounting and windows --------------- *)
 
@@ -66,7 +86,8 @@ let hot_tier_tests =
           { Flight.default_policy with
             Flight.trace_capacity = 64;
             window_span = 2.0;
-            max_window_events = 3 }
+            max_window_events = 3;
+            backpressure_peak = 10 }
         in
         let rec_ = Flight.create ~policy ~obs () in
         let clock = ref 0.0 in
@@ -77,65 +98,84 @@ let hot_tier_tests =
         done;
         Flight.note_anomaly rec_ ~at:5.0 ~detail:"synthetic stall"
           Flight.Stall;
-        let key =
-          { Flight.protocol = "abba"; policy = "none"; mix = "silent";
-            seed = 1 }
-        in
-        Flight.run_end rec_ ~key ~decided:false ~gating:true
-          ~decide_clock:None ~steps:123 ~safety:0 ~liveness:1 ~buffer_peak:0;
+        (* below the policy's peak, then at it *)
+        Flight.note_buffer_peak rec_ 9;
+        Flight.note_buffer_peak rec_ 10;
+        Flight.run_end rec_ ~key:{ Flight.cell = "abba/none/silent"; seed = 1 };
         match Flight.runs rec_ with
         | [ r ] ->
-          Alcotest.(check bool) "not decided" false r.Flight.f_decided;
-          (match r.Flight.f_anomalies with
-          | [ a ] ->
+          Alcotest.(check string) "key" "abba/none/silent"
+            r.Flight.key.Flight.cell;
+          (match r.Flight.anomalies with
+          | [ a; peak ] ->
             Alcotest.(check string) "kind" "stall"
               (Flight.kind_label a.Flight.a_kind);
             Alcotest.(check int) "window capped" 3
               (List.length a.Flight.a_window);
-            Alcotest.(check int) "elided counted" 2 a.Flight.a_elided
-          | l -> Alcotest.failf "expected one anomaly, got %d" (List.length l))
+            Alcotest.(check int) "elided counted" 2 a.Flight.a_elided;
+            Alcotest.(check string) "peak noted at run end"
+              "backpressure-peak"
+              (Flight.kind_label peak.Flight.a_kind)
+          | l -> Alcotest.failf "expected two anomalies, got %d" (List.length l));
+          let gate, _ = Flight.summarize rec_ in
+          Alcotest.(check (list (pair string (float 0.0))))
+            "recorder rows"
+            [ ("trace dropped_events", 0.0); ("anomalies: stall", 1.0);
+              ("anomalies: retransmit-storm", 0.0);
+              ("anomalies: backpressure-peak", 1.0) ]
+            (List.map (fun (g : Report.gate) -> (g.metric, g.value)) gate)
         | l -> Alcotest.failf "expected one run, got %d" (List.length l)) ]
 
-(* ---------------- durable tier: determinism and validation ------------ *)
+(* ---------------- every report: determinism and validation ------------ *)
 
 let durable_tests =
   [ Alcotest.test_case
-      "same campaign twice gives byte-identical FLIGHT content" `Quick
+      "same campaign twice gives byte-identical reports" `Quick
       (fun () ->
-        let s1, _, rep1 = record_small ~id:"det" () in
-        let s2, _, rep2 = record_small ~id:"det" () in
-        let passes rep =
-          Result.is_ok
-            (Campaign_table.check_doc
-               (Sweep.to_json ~id:"det" ~wall:0.0 rep))
-        in
-        Alcotest.(check bool) "campaign ok" true (passes rep1);
-        Alcotest.(check bool) "campaign ok again" true (passes rep2);
+        let d1 = doc_of (small_campaign ()) and d2 = doc_of (small_campaign ()) in
+        Alcotest.(check bool) "report ok" true
+          (Result.is_ok (Campaign_table.check_doc d1));
         Alcotest.(check string) "canonical bytes"
-          (Obs_json.to_canonical_string (flight_doc rep1 s1))
-          (Obs_json.to_canonical_string (flight_doc rep2 s2)));
+          (Obs_json.to_canonical_string d1)
+          (Obs_json.to_canonical_string d2));
     Alcotest.test_case "summary validates and aggregates per cell" `Quick
       (fun () ->
-        let s, runs, rep = record_small ~id:"agg" () in
-        (match Campaign_table.check_doc (flight_doc rep s) with
+        let c = small_campaign () in
+        let rep = Sweep.sweep c in
+        let doc = Sweep.to_json ~id:"t" ~wall:0.0 rep in
+        (match Campaign_table.check_doc doc with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "validate: %s" e);
-        Alcotest.(check int) "run count" (List.length runs) s.Flight.s_runs;
-        (* 3 default policies x 1 protocol x 1 mix *)
-        Alcotest.(check int) "cells" 3 (List.length s.Flight.s_cells);
+        let gate = gate_rows doc in
+        let row m =
+          match List.find_opt (fun (g : Report.gate) -> g.metric = m) gate with
+          | Some g -> g.Report.value
+          | None -> Alcotest.failf "no gate row %S" m
+        in
+        (* 3 default policies x 1 protocol x 1 mix, 2 runs each *)
         List.iter
-          (fun (c : Flight.cell) ->
-            Alcotest.(check int)
-              (Printf.sprintf "cell %s runs" c.Flight.c_policy)
-              2 c.Flight.c_runs;
-            Alcotest.(check int)
-              (Printf.sprintf "cell %s decide histogram" c.Flight.c_policy)
-              c.Flight.c_decided
-              (Obs_histogram.count c.Flight.c_decide))
-          s.Flight.s_cells;
-        (* per-run counter deltas roll up to layered totals *)
-        Alcotest.(check bool) "rollups present" true
-          (s.Flight.s_rollups <> []));
+          (fun cell ->
+            let label = c.Sweep.label cell in
+            let decided =
+              List.length
+                (List.filter
+                   (fun (cell', r) ->
+                     c.Sweep.label cell' = label && r.Campaign.r_decided)
+                   rep.Sweep.results)
+            in
+            Alcotest.(check (float 0.0)) (label ^ " decided")
+              (float_of_int decided) (row (label ^ " decided"));
+            List.iter
+              (fun stat -> ignore (row (label ^ " " ^ stat)))
+              [ "decide_clock p95"; "steps mean"; "retransmits mean";
+                "buffer_peak max" ])
+          c.Sweep.cells;
+        Alcotest.(check int) "cells" 3 (List.length c.Sweep.cells);
+        ignore (row "trace dropped_events");
+        ignore (row "anomalies: stall");
+        ignore (member doc [ "anomalies"; "records" ] Obs_json.to_list);
+        ignore (member doc [ "trace"; "truncated_runs" ] Obs_json.to_int);
+        ignore (member doc [ "worst"; "slowest"; "run"; "cell" ] Obs_json.to_str));
     Alcotest.test_case "validator rejects wrong shapes" `Quick (fun () ->
         let check_bad doc =
           Alcotest.(check bool) "rejected" true
@@ -149,17 +189,102 @@ let durable_tests =
         check_bad
           (Obs_json.Obj
              [ ("schema", Obs_json.Str Report.schema);
-               ("kind", Obs_json.Str "flight");
+               ("kind", Obs_json.Str "faults");
                ("experiment", Obs_json.Str "x");
-               ("runs", Obs_json.Int (-1)) ])) ]
+               ("runs", Obs_json.Int (-1)) ]);
+        (* the merged flight report is no kind of its own *)
+        let doc = doc_of (small_campaign ()) in
+        check_bad
+          (match doc with
+          | Obs_json.Obj kvs ->
+            Obs_json.Obj (("kind", Obs_json.Str "flight") :: List.remove_assoc "kind" kvs)
+          | d -> d));
+    Alcotest.test_case
+      "an svc run short of steps reports a stall with its trace window"
+      `Quick (fun () ->
+        let c =
+          Svc.campaign
+            (Svc.default_config ~seeds:1 ~requests:6 ~clients:2 ~window:2
+               ~keyspace:4 ~kinds:[ Svc.Directory_svc ]
+               ~variants:[ Svc.Benign ] ~max_steps:400 ())
+        in
+        let doc = doc_of c in
+        Alcotest.(check int) "one stall counted" 1
+          (member doc [ "anomalies"; "counts"; "stall" ] Obs_json.to_int);
+        Alcotest.(check bool) "stall row" true
+          (List.exists
+             (fun (g : Report.gate) ->
+               g.metric = "anomalies: stall" && g.value = 1.0)
+             (gate_rows doc));
+        match member doc [ "anomalies"; "records" ] Obs_json.to_list with
+        | [ r ] ->
+          Alcotest.(check string) "kind" "stall"
+            (member r [ "kind" ] Obs_json.to_str);
+          Alcotest.(check string) "run" "directory/benign"
+            (member r [ "run"; "cell" ] Obs_json.to_str);
+          Alcotest.(check bool) "detail names the stall" true
+            (contains (member r [ "detail" ] Obs_json.to_str) "ran out of steps");
+          Alcotest.(check bool) "window not empty" true
+            (member r [ "window" ] Obs_json.to_list <> [])
+        | l -> Alcotest.failf "expected one record, got %d" (List.length l));
+    Alcotest.test_case
+      "faults --quick --seeds 3 states the rows the FLIGHT report stated"
+      `Quick (fun () ->
+        let row =
+          match Campaign_table.find "faults" with
+          | Some row -> row
+          | None -> Alcotest.fail "no faults row"
+        in
+        let (Campaign_table.Packed c) =
+          row.Campaign_table.campaign
+            { Campaign_table.n = 4; t = 1; seed_base = 1; seeds = 3;
+              size = row.Campaign_table.quick.Campaign_table.size; drop = None;
+              max_steps = None }
+        in
+        let gate = gate_rows (doc_of c) in
+        let expected =
+          match Report.read_file "fixtures/flight_quick_rows.json" with
+          | Ok doc -> member doc [ "rows" ] Obs_json.to_list
+          | Error e -> Alcotest.failf "fixture: %s" e
+        in
+        Alcotest.(check bool) "fixture rows" true (List.length expected > 90);
+        List.iter
+          (fun r ->
+            let m = member r [ "metric" ] Obs_json.to_str in
+            match List.find_opt (fun (g : Report.gate) -> g.metric = m) gate with
+            | None -> Alcotest.failf "no gate row %S" m
+            | Some g ->
+              Alcotest.(check (float 0.0)) m
+                (member r [ "value" ] Obs_json.to_float)
+                g.Report.value)
+          expected) ]
 
 (* ---------------- compare engine -------------------------------------- *)
+
+(* The small campaign with its first run undecided and carrying a
+   safety violation. *)
+let sabotaged () =
+  let c = small_campaign () in
+  let first = List.hd c.Sweep.cells in
+  { c with
+    Sweep.run_one =
+      (fun env cell ~seed tl ->
+        let r = c.Sweep.run_one env cell ~seed tl in
+        if c.Sweep.label cell = c.Sweep.label first
+           && seed = c.Sweep.core.Sweep.seed_base
+        then
+          { r with
+            Campaign.r_decided = false;
+            r_decide_clock = None;
+            r_violations =
+              Sweep.unless false Oracle.Safety "sabotage" "forced"
+              @ r.Campaign.r_violations }
+        else r) }
 
 let compare_tests =
   [ Alcotest.test_case "comparing a run against itself is all-neutral"
       `Quick (fun () ->
-        let s, _, rep = record_small ~id:"self" () in
-        let doc = flight_doc rep s in
+        let doc = doc_of (small_campaign ()) in
         match Compare.compare_docs ~baseline:doc ~candidate:doc () with
         | Error e -> Alcotest.failf "compare: %s" e
         | Ok rep ->
@@ -170,59 +295,25 @@ let compare_tests =
             (List.length rep.Compare.rows > 10));
     Alcotest.test_case "degraded candidate regresses strict metrics" `Quick
       (fun () ->
-        let s, runs, rep = record_small ~id:"base" () in
-        (* sabotage the candidate: one undecided run with a safety trip *)
-        let worse =
-          match runs with
-          | r :: rest ->
-            { r with
-              Flight.f_decided = false;
-              f_decide_clock = None;
-              f_safety = r.Flight.f_safety + 1 }
-            :: rest
-          | [] -> Alcotest.fail "no runs"
+        let regressed =
+          regressed_metrics ~baseline:(doc_of (small_campaign ()))
+            ~candidate:(doc_of (sabotaged ()))
         in
-        let s' =
-          Flight.summarize ~id:"base" ~config:rep.Sweep.campaign.Sweep.config
-            worse
-        in
-        match
-          Compare.compare_docs ~baseline:(flight_doc rep s)
-            ~candidate:(flight_doc rep s') ()
-        with
-        | Error e -> Alcotest.failf "compare: %s" e
-        | Ok rep ->
-          Alcotest.(check bool) "gate trips" false (Compare.ok rep);
-          let regressed_metrics =
-            List.filter_map
-              (fun (r : Compare.row) ->
-                if r.Compare.verdict = Compare.Regressed then
-                  Some r.Compare.metric
-                else None)
-              rep.Compare.rows
-          in
-          List.iter
-            (fun needle ->
-              Alcotest.(check bool)
-                (needle ^ " regressed") true
-                (List.exists
-                   (fun m ->
-                     (* substring match *)
-                     let ln = String.length needle and lm = String.length m in
-                     let rec scan i =
-                       i + ln <= lm && (String.sub m i ln = needle || scan (i + 1))
-                     in
-                     scan 0)
-                   regressed_metrics))
-            [ "safety"; "decided" ]);
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool) (needle ^ " regressed") true
+              (List.exists (fun m -> contains m needle) regressed))
+          [ "safety violations"; "abba/drop/silent decided" ]);
     Alcotest.test_case "schema mismatch is an error, not a regression"
       `Quick (fun () ->
-        let s, _, rep = record_small ~id:"mix" () in
-        let faults_doc = Sweep.to_json ~id:"mix" ~wall:0.1 rep in
-        match
-          Compare.compare_docs ~baseline:(flight_doc rep s)
-            ~candidate:faults_doc ()
-        with
+        let doc = doc_of (small_campaign ()) in
+        let as_recov =
+          match doc with
+          | Obs_json.Obj kvs ->
+            Obs_json.Obj (("kind", Obs_json.Str "recov") :: List.remove_assoc "kind" kvs)
+          | d -> d
+        in
+        match Compare.compare_docs ~baseline:doc ~candidate:as_recov () with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a structural error") ]
 
