@@ -21,7 +21,15 @@
         v = abstain : two validly justified pre-votes of round r for
                       different values.
 
-     After main-voting, each party releases its share of coin r.
+     A party releases its share of coin r only with an abstain
+     main-vote of round r.  The coin is read only behind a big-quorum
+     of round-r main-votes that all abstained (to pre-vote from it, or
+     to check a J_coin pre-vote carrying its certificate); under Q^3
+     the honest members of such a quorum, all of them abstainers, form
+     a sharing-qualified set, so they can reconstruct the coin.  A
+     quorum holding a value main-vote needs no coin.  The first honest
+     share still follows an honest main-vote, so the coin is revealed
+     no earlier than in CKS00.
 
      On a big-quorum of main-votes: all for b -> decide b and broadcast
      a self-contained DECIDE certificate; otherwise pre-vote in round
@@ -82,7 +90,6 @@ type round_state = {
   mutable coin : int option;
   mutable sent_prevote : bool;
   mutable sent_main : bool;
-  mutable sent_coin : bool;
 }
 
 type t = {
@@ -124,8 +131,7 @@ let round_state t r =
         coin_shares = [];
         coin = None;
         sent_prevote = false;
-        sent_main = false;
-        sent_coin = false }
+        sent_main = false }
     in
     Hashtbl.add t.rounds r rs;
     rs
@@ -288,10 +294,12 @@ let send_main t r v just =
     in
     t.io.Proto_io.broadcast
       (Mainvote { mv_round = r; mv_value = v; mv_just = just; mv_share = share });
-    (* Release this round's coin share now: CKS00 reveals the coin only
-       after the certifiable value of the round is already fixed. *)
-    if not rs.sent_coin then begin
-      rs.sent_coin <- true;
+    (* Coin r is read only behind a big-quorum of abstain main-votes,
+       whose honest members all release their share here; a value
+       main-voter's share would never be needed.  The share follows
+       the main-vote, once the round's certifiable value is fixed, as
+       in CKS00. *)
+    if v = Abstain then begin
       let shares =
         Coin.generate_share t.io.Proto_io.keyring.Keyring.coin
           ~party:t.io.Proto_io.me ~name:(coin_name t r)

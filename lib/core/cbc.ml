@@ -104,8 +104,10 @@ let handle t ~src msg =
       t.io.Proto_io.send t.sender (Echo share)
     end
   | Echo share ->
+    (* Once the certificate is out, late echoes are never combined:
+       drop them unchecked. *)
     (match t.payload with
-    | Some payload when t.io.Proto_io.me = t.sender ->
+    | Some payload when t.io.Proto_io.me = t.sender && not t.sent_final ->
       if
         (not (List.mem_assoc src t.shares))
         && Proto_io.verify_cert_share t.io ~party:src (statement t payload)

@@ -68,7 +68,7 @@ let verify_share (t : Dl_sharing.t) ~(party : int) (msg : string)
 let combine (t : Dl_sharing.t) (msg : string)
     (shares : (int * share list) list) : certificate option =
   Obs_crypto.combine ();
-  Share_batch.combine t ~domain:share_domain ~base:(base t msg)
+  Share_batch.combine t ~domain:share_domain ~base:(lazy (base t msg))
     ~avail:(signers_of shares) shares
   |> Option.map (fun (shares, combined) ->
          { signers = signers_of shares; shares; combined })

@@ -72,11 +72,14 @@ let value_of_sigma (t : Dl_sharing.t) ~(name : string) ~(bits : int)
    [bits] selects how many unpredictable bits to extract (the ABBA
    protocol needs one; the validated-agreement permutation uses 30); at
    most 30.  The shares arrive shape-checked only and are proof-checked
-   here in one batch, pruning attributed-bad parties on failure. *)
+   here in one batch, pruning attributed-bad parties on failure.  The
+   coin base (a hash to the group) is derived only once [avail] is
+   qualified: below the threshold a call costs one cached lookup. *)
 let combine (t : Dl_sharing.t) ~(name : string) ~(avail : Pset.t)
     (shares : (int * share list) list) ?(bits = 1) () : int option =
   if bits < 1 || bits > 30 then invalid_arg "Coin.combine: bits out of range";
   Obs_crypto.combine ();
-  Share_batch.combine t ~domain:share_domain ~base:(coin_base t ~name) ~avail
-    shares
+  Share_batch.combine t ~domain:share_domain
+    ~base:(lazy (coin_base t ~name))
+    ~avail shares
   |> Option.map (fun (_, sigma) -> value_of_sigma t ~name ~bits sigma)

@@ -65,7 +65,7 @@ let verify_proofs (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
    An honest execution takes one batch check ([Obs_crypto.lazy_verify_hit]
    counts these); each round of the pruning loop removes at least one
    party, so the loop terminates. *)
-let combine (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
+let combine (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt Lazy.t)
     ~(avail : Pset.t) (shares : (int * share list) list) :
     ((int * share list) list * G.elt) option =
   let ps = t.Dl_sharing.group in
@@ -78,7 +78,9 @@ let combine (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
       let flat =
         List.concat_map (fun (p, ss) -> List.map (fun s -> (p, s)) ss) shares
       in
-      let batch = statements t ~base (List.map snd flat) in
+      let batch =
+        statements t ~base:(Lazy.force base) (List.map snd flat)
+      in
       if Dleq.batch_verify ps ~domain batch then begin
         Obs_crypto.lazy_verify_hit ();
         let leaf_values =

@@ -22,7 +22,7 @@ val verify_proofs :
 val combine :
   Dl_sharing.t ->
   domain:string ->
-  base:Schnorr_group.elt ->
+  base:Schnorr_group.elt Lazy.t ->
   avail:Pset.t ->
   (int * share list) list ->
   ((int * share list) list * Schnorr_group.elt) option
@@ -30,4 +30,5 @@ val combine :
     bisection, drop the submitting parties and retry, until the batch is
     clean or the survivors are no longer sharing-qualified ([None]).
     Returns the surviving parties' shares and their recombination
-    [b^x] in the exponent. *)
+    [b^x] in the exponent.  [base] is forced only past the qualification
+    gate, so a below-threshold call never derives it. *)

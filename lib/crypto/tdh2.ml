@@ -137,7 +137,8 @@ let verify_share (t : Dl_sharing.t) ~(party : int) (ct : checked)
 let combine (t : Dl_sharing.t) (ct : checked) ~(avail : Pset.t)
     (shares : (int * dec_share list) list) : string option =
   Obs_crypto.combine ();
-  Share_batch.combine t ~domain:share_domain ~base:ct.u ~avail shares
+  Share_batch.combine t ~domain:share_domain ~base:(Lazy.from_val ct.u)
+    ~avail shares
   |> Option.map (fun (_, shared) ->
          Ro.xor_pad ~domain:kdf_domain
            ~key:(G.elt_to_bytes t.Dl_sharing.group shared)

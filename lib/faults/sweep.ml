@@ -205,7 +205,7 @@ let last_settled f =
 let settled f = f.pending = [] && last_settled f
 
 let start env ?(victim = -1) sim tl =
-  Flight.run_begin env.flight ~now:(fun () -> Sim.clock sim);
+  Flight.bind_clock env.flight (fun () -> Sim.clock sim);
   let f =
     { sim; victim; base = None; pending = tl; last = None; target = 0;
       epoch = (fun _ -> 0) }
@@ -278,10 +278,11 @@ let prepare c =
     flight = Flight.create ~obs ();
   }
 
-(* The run began in [start]; close it in the recorder under the cell's
-   label, with the stall, then every safety violation, as anomalies.  A
-   stall leaves the clock where the simulator ran out of steps. *)
+(* One run in the recorder, closed under the cell's label with the
+   stall, then every safety violation, as anomalies.  A stall leaves the
+   clock where the simulator ran out of steps. *)
 let run_cell c env cell ~seed =
+  Flight.run_begin env.flight;
   let r = c.run_one env cell ~seed (c.timeline cell) in
   let violations = c.violations r in
   let note kind (v : Oracle.violation) =

@@ -108,11 +108,12 @@ type 'm faults
 (** A timeline being interpreted in one simulation. *)
 
 val start : env -> ?victim:int -> 'm Sim.t -> timeline -> 'm faults
-(** Begin the run: bind the flight recorder to the simulator's clock,
-    then install the leading [Start] chaos specs now, where a runner
-    deploys its network (installation splits the scheduler's PRNG); the
-    rest waits for {!drive}, which a timeline of such steps alone never
-    needs.  [victim] is the party crash, revive and isolate act on. *)
+(** Begin the run: stamp the flight recorder's trace with the
+    simulator's clock, then install the leading [Start] chaos specs now,
+    where a runner deploys its network (installation splits the
+    scheduler's PRNG); the rest waits for {!drive}, which a timeline of
+    such steps alone never needs.  [victim] is the party crash, revive
+    and isolate act on. *)
 
 val drive :
   'm faults ->
@@ -169,8 +170,10 @@ val prepare : ('c, 'r) campaign -> env
     (the schedule search) deal once. *)
 
 val run_cell : ('c, 'r) campaign -> env -> 'c -> seed:int -> 'r
-(** One run of the cell under its default timeline, closed in the
-    flight recorder under the cell's label and the seed: a stall
+(** One run of the cell under its default timeline, begun and closed
+    in the flight recorder under the cell's label and the seed (a run
+    made by calling [run_one] directly, as the schedule search does, is
+    not recorded and not traced): a stall
     ({!Oracle.is_stall}) and every safety violation are its anomalies. *)
 
 val find_cell : ('c, 'r) campaign -> string -> 'c option

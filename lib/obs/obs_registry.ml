@@ -75,6 +75,11 @@ let histogram t ?(labels = []) name =
     (fun () -> Histogram (Obs_histogram.create ()))
     (function Histogram h -> Some h | Counter _ | Gauge _ -> None)
 
+let find_counter t ?(labels = []) name =
+  match Hashtbl.find_opt t.tbl { name; labels = canon_labels labels } with
+  | Some (Counter c) -> Some c.c
+  | Some (Gauge _ | Histogram _) | None -> None
+
 let incr ?(by = 1) c = c.c <- c.c + by
 let value c = c.c
 let set g v = g.g <- v

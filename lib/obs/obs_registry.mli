@@ -24,6 +24,10 @@ val counter : t -> ?labels:labels -> string -> counter
 val gauge : t -> ?labels:labels -> string -> gauge
 val histogram : t -> ?labels:labels -> string -> Obs_histogram.t
 
+val find_counter : t -> ?labels:labels -> string -> int option
+(** The counter's current value, or [None] if no counter is registered
+    under that name and labels; never registers one. *)
+
 val incr : ?by:int -> counter -> unit
 val value : counter -> int
 val set : gauge -> float -> unit

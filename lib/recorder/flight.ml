@@ -15,8 +15,11 @@
    of the report is the anomaly archive and the ring accounting.
 
    This module knows nothing about protocols or campaigns: the campaign
-   engine (lib/faults) feeds it via [run_begin] / [note_anomaly] /
-   [run_end], passing plain strings and scalars. *)
+   engine (lib/faults) feeds it via [run_begin] / [bind_clock] /
+   [note_anomaly] / [run_end], passing plain strings and scalars.  The
+   tracer is installed by the first [run_begin], so an engine that
+   executes runs outside the recorder (the schedule search) traces
+   nothing. *)
 
 type window_policy = {
   trace_capacity : int;  (* hot ring size (records) per run *)
@@ -84,11 +87,11 @@ type recorder = {
 
 let dropped t = (Obs_trace.stats t.tracer).Obs_trace.records_dropped
 
-(* Read from a snapshot, so a campaign without the link layer never
-   registers the counter. *)
+(* Looked up, not registered, so a campaign without the link layer
+   never registers the counter. *)
 let retransmits obs =
   Option.value ~default:0
-    (Obs_registry.counter_value (Obs.snapshot obs)
+    (Obs_registry.find_counter (Obs.registry obs)
        ~labels:[ ("layer", "link") ] "link_retransmit")
 
 let create ?(policy = default_policy) ~obs () =
@@ -98,7 +101,6 @@ let create ?(policy = default_policy) ~obs () =
       ~now:(fun () -> !clock ())
       ()
   in
-  Obs.set_tracer obs tracer;
   { policy;
     obs;
     tracer;
@@ -109,13 +111,15 @@ let create ?(policy = default_policy) ~obs () =
     notes = [];
     runs_rev = [] }
 
-let run_begin t ~now =
-  t.clock := now;
+let run_begin t =
+  Obs.set_tracer t.obs t.tracer;
   Obs_trace.clear t.tracer;
   t.notes <- [];
   t.peak <- 0;
   t.dropped0 <- dropped t;
   t.retx0 <- retransmits t.obs
+
+let bind_clock t now = t.clock := now
 
 let note_anomaly t ?at ~detail kind =
   let at = match at with Some a -> a | None -> !(t.clock) () in

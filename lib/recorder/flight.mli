@@ -13,7 +13,7 @@
 
     The recorder depends only on sintra_obs: the campaign engine
     (lib/faults' [Sweep]) feeds it plain strings and scalars through
-    {!run_begin} / {!note_anomaly} / {!run_end}. *)
+    {!run_begin} / {!bind_clock} / {!note_anomaly} / {!run_end}. *)
 
 type window_policy = {
   trace_capacity : int;  (** hot ring size (records) per run *)
@@ -63,13 +63,17 @@ type run = {
 type recorder
 
 val create : ?policy:window_policy -> obs:Obs.t -> unit -> recorder
-(** Installs a fresh bounded tracer on [obs] (so spans/points recorded
-    by the stack land in the recorder's ring). *)
+(** A recorder with a fresh bounded tracer for [obs], installed by the
+    first {!run_begin}: until a run begins, [obs] traces nothing. *)
 
-val run_begin : recorder -> now:(unit -> float) -> unit
-(** Start a run: bind the tracer clock to the new simulator's virtual
-    clock, clear the ring, note the retransmit count for the run's
-    delta. *)
+val run_begin : recorder -> unit
+(** Start a run: install the tracer on [obs] (so spans/points recorded
+    by the stack land in the recorder's ring), clear the ring, note the
+    retransmit count for the run's delta. *)
+
+val bind_clock : recorder -> (unit -> float) -> unit
+(** Stamp trace records and default anomaly times with this clock (the
+    run's simulator clock). *)
 
 val note_anomaly :
   recorder -> ?at:float -> detail:string -> anomaly_kind -> unit

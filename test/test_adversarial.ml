@@ -62,52 +62,163 @@ let count_fallbacks f =
       f ();
       Obs_crypto.count Obs_crypto.Batch_verify_fallback)
 
+let coin_tag = "coin-on-demand"
+
+(* One ABBA run at n = 4 under [kr41].  Party i < [Array.length inputs]
+   is honest and proposes [inputs.(i)]; party 3, when corrupted, first
+   SUPPORTs both values to everyone — so both values get established
+   and the honest pre-votes can split — and then runs [byzantine] on
+   every delivery.  It never votes, so a 2-1 honest split leaves no
+   value with a big quorum of pre-votes: every honest party main-votes
+   abstain and needs the round's coin.  With [drop_coin] the simulator
+   loses every coin share sent to an honest party.  Returns the honest
+   decisions, the highest round an honest party reached, and the coin
+   shares honest parties sent each other. *)
+let coin_run ?(byzantine = fun _ ~src:_ _ -> ()) ?(drop_coin = false) ~seed
+    inputs =
+  let kr = Lazy.force kr41 in
+  let honest = Array.length inputs in
+  let sim = Sim.create ~n:4 ~seed () in
+  let decisions = Array.make honest None in
+  let nodes =
+    Stack.deploy_abba ~sim ~keyring:kr ~tag:coin_tag
+      ~on_decide:(fun me b -> if me < honest then decisions.(me) <- Some b)
+      ()
+  in
+  let coin_shares = ref 0 in
+  for p = 0 to honest - 1 do
+    Sim.wrap_handler sim p (fun h ~src frame ->
+        match frame with
+        | Link.Raw (Abba.Coin_share _) ->
+          if src < honest then incr coin_shares;
+          if not drop_coin then h ~src frame
+        | _ -> h ~src frame)
+  done;
+  if honest < 4 then begin
+    Sim.set_handler sim 3 (byzantine sim);
+    List.iter
+      (fun b ->
+        let share =
+          Keyring.cert_share kr ~party:3
+            (Ro.encode [ "abba-sup"; coin_tag; string_of_bool b ])
+        in
+        Sim.broadcast sim ~src:3 (Link.Raw (Abba.Support (b, share))))
+      [ true; false ]
+  end;
+  Array.iteri (fun i b -> Abba.propose nodes.(i) b) inputs;
+  (try Sim.run ~max_steps:20_000 sim with Sim.Out_of_steps _ -> ());
+  let rounds =
+    List.fold_left max 0
+      (List.init honest (fun i -> Abba.current_round nodes.(i)))
+  in
+  (Array.to_list decisions, rounds, !coin_shares)
+
+let split = [| true; false; true |]
+
+(* Whether the 2-1 split leaves round 1 without a certifiable value
+   depends on the delivery order: in this seed range it does for 800,
+   802, 803 and 808, and not for the others. *)
+let split_seeds = List.init 12 (fun i -> 800 + i)
+
+let check_agreed decisions =
+  match decisions with
+  | Some d :: rest ->
+    List.iter
+      (fun d' -> Alcotest.(check (option bool)) "agree" (Some d) d')
+      rest
+  | _ -> Alcotest.fail "an honest party did not decide"
+
+let coin_rule_tests =
+  [ Alcotest.test_case "abba: a unanimous run releases no coin share"
+      `Quick (fun () ->
+        List.iter
+          (fun (seed, b) ->
+            let decisions, rounds, coin_shares =
+              coin_run ~seed (Array.make 4 b)
+            in
+            List.iter
+              (Alcotest.(check (option bool)) "decide the input" (Some b))
+              decisions;
+            Alcotest.(check int) "round 1" 1 rounds;
+            Alcotest.(check int) "no coin share" 0 coin_shares)
+          [ (41, true); (42, false); (43, true) ]);
+    Alcotest.test_case "abba: an all-abstain round flips the coin and decides"
+      `Quick (fun () ->
+        let abstained =
+          List.filter
+            (fun seed ->
+              let decisions, rounds, coin_shares = coin_run ~seed split in
+              check_agreed decisions;
+              (* a coin share goes out only with an abstain main-vote,
+                 and an all-abstain round 1 is the only way to round 2 *)
+              Alcotest.(check bool) "coin shares iff past round 1"
+                (rounds >= 2) (coin_shares > 0);
+              rounds >= 2)
+            split_seeds
+        in
+        Alcotest.(check (list int)) "all-abstain seeds" [ 800; 802; 803; 808 ]
+          abstained);
+    Alcotest.test_case "abba: losing every coin share stalls exactly the runs \
+                        that need the coin"
+      `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let _, needed, _ = coin_run ~seed split in
+            let decisions, rounds, _ = coin_run ~drop_coin:true ~seed split in
+            if needed >= 2 then begin
+              Alcotest.(check (list (option bool))) "nobody decided"
+                [ None; None; None ] decisions;
+              Alcotest.(check int) "stuck in round 1" 1 rounds
+            end
+            else check_agreed decisions)
+          split_seeds) ]
+
 let forged_share_tests =
   [ Alcotest.test_case "abba: forged coin shares are filtered, run completes"
       `Quick (fun () ->
-        (* party 3 sends coin shares with broken proofs every time it
-           receives anything; honest parties must reject them and still
-           terminate using the honest shares *)
+        (* in the split runs of [coin_run], the corrupted party also
+           sends coin shares with broken proofs every time it receives
+           anything; honest parties must reject them and still terminate
+           using the honest shares *)
         let kr = Lazy.force kr41 in
-        let sim = Sim.create ~n:4 ~seed:808 () in
-        let decisions = Array.make 4 None in
-        let nodes =
-          Stack.deploy_abba ~sim ~keyring:kr ~tag:"forged-coin"
-            ~on_decide:(fun me b -> decisions.(me) <- Some b) ()
-        in
         let forged_share r =
           (* a structurally valid share list with garbage values *)
           let honest = Coin.generate_share kr.Keyring.coin ~party:3
-              ~name:(Ro.encode [ "abba-coin"; "forged-coin"; string_of_int r ])
+              ~name:(Ro.encode [ "abba-coin"; coin_tag; string_of_int r ])
           in
           List.map
             (fun (s : Coin.share) ->
               { s with Coin.value = G.mul ps s.Coin.value ps.G.g })
             honest
         in
-        let spams = ref 0 in
-        Sim.set_handler sim 3 (fun ~src:_ (_ : Abba.msg Link.frame) ->
+        let forger () =
+          let spams = ref 0 in
+          fun sim ~src:_ (_ : Abba.msg Link.frame) ->
             if !spams < 25 then begin
               incr spams;
               for dst = 0 to 3 do
                 Sim.send sim ~src:3 ~dst
                   (Link.Raw (Abba.Coin_share (1, forged_share 1)))
               done
-            end);
-        Array.iteri
-          (fun i node -> if i < 3 then Abba.propose node (i mod 2 = 0))
-          nodes;
-        let fallbacks = count_fallbacks (fun () -> Sim.run sim) in
+            end
+        in
+        let needed = ref 0 in
+        let fallbacks =
+          count_fallbacks (fun () ->
+              List.iter
+                (fun seed ->
+                  let decisions, rounds, _ =
+                    coin_run ~byzantine:(forger ()) ~seed split
+                  in
+                  check_agreed decisions;
+                  if rounds >= 2 then incr needed)
+                split_seeds)
+        in
+        Alcotest.(check bool) "some run needed the coin" true (!needed > 0);
         (* receipt checks only the share shape: the forged proofs are
            caught by the combine-time batch, which falls back to
            attribution *)
-        Alcotest.(check bool) "forgery caught at combine" true (fallbacks >= 1);
-        let ds = List.filter_map (fun i -> decisions.(i)) [ 0; 1; 2 ] in
-        Alcotest.(check int) "all honest decided" 3 (List.length ds);
-        (match ds with
-        | d :: rest ->
-          List.iter (fun d' -> Alcotest.(check bool) "agree" true (d = d')) rest
-        | [] -> ()));
+        Alcotest.(check bool) "forgery caught at combine" true (fallbacks >= 1));
     Alcotest.test_case "abba: unjustified mainvote is ignored" `Quick
       (fun () ->
         (* a Byzantine party claims Value true with a bogus certificate;
@@ -307,4 +418,6 @@ let equivocation_tests =
           [ 0; 1; 2 ])
   ]
 
-let suite = ("adversarial", drbg_tests @ forged_share_tests @ equivocation_tests)
+let suite =
+  ( "adversarial",
+    drbg_tests @ coin_rule_tests @ forged_share_tests @ equivocation_tests )

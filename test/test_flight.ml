@@ -91,7 +91,8 @@ let hot_tier_tests =
         in
         let rec_ = Flight.create ~policy ~obs () in
         let clock = ref 0.0 in
-        Flight.run_begin rec_ ~now:(fun () -> !clock);
+        Flight.run_begin rec_;
+        Flight.bind_clock rec_ (fun () -> !clock);
         for k = 0 to 9 do
           clock := float_of_int k;
           Obs.point obs ~layer:"test" (Printf.sprintf "e%d" k)
@@ -206,7 +207,7 @@ let durable_tests =
           Svc.campaign
             (Svc.default_config ~seeds:1 ~requests:6 ~clients:2 ~window:2
                ~keyspace:4 ~kinds:[ Svc.Directory_svc ]
-               ~variants:[ Svc.Benign ] ~max_steps:400 ())
+               ~variants:[ Svc.Benign ] ~max_steps:300 ())
         in
         let doc = doc_of c in
         Alcotest.(check int) "one stall counted" 1

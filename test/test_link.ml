@@ -301,9 +301,11 @@ let timer_tests =
 (* Golden digests of the PR 4 fault campaigns, captured on the revision
    before the link layer landed.  A link-off deployment must reproduce
    the seed behaviour bit for bit: same decisions, same virtual clocks,
-   same chaos draws, same corrupted sets. *)
+   same chaos draws, same corrupted sets.  Re-captured once, when ABBA
+   began releasing a round's coin share only with an abstain main-vote
+   (fewer coin-share messages move every ABBA and ABC schedule). *)
 let golden_linkoff_digest =
-  "736457053d7a3d1d327b008834113dfc76ed47524f4f3e7a3abf6d6b2d96cc8f"
+  "3fe0852e780e7257e923074e20c8d2c1afd1458d12b4971da87cdeb7576db394"
 
 let digest_campaign cfg =
   let rep = Sweep.sweep (Campaign.campaign cfg) in
@@ -339,9 +341,11 @@ let digest_campaign cfg =
    the recov and epoch rows are unchanged); every row kind re-captured
    when a pipelined round behind the head began opening only with a
    batch at least as large as the round ahead (all three cells run a
-   batched, windowed policy, so their schedules moved). *)
+   batched, windowed policy, so their schedules moved); every row kind
+   re-captured again when ABBA began releasing a round's coin share only
+   with an abstain main-vote. *)
 let golden_linkon_digest =
-  "4751e78a6d9d0d63b5d9362e76d9842ff4489d8679d899cfe4e9584219bdf80e"
+  "937c0a5a0d59996409c264795875024f4de04fdf321f48e9598a78672125d1d6"
 
 let linkon_rows () =
   let buf = Buffer.create 4096 in

@@ -368,7 +368,26 @@ let crypto_tests =
         Alcotest.(check int) "reset" 0 (Obs_crypto.total ()))
   ]
 
+(* Appended after the older groups so their case numbers stay put. *)
+let registry_read_tests =
+  [ Alcotest.test_case "find_counter reads without registering" `Quick
+      (fun () ->
+        let r = R.create () in
+        Alcotest.(check (option int)) "absent" None
+          (R.find_counter r ~labels:[ ("layer", "link") ] "retx");
+        Alcotest.(check int) "nothing registered" 0
+          (List.length (R.snapshot r));
+        R.incr ~by:4 (R.counter r ~labels:[ ("layer", "link") ] "retx");
+        ignore (R.gauge r "level");
+        Alcotest.(check (option int)) "current value" (Some 4)
+          (R.find_counter r ~labels:[ ("layer", "link") ] "retx");
+        Alcotest.(check (option int)) "other labels" None
+          (R.find_counter r "retx");
+        Alcotest.(check (option int)) "a gauge is not a counter" None
+          (R.find_counter r "level"))
+  ]
+
 let suite =
   ( "obs",
     json_tests @ histogram_tests @ registry_tests @ trace_tests
-    @ attribution_tests @ crypto_tests )
+    @ attribution_tests @ crypto_tests @ registry_read_tests )

@@ -894,7 +894,7 @@ let reply_path_tests =
             (* Pinned: a bare share is still one signing operation, so
                dropping the reply proofs left this count as it was.  A
                schedule change (relaying a payload once, say) moves it. *)
-            Alcotest.(check int) "signing operations" 171
+            Alcotest.(check int) "signing operations" 175
               (Obs_crypto.count Obs_crypto.Sign)));
     Alcotest.test_case "benign notary svc run: each ciphertext checked once"
       `Quick (fun () ->
@@ -925,10 +925,10 @@ let reply_path_tests =
             List.iter
               (fun (name, kind, before) ->
                 Alcotest.(check int) name before (Obs_crypto.count kind))
-              [ ("signing operations", Obs_crypto.Sign, 185);
-                ("combines", Obs_crypto.Combine, 101);
-                ("signature checks", Obs_crypto.Verify, 370);
-                ("batched share checks", Obs_crypto.Batch_verify, 36) ];
+              [ ("signing operations", Obs_crypto.Sign, 171);
+                ("combines", Obs_crypto.Combine, 82);
+                ("signature checks", Obs_crypto.Verify, 348);
+                ("batched share checks", Obs_crypto.Batch_verify, 28) ];
             Alcotest.(check bool) "fewer modular exponentiations" true
               (Obs_crypto.count Obs_crypto.Modexp < 552)))
   ]

@@ -222,6 +222,36 @@ let structure_tests =
             ("threshold 16/5", AS.threshold ~n:16 ~t:5);
             ("example1", Canonical_structures.example1 ());
             ("example2", Canonical_structures.example2 ()) ]);
+    Alcotest.test_case "the honest part of a big quorum is sharing-qualified"
+      `Quick (fun () ->
+        (* ABBA releases a coin share only with an abstain main-vote, so
+           the coin of an all-abstain round must come from the honest
+           members of one big quorum Q.  Q contains the complement of a
+           maximal corruptible set C; minus the corrupted set A it still
+           contains the complement of C u A, which Q^3 keeps qualified
+           for every structure the repository deals keys over. *)
+        let honest_parts_qualified s =
+          let n = AS.n s and maximal = AS.maximal_adversary_sets s in
+          List.for_all
+            (fun a ->
+              List.for_all
+                (fun c ->
+                  AS.is_qualified s (Pset.complement n (Pset.union a c)))
+                maximal)
+            maximal
+        in
+        List.iter
+          (fun (name, s) ->
+            Alcotest.(check bool) name true (honest_parts_qualified s))
+          [ ("threshold 4/1", AS.threshold ~n:4 ~t:1);
+            ("threshold 7/2", AS.threshold ~n:7 ~t:2);
+            ("threshold 16/5", AS.threshold ~n:16 ~t:5);
+            ("hybrid 6/1+1", AS.hybrid_threshold ~n:6 ~byzantine:1 ~crash:1);
+            ("example1", Canonical_structures.example1 ());
+            ("example2", Canonical_structures.example2 ()) ];
+        (* without Q^3 two corruptible sets can leave too few *)
+        Alcotest.(check bool) "threshold 6/2" false
+          (honest_parts_qualified (AS.threshold ~n:6 ~t:2)));
     Alcotest.test_case "uniform tolerance" `Quick (fun () ->
         Alcotest.(check int) "threshold t=2" 2
           (AS.max_uniform_tolerance (AS.threshold ~n:7 ~t:2));
