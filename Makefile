@@ -51,12 +51,13 @@ bench-num-smoke:
 	$(SINTRA) bench-num --quick --out BENCH_NUM_SMOKE.json
 	$(SINTRA) bench-check BENCH_NUM_SMOKE.json
 
-# End-to-end smoke of the machine-readable bench output: two cheap
-# experiments at reduced scale, then a schema check of the emitted
-# BENCH_<id>.json files.
+# Every paper experiment (all but the C1/C2 timings) at reduced scale,
+# then bench-check of what each wrote: the envelope and every claim row
+# against its limit.  The same list runs in `dune runtest`.
+SMOKE_EXPERIMENTS = F1 F2 E1 E2 G1 R1 R2 M1 M2 O1 O2 S1 S2 TPUT
 bench-smoke:
-	$(DUNE) exec bench/main.exe -- --small R1 M1
-	$(SINTRA) bench-check BENCH_R1.json BENCH_M1.json
+	$(DUNE) exec bench/main.exe -- --small $(SMOKE_EXPERIMENTS)
+	$(SINTRA) bench-check $(SMOKE_EXPERIMENTS:%=BENCH_%.json)
 
 # Throughput sweep: batching x pipelining on the R2 config (n=4, t=1);
 # writes BENCH_TPUT.json (payloads/round, bytes/round, decided payloads

@@ -120,45 +120,32 @@ let structure_cmd =
 
 (* ---------- abc: run atomic broadcast -------------------------------- *)
 
-(* The run [abc] and [trace] share: deal the keyring, create the
-   simulator over [obs] ([setup] runs on it before deployment), deploy
-   ABC under [tag], crash [crashed], broadcast [payloads] round-robin
-   from the other servers and run until each has delivered them all.  A
-   stall is reported on [stall_out].  Returns the simulator, the
-   delivery logs (newest first), the servers not crashed and what
-   [setup] returned. *)
-let order_payloads ~structure ~seed ~payloads ~obs ~tag ?link ?(crashed = [])
-    ~setup stall_out =
+(* The run [abc] and [trace] share, on the campaign's ABC workload: deal
+   the keyring, create the simulator over [obs] ([setup] runs on it
+   before deployment), submit [payloads] round-robin from the servers
+   outside [crashed], crash those and run until the others have
+   delivered them all.  A stall is reported on [stall_out].  Returns
+   the simulator, the workload, the honest servers and what [setup]
+   returned. *)
+let run_abc ~structure ~seed ~payloads ~obs ~tag ?link ?(crashed = []) ~setup
+    stall_out =
   let n = AS.n structure in
-  let kr = Keyring.deal ~rsa_bits:192 ~seed:99 structure in
+  let keyring = Keyring.deal ~rsa_bits:192 ~seed:99 structure in
   let sim =
     Sim.create ~policy:Sim.Random_order
-      ~size:(Link.frame_size (Abc.msg_size kr)) ~obs ~n ~seed ()
+      ~size:(Link.frame_size (Abc.msg_size keyring)) ~obs ~n ~seed ()
   in
   let set_up = setup sim in
-  let logs = Array.make n [] in
-  let nodes =
-    Stack.deploy_abc ~sim ~keyring:kr ~tag ?link
-      ~deliver:(fun me p -> logs.(me) <- p :: logs.(me)) ()
+  let honest = Pset.diff (Pset.full n) (Pset.of_list crashed) in
+  let w =
+    Campaign.abc_workload ~sim ~keyring ~tag ?link ~honest
+      (List.init payloads (Printf.sprintf "payload-%02d"))
   in
   List.iter (Sim.crash sim) crashed;
-  let honest =
-    List.filter (fun i -> not (List.mem i crashed)) (List.init n Fun.id)
-  in
-  List.iteri
-    (fun i p ->
-      Abc.broadcast nodes.(List.nth honest (i mod List.length honest)) p)
-    (List.init payloads (fun i -> Printf.sprintf "payload-%02d" i));
-  (try
-     Sim.run sim ~until:(fun () ->
-         List.for_all (fun i -> List.length logs.(i) >= payloads) honest)
-   with Sim.Out_of_steps { at_clock; pending; timers; detail } ->
-     Printf.fprintf stall_out
-       "!! out of steps at clock %.0f (%d pending, %d timers) — liveness \
-        lost?\n"
-       at_clock pending timers;
-     if detail <> "" then Printf.fprintf stall_out "!! %s\n" detail);
-  (sim, logs, honest, set_up)
+  List.iter
+    (fun v -> Printf.fprintf stall_out "!! %s\n" (Oracle.violation_to_string v))
+    (Sweep.run_sim sim ~max_steps:2_000_000 ~until:w.Campaign.finished);
+  (sim, w, honest, set_up)
 
 let abc_cmd =
   let payloads_arg =
@@ -195,8 +182,8 @@ let abc_cmd =
        them needs an active handle *)
     let obs = if trace || link then Obs.create () else Obs.noop in
     let crashed = parse_crash crash in
-    let sim, logs, honest, span_tracer =
-      order_payloads ~structure ~seed ~payloads ~obs ~tag:"cli"
+    let sim, w, honest, span_tracer =
+      run_abc ~structure ~seed ~payloads ~obs ~tag:"cli"
         ?link:(if link then Some Link.default_policy else None)
         ~crashed stdout ~setup:(fun sim ->
           if drop > 0.0 then Sim.set_chaos sim (Some (Sweep.lossy drop));
@@ -244,15 +231,15 @@ let abc_cmd =
         (v "link_dup_suppressed")
         (v "link_ack_bytes")
     end;
-    (match honest with
+    match Pset.to_list honest with
     | h :: _ ->
       Printf.printf "total order at server %d:\n" h;
-      List.iteri (fun k p -> Printf.printf "  %d. %s\n" k p) (List.rev logs.(h));
-      let agree =
-        List.for_all (fun i -> List.rev logs.(i) = List.rev logs.(h)) honest
-      in
-      Printf.printf "all honest servers agree on the order: %b\n" agree
-    | [] -> ())
+      List.iteri
+        (fun k p -> Printf.printf "  %d. %s\n" k p)
+        (List.rev w.Campaign.logs.(h));
+      Printf.printf "all honest servers agree on the order: %b\n"
+        (Oracle.count_safety (w.Campaign.check ()) = 0)
+    | [] -> ()
   in
   Cmd.v
     (Cmd.info "abc" ~doc:"Run atomic broadcast on the simulated network.")
@@ -284,7 +271,7 @@ let trace_cmd =
   let run n t example seed payloads jsonl limit =
     let obs = Obs.create () in
     let _, _, _, tr =
-      order_payloads ~structure:(structure_of ~n ~t example) ~seed ~payloads
+      run_abc ~structure:(structure_of ~n ~t example) ~seed ~payloads
         ~obs ~tag:"trace" stderr ~setup:(attach_tracer obs)
     in
     if jsonl then print_string (Obs_trace.to_jsonl tr)
@@ -751,23 +738,8 @@ let ca_cmd =
     if byzantine then begin
       let evil = n - 1 in
       Printf.printf "server %d forges denials for every request\n" evil;
-      Sim.set_handler sim evil (fun ~src:_ (frame : Service.msg Link.frame) ->
-          match frame with
-          | Link.Raw (Service.Request { client; body })
-          | Link.Data { payload = Service.Request { client; body }; _ } ->
-            let req_digest = Sha256.digest body in
-            let response = Codec.encode [ "denied"; "forged" ] in
-            let share =
-              Keyring.service_sign_share kr ~party:evil
-                (Service.response_statement ~req_digest ~response)
-            in
-            Sim.send sim ~src:evil ~dst:client
-              (Link.Raw
-                 (Service.Response
-                    (Codec.encode_svc_reply ~fast:false ~req_digest
-                       ~server:evil ~response
-                       ~share:(Keyring.sig_share_to_bytes kr share))))
-          | Link.Raw _ | Link.Data _ | Link.Ack _ -> ())
+      Byzantine.corrupt ~sim ~keyring:kr ~seed:evil ~set:(Pset.singleton evil)
+        Byzantine.For_service.forged_denial
     end;
     let client = Service.Client.create ~sim ~keyring:kr ~slot:n ~seed:3 () in
     let call body =

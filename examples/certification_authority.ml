@@ -26,23 +26,8 @@ let () =
   ignore (Service.nodes deployment);
 
   banner "server 6 turns malicious: it forges denials for every request\n";
-  Sim.set_handler sim 6 (fun ~src:_ (frame : Service.msg Link.frame) ->
-      match frame with
-      | Link.Raw (Service.Request { client; body })
-      | Link.Data { payload = Service.Request { client; body }; _ } ->
-        let req_digest = Sha256.digest body in
-        let response = Codec.encode [ "denied"; "no such user" ] in
-        let share =
-          Keyring.service_sign_share keyring ~party:6
-            (Service.response_statement ~req_digest ~response)
-        in
-        Sim.send sim ~src:6 ~dst:client
-          (Link.Raw
-             (Service.Response
-                (Codec.encode_svc_reply ~fast:false ~req_digest ~server:6
-                   ~response
-                   ~share:(Keyring.sig_share_to_bytes keyring share))))
-      | Link.Raw _ | Link.Data _ | Link.Ack _ -> ());
+  Byzantine.corrupt ~sim ~keyring ~seed:6 ~set:(Pset.singleton 6)
+    Byzantine.For_service.forged_denial;
 
   let client = Service.Client.create ~sim ~keyring ~slot:7 ~seed:99 () in
   let issue id pubkey =

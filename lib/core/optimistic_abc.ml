@@ -82,6 +82,7 @@ type t = {
   (* recovery *)
   mutable states : state_report list;
   mutable vba : Vba.t option;
+  mutable proposed : bool;  (* our one recovery proposal is out *)
   mutable final_prefix : int option;
   mutable fetched : (int * string * Keyring.cert) list;
   (* fallback *)
@@ -127,6 +128,7 @@ let rec create ~(io : msg Proto_io.t) ~tag ?(sequencer = 0) ?(patience = 200)
     progress_epoch = 0;
     states = [];
     vba = None;
+    proposed = false;
     final_prefix = None;
     fetched = [];
     abc = None }
@@ -317,8 +319,11 @@ and vba_of t : Vba.t =
     t.vba <- Some v;
     v
 
+(* Propose once: a second [Vba.propose] would re-broadcast our proposal
+   CBC with another value, which parties that echoed the first never
+   echo, so it could never complete. *)
 and try_propose_recovery t =
-  if t.mode = Switching then begin
+  if t.mode = Switching && not t.proposed then begin
     let valid = List.filter (state_valid t) t.states in
     let parties =
       List.fold_left (fun acc r -> Pset.add r.st_party acc) Pset.empty valid
@@ -330,6 +335,7 @@ and try_propose_recovery t =
           (fun acc r -> if List.exists (fun r' -> r'.st_party = r.st_party) acc then acc else r :: acc)
           [] valid
       in
+      t.proposed <- true;
       Vba.propose (vba_of t) (proposal_of_states t dedup)
     end
   end

@@ -250,3 +250,28 @@ module For_recovery = struct
                 }))
       | _ -> honest ~src msg
 end
+
+(* Behaviours against the replicated services. *)
+module For_service = struct
+  (* Answers every client request at once with a denial signed with the
+     party's own reply share, and runs no honest logic: the client's
+     share check and the threshold signature must keep the forgery out
+     of the answer it accepts. *)
+  let forged_denial : Service.msg t =
+   fun ctx _honest ~src:_ msg ->
+    match msg with
+    | Service.Request { client; body } ->
+      let req_digest = Sha256.digest body in
+      let response = Codec.encode [ "denied"; "forged" ] in
+      let share =
+        Keyring.service_sign_share ctx.keyring ~party:ctx.party
+          (Service.response_statement ~req_digest ~response)
+      in
+      Sim.send ctx.sim ~src:ctx.party ~dst:client
+        (Link.Raw
+           (Service.Response
+              (Codec.encode_svc_reply ~fast:false ~req_digest
+                 ~server:ctx.party ~response
+                 ~share:(Keyring.sig_share_to_bytes ctx.keyring share))))
+    | Service.Query _ | Service.Engine _ | Service.Response _ -> ()
+end

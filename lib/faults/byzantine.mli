@@ -124,3 +124,11 @@ module For_recovery : sig
       garbage certificate; otherwise honest.  The fetcher must reject
       the reply on certificate verification. *)
 end
+
+(** Behaviours against the replicated services. *)
+module For_service : sig
+  val forged_denial : Service.msg t
+  (** Answers every client request at once with the denial
+      [["denied"; "forged"]], signed with the party's own reply share,
+      and runs no honest logic.  A client must not accept it. *)
+end

@@ -223,29 +223,37 @@ let abba_workload cfg ~mix ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
   ( (fun () -> Pset.for_all (fun p -> decisions.(p) <> None) honest),
     fun () -> Oracle.check_abba ~honest ~proposals decisions )
 
-let abc_workload cfg ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
-    ~note_decide =
-  let expected = cfg.payloads in
-  let logs_rev = Array.make cfg.core.n [] in
+type abc_workload = {
+  nodes : Abc.t array;
+  logs : string list array;  (* per party, newest first *)
+  finished : unit -> bool;
+  check : unit -> Oracle.violation list;
+}
+
+let abc_workload ?wrap ?on_link ?policy ?link ?(on_deliver = fun _ _ -> ())
+    ~sim ~keyring ~tag ~honest payloads =
+  let expected = List.length payloads in
+  let logs = Array.make (Sim.n sim) [] in
   let nodes =
-    Stack.deploy_abc ~wrap ~policy:cfg.abc_policy ?link:cfg.link ~on_link ~sim
-      ~keyring ~tag
+    Stack.deploy_abc ?wrap ?policy ?link ?on_link ~sim ~keyring ~tag
       ~deliver:(fun p payload ->
-        logs_rev.(p) <- payload :: logs_rev.(p);
-        if List.length logs_rev.(p) >= expected then note_decide p)
+        logs.(p) <- payload :: logs.(p);
+        on_deliver p (List.length logs.(p)))
       ()
   in
   (* Submit the payloads round-robin from the honest parties, so total
      order must reconcile genuinely concurrent senders. *)
-  let submitters = Pset.to_list honest in
+  let submitters = Array.of_list (Pset.to_list honest) in
   List.iteri
     (fun k payload ->
-      let s = List.nth submitters (k mod List.length submitters) in
-      Abc.broadcast nodes.(s) payload)
-    (List.init expected (fun k -> Printf.sprintf "tx-%d-%d" seed k));
-  ( (fun () ->
-      Pset.for_all (fun p -> List.length logs_rev.(p) >= expected) honest),
-    fun () -> Oracle.check_abc ~honest ~expected (Array.map List.rev logs_rev) )
+      Abc.broadcast nodes.(submitters.(k mod Array.length submitters)) payload)
+    payloads;
+  { nodes;
+    logs;
+    finished =
+      (fun () -> Pset.for_all (fun p -> List.length logs.(p) >= expected) honest);
+    check =
+      (fun () -> Oracle.check_abc ~honest ~expected (Array.map List.rev logs)) }
 
 let run_with env cfg ~protocol ~policy ~mix ~seed ~tag ~reliable ~timeline
     ~behavior sim workload =
@@ -315,7 +323,15 @@ let run_one cfg env ((protocol, policy, mix) : cell) ~seed timeline =
       run_with env cfg ~protocol:label ~policy ~mix ~seed ~tag ~reliable
         ~timeline
         ~behavior:(abc_behavior ~tag mix.m_kind)
-        (sim ()) (abc_workload cfg ~seed)
+        (sim ())
+        (fun ~sim ~keyring ~wrap ~on_link ~tag ~honest ~note_decide ->
+          let w =
+            abc_workload ~wrap ~on_link ~policy:cfg.abc_policy ?link:cfg.link
+              ~sim ~keyring ~tag ~honest
+              ~on_deliver:(fun p k -> if k >= cfg.payloads then note_decide p)
+              (List.init cfg.payloads (fun k -> Printf.sprintf "tx-%d-%d" seed k))
+          in
+          (w.finished, w.check))
   in
   Option.iter
     (Obs.observe env.Sweep.obs

@@ -74,6 +74,35 @@ val default_config :
     2 payloads, [Abc.default_policy] (unbatched, window 1), link off,
     200k steps. *)
 
+(** {2 The atomic-broadcast workload} *)
+
+type abc_workload = {
+  nodes : Abc.t array;
+  logs : string list array;  (** per party, newest first *)
+  finished : unit -> bool;  (** every honest party delivered every payload *)
+  check : unit -> Oracle.violation list;
+      (** {!Oracle.check_abc} over the honest logs *)
+}
+
+val abc_workload :
+  ?wrap:(int -> Abc.msg Sim.handler -> Abc.msg Sim.handler) ->
+  ?on_link:(int -> Abc.msg Link.t -> unit) ->
+  ?policy:Abc.policy ->
+  ?link:Link.policy ->
+  ?on_deliver:(int -> int -> unit) ->
+  sim:Abc.msg Link.frame Sim.t ->
+  keyring:Keyring.t ->
+  tag:string ->
+  honest:Pset.t ->
+  string list ->
+  abc_workload
+(** Deploy ABC over [sim] ({!Stack.deploy_abc}) and submit the payloads
+    round-robin from the [honest] parties; [on_deliver p k] runs after
+    party [p]'s [k]-th delivery.  It neither crashes nor runs: the
+    caller crashes the other parties, then runs until [finished]
+    ({!Sweep.run_sim}).  The one ABC run path of this campaign, the
+    bench experiments and the CLI. *)
+
 (** {2 The campaign} *)
 
 type run_result = {

@@ -62,6 +62,23 @@ let acceptance kind ~experiment =
   match kind with
   | Bench -> (
     match experiment with
+    | "F1" ->
+      [ "abc benign live and safe seeds"; "abc attack live and safe seeds";
+        "pbft attack live seeds"; "pbft safety violations" ]
+    | "F2" -> [ "equivocated payload delivered" ]
+    | "E1" -> [ "maximal sets live and safe"; "beyond-structure run live" ]
+    | "E2" ->
+      [ "site+OS patterns live and safe"; "7-server pattern corruptible at t=5";
+        "t=5 threshold run live" ]
+    | "G1" -> [ "structures live and safe" ]
+    | "R1" -> [ "abba oracle violations"; "n=4 mean rounds" ]
+    | "R2" -> [ "rows delivered"; "total-order violations" ]
+    | "M1" -> [ "n=4 instances completed" ]
+    | "M2" -> [ "compressed below vector bytes" ]
+    | "O1" -> [ "abc live under leader delay"; "pbft live under leader delay" ]
+    | "O2" -> [ "fast path below full abc messages"; "sequencer crash recovered" ]
+    | "S1" -> [ "certificate issued" ]
+    | "S2" -> [ "confidential leak"; "plain leak"; "registered" ]
     | "TPUT" -> [ "tput invariant breaks" ]
     | "NUM" -> [ "dleq batch-8 speedup"; "dleq per-share cost rise" ]
     | _ -> [])

@@ -63,7 +63,8 @@ val past_limits : gate list -> gate list
 
 val acceptance : kind -> experiment:string -> string list
 (** The acceptance rows of the kind, and for [bench] of the experiment
-    ([TPUT]'s invariant breaks, [NUM]'s two DLEQ batch rows), which
+    (each paper experiment's claim rows, [TPUT]'s invariant breaks,
+    [NUM]'s two DLEQ batch rows; none for the C1/C2 timings), which
     {!header} requires present and limited. *)
 
 val stated : kind -> string list

@@ -1162,6 +1162,21 @@ let table_tests =
         (match Campaign_table.check_doc quick_num with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "quick NUM rejected: %s" e);
+        (* A paper experiment's report with every acceptance row limited. *)
+        let claims id =
+          let doc =
+            Bench_out.document ~id ~wall:0.0
+              ~gate:
+                (List.map
+                   (fun m -> Report.must Report.Lower m ~limit:0.0 0.0)
+                   (Report.acceptance Report.Bench ~experiment:id))
+              (Obs.create ()) []
+          in
+          (match Campaign_table.check_doc doc with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s claims rejected: %s" id e);
+          doc
+        in
         List.iter
           (fun (what, doc, m, v) ->
             match Campaign_table.check_doc (unlimited m v doc) with
@@ -1169,11 +1184,26 @@ let table_tests =
             | Error e ->
               Alcotest.(check bool) (what ^ ": " ^ m ^ " named") true
                 (contains e m))
-          [ ( "TPUT, invariant row unlimited",
-              List.assoc "BENCH_TPUT" (Lazy.force baseline_docs),
-              "tput invariant breaks", 3.0 );
-            ( "quick NUM, speedup row unlimited", quick_num,
-              "dleq batch-8 speedup", 1.0 ) ]);
+          ([ ( "TPUT, invariant row unlimited",
+               List.assoc "BENCH_TPUT" (Lazy.force baseline_docs),
+               "tput invariant breaks", 3.0 );
+             ( "quick NUM, speedup row unlimited", quick_num,
+               "dleq batch-8 speedup", 1.0 ) ]
+          @ List.map
+              (fun (id, m) -> (id ^ ", claim row unlimited", claims id, m, 1.0))
+              [ ("F1", "pbft attack live seeds");
+                ("F2", "equivocated payload delivered");
+                ("E1", "maximal sets live and safe");
+                ("E2", "7-server pattern corruptible at t=5");
+                ("G1", "structures live and safe");
+                ("R1", "n=4 mean rounds");
+                ("R2", "total-order violations");
+                ("M1", "n=4 instances completed");
+                ("M2", "compressed below vector bytes");
+                ("O1", "pbft live under leader delay");
+                ("O2", "sequencer crash recovered");
+                ("S1", "certificate issued");
+                ("S2", "confidential leak") ]));
     Alcotest.test_case "DLEQ batch rows keep the 3x gate; quick runs relax it"
       `Quick (fun () ->
         let check ~quick per_share =
@@ -1346,8 +1376,49 @@ let table_tests =
         Alcotest.(check bool) "modexp regressed" true (v = Compare.Regressed))
   ]
 
+(* The one ABC run path of the campaign, the bench and the CLI: deploy
+   and submit, crash the rest, run, check. *)
+let workload_tests =
+  let keyring =
+    Keyring.deal ~rsa_bits:192 ~seed:42 (AS.threshold ~n:4 ~t:1)
+  in
+  let run ~crashed =
+    let sim = Sim.create ~policy:Sim.Random_order ~n:4 ~seed:5 () in
+    let deliveries = ref 0 in
+    let honest = Pset.diff (Pset.full 4) crashed in
+    let w =
+      Campaign.abc_workload ~sim ~keyring ~tag:"workload" ~honest
+        ~on_deliver:(fun _ _ -> incr deliveries)
+        [ "a"; "b"; "c" ]
+    in
+    Pset.iter (Sim.crash sim) crashed;
+    let stall = Sweep.run_sim sim ~max_steps:200_000 ~until:w.finished in
+    (w, w.check () @ stall, !deliveries)
+  in
+  [ Alcotest.test_case "abc workload: the honest parties order every payload"
+      `Quick (fun () ->
+        let w, violations, deliveries = run ~crashed:(Pset.singleton 3) in
+        Alcotest.(check int) "no violation" 0 (List.length violations);
+        Alcotest.(check bool) "finished" true (w.finished ());
+        Alcotest.(check int) "one callback per delivery" 9 deliveries;
+        List.iter
+          (fun p ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "party %d's order is party 0's" p)
+              w.logs.(0) w.logs.(p))
+          [ 1; 2 ]);
+    Alcotest.test_case
+      "abc workload: a crashed qualified set costs liveness, not safety"
+      `Quick (fun () ->
+        let w, violations, _ = run ~crashed:(Pset.of_list [ 0; 1 ]) in
+        Alcotest.(check bool) "not finished" false (w.finished ());
+        Alcotest.(check int) "no safety violation" 0
+          (Oracle.count_safety violations);
+        Alcotest.(check bool) "liveness violations" true
+          (Oracle.count_liveness violations > 0)) ]
+
 let suite =
   ( "faults",
     chaos_tests @ partition_tests @ drop_path_tests @ oracle_tests
     @ byzantine_tests @ campaign_tests @ recovery_tests
-    @ svc_campaign_tests @ table_tests )
+    @ svc_campaign_tests @ table_tests @ workload_tests )

@@ -109,32 +109,15 @@ let ca_tests =
         ignore service_sig);
     Alcotest.test_case "ca: byzantine server cannot forge the answer" `Quick
       (fun () ->
-        (* server 3 sends garbage responses with its own share to the
-           client; the client's share verification and the threshold
+        (* server 3 answers at once with a forged denial under its own
+           share; the client's share verification and the threshold
            signature keep the certificate honest *)
         let sim, kr, nodes =
           deploy_service ~seed:6005 ~mode:Service.Plain ~make_app:Ca.make_app ()
         in
         ignore nodes;
-        let evil ~src:_ (frame : Service.msg Link.frame) =
-          match frame with
-          | Link.Raw (Service.Request { client; body })
-          | Link.Data { payload = Service.Request { client; body }; _ } ->
-            (* respond immediately with a forged denial *)
-            let req_digest = Sha256.digest body in
-            let response = Codec.encode [ "denied"; "forged by server 3" ] in
-            let share =
-              Keyring.service_sign_share kr ~party:3
-                (Service.response_statement ~req_digest ~response)
-            in
-            Sim.send sim ~src:3 ~dst:client
-              (Link.Raw
-                 (Service.Response
-                    (Codec.encode_svc_reply ~fast:false ~req_digest ~server:3
-                       ~response ~share:(Keyring.sig_share_to_bytes kr share))))
-          | Link.Raw _ | Link.Data _ | Link.Ack _ -> ()
-        in
-        Sim.set_handler sim 3 evil;
+        Byzantine.corrupt ~sim ~keyring:kr ~seed:3 ~set:(Pset.singleton 3)
+          Byzantine.For_service.forged_denial;
         let response, _ =
           roundtrip sim kr ~mode:Service.Plain ~client_slot:4 ~seed:8
             (Ca.issue_request ~id:"dave" ~pubkey:"pk-d" ~credentials:"z!ok")
