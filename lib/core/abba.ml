@@ -87,6 +87,7 @@ type round_state = {
   mutable prevotes : (int * prevote) list;  (* validated, one per source *)
   mutable mains : (int * mainvote) list;
   mutable coin_shares : (int * Coin.share list) list;
+  mutable own_coin : Coin.share list option;  (* our share of coin r *)
   mutable coin : int option;
   mutable sent_prevote : bool;
   mutable sent_main : bool;
@@ -129,6 +130,7 @@ let round_state t r =
       { prevotes = [];
         mains = [];
         coin_shares = [];
+        own_coin = None;
         coin = None;
         sent_prevote = false;
         sent_main = false }
@@ -250,10 +252,7 @@ let main_shares_for rs v =
 let broadcast_support t b =
   if not (List.mem b t.my_supports) then begin
     t.my_supports <- b :: t.my_supports;
-    let share =
-      Keyring.cert_share t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-        (sup_stmt t b)
-    in
+    let share = Proto_io.cert_share t.io (sup_stmt t b) in
     t.io.Proto_io.broadcast (Support (b, share))
   end
 
@@ -276,10 +275,7 @@ let send_prevote t r b just =
       Obs.span_begin (obs t) ~party:t.io.Proto_io.me ~tag:t.tag ~layer:"abba"
         ~detail:(Printf.sprintf "r%d vote=%b" r b)
         "round";
-    let share =
-      Keyring.cert_share t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-        (pre_stmt t r b)
-    in
+    let share = Proto_io.cert_share t.io (pre_stmt t r b) in
     t.io.Proto_io.broadcast
       (Prevote { pv_round = r; pv_vote = b; pv_just = just; pv_share = share })
   end
@@ -288,10 +284,7 @@ let send_main t r v just =
   let rs = round_state t r in
   if not rs.sent_main then begin
     rs.sent_main <- true;
-    let share =
-      Keyring.cert_share t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-        (main_stmt t r v)
-    in
+    let share = Proto_io.cert_share t.io (main_stmt t r v) in
     t.io.Proto_io.broadcast
       (Mainvote { mv_round = r; mv_value = v; mv_just = just; mv_share = share });
     (* Coin r is read only behind a big-quorum of abstain main-votes,
@@ -304,6 +297,7 @@ let send_main t r v just =
         Coin.generate_share t.io.Proto_io.keyring.Keyring.coin
           ~party:t.io.Proto_io.me ~name:(coin_name t r)
       in
+      rs.own_coin <- Some shares;
       t.io.Proto_io.broadcast (Coin_share (r, shares))
     end
   end
@@ -418,8 +412,10 @@ let rec try_combine_coin t r =
       List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty rs.coin_shares
     in
     match
-      Coin.combine t.io.Proto_io.keyring.Keyring.coin ~name:(coin_name t r)
-        ~avail rs.coin_shares ()
+      Coin.combine
+        ?own:(Option.map (fun s -> (t.io.Proto_io.me, s)) rs.own_coin)
+        t.io.Proto_io.keyring.Keyring.coin ~name:(coin_name t r) ~avail
+        rs.coin_shares ()
     with
     | None -> ()
     | Some v ->

@@ -369,8 +369,7 @@ and participate t r payload =
           "epoch";
     let sg =
       Schnorr_sig.to_bytes t.io.Proto_io.keyring.Keyring.group
-        (Keyring.sign t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-           (prop_stmt t r payload))
+        (Proto_io.sign (round_io t r) (prop_stmt t r payload))
     in
     t.io.Proto_io.broadcast (Proposal (r, payload, sg))
   end
@@ -397,7 +396,7 @@ and open_rounds t =
           | Some l -> !l <> []
           | None -> false
         in
-        let batch, rest = take_batch t avail in
+        let batch, rest = take_batch t (Lazy.force avail) in
         let worth =
           batch <> []
           && (r = t.round
@@ -423,13 +422,14 @@ and open_rounds t =
             Obs.observe t.io.Proto_io.obs ~labels "abc_pipeline_depth"
               (float_of_int (in_flight t))
           end;
-          go (r + 1) rest
+          go (r + 1) (Lazy.from_val rest)
         end
         (* not opening r: later rounds stay closed too (contiguity) *)
       end
     end
   in
-  go t.round (unproposed t)
+  (* The queue scan runs only if some round of the window is closed. *)
+  go t.round (lazy (unproposed t))
 
 (* Feed each in-flight round's VBA once a big-quorum of signed proposals
    for it is collected. *)

@@ -89,7 +89,6 @@ let try_final t =
     end
 
 let handle t ~src msg =
-  let kr = t.io.Proto_io.keyring in
   match msg with
   | Send payload ->
     if src = t.sender && (not t.echoed) && t.validate payload then begin
@@ -98,10 +97,8 @@ let handle t ~src msg =
         t.sp_inst <-
           Obs.span_begin (obs t) ~party:t.io.Proto_io.me ~src ~tag:t.tag
             ~layer:"cbc" "instance";
-      let share =
-        Keyring.cert_share kr ~party:t.io.Proto_io.me (statement t payload)
-      in
-      t.io.Proto_io.send t.sender (Echo share)
+      t.io.Proto_io.send t.sender
+        (Echo (Proto_io.cert_share t.io (statement t payload)))
     end
   | Echo share ->
     (* Once the certificate is out, late echoes are never combined:

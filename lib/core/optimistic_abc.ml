@@ -167,10 +167,7 @@ and advance_acks t =
     (* one share per prefix value, so certificates form for every s *)
     while t.acked_prefix < prefix do
       t.acked_prefix <- t.acked_prefix + 1;
-      let share =
-        Keyring.cert_share t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-          (ack_stmt t t.acked_prefix)
-      in
+      let share = Proto_io.cert_share t.io (ack_stmt t t.acked_prefix) in
       t.io.Proto_io.broadcast (Ack (t.acked_prefix, share))
     done
   end
@@ -214,10 +211,7 @@ and output t payload =
 and send_complaint t =
   if not t.complained then begin
     t.complained <- true;
-    let share =
-      Keyring.cert_share t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-        (complain_stmt t)
-    in
+    let share = Proto_io.cert_share t.io (complain_stmt t) in
     t.io.Proto_io.broadcast (Complain share)
   end
 
@@ -239,9 +233,7 @@ and maybe_switch t =
       { st_party = t.io.Proto_io.me;
         st_prefix = d;
         st_cert = cert;
-        st_sig =
-          Keyring.sign t.io.Proto_io.keyring ~party:t.io.Proto_io.me
-            (state_stmt t d) }
+        st_sig = Proto_io.sign t.io (state_stmt t d) }
     in
     t.io.Proto_io.broadcast (State report)
   end
@@ -319,9 +311,9 @@ and vba_of t : Vba.t =
     t.vba <- Some v;
     v
 
-(* Propose once: a second [Vba.propose] would re-broadcast our proposal
-   CBC with another value, which parties that echoed the first never
-   echo, so it could never complete. *)
+(* Propose once.  [Vba.propose] ignores a second call anyway; the flag
+   spares re-checking every state report's signature on each later
+   STATE message. *)
 and try_propose_recovery t =
   if t.mode = Switching && not t.proposed then begin
     let valid = List.filter (state_valid t) t.states in

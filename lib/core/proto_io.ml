@@ -23,8 +23,9 @@ module AS = Adversary_structure
 
 (* The verified-signature memo.  An entry (signer, statement,
    signature) is recorded only after a full check of exactly that triple
-   succeeded on this replica, so a hit repeats a deterministic check
-   this replica already passed: no accept/reject decision can change.
+   succeeded on this replica, or when this replica made that signature
+   itself ({!sign}), so a hit repeats a deterministic check this replica
+   passed or would pass: no accept/reject decision can change.
    Statements compare byte for byte and signatures by value, never by a
    digest or a truncated encoding, so a forged signature or a statement
    one byte away never matches a genuine entry.  The bucket is chosen by
@@ -166,24 +167,28 @@ let contains_honest io s = AS.contains_honest (structure io) s
 
 (* ---------- signature checks -------------------------------------- *)
 
+let record { tbl; stmts } ~party stmt sg =
+  let stmt =
+    match Hashtbl.find_opt stmts stmt with
+    | Some shared -> shared
+    | None ->
+      Hashtbl.add stmts stmt stmt;
+      stmt
+  in
+  Memo_tbl.replace tbl { Key.signer = party; stmt; sg } ()
+
 (* Every protocol-level Schnorr check goes through here: the memo is
-   consulted first and fed only by a successful full check. *)
+   consulted first and fed by a successful full check or by signing. *)
 let verify_signature io ~party stmt sg =
   match io.memo.table with
   | None -> Keyring.verify_party_signature io.keyring ~party stmt sg
-  | Some { tbl; stmts } ->
-    Memo_tbl.mem tbl { Key.signer = party; stmt; sg }
+  | Some e ->
+    Memo_tbl.mem e.tbl { Key.signer = party; stmt; sg }
     || Keyring.verify_party_signature io.keyring ~party stmt sg
-       &&
-       let stmt =
-         match Hashtbl.find_opt stmts stmt with
-         | Some shared -> shared
-         | None ->
-           Hashtbl.add stmts stmt stmt;
-           stmt
-       in
-       Memo_tbl.replace tbl { Key.signer = party; stmt; sg } ();
-       true
+       && begin
+         record e ~party stmt sg;
+         true
+       end
 
 let verify_cert_share io ~party stmt share =
   Keyring.verify_cert_share ~verify:(verify_signature io) io.keyring ~party
@@ -191,3 +196,22 @@ let verify_cert_share io ~party stmt share =
 
 let verify_cert io stmt cert =
   Keyring.verify_cert ~verify:(verify_signature io) io.keyring stmt cert
+
+(* ---------- own signatures ---------------------------------------- *)
+
+(* A replica's own signature is the deterministic Schnorr signature
+   under its own key, so it verifies by construction: signing records
+   it, and a later check of exactly that triple is a memo hit.  Any
+   other signature claiming this signer still misses and is checked in
+   full. *)
+let sign io stmt =
+  let sg = Keyring.sign io.keyring ~party:io.me stmt in
+  Option.iter (fun e -> record e ~party:io.me stmt sg) io.memo.table;
+  sg
+
+let cert_share io stmt =
+  let share = Keyring.cert_share io.keyring ~party:io.me stmt in
+  (match (share, io.memo.table) with
+  | Keyring.Sig_share sg, Some e -> record e ~party:io.me stmt sg
+  | Keyring.Sig_share _, None | Keyring.Rsa_cert_share _, _ -> ());
+  share

@@ -110,11 +110,23 @@ val contains_honest : 'm t -> Pset.t -> bool
     The one path by which protocol code checks a server's Schnorr
     signature, a quorum-certificate share or a quorum certificate.  With
     an open memo a check that this replica already passed for the same
-    (signer, statement digest, signature) is answered from the memo;
-    everything else is a full {!Keyring} check, and only a successful
-    one is recorded.  Compressed (RSA) certificates are never
-    memoized. *)
+    (signer, statement, signature), or a signature it made itself
+    ({!sign}), is answered from the memo; everything else is a full
+    {!Keyring} check, and only a successful one is recorded.  Compressed
+    (RSA) certificates are never memoized. *)
 
 val verify_signature : 'm t -> party:int -> string -> Schnorr_sig.signature -> bool
 val verify_cert_share : 'm t -> party:int -> string -> Keyring.cert_share -> bool
 val verify_cert : 'm t -> string -> Keyring.cert -> bool
+
+(** {2 Own signatures}
+
+    The one path by which protocol code signs as [io.me]: a Schnorr
+    signature ({!sign}) or a quorum-certificate share ({!cert_share}).
+    With an open memo the signature enters it as it is made, so a later
+    check of the same (me, statement, signature) is a hit; a different
+    signature claiming [me] still gets a full check.  A closed memo
+    records nothing, and an RSA certificate share is never recorded. *)
+
+val sign : 'm t -> string -> Schnorr_sig.signature
+val cert_share : 'm t -> string -> Keyring.cert_share

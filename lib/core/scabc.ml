@@ -19,6 +19,7 @@ type slot = {
   position : int;
   ct : Tdh2.checked;  (* decoded and checked once, when it was ordered *)
   mutable shares : (int * Tdh2.dec_share list) list;
+  mutable own : Tdh2.dec_share list;  (* the shares this replica made *)
   mutable plaintext : string option;
   mutable sp_decrypt : int;  (* open trace span; 0 = none *)
 }
@@ -77,6 +78,7 @@ and on_ordered t (payload : string) =
         { position = t.next_position;
           ct;
           shares = [];
+          own = Tdh2.share (enc_sharing t) ~party:t.io.Proto_io.me ct;
           plaintext = None;
           sp_decrypt =
             Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me
@@ -87,8 +89,7 @@ and on_ordered t (payload : string) =
       t.next_position <- t.next_position + 1;
       Hashtbl.add t.slots d slot;
       Hashtbl.add t.by_position slot.position slot;
-      t.io.Proto_io.broadcast
-        (Dec_share (d, Tdh2.share (enc_sharing t) ~party:t.io.Proto_io.me ct));
+      t.io.Proto_io.broadcast (Dec_share (d, slot.own));
       (* Validate any shares that raced ahead of the ordering. *)
       let early, rest =
         List.partition (fun (d', _, _) -> d' = d) t.early_shares
@@ -117,7 +118,10 @@ and try_decrypt t slot =
     let avail =
       List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty slot.shares
     in
-    match Tdh2.combine (enc_sharing t) slot.ct ~avail slot.shares with
+    match
+      Tdh2.combine ~own:(t.io.Proto_io.me, slot.own) (enc_sharing t) slot.ct
+        ~avail slot.shares
+    with
     | None -> ()
     | Some plaintext ->
       slot.plaintext <- Some plaintext;
@@ -170,6 +174,7 @@ let compact t =
     (fun _ slot ->
       if slot.position < t.next_delivery && slot.shares <> [] then begin
         slot.shares <- [];
+        slot.own <- [];
         incr freed
       end)
     t.slots;

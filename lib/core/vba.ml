@@ -36,9 +36,10 @@ type t = {
   validate : string -> bool;
   on_decide : winner:int -> string -> unit;
   cbcs : Cbc.t array;
+  mutable proposed : bool;  (* our proposal CBC is out *)
   mutable proposals : (int * (string * Keyring.cert)) list;  (* delivered *)
-  mutable committed : bool;
-  mutable sent_perm_share : bool;
+  mutable own_perm : Coin.share list option;
+      (* our permutation-coin share, out once our commit quorum holds *)
   mutable perm_shares : (int * Coin.share list) list;
   mutable perm : int array option;
   abbas : (int, Abba.t) Hashtbl.t;  (* position -> instance *)
@@ -79,9 +80,9 @@ let rec create ~(io : msg Proto_io.t) ~tag ?(validate = fun _ -> true)
       validate;
       on_decide;
       cbcs;
+      proposed = false;
       proposals = [];
-      committed = false;
-      sent_perm_share = false;
+      own_perm = None;
       perm_shares = [];
       perm = None;
       abbas = Hashtbl.create 8;
@@ -134,16 +135,13 @@ and step t =
     let delivered =
       List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty t.proposals
     in
-    if (not t.committed) && Proto_io.big_quorum t.io delivered then begin
-      t.committed <- true;
-      if not t.sent_perm_share then begin
-        t.sent_perm_share <- true;
-        let shares =
-          Coin.generate_share t.io.Proto_io.keyring.Keyring.coin
-            ~party:t.io.Proto_io.me ~name:(perm_coin_name t)
-        in
-        t.io.Proto_io.broadcast (Perm_share shares)
-      end
+    if t.own_perm = None && Proto_io.big_quorum t.io delivered then begin
+      let shares =
+        Coin.generate_share t.io.Proto_io.keyring.Keyring.coin
+          ~party:t.io.Proto_io.me ~name:(perm_coin_name t)
+      in
+      t.own_perm <- Some shares;
+      t.io.Proto_io.broadcast (Perm_share shares)
     end;
     (* Walk the examination sequence. *)
     match t.perm with
@@ -204,8 +202,10 @@ and try_combine_perm t =
       List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty t.perm_shares
     in
     match
-      Coin.combine t.io.Proto_io.keyring.Keyring.coin ~name:(perm_coin_name t)
-        ~avail t.perm_shares ~bits:30 ()
+      Coin.combine
+        ?own:(Option.map (fun s -> (t.io.Proto_io.me, s)) t.own_perm)
+        t.io.Proto_io.keyring.Keyring.coin ~name:(perm_coin_name t) ~avail
+        t.perm_shares ~bits:30 ()
     with
     | None -> ()
     | Some seed ->
@@ -222,13 +222,18 @@ and try_combine_perm t =
       step t
   end
 
+(* Once only: a second proposal would re-broadcast our CBC with another
+   value, which parties that echoed the first never echo. *)
 let propose t (value : string) =
-  assert (t.validate value);
-  if t.sp_inst = 0 && t.decided = None then
-    t.sp_inst <-
-      Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me ~tag:t.tag
-        ~layer:"vba" "instance";
-  Cbc.broadcast t.cbcs.(t.io.Proto_io.me) value
+  if not t.proposed then begin
+    assert (t.validate value);
+    t.proposed <- true;
+    if t.sp_inst = 0 && t.decided = None then
+      t.sp_inst <-
+        Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me ~tag:t.tag
+          ~layer:"vba" "instance";
+    Cbc.broadcast t.cbcs.(t.io.Proto_io.me) value
+  end
 
 let handle t ~src msg =
   match msg with
@@ -262,6 +267,7 @@ let handle t ~src msg =
     end
 
 let result t = t.decided
+let permutation t = t.perm
 
 let msg_size kr = function
   | Proposal_cbc (_, m) -> 8 + Cbc.msg_size kr m

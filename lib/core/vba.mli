@@ -26,10 +26,16 @@ val create :
   t
 
 val propose : t -> string -> unit
-(** The value must satisfy the validity predicate. *)
+(** The value must satisfy the validity predicate.  Only the first call
+    counts: a later one sends nothing and keeps the first value. *)
 
 val handle : t -> src:int -> msg -> unit
 val result : t -> (int * string) option
+
+val permutation : t -> int array option
+(** The candidate examination order, once the permutation coin has
+    combined ([None] before, and after {!retire}). *)
+
 val msg_size : Keyring.t -> msg -> int
 
 val msg_summary : msg -> string

@@ -74,12 +74,14 @@ let value_of_sigma (t : Dl_sharing.t) ~(name : string) ~(bits : int)
    most 30.  The shares arrive shape-checked only and are proof-checked
    here in one batch, pruning attributed-bad parties on failure.  The
    coin base (a hash to the group) is derived only once [avail] is
-   qualified: below the threshold a call costs one cached lookup. *)
-let combine (t : Dl_sharing.t) ~(name : string) ~(avail : Pset.t)
+   qualified: below the threshold a call costs one cached lookup.
+   [own] is the caller's index and the shares it generated, left out of
+   the proof batch when the list under that index equals them. *)
+let combine ?own (t : Dl_sharing.t) ~(name : string) ~(avail : Pset.t)
     (shares : (int * share list) list) ?(bits = 1) () : int option =
   if bits < 1 || bits > 30 then invalid_arg "Coin.combine: bits out of range";
   Obs_crypto.combine ();
-  Share_batch.combine t ~domain:share_domain
+  Share_batch.combine ?own t ~domain:share_domain
     ~base:(lazy (coin_base t ~name))
     ~avail shares
   |> Option.map (fun (_, sigma) -> value_of_sigma t ~name ~bits sigma)

@@ -29,6 +29,7 @@ val verify_share :
     Two or more proofs are checked as one batch. *)
 
 val combine :
+  ?own:int * share list ->
   Dl_sharing.t ->
   name:string ->
   avail:Pset.t ->
@@ -40,4 +41,6 @@ val combine :
     [avail] is not sharing-qualified.  [bits] (default 1, max 30)
     selects how many bits to extract.  The shares are proof-checked
     here with one batched check, pruning attributed-bad parties on
-    failure. *)
+    failure.  [own = (me, mine)]: the caller's index and the shares it
+    made with {!generate_share}; a list under [me] equal to [mine]
+    counts without a proof check (see {!Share_batch.combine}). *)

@@ -56,42 +56,69 @@ let verify_proofs (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt)
           ~g2:base ~h2:s.value s.proof)
       shares
 
+let share_equal (a : share) (b : share) =
+  a.leaf = b.leaf
+  && G.elt_equal a.value b.value
+  && Bignum.equal a.proof.Dleq.c b.proof.Dleq.c
+  && Bignum.equal a.proof.Dleq.z b.proof.Dleq.z
+  && G.elt_equal a.proof.Dleq.a1 b.proof.Dleq.a1
+  && G.elt_equal a.proof.Dleq.a2 b.proof.Dleq.a2
+
 (* Combine-time validation: batch-check every proof behind the
    qualified set at once; on failure, attribute the bad proofs by
    bisection and drop the submitting parties, repeating until the batch
    is clean or the surviving set is no longer qualified.  Then recombine
    the surviving shares in the exponent.
 
+   [own] is the caller's party index and the share list it generated
+   itself.  A list under that index equal to it, share by share, is
+   correct by construction: it counts in the recombination but stays
+   out of the proof batch.  Anything else under that index (a self-copy
+   altered in transit) is checked like any other party's shares.
+
    An honest execution takes one batch check ([Obs_crypto.lazy_verify_hit]
    counts these); each round of the pruning loop removes at least one
    party, so the loop terminates. *)
-let combine (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt Lazy.t)
+let combine ?own (t : Dl_sharing.t) ~(domain : string) ~(base : G.elt Lazy.t)
     ~(avail : Pset.t) (shares : (int * share list) list) :
     ((int * share list) list * G.elt) option =
   let ps = t.Dl_sharing.group in
+  let trusted (p, ss) =
+    match own with
+    | Some (me, mine) ->
+      p = me
+      && List.length ss = List.length mine
+      && List.for_all2 share_equal ss mine
+    | None -> false
+  in
   let rec attempt (avail : Pset.t) shares =
     (* Qualification gate first: the recombination lookup is cached, and
        an unqualified set should not pay for proof checks at all. *)
     match Lsss.recombination t.Dl_sharing.scheme avail with
     | None -> None
     | Some _ ->
-      let flat =
-        List.concat_map (fun (p, ss) -> List.map (fun s -> (p, s)) ss) shares
+      let checked =
+        List.concat_map
+          (fun ((p, ss) as entry) ->
+            if trusted entry then [] else List.map (fun s -> (p, s)) ss)
+          shares
       in
       let batch =
-        statements t ~base:(Lazy.force base) (List.map snd flat)
+        statements t ~base:(Lazy.force base) (List.map snd checked)
       in
       if Dleq.batch_verify ps ~domain batch then begin
         Obs_crypto.lazy_verify_hit ();
         let leaf_values =
-          List.map (fun (_, (s : share)) -> (s.leaf, s.value)) flat
+          List.concat_map
+            (fun (_, ss) -> List.map (fun (s : share) -> (s.leaf, s.value)) ss)
+            shares
         in
         Option.map
           (fun v -> (shares, v))
           (Dl_sharing.combine_in_exponent t ~avail ~leaf_values)
       end
       else begin
-        let parties = Array.of_list (List.map fst flat) in
+        let parties = Array.of_list (List.map fst checked) in
         let bad =
           Dleq.batch_find_bad ps ~domain batch
           |> List.map (fun i -> parties.(i))

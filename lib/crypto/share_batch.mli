@@ -20,6 +20,7 @@ val verify_proofs :
     there are at least two, per-proof {!Dleq.verify} otherwise. *)
 
 val combine :
+  ?own:int * share list ->
   Dl_sharing.t ->
   domain:string ->
   base:Schnorr_group.elt Lazy.t ->
@@ -31,4 +32,9 @@ val combine :
     clean or the survivors are no longer sharing-qualified ([None]).
     Returns the surviving parties' shares and their recombination
     [b^x] in the exponent.  [base] is forced only past the qualification
-    gate, so a below-threshold call never derives it. *)
+    gate, so a below-threshold call never derives it.
+
+    [own = (me, mine)] names the caller's party index and the share list
+    it generated itself: shares listed under [me] that equal [mine]
+    share by share count in the recombination but leave the proof
+    batch.  Any other list under [me] is proof-checked as usual. *)

@@ -133,11 +133,13 @@ let verify_share (t : Dl_sharing.t) ~(party : int) (ct : checked)
 
 (* The shares arrive shape-checked only and are proof-checked here in
    one batch, pruning attributed-bad parties on failure.  The
-   ciphertext itself was checked once, when it became a [checked]. *)
-let combine (t : Dl_sharing.t) (ct : checked) ~(avail : Pset.t)
+   ciphertext itself was checked once, when it became a [checked].
+   [own] is the caller's index and the shares it made ({!share}), left
+   out of the proof batch when the list under that index equals them. *)
+let combine ?own (t : Dl_sharing.t) (ct : checked) ~(avail : Pset.t)
     (shares : (int * dec_share list) list) : string option =
   Obs_crypto.combine ();
-  Share_batch.combine t ~domain:share_domain ~base:(Lazy.from_val ct.u)
+  Share_batch.combine ?own t ~domain:share_domain ~base:(Lazy.from_val ct.u)
     ~avail shares
   |> Option.map (fun (_, shared) ->
          Ro.xor_pad ~domain:kdf_domain

@@ -64,6 +64,7 @@ val verify_share :
 (** Shape plus proofs; two or more proofs are checked as one batch. *)
 
 val combine :
+  ?own:int * dec_share list ->
   Dl_sharing.t ->
   checked ->
   avail:Pset.t ->
@@ -72,7 +73,10 @@ val combine :
 (** Recover the plaintext from shares of a sharing-qualified set.  The
     shares are proof-checked here with one batched check, pruning
     attributed-bad parties on failure; the ciphertext is not checked
-    again.  An unqualified [avail] costs only the qualification test. *)
+    again.  An unqualified [avail] costs only the qualification test.
+    [own = (me, mine)]: the caller's index and the shares it made with
+    {!share}; a list under [me] equal to [mine] counts without a proof
+    check (see {!Share_batch.combine}). *)
 
 val ciphertext_to_bytes : Dl_sharing.t -> ciphertext -> string
 val ciphertext_of_bytes : Dl_sharing.t -> string -> ciphertext option

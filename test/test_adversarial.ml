@@ -295,7 +295,61 @@ let forged_share_tests =
           (fun i ->
             Alcotest.(check (list string)) "decrypted from honest shares"
               [ "still-secret" ] logs.(i))
-          [ 0; 1; 2 ])
+          [ 0; 1; 2 ]);
+    Alcotest.test_case
+      "vba: a garbled self-copy of a permutation-coin share is pruned" `Quick
+      (fun () ->
+        (* party 3 is honest, but the copy of its own permutation-coin
+           share that reaches it is garbled: a replica trusts only the
+           shares it generated, so the copy is proof-checked and pruned,
+           and party 3 derives the same permutation as everyone else *)
+        let kr = Lazy.force kr41 in
+        let fallbacks =
+          count_fallbacks (fun () ->
+              List.iter
+                (fun seed ->
+                  let sim = Sim.create ~n:4 ~seed () in
+                  let results = Array.make 4 None in
+                  let nodes =
+                    Stack.deploy_vba ~sim ~keyring:kr
+                      ~tag:(Printf.sprintf "garbled-perm-%d" seed)
+                      ~on_decide:(fun me ~winner v -> results.(me) <- Some (winner, v))
+                      ()
+                  in
+                  let honest = fun ~src m -> Vba.handle nodes.(3) ~src m in
+                  Sim.set_handler sim 3 (fun ~src frame ->
+                      match Link.payload frame with
+                      | Some (Vba.Perm_share shares) when src = 3 ->
+                        let bad =
+                          List.map
+                            (fun (s : Coin.share) ->
+                              { s with Coin.value = G.mul ps s.Coin.value ps.G.g })
+                            shares
+                        in
+                        honest ~src (Vba.Perm_share bad)
+                      | Some m -> honest ~src m
+                      | None -> ());
+                  Array.iteri
+                    (fun i node -> Vba.propose node (Printf.sprintf "p%d" i))
+                    nodes;
+                  Sim.run sim;
+                  let perm0 = Vba.permutation nodes.(0) in
+                  Alcotest.(check bool) "permutation combined" true (perm0 <> None);
+                  Array.iteri
+                    (fun i node ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "party %d: same permutation" i)
+                        true
+                        (Vba.permutation node = perm0);
+                      Alcotest.(check bool)
+                        (Printf.sprintf "party %d: same decision" i)
+                        true
+                        (results.(i) <> None && results.(i) = results.(0)))
+                    nodes)
+                (List.init 6 (fun i -> 820 + i)))
+        in
+        Alcotest.(check bool) "garbled self-copy caught at combine" true
+          (fallbacks >= 1))
   ]
 
 (* ---------------- equivocation and replay ----------------------------- *)

@@ -893,6 +893,20 @@ let real_docs =
      [ (Report.Faults, faults); (Report.Recov, recov);
        (Report.Epoch, epoch); (Report.Svc, svc) ])
 
+(* The nearest [baselines] directory at or above the working directory:
+   the copy dune stages beside the test directory under [dune runtest],
+   the source tree's under [dune exec test/main.exe] from the repository
+   root. *)
+let baselines_dir =
+  let rec up dir =
+    let here = Filename.concat dir "baselines" in
+    if Sys.file_exists here && Sys.is_directory here then here
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then "baselines" else up parent
+  in
+  up (Sys.getcwd ())
+
 (* The blessed quick artifacts: a real document of every campaign plus
    the TPUT bench report. *)
 let baseline_docs =
@@ -901,7 +915,7 @@ let baseline_docs =
        (fun prefix ->
          match
            Report.read_file
-             (Printf.sprintf "../baselines/%s_BASELINE.json" prefix)
+             (Filename.concat baselines_dir (prefix ^ "_BASELINE.json"))
          with
          | Ok doc -> (prefix, doc)
          | Error e -> Alcotest.failf "%s baseline: %s" prefix e)

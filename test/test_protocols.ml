@@ -426,7 +426,48 @@ let vba_tests =
               (fun i ->
                 Alcotest.(check bool) "decided" true (results.(i) <> None))
               [ 0; 2; 3 ])
-          (List.init 4 (fun i -> 1300 + i)))
+          (List.init 4 (fun i -> 1300 + i)));
+    Alcotest.test_case "vba: a second propose sends nothing" `Quick (fun () ->
+        List.iter
+          (fun seed ->
+            let kr = keyring th41 in
+            let sim = Sim.create ~policy:Sim.Random_order ~n:4 ~seed () in
+            let results = Array.make 4 None in
+            let nodes =
+              Stack.deploy_vba ~sim ~keyring:kr
+                ~tag:(Printf.sprintf "vba-once-%d" seed)
+                ~on_decide:(fun me ~winner value ->
+                  results.(me) <- Some (winner, value))
+                ()
+            in
+            (* what party 0's proposal CBC delivers to each party *)
+            let sends = ref [] and finals = ref [] in
+            for p = 0 to 3 do
+              Sim.wrap_handler sim p (fun h ~src frame ->
+                  (match Link.payload frame with
+                  | Some (Vba.Proposal_cbc (0, Cbc.Send v)) ->
+                    sends := v :: !sends
+                  | Some (Vba.Proposal_cbc (0, Cbc.Final (v, _))) ->
+                    finals := v :: !finals
+                  | Some _ | None -> ());
+                  h ~src frame)
+            done;
+            Vba.propose nodes.(0) "first";
+            Vba.propose nodes.(0) "second";
+            Array.iteri
+              (fun i node -> if i > 0 then Vba.propose node (Printf.sprintf "v%d" i))
+              nodes;
+            Sim.run sim;
+            Alcotest.(check (list string)) "one SEND per party, first value"
+              [ "first"; "first"; "first"; "first" ] !sends;
+            Alcotest.(check (list string)) "the first value certifies"
+              [ "first"; "first"; "first"; "first" ] !finals;
+            Array.iter
+              (fun r ->
+                Alcotest.(check bool) "decided" true (r <> None);
+                Alcotest.(check bool) "same decision" true (r = results.(0)))
+              results)
+          (List.init 3 (fun i -> 1400 + i)))
   ]
 
 (* ---------------- ABC ------------------------------------------------ *)
@@ -633,6 +674,18 @@ let memo_io ?me kr =
 let forge (sg : Schnorr_sig.signature) =
   { sg with Schnorr_sig.z = Bignum.add sg.Schnorr_sig.z Bignum.one }
 
+(* Full Schnorr checks ([Obs_crypto.Verify]) made during [f]. *)
+let full_checks f =
+  Obs_crypto.reset ();
+  Obs_crypto.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs_crypto.disable ();
+      Obs_crypto.reset ())
+    (fun () ->
+      f ();
+      Obs_crypto.count Obs_crypto.Verify)
+
 (* Run an ABC deployment (window 2, batches of 2) over [payloads],
    calling [probe] on the nodes after every simulator step. *)
 let run_abc_probed ~seed ~payloads probe =
@@ -786,7 +839,9 @@ let memo_tests =
         Alcotest.(check bool) "no memo kept below the current round" true
           (List.for_all (fun (r, _) -> r >= Abc.current_round a) (Abc.memos a));
         (* Retire: a signed proposal for the current round fills its
-           memo; truncating past the round must empty and drop it. *)
+           memo (with party 1's signature, and with this replica's own
+           proposal signature as it joins the round); truncating past
+           the round must empty and drop it. *)
         let r = Abc.current_round a in
         let sg =
           Keyring.sign kr ~party:1
@@ -795,7 +850,7 @@ let memo_tests =
         Abc.handle a ~src:1
           (Abc.Proposal (r, "", Schnorr_sig.to_bytes kr.Keyring.group sg));
         let v = List.assoc r (Abc.memos a) in
-        Alcotest.(check int) "current round memoized" 1 (Proto_io.memo_size v);
+        Alcotest.(check int) "current round memoized" 2 (Proto_io.memo_size v);
         Abc.truncate a ~upto_round:(r + 1) ~upto_len:(Abc.delivered_count a);
         Alcotest.(check int) "retired round's memo empty" 0 (Proto_io.memo_size v);
         Alcotest.(check bool) "retired round's memo closed" false
@@ -824,7 +879,50 @@ let memo_tests =
                 nodes)
         in
         Alcotest.(check bool) "at most window = 2 open" true (!peak <= 2);
-        Alcotest.(check int) "both window rounds memoized at once" 2 !peak)
+        Alcotest.(check int) "both window rounds memoized at once" 2 !peak);
+    Alcotest.test_case "memo: a replica's own signature is a hit as it signs"
+      `Quick (fun () ->
+        let io = memo_io ~me:1 kr in
+        let sg = Proto_io.sign io stmt in
+        let share = Proto_io.cert_share io "share statement" in
+        Alcotest.(check int) "both recorded as signed" 2
+          (Proto_io.memo_size io.Proto_io.memo);
+        Alcotest.(check int) "no full check of the replica's own work" 0
+          (full_checks (fun () ->
+               Alcotest.(check bool) "own signature accepted" true
+                 (Proto_io.verify_signature io ~party:1 stmt sg);
+               Alcotest.(check bool) "own share accepted" true
+                 (Proto_io.verify_cert_share io ~party:1 "share statement"
+                    share))));
+    Alcotest.test_case
+      "memo: another signature claiming the replica is checked in full"
+      `Quick (fun () ->
+        let io = memo_io ~me:1 kr in
+        let sg = Proto_io.sign io stmt in
+        Alcotest.(check int) "each one a full check" 3
+          (full_checks (fun () ->
+               Alcotest.(check bool) "forged value rejected" false
+                 (Proto_io.verify_signature io ~party:1 stmt (forge sg));
+               Alcotest.(check bool) "another signer's signature rejected" false
+                 (Proto_io.verify_signature io ~party:1 stmt
+                    (Keyring.sign kr ~party:2 stmt));
+               Alcotest.(check bool) "other statement rejected" false
+                 (Proto_io.verify_signature io ~party:1 "other statement" sg)));
+        Alcotest.(check int) "only the signed entry" 1
+          (Proto_io.memo_size io.Proto_io.memo));
+    Alcotest.test_case "memo: a closed memo records nothing the replica signs"
+      `Quick (fun () ->
+        let io = checker_io ~me:1 kr in
+        let sg = Proto_io.sign io stmt in
+        ignore (Proto_io.cert_share io "share statement");
+        Alcotest.(check int) "nothing recorded" 0
+          (Proto_io.memo_size io.Proto_io.memo);
+        Alcotest.(check bool) "still closed" false
+          (Proto_io.memo_is_open io.Proto_io.memo);
+        Alcotest.(check int) "the check runs in full" 1
+          (full_checks (fun () ->
+               Alcotest.(check bool) "own signature accepted" true
+                 (Proto_io.verify_signature io ~party:1 stmt sg))))
   ]
 
 (* Relay once: [Abc.broadcast] relays a payload to all servers on its
