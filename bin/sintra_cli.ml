@@ -375,13 +375,13 @@ let run_cmd =
   in
   let run (c : Campaign_table.campaign) n t seed seeds quick out drop =
     let preset = if quick then c.quick else c.full in
-    let knobs =
-      { Campaign_table.n; t; seed_base = seed;
+    let core =
+      { Sweep.n; t; seed_base = seed;
         seeds = Option.value seeds ~default:preset.seeds;
         size = preset.size; drop; max_steps = None }
     in
     let path, check =
-      Campaign_table.run c knobs
+      Campaign_table.run c core
         ~id:(Option.value out ~default:c.default_id)
         ~progress:(fun (k, total) ->
           Printf.eprintf "\r[%s] %d/%d runs%!" c.name k total;
@@ -542,16 +542,14 @@ let search_cmd =
       out_dir top quiet =
     let params =
       {
-        Schedule_search.default_params with
         Schedule_search.search_seed = seed;
         iters;
-        eval_seeds;
-        n;
-        t;
+        core =
+          { Schedule_search.default_params.core with
+            Sweep.seeds = eval_seeds; n; t; size = payloads;
+            max_steps = Some max_steps };
         protocol;
-        payloads;
         link;
-        max_steps;
       }
     in
     let outcome =

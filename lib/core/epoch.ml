@@ -522,12 +522,12 @@ let nodes = Stack.nodes
    their total-order position, everything else reaches the
    application. *)
 let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
-    ?(epoch_retry = 400.) ?app_state ?(seed = 0) ~sim ~keyring ~sharing
+    ?(epoch_retry = 400.) ?(seed = 0) ~sim ~keyring ~sharing
     ~tag ~deliver () =
   let make me (io : msg Proto_io.t) =
     let tref = ref None in
     let rec_ =
-      Recovery.create ?policy ~interval ~retry ?app_state ~tag
+      Recovery.create ?policy ~interval ~retry ~tag
         ~io:
           (Proto_io.embed io ~layer:"recov"
              ~bytes:(Recovery.msg_size keyring)

@@ -80,7 +80,6 @@ val deploy :
   ?interval:int ->
   ?retry:float ->
   ?epoch_retry:float ->
-  ?app_state:(unit -> string) ->
   ?seed:int ->
   sim:msg Link.frame Sim.t ->
   keyring:Keyring.t ->

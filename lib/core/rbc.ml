@@ -101,8 +101,6 @@ let handle t ~src msg =
       if Proto_io.two_cover t.io !v then maybe_deliver t payload
     end
 
-let has_delivered t = t.delivered
-
 (* Approximate wire size in bytes (header + payload). *)
 let msg_size = function
   | Send p | Echo p | Ready p -> 8 + String.length p

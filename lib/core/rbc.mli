@@ -20,7 +20,6 @@ val broadcast : t -> string -> unit
 (** Start the broadcast; only valid at the sender. *)
 
 val handle : t -> src:int -> msg -> unit
-val has_delivered : t -> bool
 
 val msg_size : msg -> int
 (** Approximate wire size in bytes (metrics). *)

@@ -70,7 +70,6 @@ type t = {
   interval : int;  (* checkpoint every this many rounds; 0 = off *)
   retry : float;  (* catch-up re-fetch period (virtual time) *)
   abc : Abc.t;
-  app_state : unit -> string;
   (* checkpoint-in-progress state, all keyed by boundary round *)
   mutable created : int;  (* highest boundary snapshotted here *)
   snaps : (int, string * int) Hashtbl.t;  (* frame, digest count *)
@@ -155,7 +154,7 @@ let maybe_checkpoint t b =
     t.created <- b;
     let digests = Abc.delivered_digests t.abc in
     let frame =
-      Codec.encode_snapshot ~round:b ~app:(t.app_state ()) ~digests
+      Codec.encode_snapshot ~round:b ~app:"" ~digests
     in
     let hash = Sha256.digest frame in
     Hashtbl.replace t.snaps b (frame, List.length digests);
@@ -173,8 +172,8 @@ let maybe_checkpoint t b =
     try_certify t b
   end
 
-let create ?policy ?(interval = 0) ?(retry = 350.)
-    ?(app_state = fun () -> "") ~(io : msg Proto_io.t) ~tag ~deliver () =
+let create ?policy ?(interval = 0) ?(retry = 350.) ~(io : msg Proto_io.t)
+    ~tag ~deliver () =
   if interval < 0 then invalid_arg "Recovery.create: negative interval";
   if retry <= 0. then invalid_arg "Recovery.create: non-positive retry";
   let abc_io =
@@ -190,7 +189,6 @@ let create ?policy ?(interval = 0) ?(retry = 350.)
       interval;
       retry;
       abc;
-      app_state;
       created = 0;
       snaps = Hashtbl.create 7;
       hashes = Hashtbl.create 7;
@@ -444,13 +442,13 @@ type deployment = (msg, t) Stack.deployment
 
 let nodes = Stack.nodes
 
-let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.) ?app_state
-    ~sim ~keyring ~tag ~deliver () =
+let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.) ~sim ~keyring
+    ~tag ~deliver () =
   let d =
     Stack.attach ?wrap ?link ~sim ~keyring ~layer:"recov"
       ~bytes:(msg_size keyring)
       ~make:(fun me io ->
-        create ?policy ~interval ~retry ?app_state ~io ~tag
+        create ?policy ~interval ~retry ~io ~tag
           ~deliver:(deliver me) ())
       ~handle ()
   in

@@ -56,7 +56,6 @@ val create :
   ?policy:Abc.policy ->
   ?interval:int ->
   ?retry:float ->
-  ?app_state:(unit -> string) ->
   io:msg Proto_io.t ->
   tag:string ->
   deliver:(string -> unit) ->
@@ -65,10 +64,10 @@ val create :
 (** Wrap an {!Abc} instance (created internally, [deliver] passed
     through) with the recovery layer.  [interval] is the checkpoint
     period in rounds ([0], the default, disables checkpointing
-    entirely); [retry] the catch-up re-fetch period in virtual time;
-    [app_state] an opaque service-state blob snapshotted alongside the
-    digest history.  Raises [Invalid_argument] on a negative interval
-    or non-positive retry. *)
+    entirely); [retry] the catch-up re-fetch period in virtual time.
+    A snapshot carries the digest history and an empty application
+    blob.  Raises [Invalid_argument] on a negative interval or
+    non-positive retry. *)
 
 val handle : t -> src:int -> msg -> unit
 val submit : t -> string -> unit
@@ -113,7 +112,6 @@ val deploy :
   ?link:Link.policy ->
   ?interval:int ->
   ?retry:float ->
-  ?app_state:(unit -> string) ->
   sim:msg Link.frame Sim.t ->
   keyring:Keyring.t ->
   tag:string ->

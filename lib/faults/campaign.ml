@@ -12,7 +12,7 @@
    specs ({!reliable} false) break the paper's reliable-channel
    assumption, so their liveness violations are recorded but are not
    limited in the report; safety violations always are.  Enabling the reliable link
-   layer ([config.link]) flips that for the specs it can repair
+   layer ([~link]) flips that for the specs it can repair
    ({!link_restores}): retransmission restores eventual delivery, the
    reliable-channel assumption holds again, and those runs gate on
    liveness like any reliable spec. *)
@@ -57,25 +57,12 @@ type cell = protocol * policy_spec * mix
 let cell_label (protocol, policy, mix) =
   String.concat "/" [ protocol_label protocol; policy.p_name; mix.m_name ]
 
-type config = {
-  core : Sweep.core;
-  protocols : protocol list;
-  policies : policy_spec list;
-  mixes : mix list;
-  payloads : int;  (* atomic-broadcast payloads per run *)
-  abc_policy : Abc.policy;  (* batching / pipelining policy of ABC runs *)
-  link : Link.policy option;  (* reliable link layer (None = off) *)
-}
+(* ---------- the cells ------------------------------------------------- *)
 
-(* ---------- defaults -------------------------------------------------- *)
+let drop_policy rate = { p_name = "drop"; p_chaos = Sweep.lossy rate }
 
-let drop_policy ?(rate = 0.02) () =
-  {
-    p_name = "drop";
-    p_chaos = Sweep.lossy rate;
-  }
-
-let dup_reorder_policy ?(rate = 0.1) () =
+let dup_reorder_policy =
+  let rate = 0.1 in
   {
     p_name = "dup-reorder";
     p_chaos =
@@ -85,7 +72,7 @@ let dup_reorder_policy ?(rate = 0.1) () =
       };
   }
 
-let partition_policy ~n () =
+let partition_policy ~n =
   (* Split the servers into halves for a virtual-time window long enough
      to stall several protocol rounds, then heal. *)
   let lower = Pset.of_list (List.init (n / 2) Fun.id)
@@ -99,30 +86,20 @@ let partition_policy ~n () =
       };
   }
 
-let default_policies ~n = [ drop_policy (); dup_reorder_policy (); partition_policy ~n () ]
+(* The three built-in policies at 2% drop, or with the link on 30% drop
+   alone, which the link makes liveness-gating. *)
+let policies ~link ~n drop =
+  if link then [ drop_policy (Option.value drop ~default:0.3) ]
+  else
+    [ drop_policy (Option.value drop ~default:0.02); dup_reorder_policy;
+      partition_policy ~n ]
 
-let default_mixes =
+let mixes =
   [
     { m_name = "silent"; m_kind = Silent };
     { m_name = "crash"; m_kind = Crash_at 150.0 };
     { m_name = "byzantine"; m_kind = Byz };
   ]
-
-let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
-    ?protocols ?policies ?mixes ?(payloads = 2)
-    ?(abc_policy = Abc.default_policy) ?link ?(max_steps = 200_000) () =
-  let core =
-    Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ()
-  in
-  {
-    core;
-    protocols = Option.value protocols ~default:[ P_abba; P_abc ];
-    policies = Option.value policies ~default:(default_policies ~n:core.n);
-    mixes = Option.value mixes ~default:default_mixes;
-    payloads;
-    abc_policy;
-    link;
-  }
 
 (* ---------- single runs ----------------------------------------------- *)
 
@@ -134,7 +111,7 @@ type run_result = {
   r_corrupted : Pset.t;
   r_reliable : bool;
       (* effective: the spec delivers eventually, or the link layer
-         restores delivery ([link_restores] with [config.link] set) —
+         restores delivery ([link_restores] with the link on) —
          exactly the runs whose liveness violations gate *)
   r_violations : Oracle.violation list;
   r_decide_clock : float option;  (* virtual time of the last honest decision *)
@@ -176,10 +153,8 @@ let mix_sends_honestly = function
 
 (* Effective reliability: every chaos spec of the timeline delivers
    eventually on its own, or the link layer is on and repairs it. *)
-let effective_reliable cfg specs =
-  List.for_all
-    (fun c -> reliable c || (cfg.link <> None && link_restores c))
-    specs
+let effective_reliable ~link specs =
+  List.for_all (fun c -> reliable c || (link <> None && link_restores c)) specs
 
 (* Per-run link retransmission counts come from the shared registry
    counter (the link endpoints of every run increment the same handle),
@@ -200,12 +175,12 @@ let peak_probe () =
    workload, and return the completion predicate plus the post-run
    oracles.  [note_decide p] marks party [p] finished. *)
 
-let abba_workload cfg ~mix ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
+let abba_workload ~link ~mix ~seed ~sim ~keyring ~wrap ~on_link ~tag ~honest
     ~note_decide =
-  let n = cfg.core.n in
+  let n = Sim.n sim in
   let decisions = Array.make n None in
   let nodes =
-    Stack.deploy_abba ~wrap ?link:cfg.link ~on_link ~sim ~keyring ~tag
+    Stack.deploy_abba ~wrap ?link ~on_link ~sim ~keyring ~tag
       ~on_decide:(fun p b ->
         if decisions.(p) = None then begin
           decisions.(p) <- Some b;
@@ -255,11 +230,11 @@ let abc_workload ?wrap ?on_link ?policy ?link ?(on_deliver = fun _ _ -> ())
     check =
       (fun () -> Oracle.check_abc ~honest ~expected (Array.map List.rev logs)) }
 
-let run_with env cfg ~protocol ~policy ~mix ~seed ~tag ~reliable ~timeline
-    ~behavior sim workload =
+let run_with env ~max_steps ~protocol ~policy ~mix ~seed ~tag ~reliable
+    ~timeline ~behavior sim workload =
   let { Sweep.keyring; obs; flight } = env in
   let corrupted = corrupted_set keyring seed in
-  let honest = Pset.diff (Pset.full cfg.core.n) corrupted in
+  let honest = Pset.diff (Pset.full (Sim.n sim)) corrupted in
   ignore (Sweep.start env sim timeline);
   let on_link, peak = peak_probe () in
   let last_decide = ref None in
@@ -275,7 +250,7 @@ let run_with env cfg ~protocol ~policy ~mix ~seed ~tag ~reliable ~timeline
   let done_, oracles =
     workload ~sim ~keyring ~wrap ~on_link ~tag ~honest ~note_decide
   in
-  let stall = Sweep.run_sim sim ~max_steps:cfg.core.max_steps ~until:done_ in
+  let stall = Sweep.run_sim sim ~max_steps ~until:done_ in
   let violations = oracles () @ stall in
   let decided = done_ () in
   let decide_clock = if decided then !last_decide else None in
@@ -307,29 +282,31 @@ let gating_liveness_count results =
     (fun r -> if r.r_reliable then Oracle.count_liveness r.r_violations else 0)
     results
 
-let run_one cfg env ((protocol, policy, mix) : cell) ~seed timeline =
-  let reliable = effective_reliable cfg (chaos_specs timeline) in
-  let sim () = Sim.create ~n:cfg.core.n ~seed ~obs:env.Sweep.obs () in
+let run_one ~abc_policy ~link ~(core : Sweep.core) ~max_steps env
+    ((protocol, policy, mix) : cell) ~seed timeline =
+  let reliable = effective_reliable ~link (chaos_specs timeline) in
+  let sim () = Sim.create ~n:core.n ~seed ~obs:env.Sweep.obs () in
   let label = protocol_label protocol in
   let tag = Printf.sprintf "flt-%s-%d" label seed in
+  let payloads = core.size in
   let r =
     match protocol with
     | P_abba ->
-      run_with env cfg ~protocol:label ~policy ~mix ~seed ~tag ~reliable
-        ~timeline
+      run_with env ~max_steps ~protocol:label ~policy ~mix ~seed ~tag
+        ~reliable ~timeline
         ~behavior:(abba_behavior ~tag mix.m_kind)
-        (sim ()) (abba_workload cfg ~mix ~seed)
+        (sim ()) (abba_workload ~link ~mix ~seed)
     | P_abc ->
-      run_with env cfg ~protocol:label ~policy ~mix ~seed ~tag ~reliable
-        ~timeline
+      run_with env ~max_steps ~protocol:label ~policy ~mix ~seed ~tag
+        ~reliable ~timeline
         ~behavior:(abc_behavior ~tag mix.m_kind)
         (sim ())
         (fun ~sim ~keyring ~wrap ~on_link ~tag ~honest ~note_decide ->
           let w =
-            abc_workload ~wrap ~on_link ~policy:cfg.abc_policy ?link:cfg.link
-              ~sim ~keyring ~tag ~honest
-              ~on_deliver:(fun p k -> if k >= cfg.payloads then note_decide p)
-              (List.init cfg.payloads (fun k -> Printf.sprintf "tx-%d-%d" seed k))
+            abc_workload ~wrap ~on_link ~policy:abc_policy ?link ~sim ~keyring
+              ~tag ~honest
+              ~on_deliver:(fun p k -> if k >= payloads then note_decide p)
+              (List.init payloads (fun k -> Printf.sprintf "tx-%d-%d" seed k))
           in
           (w.finished, w.check))
   in
@@ -384,33 +361,18 @@ let run_json r =
       ("retransmits", Obs_json.Int r.r_link_retransmits);
     ]
 
-(* The configuration echo, so the report records what produced it. *)
-let config_json cfg =
-  Obs_json.Obj
-    (Sweep.core_fields cfg.core
-    @ [
-        ("payloads", Obs_json.Int cfg.payloads);
-        ( "abc_policy",
-          Obs_json.Obj
-            [
-              ("max_batch_msgs", Obs_json.Int cfg.abc_policy.Abc.max_batch_msgs);
-              ("max_batch_bytes", Obs_json.Int cfg.abc_policy.Abc.max_batch_bytes);
-              ("window", Obs_json.Int cfg.abc_policy.Abc.window);
-            ] );
-        ("link_enabled", Obs_json.Bool (cfg.link <> None));
-        ("protocols", Sweep.labels protocol_label cfg.protocols);
-        ( "policies",
-          Obs_json.Arr
-            (List.map
-               (fun p ->
-                 Obs_json.Obj
-                   [
-                     ("name", Obs_json.Str p.p_name);
-                     ("reliable", Obs_json.Bool (reliable p.p_chaos));
-                   ])
-               cfg.policies) );
-        ("mixes", Sweep.labels (fun m -> m.m_name) cfg.mixes);
-      ])
+(* The runner's settings besides the core and the cells. *)
+let constants ~abc_policy ~link =
+  [
+    ( "abc_policy",
+      Obs_json.Obj
+        [
+          ("max_batch_msgs", Obs_json.Int abc_policy.Abc.max_batch_msgs);
+          ("max_batch_bytes", Obs_json.Int abc_policy.Abc.max_batch_bytes);
+          ("window", Obs_json.Int abc_policy.Abc.window);
+        ] );
+    ("link_enabled", Obs_json.Bool (link <> None));
+  ]
 
 let result_label r = String.concat "/" [ r.r_protocol; r.r_policy; r.r_mix ]
 let every f r = Some (float (f r))
@@ -481,7 +443,7 @@ let worst_json results =
 (* The gate and the members besides the config echo and the per-run
    rows: chaos and link totals, the first violations in detail and the
    worst runs. *)
-let close cfg _env (t : Sweep.totals) results =
+let close ~link _env (t : Sweep.totals) results =
   let total f = Sweep.sum f results in
   let details =
     List.concat_map
@@ -514,9 +476,9 @@ let close cfg _env (t : Sweep.totals) results =
       ( "link",
         Obs_json.Obj
           [
-            ("enabled", Obs_json.Bool (cfg.link <> None));
+            ("enabled", Obs_json.Bool (link <> None));
             ( "policy",
-              match cfg.link with
+              match link with
               | None -> Obs_json.Null
               | Some p -> link_policy_json p );
           ] );
@@ -525,25 +487,28 @@ let close cfg _env (t : Sweep.totals) results =
       ("worst", worst_json results);
     ] )
 
-let campaign cfg =
+let max_steps = 200_000
+
+let campaign ?(abc_policy = Abc.default_policy) ~link (core : Sweep.core) =
+  let cells =
+    List.concat_map
+      (fun (protocol, policy) ->
+        List.map (fun mix -> (protocol, policy, mix)) mixes)
+      (Sweep.product [ P_abba; P_abc ] (policies ~link ~n:core.n core.drop))
+  and link = if link then Some Link.default_policy else None
+  and max_steps = Option.value core.max_steps ~default:max_steps in
   {
     Sweep.kind = Report.Faults;
-    core = cfg.core;
+    core;
+    max_steps;
     key_offset = 7770;
-    cells =
-      List.concat_map
-        (fun protocol ->
-          List.concat_map
-            (fun policy ->
-              List.map (fun mix -> (protocol, policy, mix)) cfg.mixes)
-            cfg.policies)
-        cfg.protocols;
+    cells;
     label = cell_label;
     timeline = (fun (_, policy, _) -> timeline policy);
-    run_one = run_one cfg;
+    run_one = run_one ~abc_policy ~link ~core ~max_steps;
     violations = (fun r -> r.r_violations);
     steps = (fun r -> r.r_steps);
     row = run_json;
-    close = close cfg;
-    config = config_json cfg;
+    close = close ~link;
+    constants = constants ~abc_policy ~link;
   }

@@ -23,57 +23,6 @@ val protocol_label : protocol -> string
 type cell = protocol * policy_spec * mix
 (** Labelled ["<protocol>/<policy>/<mix>"], e.g. ["abc/drop/silent"]. *)
 
-type config = {
-  core : Sweep.core;
-  protocols : protocol list;
-  policies : policy_spec list;
-  mixes : mix list;
-  payloads : int;  (** atomic-broadcast payloads per run *)
-  abc_policy : Abc.policy;
-      (** batching / pipelining policy applied to every ABC run (the
-          same policy at every party, as batching requires) *)
-  link : Link.policy option;
-      (** reliable link layer under every deployment ([None] = off, the
-          seed behaviour); flips {!link_restores} policies to
-          liveness-gating *)
-}
-
-(** {2 Built-in policies and mixes} *)
-
-val drop_policy : ?rate:float -> unit -> policy_spec
-(** Lossy links: every delivery attempt dropped with probability [rate]
-    (default 0.02).  Not reliable on its own; the link layer restores
-    it. *)
-
-val dup_reorder_policy : ?rate:float -> unit -> policy_spec
-(** Duplication and extra reordering at probability [rate] (default
-    0.1) each.  Reliable. *)
-
-val partition_policy : n:int -> unit -> policy_spec
-(** Halves the servers for virtual time [\[50, 400)], then heals.
-    Reliable. *)
-
-val default_config :
-  ?seeds:int ->
-  ?seed_base:int ->
-  ?n:int ->
-  ?t:int ->
-  ?rsa_bits:int ->
-  ?group_bits:int ->
-  ?protocols:protocol list ->
-  ?policies:policy_spec list ->
-  ?mixes:mix list ->
-  ?payloads:int ->
-  ?abc_policy:Abc.policy ->
-  ?link:Link.policy ->
-  ?max_steps:int ->
-  unit ->
-  config
-(** Defaults: 50 seeds from 1, n = 4 / t = 1, toy 192-bit RSA and
-    128-bit group, both protocols, all built-in policies and mixes,
-    2 payloads, [Abc.default_policy] (unbatched, window 1), link off,
-    200k steps. *)
-
 (** {2 The atomic-broadcast workload} *)
 
 type abc_workload = {
@@ -133,8 +82,23 @@ type run_result = {
           maximises *)
 }
 
-val campaign : config -> (cell, run_result) Sweep.campaign
-(** Each cell's timeline is its policy's chaos spec from the start; a
+val campaign :
+  ?abc_policy:Abc.policy ->
+  link:bool ->
+  Sweep.core ->
+  (cell, run_result) Sweep.campaign
+(** Both protocols × the policies × the three mixes (silent, crash at
+    virtual time 150, Byzantine), each ABC run with [core.size]
+    payloads.  The policies are lossy links at [core.drop] (default
+    0.02), duplication and reordering at 0.1 each, and the servers
+    halved over virtual time [\[50, 400)]; with [~link:true] they are
+    lossy links alone at [core.drop] (default 0.3), with the reliable
+    link layer ({!Link.default_policy}) under every deployment, which
+    makes them liveness-gating.  [abc_policy] (default
+    {!Abc.default_policy}) batches and pipelines every ABC run; only a
+    test sets it.  Step bound: 200k by default.
+
+    Each cell's timeline is its policy's chaos spec from the start; a
     run takes start-time chaos steps only (anything else is
     [Invalid_argument]).  Each decided run's clock feeds a per-protocol
     ["decide_time"] histogram under layer ["faults"], and each run's link

@@ -32,16 +32,6 @@ let check_file path = Result.bind (Report.read_file path) check_doc
 
 type preset = { seeds : int; size : int }
 
-type knobs = {
-  n : int;
-  t : int;
-  seed_base : int;
-  seeds : int;
-  size : int;
-  drop : float option;
-  max_steps : int option;
-}
-
 type packed = Packed : ('cell, 'run) Sweep.campaign -> packed
 
 type campaign = {
@@ -50,64 +40,26 @@ type campaign = {
   default_id : string;
   full : preset;
   quick : preset;
-  campaign : knobs -> packed;
+  campaign : Sweep.core -> packed;
 }
-
-(* The fault sweep: the three built-in chaos policies, or — for the link
-   campaign — 30% drop alone with the link layer on, which makes the
-   drop policy liveness-gating. *)
-let faults ~link k =
-  let policies =
-    if link then
-      [ Campaign.drop_policy ~rate:(Option.value k.drop ~default:0.3) () ]
-    else
-      [ Campaign.drop_policy ?rate:k.drop (); Campaign.dup_reorder_policy ();
-        Campaign.partition_policy ~n:k.n () ]
-  in
-  Campaign.campaign
-    (Campaign.default_config ~seeds:k.seeds ~seed_base:k.seed_base ~n:k.n
-       ~t:k.t ~payloads:k.size ~policies ?max_steps:k.max_steps
-       ?link:(if link then Some Link.default_policy else None)
-       ())
 
 let campaigns =
   [
     { name = "faults"; prefix = "FAULTS"; default_id = "CAMPAIGN";
       full = { seeds = 50; size = 2 }; quick = { seeds = 5; size = 2 };
-      campaign = (fun k -> Packed (faults ~link:false k)) };
+      campaign = (fun k -> Packed (Campaign.campaign ~link:false k)) };
     { name = "link"; prefix = "FAULTS_LINK"; default_id = "CAMPAIGN";
       full = { seeds = 50; size = 2 }; quick = { seeds = 10; size = 2 };
-      campaign = (fun k -> Packed (faults ~link:true k)) };
+      campaign = (fun k -> Packed (Campaign.campaign ~link:true k)) };
     { name = "recov"; prefix = "RECOV"; default_id = "RECOVERY";
       full = { seeds = 50; size = 24 }; quick = { seeds = 3; size = 12 };
-      campaign =
-        (fun k ->
-          Packed
-            (Rejoin.campaign
-               (Rejoin.default_config ~seeds:k.seeds ~seed_base:k.seed_base
-                  ~n:k.n ~t:k.t ~payloads:k.size ?drop:k.drop
-                  ?max_steps:k.max_steps ()))) };
+      campaign = (fun k -> Packed (Rejoin.campaign k)) };
     { name = "epoch"; prefix = "EPOCH"; default_id = "EPOCH";
       full = { seeds = 50; size = 24 }; quick = { seeds = 2; size = 12 };
-      campaign =
-        (fun k ->
-          Packed
-            (Refresh.campaign
-               (Refresh.default_config ~seeds:k.seeds ~seed_base:k.seed_base
-                  ~n:k.n ~t:k.t ~payloads:k.size ?drop:k.drop
-                  ?max_steps:k.max_steps ()))) };
-    (* The full service sweep is >= 100k requests, hence the step
-       bound. *)
+      campaign = (fun k -> Packed (Refresh.campaign k)) };
     { name = "svc"; prefix = "BENCH_SVC"; default_id = "svc";
       full = { seeds = 1; size = 13_000 }; quick = { seeds = 1; size = 48 };
-      campaign =
-        (fun k ->
-          Packed
-            (Svc.campaign
-               (Svc.default_config ~seeds:k.seeds ~seed_base:k.seed_base
-                  ~n:k.n ~t:k.t ~requests:k.size ?drop:k.drop
-                  ~max_steps:(Option.value k.max_steps ~default:200_000_000)
-                  ()))) };
+      campaign = (fun k -> Packed (Svc.campaign k)) };
   ]
 
 let find name = List.find_opt (fun c -> c.name = name) campaigns

@@ -1,6 +1,6 @@
 (** The campaign table: one row per campaign [sintra run] knows — its
     name, artifact prefix, full and [--quick] presets and the
-    {!Sweep.campaign} it builds from the knobs — the one timed
+    {!Sweep.campaign} its runner builds from a {!Sweep.core} — the one timed
     sweep-summarize-write path every row runs, and the one artifact
     check that [bench-check] and [sintra run] share, so the two can
     never disagree about an artifact. *)
@@ -23,18 +23,7 @@ val is_artifact : string -> bool
 (** {2 Campaigns} *)
 
 type preset = { seeds : int; size : int }
-(** Seeds per cell, and the stream length: payloads per run, or
-    requests per run for [svc]. *)
-
-type knobs = {
-  n : int;
-  t : int;
-  seed_base : int;
-  seeds : int;
-  size : int;
-  drop : float option;  (** overrides the campaign's chaos drop rate *)
-  max_steps : int option;  (** overrides the campaign's per-run step bound *)
-}
+(** Seeds per cell, and the stream length ({!Sweep.core}'s [size]). *)
 
 type packed = Packed : ('cell, 'run) Sweep.campaign -> packed
 
@@ -47,7 +36,7 @@ type campaign = {
   default_id : string;  (** the report id without [--out] *)
   full : preset;
   quick : preset;  (** [--quick], the CI smoke *)
-  campaign : knobs -> packed;
+  campaign : Sweep.core -> packed;
 }
 
 val campaigns : campaign list
@@ -56,14 +45,9 @@ val campaigns : campaign list
 
 val find : string -> campaign option
 
-val faults :
-  link:bool -> knobs -> (Campaign.cell, Campaign.run_result) Sweep.campaign
-(** The [faults] row's campaign, or with [~link:true] the [link] row's:
-    30% drop (or [drop]) alone, with the reliable link layer on. *)
-
 val run :
   campaign ->
-  knobs ->
+  Sweep.core ->
   id:string ->
   progress:(int * int -> unit) ->
   string * (string, string) result

@@ -35,37 +35,13 @@ let variant_label = function
   | Lossy -> "lossy"
   | Byz_refresher -> "byz-refresher"
 
-type config = {
-  e_core : Sweep.core;
-  e_payloads : int;
-  e_interval : int;  (* checkpoint period of the wrapped recovery *)
-  e_drop : float;  (* chaos drop rate for the lossy variant *)
-  e_abc_policy : Abc.policy;
-  e_link : Link.policy;
-  e_scenarios : scenario list;
-  e_variants : variant list;
-}
-
-let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
-    ?(payloads = 24) ?(interval = 4) ?(drop = 0.3) ?abc_policy ?link
-    ?scenarios ?variants ?(max_steps = 800_000) () =
-  {
-    e_core =
-      Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
-    e_payloads = payloads;
-    e_interval = interval;
-    e_drop = drop;
-    e_abc_policy =
-      Option.value abc_policy
-        ~default:
-          { Abc.default_policy with Abc.max_batch_msgs = 4; window = 2 };
-    e_link = Option.value link ~default:Link.default_policy;
-    e_scenarios =
-      Option.value scenarios
-        ~default:[ Refresh_only; Add_replica; Kill_replace ];
-    e_variants =
-      Option.value variants ~default:[ Benign; Lossy; Byz_refresher ];
-  }
+(* The checkpoint period of the wrapped recovery, the batching policy,
+   the lossy variant's chaos drop rate unless the core sets one, and the
+   per-run step bound unless the core sets one. *)
+let interval = 4
+let abc_policy = { Abc.default_policy with Abc.max_batch_msgs = 4; window = 2 }
+let drop = 0.3
+let max_steps = 800_000
 
 type run_result = {
   er_scenario : scenario;
@@ -95,11 +71,11 @@ let poll = 200.0
    crashes the victim and reshares it out there, then revives it at 70%
    once the survivors hold the new epoch, and reshares it back in once
    it has caught up. *)
-let timeline cfg scenario variant =
+let timeline ~drop scenario variant =
   let open Sweep in
   let chaos =
     match variant with
-    | Lossy -> lossy cfg.e_drop
+    | Lossy -> lossy drop
     | Benign | Byz_refresher -> Sim.benign_chaos
   in
   { at = Start; act = Chaos chaos }
@@ -123,8 +99,9 @@ let member_structure ~n ~t members =
 
 (* ---------- one scenario run ------------------------------------------ *)
 
-let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
-  let { Sweep.n; t; group_bits; max_steps; _ } = cfg.e_core in
+let run_one ~(core : Sweep.core) ~max_steps (env : Sweep.env)
+    (scenario, variant) ~seed timeline =
+  let { Sweep.n; t; size = payloads; _ } = core in
   let keyring = env.keyring in
   let victim = abs seed mod n in
   let byz = (victim + 1) mod n in
@@ -138,13 +115,13 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
     | Refresh_only | Kill_replace -> AS.threshold ~n ~t
   in
   let sharing0 =
-    Dl_sharing.deal (G.default ~bits:group_bits ()) structure0
+    Dl_sharing.deal keyring.Keyring.group structure0
       (Prng.create ~seed:(seed lxor 0x3a11))
   in
   let pk = sharing0.Dl_sharing.public_key in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
   let faults = Sweep.start env ~victim sim timeline in
-  let link = match variant with Lossy -> Some cfg.e_link | _ -> None in
+  let link = match variant with Lossy -> Some Link.default_policy | _ -> None in
   let tag =
     Printf.sprintf "epoch-%s-%s-%d" (scenario_label scenario)
       (variant_label variant) seed
@@ -191,7 +168,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
       end
   in
   let dep =
-    Epoch.deploy ~policy:cfg.e_abc_policy ?link ~interval:cfg.e_interval
+    Epoch.deploy ~policy:abc_policy ?link ~interval
       ~seed:(seed lxor 0xe90c) ~sim ~keyring
       ~sharing:sharing0 ~tag ~deliver ()
   in
@@ -204,7 +181,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
   in
   Array.iter watch_advances (nodes ());
   Sweep.stream sim ~victim
-    (List.init cfg.e_payloads (fun k -> Printf.sprintf "etx-%d-%d" seed k))
+    (List.init payloads (fun k -> Printf.sprintf "etx-%d-%d" seed k))
     (fun s payload -> Epoch.submit (nodes ()).(s) payload);
   let count p = Hashtbl.length seen_payloads.(p) in
   let epoch_of p = Epoch.epoch (nodes ()).(p) in
@@ -291,7 +268,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
   let tail_payload = Printf.sprintf "etx-%d-tail" seed in
   let tail_submitted = ref false in
   Sweep.drive faults ~monitor:((victim + 2) mod n) ~period:poll
-    ~total:cfg.e_payloads ~progress ~epoch:epoch_of
+    ~total:payloads ~progress ~epoch:epoch_of
     ~nudge:(function
       | (Sweep.Refresh | Sweep.Reshare _) as a ->
         (* Re-send the equivocation while the epoch is open: the frames
@@ -313,9 +290,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
         open_epoch (target_of a);
         pull_stragglers a
       | _ -> ());
-  let stream_total () =
-    cfg.e_payloads + if !tail_submitted then 1 else 0
-  in
+  let stream_total () = payloads + if !tail_submitted then 1 else 0 in
   (* A revived replica fast-forwards over the checkpointed prefix, so
      it never sees pre-checkpoint payloads one by one: its liveness
      condition is delivering the post-reconfiguration tail live. *)
@@ -350,7 +325,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
       (nodes ())
   in
   let order_violations =
-    Oracle.check_recovery ~honest ~expected:cfg.e_payloads histories @ stall
+    Oracle.check_recovery ~honest ~expected:payloads histories @ stall
   in
   (* Public-key invariance across every installed epoch. *)
   let pk_stable =
@@ -423,7 +398,7 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
             per_epoch false
         in
         if ok then incr certs_ok)
-    (List.init cfg.e_payloads Fun.id);
+    (List.init payloads Fun.id);
   let excluded_witnessed =
     Array.fold_left
       (fun acc node -> acc + Epoch.excluded_total node)
@@ -484,27 +459,6 @@ let run_one cfg (env : Sweep.env) (scenario, variant) ~seed timeline =
 
 (* ---------- the campaign ---------------------------------------------- *)
 
-let config_json cfg =
-  Obs_json.Obj
-    (Sweep.core_fields cfg.e_core
-    @ [
-        ("payloads", Obs_json.Int cfg.e_payloads);
-        ("interval", Obs_json.Int cfg.e_interval);
-        ("drop", Obs_json.Float cfg.e_drop);
-        ( "timelines",
-          Obs_json.Obj
-            (List.concat_map
-               (fun s ->
-                 List.map
-                   (fun v ->
-                     ( scenario_label s ^ "/" ^ variant_label v,
-                       Sweep.timeline_json (timeline cfg s v) ))
-                   cfg.e_variants)
-               cfg.e_scenarios) );
-        ("scenarios", Sweep.labels scenario_label cfg.e_scenarios);
-        ("variants", Sweep.labels variant_label cfg.e_variants);
-      ])
-
 let run_json r =
   Obs_json.Obj
     [
@@ -524,7 +478,7 @@ let run_json r =
       ("steps", Obs_json.Int r.er_steps);
     ]
 
-let close cfg _env (t : Sweep.totals) results =
+let close ~payloads _env (t : Sweep.totals) results =
   let total f = float (Sweep.sum f results) in
   let failing f = total (fun r -> Bool.to_int (not (f r))) in
   let byz = List.filter (fun r -> r.er_variant = Byz_refresher) results in
@@ -535,7 +489,7 @@ let close cfg _env (t : Sweep.totals) results =
         must Higher "completed runs" ~limit:(float t.runs)
           (total (fun r -> Bool.to_int r.er_completed));
         must Higher "reply certificates"
-          ~limit:(float (t.runs * cfg.e_payloads))
+          ~limit:(float (t.runs * payloads))
           (total (fun r -> r.er_certs_ok));
         info "dealers excluded" (total (fun r -> r.er_excluded));
         threshold Lower "steps" (float t.steps);
@@ -552,18 +506,24 @@ let close cfg _env (t : Sweep.totals) results =
       ],
     [] )
 
-let campaign cfg =
+let campaign (core : Sweep.core) =
+  let drop = Option.value core.drop ~default:drop
+  and max_steps = Option.value core.max_steps ~default:max_steps in
   {
     Sweep.kind = Report.Epoch;
-    core = cfg.e_core;
+    core;
+    max_steps;
     key_offset = 8810;
-    cells = Sweep.product cfg.e_scenarios cfg.e_variants;
+    cells =
+      Sweep.product
+        [ Refresh_only; Add_replica; Kill_replace ]
+        [ Benign; Lossy; Byz_refresher ];
     label = cell_label;
-    timeline = (fun (scenario, variant) -> timeline cfg scenario variant);
-    run_one = run_one cfg;
+    timeline = (fun (scenario, variant) -> timeline ~drop scenario variant);
+    run_one = run_one ~core ~max_steps;
     violations = (fun r -> r.er_violations);
     steps = (fun r -> r.er_steps);
     row = run_json;
-    close = close cfg;
-    config = config_json cfg;
+    close = close ~payloads:core.size;
+    constants = [ ("interval", Obs_json.Int interval) ];
   }

@@ -22,37 +22,15 @@ let scenario_label = function
   | Crash_rejoin -> "crash-rejoin"
   | Partition_heal -> "partition-heal"
 
-type config = {
-  j_core : Sweep.core;
-  j_payloads : int;
-  j_interval : int;  (* checkpoint period in rounds *)
-  j_drop : float;  (* chaos drop rate (the link layer restores) *)
-  j_abc_policy : Abc.policy;
-  j_link : Link.policy;
-  j_scenarios : scenario list;
-  j_variants : bool list;  (* forged-server variants to sweep *)
-  j_mem_payloads : int;  (* bounded-memory probe stream length *)
-}
-
-let default_config ?(seeds = 50) ?seed_base ?n ?t ?rsa_bits ?group_bits
-    ?(payloads = 24) ?(interval = 4) ?(drop = 0.3) ?abc_policy ?link
-    ?scenarios ?variants ?(max_steps = 600_000) ?(mem_payloads = 192) () =
-  {
-    j_core =
-      Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
-    j_payloads = payloads;
-    j_interval = interval;
-    j_drop = drop;
-    j_abc_policy =
-      Option.value abc_policy
-        ~default:
-          { Abc.default_policy with Abc.max_batch_msgs = 4; window = 2 };
-    j_link = Option.value link ~default:Link.default_policy;
-    j_scenarios =
-      Option.value scenarios ~default:[ Crash_rejoin; Partition_heal ];
-    j_variants = Option.value variants ~default:[ false; true ];
-    j_mem_payloads = mem_payloads;
-  }
+(* The checkpoint period in rounds, the batching policy, the chaos drop
+   rate unless the core sets one (the link layer restores it), the
+   per-run step bound unless the core sets one, and the bounded-memory
+   probe's stream. *)
+let interval = 4
+let abc_policy = { Abc.default_policy with Abc.max_batch_msgs = 4; window = 2 }
+let drop = 0.3
+let max_steps = 600_000
+let memory_payloads = 192
 
 type run_result = {
   jr_scenario : scenario;
@@ -82,21 +60,22 @@ let poll = 200.0
    links the link layer restores.  Partition-heal cuts the victim off
    behind an open-ended [Sim.partition] and heals by restoring the base
    spec, so its window is progress-driven too. *)
-let timeline cfg scenario =
+let timeline ~drop scenario =
   let open Sweep in
   let outage, comeback =
     match scenario with
     | Crash_rejoin -> (Crash, Revive)
     | Partition_heal -> (Isolate, Heal)
   in
-  [ { at = Start; act = Chaos (lossy cfg.j_drop) };
+  [ { at = Start; act = Chaos (lossy drop) };
     { at = Progress 0.35; act = outage };
     { at = Progress 0.75; act = comeback } ]
 
 (* ---------- one scenario run ------------------------------------------ *)
 
-let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
-  let n = cfg.j_core.n in
+let run_one ~(core : Sweep.core) ~max_steps (env : Sweep.env)
+    (scenario, forged) ~seed timeline =
+  let n = core.n and payloads = core.size in
   let keyring = env.keyring in
   let victim = abs seed mod n in
   let forger = (victim + 1) mod n in
@@ -115,8 +94,8 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
     else None
   in
   let dep =
-    Recovery.deploy ?wrap ~policy:cfg.j_abc_policy ~link:cfg.j_link
-      ~interval:cfg.j_interval ~sim ~keyring ~tag
+    Recovery.deploy ?wrap ~policy:abc_policy ~link:Link.default_policy
+      ~interval ~sim ~keyring ~tag
       ~deliver:(fun _ _ -> ())
       ()
   in
@@ -130,7 +109,7 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
     (fun p node -> Recovery.set_on_transfer node (note_transfer p))
     (Recovery.nodes dep);
   Sweep.stream sim ~victim
-    (List.init cfg.j_payloads (fun k -> Printf.sprintf "rtx-%d-%d" seed k))
+    (List.init payloads (fun k -> Printf.sprintf "rtx-%d-%d" seed k))
     (fun s payload -> Recovery.submit (Recovery.nodes dep).(s) payload);
   let nodes () = Recovery.nodes dep in
   let count p = Abc.delivered_count (Recovery.abc (nodes ()).(p)) in
@@ -139,7 +118,7 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
      also avoids the forger at victim + 1), so its poll timer survives
      the whole run. *)
   Sweep.drive faults ~monitor:((victim + 2) mod n) ~period:poll
-    ~total:cfg.j_payloads
+    ~total:payloads
     ~progress:(fun () ->
       Pset.fold
         (fun p acc -> if p = victim then acc else max acc (count p))
@@ -155,17 +134,15 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
            either way. *)
         Recovery.start_catch_up (nodes ()).(victim)
       | _ -> ());
-  let done_ () =
-    Pset.for_all (fun p -> count p >= cfg.j_payloads) honest
-  in
+  let done_ () = Pset.for_all (fun p -> count p >= payloads) honest in
   (* A replica can quiesce slightly behind with no new checkpoint share
      to trip its lag detector; nudge it the way an operator would. *)
   let stall =
-    Sweep.run_sim sim ~max_steps:cfg.j_core.max_steps ~until:done_
+    Sweep.run_sim sim ~max_steps ~until:done_
       ~retry:(fun () ->
         Pset.iter
           (fun p ->
-            if count p < cfg.j_payloads && not (Sim.is_crashed sim p) then
+            if count p < payloads && not (Sim.is_crashed sim p) then
               Recovery.start_catch_up (nodes ()).(p))
           honest)
   in
@@ -176,7 +153,7 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
       (nodes ())
   in
   let violations =
-    Oracle.check_recovery ~honest ~expected:cfg.j_payloads histories
+    Oracle.check_recovery ~honest ~expected:payloads histories
     @ stall
   in
   let safety = Oracle.count_safety violations in
@@ -190,7 +167,7 @@ let run_one cfg (env : Sweep.env) (scenario, forged) ~seed timeline =
     jr_seed = seed;
     jr_forged = forged;
     jr_victim = victim;
-    jr_recovered = count victim >= cfg.j_payloads && safety = 0;
+    jr_recovered = count victim >= payloads && safety = 0;
     jr_transferred = Recovery.transfers victim_node > 0;
     jr_transfer_bytes = Recovery.transfer_bytes victim_node;
     jr_rejected = Recovery.rejected_replies victim_node;
@@ -217,8 +194,7 @@ type memory_probe = {
 (* One sustained-load stream, no faults, link off: every party submits
    round-robin up front and the run drains under back-pressure.  Returns
    (log peak, rounds retired, certified round) maxed over parties. *)
-let memory_run (env : Sweep.env) ~payloads ~interval ~abc_policy ~max_steps
-    ~seed =
+let memory_run (env : Sweep.env) ~payloads ~interval ~seed =
   let keyring = env.keyring in
   let n = Keyring.n keyring in
   let sim = Sim.create ~n ~seed ~obs:env.obs () in
@@ -245,16 +221,11 @@ let memory_run (env : Sweep.env) ~payloads ~interval ~abc_policy ~max_steps
     fold (fun nd -> Abc.retired_rounds (Recovery.abc nd)),
     fold Recovery.certified_round )
 
-let memory_probe env cfg ~seed =
-  let payloads = cfg.j_mem_payloads in
-  let abc_policy = cfg.j_abc_policy and max_steps = cfg.j_core.max_steps in
+let memory_probe env ~payloads ~seed =
   let on_peak, on_retired, on_ckpt =
-    memory_run env ~payloads ~interval:cfg.j_interval ~abc_policy
-      ~max_steps ~seed
+    memory_run env ~payloads ~interval ~seed
   in
-  let off_peak, _, _ =
-    memory_run env ~payloads ~interval:0 ~abc_policy ~max_steps ~seed
-  in
+  let off_peak, _, _ = memory_run env ~payloads ~interval:0 ~seed in
   {
     m_payloads = payloads;
     m_gc_on_peak = on_peak;
@@ -274,24 +245,6 @@ let memory_probe env cfg ~seed =
 let forged_witnessed results =
   let forged = List.filter (fun r -> r.jr_forged) results in
   forged = [] || List.exists (fun r -> r.jr_rejected > 0) forged
-
-let config_json cfg =
-  Obs_json.Obj
-    (Sweep.core_fields cfg.j_core
-    @ [
-        ("payloads", Obs_json.Int cfg.j_payloads);
-        ("interval", Obs_json.Int cfg.j_interval);
-        ("drop", Obs_json.Float cfg.j_drop);
-        ( "timelines",
-          Obs_json.Obj
-            (List.map
-               (fun s ->
-                 (scenario_label s, Sweep.timeline_json (timeline cfg s)))
-               cfg.j_scenarios) );
-        ("scenarios", Sweep.labels scenario_label cfg.j_scenarios);
-        ( "variants",
-          Obs_json.Arr (List.map (fun b -> Obs_json.Bool b) cfg.j_variants) );
-      ])
 
 let run_json r =
   Obs_json.Obj
@@ -326,23 +279,11 @@ let memory_json m =
       ("gc_off", Obs_json.Obj [ ("log_peak", Obs_json.Int m.m_gc_off_peak) ]);
     ]
 
-(* The gate and the memory member.  The bounded-memory invariant, when
-   the probe ran: the GC'd log stays below the unbounded one. *)
-let close cfg env (t : Sweep.totals) results =
+(* The gate and the memory member.  The bounded-memory invariant: the
+   GC'd log stays below the unbounded one. *)
+let close ~seed env (t : Sweep.totals) results =
   let total f = float (Sweep.sum f results) in
-  let memory =
-    if cfg.j_mem_payloads > 0 then
-      Some (memory_probe env cfg ~seed:cfg.j_core.seed_base)
-    else None
-  in
-  let memory_gate =
-    match memory with
-    | None -> []
-    | Some m ->
-      [ Report.threshold Report.Lower "GC'd log peak"
-          ~limit:(float (m.m_gc_off_peak - 1))
-          (float m.m_gc_on_peak) ]
-  in
+  let m = memory_probe env ~payloads:memory_payloads ~seed in
   ( Report.
       [
         must Lower "safety violations" ~limit:0.0 (float t.safety);
@@ -354,35 +295,37 @@ let close cfg env (t : Sweep.totals) results =
         threshold Lower "transfer bytes" (total (fun r -> r.jr_transfer_bytes));
         info "forged replies rejected" (total (fun r -> r.jr_rejected));
         threshold Lower "steps" (float t.steps);
-      ]
-    @ memory_gate
-    @ Report.
-        [
-          (* A revived replica is amnesiac: catching up without a
-             certified transfer would resurrect state out of thin air. *)
-          must Lower "crash-rejoins without transfer" ~limit:0.0
-            (total (fun r ->
-                 Bool.to_int
-                   (r.jr_scenario = Crash_rejoin && not r.jr_transferred)));
-          must Lower "forged sweep without a rejection" ~limit:0.0
-            (float (Bool.to_int (not (forged_witnessed results))));
-        ],
-    [ ( "memory",
-        match memory with None -> Obs_json.Null | Some m -> memory_json m ) ]
-  )
+        threshold Lower "GC'd log peak"
+          ~limit:(float (m.m_gc_off_peak - 1))
+          (float m.m_gc_on_peak);
+        (* A revived replica is amnesiac: catching up without a
+           certified transfer would resurrect state out of thin air. *)
+        must Lower "crash-rejoins without transfer" ~limit:0.0
+          (total (fun r ->
+               Bool.to_int
+                 (r.jr_scenario = Crash_rejoin && not r.jr_transferred)));
+        must Lower "forged sweep without a rejection" ~limit:0.0
+          (float (Bool.to_int (not (forged_witnessed results))));
+      ],
+    [ ("memory", memory_json m) ] )
 
-let campaign cfg =
+let campaign (core : Sweep.core) =
+  let drop = Option.value core.drop ~default:drop
+  and max_steps = Option.value core.max_steps ~default:max_steps in
   {
     Sweep.kind = Report.Recov;
-    core = cfg.j_core;
+    core;
+    max_steps;
     key_offset = 9990;
-    cells = Sweep.product cfg.j_scenarios cfg.j_variants;
+    cells = Sweep.product [ Crash_rejoin; Partition_heal ] [ false; true ];
     label = cell_label;
-    timeline = (fun (scenario, _) -> timeline cfg scenario);
-    run_one = run_one cfg;
+    timeline = (fun (scenario, _) -> timeline ~drop scenario);
+    run_one = run_one ~core ~max_steps;
     violations = (fun r -> r.jr_violations);
     steps = (fun r -> r.jr_steps);
     row = run_json;
-    close = close cfg;
-    config = config_json cfg;
+    close = close ~seed:core.seed_base;
+    constants =
+      [ ("interval", Obs_json.Int interval);
+        ("memory_payloads", Obs_json.Int memory_payloads) ];
   }

@@ -20,38 +20,6 @@ type scenario = Crash_rejoin | Partition_heal
 val scenario_label : scenario -> string
 (** ["crash-rejoin"] / ["partition-heal"]. *)
 
-type config = {
-  j_core : Sweep.core;
-  j_payloads : int;
-  j_interval : int;  (** checkpoint period in rounds *)
-  j_drop : float;  (** chaos drop rate (the link layer restores) *)
-  j_abc_policy : Abc.policy;
-  j_link : Link.policy;
-  j_scenarios : scenario list;
-  j_variants : bool list;  (** forged-server variants to sweep *)
-  j_mem_payloads : int;
-      (** bounded-memory probe stream length; 0 runs no probe *)
-}
-
-val default_config :
-  ?seeds:int ->
-  ?seed_base:int ->
-  ?n:int ->
-  ?t:int ->
-  ?rsa_bits:int ->
-  ?group_bits:int ->
-  ?payloads:int ->
-  ?interval:int ->
-  ?drop:float ->
-  ?abc_policy:Abc.policy ->
-  ?link:Link.policy ->
-  ?scenarios:scenario list ->
-  ?variants:bool list ->
-  ?max_steps:int ->
-  ?mem_payloads:int ->
-  unit ->
-  config
-
 type run_result = {
   jr_scenario : scenario;
   jr_seed : int;
@@ -83,15 +51,18 @@ type memory_probe = {
   m_gc_off_peak : int;  (** unbounded baseline: equals the stream *)
 }
 
-val memory_probe : Sweep.env -> config -> seed:int -> memory_probe
-(** One sustained-load stream (no faults, link off), run twice —
-    checkpoint interval from the config, then interval 0. *)
+val memory_probe : Sweep.env -> payloads:int -> seed:int -> memory_probe
+(** One sustained-load stream of [payloads] (no faults, link off), run
+    twice — checkpoint interval 4, then interval 0. *)
 
-val campaign : config -> (cell, run_result) Sweep.campaign
-(** After the sweep, the memory probe (unless [j_mem_payloads = 0])
-    runs at [seed_base]: the report's [memory] member and its limited
-    "GC'd log peak" row.  Every state transfer is a flight-recorder
-    anomaly. *)
+val campaign : Sweep.core -> (cell, run_result) Sweep.campaign
+(** Both scenarios, plain and forged, each run streaming [core.size]
+    payloads through a checkpointing (every 4 rounds), batched (4
+    payloads, window 2), link-on deployment under lossy chaos at
+    [core.drop] (default 0.3); step bound 600k by default.  After the
+    sweep, the memory probe runs at [seed_base] over 192 payloads: the
+    report's [memory] member and its limited "GC'd log peak" row.
+    Every state transfer is a flight-recorder anomaly. *)
 
 val forged_witnessed : run_result list -> bool
 (** The forged sweep rejected the forger explicitly at least once.

@@ -111,44 +111,30 @@ let objective_of_label = function
 type params = {
   search_seed : int;  (* drives mutations; evaluation seeds are fixed *)
   iters : int;
-  eval_seeds : int;
-  seed_base : int;
-  n : int;
-  t : int;
+  core : Sweep.core;
   protocol : Campaign.protocol;
-  payloads : int;
   link : bool;  (* forced on under Buffer_peak *)
-  max_steps : int;
 }
 
 let default_params =
   {
     search_seed = 1;
     iters = 40;
-    eval_seeds = 2;
-    seed_base = 1;
-    n = 4;
-    t = 1;
+    core =
+      { Sweep.seeds = 2; seed_base = 1; n = 4; t = 1; size = 2; drop = None;
+        max_steps = Some 60_000 };
     protocol = Campaign.P_abc;
-    payloads = 2;
     link = false;
-    max_steps = 60_000;
   }
 
 (* The searched campaign is the faults sweep (with the link on under
-   [Buffer_peak]) at the search's size and step bound; the climb
-   evaluates one of its cells, the protocol under attack with the
-   silent mix, under the searched timeline in place of the cell's
-   own. *)
+   [Buffer_peak]) at the search's core; the climb evaluates one of its
+   cells, the protocol under attack with the silent mix, under the
+   searched timeline in place of the cell's own. *)
 let link_on p objective = p.link || objective = Buffer_peak
 
-let knobs p =
-  { Campaign_table.n = p.n; t = p.t; seed_base = p.seed_base;
-    seeds = p.eval_seeds; size = p.payloads; drop = None;
-    max_steps = Some p.max_steps }
-
 let faults p objective =
-  let c = Campaign_table.faults ~link:(link_on p objective) (knobs p) in
+  let c = Campaign.campaign ~link:(link_on p objective) p.core in
   let cell =
     List.find
       (fun (protocol, _, (mix : Campaign.mix)) ->
@@ -173,7 +159,7 @@ let decided (c : (_, 'r) Sweep.campaign) r =
 
 let decide_time (c : (_, 'r) Sweep.campaign) runs =
   let penalty r =
-    if decided c r then 0.0 else float_of_int (10 * c.core.max_steps)
+    if decided c r then 0.0 else float_of_int (10 * c.max_steps)
   in
   List.fold_left
     (fun acc r -> acc +. float_of_int (c.steps r) +. penalty r)
@@ -219,7 +205,7 @@ let search ?(progress = fun _ -> ()) ?(params = default_params) ~objective ()
   let seen = Hashtbl.create 64 in
   let archive = ref [] in
   let evals = ref 0 in
-  let n = params.n in
+  let n = params.core.n in
   let eval chaos =
     let e = evaluate c env cell (timeline chaos) ~score in
     incr evals;
@@ -247,6 +233,7 @@ let schema = "sintra-schedule/3"
 
 let fixture_json ~params:p ~objective (e : eval) =
   let c, cell = faults p objective in
+  let k = c.core in
   Obs_json.Obj
     [ ("schema", Obs_json.Str schema);
       ( "campaign",
@@ -257,12 +244,12 @@ let fixture_json ~params:p ~objective (e : eval) =
       ("timeline", Sweep.timeline_json e.e_timeline);
       ( "eval",
         Obs_json.Obj
-          [ ("n", Obs_json.Int p.n);
-            ("t", Obs_json.Int p.t);
-            ("seeds", Obs_json.Int p.eval_seeds);
-            ("seed_base", Obs_json.Int p.seed_base);
-            ("size", Obs_json.Int p.payloads);
-            ("max_steps", Obs_json.Int p.max_steps) ] );
+          [ ("n", Obs_json.Int k.n);
+            ("t", Obs_json.Int k.t);
+            ("seeds", Obs_json.Int k.seeds);
+            ("seed_base", Obs_json.Int k.seed_base);
+            ("size", Obs_json.Int k.size);
+            ("max_steps", Obs_json.Int c.max_steps) ] );
       ( "provenance",
         Obs_json.Obj
           [ ("search_seed", Obs_json.Int p.search_seed);
@@ -314,7 +301,7 @@ let replay (doc : Obs_json.t) : (eval, string) result =
       known "objective" objective_of_label
         (get [ "objective" ] Obs_json.to_str),
       tl,
-      { Campaign_table.n = int "n"; t = int "t"; seed_base = int "seed_base";
+      { Sweep.n = int "n"; t = int "t"; seed_base = int "seed_base";
         seeds = int "seeds"; size = int "size"; drop = None;
         max_steps = Some (int "max_steps") } )
   in
@@ -324,7 +311,7 @@ let replay (doc : Obs_json.t) : (eval, string) result =
     let (Campaign_table.Packed c) = row.campaign k in
     replay_cell c ~cell tl ~score:(decide_time c)
   | { name = ("faults" | "link") as name; _ }, cell, Buffer_peak, tl, k ->
-    replay_cell (Campaign_table.faults ~link:(name = "link") k) ~cell tl
+    replay_cell (Campaign.campaign ~link:(name = "link") k) ~cell tl
       ~score:buffer_peak
   | { name; _ }, _, Buffer_peak, _, _ ->
     Error (Printf.sprintf "buffer-peak is a faults objective, not %s's" name)

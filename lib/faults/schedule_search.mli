@@ -3,7 +3,7 @@
     duplication / reordering rates plus a healing-partition window —
     maximising steps-to-decide or the link layer's send-buffer peak.
     The climb evaluates one cell of the faults campaign
-    ({!Campaign_table.faults}): the protocol under attack with the
+    ({!Campaign.campaign}): the protocol under attack with the
     silent mix.  The worst schedules found are archived as replayable
     fixtures (schema ["sintra-schedule/3"]) that the test suite re-runs,
     asserting that they reproduce their recorded score and never cost
@@ -24,19 +24,16 @@ val objective_of_label : string -> objective option
 type params = {
   search_seed : int;
   iters : int;
-  eval_seeds : int;  (** runs per evaluation (seeds [seed_base ..]) *)
-  seed_base : int;
-  n : int;
-  t : int;
+  core : Sweep.core;
+      (** the searched campaign's core: [seeds] runs per evaluation
+          (seeds [seed_base ..]), [size] payloads per run *)
   protocol : Campaign.protocol;
-  payloads : int;
   link : bool;  (** forced on under {!Buffer_peak} *)
-  max_steps : int;
 }
 
 val default_params : params
-(** 40 iterations, 2 evaluation seeds, n = 4 / t = 1, ABC, link off,
-    60k steps. *)
+(** 40 iterations, 2 evaluation seeds of 2 payloads each, n = 4 / t = 1,
+    ABC, link off, 60k steps. *)
 
 type eval = {
   e_timeline : Sweep.timeline;
@@ -70,8 +67,8 @@ val search :
 
 (** A fixture names a campaign of {!Campaign_table} ([campaign]), one
     of its cells by label ([cell]), the objective, the recorded
-    [score], the [timeline] and the knobs it ran with ([eval]: [n],
-    [t], [seeds], [seed_base], [size], [max_steps]), plus the search's
+    [score], the [timeline] and the {!Sweep.core} it ran with ([eval]:
+    [n], [t], [seeds], [seed_base], [size], [max_steps]), plus the search's
     [provenance] ([decided], [runs], [safety]). *)
 
 val write_fixtures :

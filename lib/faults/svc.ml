@@ -41,46 +41,17 @@ let skip_reason kind variant =
        revived replica's decryption share is future work"
   | _ -> None
 
-type config = {
-  v_core : Sweep.core;
-  v_requests : int;
-  v_clients : int;
-  v_window : int;
-  v_read_frac : float;
-  v_keyspace : int;
-  v_interval : int;
-  v_drop : float;
-  v_abc_policy : Abc.policy;
-  v_link : Link.policy;
-  v_kinds : service_kind list;
-  v_variants : variant list;
-  v_mem_bound : int;
-}
-
-let default_config ?(seeds = 5) ?seed_base ?n ?t ?rsa_bits ?group_bits
-    ?(requests = 60) ?(clients = 3) ?(window = 4) ?(read_frac = 0.75)
-    ?(keyspace = 16) ?(interval = 2) ?(drop = 0.3) ?abc_policy ?link ?kinds
-    ?variants ?(max_steps = 2_000_000) ?(mem_bound = 40) () =
-  {
-    v_core =
-      Sweep.core ?seed_base ?n ?t ?rsa_bits ?group_bits ~seeds ~max_steps ();
-    v_requests = requests;
-    v_clients = clients;
-    v_window = window;
-    v_read_frac = read_frac;
-    v_keyspace = keyspace;
-    v_interval = interval;
-    v_drop = drop;
-    v_abc_policy =
-      Option.value abc_policy
-        ~default:
-          { Abc.default_policy with Abc.max_batch_msgs = 8; window = 2 };
-    v_link = Option.value link ~default:Link.default_policy;
-    v_kinds = Option.value kinds ~default:[ Ca_svc; Directory_svc; Notary_svc ];
-    v_variants =
-      Option.value variants ~default:[ Benign; Drop_arq; Crash_rejoin ];
-    v_mem_bound = mem_bound;
-  }
+(* The fraction of submissions routed read-only, the checkpoint period
+   of the Plain kinds (GC on), the batching policy, the [Drop_arq] chaos
+   drop rate unless the core sets one, the limit on the GC'd
+   delivered-log peak, and the per-run step bound unless the core sets
+   one (a full sweep is >= 100k requests). *)
+let read_frac = 0.75
+let interval = 2
+let abc_policy = { Abc.default_policy with Abc.max_batch_msgs = 8; window = 2 }
+let drop = 0.3
+let mem_bound = 40
+let max_steps = 200_000_000
 
 type run_result = {
   vr_kind : service_kind;
@@ -116,11 +87,11 @@ let poll = 400.0
 
 (* The crash and the comeback are progress-driven (completed
    certificates), exactly like the recovery campaigns' outages. *)
-let timeline cfg variant =
+let timeline ~drop variant =
   let open Sweep in
   match variant with
   | Benign -> []
-  | Drop_arq -> [ { at = Start; act = Chaos (lossy cfg.v_drop) } ]
+  | Drop_arq -> [ { at = Start; act = Chaos (lossy drop) } ]
   | Crash_rejoin ->
     [ { at = Progress 0.3; act = Crash }; { at = Progress 0.7; act = Revive } ]
 
@@ -143,9 +114,9 @@ let kind_read_only = function
 (* Checkpoint GC applies to the Plain kinds; the confidential engine has
    no recovery wrapper, so the notary runs un-truncated (its un-GC'd log
    is reported but not gated). *)
-let kind_interval cfg = function
+let kind_interval = function
   | Notary_svc -> 0
-  | Ca_svc | Directory_svc -> cfg.v_interval
+  | Ca_svc | Directory_svc -> interval
 
 (* Writes land in a bounded entity space keyed by [idx mod keyspace], so
    the read mix mostly hits state some earlier write created — the fast
@@ -180,49 +151,49 @@ let read_body kind ~seed ~keyspace ~idx =
 
 (* ---------- one campaign run ------------------------------------------ *)
 
-let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
-  let n = cfg.v_core.n in
+let run_one ~clients ~window ~keyspace ~(core : Sweep.core) ~max_steps
+    (env : Sweep.env) (kind, variant) ~seed timeline =
+  let n = core.n and requests = core.size in
   let keyring = env.keyring in
   let mode = kind_mode kind in
-  let interval = kind_interval cfg kind in
+  let interval = kind_interval kind in
   if variant = Crash_rejoin && interval = 0 then
     invalid_arg "Svc.run_one: crash-rejoin needs a checkpointing kind";
-  let sim = Sim.create ~n ~extra:(cfg.v_clients + 2) ~seed ~obs:env.obs () in
+  let sim = Sim.create ~n ~extra:(clients + 2) ~seed ~obs:env.obs () in
   let victim = if variant = Crash_rejoin then abs seed mod n else -1 in
   let faults = Sweep.start env ~victim sim timeline in
-  let link = match variant with Drop_arq -> Some cfg.v_link | _ -> None in
+  let link = match variant with Drop_arq -> Some Link.default_policy | _ -> None in
   let dep =
-    Service.deploy ~policy:cfg.v_abc_policy ?link
+    Service.deploy ~policy:abc_policy ?link
       ?ckpt_interval:(if interval > 0 then Some interval else None)
       ~read_only:(kind_read_only kind) ~sim ~keyring ~mode
       ~make_app:(kind_make_app kind) ()
   in
-  let clients =
-    Array.init cfg.v_clients (fun i ->
+  let fleet =
+    Array.init clients (fun i ->
         Service.Client.create ~sim ~keyring ~slot:(n + i)
           ~seed:((seed * 131) + i)
           ())
   in
-  (* Quotas: v_requests completions split across clients. *)
+  (* Quotas: [requests] completions split across the clients. *)
   let quota =
-    Array.init cfg.v_clients (fun i ->
-        (cfg.v_requests / cfg.v_clients)
-        + if i < cfg.v_requests mod cfg.v_clients then 1 else 0)
+    Array.init clients (fun i ->
+        (requests / clients) + if i < requests mod clients then 1 else 0)
   in
   let target = Array.fold_left ( + ) 0 quota in
-  let completed = Array.make cfg.v_clients 0 in
+  let completed = Array.make clients 0 in
   let verified = ref 0 and cert_bad = ref 0 in
   let reads = ref 0 and issued = ref 0 in
   let rng = Prng.create ~seed:(seed lxor 0x51c5) in
   let submit ci =
     let idx = !issued in
     incr issued;
-    let read = Prng.float rng < cfg.v_read_frac in
+    let read = Prng.float rng < read_frac in
     let body =
       if read then (
         incr reads;
-        read_body kind ~seed ~keyspace:cfg.v_keyspace ~idx)
-      else write_body kind ~seed ~keyspace:cfg.v_keyspace ~idx
+        read_body kind ~seed ~keyspace ~idx)
+      else write_body kind ~seed ~keyspace ~idx
     in
     let fin rc =
       (* Every accepted certificate is re-verified by the harness — the
@@ -231,23 +202,23 @@ let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
       else incr cert_bad;
       completed.(ci) <- completed.(ci) + 1
     in
-    if read then Service.Client.query clients.(ci) ~mode body fin
-    else Service.Client.request clients.(ci) ~mode body fin
+    if read then Service.Client.query fleet.(ci) ~mode body fin
+    else Service.Client.request fleet.(ci) ~mode body fin
   in
   let top_up () =
     Array.iteri
       (fun ci c ->
         while
           completed.(ci) + Service.Client.inflight c < quota.(ci)
-          && Service.Client.inflight c < cfg.v_window
+          && Service.Client.inflight c < window
         do
           submit ci
         done)
-      clients
+      fleet
   in
   let total_completed () = Array.fold_left ( + ) 0 completed in
   top_up ();
-  Sweep.drive faults ~monitor:(n + cfg.v_clients) ~period:poll ~total:target
+  Sweep.drive faults ~monitor:(n + clients) ~period:poll ~total:target
     ~progress:total_completed
     ~tick:(fun () ->
       top_up ();
@@ -255,7 +226,7 @@ let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
     (function
       | Sweep.Revive -> ignore (Service.revive dep victim) | _ -> ());
   let done_ () = total_completed () >= target in
-  let stall = Sweep.run_sim sim ~max_steps:cfg.v_core.max_steps ~until:done_ in
+  let stall = Sweep.run_sim sim ~max_steps ~until:done_ in
   let nodes = Service.nodes dep in
   let never_crashed p = p <> victim in
   (* Oracles.  Certificate re-checks and the client's own internal
@@ -264,7 +235,7 @@ let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
   let client_cert_failures =
     Array.fold_left
       (fun a c -> a + Service.Client.cert_failures c)
-      0 clients
+      0 fleet
   in
   let cert_violations =
     Sweep.unless
@@ -319,17 +290,17 @@ let run_one cfg (env : Sweep.env) (kind, variant) ~seed timeline =
   let log_peak = fold_engines Abc.log_peak in
   let memory_violations =
     Sweep.unless
-      (interval = 0 || log_peak <= cfg.v_mem_bound)
+      (interval = 0 || log_peak <= mem_bound)
       Oracle.Safety "svc-memory"
       (Printf.sprintf "GC'd delivered-log peak %d exceeds bound %d" log_peak
-         cfg.v_mem_bound)
+         mem_bound)
   in
   let quota_violations =
     Sweep.unless (done_ ()) Oracle.Liveness "svc-quota"
       (Printf.sprintf "completed %d of %d before quiescence"
          (total_completed ()) target)
   in
-  let sum_clients f = Array.fold_left (fun a c -> a + f c) 0 clients in
+  let sum_clients f = Array.fold_left (fun a c -> a + f c) 0 fleet in
   let sum_replicas f =
     Array.to_list nodes
     |> List.mapi (fun p nd -> if never_crashed p then f nd else 0)
@@ -370,28 +341,6 @@ let plain_log_peak results =
       else acc)
     0 results
 
-let config_json cfg =
-  Obs_json.Obj
-    (Sweep.core_fields cfg.v_core
-    @ [
-        ("requests", Obs_json.Int cfg.v_requests);
-        ("clients", Obs_json.Int cfg.v_clients);
-        ("window", Obs_json.Int cfg.v_window);
-        ("read_frac", Obs_json.Float cfg.v_read_frac);
-        ("keyspace", Obs_json.Int cfg.v_keyspace);
-        ("interval", Obs_json.Int cfg.v_interval);
-        ("drop", Obs_json.Float cfg.v_drop);
-        ( "timelines",
-          Obs_json.Obj
-            (List.map
-               (fun v ->
-                 (variant_label v, Sweep.timeline_json (timeline cfg v)))
-               cfg.v_variants) );
-        ("kinds", Sweep.labels kind_label cfg.v_kinds);
-        ("variants", Sweep.labels variant_label cfg.v_variants);
-        ("mem_bound", Obs_json.Int cfg.v_mem_bound);
-      ])
-
 let run_json r =
   Obs_json.Obj
     [
@@ -423,7 +372,12 @@ let run_json r =
    rows.  Throughput is deterministic: completions per thousand
    simulator steps (wall-clock requests/s depend on the host, and
    readers derive them from [wall_time_s]). *)
-let close cfg _env (t : Sweep.totals) results =
+(* The swept matrix, before [skip_reason] takes out what a kind cannot
+   host. *)
+let kinds = [ Ca_svc; Directory_svc; Notary_svc ]
+let variants = [ Benign; Drop_arq; Crash_rejoin ]
+
+let close _env (t : Sweep.totals) results =
   let total f = Sweep.sum f results in
   let int f = Obs_json.Int (total f) in
   let ratio ?(scale = 1.0) a b =
@@ -436,7 +390,7 @@ let close cfg _env (t : Sweep.totals) results =
     List.filter_map
       (fun (kind, v) ->
         Option.map (fun why -> (kind, v, why)) (skip_reason kind v))
-      (Sweep.product cfg.v_kinds cfg.v_variants)
+      (Sweep.product kinds variants)
   in
   ( Report.
       [
@@ -451,7 +405,7 @@ let close cfg _env (t : Sweep.totals) results =
           (ratio ~scale:1000.0 completed t.steps);
         threshold Higher "fast-path rate" (ratio hits reads);
         threshold Lower "GC'd log peak"
-          ~limit:(float cfg.v_mem_bound)
+          ~limit:(float mem_bound)
           (float (plain_log_peak results));
         threshold Lower "client retries"
           (float (total (fun r -> r.vr_retries)));
@@ -499,21 +453,29 @@ let close cfg _env (t : Sweep.totals) results =
              skipped) );
     ] )
 
-let campaign cfg =
+let campaign ?(clients = 3) ?(window = 4) ?(keyspace = 16)
+    (core : Sweep.core) =
+  let drop = Option.value core.drop ~default:drop
+  and max_steps = Option.value core.max_steps ~default:max_steps in
   {
     Sweep.kind = Report.Svc;
-    core = cfg.v_core;
+    core;
+    max_steps;
     key_offset = 7770;
     cells =
       List.filter
         (fun (kind, v) -> skip_reason kind v = None)
-        (Sweep.product cfg.v_kinds cfg.v_variants);
+        (Sweep.product kinds variants);
     label = cell_label;
-    timeline = (fun (_, variant) -> timeline cfg variant);
-    run_one = run_one cfg;
+    timeline = (fun (_, variant) -> timeline ~drop variant);
+    run_one = run_one ~clients ~window ~keyspace ~core ~max_steps;
     violations = (fun r -> r.vr_violations);
     steps = (fun r -> r.vr_steps);
     row = run_json;
-    close = close cfg;
-    config = config_json cfg;
+    close;
+    constants =
+      Obs_json.
+        [ ("clients", Int clients); ("window", Int window);
+          ("keyspace", Int keyspace); ("read_frac", Float read_frac);
+          ("interval", Int interval); ("mem_bound", Int mem_bound) ];
   }

@@ -31,45 +31,6 @@ type variant =
 val variant_label : variant -> string
 (** ["benign"] / ["drop-arq"] / ["crash-rejoin"]. *)
 
-type config = {
-  v_core : Sweep.core;
-  v_requests : int;  (** completed certificates per run, all clients *)
-  v_clients : int;
-  v_window : int;  (** per-client in-flight bound (closed loop) *)
-  v_read_frac : float;  (** fraction of submissions routed read-only *)
-  v_keyspace : int;  (** entity-space bound, so reads hit prior writes *)
-  v_interval : int;  (** checkpoint period for Plain kinds (GC on) *)
-  v_drop : float;  (** chaos drop rate for the [Drop_arq] variant *)
-  v_abc_policy : Abc.policy;
-  v_link : Link.policy;
-  v_kinds : service_kind list;
-  v_variants : variant list;
-  v_mem_bound : int;  (** the limit on the GC'd delivered-log peak *)
-}
-
-val default_config :
-  ?seeds:int ->
-  ?seed_base:int ->
-  ?n:int ->
-  ?t:int ->
-  ?rsa_bits:int ->
-  ?group_bits:int ->
-  ?requests:int ->
-  ?clients:int ->
-  ?window:int ->
-  ?read_frac:float ->
-  ?keyspace:int ->
-  ?interval:int ->
-  ?drop:float ->
-  ?abc_policy:Abc.policy ->
-  ?link:Link.policy ->
-  ?kinds:service_kind list ->
-  ?variants:variant list ->
-  ?max_steps:int ->
-  ?mem_bound:int ->
-  unit ->
-  config
-
 type run_result = {
   vr_kind : service_kind;
   vr_variant : variant;
@@ -100,8 +61,22 @@ type cell = service_kind * variant
     crashed at 30% of the completed certificates and revived at 70%
     ([Crash_rejoin]). *)
 
-val campaign : config -> (cell, run_result) Sweep.campaign
-(** Kinds × variants, without the cells a kind cannot host: the
+val campaign :
+  ?clients:int ->
+  ?window:int ->
+  ?keyspace:int ->
+  Sweep.core ->
+  (cell, run_result) Sweep.campaign
+(** Each run closes [core.size] reply certificates over [clients]
+    (default 3) closed-loop clients, each with at most [window] (default
+    4) requests in flight, 75% of them reads, over [keyspace] (default
+    16) entities so reads hit earlier writes; only a test sets these
+    three.  Plain kinds checkpoint every 2 rounds and their GC'd log
+    peak is limited to 40; every kind batches 8 payloads with window 2;
+    [Drop_arq] drops at [core.drop] (default 0.3); step bound 200M by
+    default.
+
+    Kinds × variants, without the cells a kind cannot host: the
     notary runs over secure causal broadcast, which has no recovery
     wrapper, so it drops [Crash_rejoin].  The report's [skipped] member
     lists the refused cells with the reason. *)

@@ -1,5 +1,5 @@
 (* The campaign engine shared by the seed-sweep runners: configuration
-   core, fault-timeline interpreter, the campaign value with its keyring
+   core and its echo, fault-timeline interpreter, the campaign value with its keyring
    environment, cell x seed loop, report and summary, stall conversion
    and the flight recorder's bracket around every run.  See sweep.mli. *)
 
@@ -8,25 +8,10 @@ type core = {
   seed_base : int;
   n : int;
   t : int;
-  rsa_bits : int;
-  group_bits : int;
-  max_steps : int;
+  size : int;
+  drop : float option;
+  max_steps : int option;
 }
-
-let core ?(seed_base = 1) ?(n = 4) ?(t = 1) ?(rsa_bits = 192)
-    ?(group_bits = 128) ~seeds ~max_steps () =
-  { seeds; seed_base; n; t; rsa_bits; group_bits; max_steps }
-
-let labels f xs = Obs_json.Arr (List.map (fun x -> Obs_json.Str (f x)) xs)
-
-let core_fields c =
-  [
-    ("seeds", Obs_json.Int c.seeds);
-    ("seed_base", Obs_json.Int c.seed_base);
-    ("n", Obs_json.Int c.n);
-    ("t", Obs_json.Int c.t);
-    ("max_steps", Obs_json.Int c.max_steps);
-  ]
 
 type env = { keyring : Keyring.t; obs : Obs.t; flight : Flight.recorder }
 
@@ -253,6 +238,7 @@ type totals = { runs : int; safety : int; liveness : int; steps : int }
 type ('cell, 'run) campaign = {
   kind : Report.kind;
   core : core;
+  max_steps : int;
   key_offset : int;
   cells : 'cell list;
   label : 'cell -> string;
@@ -263,16 +249,19 @@ type ('cell, 'run) campaign = {
   row : 'run -> Obs_json.t;
   close :
     env -> totals -> 'run list -> Report.gate list * (string * Obs_json.t) list;
-  config : Obs_json.t;
+  constants : (string * Obs_json.t) list;
 }
+
+(* Toy key sizes: the campaigns test the protocols, not the keys. *)
+let rsa_bits = 192
+let group_bits = 128
 
 let prepare c =
   let k = c.core in
   let obs = Obs.create () in
   {
     keyring =
-      Keyring.deal ~group_bits:k.group_bits ~rsa_bits:k.rsa_bits
-        ~seed:(k.seed_base + c.key_offset)
+      Keyring.deal ~group_bits ~rsa_bits ~seed:(k.seed_base + c.key_offset)
         (Adversary_structure.threshold ~n:k.n ~t:k.t);
     obs;
     flight = Flight.create ~obs ();
@@ -335,11 +324,31 @@ let sweep ?(progress = fun _ -> ()) c =
 
 let runs rep = List.map snd rep.results
 
+(* The configuration echo: the core with the bound in force, every cell
+   with its default timeline, then the runner's constants. *)
+let config_json c =
+  let open Obs_json in
+  let k = c.core in
+  Obj
+    ([ ("seeds", Int k.seeds); ("seed_base", Int k.seed_base); ("n", Int k.n);
+       ("t", Int k.t); ("size", Int k.size);
+       ("drop", match k.drop with None -> Null | Some d -> Float d);
+       ("max_steps", Int c.max_steps);
+       ( "cells",
+         Arr
+           (List.map
+              (fun cell ->
+                Obj
+                  [ ("label", Str (c.label cell));
+                    ("timeline", timeline_json (c.timeline cell)) ])
+              c.cells) ) ]
+    @ c.constants)
+
 let to_json ~id ~wall rep =
   let c = rep.campaign in
   Report.make c.kind ~experiment:id ~wall ~runs:rep.totals.runs
     ~obs:rep.env.obs ~gate:rep.gate
-    (("config", c.config)
+    (("config", config_json c)
     :: ("per_run", Obs_json.Arr (List.map c.row (runs rep)))
     :: rep.members)
 

@@ -4,46 +4,30 @@
     A campaign is one value, a {!campaign}: its cells swept over
     consecutive seeds, a run function that takes the fault timeline as
     an argument, and its per-run row, gate rows and report members.
-    Each runner builds that value from its config and owns only its
-    deployment, workload and oracles; this module owns the rest: the
-    common configuration core, the dealt keyring, the cell × seed loop,
-    the totals, the report and its summary, the fault-timeline
+    Each runner builds that value from the one configuration every
+    campaign has, a {!core}, and owns only its deployment, workload,
+    oracles and constants; this module owns the rest: the dealt
+    keyring, the cell × seed loop, the totals, the report with its
+    configuration echo and its summary, the fault-timeline
     interpreter, the [Sim.Out_of_steps] → {!Oracle} conversion and the
     {!Flight} recorder, which records every run of every sweep.  The report envelope and writer are
     {!Report}'s; the artifact path and the timed write-and-check are
     {!Campaign_table}'s. *)
 
-(** {2 Configuration core} *)
+(** {2 Configuration} *)
 
 type core = {
   seeds : int;  (** seeds [seed_base .. seed_base + seeds - 1] per cell *)
   seed_base : int;
   n : int;
   t : int;
-  rsa_bits : int;
-  group_bits : int;
-  max_steps : int;  (** per-run simulator step bound *)
+  size : int;  (** the stream per run: payloads, or requests for [svc] *)
+  drop : float option;  (** overrides the runner's chaos drop rate *)
+  max_steps : int option;  (** overrides the runner's per-run step bound *)
 }
-
-val core :
-  ?seed_base:int ->
-  ?n:int ->
-  ?t:int ->
-  ?rsa_bits:int ->
-  ?group_bits:int ->
-  seeds:int ->
-  max_steps:int ->
-  unit ->
-  core
-(** Defaults: seeds from 1, n = 4 / t = 1, toy 192-bit RSA and 128-bit
-    group. *)
-
-val labels : ('a -> string) -> 'a list -> Obs_json.t
-(** A list of labels, as a configuration echo lists a cell dimension. *)
-
-val core_fields : core -> (string * Obs_json.t) list
-(** The configuration echo every report shares: seeds, seed_base, n, t
-    and max_steps. *)
+(** The one configuration of every campaign.  Everything else a runner
+    needs is one of its constants, and a test picks cells by filtering
+    the campaign's [cells]. *)
 
 (** {2 The run environment} *)
 
@@ -145,10 +129,13 @@ type totals = { runs : int; safety : int; liveness : int; steps : int }
 type ('cell, 'run) campaign = {
   kind : Report.kind;
   core : core;
+  max_steps : int;  (** per-run step bound: [core.max_steps] or the runner's *)
   key_offset : int;
       (** the keyring is dealt from seed [seed_base + key_offset]: each
           campaign keeps its own, so artifacts stay reproducible *)
-  cells : 'cell list;  (** swept in order, each over every seed *)
+  cells : 'cell list;
+      (** swept in order, each over every seed; a test keeps some with
+          [{ c with cells = List.filter ... c.cells }] *)
   label : 'cell -> string;  (** unique per cell, e.g. ["ca/crash-rejoin"] *)
   timeline : 'cell -> timeline;  (** the cell's default faults *)
   run_one : env -> 'cell -> seed:int -> timeline -> 'run;
@@ -160,12 +147,15 @@ type ('cell, 'run) campaign = {
     env -> totals -> 'run list -> Report.gate list * (string * Obs_json.t) list;
       (** after the sweep: the gate rows and the report members besides
           [config] and [per_run] *)
-  config : Obs_json.t;  (** the configuration echo *)
+  constants : (string * Obs_json.t) list;
+      (** the runner's own settings, echoed in [config] after the core
+          and the cells *)
 }
 (** A seed-sweep campaign: what a runner owns, as one value. *)
 
 val prepare : ('c, 'r) campaign -> env
-(** Deal the keyring and create the flight recorder over a fresh [obs].
+(** Deal the keyring (toy 192-bit RSA, 128-bit group) and create the
+    flight recorder over a fresh [obs].
     Runs of one environment share its keyring, so repeated evaluations
     (the schedule search) deal once. *)
 
@@ -197,9 +187,14 @@ val sweep :
 
 val runs : ('c, 'r) report -> 'r list
 
+val config_json : ('c, 'r) campaign -> Obs_json.t
+(** The configuration echo: the core (with the step bound in force),
+    then [cells], each cell's [label] with its [timeline]
+    ({!timeline_json}), in order, then the runner's [constants]. *)
+
 val to_json : id:string -> wall:float -> ('c, 'r) report -> Obs_json.t
-(** The campaign's {!Report}: the gate rows and members, the
-    configuration echo under [config] and one [per_run] row per run. *)
+(** The campaign's {!Report}: the gate rows and members, one [per_run]
+    row per run, and {!config_json} under [config]. *)
 
 val pp_summary : Format.formatter -> ('c, 'r) report -> unit
 (** One line per cell (label, runs, safety and liveness violations,

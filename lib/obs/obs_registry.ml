@@ -84,7 +84,6 @@ let incr ?(by = 1) c = c.c <- c.c + by
 let value c = c.c
 let set g v = g.g <- v
 let set_max g v = if v > g.g then g.g <- v
-let gauge_value g = g.g
 
 let observe t ?labels name v =
   Obs_histogram.observe (histogram t ?labels name) v

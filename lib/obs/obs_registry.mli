@@ -36,8 +36,6 @@ val set_max : gauge -> float -> unit
 (** Raise the gauge to [v] if below it (high-water marks, e.g. the link
     layer's peak retransmit-buffer depth). *)
 
-val gauge_value : gauge -> float
-
 val observe : t -> ?labels:labels -> string -> float -> unit
 (** Convenience: get-or-create the histogram and observe into it. *)
 

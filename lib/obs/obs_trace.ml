@@ -124,18 +124,6 @@ let stats t =
 
 let truncated t = t.dropped > 0
 
-(* The drop count was tracked internally from the start but surfaced
-   nowhere machine-readable, so a consumer of an exported window could
-   not tell a quiet run from one whose history was overwritten.  Flight
-   records embed this object next to every captured window. *)
-let stats_to_json (s : stats) : Obs_json.t =
-  Obs_json.Obj
-    [ ("spans_started", Obs_json.Int s.spans_started);
-      ("spans_ended", Obs_json.Int s.spans_ended);
-      ("points", Obs_json.Int s.points_recorded);
-      ("dropped_events", Obs_json.Int s.records_dropped);
-      ("truncated", Obs_json.Bool (s.records_dropped > 0)) ]
-
 (* Bounded window around an anomaly: the records whose start lies within
    [around - span, around + span], newest-biased — when more than
    [max_events] qualify, the ones closest to (and after) the anomaly

@@ -74,11 +74,6 @@ val truncated : t -> bool
 (** True once the ring has overwritten at least one completed record —
     i.e. any exported window may be missing its oldest history. *)
 
-val stats_to_json : stats -> Obs_json.t
-(** Machine-readable stats, including the ["dropped_events"] count and a
-    ["truncated"] flag, embedded by flight records so truncated hot
-    windows are explicit rather than silently short. *)
-
 val window :
   t -> around:float -> span:float -> max_events:int -> record list * int
 (** Records whose start time lies within [around ± span], oldest first,

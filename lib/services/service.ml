@@ -334,7 +334,6 @@ module Client = struct
     keyring : Keyring.t;
     rng : Prng.t;
     io : msg Stack.client_io;
-    resend_after : float;
     max_resends : int;
     fast_attempts : int;  (* query sends before falling back *)
     requests : (string, pending * (reply_cert -> unit)) Hashtbl.t;
@@ -455,11 +454,13 @@ module Client = struct
               obs_incr c "svc_reply_rejected"
           end)
 
-  (* Defaults are sized to the simulator's WAN model (10-100 virtual ms
-     per hop): a multi-round agreement takes virtual seconds, so the
-     resend period must be comfortably above one ordering latency or
+  (* The resend period is sized to the simulator's WAN model (10-100
+     virtual ms per hop): a multi-round agreement takes virtual seconds,
+     so the period must be comfortably above one ordering latency or
      every request burns its budget before the first answer lands. *)
-  let create ?(resend_after = 1_500.) ?(max_resends = 25) ?(fast_attempts = 2)
+  let resend_after = 1_500.
+
+  let create ?(max_resends = 25) ?(fast_attempts = 2)
       ~(sim : msg Link.frame Sim.t) ~(keyring : Keyring.t) ~slot ~seed () :
       c =
     (* The endpoint's handler closes over [c], which holds the
@@ -479,7 +480,6 @@ module Client = struct
         keyring;
         rng = Prng.create ~seed;
         io;
-        resend_after;
         max_resends;
         fast_attempts;
         requests = Hashtbl.create 16;
@@ -522,7 +522,7 @@ module Client = struct
      the entry is dropped so client memory stays bounded even against a
      dead service. *)
   let rec arm c req_digest =
-    c.io.Stack.c_timer ~delay:c.resend_after (fun () ->
+    c.io.Stack.c_timer ~delay:resend_after (fun () ->
         match Hashtbl.find_opt c.requests req_digest with
         | None -> ()
         | Some (p, _) ->

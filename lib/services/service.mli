@@ -158,7 +158,6 @@ module Client : sig
   type c
 
   val create :
-    ?resend_after:float ->
     ?max_resends:int ->
     ?fast_attempts:int ->
     sim:msg Link.frame Sim.t ->
@@ -167,8 +166,8 @@ module Client : sig
     seed:int ->
     unit ->
     c
-  (** Attach a client to simulator slot [slot] (>= n).  [resend_after]
-      is the virtual-time resend period; [max_resends] bounds total
+  (** Attach a client to simulator slot [slot] (>= n).  A request is
+      resent every 1,500 units of virtual time; [max_resends] bounds total
       sends per request (the request is abandoned and counted as a
       timeout after that, keeping pending state bounded even against a
       dead service); [fast_attempts] is how many query sends precede

@@ -505,6 +505,16 @@ let byzantine_tests =
 (* One run of a campaign's cell under its default timeline. *)
 let run_cell c cell ~seed = Sweep.run_cell c (Sweep.prepare c) cell ~seed
 
+let silent (_, _, (m : Campaign.mix)) = m.m_kind = Campaign.Silent
+let faults ?abc_policy ~seeds size =
+  Campaign.campaign ?abc_policy ~link:false (Support.core ~seeds size)
+
+(* ABBA's silent cells, two payloads per run. *)
+let small_faults ~seeds =
+  Support.only
+    (fun ((protocol, _, _) as cell) -> protocol = Campaign.P_abba && silent cell)
+    (faults ~seeds 2)
+
 let campaign_tests =
   [ Alcotest.test_case
       "50-seed sweep: drop/dup-reorder/partition, maximal corrupted set"
@@ -513,12 +523,7 @@ let campaign_tests =
            policies, a maximal corrupted set per run (rotating through
            the structure's maximal sets), 50 seeds.  Safety must hold
            everywhere; liveness wherever channels are reliable. *)
-        let cfg =
-          Campaign.default_config ~seeds:50
-            ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-            ()
-        in
-        let rep = Sweep.sweep (Campaign.campaign cfg) in
+        let rep = Sweep.sweep (Support.only silent (faults ~seeds:50 2)) in
         let results = Sweep.runs rep in
         Alcotest.(check int) "runs" 300 (List.length results);
         List.iter
@@ -542,15 +547,13 @@ let campaign_tests =
            (total order included) must stay silent under batching and
            pipelining exactly as they do unbatched. *)
         let run_with abc_policy =
-          Sweep.sweep @@ Campaign.campaign
-            (Campaign.default_config ~seeds:50
-               ~protocols:[ Campaign.P_abc ]
-               ~policies:
-                 [ Campaign.dup_reorder_policy ();
-                   Campaign.partition_policy ~n:4 () ]
-               ~mixes:
-                 [ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-               ~payloads:6 ~abc_policy ())
+          Sweep.sweep
+          @@ Support.only
+               (fun ((protocol, policy, _) as cell) ->
+                 protocol = Campaign.P_abc
+                 && policy.Campaign.p_name <> "drop"
+                 && silent cell)
+          @@ faults ~abc_policy ~seeds:50 6
         in
         List.iter
           (fun (name, rep) ->
@@ -569,13 +572,7 @@ let campaign_tests =
                 { Abc.default_policy with max_batch_msgs = 8; window = 4 } )
           ]);
     Alcotest.test_case "report round-trips and validates" `Quick (fun () ->
-        let cfg =
-          Campaign.default_config ~seeds:2
-            ~protocols:[ Campaign.P_abba ]
-            ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-            ()
-        in
-        let rep = Sweep.sweep (Campaign.campaign cfg) in
+        let rep = Sweep.sweep (small_faults ~seeds:2) in
         let doc = Sweep.to_json ~id:"test" ~wall:0.1 rep in
         (match Obs_json.of_string (Obs_json.to_string doc) with
         | Error e -> Alcotest.failf "round-trip parse: %s" e
@@ -645,12 +642,10 @@ let recovery_tests =
           "only pre-crash and post-rearm messages delivered" [ 4; 1 ] !got);
     Alcotest.test_case "crash-rejoin: victim rejoins via certified transfer"
       `Quick (fun () ->
-        let cfg =
-          Rejoin.default_config ~seeds:1 ~payloads:12
-            ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()
-        in
         let r =
-          run_cell (Rejoin.campaign cfg) (Rejoin.Crash_rejoin, false) ~seed:1
+          run_cell
+            (Rejoin.campaign (Support.core ~seeds:1 12))
+            (Rejoin.Crash_rejoin, false) ~seed:1
         in
         Alcotest.(check bool) "recovered" true r.Rejoin.jr_recovered;
         Alcotest.(check bool) "transferred" true r.Rejoin.jr_transferred;
@@ -660,12 +655,10 @@ let recovery_tests =
           (List.length r.Rejoin.jr_violations));
     Alcotest.test_case "partition heal: victim catches back up" `Quick
       (fun () ->
-        let cfg =
-          Rejoin.default_config ~seeds:1 ~payloads:12
-            ~scenarios:[ Rejoin.Partition_heal ] ~variants:[ false ] ()
-        in
         let r =
-          run_cell (Rejoin.campaign cfg) (Rejoin.Partition_heal, false) ~seed:2
+          run_cell
+            (Rejoin.campaign (Support.core ~seeds:1 12))
+            (Rejoin.Partition_heal, false) ~seed:2
         in
         Alcotest.(check bool) "recovered" true r.Rejoin.jr_recovered;
         Alcotest.(check int) "no violations" 0
@@ -675,12 +668,10 @@ let recovery_tests =
         (* Reliable channels, so the forged server's reply always
            reaches the fetching victim: the rejection is deterministic,
            and recovery must come from the honest quorum. *)
-        let cfg =
-          Rejoin.default_config ~seeds:1 ~payloads:12 ~drop:0.0
-            ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ true ] ()
-        in
         let r =
-          run_cell (Rejoin.campaign cfg) (Rejoin.Crash_rejoin, true) ~seed:3
+          run_cell
+            (Rejoin.campaign (Support.core ~drop:0.0 ~seeds:1 12))
+            (Rejoin.Crash_rejoin, true) ~seed:3
         in
         Alcotest.(check bool) "recovered" true r.Rejoin.jr_recovered;
         Alcotest.(check bool) "transferred" true r.Rejoin.jr_transferred;
@@ -690,9 +681,8 @@ let recovery_tests =
           (List.length r.Rejoin.jr_violations));
     Alcotest.test_case "checkpoint GC bounds the delivered log" `Quick
       (fun () ->
-        let cfg = Rejoin.default_config ~seeds:1 ~mem_payloads:96 () in
-        let env = Sweep.prepare (Rejoin.campaign cfg) in
-        let m = Rejoin.memory_probe env cfg ~seed:1 in
+        let env = Sweep.prepare (Rejoin.campaign (Support.core ~seeds:1 24)) in
+        let m = Rejoin.memory_probe env ~payloads:96 ~seed:1 in
         Alcotest.(check int) "gc-off log grows with the stream" 96
           m.Rejoin.m_gc_off_peak;
         Alcotest.(check bool)
@@ -712,10 +702,7 @@ let recovery_tests =
            to agree on the whole digest history; the crash-rejoin victim
            must get there via certified state transfer, and a sweep with
            a forged server must witness an explicit rejection. *)
-        let cfg =
-          Rejoin.default_config ~seeds:50 ~payloads:12 ~mem_payloads:0 ()
-        in
-        let rep = Sweep.sweep (Rejoin.campaign cfg) in
+        let rep = Sweep.sweep (Rejoin.campaign (Support.core ~seeds:50 12)) in
         let results = Sweep.runs rep in
         Alcotest.(check int) "runs" 200 (List.length results);
         Alcotest.(check int) "zero safety violations" 0
@@ -746,16 +733,16 @@ let recovery_tests =
 (* ---------------- sustained-load service campaigns ------------------- *)
 
 let svc_campaign_tests =
-  let small ?(variants = [ Svc.Drop_arq; Svc.Crash_rejoin ]) ?(seeds = 1) () =
-    Svc.default_config ~seeds ~requests:6 ~clients:2 ~window:2 ~keyspace:4
-      ~kinds:[ Svc.Directory_svc ] ~variants ()
+  let small ?(seeds = 1) () =
+    Support.only
+      (fun (kind, variant) ->
+        kind = Svc.Directory_svc
+        && List.mem variant [ Svc.Drop_arq; Svc.Crash_rejoin ])
+      (Svc.campaign ~clients:2 ~window:2 ~keyspace:4 (Support.core ~seeds 6))
   in
   [ Alcotest.test_case "client pipeline survives 30% drop with the ARQ link"
       `Quick (fun () ->
-        let cfg = small () in
-        let r =
-          run_cell (Svc.campaign cfg) (Svc.Directory_svc, Svc.Drop_arq) ~seed:11
-        in
+        let r = run_cell (small ()) (Svc.Directory_svc, Svc.Drop_arq) ~seed:11 in
         Alcotest.(check int) "quota met" r.Svc.vr_target r.Svc.vr_completed;
         Alcotest.(check int) "every accepted certificate verified"
           r.Svc.vr_completed r.Svc.vr_verified;
@@ -765,10 +752,8 @@ let svc_campaign_tests =
           (List.length r.Svc.vr_violations));
     Alcotest.test_case "client pipeline survives a crash-rejoin mid-campaign"
       `Quick (fun () ->
-        let cfg = small () in
         let r =
-          run_cell (Svc.campaign cfg) (Svc.Directory_svc, Svc.Crash_rejoin)
-            ~seed:12
+          run_cell (small ()) (Svc.Directory_svc, Svc.Crash_rejoin) ~seed:12
         in
         Alcotest.(check bool) "a victim was crashed" true (r.Svc.vr_victim >= 0);
         Alcotest.(check int) "quota met" r.Svc.vr_target r.Svc.vr_completed;
@@ -778,14 +763,12 @@ let svc_campaign_tests =
           (List.length r.Svc.vr_violations));
     Alcotest.test_case "notary sweep drops the crash-rejoin variant" `Quick
       (fun () ->
-        let c =
-          Svc.campaign
-            (Svc.default_config ~kinds:[ Svc.Ca_svc; Svc.Notary_svc ]
-               ~variants:[ Svc.Benign; Svc.Crash_rejoin ] ())
-        in
+        let c = Svc.campaign (Support.core ~seeds:1 6) in
         Alcotest.(check (list string))
           "crash-rejoin filtered for the notary, kept for plain kinds"
-          [ "ca/benign"; "ca/crash-rejoin"; "notary/benign" ]
+          [ "ca/benign"; "ca/drop-arq"; "ca/crash-rejoin"; "directory/benign";
+            "directory/drop-arq"; "directory/crash-rejoin"; "notary/benign";
+            "notary/drop-arq" ]
           (List.map c.Sweep.label c.Sweep.cells));
     Alcotest.test_case
       "50-seed service sweep: drop-arq + crash-rejoin, certificates and dedup"
@@ -798,8 +781,7 @@ let svc_campaign_tests =
            replay volume that reached the order (and never exceed the
            clients' resend volume), and the safety oracles — total order
            over digest histories included — must stay silent. *)
-        let cfg = small ~seeds:50 () in
-        let rep = Sweep.sweep (Svc.campaign cfg) in
+        let rep = Sweep.sweep (small ~seeds:50 ()) in
         let results = Sweep.runs rep in
         let total f = Sweep.sum f results in
         Alcotest.(check int) "runs" 100 (List.length results);
@@ -861,51 +843,31 @@ let svc_campaign_tests =
 
 (* One small real document per campaign kind, each from a genuine run,
    shared by the table tests below. *)
-let small_faults_cfg () =
-  Campaign.default_config ~seeds:1 ~protocols:[ Campaign.P_abba ]
-    ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-    ()
-
 let real_docs =
   lazy
     (let doc c = Sweep.to_json ~id:"t" ~wall:0.1 (Sweep.sweep c) in
-     let faults = doc (Campaign.campaign (small_faults_cfg ())) in
+     let faults = doc (small_faults ~seeds:1) in
      let recov =
        doc
-         (Rejoin.campaign
-            (Rejoin.default_config ~seeds:1 ~payloads:12 ~mem_payloads:0
-               ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()))
+         (Support.only
+            (( = ) (Rejoin.Crash_rejoin, false))
+            (Rejoin.campaign (Support.core ~seeds:1 12)))
      in
      let epoch =
        doc
-         (Refresh.campaign
-            (Refresh.default_config ~seeds:1 ~payloads:8
-               ~scenarios:[ Refresh.Refresh_only ] ~variants:[ Refresh.Benign ]
-               ()))
+         (Support.only
+            (( = ) (Refresh.Refresh_only, Refresh.Benign))
+            (Refresh.campaign (Support.core ~seeds:1 8)))
      in
      let svc =
        doc
-         (Svc.campaign
-            (Svc.default_config ~seeds:1 ~requests:6 ~clients:2 ~window:2
-               ~keyspace:4 ~kinds:[ Svc.Directory_svc ] ~variants:[ Svc.Benign ]
-               ()))
+         (Support.only
+            (( = ) (Svc.Directory_svc, Svc.Benign))
+            (Svc.campaign ~clients:2 ~window:2 ~keyspace:4
+               (Support.core ~seeds:1 6)))
      in
      [ (Report.Faults, faults); (Report.Recov, recov);
        (Report.Epoch, epoch); (Report.Svc, svc) ])
-
-(* The nearest [baselines] directory at or above the working directory:
-   the copy dune stages beside the test directory under [dune runtest],
-   the source tree's under [dune exec test/main.exe] from the repository
-   root. *)
-let baselines_dir =
-  let rec up dir =
-    let here = Filename.concat dir "baselines" in
-    if Sys.file_exists here && Sys.is_directory here then here
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then "baselines" else up parent
-  in
-  up (Sys.getcwd ())
 
 (* The blessed quick artifacts: a real document of every campaign plus
    the TPUT bench report. *)
@@ -915,7 +877,7 @@ let baseline_docs =
        (fun prefix ->
          match
            Report.read_file
-             (Filename.concat baselines_dir (prefix ^ "_BASELINE.json"))
+             (Filename.concat Support.baselines_dir (prefix ^ "_BASELINE.json"))
          with
          | Ok doc -> (prefix, doc)
          | Error e -> Alcotest.failf "%s baseline: %s" prefix e)
@@ -1013,6 +975,48 @@ let table_tests =
                 (kind ^ ": row count rejected (" ^ e ^ ")")
                 true (contains e "rows for"))
           (Lazy.force real_docs));
+    Alcotest.test_case "config echoes every cell with its timeline" `Quick
+      (fun () ->
+        (* The echo lists exactly the campaign's cells, in order, each
+           with a timeline that decodes to the cell's own: for every row
+           of the table at its quick preset, and for a campaign whose
+           cells a test kept, as built and as written in its report. *)
+        let check name c config =
+          let get doc path conv =
+            match Report.field doc path conv with
+            | Ok v -> v
+            | Error e -> Alcotest.failf "%s: %s" name e
+          in
+          let echoed = get config [ "cells" ] Obs_json.to_list in
+          Alcotest.(check (list string))
+            (name ^ ": every cell, in order")
+            (List.map c.Sweep.label c.Sweep.cells)
+            (List.map (fun e -> get e [ "label" ] Obs_json.to_str) echoed);
+          List.iter2
+            (fun cell e ->
+              let what = name ^ ": " ^ c.Sweep.label cell ^ " timeline" in
+              match Sweep.timeline_of_json (get e [ "timeline" ] Option.some) with
+              | Ok tl -> Alcotest.(check bool) what true (tl = c.Sweep.timeline cell)
+              | Error e -> Alcotest.failf "%s: %s" what e)
+            c.Sweep.cells echoed
+        in
+        List.iter
+          (fun (row : Campaign_table.campaign) ->
+            let (Campaign_table.Packed c) =
+              row.campaign (Support.core ~seeds:row.quick.seeds row.quick.size)
+            in
+            check row.name c (Sweep.config_json c))
+          Campaign_table.campaigns;
+        let kept = small_faults ~seeds:1 in
+        Alcotest.(check int) "three cells kept" 3 (List.length kept.Sweep.cells);
+        check "kept" kept (Sweep.config_json kept);
+        match
+          Report.field
+            (List.assoc Report.Faults (Lazy.force real_docs))
+            [ "config" ] Option.some
+        with
+        | Ok config -> check "kept, as written" kept config
+        | Error e -> Alcotest.failf "written config: %s" e);
     Alcotest.test_case
       "report gates: bench-check and compare reject bad rows" `Quick
       (fun () ->

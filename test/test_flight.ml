@@ -4,13 +4,12 @@
    and replay of the archived schedules: the worst ones the adversarial
    search found, and svc and epoch timelines. *)
 
-let silent_mix = { Campaign.m_name = "silent"; m_kind = Campaign.Silent }
-
+(* ABBA's silent cells over two seeds. *)
 let small_campaign () =
-  Campaign.campaign
-    (Campaign.default_config ~seeds:2
-       ~protocols:[ Campaign.P_abba ]
-       ~mixes:[ silent_mix ] ())
+  Support.only
+    (fun (protocol, _, (mix : Campaign.mix)) ->
+      protocol = Campaign.P_abba && mix.m_kind = Campaign.Silent)
+    (Campaign.campaign ~link:false (Support.core ~seeds:2 2))
 
 (* A campaign's report at a fixed wall time. *)
 let doc_of c = Sweep.to_json ~id:"t" ~wall:0.0 (Sweep.sweep c)
@@ -204,10 +203,10 @@ let durable_tests =
       "an svc run short of steps reports a stall with its trace window"
       `Quick (fun () ->
         let c =
-          Svc.campaign
-            (Svc.default_config ~seeds:1 ~requests:6 ~clients:2 ~window:2
-               ~keyspace:4 ~kinds:[ Svc.Directory_svc ]
-               ~variants:[ Svc.Benign ] ~max_steps:300 ())
+          Support.only
+            (( = ) (Svc.Directory_svc, Svc.Benign))
+            (Svc.campaign ~clients:2 ~window:2 ~keyspace:4
+               (Support.core ~max_steps:300 ~seeds:1 6))
         in
         let doc = doc_of c in
         Alcotest.(check int) "one stall counted" 1
@@ -238,13 +237,14 @@ let durable_tests =
         in
         let (Campaign_table.Packed c) =
           row.Campaign_table.campaign
-            { Campaign_table.n = 4; t = 1; seed_base = 1; seeds = 3;
-              size = row.Campaign_table.quick.Campaign_table.size; drop = None;
-              max_steps = None }
+            (Support.core ~seeds:3 row.Campaign_table.quick.Campaign_table.size)
         in
         let gate = gate_rows (doc_of c) in
         let expected =
-          match Report.read_file "fixtures/flight_quick_rows.json" with
+          match
+            Report.read_file
+              (Filename.concat Support.fixtures_dir "flight_quick_rows.json")
+          with
           | Ok doc -> member doc [ "rows" ] Obs_json.to_list
           | Error e -> Alcotest.failf "fixture: %s" e
         in
@@ -327,7 +327,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let fixture_docs () =
-  let dir = "fixtures" in
+  let dir = Support.fixtures_dir in
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f ->
          String.starts_with ~prefix:"worst_" f
@@ -411,10 +411,10 @@ let fixture_tests =
                  moved own)
               true (moved <> own))
           [ ( "replay_svc_ca_crash-rejoin.json",
-              (Svc.campaign (Svc.default_config ())).Sweep.timeline
+              (Svc.campaign (Support.core ~seeds:1 60)).Sweep.timeline
                 (Svc.Ca_svc, Svc.Crash_rejoin) );
             ( "replay_epoch_kill-and-replace_lossy.json",
-              (Refresh.campaign (Refresh.default_config ())).Sweep.timeline
+              (Refresh.campaign (Support.core ~seeds:1 24)).Sweep.timeline
                 (Refresh.Kill_replace, Refresh.Lossy) ) ]);
     Alcotest.test_case "malformed schedule fixtures are errors" `Quick
       (fun () ->
@@ -483,9 +483,7 @@ let fixture_tests =
           :: List.concat_map
                (fun (row : Campaign_table.campaign) ->
                  let (Campaign_table.Packed c) =
-                   row.campaign
-                     { Campaign_table.n = 4; t = 1; seed_base = 1; seeds = 1;
-                       size = 12; drop = None; max_steps = None }
+                   row.campaign (Support.core ~seeds:1 12)
                  in
                  List.map c.Sweep.timeline c.Sweep.cells)
                Campaign_table.campaigns

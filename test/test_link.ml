@@ -307,8 +307,8 @@ let timer_tests =
 let golden_linkoff_digest =
   "3fe0852e780e7257e923074e20c8d2c1afd1458d12b4971da87cdeb7576db394"
 
-let digest_campaign cfg =
-  let rep = Sweep.sweep (Campaign.campaign cfg) in
+let digest_campaign c =
+  let rep = Sweep.sweep c in
   let buf = Buffer.create 4096 in
   List.iter
     (fun (r : Campaign.run_result) ->
@@ -352,11 +352,7 @@ let linkon_rows () =
   let row fmt = Printf.bprintf buf (fmt ^^ "\n") in
   let viol vs = (Oracle.count_safety vs, Oracle.count_liveness vs) in
   let seeds = [ 1; 2; 3 ] in
-  let rcfg =
-    Rejoin.default_config ~seeds:3 ~payloads:12
-      ~scenarios:[ Rejoin.Crash_rejoin ] ~variants:[ false ] ()
-  in
-  let rc = Rejoin.campaign rcfg in
+  let rc = Rejoin.campaign (Support.core ~seeds:3 12) in
   let renv = Sweep.prepare rc in
   List.iter
     (fun seed ->
@@ -367,11 +363,7 @@ let linkon_rows () =
         r.Rejoin.jr_transfer_bytes r.Rejoin.jr_rejected r.Rejoin.jr_log_peak
         r.Rejoin.jr_retired r.Rejoin.jr_ckpt_round s l r.Rejoin.jr_steps)
     seeds;
-  let ecfg =
-    Refresh.default_config ~seeds:3 ~payloads:12
-      ~scenarios:[ Refresh.Kill_replace ] ~variants:[ Refresh.Lossy ] ()
-  in
-  let ec = Refresh.campaign ecfg in
+  let ec = Refresh.campaign (Support.core ~seeds:3 12) in
   let eenv = Sweep.prepare ec in
   List.iter
     (fun seed ->
@@ -385,12 +377,9 @@ let linkon_rows () =
         r.Refresh.er_excluded r.Refresh.er_replaced_serving s l
         r.Refresh.er_steps)
     seeds;
-  let vcfg =
-    Svc.default_config ~seeds:3 ~requests:12 ~clients:2 ~window:2
-      ~keyspace:4 ~kinds:[ Svc.Ca_svc ]
-      ~variants:[ Svc.Drop_arq; Svc.Crash_rejoin ] ()
+  let vc =
+    Svc.campaign ~clients:2 ~window:2 ~keyspace:4 (Support.core ~seeds:3 12)
   in
-  let vc = Svc.campaign vcfg in
   let venv = Sweep.prepare vc in
   List.iter
     (fun variant ->
@@ -416,14 +405,11 @@ let parity_tests =
       `Slow (fun () ->
         let digest =
           digest_campaign
-            (Campaign.default_config ~seeds:50
-               ~policies:
-                 [ Campaign.drop_policy ();
-                   Campaign.partition_policy ~n:4 () ]
-               ~mixes:
-                 [ { Campaign.m_name = "silent"; m_kind = Campaign.Silent };
-                   { Campaign.m_name = "byzantine"; m_kind = Campaign.Byz } ]
-               ())
+            (Support.only
+               (fun (_, policy, mix) ->
+                 policy.Campaign.p_name <> "dup-reorder"
+                 && mix.Campaign.m_name <> "crash")
+               (Campaign.campaign ~link:false (Support.core ~seeds:50 2)))
         in
         Alcotest.(check string) "golden digest" golden_linkoff_digest digest);
     Alcotest.test_case
@@ -507,13 +493,12 @@ let gating_tests =
   [ Alcotest.test_case
       "50-seed x 2-protocol sweep at 30% drop, link on: liveness gates and holds"
       `Slow (fun () ->
-        let cfg =
-          Campaign.default_config ~seeds:50
-            ~policies:[ Campaign.drop_policy ~rate:0.3 () ]
-            ~mixes:[ { Campaign.m_name = "silent"; m_kind = Campaign.Silent } ]
-            ~link:Link.default_policy ()
+        let rep =
+          Sweep.sweep
+            (Support.only
+               (fun (_, _, mix) -> mix.Campaign.m_kind = Campaign.Silent)
+               (Campaign.campaign ~link:true (Support.core ~seeds:50 2)))
         in
-        let rep = Sweep.sweep (Campaign.campaign cfg) in
         let results = Sweep.runs rep in
         Alcotest.(check int) "runs" 100 (List.length results);
         Alcotest.(check int) "no safety violations" 0

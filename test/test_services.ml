@@ -852,11 +852,10 @@ let reply_path_tests =
           (Service.Client.rejected_replies client));
     Alcotest.test_case "benign svc run: no reply-path proofs, same signing"
       `Quick (fun () ->
-        let cfg =
-          Svc.default_config ~seeds:1 ~requests:12 ~clients:2 ~window:2
-            ~keyspace:4 ~kinds:[ Svc.Ca_svc ] ~variants:[ Svc.Benign ] ()
+        let c =
+          Svc.campaign ~clients:2 ~window:2 ~keyspace:4
+            (Support.core ~seeds:1 12)
         in
-        let c = Svc.campaign cfg in
         let env = Sweep.prepare c in
         Obs_crypto.enable ();
         Obs_crypto.reset ();
@@ -881,11 +880,10 @@ let reply_path_tests =
               (Obs_crypto.count Obs_crypto.Sign)));
     Alcotest.test_case "benign notary svc run: each ciphertext checked once"
       `Quick (fun () ->
-        let cfg =
-          Svc.default_config ~seeds:1 ~requests:12 ~clients:2 ~window:2
-            ~keyspace:4 ~kinds:[ Svc.Notary_svc ] ~variants:[ Svc.Benign ] ()
+        let c =
+          Svc.campaign ~clients:2 ~window:2 ~keyspace:4
+            (Support.core ~seeds:1 12)
         in
-        let c = Svc.campaign cfg in
         let env = Sweep.prepare c in
         Obs_crypto.enable ();
         Obs_crypto.reset ();
