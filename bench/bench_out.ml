@@ -4,35 +4,32 @@
    gets a fresh, active observability instance (handed to every
    [Sim.create] via [obs ()]) and process-global crypto counters reset
    and enabled for its duration.  On completion the harness writes
-   BENCH_<id>.json next to the working directory, a [bench] report:
+   BENCH_<id>.json next to the working directory, a [bench] report in
+   the one layout of {!Report}: its header, its gate and, for an
+   experiment that records runs ([per_run], TPUT's sweep rows), "runs"
+   and "per_run"; BENCH_NUM adds its "config".
 
-     { the Report header (kind "bench", no "runs"), "gate": [...],
-       "virtual_time_total": <float>,   (* summed over all sims *)
-       "crypto_ops":      { "modexp": n, ... },
-       ... any extra fields the experiment [put] }
-
-   The gate holds the virtual time total and every crypto-op count
-   (costs thresholded, path counters such as cache hits as info rows;
-   [Obs_crypto.direction] says which), the rows the experiment adds
-   with [gate], and every
-   metrics counter as an info row keyed [name{labels}], so [sintra
-   compare] shows per-counter deltas.  The per-layer message/byte
-   counters carry labels [("layer", "rbc" | "cbc" | "abba" | ...)];
-   virtual time per sim run is the "virtual_time" histogram (observed
-   once at the end of every [Sim.run]). *)
+   The gate holds the virtual time total (summed over all sims) and
+   every crypto-op count (costs thresholded, path counters such as cache
+   hits as info rows; [Obs_crypto.direction] says which), the rows the
+   experiment adds with [gate], and every metrics counter as an info row
+   keyed [name{labels}], so [sintra compare] shows per-counter deltas.
+   The per-layer message/byte counters carry labels [("layer", "rbc" |
+   "cbc" | "abba" | ...)]; virtual time per sim run is the
+   "virtual_time" histogram (observed once at the end of every
+   [Sim.run]). *)
 
 let current : Obs.t ref = ref Obs.noop
-let extras : (string * Obs_json.t) list ref = ref []
 let gates : Report.gate list ref = ref []
+let runs : Obs_json.t list ref = ref []  (* newest first *)
 
 let obs () = !current
 
-(* Attach an extra top-level field to the current experiment's JSON.
-   Later [put]s of the same key win. *)
-let put key v = extras := (key, v) :: List.remove_assoc key !extras
-
 (* Add gate rows to the current experiment's report. *)
 let gate rows = gates := !gates @ rows
+
+(* Add one run's row to the current experiment's "per_run". *)
+let per_run row = runs := row :: !runs
 
 let out_path id = Printf.sprintf "BENCH_%s.json" id
 
@@ -50,7 +47,7 @@ let counter_key (k : Obs_registry.key) =
       (String.concat ","
          (List.map (fun (l, v) -> l ^ "=" ^ v) k.labels))
 
-let document ~id ~wall ?(gate = []) (o : Obs.t) fields =
+let document ~id ~wall ?(gate = []) ?per_run ?config (o : Obs.t) =
   let snap = Obs.snapshot o in
   let vt = virtual_time_total snap in
   let counters =
@@ -73,9 +70,7 @@ let document ~id ~wall ?(gate = []) (o : Obs.t) fields =
               | Obs_crypto.Path -> Report.info metric v)
             Obs_crypto.all_kinds)
       @ gate @ counters)
-    ([ ("virtual_time_total", Obs_json.Float vt);
-       ("crypto_ops", Obs_crypto.to_json ()) ]
-    @ fields)
+    ?per_run ?config ()
 
 (* One TPUT sweep row's gate: throughput and rounds thresholded, the
    delivered count strict. *)
@@ -89,8 +84,8 @@ let tput_gate ~batch ~window ~decided_per_1k_steps ~rounds ~delivered =
 let with_experiment ~id (f : unit -> unit) : unit =
   let o = Obs.create () in
   current := o;
-  extras := [];
   gates := [];
+  runs := [];
   Obs_crypto.reset ();
   Obs_crypto.enable ();
   let t0 = Unix.gettimeofday () in
@@ -99,7 +94,8 @@ let with_experiment ~id (f : unit -> unit) : unit =
       let wall = Unix.gettimeofday () -. t0 in
       Obs_crypto.disable ();
       current := Obs.noop;
-      let doc = document ~id ~wall ~gate:!gates o (List.rev !extras) in
+      let per_run = if !runs = [] then None else Some (List.rev !runs) in
+      let doc = document ~id ~wall ~gate:!gates ?per_run o in
       Printf.printf "[bench] wrote %s\n%!" (Report.write (out_path id) doc);
       Obs_crypto.reset ())
     f

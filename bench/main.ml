@@ -1076,8 +1076,7 @@ let tput () =
   in
   claim Lower "tput invariant breaks" ~limit:0.0
     (count (fun (_, _, _, broken) -> broken) results);
-  Bench_out.put "tput"
-    (Obs_json.Arr (List.map (fun (_, _, row, _) -> row) results));
+  List.iter (fun (_, _, row, _) -> Bench_out.per_run row) results;
   let rate bw =
     List.find_map
       (fun (bw', rate, _, _) -> if bw' = bw then Some rate else None)
@@ -1089,7 +1088,8 @@ let tput () =
     Printf.printf
       "speedup (8,4) vs (1,1), decided payloads per 1k sim steps: %.2fx\n"
       speedup;
-    Bench_out.put "speedup_decided_per_1k_steps" (Obs_json.Float speedup)
+    Bench_out.gate
+      [ Report.info "b8w4 vs b1w1 decided per 1k steps speedup" speedup ]
   | _ -> ())
 
 let experiments =

@@ -324,15 +324,15 @@ let bench_check_cmd =
     (Cmd.info "bench-check"
        ~doc:
          "Validate machine-readable reports (bench and campaign \
-          artifacts): the shared envelope and its gate rows — finite \
-          values, a known direction, unique names, a finite limit only \
-          on a lower/higher row, the kind's acceptance rows present and \
-          limited, one per_run row per run — and then every limited row \
-          against its limit.  Each pass condition (no safety violation, \
-          no undecided liveness-gating run, bounded delivered logs, a \
-          stable service key, every request certified, monotone \
-          throughput progress, the DLEQ batch speedup, ...) is a gate row \
-          its producer limited.")
+          artifacts): the one layout (the fixed top-level members, all \
+          of them in a campaign, one per_run row per run) and its gate \
+          rows — finite values, a known direction, unique names, a finite \
+          limit only on a lower/higher row, the kind's acceptance rows \
+          present and limited — and then every limited row against its \
+          limit.  Each pass condition (no safety violation, no undecided \
+          liveness-gating run, bounded delivered logs, a stable service \
+          key, every request certified, monotone throughput progress, the \
+          DLEQ batch speedup, ...) is a gate row its producer limited.")
     Term.(const run $ files_arg)
 
 (* ---------- run: the seed-sweep campaigns ------------------------------ *)

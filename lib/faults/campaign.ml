@@ -319,22 +319,6 @@ let run_one ~abc_policy ~link ~(core : Sweep.core) ~max_steps env
 
 (* ---------- report output --------------------------------------------- *)
 
-let violation_json r (v : Oracle.violation) =
-  Obs_json.Obj
-    [
-      ("protocol", Obs_json.Str r.r_protocol);
-      ("policy", Obs_json.Str r.r_policy);
-      ("mix", Obs_json.Str r.r_mix);
-      ("seed", Obs_json.Int r.r_seed);
-      ("oracle", Obs_json.Str v.Oracle.oracle);
-      ("severity", Obs_json.Str (Oracle.severity_label v.Oracle.severity));
-      ( "party",
-        match v.Oracle.party with
-        | None -> Obs_json.Null
-        | Some p -> Obs_json.Int p );
-      ("detail", Obs_json.Str v.Oracle.detail);
-    ]
-
 let link_policy_json (p : Link.policy) =
   Obs_json.Obj
     [
@@ -346,20 +330,21 @@ let link_policy_json (p : Link.policy) =
       ("seed", Obs_json.Int p.Link.seed);
     ]
 
-(* One row per run: enough to audit the gating flip (which runs became
-   liveness-gating, whether they decided) and to attribute the link
-   layer's repair work (retransmissions) to individual runs. *)
+(* A run's own fields: enough to audit the gating flip (which runs
+   became liveness-gating, whether and when they decided) and to
+   attribute the link layer's repair work (retransmissions, buffer peak)
+   to individual runs. *)
 let run_json r =
-  Obs_json.Obj
-    [
-      ("protocol", Obs_json.Str r.r_protocol);
-      ("policy", Obs_json.Str r.r_policy);
-      ("mix", Obs_json.Str r.r_mix);
-      ("seed", Obs_json.Int r.r_seed);
-      ("gating", Obs_json.Bool r.r_reliable);
-      ("decided", Obs_json.Bool r.r_decided);
-      ("retransmits", Obs_json.Int r.r_link_retransmits);
-    ]
+  [
+    ("gating", Obs_json.Bool r.r_reliable);
+    ("decided", Obs_json.Bool r.r_decided);
+    ( "decide_clock",
+      match r.r_decide_clock with
+      | None -> Obs_json.Null
+      | Some t -> Obs_json.Float t );
+    ("retransmits", Obs_json.Int r.r_link_retransmits);
+    ("buffer_peak", Obs_json.Int r.r_buffer_peak);
+  ]
 
 (* The runner's settings besides the core and the cells. *)
 let constants ~abc_policy ~link =
@@ -371,7 +356,8 @@ let constants ~abc_policy ~link =
           ("max_batch_bytes", Obs_json.Int abc_policy.Abc.max_batch_bytes);
           ("window", Obs_json.Int abc_policy.Abc.window);
         ] );
-    ("link_enabled", Obs_json.Bool (link <> None));
+    ( "link",
+      match link with None -> Obs_json.Null | Some p -> link_policy_json p );
   ]
 
 let result_label r = String.concat "/" [ r.r_protocol; r.r_policy; r.r_mix ]
@@ -412,80 +398,24 @@ let cell_gate results =
         ])
     labels
 
-(* Pointers to the worst runs: the first run with the largest value. *)
-let worst_json results =
-  let key r =
-    Obs_json.Obj
-      [ ("cell", Obs_json.Str (result_label r)); ("seed", Obs_json.Int r.r_seed) ]
-  in
-  let worst value =
-    match
-      List.fold_left
-        (fun best r ->
-          match (value r, best) with
-          | Some v, Some (_, b) when b >= v -> best
-          | Some v, _ -> Some (r, v)
-          | None, _ -> best)
-        None results
-    with
-    | None -> Obs_json.Null
-    | Some (r, v) -> Obs_json.Obj [ ("run", key r); ("value", Obs_json.Float v) ]
-  in
-  Obs_json.Obj
-    [ ("slowest", worst (fun r -> r.r_decide_clock));
-      ( "undecided",
-        match List.find_opt (fun r -> r.r_decide_clock = None) results with
-        | None -> Obs_json.Null
-        | Some r -> key r );
-      ("retransmits", worst (every (fun r -> r.r_link_retransmits)));
-      ("buffer_peak", worst (every (fun r -> r.r_buffer_peak))) ]
-
-(* The gate and the members besides the config echo and the per-run
-   rows: chaos and link totals, the first violations in detail and the
-   worst runs. *)
-let close ~link _env (t : Sweep.totals) results =
+(* The acceptance rows, the sweep totals and the per-cell rows. *)
+let close _env (t : Sweep.totals) results =
   let total f = Sweep.sum f results in
-  let details =
-    List.concat_map
-      (fun r -> List.map (violation_json r) r.r_violations)
-      results
-  in
-  ( Report.
-      [
-        must Lower "safety violations" ~limit:0.0 (float t.safety);
-        must Lower "gating liveness violations" ~limit:0.0
-          (float (gating_liveness_count results));
-        threshold Lower "liveness violations" (float t.liveness);
-        threshold Lower "link retransmits"
-          (float (total (fun r -> r.r_link_retransmits)));
-        (* an undecided gating run is a liveness violation whether or
-           not an oracle named it *)
-        must Lower "undecided gating runs" ~limit:0.0
-          (float
-             (total (fun r -> Bool.to_int (r.r_reliable && not r.r_decided))));
-      ]
-    @ cell_gate results,
+  Report.
     [
-      ( "chaos",
-        Obs_json.Obj
-          [
-            ("drops", Obs_json.Int (total (fun r -> r.r_chaos_drops)));
-            ("dups", Obs_json.Int (total (fun r -> r.r_chaos_dups)));
-            ("reorders", Obs_json.Int (total (fun r -> r.r_chaos_reorders)));
-          ] );
-      ( "link",
-        Obs_json.Obj
-          [
-            ("enabled", Obs_json.Bool (link <> None));
-            ( "policy",
-              match link with
-              | None -> Obs_json.Null
-              | Some p -> link_policy_json p );
-          ] );
-      ( "violation_details",
-        Obs_json.Arr (List.filteri (fun i _ -> i < 50) details) );
-      ("worst", worst_json results);
-    ] )
+      must Lower "safety violations" ~limit:0.0 (float t.safety);
+      must Lower "gating liveness violations" ~limit:0.0
+        (float (gating_liveness_count results));
+      threshold Lower "liveness violations" (float t.liveness);
+      threshold Lower "link retransmits"
+        (float (total (fun r -> r.r_link_retransmits)));
+      (* an undecided gating run is a liveness violation whether or not
+         an oracle named it *)
+      must Lower "undecided gating runs" ~limit:0.0
+        (float
+           (total (fun r -> Bool.to_int (r.r_reliable && not r.r_decided))));
+    ]
+  @ cell_gate results
 
 let max_steps = 200_000
 
@@ -509,6 +439,6 @@ let campaign ?(abc_policy = Abc.default_policy) ~link (core : Sweep.core) =
     violations = (fun r -> r.r_violations);
     steps = (fun r -> r.r_steps);
     row = run_json;
-    close = close ~link;
+    close;
     constants = constants ~abc_policy ~link;
   }

@@ -105,9 +105,11 @@ val campaign :
     buffer peak goes to the flight recorder.  Besides the acceptance
     rows, the gate has per cell (["<protocol>/<policy>/<mix>"]) its
     decided runs (strict), decide-clock p95, mean steps and
-    retransmits and the buffer-peak max; the [worst] member points at
-    the slowest, first undecided, most-retransmitting and
-    highest-peak runs. *)
+    retransmits and the buffer-peak max; each run's [per_run] row adds
+    to the head whether it gates and decided, its decide clock (null
+    when undecided), retransmits and buffer peak.  The [config]
+    constants are the ABC policy and the link policy (null with the
+    link off). *)
 
 val gating_liveness_count : run_result list -> int
 (** Liveness violations under effectively reliable policies (natively

@@ -8,10 +8,10 @@
 (** {2 Validation} *)
 
 val check_doc : Obs_json.t -> (string, string) result
-(** {!Report.header} (the envelope, the kind's acceptance rows limited,
-    the [per_run] row count), then {!Report.past_limits}: [Ok
-    description] when every limited row is within its limit, [Error]
-    naming each row past it otherwise. *)
+(** {!Report.header} (the envelope and its one layout, the kind's
+    acceptance rows limited, the [per_run] row count), then
+    {!Report.past_limits}: [Ok description] when every limited row is
+    within its limit, [Error] naming each row past it otherwise. *)
 
 val check_file : string -> (string, string) result
 (** Parse, then {!check_doc}. *)

@@ -460,51 +460,43 @@ let run_one ~(core : Sweep.core) ~max_steps (env : Sweep.env)
 (* ---------- the campaign ---------------------------------------------- *)
 
 let run_json r =
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.Str (scenario_label r.er_scenario));
-      ("seed", Obs_json.Int r.er_seed);
-      ("variant", Obs_json.Str (variant_label r.er_variant));
-      ("victim", Obs_json.Int r.er_victim);
-      ("epochs", Obs_json.Int r.er_epochs);
-      ("completed", Obs_json.Bool r.er_completed);
-      ("pk_stable", Obs_json.Bool r.er_pk_stable);
-      ("old_shares_dead", Obs_json.Bool r.er_old_shares_dead);
-      ("certs_ok", Obs_json.Int r.er_certs_ok);
-      ("excluded", Obs_json.Int r.er_excluded);
-      ("replaced_serving", Obs_json.Bool r.er_replaced_serving);
-      ("safety", Obs_json.Int (Oracle.count_safety r.er_violations));
-      ("liveness", Obs_json.Int (Oracle.count_liveness r.er_violations));
-      ("steps", Obs_json.Int r.er_steps);
-    ]
+  [
+    ("victim", Obs_json.Int r.er_victim);
+    ("epochs", Obs_json.Int r.er_epochs);
+    ("completed", Obs_json.Bool r.er_completed);
+    ("pk_stable", Obs_json.Bool r.er_pk_stable);
+    ("old_shares_dead", Obs_json.Bool r.er_old_shares_dead);
+    ("certs_ok", Obs_json.Int r.er_certs_ok);
+    ("excluded", Obs_json.Int r.er_excluded);
+    ("replaced_serving", Obs_json.Bool r.er_replaced_serving);
+  ]
 
 let close ~payloads _env (t : Sweep.totals) results =
   let total f = float (Sweep.sum f results) in
   let failing f = total (fun r -> Bool.to_int (not (f r))) in
   let byz = List.filter (fun r -> r.er_variant = Byz_refresher) results in
-  ( Report.
-      [
-        must Lower "safety violations" ~limit:0.0 (float t.safety);
-        threshold Lower "liveness violations" (float t.liveness);
-        must Higher "completed runs" ~limit:(float t.runs)
-          (total (fun r -> Bool.to_int r.er_completed));
-        must Higher "reply certificates"
-          ~limit:(float (t.runs * payloads))
-          (total (fun r -> r.er_certs_ok));
-        info "dealers excluded" (total (fun r -> r.er_excluded));
-        threshold Lower "steps" (float t.steps);
-        must Lower "runs with a changed public key" ~limit:0.0
-          (failing (fun r -> r.er_pk_stable));
-        must Lower "runs with live old shares" ~limit:0.0
-          (failing (fun r -> r.er_old_shares_dead));
-        must Lower "runs with an unserving replacement" ~limit:0.0
-          (failing (fun r -> r.er_replaced_serving));
-        must Lower "Byzantine sweep without an exclusion" ~limit:0.0
-          (float
-             (Bool.to_int
-                (byz <> [] && List.for_all (fun r -> r.er_excluded = 0) byz)));
-      ],
-    [] )
+  Report.
+    [
+      must Lower "safety violations" ~limit:0.0 (float t.safety);
+      threshold Lower "liveness violations" (float t.liveness);
+      must Higher "completed runs" ~limit:(float t.runs)
+        (total (fun r -> Bool.to_int r.er_completed));
+      must Higher "reply certificates"
+        ~limit:(float (t.runs * payloads))
+        (total (fun r -> r.er_certs_ok));
+      info "dealers excluded" (total (fun r -> r.er_excluded));
+      threshold Lower "steps" (float t.steps);
+      must Lower "runs with a changed public key" ~limit:0.0
+        (failing (fun r -> r.er_pk_stable));
+      must Lower "runs with live old shares" ~limit:0.0
+        (failing (fun r -> r.er_old_shares_dead));
+      must Lower "runs with an unserving replacement" ~limit:0.0
+        (failing (fun r -> r.er_replaced_serving));
+      must Lower "Byzantine sweep without an exclusion" ~limit:0.0
+        (float
+           (Bool.to_int
+              (byz <> [] && List.for_all (fun r -> r.er_excluded = 0) byz)));
+    ]
 
 let campaign (core : Sweep.core) =
   let drop = Option.value core.drop ~default:drop

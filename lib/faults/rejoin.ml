@@ -184,7 +184,6 @@ let run_one ~(core : Sweep.core) ~max_steps (env : Sweep.env)
 (* ---------- bounded-memory probe -------------------------------------- *)
 
 type memory_probe = {
-  m_payloads : int;
   m_gc_on_peak : int;  (* delivered-log high-water, checkpoint GC on *)
   m_gc_on_retired : int;  (* per-round structures retired *)
   m_gc_on_ckpt_round : int;  (* last certified boundary *)
@@ -227,7 +226,6 @@ let memory_probe env ~payloads ~seed =
   in
   let off_peak, _, _ = memory_run env ~payloads ~interval:0 ~seed in
   {
-    m_payloads = payloads;
     m_gc_on_peak = on_peak;
     m_gc_on_retired = on_retired;
     m_gc_on_ckpt_round = on_ckpt;
@@ -247,67 +245,48 @@ let forged_witnessed results =
   forged = [] || List.exists (fun r -> r.jr_rejected > 0) forged
 
 let run_json r =
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.Str (scenario_label r.jr_scenario));
-      ("seed", Obs_json.Int r.jr_seed);
-      ("forged", Obs_json.Bool r.jr_forged);
-      ("victim", Obs_json.Int r.jr_victim);
-      ("recovered", Obs_json.Bool r.jr_recovered);
-      ("transferred", Obs_json.Bool r.jr_transferred);
-      ("transfer_bytes", Obs_json.Int r.jr_transfer_bytes);
-      ("rejected", Obs_json.Int r.jr_rejected);
-      ("log_peak", Obs_json.Int r.jr_log_peak);
-      ("retired", Obs_json.Int r.jr_retired);
-      ("ckpt_round", Obs_json.Int r.jr_ckpt_round);
-      ("safety", Obs_json.Int (Oracle.count_safety r.jr_violations));
-      ("liveness", Obs_json.Int (Oracle.count_liveness r.jr_violations));
-      ("steps", Obs_json.Int r.jr_steps);
-    ]
+  [
+    ("victim", Obs_json.Int r.jr_victim);
+    ("recovered", Obs_json.Bool r.jr_recovered);
+    ("transferred", Obs_json.Bool r.jr_transferred);
+    ("transfer_bytes", Obs_json.Int r.jr_transfer_bytes);
+    ("rejected", Obs_json.Int r.jr_rejected);
+    ("log_peak", Obs_json.Int r.jr_log_peak);
+    ("retired", Obs_json.Int r.jr_retired);
+    ("ckpt_round", Obs_json.Int r.jr_ckpt_round);
+  ]
 
-let memory_json m =
-  Obs_json.Obj
-    [
-      ("payloads", Obs_json.Int m.m_payloads);
-      ( "gc_on",
-        Obs_json.Obj
-          [
-            ("log_peak", Obs_json.Int m.m_gc_on_peak);
-            ("retired", Obs_json.Int m.m_gc_on_retired);
-            ("ckpt_round", Obs_json.Int m.m_gc_on_ckpt_round);
-          ] );
-      ("gc_off", Obs_json.Obj [ ("log_peak", Obs_json.Int m.m_gc_off_peak) ]);
-    ]
-
-(* The gate and the memory member.  The bounded-memory invariant: the
-   GC'd log stays below the unbounded one. *)
+(* The gate, with the memory probe's rows.  The bounded-memory
+   invariant: the GC'd log stays below the unbounded one. *)
 let close ~seed env (t : Sweep.totals) results =
   let total f = float (Sweep.sum f results) in
   let m = memory_probe env ~payloads:memory_payloads ~seed in
-  ( Report.
-      [
-        must Lower "safety violations" ~limit:0.0 (float t.safety);
-        threshold Lower "liveness violations" (float t.liveness);
-        must Higher "recovered runs" ~limit:(float t.runs)
-          (total (fun r -> Bool.to_int r.jr_recovered));
-        threshold Higher "state transfers"
-          (total (fun r -> Bool.to_int r.jr_transferred));
-        threshold Lower "transfer bytes" (total (fun r -> r.jr_transfer_bytes));
-        info "forged replies rejected" (total (fun r -> r.jr_rejected));
-        threshold Lower "steps" (float t.steps);
-        threshold Lower "GC'd log peak"
-          ~limit:(float (m.m_gc_off_peak - 1))
-          (float m.m_gc_on_peak);
-        (* A revived replica is amnesiac: catching up without a
-           certified transfer would resurrect state out of thin air. *)
-        must Lower "crash-rejoins without transfer" ~limit:0.0
-          (total (fun r ->
-               Bool.to_int
-                 (r.jr_scenario = Crash_rejoin && not r.jr_transferred)));
-        must Lower "forged sweep without a rejection" ~limit:0.0
-          (float (Bool.to_int (not (forged_witnessed results))));
-      ],
-    [ ("memory", memory_json m) ] )
+  Report.
+    [
+      must Lower "safety violations" ~limit:0.0 (float t.safety);
+      threshold Lower "liveness violations" (float t.liveness);
+      must Higher "recovered runs" ~limit:(float t.runs)
+        (total (fun r -> Bool.to_int r.jr_recovered));
+      threshold Higher "state transfers"
+        (total (fun r -> Bool.to_int r.jr_transferred));
+      threshold Lower "transfer bytes" (total (fun r -> r.jr_transfer_bytes));
+      info "forged replies rejected" (total (fun r -> r.jr_rejected));
+      threshold Lower "steps" (float t.steps);
+      threshold Lower "GC'd log peak"
+        ~limit:(float (m.m_gc_off_peak - 1))
+        (float m.m_gc_on_peak);
+      info "GC'd log retired rounds" (float m.m_gc_on_retired);
+      info "GC'd log checkpoint round" (float m.m_gc_on_ckpt_round);
+      info "un-GC'd log peak" (float m.m_gc_off_peak);
+      (* A revived replica is amnesiac: catching up without a certified
+         transfer would resurrect state out of thin air. *)
+      must Lower "crash-rejoins without transfer" ~limit:0.0
+        (total (fun r ->
+             Bool.to_int
+               (r.jr_scenario = Crash_rejoin && not r.jr_transferred)));
+      must Lower "forged sweep without a rejection" ~limit:0.0
+        (float (Bool.to_int (not (forged_witnessed results))));
+    ]
 
 let campaign (core : Sweep.core) =
   let drop = Option.value core.drop ~default:drop

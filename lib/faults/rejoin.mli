@@ -44,7 +44,6 @@ type cell = scenario * bool
     75%. *)
 
 type memory_probe = {
-  m_payloads : int;
   m_gc_on_peak : int;  (** delivered-log high-water, checkpoint GC on *)
   m_gc_on_retired : int;  (** per-round structures retired *)
   m_gc_on_ckpt_round : int;  (** last certified boundary *)
@@ -61,7 +60,8 @@ val campaign : Sweep.core -> (cell, run_result) Sweep.campaign
     payloads, window 2), link-on deployment under lossy chaos at
     [core.drop] (default 0.3); step bound 600k by default.  After the
     sweep, the memory probe runs at [seed_base] over 192 payloads: the
-    report's [memory] member and its limited "GC'd log peak" row.
+    limited "GC'd log peak" row and the info rows beside it (retired
+    rounds, checkpoint round, the un-GC'd log peak).
     Every state transfer is a flight-recorder anomaly. *)
 
 val forged_witnessed : run_result list -> bool

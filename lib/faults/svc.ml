@@ -342,116 +342,77 @@ let plain_log_peak results =
     0 results
 
 let run_json r =
-  Obs_json.Obj
-    [
-      ("kind", Obs_json.Str (kind_label r.vr_kind));
-      ("variant", Obs_json.Str (variant_label r.vr_variant));
-      ("seed", Obs_json.Int r.vr_seed);
-      ("target", Obs_json.Int r.vr_target);
-      ("completed", Obs_json.Int r.vr_completed);
-      ("verified", Obs_json.Int r.vr_verified);
-      ("cert_failures", Obs_json.Int r.vr_cert_failures);
-      ("reads", Obs_json.Int r.vr_reads);
-      ("fast_hits", Obs_json.Int r.vr_fast_hits);
-      ("fallbacks", Obs_json.Int r.vr_fallbacks);
-      ("retries", Obs_json.Int r.vr_retries);
-      ("timeouts", Obs_json.Int r.vr_timeouts);
-      ("rejected", Obs_json.Int r.vr_rejected);
-      ("ordered", Obs_json.Int r.vr_ordered);
-      ("executed", Obs_json.Int r.vr_executed);
-      ("dup_suppressed", Obs_json.Int r.vr_dup_suppressed);
-      ("log_peak", Obs_json.Int r.vr_log_peak);
-      ("victim", Obs_json.Int r.vr_victim);
-      ("safety", Obs_json.Int (Oracle.count_safety r.vr_violations));
-      ("liveness", Obs_json.Int (Oracle.count_liveness r.vr_violations));
-      ("steps", Obs_json.Int r.vr_steps);
-      ("clock", Obs_json.Float r.vr_clock);
-    ]
+  [
+    ("target", Obs_json.Int r.vr_target);
+    ("completed", Obs_json.Int r.vr_completed);
+    ("verified", Obs_json.Int r.vr_verified);
+    ("cert_failures", Obs_json.Int r.vr_cert_failures);
+    ("reads", Obs_json.Int r.vr_reads);
+    ("fast_hits", Obs_json.Int r.vr_fast_hits);
+    ("fallbacks", Obs_json.Int r.vr_fallbacks);
+    ("retries", Obs_json.Int r.vr_retries);
+    ("timeouts", Obs_json.Int r.vr_timeouts);
+    ("rejected", Obs_json.Int r.vr_rejected);
+    ("ordered", Obs_json.Int r.vr_ordered);
+    ("executed", Obs_json.Int r.vr_executed);
+    ("dup_suppressed", Obs_json.Int r.vr_dup_suppressed);
+    ("log_peak", Obs_json.Int r.vr_log_peak);
+    ("victim", Obs_json.Int r.vr_victim);
+    ("clock", Obs_json.Float r.vr_clock);
+  ]
 
-(* The gate and the members besides the config echo and the per-run
-   rows.  Throughput is deterministic: completions per thousand
-   simulator steps (wall-clock requests/s depend on the host, and
-   readers derive them from [wall_time_s]). *)
 (* The swept matrix, before [skip_reason] takes out what a kind cannot
    host. *)
 let kinds = [ Ca_svc; Directory_svc; Notary_svc ]
 let variants = [ Benign; Drop_arq; Crash_rejoin ]
 
+(* The gate.  Throughput is deterministic: completions per thousand
+   simulator steps (wall-clock requests/s depend on the host, and
+   readers derive them from [wall_time_s]). *)
 let close _env (t : Sweep.totals) results =
   let total f = Sweep.sum f results in
-  let int f = Obs_json.Int (total f) in
   let ratio ?(scale = 1.0) a b =
     if b = 0 then 0.0 else scale *. float_of_int a /. float_of_int b
   in
-  let completed = total (fun r -> r.vr_completed)
-  and reads = total (fun r -> r.vr_reads)
+  let reads = total (fun r -> r.vr_reads)
   and hits = total (fun r -> r.vr_fast_hits) in
-  let skipped =
-    List.filter_map
-      (fun (kind, v) ->
-        Option.map (fun why -> (kind, v, why)) (skip_reason kind v))
-      (Sweep.product kinds variants)
-  in
-  ( Report.
-      [
-        must Lower "safety violations" ~limit:0.0 (float t.safety);
-        must Lower "certificate failures" ~limit:0.0
-          (float (total (fun r -> r.vr_cert_failures)));
-        (* summed per run, so one run's surplus cannot hide another's
-           shortfall *)
-        must Lower "missed requests" ~limit:0.0
-          (float (total (fun r -> max 0 (r.vr_target - r.vr_completed))));
-        threshold Higher "requests per 1k steps"
-          (ratio ~scale:1000.0 completed t.steps);
-        threshold Higher "fast-path rate" (ratio hits reads);
-        threshold Lower "GC'd log peak"
-          ~limit:(float mem_bound)
-          (float (plain_log_peak results));
-        threshold Lower "client retries"
-          (float (total (fun r -> r.vr_retries)));
-        threshold Lower "client timeouts"
-          (float (total (fun r -> r.vr_timeouts)));
-        must Lower "fast path never hit" ~limit:0.0
-          (float (Bool.to_int (reads > 0 && hits = 0)));
-      ],
+  Report.
     [
-      ("requests", Obs_json.Obj [ ("verified", int (fun r -> r.vr_verified)) ]);
-      ( "fastpath",
-        Obs_json.Obj
-          [
-            ("reads", Obs_json.Int reads);
-            ("hits", Obs_json.Int hits);
-            ("fallbacks", int (fun r -> r.vr_fallbacks));
-          ] );
-      ("loss", Obs_json.Obj [ ("rejected", int (fun r -> r.vr_rejected)) ]);
-      ( "dedup",
-        Obs_json.Obj
-          [
-            ("ordered", int (fun r -> r.vr_ordered));
-            ("executed", int (fun r -> r.vr_executed));
-            ("dup_suppressed", int (fun r -> r.vr_dup_suppressed));
-          ] );
-      ("violations", Obs_json.Obj [ ("liveness", Obs_json.Int t.liveness) ]);
-      ( "memory",
-        Obs_json.Obj
-          [
-            ( "overall_log_peak",
-              Obs_json.Int
-                (List.fold_left (fun a r -> max a r.vr_log_peak) 0 results) );
-          ] );
-      ("throughput", Obs_json.Obj [ ("steps_total", Obs_json.Int t.steps) ]);
-      ( "skipped",
-        Obs_json.Arr
-          (List.map
-             (fun (kind, variant, reason) ->
-               Obs_json.Obj
-                 [
-                   ("kind", Obs_json.Str (kind_label kind));
-                   ("variant", Obs_json.Str (variant_label variant));
-                   ("reason", Obs_json.Str reason);
-                 ])
-             skipped) );
-    ] )
+      must Lower "safety violations" ~limit:0.0 (float t.safety);
+      must Lower "certificate failures" ~limit:0.0
+        (float (total (fun r -> r.vr_cert_failures)));
+      (* summed per run, so one run's surplus cannot hide another's
+         shortfall *)
+      must Lower "missed requests" ~limit:0.0
+        (float (total (fun r -> max 0 (r.vr_target - r.vr_completed))));
+      threshold Higher "requests per 1k steps"
+        (ratio ~scale:1000.0 (total (fun r -> r.vr_completed)) t.steps);
+      threshold Higher "fast-path rate" (ratio hits reads);
+      threshold Lower "GC'd log peak" ~limit:(float mem_bound)
+        (float (plain_log_peak results));
+      threshold Lower "client retries"
+        (float (total (fun r -> r.vr_retries)));
+      threshold Lower "client timeouts"
+        (float (total (fun r -> r.vr_timeouts)));
+      must Lower "fast path never hit" ~limit:0.0
+        (float (Bool.to_int (reads > 0 && hits = 0)));
+    ]
+
+(* The cells [skip_reason] takes out, each with its reason. *)
+let skipped_json =
+  Obs_json.Arr
+    (List.filter_map
+       (fun (kind, variant) ->
+         Option.map
+           (fun reason ->
+             Obs_json.Obj
+               [
+                 ("kind", Obs_json.Str (kind_label kind));
+                 ("variant", Obs_json.Str (variant_label variant));
+                 ("reason", Obs_json.Str reason);
+               ])
+           (skip_reason kind variant))
+       (Sweep.product kinds variants))
 
 let campaign ?(clients = 3) ?(window = 4) ?(keyspace = 16)
     (core : Sweep.core) =
@@ -477,5 +438,6 @@ let campaign ?(clients = 3) ?(window = 4) ?(keyspace = 16)
       Obs_json.
         [ ("clients", Int clients); ("window", Int window);
           ("keyspace", Int keyspace); ("read_frac", Float read_frac);
-          ("interval", Int interval); ("mem_bound", Int mem_bound) ];
+          ("interval", Int interval); ("mem_bound", Int mem_bound);
+          ("skipped", skipped_json) ];
   }

@@ -78,5 +78,5 @@ val campaign :
 
     Kinds × variants, without the cells a kind cannot host: the
     notary runs over secure causal broadcast, which has no recovery
-    wrapper, so it drops [Crash_rejoin].  The report's [skipped] member
-    lists the refused cells with the reason. *)
+    wrapper, so it drops [Crash_rejoin].  The [skipped] constant of the
+    report's [config] lists the refused cells with the reason. *)

@@ -246,9 +246,8 @@ type ('cell, 'run) campaign = {
   run_one : env -> 'cell -> seed:int -> timeline -> 'run;
   violations : 'run -> Oracle.violation list;
   steps : 'run -> int;
-  row : 'run -> Obs_json.t;
-  close :
-    env -> totals -> 'run list -> Report.gate list * (string * Obs_json.t) list;
+  row : 'run -> (string * Obs_json.t) list;
+  close : env -> totals -> 'run list -> Report.gate list;
   constants : (string * Obs_json.t) list;
 }
 
@@ -288,10 +287,9 @@ let find_cell c label = List.find_opt (fun cell -> c.label cell = label) c.cells
 type ('cell, 'run) report = {
   campaign : ('cell, 'run) campaign;
   env : env;
-  results : ('cell * 'run) list;
+  results : ('cell * int * 'run) list;
   totals : totals;
   gate : Report.gate list;
-  members : (string * Obs_json.t) list;
 }
 
 let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
@@ -309,20 +307,18 @@ let sweep ?(progress = fun _ -> ()) c =
     (fun cell ->
       for i = 0 to c.core.seeds - 1 do
         let r = run_cell c env cell ~seed:(c.core.seed_base + i) in
-        results := (cell, r) :: !results;
+        results := (cell, c.core.seed_base + i, r) :: !results;
         incr k;
         progress (!k, total)
       done)
     c.cells;
   let results = List.rev !results in
-  let runs = List.map snd results in
+  let runs = List.map (fun (_, _, r) -> r) results in
   let totals = totals c runs in
-  let gate, members = c.close env totals runs in
-  let flight_gate, flight_members = Flight.summarize env.flight in
-  { campaign = c; env; results; totals; gate = gate @ flight_gate;
-    members = members @ flight_members }
+  { campaign = c; env; results; totals;
+    gate = c.close env totals runs @ Flight.summarize env.flight }
 
-let runs rep = List.map snd rep.results
+let runs rep = List.map (fun (_, _, r) -> r) rep.results
 
 (* The configuration echo: the core with the bound in force, every cell
    with its default timeline, then the runner's constants. *)
@@ -344,13 +340,33 @@ let config_json c =
               c.cells) ) ]
     @ c.constants)
 
+let violation_json (v : Oracle.violation) =
+  let open Obs_json in
+  Obj
+    [ ("oracle", Str v.oracle);
+      ("severity", Str (Oracle.severity_label v.severity));
+      ("party", match v.party with None -> Null | Some p -> Int p);
+      ("detail", Str v.detail) ]
+
+(* A run's row: the head every campaign shares, then the runner's own
+   fields. *)
+let row_json c (cell, seed, r) =
+  let vs = c.violations r in
+  Obs_json.Obj
+    ([ ("cell", Obs_json.Str (c.label cell)); ("seed", Obs_json.Int seed);
+       ("safety", Obs_json.Int (Oracle.count_safety vs));
+       ("liveness", Obs_json.Int (Oracle.count_liveness vs));
+       ("steps", Obs_json.Int (c.steps r));
+       ("violations", Obs_json.Arr (List.map violation_json vs)) ]
+    @ c.row r)
+
 let to_json ~id ~wall rep =
   let c = rep.campaign in
-  Report.make c.kind ~experiment:id ~wall ~runs:rep.totals.runs
-    ~obs:rep.env.obs ~gate:rep.gate
-    (("config", config_json c)
-    :: ("per_run", Obs_json.Arr (List.map c.row (runs rep)))
-    :: rep.members)
+  Report.make c.kind ~experiment:id ~wall ~obs:rep.env.obs ~gate:rep.gate
+    ~per_run:(List.map (row_json c) rep.results)
+    ~config:(config_json c)
+    ~anomalies:(Flight.records rep.env.flight)
+    ()
 
 let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
@@ -366,7 +382,7 @@ let pp_summary fmt rep =
       line (c.label cell)
         (totals c
            (List.filter_map
-              (fun (cell', r) ->
+              (fun (cell', _, r) ->
                 if c.label cell' = c.label cell then Some r else None)
               rep.results)))
     c.cells;

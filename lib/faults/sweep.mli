@@ -3,15 +3,16 @@
 
     A campaign is one value, a {!campaign}: its cells swept over
     consecutive seeds, a run function that takes the fault timeline as
-    an argument, and its per-run row, gate rows and report members.
+    an argument, and its own per-run fields, gate rows and constants.
     Each runner builds that value from the one configuration every
     campaign has, a {!core}, and owns only its deployment, workload,
     oracles and constants; this module owns the rest: the dealt
     keyring, the cell × seed loop, the totals, the report with its
-    configuration echo and its summary, the fault-timeline
-    interpreter, the [Sim.Out_of_steps] → {!Oracle} conversion and the
-    {!Flight} recorder, which records every run of every sweep.  The report envelope and writer are
-    {!Report}'s; the artifact path and the timed write-and-check are
+    configuration echo, the head of every per-run row and its summary,
+    the fault-timeline interpreter, the [Sim.Out_of_steps] → {!Oracle}
+    conversion and the {!Flight} recorder, which records every run of
+    every sweep.  The report layout and writer are {!Report}'s; the
+    artifact path and the timed write-and-check are
     {!Campaign_table}'s. *)
 
 (** {2 Configuration} *)
@@ -142,11 +143,11 @@ type ('cell, 'run) campaign = {
       (** one fully determined run of the cell under the timeline *)
   violations : 'run -> Oracle.violation list;
   steps : 'run -> int;
-  row : 'run -> Obs_json.t;  (** the run's [per_run] row *)
-  close :
-    env -> totals -> 'run list -> Report.gate list * (string * Obs_json.t) list;
-      (** after the sweep: the gate rows and the report members besides
-          [config] and [per_run] *)
+  row : 'run -> (string * Obs_json.t) list;
+      (** the run's own fields of its [per_run] row, after the head
+          {!to_json} writes *)
+  close : env -> totals -> 'run list -> Report.gate list;
+      (** after the sweep: the campaign's gate rows *)
   constants : (string * Obs_json.t) list;
       (** the runner's own settings, echoed in [config] after the core
           and the cells *)
@@ -172,18 +173,17 @@ val find_cell : ('c, 'r) campaign -> string -> 'c option
 type ('cell, 'run) report = {
   campaign : ('cell, 'run) campaign;
   env : env;
-  results : ('cell * 'run) list;  (** in execution order *)
+  results : ('cell * int * 'run) list;
+      (** each run with its cell and seed, in execution order *)
   totals : totals;
   gate : Report.gate list;
-  members : (string * Obs_json.t) list;
 }
 
 val sweep :
   ?progress:(int * int -> unit) -> ('c, 'r) campaign -> ('c, 'r) report
 (** {!prepare}, then {!run_cell} for every cell over every seed,
-    cell-major; [progress (done, total)] after every run.  The gate and
-    members are the campaign's [close] followed by
-    {!Flight.summarize}'s. *)
+    cell-major; [progress (done, total)] after every run.  The gate is
+    the campaign's [close] followed by {!Flight.summarize}. *)
 
 val runs : ('c, 'r) report -> 'r list
 
@@ -193,8 +193,13 @@ val config_json : ('c, 'r) campaign -> Obs_json.t
     ({!timeline_json}), in order, then the runner's [constants]. *)
 
 val to_json : id:string -> wall:float -> ('c, 'r) report -> Obs_json.t
-(** The campaign's {!Report}: the gate rows and members, one [per_run]
-    row per run, and {!config_json} under [config]. *)
+(** The campaign's {!Report}: the gate rows, one [per_run] row per run,
+    {!config_json} under [config] and the flight recorder's
+    {!Flight.records} under [anomalies].  Every [per_run] row starts with
+    the same head — [cell] (the label), [seed], [safety] and [liveness]
+    (violation counts), [steps] and [violations] (the run's every
+    violation: [oracle], [severity], [party] or null, [detail]) — then
+    the runner's [row] fields. *)
 
 val pp_summary : Format.formatter -> ('c, 'r) report -> unit
 (** One line per cell (label, runs, safety and liveness violations,

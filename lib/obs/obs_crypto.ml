@@ -145,6 +145,3 @@ let recomb_cache_miss () =
 
 let share_proof () =
   if !enabled_flag then counts_arr.(15) <- counts_arr.(15) + 1
-
-let to_json () : Obs_json.t =
-  Obs_json.Obj (List.map (fun (n, c) -> (n, Obs_json.Int c)) (counts ()))

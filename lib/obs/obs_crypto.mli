@@ -70,6 +70,3 @@ val batch_verify_fallback : unit -> unit
 val lazy_verify_hit : unit -> unit
 val recomb_cache_hit : unit -> unit
 val recomb_cache_miss : unit -> unit
-
-val to_json : unit -> Obs_json.t
-(** [{"modexp": n, ...}] — every kind, including zeros. *)

@@ -12,7 +12,8 @@
 
    The campaign's own run results carry everything else (decisions,
    clocks, steps, retransmits, per-cell rows), so the recorder's share
-   of the report is the anomaly archive and the ring accounting.
+   of the report is the anomaly archive and the gate rows of the ring
+   accounting and the anomaly counts.
 
    This module knows nothing about protocols or campaigns: the campaign
    engine (lib/faults) feeds it via [run_begin] / [bind_clock] /
@@ -183,41 +184,31 @@ let anomaly_json (k, a) =
       ( "window",
         Obs_json.Arr (List.map Obs_trace.record_to_json a.a_window) ) ]
 
+(* Every run's archived anomalies with its key, in execution order. *)
+let keyed t =
+  List.concat_map (fun r -> List.map (fun a -> (r.key, a)) r.anomalies) (runs t)
+
+let of_kind kind = List.filter (fun (_, a) -> a.a_kind = kind)
+
 let summarize t =
-  let runs = runs t in
-  let dropped = List.map (fun r -> r.dropped) runs in
-  let all =
-    List.concat_map (fun r -> List.map (fun a -> (r.key, a)) r.anomalies) runs
-  in
-  let of_kind kind = List.filter (fun (_, a) -> a.a_kind = kind) all in
-  let count kind = float_of_int (List.length (of_kind kind)) in
-  let total_dropped = List.fold_left ( + ) 0 dropped in
-  ( Report.
-      [ threshold Lower "trace dropped_events" (float_of_int total_dropped);
-        strict Lower "anomalies: stall" (count Stall);
-        threshold Lower "anomalies: retransmit-storm" (count Retransmit_storm);
-        threshold Lower "anomalies: backpressure-peak"
-          (count Backpressure_peak) ],
-    [ ( "trace",
-        Obs_json.Obj
-          [ ("dropped_events", Obs_json.Int total_dropped);
-            ( "truncated_runs",
-              Obs_json.Int (List.length (List.filter (fun d -> d > 0) dropped))
-            ) ] );
-      ( "anomalies",
-        Obs_json.Obj
-          [ ( "counts",
-              Obs_json.Obj
-                (List.filter_map
-                   (fun k ->
-                     match of_kind k with
-                     | [] -> None
-                     | l -> Some (kind_label k, Obs_json.Int (List.length l)))
-                   all_kinds) );
-            (* safety first, then stalls, storms, peaks and transfers;
-               execution order within a kind; capped *)
-            ( "records",
-              Obs_json.Arr
-                (List.concat_map of_kind all_kinds
-                |> List.filteri (fun i _ -> i < max_archived_anomalies)
-                |> List.map anomaly_json) ) ] ) ] )
+  let dropped = List.map (fun r -> r.dropped) (runs t) in
+  let all = keyed t in
+  let count kind = float_of_int (List.length (of_kind kind all)) in
+  Report.
+    [ threshold Lower "trace dropped_events"
+        (float_of_int (List.fold_left ( + ) 0 dropped));
+      strict Lower "anomalies: stall" (count Stall);
+      threshold Lower "anomalies: retransmit-storm" (count Retransmit_storm);
+      threshold Lower "anomalies: backpressure-peak" (count Backpressure_peak);
+      info "trace truncated runs"
+        (float_of_int (List.length (List.filter (fun d -> d > 0) dropped)));
+      info "anomalies: safety-trip" (count Safety_trip);
+      info "anomalies: state-transfer" (count State_transfer) ]
+
+(* Safety first, then stalls, storms, peaks and transfers; execution
+   order within a kind; capped. *)
+let records t =
+  let all = keyed t in
+  List.concat_map (fun k -> of_kind k all) all_kinds
+  |> List.filteri (fun i _ -> i < max_archived_anomalies)
+  |> List.map anomaly_json

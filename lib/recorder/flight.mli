@@ -6,8 +6,8 @@
     stalls, retransmit storms, back-pressure peaks, state transfers);
     every window states how much history was elided or overwritten.
     It keeps nothing the campaign's own run results already state: its
-    share of a campaign report is the anomaly archive, the ring's
-    overwrite counts and their gate rows ({!summarize}).  Everything it
+    share of a campaign report is its gate rows ({!summarize}) and the
+    anomaly archive ({!records}).  Everything it
     reports derives from seeded virtual-time runs, so identical
     configurations give identical bytes.
 
@@ -41,7 +41,8 @@ type anomaly_kind =
 val kind_label : anomaly_kind -> string
 (** ["safety-trip"], ["stall"], ["retransmit-storm"],
     ["backpressure-peak"], ["state-transfer"] — the [kind] strings of
-    the [anomalies] member and the [flight_anomaly] counter labels. *)
+    the anomaly records, the [anomalies: <kind>] gate rows and the
+    [flight_anomaly] counter labels. *)
 
 type run_key = { cell : string; seed : int }
 (** The campaign's cell label and the run's seed. *)
@@ -96,10 +97,13 @@ val run_end : recorder -> key:run_key -> unit
 val runs : recorder -> run list
 (** Completed runs, oldest first. *)
 
-val summarize : recorder -> Report.gate list * (string * Obs_json.t) list
-(** The recorder's share of the campaign report.  Gate rows: ring
-    overwrites ([trace dropped_events]) and the stall (strict),
-    retransmit-storm and back-pressure-peak anomaly counts
-    ([anomalies: <kind>]).  Members: [trace] (dropped events, truncated
-    runs) and [anomalies] (counts per kind, and a capped archive of
-    records, safety trips first, each with its run key and window). *)
+val summarize : recorder -> Report.gate list
+(** The recorder's gate rows: ring overwrites ([trace dropped_events]),
+    the stall count (strict), the retransmit-storm and
+    back-pressure-peak counts ([anomalies: <kind>]), then, as info rows,
+    the runs whose ring overwrote records ([trace truncated runs]) and
+    the safety-trip and state-transfer counts. *)
+
+val records : recorder -> Obs_json.t list
+(** The report's [anomalies] records: a capped archive, safety trips
+    first, each with its kind, run key, time, detail and window. *)

@@ -116,7 +116,8 @@ let gate_json g =
 
 (* ---------- writing ---------------------------------------------------- *)
 
-let make kind ~experiment ~wall ?runs ~obs ~gate fields =
+let make kind ~experiment ~wall ~obs ~gate ?per_run ?config ?anomalies () =
+  let opt name f = Option.fold ~none:[] ~some:(fun v -> [ (name, f v) ]) in
   Obs_json.Obj
     ([
        ("schema", Obs_json.Str schema);
@@ -127,8 +128,12 @@ let make kind ~experiment ~wall ?runs ~obs ~gate fields =
        ( "gate",
          Obs_json.Arr (List.map gate_json (gate @ [ info wall_metric wall ])) );
      ]
-    @ (match runs with Some r -> [ ("runs", Obs_json.Int r) ] | None -> [])
-    @ fields)
+    @ opt "runs" (fun rs -> Obs_json.Int (List.length rs)) per_run
+    @ opt "per_run" (fun rs -> Obs_json.Arr rs) per_run
+    @ opt "config" Fun.id config
+    @ opt "anomalies"
+        (fun rs -> Obs_json.Obj [ ("records", Obs_json.Arr rs) ])
+        anomalies)
 
 let write path doc =
   let oc = open_out path in
@@ -203,6 +208,49 @@ let rows doc path check =
   in
   go 0 [] rs
 
+(* The fixed top-level members: the six every report has, then [runs]
+   with [per_run], [config] and [anomalies]. *)
+let members =
+  [ "schema"; "kind"; "experiment"; "wall_time_s"; "metrics"; "gate"; "runs";
+    "per_run"; "config"; "anomalies" ]
+
+(* The one layout: only the fixed members; a campaign has all of them, a
+   bench report no [anomalies] and [runs] only beside its [per_run]
+   (TPUT); [config] is an object and [anomalies] holds its [records]
+   alone. *)
+let layout kind = function
+  | Obs_json.Obj kvs ->
+    let has k = List.mem_assoc k kvs in
+    let first error = function [] -> Ok () | k :: _ -> Error (error k) in
+    let* () =
+      first
+        (Printf.sprintf "unexpected top-level member %S")
+        (List.filter (fun k -> not (List.mem k members)) (List.map fst kvs))
+    in
+    let* () =
+      first (Printf.sprintf "missing %S")
+        (List.filter (fun k -> not (has k))
+           (if kind = Bench then []
+            else [ "runs"; "per_run"; "config"; "anomalies" ]))
+    in
+    let* () =
+      ensure (kind <> Bench || not (has "anomalies"))
+        "a bench report with \"anomalies\""
+    in
+    let* () =
+      ensure (has "runs" = has "per_run")
+        "\"runs\" without \"per_run\" or the reverse"
+    in
+    let* () =
+      match List.assoc_opt "config" kvs with
+      | None | Some (Obs_json.Obj _) -> Ok ()
+      | Some _ -> Error "\"config\" is not an object"
+    in
+    (match List.assoc_opt "anomalies" kvs with
+    | None | Some (Obs_json.Obj [ ("records", Obs_json.Arr _) ]) -> Ok ()
+    | Some _ -> Error "\"anomalies\" holds more or less than its \"records\"")
+  | _ -> Error "not a JSON object"
+
 let header doc =
   let* s = field doc [ "schema" ] Obs_json.to_str in
   let* () = ensure (s = schema) "unexpected schema %s" s in
@@ -211,17 +259,21 @@ let header doc =
     Option.to_result (kind_of_label label)
       ~none:(Printf.sprintf "unknown kind %S" label)
   in
+  let* () = layout kind doc in
   let* experiment = field doc [ "experiment" ] Obs_json.to_str in
   let* wall = field doc [ "wall_time_s" ] Obs_json.to_float in
   let* runs =
     match Obs_json.member "runs" doc with
-    | None ->
-      let* () = ensure (kind = Bench) "missing \"runs\"" in
-      Ok None
+    | None -> Ok None
     | Some _ ->
       let* r = field doc [ "runs" ] Obs_json.to_int in
       let* () = ensure (r >= 0) "negative \"runs\"" in
       let* () = ensure (kind = Bench || r > 0) "no runs" in
+      let* rs = field doc [ "per_run" ] Obs_json.to_list in
+      let* () =
+        ensure (List.length rs = r) "\"per_run\" has %d rows for %d runs"
+          (List.length rs) r
+      in
       Ok (Some r)
   in
   let* _ = field doc [ "metrics"; "counters" ] Obs_json.to_list in
@@ -252,15 +304,6 @@ let header doc =
     | None, Some m ->
       Error (Printf.sprintf "acceptance row %S missing or unlimited" m)
     | None, None -> Ok ()
-  in
-  let* () =
-    match Obs_json.member "per_run" doc with
-    | None -> Ok ()
-    | Some _ ->
-      let* rs = field doc [ "per_run" ] Obs_json.to_list in
-      let runs = Option.value runs ~default:0 in
-      ensure (List.length rs = runs) "\"per_run\" has %d rows for %d runs"
-        (List.length rs) runs
   in
   Ok { kind; experiment; wall; runs; gate }
 

@@ -1,14 +1,22 @@
-(** The report envelope every machine-readable artifact shares.
+(** The report envelope every machine-readable artifact shares, and its
+    one layout.
 
-    A report is one JSON object with a fixed header — [schema]
-    (["sintra-report/1"]), [kind], [experiment], [wall_time_s], [runs]
-    (campaign kinds; bench experiments are not seed sweeps) and the
-    [metrics] registry snapshot — a [gate] array, and the producer's own
-    members.  Each gate row names one metric, the direction that counts
-    as better, whether any worsening regresses ([strict]), its value and
-    optionally a pass [limit]: the producer states what CI gates on and
-    what the run must reach, so {!Compare} and [bench-check] never
-    re-parse a kind's own members.
+    A report is one JSON object with fixed top-level members and no
+    others:
+    - [schema] (["sintra-report/1"]), [kind], [experiment],
+      [wall_time_s], the [metrics] registry snapshot and the [gate]
+      array, in every report;
+    - [runs] and [per_run], one row per run, in every campaign and in
+      TPUT;
+    - [config], the settings, in every campaign and in BENCH_NUM;
+    - [anomalies], the flight recorder's [records], in every campaign.
+
+    Each gate row names one metric, the direction that counts as better,
+    whether any worsening regresses ([strict]), its value and optionally
+    a pass [limit]: the producer states what CI gates on and what the
+    run must reach, so {!Compare} and [bench-check] never re-parse the
+    other members.  No member restates a gate row's value: a total is a
+    row, and what a run measured is its [per_run] row.
 
     This module also owns the one artifact writer and the envelope
     check. *)
@@ -78,13 +86,16 @@ val make :
   kind ->
   experiment:string ->
   wall:float ->
-  ?runs:int ->
   obs:Obs.t ->
   gate:gate list ->
-  (string * Obs_json.t) list ->
+  ?per_run:Obs_json.t list ->
+  ?config:Obs_json.t ->
+  ?anomalies:Obs_json.t list ->
+  unit ->
   Obs_json.t
-(** The header, the gate (plus the {!wall_metric} row) and the
-    producer's own members. *)
+(** The header, the gate (plus the {!wall_metric} row), then [per_run]
+    with [runs] its length, [config], and [anomalies] holding the
+    records, each when given. *)
 
 val write : string -> Obs_json.t -> string
 (** The one artifact writer: the document canonically (sorted members,
@@ -106,15 +117,17 @@ type header = {
 }
 
 val header : Obs_json.t -> header check
-(** The envelope check: schema, a known kind, experiment, wall time,
-    [runs] (positive, and required for every kind but [bench]), a
-    [metrics] object, a gate of well-formed rows — finite values, a
-    known [better], unique names, a finite limit only on a [Lower] or
-    [Higher] row — including the {!wall_metric} row equal to
-    [wall_time_s], the kind's {!stated} rows present, its {!acceptance}
-    rows present and limited,
-    and a [per_run] array, when present, of exactly [runs] rows.  It
-    does not check the limits themselves: see {!past_limits}. *)
+(** The envelope check: schema, a known kind, the layout — only the
+    fixed members; a campaign kind with [runs], [per_run], [config] and
+    [anomalies]; a bench report with no [anomalies], and [runs] only
+    beside [per_run] — experiment, wall time, [runs] (positive for a
+    campaign) matching the [per_run] row count, [config] an object,
+    [anomalies] its [records] array alone, a [metrics] object, a gate of
+    well-formed rows — finite values, a known [better], unique names, a
+    finite limit only on a [Lower] or [Higher] row — including the
+    {!wall_metric} row equal to [wall_time_s], the kind's {!stated} rows
+    present and its {!acceptance} rows present and limited.  It does
+    not check the limits themselves: see {!past_limits}. *)
 
 val read_file : string -> Obs_json.t check
 (** Parse a JSON file. *)

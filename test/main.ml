@@ -25,4 +25,5 @@ let () =
       Test_flight.suite;
       Test_throughput.suite;
       Test_fuzz.suite;
-      Test_link.suite ]
+      Test_link.suite;
+      Test_faults.layout_suite ]

@@ -1174,8 +1174,8 @@ let table_tests =
             ~gate:
               (Bench_num.dleq_gate ~quick:true
                  [ (1, 160.0); (2, 110.0); (4, 80.0); (8, 60.0); (16, 55.0) ])
+            ~config:(Obs_json.Obj [ ("quick", Obs_json.Bool true) ])
             (Obs.create ())
-            [ ("quick", Obs_json.Bool true) ]
         in
         (match Campaign_table.check_doc quick_num with
         | Ok _ -> ()
@@ -1188,7 +1188,7 @@ let table_tests =
                 (List.map
                    (fun m -> Report.must Report.Lower m ~limit:0.0 0.0)
                    (Report.acceptance Report.Bench ~experiment:id))
-              (Obs.create ()) []
+              (Obs.create ())
           in
           (match Campaign_table.check_doc doc with
           | Ok _ -> ()
@@ -1228,7 +1228,7 @@ let table_tests =
           Campaign_table.check_doc
             (Bench_out.document ~id:"NUM" ~wall:0.0
                ~gate:(Bench_num.dleq_gate ~quick per_share)
-               (Obs.create ()) [])
+               (Obs.create ()))
         in
         let rejects what ~quick per_share row =
           match check ~quick per_share with
@@ -1259,7 +1259,7 @@ let table_tests =
         accepts "quick run, cost rising 1.4x" ~quick:true rising;
         match
           Campaign_table.check_doc
-            (Bench_out.document ~id:"NUM" ~wall:0.0 (Obs.create ()) [])
+            (Bench_out.document ~id:"NUM" ~wall:0.0 (Obs.create ()))
         with
         | Ok _ -> Alcotest.fail "a NUM report without its DLEQ rows accepted"
         | Error e ->
@@ -1281,7 +1281,7 @@ let table_tests =
         in
         let rows =
           Option.get
-            (Option.bind (Obs_json.member "tput" base) Obs_json.to_list)
+            (Option.bind (Obs_json.member "per_run" base) Obs_json.to_list)
         in
         let stated =
           match Report.header base with
@@ -1315,7 +1315,7 @@ let table_tests =
                  | None -> r))
             (map_path
                (fun _ -> Some (Obs_json.Arr (halved :: List.tl rows)))
-               base [ "tput" ])
+               base [ "per_run" ])
         in
         match Compare.compare_docs ~baseline:base ~candidate () with
         | Error e -> Alcotest.failf "compare: %s" e
@@ -1348,7 +1348,7 @@ let table_tests =
               for _ = 1 to 50 do
                 extra ()
               done;
-              Bench_out.document ~id:"DIR" ~wall:0.0 (Obs.create ()) [])
+              Bench_out.document ~id:"DIR" ~wall:0.0 (Obs.create ()))
         in
         let base = doc ignore in
         let stated =
@@ -1435,8 +1435,122 @@ let workload_tests =
         Alcotest.(check bool) "liveness violations" true
           (Oracle.count_liveness violations > 0)) ]
 
+(* ---------------- one report layout ---------------------------------- *)
+
+(* Every artifact carries exactly the fixed top-level members, a
+   campaign all of them, and a campaign's per-run rows list every
+   violation its sweep found. *)
+let layout_tests =
+  let baseline prefix = List.assoc prefix (Lazy.force baseline_docs) in
+  let campaigns = [ "FAULTS"; "FAULTS_LINK"; "RECOV"; "EPOCH"; "BENCH_SVC" ] in
+  let rejects what doc needle =
+    match Campaign_table.check_doc doc with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S named (%s)" what needle e)
+        true (contains e needle)
+  in
+  let accepts what doc =
+    match Campaign_table.check_doc doc with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s rejected: %s" what e
+  in
+  let get k conv row =
+    match Option.bind (Obs_json.member k row) conv with
+    | Some v -> v
+    | None -> Alcotest.failf "no %S" k
+  in
+  [ Alcotest.test_case "a report with an extra top-level member is rejected"
+      `Quick (fun () ->
+        let num =
+          Bench_out.document ~id:"NUM" ~wall:0.0
+            ~gate:
+              (Bench_num.dleq_gate ~quick:true
+                 [ (1, 160.0); (2, 110.0); (4, 80.0); (8, 60.0); (16, 55.0) ])
+            ~config:(Obs_json.Obj [ ("quick", Obs_json.Bool true) ])
+            (Obs.create ())
+        in
+        accepts "NUM" num;
+        List.iter (fun p -> accepts p (baseline p)) ("BENCH_TPUT" :: campaigns);
+        (* members the faults and bench reports carried before they had
+           one layout *)
+        let empty = Obs_json.Obj [] and records = Obs_json.Arr [] in
+        rejects "FAULTS with worst"
+          (add_member "worst" empty (baseline "FAULTS"))
+          "worst";
+        rejects "TPUT with crypto_ops"
+          (add_member "crypto_ops" empty (baseline "BENCH_TPUT"))
+          "crypto_ops";
+        rejects "NUM with crypto_ops" (add_member "crypto_ops" empty num)
+          "crypto_ops";
+        rejects "a bench report with anomalies"
+          (add_member "anomalies" (Obs_json.Obj [ ("records", records) ]) num)
+          "anomalies";
+        rejects "anomalies with counts"
+          (add_member "anomalies"
+             (Obs_json.Obj [ ("counts", empty); ("records", records) ])
+             (baseline "RECOV"))
+          "anomalies");
+    Alcotest.test_case "a campaign report without config or per_run is rejected"
+      `Quick (fun () ->
+        List.iter
+          (fun prefix ->
+            let doc = baseline prefix in
+            List.iter
+              (fun k ->
+                rejects (prefix ^ " without " ^ k) (drop_member k doc) k)
+              [ "config"; "per_run"; "runs"; "anomalies" ];
+            rejects
+              (prefix ^ " without runs and per_run")
+              (drop_member "runs" (drop_member "per_run" doc))
+              "runs")
+          campaigns;
+        rejects "TPUT per_run without runs"
+          (drop_member "runs" (baseline "BENCH_TPUT"))
+          "runs");
+    Alcotest.test_case "10-seed faults drop cells: per_run lists every violation"
+      `Quick (fun () ->
+        let c =
+          Support.only
+            (fun (_, (policy : Campaign.policy_spec), _) ->
+              policy.p_name = "drop")
+            (faults ~seeds:10 2)
+        in
+        let doc = Sweep.to_json ~id:"t" ~wall:0.0 (Sweep.sweep c) in
+        accepts "the sweep's report" doc;
+        let gate =
+          match Report.header doc with
+          | Ok h -> h.Report.gate
+          | Error e -> Alcotest.failf "header: %s" e
+        in
+        let row m =
+          match List.find_opt (fun (g : Report.gate) -> g.metric = m) gate with
+          | Some g -> int_of_float g.Report.value
+          | None -> Alcotest.failf "no gate row %S" m
+        in
+        let listed =
+          List.concat_map
+            (fun r ->
+              let vs = get "violations" Obs_json.to_list r in
+              Alcotest.(check int) "a row's counts sum to its list"
+                (get "safety" Obs_json.to_int r
+                + get "liveness" Obs_json.to_int r)
+                (List.length vs);
+              vs)
+            (get "per_run" Obs_json.to_list doc)
+        in
+        let total = row "safety violations" + row "liveness violations" in
+        Alcotest.(check int) "every violation listed" total
+          (List.length listed);
+        Alcotest.(check bool)
+          (Printf.sprintf "more than 50 (%d)" total)
+          true (total > 50)) ]
+
 let suite =
   ( "faults",
     chaos_tests @ partition_tests @ drop_path_tests @ oracle_tests
     @ byzantine_tests @ campaign_tests @ recovery_tests
     @ svc_campaign_tests @ table_tests @ workload_tests )
+
+let layout_suite = ("report", layout_tests)

@@ -117,13 +117,16 @@ let hot_tier_tests =
               "backpressure-peak"
               (Flight.kind_label peak.Flight.a_kind)
           | l -> Alcotest.failf "expected two anomalies, got %d" (List.length l));
-          let gate, _ = Flight.summarize rec_ in
           Alcotest.(check (list (pair string (float 0.0))))
             "recorder rows"
             [ ("trace dropped_events", 0.0); ("anomalies: stall", 1.0);
               ("anomalies: retransmit-storm", 0.0);
-              ("anomalies: backpressure-peak", 1.0) ]
-            (List.map (fun (g : Report.gate) -> (g.metric, g.value)) gate)
+              ("anomalies: backpressure-peak", 1.0);
+              ("trace truncated runs", 0.0); ("anomalies: safety-trip", 0.0);
+              ("anomalies: state-transfer", 0.0) ]
+            (List.map
+               (fun (g : Report.gate) -> (g.metric, g.value))
+               (Flight.summarize rec_))
         | l -> Alcotest.failf "expected one run, got %d" (List.length l)) ]
 
 (* ---------------- every report: determinism and validation ------------ *)
@@ -159,7 +162,7 @@ let durable_tests =
             let decided =
               List.length
                 (List.filter
-                   (fun (cell', r) ->
+                   (fun (cell', _, r) ->
                      c.Sweep.label cell' = label && r.Campaign.r_decided)
                    rep.Sweep.results)
             in
@@ -173,9 +176,29 @@ let durable_tests =
         Alcotest.(check int) "cells" 3 (List.length c.Sweep.cells);
         ignore (row "trace dropped_events");
         ignore (row "anomalies: stall");
+        ignore (row "trace truncated runs");
         ignore (member doc [ "anomalies"; "records" ] Obs_json.to_list);
-        ignore (member doc [ "trace"; "truncated_runs" ] Obs_json.to_int);
-        ignore (member doc [ "worst"; "slowest"; "run"; "cell" ] Obs_json.to_str));
+        (* the slowest decided run's row names its cell *)
+        let clock r =
+          Option.bind (Obs_json.member "decide_clock" r) Obs_json.to_float
+        in
+        let slowest =
+          List.fold_left
+            (fun best r ->
+              match (clock r, Option.bind best clock) with
+              | Some v, Some b when b >= v -> best
+              | Some _, _ -> Some r
+              | None, _ -> best)
+            None
+            (member doc [ "per_run" ] Obs_json.to_list)
+        in
+        match slowest with
+        | None -> Alcotest.fail "no decided run in per_run"
+        | Some r ->
+          Alcotest.(check bool) "slowest run's cell" true
+            (List.mem
+               (member r [ "cell" ] Obs_json.to_str)
+               (List.map c.Sweep.label c.Sweep.cells)));
     Alcotest.test_case "validator rejects wrong shapes" `Quick (fun () ->
         let check_bad doc =
           Alcotest.(check bool) "rejected" true
@@ -209,8 +232,23 @@ let durable_tests =
                (Support.core ~max_steps:300 ~seeds:1 6))
         in
         let doc = doc_of c in
-        Alcotest.(check int) "one stall counted" 1
-          (member doc [ "anomalies"; "counts"; "stall" ] Obs_json.to_int);
+        (match member doc [ "per_run" ] Obs_json.to_list with
+        | [ r ] ->
+          Alcotest.(check string) "the stalled run's cell" "directory/benign"
+            (member r [ "cell" ] Obs_json.to_str);
+          let vs =
+            List.map
+              (fun v ->
+                ( member v [ "oracle" ] Obs_json.to_str,
+                  member v [ "severity" ] Obs_json.to_str ))
+              (member r [ "violations" ] Obs_json.to_list)
+          in
+          Alcotest.(check int) "the stalled run's row names one stall" 1
+            (List.length (List.filter (( = ) ("progress", "liveness")) vs));
+          Alcotest.(check int) "its liveness count lists them all"
+            (member r [ "liveness" ] Obs_json.to_int)
+            (List.length (List.filter (fun (_, sev) -> sev = "liveness") vs))
+        | l -> Alcotest.failf "expected one run, got %d" (List.length l));
         Alcotest.(check bool) "stall row" true
           (List.exists
              (fun (g : Report.gate) ->
