@@ -27,12 +27,17 @@ fmt:
 fmt-check:
 	$(DUNE) build @fmt
 
-# Full experiment sweep; writes one BENCH_<id>.json per experiment.
+# Full experiment sweep; writes one BENCH_<id>.json per experiment.  The
+# kernel timings (experiments C1/C2) are `make bench-num`.
 bench:
 	$(DUNE) exec bench/main.exe
 
-# Modular-arithmetic micro-benchmarks (naive vs Montgomery-window
-# pow_mod, fixed-base exp_g, exp2); writes BENCH_NUM.json.
+# The kernel benchmark, one ns_per_op{kernel,...} row per kernel timed
+# by one loop: the bignum and modular-arithmetic kernels (naive vs
+# Montgomery-window pow_mod, fixed-base exp_g, exp2, mul, divmod, gcd,
+# inv_mod), the DLEQ batch sweep and its gate, and the protocol kernels
+# of experiments C1/C2 (SHA-256, the oracle challenge, Schnorr, coin,
+# TDH2, threshold RSA, the scheduler step); writes BENCH_NUM.json.
 bench-num:
 	$(SINTRA) bench-num
 	$(SINTRA) bench-check BENCH_NUM.json
@@ -51,7 +56,7 @@ bench-num-smoke:
 	$(SINTRA) bench-num --quick --out BENCH_NUM_SMOKE.json
 	$(SINTRA) bench-check BENCH_NUM_SMOKE.json
 
-# Every paper experiment (all but the C1/C2 timings) at reduced scale,
+# Every experiment of bench/main.exe at reduced scale,
 # then bench-check of what each wrote: the envelope and every claim row
 # against its limit.  The same list runs in `dune runtest`.
 SMOKE_EXPERIMENTS = F1 F2 E1 E2 G1 R1 R2 M1 M2 O1 O2 S1 S2 TPUT

@@ -29,9 +29,11 @@
          sequencer fast path vs. full agreement, and crash recovery
      S1  CA / directory service end-to-end with a Byzantine server
      S2  Notary confidentiality: SC-ABC vs. plain ABC front-running
-     C1  Threshold-crypto and scheduler micro-benchmarks (Bechamel)
-     C2  Bignum substrate micro-benchmarks (Bechamel)
      TPUT  Batching x pipelining throughput sweep
+
+   The kernel timings (the paper's practicality claim, §2.1: threshold
+   crypto, hashing, bignum arithmetic and the scheduler step) are
+   `sintra bench-num`, which writes BENCH_NUM.json.
 *)
 
 module AS = Adversary_structure
@@ -633,7 +635,6 @@ let o2 () =
             Stack.deploy ~sim ~keyring:kr
               ~make:(fun me io ->
                 Optimistic_abc.create ~io ~tag:"o2" ~sequencer:0
-                  ~set_timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
                   ~deliver:(fun p -> logs.(me) <- p :: logs.(me))
                   ())
               ~handle:Optimistic_abc.handle ~layer:"opt-abc"
@@ -799,204 +800,6 @@ let s2 () =
   claim Higher "registered" ~limit:2.0 (count Fun.id [ ok_c; ok_p ])
 
 (* ------------------------------------------------------------------ *)
-(* C1: crypto and scheduler micro-benchmarks (Bechamel)                *)
-(* ------------------------------------------------------------------ *)
-
-(* Time the tests (OLS over the run count) and print one row per test,
-   sorted by name, in microseconds with [digits name] decimals. *)
-let time_table ~quota ~width ~digits tests =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some (est :: _) ->
-        Printf.printf "%-*s %14.*f\n" width name (digits name) (est /. 1000.0)
-      | Some [] | None -> Printf.printf "%-*s %14s\n" width name "n/a")
-    (List.sort compare
-       (Hashtbl.fold (fun name r acc -> (name, r) :: acc) results []))
-
-let c1 () =
-  header "C1" "Threshold-cryptography and scheduler micro-benchmarks";
-  let open Bechamel in
-  let structure = AS.threshold ~n:4 ~t:1 in
-  let kr = keyring structure in
-  let ps = kr.Keyring.group in
-  let rng = Prng.create ~seed:1 in
-  let coin = kr.Keyring.coin in
-  let enc = kr.Keyring.enc in
-  let coin_shares =
-    List.init 4 (fun i -> (i, Coin.generate_share coin ~party:i ~name:"bench"))
-  in
-  let ct = Tdh2.encrypt enc rng ~label:"bench" "a fairly short message" in
-  let checked = Option.get (Tdh2.check enc ct) in
-  let dec_shares =
-    List.filter_map
-      (fun i ->
-        Option.map (fun s -> (i, s)) (Tdh2.decryption_share enc ~party:i ct))
-      [ 0; 1 ]
-  in
-  let rsa_keys kr =
-    match kr.Keyring.service with
-    | Keyring.Rsa_keys keys -> keys
-    | Keyring.Cert_keys _ -> assert false
-  in
-  let rsa = rsa_keys kr in
-  let rsa_shares =
-    List.map (fun i -> Rsa_threshold.sign_share rsa ~party:i "bench-msg") [ 0; 1 ]
-  in
-  (* What a client combines when one of the first k = 3 bare replies at
-     n = 7 is bad: the first combination fails, the subset search runs. *)
-  let rsa7 = rsa_keys (keyring (AS.threshold ~n:7 ~t:2)) in
-  let one_bad =
-    List.map
-      (fun i ->
-        let s = Rsa_threshold.bare_share rsa7 ~party:i "bench-msg" in
-        if i = 0 then { s with Rsa_threshold.x = Bignum.add s.Rsa_threshold.x Bignum.one }
-        else s)
-      [ 0; 1; 2; 3 ]
-  in
-  let exp_e = Schnorr_group.random_exponent ps rng in
-  let kp = Schnorr_sig.generate ps rng in
-  let sg = Schnorr_sig.sign ps kp "bench-msg" in
-  let tests =
-    Test.make_grouped ~name:"crypto"
-      [ Test.make ~name:"group.exp"
-          (Staged.stage (fun () -> ignore (Schnorr_group.exp_g ps exp_e)));
-        Test.make ~name:"sha256.1kB"
-          (let s = String.make 1024 'x' in
-           Staged.stage (fun () -> ignore (Sha256.digest s)));
-        Test.make ~name:"schnorr.sign"
-          (Staged.stage (fun () -> ignore (Schnorr_sig.sign ps kp "bench-msg")));
-        Test.make ~name:"schnorr.verify"
-          (Staged.stage (fun () ->
-               ignore (Schnorr_sig.verify ps ~pk:kp.Schnorr_sig.pk "bench-msg" sg)));
-        Test.make ~name:"coin.share"
-          (Staged.stage (fun () ->
-               ignore (Coin.generate_share coin ~party:0 ~name:"bench")));
-        Test.make ~name:"coin.verify"
-          (Staged.stage (fun () ->
-               ignore
-                 (Coin.verify_share coin ~party:0 ~name:"bench"
-                    (List.assoc 0 coin_shares))));
-        Test.make ~name:"coin.combine(t+1)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Coin.combine coin ~name:"bench" ~avail:(Pset.of_list [ 0; 1 ])
-                    (List.filter (fun (i, _) -> i < 2) coin_shares)
-                    ())));
-        Test.make ~name:"tdh2.encrypt"
-          (Staged.stage (fun () ->
-               ignore (Tdh2.encrypt enc rng ~label:"bench" "a fairly short message")));
-        Test.make ~name:"tdh2.dec-share"
-          (Staged.stage (fun () -> ignore (Tdh2.decryption_share enc ~party:0 ct)));
-        Test.make ~name:"tdh2.combine"
-          (Staged.stage (fun () ->
-               ignore (Tdh2.combine enc checked ~avail:(Pset.of_list [ 0; 1 ]) dec_shares)));
-        Test.make ~name:"rsa.sign-share"
-          (Staged.stage (fun () ->
-               ignore (Rsa_threshold.sign_share rsa ~party:0 "bench-msg")));
-        Test.make ~name:"rsa.reply-share"
-          (Staged.stage (fun () ->
-               ignore (Rsa_threshold.bare_share rsa ~party:0 "bench-msg")));
-        Test.make ~name:"rsa.verify-share"
-          (Staged.stage (fun () ->
-               ignore (Rsa_threshold.verify_share rsa "bench-msg" (List.hd rsa_shares))));
-        Test.make ~name:"rsa.combine"
-          (Staged.stage (fun () ->
-               ignore (Rsa_threshold.combine rsa "bench-msg" rsa_shares)));
-        Test.make ~name:"rsa.combine (one bad share, n=7)"
-          (Staged.stage (fun () ->
-               ignore (Rsa_threshold.combine rsa7 "bench-msg" one_bad)))
-      ]
-  in
-  (* The scheduler in steady state: each run sends one envelope and
-     steps once under [Random_order], so the queue stays at [pending].
-     The chaos spec has the 12 client-link overrides of the lossy-crash
-     workload and no fault, so it adds the per-link lookups and nothing
-     else. *)
-  let sim_step ~pending ~chaos =
-    let sim : int Sim.t = Sim.create ~n:4 ~seed:1 () in
-    for p = 0 to 11 do
-      Sim.set_handler sim p (fun ~src:_ _ -> ())
-    done;
-    if chaos then
-      Sim.set_chaos sim
-        (Some
-           { Sim.benign_chaos with
-             Sim.links =
-               List.concat_map
-                 (fun r -> List.init 3 (fun i -> ((r, 4 + i), Sim.no_fault)))
-                 [ 0; 1; 2; 3 ] });
-    let i = ref 0 in
-    let send () =
-      incr i;
-      Sim.send sim ~src:(!i mod 4) ~dst:(!i mod 7) !i
-    in
-    for _ = 1 to pending do
-      send ()
-    done;
-    Test.make
-      ~name:
-        (Printf.sprintf "%d pending%s" pending (if chaos then ", chaos" else ""))
-      (Staged.stage (fun () ->
-           send ();
-           ignore (Sim.step sim)))
-  in
-  let sim_tests =
-    Test.make_grouped ~name:"sim.step"
-      (List.concat_map
-         (fun pending ->
-           [ sim_step ~pending ~chaos:false; sim_step ~pending ~chaos:true ])
-         [ 100; 1_000; 10_000 ])
-  in
-  Printf.printf "%-40s %14s\n" "operation"
-    (Printf.sprintf "time (us), %d-bit group" (Bignum.numbits ps.Schnorr_group.p));
-  time_table ~quota:0.4 ~width:40
-    ~digits:(fun name -> if String.starts_with ~prefix:"sim." name then 3 else 1)
-    (Test.make_grouped ~name:"" ~fmt:"%s%s" [ tests; sim_tests ])
-
-(* ------------------------------------------------------------------ *)
-(* C2: bignum substrate micro-benchmarks                               *)
-(* ------------------------------------------------------------------ *)
-
-let c2 () =
-  header "C2" "Bignum substrate micro-benchmarks (pure OCaml, per size)";
-  let open Bechamel in
-  let rng = Prng.create ~seed:9 in
-  let tests =
-    Test.make_grouped ~name:"bignum"
-      (List.concat_map
-         (fun bits ->
-           let a = Prng.bignum_bits rng bits in
-           let b = Prng.bignum_bits rng bits in
-           let m = Bignum.add (Prng.bignum_bits rng bits) Bignum.one in
-           let e = Prng.bignum_bits rng bits in
-           [ Test.make ~name:(Printf.sprintf "mul.%d" bits)
-               (Staged.stage (fun () -> ignore (Bignum.mul a b)));
-             Test.make ~name:(Printf.sprintf "divmod.%d" bits)
-               (Staged.stage (fun () -> ignore (Bignum.divmod (Bignum.mul a b) m)));
-             Test.make ~name:(Printf.sprintf "pow_mod.%d" bits)
-               (Staged.stage (fun () ->
-                    ignore (Bignum.pow_mod ~base:a ~exp:e ~modulus:m)));
-             Test.make ~name:(Printf.sprintf "inv_mod.%d" bits)
-               (Staged.stage (fun () -> ignore (Bignum.inv_mod a m))) ])
-         [ 128; 256; 512 ])
-  in
-  Printf.printf "%-28s %14s\n" "operation" "time (us)";
-  time_table ~quota:0.25 ~width:28 ~digits:(fun _ -> 2) tests;
-  print_endline
-    "(pow_mod dominates every protocol cost and scales ~cubically in the\n\
-    \ bit length, which is why tests and benches default to 128-bit toy\n\
-    \ groups -- all algorithms are size-agnostic)"
-
-
-(* ------------------------------------------------------------------ *)
 (* TPUT: payload batching x pipelined agreement throughput sweep       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1094,8 +897,7 @@ let tput () =
 
 let experiments =
   [ ("F1", f1); ("F2", f2); ("E1", e1); ("E2", e2); ("G1", g1); ("R1", r1); ("R2", r2); ("M1", m1);
-    ("M2", m2); ("O1", o1); ("O2", o2); ("S1", s1); ("S2", s2); ("C1", c1);
-    ("C2", c2); ("TPUT", tput) ]
+    ("M2", m2); ("O1", o1); ("O2", o2); ("S1", s1); ("S2", s2); ("TPUT", tput) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -607,7 +607,7 @@ let search_cmd =
       $ eval_seeds_arg $ protocol_arg $ payloads_arg $ max_steps_arg
       $ link_arg $ out_dir_arg $ top_arg $ quiet_arg)
 
-(* ---------- bench-num: modular-arithmetic micro-benchmarks ----------- *)
+(* ---------- bench-num: the kernel benchmark ------------------------- *)
 
 let bench_num_cmd =
   let out_arg =
@@ -625,10 +625,10 @@ let bench_num_cmd =
   Cmd.v
     (Cmd.info "bench-num"
        ~doc:
-         "Micro-benchmark the modular-arithmetic kernels (naive vs \
-          Montgomery-window pow_mod, fixed-base exp_g, exp2, gcd, \
-          inv_mod) at 128/512/1024-bit moduli, and the DLEQ batch \
-          sweep.")
+         "Time every kernel: bignum arithmetic at 128/512/1024-bit \
+          moduli, the DLEQ batch sweep, and the protocol kernels \
+          (hashing, Schnorr, coin, TDH2, threshold RSA, the scheduler \
+          step).")
     Term.(const run $ out_arg $ quick_arg)
 
 (* ---------- coin: flip the distributed coin -------------------------- *)

@@ -18,7 +18,6 @@ let () =
     Stack.deploy ~sim ~keyring
       ~make:(fun me io ->
         Optimistic_abc.create ~io ~tag:"demo" ~sequencer:0
-          ~set_timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
           ~timeout:4000.0
           ~deliver:(fun p -> logs.(me) <- p :: logs.(me))
           ())

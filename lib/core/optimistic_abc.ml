@@ -56,7 +56,6 @@ type t = {
   tag : string;
   sequencer : int;
   patience : int;
-  set_timer : (delay:float -> (unit -> unit) -> unit) option;
   timeout : float;
   abc_policy : Abc.policy option;  (* batching policy of the fallback *)
   deliver : string -> unit;
@@ -101,12 +100,11 @@ let fast_delivered_count t = t.fast_delivered
 (* ---------- construction -------------------------------------------- *)
 
 let rec create ~(io : msg Proto_io.t) ~tag ?(sequencer = 0) ?(patience = 200)
-    ?set_timer ?(timeout = 1500.0) ?abc_policy ~deliver () : t =
+    ?(timeout = 1500.0) ?abc_policy ~deliver () : t =
   { io;
     tag;
     sequencer;
     patience;
-    set_timer;
     timeout;
     abc_policy;
     deliver;
@@ -394,10 +392,10 @@ and fallback_abc t : Abc.t =
 (* ---------- progress heuristics ------------------------------------- *)
 
 (* Complaint triggers — purely liveness heuristics; safety never depends
-   on them.  With a timer hook (the normal deployment), a party that has
-   pending work and sees no fast-path progress for [timeout] units of
-   virtual time complains; without one, a count of handled messages is
-   used as a crude substitute. *)
+   on them.  A party that has pending work complains when it sees no
+   fast-path progress for [timeout] units of virtual time (on its
+   [io.timer]) or over [patience] handled messages, whichever comes
+   first. *)
 and tick t =
   if t.mode = Fast && t.pending <> [] then begin
     t.idle_ticks <- t.idle_ticks + 1;
@@ -405,19 +403,16 @@ and tick t =
   end
 
 and arm_timer t =
-  match t.set_timer with
-  | None -> ()
-  | Some set_timer ->
-    if (not t.timer_armed) && t.mode = Fast && t.pending <> [] then begin
-      t.timer_armed <- true;
-      let epoch = t.progress_epoch in
-      set_timer ~delay:t.timeout (fun () ->
-          t.timer_armed <- false;
-          if t.mode = Fast && t.pending <> [] then begin
-            if t.progress_epoch = epoch then send_complaint t;
-            arm_timer t
-          end)
-    end
+  if (not t.timer_armed) && t.mode = Fast && t.pending <> [] then begin
+    t.timer_armed <- true;
+    let epoch = t.progress_epoch in
+    t.io.Proto_io.timer ~delay:t.timeout (fun () ->
+        t.timer_armed <- false;
+        if t.mode = Fast && t.pending <> [] then begin
+          if t.progress_epoch = epoch then send_complaint t;
+          arm_timer t
+        end)
+  end
 
 (* ---------- API ------------------------------------------------------ *)
 

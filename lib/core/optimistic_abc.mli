@@ -39,16 +39,14 @@ val create :
   tag:string ->
   ?sequencer:int ->
   ?patience:int ->
-  ?set_timer:(delay:float -> (unit -> unit) -> unit) ->
   ?timeout:float ->
   ?abc_policy:Abc.policy ->
   deliver:(string -> unit) ->
   unit ->
   t
 (** Complaints fire after [timeout] (default 1500) units of virtual time
-    without progress while work is pending, via the [set_timer] hook
-    (wire it to [Sim.set_timer]); without a hook, [patience] (default
-    200) handled messages serve as a crude substitute.  Both are
+    without progress while work is pending, on [io.timer], or after
+    [patience] (default 200) handled messages without it.  Both are
     liveness heuristics only — safety is independent of timing.
     [abc_policy] is the batching / pipelining policy of the randomized
     fallback atomic broadcast (the fast path is already O(n) per payload

@@ -39,19 +39,17 @@ let crash_at time : 'msg t =
       Sim.crash ctx.sim ctx.party);
   honest
 
-let replayer ?(copies = 1) ?(budget = 64) () : 'msg t =
+let replayer () : 'msg t =
  fun ctx honest ->
   let used = ref 0 in
   fun ~src msg ->
     honest ~src msg;
-    if !used < budget then begin
+    if !used < 64 then begin
       incr used;
-      for _ = 1 to copies do
-        Sim.broadcast ctx.sim ~src:ctx.party (Link.Raw msg)
-      done
+      Sim.broadcast ctx.sim ~src:ctx.party (Link.Raw msg)
     end
 
-let injector ?(budget = 64) forge : 'msg t =
+let injector ~budget forge : 'msg t =
  fun ctx honest ->
   let used = ref 0 in
   fun ~src msg ->
@@ -63,7 +61,7 @@ let injector ?(budget = 64) forge : 'msg t =
         (forge ctx ~src msg)
     end
 
-let equivocator ?(budget = 64) forge : 'msg t =
+let equivocator ~budget forge : 'msg t =
  fun ctx _honest ->
   let used = ref 0 in
   fun ~src msg ->
@@ -135,8 +133,8 @@ module For_abba = struct
   (* Structurally valid coin shares whose group elements are garbled, so
      the DLEQ proofs fail: honest parties must filter them out and still
      assemble the coin from the honest shares. *)
-  let coin_forger ?(budget = 32) ~tag () : Abba.msg t =
-    injector ~budget (fun ctx ~src:_ msg ->
+  let coin_forger ~tag () : Abba.msg t =
+    injector ~budget:32 (fun ctx ~src:_ msg ->
         match round_of msg with
         | None -> []
         | Some r ->
@@ -158,8 +156,8 @@ module For_abba = struct
   (* Genuinely signed, conflicting SUPPORT endorsements: true to one half
      of the parties, false to the other.  Quorum intersection must keep
      at most one value certifiable. *)
-  let support_equivocator ?(budget = 4) ~tag () : Abba.msg t =
-    equivocator ~budget (fun ctx ~src:_ _msg ->
+  let support_equivocator ~tag () : Abba.msg t =
+    equivocator ~budget:4 (fun ctx ~src:_ _msg ->
         let share b =
           Keyring.cert_share ctx.keyring ~party:ctx.party
             (Ro.encode [ "abba-sup"; tag; string_of_bool b ])
@@ -179,8 +177,8 @@ module For_abc = struct
      A to one half, payload B to the other.  Both pass the signature
      check, so honest parties may hold different views of the corrupted
      party's proposal — agreement must come from the VBA layer alone. *)
-  let proposal_equivocator ?(budget = 8) ~tag () : Abc.msg t =
-    equivocator ~budget (fun ctx ~src:_ msg ->
+  let proposal_equivocator ~tag () : Abc.msg t =
+    equivocator ~budget:8 (fun ctx ~src:_ msg ->
         match msg with
         | Abc.Proposal (r, _, _) ->
           let sign payload =
@@ -197,8 +195,8 @@ module For_abc = struct
   (* Replays captured proposals into later rounds under the original
      (now round-mismatched) signature; the round-bound statement must
      make every replay invalid. *)
-  let proposal_replayer ?(budget = 32) () : Abc.msg t =
-    injector ~budget (fun ctx ~src:_ msg ->
+  let proposal_replayer () : Abc.msg t =
+    injector ~budget:32 (fun ctx ~src:_ msg ->
         match msg with
         | Abc.Proposal (r, payload, sg) ->
           List.init (Sim.n ctx.sim) (fun dst ->
@@ -222,12 +220,12 @@ module For_recovery = struct
      position for this attack (its reply races the honest ones).  The
      zero resume points are ignored by [Link.rejoin] as malformed, so
      the forgery cannot even desynchronize the victim's channel. *)
-  let forged_server ?(budget = 64) () : Recovery.msg t =
+  let forged_server () : Recovery.msg t =
    fun ctx honest ->
     let used = ref 0 in
     fun ~src msg ->
       match msg with
-      | Recovery.Fetch { epoch } when !used < budget ->
+      | Recovery.Fetch { epoch } when !used < 64 ->
         incr used;
         let digests =
           List.init 4 (fun i ->

@@ -36,21 +36,21 @@ val silent : 'msg t
 val crash_at : float -> 'msg t
 (** Behave honestly until the given virtual time, then [Sim.crash]. *)
 
-val replayer : ?copies:int -> ?budget:int -> unit -> 'msg t
-(** Behave honestly, but also rebroadcast each received message verbatim
-    [copies] times (default 1), for the first [budget] messages
-    (default 64) — stale/duplicate traffic from a correct-looking
-    party. *)
+val replayer : unit -> 'msg t
+(** Behave honestly, but also rebroadcast each of the first 64 received
+    messages verbatim once — stale/duplicate traffic from a
+    correct-looking party. *)
 
 val injector :
-  ?budget:int -> ('msg ctx -> src:int -> 'msg -> (Sim.party * 'msg) list) -> 'msg t
+  budget:int -> ('msg ctx -> src:int -> 'msg -> (Sim.party * 'msg) list) -> 'msg t
 (** Behave honestly, but on each of the first [budget] receipts also send
     every forged [(dst, msg)] the callback produces. *)
 
 val equivocator :
-  ?budget:int -> ('msg ctx -> src:int -> 'msg -> ('msg * 'msg) option) -> 'msg t
-(** Run {e no} honest logic; when the callback produces [(a, b)], send
-    [a] to the lower half of the servers and [b] to the upper half. *)
+  budget:int -> ('msg ctx -> src:int -> 'msg -> ('msg * 'msg) option) -> 'msg t
+(** Run {e no} honest logic; for each of the first [budget] times the
+    callback produces [(a, b)], send [a] to the lower half of the
+    servers and [b] to the upper half. *)
 
 val mutator : ('msg ctx -> src:int -> 'msg -> 'msg option) -> 'msg t
 (** Transform inbound messages before the honest logic sees them
@@ -92,26 +92,28 @@ val wrap_of :
 (** {2 Protocol-specific forgeries} *)
 
 module For_abba : sig
-  val coin_forger : ?budget:int -> tag:string -> unit -> Abba.msg t
+  val coin_forger : tag:string -> unit -> Abba.msg t
   (** Floods structurally valid coin shares whose group elements are
-      garbled, so every DLEQ proof fails verification. *)
+      garbled, so every DLEQ proof fails verification (on the first 32
+      receipts). *)
 
-  val support_equivocator : ?budget:int -> tag:string -> unit -> Abba.msg t
+  val support_equivocator : tag:string -> unit -> Abba.msg t
   (** Sends genuinely signed, conflicting SUPPORT endorsements — [true]
-      to one half of the parties, [false] to the other. *)
+      to one half of the parties, [false] to the other (4 times). *)
 
   val byzantine : tag:string -> unit -> Abba.msg t
   (** The composition of both attacks. *)
 end
 
 module For_abc : sig
-  val proposal_equivocator : ?budget:int -> tag:string -> unit -> Abc.msg t
+  val proposal_equivocator : tag:string -> unit -> Abc.msg t
   (** Sends validly signed, conflicting round proposals to the two
-      halves of the parties. *)
+      halves of the parties (8 times). *)
 
-  val proposal_replayer : ?budget:int -> unit -> Abc.msg t
+  val proposal_replayer : unit -> Abc.msg t
   (** Replays captured proposals into the next round under their
-      original (now round-mismatched) signature. *)
+      original (now round-mismatched) signature (on the first 32
+      receipts). *)
 
   val byzantine : tag:string -> unit -> Abc.msg t
   (** The composition of both attacks. *)
@@ -119,9 +121,9 @@ end
 
 (** Behaviours against the recovery layer's state-transfer path. *)
 module For_recovery : sig
-  val forged_server : ?budget:int -> unit -> Recovery.msg t
-  (** Answers every catch-up [Fetch] with a forged snapshot under a
-      garbage certificate; otherwise honest.  The fetcher must reject
+  val forged_server : unit -> Recovery.msg t
+  (** Answers the first 64 catch-up [Fetch]es with a forged snapshot
+      under a garbage certificate; otherwise honest.  The fetcher must reject
       the reply on certificate verification. *)
 end
 

@@ -295,8 +295,9 @@ let run_one ~clients ~window ~keyspace ~(core : Sweep.core) ~max_steps
       (Printf.sprintf "GC'd delivered-log peak %d exceeds bound %d" log_peak
          mem_bound)
   in
+  (* A stalled run already names its liveness failure. *)
   let quota_violations =
-    Sweep.unless (done_ ()) Oracle.Liveness "svc-quota"
+    Sweep.unless (stall <> [] || done_ ()) Oracle.Liveness "svc-quota"
       (Printf.sprintf "completed %d of %d before quiescence"
          (total_completed ()) target)
   in

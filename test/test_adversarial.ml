@@ -2,7 +2,7 @@
    exactly the robustness mechanisms the paper's model demands: forged
    crypto shares must be filtered by their validity proofs, equivocation
    must be caught by quorum intersection, and unjustified votes must be
-   rejected by the certificate checks.  Also: DRBG tests. *)
+   rejected by the certificate checks. *)
 
 module AS = Adversary_structure
 module G = Schnorr_group
@@ -10,42 +10,6 @@ module G = Schnorr_group
 let ps = G.default ~bits:96 ()
 let th41 = AS.threshold ~n:4 ~t:1
 let kr41 = lazy (Keyring.deal ~rsa_bits:192 ~seed:1000 th41)
-
-(* ---------------- DRBG ------------------------------------------------ *)
-
-let drbg_tests =
-  [ Alcotest.test_case "drbg deterministic and seed-separated" `Quick
-      (fun () ->
-        let a = Drbg.create ~seed:"s1" ~personalization:"p" in
-        let b = Drbg.create ~seed:"s1" ~personalization:"p" in
-        let c = Drbg.create ~seed:"s2" ~personalization:"p" in
-        let d = Drbg.create ~seed:"s1" ~personalization:"q" in
-        let xa = Drbg.bytes a 64 and xb = Drbg.bytes b 64 in
-        Alcotest.(check bool) "same seed same stream" true (xa = xb);
-        Alcotest.(check bool) "different seed differs" false
-          (xa = Drbg.bytes c 64);
-        Alcotest.(check bool) "different personalization differs" false
-          (xa = Drbg.bytes d 64));
-    Alcotest.test_case "drbg ratchets (no block repeats)" `Quick (fun () ->
-        let t = Drbg.of_int_seed 5 in
-        let blocks = List.init 50 (fun _ -> Drbg.block t) in
-        Alcotest.(check int) "all distinct" 50
-          (List.length (List.sort_uniq compare blocks)));
-    Alcotest.test_case "drbg reseed changes the stream" `Quick (fun () ->
-        let a = Drbg.of_int_seed 6 and b = Drbg.of_int_seed 6 in
-        ignore (Drbg.bytes a 32);
-        ignore (Drbg.bytes b 32);
-        Drbg.reseed a ~entropy:"fresh";
-        Alcotest.(check bool) "diverged" false (Drbg.bytes a 32 = Drbg.bytes b 32));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:50 ~name:"drbg bignum_below in range"
-         QCheck2.Gen.(pair (int_range 1 1000000) int)
-         (fun (bound, seed) ->
-           let t = Drbg.of_int_seed seed in
-           let b = Bignum.of_int bound in
-           let v = Drbg.bignum_below t b in
-           Bignum.sign v >= 0 && Bignum.lt v b))
-  ]
 
 (* ---------------- forged crypto shares in protocols ------------------- *)
 
@@ -474,4 +438,4 @@ let equivocation_tests =
 
 let suite =
   ( "adversarial",
-    drbg_tests @ coin_rule_tests @ forged_share_tests @ equivocation_tests )
+    coin_rule_tests @ forged_share_tests @ equivocation_tests )

@@ -12,9 +12,8 @@ let deploy ~sim ?(patience = 120) () =
   let logs = Array.make 4 [] in
   let nodes =
     Stack.deploy ~sim ~keyring
-      ~make:(fun me io ->
+      ~make:(fun _ io ->
         Optimistic_abc.create ~io ~tag:"opt" ~sequencer:0 ~patience
-          ~set_timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
           ~timeout:800.0
           ~deliver:(fun p ->
             logs.(io.Proto_io.me) <- p :: logs.(io.Proto_io.me))

@@ -310,7 +310,6 @@ let tests =
             ~make:(fun me io ->
               Optimistic_abc.create ~io ~tag:"opt-tput" ~sequencer:0
                 ~patience:60
-                ~set_timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
                 ~timeout:800.0
                 ~abc_policy:
                   { Abc.default_policy with max_batch_msgs = 4; window = 2 }
