@@ -219,31 +219,12 @@ let f1 () =
 
 let f2 () =
   header "F2" "Figure 1, Rampart row: dynamic membership loses SAFETY";
-  let deploy sim timeout =
-    let n = Sim.n sim in
-    let logs = Array.make n [] in
-    let nodes =
-      Array.init n (fun me ->
-          Membership_abc.create ~me ~n
-            ~send:(fun dst m -> Sim.send sim ~src:me ~dst m)
-            ~broadcast:(fun m -> Sim.broadcast sim ~src:me m)
-            ~set_timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
-            ~deliver:(fun p -> logs.(me) <- p :: logs.(me))
-            ~timeout ())
-    in
-    Array.iteri
-      (fun me node ->
-        Sim.set_handler sim me (fun ~src m -> Membership_abc.handle node ~src m))
-      nodes;
-    Array.iter Membership_abc.start nodes;
-    (nodes, logs)
-  in
   (* benign: works *)
   let sim =
     Sim.create ~policy:Sim.Latency_order ~size:Membership_abc.msg_size
       ~obs:(Bench_out.obs ()) ~n:4 ~seed:41 ()
   in
-  let nodes, logs = deploy sim 500.0 in
+  let nodes, logs = Baseline_stack.deploy_membership ~sim () in
   Membership_abc.submit nodes.(1) "benign-payload";
   Sim.run sim ~until:(fun () -> Array.for_all (fun l -> l <> []) logs);
   Printf.printf "benign network:   delivered everywhere = %b, view = %d (%d msgs)\n"
@@ -251,45 +232,17 @@ let f2 () =
     (Membership_abc.current_view nodes.(0))
     (Sim.metrics sim).Metrics.messages_sent;
   (* attack: delay honest members 0 and 3 until eviction; the Byzantine
-     member 1 then dominates the shrunken view and equivocates *)
+     member 1 then dominates the shrunken view and equivocates (the
+     harness and attacker are Baseline_stack's, shared with
+     test_membership.ml) *)
   let sim =
     Sim.create ~policy:(Sim.Delay_victims (Pset.of_list [ 0; 3 ]))
       ~size:Membership_abc.msg_size ~obs:(Bench_out.obs ()) ~n:4 ~seed:42 ()
   in
-  let nodes, logs = deploy sim 300.0 in
-  let honest_handler = fun ~src m -> Membership_abc.handle nodes.(1) ~src m in
-  let equivocations = ref 0 in
-  let injected = ref (-1) in
-  Sim.set_handler sim 1 (fun ~src m ->
-      (match m with
-      | Membership_abc.Submit _ -> ()  (* the Byzantine sequencer stalls *)
-      | _ -> honest_handler ~src m);
-      let self = nodes.(1) in
-      let v = Membership_abc.current_view self in
-      if v > !injected then begin
-        injected := v;
-        List.iter
-          (fun suspect ->
-            if Pset.mem suspect (Membership_abc.members self) then
-              Sim.broadcast sim ~src:1 (Membership_abc.Suspect (v, suspect)))
-          [ 0; 3 ]
-      end;
-      let victim = nodes.(2) in
-      if
-        !equivocations < 10
-        && Pset.card (Membership_abc.members victim) <= 2
-        && (match Pset.to_list (Membership_abc.members victim) with
-           | s :: _ -> s = 1
-           | [] -> false)
-      then begin
-        incr equivocations;
-        let v = Membership_abc.current_view victim in
-        Sim.send sim ~src:1 ~dst:2 (Membership_abc.Order (v, 0, "evil-A"));
-        Sim.send sim ~src:1 ~dst:2
-          (Membership_abc.Ack (v, 0, Sha256.digest "evil-A"));
-        Sim.send sim ~src:1 ~dst:0 (Membership_abc.Order (v, 0, "evil-B"));
-        Sim.send sim ~src:1 ~dst:3 (Membership_abc.Order (v, 0, "evil-B"))
-      end);
+  let nodes, logs =
+    Baseline_stack.deploy_membership ~sim ~timeout:300.0 ()
+  in
+  Baseline_stack.rampart_attack ~sim nodes;
   Membership_abc.submit nodes.(2) "victim-payload";
   (try Sim.run sim ~max_steps:8_000 with Sim.Out_of_steps _ -> ());
   let shrunk = Pset.card (Membership_abc.members nodes.(2)) in
@@ -634,7 +587,7 @@ let o2 () =
           let nodes =
             Stack.deploy ~sim ~keyring:kr
               ~make:(fun me io ->
-                Optimistic_abc.create ~io ~tag:"o2" ~sequencer:0
+                Optimistic_abc.create ~io ~tag:"o2"
                   ~deliver:(fun p -> logs.(me) <- p :: logs.(me))
                   ())
               ~handle:Optimistic_abc.handle ~layer:"opt-abc"
@@ -723,10 +676,12 @@ let s1 () =
       ~obs:(Bench_out.obs ()) ~n:7 ~seed:81 ()
   in
   let _nodes =
-    Service.deploy ~sim ~keyring:kr ~mode:Service.Plain ~make_app:Ca.make_app ()
+    Service.deploy
+      ~wrap:
+        (Byzantine.wrap_of ~sim ~keyring:kr ~seed:6 ~set:(Pset.singleton 6)
+           Byzantine.For_service.forged_denial)
+      ~sim ~keyring:kr ~mode:Service.Plain ~make_app:Ca.make_app ()
   in
-  Byzantine.corrupt ~sim ~keyring:kr ~seed:6 ~set:(Pset.singleton 6)
-    Byzantine.For_service.forged_denial;
   Sim.crash sim 1;
   let client = Service.Client.create ~sim ~keyring:kr ~slot:7 ~seed:5 () in
   let result = ref None in

@@ -429,24 +429,8 @@ let compare_cmd =
       & info [] ~docv:"CANDIDATE"
           ~doc:"Candidate report of the same kind.")
   in
-  let rel_arg =
-    Arg.(
-      value & opt float 0.10
-      & info [ "rel" ] ~docv:"R"
-          ~doc:"Relative worsening tolerated by thresholded metrics \
-                (default 0.10).")
-  in
-  let abs_arg =
-    Arg.(
-      value & opt float 1e-9
-      & info [ "abs" ] ~docv:"E"
-          ~doc:"Absolute tolerance floor (default 1e-9: byte-stable reruns \
-                compare equal).")
-  in
-  let run a b rel abs_eps =
-    match
-      Compare.compare_files ~thresholds:{ Compare.rel; abs_eps } a b
-    with
+  let run a b =
+    match Compare.compare_files a b with
     | Error e ->
       Printf.eprintf "compare: %s\n" e;
       exit 2
@@ -460,12 +444,14 @@ let compare_cmd =
          "Diff the gate rows of two reports of the same kind and \
           classify every delta as improved, regressed or neutral. Strict \
           rows (safety violations, gating-liveness violations, per-cell \
-          decided counts, stall anomalies) regress on any worsening; thresholded rows tolerate \
-          --rel/--abs; info rows (wall time, raw counters) are only shown. \
+          decided counts, stall anomalies) regress on any worsening; \
+          thresholded rows tolerate a worsening of 10% of the baseline \
+          (at least 1e-9, so byte-stable reruns compare equal); info rows \
+          (wall time, raw counters) are only shown. \
           Exits 1 on regression, 2 on structural mismatch (different kind \
           or run count, a row on one side only) — wiring this against a \
           checked-in baseline turns it into a CI regression gate.")
-    Term.(const run $ a_arg $ b_arg $ rel_arg $ abs_arg)
+    Term.(const run $ a_arg $ b_arg)
 
 (* ---------- search: adversarial schedule search ---------------------- *)
 
@@ -730,15 +716,20 @@ let ca_cmd =
     let s = AS.threshold ~n ~t in
     let kr = Keyring.deal ~rsa_bits:192 ~seed:17 s in
     let sim = Sim.create ~n ~seed () in
-    let _nodes =
-      Service.deploy ~sim ~keyring:kr ~mode:Service.Plain ~make_app:Ca.make_app ()
+    let wrap =
+      if byzantine then begin
+        let evil = n - 1 in
+        Printf.printf "server %d forges denials for every request\n" evil;
+        Some
+          (Byzantine.wrap_of ~sim ~keyring:kr ~seed:evil
+             ~set:(Pset.singleton evil) Byzantine.For_service.forged_denial)
+      end
+      else None
     in
-    if byzantine then begin
-      let evil = n - 1 in
-      Printf.printf "server %d forges denials for every request\n" evil;
-      Byzantine.corrupt ~sim ~keyring:kr ~seed:evil ~set:(Pset.singleton evil)
-        Byzantine.For_service.forged_denial
-    end;
+    let _nodes =
+      Service.deploy ?wrap ~sim ~keyring:kr ~mode:Service.Plain
+        ~make_app:Ca.make_app ()
+    in
     let client = Service.Client.create ~sim ~keyring:kr ~slot:n ~seed:3 () in
     let call body =
       let result = ref None in

@@ -20,14 +20,14 @@ let () =
   let structure = Adversary_structure.threshold ~n:7 ~t:2 in
   let keyring = Keyring.deal ~rsa_bits:256 ~seed:11 structure in
   let sim = Sim.create ~policy:Sim.Random_order ~n:7 ~seed:3 () in
-  let deployment =
-    Service.deploy ~sim ~keyring ~mode:Service.Plain ~make_app:Ca.make_app ()
-  in
-  ignore (Service.nodes deployment);
-
   banner "server 6 turns malicious: it forges denials for every request\n";
-  Byzantine.corrupt ~sim ~keyring ~seed:6 ~set:(Pset.singleton 6)
-    Byzantine.For_service.forged_denial;
+  let _deployment =
+    Service.deploy
+      ~wrap:
+        (Byzantine.wrap_of ~sim ~keyring ~seed:6 ~set:(Pset.singleton 6)
+           Byzantine.For_service.forged_denial)
+      ~sim ~keyring ~mode:Service.Plain ~make_app:Ca.make_app ()
+  in
 
   let client = Service.Client.create ~sim ~keyring ~slot:7 ~seed:99 () in
   let issue id pubkey =
@@ -52,7 +52,8 @@ let () =
         (match Codec.decode response with
         | Some ("denied" :: reason) ->
           Printf.printf "    denied: %s\n" (String.concat " " reason)
-        | Some _ | None -> print_endline "    unparseable response"))
+        | Some _ | None -> print_endline "    unparseable response");
+        exit 1)
   in
   issue "alice@example.com" "ed25519:AAAA1111";
   banner "server 1 crashes\n";
@@ -69,7 +70,9 @@ let () =
     (match Ca.parse_certificate rc.Service.rc_response with
     | Some (id, pk, serial) ->
       Printf.printf "    lookup: id=%s pubkey=%s serial=%d\n" id pk serial
-    | None -> print_endline "    lookup failed")
+    | None ->
+      print_endline "    lookup failed";
+      exit 1)
   | None -> failwith "lookup did not complete");
 
   let m = Sim.metrics sim in

@@ -17,7 +17,7 @@ let () =
   let nodes =
     Stack.deploy ~sim ~keyring
       ~make:(fun me io ->
-        Optimistic_abc.create ~io ~tag:"demo" ~sequencer:0
+        Optimistic_abc.create ~io ~tag:"demo"
           ~timeout:4000.0
           ~deliver:(fun p -> logs.(me) <- p :: logs.(me))
           ())

@@ -153,8 +153,6 @@ let create ~(io : msg Proto_io.t) ~tag ~on_decide =
 
 let obs t = t.io.Proto_io.obs
 
-let decision t = t.decided
-
 (* Round in which this party currently works; after a decision, the
    round the decision was reached in (used by the expected-constant-
    rounds experiment R1). *)

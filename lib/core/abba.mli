@@ -57,7 +57,6 @@ val create : io:msg Proto_io.t -> tag:string -> on_decide:(bool -> unit) -> t
 
 val propose : t -> bool -> unit
 val handle : t -> src:int -> msg -> unit
-val decision : t -> bool option
 
 val current_round : t -> int
 (** After a decision: the round it was reached in (experiment R1). *)
@@ -69,5 +68,5 @@ val msg_summary : msg -> string
 
 val retire : t -> unit
 (** Release the per-round voting state (round tables, support shares,
-    deferred messages); the terminal {!decision} survives.  For
+    deferred messages); the terminal decision survives.  For
     enclosing protocols that garbage-collect finished instances. *)

@@ -57,9 +57,6 @@ val broadcast : t -> string -> unit
     payload (a client resend) only enqueues it, and a delivered payload
     is never relayed again. *)
 
-val enqueue : t -> string -> unit
-(** Order a payload without relaying (it is already known here). *)
-
 val handle : t -> src:int -> msg -> unit
 
 val delivered_log : t -> string list
@@ -122,10 +119,6 @@ val log_peak : t -> int
 val retired_rounds : t -> int
 (** Rounds of per-round protocol state retired by {!truncate} /
     {!install_checkpoint} so far. *)
-
-val is_delivered : t -> string -> bool
-(** Whether a payload has ever been delivered here (survives
-    truncation via the digest set). *)
 
 val relay_pending : t -> int
 (** Payloads submitted and relayed here but not yet delivered: the

@@ -73,8 +73,6 @@ let broadcast t payload =
       "instance";
   t.io.Proto_io.broadcast (Send payload)
 
-let delivered t = t.delivered
-
 let try_final t =
   match t.payload with
   | None -> ()

@@ -25,7 +25,6 @@ val create :
 
 val broadcast : t -> string -> unit
 val handle : t -> src:int -> msg -> unit
-val delivered : t -> (string * Keyring.cert) option
 
 val check_transferred :
   'm Proto_io.t -> tag:string -> sender:int -> string -> Keyring.cert -> bool

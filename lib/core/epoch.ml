@@ -69,7 +69,6 @@ type intent = I_refresh | I_reshare of AS.t * Proactive.target
 type t = {
   io : msg Proto_io.t;
   tag : string;
-  epoch_retry : float;
   rng : Prng.t;
   rec_ : Recovery.t;
   mutable sharing : Dl_sharing.t;
@@ -98,12 +97,14 @@ let stmt t epoch hash =
   Ro.encode [ "epoch-adv"; t.tag; string_of_int epoch; hash ]
 
 let group t = t.sharing.Dl_sharing.group
+
+(* Package/proposal rebroadcast and chain-pull period (virtual time). *)
+let epoch_retry = 400.
+
 let recovery t = t.rec_
 let submit t payload = Recovery.submit t.rec_ payload
 let epoch t = t.epoch
 let sharing t = t.sharing
-let chain t = t.chain
-let excluded t = t.excluded
 let excluded_total t = t.excluded_total
 let set_on_advance t f = t.on_advance <- Some f
 
@@ -395,7 +396,7 @@ let rec pull_round t have =
       if dst <> t.io.Proto_io.me then
         t.io.Proto_io.unsequenced dst (Epoch_pull { have })
     done;
-    t.io.Proto_io.timer ~delay:t.epoch_retry (fun () -> pull_round t have)
+    t.io.Proto_io.timer ~delay:epoch_retry (fun () -> pull_round t have)
   end
 
 let start_pull t =
@@ -454,7 +455,7 @@ let rec retry_round t epoch =
       t.io.Proto_io.broadcast (Refresh { epoch; frame = t.own_frame });
     if t.proposed <> "" then
       t.io.Proto_io.broadcast (Adv_prop { body = t.proposed });
-    t.io.Proto_io.timer ~delay:t.epoch_retry (fun () -> retry_round t epoch)
+    t.io.Proto_io.timer ~delay:epoch_retry (fun () -> retry_round t epoch)
   end
 
 let begin_epoch t it =
@@ -476,7 +477,7 @@ let begin_epoch t it =
     t.own_frame <- frame;
     t.io.Proto_io.broadcast (Refresh { epoch; frame })
   end;
-  t.io.Proto_io.timer ~delay:t.epoch_retry (fun () -> retry_round t epoch)
+  t.io.Proto_io.timer ~delay:epoch_retry (fun () -> retry_round t epoch)
 
 let begin_refresh t = begin_epoch t I_refresh
 
@@ -503,14 +504,6 @@ let msg_size keyring = function
   | Epoch_push { certs } ->
     List.fold_left (fun a c -> a + String.length c + 8) 8 certs
 
-let msg_summary = function
-  | Rec m -> "rec:" ^ Recovery.msg_summary m
-  | Refresh { epoch; _ } -> Printf.sprintf "refresh e%d" epoch
-  | Adv_prop _ -> "adv-prop"
-  | Adv_share { epoch; _ } -> Printf.sprintf "adv-share e%d" epoch
-  | Epoch_pull { have } -> Printf.sprintf "epoch-pull e%d" have
-  | Epoch_push { certs } -> Printf.sprintf "epoch-push |%d|" (List.length certs)
-
 (* ---------- deployment glue ------------------------------------------ *)
 
 type deployment = (msg, t) Stack.deployment
@@ -521,13 +514,12 @@ let nodes = Stack.nodes
    epoch interceptor: certified advances install the next sharing at
    their total-order position, everything else reaches the
    application. *)
-let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
-    ?(epoch_retry = 400.) ?(seed = 0) ~sim ~keyring ~sharing
-    ~tag ~deliver () =
+let deploy ?wrap ?policy ?link ?(interval = 8) ?(seed = 0) ~sim ~keyring
+    ~sharing ~tag ~deliver () =
   let make me (io : msg Proto_io.t) =
     let tref = ref None in
     let rec_ =
-      Recovery.create ?policy ~interval ~retry ~tag
+      Recovery.create ?policy ~interval ~tag
         ~io:
           (Proto_io.embed io ~layer:"recov"
              ~bytes:(Recovery.msg_size keyring)
@@ -542,7 +534,6 @@ let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.)
       {
         io;
         tag;
-        epoch_retry;
         rng = Prng.create ~seed:(seed + (7919 * me) + 13);
         rec_;
         sharing;

@@ -30,7 +30,6 @@ type msg =
 
 type t
 
-val handle : t -> src:int -> msg -> unit
 val recovery : t -> Recovery.t
 
 val submit : t -> string -> unit
@@ -41,12 +40,6 @@ val epoch : t -> int
 
 val sharing : t -> Dl_sharing.t
 (** The current epoch's service sharing. *)
-
-val chain : t -> string list
-(** Certified advances installed so far, oldest first. *)
-
-val excluded : t -> Pset.t
-(** Dealers excluded in the currently open epoch. *)
 
 val excluded_total : t -> int
 (** Dealers excluded since this node started (equivocation or invalid
@@ -66,9 +59,6 @@ val begin_reshare : t -> Adversary_structure.t -> unit
 val start_pull : t -> unit
 (** Ask peers for the advance-chain suffix (unsequenced send, retried). *)
 
-val msg_size : Keyring.t -> msg -> int
-val msg_summary : msg -> string
-
 (** {2 Simulator deployment} *)
 
 type deployment
@@ -78,8 +68,6 @@ val deploy :
   ?policy:Abc.policy ->
   ?link:Link.policy ->
   ?interval:int ->
-  ?retry:float ->
-  ?epoch_retry:float ->
   ?seed:int ->
   sim:msg Link.frame Sim.t ->
   keyring:Keyring.t ->
@@ -89,10 +77,10 @@ val deploy :
   unit ->
   deployment
 (** One node per simulator party, attached through {!Stack.attach}
-    like {!Recovery.deploy}: [interval]/[retry] configure the wrapped
-    checkpointing,
-    [epoch_retry] the package/proposal rebroadcast and chain-pull
-    period, [seed] the per-node dealing randomness.  [deliver] receives
+    like {!Recovery.deploy}: [interval] configures the wrapped
+    checkpointing, [seed] the per-node dealing randomness.  Packages
+    and proposals are rebroadcast, and the chain pulled, every 400
+    virtual time units until they land.  [deliver] receives
     application payloads only — certified advances are consumed at
     their total-order position. *)
 

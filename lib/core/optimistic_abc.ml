@@ -54,7 +54,6 @@ type mode = Fast | Switching | Fallback
 type t = {
   io : msg Proto_io.t;
   tag : string;
-  sequencer : int;
   patience : int;
   timeout : float;
   abc_policy : Abc.policy option;  (* batching policy of the fallback *)
@@ -88,6 +87,9 @@ type t = {
   mutable abc : Abc.t option;
 }
 
+(* The fast path's fixed sequencer. *)
+let sequencer = 0
+
 let digest = Sha256.digest
 let ack_stmt t s = Ro.encode [ "opt-ack"; t.tag; string_of_int s ]
 let complain_stmt t = Ro.encode [ "opt-complain"; t.tag ]
@@ -99,11 +101,10 @@ let fast_delivered_count t = t.fast_delivered
 
 (* ---------- construction -------------------------------------------- *)
 
-let rec create ~(io : msg Proto_io.t) ~tag ?(sequencer = 0) ?(patience = 200)
+let rec create ~(io : msg Proto_io.t) ~tag ?(patience = 200)
     ?(timeout = 1500.0) ?abc_policy ~deliver () : t =
   { io;
     tag;
-    sequencer;
     patience;
     timeout;
     abc_policy;
@@ -141,7 +142,7 @@ and cbc_of t seq : Cbc.t =
           (Proto_io.embed ~layer:"cbc"
              ~bytes:(Cbc.msg_size t.io.Proto_io.keyring) t.io
              ~wrap:(fun m -> Seq_cbc (seq, m)))
-        ~tag:(cbc_tag t seq) ~sender:t.sequencer
+        ~tag:(cbc_tag t seq) ~sender:sequencer
         ~deliver:(fun payload cert -> on_cdeliver t seq payload cert)
         ()
     in
@@ -443,7 +444,7 @@ let handle t ~src msg =
     end;
     (* the sequencer assigns the next slot *)
     if
-      t.io.Proto_io.me = t.sequencer
+      t.io.Proto_io.me = sequencer
       && t.mode = Fast
       && not (Hashtbl.mem t.delivered_digests d)
       &&
@@ -504,7 +505,7 @@ let handle t ~src msg =
     if
       (not (List.exists (fun (s', _, _) -> s' = s) t.fetched))
       && Cbc.check_transferred t.io
-           ~tag:(cbc_tag t s) ~sender:t.sequencer payload cert
+           ~tag:(cbc_tag t s) ~sender:sequencer payload cert
     then begin
       t.fetched <- (s, payload, cert) :: t.fetched;
       finish_fast_path t

@@ -37,16 +37,15 @@ type t
 val create :
   io:msg Proto_io.t ->
   tag:string ->
-  ?sequencer:int ->
   ?patience:int ->
   ?timeout:float ->
   ?abc_policy:Abc.policy ->
   deliver:(string -> unit) ->
   unit ->
   t
-(** Complaints fire after [timeout] (default 1500) units of virtual time
-    without progress while work is pending, on [io.timer], or after
-    [patience] (default 200) handled messages without it.  Both are
+(** Party 0 is the fast path's sequencer.  Complaints fire after
+    [timeout] (default 1500) units of virtual time without progress
+    while work is pending, on [io.timer], or after [patience] (default 200) handled messages without it.  Both are
     liveness heuristics only — safety is independent of timing.
     [abc_policy] is the batching / pipelining policy of the randomized
     fallback atomic broadcast (the fast path is already O(n) per payload

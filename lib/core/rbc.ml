@@ -106,7 +106,3 @@ let msg_size = function
   | Send p | Echo p | Ready p -> 8 + String.length p
 
 (* Short rendering for simulator traces. *)
-let msg_summary = function
-  | Send p -> Printf.sprintf "rbc.SEND(%d B)" (String.length p)
-  | Echo p -> Printf.sprintf "rbc.ECHO(%d B)" (String.length p)
-  | Ready p -> Printf.sprintf "rbc.READY(%d B)" (String.length p)

@@ -23,6 +23,3 @@ val handle : t -> src:int -> msg -> unit
 
 val msg_size : msg -> int
 (** Approximate wire size in bytes (metrics). *)
-
-val msg_summary : msg -> string
-(** Short rendering for simulator traces. *)

@@ -68,7 +68,6 @@ type t = {
   io : msg Proto_io.t;
   tag : string;
   interval : int;  (* checkpoint every this many rounds; 0 = off *)
-  retry : float;  (* catch-up re-fetch period (virtual time) *)
   abc : Abc.t;
   (* checkpoint-in-progress state, all keyed by boundary round *)
   mutable created : int;  (* highest boundary snapshotted here *)
@@ -96,7 +95,6 @@ let stmt t round hash =
 let abc t = t.abc
 let submit t payload = Abc.broadcast t.abc payload
 let certified_round t = match t.certified with Some (r, _, _) -> r | None -> 0
-let fetching t = t.fetching
 let transfers t = t.transfers
 let transfer_bytes t = t.transfer_bytes
 let rejected_replies t = t.rejected
@@ -172,10 +170,8 @@ let maybe_checkpoint t b =
     try_certify t b
   end
 
-let create ?policy ?(interval = 0) ?(retry = 350.) ~(io : msg Proto_io.t)
-    ~tag ~deliver () =
+let create ?policy ?(interval = 0) ~(io : msg Proto_io.t) ~tag ~deliver () =
   if interval < 0 then invalid_arg "Recovery.create: negative interval";
-  if retry <= 0. then invalid_arg "Recovery.create: non-positive retry";
   let abc_io =
     Proto_io.embed io ~layer:"abc"
       ~bytes:(Abc.msg_size io.Proto_io.keyring)
@@ -187,7 +183,6 @@ let create ?policy ?(interval = 0) ?(retry = 350.) ~(io : msg Proto_io.t)
       io;
       tag;
       interval;
-      retry;
       abc;
       created = 0;
       snaps = Hashtbl.create 7;
@@ -209,6 +204,9 @@ let create ?policy ?(interval = 0) ?(retry = 350.) ~(io : msg Proto_io.t)
 
 (* ---------- catch-up: fetching side --------------------------------- *)
 
+(* Catch-up re-fetch period (virtual time). *)
+let retry = 350.
+
 let rec request_round t epoch =
   if t.fetching && t.epoch = epoch then begin
     let n = Proto_io.n t.io in
@@ -216,7 +214,7 @@ let rec request_round t epoch =
       if dst <> t.io.Proto_io.me then
         t.io.Proto_io.unsequenced dst (Fetch { epoch })
     done;
-    t.io.Proto_io.timer ~delay:t.retry (fun () -> request_round t epoch)
+    t.io.Proto_io.timer ~delay:retry (fun () -> request_round t epoch)
   end
 
 let start_catch_up t =
@@ -429,27 +427,18 @@ let msg_size keyring = function
     24 + String.length ck
     + List.fold_left (fun a p -> a + String.length p + 8) 0 suffix
 
-let msg_summary = function
-  | App m -> "app:" ^ Abc.msg_summary m
-  | Ckpt_share { round; _ } -> Printf.sprintf "ckpt-share r%d" round
-  | Fetch { epoch } -> Printf.sprintf "fetch e%d" epoch
-  | State { epoch; round; suffix; _ } ->
-    Printf.sprintf "state e%d r%d |%d|" epoch round (List.length suffix)
-
 (* ---------- deployment glue ------------------------------------------ *)
 
 type deployment = (msg, t) Stack.deployment
 
 let nodes = Stack.nodes
 
-let deploy ?wrap ?policy ?link ?(interval = 8) ?(retry = 350.) ~sim ~keyring
-    ~tag ~deliver () =
+let deploy ?wrap ?policy ?link ?(interval = 8) ~sim ~keyring ~tag ~deliver () =
   let d =
     Stack.attach ?wrap ?link ~sim ~keyring ~layer:"recov"
       ~bytes:(msg_size keyring)
       ~make:(fun me io ->
-        create ?policy ~interval ~retry ~io ~tag
-          ~deliver:(deliver me) ())
+        create ?policy ~interval ~io ~tag ~deliver:(deliver me) ())
       ~handle ()
   in
   Stack.probe_abc d abc;

@@ -55,7 +55,6 @@ type t
 val create :
   ?policy:Abc.policy ->
   ?interval:int ->
-  ?retry:float ->
   io:msg Proto_io.t ->
   tag:string ->
   deliver:(string -> unit) ->
@@ -64,10 +63,9 @@ val create :
 (** Wrap an {!Abc} instance (created internally, [deliver] passed
     through) with the recovery layer.  [interval] is the checkpoint
     period in rounds ([0], the default, disables checkpointing
-    entirely); [retry] the catch-up re-fetch period in virtual time.
-    A snapshot carries the digest history and an empty application
-    blob.  Raises [Invalid_argument] on a negative interval or
-    non-positive retry. *)
+    entirely).  A snapshot carries the digest history and an empty
+    application blob.  Raises [Invalid_argument] on a negative
+    interval. *)
 
 val handle : t -> src:int -> msg -> unit
 val submit : t -> string -> unit
@@ -79,10 +77,9 @@ val abc : t -> Abc.t
 
 val start_catch_up : t -> unit
 (** Begin (or restart, under a fresh epoch) the fetch protocol: request
-    state from every peer and keep re-requesting on the [retry] timer
-    until a valid agreeing reply quorum installs. *)
+    state from every peer and keep re-requesting every 350 virtual
+    time units until a valid agreeing reply quorum installs. *)
 
-val fetching : t -> bool
 val certified_round : t -> int
 (** Boundary round of the latest certificate held ([0] if none). *)
 
@@ -100,7 +97,6 @@ val set_on_transfer : t -> (bytes:int -> round:int -> unit) -> unit
     notes its state-transfer anomaly window from here. *)
 
 val msg_size : Keyring.t -> msg -> int
-val msg_summary : msg -> string
 
 (** {2 Deployment} *)
 
@@ -111,7 +107,6 @@ val deploy :
   ?policy:Abc.policy ->
   ?link:Link.policy ->
   ?interval:int ->
-  ?retry:float ->
   sim:msg Link.frame Sim.t ->
   keyring:Keyring.t ->
   tag:string ->

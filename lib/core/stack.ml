@@ -18,16 +18,15 @@
    handler and its own post-revive step.
 
    The returned array holds every party's instance; tests and
-   experiments corrupt a party by crashing it in the simulator, by
-   replacing its handler with a malicious one ([Sim.set_handler] /
-   [Sim.wrap_handler]), or — at deployment time — through the [?wrap]
-   hook below, which the Byzantine behaviour library (lib/faults) uses.
+   experiments corrupt a party by crashing it in the simulator, or — at
+   deployment time — through the [?wrap] hook below, the one injection
+   point of the Byzantine behaviour library (lib/faults).
    [wrap] operates at the payload level, below any link endpoint: a
    corrupted party still runs the link machinery (acks, dedup), because
    the link is transport infrastructure, not protocol logic — withheld
-   acks are modelled separately, as chaos loss towards the victim.  All
-   of these model full Byzantine corruption: the adversary even gets
-   the party's keyring secrets, since the keyring record is shared. *)
+   acks are modelled separately, as chaos loss towards the victim.  Both
+   model full Byzantine corruption: the adversary even gets the party's
+   keyring secrets, since the keyring record is shared. *)
 
 (* One party's attachment, the only place a node meets the transport.
    Per party, in this order: the link endpoint (link on), the io, the

@@ -8,16 +8,16 @@
     reliable {!Link} endpoint per party (sequencing, acks, timer-driven
     retransmission), which restores liveness under lossy chaos.
 
-    Corrupt a party by crashing it ([Sim.crash]), replacing its handler
-    with a malicious one ([Sim.set_handler] / [Sim.wrap_handler]), or by
-    passing [?wrap] at deployment time — the injection point the
-    Byzantine behaviour library (lib/faults) uses, which avoids any
-    window where the honest handler could run first.  [wrap] operates at
-    the payload level, below any link endpoint: a corrupted party still
-    acks and deduplicates, because the link is transport infrastructure
-    rather than protocol logic (ack withholding is modelled as chaos
-    loss towards the victim).  The keyring record is shared, so a
-    corrupted handler models full corruption including key exposure. *)
+    Corrupt a party by crashing it ([Sim.crash]), or by passing [?wrap]
+    at deployment time — the one injection point of the Byzantine
+    behaviour library (lib/faults, [Byzantine.wrap_of]), which leaves no
+    window where the honest handler could run first.  [wrap] operates
+    at the payload level, below any link endpoint: a corrupted party
+    still acks and deduplicates, because the link is transport
+    infrastructure rather than protocol logic (ack withholding is
+    modelled as chaos loss towards the victim).  The keyring record is
+    shared, so a corrupted handler models full corruption including key
+    exposure. *)
 
 type ('msg, 'node) deployment
 (** One deployment's parties: the node array (updated in place by

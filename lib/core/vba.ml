@@ -266,7 +266,6 @@ let handle t ~src msg =
       step t
     end
 
-let result t = t.decided
 let permutation t = t.perm
 
 let msg_size kr = function

@@ -30,7 +30,6 @@ val propose : t -> string -> unit
     counts: a later one sends nothing and keeps the first value. *)
 
 val handle : t -> src:int -> msg -> unit
-val result : t -> (int * string) option
 
 val permutation : t -> int array option
 (** The candidate examination order, once the permutation coin has
@@ -42,5 +41,5 @@ val msg_summary : msg -> string
 
 val retire : t -> unit
 (** Release the agreement state — proposals, permutation shares, ABBA
-    children (each {!Abba.retire}d) — keeping only the terminal
-    {!result}.  For checkpoint GC of decided rounds. *)
+    children (each {!Abba.retire}d) — keeping only the decided
+    candidate.  For checkpoint GC of decided rounds. *)

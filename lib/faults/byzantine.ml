@@ -1,5 +1,5 @@
-(* Reusable Byzantine behaviours, installed over a deployed party's
-   honest handler.
+(* Reusable Byzantine behaviours, installed over a party's honest
+   handler when it is deployed.
 
    The simulator models full corruption by handler replacement: a
    corrupted party's incoming messages are routed to arbitrary code that
@@ -86,34 +86,14 @@ let compose a b : 'msg t = fun ctx honest -> a ctx (b ctx honest)
 
 (* ---------- installation -------------------------------------------- *)
 
-let context ~sim ~keyring ~rng party =
-  { sim; keyring; party; rng = Prng.split rng }
-
-(* Post-deployment corruption intercepts at the frame level, so under a
-   link-on deployment it also swallows the party's ack machinery (the
-   behaviour sees payloads, never acks): peers keep retransmitting to it
-   until their windows fill and back-pressure engages — i.e. [corrupt]
-   models ack withholding as a side effect.  Campaigns use {!wrap_of}
-   instead, which corrupts below the link at install time. *)
-let corrupt ~sim ~keyring ~seed ~set behavior =
-  let rng = Prng.create ~seed in
-  Pset.iter
-    (fun party ->
-      Sim.wrap_handler sim party (fun installed ->
-          let honest ~src m = installed ~src (Link.Raw m) in
-          let wrapped =
-            behavior (context ~sim ~keyring ~rng party) honest
-          in
-          fun ~src frame ->
-            match frame with
-            | Link.Raw m | Link.Data { payload = m; _ } -> wrapped ~src m
-            | Link.Ack _ -> ()))
-    set
-
+(* The one way to corrupt a party: a [?wrap] argument of a deployment,
+   applied as each handler is installed.  Each party of [set] gets its
+   own PRNG, split off [seed] in installation (slot) order. *)
 let wrap_of ~sim ~keyring ~seed ~set behavior =
   let rng = Prng.create ~seed in
   fun party h ->
-    if Pset.mem party set then behavior (context ~sim ~keyring ~rng party) h
+    if Pset.mem party set then
+      behavior { sim; keyring; party; rng = Prng.split rng } h
     else h
 
 (* ---------- protocol-specific forgeries ------------------------------ *)

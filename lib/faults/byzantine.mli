@@ -3,9 +3,11 @@
     A behaviour is a handler transformer: given the corrupted party's
     context (simulator handle, shared keyring, party index, private PRNG)
     and its honest handler, it returns the handler actually installed.
-    Behaviours compose, and {!corrupt} applies one to every party of a
-    [Pset.t], so any set of the adversary structure can be corrupted
-    wholesale — the quantification the paper's fault model requires.
+    Behaviours compose, and {!wrap_of} applies one to every party of a
+    [Pset.t] as the deployment installs its handler, so any set of the
+    adversary structure can be corrupted wholesale — the quantification
+    the paper's fault model requires.  This is the one way to corrupt a
+    party.
 
     Corrupted parties hold the full keyring record, so forged objects go
     through the genuine signing paths: they pass every check that does
@@ -61,20 +63,6 @@ val compose : 'msg t -> 'msg t -> 'msg t
 
 (** {2 Installation} *)
 
-val corrupt :
-  sim:'msg Link.frame Sim.t ->
-  keyring:Keyring.t ->
-  seed:int ->
-  set:Pset.t ->
-  'msg t ->
-  unit
-(** Apply a behaviour to every party of [set] via [Sim.wrap_handler],
-    after deployment.  Each party gets an independent PRNG split off
-    [seed].  Intercepts at the frame level: under a link-on deployment
-    the corrupted party's ack machinery is swallowed too (it withholds
-    acks), so peers retransmit to it until back-pressure engages —
-    campaigns prefer {!wrap_of}, which corrupts below the link. *)
-
 val wrap_of :
   sim:'msg Link.frame Sim.t ->
   keyring:Keyring.t ->
@@ -84,10 +72,13 @@ val wrap_of :
   int ->
   'msg Sim.handler ->
   'msg Sim.handler
-(** The same corruption as a [Stack.deploy ?wrap] argument, applied at
-    handler-installation time (no window where the honest handler could
-    run), at the payload level below any link endpoint — a corrupted
-    party still acks and deduplicates. *)
+(** A [?wrap] argument for {!Stack.deploy} and every deployment built
+    on {!Stack.attach} ([Recovery], [Epoch], [Service]): it applies the
+    behaviour to each party of [set] as its handler is installed (no
+    window where the honest handler could run), at the payload level
+    below any link endpoint — a corrupted party still acks and
+    deduplicates.  Each corrupted party gets its own PRNG, split off
+    [seed] in slot order.  A revived slot is attached honest. *)
 
 (** {2 Protocol-specific forgeries} *)
 

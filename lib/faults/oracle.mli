@@ -20,7 +20,6 @@ type violation = {
 val severity_label : severity -> string
 (** ["safety"] / ["liveness"]. *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 (** {2 Safety oracles} *)

@@ -155,8 +155,6 @@ let inv ps (a : elt) : elt =
   | Some i -> i
   | None -> invalid_arg "Schnorr_group.inv: not invertible"
 
-let div ps (a : elt) (b : elt) : elt = mul ps a (inv ps b)
-
 let elt_len ps = (B.numbits ps.p + 7) / 8
 
 let elt_to_bytes ps (a : elt) : string = B.to_bytes_be ~len:(elt_len ps) a
@@ -183,7 +181,3 @@ let random_exponent ps rng : B.t = Prng.bignum_below rng ps.q
 (* Hash group elements and strings to a challenge in Z_q (Fiat-Shamir). *)
 let hash_to_exponent ps ~domain (parts : string list) : B.t =
   Ro.hash_to_bignum_below ~domain parts ps.q
-
-let pp_params fmt ps =
-  Format.fprintf fmt "p=%s (%d bits), q=%s, g=%s" (B.to_string ps.p)
-    (B.numbits ps.p) (B.to_string ps.q) (B.to_string ps.g)

@@ -73,7 +73,6 @@ val multi_exp : params -> (elt * Bignum.t) list -> elt
     verification. *)
 
 val inv : params -> elt -> elt
-val div : params -> elt -> elt -> elt
 val elt_len : params -> int
 (** Byte width of every encoded element: the byte length of [p]. *)
 
@@ -91,5 +90,3 @@ val random_exponent : params -> Prng.t -> Bignum.t
 
 val hash_to_exponent : params -> domain:string -> string list -> Bignum.t
 (** Random oracle into Z{_q} (Fiat–Shamir challenges). *)
-
-val pp_params : Format.formatter -> params -> unit

@@ -42,9 +42,6 @@ let hash_to_bignum_below ~domain (parts : string list) (bound : Bignum.t) :
   let raw = hash_expand ~domain parts ~len:nbytes in
   Bignum.erem (Bignum.of_bytes_be raw) bound
 
-let hash_to_bit ~domain (parts : string list) : bool =
-  Char.code (hash ~domain parts).[0] land 1 = 1
-
 (* One-time pad keystream for hybrid encryption: XOR with an expansion of
    the shared secret.  Symmetric, so it both encrypts and decrypts. *)
 let xor_pad ~domain ~(key : string) (data : string) : string =

@@ -19,8 +19,6 @@ val hash_expand : domain:string -> string list -> len:int -> string
 val hash_to_bignum_below : domain:string -> string list -> Bignum.t -> Bignum.t
 (** Hash into [\[0, bound)] with negligible modulo bias. *)
 
-val hash_to_bit : domain:string -> string list -> bool
-
 val xor_pad : domain:string -> key:string -> string -> string
 (** One-time-pad style symmetric layer for hybrid encryption; involutive
     ([xor_pad ~key (xor_pad ~key m) = m]). *)

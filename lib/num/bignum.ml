@@ -31,7 +31,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let lt a b = compare a b < 0
-let leq a b = compare a b <= 0
 let geq a b = compare a b >= 0
 
 let add a b =
@@ -245,7 +244,6 @@ let jacobi a n =
   if Limbs.compare g [| 1 |] = 0 then !acc else 0
 
 let add_mod a b m = erem (add a b) m
-let sub_mod a b m = erem (sub a b) m
 let mul_mod a b m = erem (mul a b) m
 
 let inv_mod a m =

@@ -25,7 +25,6 @@ val abs : t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val lt : t -> t -> bool
-val leq : t -> t -> bool
 val geq : t -> t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -71,7 +70,6 @@ val jacobi : t -> t -> int
     groups. *)
 
 val add_mod : t -> t -> t -> t
-val sub_mod : t -> t -> t -> t
 val mul_mod : t -> t -> t -> t
 
 val inv_mod : t -> t -> t option

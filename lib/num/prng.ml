@@ -10,8 +10,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;

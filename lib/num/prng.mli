@@ -7,7 +7,6 @@
 type t
 
 val create : seed:int -> t
-val copy : t -> t
 
 val next_int64 : t -> int64
 

@@ -19,9 +19,6 @@ val noop : t
 val active : t -> bool
 val registry : t -> Obs_registry.t
 
-val tracer : t -> Obs_trace.t option
-(** Always [None] on {!noop}. *)
-
 val set_tracer : t -> Obs_trace.t -> unit
 (** Ignored on {!noop}. *)
 

@@ -95,7 +95,6 @@ let enabled () = !enabled_flag
 let reset () = Array.fill counts_arr 0 n_kinds 0
 
 let count kind = counts_arr.(index kind)
-let counts () = List.map (fun k -> (name k, count k)) all_kinds
 let total () = Array.fold_left ( + ) 0 counts_arr
 
 (* Instrumentation entry points, one per kind so call sites stay

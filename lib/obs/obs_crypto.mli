@@ -44,8 +44,6 @@ val enabled : unit -> bool
 val reset : unit -> unit
 
 val count : kind -> int
-val counts : unit -> (string * int) list
-(** All kinds in declaration order, including zeros. *)
 
 val total : unit -> int
 

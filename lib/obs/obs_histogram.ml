@@ -58,13 +58,6 @@ let max_value t = if t.count = 0 then None else Some t.vmax
 let mean t = if t.count = 0 then None else Some (t.sum /. float_of_int t.count)
 let bucket t i = t.buckets.(i)
 
-let reset t =
-  t.count <- 0;
-  t.sum <- 0.0;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity;
-  Array.fill t.buckets 0 n_buckets 0
-
 let merge a b =
   let r = copy a in
   r.count <- a.count + b.count;

@@ -12,7 +12,6 @@ val n_buckets : int
 val create : unit -> t
 val copy : t -> t
 val observe : t -> float -> unit
-val reset : t -> unit
 
 val bucket_index : float -> int
 (** Index of the bucket an observation falls into. *)

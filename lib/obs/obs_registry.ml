@@ -88,15 +88,6 @@ let set_max g v = if v > g.g then g.g <- v
 let observe t ?labels name v =
   Obs_histogram.observe (histogram t ?labels name) v
 
-let reset t =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> c.c <- 0
-      | Gauge g -> g.g <- 0.0
-      | Histogram h -> Obs_histogram.reset h)
-    t.tbl
-
 (* ---------- snapshots ----------------------------------------------- *)
 
 type value =
@@ -181,21 +172,3 @@ let snapshot_to_json (snap : snapshot) : Obs_json.t =
     [ ("counters", Obs_json.Arr counters);
       ("gauges", Obs_json.Arr gauges);
       ("histograms", Obs_json.Arr histograms) ]
-
-let pp_key fmt key =
-  Format.fprintf fmt "%s" key.name;
-  if key.labels <> [] then
-    Format.fprintf fmt "{%s}"
-      (String.concat ","
-         (List.map (fun (k, v) -> k ^ "=" ^ v) key.labels))
-
-let pp fmt t =
-  List.iter
-    (fun (key, v) ->
-      match v with
-      | Vcounter c -> Format.fprintf fmt "%a = %d@." pp_key key c
-      | Vgauge g -> Format.fprintf fmt "%a = %g@." pp_key key g
-      | Vhistogram h ->
-        Format.fprintf fmt "%a = histogram(count=%d sum=%g)@." pp_key key
-          (Obs_histogram.count h) (Obs_histogram.sum h))
-    (snapshot t)

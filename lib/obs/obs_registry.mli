@@ -39,9 +39,6 @@ val set_max : gauge -> float -> unit
 val observe : t -> ?labels:labels -> string -> float -> unit
 (** Convenience: get-or-create the histogram and observe into it. *)
 
-val reset : t -> unit
-(** Zero every registered metric (registrations are kept). *)
-
 (** {2 Snapshots} *)
 
 type value =
@@ -67,6 +64,3 @@ val counter_value : snapshot -> ?labels:labels -> string -> int option
 val snapshot_to_json : snapshot -> Obs_json.t
 (** [{"counters": [...], "gauges": [...], "histograms": [...]}] with one
     [{"name", "labels"?, "value" | "histogram"}] entry per metric. *)
-
-val pp : Format.formatter -> t -> unit
-(** One [name{labels} = value] line per metric, sorted. *)

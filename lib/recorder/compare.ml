@@ -14,7 +14,7 @@
 
    - thresholded rows (decide-time percentiles, retransmit totals,
      buffer peaks, crypto op counts) regress only when the candidate is
-     worse by more than [max(abs_eps, rel * |baseline|)], so byte-stable
+     worse by more than [max(1e-9, 0.10 * |baseline|)], so byte-stable
      reruns compare equal and honest noise stays neutral;
 
    - info rows (wall time, raw counters) are reported but never
@@ -36,10 +36,6 @@ type row = {
   verdict : verdict;
 }
 
-type thresholds = { rel : float; abs_eps : float }
-
-let default_thresholds = { rel = 0.10; abs_eps = 1e-9 }
-
 type report = {
   kind : Report.kind;
   rows : row list;
@@ -47,7 +43,12 @@ type report = {
   improved : int;
 }
 
-let classify th ~better ~strict ~baseline ~candidate =
+(* A thresholded row tolerates this relative worsening, with this
+   absolute floor. *)
+let rel = 0.10
+let abs_eps = 1e-9
+
+let classify ~better ~strict ~baseline ~candidate =
   (* worse > 0 means the candidate moved in the bad direction *)
   let worse =
     match better with
@@ -56,7 +57,7 @@ let classify th ~better ~strict ~baseline ~candidate =
   in
   let tol =
     if strict then 0.0
-    else Float.max th.abs_eps (th.rel *. Float.abs baseline)
+    else Float.max abs_eps (rel *. Float.abs baseline)
   in
   if better = Report.Info then Informational
   else if worse > tol then Regressed
@@ -81,7 +82,7 @@ let only_in name xs ys =
          (String.concat ", "
             (List.map (fun (g : Report.gate) -> g.metric) missing)))
 
-let compare_docs ?(thresholds = default_thresholds) ~baseline ~candidate () =
+let compare_docs ~baseline ~candidate =
   let* a = Report.header baseline in
   let* b = Report.header candidate in
   let* () =
@@ -127,7 +128,7 @@ let compare_docs ?(thresholds = default_thresholds) ~baseline ~candidate () =
           baseline = g.value;
           candidate = c.value;
           verdict =
-            classify thresholds ~better:g.better ~strict:g.strict
+            classify ~better:g.better ~strict:g.strict
               ~baseline:g.value ~candidate:c.value })
       pairs
   in
@@ -138,10 +139,10 @@ let compare_docs ?(thresholds = default_thresholds) ~baseline ~candidate () =
       regressed = count Regressed;
       improved = count Improved }
 
-let compare_files ?thresholds a b =
+let compare_files a b =
   let* baseline = Report.read_file a in
   let* candidate = Report.read_file b in
-  compare_docs ?thresholds ~baseline ~candidate ()
+  compare_docs ~baseline ~candidate
 
 (* ---------- rendering ------------------------------------------------- *)
 

@@ -4,12 +4,13 @@
     second as the candidate, matches their gate rows by name and
     classifies every delta.  Strict rows (safety violations,
     gating-liveness violations, decided counts) regress on any
-    worsening; thresholded rows tolerate
-    [max(abs_eps, rel * |baseline|)]; info rows (wall time, raw
-    counters) are reported but never classified.  Structural mismatches
-    — different kinds or run counts, a gate row on one side only, a row
-    that changed direction, an invalid gate — are errors ([Error _]),
-    not regressions: the files do not describe the same experiment. *)
+    worsening; thresholded rows tolerate a worsening of
+    [max(1e-9, 0.10 * |baseline|)], so byte-stable reruns compare
+    equal; info rows (wall time, raw counters) are reported but never
+    classified.  Structural mismatches — different kinds or run counts,
+    a gate row on one side only, a row that changed direction, an
+    invalid gate — are errors ([Error _]), not regressions: the files do
+    not describe the same experiment. *)
 
 type verdict = Improved | Regressed | Neutral | Informational
 
@@ -22,11 +23,6 @@ type row = {
   verdict : verdict;
 }
 
-type thresholds = { rel : float; abs_eps : float }
-
-val default_thresholds : thresholds
-(** [rel = 0.10], [abs_eps = 1e-9] — byte-stable reruns compare equal. *)
-
 type report = {
   kind : Report.kind;
   rows : row list;  (** in baseline gate order *)
@@ -34,23 +30,10 @@ type report = {
   improved : int;
 }
 
-val classify :
-  thresholds ->
-  better:Report.better ->
-  strict:bool ->
-  baseline:float ->
-  candidate:float ->
-  verdict
-
 val compare_docs :
-  ?thresholds:thresholds ->
-  baseline:Obs_json.t ->
-  candidate:Obs_json.t ->
-  unit ->
-  (report, string) result
+  baseline:Obs_json.t -> candidate:Obs_json.t -> (report, string) result
 
-val compare_files :
-  ?thresholds:thresholds -> string -> string -> (report, string) result
+val compare_files : string -> string -> (report, string) result
 (** [compare_files baseline candidate]. *)
 
 val ok : report -> bool

@@ -75,11 +75,6 @@ val acceptance : kind -> experiment:string -> string list
     [NUM]'s two DLEQ batch rows; none for the C1/C2 timings), which
     {!header} requires present and limited. *)
 
-val stated : kind -> string list
-(** The rows the kind's reports state without a limit, which {!header}
-    requires present: [bench]'s virtual time total and crypto-op
-    counts. *)
-
 (** {2 Writing} *)
 
 val make :
@@ -125,9 +120,10 @@ val header : Obs_json.t -> header check
     [anomalies] its [records] array alone, a [metrics] object, a gate of
     well-formed rows — finite values, a known [better], unique names, a
     finite limit only on a [Lower] or [Higher] row — including the
-    {!wall_metric} row equal to [wall_time_s], the kind's {!stated} rows
-    present and its {!acceptance} rows present and limited.  It does
-    not check the limits themselves: see {!past_limits}. *)
+    {!wall_metric} row equal to [wall_time_s], the rows the kind states
+    without a limit present and its {!acceptance} rows present and
+    limited.  It does not check the limits themselves: see
+    {!past_limits}. *)
 
 val read_file : string -> Obs_json.t check
 (** Parse a JSON file. *)

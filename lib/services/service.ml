@@ -240,7 +240,7 @@ let recovery_of (t : t) : Recovery.t option =
    type.  Client-bound responses travel on the io's unsequenced send —
    clients run no link machinery; their loss recovery is request resend
    against execution dedup. *)
-let deploy ?wrap ?policy ?link ?(ckpt_interval = 0) ?(retry = 350.)
+let deploy ?wrap ?policy ?link ?(ckpt_interval = 0)
     ?(read_only = fun _ -> false) ~(sim : msg Link.frame Sim.t)
     ~(keyring : Keyring.t) ~(mode : mode)
     ~(make_app : unit -> string -> string) () : deployment =
@@ -266,7 +266,7 @@ let deploy ?wrap ?policy ?link ?(ckpt_interval = 0) ?(retry = 350.)
         (match mode with
         | Plain when ckpt_interval > 0 ->
           Recov_e
-            (Recovery.create ?policy ~interval:ckpt_interval ~retry
+            (Recovery.create ?policy ~interval:ckpt_interval
                ~io:
                  (Proto_io.embed ~layer:"recov"
                     ~bytes:(Recovery.msg_size keyring) io

@@ -106,7 +106,6 @@ val deploy :
   ?policy:Abc.policy ->
   ?link:Link.policy ->
   ?ckpt_interval:int ->
-  ?retry:float ->
   ?read_only:(string -> bool) ->
   sim:msg Link.frame Sim.t ->
   keyring:Keyring.t ->

@@ -219,7 +219,3 @@ let max_uniform_tolerance t : int =
     end
   in
   go 0
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>structure over %d parties, sharing=%a@]" t.n
-    Monotone_formula.pp t.access

@@ -77,5 +77,3 @@ val check_sharing_compatible : t -> bool
 val max_uniform_tolerance : t -> int
 (** Largest f such that every f-subset is corruptible: the best uniform
     threshold implied by the structure. *)
-
-val pp : Format.formatter -> t -> unit

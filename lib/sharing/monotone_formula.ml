@@ -57,11 +57,3 @@ let rec leaves (f : t) : int list =
   match f with
   | Leaf i -> [ i ]
   | Threshold (_, children) -> List.concat_map leaves children
-
-let rec pp fmt (f : t) =
-  match f with
-  | Leaf i -> Format.fprintf fmt "P%d" i
-  | Threshold (k, children) ->
-    Format.fprintf fmt "@[<hov 1>Theta_%d(%a)@]" k
-      (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ",@ ") pp)
-      children

@@ -33,5 +33,3 @@ val size : t -> int
 
 val leaves : t -> int list
 (** Leaf owners in DFS order — the leaf numbering used by {!Lsss}. *)
-
-val pp : Format.formatter -> t -> unit

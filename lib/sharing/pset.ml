@@ -24,7 +24,6 @@ let diff (a : t) (b : t) : t = a land lnot b
 let subset (a : t) (b : t) = a land lnot b = 0
 let disjoint (a : t) (b : t) = a land b = 0
 let equal (a : t) (b : t) = a = b
-let is_empty (s : t) = s = 0
 let complement n (s : t) : t = full n land lnot s
 
 let card (s : t) =

@@ -22,7 +22,6 @@ val diff : t -> t -> t
 val subset : t -> t -> bool
 val disjoint : t -> t -> bool
 val equal : t -> t -> bool
-val is_empty : t -> bool
 
 val complement : int -> t -> t
 (** [complement n s] relative to [full n]. *)

@@ -1,13 +1,13 @@
 (* Counters collected by the network simulator; the message-complexity
    experiments (EXPERIMENTS.md, M1) read these.
 
-   The four plain fields are the historical interface and every existing
-   caller reads them directly, so they stay.  When the simulator is
-   created with an active [Obs.t], the same events are mirrored into its
-   registry (layer "sim"), plus a message-size histogram — that is what
-   the bench harness snapshots.  [pp] and [reset] go through the
-   registry mirror when one is attached, so the two views cannot
-   drift. *)
+   Two views of the same events.  The plain fields count this one
+   simulator's traffic from its creation.  When the simulator is created
+   with an active [Obs.t], each event is also added to that handle's
+   registry (layer "sim"), plus a message-size histogram; registering a
+   name twice returns the same counter, so the registry view is
+   cumulative over every simulator that shares the handle — that is
+   what the bench harness snapshots. *)
 
 type sink = {
   s_messages : Obs_registry.counter;
@@ -94,43 +94,3 @@ let incr_chaos_reorders t =
 
 (* Registered counters are shared handles owned by the registry, so
    "reset" means driving them back to zero, not replacing them. *)
-let reset t =
-  t.messages_sent <- 0;
-  t.bytes_sent <- 0;
-  t.deliveries <- 0;
-  t.drops <- 0;
-  t.chaos_drops <- 0;
-  t.chaos_dups <- 0;
-  t.chaos_reorders <- 0;
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    List.iter
-      (fun c -> Obs_registry.incr ~by:(-Obs_registry.value c) c)
-      [ s.s_messages; s.s_bytes; s.s_deliveries; s.s_drops;
-        s.s_chaos_drops; s.s_chaos_dups; s.s_chaos_reorders ];
-    Obs_histogram.reset s.s_size
-
-let pp fmt t =
-  (* Through the registry mirror when attached: pp then reports what a
-     snapshot would, guarding against the two views drifting. *)
-  let sent, bytes, delivered, dropped, chaos =
-    match t.sink with
-    | None ->
-      ( t.messages_sent, t.bytes_sent, t.deliveries, t.drops,
-        (t.chaos_drops, t.chaos_dups, t.chaos_reorders) )
-    | Some s ->
-      ( Obs_registry.value s.s_messages,
-        Obs_registry.value s.s_bytes,
-        Obs_registry.value s.s_deliveries,
-        Obs_registry.value s.s_drops,
-        ( Obs_registry.value s.s_chaos_drops,
-          Obs_registry.value s.s_chaos_dups,
-          Obs_registry.value s.s_chaos_reorders ) )
-  in
-  Format.fprintf fmt "sent=%d bytes=%d delivered=%d dropped=%d" sent bytes
-    delivered dropped;
-  match chaos with
-  | 0, 0, 0 -> ()
-  | cd, cu, cr ->
-    Format.fprintf fmt " chaos(drop=%d dup=%d reorder=%d)" cd cu cr

@@ -1,15 +1,14 @@
 (** Counters collected by the network simulator (read by the message-
     complexity experiments).
 
-    The four mutable fields are the stable, historical interface:
-    existing callers read [messages_sent] / [bytes_sent] / [deliveries]
-    / [drops] directly and may keep doing so.  When created with an
-    active observability handle ({!create} [~obs]), every update is
-    mirrored into the handle's registry under layer ["sim"] — counters
-    with the same four names plus a ["msg_bytes"] size histogram — which
-    is the view the bench harness snapshots and diffs.  {!pp} and
-    {!reset} operate through the registry mirror when one is attached,
-    so the field view and the registry view cannot drift apart. *)
+    Two views of the same events.  The mutable fields count one
+    simulator's traffic since its creation; callers read them directly.
+    When created with an active observability handle ({!create}
+    [~obs]), every update is also added to the handle's registry under
+    layer ["sim"] — counters with the same names plus a ["msg_bytes"]
+    size histogram.  A name registered twice is the same counter, so
+    the registry view is cumulative over every simulator created with
+    that handle (the view the bench harness snapshots and diffs). *)
 
 type t = private {
   mutable messages_sent : int;  (** point-to-point sends *)
@@ -41,11 +40,3 @@ val incr_chaos_drops : t -> unit
 
 val incr_chaos_dups : t -> unit
 val incr_chaos_reorders : t -> unit
-
-val reset : t -> unit
-(** Zeros the fields and drives the registry mirror (when attached)
-    back to zero too. *)
-
-val pp : Format.formatter -> t -> unit
-(** [sent=... bytes=... delivered=... dropped=...]; values come from the
-    registry mirror when one is attached. *)

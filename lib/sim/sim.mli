@@ -99,10 +99,12 @@ val create :
   unit ->
   'msg t
 (** [n] server slots plus [extra] client slots (default 8); [size]
-    estimates wire bytes for the metrics.  [obs] (default [Obs.noop])
-    receives a registry mirror of the metrics under layer ["sim"] plus
-    drop/timer points when a tracer is installed; protocol layers built
-    on this simulator pick it up through {!obs}. *)
+    estimates wire bytes for the metrics.  {!metrics} counts this
+    simulator's traffic alone; [obs] (default [Obs.noop]) also receives
+    every count under layer ["sim"], summed over all simulators that
+    share the handle, plus drop/timer points when a tracer is
+    installed.  Protocol layers built on this simulator pick the handle
+    up through {!obs}. *)
 
 val n : 'msg t -> int
 val clock : 'msg t -> float
@@ -141,9 +143,11 @@ val set_handler : 'msg t -> party -> 'msg handler -> unit
 val wrap_handler :
   'msg t -> party -> ('msg handler -> 'msg handler) -> unit
 (** Replace a slot's handler with a wrapper of the currently installed
-    one (a no-op handler when none is installed) — the hook the
-    Byzantine behaviour library uses to corrupt a deployed party while
-    keeping its honest logic callable. *)
+    one (a no-op handler when none is installed) — the hook tests and
+    experiments use to watch a deployed party's traffic or script an
+    attack of their own while keeping its honest logic callable.  The
+    Byzantine behaviour library corrupts at deployment instead
+    ([Stack.deploy ?wrap]). *)
 
 val enable_trace : 'msg t -> summarize:('msg -> string) -> unit
 (** Start recording {!trace_event}s; [summarize] renders each message. *)

@@ -653,6 +653,42 @@ let recovery_tests =
           (r.Rejoin.jr_transfer_bytes > 0);
         Alcotest.(check int) "no violations" 0
           (List.length r.Rejoin.jr_violations));
+    Alcotest.test_case "revived slot is honest even if it was wrapped" `Quick
+      (fun () ->
+        (* Stack.revive's contract: the wrap applies to the first
+           incarnation only.  Party 3 is deployed silent (it receives
+           but never sends or delivers); once crashed and revived it
+           must catch up and deliver the whole stream. *)
+        let payloads = 6 in
+        let keyring =
+          Keyring.deal ~rsa_bits:192 ~seed:43 (AS.threshold ~n:4 ~t:1)
+        in
+        let sim = Sim.create ~policy:Sim.Random_order ~n:4 ~seed:5 () in
+        let dep =
+          Recovery.deploy
+            ~wrap:
+              (Byzantine.wrap_of ~sim ~keyring ~seed:5 ~set:(Pset.singleton 3)
+                 Byzantine.silent)
+            ~sim ~keyring ~tag:"revive-honest"
+            ~deliver:(fun _ _ -> ())
+            ()
+        in
+        let digests p =
+          Abc.delivered_digests (Recovery.abc (Recovery.nodes dep).(p))
+        in
+        for k = 1 to payloads do
+          Recovery.submit (Recovery.nodes dep).(k mod 3)
+            (Printf.sprintf "revive-%d" k)
+        done;
+        let delivered p = List.length (digests p) >= payloads in
+        Sim.run sim ~until:(fun () -> List.for_all delivered [ 0; 1; 2 ]);
+        Alcotest.(check int) "the silent incarnation delivers nothing" 0
+          (List.length (digests 3));
+        Sim.crash sim 3;
+        ignore (Recovery.revive dep 3);
+        Sim.run sim ~max_steps:200_000 ~until:(fun () -> delivered 3);
+        Alcotest.(check (list string)) "revived party delivers the stream"
+          (digests 0) (digests 3));
     Alcotest.test_case "partition heal: victim catches back up" `Quick
       (fun () ->
         let r =
@@ -1025,7 +1061,7 @@ let table_tests =
             (match Campaign_table.check_doc doc with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "%s: bench-check rejects: %s" name e);
-            (match Compare.compare_docs ~baseline:doc ~candidate:doc () with
+            (match Compare.compare_docs ~baseline:doc ~candidate:doc with
             | Error e -> Alcotest.failf "%s: self-compare: %s" name e
             | Ok rep ->
               Alcotest.(check bool) (name ^ ": self-compare all-neutral") true
@@ -1042,7 +1078,7 @@ let table_tests =
               Alcotest.(check bool) (name ^ ": " ^ what ^ ", compare rejects")
                 true
                 (Result.is_error
-                   (Compare.compare_docs ~baseline:doc ~candidate:bad ()))
+                   (Compare.compare_docs ~baseline:doc ~candidate:bad))
             in
             let first f = function r :: rest -> f r :: rest | [] -> [] in
             rejected "first gate row removed" (map_gate List.tl doc);
@@ -1129,8 +1165,7 @@ let table_tests =
                         ~candidate:
                           (map_gate
                              (List.filter (fun r -> gate_metric r <> m))
-                             doc)
-                        ())))
+                             doc))))
               gate)
           (Lazy.force baseline_docs);
         (* Documents the per-kind validators once accepted: the gate
@@ -1317,7 +1352,7 @@ let table_tests =
                (fun _ -> Some (Obs_json.Arr (halved :: List.tl rows)))
                base [ "per_run" ])
         in
-        match Compare.compare_docs ~baseline:base ~candidate () with
+        match Compare.compare_docs ~baseline:base ~candidate with
         | Error e -> Alcotest.failf "compare: %s" e
         | Ok rep ->
           Alcotest.(check bool) "gate trips" false (Compare.ok rep);
@@ -1374,7 +1409,7 @@ let table_tests =
           [ "modexp"; "share_verify"; "batch_verify_fallback";
             "recomb_cache_misses" ];
         let against candidate metric =
-          match Compare.compare_docs ~baseline:base ~candidate () with
+          match Compare.compare_docs ~baseline:base ~candidate with
           | Error e -> Alcotest.failf "compare: %s" e
           | Ok rep ->
             ( Compare.ok rep,

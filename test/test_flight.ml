@@ -25,7 +25,7 @@ let member doc path conv =
   | Error e -> Alcotest.failf "%s" e
 
 let regressed_metrics ~baseline ~candidate =
-  match Compare.compare_docs ~baseline ~candidate () with
+  match Compare.compare_docs ~baseline ~candidate with
   | Error e -> Alcotest.failf "compare: %s" e
   | Ok rep ->
     List.filter_map
@@ -325,7 +325,7 @@ let compare_tests =
   [ Alcotest.test_case "comparing a run against itself is all-neutral"
       `Quick (fun () ->
         let doc = doc_of (small_campaign ()) in
-        match Compare.compare_docs ~baseline:doc ~candidate:doc () with
+        match Compare.compare_docs ~baseline:doc ~candidate:doc with
         | Error e -> Alcotest.failf "compare: %s" e
         | Ok rep ->
           Alcotest.(check bool) "ok" true (Compare.ok rep);
@@ -353,7 +353,7 @@ let compare_tests =
             Obs_json.Obj (("kind", Obs_json.Str "recov") :: List.remove_assoc "kind" kvs)
           | d -> d
         in
-        match Compare.compare_docs ~baseline:doc ~candidate:as_recov () with
+        match Compare.compare_docs ~baseline:doc ~candidate:as_recov with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "expected a structural error") ]
 

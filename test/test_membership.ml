@@ -3,29 +3,10 @@
    of the paper's Figure 1 row — loses *safety* when the scheduling
    adversary shrinks the view until a corrupted server dominates it. *)
 
-let deploy ~sim ?(timeout = 500.0) () =
-  let n = Sim.n sim in
-  let logs = Array.make n [] in
-  let nodes =
-    Array.init n (fun me ->
-        Membership_abc.create ~me ~n
-          ~send:(fun dst m -> Sim.send sim ~src:me ~dst m)
-          ~broadcast:(fun m -> Sim.broadcast sim ~src:me m)
-          ~set_timer:(fun ~delay cb -> Sim.set_timer sim me ~delay cb)
-          ~deliver:(fun p -> logs.(me) <- p :: logs.(me))
-          ~timeout ())
-  in
-  Array.iteri
-    (fun me node ->
-      Sim.set_handler sim me (fun ~src m -> Membership_abc.handle node ~src m))
-    nodes;
-  Array.iter Membership_abc.start nodes;
-  (nodes, logs)
-
 let tests =
   [ Alcotest.test_case "benign network: ordered delivery" `Quick (fun () ->
         let sim = Sim.create ~policy:Sim.Latency_order ~n:4 ~seed:1 () in
-        let nodes, logs = deploy ~sim () in
+        let nodes, logs = Baseline_stack.deploy_membership ~sim () in
         Membership_abc.submit nodes.(1) "m1";
         Membership_abc.submit nodes.(2) "m2";
         Sim.run sim
@@ -43,7 +24,7 @@ let tests =
     Alcotest.test_case "crashed member is evicted, service continues" `Quick
       (fun () ->
         let sim = Sim.create ~policy:Sim.Latency_order ~n:4 ~seed:2 () in
-        let nodes, logs = deploy ~sim () in
+        let nodes, logs = Baseline_stack.deploy_membership ~sim () in
         (* crash a non-sequencer member *)
         Sim.crash sim 2;
         Membership_abc.submit nodes.(1) "still-works";
@@ -58,7 +39,7 @@ let tests =
     Alcotest.test_case "crashed sequencer is evicted, successor takes over"
       `Quick (fun () ->
         let sim = Sim.create ~policy:Sim.Latency_order ~n:4 ~seed:3 () in
-        let nodes, logs = deploy ~sim () in
+        let nodes, logs = Baseline_stack.deploy_membership ~sim () in
         Sim.crash sim 0;
         Membership_abc.submit nodes.(1) "after-failover";
         let honest = [ 1; 2; 3 ] in
@@ -76,55 +57,19 @@ let tests =
       (fun () ->
         (* The Figure 1 claim for Rampart: the attacker delays honest
            servers "just long enough until corrupted servers hold the
-           majority in the group".  Honest members 0 and 3 are delayed;
-           the Byzantine member 1 backs every eviction with its own
-           suspicion votes and, as sequencer, refuses to order new work,
-           so the one remaining honest member keeps suspecting the
-           silent victims.  The view shrinks to {1, 2}; the Byzantine
-           sequencer then equivocates and honest member 2 delivers a
-           payload that no other honest member will ever deliver at that
-           position — a safety violation. *)
-        let sim = Sim.create ~policy:(Sim.Delay_victims (Pset.of_list [ 0; 3 ])) ~n:4 ~seed:4 () in
-        let nodes, logs = deploy ~sim ~timeout:300.0 () in
-        let honest_handler = fun ~src m -> Membership_abc.handle nodes.(1) ~src m in
-        let equivocations = ref 0 in
-        let injected = ref (-1) in
-        Sim.set_handler sim 1 (fun ~src m ->
-            (* drop Submit relays: the Byzantine sequencer stalls ordering *)
-            (match m with
-            | Membership_abc.Submit _ -> ()
-            | _ -> honest_handler ~src m);
-            let self = nodes.(1) in
-            let v = Membership_abc.current_view self in
-            (* back the eviction of the delayed victims with its own votes *)
-            if v > !injected then begin
-              injected := v;
-              List.iter
-                (fun suspect ->
-                  if Pset.mem suspect (Membership_abc.members self) then
-                    Sim.broadcast sim ~src:1 (Membership_abc.Suspect (v, suspect)))
-                [ 0; 3 ]
-            end;
-            (* the adversary tracks its victim's state (it controls the
-               network): once honest member 2 is alone with the Byzantine
-               sequencer, equivocate in 2's current view *)
-            ignore self;
-            let victim = nodes.(2) in
-            if
-              !equivocations < 10
-              && Pset.card (Membership_abc.members victim) <= 2
-              && (match Pset.to_list (Membership_abc.members victim) with
-                 | s :: _ -> s = 1
-                 | [] -> false)
-            then begin
-              incr equivocations;
-              let v = Membership_abc.current_view victim in
-              Sim.send sim ~src:1 ~dst:2 (Membership_abc.Order (v, 0, "evil-A"));
-              Sim.send sim ~src:1 ~dst:2
-                (Membership_abc.Ack (v, 0, Sha256.digest "evil-A"));
-              Sim.send sim ~src:1 ~dst:0 (Membership_abc.Order (v, 0, "evil-B"));
-              Sim.send sim ~src:1 ~dst:3 (Membership_abc.Order (v, 0, "evil-B"))
-            end);
+           majority in the group" (Baseline_stack.rampart_attack, the
+           same attacker bench F2 runs).  The view shrinks to {1, 2};
+           the Byzantine sequencer then equivocates and honest member 2
+           delivers a payload that no other honest member will ever
+           deliver at that position — a safety violation. *)
+        let sim =
+          Sim.create ~policy:(Sim.Delay_victims (Pset.of_list [ 0; 3 ])) ~n:4
+            ~seed:4 ()
+        in
+        let nodes, logs =
+          Baseline_stack.deploy_membership ~sim ~timeout:300.0 ()
+        in
+        Baseline_stack.rampart_attack ~sim nodes;
         Membership_abc.submit nodes.(2) "victim-payload";
         (try Sim.run sim ~max_steps:8_000 with Sim.Out_of_steps _ -> ());
         Alcotest.(check bool) "view shrank to <= 2 members" true

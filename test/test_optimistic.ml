@@ -13,7 +13,7 @@ let deploy ~sim ?(patience = 120) () =
   let nodes =
     Stack.deploy ~sim ~keyring
       ~make:(fun _ io ->
-        Optimistic_abc.create ~io ~tag:"opt" ~sequencer:0 ~patience
+        Optimistic_abc.create ~io ~tag:"opt" ~patience
           ~timeout:800.0
           ~deliver:(fun p ->
             logs.(io.Proto_io.me) <- p :: logs.(io.Proto_io.me))

@@ -112,12 +112,15 @@ let ca_tests =
         (* server 3 answers at once with a forged denial under its own
            share; the client's share verification and the threshold
            signature keep the certificate honest *)
-        let sim, kr, nodes =
-          deploy_service ~seed:6005 ~mode:Service.Plain ~make_app:Ca.make_app ()
+        let kr = Lazy.force kr41 in
+        let sim = Sim.create ~n:4 ~seed:6005 () in
+        let _ =
+          Service.deploy
+            ~wrap:
+              (Byzantine.wrap_of ~sim ~keyring:kr ~seed:3
+                 ~set:(Pset.singleton 3) Byzantine.For_service.forged_denial)
+            ~sim ~keyring:kr ~mode:Service.Plain ~make_app:Ca.make_app ()
         in
-        ignore nodes;
-        Byzantine.corrupt ~sim ~keyring:kr ~seed:3 ~set:(Pset.singleton 3)
-          Byzantine.For_service.forged_denial;
         let response, _ =
           roundtrip sim kr ~mode:Service.Plain ~client_slot:4 ~seed:8
             (Ca.issue_request ~id:"dave" ~pubkey:"pk-d" ~credentials:"z!ok")

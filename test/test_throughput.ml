@@ -308,7 +308,7 @@ let tests =
         let nodes =
           Stack.deploy ~sim ~keyring
             ~make:(fun me io ->
-              Optimistic_abc.create ~io ~tag:"opt-tput" ~sequencer:0
+              Optimistic_abc.create ~io ~tag:"opt-tput"
                 ~patience:60
                 ~timeout:800.0
                 ~abc_policy:
