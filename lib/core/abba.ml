@@ -300,9 +300,16 @@ let send_main t r v just =
     end
   end
 
+(* A decided instance handles no further message ([handle] runs only
+   while [decided = None]), so nothing reads its vote tables again:
+   they go at the decision, which keeps only the bit and the round. *)
 let finish t b =
   if t.decided = None then begin
     t.decided <- Some b;
+    Hashtbl.reset t.rounds;
+    t.sup_shares <- [];
+    t.deferred <- [];
+    t.my_supports <- [];
     Obs.span_end (obs t) t.sp_round;
     t.sp_round <- 0;
     Obs.point (obs t) ~party:t.io.Proto_io.me ~tag:t.tag ~layer:"abba"
@@ -525,13 +532,3 @@ let msg_summary = function
       (match mv.mv_value with Value b -> string_of_bool b | Abstain -> "abstain")
   | Coin_share (r, _) -> Printf.sprintf "abba.COIN(r%d)" r
   | Decide (r, b, _) -> Printf.sprintf "abba.DECIDE(r%d,%b)" r b
-
-(* Release per-round voting state.  Called when an enclosing protocol
-   retires the whole instance (e.g. checkpoint GC of an old ABC round):
-   any reference still alive afterwards holds only the terminal result,
-   not the vote/justification tables that dominate its footprint. *)
-let retire t =
-  Hashtbl.reset t.rounds;
-  t.sup_shares <- [];
-  t.deferred <- [];
-  t.my_supports <- []

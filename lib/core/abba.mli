@@ -57,6 +57,8 @@ val create : io:msg Proto_io.t -> tag:string -> on_decide:(bool -> unit) -> t
 
 val propose : t -> bool -> unit
 val handle : t -> src:int -> msg -> unit
+(** A decided instance ignores every message and keeps only its
+    decision and {!current_round}. *)
 
 val current_round : t -> int
 (** After a decision: the round it was reached in (experiment R1). *)
@@ -65,8 +67,3 @@ val msg_size : Keyring.t -> msg -> int
 
 val msg_summary : msg -> string
 (** Short rendering for simulator traces. *)
-
-val retire : t -> unit
-(** Release the per-round voting state (round tables, support shares,
-    deferred messages); the terminal decision survives.  For
-    enclosing protocols that garbage-collect finished instances. *)

@@ -493,8 +493,13 @@ and step t =
         t.sp_epoch;
       t.sp_epoch <- 0;
       (* Payloads we packed for round r but the decided list missed stay
-         in the queue and become packable again for a later round. *)
+         in the queue and become packable again for a later round.  No
+         later message reads a delivered round's proposals, signatures
+         or decision: only its VBA stays, to echo a late CBC SEND. *)
       Hashtbl.remove t.my_batches r;
+      Hashtbl.remove t.proposals r;
+      Hashtbl.remove t.raw_sigs r;
+      Hashtbl.remove t.decisions r;
       t.round <- r + 1;
       slide_memos t;
       (match t.on_boundary with
@@ -611,22 +616,18 @@ let digest_memo_len t = Hashtbl.length t.digests
 
 let set_boundary_hook t f = t.on_boundary <- Some f
 
-(* Retire every per-round structure below [r].  VBA instances are
-   emptied before removal so that even an aliased reference releases its
-   CBC/ABBA children.  Returns the number of VBA rounds retired (the
-   dominant per-round state). *)
+(* Retire every per-round structure below [r].  A delivered round has
+   already let go of its proposals, signatures and decision, and its VBA
+   of everything but the skeleton that echoes a late CBC SEND: what goes
+   here is that skeleton, plus whatever a round skipped by
+   {!install_checkpoint} still holds.  Returns the number of VBA rounds
+   retired. *)
 let retire_rounds_below t r =
   let doomed tbl =
     Hashtbl.fold (fun k _ acc -> if k < r then k :: acc else acc) tbl []
   in
   let vgone = doomed t.vbas in
-  List.iter
-    (fun k ->
-      (match Hashtbl.find_opt t.vbas k with
-      | Some v -> Vba.retire v
-      | None -> ());
-      Hashtbl.remove t.vbas k)
-    vgone;
+  List.iter (Hashtbl.remove t.vbas) vgone;
   List.iter (Hashtbl.remove t.proposals) (doomed t.proposals);
   List.iter (Hashtbl.remove t.raw_sigs) (doomed t.raw_sigs);
   List.iter (Hashtbl.remove t.decisions) (doomed t.decisions);

@@ -139,8 +139,10 @@ val set_boundary_hook : t -> (int -> unit) -> unit
 val truncate : t -> upto_round:int -> upto_len:int -> unit
 (** Garbage-collect a certified prefix: drop the oldest
     [upto_len - base_len] payloads from {!delivered_log} and retire
-    every per-round structure (proposals, signatures, VBA instances and
-    their children, decisions) below [upto_round].  Dedup is preserved
+    every per-round structure still held below [upto_round].  A
+    delivered round already let go of its proposals, signatures and
+    decision, and its VBA of all but the proposal CBCs that echo a late
+    SEND; that skeleton is what goes here.  Dedup is preserved
     through the digest set.  Updates the [round_state_retired] counter
     and [abc_log_len] gauge (layer ["abc"]).  Raises [Invalid_argument]
     if [upto_len] exceeds {!delivered_count}. *)

@@ -28,7 +28,7 @@ type t = {
   mutable payload : string option;  (* sender side: what we broadcast *)
   mutable shares : (int * Keyring.cert_share) list;  (* sender side *)
   mutable sent_final : bool;
-  mutable delivered : (string * Keyring.cert) option;
+  mutable delivered : bool;
   mutable sp_inst : int;  (* open trace span; 0 = none *)
   mutable stmt : (string * string) option;
       (* the last payload seen and its statement *)
@@ -59,7 +59,7 @@ let create ~(io : msg Proto_io.t) ~tag ~sender ?(validate = fun _ -> true)
     payload = None;
     shares = [];
     sent_final = false;
-    delivered = None;
+    delivered = false;
     sp_inst = 0;
     stmt = None }
 
@@ -86,8 +86,18 @@ let try_final t =
         t.io.Proto_io.broadcast (Final (payload, cert))
     end
 
+(* A delivered instance whose FINAL is out (if it is the sender) only
+   still answers a late SEND with an echo, which needs its flags alone:
+   the payload, the echoes and the cached statement go. *)
+let release t =
+  if t.delivered && (t.sent_final || t.io.Proto_io.me <> t.sender) then begin
+    t.payload <- None;
+    t.shares <- [];
+    t.stmt <- None
+  end
+
 let handle t ~src msg =
-  match msg with
+  (match msg with
   | Send payload ->
     if src = t.sender && (not t.echoed) && t.validate payload then begin
       t.echoed <- true;
@@ -114,16 +124,17 @@ let handle t ~src msg =
     | Some _ | None -> ())
   | Final (payload, cert) ->
     if
-      t.delivered = None
+      (not t.delivered)
       && Proto_io.verify_cert t.io (statement t payload) cert
     then begin
-      t.delivered <- Some (payload, cert);
+      t.delivered <- true;
       Obs.span_end (obs t) t.sp_inst;
       t.sp_inst <- 0;
       Obs.point (obs t) ~party:t.io.Proto_io.me ~src:t.sender ~tag:t.tag
         ~layer:"cbc" "deliver";
       t.deliver payload cert
-    end
+    end);
+  release t
 
 (* Re-validate a transferred (payload, certificate) pair, e.g. one that
    arrived inside another protocol's justification. *)

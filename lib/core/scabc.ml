@@ -16,10 +16,11 @@ type msg =
   | Dec_share of string * Tdh2.dec_share list  (* ciphertext digest *)
 
 type slot = {
+  digest : string;
   position : int;
   ct : Tdh2.checked;  (* decoded and checked once, when it was ordered *)
   mutable shares : (int * Tdh2.dec_share list) list;
-  mutable own : Tdh2.dec_share list;  (* the shares this replica made *)
+  own : Tdh2.dec_share list;  (* the shares this replica made *)
   mutable plaintext : string option;
   mutable sp_decrypt : int;  (* open trace span; 0 = none *)
 }
@@ -28,8 +29,10 @@ type t = {
   io : msg Proto_io.t;
   deliver : label:string -> string -> unit;  (* plaintexts, total order *)
   abc : Abc.t;
-  slots : (string, slot) Hashtbl.t;  (* digest -> slot *)
-  by_position : (int, slot) Hashtbl.t;  (* the same slots, by position *)
+  slots : (string, slot option) Hashtbl.t;
+      (* digest -> its slot until delivered, then [None]: a delivered
+         slot keeps only its digest, which is all that dedup needs *)
+  by_position : (int, slot) Hashtbl.t;  (* the undelivered slots *)
   mutable next_position : int;
   mutable next_delivery : int;
   mutable early_shares : (string * int * Tdh2.dec_share list) list;
@@ -75,7 +78,8 @@ and on_ordered t (payload : string) =
     | None -> ()  (* garbage or invalid, from a corrupted client: skipped *)
     | Some ct ->
       let slot =
-        { position = t.next_position;
+        { digest = d;
+          position = t.next_position;
           ct;
           shares = [];
           own = Tdh2.share (enc_sharing t) ~party:t.io.Proto_io.me ct;
@@ -87,7 +91,7 @@ and on_ordered t (payload : string) =
               "decrypt" }
       in
       t.next_position <- t.next_position + 1;
-      Hashtbl.add t.slots d slot;
+      Hashtbl.add t.slots d (Some slot);
       Hashtbl.add t.by_position slot.position slot;
       t.io.Proto_io.broadcast (Dec_share (d, slot.own));
       (* Validate any shares that raced ahead of the ordering. *)
@@ -102,7 +106,8 @@ and add_share t d ~src shares =
   | None ->
     if List.length t.early_shares < 4096 then
       t.early_shares <- (d, src, shares) :: t.early_shares
-  | Some slot ->
+  | Some None -> ()  (* delivered: a late share is never needed *)
+  | Some (Some slot) ->
     if
       (not (List.mem_assoc src slot.shares))
       (* Shape check at receipt, batched proof check at combine time
@@ -130,11 +135,14 @@ and try_decrypt t slot =
       flush_deliveries t
   end
 
-(* Deliver decrypted requests strictly in the agreed order. *)
+(* Deliver decrypted requests strictly in the agreed order.  A
+   delivered slot lets go of its ciphertext and its n share lists. *)
 and flush_deliveries t =
   match Hashtbl.find_opt t.by_position t.next_delivery with
-  | Some { plaintext = Some plaintext; position; ct; _ } ->
+  | Some { plaintext = Some plaintext; digest; position; ct; _ } ->
     t.next_delivery <- t.next_delivery + 1;
+    Hashtbl.remove t.by_position position;
+    Hashtbl.replace t.slots digest None;
     Obs.point t.io.Proto_io.obs ~party:t.io.Proto_io.me ~layer:"scabc"
       ~detail:(Printf.sprintf "pos=%d" position)
       "deliver";
@@ -163,28 +171,5 @@ let delivered_count t = t.next_delivery
 let msg_size kr = function
   | Abc_msg m -> 8 + Abc.msg_size kr m
   | Dec_share (_, shares) -> 40 + (List.length shares * 150)
-
-(* Checkpoint GC hook: drop the decryption-share sets (n share lists
-   per ciphertext — the dominant per-slot state) of every slot already
-   delivered.  The slot entry itself stays, keeping ordered-ciphertext
-   dedup intact.  Returns the number of slots compacted. *)
-let compact t =
-  let freed = ref 0 in
-  Hashtbl.iter
-    (fun _ slot ->
-      if slot.position < t.next_delivery && slot.shares <> [] then begin
-        slot.shares <- [];
-        slot.own <- [];
-        incr freed
-      end)
-    t.slots;
-  t.early_shares <-
-    List.filter
-      (fun (d, _, _) ->
-        match Hashtbl.find_opt t.slots d with
-        | Some slot -> slot.position >= t.next_delivery
-        | None -> true)
-      t.early_shares;
-  !freed
 
 let abc t = t.abc

@@ -4,7 +4,13 @@
     Requests are ordered as ciphertexts and decrypted only after their
     position is fixed, so contents stay secret until scheduled; CCA
     security prevents a corrupted server from submitting a related
-    request (front-running protection for notary-style services). *)
+    request (front-running protection for notary-style services).
+
+    A slot lives from ordering to delivery: at delivery its ciphertext
+    and decryption shares go and only its digest stays, so a repeat is
+    not ordered twice and a late share is dropped.  Per-request state
+    is bounded without checkpoints; the underlying {!Abc}'s delivered
+    history and round skeletons are not. *)
 
 type msg =
   | Abc_msg of Abc.msg
@@ -34,11 +40,6 @@ val handle : t -> src:int -> msg -> unit
 val delivered_count : t -> int
 val msg_size : Keyring.t -> msg -> int
 
-val compact : t -> int
-(** Checkpoint GC hook: drop the decryption-share sets of every slot
-    already delivered (ordered-ciphertext dedup is preserved through
-    the slot table).  Returns the number of slots compacted. *)
-
 val abc : t -> Abc.t
-(** The underlying atomic-broadcast instance, for checkpoint/GC
-    plumbing. *)
+(** The underlying atomic-broadcast instance, for introspection
+    (delivered counts, log peak). *)

@@ -47,7 +47,7 @@ type t = {
   forwarded : (int, unit) Hashtbl.t;  (* candidates whose cert we forwarded *)
   mutable position : int;  (* first position not yet decided *)
   mutable winner : int option;
-  mutable decided : (int * string) option;
+  mutable decided : bool;
   mutable sp_inst : int;  (* open trace span; 0 = none *)
 }
 
@@ -90,14 +90,14 @@ let rec create ~(io : msg Proto_io.t) ~tag ?(validate = fun _ -> true)
       forwarded = Hashtbl.create 8;
       position = 0;
       winner = None;
-      decided = None;
+      decided = false;
       sp_inst = 0 }
   in
   t_ref := Some t;
   t
 
 and on_proposal t proposer payload cert =
-  if not (List.mem_assoc proposer t.proposals) then begin
+  if (not t.decided) && not (List.mem_assoc proposer t.proposals) then begin
     t.proposals <- (proposer, (payload, cert)) :: t.proposals;
     step t
   end
@@ -129,8 +129,21 @@ and candidate_of t position =
   | None -> None
   | Some perm -> Some perm.(position mod Array.length perm)
 
+(* At the decision the instance lets go of what no later message can
+   reach: [step] runs no more, and [handle] drops all traffic but the
+   proposal CBCs'.  The proposals (the winning payload among them), the
+   coin shares and the ABBA children, all decided by now, go; the
+   permutation stays. *)
+and release t =
+  t.proposals <- [];
+  t.own_perm <- None;
+  t.perm_shares <- [];
+  Hashtbl.reset t.abbas;
+  Hashtbl.reset t.decisions;
+  Hashtbl.reset t.forwarded
+
 and step t =
-  if t.decided = None then begin
+  if not t.decided then begin
     (* Release the permutation-coin share once our commit quorum holds. *)
     let delivered =
       List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty t.proposals
@@ -153,7 +166,8 @@ and step t =
            honest party and forwarded, so it arrives). *)
         (match List.assoc_opt c t.proposals with
         | Some (payload, _) ->
-          t.decided <- Some (c, payload);
+          t.decided <- true;
+          release t;
           let obs = t.io.Proto_io.obs in
           Obs.span_end obs t.sp_inst;
           t.sp_inst <- 0;
@@ -228,7 +242,7 @@ let propose t (value : string) =
   if not t.proposed then begin
     assert (t.validate value);
     t.proposed <- true;
-    if t.sp_inst = 0 && t.decided = None then
+    if t.sp_inst = 0 && not t.decided then
       t.sp_inst <-
         Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me ~tag:t.tag
           ~layer:"vba" "instance";
@@ -240,6 +254,7 @@ let handle t ~src msg =
   | Proposal_cbc (proposer, m) ->
     if proposer >= 0 && proposer < n t then
       Cbc.handle t.cbcs.(proposer) ~src m
+  | (Perm_share _ | Abba_msg _ | Final_fwd _) when t.decided -> ()
   | Perm_share shares ->
     if
       (not (List.mem_assoc src t.perm_shares))
@@ -280,15 +295,3 @@ let msg_summary = function
   | Perm_share _ -> "vba.PERM-COIN"
   | Abba_msg (pos, m) -> Printf.sprintf "vba.cand[%d]/%s" pos (Abba.msg_summary m)
   | Final_fwd (c, p, _) -> Printf.sprintf "vba.FWD[%d](%d B)" c (String.length p)
-
-(* Release the instance's agreement state (proposals, permutation
-   shares, ABBA children and their vote tables).  The terminal result
-   survives; everything else is what checkpoint GC wants back. *)
-let retire t =
-  Hashtbl.iter (fun _ a -> Abba.retire a) t.abbas;
-  Hashtbl.reset t.abbas;
-  Hashtbl.reset t.decisions;
-  Hashtbl.reset t.forwarded;
-  t.proposals <- [];
-  t.perm_shares <- [];
-  t.perm <- None

@@ -30,16 +30,15 @@ val propose : t -> string -> unit
     counts: a later one sends nothing and keeps the first value. *)
 
 val handle : t -> src:int -> msg -> unit
+(** Once decided, the instance keeps only its winner, its permutation
+    and its proposal CBCs (each down to its flags once delivered).
+    Every message but a proposal CBC's is dropped; the CBCs still echo
+    a late SEND. *)
 
 val permutation : t -> int array option
 (** The candidate examination order, once the permutation coin has
-    combined ([None] before, and after {!retire}). *)
+    combined ([None] before).  It outlives the decision. *)
 
 val msg_size : Keyring.t -> msg -> int
 
 val msg_summary : msg -> string
-
-val retire : t -> unit
-(** Release the agreement state — proposals, permutation shares, ABBA
-    children (each {!Abba.retire}d) — keeping only the decided
-    candidate.  For checkpoint GC of decided rounds. *)

@@ -337,7 +337,38 @@ let abba_tests =
           run_abba ~structure:s1 ~variant:91 ~seed:901 ~policy:Sim.Random_order
             ~inputs ~crashed:[ 0; 1; 2; 3 ] ()
         in
-        check_abba_agreement ~honest:[ 4; 5; 6; 7; 8 ] decisions inputs)
+        check_abba_agreement ~honest:[ 4; 5; 6; 7; 8 ] decisions inputs);
+    Alcotest.test_case "abba: a decided instance sends nothing" `Quick
+      (fun () ->
+        (* A decided instance drops its vote tables: safe only because no
+           message, whatever it is, makes it send again. *)
+        List.iter
+          (fun seed ->
+            let kr = keyring th41 in
+            let sim = Sim.create ~policy:Sim.Random_order ~n:4 ~seed () in
+            let decisions = Array.make 4 None in
+            let nodes =
+              Stack.deploy_abba ~sim ~keyring:kr
+                ~tag:(Printf.sprintf "abba-quiet-%d" seed)
+                ~on_decide:(fun me b -> decisions.(me) <- Some b) ()
+            in
+            let received = ref [] in
+            Sim.wrap_handler sim 0 (fun h ~src frame ->
+                (match Link.payload frame with
+                | Some m -> received := (src, m) :: !received
+                | None -> ());
+                h ~src frame);
+            Array.iteri (fun i node -> Abba.propose node (i mod 2 = 0)) nodes;
+            Sim.run sim;
+            Alcotest.(check bool) "party 0 decided" true (decisions.(0) <> None);
+            Alcotest.(check int) "quiescent" 0 (Sim.pending_count sim);
+            List.iter
+              (fun (src, m) -> Abba.handle nodes.(0) ~src m)
+              (List.rev !received);
+            Alcotest.(check bool) "messages replayed" true
+              (List.length !received > 10);
+            Alcotest.(check int) "nothing sent" 0 (Sim.pending_count sim))
+          (List.init 4 (fun i -> 1500 + i)))
   ]
 
 (* ---------------- VBA ------------------------------------------------ *)
@@ -556,7 +587,43 @@ let abc_tests =
         check_total_order logs honest;
         List.iter
           (fun i -> Alcotest.(check (list string)) "once" [ "dup" ] logs.(i))
-          honest)
+          honest);
+    Alcotest.test_case "abc: a delivered round still echoes a late SEND" `Quick
+      (fun () ->
+        let kr = keyring th41 in
+        let sim = Sim.create ~n:4 ~seed:2350 () in
+        let nodes =
+          Stack.deploy_abc ~sim ~keyring:kr ~tag:"abc-late-send"
+            ~deliver:(fun _ _ -> ()) ()
+        in
+        (* Party 0 holds proposer 3's round-0 SEND; party 3 counts the
+           echoes party 0 returns for that CBC. *)
+        let held = ref None and echoes = ref 0 in
+        Sim.wrap_handler sim 0 (fun h ~src frame ->
+            match Link.payload frame with
+            | Some (Abc.Vba_msg (0, Vba.Proposal_cbc (3, Cbc.Send _)))
+              when !held = None ->
+              held := Some (fun () -> h ~src frame)
+            | Some _ | None -> h ~src frame);
+        Sim.wrap_handler sim 3 (fun h ~src frame ->
+            (match Link.payload frame with
+            | Some (Abc.Vba_msg (0, Vba.Proposal_cbc (3, Cbc.Echo _)))
+              when src = 0 ->
+              incr echoes
+            | Some _ | None -> ());
+            h ~src frame);
+        Array.iteri
+          (fun i node -> Abc.broadcast node (Printf.sprintf "late-%d" i))
+          nodes;
+        Sim.run sim ~until:(fun () -> Abc.current_round nodes.(0) >= 1);
+        Alcotest.(check bool) "party 0 delivered round 0" true
+          (Abc.current_round nodes.(0) >= 1);
+        Alcotest.(check int) "no echo before the SEND" 0 !echoes;
+        (match !held with
+        | Some release -> release ()
+        | None -> Alcotest.fail "proposer 3's SEND never reached party 0");
+        Sim.run sim;
+        Alcotest.(check int) "party 0 echoes the late SEND" 1 !echoes)
   ]
 
 (* ---------------- SC-ABC --------------------------------------------- *)
@@ -658,7 +725,57 @@ let scabc_tests =
               (Abc.delivered_count (Scabc.abc t));
             Alcotest.(check int) "only the valid ones delivered" 4
               (Scabc.delivered_count t))
-          nodes)
+          nodes);
+    Alcotest.test_case
+      "scabc: state per delivered round stays bounded without checkpoints"
+      `Quick (fun () ->
+        let kr = keyring th41 in
+        let sim = Sim.create ~n:4 ~seed:2800 () in
+        let delivered = Array.make 4 0 in
+        let nodes =
+          Stack.deploy_scabc ~sim ~keyring:kr ~tag:"scabc-bounded"
+            ~policy:{ Abc.default_policy with Abc.max_batch_msgs = 8; window = 2 }
+            ~deliver:(fun me ~label:_ _ -> delivered.(me) <- delivered.(me) + 1)
+            ()
+        in
+        let rng = Prng.create ~seed:83 in
+        let submitted = ref 0 in
+        (* Order [k] more ciphertexts, then read the live heap and the
+           number of delivered rounds. *)
+        let run_to k =
+          let cts =
+            List.init k (fun i ->
+                Scabc.encrypt_request kr rng ~label:"b"
+                  (Printf.sprintf "req-%d" (!submitted + i)))
+          in
+          List.iter
+            (fun ct ->
+              Scabc.broadcast nodes.(!submitted mod 4) ct;
+              incr submitted)
+            cts;
+          Sim.run sim;
+          Array.iter
+            (fun d -> Alcotest.(check int) "all delivered" !submitted d)
+            delivered;
+          let rounds = Abc.current_round (Scabc.abc nodes.(0)) in
+          Gc.compact ();
+          ((Gc.stat ()).Gc.live_words, rounds)
+        in
+        let w1, r1 = run_to 64 in
+        let w2, r2 = run_to 64 in
+        (* The deployment must still be live when the second figure is
+           read, or the collector could free it first. *)
+        Alcotest.(check int) "the deployment outlives the reading" 128
+          (Scabc.delivered_count nodes.(0));
+        (* A delivered round keeps its VBA skeleton and its payloads in
+           the log: about 3,000 words here, against about 11,000 when
+           every round kept its agreement state and every slot its
+           ciphertext and decryption shares. *)
+        let per_round = (w2 - w1) / (r2 - r1) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d live words per delivered round (%d rounds), under 6000"
+             per_round (r2 - r1))
+          true (per_round < 6000))
   ]
 
 
