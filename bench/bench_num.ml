@@ -8,7 +8,8 @@
      [Bignum.pow_mod], the fixed-base [Schnorr_group.exp_g] table and the
      shared-squaring-chain [exp2] — against their naive counterparts,
      plus [mul], [divmod], [gcd] and [inv_mod], at 128/512/1024-bit odd
-     moduli;
+     moduli, and one Montgomery product ([mont_mul]) at 128 and 192
+     bits;
    - the DLEQ batch sweep, whose rows carry their pass limits
      ({!dleq_gate});
    - the protocol kernels of the paper's practicality claim (§2.1):
@@ -302,6 +303,24 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
       ignore (sample "gcd" (fun () -> ignore (B.gcd exp m)));
       ignore (sample "inv_mod" (fun () -> ignore (B.inv_mod base m))))
     sizes;
+  (* One Montgomery product ([Montgomery.mul_into], in place) at the
+     group's 128 bits (k = 5) and the RSA modulus's 192 (k = 7), the two
+     moduli the stack's crypto multiplies under. *)
+  List.iter
+    (fun b ->
+      let limbs n =
+        Limbs.normalize
+          (Array.init ((n + 30) / 31) (fun i -> Prng.bits rng (min 31 (n - (31 * i)))))
+      in
+      let m = limbs b in
+      m.(0) <- m.(0) lor 1;
+      m.(Array.length m - 1) <- m.(Array.length m - 1) lor (1 lsl ((b - 1) mod 31));
+      let ctx = Option.get (Montgomery.create m) in
+      let x = Montgomery.to_mont ctx (limbs (b - 1)) in
+      let y = Montgomery.to_mont ctx (limbs (b - 1)) in
+      let u = Array.copy x and r = Array.copy x in
+      ignore (sample "mont_mul" [ bits b ] (fun () -> Montgomery.mul_into ctx u x y 0 r)))
+    [ 128; 192 ];
   (* DLEQ batch-verification sweep (the PR 7 crypto hot path): per-share
      cost of checking k coin/TDH2-shaped share proofs at once, against
      the k = 1 seed path (plain per-proof [Dleq.verify]).  Uses the real

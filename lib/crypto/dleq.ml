@@ -161,18 +161,21 @@ let batch_holds ps ~domain (batch : (statement * t) list) : bool =
           List.map (fun (_, (p : t)) -> to_bytes ps p) batch
         in
         let coeffs = rlc_coeffs ~domain proof_bytes (List.length batch) in
+        (* Exponents stay unreduced: [G.multi_exp] reduces each one mod q,
+           so the left-hand sums take one reduction each, not one per
+           proof, and c_i rho_i none of its own. *)
         let e1 = ref B.zero and e2 = ref B.zero in
         let rhs = ref [] in
         List.iteri
           (fun i ((s : statement), (p : t)) ->
             let rho, sigma = coeffs.(i) in
-            e1 := B.add_mod !e1 (B.mul_mod p.z rho q) q;
-            e2 := B.add_mod !e2 (B.mul_mod p.z sigma q) q;
+            e1 := B.add !e1 (B.mul p.z rho);
+            e2 := B.add !e2 (B.mul p.z sigma);
             rhs :=
               (p.a1, rho)
-              :: (s.h1, B.mul_mod p.c rho q)
+              :: (s.h1, B.mul p.c rho)
               :: (p.a2, sigma)
-              :: (s.h2, B.mul_mod p.c sigma q)
+              :: (s.h2, B.mul p.c sigma)
               :: !rhs)
           batch;
         let lhs = G.multi_exp ps [ (s0.g1, !e1); (s0.g2, !e2) ] in

@@ -8,11 +8,17 @@
    31-bit {!Limbs} magnitudes the rest of the library uses.  Exponents
    stay 31-bit magnitudes.
 
-   One product routine, [mul_into], does every multiplication.  It is
-   Koc's product-scanning (FIPS) REDC: column i of a * b + u * m is
-   summed in one native int, the Montgomery digit u_i that clears the
-   low column is picked as soon as that column is complete, and a
-   column costs one shift, not a mask, shift and carry per product.
+   One product, [mul_into], does every multiplication.  It is Koc's
+   product-scanning (FIPS) REDC: column i of a * b + u * m is summed in
+   one native int, the Montgomery digit u_i that clears the low column
+   is picked as soon as that column is complete, and a column costs one
+   shift, not a mask, shift and carry per product.  [create] picks the
+   routine once, from k: the limb counts the stack deploys (k = 4 for
+   96-bit RSA primes, 5 for the 128-bit group, 7 for a 192-bit RSA
+   modulus) get a straight-line kernel of [Montgomery_kernels], which
+   [gen/redc_gen.ml] generates with every limb and digit in a local and
+   each column one sum of at most 2k products; every other k takes the
+   generic loop [mul_generic].  Both return the same limbs.
 
    The narrow limb is what makes the lazy column sum possible.  A
    product of two 28-bit limbs is below 2^56, so a column absorbs 60
@@ -34,6 +40,7 @@ type ctx = {
   n0' : int;  (* -m^{-1} mod 2^28 *)
   r2 : int array;  (* R^2 mod m, k 28-bit limbs: converts into Montgomery form *)
   one : int array;  (* R mod m, k 28-bit limbs: the Montgomery form of 1 *)
+  kernel : Montgomery_kernels.kernel option;  (* the straight-line product for k *)
 }
 
 (* Repack a little-endian array of [src_bits]-bit limbs into [len] limbs
@@ -86,7 +93,8 @@ let create (m : int array) : ctx option =
         n;
         n0' = ((1 lsl limb_bits) - !inv) land limb_mask;
         r2 = r_pow (2 * limb_bits * k);
-        one = r_pow (limb_bits * k) }
+        one = r_pow (limb_bits * k);
+        kernel = Montgomery_kernels.find k }
   end
 
 (* acc + the sum over j in [j, stop) of a_j * b_(bi-j) + u_j * n_(i-j):
@@ -107,7 +115,7 @@ let rec pairs a b u n bi i j stop acc =
    only limbs above i - k of [a] and [b], so [r] may alias [a], or [b]
    at [boff = 0] (a squaring in place): every limb is read before it is
    overwritten. *)
-let mul_into (ctx : ctx) (u : int array) (a : int array) (b : int array)
+let mul_generic (ctx : ctx) (u : int array) (a : int array) (b : int array)
     (boff : int) (r : int array) : unit =
   let k = ctx.k and n = ctx.n and n0' = ctx.n0' in
   if
@@ -161,6 +169,14 @@ let mul_into (ctx : ctx) (u : int array) (a : int array) (b : int array)
       borrow := if d < 0 then 1 else 0
     done
   end
+
+(* [mul_generic]'s contract, by the routine [create] picked (a
+   straight-line kernel leaves the scratch [u] alone). *)
+let mul_into (ctx : ctx) (u : int array) (a : int array) (b : int array)
+    (boff : int) (r : int array) : unit =
+  match ctx.kernel with
+  | Some kernel -> kernel ctx.n ctx.n0' a b boff r
+  | None -> mul_generic ctx u a b boff r
 
 let mul (ctx : ctx) (a : int array) (b : int array) : int array =
   let r = Array.make ctx.k 0 in

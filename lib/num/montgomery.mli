@@ -1,7 +1,10 @@
 (** Montgomery (REDC) arithmetic for odd moduli.
 
     Internal fast-path layer: {!Bignum} chooses when to route an
-    exponentiation here (odd, sufficiently large moduli).  Moduli,
+    exponentiation here (odd, sufficiently large moduli).  Every
+    product is one REDC, picked per modulus by {!create}: a generated
+    straight-line kernel for the limb counts the stack deploys, the
+    generic product-scanning loop for every other.  Moduli,
     bases, exponents and results are little-endian base-2{^31} limb
     magnitudes as in {!Limbs}.  Montgomery residues are private to this
     module: little-endian base-2{^28} limbs, zero-padded to exactly the
@@ -13,8 +16,9 @@ type ctx
     -m{^-1} mod 2{^28}, R mod m and R{^2} mod m with R = 2{^28k}. *)
 
 val create : int array -> ctx option
-(** [create m] builds a context for the normalized magnitude [m].
-    Returns [None] when [m] is zero or even (REDC requires odd moduli). *)
+(** [create m] builds a context for the normalized magnitude [m] and
+    picks its product routine from k (see {!mul_into}).  Returns [None]
+    when [m] is zero or even (REDC requires odd moduli). *)
 
 val create_cached : int array -> ctx option
 (** Like {!create} but consults a small process-global move-to-front
@@ -30,8 +34,18 @@ val from_mont : ctx -> int array -> int array
 
 val mul : ctx -> int array -> int array -> int array
 (** Montgomery product of two residues below m: [a * b * R^-1 mod m],
-    by product-scanning REDC over 28-bit limbs, the one product routine
-    every kernel below uses. *)
+    by {!mul_into} into a fresh residue. *)
+
+val mul_into :
+  ctx -> int array -> int array -> int array -> int -> int array -> unit
+(** [mul_into ctx u a b boff r] writes [a * b * R^-1 mod m] into the
+    first k limbs of [r], reading [b] at limbs [boff, boff + k); [u] is
+    k limbs of scratch.  The one product every kernel below uses: a
+    straight-line product-scanning REDC when {!create} found one for k
+    (4, 5 and 7 limbs: 96-bit RSA primes, the 128-bit group, a 192-bit
+    RSA modulus), the generic loop otherwise, with the same result.
+    [r] may alias [a], or [b] at [boff = 0].  Raises
+    [Invalid_argument] when an array is shorter than k limbs. *)
 
 val pow : ctx -> base:int array -> exp:int array -> int array
 (** [pow ctx ~base ~exp] = [base^exp mod m] as a normalized magnitude,

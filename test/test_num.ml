@@ -316,7 +316,9 @@ let fastpath_tests =
   ]
 
 (* The fixed-base comb kernel against [pow_mod], at the moduli it serves:
-   a Schnorr-group prime, an RSA modulus, and a wide odd modulus. *)
+   a Schnorr-group prime, an RSA modulus, a wide odd modulus, and an RSA
+   prime.  The first two and the last reach the straight-line REDC at
+   k = 5, 7 and 4: in-place squarings, and table rows at [boff > 0]. *)
 let fixed_base_moduli =
   let rng = Prng.create ~seed:0xF1BA5E in
   let p128 = Primes.random_prime rng ~bits:128 in
@@ -326,7 +328,8 @@ let fixed_base_moduli =
   let odd512 =
     B.add (B.shift_left B.one 511) (B.succ (B.shift_left (Prng.bignum_below rng (B.shift_left B.one 509)) 1))
   in
-  [ ("128-bit p", p128); ("192-bit N", n192); ("512-bit odd", odd512) ]
+  let p96 = Primes.random_prime rng ~bits:96 in
+  [ ("128-bit p", p128); ("192-bit N", n192); ("512-bit odd", odd512); ("96-bit p", p96) ]
 
 (* Widths that are not multiples of 4 exercise a partial top row. *)
 let fixed_base_widths = [ 1; 3; 6; 127; 128; 129; 193; 450; 513 ]
@@ -554,8 +557,10 @@ module Ref = struct
 end
 
 (* Odd moduli of exactly [bits] bits: a random one, the all-ones one,
-   and 2^(bits-1) + 1 (sparse limbs). *)
-let kernel_bits = [ 62; 64; 128; 192; 256; 868; 869; 896; 1024 ]
+   and 2^(bits-1) + 1 (sparse limbs).  85/112, 113/140 and 169/196 are
+   both ends of the straight-line kernels' k = 4, 5 and 7. *)
+let kernel_bits =
+  [ 62; 64; 85; 112; 113; 128; 140; 169; 192; 196; 256; 868; 869; 896; 1024 ]
 
 let kernel_moduli =
   let rng = Prng.create ~seed:0x28B17 in
@@ -609,7 +614,8 @@ let kernel_tests =
         (* m = 2^(28k) - 1 and residues m - 1, m - 2: every limb is at or
            next to 2^28 - 1, so the low column k - 1 sums k products of
            almost 2^56.  Unfolded, it passes 2^62 from k = 65 and wraps
-           the native int (2^63) from k = 129. *)
+           the native int (2^63) from k = 129.  k = 4, 5 and 7 take the
+           straight-line kernels, with every column at its largest. *)
         List.iter
           (fun k ->
             let r = B.shift_left B.one (28 * k) in
@@ -626,7 +632,7 @@ let kernel_tests =
                   (B.erem (B.mul (B.mul x y) rinv) m)
                   (of_limbs ~bits:28 got))
               [ (B.pred m, B.pred m); (B.sub m B.two, B.pred m); (B.sub m B.two, B.sub m B.two) ])
-          [ 2; 30; 31; 32; 33; 37; 64; 65; 129; 160 ]);
+          [ 2; 4; 5; 7; 30; 31; 32; 33; 37; 64; 65; 129; 160 ]);
     qtest ~count:80 "REDC = CIOS reference (random operands)"
       (let* _, m = modulus in
        let* x = below m and* y = below m in
