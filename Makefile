@@ -33,12 +33,13 @@ bench:
 	$(DUNE) exec bench/main.exe
 
 # The kernel benchmark, one ns_per_op{kernel,...} row per kernel timed
-# by one loop: the bignum and modular-arithmetic kernels (naive vs
-# Montgomery-window pow_mod, fixed-base exp_g, exp2, mul, divmod, gcd,
-# inv_mod, one Montgomery product), the DLEQ batch sweep and its gate,
-# and the protocol kernels of experiments C1/C2 (SHA-256, the oracle
-# challenge, Schnorr, coin, TDH2, threshold RSA, the scheduler step);
-# writes BENCH_NUM.json.
+# by one loop: the bignum and modular-arithmetic kernels (the naive
+# ladder against the one variable-base Straus loop, timed as pow_mod
+# and as the two-base pow_multi_mod "exp2"; the fixed-base comb exp_g;
+# mul, divmod, gcd, inv_mod, one Montgomery product), the DLEQ batch
+# sweep and its gate, and the protocol kernels of experiments C1/C2
+# (SHA-256, the oracle challenge, Schnorr, coin, TDH2, threshold RSA,
+# the scheduler step); writes BENCH_NUM.json.
 bench-num:
 	$(SINTRA) bench-num
 	$(SINTRA) bench-check BENCH_NUM.json

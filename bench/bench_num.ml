@@ -4,10 +4,12 @@
    ({!Bench_out.document}), so [bench-check] and [sintra compare] work on
    it unchanged.  Every row is [ns_per_op{kernel,...}]:
 
-   - the modular-arithmetic fast paths — Montgomery-window
-     [Bignum.pow_mod], the fixed-base [Schnorr_group.exp_g] table and the
-     shared-squaring-chain [exp2] — against their naive counterparts,
-     plus [mul], [divmod], [gcd] and [inv_mod], at 128/512/1024-bit odd
+   - the two exponentiation kernels against their naive counterparts:
+     the one variable-base Straus loop ([Montgomery.pow_multi]) as a
+     single-base [Bignum.pow_mod] ([pow_mod_window]) and as the two-base
+     [Bignum.pow_multi_mod] ([exp2], against [two_pow_mod_mul]), and the
+     fixed-base comb ([fixed_base_exp_g], [Schnorr_group.exp_g]); plus
+     [mul], [divmod], [gcd] and [inv_mod], at 128/512/1024-bit odd
      moduli, and one Montgomery product ([mont_mul]) at 128 and 192
      bits;
    - the DLEQ batch sweep, whose rows carry their pass limits
@@ -292,7 +294,8 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
                  m))
       in
       let exp2 =
-        sample "exp2" (fun () -> ignore (B.pow2_mod ~b1:a ~e1 ~b2:base ~e2 ~modulus:m))
+        sample "exp2" (fun () ->
+            ignore (B.pow_multi_mod [ (a, e1); (base, e2) ] ~modulus:m))
       in
       speedup "exp2" b (two_pow /. exp2);
       (* informational rows: the schoolbook product and division, the

@@ -49,8 +49,8 @@ let verify ps ~domain ~g1 ~h1 ~g2 ~h2 (proof : t) : bool =
   (* a_i = g_i^z * h_i^{-c} must re-produce the challenge; h_i passed
      the membership checks above, so h_i^{-c} = h_i^{q-c}. *)
   let c' = G.neg_exponent ps proof.c in
-  let a1 = G.exp2 ps g1 proof.z h1 c' in
-  let a2 = G.exp2 ps g2 proof.z h2 c' in
+  let a1 = G.multi_exp ps [ (h1, c'); (g1, proof.z) ] in
+  let a2 = G.multi_exp ps [ (h2, c'); (g2, proof.z) ] in
   B.equal proof.c (transcript ps ~domain g1 h1 g2 h2 a1 a2)
 
 let to_bytes ps (p : t) : string =

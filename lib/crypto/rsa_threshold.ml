@@ -86,7 +86,7 @@ let pow_signed ~base ~exp ~modulus =
    non-negative proof response here), in one shared squaring chain. *)
 let pow2_signed ~b1 ~e1 ~b2 ~e2 ~modulus =
   let b2, e2 = unsign ~base:b2 ~exp:e2 ~modulus in
-  B.pow2_mod ~b1 ~e1 ~b2 ~e2 ~modulus
+  B.pow_multi_mod [ (b1, e1); (b2, e2) ] ~modulus
 
 let deal ?(bits = 256) ~n ~k (rng : Prng.t) : keys =
   if k < 1 || k > n then invalid_arg "Rsa_threshold.deal: bad k";
@@ -184,7 +184,7 @@ let sign_share (keys : keys) ~(party : int) (msg : string) : share =
     Ro.hash_to_bignum_below ~domain:nonce_domain
       [ B.to_bytes_be s_i; msg ] nonce_bound
   in
-  let v' = B.Fixed_base.exp (v_table keys) r in
+  let v' = B.Fixed_base.exp [ (v_table keys, r) ] in
   let x' = B.pow_mod ~base:xt ~exp:r ~modulus:nn in
   let xi2 = B.mul_mod sh.x sh.x nn in
   let c = proof_challenge pk ~v:keys.v ~xt ~vi:keys.vks.(party) ~xi2 ~v' ~x' in

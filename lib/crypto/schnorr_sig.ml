@@ -41,7 +41,7 @@ let verify (ps : G.params) ~(pk : G.elt) (msg : string) (s : signature) : bool
        fixed-base table like g, and both fold into one accumulator; pk
        is a subgroup element (pk = g^sk), so pk^-c = pk^(q-c). *)
     G.prepare_base ps pk;
-    let a = G.exp2 ps ps.G.g s.z pk (G.neg_exponent ps s.c) in
+    let a = G.multi_exp ps [ (pk, G.neg_exponent ps s.c); (ps.G.g, s.z) ] in
     B.equal s.c (challenge ps ~a ~pk ~msg)
   end
 

@@ -95,8 +95,8 @@ let proof_holds ps (ct : ciphertext) : bool =
   &&
   let gp = g' ps in
   let e' = G.neg_exponent ps ct.e in
-  let w = G.exp2 ps ps.G.g ct.f ct.u e' in
-  let w' = G.exp2 ps gp ct.f ct.u' e' in
+  let w = G.multi_exp ps [ (ct.u, e'); (ps.G.g, ct.f) ] in
+  let w' = G.multi_exp ps [ (ct.u', e'); (gp, ct.f) ] in
   B.equal ct.e (challenge ps ~c:ct.c ~label:ct.label ~u:ct.u ~w ~u':ct.u' ~w')
 
 let check (t : Dl_sharing.t) (ct : ciphertext) : checked option =

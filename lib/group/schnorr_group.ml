@@ -7,14 +7,14 @@
    into it is simply squaring, and every non-unit element is a
    generator.
 
-   Exponentiation fast paths: [params] carries a small cache of
-   fixed-base comb tables ([Bignum.Fixed_base]), so an exponentiation
-   by a prepared base costs about numbits(q)/8 squarings and as many
-   Montgomery products, against ~1.25 numbits(q) products for an
-   unprepared one.  Unprepared bases go through [Bignum.pow_mod]
-   (Montgomery-windowed for the odd prime p), and the double/multi-
-   exponentiations fall back to the shared-squaring-chain kernels in
-   [Bignum]. *)
+   Exponentiation reaches two kernels.  [params] carries a small cache
+   of fixed-base comb tables ([Bignum.Fixed_base]), so an
+   exponentiation by a prepared base costs about numbits(q)/8 squarings
+   and as many Montgomery products, against ~1.25 numbits(q) products
+   for an unprepared one; [multi_exp] sends all its prepared bases
+   through one comb pass.  Unprepared bases go through the one
+   variable-base kernel: [Bignum.pow_mod] for a single one,
+   [Bignum.pow_multi_mod] (one Straus squaring chain) for several. *)
 
 module B = Bignum
 
@@ -104,7 +104,7 @@ let prepare_base ps (base : elt) : unit =
 let exp ps (a : elt) (e : B.t) : elt =
   let e = B.erem e ps.q in
   match find_table ps.cache a with
-  | Some tbl -> B.Fixed_base.exp tbl e
+  | Some tbl -> B.Fixed_base.exp [ (tbl, e) ]
   | None -> B.pow_mod ~base:a ~exp:e ~modulus:ps.p
 
 (* The group generator is exponentiated on every share, proof and
@@ -113,37 +113,21 @@ let exp_g ps (e : B.t) : elt =
   prepare_base ps ps.g;
   exp ps ps.g e
 
-let exp2 ps (a : elt) (x : B.t) (b : elt) (y : B.t) : elt =
-  let x = B.erem x ps.q and y = B.erem y ps.q in
-  match (find_table ps.cache a, find_table ps.cache b) with
-  | Some ta, Some tb -> B.Fixed_base.exp2 ta x tb y
-  | Some ta, None ->
-    mul ps (B.Fixed_base.exp ta x) (B.pow_mod ~base:b ~exp:y ~modulus:ps.p)
-  | None, Some tb ->
-    mul ps (B.pow_mod ~base:a ~exp:x ~modulus:ps.p) (B.Fixed_base.exp tb y)
-  | None, None -> B.pow2_mod ~b1:a ~e1:x ~b2:b ~e2:y ~modulus:ps.p
-
+(* Prepared bases share one comb pass; a lone unprepared base takes
+   [pow_mod], several share one Straus chain. *)
 let multi_exp ps (pairs : (elt * B.t) list) : elt =
-  let pairs = List.map (fun (b, e) -> (b, B.erem e ps.q)) pairs in
-  (* Prepared bases go through their tables; the rest share one
-     interleaved squaring chain. *)
   let tabled, rest =
-    List.fold_left
-      (fun (t, r) (b, e) ->
+    List.partition_map
+      (fun (b, e) ->
+        let e = B.erem e ps.q in
         match find_table ps.cache b with
-        | Some tbl -> ((tbl, e) :: t, r)
-        | None -> (t, (b, e) :: r))
-      ([], []) pairs
+        | Some tbl -> Left (tbl, e)
+        | None -> Right (b, e))
+      pairs
   in
-  let rec tabled_product = function
-    | [] -> B.one
-    | [ (ta, x) ] -> B.Fixed_base.exp ta x
-    | (ta, x) :: (tb, y) :: rest ->
-      mul ps (B.Fixed_base.exp2 ta x tb y) (tabled_product rest)
-  in
-  let acc = tabled_product tabled in
+  let acc = B.Fixed_base.exp tabled in
   match rest with
-  | [] -> B.erem acc ps.p
+  | [] -> acc
   | [ (b, e) ] -> mul ps acc (B.pow_mod ~base:b ~exp:e ~modulus:ps.p)
   | _ -> mul ps acc (B.pow_multi_mod rest ~modulus:ps.p)
 

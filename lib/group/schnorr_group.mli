@@ -48,17 +48,10 @@ val exp_g : params -> Bignum.t -> elt
 
 val prepare_base : params -> elt -> unit
 (** Build (idempotently) a fixed-base table for [base], so subsequent
-    {!exp} / {!exp2} / {!multi_exp} calls on it cost ~numbits(q)/8
+    {!exp} / {!multi_exp} calls on it cost ~numbits(q)/8
     squarings and as many Montgomery products ({!Bignum.Fixed_base}).
     Worth it by the third exponentiation on the same base; the cache
     keeps the 48 most recently used bases. *)
-
-val exp2 : params -> elt -> Bignum.t -> elt -> Bignum.t -> elt
-(** [exp2 ps a x b y = mul ps (exp ps a x) (exp ps b y)], computed with
-    fixed-base tables where available (two tables share one
-    accumulator) and a shared squaring chain (Shamir's trick)
-    otherwise — the shape of every DLEQ/Schnorr verification equation
-    [g^z * h^-c], written [exp2 ps g z h (neg_exponent ps c)]. *)
 
 val neg_exponent : params -> Bignum.t -> Bignum.t
 (** [neg_exponent ps c] is [(q − c) mod q], so [exp ps h (neg_exponent
@@ -67,10 +60,15 @@ val neg_exponent : params -> Bignum.t -> Bignum.t
     {!is_element} (or rely on the [elt] invariant) first. *)
 
 val multi_exp : params -> (elt * Bignum.t) list -> elt
-(** Product of [base^exp] over the list (empty product is [one]), using
-    fixed-base tables where available and one interleaved squaring
-    chain (Straus) for the rest — the shape of Feldman share
-    verification. *)
+(** Product of [base^exp] over the list, each exponent reduced mod [q]
+    (the empty product is [one]).  Bases with a fixed-base table share
+    one comb pass; the rest share one interleaved (Straus) squaring
+    chain, or take {!exp}'s [Bignum.pow_mod] when there is one.  The
+    shape of Feldman share verification, of batch proof checks, and,
+    with two pairs, of every DLEQ/Schnorr verification equation
+    [g^z * h^-c], written [multi_exp ps [(h, neg_exponent ps c); (g,
+    z)]].  Tables are looked up in list order, and the cache is
+    move-to-front, so the last base ends at the front. *)
 
 val inv : params -> elt -> elt
 val elt_len : params -> int

@@ -250,39 +250,6 @@ let inv_mod a m =
   let g, u, _ = egcd_with ~want_v:false (erem a m) m in
   if equal g one then Some (erem u m) else None
 
-(* Barrett reduction: for a fixed modulus m of k limbs, precompute
-   mu = floor(base^(2k) / m); then any x < base^(2k) reduces with two
-   multiplications instead of a long division:
-
-     q = ((x >> (k-1) limbs) * mu) >> (k+1) limbs
-     r = x - q*m,   then at most two final subtractions of m.
-
-   This speeds up modular exponentiation (the cost centre of the entire
-   crypto stack) by amortizing one division over the ~1.5 * numbits
-   multiplications of a pow_mod. *)
-module Barrett = struct
-  type ctx = { m : t; k_limbs : int; mu : t }
-
-  let limb_bits = 31  (* Limbs.base_bits *)
-
-  let create (m : t) : ctx =
-    let k_limbs = (numbits m + limb_bits - 1) / limb_bits in
-    let b2k = shift_left one (2 * k_limbs * limb_bits) in
-    { m; k_limbs; mu = div b2k m }
-
-  let reduce (ctx : ctx) (x : t) : t =
-    (* precondition: 0 <= x < base^(2k) *)
-    let q1 = shift_right x ((ctx.k_limbs - 1) * limb_bits) in
-    let q2 = mul q1 ctx.mu in
-    let q3 = shift_right q2 ((ctx.k_limbs + 1) * limb_bits) in
-    let r = sub x (mul q3 ctx.m) in
-    let r = if geq r ctx.m then sub r ctx.m else r in
-    let r = if geq r ctx.m then sub r ctx.m else r in
-    if r.sign < 0 || geq r ctx.m then erem x ctx.m (* safety net *) else r
-
-  let mul_mod (ctx : ctx) a b = reduce ctx (mul a b)
-end
-
 (* An odd modulus of at least two limbs goes through Montgomery REDC;
    below that the plain ladder's constant factor wins, and the context
    setup would not amortize over the few squarings of a tiny exponent. *)
@@ -304,11 +271,11 @@ let pow_mod ~base:b ~exp:e ~modulus:m =
         match Montgomery.create_cached m.mag with
         | Some ctx ->
           Obs_crypto.modexp_window ();
-          make 1 (Montgomery.pow ctx ~base:b.mag ~exp:e.mag)
+          make 1 (Montgomery.pow_multi ctx [ (b.mag, e.mag) ])
         | None -> assert false (* eligible implies odd, non-zero *)
       end
-      else if nb <= 4 || numbits m < 200 then begin
-        (* small cases: plain square-and-multiply *)
+      else begin
+        (* even or small moduli, tiny exponents: plain square-and-multiply *)
         let b = ref b and r = ref one in
         for i = 0 to nb - 1 do
           if testbit e i then r := mul_mod !r !b m;
@@ -316,45 +283,7 @@ let pow_mod ~base:b ~exp:e ~modulus:m =
         done;
         !r
       end
-      else begin
-        (* big even modulus: Barrett reduction amortizes the division.
-           Barrett wins only once the modulus is wide enough that a long
-           division clearly dominates two extra multiplications (~200
-           bits with 31-bit limbs). *)
-        let ctx = Barrett.create m in
-        let b = ref b and r = ref one in
-        for i = 0 to nb - 1 do
-          if testbit e i then r := Barrett.mul_mod ctx !r !b;
-          if i < nb - 1 then b := Barrett.mul_mod ctx !b !b
-        done;
-        !r
-      end
     end
-  end
-
-let pow2_mod ~b1 ~e1 ~b2 ~e2 ~modulus:m =
-  if m.sign <= 0 then invalid_arg "Bignum.pow2_mod: modulus must be positive";
-  if e1.sign < 0 || e2.sign < 0 then
-    invalid_arg "Bignum.pow2_mod: negative exponent";
-  if equal m one then zero
-  else if is_zero e1 then pow_mod ~base:b2 ~exp:e2 ~modulus:m
-  else if is_zero e2 then pow_mod ~base:b1 ~exp:e1 ~modulus:m
-  else begin
-    let nb = max (numbits e1) (numbits e2) in
-    if montgomery_eligible m nb then begin
-      match Montgomery.create_cached m.mag with
-      | Some ctx ->
-        Obs_crypto.multi_exp ();
-        let b1 = erem b1 m and b2 = erem b2 m in
-        make 1
-          (Montgomery.pow2 ctx ~b1:b1.mag ~e1:e1.mag ~b2:b2.mag ~e2:e2.mag)
-      | None -> assert false
-    end
-    else
-      mul_mod
-        (pow_mod ~base:b1 ~exp:e1 ~modulus:m)
-        (pow_mod ~base:b2 ~exp:e2 ~modulus:m)
-        m
   end
 
 let pow_multi_mod pairs ~modulus:m =
@@ -414,19 +343,17 @@ module Fixed_base = struct
     if numbits e > t.bits then
       invalid_arg "Bignum.Fixed_base: exponent wider than the table"
 
-  let exp t e =
-    check t e;
-    Obs_crypto.fixed_base_exp ();
-    make 1 (Montgomery.comb_exp t.ctx [ (t.comb, e.mag) ])
-
-  let exp2 t1 e1 t2 e2 =
-    if not (equal t1.modulus t2.modulus) then
-      invalid_arg "Bignum.Fixed_base.exp2: tables over different moduli";
-    check t1 e1;
-    check t2 e2;
-    Obs_crypto.fixed_base_exp ();
-    Obs_crypto.fixed_base_exp ();
-    make 1 (Montgomery.comb_exp t1.ctx [ (t1.comb, e1.mag); (t2.comb, e2.mag) ])
+  let exp = function
+    | [] -> one
+    | (t, _) :: _ as terms ->
+      List.iter
+        (fun (t', e) ->
+          if not (equal t'.modulus t.modulus) then
+            invalid_arg "Bignum.Fixed_base.exp: tables over different moduli";
+          check t' e)
+        terms;
+      List.iter (fun _ -> Obs_crypto.fixed_base_exp ()) terms;
+      make 1 (Montgomery.comb_exp t.ctx (List.map (fun (t, e) -> (t.comb, e.mag)) terms))
 end
 
 let to_string v =

@@ -89,21 +89,19 @@ val pow_mod : base:t -> exp:t -> modulus:t -> t
     (including [0^0 = 1]); [base ≡ 0 (mod modulus)] with [exp > 0]
     yields [0].
 
-    Odd moduli of at least two limbs are served by a 4-bit fixed-window
-    ladder over Montgomery (REDC) arithmetic; even moduli fall back to
-    square-and-multiply (Barrett-reduced above ~200 bits). *)
-
-val pow2_mod : b1:t -> e1:t -> b2:t -> e2:t -> modulus:t -> t
-(** [pow2_mod ~b1 ~e1 ~b2 ~e2 ~modulus] is [b1^e1 * b2^e2 mod modulus]
-    computed with one shared squaring chain (Shamir's trick) when the
-    modulus is odd, and as two {!pow_mod}s otherwise.  Same sign
-    contract as {!pow_mod}. *)
+    Odd moduli of at least two limbs are served by the one
+    variable-base kernel, [Montgomery.pow_multi] with a single pair: a
+    windowed ladder over Montgomery (REDC) arithmetic.  Even moduli,
+    single-limb moduli and exponents of at most 4 bits take plain
+    square-and-multiply. *)
 
 val pow_multi_mod : (t * t) list -> modulus:t -> t
 (** [pow_multi_mod [(b1, e1); ...] ~modulus] is the product of all
-    [bi^ei mod modulus] by Straus interleaving (shared squarings) when
-    the modulus is odd.  The empty product is [1].  Same sign contract
-    as {!pow_mod}. *)
+    [bi^ei mod modulus].  Zero exponents are dropped; a single remaining
+    pair is one {!pow_mod}, and two or more share one squaring chain
+    (Straus interleaving, [Montgomery.pow_multi]) when the modulus is
+    odd.  The empty product is [1].  Same sign contract as
+    {!pow_mod}. *)
 
 (** Fixed-base exponentiation for long-lived bases.
 
@@ -124,16 +122,15 @@ module Fixed_base : sig
       [Invalid_argument] unless [modulus] is odd and positive and
       [bits >= 0]. *)
 
-  val exp : table -> t -> t
-  (** [exp tbl e] is [base^e mod modulus], equal to {!pow_mod}.  Raises
-      [Invalid_argument] when [e] is negative or wider than the table. *)
-
-  val exp2 : table -> t -> table -> t -> t
-  (** [exp2 ta x tb y] is [a^x * b^y mod modulus] for two tables over
-      the same modulus, folded into one shared accumulator (tables of
-      equal width share their squarings) that leaves Montgomery form
-      once.  Same exponent contract as {!exp}; raises [Invalid_argument]
-      when the moduli differ. *)
+  val exp : (table * t) list -> t
+  (** [exp [(t1, e1); ...]] is the product of [bi^ei mod modulus] over
+      tables [ti] of bases [bi], all over the same modulus, in one pass
+      over the columns ([Montgomery.comb_exp]): every term folds into
+      one accumulator, tables of equal width share their squarings, and
+      the result leaves Montgomery form once.  [exp [(t, e)]] equals
+      {!pow_mod}; the empty product is [1].  Raises [Invalid_argument]
+      when an exponent is negative or wider than its table, or when the
+      moduli differ. *)
 end
 
 val to_string : t -> string

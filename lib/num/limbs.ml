@@ -182,10 +182,16 @@ let shift_right (a : int array) (k : int) : int array =
 let bits_from (a : int array) (s : int) : int =
   let li = s / base_bits and off = s mod base_bits in
   let len = Array.length a in
-  let get i = if i < len then Array.unsafe_get a i else 0 in
-  (get li lsr off)
-  lor (get (li + 1) lsl (base_bits - off))
-  lor (get (li + 2) lsl ((2 * base_bits) - off))
+  if li >= len then 0
+  else begin
+    let r = Array.unsafe_get a li lsr off in
+    if li + 1 >= len then r
+    else begin
+      let r = r lor (Array.unsafe_get a (li + 1) lsl (base_bits - off)) in
+      if li + 2 >= len then r
+      else r lor (Array.unsafe_get a (li + 2) lsl ((2 * base_bits) - off))
+    end
+  end
 
 (* a * x + b * y for native ints with |a|, |b| < 2^30 and a result
    known to be non-negative.  Each step sums two products below 2^61 in

@@ -201,24 +201,6 @@ let from_mont (ctx : ctx) (a : int array) : int array =
    scratch array: tables are flat arrays of k-limb rows, and the
    accumulator is squared and multiplied where it lies. *)
 
-(* acc <- acc * (row [off, off + k) of tbl); while [started] is false
-   the accumulator stands for 1, so the row is copied instead. *)
-let fold_into ctx u acc started tbl off =
-  if !started then mul_into ctx u acc tbl off acc
-  else begin
-    Array.blit tbl off acc 0 ctx.k;
-    started := true
-  end
-
-let window_bits = 4
-
-(* Exponent bits [lo, lo+4) as an integer in 0..15. *)
-let window (e : int array) (lo : int) : int =
-  (if Limbs.testbit e lo then 1 else 0)
-  lor (if Limbs.testbit e (lo + 1) then 2 else 0)
-  lor (if Limbs.testbit e (lo + 2) then 4 else 0)
-  lor (if Limbs.testbit e (lo + 3) then 8 else 0)
-
 (* Rows 1..rows of the powers of residue [bm], row d at limb offset
    (d - 1) * k. *)
 let power_table (ctx : ctx) (u : int array) (bm : int array) (rows : int) :
@@ -233,110 +215,58 @@ let power_table (ctx : ctx) (u : int array) (bm : int array) (rows : int) :
   done;
   tbl
 
-(* base^exp mod m by left-to-right fixed 4-bit windows: 4 squarings plus
-   at most one table multiply per window, against one multiply per set
-   bit for the binary ladder. *)
-let pow (ctx : ctx) ~(base : int array) ~(exp : int array) : int array =
-  let nb = Limbs.numbits exp in
-  if nb = 0 then from_mont ctx ctx.one
+(* acc <- acc * the digit at bit i of every term of [terms] from
+   [first] on: a (table, exponent, width, top) term with i mod width = 0
+   reads its digit from the exponent's limbs. *)
+let fold_digits ctx u acc terms i first =
+  for j = first to Array.length terms - 1 do
+    let tbl, e, w, _ = Array.unsafe_get terms j in
+    if i land (w - 1) = 0 then begin
+      let d = Limbs.bits_from e i land ((1 lsl w) - 1) in
+      if d <> 0 then mul_into ctx u acc tbl ((d - 1) * ctx.k) acc
+    end
+  done
+
+(* The one variable-base exponentiation: the product of base^exp over
+   any number of pairs by Straus interleaving, one squaring chain for
+   the whole product.  Each base picks a window width w by its exponent
+   size: a w-bit window trades a (2^w - 2)-multiply table build for one
+   multiply per non-zero w-digit, so wide exponents take 4 bits and
+   short ones stay narrow, where the build would not repay itself.  The
+   chain advances [step] bits at a time, the narrowest width (every
+   width is a multiple of it); at bit i a base with i mod w = 0 reads
+   its digit straight from the exponent's limbs.  The chain starts at
+   the highest digit position [top] of any exponent, where that
+   exponent's digit holds its top bit, and the accumulator starts as a
+   copy of that table row: no squaring or multiply by 1 is spent above
+   it. *)
+let pow_multi (ctx : ctx) (pairs : (int array * int array) list) : int array =
+  let k = ctx.k in
+  let u = Array.make k 0 in
+  let terms =
+    List.filter_map
+      (fun (b, e) ->
+        let n = Limbs.numbits e in
+        if n = 0 then None
+        else begin
+          let w = if n >= 96 then 4 else if n >= 24 then 2 else 1 in
+          Some (power_table ctx u (to_mont ctx b) ((1 lsl w) - 1), e, w, (n - 1) / w * w)
+        end)
+      pairs
+    |> List.stable_sort (fun (_, _, _, a) (_, _, _, b) -> Int.compare b a)
+    |> Array.of_list
+  in
+  if Array.length terms = 0 then from_mont ctx ctx.one
   else begin
-    let k = ctx.k in
-    let u = Array.make k 0 in
-    let tbl = power_table ctx u (to_mont ctx base) 15 in
-    let nwin = (nb + window_bits - 1) / window_bits in
-    (* The top window contains the most significant bit, so it is
-       non-zero and seeds the accumulator without leading squarings. *)
-    let acc = Array.sub tbl ((window exp ((nwin - 1) * window_bits) - 1) * k) k in
-    for wi = nwin - 2 downto 0 do
-      for _ = 1 to window_bits do
+    let tbl0, e0, w0, top = terms.(0) in
+    let step = Array.fold_left (fun s (_, _, w, _) -> min s w) w0 terms in
+    let acc = Array.sub tbl0 (((Limbs.bits_from e0 top land ((1 lsl w0) - 1)) - 1) * k) k in
+    fold_digits ctx u acc terms top 1;
+    for s = (top / step) - 1 downto 0 do
+      for _ = 1 to step do
         mul_into ctx u acc acc 0 acc
       done;
-      let d = window exp (wi * window_bits) in
-      if d <> 0 then mul_into ctx u acc tbl ((d - 1) * k) acc
-    done;
-    from_mont ctx acc
-  end
-
-(* b1^e1 * b2^e2 mod m, sharing one squaring chain (Shamir's trick):
-   max-bits squarings plus one multiply per joint non-zero bit pair,
-   against two full independent chains. *)
-let pow2 (ctx : ctx) ~(b1 : int array) ~(e1 : int array) ~(b2 : int array)
-    ~(e2 : int array) : int array =
-  let nb = max (Limbs.numbits e1) (Limbs.numbits e2) in
-  if nb = 0 then from_mont ctx ctx.one
-  else begin
-    let k = ctx.k in
-    let u = Array.make k 0 in
-    (* rows 1, 2, 3: b1, b2, b1 * b2 *)
-    let tbl = Array.make (3 * k) 0 in
-    Array.blit (to_mont ctx b1) 0 tbl 0 k;
-    Array.blit (to_mont ctx b2) 0 tbl k k;
-    let m12 = Array.sub tbl 0 k in
-    mul_into ctx u m12 tbl k m12;
-    Array.blit m12 0 tbl (2 * k) k;
-    let acc = Array.make k 0 and started = ref false in
-    for i = nb - 1 downto 0 do
-      if !started then mul_into ctx u acc acc 0 acc;
-      let d =
-        (if Limbs.testbit e1 i then 1 else 0)
-        lor (if Limbs.testbit e2 i then 2 else 0)
-      in
-      if d <> 0 then fold_into ctx u acc started tbl ((d - 1) * k)
-    done;
-    from_mont ctx acc
-  end
-
-(* Interleaved (Straus) product of base^exp over any number of pairs:
-   one shared squaring chain for the whole product.  Each base picks a
-   window width by its exponent size — wide exponents amortize a
-   per-base digit table (w-bit windows cost one multiply per non-zero
-   digit instead of one per set bit), short ones stay narrow so the
-   table build is never wasted.  Digit schedules are extracted up front
-   and the pairs grouped by width, so the chain's inner loop touches a
-   base only at its own digit boundaries. *)
-let pow_multi (ctx : ctx) (pairs : (int array * int array) list) : int array =
-  let nb =
-    List.fold_left (fun acc (_, e) -> max acc (Limbs.numbits e)) 0 pairs
-  in
-  if nb = 0 then from_mont ctx ctx.one
-  else begin
-    let k = ctx.k in
-    let u = Array.make k 0 in
-    (* A w-bit window trades a (2^w - 2)-multiply table build for one
-       multiply per non-zero w-digit: worthwhile once the exponent has
-       enough digits to repay the build. *)
-    let prep w =
-      List.filter_map
-        (fun (b, e) ->
-          let n = Limbs.numbits e in
-          let w' = if n >= 96 then 4 else if n >= 24 then 2 else 1 in
-          if w' <> w || n = 0 then None
-          else begin
-            let tbl = power_table ctx u (to_mont ctx b) ((1 lsl w) - 1) in
-            let nwin = (nb + w - 1) / w in
-            let digits =
-              Array.init nwin (fun j ->
-                  Limbs.bits_from e (j * w) land ((1 lsl w) - 1))
-            in
-            Some (tbl, digits)
-          end)
-        pairs
-      |> Array.of_list
-    in
-    let w4 = prep 4 and w2 = prep 2 and w1 = prep 1 in
-    let acc = Array.make k 0 and started = ref false in
-    let apply (group : (int array * int array) array) (win : int) =
-      for j = 0 to Array.length group - 1 do
-        let tbl, digits = Array.unsafe_get group j in
-        let d = Array.unsafe_get digits win in
-        if d <> 0 then fold_into ctx u acc started tbl ((d - 1) * k)
-      done
-    in
-    for i = nb - 1 downto 0 do
-      if !started then mul_into ctx u acc acc 0 acc;
-      if i land 3 = 0 then apply w4 (i lsr 2);
-      if i land 1 = 0 then apply w2 (i lsr 1);
-      apply w1 i
+      fold_digits ctx u acc terms (s * step) 0
     done;
     from_mont ctx acc
   end
@@ -417,7 +347,12 @@ let comb_exp (ctx : ctx) (terms : (comb * int array) list) : int array =
       (fun ((c : comb), e) ->
         if i < c.cols then begin
           let d = column e c.cols i in
-          if d <> 0 then fold_into ctx u acc started c.g ((d - 1) * k)
+          if d <> 0 then
+            if !started then mul_into ctx u acc c.g ((d - 1) * k) acc
+            else begin
+              Array.blit c.g ((d - 1) * k) acc 0 k;
+              started := true
+            end
         end)
       terms
   done;

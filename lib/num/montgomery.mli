@@ -47,25 +47,14 @@ val mul_into :
     [r] may alias [a], or [b] at [boff = 0].  Raises
     [Invalid_argument] when an array is shorter than k limbs. *)
 
-val pow : ctx -> base:int array -> exp:int array -> int array
-(** [pow ctx ~base ~exp] = [base^exp mod m] as a normalized magnitude,
-    by 4-bit fixed-window exponentiation.  [base] and the result are
-    plain magnitudes; conversion happens inside.  [exp = 0] yields 1
-    reduced mod m. *)
-
-val pow2 :
-  ctx ->
-  b1:int array ->
-  e1:int array ->
-  b2:int array ->
-  e2:int array ->
-  int array
-(** [pow2 ctx ~b1 ~e1 ~b2 ~e2] = [b1^e1 * b2^e2 mod m] with one shared
-    squaring chain (Shamir's trick). *)
-
 val pow_multi : ctx -> (int array * int array) list -> int array
-(** [pow_multi ctx [(b1, e1); ...]] = product of [bi^ei mod m] by
-    Straus interleaving: one squaring chain for the whole product. *)
+(** [pow_multi ctx [(b1, e1); ...]] = product of [bi^ei mod m] as a
+    normalized magnitude, by Straus interleaving: one squaring chain for
+    the whole product, with a 4-, 2- or 1-bit window per base for
+    exponents of at least 96, at least 24 and fewer bits.  The one
+    variable-base exponentiation: a single pair is a plain windowed
+    [b^e].  Bases are any magnitudes (reduced mod m); the empty product
+    and all-zero exponents yield 1 reduced mod m. *)
 
 type comb
 (** A fixed-base Lim–Lee comb with 8 teeth: for a base [b] and [c]

@@ -81,23 +81,38 @@ let is_probable_prime ?(rounds = 24) rng n =
         loop 0
       end
 
+(* A search gives up after this many candidates.  The most any seed in
+   the repository draws is 8,524 (a 96-bit safe prime; 2,430 at 128
+   bits), so a search that spends the budget has a broken
+   exponentiation under it, such as a wrong Montgomery product that
+   fails every Miller-Rabin round: it raises within seconds instead of
+   spinning forever. *)
+let max_candidates = 1_000_000
+
+let exhausted name bits =
+  failwith
+    (Printf.sprintf "Primes.%s: no %d-bit prime in %d candidates" name bits
+       max_candidates)
+
 let random_prime rng ~bits =
   if bits < 3 then invalid_arg "Primes.random_prime: need at least 3 bits";
-  let rec draw () =
+  let rec draw i =
+    if i = max_candidates then exhausted "random_prime" bits;
     let c = Prng.bignum_bits rng (bits - 1) in
     (* Force top and bottom bit. *)
     let c = Bignum.add (Bignum.shift_left Bignum.one (bits - 1)) c in
     let c = if Bignum.is_even c then Bignum.succ c else c in
-    if Bignum.numbits c = bits && is_probable_prime rng c then c else draw ()
+    if Bignum.numbits c = bits && is_probable_prime rng c then c else draw (i + 1)
   in
-  draw ()
+  draw 0
 
 let random_safe_prime rng ~bits =
   if bits < 5 then invalid_arg "Primes.random_safe_prime: need at least 5 bits";
   (* Draw candidate q of bits-1 bits; accept when both q and 2q+1 prime.
      Cheap screens first: q odd, q mod 3 <> 1 would make p divisible by 3. *)
   let three = Bignum.of_int 3 in
-  let rec draw () =
+  let rec draw i =
+    if i = max_candidates then exhausted "random_safe_prime" bits;
     let q = Bignum.add (Bignum.shift_left Bignum.one (bits - 2)) (Prng.bignum_bits rng (bits - 2)) in
     let q = if Bignum.is_even q then Bignum.succ q else q in
     let p = Bignum.succ (Bignum.shift_left q 1) in
@@ -112,6 +127,6 @@ let random_safe_prime rng ~bits =
       && is_probable_prime rng q
       && is_probable_prime rng p
     then (p, q)
-    else draw ()
+    else draw (i + 1)
   in
-  draw ()
+  draw 0

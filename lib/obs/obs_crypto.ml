@@ -19,7 +19,7 @@ type kind =
   | Share_verify  (* per-share proof checks: coin, TDH2, RSA, certs *)
   | Combine  (* Lagrange/threshold combination of shares *)
   | Modexp_window  (* pow_mod calls served by the Montgomery window *)
-  | Multi_exp  (* simultaneous multi-exponentiations (Shamir/Straus) *)
+  | Multi_exp  (* Straus multi-exponentiations (Bignum.pow_multi_mod) *)
   | Fixed_base_exp  (* exponentiations served by a fixed-base table *)
   | Batch_verify  (* random-linear-combination batched proof checks *)
   | Batch_verify_size  (* total proofs covered by those batched checks *)

@@ -61,29 +61,13 @@ let prop_tests =
           (G.mul ps (G.exp ps a (B.of_int e1)) (G.exp ps a (B.of_int e2))));
     qtest "exp_g matches exp" QCheck2.Gen.(int_bound 100000) (fun e ->
         G.elt_equal (G.exp_g ps (B.of_int e)) (G.exp ps ps.G.g (B.of_int e)));
-    qtest "exp2 = mul of exps"
-      QCheck2.Gen.(quad gen_elt (int_bound 1000000) gen_elt (int_bound 1000000))
-      (fun (a, x, b, y) ->
-        let x = B.of_int x and y = B.of_int y in
-        G.elt_equal (G.exp2 ps a x b y)
-          (G.mul ps (G.exp ps a x) (G.exp ps b y)));
-    qtest "exp2 with prepared bases = mul of exps"
-      QCheck2.Gen.(quad gen_elt (int_bound 1000000) gen_elt (int_bound 1000000))
-      (fun (a, x, b, y) ->
-        let x = B.of_int x and y = B.of_int y in
-        G.prepare_base ps a;
-        let reference = G.mul ps (G.exp ps a x) (G.exp ps b y) in
-        let one_table = G.exp2 ps a x b y in
-        G.prepare_base ps b;
-        G.elt_equal one_table reference
-        && G.elt_equal (G.exp2 ps a x b y) reference);
     qtest "fixed-base exp matches pow_mod" QCheck2.Gen.(pair gen_elt int)
       (fun (a, seed) ->
         let e = G.random_exponent ps (Prng.create ~seed) in
         G.prepare_base ps a;
         G.elt_equal (G.exp ps a e)
           (B.pow_mod ~base:a ~exp:(B.erem e ps.G.q) ~modulus:ps.G.p));
-    qtest "exp2 by (q - c) mod q = old exp2 by inverse"
+    qtest "multi_exp by (q - c) mod q = multi_exp by inverse"
       QCheck2.Gen.(quad gen_elt gen_elt (int_bound 3) int)
       (fun (a, b, which, seed) ->
         let rng = Prng.create ~seed in
@@ -96,12 +80,12 @@ let prop_tests =
           | _ -> G.random_exponent ps rng
         in
         let neg = B.erem (B.sub ps.G.q c) ps.G.q in
-        let old_form = G.exp2 ps a x (G.inv ps b) c in
-        let untabled = G.exp2 ps a x b neg in
+        let by_inverse = G.multi_exp ps [ (G.inv ps b, c); (a, x) ] in
+        let untabled = G.multi_exp ps [ (b, neg); (a, x) ] in
         G.prepare_base ps b;
         B.equal neg (G.neg_exponent ps c)
-        && G.elt_equal untabled old_form
-        && G.elt_equal (G.exp2 ps a x b neg) old_form);
+        && G.elt_equal untabled by_inverse
+        && G.elt_equal (G.multi_exp ps [ (b, neg); (a, x) ]) by_inverse);
     qtest "multi_exp = folded product"
       QCheck2.Gen.(
         list_size (int_range 0 5) (pair gen_elt (int_bound 1000000)))
@@ -113,4 +97,70 @@ let prop_tests =
              (G.one ps) pairs))
   ]
 
-let suite = ("group", unit_tests @ prop_tests)
+(* The reference ladder: square-and-multiply with a full reduction at
+   every step. *)
+let ladder base e =
+  let r = ref B.one in
+  for i = B.numbits e - 1 downto 0 do
+    r := B.erem (B.mul !r !r) ps.G.p;
+    if B.testbit e i then r := B.erem (B.mul !r base) ps.G.p
+  done;
+  !r
+
+(* [multi_exp] over 0 to 3 bases with a table and 0 to 4 without, in a
+   group of its own so that no other test's tables interfere; each call
+   is checked against the ladder and its op counts against the rule:
+   one [fixed_base_exp] per tabled term, and for the untabled ones one
+   [pow_mod] ([modexp], [modexp_window]) when there is one, one
+   [multi_exp] when two or more have a non-zero exponent, a [pow_mod]
+   for the one that has when only one does, and nothing when none
+   does. *)
+let multi_exp_test =
+  let open QCheck2.Gen in
+  let exponent =
+    let* zero = int_bound 3 and* seed = int in
+    (* the full width of q, above it, or zero *)
+    let e = G.random_exponent ps (Prng.create ~seed) in
+    return
+      (match zero with
+      | 0 -> B.zero
+      | 1 -> B.add e ps.G.q
+      | _ -> B.add e (B.shift_left B.one (B.numbits ps.G.q - 1)))
+  in
+  qtest ~count:60 "multi_exp mixing tabled and untabled bases = ladder, with its op counts"
+    (pair (list_size (int_range 0 3) (pair gen_elt exponent))
+       (list_size (int_range 0 4) (pair gen_elt exponent)))
+    (fun (tabled, untabled) ->
+      let own = G.unsafe_params ~p:ps.G.p ~q:ps.G.q ~g:ps.G.g in
+      List.iter (fun (b, _) -> G.prepare_base own b) tabled;
+      QCheck2.assume
+        (List.for_all (fun (b, _) -> not (List.mem_assoc b tabled)) untabled);
+      let terms = tabled @ untabled in
+      let reference =
+        List.fold_left
+          (fun acc (b, e) -> G.mul ps acc (ladder b (B.erem e ps.G.q)))
+          B.one terms
+      in
+      Obs_crypto.reset ();
+      Obs_crypto.enable ();
+      let got =
+        Fun.protect ~finally:Obs_crypto.disable (fun () -> G.multi_exp own terms)
+      in
+      let live = List.filter (fun (_, e) -> not (B.is_zero (B.erem e ps.G.q))) untabled in
+      let modexp, multi =
+        match (untabled, live) with
+        | [], _ -> (0, 0)
+        | [ _ ], _ -> (1, 0)
+        | _, [] -> (0, 0)
+        | _, [ _ ] -> (1, 0)
+        | _, _ -> (0, 1)
+      in
+      let window = if List.length untabled = 1 then List.length live else modexp in
+      let count = Obs_crypto.count in
+      G.elt_equal got reference
+      && count Obs_crypto.Fixed_base_exp = List.length tabled
+      && count Obs_crypto.Modexp = modexp
+      && count Obs_crypto.Modexp_window = window
+      && count Obs_crypto.Multi_exp = multi)
+
+let suite = ("group", unit_tests @ prop_tests @ [ multi_exp_test ])

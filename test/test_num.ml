@@ -204,7 +204,7 @@ let prop_tests =
     qtest "shift roundtrip"
       (QCheck2.Gen.pair (gen_bignum ()) (QCheck2.Gen.int_range 0 200))
       (fun (v, k) -> B.equal v (B.shift_right (B.shift_left v k) k));
-    qtest ~count:60 "pow_mod (Barrett) agrees with naive modular squaring"
+    qtest ~count:60 "pow_mod agrees with naive modular squaring (moduli of any parity)"
       (QCheck2.Gen.triple (gen_bignum ~bits:260 ()) (gen_bignum ~bits:200 ())
          (gen_bignum ~bits:260 ()))
       (fun (base, e, m) ->
@@ -236,6 +236,37 @@ let naive_pow_mod ~base ~exp ~modulus =
     if i < nb - 1 then b := B.erem (B.mul !b !b) modulus
   done;
   if B.equal modulus B.one then B.zero else !r
+
+(* An exponent of exactly [n] bits (zero for n = 0): the window widths
+   of the Straus loop change at 24 and 96 bits. *)
+let gen_exponent =
+  QCheck2.Gen.(
+    let* n = oneofl [ 0; 1; 4; 5; 23; 24; 95; 96; 127; 128; 260; 600 ] in
+    let* low = gen_bignum ~bits:(max 0 (n - 1)) () in
+    return (if n = 0 then B.zero else B.add (B.shift_left B.one (n - 1)) (B.abs low)))
+
+(* Terms of a multi-exponentiation: 0 to 3 or 16 of them, signed bases
+   of up to [bits] bits (often above the modulus), and, half the time,
+   one base repeated in every other term. *)
+let gen_terms ~bits () =
+  QCheck2.Gen.(
+    let* count = oneofl [ 0; 1; 2; 3; 16 ] in
+    let* terms = list_repeat count (pair (gen_bignum ~bits ()) gen_exponent) in
+    let* repeat = bool in
+    return
+      (match terms with
+      | (b0, _) :: _ when repeat ->
+        List.mapi (fun i (b, e) -> ((if i land 1 = 1 then b0 else b), e)) terms
+      | _ -> terms))
+
+(* A modulus above 2 of up to 260 bits, odd (the Montgomery path from
+   62 bits) or even (the plain ladder) *)
+let gen_modulus =
+  QCheck2.Gen.(
+    let* m = gen_bignum ~bits:260 () and* odd = bool in
+    let m = B.abs m in
+    let m = if odd && B.is_even m then B.succ m else m in
+    return (if B.compare m B.two > 0 then m else B.of_int 1_000_003))
 
 let fastpath_tests =
   [ Alcotest.test_case "pow_mod edge cases" `Quick (fun () ->
@@ -281,37 +312,14 @@ let fastpath_tests =
         QCheck2.assume (B.compare m B.two > 0);
         B.equal (naive_pow_mod ~base ~exp:e ~modulus:m)
           (B.pow_mod ~base ~exp:e ~modulus:m));
-    qtest ~count:40 "pow2_mod = product of pow_mods"
-      (QCheck2.Gen.triple
-         (QCheck2.Gen.pair (gen_bignum ~bits:300 ()) (gen_bignum ~bits:260 ()))
-         (QCheck2.Gen.pair (gen_bignum ~bits:300 ()) (gen_bignum ~bits:260 ()))
-         (gen_bignum ~bits:260 ()))
-      (fun ((b1, e1), (b2, e2), m) ->
-        let b1 = B.abs b1 and e1 = B.abs e1 in
-        let b2 = B.abs b2 and e2 = B.abs e2 in
-        let m = B.abs m in
-        QCheck2.assume (B.compare m B.two > 0);
-        B.equal
-          (B.pow2_mod ~b1 ~e1 ~b2 ~e2 ~modulus:m)
-          (B.mul_mod
-             (B.pow_mod ~base:b1 ~exp:e1 ~modulus:m)
-             (B.pow_mod ~base:b2 ~exp:e2 ~modulus:m)
-             m));
-    qtest ~count:40 "pow_multi_mod = folded product of pow_mods"
-      (QCheck2.Gen.pair
-         (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 5)
-            (QCheck2.Gen.pair (gen_bignum ~bits:200 ())
-               (gen_bignum ~bits:160 ())))
-         (gen_bignum ~bits:200 ()))
+    qtest ~count:60 "pow_multi_mod = folded product of pow_mods"
+      (QCheck2.Gen.pair (gen_terms ~bits:300 ()) gen_modulus)
       (fun (pairs, m) ->
-        let pairs = List.map (fun (b, e) -> (B.abs b, B.abs e)) pairs in
-        let m = B.abs m in
-        QCheck2.assume (B.compare m B.two > 0);
         B.equal
           (B.pow_multi_mod pairs ~modulus:m)
           (List.fold_left
              (fun acc (b, e) ->
-               B.mul_mod acc (B.pow_mod ~base:b ~exp:e ~modulus:m) m)
+               B.mul_mod acc (naive_pow_mod ~base:b ~exp:e ~modulus:m) m)
              B.one pairs))
   ]
 
@@ -338,8 +346,7 @@ let widest bits = B.pred (B.shift_left B.one bits)
 
 let fixed_base_tests =
   let open QCheck2.Gen in
-  let case =
-    let* mi = int_bound (List.length fixed_base_moduli - 1) in
+  let term =
     let* bits = oneofl fixed_base_widths in
     let* base = gen_bignum ~bits:600 () in
     let* which = int_bound 4 in
@@ -352,25 +359,25 @@ let fixed_base_tests =
       | 3 -> B.abs e
       | _ -> B.add (B.shift_left B.one (bits - 1)) (B.erem e (B.shift_left B.one (bits - 1)))
     in
-    return (snd (List.nth fixed_base_moduli mi), bits, base, e)
+    return (bits, base, e)
+  in
+  (* one to three tables over one modulus, of any widths *)
+  let case =
+    let* mi = int_bound (List.length fixed_base_moduli - 1) in
+    let* terms = list_size (int_range 1 3) term in
+    return (snd (List.nth fixed_base_moduli mi), terms)
   in
   let raises_invalid f =
     match f () with _ -> false | exception Invalid_argument _ -> true
   in
   [ qtest ~count:60 "fixed-base exp = pow_mod (any base, exponents up to the width)"
-      case (fun (m, bits, base, e) ->
-        let tbl = B.Fixed_base.build ~base ~modulus:m ~bits in
-        B.equal (B.Fixed_base.exp tbl e) (B.pow_mod ~base ~exp:e ~modulus:m));
-    qtest ~count:40 "fixed-base exp2 = product of pow_mods"
-      (pair case case) (fun ((m, bits, b1, e1), (_, bits2, b2, e2)) ->
-        let t1 = B.Fixed_base.build ~base:b1 ~modulus:m ~bits in
-        let t2 = B.Fixed_base.build ~base:b2 ~modulus:m ~bits:bits2 in
+      case (fun (m, terms) ->
         B.equal
-          (B.Fixed_base.exp2 t1 e1 t2 e2)
-          (B.mul_mod
-             (B.pow_mod ~base:b1 ~exp:e1 ~modulus:m)
-             (B.pow_mod ~base:b2 ~exp:e2 ~modulus:m)
-             m));
+          (B.Fixed_base.exp
+             (List.map (fun (bits, base, e) -> (B.Fixed_base.build ~base ~modulus:m ~bits, e)) terms))
+          (List.fold_left
+             (fun acc (_, base, e) -> B.mul_mod acc (B.pow_mod ~base ~exp:e ~modulus:m) m)
+             B.one terms));
     Alcotest.test_case "fixed-base edge cases" `Quick (fun () ->
         List.iter
           (fun (name, m) ->
@@ -378,7 +385,7 @@ let fixed_base_tests =
             let check_pow label base e =
               check_b (name ^ ": " ^ label)
                 (B.pow_mod ~base ~exp:e ~modulus:m)
-                (B.Fixed_base.exp (B.Fixed_base.build ~base ~modulus:m ~bits) e)
+                (B.Fixed_base.exp [ (B.Fixed_base.build ~base ~modulus:m ~bits, e) ])
             in
             let x = B.of_string "1234567890123456789" in
             check_pow "e = 0" x B.zero;
@@ -390,12 +397,12 @@ let fixed_base_tests =
             check_pow "negative base" (B.neg x) (B.of_int 3);
             let tbl = B.Fixed_base.build ~base:x ~modulus:m ~bits in
             Alcotest.(check bool) (name ^ ": over-wide exponent") true
-              (raises_invalid (fun () -> B.Fixed_base.exp tbl (B.shift_left B.one bits)));
-            Alcotest.(check bool) (name ^ ": over-wide exp2 exponent") true
+              (raises_invalid (fun () -> B.Fixed_base.exp [ (tbl, B.shift_left B.one bits) ]));
+            Alcotest.(check bool) (name ^ ": over-wide second exponent") true
               (raises_invalid (fun () ->
-                   B.Fixed_base.exp2 tbl B.one tbl (B.shift_left B.one bits)));
+                   B.Fixed_base.exp [ (tbl, B.one); (tbl, B.shift_left B.one bits) ]));
             Alcotest.(check bool) (name ^ ": negative exponent") true
-              (raises_invalid (fun () -> B.Fixed_base.exp tbl (B.neg B.one))))
+              (raises_invalid (fun () -> B.Fixed_base.exp [ (tbl, B.neg B.one) ])))
           fixed_base_moduli;
         let tbl m = B.Fixed_base.build ~base:B.two ~modulus:m ~bits:8 in
         Alcotest.(check bool) "even modulus" true
@@ -404,9 +411,9 @@ let fixed_base_tests =
           (raises_invalid (fun () -> tbl B.zero));
         Alcotest.(check bool) "mixed moduli" true
           (raises_invalid (fun () ->
-               B.Fixed_base.exp2 (tbl (B.of_int 1019)) B.one (tbl (B.of_int 1021))
-                 B.one));
-        check_b "modulus 1" B.zero (B.Fixed_base.exp (tbl B.one) (B.of_int 7)))
+               B.Fixed_base.exp [ (tbl (B.of_int 1019), B.one); (tbl (B.of_int 1021), B.one) ]));
+        check_b "modulus 1" B.zero (B.Fixed_base.exp [ (tbl B.one, B.of_int 7) ]);
+        check_b "empty product" B.one (B.Fixed_base.exp []))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -643,41 +650,29 @@ let kernel_tests =
        let* x = gen_bignum ~bits:1100 () and* e = gen_bignum ~bits:1100 () in
        return (m, x, B.abs e))
       (fun (m, x, e) ->
-        B.equal (pow_ref m x e) (of_mag (Montgomery.pow (ctx_of m) ~base:(mag (B.erem x m)) ~exp:(mag e))));
-    qtest ~count:30 "pow2 = reference ladders"
+        B.equal (pow_ref m x e)
+          (of_mag (Montgomery.pow_multi (ctx_of m) [ (mag (B.erem x m), mag e) ])));
+    qtest ~count:40 "pow_multi = product of reference ladders"
       (let* _, m = modulus in
-       let* b1 = below m and* b2 = below m in
-       let* e1 = gen_bignum ~bits:600 () and* e2 = gen_bignum ~bits:600 () in
-       return (m, b1, B.abs e1, b2, B.abs e2))
-      (fun (m, b1, e1, b2, e2) ->
-        B.equal
-          (B.mul_mod (pow_ref m b1 e1) (pow_ref m b2 e2) m)
-          (of_mag (Montgomery.pow2 (ctx_of m) ~b1:(mag b1) ~e1:(mag e1) ~b2:(mag b2) ~e2:(mag e2))));
-    qtest ~count:30 "pow_multi = product of reference ladders"
-      (let* _, m = modulus in
-       let* pairs =
-         list_size (int_range 1 4)
-           (pair (below m) (map B.abs (gen_bignum ~bits:400 ())))
-       in
+       let* pairs = gen_terms ~bits:1100 () in
        return (m, pairs))
       (fun (m, pairs) ->
+        (* bases as unreduced magnitudes: the kernel reduces them *)
+        let pairs = List.map (fun (b, e) -> (B.abs b, e)) pairs in
         B.equal
           (List.fold_left (fun acc (b, e) -> B.mul_mod acc (pow_ref m b e) m) B.one pairs)
-          (of_mag
-             (Montgomery.pow_multi (ctx_of m) (List.map (fun (b, e) -> (mag b, mag e)) pairs))));
-    qtest ~count:30 "Fixed_base exp and exp2 = reference ladders"
+          (of_mag (Montgomery.pow_multi (ctx_of m) (List.map (fun (b, e) -> (mag b, mag e)) pairs))));
+    qtest ~count:30 "Fixed_base exp of one to three tables = reference ladders"
       (let* _, m = modulus in
-       let* b1 = below m and* b2 = below m in
+       let* bases = list_size (int_range 1 3) (below m) in
        let* bits = int_range 1 300 in
-       let* e1 = gen_bignum ~bits () and* e2 = gen_bignum ~bits () in
-       return (m, bits, b1, B.abs e1, b2, B.abs e2))
-      (fun (m, bits, b1, e1, b2, e2) ->
-        let t1 = B.Fixed_base.build ~base:b1 ~modulus:m ~bits in
-        let t2 = B.Fixed_base.build ~base:b2 ~modulus:m ~bits in
-        B.equal (pow_ref m b1 e1) (B.Fixed_base.exp t1 e1)
-        && B.equal
-             (B.mul_mod (pow_ref m b1 e1) (pow_ref m b2 e2) m)
-             (B.Fixed_base.exp2 t1 e1 t2 e2))
+       let* exps = list_repeat (List.length bases) (gen_bignum ~bits ()) in
+       return (m, bits, List.combine bases (List.map B.abs exps)))
+      (fun (m, bits, pairs) ->
+        B.equal
+          (List.fold_left (fun acc (b, e) -> B.mul_mod acc (pow_ref m b e) m) B.one pairs)
+          (B.Fixed_base.exp
+             (List.map (fun (b, e) -> (B.Fixed_base.build ~base:b ~modulus:m ~bits, e)) pairs)))
   ]
 
 (* gcd, egcd and inv_mod against Euclid, result for result. *)
