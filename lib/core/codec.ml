@@ -219,23 +219,6 @@ let read_subshares g r =
       let party = Wire.u64 r in
       { Lsss.leaf; party; value = read_exp g r })
 
-(* SEP1: u64 dealer + counted subshares + counted per-leaf keys. *)
-
-let refresh_magic = "SEP1"
-
-let encode_refresh_pkg g (pkg : Proactive.refresh_package) : string =
-  if pkg.Proactive.dealer < 0 then invalid_arg "Codec.encode_refresh_pkg";
-  frame refresh_magic (fun buf ->
-      Wire.add_u64 buf pkg.Proactive.dealer;
-      Wire.add_list buf (add_subshare g) pkg.Proactive.deltas;
-      add_keys g buf pkg.Proactive.delta_keys)
-
-let decode_refresh_pkg g : string -> Proactive.refresh_package option =
-  unframe refresh_magic (fun r ->
-      let dealer = Wire.u64 r in
-      let deltas = read_subshares g r in
-      { Proactive.dealer; deltas; delta_keys = read_keys g r })
-
 (* SER1: u64 dealer + counted deals, each u64 old leaf + counted
    subshares + counted keys. *)
 
@@ -294,8 +277,8 @@ let rec read_formula ~depth r : Monotone_formula.t =
     Monotone_formula.Threshold (k, children)
   | _ -> Wire.fail ()
 
-(* SEA1: u64 epoch + target (tag 0, or tag 1 + u64 n >= 1 + formula) +
-   counted package frames. *)
+(* SEA1: u64 epoch + target (tag 0 = the current structure, or tag 1 +
+   u64 n >= 1 + formula) + counted package frames. *)
 
 let adv_magic = "SEA1"
 

@@ -103,28 +103,18 @@ val decode_link_frame : string -> string Link.frame option
     below 1 or a non-canonical ACK selective set (entries must be
     strictly ascending and above the cumulative watermark). *)
 
-val encode_refresh_pkg :
-  Schnorr_group.params -> Proactive.refresh_package -> string
-(** Epoch refresh-package frame (magic ["SEP1"]): the dealer, its
-    zero-sharing subshares and the per-leaf commitment keys.  Exponents
+val encode_reshare_pkg :
+  Schnorr_group.params -> Proactive.reshare_package -> string
+(** Epoch reshare-package frame (magic ["SER1"]): the dealer, then per
+    owned old leaf a fresh target-scheme sharing (u64 leaf + u64 party +
+    exponent per subshare) with its per-leaf commitment keys.  Exponents
     are fixed-width canonical big-endian; elements are fixed-width group
     members.  Raises [Invalid_argument] on negative indices. *)
 
-val decode_refresh_pkg :
-  Schnorr_group.params -> string -> Proactive.refresh_package option
-(** Inverse of {!encode_refresh_pkg}; [None] on an exponent at or above
-    the group order or a key outside the subgroup. *)
-
-val encode_reshare_pkg :
-  Schnorr_group.params -> Proactive.reshare_package -> string
-(** Membership-change reshare-package frame (magic ["SER1"]): the
-    dealer, then per owned old leaf a fresh target-scheme sharing with
-    its per-leaf keys, under the same field discipline as ["SEP1"]. *)
-
 val decode_reshare_pkg :
   Schnorr_group.params -> string -> Proactive.reshare_package option
-(** Inverse of {!encode_reshare_pkg}, with the checks of
-    {!decode_refresh_pkg}. *)
+(** Inverse of {!encode_reshare_pkg}; [None] on an exponent at or above
+    the group order or a key outside the subgroup. *)
 
 val encode_epoch_adv :
   epoch:int ->
@@ -132,8 +122,9 @@ val encode_epoch_adv :
   pkgs:string list ->
   string
 (** Epoch-advance statement body (magic ["SEA1"]): the epoch being
-    opened, an optional target access structure ([n] and its monotone
-    formula) for membership changes, and the agreed package frames as
+    opened, the target access structure ([n] and its monotone formula;
+    absent when the reshare targets the current structure, i.e. a
+    proactive refresh), and the agreed package frames as
     opaque length-prefixed blobs.  Its hash is what the advance
     certificate signs, so the frame is canonical byte for byte.  Raises
     [Invalid_argument] on a negative epoch, [n < 1], a malformed

@@ -1,25 +1,27 @@
 (* Online epoch reconfiguration: proactive refresh and replica
    replacement over the live atomic-broadcast stack.
 
-   {!Proactive} supplies the cryptographic primitive (zero-resharing,
-   cross-structure resharing); what was left open is the coordination
-   problem the paper flags in Section 6 — agreeing on the epoch boundary
-   in an asynchronous network so that every honest replica swaps shares
-   at the same point.  This module closes it by running the boundary
-   *through the total order the service already maintains*:
+   {!Proactive} supplies the cryptographic primitive, one resharing
+   toward a target structure: a proactive refresh is a reshare onto the
+   current structure, a membership change one onto another.  What was
+   left open is the coordination problem the paper flags in Section 6 —
+   agreeing on the epoch boundary in an asynchronous network so that
+   every honest replica swaps shares at the same point.  This module
+   closes it by running the boundary *through the total order the
+   service already maintains*:
 
    1. Every participating replica deals one package over the wire as a
-      strict {!Codec} frame (["SEP1"] refresh / ["SER1"] reshare) and
-      broadcasts it.  A receiver accepts the first frame per dealer that
-      passes [verify_refresh] / [verify_reshare] *and* whose claimed
-      dealer is the authenticated sender; a dealer caught with two
-      different valid frames (equivocation) or an invalid one is
-      excluded.
+      strict ["SER1"] {!Codec} frame and broadcasts it.  A receiver
+      accepts the first frame per dealer that passes [verify_reshare]
+      *and* whose claimed dealer is the authenticated sender; a dealer
+      caught with two different valid frames (equivocation) or an
+      invalid one is excluded.
 
    2. A replica holding verified packages from a dealer set that surely
-      contains an honest party proposes the next epoch: the ["SEA1"]
-      body fixing the epoch number, the optional target structure, and
-      the exact package frames (sorted by dealer).  An endorser signs a
+      contains an honest party and can recombine proposes the next
+      epoch: the ["SEA1"] body fixing the epoch number, the target
+      structure (none for the current one: a refresh), and the exact
+      package frames (sorted by dealer).  An endorser signs a
       threshold-signature share over the body's hash ONLY if every
       included frame is byte-identical to the one it received directly
       from that dealer — this is the safety hinge: a Byzantine proposer
@@ -36,26 +38,25 @@
       everything signed before the boundary stays valid.
 
    Equivocation is contained rather than fatal: both frames of an
-   equivocating dealer are valid zero-sharings, and only the one pinned
-   by the certified body is ever applied, so exclusion is hygiene (and
-   observable via the [refresh_excluded] counter), not a safety
-   requirement.
+   equivocating dealer are valid resharings of its leaves, and only the
+   one pinned by the certified body is ever applied, so exclusion is
+   hygiene (and observable via the [refresh_excluded] counter), not a
+   safety requirement.
 
-   Membership changes ride the same path with a reshare target: the
-   next sharing lives on a different access structure (a replica added
-   by inclusion, removed by omission).  A replica that was down across
-   boundaries catches up from the *advance chain*: each certified
-   advance is self-certifying under the never-changing service key, so
-   [Epoch_pull] / [Epoch_push] on the unsequenced send replay it safely
-   and deterministically — the rejoiner recomputes the current sharing
-   from epoch zero without trusting the pusher. *)
+   A membership change lives on a different access structure (a
+   replica added by inclusion, removed by omission).  A replica that
+   was down across boundaries catches up from the *advance chain*: each
+   certified advance is self-certifying under the never-changing
+   service key, so [Epoch_pull] / [Epoch_push] on the unsequenced send
+   replay it safely and deterministically — the rejoiner recomputes the
+   current sharing from epoch zero without trusting the pusher. *)
 
 module AS = Adversary_structure
 
 type msg =
   | Rec of Recovery.msg  (** the wrapped recovery + atomic broadcast *)
   | Refresh of { epoch : int; frame : string }
-      (** one dealer's ["SEP1"] / ["SER1"] package for [epoch] *)
+      (** one dealer's ["SER1"] package for [epoch] *)
   | Adv_prop of { body : string }  (** an ["SEA1"] advance proposal *)
   | Adv_share of { epoch : int; hash : string; share : Keyring.sig_share }
       (** endorsement share over an advance body's hash *)
@@ -63,8 +64,6 @@ type msg =
       (** chain catch-up request (unsequenced send) *)
   | Epoch_push of { certs : string list }
       (** chain suffix (unsequenced send) *)
-
-type intent = I_refresh | I_reshare of AS.t * Proactive.target
 
 type t = {
   io : msg Proto_io.t;
@@ -74,7 +73,7 @@ type t = {
   mutable sharing : Dl_sharing.t;
   mutable epoch : int;
   mutable chain : string list;  (* certified advances, oldest first *)
-  mutable intent : intent option;
+  mutable target : Proactive.target option;  (* the open epoch's reshare *)
   mutable own_frame : string;  (* our package for the open epoch *)
   received : (int, string) Hashtbl.t;  (* dealer -> first valid frame *)
   mutable excluded : Pset.t;  (* per-epoch exclusions *)
@@ -110,22 +109,15 @@ let set_on_advance t f = t.on_advance <- Some f
 
 (* ---------- package collection --------------------------------------- *)
 
-(* Decode a package frame under the open epoch's intent and verify it
+(* Decode a package frame toward the open epoch's target and verify it
    as coming from [dealer]; the channel binding (claimed dealer =
    authenticated sender) is the caller's. *)
-let valid_frame t it ~dealer frame =
-  match it with
-  | I_refresh -> (
-    match Codec.decode_refresh_pkg (group t) frame with
-    | Some pkg ->
-      pkg.Proactive.dealer = dealer && Proactive.verify_refresh t.sharing pkg
-    | None -> false)
-  | I_reshare (_, tgt) -> (
-    match Codec.decode_reshare_pkg (group t) frame with
-    | Some pkg ->
-      pkg.Proactive.r_dealer = dealer
-      && Proactive.verify_reshare t.sharing tgt pkg
-    | None -> false)
+let valid_frame t tgt ~dealer frame =
+  match Codec.decode_reshare_pkg (group t) frame with
+  | Some pkg ->
+    pkg.Proactive.r_dealer = dealer
+    && Proactive.verify_reshare t.sharing tgt pkg
+  | None -> false
 
 let exclude t dealer =
   if not (Pset.mem dealer t.excluded) then begin
@@ -143,15 +135,20 @@ let dealer_set t =
 
 (* A dealer set is proposable when it surely contains an honest party
    under the *current* sharing's structure (which after membership
-   changes may differ from the keyring's), and — for a reshare — can
-   actually recombine in the old scheme. *)
-let proposable t it dealers =
+   changes may differ from the keyring's) and can actually recombine in
+   the old scheme. *)
+let proposable t dealers =
   AS.contains_honest t.sharing.Dl_sharing.structure dealers
-  &&
-  match it with
-  | I_refresh -> true
-  | I_reshare _ ->
-    Lsss.recombination t.sharing.Dl_sharing.scheme dealers <> None
+  && Lsss.recombination t.sharing.Dl_sharing.scheme dealers <> None
+
+(* A target as an advance body carries it: none for the current
+   structure (a proactive refresh), else [n] and the access formula. *)
+let body_target t (tgt : Proactive.target) =
+  let s = tgt.Proactive.t_structure in
+  let cur = t.sharing.Dl_sharing.structure in
+  if AS.n s = AS.n cur && AS.access_formula s = AS.access_formula cur then
+    None
+  else Some (AS.n s, AS.access_formula s)
 
 let endorse t epoch body =
   let h = Sha256.digest body in
@@ -165,18 +162,14 @@ let endorse t epoch body =
   end
 
 let maybe_propose t =
-  match t.intent with
+  match t.target with
   | None -> ()
-  | Some it ->
+  | Some tgt ->
     if t.proposed = "" then begin
       let dealers = dealer_set t in
-      if proposable t it dealers then begin
+      if proposable t dealers then begin
         let epoch = t.epoch + 1 in
-        let target =
-          match it with
-          | I_refresh -> None
-          | I_reshare (s, _) -> Some (AS.n s, AS.access_formula s)
-        in
+        let target = body_target t tgt in
         let pkgs =
           List.map
             (fun d -> Hashtbl.find t.received d)
@@ -192,8 +185,8 @@ let maybe_propose t =
     end
 
 let on_refresh t ~src epoch frame =
-  match t.intent with
-  | Some it when epoch = t.epoch + 1 && not (Pset.mem src t.excluded) -> (
+  match t.target with
+  | Some tgt when epoch = t.epoch + 1 && not (Pset.mem src t.excluded) -> (
     match Hashtbl.find_opt t.received src with
     | Some f0 when f0 = frame -> ()  (* retry duplicate *)
     | Some _ ->
@@ -202,7 +195,7 @@ let on_refresh t ~src epoch frame =
       exclude t src;
       maybe_propose t
     | None ->
-      if valid_frame t it ~dealer:src frame then begin
+      if valid_frame t tgt ~dealer:src frame then begin
         Hashtbl.replace t.received src frame;
         bump t "refresh_pkgs_verified";
         maybe_propose t
@@ -212,13 +205,6 @@ let on_refresh t ~src epoch frame =
 
 (* ---------- proposals and endorsement -------------------------------- *)
 
-let target_matches it target =
-  match (it, target) with
-  | I_refresh, None -> true
-  | I_reshare (s, _), Some (n, f) ->
-    n = AS.n s && f = AS.access_formula s
-  | _ -> false
-
 (* Endorsement check of a proposal's package list: dealers strictly
    ascending (canonical, duplicate-free), none excluded, and every
    frame byte-identical to the one received *directly* from its dealer.
@@ -227,17 +213,11 @@ let target_matches it target =
    proposal without it converges.  A frame for a dealer we never heard
    from directly is refused too — countersigning it would launder the
    channel binding. *)
-let check_frames t it frames =
+let check_frames t tgt frames =
   let dealer_of frame =
-    match it with
-    | I_refresh -> (
-      match Codec.decode_refresh_pkg (group t) frame with
-      | Some pkg -> Some pkg.Proactive.dealer
-      | None -> None)
-    | I_reshare _ -> (
-      match Codec.decode_reshare_pkg (group t) frame with
-      | Some pkg -> Some pkg.Proactive.r_dealer
-      | None -> None)
+    Option.map
+      (fun pkg -> pkg.Proactive.r_dealer)
+      (Codec.decode_reshare_pkg (group t) frame)
   in
   let rec go prev acc = function
     | [] -> if Pset.card acc = 0 then `Refuse else `Endorse acc
@@ -250,7 +230,7 @@ let check_frames t it frames =
           match Hashtbl.find_opt t.received d with
           | Some f0 when f0 = frame -> go d (Pset.add d acc) rest
           | Some _ ->
-            if valid_frame t it ~dealer:d frame then exclude t d;
+            if valid_frame t tgt ~dealer:d frame then exclude t d;
             `Refuse
           | None -> `Refuse
         end)
@@ -258,17 +238,17 @@ let check_frames t it frames =
   go (-1) Pset.empty frames
 
 let on_prop t ~src:_ body =
-  match t.intent with
+  match t.target with
   | None -> ()
-  | Some it -> (
+  | Some tgt -> (
     match Codec.decode_epoch_adv body with
     | None -> ()
     | Some (epoch, target, frames) ->
-      if epoch = t.epoch + 1 && target_matches it target then begin
-        match check_frames t it frames with
+      if epoch = t.epoch + 1 && target = body_target t tgt then begin
+        match check_frames t tgt frames with
         | `Refuse -> maybe_propose t
         | `Endorse dealers ->
-          if proposable t it dealers then endorse t epoch body
+          if proposable t dealers then endorse t epoch body
       end)
 
 let try_combine t epoch hash =
@@ -311,67 +291,39 @@ let on_share t ~src epoch hash share =
 (* Re-verify and apply an advance body against the current sharing.
    [None] when malformed or not certifiably honest content. *)
 let apply_body t target frames =
-  match target with
-  | None -> (
-    let pkgs =
-      List.map (Codec.decode_refresh_pkg (group t)) frames
+  let structure =
+    match target with
+    | None -> Some t.sharing.Dl_sharing.structure
+    | Some (n, formula) -> (
+      try Some (AS.of_access_formula ~n formula) with _ -> None)
+  in
+  let pkgs = List.map (Codec.decode_reshare_pkg (group t)) frames in
+  match structure with
+  | Some structure when not (List.exists Option.is_none pkgs) -> (
+    let tgt = Proactive.target_of t.sharing structure in
+    let pkgs = List.filter_map Fun.id pkgs in
+    let rec ascending prev = function
+      | [] -> true
+      | (p : Proactive.reshare_package) :: rest ->
+        p.Proactive.r_dealer > prev && ascending p.Proactive.r_dealer rest
     in
-    if List.exists (fun p -> p = None) pkgs then None
-    else
-      let pkgs = List.filter_map Fun.id pkgs in
-      let rec ascending prev = function
-        | [] -> true
-        | (p : Proactive.refresh_package) :: rest ->
-          p.Proactive.dealer > prev && ascending p.Proactive.dealer rest
-      in
-      if
-        ascending (-1) pkgs
-        && List.for_all (Proactive.verify_refresh t.sharing) pkgs
-        && AS.contains_honest t.sharing.Dl_sharing.structure
-             (List.fold_left
-                (fun acc (p : Proactive.refresh_package) ->
-                  Pset.add p.Proactive.dealer acc)
-                Pset.empty pkgs)
-      then Some (Proactive.apply_refreshes t.sharing pkgs)
-      else None)
-  | Some (n, formula) -> (
-    match
-      (try Some (AS.of_access_formula ~n formula) with _ -> None)
-    with
-    | None -> None
-    | Some structure -> (
-      let tgt = Proactive.target_of t.sharing structure in
-      let pkgs =
-        List.map (Codec.decode_reshare_pkg (group t)) frames
-      in
-      if List.exists (fun p -> p = None) pkgs then None
-      else
-        let pkgs = List.filter_map Fun.id pkgs in
-        let rec ascending prev = function
-          | [] -> true
-          | (p : Proactive.reshare_package) :: rest ->
-            p.Proactive.r_dealer > prev
-            && ascending p.Proactive.r_dealer rest
-        in
-        if
-          ascending (-1) pkgs
-          && List.for_all (Proactive.verify_reshare t.sharing tgt) pkgs
-          && AS.contains_honest t.sharing.Dl_sharing.structure
-               (List.fold_left
-                  (fun acc (p : Proactive.reshare_package) ->
-                    Pset.add p.Proactive.r_dealer acc)
-                  Pset.empty pkgs)
-        then
-          match Proactive.apply_reshares t.sharing tgt pkgs with
-          | Ok sharing' -> Some sharing'
-          | Error _ -> None
-        else None))
+    if
+      ascending (-1) pkgs
+      && List.for_all (Proactive.verify_reshare t.sharing tgt) pkgs
+      && AS.contains_honest t.sharing.Dl_sharing.structure
+           (List.fold_left
+              (fun acc (p : Proactive.reshare_package) ->
+                Pset.add p.Proactive.r_dealer acc)
+              Pset.empty pkgs)
+    then Result.to_option (Proactive.apply_reshares t.sharing tgt pkgs)
+    else None)
+  | _ -> None
 
 let install t frame epoch sharing' =
   t.sharing <- sharing';
   t.epoch <- epoch;
   t.chain <- t.chain @ [ frame ];
-  t.intent <- None;
+  t.target <- None;
   (* Any in-flight pull chain is now stale (its [have] no longer
      matches) and dies at its next firing; without this reset a pull
      satisfied by the total-order or replay path instead of a push
@@ -450,7 +402,7 @@ let on_push t ~src:_ certs =
 (* ---------- opening an epoch ----------------------------------------- *)
 
 let rec retry_round t epoch =
-  if t.epoch < epoch && t.intent <> None then begin
+  if t.epoch < epoch && t.target <> None then begin
     if t.own_frame <> "" then
       t.io.Proto_io.broadcast (Refresh { epoch; frame = t.own_frame });
     if t.proposed <> "" then
@@ -458,31 +410,22 @@ let rec retry_round t epoch =
     t.io.Proto_io.timer ~delay:epoch_retry (fun () -> retry_round t epoch)
   end
 
-let begin_epoch t it =
-  t.intent <- Some it;
+let begin_reshare t structure =
+  let tgt = Proactive.target_of t.sharing structure in
+  t.target <- Some tgt;
   let epoch = t.epoch + 1 in
   let me = t.io.Proto_io.me in
   (* A replica holding no shares (it is being added) contributes no
      package; it still collects, endorses and installs. *)
   if Dl_sharing.shares_of t.sharing me <> [] then begin
     let frame =
-      match it with
-      | I_refresh ->
-        Codec.encode_refresh_pkg (group t)
-          (Proactive.make_refresh t.sharing ~dealer:me t.rng)
-      | I_reshare (_, tgt) ->
-        Codec.encode_reshare_pkg (group t)
-          (Proactive.make_reshare t.sharing tgt ~dealer:me t.rng)
+      Codec.encode_reshare_pkg (group t)
+        (Proactive.make_reshare t.sharing tgt ~dealer:me t.rng)
     in
     t.own_frame <- frame;
     t.io.Proto_io.broadcast (Refresh { epoch; frame })
   end;
   t.io.Proto_io.timer ~delay:epoch_retry (fun () -> retry_round t epoch)
-
-let begin_refresh t = begin_epoch t I_refresh
-
-let begin_reshare t structure =
-  begin_epoch t (I_reshare (structure, Proactive.target_of t.sharing structure))
 
 (* ---------- dispatch -------------------------------------------------- *)
 
@@ -539,7 +482,7 @@ let deploy ?wrap ?policy ?link ?(interval = 8) ?(seed = 0) ~sim ~keyring
         sharing;
         epoch = 0;
         chain = [];
-        intent = None;
+        target = None;
         own_frame = "";
         received = Hashtbl.create 7;
         excluded = Pset.empty;

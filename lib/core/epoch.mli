@@ -2,8 +2,8 @@
     refresh and membership change (replica add/remove) agreed through
     the service's own total order.
 
-    Replicas broadcast verifiable {!Proactive} packages as strict codec
-    frames, countersign an advance body listing the exact frames they
+    Replicas broadcast verifiable {!Proactive} reshare packages (onto
+    the current structure for a refresh) as strict codec frames, countersign an advance body listing the exact frames they
     received first-hand (a Byzantine proposer cannot attribute
     fabricated packages to honest dealers), and carry the certified
     advance through the atomic broadcast.  Every replica installs the
@@ -19,7 +19,7 @@
 type msg =
   | Rec of Recovery.msg  (** the wrapped recovery + atomic broadcast *)
   | Refresh of { epoch : int; frame : string }
-      (** one dealer's ["SEP1"] / ["SER1"] package for [epoch] *)
+      (** one dealer's ["SER1"] package for [epoch] *)
   | Adv_prop of { body : string }  (** an ["SEA1"] advance proposal *)
   | Adv_share of { epoch : int; hash : string; share : Keyring.sig_share }
       (** endorsement share over an advance body's hash *)
@@ -47,14 +47,13 @@ val excluded_total : t -> int
 
 val set_on_advance : t -> (epoch:int -> sharing:Dl_sharing.t -> unit) -> unit
 
-val begin_refresh : t -> unit
-(** Open the next epoch as a proactive refresh: deal and broadcast this
-    replica's zero-sharing and start collecting/endorsing. *)
-
 val begin_reshare : t -> Adversary_structure.t -> unit
-(** Open the next epoch as a membership change toward [structure]; a
-    replica holding no current shares (it is being added) contributes
-    no package but still endorses and installs. *)
+(** Open the next epoch as a reshare onto [structure]: deal and
+    broadcast this replica's package and start collecting/endorsing.
+    Onto the current structure ([(sharing t).structure]) it is a
+    proactive refresh, onto another a membership change; a replica
+    holding no current shares (it is being added) contributes no
+    package but still endorses and installs. *)
 
 val start_pull : t -> unit
 (** Ask peers for the advance-chain suffix (unsequenced send, retried). *)

@@ -1,138 +1,13 @@
-(* Proactive share refresh (paper, Section 6, "Proactive Protocols").
+(* Proactive share refresh and membership change (paper, Section 6,
+   "Proactive Protocols"): one resharing primitive.
 
    Proactive security divides time into epochs; between epochs the
    parties re-randomize their key shares so that everything a mobile
    adversary learned in past epochs becomes useless — it must corrupt a
-   qualified set *within one epoch* to win.
-
-   The refresh is the classic zero-resharing: every participating party
-   deals a fresh LSSS sharing of 0 over the same scheme and sends each
-   leaf owner its delta; leaf l's new share is x_l + sum_i delta_{i,l},
-   and the published leaf keys update to vk_l * g^{sum delta}.  The
-   shared secret x, the public key g^x, and all derived objects
-   (ciphertexts under the old public key, issued signatures) stay valid,
-   while any unqualified mix of old-epoch and new-epoch shares is useless
-   because the two epochs are independent sharings of x.
-
-   The paper notes that *asynchronous* proactive protocols were an open
-   problem (agreeing on epoch boundaries without timing assumptions);
-   this module provides the cryptographic epoch-refresh primitive and a
-   synchronous-epoch driver, which is exactly the part Section 6 sketches
-   — the open coordination question is out of scope and documented in
-   DESIGN.md. *)
-
-module B = Bignum
-module G = Schnorr_group
-
-type refresh_package = {
-  dealer : int;  (* the refreshing party *)
-  deltas : Lsss.subshare list;  (* a sharing of zero *)
-  delta_keys : G.elt array;  (* leaf id -> g^{delta_leaf}, for checking *)
-}
-
-(* One party's contribution to the epoch refresh: a verifiable sharing
-   of zero. *)
-let make_refresh (t : Dl_sharing.t) ~(dealer : int) (rng : Prng.t) :
-    refresh_package =
-  let deltas = Lsss.share t.Dl_sharing.scheme rng ~secret:B.zero in
-  (* A refresh exponentiates g once per leaf here and once per leaf at
-     every verifier; build the generator's fixed-base table up front so
-     the whole epoch refresh runs off it (the cache is shared). *)
-  G.prepare_base t.Dl_sharing.group t.Dl_sharing.group.G.g;
-  let delta_keys = Array.make (Lsss.num_leaves t.Dl_sharing.scheme) (G.one t.Dl_sharing.group) in
-  List.iter
-    (fun (s : Lsss.subshare) ->
-      delta_keys.(s.leaf) <- G.exp_g t.Dl_sharing.group s.value)
-    deltas;
-  { dealer; deltas; delta_keys }
-
-(* Verify that a refresh package is a sharing of zero consistent with its
-   published delta keys: every qualified recombination of the delta keys
-   must land on the identity (checked on one canonical qualified set —
-   linearity extends it to all), and each delta must match its key. *)
-let verify_refresh (t : Dl_sharing.t) (pkg : refresh_package) : bool =
-  let ps = t.Dl_sharing.group in
-  let scheme = t.Dl_sharing.scheme in
-  let nl = Lsss.num_leaves scheme in
-  (* Every leaf exactly once: a duplicated leaf (hiding a missing one)
-     would pass the per-delta checks yet desynchronize shares from keys
-     when applied. *)
-  let seen = Array.make nl false in
-  pkg.dealer >= 0
-  && pkg.dealer < Adversary_structure.n t.Dl_sharing.structure
-  && Array.length pkg.delta_keys = nl
-  && List.length pkg.deltas = nl
-  && List.for_all
-       (fun (s : Lsss.subshare) ->
-         s.leaf >= 0
-         && s.leaf < nl
-         && (not seen.(s.leaf))
-         && (seen.(s.leaf) <- true;
-             Lsss.leaf_owner scheme s.leaf = s.party
-             && G.elt_equal pkg.delta_keys.(s.leaf) (G.exp_g ps s.value)))
-       pkg.deltas
-  &&
-  let full = Pset.full (Adversary_structure.n t.Dl_sharing.structure) in
-  match Dl_sharing.combine_in_exponent t ~avail:full
-          ~leaf_values:
-            (List.mapi (fun leaf k -> (leaf, k)) (Array.to_list pkg.delta_keys))
-  with
-  | Some combined -> G.elt_equal combined (G.one ps)
-  | None -> false
-
-(* Apply a set of verified refresh packages: returns the next epoch's
-   sharing.  The contributing dealers must contain at least one honest
-   party (contains_honest) for the refresh to actually re-randomize. *)
-let apply_refreshes (t : Dl_sharing.t) (pkgs : refresh_package list) :
-    Dl_sharing.t =
-  let ps = t.Dl_sharing.group in
-  let add_leaf acc (s : Lsss.subshare) =
-    List.map
-      (fun (old : Lsss.subshare) ->
-        if old.Lsss.leaf = s.Lsss.leaf then
-          { old with Lsss.value = B.add_mod old.Lsss.value s.Lsss.value ps.G.q }
-        else old)
-      acc
-  in
-  let subshares =
-    List.fold_left
-      (fun acc pkg -> List.fold_left add_leaf acc pkg.deltas)
-      t.Dl_sharing.subshares pkgs
-  in
-  let leaf_keys =
-    Array.mapi
-      (fun leaf vk ->
-        List.fold_left
-          (fun acc pkg -> G.mul ps acc pkg.delta_keys.(leaf))
-          vk pkgs)
-      t.Dl_sharing.leaf_keys
-  in
-  { t with Dl_sharing.subshares; leaf_keys }
-
-(* Synchronous-epoch driver: every party in [refreshers] contributes one
-   zero-sharing; invalid packages are dropped; the epoch advances only if
-   the honest-containment predicate holds on the accepted dealers. *)
-let run_epoch (t : Dl_sharing.t) ~(refreshers : Pset.t) (rng : Prng.t) :
-    (Dl_sharing.t, string) result =
-  let pkgs =
-    Pset.fold
-      (fun dealer acc -> make_refresh t ~dealer (Prng.split rng) :: acc)
-      refreshers []
-  in
-  let accepted = List.filter (verify_refresh t) pkgs in
-  let dealers =
-    List.fold_left (fun acc p -> Pset.add p.dealer acc) Pset.empty accepted
-  in
-  if not (Adversary_structure.contains_honest t.Dl_sharing.structure dealers)
-  then Error "refresh set may be fully corrupted; epoch not advanced"
-  else Ok (apply_refreshes t accepted)
-
-(* ---- resharing toward a new access structure (membership change) ----
-
-   The refresh above re-randomizes shares of a frozen structure; a
-   membership change moves the same secret x from one access structure
-   to another (add a replica by including it in the target, remove one
-   by leaving it out).  Classic LSSS-to-LSSS resharing: every dealer
+   qualified set *within one epoch* to win.  A membership change moves
+   the same secret x from one access structure to another (add a
+   replica by including it in the target, remove one by leaving it
+   out).  Both are the classic LSSS-to-LSSS resharing: every dealer
    B-shares each old leaf value it owns over the *target* scheme and
    publishes per-target-leaf exponent keys; a verifier checks each
    sub-dealing against the old leaf's public key in the exponent.  Any
@@ -142,10 +17,22 @@ let run_epoch (t : Dl_sharing.t) ~(refreshers : Pset.t) (rng : Prng.t) :
      new share of target leaf m  =  sum_l c_l * w_{l,m}
      new key of target leaf m    =  prod_l (K_{l,m})^{c_l}
 
-   so the secret (sum_l c_l * v_l = x) and the public key g^x are
-   untouched while every share lives in the new scheme.  Old-epoch
-   shares are useless afterwards for the same reason refresh kills
-   them: the two epochs are independent sharings of x. *)
+   so the secret (sum_l c_l * v_l = x), the public key g^x and every
+   derived object (ciphertexts under the old public key, issued
+   signatures) are untouched while every share lives in the new scheme.
+   A refresh is a reshare onto the current structure.  Old-epoch shares
+   are useless afterwards even then: the new sharing is a combination of
+   fresh random sharings, one of them dealt by an honest dealer, so it
+   is independent of the old one given x, and a qualified-size mix of
+   old and new shares recombines to garbage.
+
+   Agreeing on the epoch boundary in an asynchronous network is
+   {!Epoch}'s part: the boundary is a certified advance ordered by the
+   atomic broadcast (Cachin-Kursawe-Lysyanskaya-Strobl, CCS 2002, do
+   asynchronous proactive refresh the same way). *)
+
+module B = Bignum
+module G = Schnorr_group
 
 type target = {
   t_structure : Adversary_structure.t;
@@ -210,9 +97,9 @@ let verify_reshare (t : Dl_sharing.t) (target : target)
          && Array.length keys = nl'
          && List.length shares = nl'
          &&
-         (* Every target leaf exactly once, as in {!verify_refresh}: a
-            duplicate hiding a missing leaf would leave one key
-            unchecked against any share. *)
+         (* Every target leaf exactly once: a duplicate hiding a
+            missing leaf would leave one key unchecked against any
+            share. *)
          let seen = Array.make nl' false in
          List.for_all
            (fun (w : Lsss.subshare) ->
@@ -312,11 +199,10 @@ let apply_reshares (t : Dl_sharing.t) (target : target)
          | _ -> Error "resharing does not open to the public key"
        with Exit -> Error "reshare packages do not cover the dealer leaves")
 
-(* Synchronous membership-change driver, the reshare analogue of
-   [run_epoch]: every dealer holding old shares contributes, invalid
-   packages are dropped, and the move happens only when the accepted
-   dealers surely contain an honest party (secrecy of the
-   re-randomization) and are old-structure sharing-qualified
+(* One synchronous resharing round: every dealer holding old shares
+   contributes, invalid packages are dropped, and the move happens only
+   when the accepted dealers surely contain an honest party (secrecy of
+   the re-randomization) and are old-structure sharing-qualified
    (availability of the recombination). *)
 let run_reshare (t : Dl_sharing.t) ~(structure : Adversary_structure.t)
     ~(dealers : Pset.t) (rng : Prng.t) : (Dl_sharing.t, string) result =

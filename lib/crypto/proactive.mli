@@ -1,41 +1,16 @@
-(** Proactive share refresh (paper, Section 6): between epochs the
-    parties re-randomize all key shares by adding verifiable sharings of
-    zero, so a mobile adversary's knowledge from past epochs becomes
-    useless while the public key and every derived object stay valid.
-
-    This is the cryptographic epoch-refresh primitive; agreeing on epoch
-    boundaries in a fully asynchronous network was an open problem at the
-    time of the paper and remains out of scope (see DESIGN.md). *)
-
-type refresh_package = {
-  dealer : int;
-  deltas : Lsss.subshare list;  (** a sharing of zero *)
-  delta_keys : Schnorr_group.elt array;  (** leaf id → g{^δ} *)
-}
-
-val make_refresh : Dl_sharing.t -> dealer:int -> Prng.t -> refresh_package
-
-val verify_refresh : Dl_sharing.t -> refresh_package -> bool
-(** Deltas consistent with the published keys and recombining to zero. *)
-
-val apply_refreshes : Dl_sharing.t -> refresh_package list -> Dl_sharing.t
-(** Next epoch's sharing: same secret and public key, fresh shares and
-    leaf keys. *)
-
-val run_epoch :
-  Dl_sharing.t -> refreshers:Pset.t -> Prng.t -> (Dl_sharing.t, string) result
-(** One synchronous epoch: contributions from [refreshers], dropped when
-    invalid; fails unless the accepted dealers surely contain an honest
-    party. *)
-
-(** {2 Resharing toward a new access structure (membership change)}
-
-    Moves the same secret (and public key) from the current access
-    structure to a target one — adding a replica by including it in the
-    target, removing one by leaving it out.  Every dealer re-shares each
-    old leaf value it owns over the target scheme; any old-structure
+(** Proactive share refresh and membership change (paper, Section 6):
+    one resharing primitive.  Every dealer re-shares each old leaf value
+    it owns over a target access structure; any old-structure
     sharing-qualified dealer set recombines into the next epoch's
-    sharing. *)
+    sharing of the same secret, under the same public key.  A membership
+    change targets a different structure (a replica added by inclusion,
+    removed by omission); a proactive refresh targets the current one.
+    Either way the new sharing combines fresh random sharings, one of
+    them from an honest dealer, so shares a mobile adversary took in an
+    earlier epoch do not combine with the new ones.
+
+    Agreeing on the epoch boundary asynchronously is {!Epoch}'s part:
+    it orders certified advances through the atomic broadcast. *)
 
 type target = {
   t_structure : Adversary_structure.t;
@@ -76,6 +51,6 @@ val run_reshare :
   dealers:Pset.t ->
   Prng.t ->
   (Dl_sharing.t, string) result
-(** Synchronous membership-change driver: contributions from [dealers]
+(** One synchronous resharing round: contributions from [dealers]
     (those holding old shares), dropped when invalid; fails unless the
     accepted dealers surely contain an honest party and can recombine. *)

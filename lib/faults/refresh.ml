@@ -203,17 +203,11 @@ let run_one ~(core : Sweep.core) ~max_steps (env : Sweep.env)
         match !byz_frames with
         | Some fs -> fs
         | None ->
+          let tgt = Proactive.target_of sh (target sh) in
           let mk k =
             let rng = Prng.create ~seed:(seed lxor (0xb1 + k)) in
-            match target with
-            | None ->
-              Codec.encode_refresh_pkg sh.Dl_sharing.group
-                (Proactive.make_refresh sh ~dealer:byz rng)
-            | Some structure ->
-              Codec.encode_reshare_pkg sh.Dl_sharing.group
-                (Proactive.make_reshare sh
-                   (Proactive.target_of sh structure)
-                   ~dealer:byz rng)
+            Codec.encode_reshare_pkg sh.Dl_sharing.group
+              (Proactive.make_reshare sh tgt ~dealer:byz rng)
           in
           let fs = (mk 0, mk 1) in
           byz_frames := Some fs;
@@ -234,18 +228,19 @@ let run_one ~(core : Sweep.core) ~max_steps (env : Sweep.env)
     Array.iteri
       (fun p node ->
         if alive p && not (byz_active && p = byz) then
-          match target with
-          | None -> Epoch.begin_refresh node
-          | Some structure -> Epoch.begin_reshare node structure)
+          Epoch.begin_reshare node (target (Epoch.sharing node)))
       (nodes ());
     if byz_active && alive byz then equivocate target
   in
   let target_full = AS.threshold ~n ~t in
   let target_without_victim = member_structure ~n ~t others in
-  let target_of = function
-    | Sweep.Reshare Sweep.All -> Some target_full
-    | Sweep.Reshare Sweep.All_but_victim -> Some target_without_victim
-    | _ -> None
+  (* The structure an epoch action reshares onto, given a replica's
+     current sharing: a refresh keeps that sharing's structure. *)
+  let target_of action (sh : Dl_sharing.t) =
+    match action with
+    | Sweep.Reshare Sweep.All -> target_full
+    | Sweep.Reshare Sweep.All_but_victim -> target_without_victim
+    | _ -> sh.Dl_sharing.structure
   in
   let final_epoch = match scenario with Kill_replace -> 2 | _ -> 1 in
   (* A replica that installed an epoch while its catch-up was still

@@ -257,7 +257,6 @@ let montgomery_eligible m nb_exp =
   not (is_even m) && numbits m >= 2 * Limbs.base_bits && nb_exp > 4
 
 let pow_mod ~base:b ~exp:e ~modulus:m =
-  Obs_crypto.modexp ();
   if m.sign <= 0 then invalid_arg "Bignum.pow_mod: modulus must be positive";
   if e.sign < 0 then invalid_arg "Bignum.pow_mod: negative exponent";
   if equal m one then zero
@@ -266,16 +265,19 @@ let pow_mod ~base:b ~exp:e ~modulus:m =
     if nb = 0 then one (* 0^0 = 1 by convention, as in the old ladder *)
     else begin
       let b = erem b m in
+      (* [modexp] counts exponentiations done, not the short-circuits. *)
       if is_zero b then zero
       else if montgomery_eligible m nb then begin
         match Montgomery.create_cached m.mag with
         | Some ctx ->
+          Obs_crypto.modexp ();
           Obs_crypto.modexp_window ();
           make 1 (Montgomery.pow_multi ctx [ (b.mag, e.mag) ])
         | None -> assert false (* eligible implies odd, non-zero *)
       end
       else begin
         (* even or small moduli, tiny exponents: plain square-and-multiply *)
+        Obs_crypto.modexp ();
         let b = ref b and r = ref one in
         for i = 0 to nb - 1 do
           if testbit e i then r := mul_mod !r !b m;

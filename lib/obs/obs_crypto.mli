@@ -8,7 +8,9 @@
     bracket the run with [reset]/[counts] (the bench harness does). *)
 
 type kind =
-  | Modexp  (** modular exponentiation ([Bignum.pow_mod]) *)
+  | Modexp
+      (** modular exponentiations [Bignum.pow_mod] performs (not the
+          modulus-1, zero-exponent or zero-base short-circuits) *)
   | Hash_to_group  (** hashing onto the group *)
   | Sign  (** signature / signature-share generation *)
   | Share_proof

@@ -110,11 +110,10 @@ let ladder base e =
 (* [multi_exp] over 0 to 3 bases with a table and 0 to 4 without, in a
    group of its own so that no other test's tables interfere; each call
    is checked against the ladder and its op counts against the rule:
-   one [fixed_base_exp] per tabled term, and for the untabled ones one
-   [pow_mod] ([modexp], [modexp_window]) when there is one, one
-   [multi_exp] when two or more have a non-zero exponent, a [pow_mod]
-   for the one that has when only one does, and nothing when none
-   does. *)
+   one [fixed_base_exp] per tabled term, and for the untabled terms
+   with a non-zero exponent one [pow_mod] ([modexp], [modexp_window])
+   when there is one, one [multi_exp] when there are two or more, and
+   nothing when there is none (a zero exponent is no exponentiation). *)
 let multi_exp_test =
   let open QCheck2.Gen in
   let exponent =
@@ -148,19 +147,13 @@ let multi_exp_test =
       in
       let live = List.filter (fun (_, e) -> not (B.is_zero (B.erem e ps.G.q))) untabled in
       let modexp, multi =
-        match (untabled, live) with
-        | [], _ -> (0, 0)
-        | [ _ ], _ -> (1, 0)
-        | _, [] -> (0, 0)
-        | _, [ _ ] -> (1, 0)
-        | _, _ -> (0, 1)
+        match live with [] -> (0, 0) | [ _ ] -> (1, 0) | _ -> (0, 1)
       in
-      let window = if List.length untabled = 1 then List.length live else modexp in
       let count = Obs_crypto.count in
       G.elt_equal got reference
       && count Obs_crypto.Fixed_base_exp = List.length tabled
       && count Obs_crypto.Modexp = modexp
-      && count Obs_crypto.Modexp_window = window
+      && count Obs_crypto.Modexp_window = modexp
       && count Obs_crypto.Multi_exp = multi)
 
 let suite = ("group", unit_tests @ prop_tests @ [ multi_exp_test ])
