@@ -67,6 +67,13 @@ type msg =
   | Proposal of int * string * string  (* round, payload, signature bytes *)
   | Vba_msg of int * Vba.msg
 
+(* A round's agreement, or its tombstone: a delivered round whose VBA
+   ignores every message it can still receive keeps only its entry, so
+   that {!retire_rounds_below} still counts it. *)
+type round_vba =
+  | Running of Vba.t
+  | Tombstone
+
 type t = {
   io : msg Proto_io.t;
   tag : string;
@@ -89,15 +96,16 @@ type t = {
       (* called with the new round number each time a round completes;
          the recovery layer snapshots at interval boundaries here *)
   mutable round : int;
-  mutable participated : int list;  (* rounds where our proposal is out *)
+  mutable participated : int list;
+      (* rounds from [round] on where our proposal is out *)
   my_batches : (int, string list) Hashtbl.t;
       (* in-flight round -> payloads we packed into its proposal *)
   proposals : (int, (int * string) list ref) Hashtbl.t;
       (* round -> (sender, payload); only validly signed entries *)
   raw_sigs : (int, (int * string) list ref) Hashtbl.t;
       (* round -> (sender, signature bytes), aligned with [proposals] *)
-  vbas : (int, Vba.t) Hashtbl.t;
-  mutable vba_proposed : int list;
+  vbas : (int, round_vba) Hashtbl.t;
+  mutable vba_proposed : int list;  (* rounds from [round] on *)
   decisions : (int, string) Hashtbl.t;  (* round -> decided list, encoded *)
   digests : (string, string) Hashtbl.t;
       (* payload -> digest, memoized for queued and logged payloads only *)
@@ -180,12 +188,10 @@ let take_batch t avail : string list * string list =
   in
   go 0 0 [] avail
 
-let in_flight t =
-  List.length (List.filter (fun r -> r >= t.round) t.participated)
+let in_flight t = List.length t.participated
 
 let in_flight_rounds t : (int * int) list =
-  List.filter (fun r -> r >= t.round) t.participated
-  |> List.sort compare
+  List.sort compare t.participated
   |> List.map (fun r ->
          let props =
            match Hashtbl.find_opt t.proposals r with
@@ -333,7 +339,8 @@ and sigs_of t r =
 
 and vba_of t r : Vba.t =
   match Hashtbl.find_opt t.vbas r with
-  | Some v -> v
+  | Some (Running v) -> v
+  | Some Tombstone -> assert false  (* only rounds below [t.round] *)
   | None ->
     let v =
       Vba.create
@@ -347,7 +354,7 @@ and vba_of t r : Vba.t =
         ~on_decide:(fun ~winner:_ value -> on_decision t r value)
         ()
     in
-    Hashtbl.add t.vbas r v;
+    Hashtbl.add t.vbas r (Running v);
     v
 
 and on_decision t r value =
@@ -495,29 +502,54 @@ and step t =
       (* Payloads we packed for round r but the decided list missed stay
          in the queue and become packable again for a later round.  No
          later message reads a delivered round's proposals, signatures
-         or decision: only its VBA stays, to echo a late CBC SEND. *)
+         or decision: only its VBA stays, to echo a late CBC SEND, and
+         not even that once it is settled. *)
       Hashtbl.remove t.my_batches r;
       Hashtbl.remove t.proposals r;
       Hashtbl.remove t.raw_sigs r;
       Hashtbl.remove t.decisions r;
       t.round <- r + 1;
+      t.participated <- List.filter (fun x -> x > r) t.participated;
+      t.vba_proposed <- List.filter (fun x -> x > r) t.vba_proposed;
+      bury t r;
       slide_memos t;
       (match t.on_boundary with
       | Some f -> f (r + 1)
       | None -> ());
       step t)
 
+(* A delivered round's VBA that ignores every message it can still
+   receive leaves a tombstone. *)
+and bury t r =
+  match Hashtbl.find_opt t.vbas r with
+  | Some (Running v) when Vba.settled v -> Hashtbl.replace t.vbas r Tombstone
+  | Some (Running _ | Tombstone) | None -> ()
+
 (* ---------- API ----------------------------------------------------- *)
+
+(* [payload] (digest [d]) inserted at its place in the digest-sorted
+   queue, or [None] if a payload of that digest is queued already. *)
+let insert_sorted t d payload =
+  let rec go acc = function
+    | [] -> Some (List.rev (payload :: acc))
+    | q :: rest as queue ->
+      let c = String.compare (digest t q) d in
+      if c < 0 then go (q :: acc) rest
+      else if c = 0 then None
+      else Some (List.rev_append acc (payload :: queue))
+  in
+  go [] t.queue
 
 let enqueue t payload =
   let d = digest t payload in
-  if
-    (not (Hashtbl.mem t.delivered d))
-    && not (List.exists (fun q -> digest t q = d) t.queue)
-  then begin
+  match
+    if Hashtbl.mem t.delivered d then None else insert_sorted t d payload
+  with
+  | None -> ()
+  | Some queue ->
     (* Digest order makes "oldest undelivered" a global notion, which is
        what the fairness argument needs. *)
-    t.queue <- List.sort (fun a b -> compare (digest t a) (digest t b)) (payload :: t.queue);
+    t.queue <- queue;
     step t;
     (* Back-pressure diagnostics: the payload could not be packed, either
        because every round of the pipeline window is already in flight or
@@ -533,7 +565,6 @@ let enqueue t payload =
           ~labels:[ ("layer", "abc") ]
           "abc_backpressure"
     end
-  end
 
 (* Atomic broadcast entry point: relay to every server on the payload's
    first submission here, then enqueue.  One relay already carries a
@@ -584,7 +615,15 @@ let handle t ~src msg =
       Vba.handle (vba_of t r) ~src m;
       step t
     end
-    else if Hashtbl.mem t.vbas r then Vba.handle (vba_of t r) ~src m
+    else begin
+      match Hashtbl.find_opt t.vbas r with
+      | Some (Running v) -> Vba.handle v ~src m
+      | Some Tombstone | None -> ()
+    end;
+    (* The message may have delivered round r, from inside one of its
+       CBCs (packed only once [Vba.handle] returns), or finished a
+       delivered round's last CBC. *)
+    if r < t.round then bury t r
 
 let memos t =
   Hashtbl.fold (fun r m acc -> (r, m) :: acc) t.memos []
@@ -617,11 +656,11 @@ let digest_memo_len t = Hashtbl.length t.digests
 let set_boundary_hook t f = t.on_boundary <- Some f
 
 (* Retire every per-round structure below [r].  A delivered round has
-   already let go of its proposals, signatures and decision, and its VBA
-   of everything but the skeleton that echoes a late CBC SEND: what goes
-   here is that skeleton, plus whatever a round skipped by
+   already let go of its proposals, signatures and decision, and of its
+   VBA all but the proposal CBCs' flags, or everything but a tombstone:
+   what goes here is that, plus whatever a round skipped by
    {!install_checkpoint} still holds.  Returns the number of VBA rounds
-   retired. *)
+   retired, tombstones included. *)
 let retire_rounds_below t r =
   let doomed tbl =
     Hashtbl.fold (fun k _ acc -> if k < r then k :: acc else acc) tbl []

@@ -118,7 +118,8 @@ val log_peak : t -> int
 
 val retired_rounds : t -> int
 (** Rounds of per-round protocol state retired by {!truncate} /
-    {!install_checkpoint} so far. *)
+    {!install_checkpoint} so far, a round reduced to its tombstone
+    included. *)
 
 val relay_pending : t -> int
 (** Payloads submitted and relayed here but not yet delivered: the
@@ -141,9 +142,11 @@ val truncate : t -> upto_round:int -> upto_len:int -> unit
     [upto_len - base_len] payloads from {!delivered_log} and retire
     every per-round structure still held below [upto_round].  A
     delivered round already let go of its proposals, signatures and
-    decision, and its VBA of all but the proposal CBCs that echo a late
-    SEND; that skeleton is what goes here.  Dedup is preserved
-    through the digest set.  Updates the [round_state_retired] counter
+    decision.  Its VBA keeps each proposal CBC that can still answer a
+    late message as three flags; once every CBC has echoed and
+    delivered, the VBA itself is gone and the round is a tombstone.
+    What goes here is either of the two.  Dedup is preserved through the
+    digest set.  Updates the [round_state_retired] counter
     and [abc_log_len] gauge (layer ["abc"]).  Raises [Invalid_argument]
     if [upto_len] exceeds {!delivered_count}. *)
 

@@ -63,6 +63,29 @@ let create ~(io : msg Proto_io.t) ~tag ~sender ?(validate = fun _ -> true)
     sp_inst = 0;
     stmt = None }
 
+(* An instance at rest (no payload, no echo shares, no open span) is
+   its three flags: nothing else it holds can change what a later
+   message does.  Bit 0 echoed, bit 1 sent_final, bit 2 delivered. *)
+type flags = int
+
+let bit b i = if b then 1 lsl i else 0
+
+let flags t =
+  if t.payload = None && t.shares = [] && t.sp_inst = 0 then
+    Some (bit t.echoed 0 lor bit t.sent_final 1 lor bit t.delivered 2)
+  else None
+
+(* Echoed and delivered: a SEND is never echoed again, a FINAL never
+   verified again, and with no payload an ECHO is never combined. *)
+let settled f = f land 0b101 = 0b101
+
+let of_flags f ~io ~tag ~sender ?validate ~deliver () =
+  let t = create ~io ~tag ~sender ?validate ~deliver () in
+  t.echoed <- f land 1 <> 0;
+  t.sent_final <- f land 2 <> 0;
+  t.delivered <- f land 4 <> 0;
+  t
+
 let obs t = t.io.Proto_io.obs
 
 let broadcast t payload =

@@ -23,6 +23,29 @@ val create :
 (** [validate] gates endorsement: parties only echo acceptable payloads
     (the external-validity hook of VBA). *)
 
+type flags
+(** What an instance at rest still holds: whether it echoed, sent its
+    FINAL and delivered.  An immediate value. *)
+
+val flags : t -> flags option
+(** [Some] once the instance is at rest — no payload, no echo shares and
+    no open trace span — so that {!of_flags} rebuilds an instance that
+    answers every later message exactly as this one would. *)
+
+val of_flags :
+  flags ->
+  io:msg Proto_io.t ->
+  tag:string ->
+  sender:int ->
+  ?validate:(string -> bool) ->
+  deliver:(string -> Keyring.cert -> unit) ->
+  unit ->
+  t
+
+val settled : flags -> bool
+(** Echoed and delivered: such an instance ignores every message it can
+    still receive. *)
+
 val broadcast : t -> string -> unit
 val handle : t -> src:int -> msg -> unit
 

@@ -10,7 +10,8 @@
     and decryption shares go and only its digest stays, so a repeat is
     not ordered twice and a late share is dropped.  Per-request state
     is bounded without checkpoints; the underlying {!Abc}'s delivered
-    history and round skeletons are not. *)
+    history and delivered rounds (each a tombstone, or its CBCs' flags
+    while one can still answer a late message) are not. *)
 
 type msg =
   | Abc_msg of Abc.msg

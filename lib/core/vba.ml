@@ -30,12 +30,20 @@ type msg =
   | Abba_msg of int * Abba.msg  (* position in the examination sequence *)
   | Final_fwd of int * string * Keyring.cert  (* candidate, payload, cert *)
 
+(* A proposer's CBC is absent until its first message (or our proposal)
+   needs it, live while it runs, and packed to its flags once it is at
+   rest in a decided instance; a late message rebuilds it from them. *)
+type proposal_cbc =
+  | Absent
+  | Live of Cbc.t
+  | Packed of Cbc.flags
+
 type t = {
   io : msg Proto_io.t;
   tag : string;
   validate : string -> bool;
   on_decide : winner:int -> string -> unit;
-  cbcs : Cbc.t array;
+  cbcs : proposal_cbc array;  (* by proposer *)
   mutable proposed : bool;  (* our proposal CBC is out *)
   mutable proposals : (int * (string * Keyring.cert)) list;  (* delivered *)
   mutable own_perm : Coin.share list option;
@@ -56,45 +64,55 @@ let perm_coin_name t = Ro.encode [ "vba-perm"; t.tag ]
 
 let n t = Proto_io.n t.io
 
-let rec create ~(io : msg Proto_io.t) ~tag ?(validate = fun _ -> true)
-    ~on_decide () : t =
-  let t_ref = ref None in
-  let cbcs =
-    Array.init (Proto_io.n io) (fun proposer ->
-        Cbc.create
-          ~io:
-            (Proto_io.embed ~layer:"cbc"
-               ~bytes:(Cbc.msg_size io.Proto_io.keyring) io
-               ~wrap:(fun m -> Proposal_cbc (proposer, m)))
-          ~tag:(tag ^ "/prop/" ^ string_of_int proposer)
-          ~sender:proposer ~validate
-          ~deliver:(fun payload cert ->
-            match !t_ref with
-            | Some t -> on_proposal t proposer payload cert
-            | None -> ())
-          ())
-  in
-  let t =
-    { io;
-      tag;
-      validate;
-      on_decide;
-      cbcs;
-      proposed = false;
-      proposals = [];
-      own_perm = None;
-      perm_shares = [];
-      perm = None;
-      abbas = Hashtbl.create 8;
-      decisions = Hashtbl.create 8;
-      forwarded = Hashtbl.create 8;
-      position = 0;
-      winner = None;
-      decided = false;
-      sp_inst = 0 }
-  in
-  t_ref := Some t;
-  t
+let create ~(io : msg Proto_io.t) ~tag ?(validate = fun _ -> true) ~on_decide
+    () : t =
+  { io;
+    tag;
+    validate;
+    on_decide;
+    cbcs = Array.make (Proto_io.n io) Absent;
+    proposed = false;
+    proposals = [];
+    own_perm = None;
+    perm_shares = [];
+    perm = None;
+    abbas = Hashtbl.create 8;
+    decisions = Hashtbl.create 8;
+    forwarded = Hashtbl.create 8;
+    position = 0;
+    winner = None;
+    decided = false;
+    sp_inst = 0 }
+
+(* The one place a proposal CBC is built: from nothing, or from the
+   flags it was packed to. *)
+let rec cbc_at t proposer : Cbc.t =
+  match t.cbcs.(proposer) with
+  | Live c -> c
+  | (Absent | Packed _) as slot ->
+    let build =
+      match slot with
+      | Packed f -> Cbc.of_flags f
+      | Absent | Live _ -> Cbc.create
+    in
+    let c =
+      build
+        ~io:
+          (Proto_io.embed ~layer:"cbc"
+             ~bytes:(Cbc.msg_size t.io.Proto_io.keyring) t.io
+             ~wrap:(fun m -> Proposal_cbc (proposer, m)))
+        ~tag:(cbc_tag t proposer) ~sender:proposer ~validate:t.validate
+        ~deliver:(fun payload cert -> on_proposal t proposer payload cert)
+        ()
+    in
+    t.cbcs.(proposer) <- Live c;
+    c
+
+(* In a decided instance a CBC at rest keeps only its flags. *)
+and pack t proposer =
+  match t.cbcs.(proposer) with
+  | Live c -> Option.iter (fun f -> t.cbcs.(proposer) <- Packed f) (Cbc.flags c)
+  | Absent | Packed _ -> ()
 
 and on_proposal t proposer payload cert =
   if (not t.decided) && not (List.mem_assoc proposer t.proposals) then begin
@@ -132,9 +150,10 @@ and candidate_of t position =
 (* At the decision the instance lets go of what no later message can
    reach: [step] runs no more, and [handle] drops all traffic but the
    proposal CBCs'.  The proposals (the winning payload among them), the
-   coin shares and the ABBA children, all decided by now, go; the
-   permutation stays. *)
+   coin shares and the ABBA children, all decided by now, go, and every
+   CBC at rest shrinks to its flags; the permutation stays. *)
 and release t =
+  Array.iteri (fun proposer _ -> pack t proposer) t.cbcs;
   t.proposals <- [];
   t.own_perm <- None;
   t.perm_shares <- [];
@@ -246,14 +265,16 @@ let propose t (value : string) =
       t.sp_inst <-
         Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me ~tag:t.tag
           ~layer:"vba" "instance";
-    Cbc.broadcast t.cbcs.(t.io.Proto_io.me) value
+    Cbc.broadcast (cbc_at t t.io.Proto_io.me) value
   end
 
 let handle t ~src msg =
   match msg with
   | Proposal_cbc (proposer, m) ->
-    if proposer >= 0 && proposer < n t then
-      Cbc.handle t.cbcs.(proposer) ~src m
+    if proposer >= 0 && proposer < n t then begin
+      Cbc.handle (cbc_at t proposer) ~src m;
+      if t.decided then pack t proposer
+    end
   | (Perm_share _ | Abba_msg _ | Final_fwd _) when t.decided -> ()
   | Perm_share shares ->
     if
@@ -282,6 +303,12 @@ let handle t ~src msg =
     end
 
 let permutation t = t.perm
+
+let settled t =
+  t.decided
+  && Array.for_all
+       (function Packed f -> Cbc.settled f | Absent | Live _ -> false)
+       t.cbcs
 
 let msg_size kr = function
   | Proposal_cbc (_, m) -> 8 + Cbc.msg_size kr m

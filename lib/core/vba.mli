@@ -30,10 +30,18 @@ val propose : t -> string -> unit
     counts: a later one sends nothing and keeps the first value. *)
 
 val handle : t -> src:int -> msg -> unit
-(** Once decided, the instance keeps only its winner, its permutation
-    and its proposal CBCs (each down to its flags once delivered).
-    Every message but a proposal CBC's is dropped; the CBCs still echo
-    a late SEND. *)
+(** A proposer's CBC is built on its first message (or, for our own, by
+    {!propose}); [create] builds none.  Once decided, the instance keeps
+    only its winner, its permutation and its proposal CBCs, each packed
+    to its three flags (echoed, sent FINAL, delivered) once at rest.
+    Every message but a proposal CBC's is dropped; a late one rebuilds
+    its CBC from the flags, which echoes a late SEND once and verifies a
+    late FINAL, and packs it again. *)
+
+val settled : t -> bool
+(** Decided, with every proposal CBC packed, echoed and delivered: the
+    instance ignores every message it can still receive, so its owner
+    may drop it. *)
 
 val permutation : t -> int array option
 (** The candidate examination order, once the permutation coin has

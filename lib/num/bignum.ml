@@ -76,6 +76,16 @@ let erem a b =
   let r = rem a b in
   if r.sign < 0 then add r (abs b) else r
 
+(* Horner over the base-2^31 limbs, most significant first: the running
+   remainder stays below m < 2^31, so r * 2^31 + limb fits a native int. *)
+let rem_int a m =
+  if m <= 0 || m > Limbs.mask then invalid_arg "Bignum.rem_int";
+  let r = ref 0 in
+  for i = Array.length a.mag - 1 downto 0 do
+    r := ((!r lsl Limbs.base_bits) lor a.mag.(i)) mod m
+  done;
+  a.sign * !r
+
 let shift_left a k = make a.sign (Limbs.shift_left a.mag k)
 let shift_right a k = make a.sign (Limbs.shift_right a.mag k)
 let numbits a = Limbs.numbits a.mag

@@ -43,6 +43,11 @@ val rem : t -> t -> t
 val erem : t -> t -> t
 (** Euclidean remainder, always in [\[0, |b|)]. *)
 
+val rem_int : t -> int -> int
+(** [rem_int a m] is [rem a (of_int m)] as a native int, for
+    [0 < m < 2{^31}], computed limb by limb without allocating.  Raises
+    [Invalid_argument] for any other [m]. *)
+
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 

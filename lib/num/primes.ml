@@ -26,17 +26,32 @@ let small_primes =
   done;
   Array.of_list !out
 
+(* The small primes cut into runs, in order, each with its product below
+   2^31: a candidate is reduced once per run in native ints
+   ({!Bignum.rem_int}), and each prime of the run then divides that
+   residue. *)
+let prime_runs =
+  let runs = ref [] and run = ref [] and prod = ref 1 in
+  Array.iter
+    (fun p ->
+      if !prod * p >= 1 lsl 31 then begin
+        runs := (!prod, Array.of_list (List.rev !run)) :: !runs;
+        run := [];
+        prod := 1
+      end;
+      run := p :: !run;
+      prod := !prod * p)
+    small_primes;
+  Array.of_list (List.rev ((!prod, Array.of_list (List.rev !run)) :: !runs))
+
+(* Some prime below 1000 divides [n] and is not [n] itself. *)
 let divisible_by_small_prime n =
-  let exception Found in
-  try
-    Array.iter
-      (fun p ->
-        let bp = Bignum.of_int p in
-        if Bignum.is_zero (Bignum.rem n bp) && not (Bignum.equal n bp) then
-          raise Found)
-      small_primes;
-    false
-  with Found -> true
+  let itself = match Bignum.to_int_opt n with Some m -> m | None -> 0 in
+  Array.exists
+    (fun (prod, ps) ->
+      let r = Bignum.rem_int n prod in
+      Array.exists (fun p -> r mod p = 0 && p <> itself) ps)
+    prime_runs
 
 (* One Miller-Rabin round with the given base. *)
 let miller_rabin_round n ~base:a =
@@ -110,16 +125,14 @@ let random_safe_prime rng ~bits =
   if bits < 5 then invalid_arg "Primes.random_safe_prime: need at least 5 bits";
   (* Draw candidate q of bits-1 bits; accept when both q and 2q+1 prime.
      Cheap screens first: q odd, q mod 3 <> 1 would make p divisible by 3. *)
-  let three = Bignum.of_int 3 in
   let rec draw i =
     if i = max_candidates then exhausted "random_safe_prime" bits;
     let q = Bignum.add (Bignum.shift_left Bignum.one (bits - 2)) (Prng.bignum_bits rng (bits - 2)) in
     let q = if Bignum.is_even q then Bignum.succ q else q in
     let p = Bignum.succ (Bignum.shift_left q 1) in
-    let q_mod3 = Bignum.rem q three in
     if
       Bignum.numbits p = bits
-      && not (Bignum.equal q_mod3 Bignum.one)
+      && Bignum.rem_int q 3 <> 1
       && (not (divisible_by_small_prime q))
       && (not (divisible_by_small_prime p))
       && is_probable_prime ~rounds:8 rng q

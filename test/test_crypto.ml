@@ -440,6 +440,9 @@ let keyring_tests =
 let golden_crypto_digest =
   "74c687cca6e39cde2fc47a1766a93722b4c09d7e24a3c915cb2f0266854de9de"
 
+let golden_prime_digest =
+  "5a338b94d13871a2444a7d5f936028121e0b05cf92879b556bad1dc40ab2117b"
+
 let crypto_transcript ~n ~t ~seed =
   let kr = Keyring.deal ~rsa_bits:192 ~seed (AS.threshold ~n ~t) in
   let gp = kr.Keyring.group in
@@ -530,7 +533,46 @@ let golden_tests =
                [ crypto_transcript ~n:4 ~t:1 ~seed:1901;
                  crypto_transcript ~n:7 ~t:2 ~seed:1902 ])
         in
-        Alcotest.(check string) "golden digest" golden_crypto_digest digest)
+        Alcotest.(check string) "golden digest" golden_crypto_digest digest);
+    (* The dealer's prime searches pinned value for value: which
+       candidates reach Miller-Rabin, and in what order, decides every
+       PRNG draw after them, so a faster screen must keep all of these.
+       Captured before the trial division moved to native ints. *)
+    Alcotest.test_case "golden prime digest (searches, tests, dealt RSA moduli)"
+      `Quick (fun () ->
+        let buf = Buffer.create 8192 in
+        let num v = Buffer.add_string buf (B.to_hex v ^ ";") in
+        List.iter
+          (fun seed ->
+            let rng = Prng.create ~seed in
+            for bits = 5 to 40 do
+              let p, q = Primes.random_safe_prime rng ~bits in
+              num p;
+              num q
+            done;
+            for bits = 3 to 40 do
+              num (Primes.random_prime rng ~bits)
+            done;
+            List.iter
+              (fun base ->
+                for v = base to base + 2000 do
+                  Buffer.add_char buf
+                    (if Primes.is_probable_prime rng (B.of_int v) then 'T' else 'F')
+                done)
+              [ 0; 1_000_000; 1 lsl 40 ])
+          [ 1; 2; 3 ];
+        num (fst (Primes.random_safe_prime (Prng.create ~seed:4) ~bits:256));
+        List.iter
+          (fun seed ->
+            let kr = Keyring.deal ~rsa_bits:192 ~seed (AS.threshold ~n:4 ~t:1) in
+            match kr.Keyring.service with
+            | Keyring.Rsa_keys k ->
+              num kr.Keyring.group.G.p;
+              num k.Rsa_threshold.pk.Rsa_threshold.n_modulus
+            | Keyring.Cert_keys _ -> Alcotest.fail "threshold structure dealt cert keys")
+          (List.init 8 (fun i -> 8_000 + i));
+        Alcotest.(check string) "golden digest" golden_prime_digest
+          (Sha256.to_hex (Sha256.digest (Buffer.contents buf))))
   ]
 
 let batch_tests =

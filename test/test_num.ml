@@ -156,9 +156,14 @@ let prop_tests =
       (fun (a, d) ->
         QCheck2.assume (not (B.is_zero d));
         let q, r = B.divmod a d in
+        (* a word-sized divisor in [1, 2^31) taken from d *)
+        let m =
+          1 + Option.get (B.to_int_opt (B.erem d (B.of_int ((1 lsl 31) - 1))))
+        in
         B.equal a (B.add (B.mul q d) r)
         && B.compare (B.abs r) (B.abs d) < 0
-        && (B.is_zero r || B.sign r = B.sign a));
+        && (B.is_zero r || B.sign r = B.sign a)
+        && B.equal (B.of_int (B.rem_int a m)) (B.rem a (B.of_int m)));
     qtest "erem in range"
       (QCheck2.Gen.pair (gen_bignum ()) (gen_bignum ~bits:100 ()))
       (fun (a, d) ->

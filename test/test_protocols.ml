@@ -536,6 +536,18 @@ let check_total_order logs honest =
           logs.(i))
       rest
 
+(* Full Schnorr checks ([Obs_crypto.Verify]) made during [f]. *)
+let full_checks f =
+  Obs_crypto.reset ();
+  Obs_crypto.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs_crypto.disable ();
+      Obs_crypto.reset ())
+    (fun () ->
+      f ();
+      Obs_crypto.count Obs_crypto.Verify)
+
 let abc_tests =
   [ Alcotest.test_case "abc: total order, concurrent submissions" `Quick
       (fun () ->
@@ -623,10 +635,133 @@ let abc_tests =
         | Some release -> release ()
         | None -> Alcotest.fail "proposer 3's SEND never reached party 0");
         Sim.run sim;
-        Alcotest.(check int) "party 0 echoes the late SEND" 1 !echoes)
+        Alcotest.(check int) "party 0 echoes the late SEND" 1 !echoes);
+    Alcotest.test_case "abc: a delivered round echoes two copies of a late SEND once"
+      `Quick (fun () ->
+        let kr = keyring th41 in
+        let sim = Sim.create ~n:4 ~seed:2350 () in
+        let nodes =
+          Stack.deploy_abc ~sim ~keyring:kr ~tag:"abc-late-send-twice"
+            ~deliver:(fun _ _ -> ()) ()
+        in
+        (* As above, but party 0 gets proposer 3's round-0 SEND twice once
+           the round is delivered: the CBC is packed to its flags between
+           the two copies, and the flags must remember the echo.  Party 0
+           never gets proposer 2's FINAL, so that CBC stays undelivered
+           and the round's VBA stays in place: without it the second copy
+           would meet a tombstone and never reach the flags. *)
+        let held = ref None and echoes = ref 0 in
+        Sim.wrap_handler sim 0 (fun h ~src frame ->
+            match Link.payload frame with
+            | Some (Abc.Vba_msg (0, Vba.Proposal_cbc (3, Cbc.Send _)))
+              when !held = None ->
+              held := Some (fun () -> h ~src frame)
+            | Some (Abc.Vba_msg (0, Vba.Proposal_cbc (2, Cbc.Final _))) -> ()
+            | Some _ | None -> h ~src frame);
+        Sim.wrap_handler sim 3 (fun h ~src frame ->
+            (match Link.payload frame with
+            | Some (Abc.Vba_msg (0, Vba.Proposal_cbc (3, Cbc.Echo _)))
+              when src = 0 ->
+              incr echoes
+            | Some _ | None -> ());
+            h ~src frame);
+        Array.iteri
+          (fun i node -> Abc.broadcast node (Printf.sprintf "twice-%d" i))
+          nodes;
+        Sim.run sim ~until:(fun () -> Abc.current_round nodes.(0) >= 1);
+        Alcotest.(check bool) "party 0 delivered round 0" true
+          (Abc.current_round nodes.(0) >= 1);
+        (match !held with
+        | Some release ->
+          release ();
+          Sim.run sim;
+          release ()
+        | None -> Alcotest.fail "proposer 3's SEND never reached party 0");
+        Sim.run sim;
+        Alcotest.(check int) "party 0 echoes the late SEND once" 1 !echoes);
+    Alcotest.test_case
+      "abc: a late FINAL for an undelivered CBC of a decided round is verified \
+       and sends nothing"
+      `Quick (fun () ->
+        let kr = keyring th41 in
+        let sim = Sim.create ~n:4 ~seed:2351 () in
+        let nodes =
+          Stack.deploy_abc ~sim ~keyring:kr ~tag:"abc-late-final"
+            ~deliver:(fun _ _ -> ()) ()
+        in
+        (* Party 0 holds proposer 3's round-0 FINAL, so that CBC is still
+           undelivered when the round's VBA decides and packs it. *)
+        let held = ref None in
+        Sim.wrap_handler sim 0 (fun h ~src frame ->
+            match Link.payload frame with
+            | Some (Abc.Vba_msg (0, Vba.Proposal_cbc (3, Cbc.Final _)))
+              when !held = None ->
+              held := Some (fun () -> h ~src frame)
+            | Some _ | None -> h ~src frame);
+        Array.iteri
+          (fun i node -> Abc.broadcast node (Printf.sprintf "final-%d" i))
+          nodes;
+        Sim.run sim;
+        Alcotest.(check bool) "party 0 delivered round 0" true
+          (Abc.current_round nodes.(0) >= 1);
+        match !held with
+        | None -> Alcotest.fail "proposer 3's FINAL never reached party 0"
+        | Some release ->
+          let before = Sim.pending_count sim in
+          let checks = full_checks release in
+          Alcotest.(check bool)
+            (Printf.sprintf "the late FINAL's certificate is checked (%d checks)"
+               checks)
+            true (checks > 0);
+          Alcotest.(check int) "party 0 sends nothing" before
+            (Sim.pending_count sim))
   ]
 
 (* ---------------- SC-ABC --------------------------------------------- *)
+
+(* Live words per delivered round of a Scabc deployment (n = 4, batch 8,
+   window 2, no checkpoints) between 64 and 128 ordered ciphertexts, and
+   the number of rounds that took. *)
+let scabc_words_per_round ~seed =
+  let kr = keyring th41 in
+  let sim = Sim.create ~n:4 ~seed () in
+  let delivered = Array.make 4 0 in
+  let nodes =
+    Stack.deploy_scabc ~sim ~keyring:kr ~tag:"scabc-bounded"
+      ~policy:{ Abc.default_policy with Abc.max_batch_msgs = 8; window = 2 }
+      ~deliver:(fun me ~label:_ _ -> delivered.(me) <- delivered.(me) + 1)
+      ()
+  in
+  let rng = Prng.create ~seed:83 in
+  let submitted = ref 0 in
+  (* Order [k] more ciphertexts, then read the live heap and the number
+     of delivered rounds. *)
+  let run_to k =
+    let cts =
+      List.init k (fun i ->
+          Scabc.encrypt_request kr rng ~label:"b"
+            (Printf.sprintf "req-%d" (!submitted + i)))
+    in
+    List.iter
+      (fun ct ->
+        Scabc.broadcast nodes.(!submitted mod 4) ct;
+        incr submitted)
+      cts;
+    Sim.run sim;
+    Array.iter
+      (fun d -> Alcotest.(check int) "all delivered" !submitted d)
+      delivered;
+    let rounds = Abc.current_round (Scabc.abc nodes.(0)) in
+    Gc.compact ();
+    ((Gc.stat ()).Gc.live_words, rounds)
+  in
+  let w1, r1 = run_to 64 in
+  let w2, r2 = run_to 64 in
+  (* The deployment must still be live when the second figure is read,
+     or the collector could free it first. *)
+  Alcotest.(check int) "the deployment outlives the reading" 128
+    (Scabc.delivered_count nodes.(0));
+  ((w2 - w1) / (r2 - r1), r2 - r1)
 
 let scabc_tests =
   [ Alcotest.test_case "scabc: confidential requests delivered in order"
@@ -729,53 +864,27 @@ let scabc_tests =
     Alcotest.test_case
       "scabc: state per delivered round stays bounded without checkpoints"
       `Quick (fun () ->
-        let kr = keyring th41 in
-        let sim = Sim.create ~n:4 ~seed:2800 () in
-        let delivered = Array.make 4 0 in
-        let nodes =
-          Stack.deploy_scabc ~sim ~keyring:kr ~tag:"scabc-bounded"
-            ~policy:{ Abc.default_policy with Abc.max_batch_msgs = 8; window = 2 }
-            ~deliver:(fun me ~label:_ _ -> delivered.(me) <- delivered.(me) + 1)
-            ()
-        in
-        let rng = Prng.create ~seed:83 in
-        let submitted = ref 0 in
-        (* Order [k] more ciphertexts, then read the live heap and the
-           number of delivered rounds. *)
-        let run_to k =
-          let cts =
-            List.init k (fun i ->
-                Scabc.encrypt_request kr rng ~label:"b"
-                  (Printf.sprintf "req-%d" (!submitted + i)))
-          in
-          List.iter
-            (fun ct ->
-              Scabc.broadcast nodes.(!submitted mod 4) ct;
-              incr submitted)
-            cts;
-          Sim.run sim;
-          Array.iter
-            (fun d -> Alcotest.(check int) "all delivered" !submitted d)
-            delivered;
-          let rounds = Abc.current_round (Scabc.abc nodes.(0)) in
-          Gc.compact ();
-          ((Gc.stat ()).Gc.live_words, rounds)
-        in
-        let w1, r1 = run_to 64 in
-        let w2, r2 = run_to 64 in
-        (* The deployment must still be live when the second figure is
-           read, or the collector could free it first. *)
-        Alcotest.(check int) "the deployment outlives the reading" 128
-          (Scabc.delivered_count nodes.(0));
-        (* A delivered round keeps its VBA skeleton and its payloads in
-           the log: about 3,000 words here, against about 11,000 when
-           every round kept its agreement state and every slot its
-           ciphertext and decryption shares. *)
-        let per_round = (w2 - w1) / (r2 - r1) in
+        (* A delivered round keeps its VBA's CBC flags or a tombstone, and
+           its payloads in the log: about 1,350 words here, against about
+           11,000 when every round kept its agreement state and every slot
+           its ciphertext and decryption shares. *)
+        let per_round, rounds = scabc_words_per_round ~seed:2800 in
         Alcotest.(check bool)
           (Printf.sprintf "%d live words per delivered round (%d rounds), under 6000"
-             per_round (r2 - r1))
-          true (per_round < 6000))
+             per_round rounds)
+          true (per_round < 6000));
+    Alcotest.test_case
+      "scabc: a delivered round keeps only CBC flags or a tombstone"
+      `Quick (fun () ->
+        (* About 1,350 words per round, most of it the delivered
+           log; about 2,900 when a round kept all n proposal CBCs, each
+           with its closures and tag.  The bound is 1.5 times the
+           measured figure. *)
+        let per_round, rounds = scabc_words_per_round ~seed:2801 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d live words per delivered round (%d rounds), under %d"
+             per_round rounds 2000)
+          true (per_round < 2000))
   ]
 
 
@@ -791,17 +900,6 @@ let memo_io ?me kr =
 let forge (sg : Schnorr_sig.signature) =
   { sg with Schnorr_sig.z = Bignum.add sg.Schnorr_sig.z Bignum.one }
 
-(* Full Schnorr checks ([Obs_crypto.Verify]) made during [f]. *)
-let full_checks f =
-  Obs_crypto.reset ();
-  Obs_crypto.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs_crypto.disable ();
-      Obs_crypto.reset ())
-    (fun () ->
-      f ();
-      Obs_crypto.count Obs_crypto.Verify)
 
 (* Run an ABC deployment (window 2, batches of 2) over [payloads],
    calling [probe] on the nodes after every simulator step. *)
