@@ -88,6 +88,10 @@ type t = {
          buy permanent dedup and the digest history that checkpoint
          snapshots carry (the PBFT-style substitution for keeping full
          payloads forever). *)
+  mutable history : Sha256.ctx;
+      (* running {!Codec.history_digest} of [digest_log], fed once per
+         delivery and rebuilt by [install_checkpoint]: a checkpoint
+         reads it instead of re-hashing the whole history *)
   mutable base_len : int;  (* deliveries certified away by checkpoints *)
   mutable log_len : int;  (* length of [delivered_log] (kept O(1)) *)
   mutable log_peak : int;  (* high-water of [log_len], for GC evidence *)
@@ -301,6 +305,7 @@ let rec create ?(policy = default_policy) ~(io : msg Proto_io.t) ~tag ~deliver
       delivered = Hashtbl.create 32;
       delivered_log = [];
       digest_log = [];
+      history = Sha256.init ();
       base_len = 0;
       log_len = 0;
       log_peak = 0;
@@ -486,6 +491,7 @@ and step t =
             Hashtbl.replace t.delivered d ();
             t.delivered_log <- p :: t.delivered_log;
             t.digest_log <- d :: t.digest_log;
+            Codec.feed_history t.history d;
             t.log_len <- t.log_len + 1;
             if t.log_len > t.log_peak then t.log_peak <- t.log_len;
             t.queue <- List.filter (fun q -> digest t q <> d) t.queue;
@@ -638,6 +644,7 @@ let backlog t = List.length (unproposed t)
 
 let delivered_count t = t.base_len + t.log_len
 let delivered_digests t = List.rev t.digest_log
+let history_digest t = Sha256.finalize (Sha256.copy t.history)
 let base_len t = t.base_len
 let log_len t = t.log_len
 let log_peak t = t.log_peak
@@ -728,6 +735,9 @@ let install_checkpoint t ~round ~digests ~suffix =
   let sdigs = List.map (digest t) suffix in
   List.iter (fun d -> Hashtbl.replace t.delivered d ()) sdigs;
   t.digest_log <- List.rev_append sdigs (List.rev digests);
+  t.history <- Sha256.init ();
+  List.iter (Codec.feed_history t.history) digests;
+  List.iter (Codec.feed_history t.history) sdigs;
   t.base_len <- List.length digests;
   t.delivered_log <- List.rev suffix;
   t.log_len <- List.length suffix;

@@ -104,6 +104,13 @@ val delivered_digests : t -> string list
     truncated (32 bytes per payload buy permanent dedup and the
     digest history a checkpoint snapshot carries). *)
 
+val history_digest : t -> string
+(** [Codec.history_digest (delivered_digests t)] in constant time: a
+    SHA-256 context fed once per delivery and rebuilt by
+    {!install_checkpoint}, finalized on a copy.  A checkpoint at a round
+    boundary hashes this with {!delivered_count} ({!Codec.snapshot_hash})
+    instead of encoding and hashing the whole history. *)
+
 val base_len : t -> int
 (** Deliveries certified away by checkpoints (length of the truncated
     prefix); [delivered_count t - base_len t] payloads remain in

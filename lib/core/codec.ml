@@ -37,8 +37,9 @@ let decode_batch : string -> string list option =
 
 (* ---------- checkpoint frames --------------------------------------- *)
 
-(* SCK1: u64 round + app-state bytes + counted digest list.  Its SHA-256
-   hash is the statement a checkpoint certificate signs. *)
+(* SCK1: u64 round + app-state bytes + counted digest list: the bytes a
+   state transfer ships.  A checkpoint certificate signs the SCH1 hash
+   below, not the hash of this frame. *)
 
 let snapshot_magic = "SCK1"
 
@@ -54,6 +55,31 @@ let decode_snapshot : string -> (int * string * string list) option =
       let round = Wire.u64 r in
       let app = Wire.bytes r in
       (round, app, Wire.list r ~min:8 Wire.bytes))
+
+(* SCH1: u64 round + app-state bytes + u64 digest count + the history
+   digest, a SHA-256 over the SCK1 digest area's items (each a u64
+   length and the digest) without its count.  A replica keeps that
+   digest running as it delivers, so hashing a checkpoint costs the
+   deliveries since the last one, not the whole history; the count and
+   the collision-resistant history digest bind the same digest list the
+   SCK1 frame carries. *)
+
+let feed_history ctx d =
+  Sha256.feed ctx (Wire.build (fun buf -> Wire.add_bytes buf d))
+
+let history_digest digests =
+  let ctx = Sha256.init () in
+  List.iter (feed_history ctx) digests;
+  Sha256.finalize ctx
+
+let snapshot_hash ~round ~app ~count ~history =
+  if round < 0 || count < 0 then invalid_arg "Codec.snapshot_hash";
+  Sha256.digest
+    (frame "SCH1" (fun buf ->
+         Wire.add_u64 buf round;
+         Wire.add_bytes buf app;
+         Wire.add_u64 buf count;
+         Wire.add_bytes buf history))
 
 (* A blob paired with its certificate (SCP1: snapshot + checkpoint
    certificate; SEC1: epoch-advance body + advance certificate).  Both

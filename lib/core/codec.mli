@@ -36,14 +36,36 @@ val encode_snapshot :
   round:int -> app:string -> digests:string list -> string
 (** Snapshot frame (magic ["SCK1"]): one replica's ordered state at a
     round boundary — the boundary round, an opaque application-state
-    blob, and the delivered log's digest history (oldest first).  Its
-    SHA-256 hash is the statement a checkpoint certificate signs.
-    Deterministic: equal snapshots encode equally.  Raises
-    [Invalid_argument] on a negative round. *)
+    blob, and the delivered log's digest history (oldest first).  This
+    is what a state transfer ships; the statement a checkpoint
+    certificate signs is {!snapshot_hash} of the same fields, not the
+    frame's own hash.  Deterministic: equal snapshots encode equally.
+    Raises [Invalid_argument] on a negative round. *)
 
 val decode_snapshot : string -> (int * string * string list) option
-(** Inverse of {!encode_snapshot}; a frame that decodes hashes to the
-    very same statement. *)
+(** Inverse of {!encode_snapshot}; a frame that decodes yields the very
+    fields, hence the very {!snapshot_hash}, it was encoded from. *)
+
+val feed_history : Sha256.ctx -> string -> unit
+(** Absorb one digest of a delivered history as the SCK1 digest area
+    lays it out: its u64 length, then its bytes. *)
+
+val history_digest : string list -> string
+(** SHA-256 over the digests fed in order by {!feed_history} — the SCK1
+    digest area without its count.  A replica keeps the same digest
+    running as it delivers ({!Abc.history_digest}). *)
+
+val snapshot_hash :
+  round:int -> app:string -> count:int -> history:string -> string
+(** The checkpoint statement: SHA-256 of a header frame (magic
+    ["SCH1"], its own domain) holding the boundary round, the
+    application-state blob, the number of digests and their
+    {!history_digest}.  For an SCK1 frame of [(round, app, digests)]
+    it is [snapshot_hash ~round ~app ~count:(List.length digests)
+    ~history:(history_digest digests)]; a collision-resistant hash
+    binds the same digest list as hashing the frame would, at a cost
+    independent of the history's length once the history digest is
+    known.  Raises [Invalid_argument] on a negative round or count. *)
 
 val encode_ckpt : snapshot:string -> cert:string -> string
 (** Certified-checkpoint frame (magic ["SCP1"]): a snapshot frame paired

@@ -2,19 +2,28 @@
    log truncation, and a catch-up/state-transfer path for rejoining or
    lagging replicas.
 
-   Every [interval] rounds each replica snapshots its ordered state at
-   the round boundary (the boundary hook fires the instant round [b]
+   Every [interval] rounds each replica checkpoints its ordered state
+   at the round boundary (the boundary hook fires the instant round [b]
    completes, when the delivered history is identical at every honest
-   party), hashes the canonical {!Codec.encode_snapshot} frame, and
-   broadcasts a threshold-signature share over the statement
-   ["recov-ckpt" | tag | b | hash].  Once shares from a set that surely
+   party): it hashes the short {!Codec.snapshot_hash} header — the
+   round, the application blob, the digest count and the running
+   {!Abc.history_digest} — and broadcasts a threshold-signature share
+   over the statement ["recov-ckpt" | tag | b | hash].  That costs the
+   deliveries since the last boundary (fed into the running digest as
+   they happened), not the whole history, and keeps only the hash and
+   the count per open boundary.  Once shares from a set that surely
    contains an honest party combine ([Keyring.service_combine] — t+1 in
-   the threshold case), the snapshot plus combined signature form a
-   *checkpoint certificate*: transferable evidence that at least one
-   honest replica vouched for exactly these bytes.  Certification
-   triggers {!Abc.truncate}, which drops the delivered-log prefix and
-   retires every per-round protocol structure below the boundary, so
-   memory stays bounded under sustained load.
+   the threshold case; the combined signature already passes
+   [Keyring.service_verify]), the boundary state plus the combined
+   signature form a *checkpoint certificate*: transferable evidence
+   that at least one honest replica vouched for exactly this history.
+   Certification triggers {!Abc.truncate}, which drops the
+   delivered-log prefix and retires every per-round protocol structure
+   below the boundary, so memory stays bounded under sustained load.
+   The certificate's wire form, an SCP1 frame around the SCK1 snapshot
+   (whose digest list is as long as the history), is built only when a
+   peer first fetches state, then reused; a fetcher recomputes the
+   header hash from the decoded frame.
 
    A recovering replica (fresh state after {!revive}) or a lagging one
    (it sees checkpoint shares for rounds far beyond its own) broadcasts
@@ -71,10 +80,10 @@ type t = {
   abc : Abc.t;
   (* checkpoint-in-progress state, all keyed by boundary round *)
   mutable created : int;  (* highest boundary snapshotted here *)
-  snaps : (int, string * int) Hashtbl.t;  (* frame, digest count *)
-  hashes : (int, string) Hashtbl.t;
+  hashes : (int, string * int) Hashtbl.t;  (* statement hash, digest count *)
   shares : (int, (int * string * Keyring.sig_share) list) Hashtbl.t;
-  mutable certified : (int * int * string) option;  (* round, len, frame *)
+  mutable certified : (int * int * string Lazy.t) option;
+      (* round, digest count, SCP1 frame (built on the first serve) *)
   (* serving side *)
   served : (int * int, int * int) Hashtbl.t;  (* peer, epoch -> resume *)
   (* fetching side *)
@@ -106,20 +115,31 @@ let cleanup_upto t b =
   let dead tbl =
     Hashtbl.fold (fun r _ acc -> if r <= b then r :: acc else acc) tbl []
   in
-  List.iter (Hashtbl.remove t.snaps) (dead t.snaps);
   List.iter (Hashtbl.remove t.hashes) (dead t.hashes);
   List.iter (Hashtbl.remove t.shares) (dead t.shares)
+
+(* The wire form of a checkpoint certified here.  The delivered history
+   only grows at its end, or is replaced by a certified one that agrees
+   with it, so its first [len] digests are still the boundary's. *)
+let ckpt_frame t ~round ~len ~cert =
+  let digests =
+    List.filteri (fun i _ -> i < len) (Abc.delivered_digests t.abc)
+  in
+  Codec.encode_ckpt
+    ~snapshot:(Codec.encode_snapshot ~round ~app:"" ~digests)
+    ~cert
 
 let try_certify t b =
   match Hashtbl.find_opt t.hashes b with
   | None -> ()
-  | Some h -> (
+  | Some (h, len) -> (
     let kr = t.io.Proto_io.keyring in
     let entries =
       match Hashtbl.find_opt t.shares b with Some l -> l | None -> []
     in
-    (* Combine first: [service_combine] checks the combined value, so
-       checkpoint shares travel bare (see [maybe_checkpoint]). *)
+    (* Combine first: [service_combine] returns only a signature that
+       passes [service_verify], so checkpoint shares travel bare (see
+       [maybe_checkpoint]) and the result needs no second check. *)
     let matching =
       List.filter_map
         (fun (src, hash, share) ->
@@ -130,33 +150,26 @@ let try_certify t b =
     match Keyring.service_combine kr (stmt t b h) matching with
     | None -> ()
     | Some s ->
-      if Keyring.service_verify kr (stmt t b h) s then begin
-        let frame, len = Hashtbl.find t.snaps b in
-        (match t.certified with
-        | Some (r0, _, _) when r0 >= b -> ()
-        | _ ->
-          let ck =
-            Codec.encode_ckpt ~snapshot:frame
-              ~cert:(Keyring.service_signature_to_bytes kr s)
-          in
-          t.certified <- Some (b, len, ck);
-          let obs = t.io.Proto_io.obs in
-          if Obs.active obs then
-            Obs.incr obs ~labels:recov_labels "ckpt_certified";
-          Abc.truncate t.abc ~upto_round:b ~upto_len:len);
-        cleanup_upto t b
-      end)
+      (match t.certified with
+      | Some (r0, _, _) when r0 >= b -> ()
+      | _ ->
+        let cert = Keyring.service_signature_to_bytes kr s in
+        t.certified <- Some (b, len, lazy (ckpt_frame t ~round:b ~len ~cert));
+        let obs = t.io.Proto_io.obs in
+        if Obs.active obs then
+          Obs.incr obs ~labels:recov_labels "ckpt_certified";
+        Abc.truncate t.abc ~upto_round:b ~upto_len:len);
+      cleanup_upto t b)
 
 let maybe_checkpoint t b =
   if t.interval > 0 && b > t.created && b mod t.interval = 0 then begin
     t.created <- b;
-    let digests = Abc.delivered_digests t.abc in
-    let frame =
-      Codec.encode_snapshot ~round:b ~app:"" ~digests
+    let len = Abc.delivered_count t.abc in
+    let hash =
+      Codec.snapshot_hash ~round:b ~app:"" ~count:len
+        ~history:(Abc.history_digest t.abc)
     in
-    let hash = Sha256.digest frame in
-    Hashtbl.replace t.snaps b (frame, List.length digests);
-    Hashtbl.replace t.hashes b hash;
+    Hashtbl.replace t.hashes b (hash, len);
     let obs = t.io.Proto_io.obs in
     if Obs.active obs then Obs.incr obs ~labels:recov_labels "ckpt_created";
     let share =
@@ -185,7 +198,6 @@ let create ?policy ?(interval = 0) ~(io : msg Proto_io.t) ~tag ~deliver () =
       interval;
       abc;
       created = 0;
-      snaps = Hashtbl.create 7;
       hashes = Hashtbl.create 7;
       shares = Hashtbl.create 7;
       certified = None;
@@ -235,13 +247,18 @@ let validate_ck t ck =
     | Some (snap, certb) -> (
       match Codec.decode_snapshot snap with
       | None -> None
-      | Some (b, _app, digests) -> (
+      | Some (b, app, digests) -> (
         let kr = t.io.Proto_io.keyring in
         match Keyring.service_signature_of_bytes kr certb with
         | None -> None
         | Some s ->
-          if Keyring.service_verify kr (stmt t b (Sha256.digest snap)) s
-          then Some (snap, digests, Some (b, List.length digests, ck))
+          let count = List.length digests in
+          let hash =
+            Codec.snapshot_hash ~round:b ~app ~count
+              ~history:(Codec.history_digest digests)
+          in
+          if Keyring.service_verify kr (stmt t b hash) s then
+            Some (snap, digests, Some (b, count, ck))
           else None))
 
 let reject_reply t ~src =
@@ -267,7 +284,7 @@ let install t (r : reply) =
     if b > t.created then t.created <- b;
     (match t.certified with
     | Some (r0, _, _) when r0 >= b -> ()
-    | _ -> t.certified <- Some (b, len, ck)));
+    | _ -> t.certified <- Some (b, len, Lazy.from_val ck)));
   t.fetching <- false;
   t.replies <- [];
   t.transfers <- t.transfers + 1;
@@ -378,7 +395,9 @@ let serve t ~src epoch =
         r
     in
     let expect, start = resume in
-    let ck = match t.certified with Some (_, _, f) -> f | None -> "" in
+    let ck =
+      match t.certified with Some (_, _, f) -> Lazy.force f | None -> ""
+    in
     t.io.Proto_io.unsequenced src
       (State
          {

@@ -3,12 +3,16 @@
     rejoining or lagging replicas.
 
     Every [interval] rounds each replica snapshots its ordered state at
-    the round boundary (identical at every honest party), hashes the
-    canonical snapshot frame and collects threshold-signature shares
-    over it; once a set of endorsers that surely contains an honest
-    party combines, the snapshot plus signature form a {e checkpoint
+    the round boundary (identical at every honest party), hashes it as
+    the short {!Codec.snapshot_hash} header over the running
+    {!Abc.history_digest} (work proportional to the deliveries since
+    the last boundary) and collects threshold-signature shares over
+    it; once a set of endorsers that surely contains an honest party
+    combines, the snapshot plus signature form a {e checkpoint
     certificate} and the delivered-log prefix and per-round protocol
     state below the boundary are garbage-collected ({!Abc.truncate}).
+    The certificate's SCK1/SCP1 frame is built when a peer first
+    fetches state, then reused.
 
     A replica revived after a crash — or one that notices checkpoint
     shares for rounds far beyond its own — fetches the latest

@@ -121,7 +121,11 @@ let cert_shares =
 
 (* Combine first; name the bad signers only when that fails on a
    sharing-qualified set (or, for certificates, when combining pruned
-   someone), so an all-honest share set pays for no per-share check. *)
+   someone), so an all-honest share set pays for no per-share check.
+   What comes out already passes [service_verify]: an RSA combination is
+   accepted only by y^e = H(M), and certificate shares are shape-checked
+   here and proof-checked in one batch by [Cert_sig.combine], which is
+   all [Cert_sig.verify] checks. *)
 let service_combine_attributed t msg (shares : sig_share list) :
     service_signature option * int list =
   match t.service with
@@ -129,22 +133,29 @@ let service_combine_attributed t msg (shares : sig_share list) :
     let y, bad = Rsa_threshold.combine_attributed keys msg (rsa_shares shares) in
     (Option.map (fun s -> Rsa_signature s) y, bad)
   | Cert_keys dl ->
-    let cs = cert_shares shares in
-    (match Cert_sig.combine dl msg cs with
-    | Some c ->
-      ( Some (Cert_signature c),
-        List.filter_map
-          (fun (p, _) -> if Pset.mem p c.Cert_sig.signers then None else Some p)
-          cs )
-    | None ->
-      let avail = List.fold_left (fun a (p, _) -> Pset.add p a) Pset.empty cs in
-      if not (AS.is_qualified dl.Dl_sharing.structure avail) then (None, [])
-      else
-        ( None,
+    let cs, misshapen =
+      List.partition
+        (fun (p, ss) -> Share_batch.check_shape dl ~party:p ss)
+        (cert_shares shares)
+    in
+    let c, bad =
+      match Cert_sig.combine dl msg cs with
+      | Some c ->
+        ( Some (Cert_signature c),
           List.filter_map
-            (fun (p, ss) ->
-              if Cert_sig.verify_share dl ~party:p msg ss then None else Some p)
-            cs ))
+            (fun (p, _) -> if Pset.mem p c.Cert_sig.signers then None else Some p)
+            cs )
+      | None ->
+        let avail = List.fold_left (fun a (p, _) -> Pset.add p a) Pset.empty cs in
+        if not (AS.is_qualified dl.Dl_sharing.structure avail) then (None, [])
+        else
+          ( None,
+            List.filter_map
+              (fun (p, ss) ->
+                if Cert_sig.verify_share dl ~party:p msg ss then None else Some p)
+              cs )
+    in
+    (c, List.map fst misshapen @ bad)
 
 let service_combine t msg shares = fst (service_combine_attributed t msg shares)
 

@@ -67,20 +67,33 @@ val service_verify_share : t -> party:int -> string -> sig_share -> bool
 
 val service_combine : t -> string -> sig_share list -> service_signature option
 (** Succeeds once the contributing servers can reconstruct (k = t+1 RSA
-    shares, or a sharing-qualified set of certificate shares). *)
+    shares, or a sharing-qualified set of certificate shares).
+
+    A returned signature already passes {!service_verify} on the same
+    message, so a caller needs no second check: an RSA combination is
+    accepted only when y^e = H(M) holds, and certificate shares are
+    shape-checked and batch proof-checked before they are recombined.
+    Only a signature that arrives from elsewhere (decoded with
+    {!service_signature_of_bytes}) needs {!service_verify}. *)
 
 val service_combine_attributed :
   t -> string -> sig_share list -> service_signature option * int list
-(** {!service_combine} that also names the signers whose shares are
-    bad.  Only a failed combination of a sharing-qualified set (or a
-    certificate combine that pruned someone) looks further: RSA by
-    {!Rsa_threshold.combine_attributed}'s subset search, certificates by
-    per-share checks. *)
+(** {!service_combine}, same contract, that also names the signers
+    whose shares are bad.  A certificate share list of the wrong shape
+    (leaves its signer does not own, or the wrong number) is named at
+    once and left out.  Otherwise only a failed combination of a
+    sharing-qualified set (or a certificate combine that pruned
+    someone) looks further: RSA by {!Rsa_threshold.combine_attributed}'s
+    subset search, certificates by per-share checks. *)
 
 val sig_share_signer : sig_share -> int
 (** The server a share claims to come from — a field read, no check. *)
 
 val service_verify : t -> string -> service_signature -> bool
+(** The public check of a combined signature that comes from elsewhere
+    (a checkpoint or epoch certificate off the wire, a reply certificate
+    checked by a third party); one this replica combined itself already
+    passes it. *)
 
 val service_signature_to_bytes : t -> service_signature -> string
 (** Byte form of a combined service signature, for certificates that

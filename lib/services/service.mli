@@ -190,5 +190,12 @@ module Client : sig
   val fallbacks : c -> int
   val timeouts : c -> int
   val cert_failures : c -> int
+  (** Always [0]: the client accepts exactly what
+      {!Keyring.service_combine_attributed} returns, which already
+      passes {!Keyring.service_verify}, so no assembled certificate can
+      fail.  Kept for the end-to-end benchmark's correctness gate,
+      which sums it; the svc campaign re-verifies every accepted
+      certificate from outside ({!verify_reply_cert}). *)
+
   val rejected_replies : c -> int
 end

@@ -426,7 +426,70 @@ let keyring_tests =
         | None -> Alcotest.fail "combine failed"
         | Some s ->
           Alcotest.(check bool) "service sig ok" true
-            (Keyring.service_verify kr msg s))
+            (Keyring.service_verify kr msg s));
+    Alcotest.test_case
+      "service combine returns only signatures that pass service_verify"
+      `Quick (fun () ->
+        (* Callers accept a combined signature without re-checking it,
+           so every one combine returns must pass the public check, also
+           when a bad share forces the subset search or the pruning. *)
+        let passes kr msg ~label ~bad shares =
+          match Keyring.service_combine_attributed kr msg shares with
+          | None, _ -> Alcotest.failf "%s: no signature" label
+          | Some s, named ->
+            Alcotest.(check (list int)) (label ^ ": bad signers") bad
+              (List.sort compare named);
+            Alcotest.(check bool) (label ^ ": passes service_verify") true
+              (Keyring.service_verify kr msg s)
+        in
+        let kr = Keyring.deal ~rsa_bits:192 ~seed:73 th43 in
+        let msg = "reply statement" in
+        let bare p = Keyring.service_reply_share kr ~party:p msg in
+        let proved p = Keyring.service_sign_share kr ~party:p msg in
+        let corrupt = function
+          | Keyring.Rsa_share s ->
+            Keyring.Rsa_share { s with Rsa_threshold.x = B.add s.Rsa_threshold.x B.one }
+          | Keyring.Cert_share _ as s -> s
+        in
+        passes kr msg ~label:"rsa bare" ~bad:[] [ bare 0; bare 1 ];
+        passes kr msg ~label:"rsa proved" ~bad:[] [ proved 2; proved 3 ];
+        passes kr msg ~label:"rsa one bad, subset search" ~bad:[ 0 ]
+          [ corrupt (bare 0); bare 1; bare 2 ];
+        let before = Rsa_threshold.combine_attempts () in
+        passes kr msg ~label:"rsa bad share last" ~bad:[ 3 ]
+          [ bare 1; corrupt (bare 3); bare 2 ];
+        Alcotest.(check bool) "the bad set searched subsets" true
+          (Rsa_threshold.combine_attempts () - before > 1);
+        let kr = Keyring.deal ~seed:74 (Canonical_structures.example2 ()) in
+        let share p = Keyring.service_sign_share kr ~party:p msg in
+        let forge = function
+          | Keyring.Cert_share (p, s :: rest) ->
+            Keyring.Cert_share
+              ( p,
+                { s with
+                  Cert_sig.value =
+                    G.mul kr.Keyring.group s.Cert_sig.value
+                      kr.Keyring.group.G.g }
+                :: rest )
+          | s -> s
+        in
+        let relabel p = function
+          | Keyring.Cert_share (_, ss) -> Keyring.Cert_share (p, ss)
+          | s -> s
+        in
+        let block = [ 0; 1; 4; 5 ] in
+        passes kr msg ~label:"cert honest" ~bad:[] (List.map share block);
+        passes kr msg ~label:"cert one bad, pruned" ~bad:[ 2 ]
+          (forge (share 2) :: List.map share (block @ [ 6 ]));
+        passes kr msg ~label:"cert leaves of another signer" ~bad:[ 6 ]
+          (relabel 6 (share 5) :: List.map share block);
+        let out_of_range = function
+          | Keyring.Cert_share (p, s :: rest) ->
+            Keyring.Cert_share (p, { s with Cert_sig.leaf = 1_000_000 } :: rest)
+          | s -> s
+        in
+        passes kr msg ~label:"cert leaf out of range" ~bad:[ 6 ]
+          (out_of_range (share 6) :: List.map share block))
   ]
 
 (* Golden digest over every share-producing scheme of a threshold

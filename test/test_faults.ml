@@ -715,6 +715,132 @@ let recovery_tests =
           (r.Rejoin.jr_rejected > 0);
         Alcotest.(check int) "no violations" 0
           (List.length r.Rejoin.jr_violations));
+    Alcotest.test_case
+      "running history digest: deliveries, truncate, install, transfer"
+      `Quick (fun () ->
+        (* A checkpoint hashes the running digest instead of the whole
+           history, so it must equal the from-scratch digest at every
+           party: after plain deliveries, after checkpoint truncation,
+           and on a revived replica after [install_checkpoint].  The
+           statement a fetcher recomputes from a transferred frame must
+           equal the one every creator endorsed, and the forged server's
+           frame must still be refused and counted. *)
+        let keyring =
+          Keyring.deal ~rsa_bits:192 ~seed:43 (AS.threshold ~n:4 ~t:1)
+        in
+        let sim = Sim.create ~policy:Sim.Random_order ~n:4 ~seed:9 () in
+        let dep =
+          Recovery.deploy ~interval:2
+            ~wrap:
+              (Byzantine.wrap_of ~sim ~keyring ~seed:9 ~set:(Pset.singleton 2)
+                 (Byzantine.For_recovery.forged_server ()))
+            ~sim ~keyring ~tag:"history" ~deliver:(fun _ _ -> ()) ()
+        in
+        let node p = (Recovery.nodes dep).(p) in
+        let abc p = Recovery.abc (node p) in
+        let count p = Abc.delivered_count (abc p) in
+        let matches p =
+          Alcotest.(check string)
+            (Printf.sprintf "party %d: running = from scratch" p)
+            (Sha256.to_hex (Codec.history_digest (Abc.delivered_digests (abc p))))
+            (Sha256.to_hex (Abc.history_digest (abc p)))
+        in
+        (* Every statement endorsed to party 0, by boundary round and
+           sender. *)
+        let endorsed = Hashtbl.create 8 in
+        Sim.wrap_handler sim 0 (fun h ~src frame ->
+            (match Link.payload frame with
+            | Some (Recovery.Ckpt_share { round; hash; _ }) ->
+              Hashtbl.replace endorsed (round, src) hash
+            | Some _ | None -> ());
+            h ~src frame);
+        let submit k =
+          Recovery.submit (node (k mod 3)) (Printf.sprintf "history-%d" k)
+        in
+        let run_until parties total =
+          Sim.run sim ~max_steps:400_000 ~until:(fun () ->
+              List.for_all (fun p -> count p >= total) parties)
+        in
+        for k = 1 to 6 do submit k done;
+        run_until [ 0; 1; 2; 3 ] 6;
+        List.iter matches [ 0; 1; 2; 3 ];
+        Alcotest.(check bool) "party 0 truncated a certified prefix" true
+          (Abc.base_len (abc 0) > 0);
+        Sim.crash sim 3;
+        for k = 7 to 12 do submit k done;
+        run_until [ 0; 1; 2 ] 12;
+        ignore (Recovery.revive dep 3);
+        (* The revived incarnation's handler is new: watch the State
+           replies it receives. *)
+        let frames = ref [] in
+        Sim.wrap_handler sim 3 (fun h ~src frame ->
+            (match Link.payload frame with
+            | Some (Recovery.State { ck; _ }) when ck <> "" ->
+              frames := (src, ck) :: !frames
+            | Some _ | None -> ());
+            h ~src frame);
+        run_until [ 3 ] 12;
+        Alcotest.(check bool) "party 3 installed a transferred state" true
+          (Recovery.transfers (node 3) > 0);
+        Alcotest.(check bool) "the forged frame was refused and counted" true
+          (Recovery.rejected_replies (node 3) > 0);
+        matches 3;
+        for k = 13 to 16 do submit k done;
+        run_until [ 0; 1; 2; 3 ] 16;
+        List.iter matches [ 0; 1; 2; 3 ];
+        Alcotest.(check (list string)) "party 3 holds party 0's history"
+          (Abc.delivered_digests (abc 0)) (Abc.delivered_digests (abc 3));
+        (* Every creator endorsed the same statement per boundary, the
+           revived party's later ones included. *)
+        let by_round = Hashtbl.create 8 in
+        Hashtbl.iter
+          (fun (round, src) hash ->
+            Hashtbl.replace by_round round
+              ((src, hash)
+              :: Option.value ~default:[] (Hashtbl.find_opt by_round round)))
+          endorsed;
+        Hashtbl.iter
+          (fun round hashes ->
+            match hashes with
+            | [] -> ()
+            | (_, h0) :: _ ->
+              List.iter
+                (fun (src, h) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "round %d: party %d endorses the same hash"
+                       round src)
+                    (Sha256.to_hex h0) (Sha256.to_hex h))
+                hashes)
+          by_round;
+        Alcotest.(check bool) "the revived party endorsed a later boundary"
+          true
+          (Hashtbl.fold (fun (_, src) _ acc -> acc || src = 3) endorsed false
+          && Hashtbl.length by_round > 2);
+        let honest = List.filter (fun (src, _) -> src <> 2) !frames in
+        Alcotest.(check bool) "honest peers served certified frames" true
+          (honest <> []);
+        List.iter
+          (fun (src, ck) ->
+            match Codec.decode_ckpt ck with
+            | None -> Alcotest.failf "party %d served a malformed frame" src
+            | Some (snap, _) -> (
+              match Codec.decode_snapshot snap with
+              | None -> Alcotest.failf "party %d served a malformed snapshot" src
+              | Some (round, app, digests) ->
+                let recomputed =
+                  Codec.snapshot_hash ~round ~app ~count:(List.length digests)
+                    ~history:(Codec.history_digest digests)
+                in
+                let creator =
+                  match Hashtbl.find_opt by_round round with
+                  | Some ((_, h) :: _) -> h
+                  | Some [] | None ->
+                    Alcotest.failf "no endorsement of round %d" round
+                in
+                Alcotest.(check string)
+                  (Printf.sprintf "party %d's frame of round %d" src round)
+                  (Sha256.to_hex creator) (Sha256.to_hex recomputed)))
+          honest);
     Alcotest.test_case "checkpoint GC bounds the delivered log" `Quick
       (fun () ->
         let env = Sweep.prepare (Rejoin.campaign (Support.core ~seeds:1 24)) in
