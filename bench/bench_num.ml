@@ -167,7 +167,7 @@ let protocol_kernels sample =
       ("sha256_block", [ ("bytes", "64") ], fun () -> Sha256.feed hash_ctx block);
       ( "ro_challenge", group,
         fun () ->
-          ignore (Ro.hash_to_bignum_below ~domain:"sintra/schnorr/c" challenge ps.G.q) );
+          ignore (G.hash_to_exponent ps ~domain:"sintra/schnorr/c" challenge) );
       ("schnorr_sign", group, fun () -> ignore (Schnorr_sig.sign ps kp "bench-msg"));
       ( "schnorr_verify", group,
         fun () -> ignore (Schnorr_sig.verify ps ~pk:kp.Schnorr_sig.pk "bench-msg" sg) );
@@ -282,7 +282,7 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
       let ps = G.unsafe_params ~p:m ~q ~g in
       let e1 = Prng.bignum_below rng q and e2 = Prng.bignum_below rng q in
       let a = B.mul_mod exp exp m in
-      G.prepare_base ps g;
+      G.prepare_base ps ps.G.g;
       let fixed = sample "fixed_base_exp_g" (fun () -> ignore (G.exp_g ps e1)) in
       speedup "fixed_base_exp_g" b (window /. fixed);
       let two_pow =
@@ -337,8 +337,7 @@ let run ?(out = "BENCH_NUM.json") ?(quick = false) () : unit =
   let proofs =
     List.init 16 (fun i ->
         let x =
-          Ro.hash_to_bignum_below ~domain:(dleq_domain ^ "/x")
-            [ string_of_int i ] ps.G.q
+          G.hash_to_exponent ps ~domain:(dleq_domain ^ "/x") [ string_of_int i ]
         in
         let h1 = G.exp_g ps x and h2 = G.exp ps g2 x in
         let proof =

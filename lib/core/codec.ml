@@ -209,16 +209,13 @@ let decode_link_frame : string -> string Link.frame option =
    out-of-range value reaches the crypto layer and every field has one
    encoding. *)
 
-let exp_len (g : Schnorr_group.params) =
-  (Bignum.numbits g.Schnorr_group.q + 7) / 8
-
 let add_exp g buf v =
-  Buffer.add_string buf (Bignum.to_bytes_be ~len:(exp_len g) v)
+  Buffer.add_string buf (Schnorr_group.exponent_to_bytes g v)
 
 let read_exp g r =
-  let v = Bignum.of_bytes_be (Wire.fixed r (exp_len g)) in
-  Wire.check (Bignum.lt v g.Schnorr_group.q);
-  v
+  Wire.get
+    (Schnorr_group.exponent_of_bytes g
+       (Wire.fixed r (Schnorr_group.exponent_len g)))
 
 let add_elt g buf e = Buffer.add_string buf (Schnorr_group.elt_to_bytes g e)
 
@@ -240,7 +237,7 @@ let add_subshare g buf (ss : Lsss.subshare) =
   add_exp g buf ss.Lsss.value
 
 let read_subshares g r =
-  Wire.list r ~min:(16 + exp_len g) (fun r ->
+  Wire.list r ~min:(16 + Schnorr_group.exponent_len g) (fun r ->
       let leaf = Wire.u64 r in
       let party = Wire.u64 r in
       { Lsss.leaf; party; value = read_exp g r })

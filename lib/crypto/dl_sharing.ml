@@ -22,7 +22,7 @@ type t = {
 
 let deal (group : G.params) (structure : AS.t) (rng : Prng.t) : t =
   let scheme =
-    Lsss.build ~modulus:group.G.q (AS.access_formula structure)
+    Lsss.build ~modulus:(G.order group) (AS.access_formula structure)
   in
   let secret = G.random_exponent group rng in
   let subshares = Lsss.share scheme rng ~secret in

@@ -33,51 +33,37 @@ let transcript ps ~domain g1 h1 g2 h2 a1 a2 =
    good as fresh randomness and keeps proving stateless. *)
 let prove ps ~domain ~x ~g1 ~h1 ~g2 ~h2 : t =
   let r =
-    Ro.hash_to_bignum_below ~domain:(domain ^ "/nonce")
+    G.hash_to_exponent ps ~domain:(domain ^ "/nonce")
       (B.to_bytes_be x :: List.map (G.elt_to_bytes ps) [ g1; h1; g2; h2 ])
-      ps.G.q
   in
   let a1 = G.exp ps g1 r and a2 = G.exp ps g2 r in
   let c = transcript ps ~domain g1 h1 g2 h2 a1 a2 in
-  let z = B.add_mod r (B.mul_mod c x ps.G.q) ps.G.q in
-  { c; z; a1; a2 }
+  { c; z = G.response ps ~r ~c ~x; a1; a2 }
 
+(* a_i = g_i^z * h_i^{-c} must re-produce the challenge.  Every h_i is
+   a subgroup member by its type, so nothing is re-checked. *)
 let verify ps ~domain ~g1 ~h1 ~g2 ~h2 (proof : t) : bool =
-  G.is_element ps h1 && G.is_element ps h2
-  && B.sign proof.z >= 0 && B.lt proof.z ps.G.q
+  G.is_exponent ps proof.z
   &&
-  (* a_i = g_i^z * h_i^{-c} must re-produce the challenge; h_i passed
-     the membership checks above, so h_i^{-c} = h_i^{q-c}. *)
-  let c' = G.neg_exponent ps proof.c in
-  let a1 = G.multi_exp ps [ (h1, c'); (g1, proof.z) ] in
-  let a2 = G.multi_exp ps [ (h2, c'); (g2, proof.z) ] in
+  let a1 = G.recommit ps ~g:g1 ~z:proof.z ~h:h1 ~c:proof.c in
+  let a2 = G.recommit ps ~g:g2 ~z:proof.z ~h:h2 ~c:proof.c in
   B.equal proof.c (transcript ps ~domain g1 h1 g2 h2 a1 a2)
 
 let to_bytes ps (p : t) : string =
-  let len = (B.numbits ps.G.q + 7) / 8 in
-  B.to_bytes_be ~len p.c ^ B.to_bytes_be ~len p.z
+  G.exponent_to_bytes ps p.c ^ G.exponent_to_bytes ps p.z
 
 (* ------------------------------------------------------------------ *)
 (* Batch verification                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Subgroup membership for adversary-supplied elements on the batch
-   path: in a safe-prime Schnorr group (p = 2q + 1) the order-q
-   subgroup is exactly the quadratic residues, so the Jacobi symbol —
-   a GCD-style computation, no exponentiation — decides membership.
-   The single-proof {!verify} keeps its historical [x^q = 1] check. *)
-let in_group ps (x : G.elt) : bool =
-  B.sign x > 0 && B.lt x ps.G.p && B.jacobi x ps.G.p = 1
-
 (* RLC coefficient width.  A batch with one invalid proof survives the
    folded check with probability 2^-63 over the oracle-derived
    coefficients; short coefficients also keep their terms cheap inside
    the shared squaring chain.  Coefficients are made EVEN (a random
-   63-bit value doubled): Z_p^* for a safe prime is QR x {+-1}, and an
-   even exponent annihilates any order-2 component an adversary smuggles
-   into a commitment, so a1/a2 need no membership check at all — only
-   h2, whose value flows into recombination with arbitrary-parity
-   Lagrange coefficients, must be checked (see DESIGN.md, section 12). *)
+   63-bit value doubled): an even exponent annihilates any order-2
+   component of Z_p^* = QR x {+-1}, so the folded check's soundness does
+   not rest on the element type alone, at one shift per coefficient
+   (DESIGN.md, section 12). *)
 let rho_bits = 64
 
 (* One proof's transcript parts, with the shared g1/g2 encodings hoisted
@@ -124,26 +110,19 @@ let rlc_coeffs ~domain (proof_bytes : string list) (k : int) :
      g1^{sum z_i rho_i} * g2^{sum z_i sigma_i}
        = prod a1_i^{rho_i} h1_i^{c_i rho_i} a2_i^{sigma_i} h2_i^{c_i sigma_i}
 
-   plus the k hash re-checks binding each c_i to (a1_i, a2_i), plus
-   range/subgroup checks on every adversary-suppliable element.  One
-   multi-exponentiation (shared squaring chain) carries the whole right-
-   hand side; the left folds onto the (usually fixed-base-tabled) g1 and
-   g2. *)
-let batch_holds ps ~domain (batch : (statement * t) list) : bool =
+   plus the k hash re-checks binding each c_i to (a1_i, a2_i), plus the
+   range check on every response.  One multi-exponentiation (shared
+   squaring chain) carries the whole right-hand side; the left folds
+   onto the (usually fixed-base-tabled) g1 and g2. *)
+let batch_verify ps ~domain (batch : (statement * t) list) : bool =
   match batch with
   | [] -> true
   | (s0, _) :: _ ->
-    let q = ps.G.q in
     let g1b = G.elt_to_bytes ps s0.g1 and g2b = G.elt_to_bytes ps s0.g2 in
     Obs_crypto.batch_verify (List.length batch);
     List.for_all
       (fun ((s : statement), (p : t)) ->
-        B.sign p.z >= 0 && B.lt p.z q
-        (* h1 is the dealer-published leaf verification key at every
-           call site, and a1/a2 are neutralized by the even RLC
-           coefficients; only the adversary's share value h2 needs a
-           subgroup check (cf. {!verify}'s two [is_element]s). *)
-        && in_group ps s.h2
+        G.is_exponent ps p.z
         (* all statements of one batch share the proving bases *)
         && G.elt_equal s.g1 s0.g1 && G.elt_equal s.g2 s0.g2)
       batch
@@ -192,36 +171,25 @@ let verify_one ps ~domain ((s : statement), (p : t)) : bool =
   B.equal p.c (transcript ps ~domain s.g1 s.h1 s.g2 s.h2 p.a1 p.a2)
   && verify ps ~domain ~g1:s.g1 ~h1:s.h1 ~g2:s.g2 ~h2:s.h2 p
 
-let batch_verify ps ~domain (batch : (statement * t) list) : bool =
-  batch_holds ps ~domain batch
-
 (* Indices (into the input list) of the proofs that fail, attributed by
    bisection: re-run the folded check on halves of a failing batch and
-   recurse, deciding singletons exactly.  A clean batch costs one
-   multi-exp; a batch with one bad proof costs O(log k) sub-batches. *)
+   recurse, deciding singletons exactly.  The caller has just seen the
+   whole batch fail, so the search starts by splitting it.  A batch
+   with one bad proof costs O(log k) sub-batches. *)
 let batch_find_bad ps ~domain (batch : (statement * t) list) : int list =
   let rec go (indexed : (int * (statement * t)) list) =
     match indexed with
     | [] -> []
     | [ (i, sp) ] -> if verify_one ps ~domain sp then [] else [ i ]
     | _ ->
-      if batch_holds ps ~domain (List.map snd indexed) then []
-      else begin
-        Obs_crypto.batch_verify_fallback ();
-        let k = List.length indexed / 2 in
-        let left = List.filteri (fun j _ -> j < k) indexed in
-        let right = List.filteri (fun j _ -> j >= k) indexed in
-        go left @ go right
-      end
+      if batch_verify ps ~domain (List.map snd indexed) then []
+      else split indexed
+  and split indexed =
+    Obs_crypto.batch_verify_fallback ();
+    let k = List.length indexed / 2 in
+    go (List.filteri (fun j _ -> j < k) indexed)
+    @ go (List.filteri (fun j _ -> j >= k) indexed)
   in
-  let indexed = List.mapi (fun i sp -> (i, sp)) batch in
-  match indexed with
+  match batch with
   | [] -> []
-  | _ ->
-    if batch_holds ps ~domain batch then []
-    else begin
-      Obs_crypto.batch_verify_fallback ();
-      let k = List.length indexed / 2 in
-      go (List.filteri (fun j _ -> j < k) indexed)
-      @ go (List.filteri (fun j _ -> j >= k) indexed)
-    end
+  | _ -> split (List.mapi (fun i sp -> (i, sp)) batch)

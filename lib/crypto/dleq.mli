@@ -43,8 +43,9 @@ val verify :
   g1:Schnorr_group.elt -> h1:Schnorr_group.elt ->
   g2:Schnorr_group.elt -> h2:Schnorr_group.elt ->
   t -> bool
-(** Also validates group membership of [h1], [h2].  Checks only [(c, z)]
-    — the carried commitments do not participate. *)
+(** Checks only [(c, z)] — the carried commitments do not participate.
+    Every element is a subgroup member by its type, so none is
+    re-checked. *)
 
 val verify_one :
   Schnorr_group.params -> domain:string -> statement * t -> bool
@@ -54,8 +55,8 @@ val verify_one :
 
 val batch_verify :
   Schnorr_group.params -> domain:string -> (statement * t) list -> bool
-(** Check every proof of the batch at once: per-proof range, subgroup
-    (Jacobi-symbol) and challenge-hash checks, then one folded
+(** Check every proof of the batch at once: per-proof range and
+    challenge-hash checks, then one folded
     multi-exponentiation under deterministic 64-bit random-linear-
     combination coefficients.  All statements must share [g1] and [g2].
     A batch with any invalid proof is rejected except with probability
@@ -63,7 +64,8 @@ val batch_verify :
 
 val batch_find_bad :
   Schnorr_group.params -> domain:string -> (statement * t) list -> int list
-(** Indices of the invalid proofs, attributed by bisection over failing
-    sub-batches (singletons decided exactly with {!verify_one}).
-    Returns [[]] iff {!batch_verify} accepts. *)
+(** Indices of the invalid proofs of a batch that {!batch_verify} has
+    just rejected, attributed by bisection over failing sub-batches
+    (singletons decided exactly with {!verify_one}).  The whole batch is
+    not re-checked: the search starts by splitting it. *)
 

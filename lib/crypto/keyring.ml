@@ -354,5 +354,5 @@ let verify_cert ?verify t (statement : string) (c : cert) : bool =
 let cert_size t (c : cert) : int =
   match c with
   | Vector_cert sigs ->
-    List.length sigs * (4 + (2 * ((B.numbits t.group.G.q + 7) / 8)))
+    List.length sigs * (4 + (2 * G.exponent_len t.group))
   | Rsa_cert y -> (B.numbits y + 7) / 8

@@ -42,7 +42,7 @@ type target = {
 let target_of (t : Dl_sharing.t) (structure : Adversary_structure.t) : target =
   { t_structure = structure;
     t_scheme =
-      Lsss.build ~modulus:t.Dl_sharing.group.G.q
+      Lsss.build ~modulus:(G.order t.Dl_sharing.group)
         (Adversary_structure.access_formula structure) }
 
 type reshare_package = {
@@ -158,10 +158,7 @@ let apply_reshares (t : Dl_sharing.t) (target : target)
                List.iter
                  (fun (w : Lsss.subshare) ->
                    values.(w.Lsss.leaf) <-
-                     B.add_mod
-                       values.(w.Lsss.leaf)
-                       (B.mul_mod w.Lsss.value c ps.G.q)
-                       ps.G.q)
+                     G.response ps ~r:values.(w.Lsss.leaf) ~c ~x:w.Lsss.value)
                  shares)
            coeffs;
          let leaf_keys =

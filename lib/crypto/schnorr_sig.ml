@@ -25,32 +25,31 @@ let sign (ps : G.params) (kp : keypair) (msg : string) : signature =
   Obs_crypto.sign ();
   (* Deterministic nonce (RFC 6979 style). *)
   let r =
-    Ro.hash_to_bignum_below ~domain:(domain ^ "/nonce")
-      [ B.to_bytes_be kp.sk; msg ] ps.G.q
+    G.hash_to_exponent ps ~domain:(domain ^ "/nonce")
+      [ B.to_bytes_be kp.sk; msg ]
   in
   let a = G.exp_g ps r in
   let c = challenge ps ~a ~pk:kp.pk ~msg in
-  { c; z = B.add_mod r (B.mul_mod c kp.sk ps.G.q) ps.G.q }
+  { c; z = G.response ps ~r ~c ~x:kp.sk }
 
 let verify (ps : G.params) ~(pk : G.elt) (msg : string) (s : signature) : bool
     =
   Obs_crypto.verify ();
-  B.sign s.z >= 0 && B.lt s.z ps.G.q
+  G.is_exponent ps s.z
   && begin
     (* a = g^z * pk^-c.  A public key is long-lived, so it gets a
-       fixed-base table like g, and both fold into one accumulator; pk
-       is a subgroup element (pk = g^sk), so pk^-c = pk^(q-c). *)
+       fixed-base table like g, and both fold into one accumulator. *)
     G.prepare_base ps pk;
-    let a = G.multi_exp ps [ (pk, G.neg_exponent ps s.c); (ps.G.g, s.z) ] in
+    let a = G.recommit ps ~g:ps.G.g ~z:s.z ~h:pk ~c:s.c in
     B.equal s.c (challenge ps ~a ~pk ~msg)
   end
 
 let to_bytes (ps : G.params) (s : signature) : string =
-  let len = (B.numbits ps.G.q + 7) / 8 in
-  B.to_bytes_be ~len s.c ^ B.to_bytes_be ~len s.z
+  G.exponent_to_bytes ps s.c ^ G.exponent_to_bytes ps s.z
 
+(* Both halves decode unchecked: a [z] out of range fails {!verify}. *)
 let of_bytes (ps : G.params) (raw : string) : signature option =
-  let len = (B.numbits ps.G.q + 7) / 8 in
+  let len = G.exponent_len ps in
   if String.length raw <> 2 * len then None
   else
     Some

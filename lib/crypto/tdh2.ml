@@ -77,33 +77,28 @@ let encrypt (t : Dl_sharing.t) (rng : Prng.t) ~(label : string)
   let u = G.exp_g ps k and u' = G.exp ps gp k in
   let w = G.exp_g ps r and w' = G.exp ps gp r in
   let e = challenge ps ~c ~label ~u ~w ~u' ~w' in
-  let f = B.add_mod r (B.mul_mod k e ps.G.q) ps.G.q in
-  { c; label; u; u'; e; f }
+  { c; label; u; u'; e; f = G.response ps ~r ~c:e ~x:k }
 
 (* A ciphertext that passed the public validity check on this replica:
-   u and u' lie in the subgroup and (e, f) proves them consistent.
-   Servers must refuse to decrypt anything else (the CCA2 barrier), and
-   only this module builds a [checked], so sharing and combining cannot
-   skip the check. *)
+   (e, f) proves u and u' consistent (both are subgroup members by
+   their type).  Servers must refuse to decrypt anything else (the CCA2
+   barrier), and only this module builds a [checked], so sharing and
+   combining cannot skip the check. *)
 type checked = ciphertext
 
-(* The consistency proof alone, for u and u' already known to be
-   subgroup members: w = g^f * u^-e (and likewise for g'), where
-   u^-e = u^(q-e) by membership. *)
-let proof_holds ps (ct : ciphertext) : bool =
-  B.sign ct.f >= 0 && B.lt ct.f ps.G.q
-  &&
-  let gp = g' ps in
-  let e' = G.neg_exponent ps ct.e in
-  let w = G.multi_exp ps [ (ct.u, e'); (ps.G.g, ct.f) ] in
-  let w' = G.multi_exp ps [ (ct.u', e'); (gp, ct.f) ] in
-  B.equal ct.e (challenge ps ~c:ct.c ~label:ct.label ~u:ct.u ~w ~u':ct.u' ~w')
-
+(* The consistency proof: w = g^f * u^-e, and likewise for g'. *)
 let check (t : Dl_sharing.t) (ct : ciphertext) : checked option =
   let ps = t.Dl_sharing.group in
-  if G.is_element ps ct.u && G.is_element ps ct.u' && proof_holds ps ct then
-    Some ct
-  else None
+  let holds =
+    G.is_exponent ps ct.f
+    &&
+    let gp = g' ps in
+    let w = G.recommit ps ~g:ps.G.g ~z:ct.f ~h:ct.u ~c:ct.e in
+    let w' = G.recommit ps ~g:gp ~z:ct.f ~h:ct.u' ~c:ct.e in
+    B.equal ct.e
+      (challenge ps ~c:ct.c ~label:ct.label ~u:ct.u ~w ~u':ct.u' ~w')
+  in
+  if holds then Some ct else None
 
 let is_valid t ct = Option.is_some (check t ct)
 let ciphertext (ct : checked) : ciphertext = ct
@@ -166,6 +161,4 @@ let ciphertext_of_bytes (t : Dl_sharing.t) (raw : string) : ciphertext option =
 
 (* Membership was tested by the decoder, so only the proof is left. *)
 let checked_of_bytes (t : Dl_sharing.t) (raw : string) : checked option =
-  match ciphertext_of_bytes t raw with
-  | Some ct when proof_holds t.Dl_sharing.group ct -> Some ct
-  | _ -> None
+  Option.bind (ciphertext_of_bytes t raw) (check t)

@@ -25,21 +25,19 @@ type dec_share = Share_batch.share = {
 val encrypt : Dl_sharing.t -> Prng.t -> label:string -> string -> ciphertext
 
 type checked
-(** A ciphertext whose subgroup membership ([u], [u']) and consistency
-    proof ([e], [f]) passed on this replica.  Servers must refuse to
+(** A ciphertext whose consistency proof ([e], [f]) passed on this
+    replica ([u] and [u'] are subgroup members by their type).  Servers must refuse to
     decrypt an invalid ciphertext (the CCA2 barrier); {!share} and
     {!combine} take only a [checked], so the check runs once, where the
     ciphertext enters, and never again.  Protocol code decodes and
     checks in one step with {!checked_of_bytes}. *)
 
 val check : Dl_sharing.t -> ciphertext -> checked option
-(** Membership of [u] and [u'], then the consistency proof. *)
+(** The consistency proof. *)
 
 val checked_of_bytes : Dl_sharing.t -> string -> checked option
-(** {!ciphertext_of_bytes} followed by the consistency proof: the
-    decoder already tested membership, so it is not tested again.
-    Accepts exactly the bytes that decode to a ciphertext passing
-    {!is_valid}. *)
+(** {!ciphertext_of_bytes} (which tests membership of [u] and [u'])
+    followed by {!check}. *)
 
 val ciphertext : checked -> ciphertext
 

@@ -4,8 +4,13 @@
    This is the discrete-log setting used by the threshold coin of Cachin,
    Kursawe and Shoup and by the Shoup-Gennaro TDH2 threshold cryptosystem.
    The group of quadratic residues mod p has prime order q, so hashing
-   into it is simply squaring, and every non-unit element is a
-   generator.
+   into it is simply squaring, every non-unit element is a generator,
+   and membership is a Jacobi symbol.
+
+   An [elt] is a fully reduced [Bignum.t] behind an abstract type: the
+   constructors below only ever produce subgroup members, and
+   [elt_of_bytes] is the one place a foreign value is tested, so the
+   rest of the code base never checks membership again.
 
    Exponentiation reaches two kernels.  [params] carries a small cache
    of fixed-base comb tables ([Bignum.Fixed_base]), so an
@@ -26,21 +31,15 @@ type cache = { mutable tables : (B.t * table) list }
    exponentiate a handful of bases (g, the coin/TDH2 hash bases, leaf
    public keys), so a short list beats a hash table here. *)
 
-type params = { p : B.t; q : B.t; g : B.t; cache : cache }
-
 type elt = B.t
-(* Invariant: an [elt] is a quadratic residue mod p, i.e. x^q = 1. *)
+(* Invariant: an [elt] is a quadratic residue mod p, i.e. x^q = 1, and
+   fully reduced, so equality is [B.equal]. *)
+
+type params = { p : B.t; q : B.t; g : elt; cache : cache }
 
 let params_equal a b = B.equal a.p b.p && B.equal a.q b.q && B.equal a.g b.g
 
 let unsafe_params ~p ~q ~g : params = { p; q; g; cache = { tables = [] } }
-
-let generate ?(bits = 128) rng : params =
-  let p, q = Primes.random_safe_prime rng ~bits in
-  (* 4 = 2^2 is a quadratic residue and not 1, hence a generator of the
-     order-q subgroup. *)
-  let g = B.erem (B.of_int 4) p in
-  unsafe_params ~p ~q ~g
 
 (* Shared test/bench parameter sets, memoized per bit size so that suites
    do not regenerate safe primes repeatedly.  Memoization also shares the
@@ -51,17 +50,17 @@ let default ?(bits = 128) () : params =
   match Hashtbl.find_opt default_cache bits with
   | Some ps -> ps
   | None ->
-    let ps = generate ~bits (Prng.create ~seed:(0x5EC5E7 + bits)) in
+    let rng = Prng.create ~seed:(0x5EC5E7 + bits) in
+    let p, q = Primes.random_safe_prime rng ~bits in
+    (* 4 = 2^2 is a quadratic residue and not 1, hence a generator of
+       the order-q subgroup. *)
+    let ps = unsafe_params ~p ~q ~g:(B.erem (B.of_int 4) p) in
     Hashtbl.add default_cache bits ps;
     ps
 
 let one (_ : params) : elt = B.one
 let generator ps : elt = ps.g
 let elt_equal (a : elt) (b : elt) = B.equal a b
-
-let is_element ps (x : B.t) : bool =
-  B.sign x > 0 && B.lt x ps.p
-  && B.equal (B.pow_mod ~base:x ~exp:ps.q ~modulus:ps.p) B.one
 
 let mul ps (a : elt) (b : elt) : elt = B.mul_mod a b ps.p
 
@@ -131,25 +130,25 @@ let multi_exp ps (pairs : (elt * B.t) list) : elt =
   | [ (b, e) ] -> mul ps acc (B.pow_mod ~base:b ~exp:e ~modulus:ps.p)
   | _ -> mul ps acc (B.pow_multi_mod rest ~modulus:ps.p)
 
-(* h^(q - c) = h^-c for every subgroup element h, since h^q = 1. *)
-let neg_exponent ps (c : B.t) : B.t = B.erem (B.neg c) ps.q
-
-let inv ps (a : elt) : elt =
-  match B.inv_mod a ps.p with
-  | Some i -> i
-  | None -> invalid_arg "Schnorr_group.inv: not invertible"
+(* h^(q - c) = h^-c for every subgroup element h, since h^q = 1; the
+   exponent reduction in [multi_exp] turns -c into q - c. *)
+let recommit ps ~g ~z ~h ~c : elt = multi_exp ps [ (h, B.neg c); (g, z) ]
 
 let elt_len ps = (B.numbits ps.p + 7) / 8
 
 let elt_to_bytes ps (a : elt) : string = B.to_bytes_be ~len:(elt_len ps) a
 
 (* Only the exact fixed-width form decodes: a shorter or zero-padded
-   string naming the same element would be a second encoding of it. *)
+   string naming the same element would be a second encoding of it.  In
+   a safe-prime group the order-q subgroup is exactly the quadratic
+   residues, so for 0 < x < p the Jacobi symbol (x/p) = 1 iff x^q = 1,
+   at a GCD-like cost instead of an exponentiation. *)
 let elt_of_bytes ps (s : string) : elt option =
   if String.length s <> elt_len ps then None
   else
     let x = B.of_bytes_be s in
-    if is_element ps x then Some x else None
+    if B.sign x > 0 && B.lt x ps.p && B.jacobi x ps.p = 1 then Some x
+    else None
 
 (* Hash arbitrary strings into the group: reduce mod p, then square.
    Squaring maps onto the quadratic residues, i.e. into the subgroup. *)
@@ -159,9 +158,29 @@ let hash_to_elt ps ~domain (parts : string list) : elt =
   let x = if B.is_zero x then B.one else x in
   B.mul_mod x x ps.p
 
+(* ------------------------------------------------------------------ *)
+(* Exponents                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let order ps = ps.q
+
 (* Random exponent in Z_q. *)
 let random_exponent ps rng : B.t = Prng.bignum_below rng ps.q
 
-(* Hash group elements and strings to a challenge in Z_q (Fiat-Shamir). *)
+(* Hash group elements and strings into Z_q: Fiat-Shamir challenges and
+   deterministic nonces. *)
 let hash_to_exponent ps ~domain (parts : string list) : B.t =
   Ro.hash_to_bignum_below ~domain parts ps.q
+
+let response ps ~r ~c ~x : B.t = B.add_mod r (B.mul_mod c x ps.q) ps.q
+let is_exponent ps (z : B.t) = B.sign z >= 0 && B.lt z ps.q
+let exponent_len ps = (B.numbits ps.q + 7) / 8
+
+let exponent_to_bytes ps (v : B.t) : string =
+  B.to_bytes_be ~len:(exponent_len ps) v
+
+let exponent_of_bytes ps (s : string) : B.t option =
+  if String.length s <> exponent_len ps then None
+  else
+    let v = B.of_bytes_be s in
+    if B.lt v ps.q then Some v else None

@@ -203,17 +203,30 @@ let tdh2_tests =
           (Tdh2.check sharing ct <> None);
         Alcotest.(check bool) "honest bytes check" true (from_bytes ct <> None);
         (* p = 2q + 1 with q odd, so -1 is a non-residue and p - u lies
-           outside the order-q subgroup. *)
-        let outside = B.sub ps.G.p ct.Tdh2.u in
-        Alcotest.(check bool) "p - u is no subgroup member" false
-          (G.is_element ps outside);
+           outside the order-q subgroup: no record can hold it, and
+           bytes naming it do not decode. *)
+        let encode u =
+          Ro.encode
+            [ ct.Tdh2.c; ct.Tdh2.label; u; G.elt_to_bytes ps ct.Tdh2.u';
+              B.to_bytes_be ct.Tdh2.e; B.to_bytes_be ct.Tdh2.f ]
+        in
+        let u = G.elt_to_bytes ps ct.Tdh2.u in
+        Alcotest.(check string) "encoding rebuilt field by field"
+          (Tdh2.ciphertext_to_bytes sharing ct) (encode u);
+        let outside =
+          encode
+            (B.to_bytes_be ~len:(G.elt_len ps)
+               (B.sub ps.G.p (B.of_bytes_be u)))
+        in
+        Alcotest.(check bool) "u outside the subgroup: bytes" true
+          (Tdh2.ciphertext_of_bytes sharing outside = None
+          && Tdh2.checked_of_bytes sharing outside = None);
         List.iter
           (fun (field, bad) ->
             Alcotest.(check bool) (field ^ ": record") true
               (Tdh2.check sharing bad = None);
             Alcotest.(check bool) (field ^ ": bytes") true (from_bytes bad = None))
-          [ ("u outside the subgroup", { ct with Tdh2.u = outside });
-            ( "u and u' swapped",
+          [ ( "u and u' swapped",
               { ct with Tdh2.u = ct.Tdh2.u'; u' = ct.Tdh2.u } );
             ("e + 1", { ct with Tdh2.e = B.add ct.Tdh2.e B.one });
             ("e - 1", { ct with Tdh2.e = B.sub ct.Tdh2.e B.one });
@@ -511,12 +524,13 @@ let crypto_transcript ~n ~t ~seed =
   let gp = kr.Keyring.group in
   let buf = Buffer.create 4096 in
   let num v = Buffer.add_string buf (B.to_hex v ^ ";") in
+  let elt v = num (B.of_bytes_be (G.elt_to_bytes gp v)) in
   let flag b = Buffer.add_string buf (if b then "T;" else "F;") in
   let dleq_shares (shs : Share_batch.share list) =
     List.iter
       (fun (s : Share_batch.share) ->
         Buffer.add_string buf (string_of_int s.leaf ^ ":");
-        num s.value;
+        elt s.value;
         num s.proof.Dleq.c;
         num s.proof.Dleq.z)
       shs

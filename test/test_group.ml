@@ -8,6 +8,18 @@ let ps = G.default ~bits:96 ()
 let qtest ?(count = 50) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
+(* An element's integer, read through its encoding. *)
+let big ps a = B.of_bytes_be (G.elt_to_bytes ps a)
+
+(* The reference membership test, x^q = 1 on 0 < x < p: what the
+   decoder's Jacobi symbol must agree with. *)
+let member_ref ps x =
+  B.sign x > 0 && B.lt x ps.G.p
+  && B.equal (B.pow_mod ~base:x ~exp:ps.G.q ~modulus:ps.G.p) B.one
+
+let decodes ps x =
+  G.elt_of_bytes ps (B.to_bytes_be ~len:(G.elt_len ps) x) <> None
+
 let gen_elt =
   QCheck2.Gen.(map (fun seed ->
       let rng = Prng.create ~seed in
@@ -20,21 +32,21 @@ let unit_tests =
         Alcotest.(check bool) "q prime" true (Primes.is_probable_prime rng ps.G.q);
         Alcotest.(check bool) "p = 2q+1" true
           (B.equal ps.G.p (B.succ (B.shift_left ps.G.q 1)));
-        Alcotest.(check bool) "g in group" true (G.is_element ps ps.G.g);
-        Alcotest.(check bool) "g not one" false (G.elt_equal ps.G.g B.one));
+        Alcotest.(check bool) "g in group" true (member_ref ps (big ps ps.G.g));
+        Alcotest.(check bool) "g not one" false (G.elt_equal ps.G.g (G.one ps)));
     Alcotest.test_case "generator order" `Quick (fun () ->
         Alcotest.(check bool) "g^q = 1" true
           (G.elt_equal (G.exp ps ps.G.g ps.G.q) (G.one ps)));
     Alcotest.test_case "membership rejects" `Quick (fun () ->
-        Alcotest.(check bool) "0" false (G.is_element ps B.zero);
-        Alcotest.(check bool) "p" false (G.is_element ps ps.G.p);
+        Alcotest.(check bool) "0" false (decodes ps B.zero);
+        Alcotest.(check bool) "p" false (decodes ps ps.G.p);
         (* p - 1 has order 2, not in the subgroup *)
-        Alcotest.(check bool) "p-1" false (G.is_element ps (B.pred ps.G.p)));
+        Alcotest.(check bool) "p-1" false (decodes ps (B.pred ps.G.p)));
     Alcotest.test_case "hash_to_elt lands in group" `Quick (fun () ->
         List.iter
           (fun s ->
             Alcotest.(check bool) s true
-              (G.is_element ps (G.hash_to_elt ps ~domain:"t" [ s ])))
+              (member_ref ps (big ps (G.hash_to_elt ps ~domain:"t" [ s ]))))
           [ ""; "a"; "coin-42"; String.make 1000 'x' ]);
     Alcotest.test_case "bytes roundtrip" `Quick (fun () ->
         let x = G.exp_g ps (B.of_int 12345) in
@@ -45,14 +57,12 @@ let unit_tests =
 
 let prop_tests =
   [ qtest "closure + membership" (QCheck2.Gen.pair gen_elt gen_elt) (fun (a, b) ->
-        G.is_element ps (G.mul ps a b));
+        member_ref ps (big ps (G.mul ps a b)));
     qtest "associativity" (QCheck2.Gen.triple gen_elt gen_elt gen_elt)
       (fun (a, b, c) ->
         G.elt_equal (G.mul ps (G.mul ps a b) c) (G.mul ps a (G.mul ps b c)));
     qtest "commutativity" (QCheck2.Gen.pair gen_elt gen_elt) (fun (a, b) ->
         G.elt_equal (G.mul ps a b) (G.mul ps b a));
-    qtest "inverse" gen_elt (fun a ->
-        G.elt_equal (G.mul ps a (G.inv ps a)) (G.one ps));
     qtest "exp homomorphism"
       QCheck2.Gen.(triple gen_elt (int_bound 1000) (int_bound 1000))
       (fun (a, e1, e2) ->
@@ -65,8 +75,9 @@ let prop_tests =
       (fun (a, seed) ->
         let e = G.random_exponent ps (Prng.create ~seed) in
         G.prepare_base ps a;
-        G.elt_equal (G.exp ps a e)
-          (B.pow_mod ~base:a ~exp:(B.erem e ps.G.q) ~modulus:ps.G.p));
+        B.equal
+          (big ps (G.exp ps a e))
+          (B.pow_mod ~base:(big ps a) ~exp:(B.erem e ps.G.q) ~modulus:ps.G.p));
     qtest "multi_exp by (q - c) mod q = multi_exp by inverse"
       QCheck2.Gen.(quad gen_elt gen_elt (int_bound 3) int)
       (fun (a, b, which, seed) ->
@@ -79,13 +90,16 @@ let prop_tests =
           | 2 -> B.pred ps.G.q
           | _ -> G.random_exponent ps rng
         in
-        let neg = B.erem (B.sub ps.G.q c) ps.G.q in
-        let by_inverse = G.multi_exp ps [ (G.inv ps b, c); (a, x) ] in
-        let untabled = G.multi_exp ps [ (b, neg); (a, x) ] in
+        let inv_b =
+          Option.get (B.inv_mod (big ps b) ps.G.p)
+          |> B.to_bytes_be ~len:(G.elt_len ps)
+          |> G.elt_of_bytes ps |> Option.get
+        in
+        let by_inverse = G.multi_exp ps [ (inv_b, c); (a, x) ] in
+        let untabled = G.recommit ps ~g:a ~z:x ~h:b ~c in
         G.prepare_base ps b;
-        B.equal neg (G.neg_exponent ps c)
-        && G.elt_equal untabled by_inverse
-        && G.elt_equal (G.multi_exp ps [ (b, neg); (a, x) ]) by_inverse);
+        G.elt_equal untabled by_inverse
+        && G.elt_equal (G.recommit ps ~g:a ~z:x ~h:b ~c) by_inverse);
     qtest "multi_exp = folded product"
       QCheck2.Gen.(
         list_size (int_range 0 5) (pair gen_elt (int_bound 1000000)))
@@ -130,14 +144,15 @@ let multi_exp_test =
     (pair (list_size (int_range 0 3) (pair gen_elt exponent))
        (list_size (int_range 0 4) (pair gen_elt exponent)))
     (fun (tabled, untabled) ->
-      let own = G.unsafe_params ~p:ps.G.p ~q:ps.G.q ~g:ps.G.g in
+      let own = G.unsafe_params ~p:ps.G.p ~q:ps.G.q ~g:(big ps ps.G.g) in
       List.iter (fun (b, _) -> G.prepare_base own b) tabled;
       QCheck2.assume
         (List.for_all (fun (b, _) -> not (List.mem_assoc b tabled)) untabled);
       let terms = tabled @ untabled in
       let reference =
         List.fold_left
-          (fun acc (b, e) -> G.mul ps acc (ladder b (B.erem e ps.G.q)))
+          (fun acc (b, e) ->
+            B.mul_mod acc (ladder (big ps b) (B.erem e ps.G.q)) ps.G.p)
           B.one terms
       in
       Obs_crypto.reset ();
@@ -150,10 +165,43 @@ let multi_exp_test =
         match live with [] -> (0, 0) | [ _ ] -> (1, 0) | _ -> (0, 1)
       in
       let count = Obs_crypto.count in
-      G.elt_equal got reference
+      B.equal (big ps got) reference
       && count Obs_crypto.Fixed_base_exp = List.length tabled
       && count Obs_crypto.Modexp = modexp
       && count Obs_crypto.Modexp_window = modexp
       && count Obs_crypto.Multi_exp = multi)
 
-let suite = ("group", unit_tests @ prop_tests @ [ multi_exp_test ])
+(* The decoder accepts exactly the encodings of x^q = 1 members, in the
+   default 128-bit group and in the 96-bit one: random byte strings of
+   the element width (about half of those below p are members), random
+   members, the boundary values, and every wrong-length or zero-padded
+   form of a member. *)
+let membership_reference_test =
+  let groups = [ G.default (); ps ] in
+  qtest ~count:100 "elt_of_bytes accepts exactly the x^q = 1 values"
+    QCheck2.Gen.int (fun seed ->
+      let rng = Prng.create ~seed in
+      List.for_all
+        (fun gp ->
+          let len = G.elt_len gp in
+          let accepts s = G.elt_of_bytes gp s <> None in
+          let agrees x =
+            accepts (B.to_bytes_be ~len x) = member_ref gp x
+          in
+          let raw = Prng.bytes rng len in
+          let m = G.exp_g gp (G.random_exponent gp rng) in
+          let mb = G.elt_to_bytes gp m in
+          let p = gp.G.p in
+          accepts raw = member_ref gp (B.of_bytes_be raw)
+          && accepts mb
+          && List.for_all agrees
+               [ B.zero; B.one; B.pred p; p; B.succ p; big gp m;
+                 B.sub p (big gp m) ]
+          && List.for_all
+               (fun s -> not (accepts s))
+               [ ""; "\000" ^ mb; mb ^ "\000"; String.sub mb 1 (len - 1) ])
+        groups)
+
+let suite =
+  ( "group",
+    unit_tests @ prop_tests @ [ multi_exp_test; membership_reference_test ] )
