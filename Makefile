@@ -61,7 +61,7 @@ bench-num-smoke:
 # Every experiment of bench/main.exe at reduced scale,
 # then bench-check of what each wrote: the envelope and every claim row
 # against its limit.  The same list runs in `dune runtest`.
-SMOKE_EXPERIMENTS = F1 F2 E1 E2 G1 R1 R2 M1 M2 O1 O2 S1 S2 TPUT
+SMOKE_EXPERIMENTS = F1 F2 E1 E2 G1 R1 R2 M1 O1 O2 S1 S2 TPUT
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- --small $(SMOKE_EXPERIMENTS)
 	$(SINTRA) bench-check $(SMOKE_EXPERIMENTS:%=BENCH_%.json)

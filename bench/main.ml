@@ -23,7 +23,6 @@
      R1  ABBA terminates in an expected constant number of rounds
      R2  Atomic broadcast delivery: rounds, messages, virtual latency
      M1  Message complexity per protocol layer as n grows
-     M2  Certificate-compression ablation (vector vs. RSA dual-threshold)
      O1  Optimistic/deterministic trade-off: fast path vs. attack
      O2  The implemented optimistic atomic broadcast (Section 6):
          sequencer fast path vs. full agreement, and crash recovery
@@ -49,12 +48,12 @@ let header id title =
 
 let keyrings = Hashtbl.create 8
 
-let keyring ?(cert_mode = Keyring.Vector_mode) (structure : AS.t) : Keyring.t =
-  let key = (AS.n structure, AS.threshold_of structure, cert_mode) in
+let keyring (structure : AS.t) : Keyring.t =
+  let key = (AS.n structure, AS.threshold_of structure) in
   match Hashtbl.find_opt keyrings key with
   | Some kr -> kr
   | None ->
-    let kr = Keyring.deal ~rsa_bits:192 ~cert_mode ~seed:4242 structure in
+    let kr = Keyring.deal ~rsa_bits:192 ~seed:4242 structure in
     Hashtbl.add keyrings key kr;
     kr
 
@@ -99,9 +98,8 @@ let outcome sim violations ~rounds ~progress =
    structure's [crashed] set submit the payloads round-robin, then the
    run goes until every honest log is full or the step bound. *)
 let run_abc ?(policy = Sim.Random_order) ?(crashed = Pset.empty) ?abc_policy
-    ?(max_steps = 400_000) ?cert_mode ?(tag = "bench") ~structure ~seed
-    payloads =
-  let kr = keyring ?cert_mode structure in
+    ?(max_steps = 400_000) ?(tag = "bench") ~structure ~seed payloads =
+  let kr = keyring structure in
   let n = AS.n structure in
   let sim =
     Sim.create ~policy ~size:(Link.frame_size (Abc.msg_size kr))
@@ -536,34 +534,6 @@ let m1 () =
   print_endline "(cells are messages / kilobytes until quiescence)"
 
 (* ------------------------------------------------------------------ *)
-(* M2: certificate compression ablation                                *)
-(* ------------------------------------------------------------------ *)
-
-let m2 () =
-  header "M2"
-    "Ablation: signature-vector vs. RSA dual-threshold certificates";
-  Printf.printf "%-6s %-22s %-22s\n" "n" "vector msgs/bytes" "compressed msgs/bytes";
-  let smaller =
-    List.map
-      (fun (n, t) ->
-        let structure = AS.threshold ~n ~t in
-        let vec = run_abc ~structure ~seed:60 [ "m" ] in
-        let comp =
-          run_abc ~structure ~seed:60 ~cert_mode:Keyring.Compressed_mode [ "m" ]
-        in
-        let pr r = Printf.sprintf "%d / %d" r.messages r.bytes in
-        Printf.printf "%-6d %-22s %-22s\n" n (pr vec) (pr comp);
-        comp.bytes < vec.bytes)
-      [ (4, 1); (7, 2); (10, 3) ]
-  in
-  claim Higher "compressed below vector bytes" ~limit:3.0 (count Fun.id smaller);
-  print_endline
-    "(the paper: \"threshold signatures are further employed to decrease all\n\
-    \ messages to a constant size\" -- compression shrinks every certificate\n\
-    \ from O(n) signatures to one RSA value; total bytes drop ~15-30% here\n\
-    \ because payload dissemination, not certificates, dominates at these n)"
-
-(* ------------------------------------------------------------------ *)
 (* O2: the implemented optimistic protocol (Section 6 extension)       *)
 (* ------------------------------------------------------------------ *)
 
@@ -852,7 +822,7 @@ let tput () =
 
 let experiments =
   [ ("F1", f1); ("F2", f2); ("E1", e1); ("E2", e2); ("G1", g1); ("R1", r1); ("R2", r2); ("M1", m1);
-    ("M2", m2); ("O1", o1); ("O2", o2); ("S1", s1); ("S2", s2); ("TPUT", tput) ]
+    ("O1", o1); ("O2", o2); ("S1", s1); ("S2", s2); ("TPUT", tput) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

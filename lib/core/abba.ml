@@ -173,7 +173,7 @@ let support_cert_ok t b (sc : support_cert) : bool =
   AS.two_cover (Proto_io.structure t.io) endorsers
   && List.for_all
        (fun (p, share) ->
-         Proto_io.verify_cert_share t.io ~party:p (sup_stmt t b) share)
+         Proto_io.verify_signature t.io ~party:p (sup_stmt t b) share)
        sc
 
 (* [`Defer] means the justification refers to a coin value this party
@@ -181,7 +181,7 @@ let support_cert_ok t b (sc : support_cert) : bool =
 let rec prevote_ok t ~src (pv : prevote) : [ `Valid | `Invalid | `Defer ] =
   if
     not
-      (Proto_io.verify_cert_share t.io ~party:src
+      (Proto_io.verify_signature t.io ~party:src
          (pre_stmt t pv.pv_round pv.pv_vote) pv.pv_share)
   then `Invalid
   else
@@ -209,7 +209,7 @@ let rec prevote_ok t ~src (pv : prevote) : [ `Valid | `Invalid | `Defer ] =
 and mainvote_ok t ~src (mv : mainvote) : [ `Valid | `Invalid | `Defer ] =
   if
     not
-      (Proto_io.verify_cert_share t.io ~party:src
+      (Proto_io.verify_signature t.io ~party:src
          (main_stmt t mv.mv_round mv.mv_value) mv.mv_share)
   then `Invalid
   else
@@ -250,7 +250,7 @@ let main_shares_for rs v =
 let broadcast_support t b =
   if not (List.mem b t.my_supports) then begin
     t.my_supports <- b :: t.my_supports;
-    let share = Proto_io.cert_share t.io (sup_stmt t b) in
+    let share = Proto_io.sign t.io (sup_stmt t b) in
     t.io.Proto_io.broadcast (Support (b, share))
   end
 
@@ -273,7 +273,7 @@ let send_prevote t r b just =
       Obs.span_begin (obs t) ~party:t.io.Proto_io.me ~tag:t.tag ~layer:"abba"
         ~detail:(Printf.sprintf "r%d vote=%b" r b)
         "round";
-    let share = Proto_io.cert_share t.io (pre_stmt t r b) in
+    let share = Proto_io.sign t.io (pre_stmt t r b) in
     t.io.Proto_io.broadcast
       (Prevote { pv_round = r; pv_vote = b; pv_just = just; pv_share = share })
   end
@@ -282,7 +282,7 @@ let send_main t r v just =
   let rs = round_state t r in
   if not rs.sent_main then begin
     rs.sent_main <- true;
-    let share = Proto_io.cert_share t.io (main_stmt t r v) in
+    let share = Proto_io.sign t.io (main_stmt t r v) in
     t.io.Proto_io.broadcast
       (Mainvote { mv_round = r; mv_value = v; mv_just = just; mv_share = share });
     (* Coin r is read only behind a big-quorum of abstain main-votes,
@@ -439,7 +439,7 @@ and handle t ~src msg =
     | Support (b, share) ->
       if
         (not (List.exists (fun (v, p, _) -> v = b && p = src) t.sup_shares))
-        && Proto_io.verify_cert_share t.io ~party:src (sup_stmt t b) share
+        && Proto_io.verify_signature t.io ~party:src (sup_stmt t b) share
       then begin
         t.sup_shares <- (b, src, share) :: t.sup_shares;
         (* Amplify: once a set surely containing an honest party supports
@@ -502,9 +502,7 @@ let propose t b =
 (* Approximate wire sizes (bytes) for the message-complexity benches. *)
 let msg_size kr m =
   let share_size = 72 in
-  let cert_size = function
-    | c -> Keyring.cert_size kr c
-  in
+  let cert_size = Keyring.cert_size kr in
   let just_size = function
     | J_support sc -> List.length sc * share_size
     | J_pre_cert c | J_coin c -> cert_size c

@@ -129,7 +129,7 @@ let handle t ~src msg =
           Obs.span_begin (obs t) ~party:t.io.Proto_io.me ~src ~tag:t.tag
             ~layer:"cbc" "instance";
       t.io.Proto_io.send t.sender
-        (Echo (Proto_io.cert_share t.io (statement t payload)))
+        (Echo (Proto_io.sign t.io (statement t payload)))
     end
   | Echo share ->
     (* Once the certificate is out, late echoes are never combined:
@@ -138,7 +138,7 @@ let handle t ~src msg =
     | Some payload when t.io.Proto_io.me = t.sender && not t.sent_final ->
       if
         (not (List.mem_assoc src t.shares))
-        && Proto_io.verify_cert_share t.io ~party:src (statement t payload)
+        && Proto_io.verify_signature t.io ~party:src (statement t payload)
              share
       then begin
         t.shares <- (src, share) :: t.shares;

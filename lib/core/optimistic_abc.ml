@@ -166,7 +166,7 @@ and advance_acks t =
     (* one share per prefix value, so certificates form for every s *)
     while t.acked_prefix < prefix do
       t.acked_prefix <- t.acked_prefix + 1;
-      let share = Proto_io.cert_share t.io (ack_stmt t t.acked_prefix) in
+      let share = Proto_io.sign t.io (ack_stmt t t.acked_prefix) in
       t.io.Proto_io.broadcast (Ack (t.acked_prefix, share))
     done
   end
@@ -210,7 +210,7 @@ and output t payload =
 and send_complaint t =
   if not t.complained then begin
     t.complained <- true;
-    let share = Proto_io.cert_share t.io (complain_stmt t) in
+    let share = Proto_io.sign t.io (complain_stmt t) in
     t.io.Proto_io.broadcast (Complain share)
   end
 
@@ -466,7 +466,7 @@ let handle t ~src msg =
       let shares = ack_shares_of t s in
       if
         (not (List.mem_assoc src !shares))
-        && Proto_io.verify_cert_share t.io ~party:src (ack_stmt t s) share
+        && Proto_io.verify_signature t.io ~party:src (ack_stmt t s) share
       then begin
         shares := (src, share) :: !shares;
         if not (Hashtbl.mem t.ack_certs s) then begin
@@ -481,7 +481,7 @@ let handle t ~src msg =
   | Complain share ->
     if
       (not (List.mem_assoc src t.complain_shares))
-      && Proto_io.verify_cert_share t.io ~party:src (complain_stmt t) share
+      && Proto_io.verify_signature t.io ~party:src (complain_stmt t) share
     then begin
       t.complain_shares <- (src, share) :: t.complain_shares;
       maybe_switch t

@@ -190,10 +190,6 @@ let verify_signature io ~party stmt sg =
          true
        end
 
-let verify_cert_share io ~party stmt share =
-  Keyring.verify_cert_share ~verify:(verify_signature io) io.keyring ~party
-    stmt share
-
 let verify_cert io stmt cert =
   Keyring.verify_cert ~verify:(verify_signature io) io.keyring stmt cert
 
@@ -208,10 +204,3 @@ let sign io stmt =
   let sg = Keyring.sign io.keyring ~party:io.me stmt in
   Option.iter (fun e -> record e ~party:io.me stmt sg) io.memo.table;
   sg
-
-let cert_share io stmt =
-  let share = Keyring.cert_share io.keyring ~party:io.me stmt in
-  (match (share, io.memo.table) with
-  | Keyring.Sig_share sg, Some e -> record e ~party:io.me stmt sg
-  | Keyring.Sig_share _, None | Keyring.Rsa_cert_share _, _ -> ());
-  share

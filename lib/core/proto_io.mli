@@ -108,25 +108,23 @@ val contains_honest : 'm t -> Pset.t -> bool
 (** {2 Signature checks}
 
     The one path by which protocol code checks a server's Schnorr
-    signature, a quorum-certificate share or a quorum certificate.  With
-    an open memo a check that this replica already passed for the same
-    (signer, statement, signature), or a signature it made itself
-    ({!sign}), is answered from the memo; everything else is a full
-    {!Keyring} check, and only a successful one is recorded.  Compressed
-    (RSA) certificates are never memoized. *)
+    signature — a signed message or a quorum-certificate share, which is
+    the same thing ({!Keyring.cert_share}) — or a quorum certificate,
+    whose every entry goes through {!verify_signature}.  With an open
+    memo a check that this replica already passed for the same (signer,
+    statement, signature), or a signature it made itself ({!sign}), is
+    answered from the memo; everything else is a full {!Keyring} check,
+    and only a successful one is recorded. *)
 
 val verify_signature : 'm t -> party:int -> string -> Schnorr_sig.signature -> bool
-val verify_cert_share : 'm t -> party:int -> string -> Keyring.cert_share -> bool
 val verify_cert : 'm t -> string -> Keyring.cert -> bool
 
 (** {2 Own signatures}
 
-    The one path by which protocol code signs as [io.me]: a Schnorr
-    signature ({!sign}) or a quorum-certificate share ({!cert_share}).
-    With an open memo the signature enters it as it is made, so a later
-    check of the same (me, statement, signature) is a hit; a different
-    signature claiming [me] still gets a full check.  A closed memo
-    records nothing, and an RSA certificate share is never recorded. *)
+    The one path by which protocol code signs as [io.me], a message or a
+    quorum-certificate share alike.  With an open memo the signature
+    enters it as it is made, so a later check of the same (me,
+    statement, signature) is a hit; a different signature claiming [me]
+    still gets a full check.  A closed memo records nothing. *)
 
 val sign : 'm t -> string -> Schnorr_sig.signature
-val cert_share : 'm t -> string -> Keyring.cert_share

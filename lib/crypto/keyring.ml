@@ -9,7 +9,8 @@
    - the service signature scheme (Shoup RSA threshold signatures when
      the structure is a plain threshold; LSSS certificate signatures for
      generalized structures),
-   - one plain Schnorr keypair per server for signed protocol messages.
+   - one plain Schnorr keypair per server for signed protocol messages
+     and quorum-certificate shares.
 
    In the simulator every party holds the whole record but honest code
    only ever reads its own secrets; corrupted parties may read
@@ -31,14 +32,6 @@ type service_signature =
   | Rsa_signature of Rsa_threshold.signature
   | Cert_signature of Cert_sig.certificate
 
-type cert_mode =
-  | Vector_mode
-      (** quorum certificates are vectors of individual signatures *)
-  | Compressed_mode
-      (** quorum certificates are dual-threshold RSA signatures with
-          reconstruction threshold n - t — the constant-size-message
-          optimization of Section 3; threshold structures only *)
-
 type t = {
   group : G.params;
   structure : AS.t;
@@ -46,12 +39,9 @@ type t = {
   enc : Dl_sharing.t;
   service : service_keys;
   party_keys : Schnorr_sig.keypair array;
-  cert_mode : cert_mode;
-  cert_rsa : Rsa_threshold.keys option;  (* present in Compressed_mode *)
 }
 
-let deal ?(group_bits = 128) ?(rsa_bits = 256) ?(cert_mode = Vector_mode)
-    ~seed (structure : AS.t) : t =
+let deal ?(group_bits = 128) ?(rsa_bits = 256) ~seed (structure : AS.t) : t =
   let rng = Prng.create ~seed in
   let group = G.default ~bits:group_bits () in
   let coin = Dl_sharing.deal group structure (Prng.split rng) in
@@ -64,19 +54,10 @@ let deal ?(group_bits = 128) ?(rsa_bits = 256) ?(cert_mode = Vector_mode)
            (Prng.split rng))
     | None -> Cert_keys (Dl_sharing.deal group structure (Prng.split rng))
   in
-  let cert_rsa =
-    match (cert_mode, AS.min_big_quorum_size structure) with
-    | Compressed_mode, Some q ->
-      Some (Rsa_threshold.deal ~bits:rsa_bits ~n:(AS.n structure) ~k:q (Prng.split rng))
-    | Compressed_mode, None ->
-      invalid_arg
-        "Keyring.deal: compressed certificates need a counting structure"
-    | Vector_mode, (Some _ | None) -> None
-  in
   let party_keys =
     Array.init (AS.n structure) (fun _ -> Schnorr_sig.generate group rng)
   in
-  { group; structure; coin; enc; service; party_keys; cert_mode; cert_rsa }
+  { group; structure; coin; enc; service; party_keys }
 
 let n t = AS.n t.structure
 
@@ -278,81 +259,33 @@ let sig_share_of_bytes t (b : string) : sig_share option =
 
 (* Transferable evidence that a big-quorum of servers endorsed a
    statement: the protocol "justifications" of the CKS00 agreement
-   protocol and the delivery certificates of consistent broadcast.  In
-   [Vector_mode] a certificate is a vector of individual Schnorr
-   signatures; in [Compressed_mode] it is a single dual-threshold RSA
-   signature with reconstruction threshold n - t (constant size). *)
+   protocol and the delivery certificates of consistent broadcast.  A
+   share is one server's Schnorr signature on the statement and a
+   certificate the vector of a big quorum's shares. *)
 
-type cert_share =
-  | Sig_share of Schnorr_sig.signature
-  | Rsa_cert_share of Rsa_threshold.share
-
-type cert =
-  | Vector_cert of (int * Schnorr_sig.signature) list
-  | Rsa_cert of Rsa_threshold.signature
-
+type cert_share = Schnorr_sig.signature
+type cert = (int * cert_share) list
 type party_verifier = party:int -> string -> Schnorr_sig.signature -> bool
 
-let cert_share t ~party (statement : string) : cert_share =
-  match t.cert_rsa with
-  | None -> Sig_share (sign t ~party statement)
-  | Some keys -> Rsa_cert_share (Rsa_threshold.sign_share keys ~party statement)
+let cert_share = sign
 
-let verify_cert_share ?verify t ~party (statement : string) (s : cert_share) :
-    bool =
-  match (t.cert_rsa, s) with
-  | None, Sig_share sg ->
-    (Option.value verify ~default:(verify_party_signature t)) ~party statement sg
-  | Some keys, Rsa_cert_share sh ->
-    sh.Rsa_threshold.signer = party && Rsa_threshold.verify_share keys statement sh
-  | None, Rsa_cert_share _ | Some _, Sig_share _ -> false
-
-(* Build a certificate from verified shares; requires a big quorum of
-   distinct endorsers.  Shares must have been verified by the caller. *)
-let make_cert t (statement : string) (shares : (int * cert_share) list) :
-    cert option =
+(* One entry per endorser: a repeated party counts once. *)
+let distinct (shares : (int * cert_share) list) =
   let shares = List.sort_uniq (fun (a, _) (b, _) -> compare a b) shares in
-  let endorsers =
-    List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty shares
-  in
-  if not (AS.big_quorum t.structure endorsers) then None
-  else
-    match t.cert_rsa with
-    | None ->
-      Some
-        (Vector_cert
-           (List.filter_map
-              (fun (p, s) ->
-                match s with Sig_share sg -> Some (p, sg) | Rsa_cert_share _ -> None)
-              shares))
-    | Some keys ->
-      let rsa =
-        List.filter_map
-          (fun (_, s) ->
-            match s with Rsa_cert_share sh -> Some sh | Sig_share _ -> None)
-          shares
-      in
-      Option.map (fun y -> Rsa_cert y) (Rsa_threshold.combine keys statement rsa)
+  (shares, List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty shares)
+
+(* Shares must have been verified by the caller. *)
+let make_cert t (_ : string) (shares : (int * cert_share) list) : cert option =
+  let shares, endorsers = distinct shares in
+  if AS.big_quorum t.structure endorsers then Some shares else None
 
 let verify_cert ?verify t (statement : string) (c : cert) : bool =
   let verify = Option.value verify ~default:(verify_party_signature t) in
-  match (t.cert_rsa, c) with
-  | None, Vector_cert sigs ->
-    let sigs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) sigs in
-    let endorsers =
-      List.fold_left (fun acc (p, _) -> Pset.add p acc) Pset.empty sigs
-    in
-    AS.big_quorum t.structure endorsers
-    && List.for_all
-         (fun (p, sg) -> verify ~party:p statement sg)
-         sigs
-  | Some keys, Rsa_cert y -> Rsa_threshold.verify keys.Rsa_threshold.pk statement y
-  | None, Rsa_cert _ | Some _, Vector_cert _ -> false
+  let sigs, endorsers = distinct c in
+  AS.big_quorum t.structure endorsers
+  && List.for_all (fun (p, sg) -> verify ~party:p statement sg) sigs
 
 (* Approximate wire size of a certificate in bytes, for the message
    complexity experiments. *)
 let cert_size t (c : cert) : int =
-  match c with
-  | Vector_cert sigs ->
-    List.length sigs * (4 + (2 * G.exponent_len t.group))
-  | Rsa_cert y -> (B.numbits y + 7) / 8
+  List.length c * (4 + (2 * G.exponent_len t.group))

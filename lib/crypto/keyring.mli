@@ -1,8 +1,9 @@
 (** The trusted dealer's output (paper, Section 2): everything one
     deployment needs, bundled per adversary structure — the shared group,
     independent DL sharings for the threshold coin and TDH2, the service
-    signature scheme, one Schnorr keypair per server, and the quorum-
-    certificate scheme used as protocol justifications.
+    signature scheme, and one Schnorr keypair per server, whose
+    signatures are also the shares of the quorum certificates used as
+    protocol justifications.
 
     In the simulator every party holds the record but honest code reads
     only its own secrets; corrupted parties may read everything, which
@@ -20,13 +21,6 @@ type service_signature =
   | Rsa_signature of Rsa_threshold.signature
   | Cert_signature of Cert_sig.certificate
 
-type cert_mode =
-  | Vector_mode  (** quorum certificates = vectors of Schnorr signatures *)
-  | Compressed_mode
-      (** quorum certificates = dual-threshold RSA signatures with
-          k = n − t: the constant-size-message optimization of Section 3;
-          threshold structures only *)
-
 type t = {
   group : Schnorr_group.params;
   structure : Adversary_structure.t;
@@ -34,15 +28,10 @@ type t = {
   enc : Dl_sharing.t;
   service : service_keys;
   party_keys : Schnorr_sig.keypair array;
-  cert_mode : cert_mode;
-  cert_rsa : Rsa_threshold.keys option;
 }
 
-val deal :
-  ?group_bits:int -> ?rsa_bits:int -> ?cert_mode:cert_mode -> seed:int ->
-  Adversary_structure.t -> t
-(** Run the trusted dealer (defaults: 128-bit group, 256-bit RSA,
-    vector certificates). *)
+val deal : ?group_bits:int -> ?rsa_bits:int -> seed:int -> Adversary_structure.t -> t
+(** Run the trusted dealer (defaults: 128-bit group, 256-bit RSA). *)
 
 val n : t -> int
 val party_public_key : t -> int -> Schnorr_group.elt
@@ -127,30 +116,30 @@ val sig_share_of_bytes : t -> string -> sig_share option
 
     Transferable evidence that a big-quorum of servers endorsed a
     statement — the protocol justifications of the CKS00 agreement
-    protocol and the delivery certificates of consistent broadcast. *)
+    protocol and the delivery certificates of consistent broadcast.  A
+    share is one server's Schnorr signature on the statement ({!sign});
+    a certificate is the vector of a big quorum's shares, checked one
+    signature at a time. *)
 
-type cert_share =
-  | Sig_share of Schnorr_sig.signature
-  | Rsa_cert_share of Rsa_threshold.share
-
-type cert = Vector_cert of (int * Schnorr_sig.signature) list | Rsa_cert of Rsa_threshold.signature
+type cert_share = Schnorr_sig.signature
+type cert = (int * cert_share) list
 
 val cert_share : t -> party:int -> string -> cert_share
+(** {!sign}. *)
+
 type party_verifier = party:int -> string -> Schnorr_sig.signature -> bool
 (** A check of one server's Schnorr signature: {!verify_party_signature}
     unless a caller supplies its own (a memoizing wrapper). *)
 
-val verify_cert_share :
-  ?verify:party_verifier -> t -> party:int -> string -> cert_share -> bool
-(** [verify] checks a vector-mode share; RSA shares ignore it. *)
-
 val make_cert : t -> string -> (int * cert_share) list -> cert option
-(** [None] unless the (deduplicated) endorsers form a big quorum; shares
-    must have been verified by the caller. *)
+(** [None] unless the distinct endorsers form a big quorum; an endorser
+    named twice counts once and keeps one entry.  Shares must have been
+    verified by the caller; the statement is not read. *)
 
 val verify_cert : ?verify:party_verifier -> t -> string -> cert -> bool
-(** [verify] checks each signature of a vector certificate; compressed
-    certificates ignore it. *)
+(** [true] iff the distinct endorsers form a big quorum and [verify]
+    accepts each one's signature (one entry per endorser is checked). *)
 
 val cert_size : t -> cert -> int
-(** Approximate wire size in bytes, for the message-size experiments. *)
+(** Approximate wire size in bytes, for the message-size experiments:
+    4 + 2·{!Schnorr_group.exponent_len} per entry. *)

@@ -6,10 +6,7 @@
    non-interactive and any k valid shares combine into a standard RSA
    signature; a share carries its validity proof only where the receiver
    checks shares one by one.  The reconstruction threshold k is a
-   parameter, so the same scheme also provides the "dual-threshold"
-   certificates that compress protocol messages to constant size
-   (Section 3: "threshold signatures are further employed to decrease
-   all messages to a constant size").
+   parameter; the service key uses k = t + 1.
 
    Key facts used below (Delta = n!):
      share of party j (1-indexed):  s_j = f(j) mod m,  f(0) = d,

@@ -5,10 +5,11 @@
     non-interactive and any [k] valid shares combine into a standard RSA
     signature.  A share carries its validity proof ({!sign_share}) only
     where the receiver checks shares one by one; elsewhere it is bare
-    ({!bare_share}).  The reconstruction threshold
-    [k] is a free parameter, which also provides the dual-threshold
-    certificates (k = n − t) that compress protocol messages to constant
-    size (paper, Section 3). *)
+    ({!bare_share}).  The reconstruction threshold [k] is a parameter;
+    the service key uses k = t + 1.  (The paper's Section 3 also uses
+    k = n − t to compress quorum certificates to one signature; that
+    costs a proof-checked share per justification and is not used, see
+    EXPERIMENTS.md "M2".) *)
 
 type public_key = { n_modulus : Bignum.t; e : Bignum.t; n_parties : int; k : int }
 

@@ -74,7 +74,6 @@ let acceptance kind ~experiment =
     | "R1" -> [ "abba oracle violations"; "n=4 mean rounds" ]
     | "R2" -> [ "rows delivered"; "total-order violations" ]
     | "M1" -> [ "n=4 instances completed" ]
-    | "M2" -> [ "compressed below vector bytes" ]
     | "O1" -> [ "abc live under leader delay"; "pbft live under leader delay" ]
     | "O2" -> [ "fast path below full abc messages"; "sequencer crash recovered" ]
     | "S1" -> [ "certificate issued" ]

@@ -197,9 +197,8 @@ let forged_share_tests =
         Sim.set_handler sim 3 (fun ~src:_ (_ : Abba.msg Link.frame) -> ());
         (* forge: a mainvote Value true with a vector cert signed over the
            WRONG statement (the complaint statement) *)
-        let bogus_cert =
-          Keyring.Vector_cert
-            (List.map (fun p -> (p, Keyring.sign kr ~party:p "nonsense")) [ 0; 1; 2 ])
+        let bogus_cert : Keyring.cert =
+          List.map (fun p -> (p, Keyring.sign kr ~party:p "nonsense")) [ 0; 1; 2 ]
         in
         let share =
           Keyring.cert_share kr ~party:3

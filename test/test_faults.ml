@@ -1378,7 +1378,6 @@ let table_tests =
                 ("R1", "n=4 mean rounds");
                 ("R2", "total-order violations");
                 ("M1", "n=4 instances completed");
-                ("M2", "compressed below vector bytes");
                 ("O1", "pbft live under leader delay");
                 ("O2", "sequencer crash recovered");
                 ("S1", "certificate issued");

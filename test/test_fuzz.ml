@@ -74,8 +74,7 @@ let fuzz_tests =
               Sim.send sim ~src:0 ~dst:(Prng.int rng 4)
                 (Link.Raw
                    (Cbc.Final
-                      ( payloads.(Prng.int rng (Array.length payloads)),
-                        Keyring.Vector_cert [] )))
+                      (payloads.(Prng.int rng (Array.length payloads)), [])))
             | Some (Cbc.Send _ | Cbc.Final _) | None -> ());
             ());
         Sim.send sim ~src:0 ~dst:1 (Link.Raw (Cbc.Send "x"));

@@ -1,6 +1,6 @@
-(* Cross-cutting tests: the wire codec, the simulator itself, compressed
-   quorum certificates end-to-end, weighted-threshold structures, and
-   randomized-schedule property tests over whole protocol runs. *)
+(* Cross-cutting tests: the wire codec, the simulator itself, quorum
+   certificates, weighted-threshold structures, and randomized-schedule
+   property tests over whole protocol runs. *)
 
 module AS = Adversary_structure
 
@@ -633,57 +633,57 @@ let sched_model_tests =
         Alcotest.(check bool) "in range" false (Sim.is_crashed sim 2))
   ]
 
-(* ---------------- compressed certificates end-to-end ------------------ *)
+(* ---------------- quorum certificates -------------------------------- *)
 
-let compressed_tests =
-  [ Alcotest.test_case "quorum certs: compressed mode round trip" `Quick
-      (fun () ->
-        let kr =
-          Keyring.deal ~rsa_bits:192 ~cert_mode:Keyring.Compressed_mode
-            ~seed:9001 (AS.threshold ~n:4 ~t:1)
-        in
-        let stmt = "compressed-statement" in
+let cert_tests =
+  [ Alcotest.test_case "quorum certs: round trip" `Quick (fun () ->
+        let kr = Keyring.deal ~rsa_bits:192 ~seed:9001 (AS.threshold ~n:4 ~t:1) in
+        let stmt = "quorum-statement" in
         let shares =
           List.map (fun p -> (p, Keyring.cert_share kr ~party:p stmt)) [ 0; 1; 2 ]
         in
         List.iter
           (fun (p, s) ->
             Alcotest.(check bool) "share ok" true
-              (Keyring.verify_cert_share kr ~party:p stmt s))
+              (Keyring.verify_party_signature kr ~party:p stmt s);
+            Alcotest.(check bool) "share under another signer refused" false
+              (Keyring.verify_party_signature kr ~party:((p + 1) mod 4) stmt s))
           shares;
-        (match Keyring.make_cert kr stmt shares with
-        | None -> Alcotest.fail "cert not formed"
-        | Some cert ->
-          Alcotest.(check bool) "verifies" true (Keyring.verify_cert kr stmt cert);
-          Alcotest.(check bool) "wrong statement fails" false
-            (Keyring.verify_cert kr "other" cert);
-          (* compressed certificates are constant-size RSA values *)
-          Alcotest.(check bool) "small" true (Keyring.cert_size kr cert < 64));
+        let cert =
+          match Keyring.make_cert kr stmt shares with
+          | None -> Alcotest.fail "cert not formed"
+          | Some cert -> cert
+        in
+        Alcotest.(check bool) "verifies" true (Keyring.verify_cert kr stmt cert);
+        Alcotest.(check bool) "wrong statement fails" false
+          (Keyring.verify_cert kr "other" cert);
+        (* one (party, signature) entry per endorser of the n-t quorum *)
+        Alcotest.(check int) "size"
+          (3 * (4 + (2 * Schnorr_group.exponent_len kr.group)))
+          (Keyring.cert_size kr cert);
         (* two shares are below the n-t quorum *)
         Alcotest.(check bool) "sub-quorum refused" true
           (Keyring.make_cert kr stmt (List.filteri (fun i _ -> i < 2) shares)
-          = None));
-    Alcotest.test_case "abc runs in compressed-certificate mode" `Quick
-      (fun () ->
-        let kr =
-          Keyring.deal ~rsa_bits:192 ~cert_mode:Keyring.Compressed_mode
-            ~seed:9002 (AS.threshold ~n:4 ~t:1)
+          = None);
+        (* three entries, two endorsers: a repeated endorser counts once *)
+        let twice = List.filteri (fun i _ -> i < 2) shares @ [ List.nth shares 1 ] in
+        Alcotest.(check bool) "repeated endorser: no cert" true
+          (Keyring.make_cert kr stmt twice = None);
+        Alcotest.(check bool) "repeated endorser: keyring refuses" false
+          (Keyring.verify_cert kr stmt twice);
+        let io =
+          Proto_io.make ~timer:(fun ~delay:_ _ -> ()) ~me:3 ~keyring:kr
+            ~send:(fun _ () -> ()) ~broadcast:ignore ~unsequenced:(fun _ () -> ())
+            ~link:None ()
         in
-        let sim = Sim.create ~n:4 ~seed:77 () in
-        let logs = Array.make 4 [] in
-        let nodes =
-          Stack.deploy_abc ~sim ~keyring:kr ~tag:"compressed"
-            ~deliver:(fun me p -> logs.(me) <- p :: logs.(me)) ()
-        in
-        Abc.broadcast nodes.(0) "compact-1";
-        Abc.broadcast nodes.(2) "compact-2";
-        Sim.run sim
-          ~until:(fun () -> Array.for_all (fun l -> List.length l >= 2) logs);
-        Array.iter
-          (fun l ->
-            Alcotest.(check (list string)) "same order" (List.rev logs.(0))
-              (List.rev l))
-          logs)
+        Proto_io.open_memo io.Proto_io.memo;
+        Alcotest.(check bool) "repeated endorser: memoized check refuses" false
+          (Proto_io.verify_cert io stmt twice);
+        Alcotest.(check bool) "the quorum passes the memoized check" true
+          (Proto_io.verify_cert io stmt cert);
+        Alcotest.(check bool) "repeated endorser: refused with its entries memoized"
+          false
+          (Proto_io.verify_cert io stmt twice))
   ]
 
 (* ---------------- weighted thresholds -------------------------------- *)
@@ -805,5 +805,5 @@ let property_tests =
 
 let suite =
   ( "misc",
-    codec_tests @ sim_tests @ sched_model_tests @ compressed_tests @ weighted_tests
+    codec_tests @ sim_tests @ sched_model_tests @ cert_tests @ weighted_tests
     @ property_tests )

@@ -979,26 +979,18 @@ let memo_tests =
         List.iter
           (fun (p, sh) ->
             Alcotest.(check bool) "share accepted" true
-              (Proto_io.verify_cert_share io ~party:p stmt sh))
+              (Proto_io.verify_signature io ~party:p stmt sh))
           shares;
         let cert = Option.get (Keyring.make_cert kr stmt shares) in
         Alcotest.(check bool) "genuine certificate accepted" true
           (Proto_io.verify_cert io stmt cert);
         let mixed =
-          match cert with
-          | Keyring.Vector_cert sigs ->
-            Keyring.Vector_cert
-              (List.map (fun (p, sg) -> if p = 2 then (p, forge sg) else (p, sg)) sigs)
-          | Keyring.Rsa_cert _ -> Alcotest.fail "vector mode expected"
+          List.map (fun (p, sg) -> if p = 2 then (p, forge sg) else (p, sg)) cert
         in
         Alcotest.(check bool) "mixed certificate rejected" false
           (Proto_io.verify_cert io stmt mixed);
         Alcotest.(check bool) "forged share rejected" false
-          (match List.assoc 2 shares with
-          | Keyring.Sig_share sg ->
-            Proto_io.verify_cert_share io ~party:2 stmt
-              (Keyring.Sig_share (forge sg))
-          | Keyring.Rsa_cert_share _ -> true));
+          (Proto_io.verify_signature io ~party:2 stmt (forge (List.assoc 2 shares))));
     Alcotest.test_case "memo: two parties never share a memo table" `Quick
       (fun () ->
         let a = memo_io ~me:0 kr and b = memo_io ~me:1 kr in
@@ -1099,7 +1091,7 @@ let memo_tests =
       `Quick (fun () ->
         let io = memo_io ~me:1 kr in
         let sg = Proto_io.sign io stmt in
-        let share = Proto_io.cert_share io "share statement" in
+        let share = Proto_io.sign io "share statement" in
         Alcotest.(check int) "both recorded as signed" 2
           (Proto_io.memo_size io.Proto_io.memo);
         Alcotest.(check int) "no full check of the replica's own work" 0
@@ -1107,7 +1099,7 @@ let memo_tests =
                Alcotest.(check bool) "own signature accepted" true
                  (Proto_io.verify_signature io ~party:1 stmt sg);
                Alcotest.(check bool) "own share accepted" true
-                 (Proto_io.verify_cert_share io ~party:1 "share statement"
+                 (Proto_io.verify_signature io ~party:1 "share statement"
                     share))));
     Alcotest.test_case
       "memo: another signature claiming the replica is checked in full"
@@ -1129,7 +1121,7 @@ let memo_tests =
       `Quick (fun () ->
         let io = checker_io ~me:1 kr in
         let sg = Proto_io.sign io stmt in
-        ignore (Proto_io.cert_share io "share statement");
+        ignore (Proto_io.sign io "share statement");
         Alcotest.(check int) "nothing recorded" 0
           (Proto_io.memo_size io.Proto_io.memo);
         Alcotest.(check bool) "still closed" false
